@@ -28,8 +28,12 @@ use wire::{crc32, Reader, WireError};
 
 /// File magic: "MMCK" (MarketMiner ChecKpoint).
 const MAGIC: [u8; 4] = *b"MMCK";
-/// Format version.
-const VERSION: u8 = 1;
+/// Format version. Bumped whenever any component's encoded state changes
+/// layout, so a file written by an older build is refused by version
+/// ([`Rejected::UnsupportedVersion`]) instead of being offered to
+/// decoders that would misread it. Version 2: strategy hosts keep
+/// per-spec state only and each correlation stream has a signal node.
+pub const VERSION: u8 = 2;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 
@@ -38,15 +42,61 @@ const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 pub enum CkptError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// No valid checkpoint exists.
-    NoCheckpoint,
+    /// No valid checkpoint exists; every file found was refused.
+    NoCheckpoint {
+        /// The refused files, newest first.
+        rejected: Vec<CorruptCheckpoint>,
+    },
 }
 
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CkptError::Io(e) => write!(f, "checkpoint io: {e}"),
-            CkptError::NoCheckpoint => write!(f, "no valid checkpoint on disk"),
+            CkptError::NoCheckpoint { rejected } => write!(
+                f,
+                "no valid checkpoint on disk ({} refused)",
+                rejected.len()
+            ),
+        }
+    }
+}
+
+/// Why a checkpoint file was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rejected {
+    /// The file could not be read.
+    Unreadable(String),
+    /// Shorter than the fixed header.
+    TruncatedHeader,
+    /// Not a checkpoint file.
+    BadMagic,
+    /// Written under another format version (by another build): its
+    /// payload layout is not this build's.
+    UnsupportedVersion(u8),
+    /// Shorter than its header claims.
+    TruncatedPayload,
+    /// Longer than its header claims.
+    TrailingBytes,
+    /// The payload does not match its CRC-32.
+    CrcMismatch,
+    /// The header's epoch is not the one the file name claims.
+    EpochMismatch(u64),
+}
+
+impl std::fmt::Display for Rejected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejected::Unreadable(e) => write!(f, "unreadable: {e}"),
+            Rejected::TruncatedHeader => write!(f, "truncated header"),
+            Rejected::BadMagic => write!(f, "bad magic"),
+            Rejected::UnsupportedVersion(v) => {
+                write!(f, "format version {v}, this build reads {VERSION}")
+            }
+            Rejected::TruncatedPayload => write!(f, "truncated payload"),
+            Rejected::TrailingBytes => write!(f, "trailing bytes"),
+            Rejected::CrcMismatch => write!(f, "crc mismatch"),
+            Rejected::EpochMismatch(e) => write!(f, "epoch mismatch: file says {e}"),
         }
     }
 }
@@ -68,7 +118,7 @@ pub struct CorruptCheckpoint {
     /// The epoch its name claims.
     pub epoch: u64,
     /// Why validation failed.
-    pub reason: String,
+    pub reason: Rejected,
 }
 
 /// The result of recovery: the newest valid checkpoint plus every newer
@@ -192,22 +242,22 @@ impl CheckpointStore {
     }
 
     /// Validate and load one checkpoint file, returning `(epoch, payload)`.
-    fn load_file(path: &Path) -> Result<(u64, Vec<u8>), String> {
+    fn load_file(path: &Path) -> Result<(u64, Vec<u8>), Rejected> {
         let mut bytes = Vec::new();
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| format!("unreadable: {e}"))?;
+            .map_err(|e| Rejected::Unreadable(e.to_string()))?;
         if bytes.len() < HEADER_LEN {
-            return Err("truncated header".into());
+            return Err(Rejected::TruncatedHeader);
         }
         let mut r = Reader::new(&bytes);
         let magic = r.take(4).expect("header length checked");
         if magic != MAGIC {
-            return Err("bad magic".into());
+            return Err(Rejected::BadMagic);
         }
         let version = r.take(1).expect("header length checked")[0];
         if version != VERSION {
-            return Err(format!("unknown version {version}"));
+            return Err(Rejected::UnsupportedVersion(version));
         }
         let word = |r: &mut Reader<'_>| -> u64 {
             u64::from_le_bytes(r.take(8).unwrap().try_into().unwrap())
@@ -217,12 +267,12 @@ impl CheckpointStore {
         let crc = u32::from_le_bytes(r.take(4).unwrap().try_into().unwrap());
         let payload = r
             .take(len)
-            .map_err(|_: WireError| "truncated payload".to_string())?;
+            .map_err(|_: WireError| Rejected::TruncatedPayload)?;
         if !r.is_empty() {
-            return Err("trailing bytes".into());
+            return Err(Rejected::TrailingBytes);
         }
         if crc32(payload) != crc {
-            return Err("crc mismatch".into());
+            return Err(Rejected::CrcMismatch);
         }
         Ok((epoch, payload.to_vec()))
     }
@@ -242,7 +292,8 @@ impl CheckpointStore {
     /// The manifest's epoch is tried first; on any validation failure the
     /// scan falls back through older epochs, collecting a
     /// [`CorruptCheckpoint`] record for each skipped file. Returns
-    /// [`CkptError::NoCheckpoint`] when nothing valid exists.
+    /// [`CkptError::NoCheckpoint`] (carrying those records) when nothing
+    /// valid exists.
     pub fn recover(&self) -> Result<Recovered, CkptError> {
         let mut corrupt = Vec::new();
         for epoch in self.epochs_desc()? {
@@ -258,7 +309,7 @@ impl CheckpointStore {
                 Ok((file_epoch, _)) => corrupt.push(CorruptCheckpoint {
                     path,
                     epoch,
-                    reason: format!("epoch mismatch: file says {file_epoch}"),
+                    reason: Rejected::EpochMismatch(file_epoch),
                 }),
                 Err(reason) => corrupt.push(CorruptCheckpoint {
                     path,
@@ -267,7 +318,7 @@ impl CheckpointStore {
                 }),
             }
         }
-        Err(CkptError::NoCheckpoint)
+        Err(CkptError::NoCheckpoint { rejected: corrupt })
     }
 
     /// The newest complete epoch, if any (manifest first, then scan).
@@ -331,7 +382,7 @@ mod tests {
         assert_eq!(r.payload, b"good old state");
         assert_eq!(r.corrupt.len(), 1);
         assert_eq!(r.corrupt[0].epoch, 4);
-        assert!(r.corrupt[0].reason.contains("truncated"));
+        assert_eq!(r.corrupt[0].reason, Rejected::TruncatedPayload);
     }
 
     #[test]
@@ -348,7 +399,7 @@ mod tests {
         let r = store.recover().unwrap();
         assert_eq!(r.epoch, 7);
         assert_eq!(r.corrupt.len(), 1);
-        assert_eq!(r.corrupt[0].reason, "crc mismatch");
+        assert_eq!(r.corrupt[0].reason, Rejected::CrcMismatch);
         // latest_epoch must not trust the (stale) manifest either.
         assert_eq!(store.latest_epoch(), Some(7));
     }
@@ -366,7 +417,10 @@ mod tests {
     #[test]
     fn empty_store_reports_no_checkpoint() {
         let store = CheckpointStore::open(tmpdir("empty")).unwrap();
-        assert!(matches!(store.recover(), Err(CkptError::NoCheckpoint)));
+        assert!(matches!(
+            store.recover(),
+            Err(CkptError::NoCheckpoint { rejected }) if rejected.is_empty()
+        ));
         assert_eq!(store.latest_epoch(), None);
     }
 
@@ -399,6 +453,28 @@ mod tests {
         fs::write(&newest, &bytes).unwrap();
         let r = store.recover().unwrap();
         assert_eq!(r.epoch, 0);
-        assert_eq!(r.corrupt[0].reason, "bad magic");
+        assert_eq!(r.corrupt[0].reason, Rejected::BadMagic);
+    }
+
+    #[test]
+    fn another_format_version_is_refused_not_decoded() {
+        let store = CheckpointStore::open(tmpdir("version")).unwrap();
+        store.save(5, b"state in another layout").unwrap();
+        let path = store.dir().join(ckpt_name(5));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4] = VERSION - 1; // the CRC covers the payload only
+        fs::write(&path, &bytes).unwrap();
+        match store.recover() {
+            Err(CkptError::NoCheckpoint { rejected }) => {
+                assert_eq!(rejected.len(), 1);
+                assert_eq!(rejected[0].epoch, 5);
+                assert_eq!(
+                    rejected[0].reason,
+                    Rejected::UnsupportedVersion(VERSION - 1)
+                );
+            }
+            other => panic!("an old-format file must be refused, got {other:?}"),
+        }
+        assert_eq!(store.latest_epoch(), None);
     }
 }

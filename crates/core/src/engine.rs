@@ -1,17 +1,107 @@
 //! The day-level driver: feed a pair's aligned price and correlation
-//! series through the [`PairStrategy`]
-//! state machine.
+//! series through a strategy state machine.
 //!
 //! Index bookkeeping: the backtester computes the correlation series from
 //! *log returns*, whose step `t` spans price intervals `t → t + 1`.
 //! `first_corr_interval` is therefore the absolute **price-interval** index
 //! at which `corr[0]` becomes known.
+//!
+//! The derived inputs a strategy declares ([`InputNeeds`]) come from
+//! [`PairSignals`]: the same signal planes the streaming strategy hosts
+//! share across all pairs, here over the one pair being run.
 
 use crate::exec::ExecutionConfig;
 use crate::params::StrategyParams;
+use crate::signal::{trailing_return, AvgPlane, RangePlane};
 use crate::spec::StrategySpec;
-use crate::strategy::{IntervalInput, PairStrategy};
+use crate::strategy::{InputNeeds, IntervalInput, PairStrategy, Strategy};
 use crate::trade::Trade;
+
+/// One pair's derived inputs: a one-pair [`AvgPlane`] and [`RangePlane`]
+/// sized by the strategy's [`InputNeeds`].
+#[derive(Debug, Clone)]
+pub struct PairSignals {
+    w_return_window: usize,
+    avg: Option<AvgPlane>,
+    range: Option<RangePlane>,
+}
+
+impl PairSignals {
+    /// Cold signals for one pair under the given needs.
+    pub fn new(needs: InputNeeds) -> Self {
+        PairSignals {
+            w_return_window: needs.w_return_window,
+            avg: (needs.avg_window > 0).then(|| AvgPlane::new(needs.avg_window, 1)),
+            range: (needs.spread_window > 0).then(|| RangePlane::new(needs.spread_window, 1)),
+        }
+    }
+
+    /// Advance to interval `s` and assemble the strategy's input from the
+    /// pair's price series on the Δs grid and its correlation at `s`.
+    pub fn step(
+        &mut self,
+        s: usize,
+        prices_i: &[f64],
+        prices_j: &[f64],
+        corr: f64,
+    ) -> IntervalInput {
+        let w = self.w_return_window;
+        let w_ret = |p: &[f64]| {
+            if w > 0 && s >= w {
+                trailing_return(p[s], p[s - w])
+            } else {
+                0.0
+            }
+        };
+        let mut input = IntervalInput::bare(s, prices_i[s], prices_j[s], corr);
+        input.w_return_i = w_ret(prices_i);
+        input.w_return_j = w_ret(prices_j);
+        self.derive(&mut input);
+        input
+    }
+
+    /// Push `input`'s correlation and spread, filling in `avg_corr`,
+    /// `rel_drop` and `spread_range`.
+    pub fn derive(&mut self, input: &mut IntervalInput) {
+        let spread = input.price_i - input.price_j;
+        if let Some(plane) = &mut self.avg {
+            plane.push(
+                &[input.corr],
+                &[],
+                std::slice::from_mut(&mut input.avg_corr),
+                std::slice::from_mut(&mut input.rel_drop),
+            );
+        }
+        if let Some(plane) = &mut self.range {
+            plane.push(
+                &[spread],
+                &[],
+                std::slice::from_mut(&mut input.spread_range),
+            );
+        }
+    }
+}
+
+fn run_day(
+    strategy: &mut dyn Strategy,
+    prices_i: &[f64],
+    prices_j: &[f64],
+    corr: &[f64],
+    first_corr_interval: usize,
+) -> Vec<Trade> {
+    assert_eq!(prices_i.len(), prices_j.len(), "price grids must align");
+    let smax = prices_i.len();
+    assert!(
+        first_corr_interval + corr.len() <= smax,
+        "correlation series overruns the day"
+    );
+    let mut signals = PairSignals::new(strategy.needs());
+    for (k, &c) in corr.iter().enumerate() {
+        let s = first_corr_interval + k;
+        strategy.on_interval(signals.step(s, prices_i, prices_j, c));
+    }
+    strategy.finish()
+}
 
 /// Run one pair for one day.
 ///
@@ -32,41 +122,21 @@ pub fn run_pair_day(
     corr: &[f64],
     first_corr_interval: usize,
 ) -> Vec<Trade> {
-    assert_eq!(prices_i.len(), prices_j.len(), "price grids must align");
-    let smax = prices_i.len();
-    assert!(
-        first_corr_interval + corr.len() <= smax,
-        "correlation series overruns the day"
-    );
-    let w = params.avg_window;
-    let mut strategy = PairStrategy::new(pair, *params, *exec);
-    for (k, &c) in corr.iter().enumerate() {
-        let s = first_corr_interval + k;
-        let w_ret = |p: &[f64]| -> f64 {
-            if s >= w && p[s - w] > 0.0 && p[s] > 0.0 {
-                p[s] / p[s - w] - 1.0
-            } else {
-                0.0
-            }
-        };
-        strategy.on_interval(IntervalInput {
-            s,
-            price_i: prices_i[s],
-            price_j: prices_j[s],
-            corr: c,
-            w_return_i: w_ret(prices_i),
-            w_return_j: w_ret(prices_j),
-        });
-    }
-    strategy.finish_day()
+    run_day(
+        &mut PairStrategy::new(pair, *params, *exec),
+        prices_i,
+        prices_j,
+        corr,
+        first_corr_interval,
+    )
 }
 
 /// Run one pair for one day under any [`StrategySpec`].
 ///
 /// The spec-generic sibling of [`run_pair_day`]: same index bookkeeping,
-/// but the trailing-return window comes from the built strategy's
-/// declared [`needs`](Strategy::needs) (a window of 0 means the family
-/// ignores trailing returns and they are fed as 0.0).
+/// with the derived inputs sized by the built strategy's declared
+/// [`needs`](Strategy::needs) (a window of 0 means the family ignores
+/// that input and it is fed as neutral).
 ///
 /// # Panics
 /// Panics if price series lengths differ or the correlation series
@@ -80,33 +150,51 @@ pub fn run_spec_day(
     corr: &[f64],
     first_corr_interval: usize,
 ) -> Vec<Trade> {
-    assert_eq!(prices_i.len(), prices_j.len(), "price grids must align");
-    let smax = prices_i.len();
-    assert!(
-        first_corr_interval + corr.len() <= smax,
-        "correlation series overruns the day"
-    );
-    let mut strategy = spec.build(pair, *exec);
-    let w = strategy.needs().w_return_window;
-    for (k, &c) in corr.iter().enumerate() {
-        let s = first_corr_interval + k;
-        let w_ret = |p: &[f64]| -> f64 {
-            if w > 0 && s >= w && p[s - w] > 0.0 && p[s] > 0.0 {
-                p[s] / p[s - w] - 1.0
-            } else {
-                0.0
-            }
-        };
-        strategy.on_interval(IntervalInput {
-            s,
-            price_i: prices_i[s],
-            price_j: prices_j[s],
-            corr: c,
-            w_return_i: w_ret(prices_i),
-            w_return_j: w_ret(prices_j),
-        });
+    run_day(
+        spec.build(pair, *exec).as_mut(),
+        prices_i,
+        prices_j,
+        corr,
+        first_corr_interval,
+    )
+}
+
+/// A strategy fed through its own one-pair [`PairSignals`], so unit tests
+/// can drive a state machine with raw prices, correlations and
+/// `W`-returns.
+#[cfg(test)]
+pub(crate) struct Driven<S> {
+    pub st: S,
+    signals: PairSignals,
+}
+
+#[cfg(test)]
+impl<S: Strategy> Driven<S> {
+    pub fn new(st: S) -> Self {
+        let signals = PairSignals::new(st.needs());
+        Driven { st, signals }
     }
-    strategy.finish()
+
+    /// Derive the shared signals for `raw` and run the interval.
+    pub fn on_interval(&mut self, mut raw: IntervalInput) {
+        self.signals.derive(&mut raw);
+        self.st.on_interval(raw);
+    }
+}
+
+#[cfg(test)]
+impl<S> std::ops::Deref for Driven<S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        &self.st
+    }
+}
+
+#[cfg(test)]
+impl<S> std::ops::DerefMut for Driven<S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.st
+    }
 }
 
 #[cfg(test)]

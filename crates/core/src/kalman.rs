@@ -299,7 +299,7 @@ impl Strategy for KalmanStrategy {
 
     fn needs(&self) -> InputNeeds {
         // Entries key off the innovation z-score, not trailing returns.
-        InputNeeds { w_return_window: 0 }
+        InputNeeds::NONE
     }
 
     fn on_interval(&mut self, input: IntervalInput) {
@@ -463,14 +463,7 @@ mod tests {
     }
 
     fn input(s: usize, pi: f64, pj: f64) -> IntervalInput {
-        IntervalInput {
-            s,
-            price_i: pi,
-            price_j: pj,
-            corr: 0.8,
-            w_return_i: 0.0,
-            w_return_j: 0.0,
-        }
+        IntervalInput::bare(s, pi, pj, 0.8)
     }
 
     /// Feed a perfectly linear relation, then shock leg i upward.

@@ -19,7 +19,7 @@
 //! 5. books the trade return `R = π / (PᵢNᵢ + PⱼNⱼ)`.
 //!
 //! Module map: [`params`] (Table I and the 42-vector experiment grid),
-//! [`signal`] (divergence detection), [`position`] (share sizing and PnL),
+//! [`signal`] (the shared signal plane and the divergence trigger), [`position`] (share sizing and PnL),
 //! [`retracement`] (reversal levels), [`trade`] (trade records),
 //! [`strategy`] (the [`Strategy`] trait and the paper's per-pair state
 //! machine), [`engine`] (day-level driver), [`exec`] (execution
@@ -50,7 +50,6 @@ pub use exec::ExecutionConfig;
 pub use kalman::{KalmanParams, KalmanStrategy};
 pub use overlay::{OverlayParams, OverlayStrategy};
 pub use params::StrategyParams;
-pub use signal::DivergenceDetector;
 pub use spec::{StrategyKind, StrategySpec, SPEC_WIRE_VERSION};
 pub use strategy::{InputNeeds, PairStrategy, Strategy};
 pub use trade::{ExitReason, Trade};

@@ -207,6 +207,7 @@ impl Strategy for OverlayStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Driven;
     use crate::exec::ExecutionConfig;
     use crate::params::StrategyParams;
     use crate::strategy::PairStrategy;
@@ -228,9 +229,9 @@ mod tests {
         }
     }
 
-    fn overlaid(params: OverlayParams) -> (OverlayStrategy, usize) {
+    fn overlaid(params: OverlayParams) -> (Driven<OverlayStrategy>, usize) {
         let inner = PairStrategy::new((1, 0), inner_params(), ExecutionConfig::paper());
-        let mut st = OverlayStrategy::new(Box::new(inner), params);
+        let mut st = Driven::new(OverlayStrategy::new(Box::new(inner), params));
         let start = inner_params().first_active_interval();
         for s in 0..start + 5 {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -241,12 +242,9 @@ mod tests {
 
     fn input(s: usize, pi: f64, pj: f64, corr: f64, wi: f64, wj: f64) -> IntervalInput {
         IntervalInput {
-            s,
-            price_i: pi,
-            price_j: pj,
-            corr,
             w_return_i: wi,
             w_return_j: wj,
+            ..IntervalInput::bare(s, pi, pj, corr)
         }
     }
 
@@ -291,7 +289,7 @@ mod tests {
         // paper strategy (no stop_loss configured) would hold.
         st.on_interval(input(s + 1, 140.0, 29.5, 0.70, 0.0, 0.0));
         assert!(!st.is_open(), "overlay stop must flatten");
-        let trades = Strategy::trades(&st);
+        let trades = Strategy::trades(&st.st);
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::OverlayStop);
         assert!(trades[0].ret < -0.005);
@@ -311,7 +309,7 @@ mod tests {
         // overlay's tighter profit target can close this.
         st.on_interval(input(s + 1, 130.8, 29.5, 0.70, 0.0, 0.0));
         assert!(!st.is_open());
-        let trades = Strategy::trades(&st);
+        let trades = Strategy::trades(&st.st);
         assert_eq!(trades[0].reason, ExitReason::OverlayTarget);
         assert!(trades[0].is_win());
     }
@@ -331,7 +329,7 @@ mod tests {
             k += 1;
             assert!(k < s + 10, "overlay HP must have fired");
         }
-        let trades = Strategy::trades(&st);
+        let trades = Strategy::trades(&st.st);
         assert_eq!(trades[0].reason, ExitReason::OverlayHolding);
         assert!(trades[0].holding_intervals() <= 3);
         assert!(
@@ -357,12 +355,8 @@ mod tests {
     fn wide_overlay_is_transparent() {
         // With thresholds that never trip, the overlaid strategy must be
         // trade-for-trade identical to the bare inner strategy.
-        let run = |overlay: Option<OverlayParams>| -> Vec<Trade> {
-            let inner = PairStrategy::new((1, 0), inner_params(), ExecutionConfig::paper());
-            let mut st: Box<dyn Strategy> = match overlay {
-                Some(p) => Box::new(OverlayStrategy::new(Box::new(inner), p)),
-                None => Box::new(inner),
-            };
+        fn run(st: impl Strategy) -> Vec<Trade> {
+            let mut st = Driven::new(st);
             let start = inner_params().first_active_interval();
             for s in 0..start + 5 {
                 st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -372,14 +366,16 @@ mod tests {
                 let wiggle = (k % 5) as f64 * 0.2;
                 st.on_interval(input(start + 5 + k, 131.0 - wiggle, 29.5, 0.75, 0.0, 0.0));
             }
-            st.finish()
-        };
-        let bare = run(None);
-        let wrapped = run(Some(OverlayParams {
+            st.st.finish()
+        }
+        let inner = || PairStrategy::new((1, 0), inner_params(), ExecutionConfig::paper());
+        let bare = run(inner());
+        let wide = OverlayParams {
             stop_loss: 100.0,
             profit_target: 100.0,
             max_holding: 100_000,
-        }));
+        };
+        let wrapped = run(OverlayStrategy::new(Box::new(inner()), wide));
         assert!(!bare.is_empty());
         assert_eq!(bare.len(), wrapped.len());
         for (a, b) in bare.iter().zip(&wrapped) {
@@ -403,7 +399,7 @@ mod tests {
         let mut twin = OverlayStrategy::new(Box::new(inner), params);
         twin.decode_state(&mut wire::Reader::new(&bytes)).unwrap();
         assert!(twin.is_open());
-        let a = Strategy::finish(&mut st);
+        let a = Strategy::finish(&mut st.st);
         let b = Strategy::finish(&mut twin);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {

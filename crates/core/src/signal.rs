@@ -1,13 +1,22 @@
-//! Divergence detection — steps 1–2 of the strategy pseudo-code.
+//! The signal plane — steps 1–2 of the strategy pseudo-code, and the
+//! step-5 spread range, computed for every pair at once.
 //!
-//! Per interval `s` the detector maintains the `W`-window average
-//! correlation
+//! Per interval `s` and per pair the strategy needs the `W`-window
+//! average correlation
 //!
 //! ```text
 //! C̄(s) = (1/W) Σ_{σ = s-W+1}^{s} C(σ)
 //! ```
 //!
-//! and fires when **both** hold:
+//! the relative drop `(C̄(s) − C(s)) / C̄(s)`, and the low / high / mean of
+//! the pair spread over the trailing `RT` intervals. None of these depend
+//! on the remaining strategy parameters, so they are computed once per
+//! `(correlation stream, W)` and once per `RT` by [`AvgPlane`] and
+//! [`RangePlane`] and shared by every strategy that consumes them; the
+//! batch path runs the same planes over one pair.
+//!
+//! What *is* per parameter vector is the trigger, [`DivergenceTrigger`]:
+//! it fires when **both** hold
 //!
 //! * `C̄(s) > A` — the pair is correlated enough to be tradeable, and
 //! * within the last `Y` intervals the correlation dropped more than `d`
@@ -17,111 +26,359 @@
 //! The drop direction is deliberate: a pair trade is triggered by
 //! *deteriorating* co-movement (the spread has opened), not by correlation
 //! strengthening. With the paper's intra-day `d` of a few basis points the
-//! detector is sensitive — this is a high-turnover strategy by design.
+//! trigger is sensitive — this is a high-turnover strategy by design.
+//!
+//! ## Bit-identity
+//!
+//! A pair's window is summed oldest → newest starting from `-0.0`, which
+//! is exactly what [`timeseries::window::SlidingWindow::mean`] computes
+//! (`Iterator::sum` folds from `-0.0`), so `C̄` carries the same bits as a
+//! per-pair window would. The plane only changes *which pairs are summed
+//! together*: eight columns at a time, each an independent chain.
 
-use timeseries::window::SlidingWindow;
+use timeseries::rolling::{RangeStats, RollingRange};
 
 use crate::params::StrategyParams;
 
-/// Streaming divergence detector for one pair under one parameter vector.
-#[derive(Debug, Clone)]
-pub struct DivergenceDetector {
+/// Relative drop of the correlation below its average, `(C̄ − C) / C̄`
+/// (0 when `C̄` is numerically zero).
+#[inline]
+pub fn rel_drop(avg: f64, corr: f64) -> f64 {
+    if avg.abs() > f64::EPSILON {
+        (avg - corr) / avg
+    } else {
+        0.0
+    }
+}
+
+/// Trailing return `now / then − 1`; 0 unless both prices are positive.
+#[inline]
+pub fn trailing_return(now: f64, then: f64) -> f64 {
+    if now > 0.0 && then > 0.0 {
+        now / then - 1.0
+    } else {
+        0.0
+    }
+}
+
+/// Armed-since value of a pair that has never seen a qualifying drop.
+pub const NEVER: u32 = u32::MAX;
+
+/// The per-parameter-vector half of divergence detection (`A`, `Y`, `d`).
+///
+/// Per pair the only state is the *armed-since* counter: how many
+/// intervals ago the relative drop last exceeded `d` ([`NEVER`] before
+/// the first). "A drop within the last `Y` intervals" is then
+/// `since < Y`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DivergenceTrigger {
     min_avg_corr: f64,
     divergence: f64,
-    /// Correlations over the last `W` intervals.
-    corr_window: SlidingWindow<f64>,
-    /// Relative drops `(C̄ − C) / C̄` over the last `Y` intervals.
-    drop_window: SlidingWindow<f64>,
-    last_avg: f64,
-    last_corr: f64,
+    div_window: u32,
 }
 
-/// The detector's per-interval verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SignalState {
-    /// Current `W`-window average correlation `C̄(s)`.
-    pub avg_corr: f64,
-    /// Current correlation `C(s)`.
-    pub corr: f64,
-    /// True when the trade trigger fires this interval.
-    pub diverged: bool,
-}
-
-impl DivergenceDetector {
-    /// Detector configured from a parameter vector (uses `A`, `W`, `Y`,
-    /// `d`).
+impl DivergenceTrigger {
+    /// Trigger configured from a parameter vector (uses `A`, `Y`, `d`).
     pub fn new(params: &StrategyParams) -> Self {
-        DivergenceDetector {
+        DivergenceTrigger {
             min_avg_corr: params.min_avg_corr,
             divergence: params.divergence,
-            corr_window: SlidingWindow::new(params.avg_window),
-            drop_window: SlidingWindow::new(params.div_window),
-            last_avg: 0.0,
-            last_corr: 0.0,
+            div_window: u32::try_from(params.div_window).unwrap_or(u32::MAX),
         }
     }
 
-    /// Feed the correlation for the current interval; returns the verdict.
-    ///
-    /// The average uses however many correlations are available until the
-    /// `W` window fills (the strategy engine only acts after
-    /// `first_active_interval`, so a full window is guaranteed in
-    /// production use).
-    pub fn push(&mut self, corr: f64) -> SignalState {
-        self.corr_window.push(corr);
-        let avg = self.corr_window.mean();
-        self.last_avg = avg;
-        self.last_corr = corr;
-
-        let rel_drop = if avg.abs() > f64::EPSILON {
-            (avg - corr) / avg
+    /// The armed-since counter after an interval with this relative drop.
+    #[inline]
+    pub fn advance(&self, since: u32, rel_drop: f64) -> u32 {
+        if rel_drop > self.divergence {
+            0
         } else {
-            0.0
-        };
-        self.drop_window.push(rel_drop);
-
-        let diverged =
-            avg > self.min_avg_corr && self.drop_window.iter().any(|dr| dr > self.divergence);
-        SignalState {
-            avg_corr: avg,
-            corr,
-            diverged,
+            since.saturating_add(1)
         }
     }
 
-    /// Most recent average correlation `C̄`.
-    pub fn avg_corr(&self) -> f64 {
-        self.last_avg
+    /// True when the trade trigger fires: `C̄ > A` and a drop beyond `d`
+    /// within the last `Y` intervals.
+    #[inline]
+    pub fn fired(&self, since: u32, avg_corr: f64) -> bool {
+        avg_corr > self.min_avg_corr && since < self.div_window
     }
 
     /// True when the correlation has *reverted* into the band
     /// `[C̄ (1 − d), C̄]` — the optional correlation-reversion exit the
     /// paper sketches: "if the correlation returns within the average
     /// range ... the prices may have adjusted to new levels".
-    pub fn corr_reverted(&self) -> bool {
-        let lo = self.last_avg * (1.0 - self.divergence);
-        self.last_corr >= lo && self.last_corr <= self.last_avg
+    pub fn corr_reverted(&self, avg_corr: f64, corr: f64) -> bool {
+        let lo = avg_corr * (1.0 - self.divergence);
+        corr >= lo && corr <= avg_corr
     }
 }
 
-impl wire::Codec for DivergenceDetector {
+/// Columns summed together by [`window_means`]; each is its own
+/// sequential chain, so the block width never shows in the result.
+const BLOCK: usize = 8;
+
+/// `B` adjacent columns of the ring starting at column `col`: the mean of
+/// rows `head..filled` then `0..head`, i.e. oldest → newest.
+#[inline]
+fn block_means<const B: usize>(
+    ring: &[f64],
+    n_pairs: usize,
+    col: usize,
+    head: usize,
+    filled: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [-0.0f64; B];
+    for row in (head..filled).chain(0..head) {
+        let src = &ring[row * n_pairs + col..][..B];
+        for (a, &v) in acc.iter_mut().zip(src) {
+            *a += v;
+        }
+    }
+    let len = filled as f64;
+    for (o, a) in out[..B].iter_mut().zip(acc) {
+        *o = a / len;
+    }
+}
+
+/// `out[k]` = mean over the window of column `col + k`.
+fn window_means(
+    ring: &[f64],
+    n_pairs: usize,
+    col: usize,
+    head: usize,
+    filled: usize,
+    out: &mut [f64],
+) {
+    let mut k = 0;
+    while k + BLOCK <= out.len() {
+        block_means::<BLOCK>(ring, n_pairs, col + k, head, filled, &mut out[k..]);
+        k += BLOCK;
+    }
+    while k < out.len() {
+        block_means::<1>(ring, n_pairs, col + k, head, filled, &mut out[k..]);
+        k += 1;
+    }
+}
+
+/// Where the oldest of `pushes` values sits in a `window`-row ring, and
+/// how many rows are filled.
+#[inline]
+fn ring_span(pushes: u64, window: usize) -> (usize, usize) {
+    if pushes <= window as u64 {
+        (0, pushes as usize)
+    } else {
+        ((pushes % window as u64) as usize, window)
+    }
+}
+
+/// `W`-window average correlation and relative drop for `n_pairs` pairs:
+/// one ring of `W` rows × `n_pairs`, row `t mod W` holding tick `t`.
+///
+/// A pair may *sit out* a tick (a leg is degraded): nothing is pushed for
+/// it and its window keeps its last `W` pushed values, exactly as a
+/// per-pair window that is simply not fed. Such a pair's column then runs
+/// behind the shared head by the number of ticks it missed; the plane
+/// tracks those pairs in `lagging` and re-sums each of them from its own
+/// head after the shared pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AvgPlane {
+    window: usize,
+    n_pairs: usize,
+    ring: Vec<f64>,
+    ticks: u64,
+    /// `(pair, ticks missed)` for every pair that ever sat out, ascending.
+    lagging: Vec<(u32, u64)>,
+}
+
+impl AvgPlane {
+    /// A cold plane over `n_pairs` pairs.
+    ///
+    /// # Panics
+    /// Panics if `window` is 0.
+    pub fn new(window: usize, n_pairs: usize) -> Self {
+        assert!(window > 0, "W must be positive");
+        AvgPlane {
+            window,
+            n_pairs,
+            ring: vec![0.0; window * n_pairs],
+            ticks: 0,
+            lagging: Vec::new(),
+        }
+    }
+
+    /// The averaging window `W`.
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Pairs the plane covers.
+    pub fn n_pairs(&self) -> usize {
+        self.n_pairs
+    }
+
+    /// Push one interval's correlations (`corr[p]` per pair rank) and
+    /// write `C̄` and the relative drop of every pair. Pairs listed in
+    /// `sat_out` (ascending ranks) push nothing and read back NaN.
+    ///
+    /// # Panics
+    /// Panics if a slice length differs from the plane's pair count.
+    pub fn push(&mut self, corr: &[f64], sat_out: &[u32], avg: &mut [f64], drop: &mut [f64]) {
+        let (w, n) = (self.window, self.n_pairs);
+        assert!(
+            corr.len() == n && avg.len() == n && drop.len() == n,
+            "plane is over {n} pairs"
+        );
+        for &p in sat_out {
+            if let Err(at) = self.lagging.binary_search_by_key(&p, |e| e.0) {
+                self.lagging.insert(at, (p, 0));
+            }
+        }
+        // The shared row write must not touch a lagging column: that cell
+        // is still inside the pair's own window.
+        let row = (self.ticks % w as u64) as usize * n;
+        let saved: Vec<f64> = (self.lagging.iter())
+            .map(|&(p, _)| self.ring[row + p as usize])
+            .collect();
+        self.ring[row..row + n].copy_from_slice(corr);
+        let mut sitting = sat_out.iter().peekable();
+        for (&mut (p, ref mut missed), &cell) in self.lagging.iter_mut().zip(&saved) {
+            self.ring[row + p as usize] = cell;
+            if sitting.next_if_eq(&&p).is_some() {
+                *missed += 1;
+            } else {
+                let own_row = ((self.ticks - *missed) % w as u64) as usize * n;
+                self.ring[own_row + p as usize] = corr[p as usize];
+            }
+        }
+        self.ticks += 1;
+
+        let (head, filled) = ring_span(self.ticks, w);
+        window_means(&self.ring, n, 0, head, filled, avg);
+        for &(p, missed) in &self.lagging {
+            let p = p as usize;
+            // (A pair that has never pushed is sitting out: NaN below.)
+            let (head, filled) = ring_span(self.ticks - missed, w);
+            window_means(&self.ring, n, p, head, filled, &mut avg[p..=p]);
+        }
+        for ((d, &a), &c) in drop.iter_mut().zip(avg.iter()).zip(corr) {
+            *d = rel_drop(a, c);
+        }
+        for &p in sat_out {
+            avg[p as usize] = f64::NAN;
+            drop[p as usize] = f64::NAN;
+        }
+    }
+}
+
+// Only the filled rows travel: a cold ring's unwritten rows are never
+// read. Lagging columns are physical state and travel verbatim.
+impl wire::Codec for AvgPlane {
     fn encode(&self, w: &mut wire::Writer) {
-        self.min_avg_corr.encode(w);
-        self.divergence.encode(w);
-        self.corr_window.encode(w);
-        self.drop_window.encode(w);
-        self.last_avg.encode(w);
-        self.last_corr.encode(w);
+        self.window.encode(w);
+        self.n_pairs.encode(w);
+        self.ticks.encode(w);
+        self.lagging.encode(w);
+        let (_, filled) = ring_span(self.ticks, self.window);
+        let cells = &self.ring[..filled * self.n_pairs];
+        cells.len().encode(w);
+        for v in cells {
+            v.encode(w);
+        }
     }
 
     fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(DivergenceDetector {
-            min_avg_corr: f64::decode(r)?,
-            divergence: f64::decode(r)?,
-            corr_window: SlidingWindow::decode(r)?,
-            drop_window: SlidingWindow::decode(r)?,
-            last_avg: f64::decode(r)?,
-            last_corr: f64::decode(r)?,
+        let window = usize::decode(r)?;
+        let n_pairs = usize::decode(r)?;
+        let ticks = u64::decode(r)?;
+        let lagging = Vec::<(u32, u64)>::decode(r)?;
+        let mut ring = Vec::<f64>::decode(r)?;
+        let (_, filled) = ring_span(ticks, window.max(1));
+        let cells = window.checked_mul(n_pairs);
+        let geometry_ok = window > 0
+            && cells.is_some()
+            && filled.checked_mul(n_pairs) == Some(ring.len())
+            && lagging.windows(2).all(|w| w[0].0 < w[1].0)
+            && lagging
+                .iter()
+                .all(|&(p, missed)| (p as usize) < n_pairs && missed <= ticks);
+        if !geometry_ok {
+            return Err(wire::WireError::Invalid("average plane geometry"));
+        }
+        ring.resize(cells.expect("checked above"), 0.0);
+        Ok(AvgPlane {
+            window,
+            n_pairs,
+            ring,
+            ticks,
+            lagging,
+        })
+    }
+}
+
+/// Rolling `(Sl, Sh, S̄)` of the pair spread over the trailing `RT`
+/// intervals, for `n_pairs` pairs. A pair that sits out a tick is not
+/// pushed, so its range keeps its last `RT` pushed spreads.
+#[derive(Debug, Clone)]
+pub struct RangePlane {
+    window: usize,
+    pairs: Vec<RollingRange>,
+}
+
+impl RangePlane {
+    /// A cold plane over `n_pairs` pairs.
+    ///
+    /// # Panics
+    /// Panics if `window` is 0.
+    pub fn new(window: usize, n_pairs: usize) -> Self {
+        RangePlane {
+            window,
+            pairs: vec![RollingRange::new(window); n_pairs],
+        }
+    }
+
+    /// The spread window `RT`.
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Pairs the plane covers.
+    pub fn n_pairs(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Push one interval's spreads (`spread[p]` per pair rank) and write
+    /// every pair's updated range. Pairs listed in `sat_out` (ascending
+    /// ranks) push nothing and keep whatever `out` held.
+    ///
+    /// # Panics
+    /// Panics if a slice length differs from the plane's pair count.
+    pub fn push(&mut self, spread: &[f64], sat_out: &[u32], out: &mut [RangeStats]) {
+        let n = self.pairs.len();
+        assert!(
+            spread.len() == n && out.len() == n,
+            "plane is over {n} pairs"
+        );
+        let mut sitting = sat_out.iter().peekable();
+        for (p, range) in self.pairs.iter_mut().enumerate() {
+            if sitting.next_if(|&&q| q as usize == p).is_none() {
+                out[p] = range.push(spread[p]);
+            }
+        }
+    }
+}
+
+impl wire::Codec for RangePlane {
+    fn encode(&self, w: &mut wire::Writer) {
+        self.window.encode(w);
+        self.pairs.encode(w);
+    }
+
+    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
+        Ok(RangePlane {
+            window: usize::decode(r)?,
+            pairs: Vec::decode(r)?,
         })
     }
 }
@@ -129,119 +386,178 @@ impl wire::Codec for DivergenceDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::StrategyParams;
 
-    fn detector(a: f64, w: usize, y: usize, d: f64) -> DivergenceDetector {
-        let p = StrategyParams {
-            min_avg_corr: a,
-            avg_window: w,
-            div_window: y,
-            divergence: d,
-            ..StrategyParams::paper_default()
-        };
-        DivergenceDetector::new(&p)
+    /// One pair's trigger over a one-pair plane, driven by hand.
+    struct Detector {
+        plane: AvgPlane,
+        trigger: DivergenceTrigger,
+        since: u32,
+        avg: f64,
+        corr: f64,
+    }
+
+    impl Detector {
+        fn new(a: f64, w: usize, y: usize, d: f64) -> Self {
+            let p = StrategyParams {
+                min_avg_corr: a,
+                avg_window: w,
+                div_window: y,
+                divergence: d,
+                ..StrategyParams::paper_default()
+            };
+            Detector {
+                plane: AvgPlane::new(w, 1),
+                trigger: DivergenceTrigger::new(&p),
+                since: NEVER,
+                avg: 0.0,
+                corr: 0.0,
+            }
+        }
+
+        /// Feed one correlation; returns whether the trigger fires.
+        fn push(&mut self, corr: f64) -> bool {
+            let (mut avg, mut drop) = ([0.0], [0.0]);
+            self.plane.push(&[corr], &[], &mut avg, &mut drop);
+            self.since = self.trigger.advance(self.since, drop[0]);
+            self.avg = avg[0];
+            self.corr = corr;
+            self.trigger.fired(self.since, self.avg)
+        }
     }
 
     #[test]
     fn no_signal_on_stable_high_correlation() {
-        let mut det = detector(0.1, 10, 5, 0.01);
+        let mut det = Detector::new(0.1, 10, 5, 0.01);
         for _ in 0..50 {
-            let s = det.push(0.8);
-            assert!(!s.diverged, "flat correlation must not trigger");
+            assert!(!det.push(0.8), "flat correlation must not trigger");
         }
     }
 
     #[test]
     fn no_signal_below_min_correlation() {
-        let mut det = detector(0.5, 10, 5, 0.001);
+        let mut det = Detector::new(0.5, 10, 5, 0.001);
         // Average stays ~0.3 < A even with a big drop.
         for _ in 0..20 {
             det.push(0.3);
         }
-        let s = det.push(0.1);
-        assert!(s.avg_corr < 0.5);
-        assert!(!s.diverged, "below-A pairs are never traded");
+        let fired = det.push(0.1);
+        assert!(det.avg < 0.5);
+        assert!(!fired, "below-A pairs are never traded");
     }
 
     #[test]
     fn drop_triggers_signal() {
-        let mut det = detector(0.1, 10, 5, 0.01);
+        let mut det = Detector::new(0.1, 10, 5, 0.01);
         for _ in 0..20 {
             det.push(0.8);
         }
         // 5% relative drop > 1% threshold.
-        let s = det.push(0.8 * 0.95);
-        assert!(s.diverged);
-        assert!((s.avg_corr - 0.8).abs() < 0.01);
+        assert!(det.push(0.8 * 0.95));
+        assert!((det.avg - 0.8).abs() < 0.01);
     }
 
     #[test]
     fn rise_does_not_trigger() {
-        let mut det = detector(0.1, 10, 5, 0.01);
+        let mut det = Detector::new(0.1, 10, 5, 0.01);
         for _ in 0..20 {
             det.push(0.8);
         }
-        let s = det.push(0.9); // strengthening co-movement
-        assert!(!s.diverged);
+        assert!(!det.push(0.9), "strengthening co-movement");
     }
 
     #[test]
     fn divergence_memory_is_y_intervals() {
-        let mut det = detector(0.1, 50, 3, 0.01);
+        let mut det = Detector::new(0.1, 50, 3, 0.01);
         for _ in 0..50 {
             det.push(0.8);
         }
         // One sharp drop...
-        let s = det.push(0.7);
-        assert!(s.diverged);
+        assert!(det.push(0.7));
         // ...stays armed while within the Y = 3 window...
-        let s = det.push(0.8);
-        assert!(s.diverged, "within Y of the drop");
-        let s = det.push(0.8);
-        assert!(s.diverged, "still within Y");
+        assert!(det.push(0.8), "within Y of the drop");
+        assert!(det.push(0.8), "still within Y");
         // ...and expires after Y intervals.
-        let s = det.push(0.8);
-        assert!(!s.diverged, "drop has left the Y window");
+        assert!(!det.push(0.8), "drop has left the Y window");
     }
 
     #[test]
     fn threshold_is_relative_not_absolute() {
         // A 0.004 absolute drop from 0.2 is 2% relative: fires at d=1%.
-        let mut det = detector(0.1, 10, 2, 0.01);
+        let mut det = Detector::new(0.1, 10, 2, 0.01);
         for _ in 0..20 {
             det.push(0.2);
         }
-        let s = det.push(0.2 - 0.004);
-        assert!(s.diverged);
+        assert!(det.push(0.2 - 0.004));
         // The same absolute drop from 0.8 is 0.5% relative: no fire.
-        let mut det = detector(0.1, 10, 2, 0.01);
+        let mut det = Detector::new(0.1, 10, 2, 0.01);
         for _ in 0..20 {
             det.push(0.8);
         }
-        let s = det.push(0.8 - 0.004);
-        assert!(!s.diverged);
+        assert!(!det.push(0.8 - 0.004));
     }
 
     #[test]
     fn corr_reversion_band() {
-        let mut det = detector(0.1, 10, 5, 0.05);
+        let mut det = Detector::new(0.1, 10, 5, 0.05);
         for _ in 0..20 {
             det.push(0.8);
         }
         det.push(0.6); // diverged well below the band
-        assert!(!det.corr_reverted());
+        assert!(!det.trigger.corr_reverted(det.avg, det.corr));
         // Push back inside [C̄(1-d), C̄].
-        let avg = det.avg_corr();
-        det.push(avg * 0.97);
-        assert!(det.corr_reverted());
+        let back = det.avg * 0.97;
+        det.push(back);
+        assert!(det.trigger.corr_reverted(det.avg, det.corr));
     }
 
     #[test]
     fn partial_window_average() {
-        let mut det = detector(0.1, 10, 5, 0.01);
-        let s = det.push(0.6);
-        assert_eq!(s.avg_corr, 0.6);
-        let s = det.push(0.8);
-        assert!((s.avg_corr - 0.7).abs() < 1e-12);
+        let mut det = Detector::new(0.1, 10, 5, 0.01);
+        det.push(0.6);
+        assert_eq!(det.avg, 0.6);
+        det.push(0.8);
+        assert!((det.avg - 0.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_pair_sitting_out_keeps_its_own_window() {
+        // Pair 0 runs every tick; pair 1 misses ticks 3 and 4.
+        let mut plane = AvgPlane::new(3, 2);
+        let (mut avg, mut drop) = ([0.0; 2], [0.0; 2]);
+        for t in 0..8u32 {
+            let c = f64::from(t);
+            let out: &[u32] = if t == 3 || t == 4 { &[1] } else { &[] };
+            plane.push(&[c, 10.0 + c], out, &mut avg, &mut drop);
+            if out.is_empty() {
+                assert!(avg[1].is_finite());
+            } else {
+                assert!(avg[1].is_nan() && drop[1].is_nan());
+            }
+        }
+        // Pair 0 holds {5, 6, 7}; pair 1 pushed 10,11,12,15,16,17.
+        assert_eq!(avg[0], 6.0);
+        assert_eq!(avg[1], 16.0);
+        let back: AvgPlane = wire::from_bytes(&wire::to_bytes(&plane)).unwrap();
+        assert_eq!(back, plane);
+    }
+
+    #[test]
+    fn plane_codec_rejects_bad_geometry() {
+        let mut plane = AvgPlane::new(4, 3);
+        let (mut avg, mut drop) = ([0.0; 3], [0.0; 3]);
+        plane.push(&[0.1, 0.2, 0.3], &[], &mut avg, &mut drop);
+        let good = wire::to_bytes(&plane);
+        assert!(wire::from_bytes::<AvgPlane>(&good).is_ok());
+        // Claim more ticks than rows were sent.
+        let mut lying = AvgPlane::new(4, 3);
+        lying.ticks = 2;
+        let mut w = wire::Writer::new();
+        wire::Codec::encode(&lying.window, &mut w);
+        wire::Codec::encode(&lying.n_pairs, &mut w);
+        wire::Codec::encode(&lying.ticks, &mut w);
+        wire::Codec::encode(&lying.lagging, &mut w);
+        wire::Codec::encode(&vec![0.0f64; 3], &mut w);
+        assert!(wire::from_bytes::<AvgPlane>(&w.into_bytes()).is_err());
+        assert!(wire::from_bytes::<AvgPlane>(&good[..good.len() - 1]).is_err());
     }
 }

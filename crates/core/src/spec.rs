@@ -134,8 +134,10 @@ impl StrategySpec {
         match self {
             StrategySpec::Paper(p) => InputNeeds {
                 w_return_window: p.avg_window,
+                avg_window: p.avg_window,
+                spread_window: p.spread_window,
             },
-            StrategySpec::Kalman(_) => InputNeeds { w_return_window: 0 },
+            StrategySpec::Kalman(_) => InputNeeds::NONE,
             StrategySpec::Overlay { inner, .. } => inner.needs(),
         }
     }

@@ -1,9 +1,11 @@
 //! The per-pair strategy state machine — steps 1–6 assembled.
 //!
 //! A [`PairStrategy`] instance owns one pair under one parameter vector
-//! for one trading day. Per interval it ingests the pair's prices and
-//! correlation, updates the divergence detector and the rolling spread
-//! range, and transitions between *flat* and *open*:
+//! for one trading day. Per interval it ingests the pair's prices,
+//! correlation and the derived signals its [`InputNeeds`] declare (`C̄`,
+//! the relative drop, the rolling spread range — computed by the caller's
+//! signal plane, once for everyone who shares them), and transitions
+//! between *flat* and *open*:
 //!
 //! ```text
 //!            divergence & C̄ > A & enough time before close
@@ -18,14 +20,19 @@
 //! * no position is held longer than `HP` intervals;
 //! * every position is closed by end of day;
 //! * every trade's entry book is cash-neutral-but-slightly-long.
+//!
+//! The decision code itself is [`PaperRule::step`]: it borrows one pair's
+//! state (armed-since counter, open position) and is called both by
+//! [`PairStrategy`] and, over struct-of-arrays state, by the streaming
+//! strategy host.
 
-use timeseries::spread::SpreadTracker;
+use timeseries::rolling::RangeStats;
 
 use crate::exec::ExecutionConfig;
 use crate::params::StrategyParams;
 use crate::position::PairPosition;
 use crate::retracement::RetracementRule;
-use crate::signal::DivergenceDetector;
+use crate::signal::{DivergenceTrigger, NEVER};
 use crate::trade::{ExitReason, Trade};
 
 /// Per-interval market inputs for one pair.
@@ -47,20 +54,64 @@ pub struct IntervalInput {
     pub w_return_i: f64,
     /// `W`-interval trailing return of stock `j`.
     pub w_return_j: f64,
+    /// `C̄(s)` over [`InputNeeds::avg_window`] intervals.
+    pub avg_corr: f64,
+    /// `(C̄(s) − C(s)) / C̄(s)`.
+    pub rel_drop: f64,
+    /// `(Sl, Sh, S̄)` of the spread over [`InputNeeds::spread_window`]
+    /// intervals, this one included.
+    pub spread_range: RangeStats,
 }
 
-/// Per-interval data requirements a strategy declares to its host.
+impl IntervalInput {
+    /// Prices and correlation only, every derived signal neutral — what a
+    /// strategy declaring no [`InputNeeds`] is fed.
+    pub fn bare(s: usize, price_i: f64, price_j: f64, corr: f64) -> Self {
+        IntervalInput {
+            s,
+            price_i,
+            price_j,
+            corr,
+            w_return_i: 0.0,
+            w_return_j: 0.0,
+            avg_corr: 0.0,
+            rel_drop: 0.0,
+            spread_range: RangeStats {
+                low: 0.0,
+                high: 0.0,
+                mean: 0.0,
+                len: 0,
+            },
+        }
+    }
+}
+
+/// Per-interval derived inputs a strategy declares to whoever drives it.
 ///
-/// The host computes derived inputs (trailing returns) once per pair per
-/// interval; the declaration tells it *which* derivation this strategy
-/// family actually consumes, so a host never silently feeds a strategy
-/// inputs computed under another family's window.
+/// Derived signals are computed once per distinct window and shared by
+/// every strategy declaring that window; the declaration tells the driver
+/// *which* derivations this family actually consumes, so a strategy is
+/// never silently fed inputs computed under another family's window. A
+/// window of `0` means the family ignores that input and the driver may
+/// skip the computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InputNeeds {
     /// Window (in intervals) for the trailing returns supplied as
-    /// `w_return_i` / `w_return_j`. `0` means the strategy ignores them
-    /// and the host may skip the computation entirely.
+    /// `w_return_i` / `w_return_j`.
     pub w_return_window: usize,
+    /// Window `W` for `avg_corr` / `rel_drop`.
+    pub avg_window: usize,
+    /// Window `RT` for `spread_range`.
+    pub spread_window: usize,
+}
+
+impl InputNeeds {
+    /// A family that consumes prices and correlation only.
+    pub const NONE: InputNeeds = InputNeeds {
+        w_return_window: 0,
+        avg_window: 0,
+        spread_window: 0,
+    };
 }
 
 /// An interval-driven pair-trading strategy — the pluggable unit a
@@ -134,24 +185,223 @@ impl Clone for Box<dyn Strategy> {
     }
 }
 
-#[derive(Debug, Clone)]
-struct OpenState {
-    position: PairPosition,
-    rule: RetracementRule,
+/// An open paper-strategy position: the book and the retracement rule
+/// fixed at entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpenPaper {
+    /// The two legs.
+    pub position: PairPosition,
+    /// Where the spread must retrace to.
+    pub rule: RetracementRule,
+}
+
+/// What one [`PaperRule::step`] did to a pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Action {
+    /// Nothing.
+    Hold,
+    /// A position was opened (now in the pair's `open` slot).
+    Opened,
+    /// The open position was closed into this trade.
+    Closed(Trade),
+}
+
+/// The paper strategy's entry/exit rule under one parameter vector —
+/// everything about it that is not per-pair state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperRule {
+    params: StrategyParams,
+    exec: ExecutionConfig,
+    trigger: DivergenceTrigger,
+    intervals: usize,
+}
+
+impl PaperRule {
+    /// The rule for a parameter vector and execution extensions.
+    pub fn new(params: StrategyParams, exec: ExecutionConfig) -> Self {
+        PaperRule {
+            params,
+            exec,
+            trigger: DivergenceTrigger::new(&params),
+            intervals: params.intervals_per_day(),
+        }
+    }
+
+    /// The derived inputs the rule consumes: `W`-returns, `C̄` / drop over
+    /// `W`, the spread range over `RT`.
+    pub fn needs(&self) -> InputNeeds {
+        InputNeeds {
+            w_return_window: self.params.avg_window,
+            avg_window: self.params.avg_window,
+            spread_window: self.params.spread_window,
+        }
+    }
+
+    /// Run one interval for one pair whose state is `since` (armed-since
+    /// counter, [`NEVER`] at start of day) and `open`. `input` is only
+    /// called when the pair is open or its trigger fires, so a driver
+    /// walking many pairs builds inputs for those alone.
+    ///
+    /// One action per interval: a close at `s` is never followed by an
+    /// open at `s`.
+    #[inline]
+    pub fn step(
+        &self,
+        pair: (usize, usize),
+        since: &mut u32,
+        open: &mut Option<OpenPaper>,
+        avg_corr: f64,
+        rel_drop: f64,
+        input: impl FnOnce() -> IntervalInput,
+    ) -> Action {
+        *since = self.trigger.advance(*since, rel_drop);
+        if let Some(held) = open {
+            let input = input();
+            return match self.exit_reason(pair, held, &input) {
+                Some(reason) => {
+                    let IntervalInput {
+                        s,
+                        price_i,
+                        price_j,
+                        ..
+                    } = input;
+                    let trade = self.close(pair, held, s, price_i, price_j, reason);
+                    *open = None;
+                    Action::Closed(trade)
+                }
+                None => Action::Hold,
+            };
+        }
+        if !self.trigger.fired(*since, avg_corr) {
+            return Action::Hold;
+        }
+        match self.entry(pair, &input()) {
+            Some(entered) => {
+                *open = Some(entered);
+                Action::Opened
+            }
+            None => Action::Hold,
+        }
+    }
+
+    fn exit_reason(
+        &self,
+        pair: (usize, usize),
+        open: &OpenPaper,
+        input: &IntervalInput,
+    ) -> Option<ExitReason> {
+        let spread = input.price_i - input.price_j;
+        let holding = input.s - open.position.entry_interval;
+        let stopped = self.exec.stop_loss.is_some_and(|stop| {
+            let (long_exit, short_exit) =
+                leg_exit_prices(pair, &open.position, input.price_i, input.price_j);
+            open.position.trade_return(long_exit, short_exit) <= -stop
+        });
+        if stopped {
+            Some(ExitReason::StopLoss)
+        } else if open.rule.reached(spread) {
+            Some(ExitReason::Retracement)
+        } else if self.exec.corr_reversion_exit
+            && self.trigger.corr_reverted(input.avg_corr, input.corr)
+        {
+            Some(ExitReason::CorrReversion)
+        } else if holding >= self.params.max_holding {
+            Some(ExitReason::MaxHolding)
+        } else if input.s + 1 >= self.intervals {
+            Some(ExitReason::EndOfDay)
+        } else {
+            None
+        }
+    }
+
+    /// The entry a fired trigger leads to, if the interval allows one.
+    fn entry(&self, pair: (usize, usize), input: &IntervalInput) -> Option<OpenPaper> {
+        let IntervalInput {
+            s,
+            price_i,
+            price_j,
+            w_return_i,
+            w_return_j,
+            ..
+        } = *input;
+        if s < self.params.first_active_interval() {
+            return None; // correlation / averaging windows not yet warm
+        }
+        // ST: "minimum time before market close required to open a new
+        // position".
+        let remaining = self.intervals - 1 - s;
+        if remaining < self.params.min_time_before_close {
+            return None;
+        }
+        if !(price_i > 0.0 && price_j > 0.0 && price_i.is_finite() && price_j.is_finite()) {
+            return None;
+        }
+        // Over-performer = higher W-period return; long the under-performer.
+        let (long_stock, long_price, short_stock, short_price) = if w_return_i > w_return_j {
+            (pair.1, price_j, pair.0, price_i)
+        } else if w_return_j > w_return_i {
+            (pair.0, price_i, pair.1, price_j)
+        } else {
+            return None; // no performance differential, no trade
+        };
+        let position = PairPosition::open(s, long_stock, long_price, short_stock, short_price);
+        let rule = RetracementRule::at_entry(
+            input.spread_range,
+            price_i - price_j,
+            self.params.retracement,
+        );
+        Some(OpenPaper { position, rule })
+    }
+
+    /// Book the round trip of `open` at interval `s` and the given prices.
+    pub fn close(
+        &self,
+        pair: (usize, usize),
+        open: &OpenPaper,
+        s: usize,
+        price_i: f64,
+        price_j: f64,
+        reason: ExitReason,
+    ) -> Trade {
+        let (long_exit, short_exit) = leg_exit_prices(pair, &open.position, price_i, price_j);
+        let gross = open.position.gross_entry_value();
+        let cost = self
+            .exec
+            .round_trip_cost(open.position.total_shares(), gross);
+        let pnl = open.position.pnl(long_exit, short_exit) - cost;
+        Trade {
+            pair,
+            entry_interval: open.position.entry_interval,
+            exit_interval: s,
+            reason,
+            pnl,
+            gross,
+            ret: pnl / gross,
+            position: open.position,
+        }
+    }
+}
+
+/// Exit prices of the long and the short leg, given the pair's prices.
+fn leg_exit_prices(
+    pair: (usize, usize),
+    position: &PairPosition,
+    price_i: f64,
+    price_j: f64,
+) -> (f64, f64) {
+    let of = |stock: usize| if stock == pair.0 { price_i } else { price_j };
+    (of(position.long.stock), of(position.short.stock))
 }
 
 /// The state machine for one pair under one parameter vector.
 #[derive(Debug, Clone)]
 pub struct PairStrategy {
     pair: (usize, usize),
-    params: StrategyParams,
-    exec: ExecutionConfig,
-    detector: DivergenceDetector,
-    spread: SpreadTracker,
-    open: Option<OpenState>,
+    rule: PaperRule,
+    since: u32,
+    open: Option<OpenPaper>,
     trades: Vec<Trade>,
     last_prices: Option<(usize, f64, f64)>,
-    intervals: usize,
 }
 
 impl PairStrategy {
@@ -165,14 +415,11 @@ impl PairStrategy {
         };
         PairStrategy {
             pair,
-            params,
-            exec,
-            detector: DivergenceDetector::new(&params),
-            spread: SpreadTracker::new(params.spread_window),
+            rule: PaperRule::new(params, exec),
+            since: NEVER,
             open: None,
             trades: Vec::new(),
             last_prices: None,
-            intervals: params.intervals_per_day(),
         }
     }
 
@@ -191,122 +438,46 @@ impl PairStrategy {
         &self.trades
     }
 
-    fn leg_exit_prices(&self, open: &OpenState, price_i: f64, price_j: f64) -> (f64, f64) {
-        let long_exit = if open.position.long.stock == self.pair.0 {
-            price_i
-        } else {
-            price_j
-        };
-        let short_exit = if open.position.short.stock == self.pair.0 {
-            price_i
-        } else {
-            price_j
-        };
-        (long_exit, short_exit)
-    }
-
-    fn close(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        let open = self.open.take().expect("close requires an open position");
-        let (long_exit, short_exit) = self.leg_exit_prices(&open, price_i, price_j);
-        let gross = open.position.gross_entry_value();
-        let cost = self
-            .exec
-            .round_trip_cost(open.position.total_shares(), gross);
-        let pnl = open.position.pnl(long_exit, short_exit) - cost;
-        self.trades.push(Trade {
-            pair: self.pair,
-            entry_interval: open.position.entry_interval,
-            exit_interval: s,
-            reason,
-            pnl,
-            gross,
-            ret: pnl / gross,
-            position: open.position,
-        });
-    }
-
     /// Process one interval. Inputs must arrive in increasing `s` order.
     pub fn on_interval(&mut self, input: IntervalInput) {
-        let IntervalInput {
-            s,
-            price_i,
-            price_j,
-            corr,
-            w_return_i,
-            w_return_j,
-        } = input;
-        debug_assert!(s < self.intervals, "interval beyond the trading day");
-        self.last_prices = Some((s, price_i, price_j));
+        debug_assert!(
+            input.s < self.rule.intervals,
+            "interval beyond the trading day"
+        );
+        self.last_prices = Some((input.s, input.price_i, input.price_j));
+        let action = self.rule.step(
+            self.pair,
+            &mut self.since,
+            &mut self.open,
+            input.avg_corr,
+            input.rel_drop,
+            || input,
+        );
+        if let Action::Closed(trade) = action {
+            self.trades.push(trade);
+        }
+    }
 
-        let spread = price_i - price_j;
-        let spread_stats = self.spread.push(spread);
-        let signal = self.detector.push(corr);
-
-        // --- exit logic -------------------------------------------------
-        if let Some(open) = &self.open {
-            let (long_exit, short_exit) = self.leg_exit_prices(open, price_i, price_j);
-            let unrealized = open.position.trade_return(long_exit, short_exit);
-            let holding = s - open.position.entry_interval;
-
-            let reason = if self.exec.stop_loss.is_some_and(|stop| unrealized <= -stop) {
-                Some(ExitReason::StopLoss)
-            } else if open.rule.reached(spread) {
-                Some(ExitReason::Retracement)
-            } else if self.exec.corr_reversion_exit && self.detector.corr_reverted() {
-                Some(ExitReason::CorrReversion)
-            } else if holding >= self.params.max_holding {
-                Some(ExitReason::MaxHolding)
-            } else if s + 1 >= self.intervals {
-                Some(ExitReason::EndOfDay)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                self.close(s, price_i, price_j, reason);
-            }
-            return; // one action per interval: never close-and-reopen at s
+    /// Close any open position at the given interval and prices.
+    fn close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
+        if let Some(open) = self.open.take() {
+            self.trades.push(
+                self.rule
+                    .close(self.pair, &open, s, price_i, price_j, reason),
+            );
         }
-
-        // --- entry logic ------------------------------------------------
-        if !signal.diverged {
-            return;
-        }
-        if s < self.params.first_active_interval() {
-            return; // correlation / averaging windows not yet warm
-        }
-        // ST: "minimum time before market close required to open a new
-        // position".
-        let remaining = self.intervals - 1 - s;
-        if remaining < self.params.min_time_before_close {
-            return;
-        }
-        if !(price_i > 0.0 && price_j > 0.0 && price_i.is_finite() && price_j.is_finite()) {
-            return;
-        }
-        // Over-performer = higher W-period return; long the under-performer.
-        let (long_stock, long_price, short_stock, short_price) = if w_return_i > w_return_j {
-            (self.pair.1, price_j, self.pair.0, price_i)
-        } else if w_return_j > w_return_i {
-            (self.pair.0, price_i, self.pair.1, price_j)
-        } else {
-            return; // no performance differential, no trade
-        };
-        let position = PairPosition::open(s, long_stock, long_price, short_stock, short_price);
-        let rule = RetracementRule::at_entry(spread_stats, spread, self.params.retracement);
-        self.open = Some(OpenState { position, rule });
     }
 
     /// Force-close any open position at the last seen prices with the
     /// given reason (defensive flattening when a leg's symbol is marked
     /// degraded). No-op while flat or before the first interval.
     pub fn force_close(&mut self, reason: ExitReason) {
-        if self.open.is_none() {
-            return;
+        if self.open.is_some() {
+            let (s, pi, pj) = self
+                .last_prices
+                .expect("an open position implies at least one interval");
+            self.close_at(s, pi, pj, reason);
         }
-        let (s, pi, pj) = self
-            .last_prices
-            .expect("an open position implies at least one interval");
-        self.close(s, pi, pj, reason);
     }
 
     /// End the day: any open position is reversed at the last seen prices
@@ -335,10 +506,7 @@ impl Strategy for PairStrategy {
     }
 
     fn needs(&self) -> InputNeeds {
-        // The paper's entry rule compares W-interval trailing returns.
-        InputNeeds {
-            w_return_window: self.params.avg_window,
-        }
+        self.rule.needs()
     }
 
     fn on_interval(&mut self, input: IntervalInput) {
@@ -350,18 +518,11 @@ impl Strategy for PairStrategy {
     }
 
     fn force_close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        if self.open.is_some() {
-            self.close(s, price_i, price_j, reason);
-        }
+        self.close_at(s, price_i, price_j, reason);
     }
 
     fn finish(&mut self) -> Vec<Trade> {
-        if self.open.is_some() {
-            let (s, pi, pj) = self
-                .last_prices
-                .expect("an open position implies at least one interval");
-            self.close(s, pi, pj, ExitReason::EndOfDay);
-        }
+        self.force_close(ExitReason::EndOfDay);
         std::mem::take(&mut self.trades)
     }
 
@@ -379,14 +540,14 @@ impl Strategy for PairStrategy {
     }
 }
 
-impl wire::Codec for OpenState {
+impl wire::Codec for OpenPaper {
     fn encode(&self, w: &mut wire::Writer) {
         self.position.encode(w);
         self.rule.encode(w);
     }
 
     fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(OpenState {
+        Ok(OpenPaper {
             position: PairPosition::decode(r)?,
             rule: RetracementRule::decode(r)?,
         })
@@ -394,32 +555,29 @@ impl wire::Codec for OpenState {
 }
 
 // The full mid-day state machine: every field travels verbatim so a
-// restored strategy continues bit-exactly (the spread tracker's running
-// sum and the detector's windows are eviction-history dependent).
+// restored strategy continues bit-exactly.
 impl wire::Codec for PairStrategy {
     fn encode(&self, w: &mut wire::Writer) {
         self.pair.encode(w);
-        self.params.encode(w);
-        self.exec.encode(w);
-        self.detector.encode(w);
-        self.spread.encode(w);
+        self.rule.params.encode(w);
+        self.rule.exec.encode(w);
+        self.since.encode(w);
         self.open.encode(w);
         self.trades.encode(w);
         self.last_prices.encode(w);
-        self.intervals.encode(w);
     }
 
     fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
+        let pair = <(usize, usize)>::decode(r)?;
+        let params = StrategyParams::decode(r)?;
+        let exec = ExecutionConfig::decode(r)?;
         Ok(PairStrategy {
-            pair: <(usize, usize)>::decode(r)?,
-            params: StrategyParams::decode(r)?,
-            exec: ExecutionConfig::decode(r)?,
-            detector: DivergenceDetector::decode(r)?,
-            spread: SpreadTracker::decode(r)?,
-            open: Option::<OpenState>::decode(r)?,
+            pair,
+            rule: PaperRule::new(params, exec),
+            since: u32::decode(r)?,
+            open: Option::<OpenPaper>::decode(r)?,
             trades: Vec::<Trade>::decode(r)?,
             last_prices: Option::<(usize, f64, f64)>::decode(r)?,
-            intervals: usize::decode(r)?,
         })
     }
 }
@@ -427,6 +585,7 @@ impl wire::Codec for PairStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Driven;
     use stats::correlation::CorrType;
 
     /// Small, fast parameter vector for driving the machine by hand.
@@ -448,19 +607,16 @@ mod tests {
 
     fn input(s: usize, pi: f64, pj: f64, corr: f64, wi: f64, wj: f64) -> IntervalInput {
         IntervalInput {
-            s,
-            price_i: pi,
-            price_j: pj,
-            corr,
             w_return_i: wi,
             w_return_j: wj,
+            ..IntervalInput::bare(s, pi, pj, corr)
         }
     }
 
     /// Warm the detector with stable correlation from the first active
     /// interval onward.
-    fn warmed(params: StrategyParams) -> (PairStrategy, usize) {
-        let mut st = PairStrategy::new((1, 0), params, ExecutionConfig::paper());
+    fn warmed(params: StrategyParams) -> (Driven<PairStrategy>, usize) {
+        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
         let start = params.first_active_interval();
         for s in 0..start + 5 {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -478,7 +634,7 @@ mod tests {
     fn no_trade_without_divergence() {
         let (st, _) = warmed(test_params());
         assert!(!st.is_open());
-        assert!(st.finish_day().is_empty());
+        assert!(st.st.finish_day().is_empty());
     }
 
     #[test]
@@ -487,7 +643,7 @@ mod tests {
         // Correlation drops 5% (> 1% threshold); stock i over-performed.
         st.on_interval(input(s, 131.0, 29.5, 0.76, 0.01, -0.01));
         assert!(st.is_open());
-        let trades = st.finish_day();
+        let trades = st.st.finish_day();
         assert_eq!(trades.len(), 1);
         let pos = trades[0].position;
         // i (stock 1, price 131) over-performed -> short it, long j.
@@ -521,7 +677,7 @@ mod tests {
     #[test]
     fn retracement_exit_books_profit() {
         let params = test_params();
-        let mut st = PairStrategy::new((1, 0), params, ExecutionConfig::paper());
+        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
         let start = params.first_active_interval();
         // Spread oscillates 98..102 during warmup so the range is wide.
         for s in 0..start {
@@ -539,7 +695,7 @@ mod tests {
             st.on_interval(input(s, 128.0, 30.0, 0.8, 0.0, 0.0));
         }
         assert!(!st.is_open(), "retracement should have fired");
-        let trades = st.finish_day();
+        let trades = st.st.finish_day();
         assert_eq!(trades[0].reason, ExitReason::Retracement);
         // Short i at 132, exit 131 or lower: profit.
         assert!(trades[0].pnl > 0.0);
@@ -550,7 +706,7 @@ mod tests {
     fn no_entries_near_the_close() {
         let params = test_params();
         let intervals = params.intervals_per_day();
-        let mut st = PairStrategy::new((1, 0), params, ExecutionConfig::paper());
+        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
         // Warm right up to the ST fence, then force a divergence inside it.
         for s in 0..intervals {
             let corr = if s >= intervals - 2 { 0.5 } else { 0.8 };
@@ -559,14 +715,14 @@ mod tests {
                 assert!(!st.is_open(), "entered within ST of close at s={s}");
             }
         }
-        assert!(st.finish_day().is_empty());
+        assert!(st.st.finish_day().is_empty());
     }
 
     #[test]
     fn end_of_day_flattens() {
         let params = test_params();
         let intervals = params.intervals_per_day();
-        let mut st = PairStrategy::new((1, 0), params, ExecutionConfig::paper());
+        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
         let start = params.first_active_interval();
         for s in 0..start {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -578,7 +734,7 @@ mod tests {
         for s in start + 1..intervals {
             st.on_interval(input(s, 130.0, 29.0, 0.7, 0.0, 0.0));
         }
-        let trades = st.finish_day();
+        let trades = st.st.finish_day();
         assert!(!trades.is_empty());
         // No trade may exit after the last interval.
         assert!(trades.iter().all(|t| t.exit_interval < intervals));
@@ -589,7 +745,7 @@ mod tests {
         let (mut st, s) = warmed(test_params());
         st.on_interval(input(s, 131.0, 29.5, 0.70, 0.01, -0.01));
         assert!(st.is_open());
-        let trades = st.finish_day();
+        let trades = st.st.finish_day();
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::EndOfDay);
     }
@@ -601,7 +757,7 @@ mod tests {
             stop_loss: Some(0.005),
             ..ExecutionConfig::paper()
         };
-        let mut st = PairStrategy::new((1, 0), params, exec);
+        let mut st = Driven::new(PairStrategy::new((1, 0), params, exec));
         let start = params.first_active_interval();
         for s in 0..start {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -611,7 +767,7 @@ mod tests {
         // The divergence widens violently against us: long i at 130
         // collapses.
         st.on_interval(input(start + 1, 120.0, 30.0, 0.7, 0.0, 0.0));
-        let trades = st.finish_day();
+        let trades = st.st.finish_day();
         assert_eq!(trades[0].reason, ExitReason::StopLoss);
         assert!(trades[0].ret < -0.005);
     }
@@ -621,13 +777,13 @@ mod tests {
         let run = |exec: ExecutionConfig| -> f64 {
             let params = test_params();
             let start = params.first_active_interval() + 5;
-            let mut st = PairStrategy::new((1, 0), params, exec);
+            let mut st = Driven::new(PairStrategy::new((1, 0), params, exec));
             for k in 0..start {
                 st.on_interval(input(k, 130.0, 30.0, 0.8, 0.0, 0.0));
             }
             st.on_interval(input(start, 131.0, 29.5, 0.76, 0.01, -0.01));
             st.on_interval(input(start + 1, 130.0, 30.0, 0.8, 0.0, 0.0));
-            let trades = st.finish_day();
+            let trades = st.st.finish_day();
             assert!(!trades.is_empty());
             trades[0].ret
         };

@@ -220,7 +220,9 @@ impl Component for CorrelationEngineNode {
             } => {
                 for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
                     buf.clear();
-                    buf.extend(w.iter());
+                    let (oldest, wrapped) = w.as_slices();
+                    buf.extend_from_slice(oldest);
+                    buf.extend_from_slice(wrapped);
                 }
                 let views: Vec<&[f64]> = scratch.iter().map(|b| b.as_slice()).collect();
                 if seeds.is_empty() {

@@ -6,6 +6,7 @@ pub mod correlation_engine;
 pub mod faults;
 pub mod order_gateway;
 pub mod risk;
+pub mod signal_node;
 pub mod strategy_node;
 pub mod technical;
 
@@ -15,5 +16,6 @@ pub use correlation_engine::CorrelationEngineNode;
 pub use faults::{PanicInjector, WedgeInjector};
 pub use order_gateway::OrderGatewayNode;
 pub use risk::RiskManagerNode;
+pub use signal_node::SignalNode;
 pub use strategy_node::StrategyHostNode;
 pub use technical::TechnicalAnalysisNode;

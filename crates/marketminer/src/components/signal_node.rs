@@ -1,0 +1,574 @@
+//! The per-stream signal node: the spec-invariant prefix of the strategy
+//! hosts, computed once per correlation stream.
+//!
+//! Every host on one `(Ctype, M)` stream used to align the same bar and
+//! correlation edges, forward-fill the same price history and re-derive,
+//! per pair per interval, `C̄`, the relative drop, the spread range and
+//! the trailing returns — none of which depend on the host's own
+//! parameters beyond a window length. This node does all of it once:
+//!
+//! * it fans in bars and health from the accumulator and snapshots from
+//!   the stream's correlation engine, and **aligns** them — a snapshot
+//!   waits until the bar stream has reached its interval, a health
+//!   transition until the snapshot stream reaches its effective interval
+//!   — so its output is a deterministic function of its input streams,
+//!   whatever the thread schedule;
+//! * it runs one [`AvgPlane`] per distinct `W` and one [`RangePlane`] per
+//!   distinct `RT` declared by the hosts it feeds ([`InputNeeds`]);
+//! * per snapshot it emits the health transitions now in effect, then one
+//!   `Arc`'d [`SignalFrame`] that all its hosts share.
+//!
+//! Hosts therefore see a single, already-ordered edge.
+//!
+//! ## Live reconfiguration
+//!
+//! A node restored into a graph whose hosts declare a different set of
+//! windows keeps the planes both incarnations share and starts the new
+//! ones cold: a series for a `W` or `RT` new to the stream begins at the
+//! cut (a partial window, as at the start of day). Price history, and
+//! with it every trailing return, is per stream and carries over.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use pairtrade_core::signal::{trailing_return, AvgPlane, RangePlane};
+use pairtrade_core::strategy::InputNeeds;
+use stats::correlation::CorrType;
+use stats::matrix::SymMatrix;
+use telemetry::Probe;
+use timeseries::rolling::RangeStats;
+
+use crate::messages::{
+    AvgSignals, Cause, CorrSnapshot, HealthEvent, Message, SignalFrame, Windowed,
+};
+use crate::node::{Component, Emit, NodeState};
+
+/// Sorted distinct non-zero values of `windows`.
+fn distinct(windows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut out: Vec<usize> = windows.filter(|&w| w > 0).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// The shared front half of one stream's strategy hosts.
+#[derive(Clone)]
+pub struct SignalNode {
+    stream: usize,
+    n_stocks: usize,
+    w_return_windows: Vec<usize>,
+    avg_planes: Vec<AvgPlane>,
+    range_planes: Vec<RangePlane>,
+    /// Per-stock price history on the interval grid (forward-filled).
+    history: Vec<Vec<f64>>,
+    /// Highest bar interval recorded so far (None until the first bar).
+    bars_through: Option<usize>,
+    /// Correlation snapshots that arrived before their interval's bar.
+    ///
+    /// The bar edge and the technical-analysis → correlation-engine edge
+    /// race, so `Corr(s)` can beat `Bars(s)` into the inbox; pricing
+    /// interval `s` off stale history would make trade decisions depend
+    /// on thread scheduling.
+    pending_corr: VecDeque<Arc<CorrSnapshot>>,
+    /// Health transitions awaiting their effective interval.
+    ///
+    /// Health rides the bar edge while trading decisions happen on the
+    /// (lagging) correlation edge. Releasing a transition the moment it
+    /// arrives would let it bleed into however many earlier-interval
+    /// snapshots happened to still be in flight.
+    pending_health: VecDeque<Arc<HealthEvent>>,
+    /// Symbols currently degraded: pairs touching one sit intervals out.
+    degraded: Vec<bool>,
+    /// Messages neither consumed nor forwarded.
+    dropped: u64,
+    name: String,
+    probe: Probe,
+}
+
+impl SignalNode {
+    /// The node for stream `stream` of a `(ctype, corr_window)` engine
+    /// over `n_stocks` stocks, deriving every window the given hosts
+    /// declare.
+    pub fn new(
+        n_stocks: usize,
+        ctype: CorrType,
+        corr_window: usize,
+        stream: usize,
+        needs: &[InputNeeds],
+    ) -> Self {
+        let n_pairs = n_stocks * n_stocks.saturating_sub(1) / 2;
+        SignalNode {
+            stream,
+            n_stocks,
+            w_return_windows: distinct(needs.iter().map(|n| n.w_return_window)),
+            avg_planes: distinct(needs.iter().map(|n| n.avg_window))
+                .into_iter()
+                .map(|w| AvgPlane::new(w, n_pairs))
+                .collect(),
+            range_planes: distinct(needs.iter().map(|n| n.spread_window))
+                .into_iter()
+                .map(|rt| RangePlane::new(rt, n_pairs))
+                .collect(),
+            history: vec![Vec::new(); n_stocks],
+            bars_through: None,
+            pending_corr: VecDeque::new(),
+            pending_health: VecDeque::new(),
+            degraded: vec![false; n_stocks],
+            dropped: 0,
+            name: format!("strategy-host-signals({ctype}, M={corr_window})"),
+            probe: Probe::off(),
+        }
+    }
+
+    fn n_pairs(&self) -> usize {
+        self.n_stocks * self.n_stocks.saturating_sub(1) / 2
+    }
+
+    fn record_bars(&mut self, interval: usize, closes: &[f64]) {
+        for (stock, hist) in self.history.iter_mut().enumerate() {
+            let price = closes.get(stock).copied().unwrap_or(f64::NAN);
+            // Forward-fill any intervals the bar stream skipped.
+            while hist.len() < interval {
+                let carry = hist.last().copied().unwrap_or(price);
+                hist.push(carry);
+            }
+            if hist.len() == interval {
+                hist.push(price);
+            } else {
+                hist[interval] = price;
+            }
+        }
+    }
+
+    /// Release (update the degraded set and forward) every queued health
+    /// transition effective at or before interval `s`, in arrival order.
+    fn release_health_through(&mut self, s: usize, out: &mut Emit<'_>) {
+        while self.pending_health.front().is_some_and(|h| h.interval <= s) {
+            let h = self.pending_health.pop_front().expect("front checked");
+            if let Some(flag) = self.degraded.get_mut(h.symbol) {
+                *flag = h.is_degraded();
+            }
+            out(Message::Health(h));
+        }
+    }
+
+    fn process_corr(&mut self, snap: &CorrSnapshot, out: &mut Emit<'_>) {
+        let (n, n_pairs) = (self.n_stocks, self.n_pairs());
+        if snap.matrix.n() != n {
+            self.dropped += 1;
+            return;
+        }
+        let s = snap.interval;
+        self.release_health_through(s, out);
+
+        let price_at = |hist: &Vec<f64>, at: usize| match hist.len() {
+            0 => f64::NAN,
+            len => hist[at.min(len - 1)],
+        };
+        let prices: Vec<f64> = self.history.iter().map(|h| price_at(h, s)).collect();
+        // Pair rank order is the packed lower triangle minus its diagonal.
+        let (mut corr, mut spread) = (Vec::with_capacity(n_pairs), Vec::with_capacity(n_pairs));
+        let packed = snap.matrix.packed();
+        for i in 1..n {
+            let row = i * (i + 1) / 2;
+            corr.extend_from_slice(&packed[row..row + i]);
+            spread.extend(prices[..i].iter().map(|&pj| prices[i] - pj));
+        }
+        // Pairs touching a degraded symbol sit the interval out.
+        let mut sat_out: Vec<u32> = Vec::new();
+        if self.degraded.contains(&true) {
+            for i in 1..n {
+                for j in 0..i {
+                    if self.degraded[i] || self.degraded[j] {
+                        sat_out.push(SymMatrix::pair_rank(i, j) as u32);
+                    }
+                }
+            }
+        }
+
+        let averages = (self.avg_planes.iter_mut())
+            .map(|plane| {
+                let mut values = AvgSignals {
+                    avg_corr: vec![0.0; n_pairs],
+                    rel_drop: vec![0.0; n_pairs],
+                };
+                plane.push(&corr, &sat_out, &mut values.avg_corr, &mut values.rel_drop);
+                Windowed {
+                    window: plane.window(),
+                    values,
+                }
+            })
+            .collect();
+        let spread_ranges = (self.range_planes.iter_mut())
+            .map(|plane| {
+                let unset = RangeStats {
+                    low: f64::NAN,
+                    high: f64::NAN,
+                    mean: f64::NAN,
+                    len: 0,
+                };
+                let mut values = vec![unset; n_pairs];
+                plane.push(&spread, &sat_out, &mut values);
+                Windowed {
+                    window: plane.window(),
+                    values,
+                }
+            })
+            .collect();
+        let w_returns = (self.w_return_windows.iter())
+            .map(|&w| Windowed {
+                window: w,
+                values: (self.history.iter())
+                    .map(|hist| {
+                        if s < w || hist.is_empty() {
+                            0.0
+                        } else {
+                            trailing_return(price_at(hist, s), price_at(hist, s - w))
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+
+        self.probe.count("frames.emitted", 1);
+        out(Message::Signals(Arc::new(SignalFrame {
+            interval: s,
+            stream: self.stream,
+            prices,
+            corr,
+            w_returns,
+            averages,
+            spread_ranges,
+            // The snapshot alone: which bar set is newest when a snapshot
+            // is processed depends on the schedule, and the snapshot's
+            // own ancestry already reaches the bars of its interval.
+            cause: Cause::derived([snap.cause.id]),
+        })));
+    }
+}
+
+impl Component for SignalNode {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+        match msg {
+            Message::Bars(bars) => {
+                self.record_bars(bars.interval, &bars.closes);
+                self.bars_through = self.bars_through.max(Some(bars.interval));
+                // Bars caught up: release any snapshots that were waiting.
+                while self
+                    .pending_corr
+                    .front()
+                    .is_some_and(|snap| Some(snap.interval) <= self.bars_through)
+                {
+                    let snap = self.pending_corr.pop_front().expect("front checked");
+                    self.process_corr(&snap, out);
+                }
+            }
+            Message::Corr(snap) => {
+                if Some(snap.interval) > self.bars_through {
+                    self.pending_corr.push_back(snap);
+                    self.probe
+                        .gauge_max("pending_corr.peak", self.pending_corr.len() as u64);
+                } else {
+                    self.process_corr(&snap, out);
+                }
+            }
+            Message::Health(h) => self.pending_health.push_back(h),
+            _ => self.dropped += 1,
+        }
+    }
+
+    fn on_end(&mut self, out: &mut Emit<'_>) {
+        // The bar stream has ended; whatever snapshots are still queued
+        // will never see a newer bar, so price them off the final history.
+        while let Some(snap) = self.pending_corr.pop_front() {
+            self.process_corr(&snap, out);
+        }
+        // Transitions the correlation stream never reached still reach
+        // the hosts (which flatten) and risk management.
+        self.release_health_through(usize::MAX, out);
+    }
+
+    fn snapshot(&self) -> Option<NodeState> {
+        crate::node::snapshot_of(self)
+    }
+
+    fn restore(&mut self, state: NodeState) -> bool {
+        crate::node::restore_into(self, state)
+    }
+
+    fn encode_state(&self) -> Option<Vec<u8>> {
+        use wire::Codec;
+        let mut w = wire::Writer::new();
+        self.avg_planes.encode(&mut w);
+        self.range_planes.encode(&mut w);
+        self.history.encode(&mut w);
+        self.bars_through.encode(&mut w);
+        // Pending queues hold `Arc`s purely for cheap fan-in; the payloads
+        // themselves cross the process boundary by value.
+        (self.pending_corr.len() as u64).encode(&mut w);
+        for snap in &self.pending_corr {
+            (**snap).encode(&mut w);
+        }
+        (self.pending_health.len() as u64).encode(&mut w);
+        for ev in &self.pending_health {
+            (**ev).encode(&mut w);
+        }
+        self.degraded.encode(&mut w);
+        self.dropped.encode(&mut w);
+        Some(w.into_bytes())
+    }
+
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        use wire::{Codec, WireError};
+        fn go(node: &mut SignalNode, bytes: &[u8]) -> Result<(), WireError> {
+            let r = &mut wire::Reader::new(bytes);
+            let avg_planes = Vec::<AvgPlane>::decode(r)?;
+            let range_planes = Vec::<RangePlane>::decode(r)?;
+            let history = Vec::<Vec<f64>>::decode(r)?;
+            let bars_through = Option::<usize>::decode(r)?;
+            let n_corr = u64::decode(r)? as usize;
+            if n_corr > r.remaining() {
+                return Err(WireError::Invalid("pending_corr longer than input"));
+            }
+            let mut pending_corr = VecDeque::with_capacity(n_corr);
+            for _ in 0..n_corr {
+                pending_corr.push_back(Arc::new(CorrSnapshot::decode(r)?));
+            }
+            let n_health = u64::decode(r)? as usize;
+            if n_health > r.remaining() {
+                return Err(WireError::Invalid("pending_health longer than input"));
+            }
+            let mut pending_health = VecDeque::with_capacity(n_health);
+            for _ in 0..n_health {
+                pending_health.push_back(Arc::new(HealthEvent::decode(r)?));
+            }
+            let degraded = Vec::<bool>::decode(r)?;
+            let dropped = u64::decode(r)?;
+            if !r.is_empty() {
+                return Err(WireError::Invalid("trailing bytes"));
+            }
+            let n_pairs = node.n_pairs();
+            if degraded.len() != node.n_stocks
+                || history.len() != node.n_stocks
+                || avg_planes.iter().any(|p| p.n_pairs() != n_pairs)
+                || range_planes.iter().any(|p| p.n_pairs() != n_pairs)
+            {
+                return Err(WireError::Invalid("universe size mismatch"));
+            }
+            // Planes both incarnations share carry over; a window new to
+            // this stream keeps its cold plane (see the module docs).
+            for saved in avg_planes {
+                if let Some(slot) =
+                    (node.avg_planes.iter_mut()).find(|p| p.window() == saved.window())
+                {
+                    *slot = saved;
+                }
+            }
+            for saved in range_planes {
+                if let Some(slot) =
+                    (node.range_planes.iter_mut()).find(|p| p.window() == saved.window())
+                {
+                    *slot = saved;
+                }
+            }
+            node.history = history;
+            node.bars_through = bars_through;
+            node.pending_corr = pending_corr;
+            node.pending_health = pending_health;
+            node.degraded = degraded;
+            node.dropped = dropped;
+            Ok(())
+        }
+        go(self, bytes).is_ok()
+    }
+
+    fn messages_dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    fn attach_telemetry(&mut self, probe: Probe) {
+        probe.gauge_max(
+            "signals.series",
+            (self.w_return_windows.len() + self.avg_planes.len() + self.range_planes.len()) as u64,
+        );
+        self.probe = probe;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::{BarSet, DegradeReason, HealthStatus};
+
+    fn needs(w: usize, rt: usize) -> InputNeeds {
+        InputNeeds {
+            w_return_window: w,
+            avg_window: w,
+            spread_window: rt,
+        }
+    }
+
+    fn node(n: usize, needs: &[InputNeeds]) -> SignalNode {
+        SignalNode::new(n, CorrType::Pearson, 4, 0, needs)
+    }
+
+    fn bars(interval: usize, closes: Vec<f64>) -> Message {
+        let n = closes.len();
+        Message::Bars(Arc::new(BarSet {
+            interval,
+            closes,
+            ticks: vec![1; n],
+            cause: Cause::none(),
+        }))
+    }
+
+    fn corr(interval: usize, n: usize, rho: f64) -> Message {
+        let mut m = SymMatrix::identity(n);
+        for i in 1..n {
+            for j in 0..i {
+                m.set(i, j, rho);
+            }
+        }
+        Message::Corr(Arc::new(CorrSnapshot {
+            interval,
+            stream: 0,
+            matrix: m,
+            cause: Cause::none(),
+        }))
+    }
+
+    fn health(interval: usize, symbol: usize, degraded: bool) -> Message {
+        Message::Health(Arc::new(HealthEvent {
+            interval,
+            symbol,
+            status: if degraded {
+                HealthStatus::Degraded(DegradeReason::Outage)
+            } else {
+                HealthStatus::Healthy
+            },
+            cause: Cause::none(),
+        }))
+    }
+
+    fn feed(node: &mut SignalNode, msgs: Vec<Message>) -> Vec<Message> {
+        let mut out = Vec::new();
+        for m in msgs {
+            node.on_message(m, &mut |o| out.push(o));
+        }
+        out
+    }
+
+    fn frames(out: &[Message]) -> Vec<&SignalFrame> {
+        out.iter()
+            .filter_map(|m| match m {
+                Message::Signals(f) => Some(f.as_ref()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_snapshot_waits_for_its_bar_and_skipped_bars_forward_fill() {
+        let mut n = node(2, &[needs(2, 3)]);
+        // Corr(0) races ahead of Bars(0): held.
+        assert!(feed(&mut n, vec![corr(0, 2, 0.8)]).is_empty());
+        let out = feed(&mut n, vec![bars(0, vec![30.0, 130.0])]);
+        let f = frames(&out);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].prices, vec![30.0, 130.0]);
+        assert_eq!(f[0].corr, vec![0.8]);
+        // The bar stream skips intervals 1 and 2.
+        let out = feed(&mut n, vec![bars(3, vec![33.0, 130.0]), corr(3, 2, 0.6)]);
+        let f = frames(&out);
+        assert_eq!(f[0].interval, 3);
+        // Stock 0: 33 now against the forward-filled 30 two intervals ago.
+        let w_ret = SignalFrame::series(&f[0].w_returns, 2).unwrap();
+        assert_eq!(w_ret[0], 33.0 / 30.0 - 1.0);
+        assert_eq!(w_ret[1], 0.0);
+        let avg = SignalFrame::series(&f[0].averages, 2).unwrap();
+        assert_eq!(avg.avg_corr, vec![(0.8 + 0.6) / 2.0]);
+        let range = SignalFrame::series(&f[0].spread_ranges, 3).unwrap()[0];
+        assert_eq!((range.low, range.high, range.len), (97.0, 100.0, 2));
+    }
+
+    #[test]
+    fn health_is_released_at_its_effective_interval_and_sits_pairs_out() {
+        let mut n = node(3, &[needs(2, 2)]);
+        feed(
+            &mut n,
+            vec![bars(0, vec![10.0, 20.0, 30.0]), corr(0, 3, 0.5)],
+        );
+        // Symbol 2 degrades effective at interval 2; held through 1.
+        let out = feed(
+            &mut n,
+            vec![
+                health(2, 2, true),
+                bars(1, vec![10.0, 20.0, 30.0]),
+                corr(1, 3, 0.5),
+            ],
+        );
+        assert!(out.iter().all(|m| !matches!(m, Message::Health(_))));
+        let out = feed(
+            &mut n,
+            vec![bars(2, vec![10.0, 20.0, 30.0]), corr(2, 3, 0.5)],
+        );
+        assert!(matches!(out[0], Message::Health(_)), "ahead of the frame");
+        let f = frames(&out)[0];
+        let avg = SignalFrame::series(&f.averages, 2).unwrap();
+        // Pairs (2,0) and (2,1) — ranks 1 and 2 — sit out; (1,0) runs.
+        assert_eq!(avg.avg_corr[0], 0.5);
+        assert!(avg.avg_corr[1].is_nan() && avg.avg_corr[2].is_nan());
+        // A transition the snapshot stream never reaches flushes at EOF.
+        feed(&mut n, vec![health(9, 2, false)]);
+        let mut tail = Vec::new();
+        n.on_end(&mut |m| tail.push(m));
+        assert!(matches!(tail.as_slice(), [Message::Health(_)]));
+    }
+
+    #[test]
+    fn durable_state_round_trips_and_new_windows_start_cold() {
+        let mut a = node(3, &[needs(2, 2)]);
+        for s in 0..4 {
+            feed(
+                &mut a,
+                vec![
+                    bars(s, vec![10.0 + s as f64, 20.0, 30.0]),
+                    corr(s, 3, 0.1 * (s + 1) as f64),
+                ],
+            );
+        }
+        let bytes = a.encode_state().unwrap();
+
+        // Same configuration: the twin continues bit-identically.
+        let mut twin = node(3, &[needs(2, 2)]);
+        assert!(twin.decode_state(&bytes));
+        let step = vec![bars(4, vec![15.0, 21.0, 29.0]), corr(4, 3, 0.9)];
+        let want = feed(&mut a, step.clone());
+        let got = feed(&mut twin, step.clone());
+        assert_eq!(frames(&got), frames(&want));
+
+        // A host with a new W joins the stream: the shared W = 2 series
+        // carries on, the W = 3 series starts at the cut.
+        let mut wider = node(3, &[needs(2, 2), needs(3, 2)]);
+        assert!(wider.decode_state(&bytes));
+        let got = feed(&mut wider, step);
+        let (got, want) = (frames(&got)[0], frames(&want)[0]);
+        assert_eq!(
+            SignalFrame::series(&got.averages, 2),
+            SignalFrame::series(&want.averages, 2)
+        );
+        let cold = SignalFrame::series(&got.averages, 3).unwrap();
+        assert_eq!(cold.avg_corr, vec![0.9; 3], "a one-interval window");
+        // Trailing returns come off the stream's carried-over history.
+        let w3 = SignalFrame::series(&got.w_returns, 3).unwrap();
+        assert_eq!(w3[0], 15.0 / 11.0 - 1.0);
+
+        // Another universe's state is refused, as is garbage.
+        assert!(!node(4, &[needs(2, 2)]).decode_state(&bytes));
+        assert!(!node(3, &[needs(2, 2)]).decode_state(&bytes[..bytes.len() - 3]));
+    }
+}

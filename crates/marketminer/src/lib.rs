@@ -38,8 +38,10 @@
 //! * [`supervisor`] — restart policies, failure modes and the stall
 //!   watchdog configuration.
 //! * [`components`] — collectors, bar accumulator, technical analysis,
-//!   the parallel correlation engine node, the strategy host, the risk
-//!   manager and the order gateway.
+//!   the parallel correlation engine node, the per-stream signal node
+//!   (everything the strategy hosts of one correlation stream derive
+//!   identically, computed once), the strategy host, the risk manager
+//!   and the order gateway.
 //! * [`pipeline`] — a prebuilt, runnable instance of Figure 1, and the
 //!   shared-stream parameter-sweep graph ([`pipeline::SweepConfig`]).
 //! * [`shard`] — MPI-flavoured typed messaging ([`shard::World`] /

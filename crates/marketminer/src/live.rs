@@ -494,6 +494,68 @@ mod tests {
         assert!(out.trades_per_param[2].is_empty());
     }
 
+    /// A host whose `W` and `RT` are new to its stream attaches mid-day:
+    /// the stream's signal node keeps the series its hosts already share
+    /// and starts the new ones at the cut. The untouched host never
+    /// notices, and what the newcomer trades is a function of the cut
+    /// alone — not of the worker count.
+    #[test]
+    fn attaching_a_host_with_new_windows_starts_its_series_at_the_cut() {
+        let (day, n) = small_day(57);
+        let p1 = fast_params();
+        let newcomer = StrategyParams {
+            avg_window: 25,
+            spread_window: 30,
+            ..p1
+        };
+        let static_cfg = SweepConfig::new(n, vec![p1]);
+        let statics = run_sweep_pipeline(day.clone(), &static_cfg).unwrap();
+
+        let run = |workers: usize| {
+            let mut live = LiveSweepSession::new(static_cfg.clone(), rt(workers)).unwrap();
+            let quotes = day.quotes();
+            let mut it = quotes.chunks(quotes.len().div_ceil(6).max(1));
+            live.feed_epoch(it.next().unwrap());
+            live.feed_epoch(it.next().unwrap());
+            let k = live.attach(StrategySpec::Paper(newcomer)).unwrap();
+            assert_eq!(k, 1);
+            // Same stream, so no new engine and no new signal node: the
+            // existing node is restored by name and grows two series.
+            let names = live.node_names();
+            assert_eq!(
+                names
+                    .iter()
+                    .filter(|n| n.starts_with("strategy-host-signals"))
+                    .count(),
+                1,
+                "{names:?}"
+            );
+            for rest in it {
+                live.feed_epoch(rest);
+            }
+            live.finish()
+        };
+        let first = run(1);
+        assert_eq!(first.trades_per_param[0], statics.trades_per_param[0]);
+        assert!(
+            !first.trades_per_param[1].is_empty(),
+            "vacuous: the newcomer never traded"
+        );
+        // The newcomer's first window fills from the cut: it cannot have
+        // entered before a third of the day had passed.
+        let intervals = newcomer.intervals_per_day();
+        assert!(first.trades_per_param[1]
+            .iter()
+            .all(|t| t.entry_interval > intervals / 4));
+        for workers in [2usize, 0] {
+            assert_eq!(
+                run(workers).trades_per_param,
+                first.trades_per_param,
+                "workers={workers}"
+            );
+        }
+    }
+
     #[test]
     fn detach_guards() {
         let (day, n) = small_day(5);

@@ -12,6 +12,7 @@ use pairtrade_core::trade::Trade;
 use stats::matrix::SymMatrix;
 use taq::quote::Quote;
 pub use telemetry::lineage::{Cause, EventId};
+use timeseries::rolling::RangeStats;
 
 /// One interval's closing prices for the whole universe.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +53,59 @@ pub struct CorrSnapshot {
     pub matrix: SymMatrix,
     /// Causal provenance (stamped by the runtime at `Full`).
     pub cause: Cause,
+}
+
+/// A derived series tagged with the window it was computed over.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Windowed<T> {
+    /// The window, in intervals.
+    pub window: usize,
+    /// The series.
+    pub values: T,
+}
+
+/// `C̄` and the relative drop over one averaging window `W`, per pair
+/// rank. Pairs that sat the interval out (a leg degraded) hold NaN.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AvgSignals {
+    /// `C̄(s)` per pair.
+    pub avg_corr: Vec<f64>,
+    /// `(C̄(s) − C(s)) / C̄(s)` per pair.
+    pub rel_drop: Vec<f64>,
+}
+
+/// One interval of everything the strategy hosts of one correlation
+/// stream derive identically: prices aligned to the snapshot's interval,
+/// the snapshot's correlations in pair-rank order, and one series per
+/// distinct window any of the hosts declared in its
+/// [`pairtrade_core::strategy::InputNeeds`]. Produced once per interval
+/// by the stream's signal node and `Arc`-shared by its hosts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SignalFrame {
+    /// Interval the frame is for.
+    pub interval: usize,
+    /// The correlation stream the frame belongs to.
+    pub stream: usize,
+    /// Forward-filled price per stock at `interval` (NaN before a
+    /// stock's first bar).
+    pub prices: Vec<f64>,
+    /// Correlation per pair rank.
+    pub corr: Vec<f64>,
+    /// Trailing return per stock, one series per distinct return window.
+    pub w_returns: Vec<Windowed<Vec<f64>>>,
+    /// Average correlation and relative drop, one per distinct `W`.
+    pub averages: Vec<Windowed<AvgSignals>>,
+    /// Spread `(Sl, Sh, S̄)` per pair rank, one per distinct `RT`.
+    pub spread_ranges: Vec<Windowed<Vec<RangeStats>>>,
+    /// Causal provenance (stamped by the runtime at `Full`).
+    pub cause: Cause,
+}
+
+impl SignalFrame {
+    /// The series computed over `window`, if the frame carries one.
+    pub fn series<T>(list: &[Windowed<T>], window: usize) -> Option<&T> {
+        list.iter().find(|w| w.window == window).map(|w| &w.values)
+    }
 }
 
 /// Side of an order.
@@ -185,6 +239,8 @@ pub enum Message {
     Returns(Arc<ReturnSet>),
     /// A correlation-matrix snapshot.
     Corr(Arc<CorrSnapshot>),
+    /// One interval of shared strategy-host inputs for one stream.
+    Signals(Arc<SignalFrame>),
     /// An order request.
     Order(Arc<OrderRequest>),
     /// An aggregated order basket.
@@ -209,6 +265,7 @@ impl Message {
             Message::Bars(b) => Some(b.interval as u64),
             Message::Returns(r) => Some(r.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
+            Message::Signals(f) => Some(f.interval as u64),
             Message::Order(o) => Some(o.interval as u64),
             Message::Basket(b) => Some(b.interval as u64),
             Message::Health(h) => Some(h.interval as u64),
@@ -224,6 +281,7 @@ impl Message {
             Message::Bars(b) => Some(&b.cause),
             Message::Returns(r) => Some(&r.cause),
             Message::Corr(c) => Some(&c.cause),
+            Message::Signals(f) => Some(&f.cause),
             Message::Order(o) => Some(&o.cause),
             Message::Basket(b) => Some(&b.cause),
             Message::Trades(t) => Some(&t.cause),
@@ -242,6 +300,7 @@ impl Message {
             Message::Bars(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Returns(r) => Some(&mut Arc::make_mut(r).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
+            Message::Signals(f) => Some(&mut Arc::make_mut(f).cause),
             Message::Order(o) => Some(&mut Arc::make_mut(o).cause),
             Message::Basket(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Trades(t) => Some(&mut Arc::make_mut(t).cause),
@@ -283,6 +342,7 @@ impl Message {
             Message::Bars(_) => "bars",
             Message::Returns(_) => "returns",
             Message::Corr(_) => "corr",
+            Message::Signals(_) => "signals",
             Message::Order(_) => "order",
             Message::Basket(_) => "basket",
             Message::Trades(_) => "trades",

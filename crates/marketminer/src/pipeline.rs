@@ -1,9 +1,10 @@
 //! The prebuilt Figure-1 workflow.
 //!
 //! Collector → OHLC bars → technical analysis → parallel correlation
-//! engine → pair-trading strategy host → risk manager → order gateway,
-//! with the strategy host also subscribed to the bar stream (it needs
-//! prices, not just correlations) and a sink capturing baskets and the
+//! engine → signal node → pair-trading strategy host → risk manager →
+//! order gateway. The signal node also subscribes to the bar stream (the
+//! strategy needs prices, not just correlations) and hands the host one
+//! aligned frame per interval; a sink captures baskets and the
 //! end-of-day trade report.
 
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use crate::components::risk::RiskLimits;
 use crate::components::technical::TechnicalAnalysisNode;
 use crate::components::{
     BarAccumulatorNode, CorrelationEngineNode, HealthPolicy, OrderGatewayNode, ReplayCollector,
-    RiskManagerNode, StrategyHostNode,
+    RiskManagerNode, SignalNode, StrategyHostNode,
 };
 use crate::graph::{Graph, GraphError};
 use crate::messages::{Basket, HealthEvent, Message};
@@ -129,12 +130,15 @@ pub fn run_fig1_pipeline_with(
         cfg.corr_stride,
         cfg.params.ctype,
     )));
-    let strategy = g.add_component(Box::new(StrategyHostNode::new(
+    let host = StrategyHostNode::new(cfg.n_stocks, cfg.params, cfg.exec, cfg.needs_confirmation);
+    let signals = g.add_component(Box::new(SignalNode::new(
         cfg.n_stocks,
-        cfg.params,
-        cfg.exec,
-        cfg.needs_confirmation,
+        cfg.params.ctype,
+        cfg.params.corr_window,
+        0,
+        &[host.needs()],
     )));
+    let strategy = g.add_component(Box::new(host));
     let risk = g.add_component(Box::new(RiskManagerNode::new(cfg.limits)));
     let gateway = g.add_component(Box::new(OrderGatewayNode::new()));
     let sink = g.add_sink("order-sink");
@@ -142,8 +146,9 @@ pub fn run_fig1_pipeline_with(
     g.connect(collector, bars);
     g.connect(bars, technical);
     g.connect(technical, corr);
-    g.connect(bars, strategy); // prices (and health)
-    g.connect(corr, strategy); // signals
+    g.connect(bars, signals); // prices (and health)
+    g.connect(corr, signals); // correlations
+    g.connect(signals, strategy);
     g.connect(strategy, risk);
     g.connect(risk, gateway);
     g.connect(gateway, sink);
@@ -175,8 +180,10 @@ pub fn run_fig1_pipeline_with(
 /// grid of strategy specifications runs as ONE graph on the pooled
 /// runtime. The quote stream is collected, barred and cleaned once; each
 /// distinct `(Ctype, M)` correlation cube is computed once by a
-/// stream-tagged engine and fanned out to every strategy host that
-/// consumes it; all hosts merge into one shared risk manager, one
+/// stream-tagged engine; one signal node per stream derives, once, every
+/// series its hosts share (`C̄`, relative drop, spread range, trailing
+/// returns — one per distinct window) and fans a frame out to every
+/// strategy host on the stream; all hosts merge into one shared risk manager, one
 /// bucketed order gateway and one sink. This is the paper's "Approach 3"
 /// deployment: 42 parameter sets share 9 correlation streams instead of
 /// running 42 independent pipelines — and since the host is generic over
@@ -446,18 +453,46 @@ pub(crate) fn build_sweep_graph_tapped(
 
     // One strategy host per included spec, tagged with its global index
     // for attribution.
-    for (slot, &k) in included.iter().enumerate() {
-        let host = g.add_component(Box::new(
+    let hosts: Vec<StrategyHostNode> = included
+        .iter()
+        .map(|&k| {
             StrategyHostNode::from_spec(
                 cfg.n_stocks,
                 &cfg.specs[k],
                 cfg.exec,
                 cfg.needs_confirmation,
             )
-            .with_param_set(k),
-        ));
-        g.connect(bars, host); // prices (and health)
-        g.connect(engines[streams[slot]].1, host); // signals
+            .with_param_set(k)
+        })
+        .collect();
+
+    // One signal node per stream does, once, what its hosts would each
+    // derive identically: it takes the bar (prices, health) and
+    // correlation edges and hands every host one aligned frame per
+    // interval.
+    let signals: Vec<crate::graph::NodeId> = engines
+        .iter()
+        .enumerate()
+        .map(|(j, &((ctype, corr_window), engine))| {
+            let needs: Vec<_> = (hosts.iter().zip(&streams))
+                .filter(|(_, &stream)| stream == j)
+                .map(|(host, _)| host.needs())
+                .collect();
+            let node = g.add_component(Box::new(SignalNode::new(
+                cfg.n_stocks,
+                ctype,
+                corr_window,
+                j,
+                &needs,
+            )));
+            g.connect(bars, node);
+            g.connect(engine, node);
+            node
+        })
+        .collect();
+    for (host, &stream) in hosts.into_iter().zip(&streams) {
+        let host = g.add_component(Box::new(host));
+        g.connect(signals[stream], host);
         g.connect(host, risk);
     }
 

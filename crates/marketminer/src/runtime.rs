@@ -569,7 +569,9 @@ struct Exec {
     done_cv: Condvar,
     /// Sources wait here for downstream inbox capacity.
     cap_cv: Condvar,
-    capacity: usize,
+    /// Per-node inbox capacity: the configured bound, tightened by the
+    /// node's own [`Component::inbox_capacity`].
+    capacity: Vec<usize>,
     snapshot_every: u64,
     /// `succs[u]` = targets of every edge `(u, v)`, in edge order.
     succs: Vec<Vec<usize>>,
@@ -616,7 +618,7 @@ impl Exec {
     fn outputs_clear(&self, st: &SchedState, idx: usize) -> bool {
         self.succs[idx]
             .iter()
-            .all(|&t| st.status[t] == Status::Done || st.inbox[t].len() < self.capacity)
+            .all(|&t| st.status[t] == Status::Done || st.inbox[t].len() < self.capacity[t])
     }
 
     /// Inbox non-empty, or all upstreams finished (end-flush pending)?
@@ -644,7 +646,7 @@ impl Exec {
     fn note_parks(&self, st: &SchedState, idx: usize) {
         if let Some(rt) = &self.rt {
             for (k, &t) in self.succs[idx].iter().enumerate() {
-                if st.status[t] != Status::Done && st.inbox[t].len() >= self.capacity {
+                if st.status[t] != Status::Done && st.inbox[t].len() >= self.capacity[t] {
                     rt.edge_parks[rt.succ_edge_ids[idx][k]].fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -704,7 +706,7 @@ impl Exec {
                 if st.status[t] == Status::Done {
                     break;
                 }
-                if st.inbox[t].len() < self.capacity {
+                if st.inbox[t].len() < self.capacity[t] {
                     st.inbox[t].push_back(m);
                     self.try_schedule(&mut st, t);
                     break;
@@ -954,7 +956,7 @@ fn run_component_node(exec: &Exec, idx: usize, body: &mut CompBody, turn: &mut T
                 if let Some(rt) = &exec.rt {
                     rt.inbox_depth[idx].observe(st.inbox[idx].len() as u64 + 1);
                 }
-                if st.inbox[idx].len() + 1 == exec.capacity {
+                if st.inbox[idx].len() + 1 == exec.capacity[idx] {
                     exec.wake_producers(&mut st, idx);
                 }
                 Some(Event::Msg(m))
@@ -1080,7 +1082,7 @@ fn run_sink_node(exec: &Exec, idx: usize, msgs: &mut Vec<Message>, turn: &mut Tu
                 if let Some(rt) = &exec.rt {
                     rt.inbox_depth[idx].observe(st.inbox[idx].len() as u64 + 1);
                 }
-                if st.inbox[idx].len() + 1 == exec.capacity {
+                if st.inbox[idx].len() + 1 == exec.capacity[idx] {
                     exec.wake_producers(&mut st, idx);
                 }
                 Some(m)
@@ -1533,6 +1535,7 @@ impl Runtime {
         });
 
         let mut schedulable = vec![true; n];
+        let mut capacity = vec![self.config.capacity; n];
         let mut bodies: Vec<Mutex<NodeBody>> = Vec::with_capacity(n);
         let mut sources: Vec<(usize, Box<dyn Source>)> = Vec::new();
         for (idx, entry) in graph.nodes.into_iter().enumerate() {
@@ -1548,6 +1551,9 @@ impl Runtime {
                 NodeKind::Component(mut c) => {
                     if let Some(rt) = &rt {
                         c.attach_telemetry(rt.probes[idx].clone());
+                    }
+                    if let Some(bound) = c.inbox_capacity() {
+                        capacity[idx] = capacity[idx].min(bound.max(1));
                     }
                     let restart_allowed =
                         self.supervision.policy_for(idx) != crate::supervisor::RestartPolicy::Never;
@@ -1583,7 +1589,7 @@ impl Runtime {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             cap_cv: Condvar::new(),
-            capacity: self.config.capacity,
+            capacity,
             snapshot_every: self.supervision.snapshot_cadence(),
             succs,
             preds,
@@ -2122,6 +2128,45 @@ mod tests {
         g.connect(b, sink);
         let mut out = Runtime::with_capacity(2).run(g).unwrap();
         assert_eq!(out.take_sink(sink).len(), 50_000);
+    }
+
+    /// A component may bound its own inbox below the configured capacity:
+    /// its producer is held back at that bound (the backlog queues one
+    /// hop upstream instead) and the graph still drains.
+    #[test]
+    fn a_component_can_tighten_its_own_inbox() {
+        struct Narrow;
+        impl Component for Narrow {
+            fn name(&self) -> &str {
+                "narrow"
+            }
+            fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+                out(msg);
+            }
+            fn inbox_capacity(&self) -> Option<usize> {
+                Some(3)
+            }
+        }
+        let mut g = Graph::new();
+        let src = g.add_source(Box::new(CountSource { n: 5_000 }));
+        let wide = g.add_component(Box::new(Passthrough::new("wide")));
+        let narrow = g.add_component(Box::new(Narrow));
+        let sink = g.add_sink("sink");
+        g.connect(src, wide);
+        g.connect(wide, narrow);
+        g.connect(narrow, sink);
+        let mut out = Runtime::with_config(RuntimeConfig {
+            workers: 2,
+            capacity: 64,
+            telemetry: TelemetryLevel::Full,
+        })
+        .run(g)
+        .unwrap();
+        assert_eq!(out.take_sink(sink).len(), 5_000);
+        let metrics = &out.telemetry.as_ref().expect("report at Full").metrics;
+        let depth = |node: &str| metrics.histogram(node, "inbox.depth").unwrap().max();
+        assert!(depth("narrow") <= 3, "narrow held {}", depth("narrow"));
+        assert!(depth("wide") > 3, "the backlog must queue upstream");
     }
 
     #[test]

@@ -23,8 +23,8 @@ use telemetry::trace::{Arg as TraceArg, RecordPhase, TraceRecord};
 use wire::{Codec, Reader, WireError, Writer};
 
 use crate::messages::{
-    BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message, OrderRequest,
-    OrderSide, ReturnSet, TradeReport,
+    AvgSignals, BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message,
+    OrderRequest, OrderSide, ReturnSet, SignalFrame, TradeReport, Windowed,
 };
 
 /// Encode a [`Cause`].
@@ -54,6 +54,7 @@ pub fn intern_kind(kind: &str) -> Result<&'static str, WireError> {
         "bars" => "bars",
         "returns" => "returns",
         "corr" => "corr",
+        "signals" => "signals",
         "order" => "order",
         "basket" => "basket",
         "trades" => "trades",
@@ -284,6 +285,60 @@ impl Codec for HealthEvent {
     }
 }
 
+impl<T: Codec> Codec for Windowed<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.window.encode(w);
+        self.values.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Windowed {
+            window: usize::decode(r)?,
+            values: T::decode(r)?,
+        })
+    }
+}
+
+impl Codec for AvgSignals {
+    fn encode(&self, w: &mut Writer) {
+        self.avg_corr.encode(w);
+        self.rel_drop.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(AvgSignals {
+            avg_corr: Vec::decode(r)?,
+            rel_drop: Vec::decode(r)?,
+        })
+    }
+}
+
+impl Codec for SignalFrame {
+    fn encode(&self, w: &mut Writer) {
+        self.interval.encode(w);
+        self.stream.encode(w);
+        self.prices.encode(w);
+        self.corr.encode(w);
+        self.w_returns.encode(w);
+        self.averages.encode(w);
+        self.spread_ranges.encode(w);
+        encode_cause(&self.cause, w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(SignalFrame {
+            interval: usize::decode(r)?,
+            stream: usize::decode(r)?,
+            prices: Vec::decode(r)?,
+            corr: Vec::decode(r)?,
+            w_returns: Vec::decode(r)?,
+            averages: Vec::decode(r)?,
+            spread_ranges: Vec::decode(r)?,
+            cause: decode_cause(r)?,
+        })
+    }
+}
+
 impl Codec for Message {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -321,6 +376,10 @@ impl Codec for Message {
                 x.as_ref().encode(w);
             }
             Message::Eof => 8u8.encode(w),
+            Message::Signals(x) => {
+                9u8.encode(w);
+                x.as_ref().encode(w);
+            }
         }
     }
 
@@ -339,6 +398,7 @@ impl Codec for Message {
             6 => Message::Trades(Arc::new(TradeReport::decode(r)?)),
             7 => Message::Health(Arc::new(HealthEvent::decode(r)?)),
             8 => Message::Eof,
+            9 => Message::Signals(Arc::new(SignalFrame::decode(r)?)),
             _ => return Err(WireError::Invalid("message tag")),
         })
     }
@@ -678,6 +738,36 @@ mod tests {
                 cause: cause(),
             })),
             Message::Eof,
+            Message::Signals(Arc::new(SignalFrame {
+                interval: 6,
+                stream: 2,
+                prices: vec![40.0, f64::NAN, 130.0],
+                corr: vec![0.5, -0.0, 0.25],
+                w_returns: vec![Windowed {
+                    window: 60,
+                    values: vec![0.01, 0.0, -0.02],
+                }],
+                averages: vec![Windowed {
+                    window: 60,
+                    values: AvgSignals {
+                        avg_corr: vec![0.4, f64::NAN, 0.3],
+                        rel_drop: vec![-0.25, f64::NAN, 0.1],
+                    },
+                }],
+                spread_ranges: vec![Windowed {
+                    window: 30,
+                    values: vec![
+                        timeseries::rolling::RangeStats {
+                            low: -91.0,
+                            high: -89.0,
+                            mean: -90.0,
+                            len: 30
+                        };
+                        3
+                    ],
+                }],
+                cause: cause(),
+            })),
         ];
         for m in &msgs {
             let bytes = wire::to_bytes(m);
@@ -697,6 +787,10 @@ mod tests {
                 (Message::Bars(a), Message::Bars(b)) => assert_eq!(a, b),
                 (Message::Trades(a), Message::Trades(b)) => assert_eq!(a, b),
                 (Message::Basket(a), Message::Basket(b)) => assert_eq!(a, b),
+                // NaN cells: compare the re-encoding, not the values.
+                (Message::Signals(_), Message::Signals(_)) => {
+                    assert_eq!(wire::to_bytes(&back), bytes);
+                }
                 _ => {}
             }
         }

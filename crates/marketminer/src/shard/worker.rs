@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pairtrade_core::ckpt::CheckpointStore;
+use pairtrade_core::ckpt::{CheckpointStore, CkptError};
 use taq::dataset::DayData;
 use telemetry::metrics::MetricsSnapshot;
 use telemetry::TelemetryLevel;
@@ -219,23 +219,28 @@ impl WorkerArgs {
 /// flight incidents; a store with no valid checkpoint recovers to
 /// `None` (cold start).
 pub fn recover_session(store: &CheckpointStore) -> (Option<(u64, SessionCkpt)>, Vec<String>) {
+    let describe = |skipped: &[pairtrade_core::ckpt::CorruptCheckpoint]| -> Vec<String> {
+        skipped
+            .iter()
+            .map(|c| {
+                format!(
+                    "{}: {}",
+                    c.path
+                        .file_name()
+                        .map(|n| n.to_string_lossy().into_owned())
+                        .unwrap_or_else(|| c.path.display().to_string()),
+                    c.reason
+                )
+            })
+            .collect()
+    };
     match store.recover() {
-        Err(_) => (None, Vec::new()),
+        // Nothing valid (an empty store, or only files this build
+        // refuses, e.g. another format version): cold start.
+        Err(CkptError::NoCheckpoint { rejected }) => (None, describe(&rejected)),
+        Err(CkptError::Io(_)) => (None, Vec::new()),
         Ok(rec) => {
-            let mut corrupt: Vec<String> = rec
-                .corrupt
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{}: {}",
-                        c.path
-                            .file_name()
-                            .map(|n| n.to_string_lossy().into_owned())
-                            .unwrap_or_else(|| c.path.display().to_string()),
-                        c.reason
-                    )
-                })
-                .collect();
+            let mut corrupt = describe(&rec.corrupt);
             match wire::from_bytes::<SessionCkpt>(&rec.payload) {
                 Ok(ckpt) => (Some((rec.epoch, ckpt)), corrupt),
                 Err(_) => {

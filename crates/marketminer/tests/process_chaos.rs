@@ -248,6 +248,88 @@ fn kill9_mid_day_is_bit_identical_for_mixed_strategies() {
     }
 }
 
+/// The signal plane through `kill -9`: a health-enabled sweep whose tape
+/// carries an outage and a corruption burst, two averaging windows on one
+/// stream, killed at the epochs around the degradation — so the durable
+/// cut holds lagging plane columns, queued health transitions and
+/// flattened books, and the restored signal nodes and hosts must carry
+/// on from them bit-identically.
+#[test]
+fn kill9_mid_degradation_restores_the_signal_plane_bit_identically() {
+    use marketminer::HealthPolicy;
+    use pairtrade_core::{ExitReason, StrategyParams, StrategySpec};
+    use taq::{CorruptionBurst, OutageWindow, StreamFaultPlan};
+
+    let n = 6;
+    let mut market = MarketConfig::small(n, 1, 23);
+    market.micro.quote_rate_hz = 0.2;
+    market.errors = taq::ErrorConfig::none();
+    let clean_tape = MarketGenerator::new(market).next_day().unwrap();
+    let plan = StreamFaultPlan {
+        outages: vec![OutageWindow {
+            symbol: 1,
+            start_s: 6_000,
+            end_s: 9_000,
+        }],
+        bursts: vec![CorruptionBurst {
+            symbol: 4,
+            start_s: 12_000,
+            end_s: 13_200,
+            intensity: 0.95,
+        }],
+        seed: 23,
+        ..StreamFaultPlan::none()
+    };
+    let (quotes, log) = taq::errors::apply_stream_faults(clean_tape.quotes(), &plan);
+    assert!(log.dropped > 0 && log.corrupted > 0);
+    let day = DayData::new(clean_tape.day, quotes, n, Vec::new());
+
+    let base = StrategyParams {
+        corr_window: 20,
+        avg_window: 10,
+        div_window: 5,
+        divergence: 0.0005,
+        ..StrategyParams::paper_default()
+    };
+    let specs = vec![
+        StrategySpec::Paper(base),
+        StrategySpec::Paper(StrategyParams {
+            avg_window: 25,
+            ..base
+        }),
+    ];
+    let mut sweep = SweepConfig::from_specs(n, specs)
+        .unwrap()
+        .with_health(HealthPolicy::default());
+    sweep.clean.k_sigma = 12.0;
+
+    let in_process = in_process_sweep(day.clone(), &sweep);
+    assert!(in_process.health_events.iter().any(|h| h.is_degraded()));
+    assert!(
+        in_process
+            .trades_per_param
+            .iter()
+            .flatten()
+            .any(|t| t.reason == ExitReason::Degraded),
+        "no position was open on a symbol when it degraded"
+    );
+
+    // Seven epochs a day: the outage spans epochs 2–3, the burst epoch 4.
+    let kills: Vec<(usize, u64)> = vec![(0, 2), (0, 3), (0, 4)];
+    let mut cfg = test_config("signal-plane", &day, 1);
+    cfg.max_restarts = 5;
+    assert_eq!(epochs_in(&day, &cfg), 7);
+    let out = ShardRunner::new(cfg, WORKER_EXE)
+        .with_chaos(kills)
+        .run(&day, &sweep)
+        .unwrap();
+    assert_eq!(out.reports[0].restarts, 3);
+    assert!(out.degraded_params.is_empty());
+    assert_eq!(in_process.trades_per_param, out.trades_per_param);
+    assert_eq!(in_process.baskets, out.baskets);
+    assert_eq!(in_process.health_events, out.health_events);
+}
+
 /// Restart-budget exhaustion must not hang or poison the sweep: the
 /// repeatedly-killed shard's parameter sets are masked degraded, every
 /// other shard's output is still bit-identical to the in-process run, and

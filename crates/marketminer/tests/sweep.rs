@@ -71,6 +71,113 @@ fn sweep_output_is_identical_across_worker_counts() {
     }
 }
 
+/// The same with the health control plane on and a feed that actually
+/// degrades: an outage and a corruption burst sit pairs out mid-day (their
+/// columns of the shared signal planes then lag the rest), flatten open
+/// positions and block entries — on a grid that shares one stream between
+/// two averaging windows and an overlaid host. Output must still not
+/// depend on the worker count.
+#[test]
+fn health_enabled_sweep_is_identical_across_worker_counts() {
+    use marketminer::{FaultedCollector, HealthPolicy};
+    use pairtrade_core::{ExitReason, OverlayParams, StrategyParams, StrategySpec};
+    use taq::{CorruptionBurst, OutageWindow, StreamFaultPlan};
+
+    let _guard = lock_serial();
+    let n = 6;
+    let day = || {
+        let mut cfg = MarketConfig::small(n, 1, 23);
+        cfg.micro.quote_rate_hz = 0.2;
+        cfg.errors = taq::ErrorConfig::none();
+        MarketGenerator::new(cfg).next_day().unwrap()
+    };
+    let plan = || StreamFaultPlan {
+        outages: vec![OutageWindow {
+            symbol: 1,
+            start_s: 6_000,
+            end_s: 9_000,
+        }],
+        bursts: vec![CorruptionBurst {
+            symbol: 4,
+            start_s: 12_000,
+            end_s: 13_200,
+            intensity: 0.95,
+        }],
+        seed: 23,
+        ..StreamFaultPlan::none()
+    };
+    let base = StrategyParams {
+        corr_window: 20,
+        avg_window: 10,
+        div_window: 5,
+        divergence: 0.0005,
+        ..StrategyParams::paper_default()
+    };
+    let specs = vec![
+        StrategySpec::Paper(base),
+        StrategySpec::Paper(StrategyParams {
+            avg_window: 25,
+            ..base
+        }),
+        StrategySpec::Paper(StrategyParams {
+            spread_window: 30,
+            ..base
+        })
+        .with_overlay(OverlayParams::conservative()),
+    ];
+    let mut cfg = SweepConfig::from_specs(n, specs)
+        .unwrap()
+        .with_health(HealthPolicy::default());
+    cfg.clean.k_sigma = 12.0;
+
+    let run = |workers: usize| {
+        let runtime = Runtime::with_config(RuntimeConfig {
+            workers,
+            capacity: 256,
+            telemetry: TelemetryLevel::Off,
+        });
+        let source = Box::new(FaultedCollector::new(day(), plan()));
+        run_sweep_pipeline_with(runtime, source, &cfg).unwrap()
+    };
+    let first = run(1);
+    assert!(
+        first.health_events.iter().any(|h| h.is_degraded())
+            && first.health_events.iter().any(|h| !h.is_degraded()),
+        "the schedule must degrade symbols and let them recover"
+    );
+    for (k, trades) in first.trades_per_param.iter().enumerate() {
+        assert!(!trades.is_empty(), "spec {k} never traded");
+    }
+    assert!(
+        first
+            .trades_per_param
+            .iter()
+            .flatten()
+            .any(|t| t.reason == ExitReason::Degraded),
+        "no position was open on a symbol when it degraded"
+    );
+    // Pinned from the build before hosts shared a signal plane (each
+    // pair owning its windows, fed or skipped one by one): sitting out,
+    // flattening and re-entry must not have moved a bit.
+    assert_eq!(
+        wire::crc32(&wire::to_bytes(&first.trades_per_param)),
+        0xde65_f48a,
+        "health-path trades moved"
+    );
+    for workers in [2usize, 0] {
+        let other = run(workers);
+        assert_eq!(
+            first.trades_per_param, other.trades_per_param,
+            "trades diverged at workers={workers}"
+        );
+        assert_eq!(first.baskets, other.baskets, "workers={workers}");
+        assert_eq!(
+            first.health_events, other.health_events,
+            "workers={workers}"
+        );
+    }
+}
+
 /// Flipping the stats SIMD dispatch to its scalar fallback must not move a
 /// single trade at any worker count: the AVX2 kernels are built to execute
 /// the same IEEE operations in the same order as the scalar code, so the

@@ -162,73 +162,83 @@ fn thousand_subscribers_one_stalled_serverless_identical() {
 
 /// Attaching a strategy host mid-day and detaching it again leaves the
 /// untouched hosts bit-identical to a static graph — over the socket,
-/// at workers 1, 2 and max.
+/// at workers 1, 2 and max. Twice over: with a host that shares every
+/// derived series of the stream it joins, and with one whose `W` and `RT`
+/// are new to that stream, so its signal node grows two series at the
+/// attach cut and drops them again at the detach cut.
 #[test]
 fn attach_then_detach_mid_day_leaves_hosts_bit_identical() {
     let day = small_day(11);
     let sweep = SweepConfig::new(4, vec![fast_params()]);
     let baseline = run_sweep_pipeline(day.clone(), &sweep).unwrap();
-    let extra = StrategyParams {
+    let same_windows = StrategyParams {
         divergence: 0.001,
         ..fast_params()
     };
+    let new_windows = StrategyParams {
+        avg_window: 25,
+        spread_window: 30,
+        ..fast_params()
+    };
 
-    for workers in worker_grid() {
-        let sock = std::env::temp_dir().join(format!(
-            "serve-test-reconf-{}-{workers}.sock",
-            std::process::id()
-        ));
-        let cfg = ServerConfig {
-            heartbeat_ttl_us: 0,
-            epoch_quotes: 400,
-            start_subscriptions: 1,
-            start_wait: Duration::from_secs(30),
-            ..ServerConfig::new(Endpoint::Unix(sock.clone()))
-        };
-        let server = Server::bind(cfg).unwrap();
-        let endpoint = server.endpoint().clone();
-        let (day_s, sweep_s) = (day.clone(), sweep.clone());
-        let rt_s = rt(workers);
-        let handle = thread::spawn(move || server.serve_day(day_s, sweep_s, rt_s));
+    for (tag, extra) in [("same", same_windows), ("new", new_windows)] {
+        for workers in worker_grid() {
+            let sock = std::env::temp_dir().join(format!(
+                "serve-test-reconf-{tag}-{}-{workers}.sock",
+                std::process::id()
+            ));
+            let cfg = ServerConfig {
+                heartbeat_ttl_us: 0,
+                epoch_quotes: 400,
+                start_subscriptions: 1,
+                start_wait: Duration::from_secs(30),
+                ..ServerConfig::new(Endpoint::Unix(sock.clone()))
+            };
+            let server = Server::bind(cfg).unwrap();
+            let endpoint = server.endpoint().clone();
+            let (day_s, sweep_s) = (day.clone(), sweep.clone());
+            let rt_s = rt(workers);
+            let handle = thread::spawn(move || server.serve_day(day_s, sweep_s, rt_s));
 
-        let mut client = Client::connect(&endpoint, "open", "reconf").unwrap();
-        let sub = client
-            .subscribe(SubscriptionSpec::Corr {
-                ctype: CorrType::Pearson,
-                window: 20,
-                top_k: None,
-            })
-            .unwrap();
-        // Ride the feed; attach after a few frames, detach a while later.
-        let mut frames = 0u64;
-        let mut attached: Option<u64> = None;
-        let mut detached = false;
-        loop {
-            match client.next_frame() {
-                Ok(ServerFrame::Event { sub_id, .. }) if sub_id == sub => {
-                    frames += 1;
-                    if frames == 3 && attached.is_none() {
-                        let param_set = client.attach(StrategySpec::Paper(extra)).unwrap();
-                        assert_eq!(param_set, 1, "extra host takes the next param slot");
-                        attached = Some(param_set);
+            let mut client = Client::connect(&endpoint, "open", "reconf").unwrap();
+            let sub = client
+                .subscribe(SubscriptionSpec::Corr {
+                    ctype: CorrType::Pearson,
+                    window: 20,
+                    top_k: None,
+                })
+                .unwrap();
+            // Ride the feed; attach after a few frames, detach a while later.
+            let mut frames = 0u64;
+            let mut attached: Option<u64> = None;
+            let mut detached = false;
+            loop {
+                match client.next_frame() {
+                    Ok(ServerFrame::Event { sub_id, .. }) if sub_id == sub => {
+                        frames += 1;
+                        if frames == 3 && attached.is_none() {
+                            let param_set = client.attach(StrategySpec::Paper(extra)).unwrap();
+                            assert_eq!(param_set, 1, "extra host takes the next param slot");
+                            attached = Some(param_set);
+                        }
+                        if frames == 60 && !detached {
+                            client.detach(attached.unwrap() as usize).unwrap();
+                            detached = true;
+                        }
                     }
-                    if frames == 60 && !detached {
-                        client.detach(attached.unwrap() as usize).unwrap();
-                        detached = true;
-                    }
+                    Ok(ServerFrame::End) | Err(_) => break,
+                    Ok(_) => {}
                 }
-                Ok(ServerFrame::End) | Err(_) => break,
-                Ok(_) => {}
             }
-        }
-        assert!(detached, "day ended before the detach fired");
+            assert!(detached, "day ended before the detach fired");
 
-        let report = handle.join().unwrap().unwrap();
-        assert_eq!(
-            report.output.trades_per_param[0], baseline.trades_per_param[0],
-            "untouched host diverged after attach/detach at workers={workers}"
-        );
-        let _ = std::fs::remove_file(&sock);
+            let report = handle.join().unwrap().unwrap();
+            assert_eq!(
+                report.output.trades_per_param[0], baseline.trades_per_param[0],
+                "untouched host diverged after attach/detach ({tag} windows) at workers={workers}"
+            );
+            let _ = std::fs::remove_file(&sock);
+        }
     }
 }
 

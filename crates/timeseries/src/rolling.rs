@@ -197,6 +197,24 @@ impl wire::Codec for RollingRange {
     }
 }
 
+impl wire::Codec for RangeStats {
+    fn encode(&self, w: &mut wire::Writer) {
+        self.low.encode(w);
+        self.high.encode(w);
+        self.mean.encode(w);
+        self.len.encode(w);
+    }
+
+    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
+        Ok(RangeStats {
+            low: f64::decode(r)?,
+            high: f64::decode(r)?,
+            mean: f64::decode(r)?,
+            len: usize::decode(r)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

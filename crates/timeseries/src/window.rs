@@ -96,20 +96,27 @@ impl<T: Copy> SlidingWindow<T> {
         }
     }
 
+    /// The contents as two contiguous slices, oldest → newest: the ring
+    /// from `head` to its physical end, then the wrapped prefix. Before
+    /// the first eviction the second slice is empty.
+    pub fn as_slices(&self) -> (&[T], &[T]) {
+        let (wrapped, oldest) = self.buf.split_at(self.head);
+        (oldest, wrapped)
+    }
+
     /// Iterate oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        (0..self.len).map(move |k| {
-            if self.buf.len() < self.cap {
-                self.buf[k]
-            } else {
-                self.buf[(self.head + k) % self.cap]
-            }
-        })
+        let (oldest, wrapped) = self.as_slices();
+        oldest.iter().chain(wrapped).copied()
     }
 
     /// Copy contents oldest → newest into a fresh vector.
     pub fn to_vec(&self) -> Vec<T> {
-        self.iter().collect()
+        let (oldest, wrapped) = self.as_slices();
+        let mut out = Vec::with_capacity(self.len);
+        out.extend_from_slice(oldest);
+        out.extend_from_slice(wrapped);
+        out
     }
 
     /// Drop all contents.
@@ -197,6 +204,20 @@ mod tests {
             w.push(v);
         }
         assert_eq!(w.to_vec(), vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn slices_cover_the_window_in_order_at_every_head() {
+        let mut w = SlidingWindow::new(4);
+        for v in 0..11 {
+            w.push(v);
+            let (oldest, wrapped) = w.as_slices();
+            let joined: Vec<i32> = oldest.iter().chain(wrapped).copied().collect();
+            let want: Vec<i32> = ((v - 3).max(0)..=v).collect();
+            assert_eq!(joined, want);
+            assert_eq!(w.to_vec(), want);
+            assert_eq!(w.iter().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

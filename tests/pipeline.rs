@@ -87,41 +87,60 @@ fn baskets_are_interval_ordered_and_nonempty() {
 fn streaming_matches_batch_backtester() {
     // The pipeline computes the same strategy over the same data as the
     // batch Approach-3 path; with a dense quote tape the BAM grids agree
-    // and the trade sets must match.
+    // and the trade sets must match. With the health control plane on
+    // (over a tape without the generator's own bad-quote storms and with
+    // a wide cleaning gate, so that nothing degrades) it must be inert: the signal node aligns the same
+    // frames, sits no pair out, and the hosts see what the batch planes
+    // compute.
     let n = 5;
     let params = fast_params();
-    let day = make_day(n, 31);
-    let day_copy = make_day(n, 31);
+    let clean_tape = || {
+        let mut cfg = MarketConfig::small(n, 1, 31);
+        cfg.micro.quote_rate_hz = 0.1;
+        cfg.errors = taq::ErrorConfig::none();
+        MarketGenerator::new(cfg).next_day().unwrap()
+    };
+    let plain = Fig1Config::new(n, params);
+    let mut with_health = plain
+        .clone()
+        .with_health(marketminer::HealthPolicy::default());
+    with_health.clean.k_sigma = 12.0;
+    let legs: [(&str, &dyn Fn() -> taq::dataset::DayData, Fig1Config); 2] = [
+        ("health off", &|| make_day(n, 31), plain),
+        ("health on", &clean_tape, with_health),
+    ];
+    for (label, tape, config) in legs {
+        let pipeline_out = run_fig1_pipeline(tape(), &config).unwrap();
+        assert!(
+            pipeline_out.health_events.is_empty(),
+            "{label}: the feed degraded"
+        );
 
-    let pipeline_out = run_fig1_pipeline(day, &Fig1Config::new(n, params)).unwrap();
+        let grid =
+            timeseries::bam::PriceGrid::from_day(&tape(), n, params.dt_seconds, config.clean);
+        let panel = timeseries::returns::ReturnsPanel::from_grid(&grid);
+        let batch = backtest::approach::run_day(
+            backtest::approach::Approach::Integrated,
+            &grid,
+            &panel,
+            &params,
+            &pairtrade_core::exec::ExecutionConfig::paper(),
+        );
 
-    let grid = timeseries::bam::PriceGrid::from_day(
-        &day_copy,
-        n,
-        params.dt_seconds,
-        timeseries::clean::CleanConfig::default(),
-    );
-    let panel = timeseries::returns::ReturnsPanel::from_grid(&grid);
-    let batch = backtest::approach::run_day(
-        backtest::approach::Approach::Integrated,
-        &grid,
-        &panel,
-        &params,
-        &pairtrade_core::exec::ExecutionConfig::paper(),
-    );
-
-    let mut stream_keys: Vec<_> = pipeline_out
-        .trades
-        .iter()
-        .map(|t| (t.pair, t.entry_interval, t.exit_interval))
-        .collect();
-    stream_keys.sort();
-    let mut batch_keys: Vec<_> = batch
-        .trades
-        .iter()
-        .flatten()
-        .map(|t| (t.pair, t.entry_interval, t.exit_interval))
-        .collect();
-    batch_keys.sort();
-    assert_eq!(stream_keys, batch_keys);
+        let mut stream_keys: Vec<_> = pipeline_out
+            .trades
+            .iter()
+            .map(|t| (t.pair, t.entry_interval, t.exit_interval))
+            .collect();
+        stream_keys.sort();
+        let mut batch_keys: Vec<_> = batch
+            .trades
+            .iter()
+            .flatten()
+            .map(|t| (t.pair, t.entry_interval, t.exit_interval))
+            .collect();
+        batch_keys.sort();
+        assert!(!batch_keys.is_empty(), "{label}: the day must trade");
+        assert_eq!(stream_keys, batch_keys, "{label}");
+    }
 }
