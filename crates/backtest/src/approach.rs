@@ -19,13 +19,13 @@
 //! recompute-vs-sliding Pearson); the benches then measure what the paper
 //! measured — how their costs diverge.
 
-use pairtrade_core::engine::run_pair_day;
+use pairtrade_core::engine::{run_pair_day, run_pair_day_multi};
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
 use rayon::prelude::*;
 use stats::matrix::SymMatrix;
-use stats::parallel::ParallelCorrEngine;
+use stats::parallel::{CorrCube, ParallelCorrEngine};
 use timeseries::bam::PriceGrid;
 use timeseries::returns::ReturnsPanel;
 
@@ -75,6 +75,58 @@ pub struct DayRun {
     pub stats: ApproachStats,
 }
 
+/// Run every pair off one correlation cube under every parameter vector
+/// that shares it, in one parallel region over pairs. `fold(rank, trades)`
+/// receives pair `rank`'s trades, `trades[k]` under `params[k]`, still
+/// inside the region — a caller that only needs summaries never holds a
+/// cube's worth of trades — and its results come back in rank order.
+///
+/// `grid` must be the price grid the cube's returns came from, and every
+/// vector in `params` must name the cube's `(Ctype, M)`.
+pub fn run_cube<R: Send>(
+    grid: &PriceGrid,
+    cube: &CorrCube,
+    params: &[StrategyParams],
+    exec: &ExecutionConfig,
+    fold: impl Fn(usize, Vec<Vec<Trade>>) -> R + Sync,
+) -> Vec<R> {
+    // corr[k] covers returns ending at return-step first_step + k, i.e.
+    // price interval first_step + k + 1.
+    let first_interval = cube.first_step() + 1;
+    (0..cube.n_pairs())
+        .into_par_iter()
+        .map(|rank| {
+            let (i, j) = SymMatrix::pair_from_rank(rank);
+            let trades = run_pair_day_multi(
+                (i, j),
+                params,
+                exec,
+                grid.series(i),
+                grid.series(j),
+                cube.series_by_rank(rank),
+                first_interval,
+            );
+            fold(rank, trades)
+        })
+        .collect()
+}
+
+/// [`run_cube`] keeping every trade, turned param-major: `out[k][rank]`.
+fn run_cube_trades(
+    grid: &PriceGrid,
+    cube: &CorrCube,
+    params: &[StrategyParams],
+    exec: &ExecutionConfig,
+) -> Vec<Vec<Vec<Trade>>> {
+    let mut by_param = vec![Vec::with_capacity(cube.n_pairs()); params.len()];
+    for per_param in run_cube(grid, cube, params, exec, |_, trades| trades) {
+        for (slot, trades) in by_param.iter_mut().zip(per_param) {
+            slot.push(trades);
+        }
+    }
+    by_param
+}
+
 /// Run one parameter set over all pairs for one day using the chosen
 /// approach.
 ///
@@ -102,26 +154,9 @@ pub fn run_day(
             let engine = ParallelCorrEngine::new(params.ctype);
             match engine.cube(panel.all(), m) {
                 None => vec![Vec::new(); n_pairs],
-                Some(cube) => {
-                    // corr[k] covers returns ending at return-step
-                    // first_step + k, i.e. price interval first_step + k + 1.
-                    let first_interval = cube.first_step() + 1;
-                    (0..n_pairs)
-                        .into_par_iter()
-                        .map(|rank| {
-                            let (i, j) = SymMatrix::pair_from_rank(rank);
-                            run_pair_day(
-                                (i, j),
-                                params,
-                                exec,
-                                grid.series(i),
-                                grid.series(j),
-                                cube.series_by_rank(rank),
-                                first_interval,
-                            )
-                        })
-                        .collect()
-                }
+                Some(cube) => run_cube_trades(grid, &cube, &[*params], exec)
+                    .pop()
+                    .expect("one parameter vector"),
             }
         }
         Approach::PrecomputedMatrices => {
@@ -276,24 +311,9 @@ pub fn run_day_grid(
                 if approach == Approach::PrecomputedMatrices {
                     stats.matrix_bytes += cube.full_matrix_bytes();
                 }
-                let first_interval = cube.first_step() + 1;
-                for idx in idxs {
-                    let p = &params[idx];
-                    let trades: Vec<Vec<Trade>> = (0..n_pairs)
-                        .into_par_iter()
-                        .map(|rank| {
-                            let (i, j) = SymMatrix::pair_from_rank(rank);
-                            run_pair_day(
-                                (i, j),
-                                p,
-                                exec,
-                                grid.series(i),
-                                grid.series(j),
-                                cube.series_by_rank(rank),
-                                first_interval,
-                            )
-                        })
-                        .collect();
+                let group: Vec<StrategyParams> = idxs.iter().map(|&idx| params[idx]).collect();
+                let by_param = run_cube_trades(grid, &cube, &group, exec);
+                for (idx, trades) in idxs.into_iter().zip(by_param) {
                     slots[idx] = Some(trades);
                 }
             }

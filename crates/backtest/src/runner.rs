@@ -8,8 +8,8 @@
 //!    combination appearing in the parameter grid — the Approach-3
 //!    insight: the 42 parameter sets share 9 distinct cubes, so the
 //!    expensive kernel runs 9 times per day, not 42 × 1830 times;
-//! 3. runs every (parameter set, pair) strategy off the shared cubes,
-//!    in parallel over pairs;
+//! 3. runs every pair off each cube once, in parallel over pairs, with
+//!    all the parameter sets that share the cube riding the one pass;
 //! 4. folds each pair-day's trades into compact per-`(param, pair)`
 //!    statistics: daily cumulative returns (eq. 2), win/loss counts, and
 //!    trade counts — exactly what Tables III–V need.
@@ -17,13 +17,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pairtrade_core::engine::run_pair_day;
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
-use rayon::prelude::*;
 use stats::correlation::CorrType;
-use stats::matrix::SymMatrix;
 use stats::parallel::ParallelCorrEngine;
 use taq::generator::{MarketConfig, MarketGenerator};
 use telemetry::recorder::FlightKind;
@@ -33,6 +30,7 @@ use timeseries::bam::PriceGrid;
 use timeseries::clean::CleanConfig;
 use timeseries::returns::ReturnsPanel;
 
+use crate::approach::run_cube;
 use crate::metrics;
 use crate::metrics::WinLoss;
 
@@ -81,6 +79,28 @@ pub struct PairParamStats {
     pub wl: WinLoss,
     /// Total trades.
     pub n_trades: u32,
+}
+
+/// One (param, pair, day): what [`PairParamStats`] accumulates, taken
+/// where the pair-day was run.
+struct PairDay {
+    daily_return: f64,
+    wl: WinLoss,
+    n_trades: u32,
+    /// The trades themselves, under `keep_trades` only.
+    kept: Vec<Trade>,
+}
+
+impl PairDay {
+    fn of(trades: Vec<Trade>, keep: bool) -> PairDay {
+        let rets: Vec<f64> = trades.iter().map(|t| t.ret).collect();
+        PairDay {
+            daily_return: metrics::daily_cumulative(&rets),
+            wl: WinLoss::of(&rets),
+            n_trades: trades.len() as u32,
+            kept: if keep { trades } else { Vec::new() },
+        }
+    }
 }
 
 /// Everything the evaluation needs, in compact form.
@@ -158,8 +178,11 @@ impl Experiment {
         }
     }
 
-    /// Collect per-phase timing histograms (grid build, cube computation,
-    /// strategy fan-out) into [`ExperimentResults::telemetry`].
+    /// Collect the `experiment` phase histograms — `generate.us`,
+    /// `grid.us`, `cube.us` (with the robust cubes' per-stock margin pass
+    /// inside it as `margin.us`) and `strategy.us`, which together cover
+    /// the run — and the robust cubes' [`stats::parallel::CubeStats`] as
+    /// `cube.*` counters, into [`ExperimentResults::telemetry`].
     pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
         self.telemetry = level;
         self
@@ -228,44 +251,48 @@ impl Experiment {
                 for key in cube_keys {
                     let (ctype, m) = key;
                     let t0 = std::time::Instant::now();
-                    let engine = ParallelCorrEngine::new(ctype);
-                    let Some(cube) = engine.cube(panel.all(), m) else {
+                    let cube = ParallelCorrEngine::new(ctype).cube(panel.all(), m);
+                    phase.observe("cube.us", t0.elapsed().as_micros() as u64);
+                    let Some(cube) = cube else {
                         continue;
                     };
-                    phase.observe("cube.us", t0.elapsed().as_micros() as u64);
-                    let first_interval = cube.first_step() + 1;
-                    for &param_idx in &by_cube[&key] {
-                        let params = &cfg.params[param_idx];
-                        let t0 = std::time::Instant::now();
-                        let day_trades: Vec<Vec<Trade>> = (0..n_pairs)
-                            .into_par_iter()
-                            .map(|rank| {
-                                let (i, j) = SymMatrix::pair_from_rank(rank);
-                                run_pair_day(
-                                    (i, j),
-                                    params,
-                                    &cfg.exec,
-                                    grid.series(i),
-                                    grid.series(j),
-                                    cube.series_by_rank(rank),
-                                    first_interval,
-                                )
-                            })
-                            .collect();
-                        phase.observe("strategy.us", t0.elapsed().as_micros() as u64);
-                        for (rank, trades) in day_trades.into_iter().enumerate() {
-                            let slot = &mut data[param_idx * n_pairs + rank];
-                            let rets: Vec<f64> = trades.iter().map(|t| t.ret).collect();
-                            slot.daily_returns.push(metrics::daily_cumulative(&rets));
-                            slot.wl = slot.wl.merge(WinLoss::of(&rets));
-                            slot.n_trades += trades.len() as u32;
-                            total_trades += trades.len() as u64;
-                            if cfg.keep_trades {
-                                kept_trades
-                                    .extend(trades.into_iter().map(|t| (param_idx, day_idx, t)));
-                            }
+                    let did = cube.stats();
+                    if did.pair_steps > 0 {
+                        phase.observe("margin.us", cube.margin_time().as_micros() as u64);
+                        phase.count("cube.pair_steps", did.pair_steps);
+                        phase.count("cube.refined", did.refined);
+                        phase.count("cube.screened", did.screened);
+                        phase.count("cube.irls_iters", did.irls_iters);
+                    }
+
+                    // One pass per (pair, cube): every parameter vector
+                    // sharing the cube rides the same walk, and each
+                    // pair-day is summarised where it was run. Folding the
+                    // summaries into the per-(param, pair) statistics is
+                    // part of the strategy phase.
+                    let t0 = std::time::Instant::now();
+                    let idxs = &by_cube[&key];
+                    let group: Vec<StrategyParams> = idxs.iter().map(|&i| cfg.params[i]).collect();
+                    let by_pair = run_cube(&grid, &cube, &group, &cfg.exec, |_, per_param| {
+                        (per_param.into_iter())
+                            .map(|trades| PairDay::of(trades, cfg.keep_trades))
+                            .collect::<Vec<_>>()
+                    });
+                    let mut kept_by_param = vec![Vec::new(); group.len()];
+                    for (rank, per_param) in by_pair.into_iter().enumerate() {
+                        for (k, pair_day) in per_param.into_iter().enumerate() {
+                            let slot = &mut data[idxs[k] * n_pairs + rank];
+                            slot.daily_returns.push(pair_day.daily_return);
+                            slot.wl = slot.wl.merge(pair_day.wl);
+                            slot.n_trades += pair_day.n_trades;
+                            total_trades += u64::from(pair_day.n_trades);
+                            kept_by_param[k].extend(pair_day.kept);
                         }
                     }
+                    for (&param_idx, trades) in idxs.iter().zip(kept_by_param) {
+                        kept_trades.extend(trades.into_iter().map(|t| (param_idx, day_idx, t)));
+                    }
+                    phase.observe("strategy.us", t0.elapsed().as_micros() as u64);
                 }
             }
             phase.count("days", 1);
@@ -385,6 +412,37 @@ mod tests {
         let want = metrics::total_cumulative(&s.daily_returns);
         assert_eq!(results.total_cumulative(0, 0), want);
         assert!(results.max_daily_drawdown(0, 0) >= 0.0);
+    }
+
+    #[test]
+    fn telemetry_covers_every_cube_and_counts_the_robust_traffic() {
+        let mut cfg = small_config();
+        cfg.params.push(StrategyParams {
+            ctype: CorrType::Combined,
+            ..cfg.params[0]
+        });
+        let results = Experiment::new(cfg)
+            .with_telemetry(TelemetryLevel::Counters)
+            .run();
+        let report = results.telemetry.expect("telemetry was on");
+        let hist = |name: &str| {
+            let h = report.metrics.histogram("experiment", name);
+            h.map_or((0, 0), |h| (h.count(), h.sum()))
+        };
+        // 2 days x 4 distinct (Ctype, M) cubes, each followed by one
+        // strategy pass; one of the four is robust.
+        assert_eq!(hist("cube.us").0, 8);
+        assert_eq!(hist("strategy.us").0, 8);
+        assert_eq!(hist("margin.us").0, 2);
+        assert!(hist("margin.us").1 <= hist("cube.us").1);
+        let count = |name: &str| report.metrics.counter("experiment", name);
+        // 6 pairs x (779 - 20 + 1) windows x 2 days.
+        assert_eq!(count("cube.pair_steps"), 6 * 760 * 2);
+        assert_eq!(
+            count("cube.refined") + count("cube.screened"),
+            count("cube.pair_steps")
+        );
+        assert!(count("cube.irls_iters") >= count("cube.refined"));
     }
 
     #[test]

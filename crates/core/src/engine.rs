@@ -8,7 +8,11 @@
 //!
 //! The derived inputs a strategy declares ([`InputNeeds`]) come from
 //! [`PairSignals`]: the same signal planes the streaming strategy hosts
-//! share across all pairs, here over the one pair being run.
+//! share across all pairs, here over the one pair being run — and, as
+//! there, one plane per **distinct** window however many strategies read
+//! it ([`run_pair_day_multi`]).
+
+use timeseries::rolling::RangeStats;
 
 use crate::exec::ExecutionConfig;
 use crate::params::StrategyParams;
@@ -17,98 +21,181 @@ use crate::spec::StrategySpec;
 use crate::strategy::{InputNeeds, IntervalInput, PairStrategy, Strategy};
 use crate::trade::Trade;
 
-/// One pair's derived inputs: a one-pair [`AvgPlane`] and [`RangePlane`]
-/// sized by the strategy's [`InputNeeds`].
+/// Index of `window` in `windows`, appended if new; `None` for the
+/// "not consumed" window 0.
+fn intern(windows: &mut Vec<usize>, window: usize) -> Option<usize> {
+    (window > 0).then(|| {
+        (windows.iter().position(|&w| w == window)).unwrap_or_else(|| {
+            windows.push(window);
+            windows.len() - 1
+        })
+    })
+}
+
+/// Where one strategy's derived inputs sit in [`PairSignals`].
+#[derive(Debug, Clone, Copy)]
+struct Reader {
+    w_return: Option<usize>,
+    avg: Option<usize>,
+    range: Option<usize>,
+}
+
+/// One pair's derived inputs for any number of strategies: a one-pair
+/// [`AvgPlane`] per distinct `W`, a one-pair [`RangePlane`] per distinct
+/// `RT`, one pair of trailing returns per distinct return window. Each is
+/// advanced once per interval and read by every strategy whose
+/// [`InputNeeds`] name that window.
 #[derive(Debug, Clone)]
 pub struct PairSignals {
-    w_return_window: usize,
-    avg: Option<AvgPlane>,
-    range: Option<RangePlane>,
+    readers: Vec<Reader>,
+    w_return_windows: Vec<usize>,
+    w_returns: Vec<(f64, f64)>,
+    avg: Vec<AvgPlane>,
+    /// `(C̄, relative drop)` per average plane, this interval.
+    avg_now: Vec<(f64, f64)>,
+    range: Vec<RangePlane>,
+    range_now: Vec<RangeStats>,
 }
 
 impl PairSignals {
-    /// Cold signals for one pair under the given needs.
-    pub fn new(needs: InputNeeds) -> Self {
+    /// Cold signals for one pair serving strategies with the given needs,
+    /// in that order.
+    pub fn new(needs: impl IntoIterator<Item = InputNeeds>) -> Self {
+        let (mut w_return_windows, mut avg_windows, mut range_windows) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let readers = needs
+            .into_iter()
+            .map(|n| Reader {
+                w_return: intern(&mut w_return_windows, n.w_return_window),
+                avg: intern(&mut avg_windows, n.avg_window),
+                range: intern(&mut range_windows, n.spread_window),
+            })
+            .collect();
+        let neutral = IntervalInput::bare(0, 0.0, 0.0, 0.0).spread_range;
         PairSignals {
-            w_return_window: needs.w_return_window,
-            avg: (needs.avg_window > 0).then(|| AvgPlane::new(needs.avg_window, 1)),
-            range: (needs.spread_window > 0).then(|| RangePlane::new(needs.spread_window, 1)),
+            readers,
+            w_returns: vec![(0.0, 0.0); w_return_windows.len()],
+            w_return_windows,
+            avg_now: vec![(0.0, 0.0); avg_windows.len()],
+            avg: avg_windows.iter().map(|&w| AvgPlane::new(w, 1)).collect(),
+            range_now: vec![neutral; range_windows.len()],
+            range: (range_windows.iter())
+                .map(|&w| RangePlane::new(w, 1))
+                .collect(),
         }
     }
 
-    /// Advance to interval `s` and assemble the strategy's input from the
-    /// pair's price series on the Δs grid and its correlation at `s`.
-    pub fn step(
-        &mut self,
-        s: usize,
-        prices_i: &[f64],
-        prices_j: &[f64],
-        corr: f64,
-    ) -> IntervalInput {
-        let w = self.w_return_window;
-        let w_ret = |p: &[f64]| {
-            if w > 0 && s >= w {
-                trailing_return(p[s], p[s - w])
+    /// Advance every plane with this interval's correlation and spread.
+    fn push(&mut self, corr: f64, spread: f64) {
+        for (plane, (avg, drop)) in self.avg.iter_mut().zip(&mut self.avg_now) {
+            plane.push(
+                &[corr],
+                &[],
+                std::slice::from_mut(avg),
+                std::slice::from_mut(drop),
+            );
+        }
+        for (plane, now) in self.range.iter_mut().zip(&mut self.range_now) {
+            plane.push(&[spread], &[], std::slice::from_mut(now));
+        }
+    }
+
+    /// Advance to interval `s` of the pair's price series on the Δs grid,
+    /// with the pair's correlation at `s`.
+    pub fn step(&mut self, s: usize, prices_i: &[f64], prices_j: &[f64], corr: f64) {
+        for (&w, now) in self.w_return_windows.iter().zip(&mut self.w_returns) {
+            *now = if s >= w {
+                (
+                    trailing_return(prices_i[s], prices_i[s - w]),
+                    trailing_return(prices_j[s], prices_j[s - w]),
+                )
             } else {
-                0.0
-            }
-        };
-        let mut input = IntervalInput::bare(s, prices_i[s], prices_j[s], corr);
-        input.w_return_i = w_ret(prices_i);
-        input.w_return_j = w_ret(prices_j);
-        self.derive(&mut input);
-        input
+                (0.0, 0.0)
+            };
+        }
+        self.push(corr, prices_i[s] - prices_j[s]);
     }
 
-    /// Push `input`'s correlation and spread, filling in `avg_corr`,
-    /// `rel_drop` and `spread_range`.
-    pub fn derive(&mut self, input: &mut IntervalInput) {
-        let spread = input.price_i - input.price_j;
-        if let Some(plane) = &mut self.avg {
-            plane.push(
-                &[input.corr],
-                &[],
-                std::slice::from_mut(&mut input.avg_corr),
-                std::slice::from_mut(&mut input.rel_drop),
-            );
+    /// Fill in strategy `k`'s derived inputs as of the last advance; what
+    /// it does not consume is left as `input` has it.
+    pub fn derive(&self, k: usize, input: &mut IntervalInput) {
+        let reader = self.readers[k];
+        if let Some(at) = reader.w_return {
+            (input.w_return_i, input.w_return_j) = self.w_returns[at];
         }
-        if let Some(plane) = &mut self.range {
-            plane.push(
-                &[spread],
-                &[],
-                std::slice::from_mut(&mut input.spread_range),
-            );
+        if let Some(at) = reader.avg {
+            (input.avg_corr, input.rel_drop) = self.avg_now[at];
+        }
+        if let Some(at) = reader.range {
+            input.spread_range = self.range_now[at];
         }
     }
 }
 
+/// One walk over the pair's correlation series for all `strategies`.
 fn run_day(
-    strategy: &mut dyn Strategy,
+    strategies: &mut [&mut dyn Strategy],
     prices_i: &[f64],
     prices_j: &[f64],
     corr: &[f64],
     first_corr_interval: usize,
-) -> Vec<Trade> {
+) -> Vec<Vec<Trade>> {
     assert_eq!(prices_i.len(), prices_j.len(), "price grids must align");
     let smax = prices_i.len();
     assert!(
         first_corr_interval + corr.len() <= smax,
         "correlation series overruns the day"
     );
-    let mut signals = PairSignals::new(strategy.needs());
-    for (k, &c) in corr.iter().enumerate() {
-        let s = first_corr_interval + k;
-        strategy.on_interval(signals.step(s, prices_i, prices_j, c));
+    let mut signals = PairSignals::new(strategies.iter().map(|st| st.needs()));
+    for (step, &c) in corr.iter().enumerate() {
+        let s = first_corr_interval + step;
+        signals.step(s, prices_i, prices_j, c);
+        for (k, strategy) in strategies.iter_mut().enumerate() {
+            let mut input = IntervalInput::bare(s, prices_i[s], prices_j[s], c);
+            signals.derive(k, &mut input);
+            strategy.on_interval(input);
+        }
     }
-    strategy.finish()
+    strategies.iter_mut().map(|st| st.finish()).collect()
 }
 
-/// Run one pair for one day.
+/// Run one pair for one day under every parameter vector in `params`, all
+/// trading off the one correlation series: `out[k]` are the trades of
+/// `params[k]`, exactly those of [`run_pair_day`] with that vector.
+///
+/// The vectors of one `(Ctype, M)` cube differ in the strategy parameters
+/// only, so the series is walked once, `C̄` / drop / spread range are
+/// derived once per distinct `W` / `RT`, and each vector keeps just its
+/// own state machine.
 ///
 /// * `prices_i` / `prices_j` — the pair's BAM prices on the Δs grid
 ///   (`smax` entries, stock `i` being the canonical higher index).
 /// * `corr` — the pair's trailing-`M` correlation series; `corr[k]`
 ///   applies at price interval `first_corr_interval + k`.
+///
+/// # Panics
+/// Panics if price series lengths differ or the correlation series
+/// overruns the day.
+pub fn run_pair_day_multi(
+    pair: (usize, usize),
+    params: &[StrategyParams],
+    exec: &ExecutionConfig,
+    prices_i: &[f64],
+    prices_j: &[f64],
+    corr: &[f64],
+    first_corr_interval: usize,
+) -> Vec<Vec<Trade>> {
+    let mut strategies: Vec<PairStrategy> = (params.iter())
+        .map(|p| PairStrategy::new(pair, *p, *exec))
+        .collect();
+    let mut dynamic: Vec<&mut dyn Strategy> = (strategies.iter_mut())
+        .map(|st| st as &mut dyn Strategy)
+        .collect();
+    run_day(&mut dynamic, prices_i, prices_j, corr, first_corr_interval)
+}
+
+/// Run one pair for one day: [`run_pair_day_multi`] with one parameter
+/// vector.
 ///
 /// # Panics
 /// Panics if price series lengths differ or the correlation series
@@ -122,13 +209,17 @@ pub fn run_pair_day(
     corr: &[f64],
     first_corr_interval: usize,
 ) -> Vec<Trade> {
-    run_day(
-        &mut PairStrategy::new(pair, *params, *exec),
+    run_pair_day_multi(
+        pair,
+        std::slice::from_ref(params),
+        exec,
         prices_i,
         prices_j,
         corr,
         first_corr_interval,
     )
+    .pop()
+    .expect("one parameter vector in, one trade list out")
 }
 
 /// Run one pair for one day under any [`StrategySpec`].
@@ -151,12 +242,14 @@ pub fn run_spec_day(
     first_corr_interval: usize,
 ) -> Vec<Trade> {
     run_day(
-        spec.build(pair, *exec).as_mut(),
+        &mut [spec.build(pair, *exec).as_mut()],
         prices_i,
         prices_j,
         corr,
         first_corr_interval,
     )
+    .pop()
+    .expect("one strategy in, one trade list out")
 }
 
 /// A strategy fed through its own one-pair [`PairSignals`], so unit tests
@@ -171,13 +264,18 @@ pub(crate) struct Driven<S> {
 #[cfg(test)]
 impl<S: Strategy> Driven<S> {
     pub fn new(st: S) -> Self {
-        let signals = PairSignals::new(st.needs());
+        // The test supplies the `W`-returns itself.
+        let signals = PairSignals::new([InputNeeds {
+            w_return_window: 0,
+            ..st.needs()
+        }]);
         Driven { st, signals }
     }
 
     /// Derive the shared signals for `raw` and run the interval.
     pub fn on_interval(&mut self, mut raw: IntervalInput) {
-        self.signals.derive(&mut raw);
+        self.signals.push(raw.corr, raw.price_i - raw.price_j);
+        self.signals.derive(0, &mut raw);
         self.st.on_interval(raw);
     }
 }

@@ -248,3 +248,48 @@ proptest! {
         prop_assert!(grid[idx].first_active_interval() < grid[idx].intervals_per_day());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The whole paper grid riding one walk over a pair's day equals 42
+    /// separate walks: shared `W` / `RT` planes change who computes `C̄`,
+    /// the drop and the spread range, never their bits.
+    #[test]
+    fn multi_param_pair_day_equals_one_run_per_param(seed in any::<u64>()) {
+        use pairtrade_core::engine::{run_pair_day, run_pair_day_multi};
+        use pairtrade_core::exec::ExecutionConfig;
+
+        let grid = pairtrade_core::params::paper_parameter_grid();
+        let smax = grid[0].intervals_per_day();
+        let first = 50;
+        let mut st = seed;
+        let (mut pi, mut pj) = (vec![60.0], vec![25.0]);
+        for _ in 1..smax {
+            pi.push(pi[pi.len() - 1] * (1.0 + 2e-3 * (unit(&mut st) - 0.5)));
+            pj.push(pj[pj.len() - 1] * (1.0 + 2e-3 * (unit(&mut st) - 0.5)));
+        }
+        // Correlated enough to trade, with dips that arm the trigger.
+        let corr: Vec<f64> = (first..smax)
+            .map(|_| {
+                let dip = if unit(&mut st) < 0.05 { 0.2 * unit(&mut st) } else { 0.0 };
+                0.6 + 0.02 * (unit(&mut st) - 0.5) - dip
+            })
+            .collect();
+
+        let exec = ExecutionConfig::with_costs();
+        let together = run_pair_day_multi((3, 1), &grid, &exec, &pi, &pj, &corr, first);
+        prop_assert_eq!(together.len(), grid.len());
+        let mut total = 0;
+        for (params, got) in grid.iter().zip(&together) {
+            let alone = run_pair_day((3, 1), params, &exec, &pi, &pj, &corr, first);
+            prop_assert_eq!(got, &alone, "{}", params.label());
+            for (a, b) in got.iter().zip(&alone) {
+                prop_assert_eq!(a.pnl.to_bits(), b.pnl.to_bits());
+                prop_assert_eq!(a.ret.to_bits(), b.ret.to_bits());
+            }
+            total += got.len();
+        }
+        prop_assert!(total > 0, "the scenario must trade");
+    }
+}

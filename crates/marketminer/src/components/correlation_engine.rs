@@ -496,6 +496,50 @@ mod tests {
         }
     }
 
+    /// Batch ≡ streaming at the kernel: every snapshot of a day equals the
+    /// batch cube's column for that interval, bit for bit — the robust
+    /// warm starts included, since both walk the same windows through
+    /// `stats::parallel::robust_step` from a cold seed.
+    #[test]
+    fn robust_snapshots_equal_the_batch_cube_over_a_day() {
+        use taq::generator::{MarketConfig, MarketGenerator};
+        use timeseries::bam::PriceGrid;
+        use timeseries::clean::CleanConfig;
+        use timeseries::returns::ReturnsPanel;
+
+        let (n, m) = (5, 50);
+        let mut cfg = MarketConfig::small(n, 1, 2009);
+        cfg.micro.quote_rate_hz = 0.05;
+        let day = MarketGenerator::new(cfg).next_day().expect("one day");
+        let grid = PriceGrid::from_day(&day, n, 30, CleanConfig::default());
+        let panel = ReturnsPanel::from_grid(&grid);
+
+        for ctype in [CorrType::Maronna, CorrType::Combined] {
+            let cube = ParallelCorrEngine::new(ctype)
+                .cube(panel.all(), m)
+                .expect("a day holds a window");
+            let mut node = CorrelationEngineNode::new(n, m, 1, ctype);
+            let mut snapshots = 0;
+            for k in 0..panel.len() {
+                let returns = (0..n).map(|i| panel.series(i)[k]).collect();
+                for snap in feed(&mut node, k, returns) {
+                    assert_eq!(snap.interval, k);
+                    for i in 1..n {
+                        for j in 0..i {
+                            assert_eq!(
+                                snap.matrix.get(i, j).to_bits(),
+                                cube.at(k, i, j).to_bits(),
+                                "{ctype} interval {k} pair ({i}, {j})"
+                            );
+                        }
+                    }
+                    snapshots += 1;
+                }
+            }
+            assert_eq!(snapshots, cube.steps());
+        }
+    }
+
     #[test]
     fn released_snapshots_are_recycled() {
         let mut node = CorrelationEngineNode::new(3, 4, 1, CorrType::Pearson);

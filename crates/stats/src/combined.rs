@@ -18,9 +18,9 @@
 //! in the paper's results: weakly-correlated pairs keep the shrunken
 //! quadrant estimate and are less likely to clear the trading threshold.
 
-use crate::correlation::CorrelationMeasure;
-use crate::maronna::MaronnaEstimator;
-use crate::quadrant::quadrant;
+use crate::correlation::{CorrType, CorrelationMeasure};
+use crate::maronna::{robust_margin_stats_in, MaronnaEstimator};
+use crate::parallel::{robust_step, with_robust_work};
 
 /// Two-stage combined estimator.
 #[derive(Debug, Clone, Copy)]
@@ -54,13 +54,24 @@ pub enum CombinedStage {
 impl CombinedEstimator {
     /// Estimate with provenance: returns the correlation and which stage
     /// produced it.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != y.len()`.
     pub fn correlation_staged(&self, x: &[f64], y: &[f64]) -> (f64, CombinedStage) {
-        let q = quadrant(x, y);
-        if q.abs() >= self.screen_threshold {
-            (self.maronna.fit(x, y).correlation, CombinedStage::Refined)
-        } else {
-            (q, CombinedStage::Screened)
-        }
+        assert_eq!(x.len(), y.len(), "combined: length mismatch");
+        let mut scratch = Vec::with_capacity(x.len());
+        let stats_x = robust_margin_stats_in(x, &mut scratch);
+        let stats_y = robust_margin_stats_in(y, &mut scratch);
+        with_robust_work(*self, x.len(), |work| {
+            let seed = &mut None;
+            let r = robust_step(CorrType::Combined, x, y, stats_x, stats_y, seed, work);
+            let stage = if work.stats.refined > 0 {
+                CombinedStage::Refined
+            } else {
+                CombinedStage::Screened
+            };
+            (r, stage)
+        })
     }
 }
 

@@ -24,23 +24,140 @@
 //!   series (the batch product that feeds backtesting; this is the object
 //!   the paper's Matlab Approach 1 could not even hold in memory).
 
+use std::time::{Duration, Instant};
+
 use rayon::prelude::*;
 
 use crate::combined::CombinedEstimator;
 use crate::correlation::CorrType;
-use crate::maronna::{robust_margin_stats, MaronnaEstimator, MaronnaSeed};
+use crate::maronna::{robust_margin_stats_in, with_weight_scratch, MaronnaSeed};
 use crate::matrix::SymMatrix;
 use crate::psd;
 use crate::quadrant::{quadrant, quadrant_with_medians};
 
+/// What a robust (Maronna / Combined) sweep did, counted where it happens.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CubeStats {
+    /// Robust steps taken: one per pair per window.
+    pub pair_steps: u64,
+    /// Steps that ran the Maronna iteration (every Maronna step; the
+    /// Combined steps whose quadrant screen reached the threshold).
+    pub refined: u64,
+    /// Combined steps answered by the quadrant screen alone.
+    pub screened: u64,
+    /// IRLS iterations summed over the refined steps.
+    pub irls_iters: u64,
+}
+
+impl CubeStats {
+    /// Sum of two disjoint parts of a sweep.
+    pub fn merge(self, other: CubeStats) -> CubeStats {
+        CubeStats {
+            pair_steps: self.pair_steps + other.pair_steps,
+            refined: self.refined + other.refined,
+            screened: self.screened + other.screened,
+            irls_iters: self.irls_iters + other.irls_iters,
+        }
+    }
+}
+
+/// One worker's side of a robust sweep: the estimator configuration, the
+/// Huber-weight scratch every fit of the sweep shares, and the traffic
+/// counters. See [`with_robust_work`].
+pub(crate) struct RobustWork<'w> {
+    est: CombinedEstimator,
+    weights: &'w mut [f64],
+    /// What [`robust_step`] did with this work so far.
+    pub(crate) stats: CubeStats,
+}
+
+/// Run `f` with estimator `est` and a weight scratch for windows of `m`
+/// returns — once per worker per sweep, never per fit.
+pub(crate) fn with_robust_work<R>(
+    est: CombinedEstimator,
+    m: usize,
+    f: impl FnOnce(&mut RobustWork<'_>) -> R,
+) -> R {
+    with_weight_scratch(m, |weights| {
+        f(&mut RobustWork {
+            est,
+            weights,
+            stats: CubeStats::default(),
+        })
+    })
+}
+
+/// One window of one pair under a robust measure — the only copy of the
+/// screen → refine → keep-seed logic, shared by the batch cube,
+/// [`pair_series`], the streaming warm sweep and the one-shot Combined
+/// estimator.
+///
+/// `stats_x` / `stats_y` are the margins' `(median, normalised MAD)`
+/// ([`crate::maronna::robust_margin_stats`]). Maronna fits every window,
+/// warm-started from `seed`; Combined first screens by the quadrant
+/// correlation about the given medians and fits only at or above the
+/// threshold. A converged fit replaces `seed`, a failed one clears it, and
+/// a screened-out step leaves it alone for the next step that crosses the
+/// threshold.
+///
+/// # Panics
+/// Panics if `ctype` is neither `Maronna` nor `Combined`, or the slices
+/// differ in length.
+pub(crate) fn robust_step(
+    ctype: CorrType,
+    x: &[f64],
+    y: &[f64],
+    stats_x: (f64, f64),
+    stats_y: (f64, f64),
+    seed: &mut Option<MaronnaSeed>,
+    work: &mut RobustWork<'_>,
+) -> f64 {
+    work.stats.pair_steps += 1;
+    match ctype {
+        CorrType::Maronna => {}
+        CorrType::Combined => {
+            let q = quadrant_with_medians(x, y, stats_x.0, stats_y.0);
+            let refine = q.abs() >= work.est.screen_threshold;
+            if !refine {
+                work.stats.screened += 1;
+                return q;
+            }
+        }
+        other => panic!("robust_step is for Maronna and Combined, not {other}"),
+    }
+    let fit = (work.est.maronna).fit_with_stats(x, y, stats_x, stats_y, *seed, work.weights);
+    *seed = fit.converged.then_some((fit.location, fit.scatter));
+    work.stats.refined += 1;
+    work.stats.irls_iters += fit.iterations as u64;
+    fit.correlation
+}
+
+/// Split `data`, a sequence of `row_len`-element rows, into one contiguous
+/// block of whole rows per pool thread and run `f(first_row, block)` on
+/// each in parallel; results in block order. A block is where per-worker
+/// state (a scratch buffer, counters) lives for the length of a sweep.
+fn par_blocks<T: Send, R: Send>(
+    data: &mut [T],
+    row_len: usize,
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    let rows = data.len() / row_len;
+    let per_block = rows.div_ceil(rayon::current_num_threads()).max(1);
+    data.par_chunks_mut(per_block * row_len)
+        .enumerate()
+        .map(|(b, block)| f(b * per_block, block))
+        .collect()
+}
+
 /// Compute one pair's full sliding-window correlation series into `out`:
 /// `out[k]` is the correlation of `x[k..k+m]` with `y[k..k+m]`.
 ///
-/// This is the shared kernel behind both the integrated engine
-/// ([`ParallelCorrEngine::cube`]) and the per-pair-recompute baseline
-/// (the backtester's Approach 2), so the two produce bit-identical
-/// series. Pearson uses the O(1) sliding update; Maronna (and Combined's
-/// refinement stage) warm-start each window from the previous fit.
+/// This is the per-pair-recompute form (the backtester's Approach 2) of
+/// what [`ParallelCorrEngine::cube`] computes with the per-stock half
+/// shared across pairs; the two produce bit-identical series. Pearson
+/// uses the O(1) sliding update; Maronna (and Combined's refinement
+/// stage) warm-start each window from the previous fit through the same
+/// `robust_step` as the cube.
 ///
 /// # Panics
 /// Panics if the series lengths differ, `m < 2`, or
@@ -74,29 +191,17 @@ pub fn pair_series(ctype: CorrType, x: &[f64], y: &[f64], m: usize, out: &mut [f
                 *o = crate::kendall::kendall(&x[step..step + m], &y[step..step + m]);
             }
         }
-        CorrType::Maronna => {
-            let est = MaronnaEstimator::default();
-            let mut warm = None;
-            for (step, o) in out.iter_mut().enumerate() {
-                let fit = est.fit_with_init(&x[step..step + m], &y[step..step + m], warm);
-                warm = fit.converged.then_some((fit.location, fit.scatter));
-                *o = fit.correlation;
-            }
-        }
-        CorrType::Combined => {
-            let est = CombinedEstimator::default();
-            let mut warm = None;
-            for (step, o) in out.iter_mut().enumerate() {
-                let (xs, ys) = (&x[step..step + m], &y[step..step + m]);
-                let q = quadrant(xs, ys);
-                if q.abs() >= est.screen_threshold {
-                    let fit = est.maronna.fit_with_init(xs, ys, warm);
-                    warm = fit.converged.then_some((fit.location, fit.scatter));
-                    *o = fit.correlation;
-                } else {
-                    *o = q;
+        CorrType::Maronna | CorrType::Combined => {
+            let mut scratch = Vec::with_capacity(m);
+            with_robust_work(CombinedEstimator::default(), m, |work| {
+                let mut seed = None;
+                for (step, o) in out.iter_mut().enumerate() {
+                    let (xs, ys) = (&x[step..step + m], &y[step..step + m]);
+                    let stats_x = robust_margin_stats_in(xs, &mut scratch);
+                    let stats_y = robust_margin_stats_in(ys, &mut scratch);
+                    *o = robust_step(ctype, xs, ys, stats_x, stats_y, &mut seed, work);
                 }
-            }
+            });
         }
     }
 }
@@ -114,9 +219,23 @@ pub struct CorrCube {
     steps: usize,
     first_step: usize,
     data: Vec<f64>,
+    stats: CubeStats,
+    margin_time: Duration,
 }
 
 impl CorrCube {
+    /// What the robust sweep did to fill this cube (all zero for the
+    /// measures that are not Maronna or Combined).
+    pub fn stats(&self) -> CubeStats {
+        self.stats
+    }
+
+    /// Wall time of the per-stock `(median, MAD)` pass, inside the cube's
+    /// total (zero for non-robust measures).
+    pub fn margin_time(&self) -> Duration {
+        self.margin_time
+    }
+
     /// Number of stocks.
     pub fn n_stocks(&self) -> usize {
         self.n
@@ -277,10 +396,12 @@ impl ParallelCorrEngine {
     ///   them — same selection code, same slice);
     /// * each pair's previous converged `(location, scatter)` seeds the
     ///   next interval's iteration (`seeds[rank]`, canonical pair-rank
-    ///   order), cutting the IRLS from ~10–20 iterations to ~2–3. The
-    ///   fixed point is the same M-estimating equation, so warm sweeps
-    ///   agree with cold fits to within the convergence tolerance — this
-    ///   is a documented-tolerance path, not a bit-identity one.
+    ///   order), saving about a quarter of the IRLS iterations (see
+    ///   [`MaronnaEstimator::fit_with_init`](crate::maronna::MaronnaEstimator::fit_with_init)
+    ///   for the measured counts). The fixed point is the same
+    ///   M-estimating equation, so warm sweeps agree with cold fits to
+    ///   within the convergence tolerance — this is a documented-tolerance
+    ///   path, not a bit-identity one.
     ///
     /// Per-pair work is sharded across the pool; pairs are independent, so
     /// output is deterministic at any thread count.
@@ -325,36 +446,24 @@ impl ParallelCorrEngine {
         assert_eq!(seeds.len(), n_pairs, "one seed slot per pair rank");
 
         // Per-stock robust stats, once per interval.
-        let stats: Vec<(f64, f64)> = windows.iter().map(|w| robust_margin_stats(w)).collect();
+        let m = windows.first().map_or(0, |w| w.len());
+        let mut scratch = Vec::with_capacity(m);
+        let stats: Vec<(f64, f64)> = (windows.iter())
+            .map(|w| robust_margin_stats_in(w, &mut scratch))
+            .collect();
 
         let ctype = self.ctype;
-        let mut work: Vec<(f64, Option<MaronnaSeed>)> = seeds.iter().map(|s| (0.0, *s)).collect();
-        work.par_iter_mut().enumerate().for_each(|(rank, cell)| {
-            let (i, j) = SymMatrix::pair_from_rank(rank);
-            let (x, y) = (windows[i], windows[j]);
-            match ctype {
-                CorrType::Maronna => {
-                    let fit = MaronnaEstimator::default()
-                        .fit_with_stats(x, y, stats[i], stats[j], cell.1);
-                    cell.1 = fit.converged.then_some((fit.location, fit.scatter));
-                    cell.0 = fit.correlation;
-                }
-                CorrType::Combined => {
-                    let est = CombinedEstimator::default();
-                    let q = quadrant_with_medians(x, y, stats[i].0, stats[j].0);
-                    if q.abs() >= est.screen_threshold {
-                        let fit = est.maronna.fit_with_stats(x, y, stats[i], stats[j], cell.1);
-                        cell.1 = fit.converged.then_some((fit.location, fit.scatter));
-                        cell.0 = fit.correlation;
-                    } else {
-                        // Screened out: keep the seed for the next interval
-                        // the pair crosses the threshold, as `pair_series`
-                        // does.
-                        cell.0 = q;
-                    }
-                }
-                _ => unreachable!("asserted robust ctype"),
-            }
+        let blocks: Vec<Vec<f64>> = par_blocks(seeds, 1, |first_rank, seeds| {
+            with_robust_work(CombinedEstimator::default(), m, |work| {
+                (seeds.iter_mut().enumerate())
+                    .map(|(off, seed)| {
+                        let (i, j) = SymMatrix::pair_from_rank(first_rank + off);
+                        robust_step(
+                            ctype, windows[i], windows[j], stats[i], stats[j], seed, work,
+                        )
+                    })
+                    .collect()
+            })
         });
 
         if out.n() == n {
@@ -362,10 +471,9 @@ impl ParallelCorrEngine {
         } else {
             *out = SymMatrix::identity(n);
         }
-        for (rank, (v, seed)) in work.into_iter().enumerate() {
+        for (rank, v) in blocks.into_iter().flatten().enumerate() {
             let (i, j) = SymMatrix::pair_from_rank(rank);
             out.set(i, j, v);
-            seeds[rank] = seed;
         }
         if self.repair_psd {
             psd::repair_correlation(out, psd::RepairConfig::default());
@@ -398,9 +506,13 @@ impl ParallelCorrEngine {
     /// interval `s >= m - 1`, the correlation of the trailing `m` returns.
     ///
     /// `series[i]` is stock `i`'s full-day return series (equal lengths).
-    /// Parallelises over pairs; each pair sweeps the day independently.
-    /// Pearson pairs use the O(1) sliding engine; robust measures recompute
-    /// per window (their cost is what the Combined screen amortises).
+    /// Stock-major, then pair-major: what depends on one stock alone is
+    /// derived once per stock — Pearson's window moments, the robust
+    /// measures' per-window `(median, MAD)` — then pairs sweep the day in
+    /// parallel, each independently. Pearson pairs slide an O(1) cross
+    /// product; Maronna and Combined warm-start each window's fit from the
+    /// previous one through `robust_step` (the IRLS is their cost, and
+    /// what the Combined screen saves).
     ///
     /// Returns `None` when the day is shorter than one window.
     ///
@@ -421,6 +533,8 @@ impl ParallelCorrEngine {
         let n_pairs = n * (n - 1) / 2;
         let mut data = vec![0.0; n_pairs * steps];
         let ctype = self.ctype;
+        let mut stats = CubeStats::default();
+        let mut margin_time = Duration::ZERO;
 
         if ctype == CorrType::Pearson {
             // Incremental all-pairs sweep: the per-stock half of the
@@ -456,6 +570,40 @@ impl ParallelCorrEngine {
                         out,
                     );
                 });
+        } else if matches!(ctype, CorrType::Maronna | CorrType::Combined) {
+            // Each stock's (median, MAD) per window, once, shared by its
+            // n-1 pairs: `margins[i * steps + k]` summarises
+            // `series[i][k..k + m]`. Same selection on the same values as
+            // `pair_series` runs per pair, so the two stay bit-identical.
+            let started = Instant::now();
+            let mut margins = vec![(0.0, 0.0); n * steps];
+            par_blocks(&mut margins, steps, |first_stock, block| {
+                let mut scratch = Vec::with_capacity(m);
+                for (off, row) in block.chunks_mut(steps).enumerate() {
+                    let x = &series[first_stock + off];
+                    for (k, slot) in row.iter_mut().enumerate() {
+                        *slot = robust_margin_stats_in(&x[k..k + m], &mut scratch);
+                    }
+                }
+            });
+            margin_time = started.elapsed();
+
+            let parts = par_blocks(&mut data, steps, |first_rank, block| {
+                with_robust_work(CombinedEstimator::default(), m, |work| {
+                    for (off, out) in block.chunks_mut(steps).enumerate() {
+                        let (i, j) = SymMatrix::pair_from_rank(first_rank + off);
+                        let (x, y) = (&series[i], &series[j]);
+                        let (mx, my) = (&margins[i * steps..], &margins[j * steps..]);
+                        let mut seed = None;
+                        for (k, o) in out.iter_mut().enumerate() {
+                            let (xs, ys) = (&x[k..k + m], &y[k..k + m]);
+                            *o = robust_step(ctype, xs, ys, mx[k], my[k], &mut seed, work);
+                        }
+                    }
+                    work.stats
+                })
+            });
+            stats = parts.into_iter().fold(stats, CubeStats::merge);
         } else {
             data.par_chunks_mut(steps)
                 .enumerate()
@@ -471,6 +619,8 @@ impl ParallelCorrEngine {
             steps,
             first_step: m - 1,
             data,
+            stats,
+            margin_time,
         })
     }
 

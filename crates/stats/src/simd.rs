@@ -208,7 +208,14 @@ fn huber(d: f64, cutoff: f64) -> f64 {
 /// One weighted-location pass of the Maronna iteration: Mahalanobis
 /// distances under the scatter inverse `(i11, i12, i22)` about `(mx, my)`,
 /// Huber weights, and the accumulated `(Σw, Σw·x, Σw·y)`.
-#[allow(clippy::too_many_arguments)]
+///
+/// The weights are also written to `weights` (one per observation): the
+/// scatter pass of the same iteration weighs by the same `(m, S⁻¹)`, so
+/// [`maronna_scatter_pass`] loads them instead of deriving each a second
+/// time.
+///
+/// # Panics
+/// Panics if `x`, `y` and `weights` differ in length.
 #[inline]
 pub fn maronna_location_pass(
     x: &[f64],
@@ -217,14 +224,19 @@ pub fn maronna_location_pass(
     my: f64,
     inv: (f64, f64, f64),
     cutoff: f64,
+    weights: &mut [f64],
 ) -> (f64, f64, f64) {
-    debug_assert_eq!(x.len(), y.len());
+    assert!(
+        x.len() == y.len() && x.len() == weights.len(),
+        "location pass: length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2 availability was verified by `backend()`.
-        return unsafe { avx2::location_pass(x, y, mx, my, inv, cutoff) };
+        // SAFETY: AVX2 availability was verified by `backend()`; the three
+        // slices were just checked to have one length.
+        return unsafe { avx2::location_pass(x, y, mx, my, inv, cutoff, weights) };
     }
-    maronna_location_pass_scalar(x, y, mx, my, inv, cutoff)
+    maronna_location_pass_scalar(x, y, mx, my, inv, cutoff, weights)
 }
 
 /// Scalar reference for [`maronna_location_pass`] (bit-identical).
@@ -235,6 +247,7 @@ pub fn maronna_location_pass_scalar(
     my: f64,
     (i11, i12, i22): (f64, f64, f64),
     cutoff: f64,
+    weights: &mut [f64],
 ) -> (f64, f64, f64) {
     let quads = x.len() / 4;
     let mut ws = [0.0f64; 4];
@@ -247,6 +260,7 @@ pub fn maronna_location_pass_scalar(
             let dy = y[k] - my;
             let d = i11 * dx * dx + 2.0 * i12 * dx * dy + i22 * dy * dy;
             let w = huber(d, cutoff);
+            weights[k] = w;
             ws[l] += w;
             wx[l] += w * x[k];
             wy[l] += w * y[k];
@@ -258,6 +272,7 @@ pub fn maronna_location_pass_scalar(
         let dy = y[k] - my;
         let d = i11 * dx * dx + 2.0 * i12 * dx * dy + i22 * dy * dy;
         let w = huber(d, cutoff);
+        weights[k] = w;
         ts += w;
         tx += w * x[k];
         ty += w * y[k];
@@ -269,41 +284,41 @@ pub fn maronna_location_pass_scalar(
     )
 }
 
-/// One weighted-scatter pass of the Maronna iteration: weights from the
-/// *current* location `(mx, my)` and scatter inverse, deviations about the
-/// *new* location `(nmx, nmy)`, accumulating `(Σw·dx², Σw·dx·dy, Σw·dy²)`.
-#[allow(clippy::too_many_arguments)]
+/// One weighted-scatter pass of the Maronna iteration: `weights` as the
+/// location pass of this iteration left them (i.e. from the *current*
+/// location and scatter inverse), deviations about the *new* location
+/// `(nmx, nmy)`, accumulating `(Σw·dx², Σw·dx·dy, Σw·dy²)`.
+///
+/// # Panics
+/// Panics if `x`, `y` and `weights` differ in length.
 #[inline]
 pub fn maronna_scatter_pass(
     x: &[f64],
     y: &[f64],
-    mx: f64,
-    my: f64,
     nmx: f64,
     nmy: f64,
-    inv: (f64, f64, f64),
-    cutoff: f64,
+    weights: &[f64],
 ) -> (f64, f64, f64) {
-    debug_assert_eq!(x.len(), y.len());
+    assert!(
+        x.len() == y.len() && x.len() == weights.len(),
+        "scatter pass: length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2 availability was verified by `backend()`.
-        return unsafe { avx2::scatter_pass(x, y, mx, my, nmx, nmy, inv, cutoff) };
+        // SAFETY: AVX2 availability was verified by `backend()`; the three
+        // slices were just checked to have one length.
+        return unsafe { avx2::scatter_pass(x, y, nmx, nmy, weights) };
     }
-    maronna_scatter_pass_scalar(x, y, mx, my, nmx, nmy, inv, cutoff)
+    maronna_scatter_pass_scalar(x, y, nmx, nmy, weights)
 }
 
 /// Scalar reference for [`maronna_scatter_pass`] (bit-identical).
-#[allow(clippy::too_many_arguments)]
 pub fn maronna_scatter_pass_scalar(
     x: &[f64],
     y: &[f64],
-    mx: f64,
-    my: f64,
     nmx: f64,
     nmy: f64,
-    (i11, i12, i22): (f64, f64, f64),
-    cutoff: f64,
+    weights: &[f64],
 ) -> (f64, f64, f64) {
     let quads = x.len() / 4;
     let mut t11 = [0.0f64; 4];
@@ -312,10 +327,7 @@ pub fn maronna_scatter_pass_scalar(
     for q in 0..quads {
         for l in 0..4 {
             let k = 4 * q + l;
-            let dx0 = x[k] - mx;
-            let dy0 = y[k] - my;
-            let d = i11 * dx0 * dx0 + 2.0 * i12 * dx0 * dy0 + i22 * dy0 * dy0;
-            let w = huber(d, cutoff);
+            let w = weights[k];
             let dx = x[k] - nmx;
             let dy = y[k] - nmy;
             t11[l] += w * dx * dx;
@@ -325,10 +337,7 @@ pub fn maronna_scatter_pass_scalar(
     }
     let (mut s11, mut s12, mut s22) = (0.0, 0.0, 0.0);
     for k in 4 * quads..x.len() {
-        let dx0 = x[k] - mx;
-        let dy0 = y[k] - my;
-        let d = i11 * dx0 * dx0 + 2.0 * i12 * dx0 * dy0 + i22 * dy0 * dy0;
-        let w = huber(d, cutoff);
+        let w = weights[k];
         let dx = x[k] - nmx;
         let dy = y[k] - nmy;
         s11 += w * dx * dx;
@@ -445,6 +454,8 @@ mod avx2 {
         _mm256_add_pd(_mm256_add_pd(a, b), c)
     }
 
+    /// # Safety
+    /// Needs AVX2, and `y` and `weights` at least as long as `x`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn location_pass(
         x: &[f64],
@@ -453,6 +464,7 @@ mod avx2 {
         my: f64,
         (i11, i12, i22): (f64, f64, f64),
         cutoff: f64,
+        weights: &mut [f64],
     ) -> (f64, f64, f64) {
         let quads = x.len() / 4;
         let (vmx, vmy) = (_mm256_set1_pd(mx), _mm256_set1_pd(my));
@@ -471,6 +483,7 @@ mod avx2 {
             let dx = _mm256_sub_pd(vx, vmx);
             let dy = _mm256_sub_pd(vy, vmy);
             let w = huber4(mahal4(dx, dy, vi11, vi12x2, vi22), vcut, vone, vzero);
+            _mm256_storeu_pd(weights.as_mut_ptr().add(4 * q), w);
             ws = _mm256_add_pd(ws, w);
             wx = _mm256_add_pd(wx, _mm256_mul_pd(w, vx));
             wy = _mm256_add_pd(wy, _mm256_mul_pd(w, vy));
@@ -481,6 +494,7 @@ mod avx2 {
             let dy = y[k] - my;
             let d = i11 * dx * dx + 2.0 * i12 * dx * dy + i22 * dy * dy;
             let w = super::huber(d, cutoff);
+            weights[k] = w;
             ts += w;
             tx += w * x[k];
             ty += w * y[k];
@@ -488,38 +502,25 @@ mod avx2 {
         (reduce(ws) + ts, reduce(wx) + tx, reduce(wy) + ty)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// # Safety
+    /// Needs AVX2, and `y` and `weights` at least as long as `x`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scatter_pass(
         x: &[f64],
         y: &[f64],
-        mx: f64,
-        my: f64,
         nmx: f64,
         nmy: f64,
-        (i11, i12, i22): (f64, f64, f64),
-        cutoff: f64,
+        weights: &[f64],
     ) -> (f64, f64, f64) {
         let quads = x.len() / 4;
-        let (vmx, vmy) = (_mm256_set1_pd(mx), _mm256_set1_pd(my));
         let (vnmx, vnmy) = (_mm256_set1_pd(nmx), _mm256_set1_pd(nmy));
-        let vi11 = _mm256_set1_pd(i11);
-        let vi12x2 = _mm256_set1_pd(2.0 * i12);
-        let vi22 = _mm256_set1_pd(i22);
-        let vcut = _mm256_set1_pd(cutoff);
-        let vone = _mm256_set1_pd(1.0);
-        let vzero = _mm256_setzero_pd();
         let mut t11 = _mm256_setzero_pd();
         let mut t12 = _mm256_setzero_pd();
         let mut t22 = _mm256_setzero_pd();
         for q in 0..quads {
-            let vx = _mm256_loadu_pd(x.as_ptr().add(4 * q));
-            let vy = _mm256_loadu_pd(y.as_ptr().add(4 * q));
-            let dx0 = _mm256_sub_pd(vx, vmx);
-            let dy0 = _mm256_sub_pd(vy, vmy);
-            let w = huber4(mahal4(dx0, dy0, vi11, vi12x2, vi22), vcut, vone, vzero);
-            let dx = _mm256_sub_pd(vx, vnmx);
-            let dy = _mm256_sub_pd(vy, vnmy);
+            let w = _mm256_loadu_pd(weights.as_ptr().add(4 * q));
+            let dx = _mm256_sub_pd(_mm256_loadu_pd(x.as_ptr().add(4 * q)), vnmx);
+            let dy = _mm256_sub_pd(_mm256_loadu_pd(y.as_ptr().add(4 * q)), vnmy);
             let wdx = _mm256_mul_pd(w, dx);
             t11 = _mm256_add_pd(t11, _mm256_mul_pd(wdx, dx));
             t12 = _mm256_add_pd(t12, _mm256_mul_pd(wdx, dy));
@@ -527,10 +528,7 @@ mod avx2 {
         }
         let (mut s11, mut s12, mut s22) = (0.0, 0.0, 0.0);
         for k in 4 * quads..x.len() {
-            let dx0 = x[k] - mx;
-            let dy0 = y[k] - my;
-            let d = i11 * dx0 * dx0 + 2.0 * i12 * dx0 * dy0 + i22 * dy0 * dy0;
-            let w = super::huber(d, cutoff);
+            let w = weights[k];
             let dx = x[k] - nmx;
             let dy = y[k] - nmy;
             s11 += w * dx * dx;
@@ -588,21 +586,114 @@ mod tests {
             assert_eq!(r1, r2, "rank1_add len={len}");
 
             let inv = (3.0, -0.4, 2.2);
-            let lp = maronna_location_pass(&a, &b, 0.01, -0.02, inv, 5.99);
-            let lps = maronna_location_pass_scalar(&a, &b, 0.01, -0.02, inv, 5.99);
-            assert_eq!(
-                (lp.0.to_bits(), lp.1.to_bits(), lp.2.to_bits()),
-                (lps.0.to_bits(), lps.1.to_bits(), lps.2.to_bits()),
-                "location pass len={len}"
-            );
-            let sp = maronna_scatter_pass(&a, &b, 0.01, -0.02, 0.012, -0.019, inv, 5.99);
-            let sps = maronna_scatter_pass_scalar(&a, &b, 0.01, -0.02, 0.012, -0.019, inv, 5.99);
-            assert_eq!(
-                (sp.0.to_bits(), sp.1.to_bits(), sp.2.to_bits()),
-                (sps.0.to_bits(), sps.1.to_bits(), sps.2.to_bits()),
-                "scatter pass len={len}"
-            );
+            let (mut w, mut ws) = (vec![0.0; len], vec![0.0; len]);
+            let lp = maronna_location_pass(&a, &b, 0.01, -0.02, inv, 5.99, &mut w);
+            let lps = maronna_location_pass_scalar(&a, &b, 0.01, -0.02, inv, 5.99, &mut ws);
+            assert_eq!(bits(lp), bits(lps), "location pass len={len}");
+            assert_eq!(w, ws, "weights len={len}");
+            let sp = maronna_scatter_pass(&a, &b, 0.012, -0.019, &w);
+            let sps = maronna_scatter_pass_scalar(&a, &b, 0.012, -0.019, &w);
+            assert_eq!(bits(sp), bits(sps), "scatter pass len={len}");
         }
+    }
+
+    fn bits(t: (f64, f64, f64)) -> (u64, u64, u64) {
+        (t.0.to_bits(), t.1.to_bits(), t.2.to_bits())
+    }
+
+    /// The scatter pass as it was defined before the weights were cached:
+    /// every weight re-derived from `(mx, my, inv, cutoff)`.
+    #[allow(clippy::too_many_arguments)]
+    fn scatter_pass_oracle(
+        x: &[f64],
+        y: &[f64],
+        mx: f64,
+        my: f64,
+        nmx: f64,
+        nmy: f64,
+        (i11, i12, i22): (f64, f64, f64),
+        cutoff: f64,
+    ) -> (f64, f64, f64) {
+        let quads = x.len() / 4;
+        let mut t = [[0.0f64; 4]; 3];
+        let mut tail = [0.0f64; 3];
+        for k in 0..x.len() {
+            let dx0 = x[k] - mx;
+            let dy0 = y[k] - my;
+            let d = i11 * dx0 * dx0 + 2.0 * i12 * dx0 * dy0 + i22 * dy0 * dy0;
+            let w = huber(d, cutoff);
+            let dx = x[k] - nmx;
+            let dy = y[k] - nmy;
+            let terms = [w * dx * dx, w * dx * dy, w * dy * dy];
+            for (c, term) in terms.into_iter().enumerate() {
+                if k < 4 * quads {
+                    t[c][k % 4] += term;
+                } else {
+                    tail[c] += term;
+                }
+            }
+        }
+        let sum = |c: usize| (t[c][0] + t[c][1]) + (t[c][2] + t[c][3]) + tail[c];
+        (sum(0), sum(1), sum(2))
+    }
+
+    /// Serializes the tests that pin the process-global backend.
+    static BACKEND_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn cached_weight_scatter_matches_recomputed_weights() {
+        let _pinned = BACKEND_LOCK.lock().unwrap();
+        let inv = (3.0, -0.4, 2.2);
+        let (mx, my, nmx, nmy, cutoff) = (0.01, -0.02, 0.012, -0.019, 0.012);
+        for backend in [Backend::Scalar, Backend::Avx2] {
+            force_backend(Some(backend));
+            let (mut full, mut cut) = (0, 0);
+            for len in 0..40usize {
+                let (a, b) = (series(len, 6), series(len, 7));
+                let mut w = vec![0.0; len];
+                maronna_location_pass(&a, &b, mx, my, inv, cutoff, &mut w);
+                full += w.iter().filter(|&&v| v == 1.0).count();
+                cut += w.iter().filter(|&&v| v < 1.0).count();
+                let got = maronna_scatter_pass(&a, &b, nmx, nmy, &w);
+                let want = scatter_pass_oracle(&a, &b, mx, my, nmx, nmy, inv, cutoff);
+                assert_eq!(bits(got), bits(want), "{backend:?} len={len}");
+            }
+            assert!(
+                full > 100 && cut > 100,
+                "both Huber branches: {full} / {cut}"
+            );
+
+            // d == cutoff exactly (x = 2, S⁻¹ = diag(1, 0), cutoff 4), one
+            // step beyond it, and a NaN distance — in a vector lane and in
+            // the scalar tail.
+            let beyond = 2.0 + 4.0 * f64::EPSILON;
+            let x = [2.0, beyond, f64::NAN, 0.5, 1.0, 2.0, f64::NAN, beyond, 2.0];
+            let y = [0.3; 9];
+            let unit = (1.0, 0.0, 0.0);
+            let mut w = [0.0; 9];
+            maronna_location_pass(&x, &y, 0.0, 0.0, unit, 4.0, &mut w);
+            assert_eq!(
+                [w[0], w[5], w[8]],
+                [1.0; 3],
+                "d == cutoff keeps full weight"
+            );
+            assert!(w[1] < 1.0 && w[7] < 1.0, "d > cutoff is down-weighted");
+            assert_eq!([w[2], w[6]], [1.0; 2], "a NaN distance clamps to 0");
+            let finite: Vec<usize> = (0..9).filter(|&k| x[k].is_finite()).collect();
+            let pick = |v: &[f64]| finite.iter().map(|&k| v[k]).collect::<Vec<f64>>();
+            let (xf, yf, wf) = (pick(&x), pick(&y), pick(&w));
+            let got = maronna_scatter_pass(&xf, &yf, 0.1, 0.2, &wf);
+            let want = scatter_pass_oracle(&xf, &yf, 0.0, 0.0, 0.1, 0.2, unit, 4.0);
+            assert_eq!(bits(got), bits(want), "{backend:?} at the cutoff");
+            let got = maronna_scatter_pass(&x, &y, 0.1, 0.2, &w);
+            let want = scatter_pass_oracle(&x, &y, 0.0, 0.0, 0.1, 0.2, unit, 4.0);
+            assert!(
+                got.0.is_nan() && want.0.is_nan(),
+                "NaN input poisons Σw·dx²"
+            );
+            assert_eq!(got.2.to_bits(), want.2.to_bits(), "Σw·dy² never sees it");
+        }
+        force_backend(None);
     }
 
     #[test]
@@ -618,6 +709,7 @@ mod tests {
     fn env_override_forces_scalar() {
         // Can't mutate the process env here (tests run threaded), but the
         // force hook exercises the same switch.
+        let _pinned = BACKEND_LOCK.lock().unwrap();
         let before = backend();
         force_backend(Some(Backend::Scalar));
         assert_eq!(backend(), Backend::Scalar);

@@ -8,6 +8,9 @@
 //! * the shared-moments incremental cube sweep
 //!   ([`stats::ParallelCorrEngine::cube`]),
 //! * the rank-1-update streaming matrix ([`stats::OnlineCorrMatrix`]).
+//!
+//! And the robust cubes, which share each stock's `(median, MAD)` series
+//! across its pairs, must equal the per-pair [`pair_series`] bit for bit.
 #![allow(clippy::needless_range_loop)] // index-driven loops mirror the math
 
 use std::sync::Mutex;
@@ -15,6 +18,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use stats::correlation::CorrType;
+use stats::parallel::pair_series;
 use stats::pearson::pearson;
 use stats::simd::{self, Backend};
 use stats::{OnlineCorrMatrix, ParallelCorrEngine};
@@ -118,6 +122,169 @@ fn simd_and_scalar_kernels_bit_identical_at_every_lane_remainder() {
             for (a, b) in scalar.iter().zip(&vector) {
                 assert_bits_equal(a, b, &format!("online matrix, m={m}"));
             }
+        }
+    }
+}
+
+/// Six return series, 260 long: two on a common factor throughout, one
+/// that follows the factor in the first and last quarters only (its pairs
+/// cross Combined's 0.05 quadrant screen downwards and back up), one
+/// constant (MAD = 0), one mostly-zero (MAD = 0 in most windows, the
+/// median not the only value), one independent.
+fn robust_panel() -> Vec<Vec<f64>> {
+    const LEN: usize = 260;
+    // splitmix64 of (series, step), centred, at log-return scale.
+    let noise = |i: u64, t: usize| {
+        let mut z = (i << 32 | t as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e-3
+    };
+    let series = |f: &dyn Fn(usize) -> f64| (0..LEN).map(f).collect::<Vec<f64>>();
+    vec![
+        series(&|t| 0.7 * noise(0, t) + 0.3 * noise(1, t)),
+        series(&|t| 0.7 * noise(0, t) + 0.3 * noise(2, t)),
+        series(&|t| {
+            if (60..200).contains(&t) {
+                noise(3, t)
+            } else {
+                0.8 * noise(0, t) + 0.2 * noise(3, t)
+            }
+        }),
+        series(&|_| 1.25e-4),
+        series(&|t| if t % 5 == 0 { noise(4, t) } else { 0.0 }),
+        series(&|t| noise(5, t)),
+    ]
+}
+
+/// The stock-major robust cube against the per-pair definition, at every
+/// `m % 4` lane remainder, every pool size and both SIMD backends.
+#[test]
+fn robust_cube_is_bit_identical_to_per_pair_series() {
+    let panel = robust_panel();
+    let n = panel.len();
+    let max_threads = rayon::current_num_threads().max(3);
+
+    // The fixture does what it is for: pair (2, 0) starts above the
+    // screen, falls below it and comes back. (Over 4k tie-free points the
+    // sign sum is a multiple of 4, so the smallest non-zero |quadrant| at
+    // M = 100 is sin(0.02π) = 0.063: "below 0.05" means exactly 0.)
+    let m = 100;
+    let mut q = vec![0.0; panel[0].len() - m + 1];
+    pair_series(CorrType::Quadrant, &panel[2], &panel[0], m, &mut q);
+    let above: Vec<bool> = q.iter().map(|v| v.abs() >= 0.05).collect();
+    let falls = above.windows(2).position(|w| w[0] && !w[1]);
+    let rises = above.windows(2).rposition(|w| !w[0] && w[1]);
+    assert!(
+        above[0] && matches!((falls, rises), (Some(f), Some(r)) if f < r),
+        "pair (2, 0) must cross the screen down, then up"
+    );
+
+    for ctype in [CorrType::Maronna, CorrType::Combined] {
+        for m in [5usize, 50, 51, 100, 203] {
+            let steps = panel[0].len() - m + 1;
+            let engine = ParallelCorrEngine::new(ctype);
+            let reference = with_backend(Backend::Scalar, || {
+                let mut all = Vec::with_capacity(n * (n - 1) / 2);
+                for i in 1..n {
+                    for j in 0..i {
+                        let mut out = vec![0.0; steps];
+                        pair_series(ctype, &panel[i], &panel[j], m, &mut out);
+                        all.push(out);
+                    }
+                }
+                all
+            });
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                for threads in [1, 2, max_threads] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool");
+                    let cube = with_backend(backend, || pool.install(|| engine.cube(&panel, m)))
+                        .expect("the panel holds a window");
+                    for (rank, want) in reference.iter().enumerate() {
+                        let got = cube.series_by_rank(rank);
+                        assert_eq!(got.len(), want.len());
+                        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{ctype} m={m} {backend:?} threads={threads} rank={rank} step={k}: {a} vs {b}"
+                            );
+                        }
+                    }
+                    let did = cube.stats();
+                    assert_eq!(did.pair_steps, (reference.len() * steps) as u64);
+                    assert_eq!(did.refined + did.screened, did.pair_steps);
+                    if ctype == CorrType::Combined {
+                        assert!(did.screened > 0 && did.refined > 0, "{did:?}");
+                    }
+                }
+            }
+            // The constant series has no robust spread: "no evidence".
+            let cube = engine.cube(&panel, m).expect("the panel holds a window");
+            assert!(cube.pair_series(3, 0).iter().all(|&c| c == 0.0));
+        }
+    }
+}
+
+/// One NaN, one +∞ and one −∞ in one stock's series must not panic any
+/// robust entry point; the windows that hold them read as "no evidence"
+/// and the rest of the day is unaffected.
+#[test]
+fn non_finite_returns_read_as_no_evidence() {
+    let m = 20;
+    let clean = robust_panel();
+    let mut dirty = clean.clone();
+    dirty[1][40] = f64::NAN;
+    dirty[1][100] = f64::INFINITY;
+    dirty[1][160] = f64::NEG_INFINITY;
+    let steps = clean[0].len() - m + 1;
+    let holds_bad = |k: usize| [40usize, 100, 160].iter().any(|&t| (k..k + m).contains(&t));
+
+    for ctype in [CorrType::Maronna, CorrType::Combined] {
+        let engine = ParallelCorrEngine::new(ctype);
+        let cube = engine.cube(&dirty, m).expect("the panel holds a window");
+        let reference = engine.cube(&clean, m).expect("the panel holds a window");
+
+        // pair_series: the per-pair path agrees with the cube to the bit.
+        let mut per_pair = vec![0.0; steps];
+        pair_series(ctype, &dirty[1], &dirty[0], m, &mut per_pair);
+        let (got, want) = (cube.pair_series(1, 0), reference.pair_series(1, 0));
+        for k in 0..steps {
+            assert_eq!(got[k].to_bits(), per_pair[k].to_bits(), "{ctype} step {k}");
+            assert!(got[k].is_finite() && got[k].abs() <= 1.0);
+            if holds_bad(k) {
+                // Maronna has nothing to fit; Combined keeps at most a
+                // below-threshold quadrant screen over the finite entries.
+                assert!(got[k].abs() < 0.05, "{ctype} step {k}: {}", got[k]);
+                assert!(ctype == CorrType::Combined || got[k] == 0.0);
+            } else {
+                // A lost seed re-converges to the same fixed point.
+                assert!((got[k] - want[k]).abs() < 1e-5, "{ctype} step {k}");
+            }
+        }
+        // Pairs that do not touch the dirty stock are untouched.
+        for k in 0..steps {
+            assert_eq!(
+                cube.pair_series(2, 0)[k].to_bits(),
+                reference.pair_series(2, 0)[k].to_bits()
+            );
+        }
+
+        // The streaming sweep over the same windows.
+        let mut seeds = vec![None; clean.len() * (clean.len() - 1) / 2];
+        let mut out = stats::SymMatrix::identity(clean.len());
+        for k in 0..steps {
+            let windows: Vec<&[f64]> = dirty.iter().map(|s| &s[k..k + m]).collect();
+            engine.matrix_robust_warm_into(&windows, &mut seeds, &mut out);
+            assert_eq!(
+                out.get(1, 0).to_bits(),
+                got[k].to_bits(),
+                "{ctype} step {k}"
+            );
         }
     }
 }

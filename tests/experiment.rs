@@ -139,3 +139,40 @@ fn keep_trades_mode_agrees_with_summaries() {
     }
     assert_eq!((acc.wins, acc.losses), (wins, losses));
 }
+
+/// The batch path pinned to the commit before it was restructured
+/// (stock-major robust cubes, cached Huber weights, one pass per pair and
+/// cube): the paper grid over 8 stocks for one day at seed 2009 must keep
+/// every daily return to the bit. The fixture holds the trade count, then
+/// one `f64::to_bits` per (param, pair) in `stats(p, r)` order; regenerate
+/// it only for an intended change of results, with
+/// `GOLDEN_REGEN=1 cargo test --test experiment daily_returns_match`.
+#[test]
+fn daily_returns_match_the_pre_restructure_fixture() {
+    let mut cfg = ExperimentConfig::small(8, 1, 2009);
+    cfg.market.micro.quote_rate_hz = 0.05;
+    let results = Experiment::new(cfg).run();
+    let mut lines = vec![results.total_trades.to_string()];
+    for p in 0..results.params.len() {
+        for r in 0..results.n_pairs() {
+            let daily = &results.stats(p, r).daily_returns;
+            assert_eq!(daily.len(), 1, "one day");
+            lines.push(format!("{:016x}", daily[0].to_bits()));
+        }
+    }
+    let rendered = lines.join("\n") + "\n";
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/batch_returns_n8_seed2009.txt");
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &rendered).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("fixture missing — run with GOLDEN_REGEN=1 to create it");
+    assert!(results.total_trades > 0, "the pinned day must trade");
+    for (k, (got, want)) in rendered.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "fixture line {}", k + 1);
+    }
+    assert_eq!(rendered.lines().count(), golden.lines().count());
+}
