@@ -33,7 +33,9 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// ([`Rejected::UnsupportedVersion`]) instead of being offered to
 /// decoders that would misread it. Version 2: strategy hosts keep
 /// per-spec state only and each correlation stream has a signal node.
-pub const VERSION: u8 = 2;
+/// Version 3: hosts keep one open order batch and no trade log, the
+/// gateway keeps host watermarks and only incomplete intervals.
+pub const VERSION: u8 = 3;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 
@@ -193,13 +195,12 @@ impl CheckpointStore {
         let start = std::time::Instant::now();
         let mut fsyncs = 0u32;
 
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-        buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION);
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&MAGIC);
+        header[4] = VERSION;
+        header[5..13].copy_from_slice(&epoch.to_le_bytes());
+        header[13..21].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[21..].copy_from_slice(&crc32(payload).to_le_bytes());
 
         let tmp = self.dir.join(format!(".tmp-{}", ckpt_name(epoch)));
         let fin = self.dir.join(ckpt_name(epoch));
@@ -209,7 +210,8 @@ impl CheckpointStore {
                 .create(true)
                 .truncate(true)
                 .open(&tmp)?;
-            f.write_all(&buf)?;
+            f.write_all(&header)?;
+            f.write_all(payload)?;
             f.sync_all()?;
             fsyncs += 1;
         }
@@ -235,7 +237,7 @@ impl CheckpointStore {
         fsyncs += 1;
 
         Ok(SaveReport {
-            bytes: buf.len() as u64,
+            bytes: (HEADER_LEN + payload.len()) as u64,
             write_us: start.elapsed().as_micros() as u64,
             fsyncs,
         })

@@ -20,8 +20,13 @@ use crate::overlay::{OverlayParams, OverlayStrategy};
 use crate::params::{InvalidParams, StrategyParams};
 use crate::strategy::{InputNeeds, PairStrategy, Strategy};
 
-/// Version byte leading every encoded [`StrategySpec`].
-pub const SPEC_WIRE_VERSION: u8 = 1;
+/// Version byte leading every encoded [`StrategySpec`]. The shard job
+/// file is the first thing a worker process decodes, which makes this
+/// byte the fleet's handshake too: it is bumped when the supervisor and
+/// the worker must change together, not only when a spec's own layout
+/// does. Version 2: workers ship order batches and per-epoch trade
+/// reports (`Message` wire tag 10; tag 4 retired).
+pub const SPEC_WIRE_VERSION: u8 = 2;
 
 /// Which family a spec (or a trade report) belongs to. The overlay is
 /// its own kind: reports and telemetry attribute an overlaid strategy's

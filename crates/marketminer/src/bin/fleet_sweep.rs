@@ -2,7 +2,8 @@
 //! `shard_worker` processes, merge the outputs, and export the
 //! fleet-wide observability plane — the merged telemetry report, one
 //! Perfetto/Chrome trace with a process lane per rank, and the ranked
-//! self-time profile over the merged `step.ns` accounting.
+//! self-time profile over the merged `step.ns` accounting, followed by
+//! what each rank's durable cuts cost (bytes, capture, encode, fsync).
 //!
 //! Usage:
 //!   fleet_sweep [--stocks 8] [--seed 42] [--shards 2] [--specs 0]
@@ -18,7 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use marketminer::pipeline::SweepConfig;
+use marketminer::pipeline::{render_results_plane, SweepConfig};
 use marketminer::shard::{ShardConfig, ShardRunner};
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
@@ -179,6 +180,7 @@ fn main() -> ExitCode {
             "{}",
             Profile::from_snapshot(&report.metrics).render_ranked()
         );
+        print!("{}", render_results_plane(&report.metrics));
     }
     if let Some(path) = &args.trace_out {
         let Some(trace) = &out.trace_json else {

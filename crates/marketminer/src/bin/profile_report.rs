@@ -3,8 +3,9 @@
 //! went — per-node self-time ranked hottest first, the top
 //! non-correlation node (ROADMAP #2's "where does the rest of the floor
 //! go"), self-time by layer, what the signal plane shares and how much of
-//! the hosts' work was useful, and optionally folded-stack text for
-//! `flamegraph.pl` / `inferno-flamegraph`.
+//! the hosts' work was useful, how results left the graph (trades
+//! streamed, what the gateway held back), and optionally folded-stack
+//! text for `flamegraph.pl` / `inferno-flamegraph`.
 //!
 //! Usage:
 //!   profile_report [--stocks 32] [--seed 42] [--workers 0]
@@ -17,7 +18,7 @@
 
 use std::process::ExitCode;
 
-use marketminer::pipeline::{run_sweep_pipeline_with, SweepConfig};
+use marketminer::pipeline::{render_results_plane, run_sweep_pipeline_with, SweepConfig};
 use marketminer::runtime::{Runtime, RuntimeConfig};
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
@@ -185,6 +186,7 @@ fn main() -> ExitCode {
         "{}",
         render_strategy_layer(&profile, &report.metrics, n_pairs)
     );
+    print!("{}", render_results_plane(&report.metrics));
     match args.folded.as_deref() {
         Some("-") => print!("{}", profile.render_folded()),
         Some(path) => {

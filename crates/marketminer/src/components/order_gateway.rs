@@ -4,48 +4,49 @@
 //! "Aggregating the results into a single basket, as opposed to many
 //! individual trade orders, allows the trading system to utilize a
 //! sophisticated list-based algorithm to optimize the actual execution."
-//! The gateway buffers order requests per interval and emits one
-//! [`Basket`] per interval boundary; Figure 1's
-//! "with human confirmation" vs "no human confirmation" paths are the
-//! per-order `needs_confirmation` flag, preserved through aggregation.
+//! The gateway collects the hosts' [`OrderBatch`]es per interval and emits
+//! one [`Basket`] per interval that has orders; Figure 1's "with human
+//! confirmation" vs "no human confirmation" paths are the per-order
+//! `needs_confirmation` flag, preserved through aggregation.
 //!
-//! Two aggregation modes:
+//! ## Flush on watermark
 //!
-//! * **Streaming** (default): orders arrive in interval order from a single
-//!   strategy host, so an interval change is a flush boundary. Baskets are
-//!   emitted as soon as the next interval begins.
-//! * **Bucketed** ([`OrderGatewayNode::bucketed`]): a sweep graph fans many
-//!   hosts into the gateway, so orders for interval 30 can arrive after
-//!   orders for interval 40. The gateway buckets orders by interval,
-//!   flushes every basket at end-of-day in interval order, and sorts each
-//!   basket into a canonical order — the output is bit-identical no matter
-//!   how the fan-in interleaved.
+//! Every host sends exactly one batch per interval it has seen, in
+//! interval order, so a host's newest batch is its watermark. The gateway
+//! is built with the number of hosts feeding it; interval `t` is
+//! *complete* once that many hosts have reported `t` or later, and a
+//! complete bucket is sorted into a canonical order and emitted at once,
+//! buckets in interval order. The output is therefore bit-identical no
+//! matter how the fan-in interleaved, and at any quiescent point the
+//! gateway holds only the orders of intervals some host has yet to reach
+//! — in a healthy graph, none. A host that never reports (it died, or was
+//! detached) holds its intervals open until [`Component::on_end`], which
+//! flushes whatever is left: that costs memory, never output. A single
+//! host is the one-host case of the same rule.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use telemetry::Probe;
 
-use crate::messages::{Basket, Cause, Message, OrderRequest};
+use crate::messages::{Basket, Cause, Message, OrderBatch, OrderRequest};
 use crate::node::{Component, Emit, NodeState};
-
-#[derive(Clone)]
-enum Mode {
-    /// Flush on interval change; orders keep emission order.
-    Streaming {
-        current_interval: Option<usize>,
-        pending: Vec<OrderRequest>,
-    },
-    /// Bucket by interval, flush all at end-of-day, canonical sort.
-    Bucketed {
-        buckets: BTreeMap<usize, Vec<OrderRequest>>,
-    },
-}
 
 /// Basket-aggregating order gateway.
 #[derive(Clone)]
 pub struct OrderGatewayNode {
-    mode: Mode,
+    /// Hosts feeding the gateway.
+    n_hosts: usize,
+    /// Newest interval reported per host, `(param_set, interval)` sorted
+    /// by param set.
+    watermarks: Vec<(usize, usize)>,
+    /// The non-empty batches of intervals not yet complete. A bucket
+    /// becomes one exactly-sized order list only when it flushes: baskets
+    /// outlive the gateway, and a list regrown batch by batch would leave
+    /// its discarded halves strewn through the allocator.
+    buckets: BTreeMap<usize, Vec<Arc<OrderBatch>>>,
+    /// Orders in `buckets`.
+    orders_held: u64,
     baskets_emitted: u64,
     name: String,
     probe: Probe,
@@ -54,7 +55,7 @@ pub struct OrderGatewayNode {
 /// Canonical intra-basket order: `(param_set, pair, stock, side, shares,
 /// price-bits)`. A total order over every field that distinguishes two
 /// orders, so sorting is deterministic and independent of arrival order.
-pub(crate) fn canonical_key(o: &OrderRequest) -> (usize, (usize, usize), usize, u8, u32, u64) {
+fn canonical_key(o: &OrderRequest) -> (usize, (usize, usize), usize, u8, u32, u64) {
     let side = match o.side {
         crate::messages::OrderSide::Buy => 0u8,
         crate::messages::OrderSide::Sell => 1u8,
@@ -69,29 +70,62 @@ pub(crate) fn canonical_key(o: &OrderRequest) -> (usize, (usize, usize), usize, 
     )
 }
 
+/// One interval's orders as a basket: canonically sorted, caused by the
+/// batches its orders arrived in (an order carries its batch's id).
+pub(crate) fn basket_of(interval: usize, mut orders: Vec<OrderRequest>) -> Basket {
+    // Orders that tie on the key are one host's identical legs (same
+    // batch, so same provenance too): an unstable sort cannot tell them
+    // apart either, and it needs no scratch buffer.
+    orders.sort_unstable_by_key(canonical_key);
+    // The sort groups a host's orders, so its batch id repeats in a run
+    // (and below `Full` no id is set: the list stays unallocated).
+    let mut batches = Vec::new();
+    for id in orders.iter().map(|o| o.cause.id).filter(|id| id.is_set()) {
+        if batches.last() != Some(&id) {
+            batches.push(id);
+        }
+    }
+    Basket {
+        interval,
+        orders,
+        cause: Cause {
+            parents: batches,
+            ..Cause::none()
+        },
+    }
+}
+
+/// The orders of `batches`, each carrying its batch's provenance id.
+fn orders_of(batches: &[Arc<OrderBatch>]) -> Vec<OrderRequest> {
+    let mut orders = Vec::with_capacity(batches.iter().map(|b| b.orders.len()).sum());
+    for batch in batches {
+        orders.extend(batch.orders.iter().map(|order| {
+            let mut order = order.clone();
+            order.cause.id = batch.cause.id;
+            order.cause.wall_us = batch.cause.wall_us;
+            order
+        }));
+    }
+    orders
+}
+
 impl OrderGatewayNode {
-    /// New streaming gateway.
+    /// Gateway behind a single strategy host.
     pub fn new() -> Self {
+        Self::fan_in(1)
+    }
+
+    /// Gateway behind `n_hosts` strategy hosts (a sweep graph's fan-in).
+    pub fn fan_in(n_hosts: usize) -> Self {
         OrderGatewayNode {
-            mode: Mode::Streaming {
-                current_interval: None,
-                pending: Vec::new(),
-            },
+            n_hosts: n_hosts.max(1),
+            watermarks: Vec::new(),
+            buckets: BTreeMap::new(),
+            orders_held: 0,
             baskets_emitted: 0,
             name: "order-gateway".to_string(),
             probe: Probe::off(),
         }
-    }
-
-    /// Switch to bucketed (fan-in-deterministic) aggregation: orders are
-    /// bucketed by interval regardless of arrival order, each basket is
-    /// sorted canonically, and all baskets flush at end-of-day in interval
-    /// order. Use this when multiple strategy hosts feed one gateway.
-    pub fn bucketed(mut self) -> Self {
-        self.mode = Mode::Bucketed {
-            buckets: BTreeMap::new(),
-        };
-        self
     }
 
     /// Baskets emitted so far.
@@ -99,26 +133,50 @@ impl OrderGatewayNode {
         self.baskets_emitted
     }
 
-    fn flush_streaming(&mut self, out: &mut Emit<'_>) {
-        if let Mode::Streaming {
-            current_interval,
-            pending,
-        } = &mut self.mode
-        {
-            if let Some(interval) = current_interval.take() {
-                if !pending.is_empty() {
-                    self.baskets_emitted += 1;
-                    self.probe.count("baskets.emitted", 1);
-                    self.probe.observe("basket.orders", pending.len() as u64);
-                    let orders = std::mem::take(pending);
-                    let cause = Cause::derived(orders.iter().map(|o| o.cause.id));
-                    out(Message::Basket(Arc::new(Basket {
-                        interval,
-                        orders,
-                        cause,
-                    })));
-                }
+    /// Orders currently held back, waiting for their interval to complete.
+    pub fn orders_held(&self) -> u64 {
+        self.orders_held
+    }
+
+    /// Has every host reported `interval` or later? (A reconfigured graph
+    /// can restore the watermark of a host no longer attached; it stopped
+    /// advancing, so it never stands in for a live one that is behind.)
+    fn is_complete(&self, interval: usize) -> bool {
+        let reported = self.watermarks.iter().filter(|&&(_, at)| at >= interval);
+        reported.count() >= self.n_hosts
+    }
+
+    fn take_batch(&mut self, batch: Arc<OrderBatch>) {
+        match (self.watermarks).binary_search_by_key(&batch.param_set, |&(host, _)| host) {
+            Ok(pos) => self.watermarks[pos].1 = self.watermarks[pos].1.max(batch.interval),
+            Err(pos) => self
+                .watermarks
+                .insert(pos, (batch.param_set, batch.interval)),
+        }
+        if batch.orders.is_empty() {
+            return;
+        }
+        self.orders_held += batch.orders.len() as u64;
+        self.buckets.entry(batch.interval).or_default().push(batch);
+        self.probe
+            .gauge_max("gateway.open_buckets", self.buckets.len() as u64);
+        self.probe
+            .gauge_max("gateway.orders_held_max", self.orders_held);
+    }
+
+    /// Emit, in interval order, every complete bucket — or every bucket.
+    fn flush(&mut self, everything: bool, out: &mut Emit<'_>) {
+        while let Some((&interval, _)) = self.buckets.first_key_value() {
+            if !(everything || self.is_complete(interval)) {
+                break;
             }
+            let batches = self.buckets.remove(&interval).expect("first key");
+            let orders = orders_of(&batches);
+            self.orders_held -= orders.len() as u64;
+            self.baskets_emitted += 1;
+            self.probe.count("baskets.emitted", 1);
+            self.probe.observe("basket.orders", orders.len() as u64);
+            out(Message::Basket(Arc::new(basket_of(interval, orders))));
         }
     }
 }
@@ -135,56 +193,17 @@ impl Component for OrderGatewayNode {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        let order = match msg {
-            Message::Order(order) => order,
-            other => {
-                out(other); // trade reports etc. pass through
-                return;
+        match msg {
+            Message::Orders(batch) => {
+                self.take_batch(batch);
+                self.flush(false, out);
             }
-        };
-        if let Mode::Bucketed { buckets } = &mut self.mode {
-            buckets
-                .entry(order.interval)
-                .or_default()
-                .push((*order).clone());
-            return;
-        }
-        let boundary = matches!(
-            &self.mode,
-            Mode::Streaming { current_interval, .. }
-                if *current_interval != Some(order.interval)
-        );
-        if boundary {
-            self.flush_streaming(out);
-        }
-        if let Mode::Streaming {
-            current_interval,
-            pending,
-        } = &mut self.mode
-        {
-            *current_interval = Some(order.interval);
-            pending.push((*order).clone());
+            other => out(other), // trade reports etc. pass through
         }
     }
 
     fn on_end(&mut self, out: &mut Emit<'_>) {
-        match &mut self.mode {
-            Mode::Streaming { .. } => self.flush_streaming(out),
-            Mode::Bucketed { buckets } => {
-                for (interval, mut orders) in std::mem::take(buckets) {
-                    orders.sort_by_key(canonical_key);
-                    self.baskets_emitted += 1;
-                    self.probe.count("baskets.emitted", 1);
-                    self.probe.observe("basket.orders", orders.len() as u64);
-                    let cause = Cause::derived(orders.iter().map(|o| o.cause.id));
-                    out(Message::Basket(Arc::new(Basket {
-                        interval,
-                        orders,
-                        cause,
-                    })));
-                }
-            }
-        }
+        self.flush(true, out);
     }
 
     fn snapshot(&self) -> Option<NodeState> {
@@ -198,22 +217,11 @@ impl Component for OrderGatewayNode {
     fn encode_state(&self) -> Option<Vec<u8>> {
         use wire::Codec;
         let mut w = wire::Writer::new();
-        match &self.mode {
-            Mode::Streaming {
-                current_interval,
-                pending,
-            } => {
-                0u8.encode(&mut w);
-                current_interval.encode(&mut w);
-                pending.encode(&mut w);
-            }
-            Mode::Bucketed { buckets } => {
-                1u8.encode(&mut w);
-                let flat: Vec<(usize, Vec<OrderRequest>)> =
-                    buckets.iter().map(|(k, v)| (*k, v.clone())).collect();
-                flat.encode(&mut w);
-            }
-        }
+        self.watermarks.encode(&mut w);
+        let held: Vec<(usize, Vec<OrderBatch>)> = (self.buckets.iter())
+            .map(|(k, batches)| (*k, batches.iter().map(|b| (**b).clone()).collect()))
+            .collect();
+        held.encode(&mut w);
         self.baskets_emitted.encode(&mut w);
         Some(w.into_bytes())
     }
@@ -222,23 +230,21 @@ impl Component for OrderGatewayNode {
         use wire::{Codec, WireError};
         fn go(node: &mut OrderGatewayNode, bytes: &[u8]) -> Result<(), WireError> {
             let r = &mut wire::Reader::new(bytes);
-            let mode = match (u8::decode(r)?, &node.mode) {
-                (0, Mode::Streaming { .. }) => Mode::Streaming {
-                    current_interval: Option::<usize>::decode(r)?,
-                    pending: Vec::<OrderRequest>::decode(r)?,
-                },
-                (1, Mode::Bucketed { .. }) => Mode::Bucketed {
-                    buckets: Vec::<(usize, Vec<OrderRequest>)>::decode(r)?
-                        .into_iter()
-                        .collect(),
-                },
-                _ => return Err(WireError::Invalid("gateway mode mismatch")),
-            };
+            let mut watermarks = Vec::<(usize, usize)>::decode(r)?;
+            let held = Vec::<(usize, Vec<OrderBatch>)>::decode(r)?;
             let baskets_emitted = u64::decode(r)?;
             if !r.is_empty() {
                 return Err(WireError::Invalid("trailing bytes"));
             }
-            node.mode = mode;
+            watermarks.sort_unstable_by_key(|&(host, _)| host);
+            watermarks.dedup_by_key(|&mut (host, _)| host);
+            node.watermarks = watermarks;
+            node.orders_held = (held.iter().flat_map(|(_, batches)| batches))
+                .map(|b| b.orders.len() as u64)
+                .sum();
+            node.buckets = (held.into_iter())
+                .map(|(k, batches)| (k, batches.into_iter().map(Arc::new).collect()))
+                .collect();
             node.baskets_emitted = baskets_emitted;
             Ok(())
         }
@@ -253,132 +259,270 @@ impl Component for OrderGatewayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::messages::OrderSide;
+    use crate::node::Source;
+    use crate::runtime::Runtime;
+    use pairtrade_core::spec::StrategyKind;
+    use proptest::prelude::*;
 
-    fn order(interval: usize, stock: usize, confirm: bool) -> Message {
-        order_for(interval, 0, stock, confirm)
-    }
-
-    fn order_for(interval: usize, param_set: usize, stock: usize, confirm: bool) -> Message {
-        Message::Order(Arc::new(OrderRequest {
+    fn order(interval: usize, param_set: usize, stock: usize, confirm: bool) -> OrderRequest {
+        OrderRequest {
             interval,
             param_set,
-            strategy: pairtrade_core::spec::StrategyKind::Paper,
+            strategy: StrategyKind::Paper,
             stock,
             side: OrderSide::Buy,
             shares: 1,
             price: 10.0,
-            pair: (1, 0),
+            pair: (stock + 1, 0),
             needs_confirmation: confirm,
+            cause: Cause::none(),
+        }
+    }
+
+    /// Host `param_set`'s batch for `interval`: one order per stock.
+    fn batch(interval: usize, param_set: usize, stocks: &[usize]) -> Message {
+        Message::Orders(Arc::new(OrderBatch {
+            interval,
+            param_set,
+            strategy: StrategyKind::Paper,
+            orders: (stocks.iter())
+                .map(|&stock| order(interval, param_set, stock, false))
+                .collect(),
             cause: Cause::none(),
         }))
     }
 
-    fn run_node(mut node: OrderGatewayNode, msgs: Vec<Message>) -> Vec<Arc<Basket>> {
+    /// Feed `msgs`, recording how many baskets had come out after each.
+    fn feed(node: &mut OrderGatewayNode, msgs: Vec<Message>) -> (Vec<Arc<Basket>>, Vec<usize>) {
         let mut baskets = Vec::new();
-        {
-            let mut emit = |m: Message| {
-                if let Message::Basket(b) = m {
+        let mut after = Vec::new();
+        for m in msgs {
+            node.on_message(m, &mut |out| {
+                if let Message::Basket(b) = out {
                     baskets.push(b);
                 }
-            };
-            for m in msgs {
-                node.on_message(m, &mut emit);
-            }
-            node.on_end(&mut emit);
+            });
+            after.push(baskets.len());
         }
+        (baskets, after)
+    }
+
+    fn end(node: &mut OrderGatewayNode) -> Vec<Arc<Basket>> {
+        let mut baskets = Vec::new();
+        node.on_end(&mut |out| {
+            if let Message::Basket(b) = out {
+                baskets.push(b);
+            }
+        });
         baskets
     }
 
-    fn run(msgs: Vec<Message>) -> Vec<Arc<Basket>> {
-        run_node(OrderGatewayNode::new(), msgs)
+    fn run(n_hosts: usize, msgs: Vec<Message>) -> Vec<Arc<Basket>> {
+        let mut node = OrderGatewayNode::fan_in(n_hosts);
+        let (mut baskets, _) = feed(&mut node, msgs);
+        baskets.extend(end(&mut node));
+        baskets
+    }
+
+    /// What the baskets must be however the batches interleave: every
+    /// interval with orders, in interval order, canonically sorted.
+    fn expected(msgs: &[Message]) -> Vec<Basket> {
+        let mut buckets: BTreeMap<usize, Vec<OrderRequest>> = BTreeMap::new();
+        for m in msgs {
+            if let Message::Orders(b) = m {
+                if !b.orders.is_empty() {
+                    (buckets.entry(b.interval).or_default()).extend(b.orders.iter().cloned());
+                }
+            }
+        }
+        (buckets.into_iter())
+            .map(|(interval, orders)| basket_of(interval, orders))
+            .collect()
+    }
+
+    fn same(got: &[Arc<Basket>], want: &[Basket]) -> bool {
+        got.len() == want.len() && got.iter().zip(want).all(|(g, w)| **g == *w)
     }
 
     #[test]
-    fn groups_orders_by_interval() {
-        let baskets = run(vec![
-            order(5, 0, false),
-            order(5, 1, false),
-            order(7, 2, false),
-            order(7, 3, false),
-            order(7, 4, false),
-        ]);
-        assert_eq!(baskets.len(), 2);
-        assert_eq!(baskets[0].interval, 5);
-        assert_eq!(baskets[0].orders.len(), 2);
-        assert_eq!(baskets[1].interval, 7);
-        assert_eq!(baskets[1].orders.len(), 3);
-    }
-
-    #[test]
-    fn final_basket_flushed_at_end() {
-        let baskets = run(vec![order(3, 0, false)]);
-        assert_eq!(baskets.len(), 1);
-        assert_eq!(baskets[0].interval, 3);
+    fn a_single_host_gets_one_basket_per_interval_with_orders() {
+        let msgs = vec![
+            batch(5, 0, &[0, 1]),
+            batch(6, 0, &[]),
+            batch(7, 0, &[2, 3, 4]),
+        ];
+        let mut node = OrderGatewayNode::new();
+        let (baskets, after) = feed(&mut node, msgs);
+        // One host: its own batch completes the interval.
+        assert_eq!(after, vec![1, 1, 2]);
+        assert_eq!(node.orders_held(), 0);
+        assert_eq!((baskets[0].interval, baskets[0].orders.len()), (5, 2));
+        assert_eq!((baskets[1].interval, baskets[1].orders.len()), (7, 3));
+        assert!(end(&mut node).is_empty());
+        assert_eq!(node.baskets_emitted(), 2);
+        assert!(run(1, vec![]).is_empty(), "no orders, no baskets");
     }
 
     #[test]
     fn confirmation_flags_survive_aggregation() {
-        let baskets = run(vec![order(1, 0, true), order(1, 1, false)]);
+        let orders = vec![order(1, 0, 0, true), order(1, 0, 1, false)];
+        let baskets = run(
+            1,
+            vec![Message::Orders(Arc::new(OrderBatch {
+                interval: 1,
+                param_set: 0,
+                strategy: StrategyKind::Paper,
+                orders,
+                cause: Cause::none(),
+            }))],
+        );
         assert!(baskets[0].orders[0].needs_confirmation);
         assert!(!baskets[0].orders[1].needs_confirmation);
     }
 
     #[test]
-    fn no_orders_no_baskets() {
-        assert!(run(vec![]).is_empty());
-    }
-
-    #[test]
-    fn bucketed_mode_is_arrival_order_insensitive() {
-        // Two interleavings of the same orders (as a sweep fan-in would
-        // produce) must yield identical baskets.
-        let a = run_node(
-            OrderGatewayNode::new().bucketed(),
+    fn a_bucket_never_flushes_before_its_last_host_reports() {
+        let mut node = OrderGatewayNode::fan_in(3);
+        let (baskets, after) = feed(
+            &mut node,
             vec![
-                order_for(5, 0, 0, false),
-                order_for(7, 0, 1, false),
-                order_for(5, 1, 2, false),
-                order_for(7, 1, 3, true),
+                batch(4, 0, &[0]),
+                batch(4, 2, &[1]),
+                batch(5, 0, &[2]), // host 0 runs ahead
+                batch(6, 0, &[]),
+                batch(4, 1, &[]), // the last host reports 4, with nothing
+                batch(5, 1, &[3]),
+                batch(6, 1, &[]),
+                batch(6, 2, &[4]), // host 2 skips 5: its watermark covers it
             ],
         );
-        let b = run_node(
-            OrderGatewayNode::new().bucketed(),
-            vec![
-                order_for(7, 1, 3, true),
-                order_for(5, 1, 2, false),
-                order_for(5, 0, 0, false),
-                order_for(7, 0, 1, false),
-            ],
+        assert_eq!(after, vec![0, 0, 0, 0, 1, 1, 1, 3]);
+        assert_eq!(
+            baskets.iter().map(|b| b.interval).collect::<Vec<_>>(),
+            vec![4, 5, 6]
         );
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.interval, y.interval);
-            assert_eq!(x.orders, y.orders);
-        }
-        // Baskets come out in interval order with canonically sorted rows.
-        assert_eq!(a[0].interval, 5);
-        assert_eq!(a[1].interval, 7);
-        assert!(a[0]
+        assert_eq!(node.orders_held(), 0);
+        // Rows are canonical: by param set first.
+        assert!(baskets[0]
             .orders
             .windows(2)
             .all(|w| w[0].param_set <= w[1].param_set));
     }
 
     #[test]
-    fn bucketed_mode_flushes_out_of_order_intervals_sorted() {
-        let baskets = run_node(
-            OrderGatewayNode::new().bucketed(),
-            vec![
-                order_for(9, 0, 0, false),
-                order_for(2, 0, 1, false),
-                order_for(9, 2, 2, false),
-            ],
-        );
-        assert_eq!(baskets.len(), 2);
-        assert_eq!(baskets[0].interval, 2);
-        assert_eq!(baskets[1].interval, 9);
-        assert_eq!(baskets[1].orders.len(), 2);
+    fn a_silent_host_defers_everything_to_the_end() {
+        // Three hosts wired, two alive: nothing is ever complete.
+        let msgs = vec![
+            batch(9, 0, &[0]),
+            batch(2, 1, &[1]),
+            batch(9, 1, &[2]),
+            batch(2, 0, &[3]),
+        ];
+        let mut node = OrderGatewayNode::fan_in(3);
+        let (live, _) = feed(&mut node, msgs.clone());
+        assert!(live.is_empty());
+        assert_eq!(node.orders_held(), 4);
+        // ... and the end-of-day flush is the whole day, in order.
+        assert!(same(&end(&mut node), &expected(&msgs)));
+    }
+
+    #[test]
+    fn durable_state_round_trips_and_holds_no_orders_once_everyone_reported() {
+        let mut node = OrderGatewayNode::fan_in(2);
+        feed(&mut node, vec![batch(1, 0, &[0]), batch(1, 1, &[1])]);
+        let quiet = node.encode_state().unwrap();
+        let mut twin = OrderGatewayNode::fan_in(2);
+        assert!(twin.decode_state(&quiet));
+        assert_eq!((twin.orders_held(), twin.baskets_emitted()), (0, 1));
+
+        // Mid-interval: one host ahead, its orders held.
+        feed(&mut node, vec![batch(2, 0, &[2])]);
+        let held = node.encode_state().unwrap();
+        assert!(held.len() > quiet.len());
+        assert!(twin.decode_state(&held));
+        assert_eq!(twin.orders_held(), 1);
+        let rest = vec![batch(2, 1, &[3])];
+        assert_eq!(feed(&mut node, rest.clone()).0, feed(&mut twin, rest).0);
+        assert!(!twin.decode_state(&held[..held.len() - 1]));
+    }
+
+    /// Replays one host's batches as a graph source.
+    struct HostSource(Vec<Message>);
+
+    impl Source for HostSource {
+        fn name(&self) -> &str {
+            "host"
+        }
+
+        fn run(&mut self, out: &mut Emit<'_>) {
+            for m in self.0.drain(..) {
+                out(m);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// However N hosts' batch streams interleave — shuffled by hand,
+        /// or raced through a real graph at 1, 2 and max workers — the
+        /// basket sequence is the same.
+        #[test]
+        fn fan_in_interleaving_never_changes_the_baskets(
+            n_hosts in 1usize..6,
+            // Per (host, interval) slot: how many orders the batch has.
+            sizes in proptest::collection::vec(0usize..4, 6 * 8),
+            picks in proptest::collection::vec(0usize..1000, 6 * 8),
+        ) {
+            let intervals = 8;
+            let streams: Vec<Vec<Message>> = (0..n_hosts)
+                .map(|h| {
+                    (0..intervals)
+                        .map(|t| {
+                            let stocks: Vec<usize> = (0..sizes[h * intervals + t]).collect();
+                            batch(10 + t, h, &stocks)
+                        })
+                        .collect()
+                })
+                .collect();
+            let all: Vec<Message> = streams.iter().flatten().cloned().collect();
+            let want = expected(&all);
+
+            // A hand shuffle that keeps each host's own order.
+            let mut heads = vec![0usize; n_hosts];
+            let mut shuffled = Vec::new();
+            for pick in &picks {
+                let live: Vec<usize> = (0..n_hosts).filter(|&h| heads[h] < intervals).collect();
+                let Some(&h) = live.get(pick % live.len().max(1)) else { break };
+                shuffled.push(streams[h][heads[h]].clone());
+                heads[h] += 1;
+            }
+            let mut node = OrderGatewayNode::fan_in(n_hosts);
+            let (mut got, _) = feed(&mut node, shuffled);
+            prop_assert_eq!(node.orders_held(), 0, "every host reported every interval");
+            got.extend(end(&mut node));
+            prop_assert!(same(&got, &want));
+
+            for workers in [1usize, 2, 0] {
+                let mut g = Graph::new();
+                let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(n_hosts)));
+                let sink = g.add_sink("baskets");
+                for stream in &streams {
+                    let host = g.add_source(Box::new(HostSource(stream.clone())));
+                    g.connect(host, gateway);
+                }
+                g.connect(gateway, sink);
+                let mut out = Runtime::with_workers(workers).run(g).unwrap();
+                let got: Vec<Arc<Basket>> = (out.take_sink(sink).into_iter())
+                    .filter_map(|m| match m {
+                        Message::Basket(b) => Some(b),
+                        _ => None,
+                    })
+                    .collect();
+                prop_assert!(same(&got, &want), "workers={}", workers);
+            }
+        }
     }
 }

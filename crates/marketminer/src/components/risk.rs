@@ -15,6 +15,11 @@
 //! open-pairs book is keyed by `(param_set, pair)`: each parameter set gets
 //! its own exposure budget and one strategy's book never blocks another's.
 //!
+//! Orders arrive as one [`OrderBatch`] per host per interval and leave
+//! the same way: the batch is judged in one pass against its host's book
+//! and exactly one batch — the survivors, possibly none — goes on to the
+//! gateway, which counts on hearing from every host for every interval.
+//!
 //! Health is order-insensitive: when many hosts fan into one risk node,
 //! a fast host's orders for interval 40 can arrive before a slow host's
 //! orders for interval 30, interleaved with `Health` events. The node
@@ -26,10 +31,11 @@
 //! Non-order messages pass through untouched.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use telemetry::Probe;
 
-use crate::messages::{Message, OrderRequest, OrderSide};
+use crate::messages::{Message, OrderBatch, OrderRequest};
 use crate::node::{Component, Emit, NodeState};
 
 /// Risk limits.
@@ -149,10 +155,76 @@ impl RiskManagerNode {
         self.stats
     }
 
-    fn order_within_size(&self, o: &OrderRequest) -> bool {
-        o.shares <= self.limits.max_shares_per_order
-            && (o.price * o.shares as f64) <= self.limits.max_order_notional
+    /// Judge one host's batch against its book, in order; returns the
+    /// orders refused (by index) — empty when everything passes.
+    fn judge(&mut self, batch: &OrderBatch) -> Vec<usize> {
+        let limits = self.limits;
+        let book = self.books.entry(batch.param_set).or_default();
+        let mut refused = Vec::new();
+        let mut now = RiskStats::default();
+        for (k, order) in batch.orders.iter().enumerate() {
+            match verdict(&limits, &self.health, book, order) {
+                Verdict::Pass => {
+                    now.passed += 1;
+                    continue;
+                }
+                Verdict::Size => now.rejected_size += 1,
+                Verdict::Degraded => now.rejected_degraded += 1,
+                Verdict::BookFull => now.rejected_book_full += 1,
+            }
+            refused.push(k);
+        }
+        self.stats.passed += now.passed;
+        self.stats.rejected_size += now.rejected_size;
+        self.stats.rejected_degraded += now.rejected_degraded;
+        self.stats.rejected_book_full += now.rejected_book_full;
+        self.probe.count("orders.passed", now.passed);
+        self.probe.count("orders.rejected_size", now.rejected_size);
+        self.probe
+            .count("orders.rejected_degraded", now.rejected_degraded);
+        self.probe
+            .count("orders.rejected_book_full", now.rejected_book_full);
+        refused
     }
+}
+
+enum Verdict {
+    Pass,
+    Size,
+    Degraded,
+    BookFull,
+}
+
+/// The verdict on one order, as of the order's own interval; admits the
+/// pair to `book` when an entry passes.
+fn verdict(
+    limits: &RiskLimits,
+    health: &HealthTimeline,
+    book: &mut HashSet<(usize, usize)>,
+    order: &OrderRequest,
+) -> Verdict {
+    if order.shares > limits.max_shares_per_order
+        || (order.price * order.shares as f64) > limits.max_order_notional
+    {
+        return Verdict::Size;
+    }
+    let pair = order.pair;
+    if !book.contains(&pair) {
+        // Entry legs touching a symbol degraded as of the order's own
+        // interval are refused outright; exits (pair already on the
+        // book) always pass so defensive flattening can complete.
+        if health.degraded_at(pair.0, order.interval) || health.degraded_at(pair.1, order.interval)
+        {
+            return Verdict::Degraded;
+        }
+        // Both legs of the same pair arrive with the same interval; admit
+        // the pair once, atomically, against its own param set's book.
+        if book.len() >= limits.max_open_pairs {
+            return Verdict::BookFull;
+        }
+        book.insert(pair);
+    }
+    Verdict::Pass
 }
 
 impl Component for RiskManagerNode {
@@ -161,8 +233,8 @@ impl Component for RiskManagerNode {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        let order = match msg {
-            Message::Order(order) => order,
+        let batch = match msg {
+            Message::Orders(batch) => batch,
             Message::Health(h) => {
                 self.health.record(h.symbol, h.interval, h.is_degraded());
                 // Fan-in dedup: forward each distinct transition once.
@@ -176,40 +248,23 @@ impl Component for RiskManagerNode {
                 return;
             }
         };
-        if !self.order_within_size(&order) {
-            self.stats.rejected_size += 1;
-            self.probe.count("orders.rejected_size", 1);
+        let refused = self.judge(&batch);
+        if refused.is_empty() {
+            out(Message::Orders(batch));
             return;
         }
-        let pair = order.pair;
-        let book = self.books.entry(order.param_set).or_default();
-        let is_entry = !book.contains(&pair);
-        if is_entry {
-            // Entry legs touching a symbol degraded as of the order's own
-            // interval are refused outright; exits (pair already on the
-            // book) always pass so defensive flattening can complete.
-            if self.health.degraded_at(pair.0, order.interval)
-                || self.health.degraded_at(pair.1, order.interval)
-            {
-                self.stats.rejected_degraded += 1;
-                self.probe.count("orders.rejected_degraded", 1);
-                return;
-            }
-            // Entry legs: Buy opens the long, Sell opens the short. Both
-            // legs of the same pair arrive with the same interval; admit
-            // the pair once, atomically, against its own param set's book.
-            if book.len() >= self.limits.max_open_pairs
-                && matches!(order.side, OrderSide::Buy | OrderSide::Sell)
-            {
-                self.stats.rejected_book_full += 1;
-                self.probe.count("orders.rejected_book_full", 1);
-                return;
-            }
-            book.insert(pair);
-        }
-        self.stats.passed += 1;
-        self.probe.count("orders.passed", 1);
-        out(Message::Order(order));
+        // One batch out per batch in, empty if need be: the batch is the
+        // host's watermark and the gateway waits for it.
+        let mut refused = refused.into_iter().peekable();
+        let orders = (batch.orders.iter().enumerate())
+            .filter(|(k, _)| refused.next_if_eq(k).is_none())
+            .map(|(_, order)| order.clone())
+            .collect();
+        out(Message::Orders(Arc::new(OrderBatch {
+            orders,
+            cause: batch.cause.clone(),
+            ..*batch
+        })));
     }
 
     fn on_end(&mut self, _out: &mut Emit<'_>) {
@@ -299,8 +354,10 @@ impl Component for RiskManagerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{Cause, TradeReport};
-    use std::sync::Arc;
+    use crate::messages::{
+        Cause, DegradeReason, HealthEvent, HealthStatus, OrderSide, TradeReport,
+    };
+    use pairtrade_core::spec::StrategyKind;
 
     fn order_at(
         interval: usize,
@@ -310,11 +367,11 @@ mod tests {
         side: OrderSide,
         shares: u32,
         price: f64,
-    ) -> Message {
-        Message::Order(Arc::new(OrderRequest {
+    ) -> OrderRequest {
+        OrderRequest {
             interval,
             param_set,
-            strategy: pairtrade_core::spec::StrategyKind::Paper,
+            strategy: StrategyKind::Paper,
             stock,
             side,
             shares,
@@ -322,7 +379,7 @@ mod tests {
             pair,
             needs_confirmation: false,
             cause: Cause::none(),
-        }))
+        }
     }
 
     fn order(
@@ -331,20 +388,55 @@ mod tests {
         side: OrderSide,
         shares: u32,
         price: f64,
-    ) -> Message {
+    ) -> OrderRequest {
         order_at(0, 0, pair, stock, side, shares, price)
     }
 
-    fn run(node: &mut RiskManagerNode, msgs: Vec<Message>) -> usize {
-        let mut passed = 0;
+    /// One host's batch for one interval (taken from its first order).
+    fn batch(orders: Vec<OrderRequest>) -> Message {
+        Message::Orders(Arc::new(OrderBatch {
+            interval: orders[0].interval,
+            param_set: orders[0].param_set,
+            strategy: StrategyKind::Paper,
+            orders,
+            cause: Cause::none(),
+        }))
+    }
+
+    fn health(interval: usize, symbol: usize, degraded: bool) -> Message {
+        Message::Health(Arc::new(HealthEvent {
+            interval,
+            symbol,
+            status: if degraded {
+                HealthStatus::Degraded(DegradeReason::Outage)
+            } else {
+                HealthStatus::Healthy
+            },
+            cause: Cause::none(),
+        }))
+    }
+
+    /// Feed `msgs`; returns the orders that passed, in output order, and
+    /// how many batches and health events came out.
+    fn drive(node: &mut RiskManagerNode, msgs: Vec<Message>) -> (Vec<OrderRequest>, usize, usize) {
+        let (mut passed, mut batches, mut healths) = (Vec::new(), 0, 0);
         for m in msgs {
-            node.on_message(m, &mut |out| {
-                if matches!(out, Message::Order(_)) {
-                    passed += 1;
+            node.on_message(m, &mut |out| match out {
+                Message::Orders(b) => {
+                    batches += 1;
+                    passed.extend(b.orders.iter().cloned());
                 }
+                Message::Health(_) => healths += 1,
+                _ => {}
             });
         }
-        passed
+        (passed, batches, healths)
+    }
+
+    /// Every order as a batch of its own; returns how many passed.
+    fn run(node: &mut RiskManagerNode, orders: Vec<OrderRequest>) -> usize {
+        let msgs = orders.into_iter().map(|o| batch(vec![o])).collect();
+        drive(node, msgs).0.len()
     }
 
     #[test]
@@ -427,7 +519,6 @@ mod tests {
 
     #[test]
     fn degraded_symbols_block_entries_but_not_exits() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
         let mut node = RiskManagerNode::new(RiskLimits::default());
         // Pair (1,0) enters while healthy.
         let passed = run(
@@ -439,20 +530,7 @@ mod tests {
         );
         assert_eq!(passed, 2);
         // Symbol 1 degrades from interval 5.
-        let mut forwarded = 0;
-        node.on_message(
-            Message::Health(Arc::new(HealthEvent {
-                interval: 5,
-                symbol: 1,
-                status: HealthStatus::Degraded(DegradeReason::Quarantine),
-                cause: Cause::none(),
-            })),
-            &mut |m| {
-                if matches!(m, Message::Health(_)) {
-                    forwarded += 1;
-                }
-            },
-        );
+        let (_, _, forwarded) = drive(&mut node, vec![health(5, 1, true)]);
         assert_eq!(forwarded, 1, "health forwarded downstream");
         // Exits for the open pair still pass; new entries touching the
         // degraded symbol are refused.
@@ -468,15 +546,7 @@ mod tests {
         assert_eq!(passed, 3, "exits + unrelated entry pass");
         assert_eq!(node.stats().rejected_degraded, 1);
         // Recovery lifts the block from interval 9.
-        node.on_message(
-            Message::Health(Arc::new(HealthEvent {
-                interval: 9,
-                symbol: 1,
-                status: HealthStatus::Healthy,
-                cause: Cause::none(),
-            })),
-            &mut |_| {},
-        );
+        drive(&mut node, vec![health(9, 1, false)]);
         let passed = run(
             &mut node,
             vec![order_at(9, 0, (4, 1), 1, OrderSide::Buy, 1, 10.0)],
@@ -486,20 +556,11 @@ mod tests {
 
     #[test]
     fn degraded_check_is_arrival_order_insensitive() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
         // A slow host's order for interval 3 arrives *after* the health
         // event taking effect at interval 5 — it must still pass, because
         // the symbol was healthy at the order's own interval.
         let mut node = RiskManagerNode::new(RiskLimits::default());
-        node.on_message(
-            Message::Health(Arc::new(HealthEvent {
-                interval: 5,
-                symbol: 1,
-                status: HealthStatus::Degraded(DegradeReason::Outage),
-                cause: Cause::none(),
-            })),
-            &mut |_| {},
-        );
+        drive(&mut node, vec![health(5, 1, true)]);
         let passed = run(
             &mut node,
             vec![
@@ -516,22 +577,8 @@ mod tests {
 
     #[test]
     fn duplicate_health_events_forward_once() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
         let mut node = RiskManagerNode::new(RiskLimits::default());
-        let ev = Arc::new(HealthEvent {
-            interval: 7,
-            symbol: 2,
-            status: HealthStatus::Degraded(DegradeReason::Halt),
-            cause: Cause::none(),
-        });
-        let mut forwarded = 0;
-        for _ in 0..3 {
-            node.on_message(Message::Health(ev.clone()), &mut |m| {
-                if matches!(m, Message::Health(_)) {
-                    forwarded += 1;
-                }
-            });
-        }
+        let (_, _, forwarded) = drive(&mut node, (0..3).map(|_| health(7, 2, true)).collect());
         assert_eq!(forwarded, 1, "fan-in duplicates are swallowed");
     }
 
@@ -542,12 +589,145 @@ mod tests {
         node.on_message(
             Message::Trades(Arc::new(TradeReport {
                 param_set: 0,
-                strategy: pairtrade_core::spec::StrategyKind::Paper,
+                strategy: StrategyKind::Paper,
                 trades: vec![],
                 cause: Cause::none(),
             })),
             &mut |m| kinds.push(m.kind()),
         );
         assert_eq!(kinds, vec!["trades"]);
+    }
+
+    #[test]
+    fn one_batch_out_per_batch_in_whatever_the_verdicts() {
+        let limits = RiskLimits {
+            max_shares_per_order: 5,
+            ..Default::default()
+        };
+        let mut node = RiskManagerNode::new(limits);
+        let all_pass = batch(vec![order((1, 0), 0, OrderSide::Buy, 1, 10.0)]);
+        let Message::Orders(sent) = &all_pass else {
+            unreachable!()
+        };
+        let sent = Arc::clone(sent);
+        let mut out = Vec::new();
+        let msgs = vec![
+            all_pass,
+            batch(vec![
+                order((2, 0), 0, OrderSide::Buy, 9, 10.0),
+                order((2, 0), 2, OrderSide::Sell, 1, 10.0),
+            ]),
+            batch(vec![order((3, 0), 0, OrderSide::Buy, 9, 10.0)]),
+            Message::Orders(Arc::new(OrderBatch {
+                interval: 4,
+                param_set: 0,
+                strategy: StrategyKind::Paper,
+                orders: vec![],
+                cause: Cause::none(),
+            })),
+        ];
+        for m in msgs {
+            node.on_message(m, &mut |m| match m {
+                Message::Orders(b) => out.push(b),
+                other => panic!("unexpected {}", other.kind()),
+            });
+        }
+        let sizes: Vec<usize> = out.iter().map(|b| b.orders.len()).collect();
+        assert_eq!(sizes, vec![1, 1, 0, 0], "survivors, possibly none");
+        assert!(
+            Arc::ptr_eq(&out[0], &sent),
+            "an untouched batch is forwarded"
+        );
+        assert_eq!(out[3].interval, 4, "the watermark rides an empty batch");
+    }
+
+    /// A recorded order stream — entries, exits, oversized legs, a book
+    /// cap that bites, symbols degrading and recovering mid-stream —
+    /// judged batch by batch gets exactly the verdicts it gets judged
+    /// order by order.
+    #[test]
+    fn batch_verdicts_equal_per_order_verdicts() {
+        let limits = RiskLimits {
+            max_shares_per_order: 8,
+            max_order_notional: 1_000.0,
+            max_open_pairs: 3,
+        };
+        // A deterministic stream: 3 hosts x 40 intervals, up to 4 pair
+        // actions (two legs each) per batch.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let mut stream: Vec<Message> = Vec::new();
+        for interval in 0..40usize {
+            if interval % 7 == 3 {
+                stream.push(health(interval + 1, next(5) as usize, interval % 2 == 1));
+            }
+            for host in 0..3usize {
+                let mut orders = Vec::new();
+                for _ in 0..next(5) {
+                    let i = 1 + next(4) as usize;
+                    let j = next(i as u64) as usize;
+                    let shares = 1 + next(9) as u32;
+                    let price = 20.0 + next(120) as f64;
+                    orders.push(order_at(
+                        interval,
+                        host,
+                        (i, j),
+                        j,
+                        OrderSide::Buy,
+                        shares,
+                        price,
+                    ));
+                    orders.push(order_at(
+                        interval,
+                        host,
+                        (i, j),
+                        i,
+                        OrderSide::Sell,
+                        1,
+                        price,
+                    ));
+                }
+                stream.push(Message::Orders(Arc::new(OrderBatch {
+                    interval,
+                    param_set: host,
+                    strategy: StrategyKind::Paper,
+                    orders,
+                    cause: Cause::none(),
+                })));
+            }
+        }
+        let n_batches = (stream.iter())
+            .filter(|m| matches!(m, Message::Orders(_)))
+            .count();
+
+        let mut batched = RiskManagerNode::new(limits);
+        let (by_batch, batches_out, _) = drive(&mut batched, stream.clone());
+        assert_eq!(batches_out, n_batches);
+
+        let mut single = RiskManagerNode::new(limits);
+        let one_by_one: Vec<Message> = (stream.into_iter())
+            .flat_map(|m| match m {
+                Message::Orders(b) => b.orders.iter().map(|o| batch(vec![o.clone()])).collect(),
+                other => vec![other],
+            })
+            .collect();
+        let (by_order, _, _) = drive(&mut single, one_by_one);
+
+        assert_eq!(by_batch, by_order);
+        assert_eq!(batched.stats(), single.stats());
+        let stats = batched.stats();
+        assert!(
+            stats.passed > 0
+                && stats.rejected_size > 0
+                && stats.rejected_book_full > 0
+                && stats.rejected_degraded > 0,
+            "vacuous: {stats:?}"
+        );
+        assert_eq!(batched.encode_state(), single.encode_state());
     }
 }

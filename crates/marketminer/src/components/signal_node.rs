@@ -16,9 +16,15 @@
 //! * it runs one [`AvgPlane`] per distinct `W` and one [`RangePlane`] per
 //!   distinct `RT` declared by the hosts it feeds ([`InputNeeds`]);
 //! * per snapshot it emits the health transitions now in effect, then one
-//!   `Arc`'d [`SignalFrame`] that all its hosts share.
+//!   `Arc`'d [`SignalFrame`] that all its hosts share;
+//! * while the engine cannot yet have filled its window (it publishes
+//!   with its `M`-th return, and no bar carries more than one) each bar
+//!   yields a data-free [`SignalFrame::not_warm`] frame instead, so the
+//!   hosts of a long-window stream report a watermark from the first
+//!   interval on and never hold back the baskets of a short-window one.
 //!
-//! Hosts therefore see a single, already-ordered edge.
+//! Hosts therefore see a single, already-ordered edge with one frame per
+//! interval.
 //!
 //! ## Live reconfiguration
 //!
@@ -56,6 +62,13 @@ fn distinct(windows: impl Iterator<Item = usize>) -> Vec<usize> {
 pub struct SignalNode {
     stream: usize,
     n_stocks: usize,
+    /// The engine's window `M`: it cannot publish before this node's
+    /// `M`-th bar (a day's first bar yields no return, so from a cold
+    /// start bar `M + 1`; an engine attached mid-day is fed from its
+    /// first bar on).
+    corr_window: usize,
+    /// Bars received so far.
+    bars_seen: usize,
     w_return_windows: Vec<usize>,
     avg_planes: Vec<AvgPlane>,
     range_planes: Vec<RangePlane>,
@@ -100,6 +113,8 @@ impl SignalNode {
         SignalNode {
             stream,
             n_stocks,
+            corr_window,
+            bars_seen: 0,
             w_return_windows: distinct(needs.iter().map(|n| n.w_return_window)),
             avg_planes: distinct(needs.iter().map(|n| n.avg_window))
                 .into_iter()
@@ -257,6 +272,17 @@ impl Component for SignalNode {
             Message::Bars(bars) => {
                 self.record_bars(bars.interval, &bars.closes);
                 self.bars_through = self.bars_through.max(Some(bars.interval));
+                self.bars_seen += 1;
+                if self.bars_seen < self.corr_window {
+                    // The engine has seen fewer than `M` returns: no
+                    // snapshot will ever come for this interval.
+                    self.probe.count("frames.not_warm", 1);
+                    out(Message::Signals(Arc::new(SignalFrame::not_warm(
+                        bars.interval,
+                        self.stream,
+                        Cause::derived([bars.cause.id]),
+                    ))));
+                }
                 // Bars caught up: release any snapshots that were waiting.
                 while self
                     .pending_corr
@@ -307,6 +333,7 @@ impl Component for SignalNode {
         self.range_planes.encode(&mut w);
         self.history.encode(&mut w);
         self.bars_through.encode(&mut w);
+        self.bars_seen.encode(&mut w);
         // Pending queues hold `Arc`s purely for cheap fan-in; the payloads
         // themselves cross the process boundary by value.
         (self.pending_corr.len() as u64).encode(&mut w);
@@ -330,6 +357,7 @@ impl Component for SignalNode {
             let range_planes = Vec::<RangePlane>::decode(r)?;
             let history = Vec::<Vec<f64>>::decode(r)?;
             let bars_through = Option::<usize>::decode(r)?;
+            let bars_seen = usize::decode(r)?;
             let n_corr = u64::decode(r)? as usize;
             if n_corr > r.remaining() {
                 return Err(WireError::Invalid("pending_corr longer than input"));
@@ -377,6 +405,7 @@ impl Component for SignalNode {
             }
             node.history = history;
             node.bars_through = bars_through;
+            node.bars_seen = bars_seen;
             node.pending_corr = pending_corr;
             node.pending_health = pending_health;
             node.degraded = degraded;
@@ -412,8 +441,9 @@ mod tests {
         }
     }
 
+    /// A node whose (hand-fed) engine is warm from the first bar.
     fn node(n: usize, needs: &[InputNeeds]) -> SignalNode {
-        SignalNode::new(n, CorrType::Pearson, 4, 0, needs)
+        SignalNode::new(n, CorrType::Pearson, 0, 0, needs)
     }
 
     fn bars(interval: usize, closes: Vec<f64>) -> Message {
@@ -493,6 +523,26 @@ mod tests {
         assert_eq!(avg.avg_corr, vec![(0.8 + 0.6) / 2.0]);
         let range = SignalFrame::series(&f[0].spread_ranges, 3).unwrap()[0];
         assert_eq!((range.low, range.high, range.len), (97.0, 100.0, 2));
+    }
+
+    #[test]
+    fn bars_before_the_engine_is_warm_yield_data_free_frames() {
+        // M = 4: the engine has at most three returns by the third bar.
+        let mut n = SignalNode::new(2, CorrType::Pearson, 4, 5, &[needs(2, 2)]);
+        for s in 0..3 {
+            let out = feed(&mut n, vec![bars(s, vec![30.0, 130.0])]);
+            let f = frames(&out);
+            assert_eq!(f.len(), 1, "interval {s}");
+            assert!(!f[0].is_warm());
+            assert_eq!((f[0].interval, f[0].stream), (s, 5));
+        }
+        assert!(feed(&mut n, vec![bars(3, vec![30.0, 130.0])]).is_empty());
+        let out = feed(&mut n, vec![corr(3, 2, 0.8)]);
+        assert!(frames(&out)[0].is_warm());
+        // The count is durable: a restored twin does not start over.
+        let mut twin = SignalNode::new(2, CorrType::Pearson, 4, 5, &[needs(2, 2)]);
+        assert!(twin.decode_state(&n.encode_state().unwrap()));
+        assert!(feed(&mut twin, vec![bars(4, vec![30.0, 130.0])]).is_empty());
     }
 
     #[test]

@@ -6,9 +6,18 @@
 //! consumes one edge: the [`SignalFrame`]s (and, ahead of each, the
 //! health transitions in effect) of its correlation stream's
 //! [`SignalNode`](super::SignalNode), which has already aligned bars,
-//! correlations and health and derived every shared series. It emits two
-//! [`OrderRequest`]s per position open and two per reversal, plus an
-//! end-of-day [`Message::Trades`] report.
+//! correlations and health and derived every shared series.
+//!
+//! Results leave the host as soon as they are final. Orders — two per
+//! position open, two per reversal — collect in one [`OrderBatch`] per
+//! frame consumed, empty included, which doubles as the host's watermark
+//! for the gateway. Interval `t`'s batch is final, and leaves, when the
+//! next frame arrives (or the stream ends): a health transition effective
+//! at `t + 1` flattens at `t`'s prices, and the end-of-day closes book at
+//! the last interval seen. Trades leave in a [`Message::Trades`] report
+//! the moment they close — per frame, per flatten, and the end-of-day
+//! closes at `on_end` — so the host keeps no trade log: its durable state
+//! is open positions, rule state and the one open batch.
 //!
 //! What a host keeps per pair is only what is per *spec*. For the paper
 //! family that is the armed-since counter of the `Y`/`d` test and the
@@ -32,8 +41,8 @@ use telemetry::Probe;
 use timeseries::rolling::RangeStats;
 
 use crate::messages::{
-    AvgSignals, Cause, EventId, HealthEvent, Message, OrderRequest, OrderSide, SignalFrame,
-    TradeReport,
+    AvgSignals, Cause, EventId, HealthEvent, Message, OrderBatch, OrderRequest, OrderSide,
+    SignalFrame, TradeReport,
 };
 use crate::node::{Component, Emit, NodeState};
 
@@ -70,8 +79,6 @@ enum Book {
         /// Armed-since counter of the divergence trigger.
         since: Vec<u32>,
         open: Vec<Option<OpenPaper>>,
-        /// The day's trades in closing order.
-        trades: Vec<Trade>,
     },
     /// Any other family: one strategy per pair, observed for transitions.
     Boxed {
@@ -133,7 +140,7 @@ pub struct StrategyHostNode {
     spec: StrategySpec,
     kind: StrategyKind,
     n_stocks: usize,
-    /// Parameter-set identity stamped on every order and on the EOD trade
+    /// Parameter-set identity stamped on every order, batch and trade
     /// report, so the merged risk/gateway/sink stages of a sweep graph can
     /// attribute flow per strategy. Single-host pipelines leave it 0.
     param_set: usize,
@@ -148,6 +155,13 @@ pub struct StrategyHostNode {
     last_prices: Vec<f64>,
     /// Provenance: id of the newest frame.
     last_frame_id: EventId,
+    /// Interval of the newest frame consumed: the open batch's interval.
+    watermark: Option<usize>,
+    /// Orders of the open batch.
+    pending: Vec<OrderRequest>,
+    /// Health transitions that flattened into the open batch (its causes
+    /// beside the frame).
+    pending_causes: Vec<EventId>,
     /// Messages neither consumed nor forwarded.
     dropped: u64,
     needs_confirmation: bool,
@@ -189,7 +203,6 @@ impl StrategyHostNode {
                 rule: PaperRule::new(*params, exec),
                 since: vec![NEVER; n_pairs],
                 open: vec![None; n_pairs],
-                trades: Vec::new(),
             },
             _ => Book::Boxed {
                 strategies: (0..n_pairs)
@@ -208,6 +221,9 @@ impl StrategyHostNode {
             last_interval: 0,
             last_prices: Vec::new(),
             last_frame_id: EventId::NONE,
+            watermark: None,
+            pending: Vec::new(),
+            pending_causes: Vec::new(),
             dropped: 0,
             needs_confirmation,
             name: format!("pair-strategy-host({})", spec.label()),
@@ -218,7 +234,7 @@ impl StrategyHostNode {
         }
     }
 
-    /// Tag emitted orders and the EOD trade report with a parameter-set
+    /// Tag emitted orders and trade reports with a parameter-set
     /// index (sweep graphs run one host per parameter set). Also folds the
     /// index into the node name so hosts with identical labels stay
     /// distinguishable in stats tables.
@@ -234,18 +250,17 @@ impl StrategyHostNode {
         self.spec.needs()
     }
 
-    /// Emit the two legs of one pair action at `interval`: `(stock, side,
-    /// shares, reference price)` each.
-    fn emit_legs(
-        &self,
+    /// Add the two legs of one pair action at `interval` to the open
+    /// batch: `(stock, side, shares, reference price)` each.
+    fn push_legs(
+        &mut self,
         interval: usize,
         pair: (usize, usize),
         legs: [(usize, OrderSide, u32, f64); 2],
-        parent: EventId,
-        out: &mut Emit<'_>,
     ) {
+        debug_assert_eq!(Some(interval), self.watermark, "orders join the open batch");
         for (stock, side, shares, price) in legs {
-            out(Message::Order(Arc::new(OrderRequest {
+            self.pending.push(OrderRequest {
                 interval,
                 param_set: self.param_set,
                 strategy: self.kind,
@@ -255,12 +270,12 @@ impl StrategyHostNode {
                 price,
                 pair,
                 needs_confirmation: self.needs_confirmation,
-                cause: Cause::derived([parent]),
-            })));
+                cause: Cause::none(),
+            });
         }
     }
 
-    fn emit_open(&self, p: &PairPosition, interval: usize, parent: EventId, out: &mut Emit<'_>) {
+    fn push_open(&mut self, p: &PairPosition, interval: usize) {
         let pair = if p.long.stock > p.short.stock {
             (p.long.stock, p.short.stock)
         } else {
@@ -280,12 +295,12 @@ impl StrategyHostNode {
                 p.short.entry_price,
             ),
         ];
-        self.emit_legs(interval, pair, legs, parent, out);
+        self.push_legs(interval, pair, legs);
     }
 
     /// The reversing legs of `trade`, priced at `prices` — the per-stock
     /// prices of the interval the trade exited at.
-    fn emit_close(&self, trade: &Trade, prices: &[f64], parent: EventId, out: &mut Emit<'_>) {
+    fn push_close(&mut self, trade: &Trade, prices: &[f64]) {
         let (long, short) = (&trade.position.long, &trade.position.short);
         let price = |stock: usize| prices.get(stock).copied().unwrap_or(f64::NAN);
         let legs = [
@@ -297,7 +312,40 @@ impl StrategyHostNode {
                 price(short.stock),
             ),
         ];
-        self.emit_legs(trade.exit_interval, trade.pair, legs, parent, out);
+        self.push_legs(trade.exit_interval, trade.pair, legs);
+    }
+
+    /// Report trades that just closed (nothing when there are none).
+    fn report(&self, trades: &[Trade], parent: EventId, out: &mut Emit<'_>) {
+        if trades.is_empty() {
+            return;
+        }
+        self.probe.count("trades.streamed", trades.len() as u64);
+        out(Message::Trades(Arc::new(TradeReport {
+            param_set: self.param_set,
+            strategy: self.kind,
+            trades: trades.to_vec(),
+            cause: Cause::derived([parent]),
+        })));
+    }
+
+    /// Close the open batch: nothing can join its interval any more.
+    fn flush_batch(&mut self, out: &mut Emit<'_>) {
+        let Some(interval) = self.watermark else {
+            return;
+        };
+        let causes = std::mem::take(&mut self.pending_causes);
+        // The next batch starts with room for one like this: order flow
+        // is bursty per host, and a list grown leg by leg reallocates.
+        let room = self.pending.len();
+        let orders = std::mem::replace(&mut self.pending, Vec::with_capacity(room));
+        out(Message::Orders(Arc::new(OrderBatch {
+            interval,
+            param_set: self.param_set,
+            strategy: self.kind,
+            orders,
+            cause: Cause::derived(std::iter::once(self.last_frame_id).chain(causes)),
+        })));
     }
 }
 
@@ -308,7 +356,20 @@ impl Component for StrategyHostNode {
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
         match msg {
-            Message::Signals(frame) => self.process_frame(&frame, out),
+            Message::Signals(frame) => {
+                if frame.is_warm() && frame.prices.len() != self.n_stocks {
+                    self.dropped += 1;
+                    return;
+                }
+                self.flush_batch(out);
+                self.watermark = Some(frame.interval);
+                if frame.cause.id.is_set() {
+                    self.last_frame_id = frame.cause.id;
+                }
+                if frame.is_warm() {
+                    self.process_frame(&frame, out);
+                }
+            }
             Message::Health(h) => self.apply_health(h, out),
             _ => self.dropped += 1,
         }
@@ -317,10 +378,8 @@ impl Component for StrategyHostNode {
     fn on_end(&mut self, out: &mut Emit<'_>) {
         // Whatever is still open closes at the last prices seen.
         let mut eod: Vec<Trade> = Vec::new();
-        let all_trades = match &mut self.book {
-            Book::Paper {
-                rule, open, trades, ..
-            } => {
+        match &mut self.book {
+            Book::Paper { rule, open, .. } => {
                 for (rank, slot) in open.iter_mut().enumerate() {
                     if let Some(held) = slot.take() {
                         let (i, j) = SymMatrix::pair_from_rank(rank);
@@ -334,37 +393,26 @@ impl Component for StrategyHostNode {
                         ));
                     }
                 }
-                trades.extend_from_slice(&eod);
-                // The report lists each pair's trades together, pairs in
-                // rank order (a stable sort keeps a pair's own in order).
-                let mut all = std::mem::take(trades);
-                all.sort_by_key(|t| SymMatrix::pair_rank(t.pair.0, t.pair.1));
-                all
             }
             Book::Boxed {
                 strategies,
                 trades_seen,
                 ..
             } => {
-                let mut all = Vec::new();
                 for (strategy, &seen) in strategies.iter_mut().zip(trades_seen.iter()) {
                     let trades = strategy.finish();
                     eod.extend_from_slice(&trades[seen.min(trades.len())..]);
-                    all.extend(trades);
                 }
-                all
             }
-        };
-        self.probe.count("positions.eod_closed", eod.len() as u64);
-        for trade in &eod {
-            self.emit_close(trade, &self.last_prices, self.last_frame_id, out);
         }
-        out(Message::Trades(Arc::new(TradeReport {
-            param_set: self.param_set,
-            strategy: self.kind,
-            trades: all_trades,
-            cause: Cause::derived([self.last_frame_id]),
-        })));
+        self.probe.count("positions.eod_closed", eod.len() as u64);
+        let prices = std::mem::take(&mut self.last_prices);
+        for trade in &eod {
+            self.push_close(trade, &prices);
+        }
+        self.last_prices = prices;
+        self.report(&eod, self.last_frame_id, out);
+        self.flush_batch(out);
     }
 
     fn snapshot(&self) -> Option<NodeState> {
@@ -383,16 +431,10 @@ impl Component for StrategyHostNode {
         // which the family tag, the pair count and each family's own
         // decoder guard.
         match &self.book {
-            Book::Paper {
-                since,
-                open,
-                trades,
-                ..
-            } => {
+            Book::Paper { since, open, .. } => {
                 0u8.encode(&mut w);
                 since.encode(&mut w);
                 open.encode(&mut w);
-                trades.encode(&mut w);
             }
             Book::Boxed {
                 strategies,
@@ -414,6 +456,10 @@ impl Component for StrategyHostNode {
         self.last_interval.encode(&mut w);
         self.last_prices.encode(&mut w);
         self.last_frame_id.0.encode(&mut w);
+        self.watermark.encode(&mut w);
+        self.pending.encode(&mut w);
+        let causes: Vec<u64> = self.pending_causes.iter().map(|id| id.0).collect();
+        causes.encode(&mut w);
         self.dropped.encode(&mut w);
         Some(w.into_bytes())
     }
@@ -427,18 +473,9 @@ impl Component for StrategyHostNode {
             let mut book = node.book.clone();
             let n_pairs = node.n_stocks * (node.n_stocks - 1) / 2;
             match (u8::decode(r)?, &mut book) {
-                (
-                    0,
-                    Book::Paper {
-                        since,
-                        open,
-                        trades,
-                        ..
-                    },
-                ) => {
+                (0, Book::Paper { since, open, .. }) => {
                     *since = Vec::decode(r)?;
                     *open = Vec::decode(r)?;
-                    *trades = Vec::decode(r)?;
                     if since.len() != n_pairs || open.len() != n_pairs {
                         return Err(WireError::Invalid("pair count mismatch"));
                     }
@@ -469,6 +506,9 @@ impl Component for StrategyHostNode {
             let last_interval = usize::decode(r)?;
             let last_prices = Vec::<f64>::decode(r)?;
             let last_frame_id = EventId(u64::decode(r)?);
+            let watermark = Option::<usize>::decode(r)?;
+            let pending = Vec::<OrderRequest>::decode(r)?;
+            let pending_causes = Vec::<u64>::decode(r)?;
             let dropped = u64::decode(r)?;
             if !r.is_empty() {
                 return Err(WireError::Invalid("trailing bytes"));
@@ -483,6 +523,9 @@ impl Component for StrategyHostNode {
             node.last_interval = last_interval;
             node.last_prices = last_prices;
             node.last_frame_id = last_frame_id;
+            node.watermark = watermark;
+            node.pending = pending;
+            node.pending_causes = pending_causes.into_iter().map(EventId).collect();
             node.dropped = dropped;
             Ok(())
         }
@@ -517,7 +560,8 @@ impl StrategyHostNode {
     }
 
     /// A symbol just went degraded: flatten every open position touching
-    /// it at the last seen prices and emit the closing legs.
+    /// it at the last seen prices; the closing legs join the open batch
+    /// (they book at its interval).
     fn flatten_touching(&mut self, symbol: usize, parent: EventId, out: &mut Emit<'_>) {
         let mut closed: Vec<Trade> = Vec::new();
         // Ranks of the pairs touching `symbol`, ascending: (symbol, j)
@@ -526,9 +570,7 @@ impl StrategyHostNode {
             .map(|j| (symbol, j))
             .chain((symbol + 1..self.n_stocks).map(|i| (i, symbol)));
         match &mut self.book {
-            Book::Paper {
-                rule, open, trades, ..
-            } => {
+            Book::Paper { rule, open, .. } => {
                 for (i, j) in touching {
                     if let Some(held) = open[SymMatrix::pair_rank(i, j)].take() {
                         closed.push(rule.close(
@@ -541,7 +583,6 @@ impl StrategyHostNode {
                         ));
                     }
                 }
-                trades.extend_from_slice(&closed);
             }
             Book::Boxed {
                 strategies,
@@ -561,19 +602,23 @@ impl StrategyHostNode {
             }
         }
         self.probe.count("positions.flattened", closed.len() as u64);
-        for trade in &closed {
-            self.emit_close(trade, &self.last_prices, parent, out);
-        }
-    }
-
-    fn process_frame(&mut self, frame: &SignalFrame, out: &mut Emit<'_>) {
-        if frame.prices.len() != self.n_stocks {
-            self.dropped += 1;
+        if closed.is_empty() {
             return;
         }
-        if frame.cause.id.is_set() {
-            self.last_frame_id = frame.cause.id;
+        let prices = std::mem::take(&mut self.last_prices);
+        for trade in &closed {
+            self.push_close(trade, &prices);
         }
+        self.last_prices = prices;
+        if parent.is_set() {
+            self.pending_causes.push(parent);
+        }
+        self.report(&closed, parent, out);
+    }
+
+    /// Step every running pair through one warm frame: its orders join
+    /// the open batch, its closed trades are reported.
+    fn process_frame(&mut self, frame: &SignalFrame, out: &mut Emit<'_>) {
         let view = FrameView::new(frame, self.needs());
         let (mut opened, mut closed) = (
             std::mem::take(&mut self.opened),
@@ -590,12 +635,7 @@ impl StrategyHostNode {
             .filter(move |&i| !degraded[i])
             .flat_map(move |i| (0..i).filter(move |&j| !degraded[j]).map(move |j| (i, j)));
         match &mut self.book {
-            Book::Paper {
-                rule,
-                since,
-                open,
-                trades,
-            } => {
+            Book::Paper { rule, since, open } => {
                 let avg = view
                     .avg
                     .expect("the paper family declares an averaging window");
@@ -624,10 +664,7 @@ impl StrategyHostNode {
                         Action::Opened => {
                             opened.push(open[rank].as_ref().expect("just opened").position)
                         }
-                        Action::Closed(trade) => {
-                            closed.push(trade);
-                            trades.push(trade);
-                        }
+                        Action::Closed(trade) => closed.push(trade),
                     }
                 }
             }
@@ -663,11 +700,12 @@ impl StrategyHostNode {
         self.probe
             .count(closed_counter(self.kind), closed.len() as u64);
         for position in &opened {
-            self.emit_open(position, frame.interval, frame.cause.id, out);
+            self.push_open(position, frame.interval);
         }
         for trade in &closed {
-            self.emit_close(trade, &frame.prices, frame.cause.id, out);
+            self.push_close(trade, &frame.prices);
         }
+        self.report(&closed, frame.cause.id, out);
         self.opened = opened;
         self.closed = closed;
         self.last_interval = frame.interval;
@@ -679,7 +717,9 @@ impl StrategyHostNode {
 mod tests {
     use super::*;
     use crate::components::SignalNode;
-    use crate::messages::{BarSet, CorrSnapshot};
+    use crate::messages::{BarSet, CorrSnapshot, DegradeReason, HealthStatus};
+    use crate::pipeline::collect_sweep_output;
+    use pairtrade_core::{KalmanParams, OverlayParams};
     use stats::correlation::CorrType;
 
     fn params() -> StrategyParams {
@@ -699,6 +739,8 @@ mod tests {
     }
 
     /// A host behind its stream's signal node, as the graph wires them.
+    /// Snapshots are hand-fed from the first bar, as from an engine that
+    /// needs no warm-up (`M = 0`).
     #[derive(Clone)]
     struct Rig {
         signals: SignalNode,
@@ -707,15 +749,15 @@ mod tests {
 
     impl Rig {
         fn new(n_stocks: usize, needs_confirmation: bool) -> Rig {
-            let host = StrategyHostNode::new(
-                n_stocks,
-                params(),
-                ExecutionConfig::paper(),
-                needs_confirmation,
-            );
-            let p = params();
+            Rig::hosting(n_stocks, &StrategySpec::Paper(params()), needs_confirmation)
+        }
+
+        fn hosting(n_stocks: usize, spec: &StrategySpec, needs_confirmation: bool) -> Rig {
+            let exec = ExecutionConfig::paper();
+            let host = StrategyHostNode::from_spec(n_stocks, spec, exec, needs_confirmation);
+            let (ctype, _) = spec.stream_key();
             Rig {
-                signals: SignalNode::new(n_stocks, p.ctype, p.corr_window, 0, &[host.needs()]),
+                signals: SignalNode::new(n_stocks, ctype, 0, 0, &[host.needs()]),
                 host,
             }
         }
@@ -738,6 +780,33 @@ mod tests {
         }
     }
 
+    /// What a host emitted, as its consumers see it.
+    #[derive(Default)]
+    struct Seen {
+        batches: Vec<Arc<OrderBatch>>,
+        reports: Vec<Arc<TradeReport>>,
+        health: usize,
+    }
+
+    impl Seen {
+        fn take(&mut self, m: Message) {
+            match m {
+                Message::Orders(b) => self.batches.push(b),
+                Message::Trades(t) => self.reports.push(t),
+                Message::Health(_) => self.health += 1,
+                _ => {}
+            }
+        }
+
+        fn orders(&self) -> Vec<&OrderRequest> {
+            self.batches.iter().flat_map(|b| &b.orders).collect()
+        }
+
+        fn trades(&self) -> Vec<Trade> {
+            self.reports.iter().flat_map(|r| r.trades.clone()).collect()
+        }
+    }
+
     fn bars(interval: usize, closes: Vec<f64>) -> Message {
         let n = closes.len();
         Message::Bars(Arc::new(BarSet {
@@ -748,9 +817,13 @@ mod tests {
         }))
     }
 
-    fn corr(interval: usize, rho: f64) -> Message {
-        let mut m = SymMatrix::identity(2);
-        m.set(1, 0, rho);
+    fn corr_n(interval: usize, n: usize, rho: f64) -> Message {
+        let mut m = SymMatrix::identity(n);
+        for i in 1..n {
+            for j in 0..i {
+                m.set(i, j, rho);
+            }
+        }
         Message::Corr(Arc::new(CorrSnapshot {
             interval,
             stream: 0,
@@ -759,30 +832,51 @@ mod tests {
         }))
     }
 
+    fn corr(interval: usize, rho: f64) -> Message {
+        corr_n(interval, 2, rho)
+    }
+
+    fn health(interval: usize, symbol: usize, degraded: bool) -> Message {
+        Message::Health(Arc::new(HealthEvent {
+            interval,
+            symbol,
+            status: if degraded {
+                HealthStatus::Degraded(DegradeReason::Outage)
+            } else {
+                HealthStatus::Healthy
+            },
+            cause: Cause::none(),
+        }))
+    }
+
     #[test]
-    fn full_cycle_emits_orders_and_trades() {
+    fn full_cycle_emits_one_batch_per_frame_and_reports_closes() {
         let mut rig = Rig::new(2, false);
-        let mut orders: Vec<Arc<OrderRequest>> = Vec::new();
-        let mut trades: Option<Arc<TradeReport>> = None;
-        let mut sink = |out: Message| match out {
-            Message::Order(o) => orders.push(o),
-            Message::Trades(t) => trades = Some(t),
-            _ => {}
-        };
+        let mut seen = Seen::default();
         let start = params().first_active_interval();
         // Warm: flat prices, stable correlation.
         for s in 0..=start {
-            rig.feed(bars(s, vec![30.0, 130.0]), &mut sink);
-            rig.feed(corr(s, 0.8), &mut sink);
+            rig.feed(bars(s, vec![30.0, 130.0]), &mut |m| seen.take(m));
+            rig.feed(corr(s, 0.8), &mut |m| seen.take(m));
         }
+        // Interval `s`'s batch leaves when frame `s + 1` arrives.
+        assert_eq!(seen.batches.len(), start);
         // Divergence: stock 1 (price 130) over-performs; corr drops 5%.
-        rig.feed(bars(start + 1, vec![29.5, 131.0]), &mut sink);
-        rig.feed(corr(start + 1, 0.76), &mut sink);
-        rig.end(&mut sink);
-        // Two entry legs, then the EOD close: two more + the report.
+        rig.feed(bars(start + 1, vec![29.5, 131.0]), &mut |m| seen.take(m));
+        rig.feed(corr(start + 1, 0.76), &mut |m| seen.take(m));
+        assert!(seen.orders().is_empty(), "the entry's batch is still open");
+        rig.end(&mut |m| seen.take(m));
+
+        // One batch per frame, in interval order; only the last has
+        // orders: two entry legs, then the two EOD closing legs, which
+        // book at the same (last) interval.
+        let intervals: Vec<usize> = seen.batches.iter().map(|b| b.interval).collect();
+        assert_eq!(intervals, (0..=start + 1).collect::<Vec<_>>());
+        assert!(seen.batches[..=start].iter().all(|b| b.orders.is_empty()));
+        let orders = seen.orders();
         assert_eq!(orders.len(), 4, "{orders:?}");
-        let buy = &orders[0];
-        let sell = &orders[1];
+        assert!(orders.iter().all(|o| o.interval == start + 1));
+        let (buy, sell) = (orders[0], orders[1]);
         assert_eq!((buy.side, sell.side), (OrderSide::Buy, OrderSide::Sell));
         assert_eq!(buy.stock, 0, "long the under-performer");
         assert_eq!(sell.stock, 1);
@@ -790,87 +884,79 @@ mod tests {
         assert_eq!(sell.shares, 1);
         assert_eq!(orders[2].price, 29.5, "exit legs carry the exit prices");
         assert_eq!(orders[3].price, 131.0);
-        let trades = trades.expect("trades report");
+        let trades = seen.trades();
+        assert_eq!(seen.reports.len(), 1, "only the end-of-day closes");
         assert_eq!(trades.len(), 1);
-        assert_eq!(
-            trades[0].reason,
-            pairtrade_core::trade::ExitReason::EndOfDay
-        );
+        assert_eq!(trades[0].reason, ExitReason::EndOfDay);
+    }
+
+    #[test]
+    fn a_frame_that_is_not_warm_only_advances_the_watermark() {
+        let mut host = StrategyHostNode::new(2, params(), ExecutionConfig::paper(), false);
+        let mut seen = Seen::default();
+        for s in 0..3 {
+            let frame = SignalFrame::not_warm(s, 0, Cause::none());
+            host.on_message(Message::Signals(Arc::new(frame)), &mut |m| seen.take(m));
+        }
+        host.on_end(&mut |m| seen.take(m));
+        assert_eq!(host.messages_dropped(), 0);
+        let intervals: Vec<usize> = seen.batches.iter().map(|b| b.interval).collect();
+        assert_eq!(intervals, vec![0, 1, 2]);
+        assert!(seen.orders().is_empty() && seen.reports.is_empty());
     }
 
     #[test]
     fn degradation_flattens_and_blocks_reentry() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
         let mut rig = Rig::new(2, false);
-        let mut forwarded_health = 0;
-        let mut orders: Vec<Arc<OrderRequest>> = Vec::new();
-        let mut trades: Vec<Trade> = Vec::new();
-        macro_rules! feed {
-            ($m:expr) => {
-                rig.feed($m, &mut |out| match out {
-                    Message::Order(o) => orders.push(o),
-                    Message::Trades(t) => trades.extend(t.iter().copied()),
-                    Message::Health(_) => forwarded_health += 1,
-                    _ => {}
-                })
-            };
-        }
+        let mut seen = Seen::default();
         let start = params().first_active_interval();
         for s in 0..=start {
-            feed!(bars(s, vec![30.0, 130.0]));
-            feed!(corr(s, 0.8));
+            rig.feed(bars(s, vec![30.0, 130.0]), &mut |m| seen.take(m));
+            rig.feed(corr(s, 0.8), &mut |m| seen.take(m));
         }
-        feed!(bars(start + 1, vec![29.5, 131.0]));
-        feed!(corr(start + 1, 0.76));
-        assert_eq!(orders.len(), 2, "position opened");
+        rig.feed(bars(start + 1, vec![29.5, 131.0]), &mut |m| seen.take(m));
+        rig.feed(corr(start + 1, 0.76), &mut |m| seen.take(m));
+        assert_eq!(rig.host.pending.len(), 2, "position opened");
 
         // Symbol 1 degrades effective at `start + 2`. The transition is
         // held until the correlation stream reaches that interval, so the
         // flatten cannot race ahead of in-flight snapshots.
-        feed!(Message::Health(Arc::new(HealthEvent {
-            interval: start + 2,
-            symbol: 1,
-            status: HealthStatus::Degraded(DegradeReason::Outage),
-            cause: Cause::none(),
-        })));
-        assert_eq!(forwarded_health, 0, "held until its effective interval");
-        assert_eq!(orders.len(), 2, "no flatten before the interval");
+        rig.feed(health(start + 2, 1, true), &mut |m| seen.take(m));
+        assert_eq!(seen.health, 0, "held until its effective interval");
+        assert_eq!(rig.host.pending.len(), 2, "no flatten before the interval");
 
         // A fresh divergence at the effective interval: the transition
-        // applies first (two closing legs), and no new entry may open.
-        feed!(bars(start + 2, vec![29.0, 132.0]));
-        feed!(corr(start + 2, 0.70));
-        assert_eq!(forwarded_health, 1, "health rides on to risk");
-        assert_eq!(orders.len(), 4, "closing legs only, no re-entry");
-        assert_eq!(orders[2].price, 29.5, "flattened at the last prices seen");
+        // applies first — the flatten books at `start + 1`, the last
+        // prices seen, so its legs join that interval's still-open batch
+        // and its trade is reported at once — and no new entry may open.
+        rig.feed(bars(start + 2, vec![29.0, 132.0]), &mut |m| seen.take(m));
+        rig.feed(corr(start + 2, 0.70), &mut |m| seen.take(m));
+        assert_eq!(seen.health, 1, "health rides on to risk");
+        let flattened = seen.batches.last().unwrap();
+        assert_eq!(flattened.interval, start + 1);
+        assert_eq!(flattened.orders.len(), 4, "entry + closing legs");
+        assert_eq!(flattened.orders[2].price, 29.5, "at the last prices seen");
+        assert!(rig.host.pending.is_empty(), "no re-entry");
+        assert_eq!(seen.reports.len(), 1, "the flatten is reported at once");
 
-        rig.end(&mut |out| match out {
-            Message::Order(o) => orders.push(o),
-            Message::Trades(t) => trades.extend(t.iter().copied()),
-            _ => {}
-        });
+        rig.end(&mut |m| seen.take(m));
+        let trades = seen.trades();
         assert_eq!(trades.len(), 1);
-        assert_eq!(
-            trades[0].reason,
-            pairtrade_core::trade::ExitReason::Degraded
-        );
+        assert_eq!(trades[0].reason, ExitReason::Degraded);
         assert_eq!(trades[0].exit_interval, start + 1);
-        assert_eq!(orders.len(), 4, "EOD emits no extra legs: already flat");
+        assert_eq!(seen.orders().len(), 4, "EOD emits no extra legs: flat");
+        assert_eq!(seen.reports.len(), 1, "and no empty report");
     }
 
-    /// Run `rig` to the end of a quiet tail and return its trades.
-    fn run_out(rig: &mut Rig, from: usize) -> Vec<Trade> {
-        let mut trades: Vec<Trade> = Vec::new();
+    /// Run `rig` to the end of a quiet tail and return what it emitted.
+    fn run_out(rig: &mut Rig, from: usize) -> Vec<Message> {
+        let mut out: Vec<Message> = Vec::new();
         for s in from..from + 4 {
-            rig.feed(bars(s, vec![30.0, 130.0]), &mut |_| {});
-            rig.feed(corr(s, 0.8), &mut |_| {});
+            rig.feed(bars(s, vec![30.0, 130.0]), &mut |m| out.push(m));
+            rig.feed(corr(s, 0.8), &mut |m| out.push(m));
         }
-        rig.end(&mut |m| {
-            if let Message::Trades(t) = m {
-                trades.extend(t.iter().copied());
-            }
-        });
-        trades
+        rig.end(&mut |m| out.push(m));
+        out
     }
 
     fn opened_rig() -> (Rig, usize) {
@@ -887,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_preserves_open_positions() {
+    fn snapshot_restore_preserves_open_positions_and_the_open_batch() {
         let (mut rig, next) = opened_rig();
         // Run the survivor and a restored twin to the end of day.
         let mut twin = Rig::new(2, false);
@@ -895,7 +981,7 @@ mod tests {
         assert!(twin.host.restore(rig.host.snapshot().unwrap()));
         let a = run_out(&mut rig, next);
         let b = run_out(&mut twin, next);
-        assert_eq!(a.len(), 1);
+        assert!(a.iter().any(|m| matches!(m, Message::Trades(_))));
         assert_eq!(wire::to_bytes(&a), wire::to_bytes(&b));
     }
 
@@ -909,14 +995,16 @@ mod tests {
             .decode_state(&rig.signals.encode_state().unwrap()));
         assert!(twin.host.decode_state(&bytes));
         assert_eq!(twin.host.encode_state().unwrap(), bytes);
+        // The cut fell with the entry's batch still open: its two orders
+        // are in the state, and leave the twin exactly as the survivor.
+        assert_eq!(twin.host.pending.len(), 2);
         let a = run_out(&mut rig, next);
         let b = run_out(&mut twin, next);
-        assert_eq!(a.len(), 1);
         assert_eq!(wire::to_bytes(&a), wire::to_bytes(&b));
 
         // A Kalman host keeps boxed strategies: the paper layout is
         // refused, and so is a truncated or a wrong-universe payload.
-        let kalman = StrategySpec::Kalman(pairtrade_core::KalmanParams::jansen_default());
+        let kalman = StrategySpec::Kalman(KalmanParams::jansen_default());
         let mut other = StrategyHostNode::from_spec(2, &kalman, ExecutionConfig::paper(), false);
         assert!(!other.decode_state(&bytes));
         assert!(!Rig::new(2, false)
@@ -930,55 +1018,141 @@ mod tests {
     }
 
     #[test]
-    fn quiet_market_emits_no_orders() {
-        let host = StrategyHostNode::new(3, params(), ExecutionConfig::paper(), false);
-        let p = params();
-        let mut rig = Rig {
-            signals: SignalNode::new(3, p.ctype, p.corr_window, 0, &[host.needs()]),
-            host,
-        };
-        let mut n_orders = 0;
-        let mut sink = |m: Message| {
-            if matches!(m, Message::Order(_)) {
-                n_orders += 1;
-            }
-        };
+    fn quiet_market_emits_only_empty_batches() {
+        let mut rig = Rig::new(3, false);
+        let mut seen = Seen::default();
         for s in 0..300 {
-            rig.feed(bars(s, vec![30.0, 60.0, 90.0]), &mut sink);
-            let mut m = SymMatrix::identity(3);
-            m.set(1, 0, 0.8);
-            m.set(2, 0, 0.8);
-            m.set(2, 1, 0.8);
-            rig.feed(
-                Message::Corr(Arc::new(CorrSnapshot {
-                    interval: s,
-                    stream: 0,
-                    matrix: m,
-                    cause: Cause::none(),
-                })),
-                &mut sink,
-            );
+            rig.feed(bars(s, vec![30.0, 60.0, 90.0]), &mut |m| seen.take(m));
+            rig.feed(corr_n(s, 3, 0.8), &mut |m| seen.take(m));
         }
-        rig.end(&mut sink);
-        assert_eq!(n_orders, 0);
+        rig.end(&mut |m| seen.take(m));
+        assert_eq!(seen.batches.len(), 300, "the watermark never stalls");
+        assert!(seen.orders().is_empty());
+        assert!(seen.reports.is_empty(), "no trades, no reports");
     }
 
     #[test]
     fn confirmation_flag_propagates() {
         let mut rig = Rig::new(2, true);
-        let mut got_flag = None;
-        let mut sink = |m: Message| {
-            if let Message::Order(o) = m {
-                got_flag = Some(o.needs_confirmation);
-            }
-        };
+        let mut seen = Seen::default();
         let start = params().first_active_interval();
         for s in 0..=start {
-            rig.feed(bars(s, vec![30.0, 130.0]), &mut sink);
-            rig.feed(corr(s, 0.8), &mut sink);
+            rig.feed(bars(s, vec![30.0, 130.0]), &mut |m| seen.take(m));
+            rig.feed(corr(s, 0.8), &mut |m| seen.take(m));
         }
-        rig.feed(bars(start + 1, vec![29.5, 131.0]), &mut sink);
-        rig.feed(corr(start + 1, 0.76), &mut sink);
-        assert_eq!(got_flag, Some(true));
+        rig.feed(bars(start + 1, vec![29.5, 131.0]), &mut |m| seen.take(m));
+        rig.feed(corr(start + 1, 0.76), &mut |m| seen.take(m));
+        rig.end(&mut |m| seen.take(m));
+        assert!(!seen.orders().is_empty());
+        assert!(seen.orders().iter().all(|o| o.needs_confirmation));
+    }
+
+    /// A three-stock day that makes every family open, close in-day, get
+    /// flattened by a degradation and hold something to the close.
+    fn eventful_day(rig: &mut Rig, out: &mut Emit<'_>) {
+        for s in 0..60usize {
+            let wobble = (s % 3) as f64;
+            let swing = ((s / 6) % 2) as f64;
+            let closes = if s < 9 {
+                vec![30.0, 60.0 + 0.1 * wobble, 130.0]
+            } else {
+                vec![
+                    29.0 - 0.2 * wobble + 1.5 * swing,
+                    61.5 - 0.8 * swing,
+                    133.0 + wobble - 2.0 * swing,
+                ]
+            };
+            let rho = if s < 9 {
+                0.8
+            } else {
+                0.7 - 0.02 * wobble + 0.05 * swing
+            };
+            if s == 30 {
+                rig.feed(health(30, 2, true), out);
+            }
+            if s == 40 {
+                rig.feed(health(40, 2, false), out);
+            }
+            rig.feed(bars(s, closes), out);
+            rig.feed(corr_n(s, 3, rho), out);
+        }
+    }
+
+    /// The day's report as hosts assembled it before trades streamed:
+    /// every pair's own log (end-of-day close included), pairs in rank
+    /// order. `host` is a boxed-book host about to end its day.
+    fn end_of_day_report(host: &mut StrategyHostNode) -> Vec<Trade> {
+        let Book::Boxed { strategies, .. } = &mut host.book else {
+            panic!("the oracle reads per-pair strategy logs");
+        };
+        strategies.iter_mut().flat_map(|s| s.finish()).collect()
+    }
+
+    /// Streamed reports folded by `collect_sweep_output` are, to the bit,
+    /// the report the host used to assemble at the close — for the paper
+    /// family (struct-of-arrays book, no log at all), Kalman and an
+    /// overlay (boxed books).
+    #[test]
+    fn streamed_reports_fold_to_the_end_of_day_report() {
+        let paper = StrategySpec::Paper(StrategyParams {
+            max_holding: 12,
+            ..params()
+        });
+        let kalman = StrategySpec::Kalman(KalmanParams {
+            corr_window: 4,
+            warmup: 3,
+            z_entry: 0.5,
+            max_holding: 12,
+            min_time_before_close: 3,
+            ..KalmanParams::jansen_default()
+        });
+        let overlay = paper.clone().with_overlay(OverlayParams {
+            max_holding: 4,
+            ..OverlayParams::conservative()
+        });
+        for spec in [paper, kalman, overlay] {
+            let mut rig = Rig::hosting(3, &spec, false);
+            // The oracle twin keeps per-pair logs whatever the family.
+            let mut oracle = rig.clone();
+            if let StrategySpec::Paper(_) = spec {
+                oracle.host.book = Book::Boxed {
+                    strategies: (0..3)
+                        .map(|rank| {
+                            spec.build(SymMatrix::pair_from_rank(rank), ExecutionConfig::paper())
+                        })
+                        .collect(),
+                    was_open: vec![false; 3],
+                    trades_seen: vec![0; 3],
+                };
+            }
+            let mut streamed: Vec<Message> = Vec::new();
+            eventful_day(&mut rig, &mut |m| streamed.push(m));
+            rig.end(&mut |m| streamed.push(m));
+            eventful_day(&mut oracle, &mut |_| {});
+            let want = end_of_day_report(&mut oracle.host);
+
+            let n_reports = (streamed.iter())
+                .filter(|m| matches!(m, Message::Trades(_)))
+                .count();
+            let got = collect_sweep_output(1, streamed).trades_per_param.remove(0);
+            let label = spec.label();
+            let reasons: Vec<ExitReason> = got.iter().map(|t| t.reason).collect();
+            assert!(n_reports > 2, "{label}: vacuous, one report: {reasons:?}");
+            assert!(
+                reasons.contains(&ExitReason::Degraded),
+                "{label}: {reasons:?}"
+            );
+            assert!(
+                reasons.contains(&ExitReason::EndOfDay),
+                "{label}: {reasons:?}"
+            );
+            assert!(
+                reasons
+                    .iter()
+                    .any(|r| !matches!(r, ExitReason::Degraded | ExitReason::EndOfDay)),
+                "{label}: no in-day close: {reasons:?}"
+            );
+            assert_eq!(wire::to_bytes(&got), wire::to_bytes(&want), "{label}");
+        }
     }
 }

@@ -4,7 +4,11 @@
 //! [`LiveSweepSession`] wraps [`crate::runtime::RunSession`] around the
 //! shared-stream sweep graph and drives it in epochs, exactly like a
 //! shard worker — feed a quote slice, quiesce, drain the order sink, the
-//! analytics tap and the lineage ring. Between epochs the host set can be
+//! analytics tap and the lineage ring. Baskets and trade reports leave
+//! the graph as they become final, so every cut drains some; the session
+//! folds them into the day's running output (whole again at
+//! [`finish`](LiveSweepSession::finish)) instead of handing them to the
+//! caller per cut — see [`LiveEpoch::messages`]. Between epochs the host set can be
 //! **reconfigured**: [`attach`](LiveSweepSession::attach) adds a new
 //! [`StrategySpec`] (and, if its `(Ctype, M)` stream is new, a new
 //! correlation engine), [`detach`](LiveSweepSession::detach) removes one
@@ -53,7 +57,7 @@ use telemetry::TelemetryReport;
 use crate::components::ReplayCollector;
 use crate::graph::{GraphError, NodeId};
 use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
-use crate::pipeline::{build_sweep_graph_tapped, SweepConfig, SweepGraphParts};
+use crate::pipeline::{build_sweep_graph_tapped, SinkOutput, SweepConfig, SweepGraphParts};
 use crate::runtime::{NodeCkpt, RunSession, Runtime, RuntimeConfig, SessionCkpt};
 use crate::supervisor::NodeFailure;
 
@@ -62,8 +66,13 @@ use crate::supervisor::NodeFailure;
 pub struct LiveEpoch {
     /// The epoch index (0-based count of `feed_epoch` calls).
     pub epoch: u64,
-    /// Order-sink messages: baskets and health transitions as they flow,
-    /// end-of-day trade reports only at [`LiveSweepSession::finish`].
+    /// Order-sink messages of the cut other than baskets and trade
+    /// reports — health transitions, as they flow. The cut's baskets and
+    /// trade reports are folded into the session's [`LiveOutput`] and
+    /// surface whole at [`LiveSweepSession::finish`]. (Delivering them
+    /// per cut changes how many frames a served cut pushes through the
+    /// egress rings; that is a follow-up with its own benchmark, see
+    /// ROADMAP "live basket delivery".)
     pub messages: Vec<Message>,
     /// Correlation snapshots from the analytics tap, in stream order
     /// within each interval (`Arc`-shared with what the hosts saw).
@@ -76,11 +85,11 @@ pub struct LiveEpoch {
 /// Everything a finished live session produced.
 #[derive(Debug)]
 pub struct LiveOutput {
-    /// End-of-day trades per global param-set index (slots never
+    /// The day's trades per global param-set index (slots never
     /// attached, or detached before end of day, are empty).
     pub trades_per_param: Vec<Vec<Trade>>,
-    /// Baskets from the final flush (per-epoch baskets were already
-    /// delivered through [`LiveEpoch::messages`]).
+    /// The day's baskets, in interval order: those every cut drained
+    /// plus the final flush.
     pub baskets: Vec<Arc<Basket>>,
     /// Health transitions from the final flush, canonically ordered.
     pub health_events: Vec<Arc<HealthEvent>>,
@@ -114,6 +123,8 @@ pub struct LiveSweepSession {
     epoch: u64,
     /// Reconfigurations performed so far.
     reconfigs: u64,
+    /// Baskets and trade reports drained at the cuts so far.
+    day: SinkOutput,
 }
 
 fn zero_ckpt() -> NodeCkpt {
@@ -149,6 +160,7 @@ impl LiveSweepSession {
             streams: Vec::new(),
             epoch: 0,
             reconfigs: 0,
+            day: SinkOutput::default(),
         };
         live.open_session(None)?;
         Ok(live)
@@ -275,7 +287,10 @@ impl LiveSweepSession {
         }
         let mut active = self.active.clone();
         active.remove(pos);
-        self.reconfigure(active)
+        self.reconfigure(active)?;
+        // A detached host reports nothing for the day, not half of it.
+        self.day.forget_trades_of(param_set);
+        Ok(())
     }
 
     /// Feed one epoch of quotes, quiesce, and drain the cut.
@@ -285,7 +300,13 @@ impl LiveSweepSession {
             session.feed(self.src, Message::Quote(q, Cause::none()));
         }
         session.quiesce();
-        let messages = session.drain_sink(self.sink);
+        let mut messages = Vec::new();
+        for msg in session.drain_sink(self.sink) {
+            match msg {
+                Message::Basket(_) | Message::Trades(_) => self.day.fold(msg),
+                other => messages.push(other),
+            }
+        }
         let snapshots = session
             .drain_sink(self.tap)
             .into_iter()
@@ -360,25 +381,22 @@ impl LiveSweepSession {
         self.reconfigs
     }
 
-    /// End the day: propagate EOF, collect the final flush (end-of-day
-    /// trade reports, last baskets) and the final incarnation's
-    /// telemetry.
+    /// End the day: propagate EOF, fold the final flush (end-of-day
+    /// closes, last baskets) into what the cuts drained, and collect the
+    /// final incarnation's telemetry.
     pub fn finish(mut self) -> LiveOutput {
         let session = self.session.take().expect("live session open");
         let node_names = session.node_names();
         let mut out = session.finish();
-        let mut trades_per_param: Vec<Vec<Trade>> = vec![Vec::new(); self.cfg.specs.len()];
-        let mut baskets = Vec::new();
-        let mut health_events = Vec::new();
+        let mut day = std::mem::take(&mut self.day);
         for msg in out.take_sink(self.sink) {
-            match msg {
-                Message::Trades(t) => trades_per_param[t.param_set].extend(t.iter().copied()),
-                Message::Basket(b) => baskets.push(b),
-                Message::Health(h) => health_events.push(h),
-                _ => {}
-            }
+            day.fold(msg);
         }
-        health_events.sort_by_key(|h| (h.interval, h.symbol));
+        let SinkOutput {
+            trades_per_param,
+            baskets,
+            health_events,
+        } = day.finish(self.cfg.specs.len());
         let lineage = out
             .telemetry
             .as_ref()

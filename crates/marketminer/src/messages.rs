@@ -102,6 +102,28 @@ pub struct SignalFrame {
 }
 
 impl SignalFrame {
+    /// The frame of an interval whose bar has closed while the stream's
+    /// correlation engine is still filling its window: no prices, no
+    /// series. Hosts trade nothing on it; it only advances their
+    /// watermark (see [`OrderBatch`]).
+    pub fn not_warm(interval: usize, stream: usize, cause: Cause) -> SignalFrame {
+        SignalFrame {
+            interval,
+            stream,
+            prices: Vec::new(),
+            corr: Vec::new(),
+            w_returns: Vec::new(),
+            averages: Vec::new(),
+            spread_ranges: Vec::new(),
+            cause,
+        }
+    }
+
+    /// False for a [`SignalFrame::not_warm`] frame.
+    pub fn is_warm(&self) -> bool {
+        !self.prices.is_empty()
+    }
+
     /// The series computed over `window`, if the frame carries one.
     pub fn series<T>(list: &[Windowed<T>], window: usize) -> Option<&T> {
         list.iter().find(|w| w.window == window).map(|w| &w.values)
@@ -142,7 +164,29 @@ pub struct OrderRequest {
     /// True when this order requires human confirmation before release —
     /// Figure 1 shows both confirmed and unconfirmed order paths.
     pub needs_confirmation: bool,
-    /// Causal provenance (stamped by the runtime at `Full`).
+    /// Causal provenance: unset inside a batch; the gateway copies the
+    /// id of the [`OrderBatch`] the order arrived in (set at `Full`).
+    pub cause: Cause,
+}
+
+/// Every order one strategy host generated at one interval — possibly
+/// none. A host emits exactly one batch per signal frame it consumes, in
+/// interval order, so the batch is also the host's **watermark**: once a
+/// consumer has seen `interval = t` from a host, that host will never
+/// again produce an order for an interval `<= t`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OrderBatch {
+    /// Interval the batch covers.
+    pub interval: usize,
+    /// The parameter set (strategy host) the batch comes from.
+    pub param_set: usize,
+    /// The host's strategy family.
+    pub strategy: StrategyKind,
+    /// The orders, in generation order; each carries the batch's
+    /// `interval`, `param_set` and `strategy`.
+    pub orders: Vec<OrderRequest>,
+    /// Causal provenance of the whole batch (stamped by the runtime at
+    /// `Full`); the gateway hands its id down to the member orders.
     pub cause: Cause,
 }
 
@@ -159,15 +203,18 @@ pub struct Basket {
     pub cause: Cause,
 }
 
-/// The end-of-day trade report of one strategy host, tagged with the
-/// parameter set that produced it so a merged sink can attribute trades.
+/// Trades one strategy host closed together — at one interval, on one
+/// health transition, or at end of day — tagged with the parameter set
+/// that produced them so a merged sink can attribute trades. A host's
+/// reports concatenated in emission order are its day in closing order
+/// ([`crate::pipeline::collect_sweep_output`] regroups them by pair).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TradeReport {
     /// Index of the parameter set (strategy host) the trades belong to.
     pub param_set: usize,
     /// Which strategy family produced the trades.
     pub strategy: StrategyKind,
-    /// The day's completed trades, in strategy order.
+    /// The trades, in closing order.
     pub trades: Vec<Trade>,
     /// Causal provenance (stamped by the runtime at `Full`).
     pub cause: Cause,
@@ -241,11 +288,11 @@ pub enum Message {
     Corr(Arc<CorrSnapshot>),
     /// One interval of shared strategy-host inputs for one stream.
     Signals(Arc<SignalFrame>),
-    /// An order request.
-    Order(Arc<OrderRequest>),
+    /// One host's orders for one interval (and its watermark).
+    Orders(Arc<OrderBatch>),
     /// An aggregated order basket.
     Basket(Arc<Basket>),
-    /// End-of-day trade report from a strategy node.
+    /// Closed trades from a strategy node.
     Trades(Arc<TradeReport>),
     /// A per-symbol health transition (degradation control plane).
     Health(Arc<HealthEvent>),
@@ -266,15 +313,16 @@ impl Message {
             Message::Returns(r) => Some(r.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
             Message::Signals(f) => Some(f.interval as u64),
-            Message::Order(o) => Some(o.interval as u64),
+            Message::Orders(b) => Some(b.interval as u64),
             Message::Basket(b) => Some(b.interval as u64),
             Message::Health(h) => Some(h.interval as u64),
             Message::Quote(..) | Message::Trades(_) | Message::Eof => None,
         }
     }
 
-    /// The message's causal context, if it carries one (everything but
-    /// the runtime-internal `Eof`).
+    /// The message's causal context, if it carries one: everything but
+    /// the runtime-internal `Eof` and an empty order batch, which is a
+    /// bare watermark — no data item, so no identity to stamp or record.
     pub fn cause(&self) -> Option<&Cause> {
         match self {
             Message::Quote(_, c) => Some(c),
@@ -282,7 +330,7 @@ impl Message {
             Message::Returns(r) => Some(&r.cause),
             Message::Corr(c) => Some(&c.cause),
             Message::Signals(f) => Some(&f.cause),
-            Message::Order(o) => Some(&o.cause),
+            Message::Orders(b) => (!b.orders.is_empty()).then_some(&b.cause),
             Message::Basket(b) => Some(&b.cause),
             Message::Trades(t) => Some(&t.cause),
             Message::Health(h) => Some(&h.cause),
@@ -301,7 +349,8 @@ impl Message {
             Message::Returns(r) => Some(&mut Arc::make_mut(r).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
             Message::Signals(f) => Some(&mut Arc::make_mut(f).cause),
-            Message::Order(o) => Some(&mut Arc::make_mut(o).cause),
+            Message::Orders(b) if b.orders.is_empty() => None,
+            Message::Orders(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Basket(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Trades(t) => Some(&mut Arc::make_mut(t).cause),
             Message::Health(h) => Some(&mut Arc::make_mut(h).cause),
@@ -309,15 +358,14 @@ impl Message {
         }
     }
 
-    /// Short tag for debugging and sink filtering.
     /// Human-facing annotation for the lineage ring: which strategy
-    /// family produced an order, and — for trade reports — the exit
+    /// family produced an order batch, and — for trade reports — the exit
     /// reasons booked (distinct, in trade order, so overlay exits like
     /// `overlay-stop` are visible in `explain_trade`). Structural
     /// messages carry none.
     pub fn lineage_detail(&self) -> Option<String> {
         match self {
-            Message::Order(o) => Some(o.strategy.as_str().to_string()),
+            Message::Orders(b) => Some(b.strategy.as_str().to_string()),
             Message::Trades(t) => {
                 let mut reasons: Vec<&'static str> = Vec::new();
                 for trade in &t.trades {
@@ -336,6 +384,7 @@ impl Message {
         }
     }
 
+    /// Short tag for debugging, sink filtering and lineage.
     pub fn kind(&self) -> &'static str {
         match self {
             Message::Quote(..) => "quote",
@@ -343,7 +392,7 @@ impl Message {
             Message::Returns(_) => "returns",
             Message::Corr(_) => "corr",
             Message::Signals(_) => "signals",
-            Message::Order(_) => "order",
+            Message::Orders(_) => "orders",
             Message::Basket(_) => "basket",
             Message::Trades(_) => "trades",
             Message::Health(_) => "health",
@@ -366,6 +415,36 @@ mod tests {
         });
         let msgs = [Message::Bars(b.clone()), Message::Bars(b)];
         assert_eq!(msgs[0].kind(), "bars");
+    }
+
+    #[test]
+    fn an_empty_batch_is_a_bare_watermark() {
+        let batch = |orders: Vec<OrderRequest>| {
+            Message::Orders(Arc::new(OrderBatch {
+                interval: 7,
+                param_set: 3,
+                strategy: StrategyKind::Paper,
+                orders,
+                cause: Cause::none(),
+            }))
+        };
+        let order = OrderRequest {
+            interval: 7,
+            param_set: 3,
+            strategy: StrategyKind::Paper,
+            stock: 0,
+            side: OrderSide::Buy,
+            shares: 1,
+            price: 10.0,
+            pair: (1, 0),
+            needs_confirmation: false,
+            cause: Cause::none(),
+        };
+        let mut empty = batch(Vec::new());
+        assert_eq!(empty.interval(), Some(7));
+        assert!(empty.cause().is_none() && empty.cause_mut().is_none());
+        let mut full = batch(vec![order]);
+        assert!(full.cause().is_some() && full.cause_mut().is_some());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! engine → signal node → pair-trading strategy host → risk manager →
 //! order gateway. The signal node also subscribes to the bar stream (the
 //! strategy needs prices, not just correlations) and hands the host one
-//! aligned frame per interval; a sink captures baskets and the
-//! end-of-day trade report.
+//! aligned frame per interval; a sink captures baskets and trade reports
+//! as they become final, and [`collect_sweep_output`] folds what any
+//! driver drained from it into the run's output.
 
 use std::sync::Arc;
 
@@ -27,6 +28,7 @@ use crate::messages::{Basket, HealthEvent, Message};
 use crate::node::Source;
 use crate::runtime::Runtime;
 use crate::supervisor::{NodeFailure, StallEvent};
+use stats::matrix::SymMatrix;
 use telemetry::TelemetryReport;
 
 /// Configuration of the Figure-1 pipeline run.
@@ -154,19 +156,13 @@ pub fn run_fig1_pipeline_with(
     g.connect(gateway, sink);
 
     let mut out = runtime.run(g)?;
-    let mut trades = Vec::new();
-    let mut baskets = Vec::new();
-    let mut health_events = Vec::new();
-    for msg in out.take_sink(sink) {
-        match msg {
-            Message::Trades(t) => trades.extend(t.iter().copied()),
-            Message::Basket(b) => baskets.push(b),
-            Message::Health(h) => health_events.push(h),
-            _ => {}
-        }
-    }
+    let SinkOutput {
+        mut trades_per_param,
+        baskets,
+        health_events,
+    } = collect_sweep_output(1, out.take_sink(sink));
     Ok(Fig1Output {
-        trades,
+        trades: trades_per_param.swap_remove(0),
         baskets,
         health_events,
         node_stats: out.node_stats,
@@ -184,7 +180,7 @@ pub fn run_fig1_pipeline_with(
 /// series its hosts share (`C̄`, relative drop, spread range, trailing
 /// returns — one per distinct window) and fans a frame out to every
 /// strategy host on the stream; all hosts merge into one shared risk manager, one
-/// bucketed order gateway and one sink. This is the paper's "Approach 3"
+/// watermark-flushed order gateway and one sink. This is the paper's "Approach 3"
 /// deployment: 42 parameter sets share 9 correlation streams instead of
 /// running 42 independent pipelines — and since the host is generic over
 /// the [`StrategySpec`] algebra, one graph can mix paper, Kalman and
@@ -319,8 +315,8 @@ pub struct SweepOutput {
     /// End-of-day trades per parameter set (index-aligned with
     /// `SweepConfig::specs`), attributed via `TradeReport::param_set`.
     pub trades_per_param: Vec<Vec<Trade>>,
-    /// Order baskets from the shared bucketed gateway, in interval order
-    /// with canonically sorted rows.
+    /// Order baskets from the shared gateway, in interval order with
+    /// canonically sorted rows.
     pub baskets: Vec<Arc<Basket>>,
     /// Health transitions that reached the sink, in canonical
     /// `(interval, symbol)` order (fan-in arrival order is not
@@ -342,6 +338,118 @@ pub struct SweepOutput {
 /// Build and run the shared-stream sweep DAG over one day of quotes.
 pub fn run_sweep_pipeline(day: DayData, cfg: &SweepConfig) -> Result<SweepOutput, GraphError> {
     run_sweep_pipeline_with(Runtime::new(), Box::new(ReplayCollector::new(day)), cfg)
+}
+
+/// What a sweep graph's order sink delivered: the one reading of its
+/// messages every driver shares, fed in one drain or many and put in
+/// report order by [`SinkOutput::finish`].
+#[derive(Debug, Default)]
+pub(crate) struct SinkOutput {
+    /// Trades per parameter set, in arrival order (a host reports in
+    /// closing order) until `finish` regroups them by pair.
+    pub(crate) trades_per_param: Vec<Vec<Trade>>,
+    /// Baskets, in arrival (interval) order.
+    pub(crate) baskets: Vec<Arc<Basket>>,
+    /// Health transitions; canonical `(interval, symbol)` order after
+    /// `finish` (fan-in arrival order is not deterministic; the content
+    /// is).
+    pub(crate) health_events: Vec<Arc<HealthEvent>>,
+}
+
+impl SinkOutput {
+    /// Fold one sink message in: a trade report joins its parameter
+    /// set's trades, baskets and health transitions are kept, anything
+    /// else is not output.
+    pub(crate) fn fold(&mut self, msg: Message) {
+        match msg {
+            Message::Trades(t) => {
+                if self.trades_per_param.len() <= t.param_set {
+                    self.trades_per_param.resize(t.param_set + 1, Vec::new());
+                }
+                self.trades_per_param[t.param_set].extend_from_slice(&t.trades);
+            }
+            Message::Basket(b) => self.baskets.push(b),
+            Message::Health(h) => self.health_events.push(h),
+            _ => {}
+        }
+    }
+
+    /// Forget what parameter set `param_set` reported so far.
+    pub(crate) fn forget_trades_of(&mut self, param_set: usize) {
+        if let Some(trades) = self.trades_per_param.get_mut(param_set) {
+            trades.clear();
+        }
+    }
+
+    /// The day in report order over (at least) `n_params` parameter
+    /// sets: each set's trades stably sorted by pair rank — a pair's
+    /// trades together, still in closing order, which is what a host
+    /// closing its own books at the end of day reported.
+    pub(crate) fn finish(mut self, n_params: usize) -> SinkOutput {
+        let slots = self.trades_per_param.len().max(n_params);
+        self.trades_per_param.resize(slots, Vec::new());
+        for trades in &mut self.trades_per_param {
+            trades.sort_by_key(|t| SymMatrix::pair_rank(t.pair.0, t.pair.1));
+        }
+        self.health_events.sort_by_key(|h| (h.interval, h.symbol));
+        self
+    }
+}
+
+/// Fold everything a sweep graph's order sink delivered over a day into
+/// the run's output over `n_params` parameter sets.
+pub(crate) fn collect_sweep_output(
+    n_params: usize,
+    msgs: impl IntoIterator<Item = Message>,
+) -> SinkOutput {
+    let mut day = SinkOutput::default();
+    for msg in msgs {
+        day.fold(msg);
+    }
+    day.finish(n_params)
+}
+
+/// How results left a finished run, from its telemetry: what the hosts
+/// streamed and the gateway had to hold, and — for a fleet report, whose
+/// supervisor records one row per rank — what the durable cuts cost.
+/// Rendered by `profile_report` and `fleet_sweep --profile`.
+pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
+    let gauge_peak = |name: &str| {
+        (metrics.gauges.iter())
+            .filter(|((_, n), _)| n == name)
+            .map(|(_, v)| *v)
+            .max()
+            .unwrap_or(0)
+    };
+    let mut out = String::from("\nresults leave when final\n");
+    out.push_str(&format!(
+        "  hosts    {} trades streamed in reports\n",
+        metrics.counter_total("trades.streamed")
+    ));
+    out.push_str(&format!(
+        "  gateway  {} baskets; at most {} intervals open, {} orders held\n",
+        metrics.counter_total("baskets.emitted"),
+        gauge_peak("gateway.open_buckets"),
+        gauge_peak("gateway.orders_held_max"),
+    ));
+    for ((label, name), saves) in &metrics.counters {
+        if name != "ckpt.saves" || *saves == 0 {
+            continue;
+        }
+        let p50 = |name: &str| {
+            metrics
+                .histogram(label, name)
+                .map_or(0, |h| h.quantile(0.5))
+        };
+        out.push_str(&format!(
+            "  {label:<8} {saves} cuts, {:.1} KB each; p50 capture {} us, encode {} us, write+fsync {} us\n",
+            metrics.counter(label, "ckpt.bytes") as f64 / 1e3 / *saves as f64,
+            p50("ckpt.capture_us"),
+            p50("ckpt.encode_us"),
+            p50("ckpt.write_us"),
+        ));
+    }
+    out
 }
 
 /// The built sweep DAG (the full grid, or one shard's slice of it),
@@ -431,9 +539,10 @@ pub(crate) fn build_sweep_graph_tapped(
     }
 
     // Shared back-end: one risk manager (per-param-set books), one
-    // bucketed gateway (fan-in-deterministic baskets), one sink.
+    // gateway that knows how many hosts it waits for (fan-in-deterministic
+    // baskets), one sink.
     let risk = g.add_component(Box::new(RiskManagerNode::new(cfg.limits)));
-    let gateway = g.add_component(Box::new(OrderGatewayNode::new().bucketed()));
+    let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(included.len())));
     let sink = g.add_sink("order-sink");
     g.connect(risk, gateway);
     g.connect(gateway, sink);
@@ -526,20 +635,11 @@ pub fn run_sweep_pipeline_with(
     } = build_sweep_graph(source, cfg, &all);
 
     let mut out = runtime.run(graph)?;
-    let mut trades_per_param = vec![Vec::new(); cfg.specs.len()];
-    let mut baskets = Vec::new();
-    let mut health_events = Vec::new();
-    for msg in out.take_sink(sink) {
-        match msg {
-            Message::Trades(t) => trades_per_param[t.param_set].extend(t.iter().copied()),
-            Message::Basket(b) => baskets.push(b),
-            Message::Health(h) => health_events.push(h),
-            _ => {}
-        }
-    }
-    // Fan-in makes health *arrival* order at the sink nondeterministic;
-    // the set of transitions is not. Canonicalise.
-    health_events.sort_by_key(|h| (h.interval, h.symbol));
+    let SinkOutput {
+        trades_per_param,
+        baskets,
+        health_events,
+    } = collect_sweep_output(cfg.specs.len(), out.take_sink(sink));
     Ok(SweepOutput {
         trades_per_param,
         baskets,
@@ -770,6 +870,79 @@ mod tests {
             limits: RiskLimits::default(),
         };
         let _ = run_multi_pipeline(day, &multi);
+    }
+
+    /// Results leave the graph when they are final, so what a durable
+    /// cut has to hold stops growing once every window has filled: over a
+    /// 16-stock day cut every 1000 quotes, the encoded session at the
+    /// last cut is at most twice its size at the first cut after the
+    /// slowest engine (M = 200) is warm, and at no cut does the gateway
+    /// hold an order.
+    #[test]
+    fn a_cut_holds_no_orders_and_does_not_grow_with_the_day() {
+        use crate::messages::OrderBatch;
+        use wire::Codec;
+
+        let n = 16;
+        let mut market = MarketConfig::small(n, 1, 2009);
+        market.micro.quote_rate_hz = 0.05;
+        let day = MarketGenerator::new(market).next_day().unwrap();
+        let cfg = SweepConfig::paper(n);
+        let all: Vec<usize> = (0..cfg.specs.len()).collect();
+        let placeholder = DayData::new(day.day, Vec::new(), n, Vec::new());
+        let SweepGraphParts { graph, sink, .. } =
+            build_sweep_graph(Box::new(ReplayCollector::new(placeholder)), &cfg, &all);
+        let session = Runtime::with_workers(2).session(graph).unwrap();
+        let src = session.source_ids()[0];
+        let gateway = (session.node_names().iter())
+            .position(|name| name == "order-gateway")
+            .expect("the sweep graph has a gateway");
+        let dt = cfg.specs[0].dt_seconds();
+
+        let mut delivered = SinkOutput::default();
+        let (mut first_warm, mut last) = (None, 0usize);
+        for chunk in day.quotes().chunks(1000) {
+            for &q in chunk {
+                session.feed(src, Message::Quote(q, crate::messages::Cause::none()));
+            }
+            session.quiesce();
+            for msg in session.drain_sink(sink) {
+                delivered.fold(msg);
+            }
+            let ckpt = session.capture().unwrap();
+            // The gateway's state: watermarks, held batches, a counter.
+            let state = ckpt.nodes[gateway].state.as_deref().unwrap();
+            let r = &mut wire::Reader::new(state);
+            let watermarks = Vec::<(usize, usize)>::decode(r).unwrap();
+            let held = Vec::<(usize, Vec<OrderBatch>)>::decode(r).unwrap();
+            assert_eq!(watermarks.len(), cfg.specs.len(), "every host reports");
+            assert!(held.is_empty(), "the gateway held orders at a cut");
+
+            last = wire::to_bytes(&ckpt).len();
+            let interval = chunk.last().unwrap().ts.interval(dt);
+            if first_warm.is_none() && interval > 201 {
+                first_warm = Some(last);
+            }
+        }
+        let first_warm = first_warm.expect("the day outlasts the slowest warm-up");
+        assert!(
+            last <= 2 * first_warm,
+            "a cut grew with the day: {first_warm} bytes once warm, {last} at the close"
+        );
+        // The cuts really carried the day out — what is left for the
+        // close is the interval whose batches were still open and the one
+        // whose bar only closes with the stream — and the finished day is
+        // the free-running one.
+        let early = delivered.baskets.len();
+        for msg in session.finish().take_sink(sink) {
+            delivered.fold(msg);
+        }
+        let got = delivered.finish(cfg.specs.len());
+        let late = got.baskets.len() - early;
+        assert!(early > 600 && late <= 2, "{early} early, {late} late");
+        let want = run_sweep_pipeline(day, &cfg).unwrap();
+        assert_eq!(got.trades_per_param, want.trades_per_param);
+        assert_eq!(got.baskets, want.baskets);
     }
 
     #[test]

@@ -493,11 +493,10 @@ impl RunTelemetry {
 
     /// Record delivery of a message at consumer `idx`: the hop latency
     /// into `hop.us`, plus a Chrome flow event binding the producer's
-    /// stamp to this delivery. Quotes get neither and orders get no flow
-    /// arrow — the two per-tick/per-pair firehoses would flood the
-    /// bounded tracer (a 10-stock day produces >1M order-flow halves,
-    /// evicting every later span) and drown the Perfetto view; their
-    /// provenance still lives in the lineage ring, and order hop latency
+    /// stamp to this delivery. Quotes get neither and order batches get
+    /// no flow arrow — a per-tick and a per-host-per-interval firehose
+    /// would crowd the bounded tracer and drown the Perfetto view; their
+    /// provenance still lives in the lineage ring, and batch hop latency
     /// still lands in the histogram.
     fn note_delivery(&self, idx: usize, msg: &Message) {
         if matches!(msg, Message::Quote(..)) {
@@ -509,7 +508,7 @@ impl RunTelemetry {
         }
         let now = self.tel.now_us();
         self.hop_us[idx].observe(now.saturating_sub(c.wall_us));
-        if matches!(msg, Message::Order(..)) {
+        if matches!(msg, Message::Orders(..)) {
             return;
         }
         self.tel.tracer.flow(

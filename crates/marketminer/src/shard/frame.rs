@@ -54,8 +54,9 @@ pub enum Frame {
         /// Next result sequence the worker will emit.
         seq: u64,
     },
-    /// Worker → supervisor: one epoch's drained sink output. Sequenced
-    /// for exactly-once delivery across respawns.
+    /// Worker → supervisor: one epoch's drained sink output — the baskets
+    /// and trade reports that became final during it. Sequenced for
+    /// exactly-once delivery across respawns.
     Results {
         /// Monotone frame sequence (per worker lifetime, survives
         /// respawn via `resume_seq`).
@@ -77,6 +78,10 @@ pub enum Frame {
         write_us: u64,
         /// Number of fsync calls issued.
         fsyncs: u64,
+        /// Microseconds capturing every node's durable state.
+        capture_us: u64,
+        /// Microseconds encoding the capture into the payload.
+        encode_us: u64,
     },
     /// Worker → supervisor: tape exhausted, all results transmitted.
     Done {
@@ -148,12 +153,16 @@ impl Codec for Frame {
                 bytes,
                 write_us,
                 fsyncs,
+                capture_us,
+                encode_us,
             } => {
                 3u8.encode(w);
                 epoch.encode(w);
                 bytes.encode(w);
                 write_us.encode(w);
                 fsyncs.encode(w);
+                capture_us.encode(w);
+                encode_us.encode(w);
             }
             Frame::Done { final_seq } => {
                 4u8.encode(w);
@@ -218,6 +227,8 @@ impl Codec for Frame {
                 bytes: u64::decode(r)?,
                 write_us: u64::decode(r)?,
                 fsyncs: u64::decode(r)?,
+                capture_us: u64::decode(r)?,
+                encode_us: u64::decode(r)?,
             },
             4 => Frame::Done {
                 final_seq: u64::decode(r)?,
@@ -288,6 +299,8 @@ mod tests {
                 bytes: 4096,
                 write_us: 180,
                 fsyncs: 4,
+                capture_us: 35,
+                encode_us: 60,
             },
             Frame::Done { final_seq: 12 },
             Frame::Shutdown,

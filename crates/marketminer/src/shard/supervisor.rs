@@ -47,10 +47,10 @@ use super::frame::Frame;
 use super::transport::{Endpoint, Listener};
 use super::worker::ShardJob;
 use super::{ShardConfig, JOB_FILE, NODE_STRIDE, SHARDS_ENV, TAPE_FILE};
-use crate::components::order_gateway::canonical_key;
+use crate::components::order_gateway::basket_of;
 use crate::graph::GraphError;
-use crate::messages::{Basket, Cause, HealthEvent, Message, OrderRequest};
-use crate::pipeline::SweepConfig;
+use crate::messages::{Basket, HealthEvent, Message, OrderRequest};
+use crate::pipeline::{collect_sweep_output, SinkOutput, SweepConfig};
 
 /// How one rank ended the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,8 +71,8 @@ pub struct ShardExitReport {
 /// Merged output of a sharded sweep run.
 #[derive(Debug)]
 pub struct ShardSweepOutput {
-    /// End-of-day trades per parameter set (index-aligned with
-    /// `SweepConfig::params`; empty for degraded-masked sets).
+    /// The day's trades per parameter set (index-aligned with
+    /// `SweepConfig::specs`; empty for degraded-masked sets).
     pub trades_per_param: Vec<Vec<Trade>>,
     /// Baskets merged across shards: orders bucketed by interval,
     /// canonically sorted — bit-identical however the fleet interleaved.
@@ -194,7 +194,10 @@ impl ShardRunner {
         }
     }
 
-    /// Supervisor telemetry level (default `Counters`).
+    /// Telemetry level of the fleet — the supervisor's own accounting
+    /// and every worker's runtime (default `Counters`). Lineage and the
+    /// merged trace need `Full`; at `Off` workers stamp, record and
+    /// uplink nothing.
     pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
         self.level = level;
         self
@@ -225,6 +228,8 @@ impl ShardRunner {
             .arg(self.cfg.epoch_quotes.to_string())
             .arg("--heartbeat-ms")
             .arg(self.cfg.heartbeat.as_millis().max(1).to_string())
+            .arg("--telemetry")
+            .arg(self.level.as_str())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .spawn()
@@ -518,6 +523,8 @@ impl ShardRunner {
                             bytes,
                             write_us,
                             fsyncs,
+                            capture_us,
+                            encode_us,
                         } => {
                             let state = &mut states[rank];
                             state.last_heartbeat = Instant::now();
@@ -526,6 +533,8 @@ impl ShardRunner {
                             probe.count("ckpt.bytes", bytes);
                             probe.count("ckpt.fsyncs", fsyncs);
                             probe.observe("ckpt.write_us", write_us);
+                            probe.observe("ckpt.capture_us", capture_us);
+                            probe.observe("ckpt.encode_us", encode_us);
                         }
                         Frame::Telemetry {
                             seq,
@@ -628,7 +637,6 @@ impl ShardRunner {
         let mut trades_per_param: Vec<Vec<Trade>> = vec![Vec::new(); sweep.specs.len()];
         let mut buckets: BTreeMap<usize, Vec<OrderRequest>> = BTreeMap::new();
         let mut health_events: Vec<std::sync::Arc<HealthEvent>> = Vec::new();
-        let mut health_from: Option<usize> = None;
         let mut lineage: BTreeMap<EventId, LineageEvent> = BTreeMap::new();
         let mut reports = Vec::with_capacity(states.len());
         let mut degraded_params = Vec::new();
@@ -654,25 +662,24 @@ impl ShardRunner {
                     .extend((0..sweep.specs.len()).filter(|k| k % self.cfg.shards == rank));
                 continue;
             }
-            for msg in state.messages {
-                match msg {
-                    Message::Trades(t) => {
-                        trades_per_param[t.param_set].extend(t.iter().copied());
-                    }
-                    Message::Basket(b) => {
-                        buckets
-                            .entry(b.interval)
-                            .or_default()
-                            .extend(b.orders.iter().cloned());
-                    }
-                    // Every shard runs the identical bar/health chain over
-                    // the full tape; keep the first completing rank's copy.
-                    Message::Health(h) if health_from.is_none() || health_from == Some(rank) => {
-                        health_from = Some(rank);
-                        health_events.push(h);
-                    }
-                    _ => {}
+            let SinkOutput {
+                trades_per_param: trades,
+                baskets,
+                health_events: health,
+            } = collect_sweep_output(sweep.specs.len(), state.messages);
+            // A parameter set lives on exactly one rank.
+            for (slot, trades) in trades_per_param.iter_mut().zip(trades) {
+                if !trades.is_empty() {
+                    *slot = trades;
                 }
+            }
+            for b in baskets {
+                (buckets.entry(b.interval).or_default()).extend(b.orders.iter().cloned());
+            }
+            // Every shard runs the identical bar/health chain over the
+            // full tape; keep the first completing rank's copy.
+            if health_events.is_empty() {
+                health_events = health;
             }
             for (id, ev) in state.lineage {
                 lineage.entry(id).or_insert(ev);
@@ -758,17 +765,8 @@ impl ShardRunner {
 
         let baskets = buckets
             .into_iter()
-            .map(|(interval, mut orders)| {
-                orders.sort_by_key(canonical_key);
-                let cause = Cause::derived(orders.iter().map(|o| o.cause.id));
-                std::sync::Arc::new(Basket {
-                    interval,
-                    orders,
-                    cause,
-                })
-            })
+            .map(|(interval, orders)| std::sync::Arc::new(basket_of(interval, orders)))
             .collect();
-        health_events.sort_by_key(|h| (h.interval, h.symbol));
         degraded_params.sort_unstable();
 
         ShardSweepOutput {

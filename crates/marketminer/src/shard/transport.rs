@@ -32,6 +32,8 @@ use wire::{crc32, Codec};
 /// one epoch's drained results for a 42-strategy shard — is tens of
 /// kilobytes; anything near this bound is corruption.
 const MAX_FRAME: u32 = 64 << 20;
+/// Frame header: `len: u32 LE | crc: u32 LE`.
+const HEADER_LEN: usize = 8;
 
 /// Where a framed connection lands: a Unix-domain socket path, or a TCP
 /// address for multi-host fleets.
@@ -227,19 +229,17 @@ impl FramedConn {
 
     /// Send one frame: length + CRC header, then the payload.
     pub fn send<T: Codec>(&mut self, frame: &T) -> io::Result<()> {
-        let payload = wire::to_bytes(frame);
-        let len = u32::try_from(payload.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "frame too large",
-            ));
-        }
-        let mut buf = Vec::with_capacity(8 + payload.len());
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        // Encode behind room for the header: one buffer, one write.
+        let mut w = wire::Writer::with_header(HEADER_LEN);
+        frame.encode(&mut w);
+        let mut buf = w.into_bytes();
+        let len = u32::try_from(buf.len() - HEADER_LEN)
+            .ok()
+            .filter(|&len| len <= MAX_FRAME)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        let crc = crc32(&buf[HEADER_LEN..]);
+        buf[..4].copy_from_slice(&len.to_le_bytes());
+        buf[4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         self.stream.write_all(&buf)?;
         self.stream.flush()
     }
@@ -248,7 +248,7 @@ impl FramedConn {
     /// boundary is `io::ErrorKind::UnexpectedEof` (a cleanly closed
     /// peer); corruption is `io::ErrorKind::InvalidData`.
     pub fn recv<T: Codec>(&mut self) -> io::Result<T> {
-        let mut header = [0u8; 8];
+        let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
         let len = u32::from_le_bytes(header[..4].try_into().expect("sized"));
         let want_crc = u32::from_le_bytes(header[4..].try_into().expect("sized"));

@@ -24,7 +24,7 @@ use wire::{Codec, Reader, WireError, Writer};
 
 use crate::messages::{
     AvgSignals, BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message,
-    OrderRequest, OrderSide, ReturnSet, SignalFrame, TradeReport, Windowed,
+    OrderBatch, OrderRequest, OrderSide, ReturnSet, SignalFrame, TradeReport, Windowed,
 };
 
 /// Encode a [`Cause`].
@@ -55,7 +55,7 @@ pub fn intern_kind(kind: &str) -> Result<&'static str, WireError> {
         "returns" => "returns",
         "corr" => "corr",
         "signals" => "signals",
-        "order" => "order",
+        "orders" => "orders",
         "basket" => "basket",
         "trades" => "trades",
         "health" => "health",
@@ -188,6 +188,26 @@ impl Codec for OrderRequest {
             price: f64::decode(r)?,
             pair: <(usize, usize)>::decode(r)?,
             needs_confirmation: bool::decode(r)?,
+            cause: decode_cause(r)?,
+        })
+    }
+}
+
+impl Codec for OrderBatch {
+    fn encode(&self, w: &mut Writer) {
+        self.interval.encode(w);
+        self.param_set.encode(w);
+        self.strategy.encode(w);
+        self.orders.encode(w);
+        encode_cause(&self.cause, w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(OrderBatch {
+            interval: usize::decode(r)?,
+            param_set: usize::decode(r)?,
+            strategy: Codec::decode(r)?,
+            orders: Vec::decode(r)?,
             cause: decode_cause(r)?,
         })
     }
@@ -359,10 +379,6 @@ impl Codec for Message {
                 3u8.encode(w);
                 x.as_ref().encode(w);
             }
-            Message::Order(x) => {
-                4u8.encode(w);
-                x.as_ref().encode(w);
-            }
             Message::Basket(x) => {
                 5u8.encode(w);
                 x.as_ref().encode(w);
@@ -380,6 +396,10 @@ impl Codec for Message {
                 9u8.encode(w);
                 x.as_ref().encode(w);
             }
+            Message::Orders(x) => {
+                10u8.encode(w);
+                x.as_ref().encode(w);
+            }
         }
     }
 
@@ -393,12 +413,14 @@ impl Codec for Message {
             1 => Message::Bars(Arc::new(BarSet::decode(r)?)),
             2 => Message::Returns(Arc::new(ReturnSet::decode(r)?)),
             3 => Message::Corr(Arc::new(CorrSnapshot::decode(r)?)),
-            4 => Message::Order(Arc::new(OrderRequest::decode(r)?)),
+            // 4 was the single-order message; a peer still sending it
+            // predates order batches and is refused here.
             5 => Message::Basket(Arc::new(Basket::decode(r)?)),
             6 => Message::Trades(Arc::new(TradeReport::decode(r)?)),
             7 => Message::Health(Arc::new(HealthEvent::decode(r)?)),
             8 => Message::Eof,
             9 => Message::Signals(Arc::new(SignalFrame::decode(r)?)),
+            10 => Message::Orders(Arc::new(OrderBatch::decode(r)?)),
             _ => return Err(WireError::Invalid("message tag")),
         })
     }
@@ -719,7 +741,13 @@ mod tests {
                 matrix: stats::matrix::SymMatrix::identity(3),
                 cause: cause(),
             })),
-            Message::Order(Arc::new(order.clone())),
+            Message::Orders(Arc::new(OrderBatch {
+                interval: 9,
+                param_set: 41,
+                strategy: pairtrade_core::spec::StrategyKind::Paper,
+                orders: vec![order.clone()],
+                cause: cause(),
+            })),
             Message::Basket(Arc::new(Basket {
                 interval: 9,
                 orders: vec![order],
@@ -787,6 +815,7 @@ mod tests {
                 (Message::Bars(a), Message::Bars(b)) => assert_eq!(a, b),
                 (Message::Trades(a), Message::Trades(b)) => assert_eq!(a, b),
                 (Message::Basket(a), Message::Basket(b)) => assert_eq!(a, b),
+                (Message::Orders(a), Message::Orders(b)) => assert_eq!(a, b),
                 // NaN cells: compare the re-encoding, not the values.
                 (Message::Signals(_), Message::Signals(_)) => {
                     assert_eq!(wire::to_bytes(&back), bytes);
@@ -818,6 +847,7 @@ mod tests {
             intern_kind("basket").unwrap().as_ptr()
         ));
         assert!(intern_kind("nonsense").is_err());
+        assert!(intern_kind("order").is_err(), "retired with the variant");
     }
 
     #[test]

@@ -17,18 +17,21 @@
 //!    atomically ([`CheckpointStore`]), reporting the write cost in a
 //!    [`Frame::CkptDone`].
 //!
-//! The bulk of the sweep's output — end-of-day trade reports and the
-//! bucketed gateway's baskets — lands at [`RunSession::finish`], and
-//! rides out in one final `Results` frame (`seq == n_epochs`) before
-//! [`Frame::Done`]. A worker killed anywhere in this cycle restores the
-//! newest valid checkpoint on respawn and regenerates exactly the frames
-//! the supervisor has not yet accepted.
+//! Baskets and trade reports leave the graph as they become final, so
+//! each epoch's `Results` frame carries that epoch's, and a checkpoint
+//! holds what a restart needs — engine windows, signal planes, open
+//! positions — not the day so far. What is left at
+//! [`RunSession::finish`] — the last interval's basket and the
+//! end-of-day closes — rides out in one final `Results` frame
+//! (`seq == n_epochs`) before [`Frame::Done`]. A worker killed anywhere
+//! in this cycle restores the newest valid checkpoint on respawn and
+//! regenerates exactly the frames the supervisor has not yet accepted.
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pairtrade_core::ckpt::{CheckpointStore, CkptError};
 use taq::dataset::DayData;
@@ -170,6 +173,10 @@ pub struct WorkerArgs {
     pub epoch_quotes: usize,
     /// Heartbeat period.
     pub heartbeat: Duration,
+    /// Telemetry level of the worker's runtime — the fleet's
+    /// ([`super::ShardRunner::with_telemetry`]): at `Off` nothing is
+    /// stamped, recorded or uplinked.
+    pub telemetry: TelemetryLevel,
 }
 
 impl WorkerArgs {
@@ -182,6 +189,7 @@ impl WorkerArgs {
         let mut resume_seq = 0u64;
         let mut epoch_quotes = None;
         let mut heartbeat_ms = 200u64;
+        let mut telemetry = None;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -198,6 +206,14 @@ impl WorkerArgs {
                 "--resume-seq" => resume_seq = num()?,
                 "--epoch-quotes" => epoch_quotes = Some(num()? as usize),
                 "--heartbeat-ms" => heartbeat_ms = num()?,
+                "--telemetry" => {
+                    telemetry = Some(match value.as_str() {
+                        "off" => TelemetryLevel::Off,
+                        "counters" => TelemetryLevel::Counters,
+                        "full" => TelemetryLevel::Full,
+                        other => return Err(format!("{flag}: unknown level {other}")),
+                    })
+                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -209,6 +225,7 @@ impl WorkerArgs {
             resume_seq,
             epoch_quotes: epoch_quotes.ok_or("--epoch-quotes is required")?,
             heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
+            telemetry: telemetry.ok_or("--telemetry is required")?,
         })
     }
 }
@@ -317,7 +334,7 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
         &included,
     );
     let session: RunSession = Runtime::new()
-        .with_telemetry(TelemetryLevel::Full)
+        .with_telemetry(args.telemetry)
         .with_node_base(args.rank * NODE_STRIDE)
         .session(graph)
         .map_err(|e| bad_data(e.to_string()))?;
@@ -426,8 +443,11 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
             // Deliver-then-save: a kill between the two replays the epoch
             // and regenerates a byte-identical frame, which `resume_seq`
             // suppresses — exactly-once either way.
+            let t0 = Instant::now();
             let ckpt = session.capture().map_err(bad_data)?;
+            let t1 = Instant::now();
             let payload = wire::to_bytes(&ckpt);
+            let encode_us = t1.elapsed().as_micros() as u64;
             let report = store
                 .save(epoch, &payload)
                 .map_err(|e| bad_data(e.to_string()))?;
@@ -437,6 +457,8 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
                 bytes: report.bytes,
                 write_us: report.write_us,
                 fsyncs: report.fsyncs as u64,
+                capture_us: (t1 - t0).as_micros() as u64,
+                encode_us,
             })?;
             hb_epoch.store(epoch + 1, Ordering::Release);
         }
@@ -544,6 +566,8 @@ mod tests {
             "256",
             "--heartbeat-ms",
             "100",
+            "--telemetry",
+            "off",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -555,6 +579,14 @@ mod tests {
         assert_eq!(w.resume_seq, 5);
         assert_eq!(w.epoch_quotes, 256);
         assert_eq!(w.heartbeat, Duration::from_millis(100));
+        assert_eq!(w.telemetry, TelemetryLevel::Off);
+        let mut bad = args.clone();
+        *bad.last_mut().unwrap() = "verbose".into();
+        assert!(WorkerArgs::parse(&bad).is_err(), "unknown level");
+        assert!(
+            WorkerArgs::parse(&args[..args.len() - 2]).is_err(),
+            "the level is not optional: an Off fleet must not fall back to Full"
+        );
         assert!(WorkerArgs::parse(&["--rank".into()]).is_err());
         assert!(WorkerArgs::parse(&["--bogus".into(), "1".into()]).is_err());
     }

@@ -8,6 +8,9 @@
 //! Unix-socket transport, the durable checkpoint store, heartbeats,
 //! respawn with `--resume-seq`, and degraded masking when the restart
 //! budget runs out.
+//!
+//! Workers run at the fleet's telemetry level, so the tests that read
+//! lineage ask for `Full`; the rest run at the default (`Counters`).
 
 use std::path::PathBuf;
 
@@ -129,7 +132,10 @@ fn kill9_at_random_epochs_is_bit_identical_to_unkilled() {
         let cfg = test_config("unkilled", &day, shards);
         let n_epochs = epochs_in(&day, &cfg);
         assert!(n_epochs >= 4, "day too small to place interesting kills");
-        let clean = ShardRunner::new(cfg, WORKER_EXE).run(&day, &sweep).unwrap();
+        let clean = ShardRunner::new(cfg, WORKER_EXE)
+            .with_telemetry(TelemetryLevel::Full)
+            .run(&day, &sweep)
+            .unwrap();
         let clean_lineage = canon_lineage(&clean);
         assert!(!clean_lineage.is_empty(), "workers recorded no lineage");
 
@@ -147,6 +153,7 @@ fn kill9_at_random_epochs_is_bit_identical_to_unkilled() {
                 .collect();
             let cfg = test_config(&format!("kill-{seed}"), &day, shards);
             let out = ShardRunner::new(cfg, WORKER_EXE)
+                .with_telemetry(TelemetryLevel::Full)
                 .with_chaos(kills.clone())
                 .run(&day, &sweep)
                 .unwrap();
@@ -174,6 +181,173 @@ fn kill9_at_random_epochs_is_bit_identical_to_unkilled() {
                 "chaos plan {kills:?} killed nothing (shards={shards})"
             );
         }
+    }
+}
+
+/// Results leave the workers epoch by epoch, so every epoch boundary is a
+/// place where "already delivered" and "still in the checkpoint" must
+/// meet exactly: `kill -9` rank 0 of a two-rank fleet after each result
+/// frame in turn — every epoch's and the end-of-day flush — and each
+/// killed day equals the unkilled fleet (trades, baskets, health, and
+/// lineage at `Full`) and the in-process sweep (trades, baskets, health).
+#[test]
+fn kill9_at_every_epoch_equals_unkilled_and_in_process() {
+    let (day, n) = small_day(91);
+    let sweep = SweepConfig::paper(n);
+    let base = in_process_sweep(day.clone(), &sweep);
+    let shards = 2usize;
+
+    let cfg = test_config("every-clean", &day, shards);
+    let n_epochs = epochs_in(&day, &cfg);
+    let clean = ShardRunner::new(cfg, WORKER_EXE)
+        .with_telemetry(TelemetryLevel::Full)
+        .run(&day, &sweep)
+        .unwrap();
+    assert_eq!(base.trades_per_param, clean.trades_per_param);
+    assert_eq!(base.baskets, clean.baskets);
+    assert_eq!(base.health_events, clean.health_events);
+    let clean_lineage = canon_lineage(&clean);
+    // One result frame per epoch plus the end-of-day flush, and most of
+    // the day's baskets are out before the flush.
+    assert!(clean
+        .reports
+        .iter()
+        .all(|r| r.frames_accepted == n_epochs + 1));
+
+    for seq in 0..=n_epochs {
+        let cfg = test_config(&format!("every-{seq}"), &day, shards);
+        let out = ShardRunner::new(cfg, WORKER_EXE)
+            .with_telemetry(TelemetryLevel::Full)
+            .with_chaos(vec![(0, seq)])
+            .run(&day, &sweep)
+            .unwrap();
+        assert_eq!(out.reports[0].restarts, 1, "kill after frame {seq}");
+        assert!(out.degraded_params.is_empty());
+        assert_eq!(
+            clean.trades_per_param, out.trades_per_param,
+            "trades diverged, killed after frame {seq}"
+        );
+        assert_eq!(
+            clean.baskets, out.baskets,
+            "baskets diverged, killed after frame {seq}"
+        );
+        assert_eq!(clean.health_events, out.health_events);
+        assert_eq!(
+            clean_lineage,
+            canon_lineage(&out),
+            "lineage diverged, killed after frame {seq}"
+        );
+    }
+}
+
+/// A worker that finds only a checkpoint of the previous format version
+/// in its store (a fleet upgraded mid-day) must not touch it: it names
+/// the file in its `Hello`, the supervisor logs a `checkpoint.corrupt`
+/// flight, and the worker starts the day cold — its first result frame is
+/// epoch 0. The test plays supervisor to a real `shard_worker`.
+#[test]
+fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
+    use marketminer::shard::worker::ShardJob;
+    use marketminer::shard::{Endpoint, Frame, Listener, JOB_FILE, TAPE_FILE};
+
+    let (day, n) = small_day(91);
+    let sweep = SweepConfig::paper(n);
+    let dir = std::env::temp_dir().join(format!("mm-old-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+    std::fs::write(
+        dir.join(JOB_FILE),
+        wire::to_bytes(&ShardJob::from_sweep(&sweep)),
+    )
+    .unwrap();
+    taq::io::write_binary_file(&day, &dir.join(TAPE_FILE)).unwrap();
+    // The committed version-2 file: a valid header and CRC, epoch 7.
+    let old =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v2_prechange.bin");
+    std::fs::copy(old, dir.join("shard-0/ckpt-0000000007.bin")).unwrap();
+
+    let endpoint = Endpoint::Unix(dir.join("control.sock"));
+    let listener = Listener::bind(&endpoint).unwrap();
+    let mut child = std::process::Command::new(WORKER_EXE)
+        .args(["--rank", "0", "--shards", "1", "--resume-seq", "0"])
+        .args(["--epoch-quotes", "500", "--heartbeat-ms", "100"])
+        .args(["--telemetry", "counters"])
+        .arg("--socket")
+        .arg(endpoint.to_string())
+        .arg("--ckpt-dir")
+        .arg(&dir)
+        .spawn()
+        .unwrap();
+    let mut conn = listener.accept().unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let corrupt = match conn.recv::<Frame>().unwrap() {
+        Frame::Hello { corrupt, .. } => corrupt,
+        other => panic!("expected Hello, got {other:?}"),
+    };
+    assert_eq!(corrupt.len(), 1, "{corrupt:?}");
+    assert!(
+        corrupt[0].contains("ckpt-0000000007.bin") && corrupt[0].contains("format version 2"),
+        "{corrupt:?}"
+    );
+    let first = loop {
+        match conn.recv::<Frame>().unwrap() {
+            Frame::Results { seq, epoch, .. } => break (seq, epoch),
+            Frame::Done { .. } => panic!("the day ended without a result frame"),
+            _ => {}
+        }
+    };
+    assert_eq!(first, (0, 0), "a refused checkpoint means a cold start");
+    let _ = child.kill();
+    let _ = child.wait();
+
+    let tel = telemetry::Telemetry::build(TelemetryLevel::Counters, telemetry::Caps::default());
+    note_corrupt(&tel, 0, &corrupt);
+    let rendered = tel.finish().render();
+    assert!(rendered.contains("checkpoint.corrupt"), "{rendered}");
+    assert!(rendered.contains("format version 2"), "{rendered}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The two fleets the benchmark's sizing could not run (its README,
+/// "findings"): one rank carrying all 42 specs at n = 16, and two ranks
+/// at n = 24, a full day cut every 1000 quotes. With the day's orders
+/// and trades in every checkpoint and in one end-of-day frame they died
+/// on the transport's frame bound; with results leaving per epoch both
+/// complete with every parameter set. Minutes in a debug build: the
+/// `process-chaos` CI job runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "full-size fleets; run with --release (CI process-chaos job)"]
+fn one_rank_and_wide_fleets_complete_a_full_day() {
+    for (n, shards) in [(16usize, 1usize), (24, 2)] {
+        let mut market = MarketConfig::small(n, 1, 2009);
+        market.micro.quote_rate_hz = 0.05;
+        let day = MarketGenerator::new(market).next_day().unwrap();
+        let sweep = SweepConfig::paper(n);
+        let cfg = ShardConfig {
+            epoch_quotes: 1000,
+            heartbeat_timeout: std::time::Duration::from_secs(60),
+            ..test_config(&format!("wide-{n}"), &day, shards)
+        };
+        let ckpt_dir = cfg.ckpt_dir.clone();
+        let out = ShardRunner::new(cfg, WORKER_EXE)
+            .with_telemetry(TelemetryLevel::Off)
+            .run(&day, &sweep)
+            .unwrap();
+        assert!(out.degraded_params.is_empty(), "n={n}: {:?}", out.reports);
+        for r in &out.reports {
+            assert!(!r.degraded && r.restarts == 0, "n={n}: {r:?}");
+        }
+        assert!(
+            out.trades_per_param.iter().all(|t| !t.is_empty()),
+            "n={n}: a parameter set reported nothing"
+        );
+        assert!(
+            out.baskets.len() > 300,
+            "n={n}: {} baskets",
+            out.baskets.len()
+        );
+        let _ = std::fs::remove_dir_all(ckpt_dir);
     }
 }
 
@@ -599,6 +773,7 @@ fn lineage_explains_trades_across_shard_restart() {
     let cfg = test_config("explain", &day, shards);
     let n_epochs = epochs_in(&day, &cfg);
     let out = ShardRunner::new(cfg, WORKER_EXE)
+        .with_telemetry(TelemetryLevel::Full)
         .with_chaos(vec![(0, 1), (2, n_epochs / 2)])
         .run(&day, &sweep)
         .unwrap();

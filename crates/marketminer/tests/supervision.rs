@@ -7,7 +7,7 @@ use marketminer::components::risk::RiskLimits;
 use marketminer::components::technical::TechnicalAnalysisNode;
 use marketminer::components::{
     BarAccumulatorNode, CorrelationEngineNode, OrderGatewayNode, PanicInjector, ReplayCollector,
-    RiskManagerNode, StrategyHostNode, WedgeInjector,
+    RiskManagerNode, SignalNode, StrategyHostNode, WedgeInjector,
 };
 use marketminer::{
     Component, Fig1Config, Graph, Message, NodeOutcome, RestartPolicy, Runtime, SupervisionConfig,
@@ -75,12 +75,15 @@ fn fig1_with_corr_tap(
         CorrFault::WedgeAt(k) => Box::new(WedgeInjector::new(Box::new(engine), k)),
     };
     let corr = g.add_component(corr_component);
-    let strategy = g.add_component(Box::new(StrategyHostNode::new(
+    let host = StrategyHostNode::new(n, params, ExecutionConfig::paper(), false);
+    let signals = g.add_component(Box::new(SignalNode::new(
         n,
-        params,
-        ExecutionConfig::paper(),
-        false,
+        params.ctype,
+        params.corr_window,
+        0,
+        &[host.needs()],
     )));
+    let strategy = g.add_component(Box::new(host));
     let risk = g.add_component(Box::new(RiskManagerNode::new(RiskLimits::default())));
     let gateway = g.add_component(Box::new(OrderGatewayNode::new()));
     let order_sink = g.add_sink("order-sink");
@@ -89,8 +92,9 @@ fn fig1_with_corr_tap(
     g.connect(collector, bars);
     g.connect(bars, technical);
     g.connect(technical, corr);
-    g.connect(bars, strategy);
-    g.connect(corr, strategy);
+    g.connect(bars, signals);
+    g.connect(corr, signals);
+    g.connect(signals, strategy);
     g.connect(strategy, risk);
     g.connect(risk, gateway);
     g.connect(gateway, order_sink);
@@ -182,8 +186,8 @@ fn supervised_run_matches_plain_run_when_healthy() {
 }
 
 /// A wedged correlation engine must not hang the run: the watchdog severs
-/// it and the rest of the pipeline finishes the day (prices still flow to
-/// the strategy host via the bar edge).
+/// it and the rest of the pipeline finishes the day on the snapshots it
+/// got (bars still flow to the signal node).
 #[test]
 fn wedged_corr_engine_is_severed_and_the_day_completes() {
     let (day, n) = small_day(31);
@@ -197,13 +201,20 @@ fn wedged_corr_engine_is_severed_and_the_day_completes() {
     assert_eq!(out.stalls.len(), 1, "stalls: {:?}", out.stalls);
     assert_eq!(out.stalls[0].node, corr_id.index());
     assert_eq!(out.node_stats[corr_id.index()].outcome, NodeOutcome::Wedged);
-    // The trade report still arrives: the strategy host finished the day
-    // on bar data alone.
-    let trades_reported = out
-        .take_sink(order_sink)
-        .iter()
-        .any(|m| matches!(m, Message::Trades(_)));
-    assert!(trades_reported, "strategy host must still close the day");
+    // Every other node ran its stream out and flushed: the strategy host
+    // closed its day, and what it traded before the wedge reached the
+    // sink.
+    for (idx, stats) in out.node_stats.iter().enumerate() {
+        if idx != corr_id.index() {
+            assert_eq!(stats.outcome, NodeOutcome::Completed, "{stats:?}");
+        }
+    }
+    let delivered = out.take_sink(order_sink);
+    assert!(
+        delivered.iter().any(|m| matches!(m, Message::Trades(_)))
+            && delivered.iter().any(|m| matches!(m, Message::Basket(_))),
+        "strategy host must still close the day"
+    );
 }
 
 /// The kill-test with the flight recorder on: recovery must be

@@ -307,9 +307,10 @@ impl Server {
         lineage.set_nodes(output.node_names.clone());
         lineage.extend(&output.lineage);
 
-        // End-of-day flush: the aggregated per-param trade reports are
-        // the only new information (baskets and health events already
-        // streamed live at their epoch cuts), then every session gets
+        // End-of-day flush: the day's trade reports, one per param set
+        // (health events went out at their epoch cuts; baskets are not
+        // delivered to subscribers at all yet — the live session folds
+        // them into `output`, see `final_cut`), then every session gets
         // `End` — through the feed lane, so it orders after the last
         // deliveries instead of jumping the control queue.
         let final_cut = final_cut(&output, &specs, epochs);
@@ -349,9 +350,16 @@ impl Server {
     }
 }
 
-/// Build the synthetic end-of-day cut: the aggregated per-param trade
-/// reports. Baskets and health events are *not* repeated here — they
-/// already went out live at their epoch cuts.
+/// Build the synthetic end-of-day cut: the day's trades, one report per
+/// param set that traded. Health events are not repeated here — they went
+/// out at their epoch cuts. Baskets never reach a subscriber: the DAG now
+/// emits each as soon as its interval is complete, but
+/// [`LiveSweepSession`] folds them into [`LiveOutput::baskets`] rather
+/// than into the cuts `Router::publish` fans out, because delivering ~670
+/// baskets a day changes how many frames a cut pushes through the egress
+/// rings (ROADMAP, "live basket delivery" — a change that needs its own
+/// benchmark first). `Trades` subscribers get exactly these reports, at
+/// `End`, as before.
 fn final_cut(
     output: &LiveOutput,
     specs: &[StrategySpec],
