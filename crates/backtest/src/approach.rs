@@ -24,8 +24,9 @@ use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
 use rayon::prelude::*;
+use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
-use stats::parallel::{CorrCube, ParallelCorrEngine};
+use stats::parallel::{plane_slot, robust_cubes, same_plane, CorrCube, ParallelCorrEngine};
 use timeseries::bam::PriceGrid;
 use timeseries::returns::ReturnsPanel;
 
@@ -73,6 +74,39 @@ pub struct DayRun {
     pub trades: Vec<Vec<Trade>>,
     /// Cost accounting.
     pub stats: ApproachStats,
+}
+
+/// The kernel passes that fill a day's distinct `(Ctype, M)` cubes: a
+/// cube is a pass of its own, except that the robust measures of one
+/// window come out of one plane pass ([`robust_cubes`]). Passes are in
+/// order of their first key.
+pub(crate) fn cube_passes(keys: &[(CorrType, usize)]) -> Vec<Vec<(CorrType, usize)>> {
+    let mut passes: Vec<Vec<(CorrType, usize)>> = Vec::new();
+    for &key in keys {
+        match passes.iter_mut().find(|pass| same_plane(pass[0], key)) {
+            Some(pass) => pass.push(key),
+            None => passes.push(vec![key]),
+        }
+    }
+    passes
+}
+
+/// Run one of [`cube_passes`]: its cubes, aligned with its keys (`None`
+/// when the day is shorter than the window).
+pub(crate) fn pass_cubes(
+    panel: &ReturnsPanel,
+    pass: &[(CorrType, usize)],
+) -> Vec<Option<CorrCube>> {
+    let (ctype, m) = pass[0];
+    if plane_slot(ctype).is_none() {
+        return vec![ParallelCorrEngine::new(ctype).cube(panel.all(), m)];
+    }
+    let slots: Vec<usize> = (pass.iter())
+        .map(|&(c, _)| plane_slot(c).expect("a robust pass"))
+        .collect();
+    let want = std::array::from_fn(|slot| slots.contains(&slot));
+    let mut cubes = robust_cubes(panel.all(), m, want).unwrap_or([None, None]);
+    slots.iter().map(|&slot| cubes[slot].take()).collect()
 }
 
 /// Run every pair off one correlation cube under every parameter vector
@@ -289,8 +323,9 @@ pub fn run_day_grid(
             }
         }
         Approach::Integrated | Approach::PrecomputedMatrices => {
-            // Group parameter indices by (ctype, M); one cube per group.
-            let mut groups: Vec<((stats::correlation::CorrType, usize), Vec<usize>)> = Vec::new();
+            // Group parameter indices by (ctype, M); one cube per group,
+            // the robust measures of one window from one pass.
+            let mut groups: Vec<((CorrType, usize), Vec<usize>)> = Vec::new();
             for (idx, p) in params.iter().enumerate() {
                 let key = (p.ctype, p.corr_window);
                 match groups.iter_mut().find(|(k, _)| *k == key) {
@@ -298,23 +333,26 @@ pub fn run_day_grid(
                     None => groups.push((key, vec![idx])),
                 }
             }
+            let keys: Vec<_> = groups.iter().map(|(key, _)| *key).collect();
             let mut slots: Vec<Option<Vec<Vec<Trade>>>> = (0..params.len()).map(|_| None).collect();
-            for ((ctype, m), idxs) in groups {
-                let engine = ParallelCorrEngine::new(ctype);
-                let Some(cube) = engine.cube(panel.all(), m) else {
-                    for idx in idxs {
-                        slots[idx] = Some(vec![Vec::new(); n_pairs]);
+            for pass in cube_passes(&keys) {
+                for (key, cube) in pass.iter().zip(pass_cubes(panel, &pass)) {
+                    let (_, idxs) = (groups.iter().find(|(k, _)| k == key)).expect("a grouped key");
+                    let Some(cube) = cube else {
+                        for &idx in idxs {
+                            slots[idx] = Some(vec![Vec::new(); n_pairs]);
+                        }
+                        continue;
+                    };
+                    stats.kernel_sweeps += n_pairs as u64;
+                    if approach == Approach::PrecomputedMatrices {
+                        stats.matrix_bytes += cube.full_matrix_bytes();
                     }
-                    continue;
-                };
-                stats.kernel_sweeps += n_pairs as u64;
-                if approach == Approach::PrecomputedMatrices {
-                    stats.matrix_bytes += cube.full_matrix_bytes();
-                }
-                let group: Vec<StrategyParams> = idxs.iter().map(|&idx| params[idx]).collect();
-                let by_param = run_cube_trades(grid, &cube, &group, exec);
-                for (idx, trades) in idxs.into_iter().zip(by_param) {
-                    slots[idx] = Some(trades);
+                    let group: Vec<StrategyParams> = idxs.iter().map(|&idx| params[idx]).collect();
+                    let by_param = run_cube_trades(grid, &cube, &group, exec);
+                    for (&idx, trades) in idxs.iter().zip(by_param) {
+                        slots[idx] = Some(trades);
+                    }
                 }
             }
             out.extend(slots.into_iter().map(|s| s.expect("every param filled")));

@@ -7,7 +7,9 @@
 //! 2. computes one correlation cube per **distinct** `(Ctype, M)`
 //!    combination appearing in the parameter grid — the Approach-3
 //!    insight: the 42 parameter sets share 9 distinct cubes, so the
-//!    expensive kernel runs 9 times per day, not 42 × 1830 times;
+//!    expensive kernel runs 9 times per day, not 42 × 1830 times — and
+//!    the `Maronna(M)` and `Combined(M)` cubes of one window in one
+//!    kernel pass, which fits each window once where the two agree;
 //! 3. runs every pair off each cube once, in parallel over pairs, with
 //!    all the parameter sets that share the cube riding the one pass;
 //! 4. folds each pair-day's trades into compact per-`(param, pair)`
@@ -21,7 +23,6 @@ use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
 use stats::correlation::CorrType;
-use stats::parallel::ParallelCorrEngine;
 use taq::generator::{MarketConfig, MarketGenerator};
 use telemetry::recorder::FlightKind;
 use telemetry::trace::TrackId;
@@ -30,7 +31,7 @@ use timeseries::bam::PriceGrid;
 use timeseries::clean::CleanConfig;
 use timeseries::returns::ReturnsPanel;
 
-use crate::approach::run_cube;
+use crate::approach::{cube_passes, pass_cubes, run_cube};
 use crate::metrics;
 use crate::metrics::WinLoss;
 
@@ -179,10 +180,12 @@ impl Experiment {
     }
 
     /// Collect the `experiment` phase histograms — `generate.us`,
-    /// `grid.us`, `cube.us` (with the robust cubes' per-stock margin pass
-    /// inside it as `margin.us`) and `strategy.us`, which together cover
-    /// the run — and the robust cubes' [`stats::parallel::CubeStats`] as
-    /// `cube.*` counters, into [`ExperimentResults::telemetry`].
+    /// `grid.us`, `cube.us` (one sample per kernel pass: a cube, or the two
+    /// robust cubes of one window, with their per-stock margin pass inside
+    /// it as `margin.us`) and `strategy.us`, which together cover the run
+    /// — and the robust cubes' [`stats::parallel::CubeStats`] summed as
+    /// `cube.{pair_steps, refined, screened, shared, irls_iters}`
+    /// counters, into [`ExperimentResults::telemetry`].
     pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
         self.telemetry = level;
         self
@@ -215,7 +218,8 @@ impl Experiment {
         let mut total_trades = 0u64;
 
         // Group parameter indices by (dt, ctype, M): one grid per dt, one
-        // cube per (dt, ctype, M).
+        // cube per (dt, ctype, M), one kernel pass per cube — or per
+        // robust window.
         let mut by_dt: HashMap<u32, Vec<usize>> = HashMap::new();
         for (idx, p) in cfg.params.iter().enumerate() {
             by_dt.entry(p.dt_seconds).or_default().push(idx);
@@ -248,52 +252,66 @@ impl Experiment {
                 let mut cube_keys: Vec<(CorrType, usize)> = by_cube.keys().copied().collect();
                 cube_keys.sort_by_key(|(c, m)| (c.name(), *m));
 
-                for key in cube_keys {
-                    let (ctype, m) = key;
+                // The day's kept trades per cube, put back in cube-key
+                // order below: a plane pass fills two cubes out of turn.
+                let mut kept_by_cube = Vec::new();
+                for pass in cube_passes(&cube_keys) {
                     let t0 = std::time::Instant::now();
-                    let cube = ParallelCorrEngine::new(ctype).cube(panel.all(), m);
+                    let cubes = pass_cubes(&panel, &pass);
                     phase.observe("cube.us", t0.elapsed().as_micros() as u64);
-                    let Some(cube) = cube else {
-                        continue;
-                    };
-                    let did = cube.stats();
-                    if did.pair_steps > 0 {
-                        phase.observe("margin.us", cube.margin_time().as_micros() as u64);
-                        phase.count("cube.pair_steps", did.pair_steps);
-                        phase.count("cube.refined", did.refined);
-                        phase.count("cube.screened", did.screened);
-                        phase.count("cube.irls_iters", did.irls_iters);
+                    if let Some(plane) = (cubes.iter().flatten()).find(|c| c.stats().pair_steps > 0)
+                    {
+                        phase.observe("margin.us", plane.margin_time().as_micros() as u64);
                     }
-
-                    // One pass per (pair, cube): every parameter vector
-                    // sharing the cube rides the same walk, and each
-                    // pair-day is summarised where it was run. Folding the
-                    // summaries into the per-(param, pair) statistics is
-                    // part of the strategy phase.
-                    let t0 = std::time::Instant::now();
-                    let idxs = &by_cube[&key];
-                    let group: Vec<StrategyParams> = idxs.iter().map(|&i| cfg.params[i]).collect();
-                    let by_pair = run_cube(&grid, &cube, &group, &cfg.exec, |_, per_param| {
-                        (per_param.into_iter())
-                            .map(|trades| PairDay::of(trades, cfg.keep_trades))
-                            .collect::<Vec<_>>()
-                    });
-                    let mut kept_by_param = vec![Vec::new(); group.len()];
-                    for (rank, per_param) in by_pair.into_iter().enumerate() {
-                        for (k, pair_day) in per_param.into_iter().enumerate() {
-                            let slot = &mut data[idxs[k] * n_pairs + rank];
-                            slot.daily_returns.push(pair_day.daily_return);
-                            slot.wl = slot.wl.merge(pair_day.wl);
-                            slot.n_trades += pair_day.n_trades;
-                            total_trades += u64::from(pair_day.n_trades);
-                            kept_by_param[k].extend(pair_day.kept);
+                    for (key, cube) in pass.into_iter().zip(cubes) {
+                        let Some(cube) = cube else {
+                            continue;
+                        };
+                        let did = cube.stats();
+                        if did.pair_steps > 0 {
+                            phase.count("cube.pair_steps", did.pair_steps);
+                            phase.count("cube.refined", did.refined);
+                            phase.count("cube.screened", did.screened);
+                            phase.count("cube.shared", did.shared);
+                            phase.count("cube.irls_iters", did.irls_iters);
                         }
+
+                        // One pass per (pair, cube): every parameter vector
+                        // sharing the cube rides the same walk, and each
+                        // pair-day is summarised where it was run. Folding the
+                        // summaries into the per-(param, pair) statistics is
+                        // part of the strategy phase.
+                        let t0 = std::time::Instant::now();
+                        let idxs = &by_cube[&key];
+                        let group: Vec<StrategyParams> =
+                            idxs.iter().map(|&i| cfg.params[i]).collect();
+                        let by_pair = run_cube(&grid, &cube, &group, &cfg.exec, |_, per_param| {
+                            (per_param.into_iter())
+                                .map(|trades| PairDay::of(trades, cfg.keep_trades))
+                                .collect::<Vec<_>>()
+                        });
+                        let mut kept_by_param = vec![Vec::new(); group.len()];
+                        for (rank, per_param) in by_pair.into_iter().enumerate() {
+                            for (k, pair_day) in per_param.into_iter().enumerate() {
+                                let slot = &mut data[idxs[k] * n_pairs + rank];
+                                slot.daily_returns.push(pair_day.daily_return);
+                                slot.wl = slot.wl.merge(pair_day.wl);
+                                slot.n_trades += pair_day.n_trades;
+                                total_trades += u64::from(pair_day.n_trades);
+                                kept_by_param[k].extend(pair_day.kept);
+                            }
+                        }
+                        let kept: Vec<_> = (idxs.iter().zip(kept_by_param))
+                            .flat_map(|(&param_idx, trades)| {
+                                trades.into_iter().map(move |t| (param_idx, day_idx, t))
+                            })
+                            .collect();
+                        kept_by_cube.push((key, kept));
+                        phase.observe("strategy.us", t0.elapsed().as_micros() as u64);
                     }
-                    for (&param_idx, trades) in idxs.iter().zip(kept_by_param) {
-                        kept_trades.extend(trades.into_iter().map(|t| (param_idx, day_idx, t)));
-                    }
-                    phase.observe("strategy.us", t0.elapsed().as_micros() as u64);
                 }
+                kept_by_cube.sort_by_key(|((c, m), _)| (c.name(), *m));
+                kept_trades.extend(kept_by_cube.into_iter().flat_map(|(_, kept)| kept));
             }
             phase.count("days", 1);
             day_idx += 1;
@@ -417,10 +435,12 @@ mod tests {
     #[test]
     fn telemetry_covers_every_cube_and_counts_the_robust_traffic() {
         let mut cfg = small_config();
-        cfg.params.push(StrategyParams {
-            ctype: CorrType::Combined,
-            ..cfg.params[0]
-        });
+        for ctype in [CorrType::Combined, CorrType::Maronna] {
+            cfg.params.push(StrategyParams {
+                ctype,
+                ..cfg.params[0]
+            });
+        }
         let results = Experiment::new(cfg)
             .with_telemetry(TelemetryLevel::Counters)
             .run();
@@ -429,20 +449,49 @@ mod tests {
             let h = report.metrics.histogram("experiment", name);
             h.map_or((0, 0), |h| (h.count(), h.sum()))
         };
-        // 2 days x 4 distinct (Ctype, M) cubes, each followed by one
-        // strategy pass; one of the four is robust.
+        // 2 days x 5 distinct (Ctype, M) cubes, each followed by one
+        // strategy pass; the two robust ones of M = 20 come out of one
+        // kernel pass, margins derived once.
         assert_eq!(hist("cube.us").0, 8);
-        assert_eq!(hist("strategy.us").0, 8);
+        assert_eq!(hist("strategy.us").0, 10);
         assert_eq!(hist("margin.us").0, 2);
         assert!(hist("margin.us").1 <= hist("cube.us").1);
         let count = |name: &str| report.metrics.counter("experiment", name);
-        // 6 pairs x (779 - 20 + 1) windows x 2 days.
-        assert_eq!(count("cube.pair_steps"), 6 * 760 * 2);
+        // 6 pairs x (779 - 20 + 1) windows x 2 days x 2 measures.
+        assert_eq!(count("cube.pair_steps"), 6 * 760 * 2 * 2);
         assert_eq!(
             count("cube.refined") + count("cube.screened"),
             count("cube.pair_steps")
         );
-        assert!(count("cube.irls_iters") >= count("cube.refined"));
+        // Every fit that ran iterated; the shared ones ran once for two.
+        let fits = count("cube.refined") - count("cube.shared");
+        assert!(count("cube.shared") > 0 && count("cube.irls_iters") >= fits);
+    }
+
+    /// What the robust plane does on the benchmark's `batch_tables` day
+    /// (24 stocks, seed 2009, its tape's quote rate) at `M = 200`, to the
+    /// count: the share of Combined's refined steps that take Maronna's
+    /// fit is what the plane saves, and a change to the screen, the seeds
+    /// or the fit moves these numbers before it moves a timing.
+    #[test]
+    fn plane_counts_on_the_benchmark_day_are_pinned() {
+        let mut market = MarketConfig::small(24, 1, 2009);
+        market.micro.quote_rate_hz = 0.05;
+        let day = MarketGenerator::new(market).next_day().expect("one day");
+        let grid = PriceGrid::from_day(&day, 24, 30, CleanConfig::default());
+        let panel = ReturnsPanel::from_grid(&grid);
+        let [maronna, combined] = stats::parallel::robust_cubes(panel.all(), 200, [true, true])
+            .expect("the day holds a window")
+            .map(|cube| cube.expect("both measures were asked for").stats());
+        let steps = 276 * (779 - 200 + 1);
+        assert_eq!((maronna.pair_steps, maronna.refined), (steps, steps));
+        assert_eq!(combined.pair_steps, steps);
+        assert_eq!((combined.refined, combined.shared), (115_853, 110_556));
+        assert_eq!(combined.screened, steps - 115_853);
+        assert_eq!(
+            (maronna.irls_iters, combined.irls_iters),
+            (2_008_601, 74_776)
+        );
     }
 
     #[test]

@@ -35,7 +35,9 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// per-spec state only and each correlation stream has a signal node.
 /// Version 3: hosts keep one open order batch and no trade log, the
 /// gateway keeps host watermarks and only incomplete intervals.
-pub const VERSION: u8 = 3;
+/// Version 4: a correlation engine keeps its stream state per lane, and
+/// the robust measures of one window are the lanes of one plane node.
+pub const VERSION: u8 = 4;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

@@ -6,13 +6,31 @@
 //! matrix with the rayon-parallel engine and publishes the snapshot.
 //! A `stride` lets Figure 1's "Correlation (over 25 mins)" cadence be
 //! configured independently of Δs.
+//!
+//! A node publishes one stream — or, for the robust measures, the
+//! **robust plane** of its window: `Maronna(M)` and `Combined(M)` are two
+//! lanes of ONE node ([`CorrelationEngineNode::robust_plane`]) that owns
+//! one set of return windows, derives each stock's margins once per
+//! interval and runs each pair through `stats::parallel`'s one robust
+//! step, so a Combined entry whose warm-start seed equals Maronna's takes
+//! Maronna's fit instead of repeating it. Each lane emits its own
+//! stream-tagged snapshot, keeps its own seeds and warms up on its own
+//! count of returns: a lane that joins a running plane (live `attach`)
+//! starts cold at the cut exactly as a stand-alone engine would, and what
+//! either lane emits is bit-identical to a node running it alone.
+//!
+//! The node's name and durable state do not depend on which lanes are
+//! subscribed: `LiveSweepSession` restores state by node name, and a
+//! lane absent from the restored bytes simply starts cold.
 
 use std::sync::Arc;
 
 use stats::correlation::CorrType;
 use stats::maronna::MaronnaSeed;
 use stats::matrix::SymMatrix;
-use stats::parallel::ParallelCorrEngine;
+use stats::parallel::{
+    plane_slot, robust_plane_warm_into, CubeStats, ParallelCorrEngine, WarmLane,
+};
 use stats::sliding_matrix::OnlineCorrMatrix;
 use telemetry::Probe;
 use timeseries::window::SlidingWindow;
@@ -20,7 +38,8 @@ use timeseries::window::SlidingWindow;
 use crate::messages::{Cause, CorrSnapshot, Message};
 use crate::node::{Component, Emit, NodeState};
 
-/// How many released snapshot allocations the node retains for reuse.
+/// How many released snapshot allocations the node retains for reuse,
+/// per lane.
 ///
 /// A snapshot's `Arc` travels to downstream consumers; once they all drop
 /// it the allocation (a ~15 KB packed matrix at n = 61) is recycled for a
@@ -37,25 +56,48 @@ enum EngineKind {
     /// Window recompute per snapshot (robust measures, or when PSD repair
     /// is requested).
     Windowed {
-        engine: ParallelCorrEngine,
+        repair_psd: bool,
         windows: Vec<SlidingWindow<f64>>,
         /// Scratch buffers reused across intervals to avoid re-allocating
         /// `n * M` floats per snapshot.
         scratch: Vec<Vec<f64>>,
-        /// Per-pair warm-start state for the robust measures: the previous
-        /// interval's converged Maronna `(location, scatter)` in canonical
-        /// pair-rank order. Empty for measures with no iterative fit.
-        seeds: Vec<Option<MaronnaSeed>>,
     },
 }
 
-/// Seed slots for a windowed engine: one per pair for the iterative robust
-/// measures, none otherwise.
-fn robust_seed_slots(ctype: CorrType, n_stocks: usize) -> Vec<Option<MaronnaSeed>> {
-    if matches!(ctype, CorrType::Maronna | CorrType::Combined) {
-        vec![None; n_stocks * (n_stocks - 1) / 2]
-    } else {
-        Vec::new()
+/// One correlation stream the node publishes.
+#[derive(Clone)]
+struct Lane {
+    ctype: CorrType,
+    /// Stream id stamped on this lane's snapshots. In a sweep graph each
+    /// distinct `(Ctype, M)` owns one id so fanned-in consumers can tell
+    /// the cubes apart; single-engine pipelines leave it 0.
+    stream: usize,
+    /// Returns seen since the lane started, counted up to `M`: the lane
+    /// is warm at its `M`-th, whatever the (possibly older) windows hold.
+    seen: usize,
+    /// Warm intervals seen since the last emission. Starts at `stride` so
+    /// the very first warm interval emits immediately instead of waiting
+    /// a full extra stride.
+    since_last: usize,
+    /// Per-pair warm-start state for the robust measures: the previous
+    /// emission's converged Maronna `(location, scatter)` in canonical
+    /// pair-rank order. Empty for measures with no iterative fit.
+    seeds: Vec<Option<MaronnaSeed>>,
+}
+
+impl Lane {
+    fn cold(ctype: CorrType, stream: usize, n_stocks: usize, stride: usize) -> Lane {
+        let seeds = match plane_slot(ctype) {
+            Some(_) => vec![None; n_stocks * n_stocks.saturating_sub(1) / 2],
+            None => Vec::new(),
+        };
+        Lane {
+            ctype,
+            stream,
+            seen: 0,
+            since_last: stride,
+            seeds,
+        }
     }
 }
 
@@ -63,16 +105,11 @@ fn robust_seed_slots(ctype: CorrType, n_stocks: usize) -> Vec<Option<MaronnaSeed
 #[derive(Clone)]
 pub struct CorrelationEngineNode {
     stride: usize,
-    /// Stream id stamped on every emitted snapshot. In a sweep graph each
-    /// distinct `(Ctype, M)` engine owns one id so fanned-in consumers can
-    /// tell the cubes apart; single-engine pipelines leave it 0.
-    stream: usize,
-    /// Warm intervals seen since the last emission. Starts at `stride` so
-    /// the very first warm interval emits immediately instead of waiting
-    /// a full extra stride.
-    since_last: usize,
     m: usize,
     kind: EngineKind,
+    /// The streams published: one, or the two robust measures in
+    /// emission order.
+    lanes: Vec<Lane>,
     /// Symbols currently marked degraded by the health control plane;
     /// their rows and columns are masked to 0.0 in emitted snapshots.
     degraded: Vec<bool>,
@@ -86,43 +123,99 @@ pub struct CorrelationEngineNode {
     probe: Probe,
 }
 
+fn windowed(n_stocks: usize, m: usize, repair_psd: bool) -> EngineKind {
+    EngineKind::Windowed {
+        repair_psd,
+        windows: (0..n_stocks).map(|_| SlidingWindow::new(m)).collect(),
+        scratch: (0..n_stocks).map(|_| Vec::with_capacity(m)).collect(),
+    }
+}
+
 impl CorrelationEngineNode {
     /// Node over `n_stocks` stocks with correlation window `M`, emitting a
     /// snapshot every `stride` intervals. Pearson runs on the O(1) online
-    /// engine; the robust measures recompute their windows.
+    /// engine; the other measures recompute their windows, a robust one
+    /// as the single lane of its [`Self::robust_plane`].
     ///
     /// # Panics
     /// Panics if `m < 2` or `stride` is 0.
     pub fn new(n_stocks: usize, m: usize, stride: usize, ctype: CorrType) -> Self {
-        assert!(m >= 2 && stride > 0);
+        if plane_slot(ctype).is_some() {
+            return Self::robust_plane(n_stocks, m, stride, &[(ctype, 0)]);
+        }
         let kind = if ctype == CorrType::Pearson {
             EngineKind::Online(OnlineCorrMatrix::new(n_stocks, m))
         } else {
-            EngineKind::Windowed {
-                engine: ParallelCorrEngine::new(ctype),
-                windows: (0..n_stocks).map(|_| SlidingWindow::new(m)).collect(),
-                scratch: (0..n_stocks).map(|_| Vec::with_capacity(m)).collect(),
-                seeds: robust_seed_slots(ctype, n_stocks),
-            }
+            windowed(n_stocks, m, false)
         };
+        let lanes = vec![Lane::cold(ctype, 0, n_stocks, stride)];
+        let name = format!("corr-engine({ctype}, M={m})");
+        Self::build(n_stocks, m, stride, kind, lanes, name)
+    }
+
+    /// The robust plane of window `M`: one node computing the
+    /// `(measure, stream id)` lanes given — `Maronna`, `Combined` or
+    /// both — from one set of windows, emitting them in the order given.
+    /// Its name depends on `M` alone.
+    ///
+    /// # Panics
+    /// Panics if `m < 2`, `stride` is 0, or `lanes` is not one or two
+    /// distinct robust measures.
+    pub fn robust_plane(
+        n_stocks: usize,
+        m: usize,
+        stride: usize,
+        lanes: &[(CorrType, usize)],
+    ) -> Self {
+        let slots: Vec<_> = lanes.iter().map(|&(c, _)| plane_slot(c)).collect();
+        assert!(
+            matches!(slots[..], [Some(_)]) || matches!(slots[..], [Some(a), Some(b)] if a != b),
+            "a robust plane runs Maronna, Combined or both, not {lanes:?}"
+        );
+        let lanes = (lanes.iter())
+            .map(|&(ctype, stream)| Lane::cold(ctype, stream, n_stocks, stride))
+            .collect();
+        let name = format!("corr-engine(robust, M={m})");
+        Self::build(
+            n_stocks,
+            m,
+            stride,
+            windowed(n_stocks, m, false),
+            lanes,
+            name,
+        )
+    }
+
+    fn build(
+        n_stocks: usize,
+        m: usize,
+        stride: usize,
+        kind: EngineKind,
+        lanes: Vec<Lane>,
+        name: String,
+    ) -> Self {
+        assert!(m >= 2 && stride > 0);
         CorrelationEngineNode {
             stride,
-            stream: 0,
-            since_last: stride,
             m,
             kind,
+            lanes,
             degraded: vec![false; n_stocks],
             dropped: 0,
             pool: Vec::new(),
-            name: format!("corr-engine({ctype}, M={m})"),
+            name,
             probe: Probe::off(),
         }
     }
 
-    /// Stamp emitted snapshots with a correlation-stream id (sweep graphs
-    /// run one engine per distinct `(Ctype, M)` and tag each cube).
+    /// Stamp a single-stream node's snapshots with a correlation-stream
+    /// id (sweep graphs tag each cube).
+    ///
+    /// # Panics
+    /// Panics on a two-lane plane, whose ids are given at construction.
     pub fn with_stream(mut self, stream: usize) -> Self {
-        self.stream = stream;
+        assert_eq!(self.lanes.len(), 1, "a plane's lanes carry their own ids");
+        self.lanes[0].stream = stream;
         self
     }
 
@@ -131,19 +224,71 @@ impl CorrelationEngineNode {
     pub fn with_psd_repair(mut self) -> Self {
         match self.kind {
             EngineKind::Online(ref online) => {
-                let n = online.n_stocks();
-                self.kind = EngineKind::Windowed {
-                    engine: ParallelCorrEngine::new(CorrType::Pearson).with_psd_repair(),
-                    windows: (0..n).map(|_| SlidingWindow::new(self.m)).collect(),
-                    scratch: (0..n).map(|_| Vec::with_capacity(self.m)).collect(),
-                    seeds: Vec::new(),
-                };
+                self.kind = windowed(online.n_stocks(), self.m, true);
             }
-            EngineKind::Windowed { ref mut engine, .. } => {
-                *engine = engine.with_psd_repair();
-            }
+            EngineKind::Windowed {
+                ref mut repair_psd, ..
+            } => *repair_psd = true,
         }
         self
+    }
+
+    /// A retired snapshot allocation every downstream consumer has
+    /// released, or a fresh one.
+    fn take_snapshot(&mut self) -> Arc<CorrSnapshot> {
+        match self.pool.iter().position(|s| Arc::strong_count(s) == 1) {
+            Some(i) => {
+                self.probe.count("snapshot_pool.reused", 1);
+                self.pool.swap_remove(i)
+            }
+            None => {
+                self.probe.count("snapshot_pool.allocated", 1);
+                Arc::new(CorrSnapshot {
+                    interval: 0,
+                    stream: 0,
+                    matrix: SymMatrix::identity(0),
+                    cause: Cause::none(),
+                })
+            }
+        }
+    }
+}
+
+/// Probe counter names for what a robust sweep did, per measure in
+/// `stats::parallel::PLANE` order: a lane's [`CubeStats`], summed over
+/// the run.
+const SWEEP_COUNTERS: [[&str; 5]; 2] = [
+    [
+        "maronna.pair_steps",
+        "maronna.refined",
+        "maronna.screened",
+        "maronna.shared",
+        "maronna.irls_iters",
+    ],
+    [
+        "combined.pair_steps",
+        "combined.refined",
+        "combined.screened",
+        "combined.shared",
+        "combined.irls_iters",
+    ],
+];
+
+fn count_sweep(probe: &Probe, did: [CubeStats; 2]) {
+    for (names, did) in SWEEP_COUNTERS.iter().zip(did) {
+        if did.pair_steps == 0 {
+            continue;
+        }
+        let values = [
+            did.pair_steps,
+            did.refined,
+            did.screened,
+            did.shared,
+            did.irls_iters,
+        ];
+        for (&name, v) in names.iter().zip(values) {
+            probe.count(name, v);
+        }
     }
 }
 
@@ -168,7 +313,7 @@ impl Component for CorrelationEngineNode {
                 return;
             }
         };
-        let warm = match &mut self.kind {
+        let full = match &mut self.kind {
             EngineKind::Online(online) => {
                 online.push(&rs.returns);
                 online.is_warm()
@@ -180,43 +325,40 @@ impl Component for CorrelationEngineNode {
                 windows.iter().all(|w| w.is_full())
             }
         };
-        if !warm {
+        // Which lanes publish this interval.
+        let mut due = Vec::with_capacity(self.lanes.len());
+        for (at, lane) in self.lanes.iter_mut().enumerate() {
+            lane.seen = (lane.seen + 1).min(self.m);
+            if !full || lane.seen < self.m {
+                continue;
+            }
+            lane.since_last += 1;
+            if lane.since_last >= self.stride {
+                lane.since_last = 0;
+                due.push(at);
+            }
+        }
+        if due.is_empty() {
             return;
         }
-        self.since_last += 1;
-        if self.since_last < self.stride {
-            return;
-        }
-        self.since_last = 0;
         let _span = self.probe.span("corr.snapshot", Some(rs.interval as u64));
-        // Recycle a retired snapshot allocation if every downstream
-        // consumer has released one; otherwise pay for a fresh one.
-        let mut snap = match self.pool.iter().position(|s| Arc::strong_count(s) == 1) {
-            Some(i) => {
-                self.probe.count("snapshot_pool.reused", 1);
-                self.pool.swap_remove(i)
-            }
-            None => {
-                self.probe.count("snapshot_pool.allocated", 1);
-                Arc::new(CorrSnapshot {
-                    interval: 0,
-                    stream: 0,
-                    matrix: SymMatrix::identity(0),
-                    cause: Cause::none(),
-                })
-            }
-        };
-        let body = Arc::get_mut(&mut snap).expect("recycled snapshot is unshared");
-        body.interval = rs.interval;
-        body.stream = self.stream;
-        body.cause = Cause::derived([rs.cause.id]);
+        // One snapshot per due lane, recycled where every downstream
+        // consumer has released one.
+        let mut snaps: Vec<Arc<CorrSnapshot>> = due.iter().map(|_| self.take_snapshot()).collect();
+        let mut bodies: Vec<&mut CorrSnapshot> = (snaps.iter_mut())
+            .map(|snap| Arc::get_mut(snap).expect("recycled snapshot is unshared"))
+            .collect();
+        for (body, &at) in bodies.iter_mut().zip(&due) {
+            body.interval = rs.interval;
+            body.stream = self.lanes[at].stream;
+            body.cause = Cause::derived([rs.cause.id]);
+        }
         match &mut self.kind {
-            EngineKind::Online(online) => online.matrix_into(&mut body.matrix),
+            EngineKind::Online(online) => online.matrix_into(&mut bodies[0].matrix),
             EngineKind::Windowed {
-                engine,
+                repair_psd,
                 windows,
                 scratch,
-                seeds,
             } => {
                 for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
                     buf.clear();
@@ -225,10 +367,27 @@ impl Component for CorrelationEngineNode {
                     buf.extend_from_slice(wrapped);
                 }
                 let views: Vec<&[f64]> = scratch.iter().map(|b| b.as_slice()).collect();
-                if seeds.is_empty() {
-                    body.matrix = engine.matrix(&views);
+                let ctype = self.lanes[0].ctype;
+                if plane_slot(ctype).is_none() {
+                    let engine = ParallelCorrEngine {
+                        ctype,
+                        repair_psd: *repair_psd,
+                    };
+                    bodies[0].matrix = engine.matrix(&views);
                 } else {
-                    engine.matrix_robust_warm_into(&views, seeds, &mut body.matrix);
+                    let mut plane = [None, None];
+                    let mut bodies = bodies.iter_mut();
+                    for (at, lane) in self.lanes.iter_mut().enumerate() {
+                        if due.contains(&at) {
+                            let slot = plane_slot(lane.ctype).expect("a robust lane");
+                            plane[slot] = Some(WarmLane {
+                                seeds: &mut lane.seeds,
+                                out: &mut bodies.next().expect("one per due lane").matrix,
+                            });
+                        }
+                    }
+                    let did = robust_plane_warm_into(&views, plane, *repair_psd);
+                    count_sweep(&self.probe, did);
                 }
             }
         }
@@ -236,21 +395,27 @@ impl Component for CorrelationEngineNode {
         // storm is not a correlation estimate. Mask the whole row/column
         // to 0.0 so no downstream signal can fire on it.
         if self.degraded.iter().any(|&d| d) {
-            let n = body.matrix.n();
-            for i in 1..n {
-                for j in 0..i {
-                    if self.degraded[i] || self.degraded[j] {
-                        body.matrix.set(i, j, 0.0);
+            for body in &mut bodies {
+                let n = body.matrix.n();
+                for i in 1..n {
+                    for j in 0..i {
+                        if self.degraded[i] || self.degraded[j] {
+                            body.matrix.set(i, j, 0.0);
+                        }
                     }
                 }
             }
         }
-        self.probe.count("snapshots.emitted", 1);
-        if self.pool.len() >= POOL_DEPTH {
-            self.pool.remove(0);
+        drop(bodies);
+        let depth = POOL_DEPTH * self.lanes.len();
+        for snap in snaps {
+            self.probe.count("snapshots.emitted", 1);
+            if self.pool.len() >= depth {
+                self.pool.remove(0);
+            }
+            self.pool.push(snap.clone());
+            out(Message::Corr(snap));
         }
-        self.pool.push(snap.clone());
-        out(Message::Corr(snap));
     }
 
     fn snapshot(&self) -> Option<NodeState> {
@@ -264,7 +429,6 @@ impl Component for CorrelationEngineNode {
     fn encode_state(&self) -> Option<Vec<u8>> {
         use wire::Codec;
         let mut w = wire::Writer::new();
-        self.since_last.encode(&mut w);
         self.degraded.encode(&mut w);
         self.dropped.encode(&mut w);
         // The `pool` and `scratch` buffers are allocation caches — their
@@ -275,11 +439,21 @@ impl Component for CorrelationEngineNode {
                 0u8.encode(&mut w);
                 m.encode(&mut w);
             }
-            EngineKind::Windowed { windows, seeds, .. } => {
+            EngineKind::Windowed { windows, .. } => {
                 1u8.encode(&mut w);
                 windows.encode(&mut w);
-                seeds.encode(&mut w);
             }
+        }
+        // Lanes by measure, not by position: the bytes of a plane do not
+        // depend on the order (or, for a reader, the presence) of lanes.
+        let mut lanes: Vec<&Lane> = self.lanes.iter().collect();
+        lanes.sort_by_key(|lane| lane.ctype.name());
+        (lanes.len() as u8).encode(&mut w);
+        for lane in lanes {
+            lane.ctype.encode(&mut w);
+            lane.seen.encode(&mut w);
+            lane.since_last.encode(&mut w);
+            lane.seeds.encode(&mut w);
         }
         Some(w.into_bytes())
     }
@@ -288,37 +462,53 @@ impl Component for CorrelationEngineNode {
         use wire::{Codec, WireError};
         fn go(node: &mut CorrelationEngineNode, bytes: &[u8]) -> Result<(), WireError> {
             let r = &mut wire::Reader::new(bytes);
-            let since_last = usize::decode(r)?;
             let degraded = Vec::<bool>::decode(r)?;
             let dropped = u64::decode(r)?;
-            enum Decoded {
-                Online(OnlineCorrMatrix),
-                Windowed(Vec<SlidingWindow<f64>>, Vec<Option<MaronnaSeed>>),
-            }
-            let decoded = match (u8::decode(r)?, &node.kind) {
-                (0, EngineKind::Online(_)) => Decoded::Online(OnlineCorrMatrix::decode(r)?),
-                (1, EngineKind::Windowed { windows, seeds, .. }) => {
+            let kind = match (u8::decode(r)?, &node.kind) {
+                (0, EngineKind::Online(_)) => EngineKind::Online(OnlineCorrMatrix::decode(r)?),
+                (
+                    1,
+                    EngineKind::Windowed {
+                        repair_psd,
+                        windows,
+                        scratch,
+                    },
+                ) => {
                     let new_windows = Vec::<SlidingWindow<f64>>::decode(r)?;
-                    let new_seeds = Vec::<Option<MaronnaSeed>>::decode(r)?;
-                    if new_windows.len() != windows.len() || new_seeds.len() != seeds.len() {
+                    if new_windows.len() != windows.len() {
                         return Err(WireError::Invalid("engine shape mismatch"));
                     }
-                    Decoded::Windowed(new_windows, new_seeds)
+                    EngineKind::Windowed {
+                        repair_psd: *repair_psd,
+                        windows: new_windows,
+                        scratch: scratch.clone(),
+                    }
                 }
                 _ => return Err(WireError::Invalid("engine kind mismatch")),
             };
+            // A lane of this node takes the state captured for its
+            // measure; one the bytes do not hold starts cold; one only
+            // the bytes hold has been detached.
+            let mut lanes: Vec<Lane> = (node.lanes.iter())
+                .map(|lane| Lane::cold(lane.ctype, lane.stream, node.degraded.len(), node.stride))
+                .collect();
+            for _ in 0..u8::decode(r)? {
+                let ctype = CorrType::decode(r)?;
+                let (seen, since_last) = (usize::decode(r)?, usize::decode(r)?);
+                let seeds = Vec::<Option<MaronnaSeed>>::decode(r)?;
+                let Some(lane) = lanes.iter_mut().find(|lane| lane.ctype == ctype) else {
+                    continue;
+                };
+                if seeds.len() != lane.seeds.len() || seen > node.m {
+                    return Err(WireError::Invalid("engine lane mismatch"));
+                }
+                (lane.seen, lane.since_last, lane.seeds) = (seen, since_last, seeds);
+            }
             if !r.is_empty() {
                 return Err(WireError::Invalid("trailing bytes"));
             }
-            match (decoded, &mut node.kind) {
-                (Decoded::Online(m), EngineKind::Online(slot)) => *slot = m,
-                (Decoded::Windowed(w, s), EngineKind::Windowed { windows, seeds, .. }) => {
-                    *windows = w;
-                    *seeds = s;
-                }
-                _ => unreachable!("kind checked above"),
-            }
-            node.since_last = since_last;
+            node.kind = kind;
+            node.lanes = lanes;
             node.degraded = degraded;
             node.dropped = dropped;
             Ok(())
@@ -496,23 +686,182 @@ mod tests {
         }
     }
 
+    /// One seeded day's returns over `n` stocks.
+    fn day_panel(n: usize) -> timeseries::returns::ReturnsPanel {
+        use taq::generator::{MarketConfig, MarketGenerator};
+        use timeseries::bam::PriceGrid;
+        use timeseries::clean::CleanConfig;
+
+        let mut cfg = MarketConfig::small(n, 1, 2009);
+        cfg.micro.quote_rate_hz = 0.05;
+        let day = MarketGenerator::new(cfg).next_day().expect("one day");
+        let grid = PriceGrid::from_day(&day, n, 30, CleanConfig::default());
+        timeseries::returns::ReturnsPanel::from_grid(&grid)
+    }
+
+    fn returns_at(panel: &timeseries::returns::ReturnsPanel, k: usize) -> Vec<f64> {
+        (0..panel.n_stocks()).map(|i| panel.series(i)[k]).collect()
+    }
+
+    fn set_health(node: &mut CorrelationEngineNode, interval: usize, symbol: usize, up: bool) {
+        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
+        let status = if up {
+            HealthStatus::Healthy
+        } else {
+            HealthStatus::Degraded(DegradeReason::Outage)
+        };
+        node.on_message(
+            Message::Health(Arc::new(HealthEvent {
+                interval,
+                symbol,
+                status,
+                cause: Cause::none(),
+            })),
+            &mut |_| {},
+        );
+    }
+
+    fn assert_same_snapshots(got: &[Arc<CorrSnapshot>], want: &[Arc<CorrSnapshot>], k: usize) {
+        assert_eq!(got.len(), want.len(), "interval {k}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(
+                (g.interval, g.stream),
+                (w.interval, w.stream),
+                "interval {k}"
+            );
+            let bits = |s: &CorrSnapshot| -> Vec<u64> {
+                s.matrix.packed().iter().map(|c| c.to_bits()).collect()
+            };
+            assert_eq!(bits(g), bits(w), "interval {k} stream {}", g.stream);
+        }
+    }
+
+    /// The fused robust plane against one node per measure over a day:
+    /// the same snapshots in the same order to the bit, across an
+    /// in-process snapshot/restore, a durable encode/decode into a fresh
+    /// node, and a degraded symbol masked out of both streams.
+    #[test]
+    fn robust_plane_equals_two_single_measure_nodes_over_a_day() {
+        let (n, m) = (5, 50);
+        let panel = day_panel(n);
+        let lanes = [(CorrType::Maronna, 3), (CorrType::Combined, 7)];
+        let mut plane = CorrelationEngineNode::robust_plane(n, m, 1, &lanes);
+        let mut singles =
+            lanes.map(|(c, id)| CorrelationEngineNode::new(n, m, 1, c).with_stream(id));
+        let len = panel.len();
+        let (restore_at, recode_at) = (len / 3, len / 2);
+        let degraded = 2 * len / 3..2 * len / 3 + 25;
+        let mut emitted = 0;
+        for k in 0..len {
+            if k == restore_at {
+                let kept = plane.snapshot().expect("the node checkpoints");
+                feed(&mut plane, 9999, vec![0.5; n]);
+                assert!(plane.restore(kept));
+            }
+            if k == recode_at {
+                let bytes = plane.encode_state().expect("the node has durable state");
+                let mut fresh = CorrelationEngineNode::robust_plane(n, m, 1, &lanes);
+                assert!(!fresh.decode_state(&bytes[..bytes.len() - 1]), "truncated");
+                assert!(fresh.decode_state(&bytes));
+                assert_eq!(fresh.encode_state().unwrap(), bytes);
+                plane = fresh;
+            }
+            if k == degraded.start || k == degraded.end {
+                for node in singles.iter_mut().chain([&mut plane]) {
+                    set_health(node, k, 1, k == degraded.end);
+                }
+            }
+            let got = feed(&mut plane, k, returns_at(&panel, k));
+            let want: Vec<_> = (singles.iter_mut())
+                .flat_map(|node| feed(node, k, returns_at(&panel, k)))
+                .collect();
+            assert_same_snapshots(&got, &want, k);
+            if degraded.contains(&k) {
+                assert!(got
+                    .iter()
+                    .all(|s| s.matrix.get(1, 0) == 0.0 && s.matrix.get(2, 0) != 0.0));
+            }
+            emitted += got.len();
+        }
+        assert_eq!(emitted, 2 * (len - m + 1));
+    }
+
+    /// A lane that joins a running plane (a live attach restores the
+    /// plane's state by name into a node with one lane more) starts cold
+    /// at the cut: it publishes from its own `M`-th return, exactly what a
+    /// stand-alone engine started at the cut publishes, and the lane that
+    /// was there never notices it come or go.
+    #[test]
+    fn a_lane_joins_a_running_plane_cold_and_leaves_without_trace() {
+        let (n, m) = (4, 20);
+        let panel = day_panel(n);
+        let (join, leave, end) = (45, 100, 130);
+        for (stays, joins) in [
+            (CorrType::Maronna, CorrType::Combined),
+            (CorrType::Combined, CorrType::Maronna),
+        ] {
+            let alone = [(stays, 0)];
+            let both = [(stays, 0), (joins, 1)];
+            let mut stayer = CorrelationEngineNode::new(n, m, 1, stays);
+            let mut joiner = CorrelationEngineNode::new(n, m, 1, joins).with_stream(1);
+            let mut plane = CorrelationEngineNode::robust_plane(n, m, 1, &alone);
+            let mut joined = 0;
+            for k in 0..end {
+                if k == join || k == leave {
+                    let lanes: &[_] = if k == join { &both } else { &alone };
+                    let bytes = plane.encode_state().unwrap();
+                    let mut next = CorrelationEngineNode::robust_plane(n, m, 1, lanes);
+                    assert_eq!(next.name(), plane.name(), "restored by name");
+                    assert!(next.decode_state(&bytes));
+                    plane = next;
+                }
+                let got = feed(&mut plane, k, returns_at(&panel, k));
+                let mut want = feed(&mut stayer, k, returns_at(&panel, k));
+                if (join..leave).contains(&k) {
+                    let cold = feed(&mut joiner, k, returns_at(&panel, k));
+                    assert_eq!(cold.is_empty(), k < join + m - 1, "{joins} at {k}");
+                    joined += cold.len();
+                    want.extend(cold);
+                }
+                assert_same_snapshots(&got, &want, k);
+            }
+            assert_eq!(
+                joined,
+                leave - join - (m - 1),
+                "vacuous: {joins} never published"
+            );
+        }
+    }
+
+    /// A plane's name and durable bytes depend on its window and on what
+    /// its lanes hold, not on how many are subscribed or in which order.
+    #[test]
+    fn plane_state_is_keyed_by_measure_not_by_lane_position() {
+        let (n, m) = (3, 6);
+        let ab = [(CorrType::Maronna, 0), (CorrType::Combined, 1)];
+        let ba = [(CorrType::Combined, 1), (CorrType::Maronna, 0)];
+        let mut a = CorrelationEngineNode::robust_plane(n, m, 1, &ab);
+        let mut b = CorrelationEngineNode::robust_plane(n, m, 1, &ba);
+        for k in 0..15 {
+            let rs: Vec<f64> = (0..n).map(|i| ret(i, k)).collect();
+            let (from_a, mut from_b) = (feed(&mut a, k, rs.clone()), feed(&mut b, k, rs));
+            from_b.reverse();
+            assert_same_snapshots(&from_a, &from_b, k);
+        }
+        assert_eq!(a.encode_state().unwrap(), b.encode_state().unwrap());
+        let single = CorrelationEngineNode::new(n, m, 1, CorrType::Combined);
+        assert_eq!(single.name(), a.name());
+        assert_eq!(a.name(), "corr-engine(robust, M=6)");
+    }
+
     /// Batch ≡ streaming at the kernel: every snapshot of a day equals the
     /// batch cube's column for that interval, bit for bit — the robust
     /// warm starts included, since both walk the same windows through
     /// `stats::parallel::robust_step` from a cold seed.
     #[test]
     fn robust_snapshots_equal_the_batch_cube_over_a_day() {
-        use taq::generator::{MarketConfig, MarketGenerator};
-        use timeseries::bam::PriceGrid;
-        use timeseries::clean::CleanConfig;
-        use timeseries::returns::ReturnsPanel;
-
         let (n, m) = (5, 50);
-        let mut cfg = MarketConfig::small(n, 1, 2009);
-        cfg.micro.quote_rate_hz = 0.05;
-        let day = MarketGenerator::new(cfg).next_day().expect("one day");
-        let grid = PriceGrid::from_day(&day, n, 30, CleanConfig::default());
-        let panel = ReturnsPanel::from_grid(&grid);
+        let panel = day_panel(n);
 
         for ctype in [CorrType::Maronna, CorrType::Combined] {
             let cube = ParallelCorrEngine::new(ctype)
@@ -521,8 +870,7 @@ mod tests {
             let mut node = CorrelationEngineNode::new(n, m, 1, ctype);
             let mut snapshots = 0;
             for k in 0..panel.len() {
-                let returns = (0..n).map(|i| panel.series(i)[k]).collect();
-                for snap in feed(&mut node, k, returns) {
+                for snap in feed(&mut node, k, returns_at(&panel, k)) {
                     assert_eq!(snap.interval, k);
                     for i in 1..n {
                         for j in 0..i {

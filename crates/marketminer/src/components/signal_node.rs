@@ -293,6 +293,9 @@ impl Component for SignalNode {
                     self.process_corr(&snap, out);
                 }
             }
+            // A robust plane publishes both its measures on one edge;
+            // the other lane's snapshots are not this stream's input.
+            Message::Corr(snap) if snap.stream != self.stream => {}
             Message::Corr(snap) => {
                 if Some(snap.interval) > self.bars_through {
                     self.pending_corr.push_back(snap);
@@ -457,6 +460,10 @@ mod tests {
     }
 
     fn corr(interval: usize, n: usize, rho: f64) -> Message {
+        corr_on(0, interval, n, rho)
+    }
+
+    fn corr_on(stream: usize, interval: usize, n: usize, rho: f64) -> Message {
         let mut m = SymMatrix::identity(n);
         for i in 1..n {
             for j in 0..i {
@@ -465,7 +472,7 @@ mod tests {
         }
         Message::Corr(Arc::new(CorrSnapshot {
             interval,
-            stream: 0,
+            stream,
             matrix: m,
             cause: Cause::none(),
         }))
@@ -537,8 +544,12 @@ mod tests {
             assert_eq!((f[0].interval, f[0].stream), (s, 5));
         }
         assert!(feed(&mut n, vec![bars(3, vec![30.0, 130.0])]).is_empty());
-        let out = feed(&mut n, vec![corr(3, 2, 0.8)]);
-        assert!(frames(&out)[0].is_warm());
+        // The other lane of a robust plane shares the edge: not ours.
+        assert!(feed(&mut n, vec![corr_on(4, 3, 2, -0.3)]).is_empty());
+        let out = feed(&mut n, vec![corr_on(5, 3, 2, 0.8)]);
+        let f = frames(&out);
+        assert!(f.len() == 1 && f[0].is_warm() && f[0].corr == [0.8]);
+        assert_eq!(n.messages_dropped(), 0);
         // The count is durable: a restored twin does not start over.
         let mut twin = SignalNode::new(2, CorrType::Pearson, 4, 5, &[needs(2, 2)]);
         assert!(twin.decode_state(&n.encode_state().unwrap()));

@@ -28,7 +28,9 @@
 //! 3. opens a fresh session on it and restores state **by node name**:
 //!    node *indices* shift when hosts come and go, but every node's name
 //!    is unique and stable (`pair-strategy-host(#k, …)` carries the
-//!    global param-set index, `corr-engine(ctype, M=…)` the stream key),
+//!    global param-set index, `corr-engine(ctype, M=…)` the stream key —
+//!    `corr-engine(robust, M=…)` for the plane that runs `Maronna(M)`
+//!    and `Combined(M)`, whichever of the two are subscribed),
 //!    so each surviving node gets back exactly the bytes it captured.
 //!
 //! A surviving node therefore re-enters the new graph with bit-identical
@@ -37,8 +39,10 @@
 //! an untouched host's output is bit-identical to a static graph that
 //! never reconfigured (verified at workers 1/2/max in
 //! `serve/tests/serve.rs`). A *freshly attached* host (and a fresh
-//! engine for a new stream) starts cold at the cut and warms up from
-//! live data — the same semantics a restarted exchange feed would have.
+//! engine for a new stream — or a fresh lane on the robust plane already
+//! running the other measure of its window, which keeps its own count of
+//! returns) starts cold at the cut and warms up from live data — the
+//! same semantics a restarted exchange feed would have.
 //!
 //! Provenance ids stay collision-free across cuts: an event id packs
 //! `(node index, per-node sequence)`, and on restore each node index
@@ -572,6 +576,76 @@ mod tests {
                 "workers={workers}"
             );
         }
+    }
+
+    /// `Combined(M)` attaches to a running `Maronna(M)` — a second lane
+    /// on the plane node that is already there, restored by name — and
+    /// detaches again. The Maronna host never notices; the newcomer starts
+    /// cold at the cut, so what it trades depends on the cut alone, not on
+    /// the worker count.
+    #[test]
+    fn attaching_the_other_robust_measure_adds_a_lane_not_an_engine() {
+        let (day, n) = small_day(57);
+        let maronna = StrategyParams {
+            ctype: CorrType::Maronna,
+            ..fast_params()
+        };
+        let combined = StrategyParams {
+            ctype: CorrType::Combined,
+            ..maronna
+        };
+        let static_cfg = SweepConfig::new(n, vec![maronna]);
+        let statics = run_sweep_pipeline(day.clone(), &static_cfg).unwrap();
+        assert!(!statics.trades_per_param[0].is_empty(), "vacuous");
+
+        let engines = |live: &LiveSweepSession| -> Vec<String> {
+            (live.node_names().into_iter())
+                .filter(|name| name.starts_with("corr-engine"))
+                .collect()
+        };
+        let run = |workers: usize, detach: bool| {
+            let mut live = LiveSweepSession::new(static_cfg.clone(), rt(workers)).unwrap();
+            let quotes = day.quotes();
+            let mut it = quotes.chunks(quotes.len().div_ceil(6).max(1));
+            live.feed_epoch(it.next().unwrap());
+            let plane = engines(&live);
+            assert_eq!(plane, ["corr-engine(robust, M=20)"]);
+            let k = live.attach(StrategySpec::Paper(combined)).unwrap();
+            assert_eq!(engines(&live), plane, "a lane, not an engine");
+            assert_eq!(
+                live.stream_keys(),
+                [(CorrType::Maronna, 20), (CorrType::Combined, 20)]
+            );
+            let mut snapshots = [0usize; 2];
+            for _ in 0..3 {
+                for snap in live.feed_epoch(it.next().unwrap()).snapshots {
+                    snapshots[snap.stream] += 1;
+                }
+            }
+            // The new lane publishes from its own M-th return on.
+            assert!(snapshots[1] > 0, "{snapshots:?}");
+            assert_eq!(snapshots[0], snapshots[1] + 19);
+            if detach {
+                live.detach(k).unwrap();
+                assert_eq!(engines(&live), plane);
+            }
+            for rest in it {
+                live.feed_epoch(rest);
+            }
+            live.finish()
+        };
+        let first = run(1, false);
+        assert_eq!(first.trades_per_param[0], statics.trades_per_param[0]);
+        assert!(
+            !first.trades_per_param[1].is_empty(),
+            "vacuous: the newcomer never traded"
+        );
+        for workers in [2usize, 0] {
+            assert_eq!(run(workers, false).trades_per_param, first.trades_per_param);
+        }
+        let detached = run(2, true);
+        assert_eq!(detached.trades_per_param[0], statics.trades_per_param[0]);
+        assert!(detached.trades_per_param[1].is_empty());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::node::Source;
 use crate::runtime::Runtime;
 use crate::supervisor::{NodeFailure, StallEvent};
 use stats::matrix::SymMatrix;
+use stats::parallel::{plane_slot, same_plane};
 use telemetry::TelemetryReport;
 
 /// Configuration of the Figure-1 pipeline run.
@@ -514,28 +515,46 @@ pub(crate) fn build_sweep_graph_tapped(
     g.connect(collector, bars);
     g.connect(bars, technical);
 
-    // One correlation engine per distinct (Ctype, M), tagged with its
-    // stream id so the cubes stay distinguishable after fan-in; each
-    // distinct stream is computed exactly once.
-    let mut engines: Vec<((stats::correlation::CorrType, usize), crate::graph::NodeId)> =
-        Vec::new();
+    // Stream ids: the distinct (Ctype, M) keys in order of first
+    // appearance, so the cubes stay distinguishable after fan-in.
+    let mut keys: Vec<(stats::correlation::CorrType, usize)> = Vec::new();
     let mut streams = Vec::with_capacity(included.len());
     for &k in included {
         let key = cfg.specs[k].stream_key();
-        let j = match engines.iter().position(|(key2, _)| *key2 == key) {
-            Some(j) => j,
+        let j = (keys.iter().position(|key2| *key2 == key)).unwrap_or_else(|| {
+            keys.push(key);
+            keys.len() - 1
+        });
+        streams.push(j);
+    }
+    // Each distinct stream is computed exactly once: one engine per key,
+    // except that the robust measures of one window are the lanes of one
+    // plane node, created at the first of them and emitting in id order.
+    let mut engines: Vec<crate::graph::NodeId> = Vec::with_capacity(keys.len());
+    for (j, &key) in keys.iter().enumerate() {
+        let (ctype, corr_window) = key;
+        let node = match keys[..j]
+            .iter()
+            .position(|&earlier| same_plane(earlier, key))
+        {
+            Some(first) => engines[first],
             None => {
-                let (ctype, corr_window) = key;
-                let node = g.add_component(Box::new(
-                    CorrelationEngineNode::new(cfg.n_stocks, corr_window, cfg.corr_stride, ctype)
-                        .with_stream(engines.len()),
-                ));
+                let (n, stride) = (cfg.n_stocks, cfg.corr_stride);
+                let engine = if plane_slot(ctype).is_some() {
+                    let lanes: Vec<_> = (keys.iter().enumerate())
+                        .filter(|(_, &other)| same_plane(other, key))
+                        .map(|(j2, &(c, _))| (c, j2))
+                        .collect();
+                    CorrelationEngineNode::robust_plane(n, corr_window, stride, &lanes)
+                } else {
+                    CorrelationEngineNode::new(n, corr_window, stride, ctype).with_stream(j)
+                };
+                let node = g.add_component(Box::new(engine));
                 g.connect(technical, node);
-                engines.push((key, node));
-                engines.len() - 1
+                node
             }
         };
-        streams.push(j);
+        engines.push(node);
     }
 
     // Shared back-end: one risk manager (per-param-set books), one
@@ -552,8 +571,10 @@ pub(crate) fn build_sweep_graph_tapped(
     // snapshots the hosts receive).
     let tap_sink = if tap {
         let t = g.add_sink("analytics-tap");
-        for (_, node) in &engines {
-            g.connect(*node, t);
+        for (j, node) in engines.iter().enumerate() {
+            if !engines[..j].contains(node) {
+                g.connect(*node, t);
+            }
         }
         Some(t)
     } else {
@@ -577,12 +598,11 @@ pub(crate) fn build_sweep_graph_tapped(
 
     // One signal node per stream does, once, what its hosts would each
     // derive identically: it takes the bar (prices, health) and
-    // correlation edges and hands every host one aligned frame per
-    // interval.
-    let signals: Vec<crate::graph::NodeId> = engines
-        .iter()
+    // correlation edges (of a plane's snapshots, the ones tagged with
+    // its stream) and hands every host one aligned frame per interval.
+    let signals: Vec<crate::graph::NodeId> = (keys.iter().zip(&engines))
         .enumerate()
-        .map(|(j, &((ctype, corr_window), engine))| {
+        .map(|(j, (&(ctype, corr_window), &engine))| {
             let needs: Vec<_> = (hosts.iter().zip(&streams))
                 .filter(|(_, &stream)| stream == j)
                 .map(|(host, _)| host.needs())
@@ -850,6 +870,46 @@ mod tests {
                 "param {k} diverged between sweep and single"
             );
         }
+    }
+
+    /// `Maronna(M)` and `Combined(M)` are two streams of one plane node;
+    /// a Pearson stream between them keeps its id and its own engine, and
+    /// every host trades what it trades on a graph of its own.
+    #[test]
+    fn sweep_pipeline_runs_the_robust_measures_of_a_window_on_one_plane() {
+        let (day, n) = small_day(57);
+        let of = |ctype| StrategyParams {
+            ctype,
+            ..fast_params()
+        };
+        let params = [CorrType::Combined, CorrType::Pearson, CorrType::Maronna].map(of);
+        let cfg = SweepConfig::new(n, params.to_vec());
+        assert_eq!(
+            cfg.distinct_streams(),
+            params.map(|p| (p.ctype, p.corr_window))
+        );
+        let out = run_sweep_pipeline(day, &cfg).unwrap();
+        assert_eq!(out.streams, vec![0, 1, 2]);
+        let named = |prefix: &str| -> Vec<&str> {
+            (out.node_stats.iter())
+                .filter(|s| s.name.starts_with(prefix))
+                .map(|s| s.name.as_str())
+                .collect()
+        };
+        assert_eq!(
+            named("corr-engine"),
+            ["corr-engine(robust, M=20)", "corr-engine(Pearson, M=20)"]
+        );
+        assert_eq!(named("strategy-host-signals").len(), 3);
+        assert!(out.node_stats.iter().all(|s| s.messages_dropped == 0));
+        let mut traded = 0;
+        for (k, p) in params.iter().enumerate() {
+            let (day, _) = small_day(57);
+            let single = run_fig1_pipeline(day, &Fig1Config::new(n, *p)).unwrap();
+            assert_eq!(out.trades_per_param[k], single.trades, "param {k}");
+            traded += single.trades.len();
+        }
+        assert!(traded > 0, "vacuous: nothing traded");
     }
 
     #[test]

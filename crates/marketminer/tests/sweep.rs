@@ -234,8 +234,9 @@ fn sweep_trades_match_independent_single_param_runs() {
 }
 
 /// Each distinct `(Ctype, M)` correlation stream is computed exactly once
-/// — the paper grid's 42 parameter sets collapse onto 9 engines — and
-/// every parameter set gets its own strategy host.
+/// — the paper grid's 42 parameter sets collapse onto 9 streams, the six
+/// robust ones as the two lanes of one plane node per window — and every
+/// parameter set gets its own strategy host.
 #[test]
 fn sweep_computes_each_correlation_stream_once() {
     let _guard = lock_serial();
@@ -245,12 +246,19 @@ fn sweep_computes_each_correlation_stream_once() {
     assert_eq!(distinct.len(), 9, "3 treatments x 3 window lengths");
     let out = run_sweep(day, &cfg, 0);
 
-    let engines = out
-        .node_stats
-        .iter()
+    let engines: Vec<&str> = (out.node_stats.iter())
         .filter(|s| s.name.starts_with("corr-engine"))
+        .map(|s| s.name.as_str())
+        .collect();
+    let planes = engines
+        .iter()
+        .filter(|name| name.contains("robust"))
         .count();
-    assert_eq!(engines, distinct.len());
+    assert_eq!((engines.len(), planes), (6, 3), "{engines:?}");
+    let signal_nodes = (out.node_stats.iter())
+        .filter(|s| s.name.starts_with("strategy-host-signals"))
+        .count();
+    assert_eq!(signal_nodes, distinct.len(), "one per stream");
     let hosts = out
         .node_stats
         .iter()

@@ -18,9 +18,9 @@
 //! in the paper's results: weakly-correlated pairs keep the shrunken
 //! quadrant estimate and are less likely to clear the trading threshold.
 
-use crate::correlation::{CorrType, CorrelationMeasure};
+use crate::correlation::CorrelationMeasure;
 use crate::maronna::{robust_margin_stats_in, MaronnaEstimator};
-use crate::parallel::{robust_step, with_robust_work};
+use crate::parallel::{only, robust_step, with_robust_work, COMBINED};
 
 /// Two-stage combined estimator.
 #[derive(Debug, Clone, Copy)]
@@ -63,9 +63,8 @@ impl CombinedEstimator {
         let stats_x = robust_margin_stats_in(x, &mut scratch);
         let stats_y = robust_margin_stats_in(y, &mut scratch);
         with_robust_work(*self, x.len(), |work| {
-            let seed = &mut None;
-            let r = robust_step(CorrType::Combined, x, y, stats_x, stats_y, seed, work);
-            let stage = if work.stats.refined > 0 {
+            let r = robust_step(x, y, stats_x, stats_y, only(COMBINED, &mut None), work)[COMBINED];
+            let stage = if work.stats[COMBINED].refined > 0 {
                 CombinedStage::Refined
             } else {
                 CombinedStage::Screened

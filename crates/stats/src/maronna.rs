@@ -184,11 +184,14 @@ impl MaronnaEstimator {
     /// step; seeding the iteration with the previous window's
     /// `(location, scatter)` starts it about `1/M` from the fixed point
     /// instead of at the median/MAD guess. At the default `tol = 1e-7`
-    /// that saves a quarter of the iterations, not most of them: the
-    /// batch cubes count 12.5–16 per warm fit (`cube.irls_iters /
-    /// cube.refined`, `batch_tables` day, M = 200 … 50) against 17.5–20
-    /// cold. The fixed point is the same M-estimating equation, so a warm
-    /// fit agrees with a cold fit to within the convergence tolerance.
+    /// that saves a quarter of the iterations, not most of them: Maronna's
+    /// lane of the robust plane counts 12.6 / 13.8 / 15.3 per warm fit at
+    /// M = 200 / 100 / 50 (`irls_iters / refined` of its `CubeStats`,
+    /// seed-2009 `batch_tables` day) against 17.5–20 cold, and the fits
+    /// Combined runs from a stale seed (the ones it cannot take from
+    /// Maronna) 14.1 / 15.3 / 17.0. The fixed point is the same
+    /// M-estimating equation, so a warm fit agrees with a cold fit to
+    /// within the convergence tolerance.
     ///
     /// # Panics
     /// Panics if `x.len() != y.len()`.

@@ -30,22 +30,45 @@ use rayon::prelude::*;
 
 use crate::combined::CombinedEstimator;
 use crate::correlation::CorrType;
-use crate::maronna::{robust_margin_stats_in, with_weight_scratch, MaronnaSeed};
+use crate::maronna::{robust_margin_stats_in, with_weight_scratch, MaronnaFit, MaronnaSeed};
 use crate::matrix::SymMatrix;
 use crate::psd;
 use crate::quadrant::{quadrant, quadrant_with_medians};
 
-/// What a robust (Maronna / Combined) sweep did, counted where it happens.
+/// The two measures of a robust plane. Every `[T; 2]` in this module —
+/// requests, seeds, outputs, counters — is in this order.
+pub const PLANE: [CorrType; 2] = [CorrType::Maronna, CorrType::Combined];
+pub(crate) const MARONNA: usize = 0;
+pub(crate) const COMBINED: usize = 1;
+
+/// Position of a robust measure in [`PLANE`]; `None` for every other
+/// measure.
+pub fn plane_slot(ctype: CorrType) -> Option<usize> {
+    PLANE.iter().position(|&c| c == ctype)
+}
+
+/// Whether two `(measure, window)` stream keys are lanes of one robust
+/// plane (a robust key is in its own plane).
+pub fn same_plane(a: (CorrType, usize), b: (CorrType, usize)) -> bool {
+    a.1 == b.1 && plane_slot(a.0).is_some() && plane_slot(b.0).is_some()
+}
+
+/// What a robust sweep did for one of its measures, counted where it
+/// happens.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CubeStats {
     /// Robust steps taken: one per pair per window.
     pub pair_steps: u64,
-    /// Steps that ran the Maronna iteration (every Maronna step; the
-    /// Combined steps whose quadrant screen reached the threshold).
+    /// Steps answered by a Maronna fit (every Maronna step; the Combined
+    /// steps whose quadrant screen reached the threshold).
     pub refined: u64,
     /// Combined steps answered by the quadrant screen alone.
     pub screened: u64,
-    /// IRLS iterations summed over the refined steps.
+    /// Refined Combined steps that took Maronna's fit of the same window
+    /// instead of running their own: the two seeds were bitwise equal.
+    pub shared: u64,
+    /// IRLS iterations this measure ran itself (a shared fit's iterations
+    /// are Maronna's).
     pub irls_iters: u64,
 }
 
@@ -56,9 +79,17 @@ impl CubeStats {
             pair_steps: self.pair_steps + other.pair_steps,
             refined: self.refined + other.refined,
             screened: self.screened + other.screened,
+            shared: self.shared + other.shared,
             irls_iters: self.irls_iters + other.irls_iters,
         }
     }
+}
+
+/// Per-measure counters of the disjoint parts of a plane sweep, summed.
+fn merge_plane(parts: impl IntoIterator<Item = [CubeStats; 2]>) -> [CubeStats; 2] {
+    parts.into_iter().fold([CubeStats::default(); 2], |a, b| {
+        [a[MARONNA].merge(b[MARONNA]), a[COMBINED].merge(b[COMBINED])]
+    })
 }
 
 /// One worker's side of a robust sweep: the estimator configuration, the
@@ -67,8 +98,8 @@ impl CubeStats {
 pub(crate) struct RobustWork<'w> {
     est: CombinedEstimator,
     weights: &'w mut [f64],
-    /// What [`robust_step`] did with this work so far.
-    pub(crate) stats: CubeStats,
+    /// What [`robust_step`] did with this work so far, per measure.
+    pub(crate) stats: [CubeStats; 2],
 }
 
 /// Run `f` with estimator `est` and a weight scratch for windows of `m`
@@ -82,54 +113,100 @@ pub(crate) fn with_robust_work<R>(
         f(&mut RobustWork {
             est,
             weights,
-            stats: CubeStats::default(),
+            stats: [CubeStats::default(); 2],
         })
     })
 }
 
-/// One window of one pair under a robust measure — the only copy of the
-/// screen → refine → keep-seed logic, shared by the batch cube,
-/// [`pair_series`], the streaming warm sweep and the one-shot Combined
-/// estimator.
+/// The seed slots of one pair for one [`robust_step`]: `None` for a
+/// measure the sweep was not asked for.
+pub(crate) type SeedSlots<'s> = [Option<&'s mut Option<MaronnaSeed>>; 2];
+
+/// [`SeedSlots`] asking for the measure at `slot` alone.
+pub(crate) fn only(slot: usize, seed: &mut Option<MaronnaSeed>) -> SeedSlots<'_> {
+    let mut slots = [None, None];
+    slots[slot] = Some(seed);
+    slots
+}
+
+/// Bitwise equality of two warm-start seeds (`==` would call `0.0` and
+/// `-0.0` the same start, which they are not to the bit).
+fn same_seed(a: &Option<MaronnaSeed>, b: &Option<MaronnaSeed>) -> bool {
+    let bits =
+        |&((mx, my), (s11, s12, s22)): &MaronnaSeed| [mx, my, s11, s12, s22].map(f64::to_bits);
+    a.as_ref().map(bits) == b.as_ref().map(bits)
+}
+
+/// One window of one pair under the robust plane — the only copy of the
+/// fit → screen → share-or-refine → keep-seed logic, behind the batch
+/// cubes, [`pair_series`], the streaming warm sweep and the one-shot
+/// Combined estimator. Returns the correlations in [`PLANE`] order (0.0
+/// for a measure not asked for).
 ///
 /// `stats_x` / `stats_y` are the margins' `(median, normalised MAD)`
 /// ([`crate::maronna::robust_margin_stats`]). Maronna fits every window,
-/// warm-started from `seed`; Combined first screens by the quadrant
-/// correlation about the given medians and fits only at or above the
-/// threshold. A converged fit replaces `seed`, a failed one clears it, and
-/// a screened-out step leaves it alone for the next step that crosses the
-/// threshold.
+/// warm-started from its seed. Combined first screens by the quadrant
+/// correlation about the given medians and is refined only at or above
+/// the threshold: by Maronna's fit of this very window when that fit
+/// started from a seed bitwise equal to Combined's — same inputs, same
+/// deterministic iteration, so Combined's own fit would have been the
+/// same to the bit — and by its own fit otherwise. Either way a converged
+/// fit replaces the measure's seed, a failed one clears it, and a
+/// screened-out step leaves Combined's seed alone for the next step that
+/// crosses the threshold (from which point the two seeds differ and
+/// Combined fits for itself).
 ///
 /// # Panics
-/// Panics if `ctype` is neither `Maronna` nor `Combined`, or the slices
-/// differ in length.
+/// Panics if the slices differ in length.
 pub(crate) fn robust_step(
-    ctype: CorrType,
     x: &[f64],
     y: &[f64],
     stats_x: (f64, f64),
     stats_y: (f64, f64),
-    seed: &mut Option<MaronnaSeed>,
+    seeds: SeedSlots<'_>,
     work: &mut RobustWork<'_>,
-) -> f64 {
-    work.stats.pair_steps += 1;
-    match ctype {
-        CorrType::Maronna => {}
-        CorrType::Combined => {
-            let q = quadrant_with_medians(x, y, stats_x.0, stats_y.0);
-            let refine = q.abs() >= work.est.screen_threshold;
-            if !refine {
-                work.stats.screened += 1;
-                return q;
-            }
-        }
-        other => panic!("robust_step is for Maronna and Combined, not {other}"),
+) -> [f64; 2] {
+    let [maronna, combined] = seeds;
+    let mut fit_from = |seed: Option<MaronnaSeed>, did: &mut CubeStats| {
+        let fit = (work.est.maronna).fit_with_stats(x, y, stats_x, stats_y, seed, work.weights);
+        did.irls_iters += fit.iterations as u64;
+        fit
+    };
+    let keep = |fit: &MaronnaFit| fit.converged.then_some((fit.location, fit.scatter));
+    let mut out = [0.0; 2];
+    // Maronna's fit of this window, with the seed it started from.
+    let mut fitted = None;
+    if let Some(seed) = maronna {
+        let did = &mut work.stats[MARONNA];
+        did.pair_steps += 1;
+        did.refined += 1;
+        let fit = fit_from(*seed, did);
+        fitted = Some((*seed, fit));
+        *seed = keep(&fit);
+        out[MARONNA] = fit.correlation;
     }
-    let fit = (work.est.maronna).fit_with_stats(x, y, stats_x, stats_y, *seed, work.weights);
-    *seed = fit.converged.then_some((fit.location, fit.scatter));
-    work.stats.refined += 1;
-    work.stats.irls_iters += fit.iterations as u64;
-    fit.correlation
+    if let Some(seed) = combined {
+        let did = &mut work.stats[COMBINED];
+        did.pair_steps += 1;
+        let q = quadrant_with_medians(x, y, stats_x.0, stats_y.0);
+        let refine = q.abs() >= work.est.screen_threshold;
+        if !refine {
+            did.screened += 1;
+            out[COMBINED] = q;
+            return out;
+        }
+        did.refined += 1;
+        let fit = match fitted {
+            Some((from, fit)) if same_seed(&from, seed) => {
+                did.shared += 1;
+                fit
+            }
+            _ => fit_from(*seed, did),
+        };
+        *seed = keep(&fit);
+        out[COMBINED] = fit.correlation;
+    }
+    out
 }
 
 /// Split `data`, a sequence of `row_len`-element rows, into one contiguous
@@ -149,6 +226,230 @@ fn par_blocks<T: Send, R: Send>(
         .collect()
 }
 
+/// Number of stocks and of windows in a day of `series` under window
+/// `m`; `None` when the day is shorter than one window or holds no pair.
+///
+/// # Panics
+/// Panics if series have unequal lengths or `m < 2`.
+fn cube_shape(series: &[Vec<f64>], m: usize) -> Option<(usize, usize)> {
+    assert!(m >= 2, "window must hold at least 2 returns");
+    let n = series.len();
+    let smax = series.first().map(|s| s.len()).unwrap_or(0);
+    assert!(
+        series.iter().all(|s| s.len() == smax),
+        "all stock series must have equal length"
+    );
+    (smax >= m && n >= 2).then(|| (n, smax - m + 1))
+}
+
+/// Assert all windows equally long; the length (0 for no windows).
+fn window_len(windows: &[&[f64]]) -> usize {
+    let m = windows.first().map_or(0, |w| w.len());
+    assert!(
+        windows.iter().all(|w| w.len() == m),
+        "all stock windows must have equal length"
+    );
+    m
+}
+
+/// The batch robust plane: the full-day cubes of window `m` for the
+/// measures `want`ed ([`PLANE`] order), from ONE pass over the pairs.
+///
+/// Stock-major first — each stock's per-window `(median, MAD)` once,
+/// shared by its `n - 1` pairs and by both measures — then pairs sweep
+/// the day in parallel, each window of each pair through one
+/// `robust_step`: Maronna's fit, Combined's screen, and Combined answered
+/// by Maronna's fit wherever the two warm-start seeds agree to the bit
+/// ([`CubeStats::shared`]). Asking for one measure runs the same pass
+/// with the other's work skipped; every cube is bit-identical to the one
+/// a pass for its measure alone returns.
+///
+/// Returns `None` when the day is shorter than one window; a measure not
+/// wanted is `None` in the array.
+///
+/// # Panics
+/// Panics if series have unequal lengths or `m < 2`.
+pub fn robust_cubes(
+    series: &[Vec<f64>],
+    m: usize,
+    want: [bool; 2],
+) -> Option<[Option<CorrCube>; 2]> {
+    let (n, steps) = cube_shape(series, m)?;
+    let n_pairs = n * (n - 1) / 2;
+
+    // `margins[i * steps + k]` summarises `series[i][k..k + m]`. Same
+    // selection on the same values as `pair_series` runs per pair, so the
+    // two stay bit-identical.
+    let started = Instant::now();
+    let mut margins = vec![(0.0, 0.0); n * steps];
+    par_blocks(&mut margins, steps, |first_stock, block| {
+        let mut scratch = Vec::with_capacity(m);
+        for (off, row) in block.chunks_mut(steps).enumerate() {
+            let x = &series[first_stock + off];
+            for (k, slot) in row.iter_mut().enumerate() {
+                *slot = robust_margin_stats_in(&x[k..k + m], &mut scratch);
+            }
+        }
+    });
+    let margin_time = started.elapsed();
+
+    // One output row per pair per wanted measure, written in place (an
+    // unwanted measure has no buffer, hence no rows).
+    let mut data = want.map(|wanted| vec![0.0; if wanted { n_pairs * steps } else { 0 }]);
+    let [mut rows_m, mut rows_c] = data.each_mut().map(|d| d.chunks_mut(steps));
+    let mut rows: Vec<[Option<&mut [f64]>; 2]> = (0..n_pairs)
+        .map(|_| [rows_m.next(), rows_c.next()])
+        .collect();
+    let parts = par_blocks(&mut rows, 1, |first_rank, block| {
+        with_robust_work(CombinedEstimator::default(), m, |work| {
+            for (off, out) in block.iter_mut().enumerate() {
+                let (i, j) = SymMatrix::pair_from_rank(first_rank + off);
+                let (x, y) = (&series[i], &series[j]);
+                let (mx, my) = (&margins[i * steps..], &margins[j * steps..]);
+                let mut seeds = [None, None];
+                for k in 0..steps {
+                    let (xs, ys) = (&x[k..k + m], &y[k..k + m]);
+                    let [seed_m, seed_c] = &mut seeds;
+                    let slots = [
+                        out[MARONNA].is_some().then_some(seed_m),
+                        out[COMBINED].is_some().then_some(seed_c),
+                    ];
+                    let corr = robust_step(xs, ys, mx[k], my[k], slots, work);
+                    for (row, c) in out.iter_mut().zip(corr) {
+                        if let Some(row) = row {
+                            row[k] = c;
+                        }
+                    }
+                }
+            }
+            work.stats
+        })
+    });
+    drop(rows);
+    let stats = merge_plane(parts);
+
+    Some([MARONNA, COMBINED].map(|slot| {
+        want[slot].then(|| CorrCube {
+            n,
+            n_pairs,
+            steps,
+            first_step: m - 1,
+            data: std::mem::take(&mut data[slot]),
+            stats: stats[slot],
+            margin_time,
+        })
+    }))
+}
+
+/// One stream's side of a warm plane sweep: its seeds by pair rank, and
+/// the matrix its correlations are written into.
+pub struct WarmLane<'a> {
+    /// The previous interval's converged `(location, scatter)` per pair,
+    /// canonical pair-rank order; updated in place.
+    pub seeds: &'a mut [Option<MaronnaSeed>],
+    /// Fully overwritten (resized if it is not `n × n`).
+    pub out: &'a mut SymMatrix,
+}
+
+/// The streaming robust plane: one warm-started all-pairs sweep over the
+/// current windows for the lanes given ([`PLANE`] order), each pair
+/// through one `robust_step` — what [`robust_cubes`] does per day, per
+/// interval. Margins are derived once per stock for both lanes; a
+/// Combined step whose seed equals Maronna's takes Maronna's fit. With
+/// one lane the other measure's work is skipped; a lane's matrix and
+/// seeds are bit-identical to what a sweep for it alone leaves.
+///
+/// Per-pair work is sharded across the pool in contiguous rank blocks
+/// and written straight into the packed matrices. Returns what the sweep
+/// did per measure.
+///
+/// # Panics
+/// Panics if windows have unequal lengths or a lane's `seeds.len()` is
+/// not `n(n-1)/2`.
+pub fn robust_plane_warm_into(
+    windows: &[&[f64]],
+    mut lanes: [Option<WarmLane<'_>>; 2],
+    repair_psd: bool,
+) -> [CubeStats; 2] {
+    let n = windows.len();
+    let m = window_len(windows);
+    let n_pairs = n * n.saturating_sub(1) / 2;
+    for lane in lanes.iter_mut().flatten() {
+        assert_eq!(lane.seeds.len(), n_pairs, "one seed slot per pair rank");
+        if lane.out.n() == n {
+            lane.out.reset_identity();
+        } else {
+            *lane.out = SymMatrix::identity(n);
+        }
+    }
+
+    // Per-stock robust stats, once per interval.
+    let mut scratch = Vec::with_capacity(m);
+    let margins: Vec<(f64, f64)> = (windows.iter())
+        .map(|w| robust_margin_stats_in(w, &mut scratch))
+        .collect();
+
+    // Cut each lane into one contiguous block of ranks per pool thread.
+    // Rank `r` of row `i` sits at packed index `r + i` (row `i` of the
+    // packed triangle follows `i` diagonal entries), so a block of ranks
+    // is a contiguous packed range too, the odd diagonal entry included.
+    let packed_at = |rank: usize| rank + SymMatrix::pair_from_rank(rank).0;
+    let per_block = n_pairs.div_ceil(rayon::current_num_threads()).max(1);
+    let mut rest = lanes.each_mut().map(|lane| {
+        let lane = lane.as_mut()?;
+        // Rank 0 sits behind the first diagonal entry (none at n = 0).
+        let packed = lane.out.packed_mut().get_mut(1..).unwrap_or_default();
+        Some((&mut *lane.seeds, packed))
+    });
+    let mut blocks = Vec::new();
+    for first_rank in (0..n_pairs).step_by(per_block) {
+        let len = per_block.min(n_pairs - first_rank);
+        let packed_len = packed_at(first_rank + len) - packed_at(first_rank);
+        let block = rest.each_mut().map(|lane| {
+            let (seeds, packed) = lane.as_mut()?;
+            Some((
+                seeds.split_off_mut(..len).expect("block within the lane"),
+                packed
+                    .split_off_mut(..packed_len)
+                    .expect("block within the matrix"),
+            ))
+        });
+        blocks.push((first_rank, len, block));
+    }
+
+    let parts: Vec<[CubeStats; 2]> = (blocks.into_par_iter())
+        .map(|(first_rank, len, mut block)| {
+            with_robust_work(CombinedEstimator::default(), m, |work| {
+                let (first_row, mut j) = SymMatrix::pair_from_rank(first_rank);
+                let mut i = first_row;
+                for off in 0..len {
+                    let slots = (block.each_mut())
+                        .map(|lane| lane.as_mut().map(|(seeds, _)| &mut seeds[off]));
+                    let corr =
+                        robust_step(windows[i], windows[j], margins[i], margins[j], slots, work);
+                    for (lane, c) in block.iter_mut().zip(corr) {
+                        if let Some((_, packed)) = lane {
+                            packed[off + i - first_row] = c;
+                        }
+                    }
+                    j += 1;
+                    if j == i {
+                        (i, j) = (i + 1, 0);
+                    }
+                }
+                work.stats
+            })
+        })
+        .collect();
+
+    if repair_psd {
+        for lane in lanes.iter_mut().flatten() {
+            psd::repair_correlation(lane.out, psd::RepairConfig::default());
+        }
+    }
+    merge_plane(parts)
+}
+
 /// Compute one pair's full sliding-window correlation series into `out`:
 /// `out[k]` is the correlation of `x[k..k+m]` with `y[k..k+m]`.
 ///
@@ -157,7 +458,7 @@ fn par_blocks<T: Send, R: Send>(
 /// shared across pairs; the two produce bit-identical series. Pearson
 /// uses the O(1) sliding update; Maronna (and Combined's refinement
 /// stage) warm-start each window from the previous fit through the same
-/// `robust_step` as the cube.
+/// `robust_step` as the cube, asking for the one measure.
 ///
 /// # Panics
 /// Panics if the series lengths differ, `m < 2`, or
@@ -192,6 +493,7 @@ pub fn pair_series(ctype: CorrType, x: &[f64], y: &[f64], m: usize, out: &mut [f
             }
         }
         CorrType::Maronna | CorrType::Combined => {
+            let slot = plane_slot(ctype).expect("a robust measure");
             let mut scratch = Vec::with_capacity(m);
             with_robust_work(CombinedEstimator::default(), m, |work| {
                 let mut seed = None;
@@ -199,7 +501,8 @@ pub fn pair_series(ctype: CorrType, x: &[f64], y: &[f64], m: usize, out: &mut [f
                     let (xs, ys) = (&x[step..step + m], &y[step..step + m]);
                     let stats_x = robust_margin_stats_in(xs, &mut scratch);
                     let stats_y = robust_margin_stats_in(ys, &mut scratch);
-                    *o = robust_step(ctype, xs, ys, stats_x, stats_y, &mut seed, work);
+                    let seeds = only(slot, &mut seed);
+                    *o = robust_step(xs, ys, stats_x, stats_y, seeds, work)[slot];
                 }
             });
         }
@@ -356,13 +659,7 @@ impl ParallelCorrEngine {
 
     fn matrix_per_pair_impl(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
         let n = windows.len();
-        if n > 1 {
-            let len0 = windows[0].len();
-            assert!(
-                windows.iter().all(|w| w.len() == len0),
-                "all stock windows must have equal length"
-            );
-        }
+        window_len(windows);
         let n_pairs = n * (n - 1) / 2;
         let measure = self.ctype.estimator();
         let compute = |rank: usize| -> f64 {
@@ -386,8 +683,9 @@ impl ParallelCorrEngine {
     }
 
     /// Streaming all-pairs robust matrix with per-pair warm starts: the
-    /// interval-over-interval entry point for Maronna and Combined
-    /// engines.
+    /// interval-over-interval entry point for one Maronna or Combined
+    /// stream — [`robust_plane_warm_into`] asked for this engine's measure
+    /// alone.
     ///
     /// Two amortisations over [`Self::matrix_per_pair`]:
     ///
@@ -398,10 +696,14 @@ impl ParallelCorrEngine {
     ///   next interval's iteration (`seeds[rank]`, canonical pair-rank
     ///   order), saving about a quarter of the IRLS iterations (see
     ///   [`MaronnaEstimator::fit_with_init`](crate::maronna::MaronnaEstimator::fit_with_init)
-    ///   for the measured counts). The fixed point is the same
-    ///   M-estimating equation, so warm sweeps agree with cold fits to
-    ///   within the convergence tolerance — this is a documented-tolerance
-    ///   path, not a bit-identity one.
+    ///   for the measured counts).
+    ///
+    /// A day of warm sweeps from empty seeds is bit-identical to the
+    /// batch [`Self::cube`] over the same windows: both walk every pair
+    /// through the same `robust_step` from the same cold start. Against a
+    /// *cold* fit of one window a warm one agrees only to within the
+    /// convergence tolerance — the fixed point is the same M-estimating
+    /// equation, the path to it is not.
     ///
     /// Per-pair work is sharded across the pool; pairs are independent, so
     /// output is deterministic at any thread count.
@@ -422,73 +724,26 @@ impl ParallelCorrEngine {
 
     /// [`Self::matrix_robust_warm`] into a caller-provided buffer, fully
     /// overwriting it — lets the streaming engine recycle snapshot
-    /// allocations.
+    /// allocations. Returns what the sweep did.
     pub fn matrix_robust_warm_into(
         &self,
         windows: &[&[f64]],
         seeds: &mut [Option<MaronnaSeed>],
         out: &mut SymMatrix,
-    ) {
-        assert!(
-            matches!(self.ctype, CorrType::Maronna | CorrType::Combined),
-            "warm path is for robust measures; {} has no seed state",
-            self.ctype
-        );
-        let n = windows.len();
-        if n > 1 {
-            let len0 = windows[0].len();
-            assert!(
-                windows.iter().all(|w| w.len() == len0),
-                "all stock windows must have equal length"
-            );
-        }
-        let n_pairs = n * (n - 1) / 2;
-        assert_eq!(seeds.len(), n_pairs, "one seed slot per pair rank");
-
-        // Per-stock robust stats, once per interval.
-        let m = windows.first().map_or(0, |w| w.len());
-        let mut scratch = Vec::with_capacity(m);
-        let stats: Vec<(f64, f64)> = (windows.iter())
-            .map(|w| robust_margin_stats_in(w, &mut scratch))
-            .collect();
-
-        let ctype = self.ctype;
-        let blocks: Vec<Vec<f64>> = par_blocks(seeds, 1, |first_rank, seeds| {
-            with_robust_work(CombinedEstimator::default(), m, |work| {
-                (seeds.iter_mut().enumerate())
-                    .map(|(off, seed)| {
-                        let (i, j) = SymMatrix::pair_from_rank(first_rank + off);
-                        robust_step(
-                            ctype, windows[i], windows[j], stats[i], stats[j], seed, work,
-                        )
-                    })
-                    .collect()
-            })
+    ) -> CubeStats {
+        let slot = plane_slot(self.ctype).unwrap_or_else(|| {
+            panic!(
+                "warm path is for robust measures; {} has no seed state",
+                self.ctype
+            )
         });
-
-        if out.n() == n {
-            out.reset_identity();
-        } else {
-            *out = SymMatrix::identity(n);
-        }
-        for (rank, v) in blocks.into_iter().flatten().enumerate() {
-            let (i, j) = SymMatrix::pair_from_rank(rank);
-            out.set(i, j, v);
-        }
-        if self.repair_psd {
-            psd::repair_correlation(out, psd::RepairConfig::default());
-        }
+        let mut lanes = [None, None];
+        lanes[slot] = Some(WarmLane { seeds, out });
+        robust_plane_warm_into(windows, lanes, self.repair_psd)[slot]
     }
 
     fn matrix_impl(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
-        let n = windows.len();
-        if n > 1 {
-            let len0 = windows[0].len();
-            assert!(
-                windows.iter().all(|w| w.len() == len0),
-                "all stock windows must have equal length"
-            );
-        }
+        window_len(windows);
         if self.ctype == CorrType::Pearson {
             // Pearson factors through standardization, so the whole matrix
             // is one tiled Z·Zᵀ (see crate::blocked). Robust measures have
@@ -519,22 +774,14 @@ impl ParallelCorrEngine {
     /// # Panics
     /// Panics if series have unequal lengths or `m < 2`.
     pub fn cube(&self, series: &[Vec<f64>], m: usize) -> Option<CorrCube> {
-        assert!(m >= 2, "window must hold at least 2 returns");
-        let n = series.len();
-        let smax = series.first().map(|s| s.len()).unwrap_or(0);
-        assert!(
-            series.iter().all(|s| s.len() == smax),
-            "all stock series must have equal length"
-        );
-        if smax < m || n < 2 {
-            return None;
+        let ctype = self.ctype;
+        if let Some(slot) = plane_slot(ctype) {
+            let want = std::array::from_fn(|s| s == slot);
+            return robust_cubes(series, m, want).and_then(|mut cubes| cubes[slot].take());
         }
-        let steps = smax - m + 1;
+        let (n, steps) = cube_shape(series, m)?;
         let n_pairs = n * (n - 1) / 2;
         let mut data = vec![0.0; n_pairs * steps];
-        let ctype = self.ctype;
-        let mut stats = CubeStats::default();
-        let mut margin_time = Duration::ZERO;
 
         if ctype == CorrType::Pearson {
             // Incremental all-pairs sweep: the per-stock half of the
@@ -570,40 +817,6 @@ impl ParallelCorrEngine {
                         out,
                     );
                 });
-        } else if matches!(ctype, CorrType::Maronna | CorrType::Combined) {
-            // Each stock's (median, MAD) per window, once, shared by its
-            // n-1 pairs: `margins[i * steps + k]` summarises
-            // `series[i][k..k + m]`. Same selection on the same values as
-            // `pair_series` runs per pair, so the two stay bit-identical.
-            let started = Instant::now();
-            let mut margins = vec![(0.0, 0.0); n * steps];
-            par_blocks(&mut margins, steps, |first_stock, block| {
-                let mut scratch = Vec::with_capacity(m);
-                for (off, row) in block.chunks_mut(steps).enumerate() {
-                    let x = &series[first_stock + off];
-                    for (k, slot) in row.iter_mut().enumerate() {
-                        *slot = robust_margin_stats_in(&x[k..k + m], &mut scratch);
-                    }
-                }
-            });
-            margin_time = started.elapsed();
-
-            let parts = par_blocks(&mut data, steps, |first_rank, block| {
-                with_robust_work(CombinedEstimator::default(), m, |work| {
-                    for (off, out) in block.chunks_mut(steps).enumerate() {
-                        let (i, j) = SymMatrix::pair_from_rank(first_rank + off);
-                        let (x, y) = (&series[i], &series[j]);
-                        let (mx, my) = (&margins[i * steps..], &margins[j * steps..]);
-                        let mut seed = None;
-                        for (k, o) in out.iter_mut().enumerate() {
-                            let (xs, ys) = (&x[k..k + m], &y[k..k + m]);
-                            *o = robust_step(ctype, xs, ys, mx[k], my[k], &mut seed, work);
-                        }
-                    }
-                    work.stats
-                })
-            });
-            stats = parts.into_iter().fold(stats, CubeStats::merge);
         } else {
             data.par_chunks_mut(steps)
                 .enumerate()
@@ -619,8 +832,8 @@ impl ParallelCorrEngine {
             steps,
             first_step: m - 1,
             data,
-            stats,
-            margin_time,
+            stats: CubeStats::default(),
+            margin_time: Duration::ZERO,
         })
     }
 
@@ -655,6 +868,53 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// At any screen threshold, one `robust_step` asked for both
+        /// measures leaves the values, seeds and counters that one step
+        /// per measure leaves — except that it ran fewer fits.
+        #[test]
+        fn a_plane_step_equals_one_step_per_measure(
+            m in 4usize..24, threshold in 0.0f64..0.7, rho in -1.0f64..1.0,
+            pool in proptest::collection::vec(-0.01f64..0.01, 120..121),
+        ) {
+            use proptest::prelude::*;
+            let (x, e) = pool.split_at(60);
+            let y: Vec<f64> = (x.iter().zip(e))
+                .map(|(x, e)| rho * x + (1.0 - rho.abs()) * e)
+                .collect();
+            let est = CombinedEstimator { screen_threshold: threshold, ..Default::default() };
+            let mut scratch = Vec::new();
+            let (mut plane, mut apart) = ([None, None], [None, None]);
+            let (both, alone) = with_robust_work(est, m, |both| {
+                with_robust_work(est, m, |alone| {
+                    for k in 0..=x.len() - m {
+                        let (xs, ys) = (&x[k..k + m], &y[k..k + m]);
+                        let sx = robust_margin_stats_in(xs, &mut scratch);
+                        let sy = robust_margin_stats_in(ys, &mut scratch);
+                        let [seed_m, seed_c] = &mut plane;
+                        let got = robust_step(xs, ys, sx, sy, [Some(seed_m), Some(seed_c)], both);
+                        let [seed_m, seed_c] = &mut apart;
+                        let want = [
+                            robust_step(xs, ys, sx, sy, only(MARONNA, seed_m), alone)[MARONNA],
+                            robust_step(xs, ys, sx, sy, only(COMBINED, seed_c), alone)[COMBINED],
+                        ];
+                        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "step {}", k);
+                        prop_assert!(same_seed(&plane[MARONNA], &apart[MARONNA]), "step {}", k);
+                        prop_assert!(same_seed(&plane[COMBINED], &apart[COMBINED]), "step {}", k);
+                    }
+                    Ok((both.stats, alone.stats))
+                })
+            })?;
+            let fits = |did: CubeStats| CubeStats { shared: 0, irls_iters: 0, ..did };
+            prop_assert_eq!(both[MARONNA], alone[MARONNA]);
+            prop_assert_eq!(fits(both[COMBINED]), fits(alone[COMBINED]));
+            prop_assert_eq!(alone[COMBINED].shared, 0);
+            prop_assert!(both[COMBINED].irls_iters <= alone[COMBINED].irls_iters);
+        }
     }
 
     #[test]

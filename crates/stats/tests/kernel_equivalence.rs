@@ -10,7 +10,10 @@
 //! * the rank-1-update streaming matrix ([`stats::OnlineCorrMatrix`]).
 //!
 //! And the robust cubes, which share each stock's `(median, MAD)` series
-//! across its pairs, must equal the per-pair [`pair_series`] bit for bit.
+//! across its pairs, must equal the per-pair [`pair_series`] bit for bit —
+//! as must the robust plane, batch and streaming, which also shares
+//! Maronna's fit with Combined wherever their seeds agree, equal the two
+//! separate sweeps written out below.
 #![allow(clippy::needless_range_loop)] // index-driven loops mirror the math
 
 use std::sync::Mutex;
@@ -18,10 +21,14 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use stats::correlation::CorrType;
-use stats::parallel::pair_series;
+use stats::maronna::{robust_margin_stats, MaronnaSeed};
+use stats::parallel::{
+    pair_series, robust_cubes, robust_plane_warm_into, CubeStats, WarmLane, PLANE,
+};
 use stats::pearson::pearson;
+use stats::quadrant::quadrant_with_medians;
 use stats::simd::{self, Backend};
-use stats::{OnlineCorrMatrix, ParallelCorrEngine};
+use stats::{CombinedEstimator, OnlineCorrMatrix, ParallelCorrEngine, SymMatrix};
 
 /// The dispatch override is process-global; serialize tests that pin it so
 /// a concurrent test cannot observe a half-switched backend. (Switching is
@@ -126,6 +133,15 @@ fn simd_and_scalar_kernels_bit_identical_at_every_lane_remainder() {
     }
 }
 
+/// splitmix64 of `(stream, step)`, centred, at log-return scale.
+fn noise(stream: u64, t: usize) -> f64 {
+    let mut z = (stream << 32 | t as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e-3
+}
+
 /// Six return series, 260 long: two on a common factor throughout, one
 /// that follows the factor in the first and last quarters only (its pairs
 /// cross Combined's 0.05 quadrant screen downwards and back up), one
@@ -133,14 +149,6 @@ fn simd_and_scalar_kernels_bit_identical_at_every_lane_remainder() {
 /// median not the only value), one independent.
 fn robust_panel() -> Vec<Vec<f64>> {
     const LEN: usize = 260;
-    // splitmix64 of (series, step), centred, at log-return scale.
-    let noise = |i: u64, t: usize| {
-        let mut z = (i << 32 | t as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e-3
-    };
     let series = |f: &dyn Fn(usize) -> f64| (0..LEN).map(f).collect::<Vec<f64>>();
     vec![
         series(&|t| 0.7 * noise(0, t) + 0.3 * noise(1, t)),
@@ -228,6 +236,311 @@ fn robust_cube_is_bit_identical_to_per_pair_series() {
             assert!(cube.pair_series(3, 0).iter().all(|&c| c == 0.0));
         }
     }
+}
+
+/// Seven one-factor return series, 150 long, loadings from none to
+/// heavy, on a price grid of a quarter of the noise scale as tick data
+/// is: returns tie with each other and with the median, so the lightly
+/// loaded pairs wander across Combined's screen (tie-free windows never
+/// read below it: see `robust_cube_is_bit_identical_to_per_pair_series`).
+fn seeded_panel(seed: u64) -> Vec<Vec<f64>> {
+    const TICK: f64 = 2.5e-4;
+    let stream = |k: u64| seed.wrapping_mul(31).wrapping_add(k) & 0xFFFF_FFFF;
+    (0..7u64)
+        .map(|i| {
+            let beta = i as f64 / 8.0;
+            (0..150)
+                .map(|t| beta * noise(stream(0), t) + (1.0 - beta) * noise(stream(i + 1), t))
+                .map(|r| (r / TICK).round() * TICK)
+                .collect()
+        })
+        .collect()
+}
+
+/// The two separate sweeps, written out — the definition the robust
+/// plane must reproduce to the bit. Per pair, Maronna fits every window
+/// warm-started from its own previous fit; Combined screens every window
+/// by the quadrant correlation and fits the ones at or above the
+/// threshold, warm-started from *its* previous fit. Nothing is shared
+/// between the two. `[maronna, combined][pair rank][step]`.
+fn separate_sweeps(panel: &[Vec<f64>], m: usize) -> [Vec<Vec<f64>>; 2] {
+    let est = CombinedEstimator::default();
+    let steps = panel[0].len() - m + 1;
+    let mut weights = vec![0.0; m];
+    let mut out = [Vec::new(), Vec::new()];
+    for i in 1..panel.len() {
+        for j in 0..i {
+            let (mut seed_m, mut seed_c): (Option<MaronnaSeed>, Option<MaronnaSeed>) = (None, None);
+            let (mut series_m, mut series_c) = (Vec::new(), Vec::new());
+            for k in 0..steps {
+                let (x, y) = (&panel[i][k..k + m], &panel[j][k..k + m]);
+                let (sx, sy) = (robust_margin_stats(x), robust_margin_stats(y));
+                let fit = (est.maronna).fit_with_stats(x, y, sx, sy, seed_m, &mut weights);
+                seed_m = fit.converged.then_some((fit.location, fit.scatter));
+                series_m.push(fit.correlation);
+                let q = quadrant_with_medians(x, y, sx.0, sy.0);
+                if q.abs() >= est.screen_threshold {
+                    let fit = (est.maronna).fit_with_stats(x, y, sx, sy, seed_c, &mut weights);
+                    seed_c = fit.converged.then_some((fit.location, fit.scatter));
+                    series_c.push(fit.correlation);
+                } else {
+                    series_c.push(q);
+                }
+            }
+            out[0].push(series_m);
+            out[1].push(series_c);
+        }
+    }
+    out
+}
+
+fn add(a: [CubeStats; 2], b: [CubeStats; 2]) -> [CubeStats; 2] {
+    [a[0].merge(b[0]), a[1].merge(b[1])]
+}
+
+/// The robust plane — one pass answering Maronna(M) and Combined(M), the
+/// second by the first's fit wherever their seeds agree — against the two
+/// separate sweeps: batch cubes and a day of warm streaming sweeps, asked
+/// for both measures and for each alone, on the crossing fixture and on
+/// seeded panels (one seed fresh every run), every pool size, both SIMD
+/// backends. Values, seeds and counters.
+#[test]
+fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
+    let fresh = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(1, |d| d.subsec_nanos() as u64);
+    let max_threads = rayon::current_num_threads().max(3);
+    let panels = [
+        ("fixture".to_string(), robust_panel()),
+        ("seed 2009".to_string(), seeded_panel(2009)),
+        ("seed 7".to_string(), seeded_panel(7)),
+        (format!("seed {fresh}"), seeded_panel(fresh)),
+    ];
+    for (name, panel) in &panels {
+        let n = panel.len();
+        let n_pairs = n * (n - 1) / 2;
+        for m in [5usize, 50, 51] {
+            let steps = panel[0].len() - m + 1;
+            let want = with_backend(Backend::Scalar, || separate_sweeps(panel, m));
+            for backend in [Backend::Scalar, Backend::Avx2] {
+                for threads in [1, 2, max_threads] {
+                    let what = format!("{name} m={m} {backend:?} threads={threads}");
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool");
+                    let run = |f: &mut dyn FnMut()| with_backend(backend, || pool.install(f));
+
+                    // Batch: both measures at once, and each alone.
+                    let mut batch = [CubeStats::default(); 2];
+                    for wanted in [[true, true], [true, false], [false, true]] {
+                        let mut cubes = None;
+                        run(&mut || cubes = robust_cubes(panel, m, wanted));
+                        let cubes = cubes.expect("the panel holds a window");
+                        for slot in 0..2 {
+                            let Some(cube) = &cubes[slot] else {
+                                assert!(!wanted[slot], "{what}: a wanted cube is missing");
+                                continue;
+                            };
+                            assert!(wanted[slot], "{what}: an unwanted cube came back");
+                            for (rank, series) in want[slot].iter().enumerate() {
+                                let got = cube.series_by_rank(rank);
+                                assert_eq!(got.len(), series.len());
+                                for (k, (a, b)) in got.iter().zip(series).enumerate() {
+                                    assert_eq!(
+                                        a.to_bits(),
+                                        b.to_bits(),
+                                        "{what} {} {wanted:?} rank={rank} step={k}: {a} vs {b}",
+                                        PLANE[slot]
+                                    );
+                                }
+                            }
+                            let did = cube.stats();
+                            assert_eq!(did.pair_steps, (n_pairs * steps) as u64, "{what}");
+                            assert_eq!(did.refined + did.screened, did.pair_steps, "{what}");
+                            if wanted == [true, true] {
+                                batch[slot] = did;
+                            } else {
+                                // Alone: the same answers with nothing to
+                                // share, every fit its own.
+                                assert_eq!(did.shared, 0, "{what}");
+                                assert_eq!(
+                                    CubeStats {
+                                        shared: 0,
+                                        irls_iters: 0,
+                                        ..did
+                                    },
+                                    CubeStats {
+                                        shared: 0,
+                                        irls_iters: 0,
+                                        ..batch[slot]
+                                    },
+                                    "{what}"
+                                );
+                                assert!(did.irls_iters >= batch[slot].irls_iters, "{what}");
+                            }
+                        }
+                    }
+                    let [maronna, combined] = batch;
+                    assert_eq!((maronna.screened, maronna.shared), (0, 0), "{what}");
+                    assert!(combined.shared <= combined.refined, "{what}");
+                    // Not vacuous (the fresh seed is taken as it comes).
+                    if !name.contains(&fresh.to_string()) {
+                        assert!(
+                            combined.shared > 0 && combined.screened > 0,
+                            "{what}: {combined:?}"
+                        );
+                    }
+
+                    // Streaming: a day of warm sweeps, the plane against
+                    // one sweep per measure, against the cubes.
+                    let mut plane_seeds = [vec![None; n_pairs], vec![None; n_pairs]];
+                    let mut alone_seeds = plane_seeds.clone();
+                    let mut plane_out = [SymMatrix::identity(0), SymMatrix::identity(0)];
+                    let mut alone_out = plane_out.clone();
+                    let mut streamed = [CubeStats::default(); 2];
+                    for k in 0..steps {
+                        let windows: Vec<&[f64]> = panel.iter().map(|s| &s[k..k + m]).collect();
+                        run(&mut || {
+                            let [seeds_m, seeds_c] = &mut plane_seeds;
+                            let [out_m, out_c] = &mut plane_out;
+                            let lanes = [
+                                Some(WarmLane {
+                                    seeds: seeds_m,
+                                    out: out_m,
+                                }),
+                                Some(WarmLane {
+                                    seeds: seeds_c,
+                                    out: out_c,
+                                }),
+                            ];
+                            streamed =
+                                add(streamed, robust_plane_warm_into(&windows, lanes, false));
+                            for slot in 0..2 {
+                                ParallelCorrEngine::new(PLANE[slot]).matrix_robust_warm_into(
+                                    &windows,
+                                    &mut alone_seeds[slot],
+                                    &mut alone_out[slot],
+                                );
+                            }
+                        });
+                        for slot in 0..2 {
+                            assert_bits_equal(&plane_out[slot], &alone_out[slot], &what);
+                            assert_eq!(plane_seeds[slot], alone_seeds[slot], "{what} step {k}");
+                            for (rank, series) in want[slot].iter().enumerate() {
+                                let (i, j) = SymMatrix::pair_from_rank(rank);
+                                assert_eq!(
+                                    plane_out[slot].get(i, j).to_bits(),
+                                    series[k].to_bits(),
+                                    "{what} {} streamed rank={rank} step={k}",
+                                    PLANE[slot]
+                                );
+                            }
+                        }
+                    }
+                    assert_eq!(streamed, batch, "{what}: streaming counted what batch did");
+                }
+            }
+        }
+    }
+}
+
+/// One pair's plane over a day: its two series and what was counted.
+fn pair_plane(x: &[f64], y: &[f64], m: usize) -> ([Vec<f64>; 2], [CubeStats; 2]) {
+    let [maronna, combined] = robust_cubes(&[x.to_vec(), y.to_vec()], m, [true, true])
+        .expect("the series hold a window")
+        .map(|cube| cube.expect("both measures were asked for"));
+    (
+        [
+            maronna.series_by_rank(0).to_vec(),
+            combined.series_by_rank(0).to_vec(),
+        ],
+        [maronna.stats(), combined.stats()],
+    )
+}
+
+/// The fixture pair that crosses the screen down and back up walks every
+/// branch of the plane: while Combined has refined every step its seed is
+/// Maronna's and the fit is taken; across the screened stretch Maronna's
+/// seed moves on and Combined's does not; from the first step back above
+/// the screen the seeds differ and Combined fits for itself.
+#[test]
+fn a_pair_that_crosses_the_screen_shares_then_fits_for_itself() {
+    let panel = robust_panel();
+    let m = 100;
+    let mut q = vec![0.0; panel[0].len() - m + 1];
+    pair_series(CorrType::Quadrant, &panel[2], &panel[0], m, &mut q);
+    let above: Vec<bool> = q.iter().map(|v| v.abs() >= 0.05).collect();
+    let falls = above
+        .windows(2)
+        .position(|w| w[0] && !w[1])
+        .expect("falls below");
+    let rises = above
+        .windows(2)
+        .rposition(|w| !w[0] && w[1])
+        .expect("comes back");
+    assert!(above[0] && falls < rises);
+
+    let (series, [maronna, combined]) = pair_plane(&panel[2], &panel[0], m);
+    let refined = above.iter().filter(|&&a| a).count() as u64;
+    assert_eq!(
+        (combined.refined, combined.screened),
+        (refined, q.len() as u64 - refined)
+    );
+    // Steps 0..=falls are refined from equal seeds (both cold, then both
+    // Maronna's previous fit): taken, not refitted.
+    assert!(combined.shared > falls as u64, "{combined:?}");
+    // Steps after the rise start from the seed Combined kept at `falls`.
+    let own = combined.refined - combined.shared;
+    assert!(own >= 1 && combined.irls_iters > 0, "{combined:?}");
+    assert!(maronna.irls_iters > combined.irls_iters);
+    // Shared steps are Maronna's value to the bit; an own fit from the
+    // stale seed converges to the same fixed point, not the same bits.
+    for k in 0..=falls {
+        assert_eq!(series[0][k].to_bits(), series[1][k].to_bits(), "step {k}");
+    }
+    let after = rises + 1;
+    assert!((series[0][after] - series[1][after]).abs() < 1e-5);
+    // And all of it is what the separate sweeps produce.
+    let want = separate_sweeps(&[panel[2].clone(), panel[0].clone()], m);
+    for slot in 0..2 {
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&series[slot]), bits(&want[slot][0]), "{}", PLANE[slot]);
+    }
+}
+
+/// A fit that never converges leaves both seeds empty, so the next
+/// refined step is shared again: a margin with no robust spread (more
+/// than half its window identical) cannot be fitted, while its few
+/// informative signs carry the quadrant screen over the threshold.
+#[test]
+fn a_fit_that_does_not_converge_clears_both_seeds_alike() {
+    let len = 120;
+    let x: Vec<f64> = (0..len)
+        .map(|t| if t % 5 == 0 { noise(11, t) } else { 0.0 })
+        .collect();
+    let y: Vec<f64> = (0..len)
+        .map(|t| {
+            if t % 5 == 0 {
+                x[t] + 0.1 * noise(12, t)
+            } else {
+                noise(13, t)
+            }
+        })
+        .collect();
+    let (series, [maronna, combined]) = pair_plane(&x, &y, 40);
+    assert!(
+        combined.refined > 0,
+        "the screen must pass some windows: {combined:?}"
+    );
+    assert_eq!(combined.shared, combined.refined, "{combined:?}");
+    assert_eq!((maronna.irls_iters, combined.irls_iters), (0, 0));
+    assert!(
+        series[0].iter().all(|&c| c == 0.0),
+        "no evidence reads as 0"
+    );
+    let want = separate_sweeps(&[x, y], 40);
+    assert_eq!(series[1], want[1][0]);
 }
 
 /// One NaN, one +∞ and one −∞ in one stock's series must not panic any
