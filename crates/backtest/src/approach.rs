@@ -16,7 +16,7 @@
 //!
 //! All three are implemented here *against the same strategy code* and are
 //! verified trade-for-trade equivalent (up to the numerical noise of
-//! recompute-vs-sliding Pearson); the benches then measure what the paper
+//! recompute-vs-sliding Pearson); `scaling_study` then measures what the paper
 //! measured — how their costs diverge.
 
 use pairtrade_core::engine::{run_pair_day, run_pair_day_multi};

@@ -4,8 +4,9 @@
 //! time by creating scripts which sent out independent Matlab jobs to a
 //! Sun Grid Engine scheduler." This module reproduces that execution model
 //! — a queue of independent `(pair, day, parameter-set)` jobs drained by a
-//! fixed pool of workers — so the approaches bench can compare it against
-//! the integrated solution the paper advocates. The paper's criticism is
+//! fixed pool of workers — so `tests/approaches.rs` and `scaling_study`
+//! can compare it against the integrated solution the paper advocates.
+//! The paper's criticism is
 //! architectural, not about SGE itself: job farming "does not allow for a
 //! tight interaction between independent pairs throughout the course of a
 //! trading day".

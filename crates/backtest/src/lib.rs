@@ -27,7 +27,6 @@
 
 pub mod aggregate;
 pub mod approach;
-pub mod distributed;
 pub mod execution;
 pub mod halving;
 pub mod jobfarm;

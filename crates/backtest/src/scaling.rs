@@ -11,7 +11,7 @@
 //! [`Extrapolation::paper_workload`] reproduces those numbers from the
 //! paper's own 2 s/job measurement (the 854 h and 445 d figures land
 //! exactly; the 1000-stock figure reproduces the paper's *method* — see
-//! the note on `month_1000_pairs_days`). The benches then substitute the
+//! the note on `month_1000_pairs_days`). `scaling_study` then substitutes the
 //! cost measured on this machine for both the Approach-2 job and the
 //! integrated Approach-3 sweep, which is the actual reproduction of the
 //! paper's performance claim.

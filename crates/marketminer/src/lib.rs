@@ -7,9 +7,8 @@
 //! This crate is that platform: a DAG of components connected by bounded
 //! inboxes, executed by a fixed-size pool of cooperatively scheduled
 //! workers (the shared-memory realisation of MPI ranks — see [`shard`]
-//! for the MPI-flavoured messaging substrate itself). The OS thread count
-//! is set
-//! by [`runtime::RuntimeConfig::workers`], independent of graph size, so
+//! for the multi-process one). The OS thread count is set by
+//! [`runtime::RuntimeConfig::workers`], independent of graph size, so
 //! the full 42-parameter sweep graph runs on a handful of threads. The
 //! analytics components are the paper's Figure 1:
 //!
@@ -42,12 +41,11 @@
 //!   (everything the strategy hosts of one correlation stream derive
 //!   identically, computed once), the strategy host, the risk manager
 //!   and the order gateway.
-//! * [`pipeline`] — a prebuilt, runnable instance of Figure 1, and the
-//!   shared-stream parameter-sweep graph ([`pipeline::SweepConfig`]).
-//! * [`shard`] — MPI-flavoured typed messaging ([`shard::World`] /
-//!   [`shard::Comm`]) plus the durable multi-process shard runner:
-//!   worker processes over Unix-domain sockets, epoch checkpoints,
-//!   heartbeat supervision and kill -9 recovery.
+//! * [`pipeline`] — the prebuilt, runnable shared-stream sweep graph
+//!   ([`pipeline::SweepConfig`]); with one spec it is Figure 1.
+//! * [`shard`] — the durable multi-process shard runner: worker
+//!   processes over framed Unix-domain or TCP sockets, epoch
+//!   checkpoints, heartbeat supervision and kill -9 recovery.
 
 pub mod components;
 pub mod graph;
@@ -64,11 +62,7 @@ pub use graph::{Graph, GraphError, NodeId};
 pub use live::{LiveEpoch, LiveOutput, LiveSweepSession};
 pub use messages::{DegradeReason, HealthEvent, HealthStatus, Message, TradeReport};
 pub use node::{Component, NodeState, Source};
-pub use pipeline::{
-    run_fig1_pipeline, run_fig1_pipeline_with, run_multi_pipeline, run_sweep_pipeline,
-    run_sweep_pipeline_with, Fig1Config, Fig1Output, MultiConfig, MultiOutput, SweepConfig,
-    SweepOutput,
-};
+pub use pipeline::{run_sweep_pipeline, run_sweep_pipeline_with, SweepConfig, SweepOutput};
 pub use runtime::{NodeOutcome, NodeStats, RunOutput, Runtime, RuntimeConfig};
 pub use supervisor::{
     FailureMode, NodeFailure, RestartPolicy, StallEvent, SupervisionConfig, WatchdogConfig,

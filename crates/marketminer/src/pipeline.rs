@@ -1,4 +1,4 @@
-//! The prebuilt Figure-1 workflow.
+//! The prebuilt Figure-1 workflow, as a shared-stream sweep.
 //!
 //! Collector → OHLC bars → technical analysis → parallel correlation
 //! engine → signal node → pair-trading strategy host → risk manager →
@@ -6,7 +6,9 @@
 //! strategy needs prices, not just correlations) and hands the host one
 //! aligned frame per interval; a sink captures baskets and trade reports
 //! as they become final, and [`collect_sweep_output`] folds what any
-//! driver drained from it into the run's output.
+//! driver drained from it into the run's output. A [`SweepConfig`] of one
+//! spec is exactly that chain; more specs share everything up to their
+//! `(Ctype, M)` correlation stream.
 
 use std::sync::Arc;
 
@@ -31,147 +33,6 @@ use crate::supervisor::{NodeFailure, StallEvent};
 use stats::matrix::SymMatrix;
 use stats::parallel::{plane_slot, same_plane};
 use telemetry::TelemetryReport;
-
-/// Configuration of the Figure-1 pipeline run.
-#[derive(Debug, Clone)]
-pub struct Fig1Config {
-    /// Universe size (symbols 0..n).
-    pub n_stocks: usize,
-    /// Strategy parameter vector (supplies Δs, M, Ctype, ...).
-    pub params: StrategyParams,
-    /// Execution extensions.
-    pub exec: ExecutionConfig,
-    /// Quote-cleaning configuration.
-    pub clean: CleanConfig,
-    /// Correlation snapshot stride, in intervals (1 = every interval).
-    pub corr_stride: usize,
-    /// Risk limits for the risk-manager stage.
-    pub limits: RiskLimits,
-    /// Whether emitted orders require human confirmation (Figure 1 shows
-    /// both paths).
-    pub needs_confirmation: bool,
-    /// Feed-health detection thresholds; `None` (the default) disables
-    /// the degradation control plane entirely, which keeps the byte
-    /// layout of every emitted message identical to previous releases.
-    pub health: Option<HealthPolicy>,
-}
-
-impl Fig1Config {
-    /// Defaults from a parameter vector.
-    pub fn new(n_stocks: usize, params: StrategyParams) -> Self {
-        Fig1Config {
-            n_stocks,
-            params,
-            exec: ExecutionConfig::paper(),
-            clean: CleanConfig::default(),
-            corr_stride: 1,
-            limits: RiskLimits::default(),
-            needs_confirmation: false,
-            health: None,
-        }
-    }
-
-    /// Enable the health/degradation control plane.
-    pub fn with_health(mut self, policy: HealthPolicy) -> Self {
-        self.health = Some(policy);
-        self
-    }
-}
-
-/// What a pipeline run produced.
-#[derive(Debug)]
-pub struct Fig1Output {
-    /// The end-of-day trade report from the strategy host.
-    pub trades: Vec<Trade>,
-    /// Order baskets, in emission order.
-    pub baskets: Vec<Arc<Basket>>,
-    /// Health transitions that reached the sink (empty unless
-    /// [`Fig1Config::health`] is set).
-    pub health_events: Vec<Arc<HealthEvent>>,
-    /// Per-node throughput accounting.
-    pub node_stats: Vec<crate::runtime::NodeStats>,
-    /// Nodes that panicked (non-empty only under a supervised runtime in
-    /// degrade mode, or after successful restarts).
-    pub failures: Vec<NodeFailure>,
-    /// Nodes the watchdog severed as wedged.
-    pub stalls: Vec<StallEvent>,
-    /// The run's telemetry report (`None` at `TelemetryLevel::Off`).
-    pub telemetry: Option<TelemetryReport>,
-}
-
-impl Fig1Output {
-    /// Total orders across all baskets.
-    pub fn total_orders(&self) -> usize {
-        self.baskets.iter().map(|b| b.orders.len()).sum()
-    }
-}
-
-/// Build and run the Figure-1 DAG over one day of quotes.
-pub fn run_fig1_pipeline(day: DayData, cfg: &Fig1Config) -> Result<Fig1Output, GraphError> {
-    run_fig1_pipeline_with(Runtime::new(), Box::new(ReplayCollector::new(day)), cfg)
-}
-
-/// Build and run the Figure-1 DAG with an explicit runtime (e.g. a
-/// supervised one) and an arbitrary quote source (e.g. a
-/// [`crate::components::FaultedCollector`]).
-pub fn run_fig1_pipeline_with(
-    runtime: Runtime,
-    source: Box<dyn Source>,
-    cfg: &Fig1Config,
-) -> Result<Fig1Output, GraphError> {
-    let mut g = Graph::new();
-    let collector = g.add_source(source);
-    let mut accumulator = BarAccumulatorNode::new(cfg.n_stocks, cfg.params.dt_seconds, cfg.clean);
-    if let Some(policy) = cfg.health {
-        accumulator = accumulator.with_health(policy);
-    }
-    let bars = g.add_component(Box::new(accumulator));
-    let technical = g.add_component(Box::new(TechnicalAnalysisNode::new(cfg.n_stocks, 20)));
-    let corr = g.add_component(Box::new(CorrelationEngineNode::new(
-        cfg.n_stocks,
-        cfg.params.corr_window,
-        cfg.corr_stride,
-        cfg.params.ctype,
-    )));
-    let host = StrategyHostNode::new(cfg.n_stocks, cfg.params, cfg.exec, cfg.needs_confirmation);
-    let signals = g.add_component(Box::new(SignalNode::new(
-        cfg.n_stocks,
-        cfg.params.ctype,
-        cfg.params.corr_window,
-        0,
-        &[host.needs()],
-    )));
-    let strategy = g.add_component(Box::new(host));
-    let risk = g.add_component(Box::new(RiskManagerNode::new(cfg.limits)));
-    let gateway = g.add_component(Box::new(OrderGatewayNode::new()));
-    let sink = g.add_sink("order-sink");
-
-    g.connect(collector, bars);
-    g.connect(bars, technical);
-    g.connect(technical, corr);
-    g.connect(bars, signals); // prices (and health)
-    g.connect(corr, signals); // correlations
-    g.connect(signals, strategy);
-    g.connect(strategy, risk);
-    g.connect(risk, gateway);
-    g.connect(gateway, sink);
-
-    let mut out = runtime.run(g)?;
-    let SinkOutput {
-        mut trades_per_param,
-        baskets,
-        health_events,
-    } = collect_sweep_output(1, out.take_sink(sink));
-    Ok(Fig1Output {
-        trades: trades_per_param.swap_remove(0),
-        baskets,
-        health_events,
-        node_stats: out.node_stats,
-        failures: out.failures,
-        stalls: out.stalls,
-        telemetry: out.telemetry,
-    })
-}
 
 /// Configuration for the shared-stream parameter-sweep pipeline: the full
 /// grid of strategy specifications runs as ONE graph on the pooled
@@ -294,8 +155,8 @@ impl SweepConfig {
     }
 
     /// Canonical description of the family composition, e.g.
-    /// `kalman:3+overlay:2+paper:42` — bench baselines carry this so
-    /// cross-mix comparisons can be refused.
+    /// `kalman:3+overlay:2+paper:42` — reports carry this so runs of
+    /// different mixes are not compared.
     pub fn strategy_mix(&self) -> String {
         let mut counts: std::collections::BTreeMap<&'static str, usize> =
             std::collections::BTreeMap::new();
@@ -672,60 +533,6 @@ pub fn run_sweep_pipeline_with(
     })
 }
 
-/// Configuration for a multi-strategy pipeline: every parameter set runs
-/// as its own strategy host inside ONE DAG, sharing the collector, bar
-/// accumulator, technical analysis and (per distinct `(Ctype, M)`) the
-/// correlation engines — the integrated deployment Section IV argues for,
-/// where "the outputs from each strategy (trade decisions) can be
-/// gathered by a master process" for risk management and basket
-/// execution.
-#[derive(Debug, Clone)]
-pub struct MultiConfig {
-    /// Universe size.
-    pub n_stocks: usize,
-    /// One strategy host per parameter vector. All must share `Δs`.
-    pub params: Vec<StrategyParams>,
-    /// Execution extensions (shared).
-    pub exec: ExecutionConfig,
-    /// Quote cleaning.
-    pub clean: CleanConfig,
-    /// Correlation snapshot stride.
-    pub corr_stride: usize,
-    /// Risk limits for the shared risk manager.
-    pub limits: RiskLimits,
-}
-
-/// Output of a multi-strategy run.
-#[derive(Debug)]
-pub struct MultiOutput {
-    /// End-of-day trades per parameter set (index-aligned with
-    /// `MultiConfig::params`).
-    pub trades_per_param: Vec<Vec<Trade>>,
-    /// Order baskets from the shared gateway.
-    pub baskets: Vec<Arc<Basket>>,
-}
-
-/// Build and run the multi-strategy DAG over one day of quotes.
-///
-/// Thin wrapper over [`run_sweep_pipeline`]: the sweep graph *is* the
-/// multi-strategy graph, with per-param-set attribution carried in
-/// messages instead of private per-host sinks.
-///
-/// # Panics
-/// Panics if the parameter list is empty or mixes `Δs` values.
-pub fn run_multi_pipeline(day: DayData, cfg: &MultiConfig) -> Result<MultiOutput, GraphError> {
-    let mut sweep = SweepConfig::new(cfg.n_stocks, cfg.params.clone());
-    sweep.exec = cfg.exec;
-    sweep.clean = cfg.clean;
-    sweep.corr_stride = cfg.corr_stride;
-    sweep.limits = cfg.limits;
-    let out = run_sweep_pipeline(day, &sweep)?;
-    Ok(MultiOutput {
-        trades_per_param: out.trades_per_param,
-        baskets: out.baskets,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,21 +558,30 @@ mod tests {
         (g.next_day().unwrap(), 4)
     }
 
+    /// The Figure-1 chain: the sweep graph at one spec.
+    fn run_single(day: DayData, n: usize, params: StrategyParams) -> SweepOutput {
+        run_sweep_pipeline(day, &SweepConfig::new(n, vec![params])).unwrap()
+    }
+
+    fn total_orders(out: &SweepOutput) -> usize {
+        out.baskets.iter().map(|b| b.orders.len()).sum()
+    }
+
     #[test]
     fn pipeline_runs_end_to_end() {
         let (day, n) = small_day(31);
-        let cfg = Fig1Config::new(n, fast_params());
-        let out = run_fig1_pipeline(day, &cfg).unwrap();
+        let out = run_single(day, n, fast_params());
+        let trades = &out.trades_per_param[0];
         // A day with divergence episodes should produce some activity.
         assert!(
-            !out.trades.is_empty(),
+            !trades.is_empty(),
             "expected trades on an episode-rich synthetic day"
         );
         // Each round trip is 2 entry + 2 exit orders.
-        assert_eq!(out.total_orders() % 2, 0);
+        assert_eq!(total_orders(&out) % 2, 0);
         // Trade invariants.
-        let smax = cfg.params.intervals_per_day();
-        for t in &out.trades {
+        let smax = fast_params().intervals_per_day();
+        for t in trades {
             assert!(t.exit_interval < smax);
             assert!(t.gross > 0.0);
         }
@@ -775,60 +591,13 @@ mod tests {
     fn pipeline_deterministic_across_runs() {
         let (day1, n) = small_day(77);
         let (day2, _) = small_day(77);
-        let cfg = Fig1Config::new(n, fast_params());
-        let a = run_fig1_pipeline(day1, &cfg).unwrap();
-        let b = run_fig1_pipeline(day2, &cfg).unwrap();
-        assert_eq!(a.trades.len(), b.trades.len());
-        for (x, y) in a.trades.iter().zip(&b.trades) {
+        let a = run_single(day1, n, fast_params());
+        let b = run_single(day2, n, fast_params());
+        assert_eq!(a.trades_per_param[0].len(), b.trades_per_param[0].len());
+        for (x, y) in a.trades_per_param[0].iter().zip(&b.trades_per_param[0]) {
             assert_eq!(x.pair, y.pair);
             assert_eq!(x.entry_interval, y.entry_interval);
             assert!((x.ret - y.ret).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn multi_pipeline_matches_per_param_single_runs() {
-        let (day, n) = small_day(57);
-        let p1 = fast_params();
-        let p2 = StrategyParams {
-            divergence: 0.001,
-            ..p1
-        };
-        let p3 = StrategyParams {
-            ctype: CorrType::Quadrant,
-            ..p1
-        };
-        let multi = MultiConfig {
-            n_stocks: n,
-            params: vec![p1, p2, p3],
-            exec: ExecutionConfig::paper(),
-            clean: CleanConfig::default(),
-            corr_stride: 1,
-            limits: RiskLimits::default(),
-        };
-        let out = run_multi_pipeline(day, &multi).unwrap();
-        assert_eq!(out.trades_per_param.len(), 3);
-
-        for (k, p) in [p1, p2, p3].iter().enumerate() {
-            let (day, _) = small_day(57);
-            let single = run_fig1_pipeline(day, &Fig1Config::new(n, *p)).unwrap();
-            let mut a: Vec<_> = out.trades_per_param[k]
-                .iter()
-                .map(|t| (t.pair, t.entry_interval, t.exit_interval))
-                .collect();
-            let mut b: Vec<_> = single
-                .trades
-                .iter()
-                .map(|t| (t.pair, t.entry_interval, t.exit_interval))
-                .collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "param {k} diverged between multi and single");
-        }
-        // The shared gateway aggregated someone's orders.
-        let total_trades: usize = out.trades_per_param.iter().map(|t| t.len()).sum();
-        if total_trades > 0 {
-            assert!(!out.baskets.is_empty());
         }
     }
 
@@ -864,12 +633,14 @@ mod tests {
         // Attribution matches independent single-parameter runs.
         for (k, p) in [p1, p2, p3].iter().enumerate() {
             let (day, _) = small_day(57);
-            let single = run_fig1_pipeline(day, &Fig1Config::new(n, *p)).unwrap();
+            let single = run_single(day, n, *p);
             assert_eq!(
-                out.trades_per_param[k], single.trades,
+                out.trades_per_param[k], single.trades_per_param[0],
                 "param {k} diverged between sweep and single"
             );
         }
+        // The shared gateway aggregated someone's orders.
+        assert!(out.trades_per_param.iter().all(Vec::is_empty) || !out.baskets.is_empty());
     }
 
     /// `Maronna(M)` and `Combined(M)` are two streams of one plane node;
@@ -905,31 +676,25 @@ mod tests {
         let mut traded = 0;
         for (k, p) in params.iter().enumerate() {
             let (day, _) = small_day(57);
-            let single = run_fig1_pipeline(day, &Fig1Config::new(n, *p)).unwrap();
-            assert_eq!(out.trades_per_param[k], single.trades, "param {k}");
-            traded += single.trades.len();
+            let single = run_single(day, n, *p);
+            assert_eq!(
+                out.trades_per_param[k], single.trades_per_param[0],
+                "param {k}"
+            );
+            traded += single.trades_per_param[0].len();
         }
         assert!(traded > 0, "vacuous: nothing traded");
     }
 
     #[test]
     #[should_panic]
-    fn multi_pipeline_rejects_mixed_dt() {
-        let (day, n) = small_day(5);
+    fn sweep_config_rejects_mixed_dt() {
         let p1 = fast_params();
         let p2 = StrategyParams {
             dt_seconds: 60,
             ..p1
         };
-        let multi = MultiConfig {
-            n_stocks: n,
-            params: vec![p1, p2],
-            exec: ExecutionConfig::paper(),
-            clean: CleanConfig::default(),
-            corr_stride: 1,
-            limits: RiskLimits::default(),
-        };
-        let _ = run_multi_pipeline(day, &multi);
+        let _ = SweepConfig::new(4, vec![p1, p2]);
     }
 
     /// Results leave the graph when they are final, so what a durable
@@ -1008,12 +773,12 @@ mod tests {
     #[test]
     fn risk_limits_throttle_the_book() {
         let (day, n) = small_day(31);
-        let mut cfg = Fig1Config::new(n, fast_params());
-        let unlimited = run_fig1_pipeline(day, &cfg).unwrap();
+        let mut cfg = SweepConfig::new(n, vec![fast_params()]);
+        let unlimited = run_sweep_pipeline(day, &cfg).unwrap();
         let (day, _) = small_day(31);
         cfg.limits.max_open_pairs = 0;
-        let choked = run_fig1_pipeline(day, &cfg).unwrap();
-        assert!(unlimited.total_orders() > 0);
-        assert_eq!(choked.total_orders(), 0, "risk manager must block all");
+        let choked = run_sweep_pipeline(day, &cfg).unwrap();
+        assert!(total_orders(&unlimited) > 0);
+        assert_eq!(total_orders(&choked), 0, "risk manager must block all");
     }
 }

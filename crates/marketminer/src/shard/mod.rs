@@ -1,39 +1,27 @@
-//! Multi-process shard execution: MPI-flavoured messaging plus a durable,
-//! supervised shard runner.
+//! Multi-process shard execution: a durable, supervised shard runner.
 //!
 //! The paper's MarketMiner is "a modular, MPI-based infrastructure"; this
-//! module is where that heritage lives in two forms:
-//!
-//! * the in-process SPMD substrate ([`World`] / [`Comm`]) folded in from
-//!   the former `mpisim` crate — tagged, typed point-to-point send/recv
-//!   with MPI matching semantics, plus the collectives (barrier,
-//!   broadcast, gather, scatter, reduce, all-reduce);
-//! * a **multi-process** shard runner ([`ShardRunner`]) that shards the
-//!   42-parameter sweep universe across worker *processes* connected by
-//!   Unix-domain sockets, checkpoints every worker durably at epoch
-//!   boundaries ([`pairtrade_core::ckpt`]), and supervises the fleet:
-//!   heartbeats detect dead or wedged shards, which are respawned and
-//!   replayed from their last complete checkpoint with the same
-//!   exactly-once emission rule the in-process supervisor uses.
+//! module is where that heritage lives. [`ShardRunner`] shards the
+//! 42-parameter sweep universe across worker *processes* connected by
+//! Unix-domain sockets (or TCP), checkpoints every worker durably at epoch
+//! boundaries ([`pairtrade_core::ckpt`]), and supervises the fleet:
+//! heartbeats detect dead or wedged shards, which are respawned and
+//! replayed from their last complete checkpoint with the same
+//! exactly-once emission rule the in-process supervisor uses.
 //!
 //! The wire format is hand-rolled ([`wire`]): length-prefixed frames with
 //! a CRC, so a worker killed mid-write can never poison the supervisor.
 
-pub mod collective;
-pub mod comm;
 pub mod frame;
 pub mod supervisor;
 pub mod transport;
 pub mod wire_msg;
 pub mod worker;
-pub mod world;
 
-pub use comm::{Comm, RecvError, Source, Tag};
 pub use frame::Frame;
 pub use supervisor::{ShardExitReport, ShardRunner};
 pub use transport::{connect_with_backoff, Endpoint, FramedConn, Listener};
 pub use worker::run_worker;
-pub use world::World;
 
 use std::path::PathBuf;
 use std::time::Duration;

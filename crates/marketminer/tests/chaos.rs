@@ -11,8 +11,8 @@
 
 use marketminer::components::ReplayCollector;
 use marketminer::{
-    DegradeReason, FaultedCollector, Fig1Config, Fig1Output, HealthPolicy, HealthStatus,
-    RestartPolicy, Runtime, SupervisionConfig,
+    run_sweep_pipeline_with, DegradeReason, FaultedCollector, HealthPolicy, HealthStatus,
+    RestartPolicy, Runtime, SupervisionConfig, SweepConfig, SweepOutput,
 };
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
@@ -85,8 +85,10 @@ fn chaos_plan(seed: u64) -> StreamFaultPlan {
     }
 }
 
-fn pipeline_cfg() -> Fig1Config {
-    let mut cfg = Fig1Config::new(N_STOCKS, fast_params()).with_health(HealthPolicy::default());
+/// The Figure-1 pipeline: the sweep graph at one spec.
+fn pipeline_cfg() -> SweepConfig {
+    let mut cfg =
+        SweepConfig::new(N_STOCKS, vec![fast_params()]).with_health(HealthPolicy::default());
     // Loosen the statistical gate so a violent-but-genuine price move
     // can't reject-storm a symbol into quarantine on its own: every
     // quarantine in this test must come from the injected corruption
@@ -106,7 +108,7 @@ fn supervised_runtime() -> Runtime {
 /// Per-symbol half-open degraded spans `[from, until)` in interval units,
 /// reconstructed from the health events that reached the sink (they
 /// arrive in transition order per symbol).
-fn degraded_spans(out: &Fig1Output) -> Vec<Vec<(usize, usize)>> {
+fn degraded_spans(out: &SweepOutput) -> Vec<Vec<(usize, usize)>> {
     let mut spans: Vec<Vec<(usize, usize)>> = vec![Vec::new(); N_STOCKS];
     let mut open: Vec<Option<usize>> = vec![None; N_STOCKS];
     for ev in &out.health_events {
@@ -156,7 +158,7 @@ fn chaos_runs_are_contained_and_deterministic() {
         let cfg = pipeline_cfg();
 
         // Fault-free reference run of the same day, same configuration.
-        let baseline = marketminer::run_fig1_pipeline_with(
+        let baseline = run_sweep_pipeline_with(
             supervised_runtime(),
             Box::new(ReplayCollector::new(chaos_day(seed))),
             &cfg,
@@ -168,8 +170,7 @@ fn chaos_runs_are_contained_and_deterministic() {
         let collector = FaultedCollector::new(chaos_day(seed), chaos_plan(seed));
         let log_handle = collector.log_handle();
         let faulted =
-            marketminer::run_fig1_pipeline_with(supervised_runtime(), Box::new(collector), &cfg)
-                .unwrap();
+            run_sweep_pipeline_with(supervised_runtime(), Box::new(collector), &cfg).unwrap();
 
         // (a) The run completed cleanly: no unrecovered panics, no
         // wedged nodes, and the day's trade report arrived.
@@ -217,7 +218,7 @@ fn chaos_runs_are_contained_and_deterministic() {
 
         // (b) Zero entries on a degraded symbol while degraded.
         let spans = degraded_spans(&faulted);
-        for t in &faulted.trades {
+        for t in &faulted.trades_per_param[0] {
             for leg in [t.pair.0, t.pair.1] {
                 assert!(
                     !degraded_at(&spans[leg], t.entry_interval),
@@ -230,14 +231,12 @@ fn chaos_runs_are_contained_and_deterministic() {
 
         // (c) Pairs untouched by any fault are trade-for-trade identical
         // to the fault-free run, down to the PnL bits.
-        let base_clean: Vec<_> = baseline
-            .trades
+        let base_clean: Vec<_> = baseline.trades_per_param[0]
             .iter()
             .filter(|t| clean_pair(t))
             .map(trade_key)
             .collect();
-        let fault_clean: Vec<_> = faulted
-            .trades
+        let fault_clean: Vec<_> = faulted.trades_per_param[0]
             .iter()
             .filter(|t| clean_pair(t))
             .map(trade_key)
@@ -266,19 +265,24 @@ fn chaos_runs_are_contained_and_deterministic() {
 #[test]
 fn empty_fault_plan_is_a_noop() {
     let cfg = pipeline_cfg();
-    let a = marketminer::run_fig1_pipeline_with(
+    let a = run_sweep_pipeline_with(
         supervised_runtime(),
         Box::new(ReplayCollector::new(chaos_day(7))),
         &cfg,
     )
     .unwrap();
-    let b = marketminer::run_fig1_pipeline_with(
+    let b = run_sweep_pipeline_with(
         supervised_runtime(),
         Box::new(FaultedCollector::new(chaos_day(7), StreamFaultPlan::none())),
         &cfg,
     )
     .unwrap();
-    let key = |o: &Fig1Output| o.trades.iter().map(trade_key).collect::<Vec<_>>();
+    let key = |o: &SweepOutput| {
+        (o.trades_per_param[0].iter())
+            .map(trade_key)
+            .collect::<Vec<_>>()
+    };
+    let total_orders = |o: &SweepOutput| o.baskets.iter().map(|b| b.orders.len()).sum::<usize>();
     assert_eq!(key(&a), key(&b));
-    assert_eq!(a.total_orders(), b.total_orders());
+    assert_eq!(total_orders(&a), total_orders(&b));
 }

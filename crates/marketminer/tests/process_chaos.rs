@@ -261,9 +261,8 @@ fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
     )
     .unwrap();
     taq::io::write_binary_file(&day, &dir.join(TAPE_FILE)).unwrap();
-    // The committed version-2 file: a valid header and CRC, epoch 7.
-    let old =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v2_prechange.bin");
+    // The committed version-3 file: a valid header and CRC, epoch 7.
+    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v3_layout.bin");
     std::fs::copy(old, dir.join("shard-0/ckpt-0000000007.bin")).unwrap();
 
     let endpoint = Endpoint::Unix(dir.join("control.sock"));
@@ -287,7 +286,7 @@ fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
     };
     assert_eq!(corrupt.len(), 1, "{corrupt:?}");
     assert!(
-        corrupt[0].contains("ckpt-0000000007.bin") && corrupt[0].contains("format version 2"),
+        corrupt[0].contains("ckpt-0000000007.bin") && corrupt[0].contains("format version 3"),
         "{corrupt:?}"
     );
     let first = loop {
@@ -305,7 +304,7 @@ fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
     note_corrupt(&tel, 0, &corrupt);
     let rendered = tel.finish().render();
     assert!(rendered.contains("checkpoint.corrupt"), "{rendered}");
-    assert!(rendered.contains("format version 2"), "{rendered}");
+    assert!(rendered.contains("format version 3"), "{rendered}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

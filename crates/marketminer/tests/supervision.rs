@@ -10,8 +10,8 @@ use marketminer::components::{
     RiskManagerNode, SignalNode, StrategyHostNode, WedgeInjector,
 };
 use marketminer::{
-    Component, Fig1Config, Graph, Message, NodeOutcome, RestartPolicy, Runtime, SupervisionConfig,
-    TelemetryLevel, WatchdogConfig,
+    Component, Graph, Message, NodeOutcome, RestartPolicy, Runtime, SupervisionConfig, SweepConfig,
+    SweepOutput, TelemetryLevel, WatchdogConfig,
 };
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
@@ -156,8 +156,8 @@ fn killed_corr_engine_restarts_bit_identically() {
 #[test]
 fn supervised_run_matches_plain_run_when_healthy() {
     let (day, n) = small_day(77);
-    let cfg = Fig1Config::new(n, fast_params());
-    let plain = marketminer::run_fig1_pipeline(day, &cfg).unwrap();
+    let cfg = SweepConfig::new(n, vec![fast_params()]);
+    let plain = marketminer::run_sweep_pipeline(day, &cfg).unwrap();
 
     let (day, _) = small_day(77);
     let supervision = SupervisionConfig::new(RestartPolicy::Limited { max_restarts: 3 }, 64)
@@ -165,7 +165,7 @@ fn supervised_run_matches_plain_run_when_healthy() {
             quiet: std::time::Duration::from_secs(30),
             poll: std::time::Duration::from_millis(50),
         });
-    let supervised = marketminer::run_fig1_pipeline_with(
+    let supervised = marketminer::run_sweep_pipeline_with(
         Runtime::new().supervised(supervision),
         Box::new(ReplayCollector::new(day)),
         &cfg,
@@ -174,15 +174,18 @@ fn supervised_run_matches_plain_run_when_healthy() {
 
     assert!(supervised.failures.is_empty());
     assert!(supervised.stalls.is_empty());
-    assert!(!plain.trades.is_empty());
-    assert_eq!(plain.trades.len(), supervised.trades.len());
-    for (a, b) in plain.trades.iter().zip(&supervised.trades) {
+    let plain_trades = &plain.trades_per_param[0];
+    let supervised_trades = &supervised.trades_per_param[0];
+    assert!(!plain_trades.is_empty());
+    assert_eq!(plain_trades.len(), supervised_trades.len());
+    for (a, b) in plain_trades.iter().zip(supervised_trades) {
         assert_eq!(a.pair, b.pair);
         assert_eq!(a.entry_interval, b.entry_interval);
         assert_eq!(a.exit_interval, b.exit_interval);
         assert_eq!(a.pnl.to_bits(), b.pnl.to_bits());
     }
-    assert_eq!(plain.total_orders(), supervised.total_orders());
+    let total_orders = |o: &SweepOutput| o.baskets.iter().map(|b| b.orders.len()).sum::<usize>();
+    assert_eq!(total_orders(&plain), total_orders(&supervised));
 }
 
 /// A wedged correlation engine must not hang the run: the watchdog severs

@@ -6,8 +6,10 @@
 use std::sync::Mutex;
 
 use marketminer::components::ReplayCollector;
-use marketminer::pipeline::{run_sweep_pipeline_with, SweepConfig, SweepOutput};
-use marketminer::{run_fig1_pipeline, Fig1Config, Runtime, RuntimeConfig, TelemetryLevel};
+use marketminer::pipeline::{
+    run_sweep_pipeline, run_sweep_pipeline_with, SweepConfig, SweepOutput,
+};
+use marketminer::{Runtime, RuntimeConfig, TelemetryLevel};
 use taq::dataset::DayData;
 use taq::generator::{MarketConfig, MarketGenerator};
 
@@ -203,7 +205,7 @@ fn sweep_trades_bit_identical_simd_on_and_off_across_workers() {
 }
 
 /// Per-parameter-set trades from the shared-stream graph must be
-/// bit-identical to 42 independent single-parameter Figure-1 runs over
+/// bit-identical to 42 independent one-spec (Figure-1) runs over
 /// the same `DayData`.
 #[test]
 fn sweep_trades_match_independent_single_param_runs() {
@@ -218,14 +220,15 @@ fn sweep_trades_match_independent_single_param_runs() {
         let pairtrade_core::StrategySpec::Paper(p) = spec else {
             panic!("paper grid must hold only paper specs");
         };
-        let single = run_fig1_pipeline(day.clone(), &Fig1Config::new(n, *p)).unwrap();
+        let single = run_sweep_pipeline(day.clone(), &SweepConfig::new(n, vec![*p])).unwrap();
+        let single = &single.trades_per_param[0];
         assert_eq!(
-            sweep.trades_per_param[k],
-            single.trades,
+            &sweep.trades_per_param[k],
+            single,
             "param set {k} ({}) diverged between sweep and single run",
             p.label()
         );
-        total += single.trades.len();
+        total += single.len();
     }
     assert!(
         total > 0,
@@ -500,9 +503,10 @@ fn os_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
 }
 
-/// The pool bounds the OS thread count: a 50+-node sweep graph on
-/// `workers = 2` must never use more than `workers` + one thread per
-/// source + a small constant — node count must not leak into thread
+/// The pool bounds the OS thread count: a 60+-node sweep graph on
+/// `workers = 2` never uses more than the pool, the scoped threads of the
+/// one parallel kernel call each pool worker can be inside, one thread
+/// per source and a small constant — node count must not leak into thread
 /// count.
 #[cfg(target_os = "linux")]
 #[test]
@@ -534,12 +538,21 @@ fn sweep_thread_count_is_bounded_by_the_pool() {
     census.join().unwrap();
     assert_eq!(out.trades_per_param.len(), 42);
 
-    // Graph: 50+ nodes. Threads: the pool, one source (the collector),
+    // A kernel call forks one scoped thread per part: at most one part per
+    // `rayon` pool thread and never more parts than items, and the widest
+    // call on this graph runs over its n(n-1)/2 pairs.
+    let per_call = rayon::current_num_threads().min(n * (n - 1) / 2);
+    // Threads: the pool and its kernel forks, one source (the collector),
     // the census thread itself, plus slack for the test harness.
     let peak = peak.load(Ordering::Relaxed);
-    let budget = workers + 1 /* source */ + 1 /* census */ + 2 /* slack */;
+    let budget = workers * (1 + per_call) + 1 /* source */ + 1 /* census */ + 2 /* slack */;
     assert!(
         peak <= baseline + budget,
         "thread count leaked: baseline {baseline}, peak {peak}, budget +{budget}"
+    );
+    let nodes = out.node_stats.len();
+    assert!(
+        2 * budget <= nodes,
+        "vacuous: a budget of {budget} threads does not tell {nodes} nodes from a pool"
     );
 }

@@ -1,6 +1,6 @@
 //! Kendall's tau rank correlation — the second classical rank measure,
-//! completing the efficiency/robustness spectrum the measures benches
-//! sweep (Pearson → Spearman → Kendall → Quadrant → Maronna).
+//! completing the efficiency/robustness spectrum (Pearson → Spearman →
+//! Kendall → Quadrant → Maronna).
 //!
 //! Tau-b (tie-corrected) is computed in O(n log n): sort by `x`, then
 //! count discordant pairs as exchanges in a merge sort over the `y`

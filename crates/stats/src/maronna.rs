@@ -28,6 +28,7 @@
 //! the reason the engine parallelises over pairs.
 
 use crate::correlation::{clamp_corr, CorrelationMeasure};
+use crate::quadrant::median_select;
 use crate::simd;
 
 /// chi-square(2 df) 0.95 quantile — the conventional Huber cut-off for
@@ -85,23 +86,6 @@ fn degenerate_fit(mx: f64, my: f64) -> MaronnaFit {
     }
 }
 
-/// Median by selection; reorders `v`.
-fn median_of(v: &mut [f64]) -> f64 {
-    let n = v.len();
-    debug_assert!(n > 0);
-    let mid = n / 2;
-    let (_, &mut hi, _) = v.select_nth_unstable_by(mid, |a, b| {
-        a.partial_cmp(b)
-            .expect("robust_margin_stats_in screens out NaN")
-    });
-    if n % 2 == 1 {
-        hi
-    } else {
-        let lo = v[..mid].iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        0.5 * (lo + hi)
-    }
-}
-
 /// MAD → Gaussian-consistent standard deviation: `MAD / 0.6745`.
 const MAD_CONSISTENCY: f64 = 0.674_489_750_196_081_7;
 
@@ -130,11 +114,11 @@ pub(crate) fn robust_margin_stats_in(x: &[f64], scratch: &mut Vec<f64>) -> (f64,
     }
     scratch.clear();
     scratch.extend_from_slice(x);
-    let med = median_of(scratch);
+    let med = median_select(scratch);
     for (dev, v) in scratch.iter_mut().zip(x) {
         *dev = (v - med).abs();
     }
-    (med, median_of(scratch) / MAD_CONSISTENCY)
+    (med, median_select(scratch) / MAD_CONSISTENCY)
 }
 
 /// Longest window whose Huber weights fit [`with_weight_scratch`]'s stack

@@ -13,7 +13,8 @@
 //! this reproduction uses [rayon] work-stealing over the flat pair
 //! enumeration, which realises the same decomposition on a shared-memory
 //! node: every unordered pair is an independent task, and the engine scales
-//! with cores (measured by `benches/correlation_engine.rs`).
+//! with cores (`marketminer.scaling_x` and `stats.*_ns_pair` in the
+//! benchmark).
 //!
 //! Two products:
 //!

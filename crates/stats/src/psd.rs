@@ -144,8 +144,7 @@ pub struct NearestReport {
 /// Where [`repair_correlation`] is the fast "clip and rescale" heuristic
 /// adequate for trading thresholds, this is the *optimal* repair: the
 /// Frobenius-nearest correlation matrix (PSD, unit diagonal) to the
-/// input. Costs one eigendecomposition per iteration (typically < 30);
-/// the psd ablation bench compares both.
+/// input. Costs one eigendecomposition per iteration (typically < 30).
 pub fn nearest_correlation(m: &mut SymMatrix, cfg: RepairConfig) -> NearestReport {
     const MAX_ITER: usize = 100;
     const TOL: f64 = 1e-8;

@@ -20,12 +20,16 @@ use crate::correlation::{clamp_corr, CorrelationMeasure};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QuadrantEstimator;
 
-/// Median by selection (O(n) average), tolerating unsorted input.
-fn median_select(values: &mut [f64]) -> f64 {
+/// Median by selection (O(n) average); reorders `values`, which callers
+/// have screened for NaN — the one selection routine every robust
+/// estimator shares, so a median is the same bits wherever it is taken.
+pub(crate) fn median_select(values: &mut [f64]) -> f64 {
     let n = values.len();
     debug_assert!(n > 0);
     let mid = n / 2;
-    let (_, &mut hi, _) = values.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap());
+    let (_, &mut hi, _) = values.select_nth_unstable_by(mid, |a, b| {
+        a.partial_cmp(b).expect("callers screen out NaN")
+    });
     if n % 2 == 1 {
         hi
     } else {
@@ -40,14 +44,16 @@ fn median_select(values: &mut [f64]) -> f64 {
 
 /// Quadrant correlation of two equal-length slices.
 ///
-/// Returns 0 for degenerate inputs (length < 2). Observations that fall
+/// Returns 0 for degenerate inputs (length < 2) and for a window holding
+/// a NaN or an infinity in either series, which has no median to centre
+/// on — the crate's "no evidence" convention. Observations that fall
 /// exactly on a median contribute sign 0. Result lies in `[-1, 1]`.
 ///
 /// # Panics
 /// Panics if `x.len() != y.len()`.
 pub fn quadrant(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "quadrant: length mismatch");
-    if x.len() < 2 {
+    if x.len() < 2 || !x.iter().chain(y).all(|v| v.is_finite()) {
         return 0.0;
     }
     let mut xc = x.to_vec();
@@ -165,6 +171,18 @@ mod tests {
         let flat = vec![3.0; 8];
         let ramp: Vec<f64> = (0..8).map(|i| i as f64).collect();
         assert_eq!(quadrant(&flat, &ramp), 0.0);
+    }
+
+    #[test]
+    fn non_finite_values_read_as_no_evidence() {
+        let ramp: Vec<f64> = (0..8).map(|i| i as f64).collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut holed = ramp.clone();
+            holed[3] = bad;
+            assert_eq!(quadrant(&holed, &ramp), 0.0, "{bad} in x");
+            assert_eq!(quadrant(&ramp, &holed), 0.0, "{bad} in y");
+        }
+        assert!(quadrant(&ramp, &ramp) > 0.9);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! fourth candidate: rank-based like quadrant correlation (so robust to
 //! monotone outliers, with a bounded influence function) but using the
 //! full ordering information rather than just signs, putting it between
-//! Quadrant and Maronna on the efficiency/robustness frontier. The
-//! ablation bench (`benches/measures.rs`) places its cost: one sort per
-//! window, O(M log M).
+//! Quadrant and Maronna on the efficiency/robustness frontier. Its cost
+//! is one sort per window, O(M log M).
 
 use crate::correlation::{clamp_corr, CorrelationMeasure};
 use crate::pearson::pearson;

@@ -9,7 +9,7 @@
 
 use backtest::execution::{simulate, ExecutionModel};
 use marketminer::components::risk::RiskLimits;
-use marketminer::pipeline::{run_fig1_pipeline, Fig1Config};
+use marketminer::pipeline::{run_sweep_pipeline, SweepConfig};
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
 use timeseries::bam::PriceGrid;
@@ -30,7 +30,8 @@ fn main() {
     );
 
     let params = StrategyParams::paper_default();
-    let mut config = Fig1Config::new(n_stocks, params);
+    // Figure 1 is the sweep graph at one spec.
+    let mut config = SweepConfig::new(n_stocks, vec![params]);
     config.limits = RiskLimits {
         max_shares_per_order: 1_000,
         max_order_notional: 250_000.0,
@@ -39,15 +40,16 @@ fn main() {
     println!("strategy: {}\n", params.label());
 
     let start = std::time::Instant::now();
-    let output = run_fig1_pipeline(day, &config).expect("valid DAG");
+    let output = run_sweep_pipeline(day, &config).expect("valid DAG");
     let elapsed = start.elapsed().as_secs_f64();
+    let trades = &output.trades_per_param[0];
 
     println!(
         "pipeline drained in {:.2} s: {} trades, {} order baskets ({} orders)",
         elapsed,
-        output.trades.len(),
+        trades.len(),
         output.baskets.len(),
-        output.total_orders()
+        output.baskets.iter().map(|b| b.orders.len()).sum::<usize>()
     );
 
     println!("\nfirst baskets (list-based execution input):");
@@ -75,15 +77,15 @@ fn main() {
         }
     }
 
-    let wins = output.trades.iter().filter(|t| t.is_win()).count();
-    let losses = output.trades.iter().filter(|t| t.is_loss()).count();
-    let total_pnl: f64 = output.trades.iter().map(|t| t.pnl).sum();
+    let wins = trades.iter().filter(|t| t.is_win()).count();
+    let losses = trades.iter().filter(|t| t.is_loss()).count();
+    let total_pnl: f64 = trades.iter().map(|t| t.pnl).sum();
     println!(
         "\nend-of-day report: {} wins / {} losses, total PnL ${:.2}",
         wins, losses, total_pnl
     );
     let mut reasons: std::collections::BTreeMap<String, usize> = Default::default();
-    for t in &output.trades {
+    for t in trades {
         *reasons.entry(format!("{:?}", t.reason)).or_default() += 1;
     }
     println!("exit reasons: {reasons:?}");

@@ -224,18 +224,18 @@ fn cmd_pipeline(args: &Args) {
     let day = generator.next_day().expect("one day");
     let quotes = day.len();
     let params = StrategyParams::paper_default();
-    let pipeline_cfg = marketminer::pipeline::Fig1Config::new(n, params);
+    let pipeline_cfg = marketminer::pipeline::SweepConfig::new(n, vec![params]);
     let start = std::time::Instant::now();
-    let out = marketminer::pipeline::run_fig1_pipeline(day, &pipeline_cfg).unwrap_or_else(|e| {
+    let out = marketminer::pipeline::run_sweep_pipeline(day, &pipeline_cfg).unwrap_or_else(|e| {
         eprintln!("pipeline error: {e}");
         std::process::exit(1)
     });
     println!(
         "Figure-1 pipeline: {} quotes -> {} trades, {} baskets ({} orders) in {:.2} s",
         quotes,
-        out.trades.len(),
+        out.trades_per_param[0].len(),
         out.baskets.len(),
-        out.total_orders(),
+        out.baskets.iter().map(|b| b.orders.len()).sum::<usize>(),
         start.elapsed().as_secs_f64()
     );
 }

@@ -1,9 +1,23 @@
 //! Integration: the Figure-1 streaming pipeline versus the batch
 //! backtester, and pipeline-level invariants.
 
-use marketminer::pipeline::{run_fig1_pipeline, Fig1Config};
+use marketminer::pipeline::{run_sweep_pipeline, SweepConfig, SweepOutput};
 use pairtrade_core::params::StrategyParams;
+use pairtrade_core::trade::Trade;
 use taq::generator::{MarketConfig, MarketGenerator};
+
+/// The Figure-1 pipeline is the sweep graph at one spec.
+fn fig1(n: usize, params: StrategyParams) -> SweepConfig {
+    SweepConfig::new(n, vec![params])
+}
+
+fn trades(out: &SweepOutput) -> &[Trade] {
+    &out.trades_per_param[0]
+}
+
+fn total_orders(out: &SweepOutput) -> usize {
+    out.baskets.iter().map(|b| b.orders.len()).sum()
+}
 
 fn make_day(n: usize, seed: u64) -> taq::dataset::DayData {
     let mut cfg = MarketConfig::small(n, 1, seed);
@@ -25,11 +39,10 @@ fn fast_params() -> StrategyParams {
 fn pipeline_trades_obey_strategy_invariants() {
     let n = 6;
     let params = fast_params();
-    let config = Fig1Config::new(n, params);
-    let out = run_fig1_pipeline(make_day(n, 11), &config).unwrap();
-    assert!(!out.trades.is_empty(), "synthetic day should trade");
+    let out = run_sweep_pipeline(make_day(n, 11), &fig1(n, params)).unwrap();
+    assert!(!trades(&out).is_empty(), "synthetic day should trade");
     let smax = params.intervals_per_day();
-    for t in &out.trades {
+    for t in trades(&out) {
         assert!(t.exit_interval < smax);
         assert!(t.holding_intervals() <= params.max_holding);
         assert!(t.position.net_entry_exposure() >= -1e-9);
@@ -39,12 +52,12 @@ fn pipeline_trades_obey_strategy_invariants() {
 #[test]
 fn pipeline_is_deterministic() {
     let n = 5;
-    let config = Fig1Config::new(n, fast_params());
-    let a = run_fig1_pipeline(make_day(n, 3), &config).unwrap();
-    let b = run_fig1_pipeline(make_day(n, 3), &config).unwrap();
-    assert_eq!(a.trades.len(), b.trades.len());
+    let config = fig1(n, fast_params());
+    let a = run_sweep_pipeline(make_day(n, 3), &config).unwrap();
+    let b = run_sweep_pipeline(make_day(n, 3), &config).unwrap();
+    assert_eq!(trades(&a).len(), trades(&b).len());
     assert_eq!(a.baskets.len(), b.baskets.len());
-    for (x, y) in a.trades.iter().zip(&b.trades) {
+    for (x, y) in trades(&a).iter().zip(trades(&b)) {
         assert_eq!(x.pair, y.pair);
         assert_eq!(x.entry_interval, y.entry_interval);
         assert_eq!(x.exit_interval, y.exit_interval);
@@ -57,22 +70,20 @@ fn every_trade_produces_four_order_legs() {
     // Each round trip is 2 entry + 2 exit orders; the gateway must carry
     // them all (with no risk limits in the way).
     let n = 5;
-    let config = Fig1Config::new(n, fast_params());
-    let out = run_fig1_pipeline(make_day(n, 17), &config).unwrap();
+    let out = run_sweep_pipeline(make_day(n, 17), &fig1(n, fast_params())).unwrap();
     assert_eq!(
-        out.total_orders(),
-        4 * out.trades.len(),
+        total_orders(&out),
+        4 * trades(&out).len(),
         "orders {} vs trades {}",
-        out.total_orders(),
-        out.trades.len()
+        total_orders(&out),
+        trades(&out).len()
     );
 }
 
 #[test]
 fn baskets_are_interval_ordered_and_nonempty() {
     let n = 6;
-    let config = Fig1Config::new(n, fast_params());
-    let out = run_fig1_pipeline(make_day(n, 23), &config).unwrap();
+    let out = run_sweep_pipeline(make_day(n, 23), &fig1(n, fast_params())).unwrap();
     for basket in &out.baskets {
         assert!(!basket.orders.is_empty());
         assert!(basket.orders.iter().all(|o| o.interval == basket.interval));
@@ -100,17 +111,17 @@ fn streaming_matches_batch_backtester() {
         cfg.errors = taq::ErrorConfig::none();
         MarketGenerator::new(cfg).next_day().unwrap()
     };
-    let plain = Fig1Config::new(n, params);
+    let plain = fig1(n, params);
     let mut with_health = plain
         .clone()
         .with_health(marketminer::HealthPolicy::default());
     with_health.clean.k_sigma = 12.0;
-    let legs: [(&str, &dyn Fn() -> taq::dataset::DayData, Fig1Config); 2] = [
+    let legs: [(&str, &dyn Fn() -> taq::dataset::DayData, SweepConfig); 2] = [
         ("health off", &|| make_day(n, 31), plain),
         ("health on", &clean_tape, with_health),
     ];
     for (label, tape, config) in legs {
-        let pipeline_out = run_fig1_pipeline(tape(), &config).unwrap();
+        let pipeline_out = run_sweep_pipeline(tape(), &config).unwrap();
         assert!(
             pipeline_out.health_events.is_empty(),
             "{label}: the feed degraded"
@@ -127,8 +138,7 @@ fn streaming_matches_batch_backtester() {
             &pairtrade_core::exec::ExecutionConfig::paper(),
         );
 
-        let mut stream_keys: Vec<_> = pipeline_out
-            .trades
+        let mut stream_keys: Vec<_> = trades(&pipeline_out)
             .iter()
             .map(|t| (t.pair, t.entry_interval, t.exit_interval))
             .collect();
