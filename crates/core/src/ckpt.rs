@@ -14,11 +14,9 @@
 //!   a version, its payload length and a CRC-32 over the payload. A
 //!   truncated or bit-flipped file fails validation and recovery falls
 //!   back to the previous epoch.
-//! * **The manifest names the newest complete epoch.** `MANIFEST` is a
-//!   one-line pointer, itself replaced atomically after the checkpoint it
-//!   names is durable. If the manifest is stale or missing, recovery
-//!   scans `ckpt-*.bin` files newest-first — the manifest is an
-//!   optimisation, never the sole source of truth.
+//! * **The files are the only source of truth.** Recovery scans
+//!   `ckpt-*.bin` newest-first and takes the first that validates;
+//!   anything else in the directory is ignored.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -190,12 +188,11 @@ impl CheckpointStore {
 
     /// Durably save `payload` as the checkpoint for `epoch`.
     ///
-    /// Write path: tmp file → fsync → rename → fsync dir → manifest tmp →
-    /// rename → fsync dir. A crash at any point leaves either the old or
-    /// the new checkpoint fully intact and discoverable.
+    /// Write path: tmp file → fsync → rename → fsync dir. A crash at any
+    /// point leaves either the old or the new checkpoint fully intact and
+    /// discoverable.
     pub fn save(&self, epoch: u64, payload: &[u8]) -> Result<SaveReport, CkptError> {
         let start = std::time::Instant::now();
-        let mut fsyncs = 0u32;
 
         let mut header = [0u8; HEADER_LEN];
         header[..4].copy_from_slice(&MAGIC);
@@ -215,33 +212,15 @@ impl CheckpointStore {
             f.write_all(&header)?;
             f.write_all(payload)?;
             f.sync_all()?;
-            fsyncs += 1;
         }
         fs::rename(&tmp, &fin)?;
         self.fsync_dir()?;
-        fsyncs += 1;
-
-        // Manifest: a pointer to the newest complete epoch, replaced
-        // atomically only after that checkpoint is durable.
-        let mtmp = self.dir.join(".tmp-MANIFEST");
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&mtmp)?;
-            f.write_all(ckpt_name(epoch).as_bytes())?;
-            f.sync_all()?;
-            fsyncs += 1;
-        }
-        fs::rename(&mtmp, self.dir.join("MANIFEST"))?;
-        self.fsync_dir()?;
-        fsyncs += 1;
 
         Ok(SaveReport {
             bytes: (HEADER_LEN + payload.len()) as u64,
             write_us: start.elapsed().as_micros() as u64,
-            fsyncs,
+            // The file, then the directory entry the rename made.
+            fsyncs: 2,
         })
     }
 
@@ -293,8 +272,8 @@ impl CheckpointStore {
 
     /// Recover the newest *valid* checkpoint.
     ///
-    /// The manifest's epoch is tried first; on any validation failure the
-    /// scan falls back through older epochs, collecting a
+    /// The newest epoch on disk is tried first; on any validation failure
+    /// the scan falls back through older epochs, collecting a
     /// [`CorruptCheckpoint`] record for each skipped file. Returns
     /// [`CkptError::NoCheckpoint`] (carrying those records) when nothing
     /// valid exists.
@@ -325,18 +304,6 @@ impl CheckpointStore {
         Err(CkptError::NoCheckpoint { rejected: corrupt })
     }
 
-    /// The newest complete epoch, if any (manifest first, then scan).
-    pub fn latest_epoch(&self) -> Option<u64> {
-        if let Ok(name) = fs::read_to_string(self.dir.join("MANIFEST")) {
-            if let Some(epoch) = parse_epoch(name.trim()) {
-                if Self::load_file(&self.dir.join(ckpt_name(epoch))).is_ok() {
-                    return Some(epoch);
-                }
-            }
-        }
-        self.recover().ok().map(|r| r.epoch)
-    }
-
     /// Delete all but the newest `keep` checkpoints.
     pub fn retain_last(&self, keep: usize) -> Result<(), CkptError> {
         for epoch in self.epochs_desc()?.into_iter().skip(keep) {
@@ -361,13 +328,12 @@ mod tests {
         let store = CheckpointStore::open(tmpdir("roundtrip")).unwrap();
         let report = store.save(0, b"epoch zero").unwrap();
         assert!(report.bytes > 10);
-        assert!(report.fsyncs >= 3);
+        assert_eq!(report.fsyncs, 2);
         store.save(1, b"epoch one").unwrap();
         let r = store.recover().unwrap();
         assert_eq!(r.epoch, 1);
         assert_eq!(r.payload, b"epoch one");
         assert!(r.corrupt.is_empty());
-        assert_eq!(store.latest_epoch(), Some(1));
     }
 
     #[test]
@@ -404,18 +370,26 @@ mod tests {
         assert_eq!(r.epoch, 7);
         assert_eq!(r.corrupt.len(), 1);
         assert_eq!(r.corrupt[0].reason, Rejected::CrcMismatch);
-        // latest_epoch must not trust the (stale) manifest either.
-        assert_eq!(store.latest_epoch(), Some(7));
     }
 
+    /// A directory written by a build that kept a `MANIFEST` pointer:
+    /// the stale file names an epoch that is not the newest (or not
+    /// there at all) and changes nothing.
     #[test]
-    fn missing_manifest_scans_files() {
-        let store = CheckpointStore::open(tmpdir("noman")).unwrap();
+    fn a_stale_manifest_is_ignored() {
+        let store = CheckpointStore::open(tmpdir("stale-manifest")).unwrap();
         store.save(1, b"a").unwrap();
         store.save(2, b"b").unwrap();
-        fs::remove_file(store.dir().join("MANIFEST")).unwrap();
-        assert_eq!(store.latest_epoch(), Some(2));
-        assert_eq!(store.recover().unwrap().epoch, 2);
+        for stale in [ckpt_name(1), ckpt_name(9), "not a checkpoint name".into()] {
+            fs::write(store.dir().join("MANIFEST"), stale).unwrap();
+            let r = store.recover().unwrap();
+            assert_eq!((r.epoch, r.payload.as_slice()), (2, &b"b"[..]));
+            assert!(r.corrupt.is_empty());
+        }
+        store.save(3, b"c").unwrap();
+        store.retain_last(1).unwrap();
+        assert_eq!(store.recover().unwrap().epoch, 3);
+        assert!(store.dir().join("MANIFEST").exists(), "not ours to delete");
     }
 
     #[test]
@@ -425,7 +399,6 @@ mod tests {
             store.recover(),
             Err(CkptError::NoCheckpoint { rejected }) if rejected.is_empty()
         ));
-        assert_eq!(store.latest_epoch(), None);
     }
 
     #[test]
@@ -479,6 +452,5 @@ mod tests {
             }
             other => panic!("an old-format file must be refused, got {other:?}"),
         }
-        assert_eq!(store.latest_epoch(), None);
     }
 }

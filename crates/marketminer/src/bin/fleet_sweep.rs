@@ -3,7 +3,9 @@
 //! fleet-wide observability plane — the merged telemetry report, one
 //! Perfetto/Chrome trace with a process lane per rank, and the ranked
 //! self-time profile over the merged `step.ns` accounting, followed by
-//! what each rank's durable cuts cost (bytes, capture, encode, fsync).
+//! what each rank's durable cuts cost (bytes, capture, encode, fsync)
+//! and the placement: per rank its engines, hosts and the engines'
+//! self-time.
 //!
 //! Usage:
 //!   fleet_sweep [--stocks 8] [--seed 42] [--shards 2] [--specs 0]
@@ -20,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use marketminer::pipeline::{render_results_plane, SweepConfig};
-use marketminer::shard::{ShardConfig, ShardRunner};
+use marketminer::shard::{render_placement, ShardConfig, ShardRunner};
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
 use telemetry::profile::Profile;
@@ -181,6 +183,10 @@ fn main() -> ExitCode {
             Profile::from_snapshot(&report.metrics).render_ranked()
         );
         print!("{}", render_results_plane(&report.metrics));
+        print!(
+            "{}",
+            render_placement(&sweep.specs, args.shards, &report.metrics)
+        );
     }
     if let Some(path) = &args.trace_out {
         let Some(trace) = &out.trace_json else {

@@ -6,8 +6,10 @@
 //! took from the fit it had (`maronna.*` / `combined.*` counters of the
 //! `corr-engine(robust, M=…)` nodes), what the signal plane shares and how
 //! much of the hosts' work was useful, how results left the graph (trades
-//! streamed, what the gateway held back), and optionally folded-stack
-//! text for `flamegraph.pl` / `inferno-flamegraph`.
+//! streamed, what the gateway held back), where a two-rank fleet would
+//! place the grid and the engine self-time each rank would carry (what
+//! the placement's plane weight is measured against), and optionally
+//! folded-stack text for `flamegraph.pl` / `inferno-flamegraph`.
 //!
 //! Usage:
 //!   profile_report [--stocks 32] [--seed 42] [--workers 0]
@@ -22,6 +24,7 @@ use std::process::ExitCode;
 
 use marketminer::pipeline::{render_results_plane, run_sweep_pipeline_with, SweepConfig};
 use marketminer::runtime::{Runtime, RuntimeConfig};
+use marketminer::shard::render_placement;
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
 use telemetry::metrics::MetricsSnapshot;
@@ -217,6 +220,7 @@ fn main() -> ExitCode {
     );
     print!("{}", render_robust_planes(&report.metrics));
     print!("{}", render_results_plane(&report.metrics));
+    print!("{}", render_placement(&cfg.specs, 2, &report.metrics));
     match args.folded.as_deref() {
         Some("-") => print!("{}", profile.render_folded()),
         Some(path) => {

@@ -149,8 +149,17 @@ impl CorrelationEngineNode {
             windowed(n_stocks, m, false)
         };
         let lanes = vec![Lane::cold(ctype, 0, n_stocks, stride)];
-        let name = format!("corr-engine({ctype}, M={m})");
-        Self::build(n_stocks, m, stride, kind, lanes, name)
+        Self::build(n_stocks, m, stride, kind, lanes)
+    }
+
+    /// The name of the node that computes measure `ctype` over window
+    /// `m`: a robust measure's is its plane's, which depends on `m`
+    /// alone.
+    pub fn engine_name(ctype: CorrType, m: usize) -> String {
+        match plane_slot(ctype) {
+            Some(_) => format!("corr-engine(robust, M={m})"),
+            None => format!("corr-engine({ctype}, M={m})"),
+        }
     }
 
     /// The robust plane of window `M`: one node computing the
@@ -175,26 +184,12 @@ impl CorrelationEngineNode {
         let lanes = (lanes.iter())
             .map(|&(ctype, stream)| Lane::cold(ctype, stream, n_stocks, stride))
             .collect();
-        let name = format!("corr-engine(robust, M={m})");
-        Self::build(
-            n_stocks,
-            m,
-            stride,
-            windowed(n_stocks, m, false),
-            lanes,
-            name,
-        )
+        Self::build(n_stocks, m, stride, windowed(n_stocks, m, false), lanes)
     }
 
-    fn build(
-        n_stocks: usize,
-        m: usize,
-        stride: usize,
-        kind: EngineKind,
-        lanes: Vec<Lane>,
-        name: String,
-    ) -> Self {
+    fn build(n_stocks: usize, m: usize, stride: usize, kind: EngineKind, lanes: Vec<Lane>) -> Self {
         assert!(m >= 2 && stride > 0);
+        let name = Self::engine_name(lanes[0].ctype, m);
         CorrelationEngineNode {
             stride,
             m,

@@ -13,12 +13,14 @@
 //! a CRC, so a worker killed mid-write can never poison the supervisor.
 
 pub mod frame;
+pub mod placement;
 pub mod supervisor;
 pub mod transport;
 pub mod wire_msg;
 pub mod worker;
 
 pub use frame::Frame;
+pub use placement::{placement, render_placement};
 pub use supervisor::{ShardExitReport, ShardRunner};
 pub use transport::{connect_with_backoff, Endpoint, FramedConn, Listener};
 pub use worker::run_worker;
@@ -70,8 +72,8 @@ pub const SHARD_TCP_ENV: &str = "MARKETMINER_SHARD_TCP";
 /// Configuration for a multi-process sharded sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of worker processes. Parameter set `k` runs on shard
-    /// `k % shards`, keeping its global index.
+    /// Number of worker processes. [`placement`] says which parameter
+    /// sets each runs; a set keeps its global index wherever it lands.
     pub shards: usize,
     /// Directory for durable checkpoints and the control socket.
     pub ckpt_dir: PathBuf,

@@ -1,9 +1,10 @@
 //! The multi-process shard supervisor: spawn, watch, respawn, merge.
 //!
 //! [`ShardRunner`] shards the sweep's parameter universe across worker
-//! processes (parameter set `k` runs on rank `k % shards`, keeping its
-//! global index), connects them over a Unix-domain control socket, and
-//! supervises the fleet:
+//! processes ([`placement`] gives each rank whole correlation engines
+//! and the parameter sets on them, every set keeping its global index),
+//! connects them over a Unix-domain control socket, and supervises the
+//! fleet:
 //!
 //! * **Liveness** — every worker heartbeats on a period; a rank whose
 //!   beacon goes stale past the timeout is declared wedged and killed. A
@@ -44,13 +45,14 @@ use telemetry::trace::{RecordPhase, TraceRecord};
 use telemetry::{Caps, Telemetry, TelemetryLevel, TelemetryReport};
 
 use super::frame::Frame;
+use super::placement::placement;
 use super::transport::{Endpoint, Listener};
 use super::worker::ShardJob;
 use super::{ShardConfig, JOB_FILE, NODE_STRIDE, SHARDS_ENV, TAPE_FILE};
 use crate::components::order_gateway::basket_of;
 use crate::graph::GraphError;
-use crate::messages::{Basket, HealthEvent, Message, OrderRequest};
-use crate::pipeline::{collect_sweep_output, SinkOutput, SweepConfig};
+use crate::messages::{Basket, HealthEvent, OrderRequest};
+use crate::pipeline::{SinkOutput, SweepConfig};
 
 /// How one rank ended the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,8 +151,10 @@ struct ShardState {
     restarts: u32,
     done: bool,
     degraded: bool,
-    /// Accepted sink messages, in acceptance order.
-    messages: Vec<Message>,
+    /// Accepted sink messages, folded in as their frames are accepted:
+    /// the supervisor holds a rank's day once, as output, not a second
+    /// time as the frames it came in.
+    sink: SinkOutput,
     /// Accepted lineage, deduplicated by event id.
     lineage: BTreeMap<EventId, LineageEvent>,
     /// Observability deltas keyed by result sequence, latest frame per
@@ -372,7 +376,7 @@ impl ShardRunner {
                     restarts: 0,
                     done: false,
                     degraded: false,
-                    messages: Vec::new(),
+                    sink: SinkOutput::default(),
                     lineage: BTreeMap::new(),
                     tel_slots: BTreeMap::new(),
                     kills,
@@ -503,7 +507,9 @@ impl ShardRunner {
                             }
                             state.next_expected = seq + 1;
                             state.last_epoch = state.last_epoch.max(epoch);
-                            state.messages.extend(messages);
+                            for msg in messages {
+                                state.sink.fold(msg);
+                            }
                             for ev in lineage {
                                 state.lineage.entry(ev.id).or_insert(ev);
                             }
@@ -646,7 +652,8 @@ impl ShardRunner {
         let mut fleet_metrics = MetricsSnapshot::default();
         let mut fleet_flights: Vec<FlightEvent> = Vec::new();
 
-        for (rank, state) in states.into_iter().enumerate() {
+        let owned = placement(&sweep.specs, self.cfg.shards);
+        for ((rank, state), owned) in states.into_iter().enumerate().zip(owned) {
             reports.push(ShardExitReport {
                 rank,
                 restarts: state.restarts,
@@ -658,23 +665,33 @@ impl ShardRunner {
                 // Masking: a degraded shard's partial output is dropped
                 // wholesale so the merged result never mixes a half-day
                 // of one parameter set with a full day of another.
-                degraded_params
-                    .extend((0..sweep.specs.len()).filter(|k| k % self.cfg.shards == rank));
+                degraded_params.extend(owned);
                 continue;
             }
             let SinkOutput {
                 trades_per_param: trades,
                 baskets,
                 health_events: health,
-            } = collect_sweep_output(sweep.specs.len(), state.messages);
+            } = state.sink.finish(sweep.specs.len());
             // A parameter set lives on exactly one rank.
             for (slot, trades) in trades_per_param.iter_mut().zip(trades) {
                 if !trades.is_empty() {
                     *slot = trades;
                 }
             }
+            // The frames' baskets are the supervisor's alone: their
+            // orders move into the merge, so the day's orders are held
+            // once however unevenly the ranks carry them.
             for b in baskets {
-                (buckets.entry(b.interval).or_default()).extend(b.orders.iter().cloned());
+                let Basket {
+                    interval, orders, ..
+                } = Arc::unwrap_or_clone(b);
+                let bucket = buckets.entry(interval).or_default();
+                if bucket.is_empty() {
+                    *bucket = orders;
+                } else {
+                    bucket.extend(orders);
+                }
             }
             // Every shard runs the identical bar/health chain over the
             // full tape; keep the first completing rank's copy.

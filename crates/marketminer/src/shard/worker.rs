@@ -1,11 +1,12 @@
 //! The shard worker process: one slice of the sweep universe, driven in
 //! durable epochs.
 //!
-//! A worker owns parameter sets `k` with `k % shards == rank` (global
-//! indices preserved, so trade attribution is fleet-wide). It rebuilds
-//! its slice of the shared-stream sweep graph from the job spec the
-//! supervisor wrote to disk, replays the shared quote tape in epochs of
-//! `epoch_quotes`, and at every epoch boundary:
+//! A worker owns the parameter sets [`placement`] gives its rank — whole
+//! correlation engines with the hosts on them, global indices preserved
+//! so trade attribution is fleet-wide. It rebuilds its slice of the
+//! shared-stream sweep graph from the job spec the supervisor wrote to
+//! disk, replays the shared quote tape in epochs of `epoch_quotes`, and
+//! at every epoch boundary:
 //!
 //! 1. quiesces the graph (the epoch cut is then a deterministic function
 //!    of the fed prefix — independent of worker threads and scheduling);
@@ -25,12 +26,14 @@
 //! end-of-day closes — rides out in one final `Results` frame
 //! (`seq == n_epochs`) before [`Frame::Done`]. A worker killed anywhere
 //! in this cycle restores the newest valid checkpoint on respawn and
-//! regenerates exactly the frames the supervisor has not yet accepted.
+//! regenerates exactly the frames the supervisor has not yet accepted —
+//! however many epochs back that checkpoint is.
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pairtrade_core::ckpt::{CheckpointStore, CkptError};
@@ -40,6 +43,7 @@ use telemetry::TelemetryLevel;
 use wire::{Codec, Reader, WireError, Writer};
 
 use super::frame::Frame;
+use super::placement::placement;
 use super::transport::{connect_with_backoff, Endpoint, FramedConn};
 use super::{JOB_FILE, NODE_STRIDE, TAPE_FILE};
 use crate::components::risk::RiskLimits;
@@ -148,11 +152,6 @@ impl Codec for ShardJob {
             },
         })
     }
-}
-
-/// The parameter-set indices shard `rank` owns: `k % shards == rank`.
-pub fn param_slice(n_params: usize, rank: usize, shards: usize) -> Vec<usize> {
-    (0..n_params).filter(|k| k % shards == rank).collect()
 }
 
 /// Command line of one worker process.
@@ -292,6 +291,47 @@ impl Uplink {
     }
 }
 
+/// Liveness beacon: heartbeats flow even while an epoch is computing, so
+/// the supervisor can tell "slow" from "wedged". Dropping it stops the
+/// thread at once — it parks between beats instead of sleeping, so a
+/// finished or failed worker does not wait out a heartbeat period.
+struct Beacon {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Beacon {
+    fn start(uplink: Arc<Uplink>, epoch: Arc<AtomicU64>, period: Duration) -> Beacon {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || loop {
+            // A spurious wake only sends a beat early.
+            std::thread::park_timeout(period);
+            if stopped.load(Ordering::Acquire) {
+                return;
+            }
+            let e = epoch.load(Ordering::Acquire);
+            if uplink.send(&Frame::Heartbeat { epoch: e, seq: e }).is_err() {
+                return; // supervisor gone; the main loop will error too
+            }
+        });
+        Beacon {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Beacon {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Run one shard worker to completion: connect, recover, replay, stream
 /// epoch results, flush end-of-day, send [`Frame::Done`].
 ///
@@ -308,7 +348,10 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     let sweep = job
         .to_sweep()
         .map_err(|e| bad_data(format!("job spec rejected: {}", e.0)))?;
-    let included = param_slice(sweep.specs.len(), args.rank, args.shards);
+    let included = placement(&sweep.specs, args.shards)
+        .into_iter()
+        .nth(args.rank)
+        .unwrap_or_default();
     if included.is_empty() {
         return Err(bad_data(format!(
             "rank {} owns no parameter sets ({} sets / {} shards)",
@@ -321,23 +364,41 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     // --- Durable state --------------------------------------------------
     let store = CheckpointStore::open(args.ckpt_dir.join(format!("shard-{}", args.rank)))
         .map_err(|e| bad_data(e.to_string()))?;
-    let (recovered, corrupt) = recover_session(&store);
+    let (recovered, mut corrupt) = recover_session(&store);
 
     // --- The graph slice ------------------------------------------------
     // The source node exists for topology; a session feeds the tape
     // through it from the outside, so the collector itself replays
     // nothing.
-    let placeholder = DayData::new(day.day, Vec::new(), job.n_stocks, Vec::new());
-    let SweepGraphParts { graph, sink, .. } = build_sweep_graph(
-        Box::new(ReplayCollector::new(placeholder)),
-        &sweep,
-        &included,
-    );
-    let session: RunSession = Runtime::new()
-        .with_telemetry(args.telemetry)
-        .with_node_base(args.rank * NODE_STRIDE)
-        .session(graph)
-        .map_err(|e| bad_data(e.to_string()))?;
+    let open_session = || -> io::Result<(RunSession, crate::graph::NodeId)> {
+        let placeholder = DayData::new(day.day, Vec::new(), job.n_stocks, Vec::new());
+        let SweepGraphParts { graph, sink, .. } = build_sweep_graph(
+            Box::new(ReplayCollector::new(placeholder)),
+            &sweep,
+            &included,
+        );
+        let session = Runtime::new()
+            .with_telemetry(args.telemetry)
+            .with_node_base(args.rank * NODE_STRIDE)
+            .session(graph)
+            .map_err(|e| bad_data(e.to_string()))?;
+        Ok((session, sink))
+    };
+    let (mut session, sink) = open_session()?;
+    let resume_epoch = match &recovered {
+        Some((epoch, ckpt)) => match session.restore(ckpt) {
+            Ok(()) => epoch + 1,
+            // A cut of another graph — another placement, another job:
+            // as unusable as a corrupt one, and the refused restore may
+            // have touched some nodes already. Start over, cold.
+            Err(why) => {
+                corrupt.push(format!("ckpt-{epoch:010}.bin: {why}"));
+                session = open_session()?.0;
+                0
+            }
+        },
+        None => 0,
+    };
     let src = session.source_ids()[0];
     // Observability uplink state: per-epoch registry deltas against the
     // previous quiescent snapshot. The hub outlives `session.finish()`
@@ -346,14 +407,6 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     // out in one final delta at seq `n_epochs`.
     let tel_hub = session.telemetry();
     let mut tel_prev = MetricsSnapshot::default();
-
-    let resume_epoch = match &recovered {
-        Some((epoch, ckpt)) => {
-            session.restore(ckpt).map_err(bad_data)?;
-            epoch + 1
-        }
-        None => 0,
-    };
 
     // --- Control socket -------------------------------------------------
     let conn = connect_with_backoff(
@@ -373,105 +426,79 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
         corrupt,
     })?;
 
-    // Liveness beacon: heartbeats flow even while an epoch is computing,
-    // so the supervisor can tell "slow" from "wedged".
     let hb_epoch = Arc::new(AtomicU64::new(resume_epoch));
-    let hb_stop = Arc::new(AtomicBool::new(false));
-    let hb_thread = {
-        let uplink = Arc::clone(&uplink);
-        let epoch = Arc::clone(&hb_epoch);
-        let stop = Arc::clone(&hb_stop);
-        let period = args.heartbeat;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(period);
-                let e = epoch.load(Ordering::Acquire);
-                if uplink.send(&Frame::Heartbeat { epoch: e, seq: e }).is_err() {
-                    return; // supervisor gone; the main loop will error too
-                }
-            }
-        })
-    };
+    let _beacon = Beacon::start(Arc::clone(&uplink), Arc::clone(&hb_epoch), args.heartbeat);
 
     // --- Epoch loop -----------------------------------------------------
-    let mut run = || -> io::Result<()> {
-        let quotes = day.quotes();
-        let epoch_quotes = args.epoch_quotes.max(1);
-        let n_epochs = quotes.len().div_ceil(epoch_quotes) as u64;
-        for epoch in resume_epoch..n_epochs {
-            let lo = (epoch as usize) * epoch_quotes;
-            let hi = (lo + epoch_quotes).min(quotes.len());
-            for &q in &quotes[lo..hi] {
-                session.feed(src, Message::Quote(q, Cause::none()));
-            }
-            session.quiesce();
-            // Telemetry delta for this epoch: always *computed* (so the
-            // previous-snapshot cursor and the drained rings stay aligned
-            // with epoch boundaries on a respawned incarnation replaying
-            // suppressed epochs), but only *sent* at or above
-            // `resume_seq` — the supervisor keeps the latest frame per
-            // `(rank, seq)` slot, so a re-sent delta overwrites rather
-            // than double-counts. Sent before `Results` so a kill between
-            // the two leaves `resume_seq` low enough to re-send both.
-            if let Some(tel) = &tel_hub {
-                let snap = tel.registry.snapshot();
-                let metrics = snap.delta_since(&tel_prev);
-                tel_prev = snap;
-                let flights = tel.recorder.drain();
-                let trace = tel.tracer.drain_records();
-                if epoch >= args.resume_seq
-                    && !(metrics.is_empty() && flights.is_empty() && trace.is_empty())
-                {
-                    uplink.send(&Frame::Telemetry {
-                        seq: epoch,
-                        metrics,
-                        flights,
-                        trace,
-                    })?;
-                }
-            }
-            let messages = session.drain_sink(sink);
-            let lineage = session.drain_lineage();
-            if epoch >= args.resume_seq {
-                uplink.send(&Frame::Results {
+    let quotes = day.quotes();
+    let epoch_quotes = args.epoch_quotes.max(1);
+    let n_epochs = quotes.len().div_ceil(epoch_quotes) as u64;
+    for epoch in resume_epoch..n_epochs {
+        let lo = (epoch as usize) * epoch_quotes;
+        let hi = (lo + epoch_quotes).min(quotes.len());
+        for &q in &quotes[lo..hi] {
+            session.feed(src, Message::Quote(q, Cause::none()));
+        }
+        session.quiesce();
+        // Telemetry delta for this epoch: always *computed* (so the
+        // previous-snapshot cursor and the drained rings stay aligned
+        // with epoch boundaries on a respawned incarnation replaying
+        // suppressed epochs), but only *sent* at or above
+        // `resume_seq` — the supervisor keeps the latest frame per
+        // `(rank, seq)` slot, so a re-sent delta overwrites rather
+        // than double-counts. Sent before `Results` so a kill between
+        // the two leaves `resume_seq` low enough to re-send both.
+        if let Some(tel) = &tel_hub {
+            let snap = tel.registry.snapshot();
+            let metrics = snap.delta_since(&tel_prev);
+            tel_prev = snap;
+            let flights = tel.recorder.drain();
+            let trace = tel.tracer.drain_records();
+            if epoch >= args.resume_seq
+                && !(metrics.is_empty() && flights.is_empty() && trace.is_empty())
+            {
+                uplink.send(&Frame::Telemetry {
                     seq: epoch,
-                    epoch,
-                    messages,
-                    lineage,
+                    metrics,
+                    flights,
+                    trace,
                 })?;
             }
-            // Deliver-then-save: a kill between the two replays the epoch
-            // and regenerates a byte-identical frame, which `resume_seq`
-            // suppresses — exactly-once either way.
-            let t0 = Instant::now();
-            let ckpt = session.capture().map_err(bad_data)?;
-            let t1 = Instant::now();
-            let payload = wire::to_bytes(&ckpt);
-            let encode_us = t1.elapsed().as_micros() as u64;
-            let report = store
-                .save(epoch, &payload)
-                .map_err(|e| bad_data(e.to_string()))?;
-            let _ = store.retain_last(4);
-            uplink.send(&Frame::CkptDone {
-                epoch,
-                bytes: report.bytes,
-                write_us: report.write_us,
-                fsyncs: report.fsyncs as u64,
-                capture_us: (t1 - t0).as_micros() as u64,
-                encode_us,
-            })?;
-            hb_epoch.store(epoch + 1, Ordering::Release);
         }
-        Ok(())
-    };
-    if let Err(e) = run() {
-        hb_stop.store(true, Ordering::Release);
-        let _ = hb_thread.join();
-        return Err(e);
+        let messages = session.drain_sink(sink);
+        let lineage = session.drain_lineage();
+        if epoch >= args.resume_seq {
+            uplink.send(&Frame::Results {
+                seq: epoch,
+                epoch,
+                messages,
+                lineage,
+            })?;
+        }
+        // Deliver-then-save: a kill between the two replays the epoch
+        // and regenerates a byte-identical frame, which `resume_seq`
+        // suppresses — exactly-once either way.
+        let t0 = Instant::now();
+        let ckpt = session.capture().map_err(bad_data)?;
+        let t1 = Instant::now();
+        let payload = wire::to_bytes(&ckpt);
+        let encode_us = t1.elapsed().as_micros() as u64;
+        let report = store
+            .save(epoch, &payload)
+            .map_err(|e| bad_data(e.to_string()))?;
+        let _ = store.retain_last(4);
+        uplink.send(&Frame::CkptDone {
+            epoch,
+            bytes: report.bytes,
+            write_us: report.write_us,
+            fsyncs: report.fsyncs as u64,
+            capture_us: (t1 - t0).as_micros() as u64,
+            encode_us,
+        })?;
+        hb_epoch.store(epoch + 1, Ordering::Release);
     }
 
     // --- End-of-day flush -----------------------------------------------
-    let n_epochs = day.quotes().len().div_ceil(args.epoch_quotes.max(1)) as u64;
     let mut out = session.finish();
     if n_epochs >= args.resume_seq {
         // Final observability delta: `finish()` folded the scheduler's
@@ -511,10 +538,7 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     }
     uplink.send(&Frame::Done {
         final_seq: n_epochs + 1,
-    })?;
-    hb_stop.store(true, Ordering::Release);
-    let _ = hb_thread.join();
-    Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -532,21 +556,6 @@ mod tests {
         assert_eq!(cfg2.n_stocks, cfg.n_stocks);
         assert_eq!(cfg2.limits.max_open_pairs, cfg.limits.max_open_pairs);
         assert_eq!(cfg2.health, cfg.health);
-    }
-
-    #[test]
-    fn param_slices_partition_the_grid() {
-        let shards = 3;
-        let mut seen = [0u32; 42];
-        for r in 0..shards {
-            for k in param_slice(42, r, shards) {
-                seen[k] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "every set on exactly one shard"
-        );
     }
 
     #[test]
@@ -620,6 +629,85 @@ mod tests {
         assert_eq!(ckpt, good);
         assert_eq!(corrupt.len(), 1);
         assert!(corrupt[0].contains("crc mismatch"), "{corrupt:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A tiny one-spec day staged the way the supervisor stages one, and
+    /// a worker on it beating every two seconds — so slowly that an exit
+    /// which waits for the beacon's next beat cannot be missed.
+    fn slow_beat_worker(tag: &str) -> (PathBuf, super::super::Listener, WorkerArgs) {
+        use taq::generator::{MarketConfig, MarketGenerator};
+        let mut market = MarketConfig::small(4, 1, 91);
+        market.micro.quote_rate_hz = 0.05;
+        let day = MarketGenerator::new(market).next_day().unwrap();
+        let params = pairtrade_core::params::StrategyParams {
+            ctype: stats::correlation::CorrType::Pearson,
+            corr_window: 20,
+            avg_window: 10,
+            div_window: 5,
+            ..pairtrade_core::params::StrategyParams::paper_default()
+        };
+        let dir = std::env::temp_dir().join(format!("mm-worker-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let job = ShardJob::from_sweep(&SweepConfig::new(4, vec![params]));
+        std::fs::write(dir.join(JOB_FILE), wire::to_bytes(&job)).unwrap();
+        taq::io::write_binary_file(&day, &dir.join(TAPE_FILE)).unwrap();
+        let socket = Endpoint::Unix(dir.join("control.sock"));
+        let listener = super::super::Listener::bind(&socket).unwrap();
+        let args = WorkerArgs {
+            rank: 0,
+            shards: 1,
+            socket,
+            ckpt_dir: dir.clone(),
+            resume_seq: 0,
+            epoch_quotes: day.quotes().len().div_ceil(7),
+            heartbeat: Duration::from_millis(2_000),
+            telemetry: TelemetryLevel::Off,
+        };
+        (dir, listener, args)
+    }
+
+    #[test]
+    fn a_finished_worker_does_not_wait_for_its_next_heartbeat() {
+        let (dir, listener, args) = slow_beat_worker("done");
+        let worker = std::thread::spawn(move || run_worker(args));
+        let mut conn = listener.accept().unwrap();
+        let mut cuts = 0;
+        loop {
+            match conn.recv::<Frame>().unwrap() {
+                Frame::CkptDone { .. } => cuts += 1,
+                Frame::Done { .. } => break,
+                _ => {}
+            }
+        }
+        let done = Instant::now();
+        worker.join().unwrap().unwrap();
+        assert!(
+            done.elapsed() < Duration::from_millis(100),
+            "exit took {:?} after Done",
+            done.elapsed()
+        );
+        assert_eq!(cuts, 7, "every cut is reported before Done");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_worker_does_not_wait_for_its_next_heartbeat() {
+        let (dir, listener, args) = slow_beat_worker("failed");
+        let worker = std::thread::spawn(move || run_worker(args));
+        let mut conn = listener.accept().unwrap();
+        while !matches!(conn.recv::<Frame>().unwrap(), Frame::Results { .. }) {}
+        // The supervisor goes away mid-day: the worker's next frame — an
+        // epoch (milliseconds here) away — fails to send.
+        drop(conn);
+        let gone = Instant::now();
+        assert!(worker.join().unwrap().is_err());
+        assert!(
+            gone.elapsed() < Duration::from_millis(100),
+            "exit took {:?} after the uplink broke",
+            gone.elapsed()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -240,72 +240,255 @@ fn kill9_at_every_epoch_equals_unkilled_and_in_process() {
     }
 }
 
+/// Playing supervisor to one real `shard_worker`: a staged job
+/// directory and its bound control socket, for the cases that need the
+/// durable store in a state `ShardRunner` (which starts every run cold)
+/// would never leave it in.
+struct Staged {
+    dir: PathBuf,
+    endpoint: marketminer::shard::Endpoint,
+    listener: marketminer::shard::Listener,
+    epoch_quotes: usize,
+}
+
+impl Staged {
+    fn new(tag: &str, day: &DayData, sweep: &SweepConfig) -> Staged {
+        use marketminer::shard::worker::ShardJob;
+        use marketminer::shard::{Endpoint, Listener, JOB_FILE, TAPE_FILE};
+
+        let dir = std::env::temp_dir().join(format!("mm-staged-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+        let job = ShardJob::from_sweep(sweep);
+        std::fs::write(dir.join(JOB_FILE), wire::to_bytes(&job)).unwrap();
+        taq::io::write_binary_file(day, &dir.join(TAPE_FILE)).unwrap();
+        let endpoint = Endpoint::Unix(dir.join("control.sock"));
+        let listener = Listener::bind(&endpoint).unwrap();
+        Staged {
+            dir,
+            endpoint,
+            listener,
+            epoch_quotes: day.quotes().len().div_ceil(7),
+        }
+    }
+
+    fn store(&self) -> PathBuf {
+        self.dir.join("shard-0")
+    }
+
+    /// Spawn rank 0 of a one-rank fleet and take its `Hello`.
+    fn spawn(
+        &self,
+        resume_seq: u64,
+    ) -> (
+        std::process::Child,
+        marketminer::shard::FramedConn,
+        Vec<String>,
+    ) {
+        use marketminer::shard::Frame;
+        let child = std::process::Command::new(WORKER_EXE)
+            .args(["--rank", "0", "--shards", "1", "--heartbeat-ms", "100"])
+            .args(["--telemetry", "counters"])
+            .args(["--resume-seq", &resume_seq.to_string()])
+            .args(["--epoch-quotes", &self.epoch_quotes.to_string()])
+            .arg("--socket")
+            .arg(self.endpoint.to_string())
+            .arg("--ckpt-dir")
+            .arg(&self.dir)
+            .spawn()
+            .unwrap();
+        let mut conn = self.listener.accept().unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        let corrupt = match conn.recv::<Frame>().unwrap() {
+            Frame::Hello { corrupt, .. } => corrupt,
+            other => panic!("expected Hello, got {other:?}"),
+        };
+        (child, conn, corrupt)
+    }
+
+    /// A worker over a store holding only `planted` (a cut of `epoch`) must
+    /// leave it alone and start the day cold — its first result frame is
+    /// epoch 0 — naming the file in its `Hello`, which the supervisor logs
+    /// as a `checkpoint.corrupt` flight. Returns the rendered report.
+    fn cold_start_over(&self, planted: &std::path::Path, epoch: u64) -> String {
+        use marketminer::shard::Frame;
+        let name = format!("ckpt-{epoch:010}.bin");
+        std::fs::copy(planted, self.store().join(&name)).unwrap();
+        let (mut child, mut conn, corrupt) = self.spawn(0);
+        assert_eq!(corrupt.len(), 1, "{corrupt:?}");
+        assert!(corrupt[0].contains(&name), "{corrupt:?}");
+        let first = loop {
+            match conn.recv::<Frame>().unwrap() {
+                Frame::Results { seq, epoch, .. } => break (seq, epoch),
+                Frame::Done { .. } => panic!("the day ended without a result frame"),
+                _ => {}
+            }
+        };
+        assert_eq!(first, (0, 0), "a refused checkpoint means a cold start");
+        let _ = child.kill();
+        let _ = child.wait();
+
+        let tel = telemetry::Telemetry::build(TelemetryLevel::Counters, telemetry::Caps::default());
+        note_corrupt(&tel, 0, &corrupt);
+        let rendered = tel.finish().render();
+        assert!(rendered.contains("checkpoint.corrupt"), "{rendered}");
+        rendered
+    }
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 /// A worker that finds only a checkpoint of the previous format version
-/// in its store (a fleet upgraded mid-day) must not touch it: it names
-/// the file in its `Hello`, the supervisor logs a `checkpoint.corrupt`
-/// flight, and the worker starts the day cold — its first result frame is
-/// epoch 0. The test plays supervisor to a real `shard_worker`.
+/// in its store (a fleet upgraded mid-day) must not touch it: the
+/// committed version-3 file — a valid header and CRC, epoch 7 — is
+/// refused by version and the day starts cold.
 #[test]
 fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
-    use marketminer::shard::worker::ShardJob;
-    use marketminer::shard::{Endpoint, Frame, Listener, JOB_FILE, TAPE_FILE};
+    let (day, n) = small_day(91);
+    let staged = Staged::new("old-ckpt", &day, &SweepConfig::paper(n));
+    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v3_layout.bin");
+    let rendered = staged.cold_start_over(&old, 7);
+    assert!(rendered.contains("format version 3"), "{rendered}");
+}
+
+/// A checkpoint that validates and decodes but was cut from another
+/// graph — another placement, another job — is as unusable as a corrupt
+/// one. A respawn onto it used to fail outright, and again on every
+/// respawn after, burning the rank's restart budget to `degraded`; it
+/// must read as a `checkpoint.corrupt` flight and a cold start. The
+/// planted file is a real cut of this build, of a two-spec slice.
+#[test]
+fn a_cut_of_another_slice_cold_starts_with_a_corrupt_flight() {
+    use pairtrade_core::{StrategyParams, StrategySpec};
 
     let (day, n) = small_day(91);
-    let sweep = SweepConfig::paper(n);
-    let dir = std::env::temp_dir().join(format!("mm-old-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("shard-0")).unwrap();
-    std::fs::write(
-        dir.join(JOB_FILE),
-        wire::to_bytes(&ShardJob::from_sweep(&sweep)),
+    let other = SweepConfig::from_specs(
+        n,
+        vec![
+            StrategySpec::Paper(StrategyParams::paper_default()),
+            StrategySpec::Paper(StrategyParams {
+                corr_window: 50,
+                ..StrategyParams::paper_default()
+            }),
+        ],
     )
     .unwrap();
-    taq::io::write_binary_file(&day, &dir.join(TAPE_FILE)).unwrap();
-    // The committed version-3 file: a valid header and CRC, epoch 7.
-    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v3_layout.bin");
-    std::fs::copy(old, dir.join("shard-0/ckpt-0000000007.bin")).unwrap();
+    let cfg = test_config("other-slice", &day, 1);
+    let theirs = cfg.ckpt_dir.clone();
+    ShardRunner::new(cfg, WORKER_EXE).run(&day, &other).unwrap();
+    let cut = theirs.join("shard-0/ckpt-0000000003.bin");
+    assert!(cut.exists(), "the donor fleet kept its last four cuts");
 
-    let endpoint = Endpoint::Unix(dir.join("control.sock"));
-    let listener = Listener::bind(&endpoint).unwrap();
-    let mut child = std::process::Command::new(WORKER_EXE)
-        .args(["--rank", "0", "--shards", "1", "--resume-seq", "0"])
-        .args(["--epoch-quotes", "500", "--heartbeat-ms", "100"])
-        .args(["--telemetry", "counters"])
-        .arg("--socket")
-        .arg(endpoint.to_string())
-        .arg("--ckpt-dir")
-        .arg(&dir)
-        .spawn()
-        .unwrap();
-    let mut conn = listener.accept().unwrap();
-    conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .unwrap();
-    let corrupt = match conn.recv::<Frame>().unwrap() {
-        Frame::Hello { corrupt, .. } => corrupt,
-        other => panic!("expected Hello, got {other:?}"),
-    };
-    assert_eq!(corrupt.len(), 1, "{corrupt:?}");
-    assert!(
-        corrupt[0].contains("ckpt-0000000007.bin") && corrupt[0].contains("format version 3"),
-        "{corrupt:?}"
-    );
-    let first = loop {
-        match conn.recv::<Frame>().unwrap() {
-            Frame::Results { seq, epoch, .. } => break (seq, epoch),
-            Frame::Done { .. } => panic!("the day ended without a result frame"),
-            _ => {}
+    let staged = Staged::new("other-slice", &day, &SweepConfig::paper(n));
+    let rendered = staged.cold_start_over(&cut, 3);
+    assert!(rendered.contains("does not match graph"), "{rendered}");
+    let _ = std::fs::remove_dir_all(theirs);
+}
+
+/// The exactly-once rule must not depend on the replay being one epoch
+/// long: the worker is SIGKILLed after `Results(e + 1)` and its two
+/// newest cuts are lost (a torn temporary of `ckpt(e)` beside
+/// `ckpt(e - 1)` — what a save still in flight at the kill, or a newest
+/// file that fails validation, leaves). The supervisor expects `e + 2`;
+/// the respawn must replay two epochs silently, re-cut both, and carry
+/// on — every result frame of the day delivered once, each equal to the
+/// unkilled day's.
+#[test]
+fn kill9_with_the_newest_cuts_lost_replays_two_epochs_exactly_once() {
+    use marketminer::shard::{Frame, FramedConn};
+    use std::collections::BTreeMap;
+
+    /// What one incarnation sent.
+    #[derive(Default)]
+    struct Life {
+        /// Result frames by seq, each a sorted bag of its encoded
+        /// messages (hosts reach the sink in scheduling order within an
+        /// interval).
+        results: BTreeMap<u64, Vec<Vec<u8>>>,
+        /// Epochs cut, in `CkptDone` order.
+        cuts: Vec<u64>,
+        /// `Done`'s final seq, if it got that far.
+        done: Option<u64>,
+    }
+
+    /// Read `conn` until `Done`, or until result frame `stop_after`.
+    fn collect(conn: &mut FramedConn, stop_after: Option<u64>) -> Life {
+        let mut life = Life::default();
+        while life.done.is_none() {
+            match conn.recv::<Frame>().unwrap() {
+                Frame::Results { seq, messages, .. } => {
+                    let mut bag: Vec<Vec<u8>> = messages.iter().map(wire::to_bytes).collect();
+                    bag.sort();
+                    let again = life.results.insert(seq, bag);
+                    assert!(again.is_none(), "seq {seq} sent twice");
+                    if stop_after == Some(seq) {
+                        break;
+                    }
+                }
+                Frame::CkptDone { epoch, .. } => life.cuts.push(epoch),
+                Frame::Done { final_seq } => life.done = Some(final_seq),
+                _ => {}
+            }
         }
-    };
-    assert_eq!(first, (0, 0), "a refused checkpoint means a cold start");
-    let _ = child.kill();
-    let _ = child.wait();
+        life
+    }
 
-    let tel = telemetry::Telemetry::build(TelemetryLevel::Counters, telemetry::Caps::default());
-    note_corrupt(&tel, 0, &corrupt);
-    let rendered = tel.finish().render();
-    assert!(rendered.contains("checkpoint.corrupt"), "{rendered}");
-    assert!(rendered.contains("format version 3"), "{rendered}");
-    let _ = std::fs::remove_dir_all(&dir);
+    let (day, n) = small_day(91);
+    let staged = Staged::new("cuts-lost", &day, &SweepConfig::paper(n));
+    let (mut child, mut conn, _) = staged.spawn(0);
+    let unkilled = collect(&mut conn, None);
+    child.wait().unwrap();
+    assert_eq!(unkilled.cuts, (0..7).collect::<Vec<u64>>());
+    assert_eq!(unkilled.done, Some(8));
+    assert!(
+        unkilled.results.values().any(|bag| !bag.is_empty()),
+        "vacuous day"
+    );
+    std::fs::remove_dir_all(staged.store()).unwrap();
+    std::fs::create_dir_all(staged.store()).unwrap();
+
+    let e = 3u64;
+    let (mut child, mut conn, _) = staged.spawn(0);
+    let first = collect(&mut conn, Some(e + 1));
+    child.kill().unwrap();
+    child.wait().unwrap();
+    drop(conn);
+    assert!(first.cuts.contains(&e), "{:?}", first.cuts);
+    for epoch in e..7 {
+        let _ = std::fs::remove_file(staged.store().join(format!("ckpt-{epoch:010}.bin")));
+    }
+    std::fs::write(
+        staged.store().join(format!(".tmp-ckpt-{e:010}.bin")),
+        b"MMCK torn",
+    )
+    .unwrap();
+
+    let (mut child, mut conn, corrupt) = staged.spawn(e + 2);
+    assert!(corrupt.is_empty(), "{corrupt:?}");
+    let second = collect(&mut conn, None);
+    child.wait().unwrap();
+    assert_eq!(
+        second.results.keys().copied().collect::<Vec<u64>>(),
+        (e + 2..=7).collect::<Vec<u64>>(),
+        "the replayed epochs stay silent"
+    );
+    assert_eq!(
+        second.cuts,
+        (e..7).collect::<Vec<u64>>(),
+        "both epochs are re-cut"
+    );
+    assert_eq!(second.done, Some(8));
+    let mut delivered = first.results;
+    delivered.extend(second.results);
+    assert!(
+        delivered == unkilled.results,
+        "a frame differs from the unkilled day's"
+    );
 }
 
 /// The two fleets the benchmark's sizing could not run (its README,
@@ -525,14 +708,13 @@ fn restart_budget_exhaustion_degrades_shard_and_completes() {
         .run(&day, &sweep)
         .unwrap();
 
-    let expected_masked: Vec<usize> = (0..sweep.specs.len())
-        .filter(|k| k % shards == victim)
-        .collect();
-    assert_eq!(out.degraded_params, expected_masked);
+    let masked = marketminer::shard::placement(&sweep.specs, shards).swap_remove(victim);
+    assert!(!masked.is_empty() && masked.len() < sweep.specs.len());
+    assert_eq!(out.degraded_params, masked);
     assert!(out.reports[victim].degraded);
     assert!(out.reports[victim].restarts > 1);
     for (k, trades) in out.trades_per_param.iter().enumerate() {
-        if k % shards == victim {
+        if masked.contains(&k) {
             assert!(trades.is_empty(), "degraded param {k} leaked trades");
         } else {
             assert_eq!(
@@ -543,7 +725,7 @@ fn restart_budget_exhaustion_degrades_shard_and_completes() {
     }
     // No masked parameter set's orders leak into the merged baskets.
     for b in &out.baskets {
-        assert!(b.orders.iter().all(|o| o.param_set % shards != victim));
+        assert!(b.orders.iter().all(|o| !masked.contains(&o.param_set)));
     }
     // The incident trail: restarts then a degrade, in the flight log.
     let report = out.telemetry.as_ref().expect("supervisor telemetry");
