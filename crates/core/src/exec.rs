@@ -65,23 +65,7 @@ impl Default for ExecutionConfig {
     }
 }
 
-impl wire::Codec for ExecutionConfig {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.stop_loss.encode(w);
-        self.corr_reversion_exit.encode(w);
-        self.cost_per_share.encode(w);
-        self.slippage_bps.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(ExecutionConfig {
-            stop_loss: Option::<f64>::decode(r)?,
-            corr_reversion_exit: bool::decode(r)?,
-            cost_per_share: f64::decode(r)?,
-            slippage_bps: f64::decode(r)?,
-        })
-    }
-}
+wire::record! { ExecutionConfig { stop_loss, corr_reversion_exit, cost_per_share, slippage_bps } }
 
 #[cfg(test)]
 mod tests {

@@ -125,36 +125,22 @@ impl KalmanParams {
     }
 }
 
-impl wire::Codec for KalmanParams {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.dt_seconds.encode(w);
-        self.ctype.encode(w);
-        self.corr_window.encode(w);
-        self.delta.encode(w);
-        self.r.encode(w);
-        self.z_entry.encode(w);
-        self.z_exit.encode(w);
-        self.warmup.encode(w);
-        self.max_holding.encode(w);
-        self.min_time_before_close.encode(w);
+wire::record! {
+    KalmanParams {
+        dt_seconds,
+        ctype,
+        corr_window,
+        delta,
+        r,
+        z_entry,
+        z_exit,
+        warmup,
+        max_holding,
+        min_time_before_close,
     }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let p = KalmanParams {
-            dt_seconds: u32::decode(r)?,
-            ctype: CorrType::decode(r)?,
-            corr_window: usize::decode(r)?,
-            delta: f64::decode(r)?,
-            r: f64::decode(r)?,
-            z_entry: f64::decode(r)?,
-            z_exit: f64::decode(r)?,
-            warmup: usize::decode(r)?,
-            max_holding: usize::decode(r)?,
-            min_time_before_close: usize::decode(r)?,
-        };
+    check(p) {
         p.validate()
             .map_err(|_| wire::WireError::Invalid("kalman parameters"))?;
-        Ok(p)
     }
 }
 
@@ -165,19 +151,7 @@ struct OpenKalman {
     short_i: bool,
 }
 
-impl wire::Codec for OpenKalman {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.position.encode(w);
-        self.short_i.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(OpenKalman {
-            position: PairPosition::decode(r)?,
-            short_i: bool::decode(r)?,
-        })
-    }
-}
+wire::record! { OpenKalman { position, short_i } }
 
 /// The Kalman dynamic hedge-ratio state machine for one pair.
 #[derive(Debug, Clone)]
@@ -412,37 +386,19 @@ impl Strategy for KalmanStrategy {
 
 // Full mid-day state: every float travels as raw bits so a restored
 // filter continues bit-exactly.
-impl wire::Codec for KalmanStrategy {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.pair.encode(w);
-        self.params.encode(w);
-        self.exec.encode(w);
-        self.intervals.encode(w);
-        self.alpha.encode(w);
-        self.beta.encode(w);
-        self.p[0].encode(w);
-        self.p[1].encode(w);
-        self.p[2].encode(w);
-        self.seen.encode(w);
-        self.open.encode(w);
-        self.trades.encode(w);
-        self.last_prices.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(KalmanStrategy {
-            pair: <(usize, usize)>::decode(r)?,
-            params: KalmanParams::decode(r)?,
-            exec: ExecutionConfig::decode(r)?,
-            intervals: usize::decode(r)?,
-            alpha: f64::decode(r)?,
-            beta: f64::decode(r)?,
-            p: [f64::decode(r)?, f64::decode(r)?, f64::decode(r)?],
-            seen: usize::decode(r)?,
-            open: Option::<OpenKalman>::decode(r)?,
-            trades: Vec::<Trade>::decode(r)?,
-            last_prices: Option::<(usize, f64, f64)>::decode(r)?,
-        })
+wire::record! {
+    KalmanStrategy {
+        pair,
+        params,
+        exec,
+        intervals,
+        alpha,
+        beta,
+        p,
+        seen,
+        open,
+        trades,
+        last_prices,
     }
 }
 

@@ -72,22 +72,11 @@ impl OverlayParams {
     }
 }
 
-impl wire::Codec for OverlayParams {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.stop_loss.encode(w);
-        self.profit_target.encode(w);
-        self.max_holding.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let p = OverlayParams {
-            stop_loss: f64::decode(r)?,
-            profit_target: f64::decode(r)?,
-            max_holding: usize::decode(r)?,
-        };
+wire::record! {
+    OverlayParams { stop_loss, profit_target, max_holding }
+    check(p) {
         p.validate()
             .map_err(|_| wire::WireError::Invalid("overlay parameters"))?;
-        Ok(p)
     }
 }
 
@@ -95,7 +84,7 @@ impl wire::Codec for OverlayParams {
 ///
 /// Carries no mutable state of its own — the checkpoint bytes are
 /// exactly the inner strategy's, so overlay wrapping composes freely
-/// with snapshot/restore.
+/// with checkpoint and restore.
 pub struct OverlayStrategy {
     inner: Box<dyn Strategy>,
     params: OverlayParams,

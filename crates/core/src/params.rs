@@ -215,38 +215,23 @@ pub fn paper_parameter_grid() -> Vec<StrategyParams> {
     grid
 }
 
-impl wire::Codec for StrategyParams {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.dt_seconds.encode(w);
-        self.ctype.encode(w);
-        self.min_avg_corr.encode(w);
-        self.corr_window.encode(w);
-        self.avg_window.encode(w);
-        self.div_window.encode(w);
-        self.divergence.encode(w);
-        self.retracement.encode(w);
-        self.spread_window.encode(w);
-        self.max_holding.encode(w);
-        self.min_time_before_close.encode(w);
+wire::record! {
+    StrategyParams {
+        dt_seconds,
+        ctype,
+        min_avg_corr,
+        corr_window,
+        avg_window,
+        div_window,
+        divergence,
+        retracement,
+        spread_window,
+        max_holding,
+        min_time_before_close,
     }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let p = StrategyParams {
-            dt_seconds: u32::decode(r)?,
-            ctype: CorrType::decode(r)?,
-            min_avg_corr: f64::decode(r)?,
-            corr_window: usize::decode(r)?,
-            avg_window: usize::decode(r)?,
-            div_window: usize::decode(r)?,
-            divergence: f64::decode(r)?,
-            retracement: f64::decode(r)?,
-            spread_window: usize::decode(r)?,
-            max_holding: usize::decode(r)?,
-            min_time_before_close: usize::decode(r)?,
-        };
+    check(p) {
         p.validate()
             .map_err(|_| wire::WireError::Invalid("strategy parameters"))?;
-        Ok(p)
     }
 }
 

@@ -160,57 +160,16 @@ impl PairPosition {
     }
 }
 
-impl wire::Codec for Side {
-    fn encode(&self, w: &mut wire::Writer) {
-        let tag: u8 = match self {
-            Side::Long => 0,
-            Side::Short => 1,
-        };
-        wire::Codec::encode(&tag, w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(match <u8 as wire::Codec>::decode(r)? {
-            0 => Side::Long,
-            1 => Side::Short,
-            _ => return Err(wire::WireError::Invalid("side tag")),
-        })
+wire::tagged! {
+    Side: "side tag" {
+        0 => Long,
+        1 => Short,
     }
 }
 
-impl wire::Codec for Leg {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.stock.encode(w);
-        self.side.encode(w);
-        self.shares.encode(w);
-        self.entry_price.encode(w);
-    }
+wire::record! { Leg { stock, side, shares, entry_price } }
 
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(Leg {
-            stock: usize::decode(r)?,
-            side: Side::decode(r)?,
-            shares: u32::decode(r)?,
-            entry_price: f64::decode(r)?,
-        })
-    }
-}
-
-impl wire::Codec for PairPosition {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.long.encode(w);
-        self.short.encode(w);
-        self.entry_interval.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(PairPosition {
-            long: Leg::decode(r)?,
-            short: Leg::decode(r)?,
-            entry_interval: usize::decode(r)?,
-        })
-    }
-}
+wire::record! { PairPosition { long, short, entry_interval } }
 
 #[cfg(test)]
 mod tests {

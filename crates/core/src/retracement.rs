@@ -57,19 +57,7 @@ impl RetracementRule {
     }
 }
 
-impl wire::Codec for RetracementRule {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.level.encode(w);
-        self.exit_above.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(RetracementRule {
-            level: f64::decode(r)?,
-            exit_above: bool::decode(r)?,
-        })
-    }
-}
+wire::record! { RetracementRule { level, exit_above } }
 
 #[cfg(test)]
 mod tests {

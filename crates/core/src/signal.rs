@@ -369,19 +369,7 @@ impl RangePlane {
     }
 }
 
-impl wire::Codec for RangePlane {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.window.encode(w);
-        self.pairs.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(RangePlane {
-            window: usize::decode(r)?,
-            pairs: Vec::decode(r)?,
-        })
-    }
-}
+wire::record! { RangePlane { window, pairs } }
 
 #[cfg(test)]
 mod tests {

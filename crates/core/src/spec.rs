@@ -52,23 +52,11 @@ impl StrategyKind {
     }
 }
 
-impl wire::Codec for StrategyKind {
-    fn encode(&self, w: &mut wire::Writer) {
-        let tag: u8 = match self {
-            StrategyKind::Paper => 0,
-            StrategyKind::Kalman => 1,
-            StrategyKind::Overlay => 2,
-        };
-        tag.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(match u8::decode(r)? {
-            0 => StrategyKind::Paper,
-            1 => StrategyKind::Kalman,
-            2 => StrategyKind::Overlay,
-            _ => return Err(wire::WireError::Invalid("strategy kind tag")),
-        })
+wire::tagged! {
+    StrategyKind: "strategy kind tag" {
+        0 => Paper,
+        1 => Kalman,
+        2 => Overlay,
     }
 }
 
@@ -189,39 +177,27 @@ impl StrategySpec {
     }
 }
 
+wire::tagged! {
+    SpecBody for StrategySpec: "strategy spec tag" {
+        0 => Paper(params),
+        1 => Kalman(params),
+        2 => Overlay { inner, overlay },
+    }
+}
+
+// The version byte leads every spec, an overlay's inner one included, and
+// the decoded contents are re-validated: the table above is the body.
 impl wire::Codec for StrategySpec {
     fn encode(&self, w: &mut wire::Writer) {
-        SPEC_WIRE_VERSION.encode(w);
-        match self {
-            StrategySpec::Paper(p) => {
-                0u8.encode(w);
-                p.encode(w);
-            }
-            StrategySpec::Kalman(p) => {
-                1u8.encode(w);
-                p.encode(w);
-            }
-            StrategySpec::Overlay { inner, overlay } => {
-                2u8.encode(w);
-                inner.encode(w);
-                overlay.encode(w);
-            }
-        }
+        wire::Codec::encode(&SPEC_WIRE_VERSION, w);
+        <SpecBody as wire::Adapter<Self>>::encode(self, w);
     }
 
     fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        if u8::decode(r)? != SPEC_WIRE_VERSION {
+        if <u8 as wire::Codec>::decode(r)? != SPEC_WIRE_VERSION {
             return Err(wire::WireError::Invalid("strategy spec wire version"));
         }
-        let spec = match u8::decode(r)? {
-            0 => StrategySpec::Paper(StrategyParams::decode(r)?),
-            1 => StrategySpec::Kalman(KalmanParams::decode(r)?),
-            2 => StrategySpec::Overlay {
-                inner: Box::new(StrategySpec::decode(r)?),
-                overlay: OverlayParams::decode(r)?,
-            },
-            _ => return Err(wire::WireError::Invalid("strategy spec tag")),
-        };
+        let spec = <SpecBody as wire::Adapter<Self>>::decode(r)?;
         spec.validate()
             .map_err(|_| wire::WireError::Invalid("strategy spec contents"))?;
         Ok(spec)

@@ -540,45 +540,25 @@ impl Strategy for PairStrategy {
     }
 }
 
-impl wire::Codec for OpenPaper {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.position.encode(w);
-        self.rule.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(OpenPaper {
-            position: PairPosition::decode(r)?,
-            rule: RetracementRule::decode(r)?,
-        })
-    }
-}
+wire::record! { OpenPaper { position, rule } }
 
 // The full mid-day state machine: every field travels verbatim so a
 // restored strategy continues bit-exactly.
-impl wire::Codec for PairStrategy {
+wire::record! { PairStrategy { pair, rule, since, open, trades, last_prices } }
+
+// The parameter vector and execution extensions travel; the trigger and
+// the day length are `PaperRule::new`'s derivations from them.
+impl wire::Codec for PaperRule {
     fn encode(&self, w: &mut wire::Writer) {
-        self.pair.encode(w);
-        self.rule.params.encode(w);
-        self.rule.exec.encode(w);
-        self.since.encode(w);
-        self.open.encode(w);
-        self.trades.encode(w);
-        self.last_prices.encode(w);
+        self.params.encode(w);
+        self.exec.encode(w);
     }
 
     fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let pair = <(usize, usize)>::decode(r)?;
-        let params = StrategyParams::decode(r)?;
-        let exec = ExecutionConfig::decode(r)?;
-        Ok(PairStrategy {
-            pair,
-            rule: PaperRule::new(params, exec),
-            since: u32::decode(r)?,
-            open: Option::<OpenPaper>::decode(r)?,
-            trades: Vec::<Trade>::decode(r)?,
-            last_prices: Option::<(usize, f64, f64)>::decode(r)?,
-        })
+        Ok(PaperRule::new(
+            StrategyParams::decode(r)?,
+            ExecutionConfig::decode(r)?,
+        ))
     }
 }
 

@@ -87,61 +87,30 @@ impl Trade {
     }
 }
 
-impl wire::Codec for ExitReason {
-    fn encode(&self, w: &mut wire::Writer) {
-        let tag: u8 = match self {
-            ExitReason::Retracement => 0,
-            ExitReason::MaxHolding => 1,
-            ExitReason::EndOfDay => 2,
-            ExitReason::StopLoss => 3,
-            ExitReason::CorrReversion => 4,
-            ExitReason::Degraded => 5,
-            ExitReason::OverlayStop => 6,
-            ExitReason::OverlayTarget => 7,
-            ExitReason::OverlayHolding => 8,
-        };
-        wire::Codec::encode(&tag, w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(match <u8 as wire::Codec>::decode(r)? {
-            0 => ExitReason::Retracement,
-            1 => ExitReason::MaxHolding,
-            2 => ExitReason::EndOfDay,
-            3 => ExitReason::StopLoss,
-            4 => ExitReason::CorrReversion,
-            5 => ExitReason::Degraded,
-            6 => ExitReason::OverlayStop,
-            7 => ExitReason::OverlayTarget,
-            8 => ExitReason::OverlayHolding,
-            _ => return Err(wire::WireError::Invalid("exit reason tag")),
-        })
+wire::tagged! {
+    ExitReason: "exit reason tag" {
+        0 => Retracement,
+        1 => MaxHolding,
+        2 => EndOfDay,
+        3 => StopLoss,
+        4 => CorrReversion,
+        5 => Degraded,
+        6 => OverlayStop,
+        7 => OverlayTarget,
+        8 => OverlayHolding,
     }
 }
 
-impl wire::Codec for Trade {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.pair.encode(w);
-        self.entry_interval.encode(w);
-        self.exit_interval.encode(w);
-        self.reason.encode(w);
-        self.pnl.encode(w);
-        self.gross.encode(w);
-        self.ret.encode(w);
-        self.position.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(Trade {
-            pair: <(usize, usize)>::decode(r)?,
-            entry_interval: usize::decode(r)?,
-            exit_interval: usize::decode(r)?,
-            reason: ExitReason::decode(r)?,
-            pnl: f64::decode(r)?,
-            gross: f64::decode(r)?,
-            ret: f64::decode(r)?,
-            position: crate::position::PairPosition::decode(r)?,
-        })
+wire::record! {
+    Trade {
+        pair,
+        entry_interval,
+        exit_interval,
+        reason,
+        pnl,
+        gross,
+        ret,
+        position,
     }
 }
 

@@ -24,7 +24,8 @@ use telemetry::Probe;
 use timeseries::clean::{CleanConfig, TcpFilter};
 
 use crate::messages::{BarSet, Cause, DegradeReason, EventId, HealthEvent, HealthStatus, Message};
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
+use crate::shard::wire_msg::EventIdWire;
 
 /// Feed-health detection thresholds, in intervals of simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +48,8 @@ impl Default for HealthPolicy {
         }
     }
 }
+
+wire::record! { HealthPolicy { outage_intervals, halt_intervals } }
 
 /// Streaming bar accumulator for the whole universe.
 #[derive(Clone)]
@@ -253,66 +256,25 @@ impl Component for BarAccumulatorNode {
         }
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        self.filters.encode(&mut w);
-        self.closes.encode(&mut w);
-        self.ticks.encode(&mut w);
-        self.current_interval.encode(&mut w);
-        self.seen_tick.encode(&mut w);
-        self.quiet.encode(&mut w);
-        self.status.encode(&mut w);
-        self.first_qid.0.encode(&mut w);
-        self.last_qid.0.encode(&mut w);
-        self.late_quotes.encode(&mut w);
-        self.dropped.encode(&mut w);
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut BarAccumulatorNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            let filters = Vec::<TcpFilter>::decode(r)?;
-            let closes = Vec::<f64>::decode(r)?;
-            let ticks = Vec::<u32>::decode(r)?;
-            let current_interval = Option::<usize>::decode(r)?;
-            let seen_tick = Vec::<bool>::decode(r)?;
-            let quiet = Vec::<usize>::decode(r)?;
-            let status = Vec::<HealthStatus>::decode(r)?;
-            let first_qid = EventId(u64::decode(r)?);
-            let last_qid = EventId(u64::decode(r)?);
-            let late_quotes = u64::decode(r)?;
-            let dropped = u64::decode(r)?;
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
-            if filters.len() != node.n_stocks || closes.len() != node.n_stocks {
-                return Err(WireError::Invalid("universe size mismatch"));
-            }
-            node.filters = filters;
-            node.closes = closes;
-            node.ticks = ticks;
-            node.current_interval = current_interval;
-            node.seen_tick = seen_tick;
-            node.quiet = quiet;
-            node.status = status;
-            node.first_qid = first_qid;
-            node.last_qid = last_qid;
-            node.late_quotes = late_quotes;
-            node.dropped = dropped;
-            Ok(())
+    component_state! {
+        node {
+            filters,
+            closes,
+            ticks,
+            current_interval,
+            seen_tick,
+            quiet,
+            status,
+            first_qid as EventIdWire,
+            last_qid as EventIdWire,
+            late_quotes,
+            dropped,
         }
-        go(self, bytes).is_ok()
+        check {
+            if filters.len() != node.n_stocks || closes.len() != node.n_stocks {
+                return Err(wire::WireError::Invalid("universe size mismatch"));
+            }
+        }
     }
 
     fn messages_dropped(&self) -> u64 {
@@ -597,9 +559,9 @@ mod tests {
     fn snapshot_restore_roundtrip() {
         let mut node = BarAccumulatorNode::new(1, 30, CleanConfig::default());
         node.on_message(quote(0, 0, 1000, 1002), &mut |_| {});
-        let snap = node.snapshot().unwrap();
+        let snap = node.encode_state().unwrap();
         node.on_message(quote(40, 0, 2000, 2002), &mut |_| {});
-        assert!(node.restore(snap));
+        assert!(node.decode_state(&snap));
         // Restored to the pre-second-quote state: replaying the second
         // quote reproduces the same bar.
         let bars = collect(&mut node, vec![quote(40, 0, 2000, 2002)]);

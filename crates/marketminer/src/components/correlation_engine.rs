@@ -34,9 +34,10 @@ use stats::parallel::{
 use stats::sliding_matrix::OnlineCorrMatrix;
 use telemetry::Probe;
 use timeseries::window::SlidingWindow;
+use wire::{Codec, Reader, WireError, Writer};
 
 use crate::messages::{Cause, CorrSnapshot, Message};
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
 
 /// How many released snapshot allocations the node retains for reuse,
 /// per lane.
@@ -54,15 +55,11 @@ enum EngineKind {
     /// O(1)-per-step incremental updates (Pearson without PSD repair).
     Online(OnlineCorrMatrix),
     /// Window recompute per snapshot (robust measures, or when PSD repair
-    /// is requested).
-    Windowed {
-        repair_psd: bool,
-        windows: Vec<SlidingWindow<f64>>,
-        /// Scratch buffers reused across intervals to avoid re-allocating
-        /// `n * M` floats per snapshot.
-        scratch: Vec<Vec<f64>>,
-    },
+    /// is requested): one window per stock.
+    Windowed(Vec<SlidingWindow<f64>>),
 }
+
+wire::tagged! { EngineKind: "engine kind tag" { 0 => Online(matrix), 1 => Windowed(windows) } }
 
 /// One correlation stream the node publishes.
 #[derive(Clone)]
@@ -84,6 +81,9 @@ struct Lane {
     /// pair-rank order. Empty for measures with no iterative fit.
     seeds: Vec<Option<MaronnaSeed>>,
 }
+
+// `stream` is configuration: a decoded lane takes its node's.
+wire::record! { Lane { ctype, seen, since_last, seeds; stream } }
 
 impl Lane {
     fn cold(ctype: CorrType, stream: usize, n_stocks: usize, stride: usize) -> Lane {
@@ -107,6 +107,11 @@ pub struct CorrelationEngineNode {
     stride: usize,
     m: usize,
     kind: EngineKind,
+    /// Repair emitted matrices to PSD (windowed engines only).
+    repair_psd: bool,
+    /// Per-stock buffers the windows are linearised into each snapshot,
+    /// kept to avoid re-allocating `n * M` floats; refilled before use.
+    scratch: Vec<Vec<f64>>,
     /// The streams published: one, or the two robust measures in
     /// emission order.
     lanes: Vec<Lane>,
@@ -123,12 +128,8 @@ pub struct CorrelationEngineNode {
     probe: Probe,
 }
 
-fn windowed(n_stocks: usize, m: usize, repair_psd: bool) -> EngineKind {
-    EngineKind::Windowed {
-        repair_psd,
-        windows: (0..n_stocks).map(|_| SlidingWindow::new(m)).collect(),
-        scratch: (0..n_stocks).map(|_| Vec::with_capacity(m)).collect(),
-    }
+fn windowed(n_stocks: usize, m: usize) -> EngineKind {
+    EngineKind::Windowed((0..n_stocks).map(|_| SlidingWindow::new(m)).collect())
 }
 
 impl CorrelationEngineNode {
@@ -146,7 +147,7 @@ impl CorrelationEngineNode {
         let kind = if ctype == CorrType::Pearson {
             EngineKind::Online(OnlineCorrMatrix::new(n_stocks, m))
         } else {
-            windowed(n_stocks, m, false)
+            windowed(n_stocks, m)
         };
         let lanes = vec![Lane::cold(ctype, 0, n_stocks, stride)];
         Self::build(n_stocks, m, stride, kind, lanes)
@@ -184,7 +185,7 @@ impl CorrelationEngineNode {
         let lanes = (lanes.iter())
             .map(|&(ctype, stream)| Lane::cold(ctype, stream, n_stocks, stride))
             .collect();
-        Self::build(n_stocks, m, stride, windowed(n_stocks, m, false), lanes)
+        Self::build(n_stocks, m, stride, windowed(n_stocks, m), lanes)
     }
 
     fn build(n_stocks: usize, m: usize, stride: usize, kind: EngineKind, lanes: Vec<Lane>) -> Self {
@@ -194,6 +195,8 @@ impl CorrelationEngineNode {
             stride,
             m,
             kind,
+            repair_psd: false,
+            scratch: vec![Vec::new(); n_stocks],
             lanes,
             degraded: vec![false; n_stocks],
             dropped: 0,
@@ -217,14 +220,10 @@ impl CorrelationEngineNode {
     /// Enable PSD repair on emitted matrices (forces the windowed path
     /// for Pearson, since repair operates on whole matrices).
     pub fn with_psd_repair(mut self) -> Self {
-        match self.kind {
-            EngineKind::Online(ref online) => {
-                self.kind = windowed(online.n_stocks(), self.m, true);
-            }
-            EngineKind::Windowed {
-                ref mut repair_psd, ..
-            } => *repair_psd = true,
+        if let EngineKind::Online(online) = &self.kind {
+            self.kind = windowed(online.n_stocks(), self.m);
         }
+        self.repair_psd = true;
         self
     }
 
@@ -287,6 +286,41 @@ fn count_sweep(probe: &Probe, did: [CubeStats; 2]) {
     }
 }
 
+/// Lanes by measure, not by position, under a `u8` count: the bytes of a
+/// plane do not depend on the order (or, for a reader, the presence) of
+/// lanes.
+fn encode_lanes(lanes: &[Lane], w: &mut Writer) {
+    let mut lanes: Vec<&Lane> = lanes.iter().collect();
+    lanes.sort_by_key(|lane| lane.ctype.name());
+    (lanes.len() as u8).encode(w);
+    for lane in lanes {
+        lane.encode(w);
+    }
+}
+
+/// A lane of `node` takes the state captured for its measure; one the
+/// bytes do not hold starts cold; one only the bytes hold has been
+/// detached.
+fn decode_lanes(node: &CorrelationEngineNode, r: &mut Reader<'_>) -> Result<Vec<Lane>, WireError> {
+    let mut lanes: Vec<Lane> = (node.lanes.iter())
+        .map(|lane| Lane::cold(lane.ctype, lane.stream, node.degraded.len(), node.stride))
+        .collect();
+    for _ in 0..u8::decode(r)? {
+        let saved = Lane::decode(r)?;
+        let Some(lane) = lanes.iter_mut().find(|lane| lane.ctype == saved.ctype) else {
+            continue;
+        };
+        if saved.seeds.len() != lane.seeds.len() || saved.seen > node.m {
+            return Err(WireError::Invalid("engine lane mismatch"));
+        }
+        *lane = Lane {
+            stream: lane.stream,
+            ..saved
+        };
+    }
+    Ok(lanes)
+}
+
 impl Component for CorrelationEngineNode {
     fn name(&self) -> &str {
         &self.name
@@ -313,7 +347,7 @@ impl Component for CorrelationEngineNode {
                 online.push(&rs.returns);
                 online.is_warm()
             }
-            EngineKind::Windowed { windows, .. } => {
+            EngineKind::Windowed(windows) => {
                 for (w, &r) in windows.iter_mut().zip(&rs.returns) {
                     w.push(r);
                 }
@@ -350,11 +384,8 @@ impl Component for CorrelationEngineNode {
         }
         match &mut self.kind {
             EngineKind::Online(online) => online.matrix_into(&mut bodies[0].matrix),
-            EngineKind::Windowed {
-                repair_psd,
-                windows,
-                scratch,
-            } => {
+            EngineKind::Windowed(windows) => {
+                let (scratch, repair_psd) = (&mut self.scratch, self.repair_psd);
                 for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
                     buf.clear();
                     let (oldest, wrapped) = w.as_slices();
@@ -364,10 +395,7 @@ impl Component for CorrelationEngineNode {
                 let views: Vec<&[f64]> = scratch.iter().map(|b| b.as_slice()).collect();
                 let ctype = self.lanes[0].ctype;
                 if plane_slot(ctype).is_none() {
-                    let engine = ParallelCorrEngine {
-                        ctype,
-                        repair_psd: *repair_psd,
-                    };
+                    let engine = ParallelCorrEngine { ctype, repair_psd };
                     bodies[0].matrix = engine.matrix(&views);
                 } else {
                     let mut plane = [None, None];
@@ -381,7 +409,7 @@ impl Component for CorrelationEngineNode {
                             });
                         }
                     }
-                    let did = robust_plane_warm_into(&views, plane, *repair_psd);
+                    let did = robust_plane_warm_into(&views, plane, repair_psd);
                     count_sweep(&self.probe, did);
                 }
             }
@@ -413,102 +441,21 @@ impl Component for CorrelationEngineNode {
         }
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        self.degraded.encode(&mut w);
-        self.dropped.encode(&mut w);
-        // The `pool` and `scratch` buffers are allocation caches — their
-        // contents never reach an emitted snapshot — so only the
-        // value-bearing engine state crosses the process boundary.
-        match &self.kind {
-            EngineKind::Online(m) => {
-                0u8.encode(&mut w);
-                m.encode(&mut w);
-            }
-            EngineKind::Windowed { windows, .. } => {
-                1u8.encode(&mut w);
-                windows.encode(&mut w);
-            }
-        }
-        // Lanes by measure, not by position: the bytes of a plane do not
-        // depend on the order (or, for a reader, the presence) of lanes.
-        let mut lanes: Vec<&Lane> = self.lanes.iter().collect();
-        lanes.sort_by_key(|lane| lane.ctype.name());
-        (lanes.len() as u8).encode(&mut w);
-        for lane in lanes {
-            lane.ctype.encode(&mut w);
-            lane.seen.encode(&mut w);
-            lane.since_last.encode(&mut w);
-            lane.seeds.encode(&mut w);
-        }
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut CorrelationEngineNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            let degraded = Vec::<bool>::decode(r)?;
-            let dropped = u64::decode(r)?;
-            let kind = match (u8::decode(r)?, &node.kind) {
-                (0, EngineKind::Online(_)) => EngineKind::Online(OnlineCorrMatrix::decode(r)?),
-                (
-                    1,
-                    EngineKind::Windowed {
-                        repair_psd,
-                        windows,
-                        scratch,
-                    },
-                ) => {
-                    let new_windows = Vec::<SlidingWindow<f64>>::decode(r)?;
-                    if new_windows.len() != windows.len() {
-                        return Err(WireError::Invalid("engine shape mismatch"));
-                    }
-                    EngineKind::Windowed {
-                        repair_psd: *repair_psd,
-                        windows: new_windows,
-                        scratch: scratch.clone(),
-                    }
-                }
-                _ => return Err(WireError::Invalid("engine kind mismatch")),
+    // The `pool` and `scratch` buffers are allocation caches, refilled
+    // before every use — their contents never reach an emitted snapshot —
+    // so only the value-bearing engine state travels.
+    component_state! {
+        node { degraded, dropped, kind, lanes => (encode_lanes, decode_lanes) }
+        check {
+            let fits = match (&kind, &node.kind) {
+                (EngineKind::Online(_), EngineKind::Online(_)) => true,
+                (EngineKind::Windowed(new), EngineKind::Windowed(old)) => new.len() == old.len(),
+                _ => false,
             };
-            // A lane of this node takes the state captured for its
-            // measure; one the bytes do not hold starts cold; one only
-            // the bytes hold has been detached.
-            let mut lanes: Vec<Lane> = (node.lanes.iter())
-                .map(|lane| Lane::cold(lane.ctype, lane.stream, node.degraded.len(), node.stride))
-                .collect();
-            for _ in 0..u8::decode(r)? {
-                let ctype = CorrType::decode(r)?;
-                let (seen, since_last) = (usize::decode(r)?, usize::decode(r)?);
-                let seeds = Vec::<Option<MaronnaSeed>>::decode(r)?;
-                let Some(lane) = lanes.iter_mut().find(|lane| lane.ctype == ctype) else {
-                    continue;
-                };
-                if seeds.len() != lane.seeds.len() || seen > node.m {
-                    return Err(WireError::Invalid("engine lane mismatch"));
-                }
-                (lane.seen, lane.since_last, lane.seeds) = (seen, since_last, seeds);
+            if !fits {
+                return Err(WireError::Invalid("engine kind mismatch"));
             }
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
-            node.kind = kind;
-            node.lanes = lanes;
-            node.degraded = degraded;
-            node.dropped = dropped;
-            Ok(())
         }
-        go(self, bytes).is_ok()
     }
 
     fn messages_dropped(&self) -> u64 {
@@ -641,10 +588,10 @@ mod tests {
             feed(&mut a, k, vec![ret(0, k), ret(1, k)]);
             feed(&mut b, k, vec![ret(0, k), ret(1, k)]);
         }
-        let snap = a.snapshot().unwrap();
+        let snap = a.encode_state().unwrap();
         // Wreck `a`, restore, and check it re-converges with `b`.
         feed(&mut a, 99, vec![1.0, -1.0]);
-        assert!(a.restore(snap));
+        assert!(a.decode_state(&snap));
         for k in 6..10 {
             let sa = feed(&mut a, k, vec![ret(0, k), ret(1, k)]);
             let sb = feed(&mut b, k, vec![ret(0, k), ret(1, k)]);
@@ -732,9 +679,9 @@ mod tests {
     }
 
     /// The fused robust plane against one node per measure over a day:
-    /// the same snapshots in the same order to the bit, across an
-    /// in-process snapshot/restore, a durable encode/decode into a fresh
-    /// node, and a degraded symbol masked out of both streams.
+    /// the same snapshots in the same order to the bit, across a restore
+    /// into the live node after it has moved on, an encode/decode into a
+    /// fresh node, and a degraded symbol masked out of both streams.
     #[test]
     fn robust_plane_equals_two_single_measure_nodes_over_a_day() {
         let (n, m) = (5, 50);
@@ -749,9 +696,9 @@ mod tests {
         let mut emitted = 0;
         for k in 0..len {
             if k == restore_at {
-                let kept = plane.snapshot().expect("the node checkpoints");
+                let kept = plane.encode_state().expect("the node checkpoints");
                 feed(&mut plane, 9999, vec![0.5; n]);
-                assert!(plane.restore(kept));
+                assert!(plane.decode_state(&kept));
             }
             if k == recode_at {
                 let bytes = plane.encode_state().expect("the node has durable state");
@@ -921,9 +868,9 @@ mod tests {
             feed(&mut a, k, vec![ret(0, k), ret(1, k)]);
             feed(&mut b, k, vec![ret(0, k), ret(1, k)]);
         }
-        let snap = a.snapshot().unwrap();
+        let snap = a.encode_state().unwrap();
         feed(&mut a, 99, vec![1.0, -1.0]);
-        assert!(a.restore(snap));
+        assert!(a.decode_state(&snap));
         for k in 8..12 {
             let sa = feed(&mut a, k, vec![ret(0, k), ret(1, k)]);
             let sb = feed(&mut b, k, vec![ret(0, k), ret(1, k)]);

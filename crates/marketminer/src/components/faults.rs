@@ -4,9 +4,9 @@
 //! misbehave on a chosen message: the first panics (exercising
 //! checkpoint/restart), the second wedges its thread forever (exercising
 //! the watchdog's sever path). Both delegate everything else — name,
-//! end-of-stream flushing, checkpointing, drop counting — to the wrapped
-//! component, so a supervised pipeline with an injector in it is
-//! otherwise indistinguishable from the healthy one.
+//! end-of-stream flushing, the state contract, the inbox bound, drop
+//! counting — to the wrapped component, so a supervised pipeline with an
+//! injector in it is otherwise indistinguishable from the healthy one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use telemetry::recorder::FlightKind;
 use telemetry::Probe;
 
 use crate::messages::Message;
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{Component, Emit};
 
 /// Wraps a component and panics exactly once, on the `panic_at`-th
 /// message (0-based), *before* the inner component sees it.
@@ -73,12 +73,16 @@ impl Component for PanicInjector {
         self.inner.on_end(out);
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        self.inner.snapshot()
+    fn encode_state(&self) -> Option<Vec<u8>> {
+        self.inner.encode_state()
     }
 
-    fn restore(&mut self, state: NodeState) -> bool {
-        self.inner.restore(state)
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        self.inner.decode_state(bytes)
+    }
+
+    fn inbox_capacity(&self) -> Option<usize> {
+        self.inner.inbox_capacity()
     }
 
     fn messages_dropped(&self) -> u64 {
@@ -135,6 +139,18 @@ impl Component for WedgeInjector {
         self.inner.on_end(out);
     }
 
+    fn encode_state(&self) -> Option<Vec<u8>> {
+        self.inner.encode_state()
+    }
+
+    fn decode_state(&mut self, bytes: &[u8]) -> bool {
+        self.inner.decode_state(bytes)
+    }
+
+    fn inbox_capacity(&self) -> Option<usize> {
+        self.inner.inbox_capacity()
+    }
+
     fn messages_dropped(&self) -> u64 {
         self.inner.messages_dropped()
     }
@@ -180,5 +196,30 @@ mod tests {
         node.on_message(msg(), &mut |_| n += 1);
         assert_eq!(n, 1);
         assert_eq!(node.name(), "panic-inject(p)");
+        assert_eq!(node.encode_state(), None, "a stateless node stays one");
+    }
+
+    /// Wrapped, a node keeps its whole contract: the inbox bound the
+    /// runtime sizes its queue by, and the state a restart restores.
+    #[test]
+    fn injectors_delegate_the_inbox_bound_and_the_state_pair() {
+        use crate::components::StrategyHostNode;
+        use pairtrade_core::{ExecutionConfig, StrategyParams};
+        let host = || {
+            let params = StrategyParams::paper_default();
+            StrategyHostNode::new(3, params, ExecutionConfig::paper(), false)
+        };
+        let (bound, cold) = (host().inbox_capacity(), host().encode_state());
+        assert!(bound.is_some() && cold.is_some());
+        let wrapped: [Box<dyn Component>; 2] = [
+            Box::new(PanicInjector::new(Box::new(host()), 100)),
+            Box::new(WedgeInjector::new(Box::new(host()), 100)),
+        ];
+        for mut node in wrapped {
+            assert_eq!(node.inbox_capacity(), bound, "{}", node.name());
+            assert_eq!(node.encode_state(), cold, "{}", node.name());
+            assert!(node.decode_state(cold.as_deref().unwrap()));
+            assert!(!node.decode_state(&[9]), "the wrapped node's refusal");
+        }
     }
 }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use telemetry::Probe;
 
 use crate::messages::{Basket, Cause, Message, OrderBatch, OrderRequest};
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
 
 /// Basket-aggregating order gateway.
 #[derive(Clone)]
@@ -206,49 +206,17 @@ impl Component for OrderGatewayNode {
         self.flush(true, out);
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        self.watermarks.encode(&mut w);
-        let held: Vec<(usize, Vec<OrderBatch>)> = (self.buckets.iter())
-            .map(|(k, batches)| (*k, batches.iter().map(|b| (**b).clone()).collect()))
-            .collect();
-        held.encode(&mut w);
-        self.baskets_emitted.encode(&mut w);
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut OrderGatewayNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            let mut watermarks = Vec::<(usize, usize)>::decode(r)?;
-            let held = Vec::<(usize, Vec<OrderBatch>)>::decode(r)?;
-            let baskets_emitted = u64::decode(r)?;
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
+    component_state! {
+        node { watermarks, buckets, baskets_emitted }
+        check {
             watermarks.sort_unstable_by_key(|&(host, _)| host);
             watermarks.dedup_by_key(|&mut (host, _)| host);
-            node.watermarks = watermarks;
-            node.orders_held = (held.iter().flat_map(|(_, batches)| batches))
-                .map(|b| b.orders.len() as u64)
-                .sum();
-            node.buckets = (held.into_iter())
-                .map(|(k, batches)| (k, batches.into_iter().map(Arc::new).collect()))
-                .collect();
-            node.baskets_emitted = baskets_emitted;
-            Ok(())
         }
-        go(self, bytes).is_ok()
+        then {
+            node.orders_held = (node.buckets.values().flatten())
+                .map(|batch| batch.orders.len() as u64)
+                .sum();
+        }
     }
 
     fn attach_telemetry(&mut self, probe: Probe) {

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use telemetry::Probe;
 
 use crate::messages::{Message, OrderBatch, OrderRequest};
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
 
 /// Risk limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +59,8 @@ impl Default for RiskLimits {
     }
 }
 
+wire::record! { RiskLimits { max_shares_per_order, max_order_notional, max_open_pairs } }
+
 /// Rejection counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RiskStats {
@@ -71,6 +73,8 @@ pub struct RiskStats {
     /// Entry orders rejected because a leg's symbol was degraded.
     pub rejected_degraded: u64,
 }
+
+wire::record! { RiskStats { passed, rejected_size, rejected_book_full, rejected_degraded } }
 
 /// Per-symbol health timeline: transitions `(first interval the status
 /// applies to, is_degraded)`, kept sorted by interval.
@@ -85,6 +89,8 @@ pub struct RiskStats {
 struct HealthTimeline {
     transitions: HashMap<usize, Vec<(usize, bool)>>,
 }
+
+wire::record! { HealthTimeline { transitions } }
 
 impl HealthTimeline {
     /// Record a transition; duplicates (same symbol, interval, status) are
@@ -273,78 +279,9 @@ impl Component for RiskManagerNode {
         self.forwarded_health.clear();
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        // Hash containers encode in sorted order so identical logical
-        // state always serializes to identical bytes.
-        let mut books: Vec<(usize, Vec<(usize, usize)>)> = self
-            .books
-            .iter()
-            .map(|(k, set)| {
-                let mut pairs: Vec<(usize, usize)> = set.iter().copied().collect();
-                pairs.sort_unstable();
-                (*k, pairs)
-            })
-            .collect();
-        books.sort_unstable_by_key(|(k, _)| *k);
-        books.encode(&mut w);
-        let mut timeline: Vec<(usize, Vec<(usize, bool)>)> = self
-            .health
-            .transitions
-            .iter()
-            .map(|(k, line)| (*k, line.clone()))
-            .collect();
-        timeline.sort_unstable_by_key(|(k, _)| *k);
-        timeline.encode(&mut w);
-        let mut forwarded: Vec<(usize, usize)> = self.forwarded_health.iter().copied().collect();
-        forwarded.sort_unstable();
-        forwarded.encode(&mut w);
-        self.stats.passed.encode(&mut w);
-        self.stats.rejected_size.encode(&mut w);
-        self.stats.rejected_book_full.encode(&mut w);
-        self.stats.rejected_degraded.encode(&mut w);
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut RiskManagerNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            let books = Vec::<(usize, Vec<(usize, usize)>)>::decode(r)?;
-            let timeline = Vec::<(usize, Vec<(usize, bool)>)>::decode(r)?;
-            let forwarded = Vec::<(usize, usize)>::decode(r)?;
-            let passed = u64::decode(r)?;
-            let rejected_size = u64::decode(r)?;
-            let rejected_book_full = u64::decode(r)?;
-            let rejected_degraded = u64::decode(r)?;
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
-            node.books = books
-                .into_iter()
-                .map(|(k, pairs)| (k, pairs.into_iter().collect()))
-                .collect();
-            node.health.transitions = timeline.into_iter().collect();
-            node.forwarded_health = forwarded.into_iter().collect();
-            node.stats = RiskStats {
-                passed,
-                rejected_size,
-                rejected_book_full,
-                rejected_degraded,
-            };
-            Ok(())
-        }
-        go(self, bytes).is_ok()
-    }
+    // The hash containers travel in key order (see `wire`), so identical
+    // logical state always serializes to identical bytes.
+    component_state! { node { books, health, forwarded_health, stats } }
 
     fn attach_telemetry(&mut self, probe: Probe) {
         self.probe = probe;

@@ -47,7 +47,7 @@ use timeseries::rolling::RangeStats;
 use crate::messages::{
     AvgSignals, Cause, CorrSnapshot, HealthEvent, Message, SignalFrame, Windowed,
 };
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
 
 /// Sorted distinct non-zero values of `windows`.
 fn distinct(windows: impl Iterator<Item = usize>) -> Vec<usize> {
@@ -55,6 +55,16 @@ fn distinct(windows: impl Iterator<Item = usize>) -> Vec<usize> {
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// `mine`, each plane replaced by the saved one over the same window.
+fn carry_over<P: Clone>(mine: &[P], saved: Vec<P>, window: fn(&P) -> usize) -> Vec<P> {
+    (mine.iter())
+        .map(|plane| {
+            let same = saved.iter().find(|s| window(s) == window(plane));
+            same.unwrap_or(plane).clone()
+        })
+        .collect()
 }
 
 /// The shared front half of one stream's strategy hosts.
@@ -321,101 +331,34 @@ impl Component for SignalNode {
         self.release_health_through(usize::MAX, out);
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        self.avg_planes.encode(&mut w);
-        self.range_planes.encode(&mut w);
-        self.history.encode(&mut w);
-        self.bars_through.encode(&mut w);
-        self.bars_seen.encode(&mut w);
-        // Pending queues hold `Arc`s purely for cheap fan-in; the payloads
-        // themselves cross the process boundary by value.
-        (self.pending_corr.len() as u64).encode(&mut w);
-        for snap in &self.pending_corr {
-            (**snap).encode(&mut w);
+    // The pending queues hold `Arc`s purely for cheap fan-in; the payloads
+    // themselves cross the process boundary by value.
+    component_state! {
+        node {
+            avg_planes,
+            range_planes,
+            history,
+            bars_through,
+            bars_seen,
+            pending_corr,
+            pending_health,
+            degraded,
+            dropped,
         }
-        (self.pending_health.len() as u64).encode(&mut w);
-        for ev in &self.pending_health {
-            (**ev).encode(&mut w);
-        }
-        self.degraded.encode(&mut w);
-        self.dropped.encode(&mut w);
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut SignalNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            let avg_planes = Vec::<AvgPlane>::decode(r)?;
-            let range_planes = Vec::<RangePlane>::decode(r)?;
-            let history = Vec::<Vec<f64>>::decode(r)?;
-            let bars_through = Option::<usize>::decode(r)?;
-            let bars_seen = usize::decode(r)?;
-            let n_corr = u64::decode(r)? as usize;
-            if n_corr > r.remaining() {
-                return Err(WireError::Invalid("pending_corr longer than input"));
-            }
-            let mut pending_corr = VecDeque::with_capacity(n_corr);
-            for _ in 0..n_corr {
-                pending_corr.push_back(Arc::new(CorrSnapshot::decode(r)?));
-            }
-            let n_health = u64::decode(r)? as usize;
-            if n_health > r.remaining() {
-                return Err(WireError::Invalid("pending_health longer than input"));
-            }
-            let mut pending_health = VecDeque::with_capacity(n_health);
-            for _ in 0..n_health {
-                pending_health.push_back(Arc::new(HealthEvent::decode(r)?));
-            }
-            let degraded = Vec::<bool>::decode(r)?;
-            let dropped = u64::decode(r)?;
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
+        check {
             let n_pairs = node.n_pairs();
             if degraded.len() != node.n_stocks
                 || history.len() != node.n_stocks
                 || avg_planes.iter().any(|p| p.n_pairs() != n_pairs)
                 || range_planes.iter().any(|p| p.n_pairs() != n_pairs)
             {
-                return Err(WireError::Invalid("universe size mismatch"));
+                return Err(wire::WireError::Invalid("universe size mismatch"));
             }
             // Planes both incarnations share carry over; a window new to
             // this stream keeps its cold plane (see the module docs).
-            for saved in avg_planes {
-                if let Some(slot) =
-                    (node.avg_planes.iter_mut()).find(|p| p.window() == saved.window())
-                {
-                    *slot = saved;
-                }
-            }
-            for saved in range_planes {
-                if let Some(slot) =
-                    (node.range_planes.iter_mut()).find(|p| p.window() == saved.window())
-                {
-                    *slot = saved;
-                }
-            }
-            node.history = history;
-            node.bars_through = bars_through;
-            node.bars_seen = bars_seen;
-            node.pending_corr = pending_corr;
-            node.pending_health = pending_health;
-            node.degraded = degraded;
-            node.dropped = dropped;
-            Ok(())
+            avg_planes = carry_over(&node.avg_planes, avg_planes, AvgPlane::window);
+            range_planes = carry_over(&node.range_planes, range_planes, RangePlane::window);
         }
-        go(self, bytes).is_ok()
     }
 
     fn messages_dropped(&self) -> u64 {

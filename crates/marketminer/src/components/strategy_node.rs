@@ -39,12 +39,14 @@ use pairtrade_core::trade::{ExitReason, Trade};
 use stats::matrix::SymMatrix;
 use telemetry::Probe;
 use timeseries::rolling::RangeStats;
+use wire::{Codec, Reader, WireError, Writer};
 
 use crate::messages::{
     AvgSignals, Cause, EventId, HealthEvent, Message, OrderBatch, OrderRequest, OrderSide,
     SignalFrame, TradeReport,
 };
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
+use crate::shard::wire_msg::EventIdWire;
 
 /// Per-kind telemetry names (the probe wants `&'static str`).
 fn opened_counter(kind: StrategyKind) -> &'static str {
@@ -86,6 +88,73 @@ enum Book {
         was_open: Vec<bool>,
         trades_seen: Vec<usize>,
     },
+}
+
+impl Book {
+    /// The spec itself is construction-time config and is NOT serialized
+    /// — a restored node must already host the same spec, which the
+    /// family tag, the pair count and each family's own decoder guard.
+    fn encode_state(&self, w: &mut Writer) {
+        match self {
+            Book::Paper { since, open, .. } => {
+                0u8.encode(w);
+                since.encode(w);
+                open.encode(w);
+            }
+            Book::Boxed {
+                strategies,
+                was_open,
+                trades_seen,
+            } => {
+                1u8.encode(w);
+                // Trait objects can't derive a Vec codec: count, then each
+                // strategy's own (self-delimiting) state bytes.
+                (strategies.len() as u64).encode(w);
+                for strategy in strategies {
+                    strategy.encode_state(w);
+                }
+                was_open.encode(w);
+                trades_seen.encode(w);
+            }
+        }
+    }
+
+    /// A copy of `host`'s book holding the state in `r` (decoded into a
+    /// clone, so a mid-stream error leaves the live book untouched).
+    fn decode_state(host: &StrategyHostNode, r: &mut Reader<'_>) -> Result<Book, WireError> {
+        let mut book = host.book.clone();
+        let n_pairs = host.n_stocks * (host.n_stocks - 1) / 2;
+        let sized = match (u8::decode(r)?, &mut book) {
+            (0, Book::Paper { since, open, .. }) => {
+                *since = Vec::decode(r)?;
+                *open = Vec::decode(r)?;
+                since.len() == n_pairs && open.len() == n_pairs
+            }
+            (
+                1,
+                Book::Boxed {
+                    strategies,
+                    was_open,
+                    trades_seen,
+                },
+            ) => {
+                if u64::decode(r)? as usize != strategies.len() {
+                    return Err(WireError::Invalid("strategy count mismatch"));
+                }
+                for strategy in strategies.iter_mut() {
+                    strategy.decode_state(r)?;
+                }
+                *was_open = Vec::decode(r)?;
+                *trades_seen = Vec::decode(r)?;
+                was_open.len() == n_pairs && trades_seen.len() == n_pairs
+            }
+            _ => return Err(WireError::Invalid("strategy family mismatch")),
+        };
+        if !sized {
+            return Err(WireError::Invalid("pair count mismatch"));
+        }
+        Ok(book)
+    }
 }
 
 /// One frame's series as this host's [`InputNeeds`] select them.
@@ -415,121 +484,25 @@ impl Component for StrategyHostNode {
         self.flush_batch(out);
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        // The spec itself is construction-time config and is NOT
-        // serialized — a restored node must already host the same spec,
-        // which the family tag, the pair count and each family's own
-        // decoder guard.
-        match &self.book {
-            Book::Paper { since, open, .. } => {
-                0u8.encode(&mut w);
-                since.encode(&mut w);
-                open.encode(&mut w);
-            }
-            Book::Boxed {
-                strategies,
-                was_open,
-                trades_seen,
-            } => {
-                1u8.encode(&mut w);
-                // Trait objects can't derive a Vec codec: count, then each
-                // strategy's own (self-delimiting) state bytes.
-                (strategies.len() as u64).encode(&mut w);
-                for strategy in strategies {
-                    strategy.encode_state(&mut w);
-                }
-                was_open.encode(&mut w);
-                trades_seen.encode(&mut w);
-            }
+    component_state! {
+        node {
+            book => (Book::encode_state, Book::decode_state),
+            degraded,
+            last_interval,
+            last_prices,
+            last_frame_id as EventIdWire,
+            watermark,
+            pending,
+            pending_causes as Vec<EventIdWire>,
+            dropped,
         }
-        self.degraded.encode(&mut w);
-        self.last_interval.encode(&mut w);
-        self.last_prices.encode(&mut w);
-        self.last_frame_id.0.encode(&mut w);
-        self.watermark.encode(&mut w);
-        self.pending.encode(&mut w);
-        let causes: Vec<u64> = self.pending_causes.iter().map(|id| id.0).collect();
-        causes.encode(&mut w);
-        self.dropped.encode(&mut w);
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut StrategyHostNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            // Decode into a clone so a mid-stream error leaves the live
-            // book untouched (restore is all-or-nothing).
-            let mut book = node.book.clone();
-            let n_pairs = node.n_stocks * (node.n_stocks - 1) / 2;
-            match (u8::decode(r)?, &mut book) {
-                (0, Book::Paper { since, open, .. }) => {
-                    *since = Vec::decode(r)?;
-                    *open = Vec::decode(r)?;
-                    if since.len() != n_pairs || open.len() != n_pairs {
-                        return Err(WireError::Invalid("pair count mismatch"));
-                    }
-                }
-                (
-                    1,
-                    Book::Boxed {
-                        strategies,
-                        was_open,
-                        trades_seen,
-                    },
-                ) => {
-                    if u64::decode(r)? as usize != strategies.len() {
-                        return Err(WireError::Invalid("strategy count mismatch"));
-                    }
-                    for strategy in strategies.iter_mut() {
-                        strategy.decode_state(r)?;
-                    }
-                    *was_open = Vec::decode(r)?;
-                    *trades_seen = Vec::decode(r)?;
-                    if was_open.len() != n_pairs || trades_seen.len() != n_pairs {
-                        return Err(WireError::Invalid("pair count mismatch"));
-                    }
-                }
-                _ => return Err(WireError::Invalid("strategy family mismatch")),
-            }
-            let degraded = Vec::<bool>::decode(r)?;
-            let last_interval = usize::decode(r)?;
-            let last_prices = Vec::<f64>::decode(r)?;
-            let last_frame_id = EventId(u64::decode(r)?);
-            let watermark = Option::<usize>::decode(r)?;
-            let pending = Vec::<OrderRequest>::decode(r)?;
-            let pending_causes = Vec::<u64>::decode(r)?;
-            let dropped = u64::decode(r)?;
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
+        check {
             if degraded.len() != node.n_stocks
                 || !(last_prices.is_empty() || last_prices.len() == node.n_stocks)
             {
                 return Err(WireError::Invalid("universe size mismatch"));
             }
-            node.book = book;
-            node.degraded = degraded;
-            node.last_interval = last_interval;
-            node.last_prices = last_prices;
-            node.last_frame_id = last_frame_id;
-            node.watermark = watermark;
-            node.pending = pending;
-            node.pending_causes = pending_causes.into_iter().map(EventId).collect();
-            node.dropped = dropped;
-            Ok(())
         }
-        go(self, bytes).is_ok()
     }
 
     fn inbox_capacity(&self) -> Option<usize> {
@@ -973,19 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_preserves_open_positions_and_the_open_batch() {
-        let (mut rig, next) = opened_rig();
-        // Run the survivor and a restored twin to the end of day.
-        let mut twin = Rig::new(2, false);
-        assert!(twin.signals.restore(rig.signals.snapshot().unwrap()));
-        assert!(twin.host.restore(rig.host.snapshot().unwrap()));
-        let a = run_out(&mut rig, next);
-        let b = run_out(&mut twin, next);
-        assert!(a.iter().any(|m| matches!(m, Message::Trades(_))));
-        assert_eq!(wire::to_bytes(&a), wire::to_bytes(&b));
-    }
-
-    #[test]
     fn durable_state_round_trips_and_refuses_another_family() {
         let (mut rig, next) = opened_rig();
         let bytes = rig.host.encode_state().unwrap();
@@ -1000,6 +960,7 @@ mod tests {
         assert_eq!(twin.host.pending.len(), 2);
         let a = run_out(&mut rig, next);
         let b = run_out(&mut twin, next);
+        assert!(a.iter().any(|m| matches!(m, Message::Trades(_))));
         assert_eq!(wire::to_bytes(&a), wire::to_bytes(&b));
 
         // A Kalman host keeps boxed strategies: the paper layout is

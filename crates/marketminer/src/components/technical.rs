@@ -13,7 +13,7 @@ use stats::online::Ewma;
 use telemetry::Probe;
 
 use crate::messages::{Cause, Message, ReturnSet};
-use crate::node::{Component, Emit, NodeState};
+use crate::node::{component_state, Component, Emit};
 
 /// Streaming returns + indicators for the whole universe.
 #[derive(Clone)]
@@ -90,42 +90,13 @@ impl Component for TechnicalAnalysisNode {
         self.prev_closes = Some(bars.closes.clone());
     }
 
-    fn snapshot(&self) -> Option<NodeState> {
-        crate::node::snapshot_of(self)
-    }
-
-    fn restore(&mut self, state: NodeState) -> bool {
-        crate::node::restore_into(self, state)
-    }
-
-    fn encode_state(&self) -> Option<Vec<u8>> {
-        use wire::Codec;
-        let mut w = wire::Writer::new();
-        self.prev_closes.encode(&mut w);
-        self.var_ewma.encode(&mut w);
-        self.dropped.encode(&mut w);
-        Some(w.into_bytes())
-    }
-
-    fn decode_state(&mut self, bytes: &[u8]) -> bool {
-        use wire::{Codec, WireError};
-        fn go(node: &mut TechnicalAnalysisNode, bytes: &[u8]) -> Result<(), WireError> {
-            let r = &mut wire::Reader::new(bytes);
-            let prev_closes = Option::<Vec<f64>>::decode(r)?;
-            let var_ewma = Vec::<Ewma>::decode(r)?;
-            let dropped = u64::decode(r)?;
-            if !r.is_empty() {
-                return Err(WireError::Invalid("trailing bytes"));
-            }
+    component_state! {
+        node { prev_closes, var_ewma, dropped }
+        check {
             if var_ewma.len() != node.var_ewma.len() {
-                return Err(WireError::Invalid("universe size mismatch"));
+                return Err(wire::WireError::Invalid("universe size mismatch"));
             }
-            node.prev_closes = prev_closes;
-            node.var_ewma = var_ewma;
-            node.dropped = dropped;
-            Ok(())
         }
-        go(self, bytes).is_ok()
     }
 
     fn messages_dropped(&self) -> u64 {

@@ -61,7 +61,7 @@ pub use components::{FaultedCollector, HealthPolicy, PanicInjector, WedgeInjecto
 pub use graph::{Graph, GraphError, NodeId};
 pub use live::{LiveEpoch, LiveOutput, LiveSweepSession};
 pub use messages::{DegradeReason, HealthEvent, HealthStatus, Message, TradeReport};
-pub use node::{Component, NodeState, Source};
+pub use node::{Component, Source};
 pub use pipeline::{run_sweep_pipeline, run_sweep_pipeline_with, SweepConfig, SweepOutput};
 pub use runtime::{NodeOutcome, NodeStats, RunOutput, Runtime, RuntimeConfig};
 pub use supervisor::{

@@ -273,6 +273,13 @@ impl HealthEvent {
     }
 }
 
+/// Every [`Message::kind`] tag, in declaration order — the one table both
+/// `kind` and the wire's lineage-kind interning read. A `static`, so a tag
+/// has one address wherever it was obtained.
+pub static KINDS: [&str; 10] = [
+    "quote", "bars", "returns", "corr", "signals", "orders", "basket", "trades", "health", "eof",
+];
+
 /// Messages on DAG edges.
 #[derive(Debug, Clone)]
 pub enum Message {
@@ -386,18 +393,18 @@ impl Message {
 
     /// Short tag for debugging, sink filtering and lineage.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Message::Quote(..) => "quote",
-            Message::Bars(_) => "bars",
-            Message::Returns(_) => "returns",
-            Message::Corr(_) => "corr",
-            Message::Signals(_) => "signals",
-            Message::Orders(_) => "orders",
-            Message::Basket(_) => "basket",
-            Message::Trades(_) => "trades",
-            Message::Health(_) => "health",
-            Message::Eof => "eof",
-        }
+        KINDS[match self {
+            Message::Quote(..) => 0,
+            Message::Bars(_) => 1,
+            Message::Returns(_) => 2,
+            Message::Corr(_) => 3,
+            Message::Signals(_) => 4,
+            Message::Orders(_) => 5,
+            Message::Basket(_) => 6,
+            Message::Trades(_) => 7,
+            Message::Health(_) => 8,
+            Message::Eof => 9,
+        }]
     }
 }
 

@@ -8,57 +8,6 @@ use crate::messages::Message;
 /// out to all downstream subscribers.
 pub type Emit<'a> = dyn FnMut(Message) + 'a;
 
-/// An opaque checkpoint of a component's state, taken by the supervised
-/// runtime between messages and handed back on restart after a panic.
-///
-/// The payload is a `Box<dyn Any>` so the trait stays object-safe; the
-/// conventional implementation snapshots a `Clone` of the whole component
-/// via [`snapshot_of`] / [`restore_into`].
-pub struct NodeState(Box<dyn std::any::Any + Send>);
-
-impl NodeState {
-    /// Wrap a concrete state value.
-    pub fn new<T: Send + 'static>(value: T) -> Self {
-        NodeState(Box::new(value))
-    }
-
-    /// Recover the concrete state, if the type matches.
-    pub fn downcast<T: 'static>(self) -> Option<Box<T>> {
-        self.0.downcast().ok()
-    }
-
-    /// Shallow size of the checkpointed value in bytes (the struct
-    /// itself, not heap payloads behind it) — a cheap lower bound the
-    /// runtime reports as the checkpoint size.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.0)
-    }
-}
-
-impl std::fmt::Debug for NodeState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("NodeState(..)")
-    }
-}
-
-/// Snapshot a `Clone`-able component wholesale.
-pub fn snapshot_of<T: Clone + Send + 'static>(component: &T) -> Option<NodeState> {
-    Some(NodeState::new(component.clone()))
-}
-
-/// Restore a component from a whole-struct snapshot taken by
-/// [`snapshot_of`]. Returns false (leaving the component untouched) on a
-/// type mismatch.
-pub fn restore_into<T: 'static>(component: &mut T, state: NodeState) -> bool {
-    match state.downcast::<T>() {
-        Some(prev) => {
-            *component = *prev;
-            true
-        }
-        None => false,
-    }
-}
-
 /// A stream-processing component (a non-source node of the DAG).
 pub trait Component: Send {
     /// Component name for diagnostics.
@@ -71,37 +20,26 @@ pub trait Component: Send {
     /// before the node's own outputs close — flush buffered state here.
     fn on_end(&mut self, _out: &mut Emit<'_>) {}
 
-    /// Checkpoint support: capture the component's state. The supervised
-    /// runtime calls this periodically; a component returning `None`
-    /// (the default) cannot be restarted after a panic.
-    fn snapshot(&self) -> Option<NodeState> {
-        None
-    }
-
-    /// Restore state captured by [`Component::snapshot`]. Returns true on
-    /// success; false leaves the component unchanged and makes the
-    /// supervisor give up on the node.
-    fn restore(&mut self, _state: NodeState) -> bool {
-        false
-    }
-
-    /// Durable-checkpoint support: serialize the component's *mutable*
-    /// state (not its construction-time configuration) to bytes a future
-    /// process can restore from. Unlike [`Component::snapshot`], which
-    /// captures an in-memory `Any` for same-process restart, this is the
-    /// cross-process contract used by the shard workers' epoch
-    /// checkpoints. `None` (the default) marks the component as having no
-    /// durable state; a graph containing a stateful component without it
-    /// cannot be process-checkpointed.
+    /// The one state contract: serialize the component's *mutable* state
+    /// (not its construction-time configuration) to bytes. The supervised
+    /// runtime keeps the latest such bytes per restartable node and hands
+    /// them back after a panic; a shard worker's epoch checkpoint persists
+    /// the same bytes for a future process. `None` (the default) marks
+    /// the component as having no state to keep: it cannot be restarted
+    /// after a panic, and a graph holding a stateful component without it
+    /// cannot be process-checkpointed. `node::component_state!` writes this
+    /// pair from one field list.
     fn encode_state(&self) -> Option<Vec<u8>> {
         None
     }
 
     /// Restore state produced by [`Component::encode_state`] on an
     /// *identically configured* component (same constructor arguments —
-    /// the worker rebuilds its graph from config before restoring).
-    /// Returns false (the default, and on malformed bytes) to abort the
-    /// recovery, leaving the component unchanged.
+    /// a worker rebuilds its graph from config before restoring; a panic
+    /// leaves configuration untouched). All or nothing: false (the
+    /// default, and on malformed bytes) leaves the component as it was;
+    /// true leaves no mutable field unrestored — the component it is
+    /// called on after a panic was interrupted mid-message.
     fn decode_state(&mut self, _bytes: &[u8]) -> bool {
         false
     }
@@ -125,12 +63,93 @@ pub trait Component: Send {
     /// Hand the component its telemetry probe. The runtime calls this
     /// once per run, before the first message; the default drops the
     /// probe, so uninstrumented components cost nothing. A component
-    /// that keeps the probe must store it in a field that survives
-    /// snapshot/restore (a `Probe` clone shares its shard, so the
-    /// conventional whole-struct-`Clone` checkpoint does the right
-    /// thing).
+    /// that keeps the probe stores it outside its encoded state: a
+    /// restore must leave it attached.
     fn attach_telemetry(&mut self, _probe: Probe) {}
 }
+
+/// [`Component::encode_state`] and [`Component::decode_state`] from one
+/// field list, written inside the `impl Component` block: the fields
+/// travel in the order listed, and decode is all-or-nothing — every field
+/// is parsed (and the input must end there) before any is assigned.
+///
+/// ```ignore
+/// component_state! {
+///     node { prev_closes, var_ewma, last_id as EventIdWire, dropped }
+///     check {
+///         if var_ewma.len() != node.var_ewma.len() {
+///             return Err(wire::WireError::Invalid("universe size mismatch"));
+///         }
+///     }
+///     then { node.scratch.clear(); }
+/// }
+/// ```
+///
+/// * `field as Adapter` sends a foreign-typed field through its
+///   [`wire::Adapter`].
+/// * `field => (encode, decode)` is for state whose layout is matched
+///   against the node's configuration: `encode(&node.field, &mut w)`, and
+///   `decode(&node, r)` returning the field's replacement.
+/// * `check { .. }` sees `node` (still untouched) and the decoded fields
+///   as locals named after themselves; it refuses with `return Err(..)`
+///   and may rewrite a local before it is assigned.
+/// * `then { .. }` runs after the assignments: derived fields, and the
+///   scratch a panic may have left half-written.
+macro_rules! component_state {
+    (@encode $w:ident, $value:expr; ; ) => {
+        wire::Codec::encode(&$value, &mut $w)
+    };
+    (@encode $w:ident, $value:expr; $via:ty; ) => {
+        <$via as wire::Adapter<_>>::encode(&$value, &mut $w)
+    };
+    (@encode $w:ident, $value:expr; ; $enc:path, $dec:path) => {
+        $enc(&$value, &mut $w)
+    };
+    (@decode $r:ident, $node:ident, $field:ident; ; ) => {
+        wire::decode_like::<wire::Native, _>(&$node.$field, $r)?
+    };
+    (@decode $r:ident, $node:ident, $field:ident; $via:ty; ) => {
+        wire::decode_like::<$via, _>(&$node.$field, $r)?
+    };
+    (@decode $r:ident, $node:ident, $field:ident; ; $enc:path, $dec:path) => {
+        $dec(&*$node, $r)?
+    };
+    (
+        $node:ident {
+            $($field:ident $(as $via:ty)? $(=> ($enc:path, $dec:path))?),* $(,)?
+        }
+        $(check $check:block)?
+        $(then $then:block)?
+    ) => {
+        fn encode_state(&self) -> Option<Vec<u8>> {
+            let mut w = wire::Writer::new();
+            $($crate::node::component_state!(@encode w, self.$field; $($via)?; $($enc, $dec)?);)*
+            Some(w.into_bytes())
+        }
+
+        fn decode_state(&mut self, bytes: &[u8]) -> bool {
+            let $node = self;
+            (|| -> Result<(), wire::WireError> {
+                let r = &mut wire::Reader::new(bytes);
+                $(
+                    #[allow(unused_mut)]
+                    let mut $field = $crate::node::component_state!(
+                        @decode r, $node, $field; $($via)?; $($enc, $dec)?
+                    );
+                )*
+                if !r.is_empty() {
+                    return Err(wire::WireError::Invalid("trailing bytes after state"));
+                }
+                $($check)?
+                $($node.$field = $field;)*
+                $($then)?
+                Ok(())
+            })()
+            .is_ok()
+        }
+    };
+}
+pub(crate) use component_state;
 
 /// A source node: drives the DAG by emitting messages until done.
 pub trait Source: Send {

@@ -78,7 +78,7 @@ use telemetry::{Probe, Telemetry, TelemetryLevel, TelemetryReport};
 
 use crate::graph::{Graph, GraphError, NodeId, NodeKind};
 use crate::messages::Message;
-use crate::node::{Component, NodeState, Source};
+use crate::node::{Component, Source};
 use crate::supervisor::{
     panic_message, Directive, FailureMode, NodeFailure, StallEvent, SupervisionConfig, Supervisor,
 };
@@ -344,9 +344,12 @@ enum NodeBody {
 
 struct CompBody {
     component: Box<dyn Component>,
-    checkpoint: Option<NodeState>,
-    /// Policy allows restarts AND the component supports snapshots.
-    /// Non-restartable nodes pay zero overhead: no clones, no replay log.
+    /// The component's [`Component::encode_state`] bytes as of the last
+    /// periodic checkpoint — the same bytes a shard worker's durable cut
+    /// persists.
+    checkpoint: Option<Vec<u8>>,
+    /// Policy allows restarts AND the component has state to restore.
+    /// Non-restartable nodes pay zero overhead: no encoding, no replay log.
     restartable: bool,
     /// Messages since the last checkpoint, tagged with emission counts.
     log: Vec<(Message, u64)>,
@@ -812,15 +815,12 @@ fn restore_and_replay(exec: &Exec, idx: usize, body: &mut CompBody) -> bool {
         Some(rt) if rt.full => Some(Instant::now()),
         _ => None,
     };
-    let Some(state) = body.checkpoint.take() else {
-        return false;
-    };
-    if !body.component.restore(state) {
+    // The bytes stay: a later panic recovers from the same checkpoint.
+    let restored =
+        (body.checkpoint.as_deref()).is_some_and(|state| body.component.decode_state(state));
+    if !restored {
         return false;
     }
-    // restore() consumed the checkpoint; immediately re-snapshot the same
-    // state so a later panic can recover again.
-    body.checkpoint = body.component.snapshot();
     let replayed = body.log.len() as u64;
     for k in 0..body.log.len() {
         let (msg, emissions) = body.log[k].clone();
@@ -1013,10 +1013,10 @@ fn run_component_node(exec: &Exec, idx: usize, body: &mut CompBody, turn: &mut T
                         Some(rt) if rt.full => Some(Instant::now()),
                         _ => None,
                     };
-                    if let Some(state) = body.component.snapshot() {
+                    if let Some(state) = body.component.encode_state() {
                         if let Some(rt) = &exec.rt {
                             let probe = &rt.probes[idx];
-                            let bytes = state.approx_bytes() as u64;
+                            let bytes = state.len() as u64;
                             let logged = body.log.len();
                             probe.count("checkpoints", 1);
                             probe.observe("checkpoint.bytes", bytes);
@@ -1024,7 +1024,7 @@ fn run_component_node(exec: &Exec, idx: usize, body: &mut CompBody, turn: &mut T
                                 probe.observe("checkpoint.us", t.elapsed().as_micros() as u64);
                             }
                             probe.flight(FlightKind::Checkpoint, Some(body.processed), || {
-                                format!("~{bytes} B snapshot, {logged} log entries cleared")
+                                format!("{bytes} B of state, {logged} log entries cleared")
                             });
                         }
                         body.checkpoint = Some(state);
@@ -1556,7 +1556,11 @@ impl Runtime {
                     }
                     let restart_allowed =
                         self.supervision.policy_for(idx) != crate::supervisor::RestartPolicy::Never;
-                    let checkpoint = if restart_allowed { c.snapshot() } else { None };
+                    let checkpoint = if restart_allowed {
+                        c.encode_state()
+                    } else {
+                        None
+                    };
                     let restartable = checkpoint.is_some();
                     bodies.push(Mutex::new(NodeBody::Component(CompBody {
                         component: c,
@@ -1753,24 +1757,7 @@ pub struct NodeCkpt {
     pub next_out: u64,
 }
 
-impl wire::Codec for NodeCkpt {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.state.encode(w);
-        self.processed.encode(w);
-        self.received.encode(w);
-        self.sent.encode(w);
-        self.next_out.encode(w);
-    }
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(NodeCkpt {
-            state: Option::decode(r)?,
-            processed: u64::decode(r)?,
-            received: u64::decode(r)?,
-            sent: u64::decode(r)?,
-            next_out: u64::decode(r)?,
-        })
-    }
-}
+wire::record! { NodeCkpt { state, processed, received, sent, next_out } }
 
 /// A whole graph's durable state at one quiescent cut, in node-id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1779,16 +1766,7 @@ pub struct SessionCkpt {
     pub nodes: Vec<NodeCkpt>,
 }
 
-impl wire::Codec for SessionCkpt {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.nodes.encode(w);
-    }
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(SessionCkpt {
-            nodes: Vec::decode(r)?,
-        })
-    }
-}
+wire::record! { SessionCkpt { nodes } }
 
 /// An externally driven run: the caller is the source.
 ///
@@ -2275,11 +2253,9 @@ mod tests {
     // ---- supervision ----
 
     /// A doubler with full checkpoint support that panics once, the first
-    /// time it sees message `panic_at`. The trigger lives behind an `Arc`
-    /// shared across snapshots, so a restore does NOT rearm it — the
-    /// retry after recovery succeeds (a transient fault, not a poison
-    /// pill).
-    #[derive(Clone)]
+    /// time it sees message `panic_at`. The trigger is not part of its
+    /// state, so a restore does NOT rearm it — the retry after recovery
+    /// succeeds (a transient fault, not a poison pill).
     struct FlakyDoubler {
         seen: u64,
         panic_at: u64,
@@ -2316,13 +2292,7 @@ mod tests {
             }
         }
 
-        fn snapshot(&self) -> Option<NodeState> {
-            node::snapshot_of(self)
-        }
-
-        fn restore(&mut self, state: NodeState) -> bool {
-            node::restore_into(self, state)
-        }
+        node::component_state! { node { seen } }
     }
 
     fn closes_of(msgs: &[Message]) -> Vec<(usize, Vec<f64>)> {
@@ -2367,8 +2337,7 @@ mod tests {
     }
 
     /// Panics every time it sees message `panic_at` — restore rearms it
-    /// (the trigger is part of the snapshot), so it exhausts any budget.
-    #[derive(Clone)]
+    /// (the trigger is a function of its state), so it exhausts any budget.
     struct PoisonPill {
         seen: u64,
         panic_at: u64,
@@ -2389,13 +2358,7 @@ mod tests {
             }
         }
 
-        fn snapshot(&self) -> Option<NodeState> {
-            node::snapshot_of(self)
-        }
-
-        fn restore(&mut self, state: NodeState) -> bool {
-            node::restore_into(self, state)
-        }
+        node::component_state! { node { seen } }
     }
 
     #[test]

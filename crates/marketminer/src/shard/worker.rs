@@ -40,7 +40,6 @@ use pairtrade_core::ckpt::{CheckpointStore, CkptError};
 use taq::dataset::DayData;
 use telemetry::metrics::MetricsSnapshot;
 use telemetry::TelemetryLevel;
-use wire::{Codec, Reader, WireError, Writer};
 
 use super::frame::Frame;
 use super::placement::placement;
@@ -108,49 +107,16 @@ impl ShardJob {
     }
 }
 
-impl Codec for ShardJob {
-    fn encode(&self, w: &mut Writer) {
-        self.n_stocks.encode(w);
-        self.specs.encode(w);
-        self.exec.encode(w);
-        self.clean.encode(w);
-        self.corr_stride.encode(w);
-        self.limits.max_shares_per_order.encode(w);
-        self.limits.max_order_notional.encode(w);
-        self.limits.max_open_pairs.encode(w);
-        self.needs_confirmation.encode(w);
-        match self.health {
-            None => false.encode(w),
-            Some(h) => {
-                true.encode(w);
-                h.outage_intervals.encode(w);
-                h.halt_intervals.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardJob {
-            n_stocks: usize::decode(r)?,
-            specs: Vec::decode(r)?,
-            exec: pairtrade_core::exec::ExecutionConfig::decode(r)?,
-            clean: timeseries::clean::CleanConfig::decode(r)?,
-            corr_stride: usize::decode(r)?,
-            limits: RiskLimits {
-                max_shares_per_order: u32::decode(r)?,
-                max_order_notional: f64::decode(r)?,
-                max_open_pairs: usize::decode(r)?,
-            },
-            needs_confirmation: bool::decode(r)?,
-            health: if bool::decode(r)? {
-                Some(HealthPolicy {
-                    outage_intervals: usize::decode(r)?,
-                    halt_intervals: usize::decode(r)?,
-                })
-            } else {
-                None
-            },
-        })
+wire::record! {
+    ShardJob {
+        n_stocks,
+        specs,
+        exec,
+        clean,
+        corr_stride,
+        limits,
+        needs_confirmation,
+        health,
     }
 }
 
@@ -233,7 +199,8 @@ impl WorkerArgs {
 /// files skipped on the way down are returned as human-readable
 /// descriptions (newest first) for the supervisor's `checkpoint.corrupt`
 /// flight incidents; a store with no valid checkpoint recovers to
-/// `None` (cold start).
+/// `None` (cold start), and so does one that cannot be read at all — with
+/// the I/O error among the descriptions, so the cold start is not silent.
 pub fn recover_session(store: &CheckpointStore) -> (Option<(u64, SessionCkpt)>, Vec<String>) {
     let describe = |skipped: &[pairtrade_core::ckpt::CorruptCheckpoint]| -> Vec<String> {
         skipped
@@ -254,7 +221,7 @@ pub fn recover_session(store: &CheckpointStore) -> (Option<(u64, SessionCkpt)>, 
         // Nothing valid (an empty store, or only files this build
         // refuses, e.g. another format version): cold start.
         Err(CkptError::NoCheckpoint { rejected }) => (None, describe(&rejected)),
-        Err(CkptError::Io(_)) => (None, Vec::new()),
+        Err(CkptError::Io(e)) => (None, vec![format!("{}: {e}", store.dir().display())]),
         Ok(rec) => {
             let mut corrupt = describe(&rec.corrupt);
             match wire::from_bytes::<SessionCkpt>(&rec.payload) {
@@ -556,6 +523,19 @@ mod tests {
         assert_eq!(cfg2.n_stocks, cfg.n_stocks);
         assert_eq!(cfg2.limits.max_open_pairs, cfg.limits.max_open_pairs);
         assert_eq!(cfg2.health, cfg.health);
+    }
+
+    /// A store whose directory cannot be listed is a cold start the
+    /// supervisor hears about (`Hello.corrupt` → `checkpoint.corrupt`).
+    #[test]
+    fn an_unlistable_store_cold_starts_and_says_why() {
+        let dir = std::env::temp_dir().join(format!("mm-unlistable-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (resumed, said) = recover_session(&store);
+        assert!(resumed.is_none());
+        assert_eq!(said.len(), 1, "{said:?}");
+        assert!(said[0].starts_with(&dir.display().to_string()), "{said:?}");
     }
 
     #[test]

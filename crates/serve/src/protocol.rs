@@ -12,11 +12,10 @@
 //! ([`ServerFrame::Denied`]) rather than misparsed mid-stream.
 
 use marketminer::messages::Message;
-use marketminer::shard::wire_msg::{decode_metrics_snapshot, encode_metrics_snapshot};
+use marketminer::shard::wire_msg::MetricsWire;
 use pairtrade_core::spec::StrategySpec;
 use stats::correlation::CorrType;
 use telemetry::metrics::MetricsSnapshot;
-use wire::{Codec, Reader, WireError, Writer};
 
 /// Version byte agreed in `Hello`; bump on any frame-layout change.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -57,47 +56,12 @@ pub enum SubscriptionSpec {
     },
 }
 
-impl Codec for SubscriptionSpec {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            SubscriptionSpec::Corr {
-                ctype,
-                window,
-                top_k,
-            } => {
-                0u8.encode(w);
-                ctype.encode(w);
-                window.encode(w);
-                top_k.encode(w);
-            }
-            SubscriptionSpec::Trades { param_set } => {
-                1u8.encode(w);
-                param_set.encode(w);
-            }
-            SubscriptionSpec::Health => 2u8.encode(w),
-            SubscriptionSpec::Telemetry { every } => {
-                3u8.encode(w);
-                every.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => SubscriptionSpec::Corr {
-                ctype: CorrType::decode(r)?,
-                window: usize::decode(r)?,
-                top_k: Option::<usize>::decode(r)?,
-            },
-            1 => SubscriptionSpec::Trades {
-                param_set: Option::<usize>::decode(r)?,
-            },
-            2 => SubscriptionSpec::Health,
-            3 => SubscriptionSpec::Telemetry {
-                every: u64::decode(r)?,
-            },
-            _ => return Err(WireError::Invalid("subscription spec tag")),
-        })
+wire::tagged! {
+    SubscriptionSpec: "subscription spec tag" {
+        0 => Corr { ctype, window, top_k },
+        1 => Trades { param_set },
+        2 => Health,
+        3 => Telemetry { every },
     }
 }
 
@@ -155,74 +119,18 @@ pub enum ClientFrame {
     Bye,
 }
 
-impl Codec for ClientFrame {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ClientFrame::Hello {
-                version,
-                token,
-                client,
-            } => {
-                0u8.encode(w);
-                version.encode(w);
-                token.encode(w);
-                client.encode(w);
-            }
-            ClientFrame::Subscribe { spec } => {
-                1u8.encode(w);
-                spec.encode(w);
-            }
-            ClientFrame::Unsubscribe { sub_id } => {
-                2u8.encode(w);
-                sub_id.encode(w);
-            }
-            ClientFrame::Attach { spec } => {
-                3u8.encode(w);
-                spec.encode(w);
-            }
-            ClientFrame::Detach { param_set } => {
-                4u8.encode(w);
-                param_set.encode(w);
-            }
-            ClientFrame::Explain { id } => {
-                5u8.encode(w);
-                id.encode(w);
-            }
-            ClientFrame::ListOutcomes => 6u8.encode(w),
-            ClientFrame::Heartbeat => 7u8.encode(w),
-            ClientFrame::Bye => 8u8.encode(w),
-            ClientFrame::GetMetrics => 9u8.encode(w),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ClientFrame::Hello {
-                version: u32::decode(r)?,
-                token: String::decode(r)?,
-                client: String::decode(r)?,
-            },
-            1 => ClientFrame::Subscribe {
-                spec: SubscriptionSpec::decode(r)?,
-            },
-            2 => ClientFrame::Unsubscribe {
-                sub_id: u64::decode(r)?,
-            },
-            3 => ClientFrame::Attach {
-                spec: StrategySpec::decode(r)?,
-            },
-            4 => ClientFrame::Detach {
-                param_set: usize::decode(r)?,
-            },
-            5 => ClientFrame::Explain {
-                id: u64::decode(r)?,
-            },
-            6 => ClientFrame::ListOutcomes,
-            7 => ClientFrame::Heartbeat,
-            8 => ClientFrame::Bye,
-            9 => ClientFrame::GetMetrics,
-            _ => return Err(WireError::Invalid("client frame tag")),
-        })
+wire::tagged! {
+    ClientFrame: "client frame tag" {
+        0 => Hello { version, token, client },
+        1 => Subscribe { spec },
+        2 => Unsubscribe { sub_id },
+        3 => Attach { spec },
+        4 => Detach { param_set },
+        5 => Explain { id },
+        6 => ListOutcomes,
+        7 => Heartbeat,
+        8 => Bye,
+        9 => GetMetrics,
     }
 }
 
@@ -237,21 +145,7 @@ pub struct TopPair {
     pub rho: f64,
 }
 
-impl Codec for TopPair {
-    fn encode(&self, w: &mut Writer) {
-        self.i.encode(w);
-        self.j.encode(w);
-        self.rho.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TopPair {
-            i: u32::decode(r)?,
-            j: u32::decode(r)?,
-            rho: f64::decode(r)?,
-        })
-    }
-}
+wire::record! { TopPair { i, j, rho } }
 
 /// Frames the server sends. (No `PartialEq`: [`Message`] payloads are
 /// compared by their contents in tests via re-encoding, not `==`.)
@@ -364,270 +258,28 @@ pub enum ServerFrame {
     End,
 }
 
-impl Codec for ServerFrame {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ServerFrame::Welcome { session } => {
-                0u8.encode(w);
-                session.encode(w);
-            }
-            ServerFrame::Denied { reason } => {
-                1u8.encode(w);
-                reason.encode(w);
-            }
-            ServerFrame::Subscribed { sub_id } => {
-                2u8.encode(w);
-                sub_id.encode(w);
-            }
-            ServerFrame::Unsubscribed { sub_id } => {
-                3u8.encode(w);
-                sub_id.encode(w);
-            }
-            ServerFrame::Event {
-                sub_id,
-                seq,
-                dropped_before,
-                payload,
-            } => {
-                4u8.encode(w);
-                sub_id.encode(w);
-                seq.encode(w);
-                dropped_before.encode(w);
-                payload.encode(w);
-            }
-            ServerFrame::TopK {
-                sub_id,
-                seq,
-                dropped_before,
-                interval,
-                pairs,
-            } => {
-                5u8.encode(w);
-                sub_id.encode(w);
-                seq.encode(w);
-                dropped_before.encode(w);
-                interval.encode(w);
-                pairs.encode(w);
-            }
-            ServerFrame::Attached { param_set } => {
-                6u8.encode(w);
-                param_set.encode(w);
-            }
-            ServerFrame::Detached { param_set } => {
-                7u8.encode(w);
-                param_set.encode(w);
-            }
-            ServerFrame::Explained { found, text } => {
-                8u8.encode(w);
-                found.encode(w);
-                text.encode(w);
-            }
-            ServerFrame::Outcomes { text } => {
-                9u8.encode(w);
-                text.encode(w);
-            }
-            ServerFrame::Error { reason } => {
-                10u8.encode(w);
-                reason.encode(w);
-            }
-            ServerFrame::End => 11u8.encode(w),
-            ServerFrame::Metrics {
-                sub_id,
-                seq,
-                dropped_before,
-                epoch,
-                delta,
-            } => {
-                12u8.encode(w);
-                sub_id.encode(w);
-                seq.encode(w);
-                dropped_before.encode(w);
-                epoch.encode(w);
-                encode_metrics_snapshot(delta, w);
-            }
-            ServerFrame::MetricsText { epoch, text } => {
-                13u8.encode(w);
-                epoch.encode(w);
-                text.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => ServerFrame::Welcome {
-                session: u64::decode(r)?,
-            },
-            1 => ServerFrame::Denied {
-                reason: String::decode(r)?,
-            },
-            2 => ServerFrame::Subscribed {
-                sub_id: u64::decode(r)?,
-            },
-            3 => ServerFrame::Unsubscribed {
-                sub_id: u64::decode(r)?,
-            },
-            4 => ServerFrame::Event {
-                sub_id: u64::decode(r)?,
-                seq: u64::decode(r)?,
-                dropped_before: u64::decode(r)?,
-                payload: Message::decode(r)?,
-            },
-            5 => ServerFrame::TopK {
-                sub_id: u64::decode(r)?,
-                seq: u64::decode(r)?,
-                dropped_before: u64::decode(r)?,
-                interval: u64::decode(r)?,
-                pairs: Vec::<TopPair>::decode(r)?,
-            },
-            6 => ServerFrame::Attached {
-                param_set: u64::decode(r)?,
-            },
-            7 => ServerFrame::Detached {
-                param_set: u64::decode(r)?,
-            },
-            8 => ServerFrame::Explained {
-                found: bool::decode(r)?,
-                text: String::decode(r)?,
-            },
-            9 => ServerFrame::Outcomes {
-                text: String::decode(r)?,
-            },
-            10 => ServerFrame::Error {
-                reason: String::decode(r)?,
-            },
-            11 => ServerFrame::End,
-            12 => ServerFrame::Metrics {
-                sub_id: u64::decode(r)?,
-                seq: u64::decode(r)?,
-                dropped_before: u64::decode(r)?,
-                epoch: u64::decode(r)?,
-                delta: decode_metrics_snapshot(r)?,
-            },
-            13 => ServerFrame::MetricsText {
-                epoch: u64::decode(r)?,
-                text: String::decode(r)?,
-            },
-            _ => return Err(WireError::Invalid("server frame tag")),
-        })
+wire::tagged! {
+    ServerFrame: "server frame tag" {
+        0 => Welcome { session },
+        1 => Denied { reason },
+        2 => Subscribed { sub_id },
+        3 => Unsubscribed { sub_id },
+        4 => Event { sub_id, seq, dropped_before, payload },
+        5 => TopK { sub_id, seq, dropped_before, interval, pairs },
+        6 => Attached { param_set },
+        7 => Detached { param_set },
+        8 => Explained { found, text },
+        9 => Outcomes { text },
+        10 => Error { reason },
+        11 => End,
+        12 => Metrics { sub_id, seq, dropped_before, epoch, delta as MetricsWire },
+        13 => MetricsText { epoch, text },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pairtrade_core::params::StrategyParams;
-
-    #[test]
-    fn client_frames_round_trip() {
-        let frames = vec![
-            ClientFrame::Hello {
-                version: PROTOCOL_VERSION,
-                token: "sesame".into(),
-                client: "loadgen-3".into(),
-            },
-            ClientFrame::Subscribe {
-                spec: SubscriptionSpec::Corr {
-                    ctype: CorrType::Pearson,
-                    window: 120,
-                    top_k: Some(5),
-                },
-            },
-            ClientFrame::Subscribe {
-                spec: SubscriptionSpec::Trades { param_set: Some(7) },
-            },
-            ClientFrame::Subscribe {
-                spec: SubscriptionSpec::Health,
-            },
-            ClientFrame::Unsubscribe { sub_id: 12 },
-            ClientFrame::Attach {
-                spec: StrategySpec::Paper(StrategyParams::paper_default()),
-            },
-            ClientFrame::Detach { param_set: 41 },
-            ClientFrame::Explain { id: 0 },
-            ClientFrame::ListOutcomes,
-            ClientFrame::Subscribe {
-                spec: SubscriptionSpec::Telemetry { every: 4 },
-            },
-            ClientFrame::GetMetrics,
-            ClientFrame::Heartbeat,
-            ClientFrame::Bye,
-        ];
-        for f in &frames {
-            let back: ClientFrame = wire::from_bytes(&wire::to_bytes(f)).unwrap();
-            assert_eq!(&back, f);
-        }
-    }
-
-    #[test]
-    fn server_frames_round_trip() {
-        let frames = vec![
-            ServerFrame::Welcome { session: 3 },
-            ServerFrame::Denied {
-                reason: "bad token".into(),
-            },
-            ServerFrame::Subscribed { sub_id: 9 },
-            ServerFrame::Unsubscribed { sub_id: 9 },
-            ServerFrame::TopK {
-                sub_id: 9,
-                seq: 4,
-                dropped_before: 2,
-                interval: 77,
-                pairs: vec![
-                    TopPair {
-                        i: 3,
-                        j: 1,
-                        rho: 0.93,
-                    },
-                    TopPair {
-                        i: 2,
-                        j: 0,
-                        rho: -0.88,
-                    },
-                ],
-            },
-            ServerFrame::Attached { param_set: 42 },
-            ServerFrame::Detached { param_set: 42 },
-            ServerFrame::Explained {
-                found: true,
-                text: "== provenance ==".into(),
-            },
-            ServerFrame::Outcomes {
-                text: "id kind".into(),
-            },
-            ServerFrame::Error {
-                reason: "unknown sub".into(),
-            },
-            ServerFrame::End,
-            {
-                let mut delta = MetricsSnapshot::default();
-                delta
-                    .counters
-                    .insert(("serve".into(), "egress.pushed".into()), 17);
-                let mut h = telemetry::metrics::Histogram::default();
-                h.observe(250);
-                delta
-                    .histograms
-                    .insert(("serve".into(), "epoch.us".into()), h);
-                ServerFrame::Metrics {
-                    sub_id: 2,
-                    seq: 5,
-                    dropped_before: 1,
-                    epoch: 9,
-                    delta,
-                }
-            },
-            ServerFrame::MetricsText {
-                epoch: 9,
-                text: "# TYPE mm_egress_pushed_total counter\n".into(),
-            },
-        ];
-        for f in &frames {
-            let bytes = wire::to_bytes(f);
-            let back: ServerFrame = wire::from_bytes(&bytes).unwrap();
-            assert_eq!(wire::to_bytes(&back), bytes, "re-encode is bit-identical");
-        }
-    }
 
     #[test]
     fn corrupt_tags_are_refused() {

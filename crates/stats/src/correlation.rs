@@ -117,29 +117,14 @@ pub(crate) fn clamp_corr(r: f64) -> f64 {
     }
 }
 
-impl wire::Codec for CorrType {
-    fn encode(&self, w: &mut wire::Writer) {
-        let tag: u8 = match self {
-            CorrType::Pearson => 0,
-            CorrType::Maronna => 1,
-            CorrType::Combined => 2,
-            CorrType::Quadrant => 3,
-            CorrType::Spearman => 4,
-            CorrType::Kendall => 5,
-        };
-        wire::Codec::encode(&tag, w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(match <u8 as wire::Codec>::decode(r)? {
-            0 => CorrType::Pearson,
-            1 => CorrType::Maronna,
-            2 => CorrType::Combined,
-            3 => CorrType::Quadrant,
-            4 => CorrType::Spearman,
-            5 => CorrType::Kendall,
-            _ => return Err(wire::WireError::Invalid("correlation type tag")),
-        })
+wire::tagged! {
+    CorrType: "correlation type tag" {
+        0 => Pearson,
+        1 => Maronna,
+        2 => Combined,
+        3 => Quadrant,
+        4 => Spearman,
+        5 => Kendall,
     }
 }
 

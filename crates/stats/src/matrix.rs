@@ -237,19 +237,12 @@ impl fmt::Debug for SymMatrix {
     }
 }
 
-impl wire::Codec for SymMatrix {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.n.encode(w);
-        self.data.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let n = usize::decode(r)?;
-        let data = Vec::<f64>::decode(r)?;
-        if data.len() != tri(n) {
+wire::record! {
+    SymMatrix { n, data }
+    check(m) {
+        if m.data.len() != tri(m.n) {
             return Err(wire::WireError::Invalid("packed triangle length"));
         }
-        Ok(SymMatrix { n, data })
     }
 }
 

@@ -280,71 +280,25 @@ impl Ewma {
 // rebuilding the sums by re-pushing the stored window would produce
 // different rounding than the original eviction history, breaking the
 // bit-identity guarantee of checkpoint recovery.
-impl wire::Codec for Welford {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.n.encode(w);
-        self.mean.encode(w);
-        self.m2.encode(w);
-    }
+wire::record! { Welford { n, mean, m2 } }
 
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(Welford {
-            n: u64::decode(r)?,
-            mean: f64::decode(r)?,
-            m2: f64::decode(r)?,
-        })
+wire::record! {
+    RollingMoments {
+        window, head, len, anchor, sum, sum_c, sum_sq, sum_sq_c, pushes_since_refresh
     }
-}
-
-impl wire::Codec for RollingMoments {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.window.encode(w);
-        self.head.encode(w);
-        self.len.encode(w);
-        self.anchor.encode(w);
-        self.sum.encode(w);
-        self.sum_c.encode(w);
-        self.sum_sq.encode(w);
-        self.sum_sq_c.encode(w);
-        self.pushes_since_refresh.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let window = Vec::<f64>::decode(r)?;
-        let head = usize::decode(r)?;
-        let len = usize::decode(r)?;
-        if window.is_empty() || head >= window.len() || len > window.len() {
+    check(m) {
+        if m.window.is_empty() || m.head >= m.window.len() || m.len > m.window.len() {
             return Err(wire::WireError::Invalid("rolling moments geometry"));
         }
-        Ok(RollingMoments {
-            window,
-            head,
-            len,
-            anchor: f64::decode(r)?,
-            sum: f64::decode(r)?,
-            sum_c: f64::decode(r)?,
-            sum_sq: f64::decode(r)?,
-            sum_sq_c: f64::decode(r)?,
-            pushes_since_refresh: usize::decode(r)?,
-        })
     }
 }
 
-impl wire::Codec for Ewma {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.alpha.encode(w);
-        self.value.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let alpha = f64::decode(r)?;
-        if !(alpha > 0.0 && alpha <= 1.0) {
+wire::record! {
+    Ewma { alpha, value }
+    check(e) {
+        if !(e.alpha > 0.0 && e.alpha <= 1.0) {
             return Err(wire::WireError::Invalid("ewma alpha"));
         }
-        Ok(Ewma {
-            alpha,
-            value: Option::<f64>::decode(r)?,
-        })
     }
 }
 

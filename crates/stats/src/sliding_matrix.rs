@@ -261,53 +261,24 @@ impl OnlineCorrMatrix {
 // re-pushing the retained ring would NOT reproduce these sums bit-exactly).
 // The `evicted` scratch buffer is per-push transient state and is simply
 // reallocated.
-impl wire::Codec for OnlineCorrMatrix {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.n.encode(w);
-        self.m.encode(w);
-        self.ring.encode(w);
-        self.head.encode(w);
-        self.len.encode(w);
-        self.sum.encode(w);
-        self.sumsq.encode(w);
-        self.cross.encode(w);
-        self.pushed.encode(w);
-        self.pushes_since_refresh.encode(w);
+wire::record! {
+    OnlineCorrMatrix {
+        n, m, ring, head, len, sum, sumsq, cross, pushed, pushes_since_refresh;
+        evicted
     }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let n = usize::decode(r)?;
-        let m = usize::decode(r)?;
-        let ring = Vec::<f64>::decode(r)?;
-        let head = usize::decode(r)?;
-        let len = usize::decode(r)?;
-        let sum = Vec::<f64>::decode(r)?;
-        let sumsq = Vec::<f64>::decode(r)?;
-        let cross = Vec::<f64>::decode(r)?;
-        if n < 2
-            || m < 2
-            || ring.len() != n * m
-            || head >= m
-            || len > m
-            || sum.len() != n
-            || sumsq.len() != n
-            || cross.len() != n * (n - 1) / 2
+    check(c) {
+        if c.n < 2
+            || c.m < 2
+            || c.n.checked_mul(c.m) != Some(c.ring.len())
+            || c.head >= c.m
+            || c.len > c.m
+            || c.sum.len() != c.n
+            || c.sumsq.len() != c.n
+            || c.cross.len() != c.n * (c.n - 1) / 2
         {
             return Err(wire::WireError::Invalid("online corr matrix geometry"));
         }
-        Ok(OnlineCorrMatrix {
-            n,
-            m,
-            ring,
-            head,
-            len,
-            sum,
-            sumsq,
-            cross,
-            evicted: vec![0.0; n],
-            pushed: usize::decode(r)?,
-            pushes_since_refresh: usize::decode(r)?,
-        })
+        c.evicted = vec![0.0; c.n];
     }
 }
 

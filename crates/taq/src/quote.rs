@@ -62,28 +62,7 @@ impl Quote {
     }
 }
 
-impl wire::Codec for Quote {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.ts.encode(w);
-        self.symbol.encode(w);
-        self.bid_cents.encode(w);
-        self.ask_cents.encode(w);
-        self.bid_size.encode(w);
-        self.ask_size.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        use wire::Codec;
-        Ok(Quote {
-            ts: Codec::decode(r)?,
-            symbol: Codec::decode(r)?,
-            bid_cents: Codec::decode(r)?,
-            ask_cents: Codec::decode(r)?,
-            bid_size: Codec::decode(r)?,
-            ask_size: Codec::decode(r)?,
-        })
-    }
-}
+wire::record! { Quote { ts, symbol, bid_cents, ask_cents, bid_size, ask_size } }
 
 #[cfg(test)]
 mod tests {

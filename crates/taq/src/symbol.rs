@@ -120,15 +120,7 @@ pub const LIQUID_61: [&str; 61] = [
     "PFE", "MRK", "JNJ",
 ];
 
-impl wire::Codec for Symbol {
-    fn encode(&self, w: &mut wire::Writer) {
-        wire::Codec::encode(&self.0, w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(Symbol(<u16 as wire::Codec>::decode(r)?))
-    }
-}
+wire::record! { Symbol { 0 } }
 
 #[cfg(test)]
 mod tests {

@@ -119,19 +119,12 @@ impl TradingCalendar {
     }
 }
 
-impl wire::Codec for Timestamp {
-    fn encode(&self, w: &mut wire::Writer) {
-        wire::Codec::encode(&self.day, w);
-        wire::Codec::encode(&self.millis, w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let day = <u16 as wire::Codec>::decode(r)?;
-        let millis = <u32 as wire::Codec>::decode(r)?;
-        if millis >= MILLIS_PER_SESSION {
+wire::record! {
+    Timestamp { day, millis }
+    check(t) {
+        if t.millis >= MILLIS_PER_SESSION {
             return Err(wire::WireError::Invalid("timestamp outside session"));
         }
-        Ok(Timestamp { day, millis })
     }
 }
 

@@ -208,81 +208,27 @@ impl TcpFilter {
     }
 }
 
-impl wire::Codec for CleanConfig {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.k_sigma.encode(w);
-        self.window.encode(w);
-        self.warmup.encode(w);
-        self.max_rel_spread.encode(w);
-        self.gate_window.encode(w);
-        self.trip_rate.encode(w);
-        self.untrip_rate.encode(w);
-        self.min_gate_samples.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(CleanConfig {
-            k_sigma: f64::decode(r)?,
-            window: usize::decode(r)?,
-            warmup: usize::decode(r)?,
-            max_rel_spread: f64::decode(r)?,
-            gate_window: usize::decode(r)?,
-            trip_rate: f64::decode(r)?,
-            untrip_rate: f64::decode(r)?,
-            min_gate_samples: usize::decode(r)?,
-        })
+wire::record! {
+    CleanConfig {
+        k_sigma,
+        window,
+        warmup,
+        max_rel_spread,
+        gate_window,
+        trip_rate,
+        untrip_rate,
+        min_gate_samples,
     }
 }
 
-impl wire::Codec for CleanStats {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.accepted.encode(w);
-        self.malformed.encode(w);
-        self.wide_spread.encode(w);
-        self.outlier.encode(w);
-    }
+wire::record! { CleanStats { accepted, malformed, wide_spread, outlier } }
 
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(CleanStats {
-            accepted: u64::decode(r)?,
-            malformed: u64::decode(r)?,
-            wide_spread: u64::decode(r)?,
-            outlier: u64::decode(r)?,
-        })
-    }
-}
-
-impl wire::Codec for TcpFilter {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.cfg.encode(w);
-        self.moments.encode(w);
-        self.seen.encode(w);
-        self.stats.encode(w);
-        self.outcomes.encode(w);
-        self.recent_rejects.encode(w);
-        self.quarantined.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let cfg = CleanConfig::decode(r)?;
-        let moments = stats::online::RollingMoments::decode(r)?;
-        let seen = usize::decode(r)?;
-        let stats = CleanStats::decode(r)?;
-        let outcomes = VecDeque::<bool>::decode(r)?;
-        let recent_rejects = usize::decode(r)?;
-        let quarantined = bool::decode(r)?;
-        if recent_rejects != outcomes.iter().filter(|&&o| o).count() {
+wire::record! {
+    TcpFilter { cfg, moments, seen, stats, outcomes, recent_rejects, quarantined }
+    check(f) {
+        if f.recent_rejects != f.outcomes.iter().filter(|&&o| o).count() {
             return Err(wire::WireError::Invalid("tripwire counter mismatch"));
         }
-        Ok(TcpFilter {
-            cfg,
-            moments,
-            seen,
-            stats,
-            outcomes,
-            recent_rejects,
-            quarantined,
-        })
     }
 }
 

@@ -144,76 +144,24 @@ impl RollingRange {
 // are encoded verbatim: the deque's contents depend on the whole
 // observation history, not just the retained window, so reconstruction
 // from values alone is impossible.
-impl wire::Codec for RollingMax {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.window.encode(w);
-        self.deque.encode(w);
-        self.next_idx.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        let window = usize::decode(r)?;
-        let deque = std::collections::VecDeque::<(u64, f64)>::decode(r)?;
-        let next_idx = u64::decode(r)?;
-        if window == 0 || deque.len() > window || deque.iter().any(|&(i, _)| i >= next_idx) {
+wire::record! {
+    RollingMax { window, deque, next_idx }
+    check(m) {
+        if m.window == 0
+            || m.deque.len() > m.window
+            || m.deque.iter().any(|&(i, _)| i >= m.next_idx)
+        {
             return Err(wire::WireError::Invalid("rolling max geometry"));
         }
-        Ok(RollingMax {
-            window,
-            deque,
-            next_idx,
-        })
     }
 }
 
-impl wire::Codec for RollingMin {
-    fn encode(&self, w: &mut wire::Writer) {
-        wire::Codec::encode(&self.inner, w);
-    }
+wire::record! { RollingMin { inner } }
 
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(RollingMin {
-            inner: wire::Codec::decode(r)?,
-        })
-    }
-}
+// The running sum is eviction-history dependent; verbatim.
+wire::record! { RollingRange { min, max, window, sum } }
 
-impl wire::Codec for RollingRange {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.min.encode(w);
-        self.max.encode(w);
-        self.window.encode(w);
-        // The running sum is eviction-history dependent; verbatim.
-        self.sum.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(RollingRange {
-            min: RollingMin::decode(r)?,
-            max: RollingMax::decode(r)?,
-            window: crate::window::SlidingWindow::decode(r)?,
-            sum: f64::decode(r)?,
-        })
-    }
-}
-
-impl wire::Codec for RangeStats {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.low.encode(w);
-        self.high.encode(w);
-        self.mean.encode(w);
-        self.len.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(RangeStats {
-            low: f64::decode(r)?,
-            high: f64::decode(r)?,
-            mean: f64::decode(r)?,
-            len: usize::decode(r)?,
-        })
-    }
-}
+wire::record! { RangeStats { low, high, mean, len } }
 
 #[cfg(test)]
 mod tests {

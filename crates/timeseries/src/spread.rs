@@ -51,19 +51,7 @@ impl SpreadTracker {
     }
 }
 
-impl wire::Codec for SpreadTracker {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.range.encode(w);
-        self.last.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(SpreadTracker {
-            range: wire::Codec::decode(r)?,
-            last: Option::<f64>::decode(r)?,
-        })
-    }
-}
+wire::record! { SpreadTracker { range, last } }
 
 #[cfg(test)]
 mod tests {

@@ -3,12 +3,18 @@
 //! The workspace `serde` shim has no serializer, and checkpoint recovery
 //! demands *bit-exact* round-trips (a Kahan compensator re-derived from
 //! rounded values would diverge from the original stream), so the state
-//! types implement [`Codec`] by hand: little-endian fixed-width integers,
+//! types implement [`Codec`]: little-endian fixed-width integers,
 //! `f64::to_bits` for floats, and `u64` length prefixes for collections.
-//! Decoding is defensive — every read is bounds-checked and collection
-//! lengths are validated against the remaining input, so a truncated or
+//! Decoding is defensive — every read is bounds-checked and every
+//! collection length passes [`Reader::len_prefix`], so a truncated or
 //! bit-flipped checkpoint surfaces as a [`WireError`], never a panic or
 //! an unbounded allocation.
+//!
+//! A type's layout is written once, as the field list of a [`record!`]
+//! or the `tag => Variant` table of a [`tagged!`]; both directions are
+//! generated from it. A type another crate owns gets an [`Adapter`] from
+//! the same two forms. [`pin`] holds the golden-fixture and hostile-input
+//! checks the crates' layout tests share.
 //!
 //! [`crc32`] is the IEEE polynomial used by the checkpoint store and the
 //! framed transport to detect torn writes and corrupted frames.
@@ -16,7 +22,12 @@
 //! transport's own header ahead of the encoding, so header and payload
 //! leave in one buffer without a second copy of the payload.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::hash::Hash;
+use std::sync::Arc;
+
+mod macros;
+pub mod pin;
 
 /// Decoding failure: the input is shorter than the encoding claims, or a
 /// field holds a value outside its domain.
@@ -81,12 +92,30 @@ impl Writer {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Where each length prefix read so far began, for a caller that
+    /// asked ([`Reader::logging_lengths`]).
+    lengths: Option<&'a mut Vec<usize>>,
 }
 
 impl<'a> Reader<'a> {
     /// Cursor at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            lengths: None,
+        }
+    }
+
+    /// Cursor at the start of `buf` that appends the offset of every
+    /// length prefix it reads to `lengths` — how [`pin`] finds the bytes
+    /// a hostile peer would inflate.
+    pub fn logging_lengths(buf: &'a [u8], lengths: &'a mut Vec<usize>) -> Reader<'a> {
+        Reader {
+            buf,
+            pos: 0,
+            lengths: Some(lengths),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -109,12 +138,26 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Take a `u64` collection length. Every element consumes at least
+    /// one byte, so a claimed length beyond the remaining input is
+    /// corruption — refused here, *before* the caller allocates, so a
+    /// flipped length byte cannot demand gigabytes. Every length prefix
+    /// in the format is read through this one guard.
+    pub fn len_prefix(&mut self) -> Result<usize, WireError> {
+        let at = self.pos;
+        let len = usize::decode(self)?;
+        if len > self.remaining() {
+            return Err(WireError::Invalid("collection longer than input"));
+        }
+        if let Some(lengths) = &mut self.lengths {
+            lengths.push(at);
+        }
+        Ok(len)
+    }
+
     /// Take a `u64`-length-prefixed byte run (see [`Writer::bytes`]).
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let len = u64::decode(self)? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Invalid("byte run longer than input"));
-        }
+        let len = self.len_prefix()?;
         self.take(len)
     }
 }
@@ -225,48 +268,113 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-// Every element consumes at least one byte, so a claimed length beyond
-// the remaining input is corruption — reject it *before* allocating, so
-// a flipped length byte cannot demand gigabytes.
-fn guarded_len(r: &Reader<'_>, len: usize) -> Result<usize, WireError> {
-    if len > r.remaining() {
-        Err(WireError::Invalid("collection longer than input"))
-    } else {
-        Ok(len)
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        <Vec<Native> as Adapter<Self>>::encode(self, w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        <Vec<Native> as Adapter<Self>>::decode(r)
     }
 }
 
-impl<T: Codec> Codec for Vec<T> {
-    fn encode(&self, w: &mut Writer) {
-        self.len().encode(w);
-        for item in self {
-            item.encode(w);
-        }
+/// A collection on the wire: its length, then each item in turn.
+fn encode_seq<I: ExactSizeIterator>(items: I, w: &mut Writer, each: impl Fn(I::Item, &mut Writer)) {
+    items.len().encode(w);
+    for item in items {
+        each(item, w);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = usize::decode(r)?;
-        let len = guarded_len(r, len)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
-    }
+}
+
+/// Read back what [`encode_seq`] wrote, into any collection. (A `Vec`
+/// decodes with its own loop: it is the matrix payload, and knows its
+/// capacity up front.)
+fn decode_seq<T, C: FromIterator<T>>(
+    r: &mut Reader<'_>,
+    mut each: impl FnMut(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<C, WireError> {
+    let len = r.len_prefix()?;
+    (0..len).map(|_| each(r)).collect()
 }
 
 impl<T: Codec> Codec for VecDeque<T> {
     fn encode(&self, w: &mut Writer) {
-        self.len().encode(w);
+        encode_seq(self.iter(), w, T::encode);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_seq(r, T::decode)
+    }
+}
+
+/// Entries in key order, so a map is on the wire what a sorted
+/// `Vec<(K, V)>` is.
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn encode(&self, w: &mut Writer) {
+        <BTreeMap<K, Native> as Adapter<Self>>::encode(self, w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        <BTreeMap<K, Native> as Adapter<Self>>::decode(r)
+    }
+}
+
+/// Entries in key order — the bytes of a [`BTreeMap`] with the same
+/// contents — so equal maps encode equally whatever their hash order.
+impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+    fn encode(&self, w: &mut Writer) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        encode_seq(entries.into_iter(), w, |(k, v), w| {
+            k.encode(w);
+            v.encode(w);
+        });
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_seq(r, <(K, V)>::decode)
+    }
+}
+
+/// Members in ascending order (see [`HashMap`]'s impl).
+impl<T: Codec + Ord + Hash> Codec for HashSet<T> {
+    fn encode(&self, w: &mut Writer) {
+        let mut members: Vec<&T> = self.iter().collect();
+        members.sort_unstable();
+        encode_seq(members.into_iter(), w, T::encode);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_seq(r, T::decode)
+    }
+}
+
+/// The shared value itself: in-process edges move `Arc`s, the wire moves
+/// what they point at.
+impl<T: Codec> Codec for Arc<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Arc::new(T::decode(r)?))
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Box::new(T::decode(r)?))
+    }
+}
+
+/// The elements in order, with no length prefix (the type fixes it).
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    fn encode(&self, w: &mut Writer) {
         for item in self {
             item.encode(w);
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = usize::decode(r)?;
-        let len = guarded_len(r, len)?;
-        let mut out = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            out.push_back(T::decode(r)?);
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::decode(r)?;
         }
         Ok(out)
     }
@@ -290,6 +398,75 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
+    }
+}
+
+/// A codec for a type `T` the implementing crate does not own (the
+/// orphan rule forbids `impl Codec for T` there). [`record!`] and
+/// [`tagged!`] generate one from the same field list or variant table
+/// they take for a local type; a field of such a type is then written
+/// `field as TheAdapter`.
+pub trait Adapter<T> {
+    /// Append `value`'s encoding to the writer.
+    fn encode(value: &T, w: &mut Writer);
+    /// Parse one value, advancing the reader past it.
+    fn decode(r: &mut Reader<'_>) -> Result<T, WireError>;
+}
+
+/// The adapter of a type that is its own [`Codec`]: the leaf of an
+/// adapter for a collection that mixes local and foreign types, as in
+/// `args as Vec<(Native, ArgWire)>`.
+#[derive(Debug, Clone, Copy)]
+pub struct Native;
+
+impl<T: Codec> Adapter<T> for Native {
+    fn encode(value: &T, w: &mut Writer) {
+        value.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<T, WireError> {
+        T::decode(r)
+    }
+}
+
+/// Decode, through adapter `A`, a value of the type `like` has — for
+/// generated code that can name a field but not its type.
+pub fn decode_like<A: Adapter<T>, T>(_like: &T, r: &mut Reader<'_>) -> Result<T, WireError> {
+    A::decode(r)
+}
+
+impl<T, A: Adapter<T>> Adapter<Vec<T>> for Vec<A> {
+    fn encode(value: &Vec<T>, w: &mut Writer) {
+        encode_seq(value.iter(), w, A::encode);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+        let len = r.len_prefix()?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(A::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<TA, TB, A: Adapter<TA>, B: Adapter<TB>> Adapter<(TA, TB)> for (A, B) {
+    fn encode(value: &(TA, TB), w: &mut Writer) {
+        A::encode(&value.0, w);
+        B::encode(&value.1, w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<(TA, TB), WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+impl<K: Codec + Ord, V, A: Adapter<V>> Adapter<BTreeMap<K, V>> for BTreeMap<K, A> {
+    fn encode(value: &BTreeMap<K, V>, w: &mut Writer) {
+        encode_seq(value.iter(), w, |(k, v), w| {
+            k.encode(w);
+            A::encode(v, w);
+        });
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<BTreeMap<K, V>, WireError> {
+        decode_seq(r, |r| Ok((K::decode(r)?, A::decode(r)?)))
     }
 }
 
@@ -404,6 +581,39 @@ mod tests {
         roundtrip(Option::<u32>::None);
         roundtrip(((1.0f64, 2.0f64), (3.0f64, 4.0f64, 5.0f64)));
         roundtrip(vec![Some("a".to_string()), None]);
+    }
+
+    #[test]
+    fn maps_and_sets_travel_in_key_order_whatever_their_hasher() {
+        let pairs = [(9u32, "i".to_string()), (2, "b".into()), (5, "e".into())];
+        let sorted = to_bytes(&vec![pairs[1].clone(), pairs[2].clone(), pairs[0].clone()]);
+        assert_eq!(to_bytes(&BTreeMap::from(pairs.clone())), sorted);
+        assert_eq!(to_bytes(&HashMap::from(pairs.clone())), sorted);
+        roundtrip(HashMap::from(pairs.clone()));
+        roundtrip(BTreeMap::from(pairs));
+        let members = HashSet::from([(7usize, 1usize), (0, 3), (7, 0)]);
+        assert_eq!(
+            to_bytes(&members),
+            to_bytes(&vec![(0usize, 3usize), (7, 0), (7, 1)])
+        );
+        roundtrip(members);
+    }
+
+    #[test]
+    fn pointers_and_arrays_add_nothing_to_their_contents() {
+        assert_eq!(to_bytes(&Arc::new(7u32)), to_bytes(&7u32));
+        assert_eq!(to_bytes(&Box::new(7u32)), to_bytes(&7u32));
+        assert_eq!(
+            to_bytes(&[1.5f64, -0.0, 2.0]),
+            to_bytes(&(1.5f64, -0.0f64, 2.0f64))
+        );
+        roundtrip(Arc::new(vec![1u8, 2]));
+        roundtrip(Box::new(Some(3u64)));
+        roundtrip([1.5f64, -2.0, 0.25]);
+        assert_eq!(
+            from_bytes::<[u64; 2]>(&to_bytes(&1u64)),
+            Err(WireError::Eof)
+        );
     }
 
     #[test]
