@@ -3,7 +3,9 @@
 //! fleet-wide observability plane — the merged telemetry report, one
 //! Perfetto/Chrome trace with a process lane per rank, and the ranked
 //! self-time profile over the merged `step.ns` accounting, followed by
-//! what each rank's durable cuts cost (bytes, capture, encode, fsync)
+//! what each robust plane fitted and what a pair-step and an IRLS
+//! iteration cost it, what each rank's durable cuts cost (bytes,
+//! capture, encode, fsync)
 //! and the placement: per rank its engines, hosts and the engines'
 //! self-time.
 //!
@@ -21,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use marketminer::pipeline::{render_results_plane, SweepConfig};
+use marketminer::pipeline::{render_results_plane, render_robust_planes, SweepConfig};
 use marketminer::shard::{render_placement, ShardConfig, ShardRunner};
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
@@ -182,6 +184,7 @@ fn main() -> ExitCode {
             "{}",
             Profile::from_snapshot(&report.metrics).render_ranked()
         );
+        print!("{}", render_robust_planes(&report.metrics));
         print!("{}", render_results_plane(&report.metrics));
         print!(
             "{}",

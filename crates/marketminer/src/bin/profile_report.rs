@@ -2,9 +2,10 @@
 //! synthetic day at `TelemetryLevel::Full` and report where the time
 //! went — per-node self-time ranked hottest first, the top
 //! non-correlation node (ROADMAP #2's "where does the rest of the floor
-//! go"), self-time by layer, what each robust plane fitted and what it
-//! took from the fit it had (`maronna.*` / `combined.*` counters of the
-//! `corr-engine(robust, M=…)` nodes), what the signal plane shares and how
+//! go"), self-time by layer, what each robust plane fitted, what it took
+//! from the fit it had and what a pair-step and an IRLS iteration cost it
+//! (`maronna.*` / `combined.*` counters of the `corr-engine(robust, M=…)`
+//! nodes against their self-time), what the signal plane shares and how
 //! much of the hosts' work was useful, how results left the graph (trades
 //! streamed, what the gateway held back), where a two-rank fleet would
 //! place the grid and the engine self-time each rank would carry (what
@@ -22,7 +23,9 @@
 
 use std::process::ExitCode;
 
-use marketminer::pipeline::{render_results_plane, run_sweep_pipeline_with, SweepConfig};
+use marketminer::pipeline::{
+    render_results_plane, render_robust_planes, run_sweep_pipeline_with, SweepConfig,
+};
 use marketminer::runtime::{Runtime, RuntimeConfig};
 use marketminer::shard::render_placement;
 use pairtrade_core::params::StrategyParams;
@@ -140,33 +143,6 @@ fn render_strategy_layer(profile: &Profile, metrics: &MetricsSnapshot, n_pairs: 
         visited as f64 * 100.0 / offered.max(1) as f64,
         changed as f64 * 100.0 / visited.max(1) as f64,
     ));
-    out
-}
-
-/// Per robust plane: the fits it ran, how many refined Combined steps
-/// took Maronna's fit instead of running their own, and what a fit costs.
-fn render_robust_planes(metrics: &MetricsSnapshot) -> String {
-    let mut out =
-        String::from("\nrobust planes (one pass per window answers Maronna and Combined)\n");
-    let planes: std::collections::BTreeSet<&str> = (metrics.counters.keys())
-        .filter(|(_, name)| name.ends_with(".pair_steps"))
-        .map(|(label, _)| label.as_str())
-        .collect();
-    for label in planes {
-        let c = |name: &str| metrics.counter(label, name);
-        let (refined, shared) = (c("combined.refined"), c("combined.shared"));
-        let fits = c("maronna.refined") + refined - shared;
-        let iters = c("maronna.irls_iters") + c("combined.irls_iters");
-        out.push_str(&format!(
-            "  {label:<28} {fits} fits ({} Maronna, {} Combined's own); {shared} of {refined} refined \
-             Combined steps shared ({:.1}%), {} screened; {:.1} IRLS iterations per fit\n",
-            c("maronna.refined"),
-            refined - shared,
-            shared as f64 * 100.0 / refined.max(1) as f64,
-            c("combined.screened"),
-            iters as f64 / fits.max(1) as f64,
-        ));
-    }
     out
 }
 

@@ -29,7 +29,7 @@ use stats::correlation::CorrType;
 use stats::maronna::MaronnaSeed;
 use stats::matrix::SymMatrix;
 use stats::parallel::{
-    plane_slot, robust_plane_warm_into, CubeStats, ParallelCorrEngine, WarmLane,
+    plane_slot, robust_plane_warm_into, CubeStats, Margins, ParallelCorrEngine, WarmLane,
 };
 use stats::sliding_matrix::OnlineCorrMatrix;
 use telemetry::Probe;
@@ -112,6 +112,9 @@ pub struct CorrelationEngineNode {
     /// Per-stock buffers the windows are linearised into each snapshot,
     /// kept to avoid re-allocating `n * M` floats; refilled before use.
     scratch: Vec<Vec<f64>>,
+    /// The robust plane's per-stock medians, MADs and sign words, kept
+    /// and refilled the same way.
+    margins: Margins,
     /// The streams published: one, or the two robust measures in
     /// emission order.
     lanes: Vec<Lane>,
@@ -197,6 +200,7 @@ impl CorrelationEngineNode {
             kind,
             repair_psd: false,
             scratch: vec![Vec::new(); n_stocks],
+            margins: Margins::default(),
             lanes,
             degraded: vec![false; n_stocks],
             dropped: 0,
@@ -385,7 +389,8 @@ impl Component for CorrelationEngineNode {
         match &mut self.kind {
             EngineKind::Online(online) => online.matrix_into(&mut bodies[0].matrix),
             EngineKind::Windowed(windows) => {
-                let (scratch, repair_psd) = (&mut self.scratch, self.repair_psd);
+                let (scratch, margins) = (&mut self.scratch, &mut self.margins);
+                let repair_psd = self.repair_psd;
                 for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
                     buf.clear();
                     let (oldest, wrapped) = w.as_slices();
@@ -409,7 +414,7 @@ impl Component for CorrelationEngineNode {
                             });
                         }
                     }
-                    let did = robust_plane_warm_into(&views, plane, repair_psd);
+                    let did = robust_plane_warm_into(&views, plane, repair_psd, margins);
                     count_sweep(&self.probe, did);
                 }
             }
@@ -441,7 +446,7 @@ impl Component for CorrelationEngineNode {
         }
     }
 
-    // The `pool` and `scratch` buffers are allocation caches, refilled
+    // The `pool`, `scratch` and `margins` buffers are allocation caches, refilled
     // before every use — their contents never reach an emitted snapshot —
     // so only the value-bearing engine state travels.
     component_state! {
@@ -799,7 +804,7 @@ mod tests {
     /// Batch ≡ streaming at the kernel: every snapshot of a day equals the
     /// batch cube's column for that interval, bit for bit — the robust
     /// warm starts included, since both walk the same windows through
-    /// `stats::parallel::robust_step` from a cold seed.
+    /// `stats::parallel`'s `robust_steps` from a cold seed.
     #[test]
     fn robust_snapshots_equal_the_batch_cube_over_a_day() {
         let (n, m) = (5, 50);

@@ -271,6 +271,46 @@ pub(crate) fn collect_sweep_output(
     day.finish(n_params)
 }
 
+/// Per robust plane of a finished run, from its telemetry: the fits it
+/// ran, how many refined Combined steps took Maronna's fit instead of
+/// running their own, iterations per fit — and the kernel's unit cost on
+/// this run's tape, the node's self-time over its pair-steps and over its
+/// IRLS iterations. (The benchmark's `stats.*_warm_ns_pair` probes run on
+/// Gaussian returns, which converge in fewer iterations and never tie:
+/// they read a half to a third of this.) A plane cut across ranks is one
+/// row: the merged report sums its time and its counters alike.
+/// Rendered by `profile_report` and `fleet_sweep --profile`.
+pub fn render_robust_planes(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
+    let mut out =
+        String::from("\nrobust planes (one pass per window answers Maronna and Combined)\n");
+    let planes: std::collections::BTreeSet<&str> = (metrics.counters.keys())
+        .filter(|(_, name)| name.ends_with(".pair_steps"))
+        .map(|(label, _)| label.as_str())
+        .collect();
+    for label in planes {
+        let c = |name: &str| metrics.counter(label, name);
+        let (refined, shared) = (c("combined.refined"), c("combined.shared"));
+        let fits = c("maronna.refined") + refined - shared;
+        let iters = c("maronna.irls_iters") + c("combined.irls_iters");
+        // A pair-step answers every lane of the plane at once.
+        let pair_steps = c("maronna.pair_steps").max(c("combined.pair_steps"));
+        let self_ns = metrics.histogram(label, "step.ns").map_or(0, |h| h.sum()) as f64;
+        out.push_str(&format!(
+            "  {label:<28} {fits} fits ({} Maronna, {} Combined's own); {shared} of {refined} refined \
+             Combined steps shared ({:.1}%), {} screened; {:.1} IRLS iterations per fit; \
+             {:.0} ns self-time per pair-step, {:.0} per iteration\n",
+            c("maronna.refined"),
+            refined - shared,
+            shared as f64 * 100.0 / refined.max(1) as f64,
+            c("combined.screened"),
+            iters as f64 / fits.max(1) as f64,
+            self_ns / pair_steps.max(1) as f64,
+            self_ns / iters.max(1) as f64,
+        ));
+    }
+    out
+}
+
 /// How results left a finished run, from its telemetry: what the hosts
 /// streamed and the gateway had to hold, and — for a fleet report, whose
 /// supervisor records one row per rank — what the durable cuts cost.

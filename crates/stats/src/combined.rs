@@ -19,8 +19,8 @@
 //! quadrant estimate and are less likely to clear the trading threshold.
 
 use crate::correlation::CorrelationMeasure;
-use crate::maronna::{robust_margin_stats_in, MaronnaEstimator};
-use crate::parallel::{only, robust_step, with_robust_work, COMBINED};
+use crate::maronna::MaronnaEstimator;
+use crate::parallel::{walk_pair, COMBINED};
 
 /// Two-stage combined estimator.
 #[derive(Debug, Clone, Copy)]
@@ -59,18 +59,14 @@ impl CombinedEstimator {
     /// Panics if `x.len() != y.len()`.
     pub fn correlation_staged(&self, x: &[f64], y: &[f64]) -> (f64, CombinedStage) {
         assert_eq!(x.len(), y.len(), "combined: length mismatch");
-        let mut scratch = Vec::with_capacity(x.len());
-        let stats_x = robust_margin_stats_in(x, &mut scratch);
-        let stats_y = robust_margin_stats_in(y, &mut scratch);
-        with_robust_work(*self, x.len(), |work| {
-            let r = robust_step(x, y, stats_x, stats_y, only(COMBINED, &mut None), work)[COMBINED];
-            let stage = if work.stats[COMBINED].refined > 0 {
-                CombinedStage::Refined
-            } else {
-                CombinedStage::Screened
-            };
-            (r, stage)
-        })
+        let mut r = [0.0];
+        let did = walk_pair(*self, COMBINED, x, y, x.len(), &mut r);
+        let stage = if did.refined > 0 {
+            CombinedStage::Refined
+        } else {
+            CombinedStage::Screened
+        };
+        (r[0], stage)
     }
 }
 

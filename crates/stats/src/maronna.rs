@@ -22,13 +22,18 @@
 //! Because the correlation is scale-free, no consistency constant is needed:
 //! any global scaling of `S` cancels in `rho`.
 //!
-//! Cost: O(iterations * M) per pair, roughly an order of magnitude more than
-//! the O(1) sliding Pearson update — exactly the expense the paper's
-//! Combined measure (see [`crate::combined`]) is designed to amortise, and
-//! the reason the engine parallelises over pairs.
+//! Cost: O(iterations * M) per pair — two passes over the window per
+//! iteration, 13–16 iterations per warm fit on tick data (see
+//! [`MaronnaEstimator::fit_with_init`]), so two to three orders of
+//! magnitude more than the O(1) sliding Pearson update: exactly the
+//! expense the paper's Combined measure (see [`crate::combined`]) is
+//! designed to amortise, and the reason the engine parallelises over
+//! pairs. The location pass is bound by the divider (one vector divide per
+//! four observations) and each pass ends in a serial reduce → divide →
+//! broadcast, which is why the sweeps keep two fits in flight (`Irls`).
 
 use crate::correlation::{clamp_corr, CorrelationMeasure};
-use crate::quadrant::median_select;
+use crate::quadrant::{median_of, median_select};
 use crate::simd;
 
 /// chi-square(2 df) 0.95 quantile — the conventional Huber cut-off for
@@ -109,12 +114,9 @@ pub fn robust_margin_stats(x: &[f64]) -> (f64, f64) {
 /// [`robust_margin_stats`] selecting inside `scratch` (contents
 /// overwritten), so a sweep over many windows allocates once.
 pub(crate) fn robust_margin_stats_in(x: &[f64], scratch: &mut Vec<f64>) -> (f64, f64) {
-    if x.is_empty() || !x.iter().all(|v| v.is_finite()) {
+    let Some(med) = median_of(x, scratch) else {
         return (0.0, 0.0);
-    }
-    scratch.clear();
-    scratch.extend_from_slice(x);
-    let med = median_select(scratch);
+    };
     for (dev, v) in scratch.iter_mut().zip(x) {
         *dev = (v - med).abs();
     }
@@ -122,18 +124,70 @@ pub(crate) fn robust_margin_stats_in(x: &[f64], scratch: &mut Vec<f64>) -> (f64,
 }
 
 /// Longest window whose Huber weights fit [`with_weight_scratch`]'s stack
-/// buffer (2 KiB).
+/// buffers (2 KiB each).
 const STACK_WEIGHTS: usize = 256;
 
-/// Run `f` with a zeroed weight scratch of `m` slots for
-/// [`MaronnaEstimator::fit_with_stats`]: on the stack up to
-/// [`STACK_WEIGHTS`], one heap buffer beyond. A sweep calls this once per
-/// worker and fits every window inside `f`.
-pub(crate) fn with_weight_scratch<R>(m: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+/// Run `f` with `N` zeroed weight scratches of `m` slots each — one per
+/// fit a driver keeps in flight ([`MaronnaEstimator::locate`]): on the stack
+/// up to [`STACK_WEIGHTS`], one heap buffer beyond. A sweep calls this
+/// once per worker and fits every window inside `f`.
+pub(crate) fn with_weight_scratch<const N: usize, R>(
+    m: usize,
+    f: impl FnOnce([&mut [f64]; N]) -> R,
+) -> R {
     if m <= STACK_WEIGHTS {
-        f(&mut [0.0; STACK_WEIGHTS][..m])
+        let mut buffers = [[0.0; STACK_WEIGHTS]; N];
+        f(buffers.each_mut().map(|b| &mut b[..m]))
     } else {
-        f(&mut vec![0.0; m])
+        let mut buffer = vec![0.0; N * m];
+        let mut scratches = buffer.chunks_mut(m);
+        f(std::array::from_fn(|_| {
+            scratches.next().expect("N scratches of m slots")
+        }))
+    }
+}
+
+/// One fit in progress: what the iteration carries from pass to pass.
+///
+/// An iteration is two passes over the window, and each ends in a serial
+/// reduce → divide → broadcast before the next can start; a second,
+/// independent fit has work for the core in that gap. Holding the state
+/// here instead of in a loop's locals lets a driver
+/// (`crate::parallel`'s plane walk) alternate the passes of two fits; a
+/// fit run alone is [`MaronnaEstimator::locate`] and
+/// [`MaronnaEstimator::scatter`] in turn until one ends it, so there is
+/// one copy of the iteration and no fit's arithmetic depends on what ran
+/// between its passes.
+pub(crate) struct Irls<'a> {
+    x: &'a [f64],
+    y: &'a [f64],
+    location: (f64, f64),
+    scatter: (f64, f64, f64),
+    /// Where this iteration's location pass moved the location; the
+    /// scatter pass makes it the location.
+    moved: (f64, f64),
+    iterations: usize,
+    /// The last scatter pass moved the scatter by less than the
+    /// tolerance: the fit ends at the next [`MaronnaEstimator::locate`].
+    converged: bool,
+}
+
+impl Irls<'_> {
+    /// The fit as it stands.
+    fn end(&self) -> MaronnaFit {
+        let (s11, s12, s22) = self.scatter;
+        let correlation = if s11 > 0.0 && s22 > 0.0 {
+            clamp_corr(s12 / (s11 * s22).sqrt())
+        } else {
+            0.0
+        };
+        MaronnaFit {
+            location: self.location,
+            scatter: self.scatter,
+            correlation,
+            iterations: self.iterations,
+            converged: self.converged,
+        }
     }
 }
 
@@ -171,11 +225,15 @@ impl MaronnaEstimator {
     /// that saves a quarter of the iterations, not most of them: Maronna's
     /// lane of the robust plane counts 12.6 / 13.8 / 15.3 per warm fit at
     /// M = 200 / 100 / 50 (`irls_iters / refined` of its `CubeStats`,
-    /// seed-2009 `batch_tables` day) against 17.5–20 cold, and the fits
-    /// Combined runs from a stale seed (the ones it cannot take from
-    /// Maronna) 14.1 / 15.3 / 17.0. The fixed point is the same
-    /// M-estimating equation, so a warm fit agrees with a cold fit to
-    /// within the convergence tolerance.
+    /// seed-2009 `batch_tables` day; 13.4 / 14.5 / 16.1 over the first
+    /// 240 intervals of the 61-stock `sweep61` tape, where 27 % of returns
+    /// are exact zeros) against 17.5–20 cold, and the fits Combined runs
+    /// from a stale seed (the ones it cannot take from Maronna) 14.1 /
+    /// 15.3 / 17.0. Tie-free Gaussian returns, as the benchmark's kernel
+    /// probes draw them, converge in under 9: a probe on them under-reads
+    /// the tape's cost per fit. The fixed point is the same M-estimating
+    /// equation, so a warm fit agrees with a cold fit to within the
+    /// convergence tolerance.
     ///
     /// # Panics
     /// Panics if `x.len() != y.len()`.
@@ -187,7 +245,7 @@ impl MaronnaEstimator {
         let mut scratch = Vec::with_capacity(x.len());
         let stats_x = robust_margin_stats_in(x, &mut scratch);
         let stats_y = robust_margin_stats_in(y, &mut scratch);
-        with_weight_scratch(x.len(), |weights| {
+        with_weight_scratch(x.len(), |[weights]| {
             self.fit_with_stats(x, y, stats_x, stats_y, init, weights)
         })
     }
@@ -208,93 +266,131 @@ impl MaronnaEstimator {
         &self,
         x: &[f64],
         y: &[f64],
-        (med_x, sx): (f64, f64),
-        (med_y, sy): (f64, f64),
+        stats_x: (f64, f64),
+        stats_y: (f64, f64),
         init: Option<MaronnaSeed>,
         weights: &mut [f64],
     ) -> MaronnaFit {
+        assert!(
+            weights.len() >= x.len(),
+            "maronna: weight scratch too short"
+        );
+        match self.start(x, y, stats_x, stats_y, init) {
+            Err(fit) => fit,
+            Ok(mut irls) => loop {
+                if let Some(fit) = self.locate(&mut irls, weights) {
+                    break fit;
+                }
+                self.scatter(&mut irls, weights);
+            },
+        }
+    }
+
+    /// Prepare a fit of `(x, y)` from the margins' `(median, normalised
+    /// MAD)` and an optional warm start: the state [`Self::locate`] and
+    /// [`Self::scatter`] iterate, or the answer at once where there is
+    /// nothing to fit.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != y.len()`.
+    pub(crate) fn start<'a>(
+        &self,
+        x: &'a [f64],
+        y: &'a [f64],
+        (med_x, sx): (f64, f64),
+        (med_y, sy): (f64, f64),
+        init: Option<MaronnaSeed>,
+    ) -> Result<Irls<'a>, MaronnaFit> {
         assert_eq!(x.len(), y.len(), "maronna: length mismatch");
-        let n = x.len();
-        let weights = &mut weights[..n];
-        if n < 2 {
-            return degenerate_fit(0.0, 0.0);
+        if x.len() < 2 {
+            return Err(degenerate_fit(0.0, 0.0));
         }
         if sx <= 0.0 || sy <= 0.0 {
             // More than half the observations are identical in one margin;
             // there is no robust notion of co-movement to estimate.
-            return degenerate_fit(med_x, med_y);
+            return Err(degenerate_fit(med_x, med_y));
         }
         // Warm start when the seed scatter is usable; otherwise the
         // classical median/MAD initialisation.
-        let (mut mx, mut my, mut s11, mut s12, mut s22) = match init {
-            Some(((imx, imy), (i11, i12, i22)))
+        let (location, scatter) = match init {
+            Some(seed @ (_, (i11, i12, i22)))
                 if i11 > 0.0 && i22 > 0.0 && (i11 * i22 - i12 * i12) > 0.0 =>
             {
-                (imx, imy, i11, i12, i22)
+                seed
             }
-            _ => (med_x, med_y, sx * sx, 0.0, sy * sy),
+            _ => ((med_x, med_y), (sx * sx, 0.0, sy * sy)),
         };
+        Ok(Irls {
+            x,
+            y,
+            location,
+            scatter,
+            moved: location,
+            iterations: 0,
+            converged: false,
+        })
+    }
 
-        let nf = n as f64;
-        let mut converged = false;
-        let mut iterations = 0;
-        for _ in 0..self.max_iter {
-            iterations += 1;
-            // Invert the 2x2 scatter.
-            let det = s11 * s22 - s12 * s12;
-            if det <= 1e-300 || !det.is_finite() {
-                break;
-            }
-            let inv = (s22 / det, -s12 / det, s11 / det);
-
-            // Weighted location update, then weighted scatter about the
-            // new location. The classical IRLS scheme weighs both by the
-            // distances under the current location and scatter inverse,
-            // so the scatter pass takes the location pass's weights. Both
-            // passes run on the 4-lane SIMD kernels; the scalar fallback
-            // shares their lane structure, so results don't depend on the
-            // backend.
-            let (wsum, wx, wy) =
-                simd::maronna_location_pass(x, y, mx, my, inv, self.cutoff, weights);
-            if wsum <= 0.0 {
-                break;
-            }
-            let new_mx = wx / wsum;
-            let new_my = wy / wsum;
-
-            let (mut t11, mut t12, mut t22) =
-                simd::maronna_scatter_pass(x, y, new_mx, new_my, weights);
-            t11 /= nf;
-            t12 /= nf;
-            t22 /= nf;
-
-            // Relative Frobenius change of S.
-            let num =
-                ((t11 - s11).powi(2) + 2.0 * (t12 - s12).powi(2) + (t22 - s22).powi(2)).sqrt();
-            let den = (s11 * s11 + 2.0 * s12 * s12 + s22 * s22).sqrt().max(1e-300);
-            mx = new_mx;
-            my = new_my;
-            s11 = t11;
-            s12 = t12;
-            s22 = t22;
-            if num / den < self.tol {
-                converged = true;
-                break;
-            }
+    /// The first pass of an iteration of `fit`: the weighted location
+    /// update, its Huber weights left in `weights` for [`Self::scatter`] —
+    /// a fit keeps one scratch to itself from its first pass to its last.
+    /// Returns the result instead if the fit has ended: converged, out of
+    /// iterations, a scatter that cannot be inverted, or no weight left.
+    ///
+    /// # Panics
+    /// Panics if `weights` is shorter than the window.
+    #[inline]
+    pub(crate) fn locate(&self, fit: &mut Irls<'_>, weights: &mut [f64]) -> Option<MaronnaFit> {
+        if fit.converged || fit.iterations == self.max_iter {
+            return Some(fit.end());
         }
-
-        let correlation = if s11 > 0.0 && s22 > 0.0 {
-            clamp_corr(s12 / (s11 * s22).sqrt())
-        } else {
-            0.0
-        };
-        MaronnaFit {
-            location: (mx, my),
-            scatter: (s11, s12, s22),
-            correlation,
-            iterations,
-            converged,
+        fit.iterations += 1;
+        // Invert the 2x2 scatter.
+        let (s11, s12, s22) = fit.scatter;
+        let det = s11 * s22 - s12 * s12;
+        if det <= 1e-300 || !det.is_finite() {
+            return Some(fit.end());
         }
+        let inv = (s22 / det, -s12 / det, s11 / det);
+        // The classical IRLS scheme weighs location and scatter by the
+        // distances under the current location and scatter inverse, so the
+        // scatter pass takes this pass's weights. Both passes run on the
+        // 4-lane SIMD kernels; the scalar fallback shares their lane
+        // structure, so results don't depend on the backend.
+        let (x, y, (mx, my)) = (fit.x, fit.y, fit.location);
+        let weights = &mut weights[..x.len()];
+        let (wsum, wx, wy) = simd::maronna_location_pass(x, y, mx, my, inv, self.cutoff, weights);
+        if wsum <= 0.0 {
+            return Some(fit.end());
+        }
+        fit.moved = (wx / wsum, wy / wsum);
+        None
+    }
+
+    /// The second pass of the iteration [`Self::locate`] began: the
+    /// weighted scatter about the new location, and the convergence test.
+    ///
+    /// The test's outcome is left for the next [`Self::locate`] to act
+    /// on, not branched on here: it is the one unpredictable branch of a
+    /// fit and hangs on this pass's whole reduction, so taken at once it
+    /// would throw away whatever another fit's pass had run in its
+    /// shadow.
+    #[inline]
+    pub(crate) fn scatter(&self, fit: &mut Irls<'_>, weights: &[f64]) {
+        let (x, y, (new_mx, new_my)) = (fit.x, fit.y, fit.moved);
+        let nf = x.len() as f64;
+        let (mut t11, mut t12, mut t22) =
+            simd::maronna_scatter_pass(x, y, new_mx, new_my, &weights[..x.len()]);
+        t11 /= nf;
+        t12 /= nf;
+        t22 /= nf;
+        // Relative Frobenius change of S.
+        let (s11, s12, s22) = fit.scatter;
+        let num = ((t11 - s11).powi(2) + 2.0 * (t12 - s12).powi(2) + (t22 - s22).powi(2)).sqrt();
+        let den = (s11 * s11 + 2.0 * s12 * s12 + s22 * s22).sqrt().max(1e-300);
+        fit.location = (new_mx, new_my);
+        fit.scatter = (t11, t12, t22);
+        fit.converged = num / den < self.tol;
     }
 }
 

@@ -16,6 +16,18 @@
 //! with cores (`marketminer.scaling_x` and `stats.*_ns_pair` in the
 //! benchmark).
 //!
+//! The robust measures are the exception to "every pair is a task": a
+//! sweep cuts the pair ranks into one contiguous block per pool thread,
+//! and inside a block one plane walk (`robust_steps`) answers Maronna and
+//! Combined for every pair — the screen from per-stock sign words, the
+//! fits two at a time so that one fit's pass runs while the other's
+//! reduce and divide are in flight. On the seed-2009 61-stock day a
+//! pair-step of a plane costs about 1.5 / 2.2 / 3.1 µs of engine self-time
+//! at M = 50 / 100 / 200 (`profile_report`, two workers on two cores),
+//! which is two to three times what the benchmark's
+//! `stats.*_warm_ns_pair` probes read on Gaussian returns that converge in
+//! under 9 iterations and never tie.
+//!
 //! Two products:
 //!
 //! * [`ParallelCorrEngine::matrix`] — one correlation matrix from the
@@ -31,10 +43,10 @@ use rayon::prelude::*;
 
 use crate::combined::CombinedEstimator;
 use crate::correlation::CorrType;
-use crate::maronna::{robust_margin_stats_in, with_weight_scratch, MaronnaFit, MaronnaSeed};
+use crate::maronna::{robust_margin_stats_in, with_weight_scratch, Irls, MaronnaFit, MaronnaSeed};
 use crate::matrix::SymMatrix;
 use crate::psd;
-use crate::quadrant::{quadrant, quadrant_with_medians};
+use crate::quadrant::{median_of, quadrant, quadrant_of_signs, sign_words, signs_into};
 
 /// The two measures of a robust plane. Every `[T; 2]` in this module —
 /// requests, seeds, outputs, counters — is in this order.
@@ -93,41 +105,95 @@ fn merge_plane(parts: impl IntoIterator<Item = [CubeStats; 2]>) -> [CubeStats; 2
     })
 }
 
-/// One worker's side of a robust sweep: the estimator configuration, the
-/// Huber-weight scratch every fit of the sweep shares, and the traffic
-/// counters. See [`with_robust_work`].
-pub(crate) struct RobustWork<'w> {
-    est: CombinedEstimator,
-    weights: &'w mut [f64],
-    /// What [`robust_step`] did with this work so far, per measure.
-    pub(crate) stats: [CubeStats; 2],
+/// Every window's robust margin for one sweep, stock-major: `(median,
+/// normalised MAD)` ([`crate::maronna::robust_margin_stats`]) and the
+/// window's signs about that median ([`crate::quadrant`]'s sign words) —
+/// what depends on one stock alone, derived once and read by its `n − 1`
+/// pairs and by both measures. One buffer; a streaming caller keeps it
+/// across sweeps ([`robust_plane_warm_into`]).
+#[derive(Debug, Clone, Default)]
+pub struct Margins {
+    /// `u64`s per window: the median's and the MAD's bits, then the signs.
+    record: usize,
+    data: Vec<u64>,
+    /// The median selections' scratch.
+    select: Vec<f64>,
 }
 
-/// Run `f` with estimator `est` and a weight scratch for windows of `m`
-/// returns — once per worker per sweep, never per fit.
-pub(crate) fn with_robust_work<R>(
-    est: CombinedEstimator,
+/// One window's entry of a [`Margins`].
+#[derive(Clone, Copy)]
+struct Margin<'a> {
+    stats: (f64, f64),
+    signs: &'a [u64],
+}
+
+impl Margins {
+    /// Make room for `windows` windows of `m` returns each; every entry
+    /// is then to be [`fill`](Self::fill)ed.
+    fn reset(&mut self, m: usize, windows: usize) {
+        self.record = 2 + 2 * sign_words(m);
+        self.data.resize(windows * self.record, 0);
+    }
+
+    /// Every `m`-long window of `series` (`steps` per series, window `k`
+    /// of series `i` at `i * steps + k`), one after the other.
+    fn summarise(&mut self, series: &[&[f64]], m: usize, steps: usize) {
+        self.reset(m, series.len() * steps);
+        let windows = (series.iter()).flat_map(|s| (0..steps).map(move |k| &s[k..k + m]));
+        for (entry, window) in self.data.chunks_mut(self.record).zip(windows) {
+            Self::fill(entry, window, &mut self.select);
+        }
+    }
+
+    /// Summarise `window` into `record`, selecting inside `select`. A
+    /// window with a NaN or an infinity reads as the degenerate
+    /// `(0.0, 0.0)` and keeps the signs of its entries about 0.0.
+    fn fill(record: &mut [u64], window: &[f64], select: &mut Vec<f64>) {
+        let (med, mad) = robust_margin_stats_in(window, select);
+        record[0] = med.to_bits();
+        record[1] = mad.to_bits();
+        signs_into(window, med, &mut record[2..]);
+    }
+
+    fn at(&self, window: usize) -> Margin<'_> {
+        let record = &self.data[window * self.record..(window + 1) * self.record];
+        Margin {
+            stats: (f64::from_bits(record[0]), f64::from_bits(record[1])),
+            signs: &record[2..],
+        }
+    }
+}
+
+/// What a plane walk reads: `series` of one length, every `m`-long window
+/// of each (`steps` per series) and the windows' margins, window `k` of
+/// series `i` at `i * steps + k`. The streaming sweep is the panel whose
+/// series are one window long.
+struct Panel<'a> {
+    series: &'a [&'a [f64]],
     m: usize,
-    f: impl FnOnce(&mut RobustWork<'_>) -> R,
-) -> R {
-    with_weight_scratch(m, |weights| {
-        f(&mut RobustWork {
-            est,
-            weights,
-            stats: [CubeStats::default(); 2],
-        })
-    })
+    steps: usize,
+    margins: &'a Margins,
 }
 
-/// The seed slots of one pair for one [`robust_step`]: `None` for a
-/// measure the sweep was not asked for.
-pub(crate) type SeedSlots<'s> = [Option<&'s mut Option<MaronnaSeed>>; 2];
+impl<'a> Panel<'a> {
+    fn window(&self, i: usize, k: usize) -> (&'a [f64], Margin<'a>) {
+        (
+            &self.series[i][k..k + self.m],
+            self.margins.at(i * self.steps + k),
+        )
+    }
+}
 
-/// [`SeedSlots`] asking for the measure at `slot` alone.
-pub(crate) fn only(slot: usize, seed: &mut Option<MaronnaSeed>) -> SeedSlots<'_> {
-    let mut slots = [None, None];
-    slots[slot] = Some(seed);
-    slots
+/// The seeds of a block of pairs, per measure in [`PLANE`] order, by
+/// offset into the block; `None` for a measure the sweep was not asked
+/// for.
+type BlockSeeds<'s> = [Option<&'s mut [Option<MaronnaSeed>]>; 2];
+
+/// [`BlockSeeds`] asking for the measure at `slot` alone.
+fn only(slot: usize, seeds: &mut [Option<MaronnaSeed>]) -> BlockSeeds<'_> {
+    let mut lanes = [None, None];
+    lanes[slot] = Some(seeds);
+    lanes
 }
 
 /// Bitwise equality of two warm-start seeds (`==` would call `0.0` and
@@ -138,76 +204,230 @@ fn same_seed(a: &Option<MaronnaSeed>, b: &Option<MaronnaSeed>) -> bool {
     a.as_ref().map(bits) == b.as_ref().map(bits)
 }
 
-/// One window of one pair under the robust plane — the only copy of the
-/// fit → screen → share-or-refine → keep-seed logic, behind the batch
-/// cubes, [`pair_series`], the streaming warm sweep and the one-shot
-/// Combined estimator. Returns the correlations in [`PLANE`] order (0.0
-/// for a measure not asked for).
-///
-/// `stats_x` / `stats_y` are the margins' `(median, normalised MAD)`
-/// ([`crate::maronna::robust_margin_stats`]). Maronna fits every window,
-/// warm-started from its seed. Combined first screens by the quadrant
-/// correlation about the given medians and is refined only at or above
-/// the threshold: by Maronna's fit of this very window when that fit
-/// started from a seed bitwise equal to Combined's — same inputs, same
-/// deterministic iteration, so Combined's own fit would have been the
-/// same to the bit — and by its own fit otherwise. Either way a converged
-/// fit replaces the measure's seed, a failed one clears it, and a
-/// screened-out step leaves Combined's seed alone for the next step that
-/// crosses the threshold (from which point the two seeds differ and
-/// Combined fits for itself).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub(crate) fn robust_step(
-    x: &[f64],
-    y: &[f64],
+/// Fits a plane walk keeps in flight. Two, because what an iteration
+/// waits on is its own reduce → divide → broadcast and one independent
+/// fit fills that gap: three, four and six were measured no faster (the
+/// window's loads and the divider are shared), see DESIGN "Two fits in
+/// flight".
+const SLOTS: usize = 2;
+
+/// One of the [`SLOTS`] of a plane walk: a pair's walk through the
+/// panel's windows — its seed chain — and the pair-step being answered.
+#[derive(Default)]
+struct Slot<'a> {
+    /// The pair: its offset in the block and its two series. `None` until
+    /// the slot is given one.
+    pair: Option<(usize, usize, usize)>,
+    step: usize,
+    x: &'a [f64],
+    y: &'a [f64],
     stats_x: (f64, f64),
     stats_y: (f64, f64),
-    seeds: SeedSlots<'_>,
-    work: &mut RobustWork<'_>,
-) -> [f64; 2] {
-    let [maronna, combined] = seeds;
-    let mut fit_from = |seed: Option<MaronnaSeed>, did: &mut CubeStats| {
-        let fit = (work.est.maronna).fit_with_stats(x, y, stats_x, stats_y, seed, work.weights);
-        did.irls_iters += fit.iterations as u64;
-        fit
-    };
-    let keep = |fit: &MaronnaFit| fit.converged.then_some((fit.location, fit.scatter));
-    let mut out = [0.0; 2];
-    // Maronna's fit of this window, with the seed it started from.
-    let mut fitted = None;
-    if let Some(seed) = maronna {
-        let did = &mut work.stats[MARONNA];
-        did.pair_steps += 1;
-        did.refined += 1;
-        let fit = fit_from(*seed, did);
-        fitted = Some((*seed, fit));
-        *seed = keep(&fit);
-        out[MARONNA] = fit.correlation;
-    }
-    if let Some(seed) = combined {
-        let did = &mut work.stats[COMBINED];
-        did.pair_steps += 1;
-        let q = quadrant_with_medians(x, y, stats_x.0, stats_y.0);
-        let refine = q.abs() >= work.est.screen_threshold;
-        if !refine {
-            did.screened += 1;
-            out[COMBINED] = q;
-            return out;
+    /// The step's answers so far, [`PLANE`] order.
+    corr: [f64; 2],
+    /// Measures the step still has to fit for.
+    todo: [bool; 2],
+    /// Combined is taking Maronna's fit of this step.
+    shared: bool,
+    /// The fit in flight and the measure it is for.
+    fit: Option<(usize, Irls<'a>)>,
+}
+
+/// A block of pairs walking the panel: the only copy of the
+/// plan → fit → share-or-refine → keep-seed rule, behind the batch cubes,
+/// [`pair_series`], the streaming warm sweep and the one-shot Combined
+/// estimator.
+///
+/// Per window of a pair, Maronna fits warm-started from its seed.
+/// Combined first screens by the quadrant correlation of the two windows'
+/// signs and is refined only at or above the threshold: by Maronna's fit
+/// of this very window when that fit starts from a seed bitwise equal to
+/// Combined's — same inputs, same deterministic iteration, so Combined's
+/// own fit would be the same to the bit — and by its own fit otherwise.
+/// Both are known before any fit runs, so a step is planned first: one
+/// job for Maronna, one for Combined only where it refines from a
+/// different seed. A converged fit replaces its measure's seed (and
+/// Combined's, when shared), a failed one clears it, and a screened-out
+/// step leaves Combined's seed alone for the next step that crosses the
+/// threshold (from which point the two seeds differ and Combined fits
+/// for itself).
+///
+/// The jobs of a pair run one after the other, its steps in order — each
+/// starts from the seed the last left. Pairs are independent, which is
+/// what the [`SLOTS`] interleave.
+struct Walk<'a, 's, P> {
+    est: CombinedEstimator,
+    panel: &'a Panel<'a>,
+    seeds: BlockSeeds<'s>,
+    /// Takes `(offset in block, row i of the pair, step, correlations)`
+    /// of every answered step.
+    put: P,
+    /// Pairs of the block not yet given to a slot, and the next one's
+    /// `(i, j)`.
+    left: std::ops::Range<usize>,
+    next_pair: (usize, usize),
+    /// What the walk did so far, per measure.
+    stats: [CubeStats; 2],
+}
+
+impl<'a, P: FnMut(usize, usize, usize, [f64; 2])> Walk<'a, '_, P> {
+    /// Plan the slot's step: count it, screen Combined, decide who fits.
+    fn plan(&mut self, slot: &mut Slot<'a>) {
+        let (off, i, j) = slot.pair.expect("a slot plans the pair it holds");
+        let (x, margin_x) = self.panel.window(i, slot.step);
+        let (y, margin_y) = self.panel.window(j, slot.step);
+        (slot.x, slot.y) = (x, y);
+        (slot.stats_x, slot.stats_y) = (margin_x.stats, margin_y.stats);
+        (slot.corr, slot.todo, slot.shared) = ([0.0; 2], [false; 2], false);
+        let [maronna, combined] = &self.seeds;
+        if maronna.is_some() {
+            let did = &mut self.stats[MARONNA];
+            did.pair_steps += 1;
+            did.refined += 1;
+            slot.todo[MARONNA] = true;
         }
-        did.refined += 1;
-        let fit = match fitted {
-            Some((from, fit)) if same_seed(&from, seed) => {
-                did.shared += 1;
-                fit
+        if let Some(seeds) = combined {
+            let did = &mut self.stats[COMBINED];
+            did.pair_steps += 1;
+            let q = quadrant_of_signs(margin_x.signs, margin_y.signs, self.panel.m);
+            let refine = q.abs() >= self.est.screen_threshold;
+            if !refine {
+                did.screened += 1;
+                slot.corr[COMBINED] = q;
+                return;
             }
-            _ => fit_from(*seed, did),
-        };
-        *seed = keep(&fit);
-        out[COMBINED] = fit.correlation;
+            did.refined += 1;
+            match maronna {
+                Some(from) if same_seed(&from[off], &seeds[off]) => {
+                    did.shared += 1;
+                    slot.shared = true;
+                }
+                _ => slot.todo[COMBINED] = true,
+            }
+        }
     }
-    out
+
+    /// Take a finished fit for the slot's step: the answer, and the seed
+    /// the next step starts from.
+    fn settle(&mut self, slot: &mut Slot<'a>, lane: usize, fit: MaronnaFit) {
+        let (off, ..) = slot.pair.expect("a slot fits the pair it holds");
+        self.stats[lane].irls_iters += fit.iterations as u64;
+        let seed = fit.converged.then_some((fit.location, fit.scatter));
+        let mut answer = |lane: usize| {
+            self.seeds[lane].as_mut().expect("a lane asked for")[off] = seed;
+            slot.corr[lane] = fit.correlation;
+        };
+        answer(lane);
+        if lane == MARONNA && slot.shared {
+            answer(COMBINED);
+        }
+    }
+
+    /// Give the slot its next fit: hand over the step in hand once it is
+    /// answered, plan the next (of this pair, then of the block's next
+    /// pair) until one needs a fit. `false` when the block has no more.
+    fn refill(&mut self, slot: &mut Slot<'a>) -> bool {
+        loop {
+            if let Some(lane) = slot.todo.iter().position(|&todo| todo) {
+                slot.todo[lane] = false;
+                let (off, ..) = slot.pair.expect("a slot fits the pair it holds");
+                let seed = self.seeds[lane].as_ref().expect("a lane asked for")[off];
+                let maronna = &self.est.maronna;
+                match maronna.start(slot.x, slot.y, slot.stats_x, slot.stats_y, seed) {
+                    Ok(fit) => {
+                        slot.fit = Some((lane, fit));
+                        return true;
+                    }
+                    Err(no_evidence) => self.settle(slot, lane, no_evidence),
+                }
+                continue;
+            }
+            if let Some((off, i, _)) = slot.pair {
+                (self.put)(off, i, slot.step, slot.corr);
+                slot.step += 1;
+            }
+            if slot.pair.is_none() || slot.step == self.panel.steps {
+                let Some(off) = self.left.next() else {
+                    slot.pair = None;
+                    return false;
+                };
+                let (i, j) = self.next_pair;
+                self.next_pair = if j + 1 == i { (i + 1, 0) } else { (i, j + 1) };
+                (slot.pair, slot.step) = (Some((off, i, j)), 0);
+            }
+            self.plan(slot);
+        }
+    }
+
+    /// A slot's location pass: of its fit's next iteration, refilled
+    /// first if it has none or the fit has ended. `false` when there is
+    /// nothing left for it to do.
+    fn locate(&mut self, slot: &mut Slot<'a>, weights: &mut [f64]) -> bool {
+        loop {
+            if slot.fit.is_none() && !self.refill(slot) {
+                return false;
+            }
+            let (lane, fit) = slot.fit.as_mut().expect("refilled");
+            let Some(ended) = self.est.maronna.locate(fit, weights) else {
+                return true;
+            };
+            let lane = *lane;
+            slot.fit = None;
+            self.settle(slot, lane, ended);
+        }
+    }
+
+    /// The scatter pass of the iteration the slot's last
+    /// [`locate`](Self::locate) began, if it began one.
+    fn scatter(&mut self, slot: &mut Slot<'a>, weights: &[f64]) {
+        if let Some((_, fit)) = &mut slot.fit {
+            self.est.maronna.scatter(fit, weights);
+        }
+    }
+}
+
+/// Walk the pairs of ranks `first_rank..` through `panel` under `est`,
+/// one per entry of `seeds`' lanes (of one length), [`SLOTS`] fits in
+/// flight: every pair's every window answered for the lanes given, the
+/// answers to `put` as `(offset in block, row i of the pair, step,
+/// correlations in PLANE order)`, the seeds updated in place. Returns
+/// what the walk did per measure.
+fn robust_steps<'a>(
+    est: CombinedEstimator,
+    panel: &'a Panel<'a>,
+    first_rank: usize,
+    seeds: BlockSeeds<'_>,
+    put: impl FnMut(usize, usize, usize, [f64; 2]),
+) -> [CubeStats; 2] {
+    let mut lanes = seeds.iter().flatten().map(|lane| lane.len());
+    let pairs = lanes.next().unwrap_or(0);
+    assert!(lanes.all(|len| len == pairs), "one seed per pair per lane");
+    let mut walk = Walk {
+        est,
+        panel,
+        seeds,
+        put,
+        left: 0..pairs,
+        next_pair: SymMatrix::pair_from_rank(first_rank),
+        stats: [CubeStats::default(); 2],
+    };
+    with_weight_scratch(panel.m, |mut weights: [&mut [f64]; SLOTS]| {
+        let mut slots: [Slot<'a>; SLOTS] = std::array::from_fn(|_| Slot::default());
+        // Pass by pass, not fit by fit: a slot's scatter pass waits on its
+        // location pass's reduce and divide, and the other slot's pass is
+        // what the core runs meanwhile.
+        let mut busy = true;
+        while busy {
+            busy = false;
+            for (slot, weights) in slots.iter_mut().zip(&mut weights) {
+                busy |= walk.locate(slot, weights);
+            }
+            for (slot, weights) in slots.iter_mut().zip(&weights) {
+                walk.scatter(slot, weights);
+            }
+        }
+    });
+    walk.stats
 }
 
 /// Split `data`, a sequence of `row_len`-element rows, into one contiguous
@@ -258,8 +478,8 @@ fn window_len(windows: &[&[f64]]) -> usize {
 ///
 /// Stock-major first — each stock's per-window `(median, MAD)` once,
 /// shared by its `n - 1` pairs and by both measures — then pairs sweep
-/// the day in parallel, each window of each pair through one
-/// `robust_step`: Maronna's fit, Combined's screen, and Combined answered
+/// the day in parallel, each window of each pair one step of
+/// `robust_steps`: Maronna's fit, Combined's screen, and Combined answered
 /// by Maronna's fit wherever the two warm-start seeds agree to the bit
 /// ([`CubeStats::shared`]). Asking for one measure runs the same pass
 /// with the other's work skipped; every cube is bit-identical to the one
@@ -278,52 +498,49 @@ pub fn robust_cubes(
     let (n, steps) = cube_shape(series, m)?;
     let n_pairs = n * (n - 1) / 2;
 
-    // `margins[i * steps + k]` summarises `series[i][k..k + m]`. Same
+    // Entry `i * steps + k` summarises `series[i][k..k + m]`. Same
     // selection on the same values as `pair_series` runs per pair, so the
     // two stay bit-identical.
     let started = Instant::now();
-    let mut margins = vec![(0.0, 0.0); n * steps];
-    par_blocks(&mut margins, steps, |first_stock, block| {
-        let mut scratch = Vec::with_capacity(m);
-        for (off, row) in block.chunks_mut(steps).enumerate() {
+    let mut margins = Margins::default();
+    margins.reset(m, n * steps);
+    let record = margins.record;
+    par_blocks(&mut margins.data, steps * record, |first_stock, block| {
+        let mut select = Vec::with_capacity(m);
+        for (off, row) in block.chunks_mut(steps * record).enumerate() {
             let x = &series[first_stock + off];
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = robust_margin_stats_in(&x[k..k + m], &mut scratch);
+            for (k, entry) in row.chunks_mut(record).enumerate() {
+                Margins::fill(entry, &x[k..k + m], &mut select);
             }
         }
     });
     let margin_time = started.elapsed();
+    let series: Vec<&[f64]> = series.iter().map(Vec::as_slice).collect();
+    let panel = Panel {
+        series: &series,
+        m,
+        steps,
+        margins: &margins,
+    };
 
     // One output row per pair per wanted measure, written in place (an
-    // unwanted measure has no buffer, hence no rows).
+    // unwanted measure has no buffer, hence no rows). Every pair's seed
+    // chain starts cold and ends with the day.
     let mut data = want.map(|wanted| vec![0.0; if wanted { n_pairs * steps } else { 0 }]);
     let [mut rows_m, mut rows_c] = data.each_mut().map(|d| d.chunks_mut(steps));
     let mut rows: Vec<[Option<&mut [f64]>; 2]> = (0..n_pairs)
         .map(|_| [rows_m.next(), rows_c.next()])
         .collect();
     let parts = par_blocks(&mut rows, 1, |first_rank, block| {
-        with_robust_work(CombinedEstimator::default(), m, |work| {
-            for (off, out) in block.iter_mut().enumerate() {
-                let (i, j) = SymMatrix::pair_from_rank(first_rank + off);
-                let (x, y) = (&series[i], &series[j]);
-                let (mx, my) = (&margins[i * steps..], &margins[j * steps..]);
-                let mut seeds = [None, None];
-                for k in 0..steps {
-                    let (xs, ys) = (&x[k..k + m], &y[k..k + m]);
-                    let [seed_m, seed_c] = &mut seeds;
-                    let slots = [
-                        out[MARONNA].is_some().then_some(seed_m),
-                        out[COMBINED].is_some().then_some(seed_c),
-                    ];
-                    let corr = robust_step(xs, ys, mx[k], my[k], slots, work);
-                    for (row, c) in out.iter_mut().zip(corr) {
-                        if let Some(row) = row {
-                            row[k] = c;
-                        }
-                    }
+        let mut seeds = want.map(|wanted| wanted.then(|| vec![None; block.len()]));
+        let seeds = seeds.each_mut().map(|lane| lane.as_deref_mut());
+        let est = CombinedEstimator::default();
+        robust_steps(est, &panel, first_rank, seeds, |off, _, k, corr| {
+            for (row, c) in block[off].iter_mut().zip(corr) {
+                if let Some(row) = row {
+                    row[k] = c;
                 }
             }
-            work.stats
         })
     });
     drop(rows);
@@ -353,8 +570,8 @@ pub struct WarmLane<'a> {
 }
 
 /// The streaming robust plane: one warm-started all-pairs sweep over the
-/// current windows for the lanes given ([`PLANE`] order), each pair
-/// through one `robust_step` — what [`robust_cubes`] does per day, per
+/// current windows for the lanes given ([`PLANE`] order), each pair one
+/// step of `robust_steps` — what [`robust_cubes`] does per day, per
 /// interval. Margins are derived once per stock for both lanes; a
 /// Combined step whose seed equals Maronna's takes Maronna's fit. With
 /// one lane the other measure's work is skipped; a lane's matrix and
@@ -371,6 +588,7 @@ pub fn robust_plane_warm_into(
     windows: &[&[f64]],
     mut lanes: [Option<WarmLane<'_>>; 2],
     repair_psd: bool,
+    margins: &mut Margins,
 ) -> [CubeStats; 2] {
     let n = windows.len();
     let m = window_len(windows);
@@ -384,11 +602,14 @@ pub fn robust_plane_warm_into(
         }
     }
 
-    // Per-stock robust stats, once per interval.
-    let mut scratch = Vec::with_capacity(m);
-    let margins: Vec<(f64, f64)> = (windows.iter())
-        .map(|w| robust_margin_stats_in(w, &mut scratch))
-        .collect();
+    // Per-stock robust stats and signs, once per interval.
+    margins.summarise(windows, m, 1);
+    let panel = Panel {
+        series: windows,
+        m,
+        steps: 1,
+        margins: &*margins,
+    };
 
     // Cut each lane into one contiguous block of ranks per pool thread.
     // Rank `r` of row `i` sits at packed index `r + i` (row `i` of the
@@ -415,31 +636,28 @@ pub fn robust_plane_warm_into(
                     .expect("block within the matrix"),
             ))
         });
-        blocks.push((first_rank, len, block));
+        blocks.push((first_rank, block));
     }
 
     let parts: Vec<[CubeStats; 2]> = (blocks.into_par_iter())
-        .map(|(first_rank, len, mut block)| {
-            with_robust_work(CombinedEstimator::default(), m, |work| {
-                let (first_row, mut j) = SymMatrix::pair_from_rank(first_rank);
-                let mut i = first_row;
-                for off in 0..len {
-                    let slots = (block.each_mut())
-                        .map(|lane| lane.as_mut().map(|(seeds, _)| &mut seeds[off]));
-                    let corr =
-                        robust_step(windows[i], windows[j], margins[i], margins[j], slots, work);
-                    for (lane, c) in block.iter_mut().zip(corr) {
-                        if let Some((_, packed)) = lane {
+        .map(|(first_rank, block)| {
+            let first_row = SymMatrix::pair_from_rank(first_rank).0;
+            let [(seeds_m, mut packed_m), (seeds_c, mut packed_c)] =
+                block.map(|lane| lane.map_or((None, None), |(s, p)| (Some(s), Some(p))));
+            let est = CombinedEstimator::default();
+            robust_steps(
+                est,
+                &panel,
+                first_rank,
+                [seeds_m, seeds_c],
+                |off, i, _, corr| {
+                    for (packed, c) in [&mut packed_m, &mut packed_c].into_iter().zip(corr) {
+                        if let Some(packed) = packed {
                             packed[off + i - first_row] = c;
                         }
                     }
-                    j += 1;
-                    if j == i {
-                        (i, j) = (i + 1, 0);
-                    }
-                }
-                work.stats
-            })
+                },
+            )
         })
         .collect();
 
@@ -459,7 +677,8 @@ pub fn robust_plane_warm_into(
 /// shared across pairs; the two produce bit-identical series. Pearson
 /// uses the O(1) sliding update; Maronna (and Combined's refinement
 /// stage) warm-start each window from the previous fit through the same
-/// `robust_step` as the cube, asking for the one measure.
+/// `robust_steps` as the cube, a block of this one pair asked for the one
+/// measure.
 ///
 /// # Panics
 /// Panics if the series lengths differ, `m < 2`, or
@@ -495,19 +714,36 @@ pub fn pair_series(ctype: CorrType, x: &[f64], y: &[f64], m: usize, out: &mut [f
         }
         CorrType::Maronna | CorrType::Combined => {
             let slot = plane_slot(ctype).expect("a robust measure");
-            let mut scratch = Vec::with_capacity(m);
-            with_robust_work(CombinedEstimator::default(), m, |work| {
-                let mut seed = None;
-                for (step, o) in out.iter_mut().enumerate() {
-                    let (xs, ys) = (&x[step..step + m], &y[step..step + m]);
-                    let stats_x = robust_margin_stats_in(xs, &mut scratch);
-                    let stats_y = robust_margin_stats_in(ys, &mut scratch);
-                    let seeds = only(slot, &mut seed);
-                    *o = robust_step(xs, ys, stats_x, stats_y, seeds, work)[slot];
-                }
-            });
+            walk_pair(CombinedEstimator::default(), slot, x, y, m, out);
         }
     }
+}
+
+/// One pair alone through the plane walk, for the measure at `slot`:
+/// `out[k]` answers `x[k..k + m]` against `y[k..k + m]`, warm-started from
+/// step to step. Returns what the walk did for the measure.
+pub(crate) fn walk_pair(
+    est: CombinedEstimator,
+    slot: usize,
+    x: &[f64],
+    y: &[f64],
+    m: usize,
+    out: &mut [f64],
+) -> CubeStats {
+    let steps = out.len();
+    // Rank 0 is the pair (1, 0): `x` is series 1.
+    let series = [y, x];
+    let mut margins = Margins::default();
+    margins.summarise(&series, m, steps);
+    let panel = Panel {
+        series: &series,
+        m,
+        steps,
+        margins: &margins,
+    };
+    let mut seed = [None];
+    let seeds = only(slot, &mut seed);
+    robust_steps(est, &panel, 0, seeds, |_, _, k, corr| out[k] = corr[slot])[slot]
 }
 
 /// A day's worth of all-pairs correlation series.
@@ -659,13 +895,45 @@ impl ParallelCorrEngine {
     }
 
     fn matrix_per_pair_impl(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
-        let n = windows.len();
         window_len(windows);
-        let n_pairs = n * (n - 1) / 2;
         let measure = self.ctype.estimator();
+        self.matrix_of_pairs(windows.len(), parallel, |i, j| {
+            measure.correlation(windows[i], windows[j])
+        })
+    }
+
+    /// The quadrant matrix with each window's median and signs derived
+    /// once per stock: what [`quadrant`] returns for every pair. A window
+    /// with no median (a NaN, an infinity) keeps no sign, so each of its
+    /// pairs reads 0.
+    fn matrix_quadrant(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
+        let m = window_len(windows);
+        let per_stock = 2 * sign_words(m);
+        let mut signs = vec![0u64; windows.len() * per_stock];
+        let mut select = Vec::with_capacity(m);
+        for (window, signs) in windows.iter().zip(signs.chunks_mut(per_stock.max(1))) {
+            if let Some(med) = median_of(window, &mut select) {
+                signs_into(window, med, signs);
+            }
+        }
+        let of = |i: usize| &signs[i * per_stock..(i + 1) * per_stock];
+        self.matrix_of_pairs(windows.len(), parallel, |i, j| {
+            quadrant_of_signs(of(i), of(j), m)
+        })
+    }
+
+    /// The matrix of `pair(i, j)` over every `i > j`, in parallel over
+    /// pairs if asked, repaired to PSD if the engine is set to.
+    fn matrix_of_pairs(
+        &self,
+        n: usize,
+        parallel: bool,
+        pair: impl Fn(usize, usize) -> f64 + Sync,
+    ) -> SymMatrix {
+        let n_pairs = n * n.saturating_sub(1) / 2;
         let compute = |rank: usize| -> f64 {
             let (i, j) = SymMatrix::pair_from_rank(rank);
-            measure.correlation(windows[i], windows[j])
+            pair(i, j)
         };
         let values: Vec<f64> = if parallel {
             (0..n_pairs).into_par_iter().map(compute).collect()
@@ -701,7 +969,7 @@ impl ParallelCorrEngine {
     ///
     /// A day of warm sweeps from empty seeds is bit-identical to the
     /// batch [`Self::cube`] over the same windows: both walk every pair
-    /// through the same `robust_step` from the same cold start. Against a
+    /// through the same `robust_steps` from the same cold start. Against a
     /// *cold* fit of one window a warm one agrees only to within the
     /// convergence tolerance — the fixed point is the same M-estimating
     /// equation, the path to it is not.
@@ -740,7 +1008,7 @@ impl ParallelCorrEngine {
         });
         let mut lanes = [None, None];
         lanes[slot] = Some(WarmLane { seeds, out });
-        robust_plane_warm_into(windows, lanes, self.repair_psd)[slot]
+        robust_plane_warm_into(windows, lanes, self.repair_psd, &mut Margins::default())[slot]
     }
 
     fn matrix_impl(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
@@ -755,6 +1023,9 @@ impl ParallelCorrEngine {
             }
             return m;
         }
+        if self.ctype == CorrType::Quadrant {
+            return self.matrix_quadrant(windows, parallel);
+        }
         self.matrix_per_pair_impl(windows, parallel)
     }
 
@@ -767,7 +1038,7 @@ impl ParallelCorrEngine {
     /// measures' per-window `(median, MAD)` — then pairs sweep the day in
     /// parallel, each independently. Pearson pairs slide an O(1) cross
     /// product; Maronna and Combined warm-start each window's fit from the
-    /// previous one through `robust_step` (the IRLS is their cost, and
+    /// previous one through `robust_steps` (the IRLS is their cost, and
     /// what the Combined screen saves).
     ///
     /// Returns `None` when the day is shorter than one window.
@@ -854,7 +1125,9 @@ impl ParallelCorrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maronna::{robust_margin_stats, MaronnaEstimator};
     use crate::pearson::pearson;
+    use crate::quadrant::quadrant_with_medians;
 
     fn synthetic_series(n: usize, len: usize) -> Vec<Vec<f64>> {
         // Deterministic, mildly correlated series (common factor + idio).
@@ -871,50 +1144,243 @@ mod tests {
             .collect()
     }
 
+    /// What a walk leaves, `[measure][pair rank]`: every step's
+    /// correlation, the final seed, and the counters.
+    type Walked = (
+        [Vec<Vec<f64>>; 2],
+        [Vec<Option<MaronnaSeed>>; 2],
+        [CubeStats; 2],
+    );
+
+    /// Every pair of `series` through ONE block of the plane walk — the
+    /// driver as the sweeps run it, any estimator.
+    fn walked(est: CombinedEstimator, series: &[Vec<f64>], m: usize, want: [bool; 2]) -> Walked {
+        let (n, steps) = (series.len(), series[0].len() - m + 1);
+        let n_pairs = n * (n - 1) / 2;
+        let series: Vec<&[f64]> = series.iter().map(Vec::as_slice).collect();
+        let mut margins = Margins::default();
+        margins.summarise(&series, m, steps);
+        let panel = Panel {
+            series: &series,
+            m,
+            steps,
+            margins: &margins,
+        };
+        let mut corr = want.map(|w| vec![vec![0.0; steps]; if w { n_pairs } else { 0 }]);
+        let mut seeds = want.map(|w| vec![None; if w { n_pairs } else { 0 }]);
+        let [seeds_m, seeds_c] = &mut seeds;
+        let lanes = [
+            want[MARONNA].then_some(&mut seeds_m[..]),
+            want[COMBINED].then_some(&mut seeds_c[..]),
+        ];
+        let stats = robust_steps(est, &panel, 0, lanes, |off, i, k, answers| {
+            assert_eq!(SymMatrix::pair_from_rank(off).0, i);
+            for (lane, c) in corr.iter_mut().zip(answers) {
+                if let Some(row) = lane.get_mut(off) {
+                    row[k] = c;
+                }
+            }
+        });
+        (corr, seeds, stats)
+    }
+
+    /// The definition the walk must reproduce to the bit: pair by pair,
+    /// step by step, one whole fit after the other — Maronna from its
+    /// seed; Combined screened, then refined by its OWN fit from its own
+    /// seed. Nothing is interleaved and nothing shared; `shared` counts
+    /// the refined steps whose two seeds were equal, whose fits the walk
+    /// need not have run.
+    fn one_fit_at_a_time(
+        est: CombinedEstimator,
+        series: &[Vec<f64>],
+        m: usize,
+        want: [bool; 2],
+    ) -> Walked {
+        let steps = series[0].len() - m + 1;
+        let (mut corr, mut seeds) = ([vec![], vec![]], [vec![], vec![]]);
+        let mut stats = [CubeStats::default(); 2];
+        let mut weights = vec![0.0; m];
+        for i in 1..series.len() {
+            for j in 0..i {
+                let mut seed: [Option<MaronnaSeed>; 2] = [None; 2];
+                let mut rows = [vec![0.0; steps], vec![0.0; steps]];
+                for k in 0..steps {
+                    let (x, y) = (&series[i][k..k + m], &series[j][k..k + m]);
+                    let (sx, sy) = (robust_margin_stats(x), robust_margin_stats(y));
+                    let q = quadrant_with_medians(x, y, sx.0, sy.0);
+                    let same = want[MARONNA] && same_seed(&seed[MARONNA], &seed[COMBINED]);
+                    for lane in [MARONNA, COMBINED] {
+                        if !want[lane] {
+                            continue;
+                        }
+                        let did = &mut stats[lane];
+                        did.pair_steps += 1;
+                        if lane == COMBINED && q.abs() < est.screen_threshold {
+                            did.screened += 1;
+                            rows[lane][k] = q;
+                            continue;
+                        }
+                        did.refined += 1;
+                        let fit =
+                            (est.maronna).fit_with_stats(x, y, sx, sy, seed[lane], &mut weights);
+                        if lane == COMBINED && same {
+                            did.shared += 1;
+                        } else {
+                            did.irls_iters += fit.iterations as u64;
+                        }
+                        seed[lane] = fit.converged.then_some((fit.location, fit.scatter));
+                        rows[lane][k] = fit.correlation;
+                    }
+                }
+                for lane in [MARONNA, COMBINED] {
+                    if want[lane] {
+                        corr[lane].push(std::mem::take(&mut rows[lane]));
+                        seeds[lane].push(seed[lane]);
+                    }
+                }
+            }
+        }
+        (corr, seeds, stats)
+    }
+
+    fn assert_walks_equal(got: &Walked, want: &Walked, what: &str) {
+        let bits = |rows: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            (rows.iter())
+                .map(|r| r.iter().map(|c| c.to_bits()).collect())
+                .collect()
+        };
+        for lane in [MARONNA, COMBINED] {
+            assert_eq!(
+                bits(&got.0[lane]),
+                bits(&want.0[lane]),
+                "{what}: lane {lane}"
+            );
+            assert_eq!(got.1[lane].len(), want.1[lane].len(), "{what}: lane {lane}");
+            for (rank, (a, b)) in got.1[lane].iter().zip(&want.1[lane]).enumerate() {
+                assert!(same_seed(a, b), "{what}: lane {lane} seed of rank {rank}");
+            }
+        }
+        assert_eq!(got.2, want.2, "{what}: counters");
+    }
+
+    const LANES: [[bool; 2]; 3] = [[true, true], [true, false], [false, true]];
+
+    /// Two fits in flight against one at a time, where a fit ends every
+    /// way it can: converged, out of iterations, on a scatter that cannot
+    /// be inverted (a collinear pair), with no weight left (cutoff 0), and
+    /// at once on a margin without spread — the flat series first, in the
+    /// middle and last, so its pairs land in either slot; blocks of no
+    /// pair, one, and odd counts.
+    #[test]
+    fn two_fits_in_flight_equal_one_at_a_time_however_a_fit_ends() {
+        let len = 40;
+        let noisy = synthetic_series(3, len);
+        let collinear: Vec<f64> = noisy[0].iter().map(|v| 3.0 * v - 0.5).collect();
+        let flat = vec![0.25; len];
+        let panels: Vec<Vec<Vec<f64>>> = vec![
+            vec![noisy[0].clone()],
+            noisy[..2].to_vec(),
+            noisy.clone(),
+            vec![flat.clone(), noisy[0].clone(), noisy[1].clone()],
+            vec![
+                noisy[0].clone(),
+                collinear,
+                flat.clone(),
+                noisy[1].clone(),
+                noisy[2].clone(),
+                flat,
+            ],
+        ];
+        let default = CombinedEstimator::default();
+        let with = |maronna| CombinedEstimator { maronna, ..default };
+        let estimators = [
+            ("default", default),
+            (
+                "max_iter 3",
+                with(MaronnaEstimator {
+                    max_iter: 3,
+                    ..default.maronna
+                }),
+            ),
+            (
+                "max_iter 0",
+                with(MaronnaEstimator {
+                    max_iter: 0,
+                    ..default.maronna
+                }),
+            ),
+            (
+                "cutoff 0",
+                with(MaronnaEstimator {
+                    cutoff: 0.0,
+                    ..default.maronna
+                }),
+            ),
+            (
+                "screen 0",
+                CombinedEstimator {
+                    screen_threshold: 0.0,
+                    ..default
+                },
+            ),
+        ];
+        // The fixtures end their fits the ways they are here for.
+        let (a, b) = (&panels[4][0][..12], &panels[4][1][..12]);
+        let singular = default.maronna.fit(a, b);
+        assert!(!singular.converged && (1..50).contains(&singular.iterations));
+        let starved = estimators[3].1.maronna.fit(a, &panels[4][3][..12]);
+        assert!(!starved.converged && starved.iterations == 1);
+        let (mut unconverged, mut starved) = (0, 0);
+        for (name, est) in estimators {
+            for (p, panel) in panels.iter().enumerate() {
+                for m in [7usize, 12] {
+                    for want in LANES {
+                        let got = walked(est, panel, m, want);
+                        let reference = one_fit_at_a_time(est, panel, m, want);
+                        let what = format!("{name}, panel {p}, m={m}, {want:?}");
+                        assert_walks_equal(&got, &reference, &what);
+                        if name == "max_iter 3" {
+                            unconverged += got.1.iter().flatten().filter(|s| s.is_none()).count();
+                        }
+                        if name == "cutoff 0" {
+                            starved += got.2[MARONNA].irls_iters;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unconverged > 0, "some fit must run out of iterations");
+        assert!(
+            starved > 0,
+            "a fit with no weight left still counts its one iteration"
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// At any screen threshold, one `robust_step` asked for both
-        /// measures leaves the values, seeds and counters that one step
-        /// per measure leaves — except that it ran fewer fits.
+        /// At any screen threshold, the walk — asked for both measures
+        /// and for each alone — leaves the values, seeds and counters of
+        /// one fit at a time, and asked for both it ran no more fits.
         #[test]
-        fn a_plane_step_equals_one_step_per_measure(
+        fn the_walk_equals_one_fit_at_a_time_at_any_threshold(
             m in 4usize..24, threshold in 0.0f64..0.7, rho in -1.0f64..1.0,
-            pool in proptest::collection::vec(-0.01f64..0.01, 120..121),
+            pool in proptest::collection::vec(-0.01f64..0.01, 180..181),
         ) {
             use proptest::prelude::*;
             let (x, e) = pool.split_at(60);
-            let y: Vec<f64> = (x.iter().zip(e))
+            let y: Vec<f64> = (x.iter().zip(&e[..60]))
                 .map(|(x, e)| rho * x + (1.0 - rho.abs()) * e)
                 .collect();
+            let series = vec![x.to_vec(), y, e[60..].to_vec()];
             let est = CombinedEstimator { screen_threshold: threshold, ..Default::default() };
-            let mut scratch = Vec::new();
-            let (mut plane, mut apart) = ([None, None], [None, None]);
-            let (both, alone) = with_robust_work(est, m, |both| {
-                with_robust_work(est, m, |alone| {
-                    for k in 0..=x.len() - m {
-                        let (xs, ys) = (&x[k..k + m], &y[k..k + m]);
-                        let sx = robust_margin_stats_in(xs, &mut scratch);
-                        let sy = robust_margin_stats_in(ys, &mut scratch);
-                        let [seed_m, seed_c] = &mut plane;
-                        let got = robust_step(xs, ys, sx, sy, [Some(seed_m), Some(seed_c)], both);
-                        let [seed_m, seed_c] = &mut apart;
-                        let want = [
-                            robust_step(xs, ys, sx, sy, only(MARONNA, seed_m), alone)[MARONNA],
-                            robust_step(xs, ys, sx, sy, only(COMBINED, seed_c), alone)[COMBINED],
-                        ];
-                        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "step {}", k);
-                        prop_assert!(same_seed(&plane[MARONNA], &apart[MARONNA]), "step {}", k);
-                        prop_assert!(same_seed(&plane[COMBINED], &apart[COMBINED]), "step {}", k);
-                    }
-                    Ok((both.stats, alone.stats))
-                })
-            })?;
-            let fits = |did: CubeStats| CubeStats { shared: 0, irls_iters: 0, ..did };
-            prop_assert_eq!(both[MARONNA], alone[MARONNA]);
-            prop_assert_eq!(fits(both[COMBINED]), fits(alone[COMBINED]));
-            prop_assert_eq!(alone[COMBINED].shared, 0);
-            prop_assert!(both[COMBINED].irls_iters <= alone[COMBINED].irls_iters);
+            let mut iters = [0; 3];
+            for (want, iters) in LANES.into_iter().zip(&mut iters) {
+                let got = walked(est, &series, m, want);
+                assert_walks_equal(&got, &one_fit_at_a_time(est, &series, m, want), &format!("{want:?}"));
+                *iters = got.2[COMBINED].irls_iters;
+            }
+            prop_assert!(iters[0] <= iters[2], "sharing runs no more fits");
         }
     }
 

@@ -11,9 +11,11 @@
 //!
 //! And the robust cubes, which share each stock's `(median, MAD)` series
 //! across its pairs, must equal the per-pair [`pair_series`] bit for bit —
-//! as must the robust plane, batch and streaming, which also shares
-//! Maronna's fit with Combined wherever their seeds agree, equal the two
-//! separate sweeps written out below.
+//! as must the robust plane, batch and streaming, which screens by sign
+//! words, shares Maronna's fit with Combined wherever their seeds agree
+//! and keeps two fits in flight, equal the two separate sweeps written
+//! out below from the definitions: the three-valued-sign loop and the
+//! IRLS loop, one fit at a time.
 #![allow(clippy::needless_range_loop)] // index-driven loops mirror the math
 
 use std::sync::Mutex;
@@ -21,12 +23,12 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use stats::correlation::CorrType;
-use stats::maronna::{robust_margin_stats, MaronnaSeed};
+use stats::maronna::{robust_margin_stats, MaronnaEstimator, MaronnaFit, MaronnaSeed};
 use stats::parallel::{
-    pair_series, robust_cubes, robust_plane_warm_into, CubeStats, WarmLane, PLANE,
+    pair_series, robust_cubes, robust_plane_warm_into, CubeStats, Margins, WarmLane, PLANE,
 };
 use stats::pearson::pearson;
-use stats::quadrant::quadrant_with_medians;
+use stats::quadrant::{quadrant, quadrant_with_medians};
 use stats::simd::{self, Backend};
 use stats::{CombinedEstimator, OnlineCorrMatrix, ParallelCorrEngine, SymMatrix};
 
@@ -257,38 +259,312 @@ fn seeded_panel(seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The quadrant correlation as it is defined: a three-valued sign per
+/// observation about the given medians, the products summed one by one.
+/// The library answers from sign words; this loop is what they must
+/// equal to the bit.
+fn quadrant_by_definition(x: &[f64], y: &[f64], med_x: f64, med_y: f64) -> f64 {
+    fn sgn(v: f64) -> f64 {
+        if v > 0.0 {
+            1.0
+        } else if v < 0.0 {
+            -1.0
+        } else {
+            0.0
+        }
+    }
+    let n = x.len();
+    if n < 2 {
+        return 0.0;
+    }
+    let (mut acc, mut informative) = (0.0, 0usize);
+    for k in 0..n {
+        let s = sgn(x[k] - med_x) * sgn(y[k] - med_y);
+        if s != 0.0 {
+            acc += s;
+            informative += 1;
+        }
+    }
+    if informative == 0 {
+        return 0.0;
+    }
+    let r = (std::f64::consts::FRAC_PI_2 * (acc / n as f64)).sin();
+    if r.is_nan() {
+        0.0
+    } else {
+        r.clamp(-1.0, 1.0)
+    }
+}
+
+/// [`quadrant_by_definition`] about the windows' own medians, 0 where a
+/// window has none — what [`quadrant`] is documented to return.
+fn quadrant_of_windows(x: &[f64], y: &[f64]) -> f64 {
+    if x.iter().chain(y).all(|v| v.is_finite()) {
+        quadrant_by_definition(x, y, robust_margin_stats(x).0, robust_margin_stats(y).0)
+    } else {
+        0.0
+    }
+}
+
+/// Sign words against the definition, wherever the library takes them:
+/// a pair alone ([`quadrant_with_medians`], [`quadrant`]), the quadrant
+/// matrix and cube with each stock's signs derived once. Window lengths
+/// on both sides of every word boundary and past any stack buffer;
+/// windows that tie with their median, run through exact zeros, are all
+/// one value, and hold a NaN, a +∞ or a −∞ (about the degenerate median
+/// 0.0 a NaN counts for neither sign, an infinity for its own).
+#[test]
+fn sign_words_equal_the_three_valued_sign_loop() {
+    const TICK: f64 = 2.5e-4;
+    let fresh = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(1, |d| d.subsec_nanos() as u64);
+    let max_threads = rayon::current_num_threads().max(3);
+    let assert_same = |got: f64, want: f64, what: &str| {
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+    };
+    for m in [2usize, 63, 64, 65, 128, 200, 257, 1000] {
+        let quantised = |stream: u64| -> Vec<f64> {
+            (0..m)
+                .map(|t| (noise(stream & 0xFFFF_FFFF, t) / TICK).round() * TICK)
+                .collect()
+        };
+        let mut holed = quantised(3);
+        for (at, bad) in [
+            (0, f64::NAN),
+            (m / 2, f64::INFINITY),
+            (m - 1, f64::NEG_INFINITY),
+        ] {
+            holed[at] = bad;
+        }
+        let windows: Vec<Vec<f64>> = vec![
+            quantised(2009),
+            quantised(7),
+            quantised(fresh),
+            // More than half on the median, the rest either side of it.
+            (0..m)
+                .map(|t| [0.0, TICK, 0.0, -TICK, 0.0][t % 5])
+                .collect(),
+            // Runs of exact zeros between informative returns.
+            (0..m)
+                .map(|t| if t % 7 < 5 { 0.0 } else { noise(5, t) })
+                .collect(),
+            vec![1.25e-4; m],
+            (0..m).map(|t| noise(6, t)).collect(),
+            holed,
+        ];
+        for (a, x) in windows.iter().enumerate() {
+            for (b, y) in windows.iter().enumerate() {
+                let what = format!("m={m} windows ({a}, {b})");
+                let (med_x, med_y) = (robust_margin_stats(x).0, robust_margin_stats(y).0);
+                for (mx, my) in [(med_x, med_y), (med_x + TICK, med_y), (0.0, -TICK)] {
+                    let want = quadrant_by_definition(x, y, mx, my);
+                    assert_same(quadrant_with_medians(x, y, mx, my), want, &what);
+                }
+                assert_same(quadrant(x, y), quadrant_of_windows(x, y), &what);
+            }
+        }
+        // Stock-major: the matrix from signs derived once per stock.
+        let views: Vec<&[f64]> = windows.iter().map(Vec::as_slice).collect();
+        let engine = ParallelCorrEngine::new(CorrType::Quadrant);
+        for threads in [1, 2, max_threads] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            for matrix in [
+                pool.install(|| engine.matrix(&views)),
+                engine.matrix_seq(&views),
+            ] {
+                for i in 1..views.len() {
+                    for j in 0..i {
+                        let want = quadrant_of_windows(views[i], views[j]);
+                        assert_same(matrix.get(i, j), want, &format!("m={m} matrix ({i}, {j})"));
+                    }
+                }
+            }
+        }
+    }
+
+    // About the degenerate median 0.0 a NaN is in neither sign set and
+    // each infinity in its own: two of four observations agree.
+    let x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
+    let y = [1.0, 1.0, -1.0, 5.0];
+    assert_eq!(robust_margin_stats(&x), (0.0, 0.0));
+    let q = quadrant_with_medians(&x, &y, 0.0, 0.0);
+    assert_same(q, quadrant_by_definition(&x, &y, 0.0, 0.0), "non-finite");
+    assert_same(q, std::f64::consts::FRAC_PI_4.sin(), "non-finite");
+
+    // Sliding windows of the fixture and the tick-quantised panels.
+    let panels = [
+        robust_panel(),
+        seeded_panel(2009),
+        seeded_panel(7),
+        seeded_panel(fresh),
+    ];
+    for (p, panel) in panels.iter().enumerate() {
+        for m in [5usize, 50, 64, 100] {
+            let cube = ParallelCorrEngine::new(CorrType::Quadrant)
+                .cube(panel, m)
+                .expect("the panel holds a window");
+            for i in 1..panel.len() {
+                for j in 0..i {
+                    for (k, &got) in cube.pair_series(i, j).iter().enumerate() {
+                        let want = quadrant_of_windows(&panel[i][k..k + m], &panel[j][k..k + m]);
+                        assert_same(got, want, &format!("panel {p} m={m} ({i}, {j}) step {k}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The Maronna iteration as one loop over one fit — what the library's
+/// resumable passes, alone or two fits at a time, must equal to the bit.
+fn fit_one_at_a_time(
+    est: &MaronnaEstimator,
+    x: &[f64],
+    y: &[f64],
+    (med_x, sx): (f64, f64),
+    (med_y, sy): (f64, f64),
+    init: Option<MaronnaSeed>,
+) -> MaronnaFit {
+    let n = x.len();
+    let no_evidence = |location| MaronnaFit {
+        location,
+        scatter: (0.0, 0.0, 0.0),
+        correlation: 0.0,
+        iterations: 0,
+        converged: false,
+    };
+    if n < 2 {
+        return no_evidence((0.0, 0.0));
+    }
+    if sx <= 0.0 || sy <= 0.0 {
+        return no_evidence((med_x, med_y));
+    }
+    let (mut mx, mut my, mut s11, mut s12, mut s22) = match init {
+        Some(((imx, imy), (i11, i12, i22)))
+            if i11 > 0.0 && i22 > 0.0 && (i11 * i22 - i12 * i12) > 0.0 =>
+        {
+            (imx, imy, i11, i12, i22)
+        }
+        _ => (med_x, med_y, sx * sx, 0.0, sy * sy),
+    };
+    let mut weights = vec![0.0; n];
+    let nf = n as f64;
+    let (mut converged, mut iterations) = (false, 0);
+    for _ in 0..est.max_iter {
+        iterations += 1;
+        let det = s11 * s22 - s12 * s12;
+        if det <= 1e-300 || !det.is_finite() {
+            break;
+        }
+        let inv = (s22 / det, -s12 / det, s11 / det);
+        let (wsum, wx, wy) =
+            simd::maronna_location_pass(x, y, mx, my, inv, est.cutoff, &mut weights);
+        if wsum <= 0.0 {
+            break;
+        }
+        let (new_mx, new_my) = (wx / wsum, wy / wsum);
+        let (mut t11, mut t12, mut t22) =
+            simd::maronna_scatter_pass(x, y, new_mx, new_my, &weights);
+        t11 /= nf;
+        t12 /= nf;
+        t22 /= nf;
+        let num = ((t11 - s11).powi(2) + 2.0 * (t12 - s12).powi(2) + (t22 - s22).powi(2)).sqrt();
+        let den = (s11 * s11 + 2.0 * s12 * s12 + s22 * s22).sqrt().max(1e-300);
+        (mx, my, s11, s12, s22) = (new_mx, new_my, t11, t12, t22);
+        if num / den < est.tol {
+            converged = true;
+            break;
+        }
+    }
+    let correlation = if s11 > 0.0 && s22 > 0.0 {
+        let r = s12 / (s11 * s22).sqrt();
+        if r.is_nan() {
+            0.0
+        } else {
+            r.clamp(-1.0, 1.0)
+        }
+    } else {
+        0.0
+    };
+    MaronnaFit {
+        location: (mx, my),
+        scatter: (s11, s12, s22),
+        correlation,
+        iterations,
+        converged,
+    }
+}
+
+fn seed_bits(seed: &Option<MaronnaSeed>) -> Option<[u64; 5]> {
+    seed.map(|((mx, my), (s11, s12, s22))| [mx, my, s11, s12, s22].map(f64::to_bits))
+}
+
+/// What two separate sweeps leave: `[maronna, combined]`, each
+/// `[pair rank][step]` for the series and `[pair rank]` for the seeds the
+/// day ends on, and what the plane should have counted doing the same.
+struct Separate {
+    series: [Vec<Vec<f64>>; 2],
+    seeds: [Vec<Option<MaronnaSeed>>; 2],
+    stats: [CubeStats; 2],
+}
+
 /// The two separate sweeps, written out — the definition the robust
 /// plane must reproduce to the bit. Per pair, Maronna fits every window
 /// warm-started from its own previous fit; Combined screens every window
 /// by the quadrant correlation and fits the ones at or above the
-/// threshold, warm-started from *its* previous fit. Nothing is shared
-/// between the two. `[maronna, combined][pair rank][step]`.
-fn separate_sweeps(panel: &[Vec<f64>], m: usize) -> [Vec<Vec<f64>>; 2] {
+/// threshold, warm-started from *its* previous fit. One fit at a time,
+/// nothing shared between the two: `shared` counts the refined steps the
+/// two entered on bitwise-equal seeds, whose Combined fit — the same
+/// deterministic iteration on the same inputs — the plane takes from
+/// Maronna, and whose iterations it therefore does not count again.
+fn separate_sweeps(panel: &[Vec<f64>], m: usize) -> Separate {
     let est = CombinedEstimator::default();
     let steps = panel[0].len() - m + 1;
-    let mut weights = vec![0.0; m];
-    let mut out = [Vec::new(), Vec::new()];
+    let mut out = Separate {
+        series: [Vec::new(), Vec::new()],
+        seeds: [Vec::new(), Vec::new()],
+        stats: [CubeStats::default(); 2],
+    };
     for i in 1..panel.len() {
         for j in 0..i {
             let (mut seed_m, mut seed_c): (Option<MaronnaSeed>, Option<MaronnaSeed>) = (None, None);
             let (mut series_m, mut series_c) = (Vec::new(), Vec::new());
+            let [did_m, did_c] = &mut out.stats;
             for k in 0..steps {
                 let (x, y) = (&panel[i][k..k + m], &panel[j][k..k + m]);
                 let (sx, sy) = (robust_margin_stats(x), robust_margin_stats(y));
-                let fit = (est.maronna).fit_with_stats(x, y, sx, sy, seed_m, &mut weights);
+                let same = seed_bits(&seed_m) == seed_bits(&seed_c);
+                did_m.pair_steps += 1;
+                did_m.refined += 1;
+                let fit = fit_one_at_a_time(&est.maronna, x, y, sx, sy, seed_m);
+                did_m.irls_iters += fit.iterations as u64;
                 seed_m = fit.converged.then_some((fit.location, fit.scatter));
                 series_m.push(fit.correlation);
-                let q = quadrant_with_medians(x, y, sx.0, sy.0);
+                did_c.pair_steps += 1;
+                let q = quadrant_by_definition(x, y, sx.0, sy.0);
                 if q.abs() >= est.screen_threshold {
-                    let fit = (est.maronna).fit_with_stats(x, y, sx, sy, seed_c, &mut weights);
+                    did_c.refined += 1;
+                    let fit = fit_one_at_a_time(&est.maronna, x, y, sx, sy, seed_c);
+                    if same {
+                        did_c.shared += 1;
+                    } else {
+                        did_c.irls_iters += fit.iterations as u64;
+                    }
                     seed_c = fit.converged.then_some((fit.location, fit.scatter));
                     series_c.push(fit.correlation);
                 } else {
+                    did_c.screened += 1;
                     series_c.push(q);
                 }
             }
-            out[0].push(series_m);
-            out[1].push(series_c);
+            out.series[0].push(series_m);
+            out.series[1].push(series_c);
+            out.seeds[0].push(seed_m);
+            out.seeds[1].push(seed_c);
         }
     }
     out
@@ -299,8 +575,9 @@ fn add(a: [CubeStats; 2], b: [CubeStats; 2]) -> [CubeStats; 2] {
 }
 
 /// The robust plane — one pass answering Maronna(M) and Combined(M), the
-/// second by the first's fit wherever their seeds agree — against the two
-/// separate sweeps: batch cubes and a day of warm streaming sweeps, asked
+/// second by the first's fit wherever their seeds agree, two fits in
+/// flight — against the two separate sweeps, one fit at a time: batch
+/// cubes and a day of warm streaming sweeps, asked
 /// for both measures and for each alone, on the crossing fixture and on
 /// seeded panels (one seed fresh every run), every pool size, both SIMD
 /// backends. Values, seeds and counters.
@@ -343,7 +620,7 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                                 continue;
                             };
                             assert!(wanted[slot], "{what}: an unwanted cube came back");
-                            for (rank, series) in want[slot].iter().enumerate() {
+                            for (rank, series) in want.series[slot].iter().enumerate() {
                                 let got = cube.series_by_rank(rank);
                                 assert_eq!(got.len(), series.len());
                                 for (k, (a, b)) in got.iter().zip(series).enumerate() {
@@ -359,6 +636,7 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                             assert_eq!(did.pair_steps, (n_pairs * steps) as u64, "{what}");
                             assert_eq!(did.refined + did.screened, did.pair_steps, "{what}");
                             if wanted == [true, true] {
+                                assert_eq!(did, want.stats[slot], "{what} {}", PLANE[slot]);
                                 batch[slot] = did;
                             } else {
                                 // Alone: the same answers with nothing to
@@ -399,6 +677,7 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                     let mut plane_out = [SymMatrix::identity(0), SymMatrix::identity(0)];
                     let mut alone_out = plane_out.clone();
                     let mut streamed = [CubeStats::default(); 2];
+                    let mut margins = Margins::default();
                     for k in 0..steps {
                         let windows: Vec<&[f64]> = panel.iter().map(|s| &s[k..k + m]).collect();
                         run(&mut || {
@@ -414,8 +693,8 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                                     out: out_c,
                                 }),
                             ];
-                            streamed =
-                                add(streamed, robust_plane_warm_into(&windows, lanes, false));
+                            let did = robust_plane_warm_into(&windows, lanes, false, &mut margins);
+                            streamed = add(streamed, did);
                             for slot in 0..2 {
                                 ParallelCorrEngine::new(PLANE[slot]).matrix_robust_warm_into(
                                     &windows,
@@ -427,7 +706,7 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                         for slot in 0..2 {
                             assert_bits_equal(&plane_out[slot], &alone_out[slot], &what);
                             assert_eq!(plane_seeds[slot], alone_seeds[slot], "{what} step {k}");
-                            for (rank, series) in want[slot].iter().enumerate() {
+                            for (rank, series) in want.series[slot].iter().enumerate() {
                                 let (i, j) = SymMatrix::pair_from_rank(rank);
                                 assert_eq!(
                                     plane_out[slot].get(i, j).to_bits(),
@@ -439,6 +718,16 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                         }
                     }
                     assert_eq!(streamed, batch, "{what}: streaming counted what batch did");
+                    for slot in 0..2 {
+                        let ends_on = |seeds: &[Option<MaronnaSeed>]| -> Vec<_> {
+                            seeds.iter().map(seed_bits).collect()
+                        };
+                        assert_eq!(
+                            ends_on(&plane_seeds[slot]),
+                            ends_on(&want.seeds[slot]),
+                            "{what}: the seeds the day ends on"
+                        );
+                    }
                 }
             }
         }
@@ -505,7 +794,12 @@ fn a_pair_that_crosses_the_screen_shares_then_fits_for_itself() {
     let want = separate_sweeps(&[panel[2].clone(), panel[0].clone()], m);
     for slot in 0..2 {
         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&series[slot]), bits(&want[slot][0]), "{}", PLANE[slot]);
+        assert_eq!(
+            bits(&series[slot]),
+            bits(&want.series[slot][0]),
+            "{}",
+            PLANE[slot]
+        );
     }
 }
 
@@ -540,7 +834,7 @@ fn a_fit_that_does_not_converge_clears_both_seeds_alike() {
         "no evidence reads as 0"
     );
     let want = separate_sweeps(&[x, y], 40);
-    assert_eq!(series[1], want[1][0]);
+    assert_eq!(series[1], want.series[1][0]);
 }
 
 /// One NaN, one +∞ and one −∞ in one stock's series must not panic any

@@ -179,6 +179,26 @@ proptest! {
     }
 
     #[test]
+    fn quadrant_from_sign_words_is_the_sum_of_sign_products(
+        // Whole ticks: most draws tie with each other and with a median.
+        xs in proptest::collection::vec(-3i32..4, 2..300),
+        ys in proptest::collection::vec(-3i32..4, 300..301),
+        med_x in -2i32..3,
+        med_y in -2i32..3,
+    ) {
+        let ticks = |v: &[i32]| -> Vec<f64> { v.iter().map(|&t| f64::from(t) * 2.5e-4).collect() };
+        let (x, y) = (ticks(&xs), ticks(&ys[..xs.len()]));
+        let (med_x, med_y) = (f64::from(med_x) * 2.5e-4, f64::from(med_y) * 2.5e-4);
+        let sgn = |v: f64| f64::from(i8::from(v > 0.0) - i8::from(v < 0.0));
+        let agreement: f64 = (x.iter().zip(&y))
+            .map(|(a, b)| sgn(a - med_x) * sgn(b - med_y))
+            .sum();
+        let want = (std::f64::consts::FRAC_PI_2 * (agreement / x.len() as f64)).sin();
+        let got = stats::quadrant::quadrant_with_medians(&x, &y, med_x, med_y);
+        prop_assert_eq!(got.to_bits(), want.clamp(-1.0, 1.0).to_bits());
+    }
+
+    #[test]
     fn pair_series_matches_per_window_estimates(
         xs in finite_series(30..60),
         m in 5usize..12,
