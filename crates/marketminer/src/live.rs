@@ -1,18 +1,16 @@
-//! Dynamic graph reconfiguration: an epoch-driven sweep session whose
-//! strategy-host set can change while the runtime is live.
+//! Dynamic graph reconfiguration: a sweep session whose strategy-host set
+//! can change while the runtime is live.
 //!
-//! [`LiveSweepSession`] wraps [`crate::runtime::RunSession`] around the
-//! shared-stream sweep graph and drives it in epochs, exactly like a
-//! shard worker — feed a quote slice, quiesce, drain the order sink, the
-//! analytics tap and the lineage ring. Baskets and trade reports leave
-//! the graph as they become final, so every cut drains some; the session
-//! folds them into the day's running output (whole again at
-//! [`finish`](LiveSweepSession::finish)) instead of handing them to the
-//! caller per cut — see [`LiveEpoch::messages`]. Between epochs the host set can be
-//! **reconfigured**: [`attach`](LiveSweepSession::attach) adds a new
-//! [`StrategySpec`] (and, if its `(Ctype, M)` stream is new, a new
-//! correlation engine), [`detach`](LiveSweepSession::detach) removes one
-//! (and any engine left without consumers).
+//! [`LiveSweepSession`] is a `pipeline::SweepSession` (which owns feeding an
+//! epoch and draining its cut) plus two things. It **folds**: baskets and
+//! trade reports leave the graph as they become final, so every cut
+//! drains some, and the session keeps them in the day's running output
+//! (whole again at [`finish`](LiveSweepSession::finish)) instead of
+//! handing them to the caller per cut — see [`LiveEpoch::messages`]. And
+//! between epochs it **reconfigures**: [`attach`](LiveSweepSession::attach)
+//! adds a new [`StrategySpec`] (and, if its `(Ctype, M)` stream is new, a
+//! new correlation engine), [`detach`](LiveSweepSession::detach) removes
+//! one (and any engine left without consumers).
 //!
 //! ## How reconfiguration preserves determinism
 //!
@@ -22,7 +20,7 @@
 //! ([`SessionCkpt`]) — a deterministic function of the fed quote prefix,
 //! independent of worker count. Reconfiguration then:
 //!
-//! 1. captures the quiescent session ([`RunSession::capture`]);
+//! 1. captures the quiescent session (`SweepSession::capture`);
 //! 2. builds a **new** graph over the new host set (same builder as a
 //!    static graph — node topology is never surgically mutated);
 //! 3. opens a fresh session on it and restores state **by node name**:
@@ -58,11 +56,10 @@ use taq::quote::Quote;
 use telemetry::lineage::LineageEvent;
 use telemetry::TelemetryReport;
 
-use crate::components::ReplayCollector;
-use crate::graph::{GraphError, NodeId};
-use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
-use crate::pipeline::{build_sweep_graph_tapped, SinkOutput, SweepConfig, SweepGraphParts};
-use crate::runtime::{NodeCkpt, RunSession, Runtime, RuntimeConfig, SessionCkpt};
+use crate::graph::GraphError;
+use crate::messages::{Basket, CorrSnapshot, HealthEvent, Message};
+use crate::pipeline::{SinkOutput, SweepConfig, SweepSession};
+use crate::runtime::{NodeCkpt, Runtime, RuntimeConfig, SessionCkpt};
 use crate::supervisor::NodeFailure;
 
 /// What one fed epoch produced, drained at the quiescent cut.
@@ -118,27 +115,13 @@ pub struct LiveSweepSession {
     active: Vec<usize>,
     /// How to build each incarnation's runtime identically.
     rt_config: RuntimeConfig,
-    session: Option<RunSession>,
-    src: NodeId,
-    sink: NodeId,
-    tap: NodeId,
-    /// Stream id consumed by each active slot (aligned with `active`).
-    streams: Vec<usize>,
+    /// The current incarnation.
+    session: SweepSession,
     epoch: u64,
     /// Reconfigurations performed so far.
     reconfigs: u64,
     /// Baskets and trade reports drained at the cuts so far.
     day: SinkOutput,
-}
-
-fn zero_ckpt() -> NodeCkpt {
-    NodeCkpt {
-        state: None,
-        processed: 0,
-        received: 0,
-        sent: 0,
-        next_out: 0,
-    }
 }
 
 impl LiveSweepSession {
@@ -151,44 +134,26 @@ impl LiveSweepSession {
             GraphError::Config(telemetry::ConfigError::invalid("sweep config", e.0))
         })?;
         let active: Vec<usize> = (0..cfg.specs.len()).collect();
-        // Placeholder ids; `open_session` overwrites them before use.
-        let unset = NodeId(usize::MAX);
-        let mut live = LiveSweepSession {
+        Ok(LiveSweepSession {
+            session: Self::open_session(&cfg, &active, rt_config, None)?,
             cfg,
             active,
             rt_config,
-            session: None,
-            src: unset,
-            sink: unset,
-            tap: unset,
-            streams: Vec::new(),
             epoch: 0,
             reconfigs: 0,
             day: SinkOutput::default(),
-        };
-        live.open_session(None)?;
-        Ok(live)
+        })
     }
 
-    /// Build a fresh graph over the current `active` set, open a session
-    /// on it, and (when reconfiguring) restore `prior` state by name.
+    /// Build a fresh graph over the `active` set, open a session on it,
+    /// and (when reconfiguring) restore `prior` state by name.
     fn open_session(
-        &mut self,
+        cfg: &SweepConfig,
+        active: &[usize],
+        rt_config: RuntimeConfig,
         prior: Option<(Vec<String>, SessionCkpt)>,
-    ) -> Result<(), GraphError> {
-        let placeholder = taq::dataset::DayData::new(0, Vec::new(), self.cfg.n_stocks, Vec::new());
-        let SweepGraphParts {
-            graph,
-            sink,
-            streams,
-            tap,
-        } = build_sweep_graph_tapped(
-            Box::new(ReplayCollector::new(placeholder)),
-            &self.cfg,
-            &self.active,
-            true,
-        );
-        let session = Runtime::with_config(self.rt_config).session(graph)?;
+    ) -> Result<SweepSession, GraphError> {
+        let session = SweepSession::open(Runtime::with_config(rt_config), cfg, active, 0, true)?;
         if let Some((old_names, ckpt)) = prior {
             let by_name: HashMap<&str, &NodeCkpt> = old_names
                 .iter()
@@ -200,10 +165,9 @@ impl LiveSweepSession {
                 .iter()
                 .enumerate()
                 .map(|(idx, name)| {
-                    let mut node = by_name
-                        .get(name.as_str())
-                        .map(|n| (*n).clone())
-                        .unwrap_or_else(zero_ckpt);
+                    // A node new to the graph starts cold.
+                    let mut node = (by_name.get(name.as_str()))
+                        .map_or_else(NodeCkpt::default, |n| (*n).clone());
                     // Never mint an event id a previous occupant of this
                     // node index already used.
                     if let Some(old) = ckpt.nodes.get(idx) {
@@ -216,33 +180,23 @@ impl LiveSweepSession {
                 .restore(&SessionCkpt { nodes })
                 .map_err(|e| GraphError::Io(format!("live restore: {e}")))?;
         }
-        self.src = session.source_ids()[0];
-        self.sink = sink;
-        self.tap = tap.expect("live graph always carries the analytics tap");
-        self.streams = streams;
-        self.session = Some(session);
-        Ok(())
+        Ok(session)
     }
 
     /// The quiescent capture/rebuild/restore cut shared by attach and
     /// detach. The session must be between epochs (it always is: `&mut
     /// self` serialises callers against `feed_epoch`).
     fn reconfigure(&mut self, active: Vec<usize>) -> Result<(), GraphError> {
-        let session = self.session.take().expect("live session open");
-        session.quiesce();
-        // `feed_epoch` drained the sinks at the last cut; anything that
-        // trickled in since (it cannot — nothing was fed) would fail
-        // capture loudly rather than vanish.
-        let ckpt = session
-            .capture()
-            .map_err(|e| GraphError::Io(format!("live capture: {e}")))?;
-        let old_names = session.node_names();
-        drop(session); // shuts the old incarnation's pool down
-        let prev_active = std::mem::replace(&mut self.active, active);
-        if let Err(e) = self.open_session(Some((old_names, ckpt))) {
-            self.active = prev_active;
-            return Err(e);
-        }
+        // `feed_epoch` left the graph quiescent and drained at the last
+        // cut; anything that trickled in since (it cannot — nothing was
+        // fed) would fail capture loudly rather than vanish.
+        let ckpt =
+            (self.session.capture()).map_err(|e| GraphError::Io(format!("live capture: {e}")))?;
+        let prior = Some((self.session.node_names(), ckpt));
+        // Replacing the session shuts the old incarnation's pool down; a
+        // refused rebuild leaves it running as it was.
+        self.session = Self::open_session(&self.cfg, &active, self.rt_config, prior)?;
+        self.active = active;
         self.reconfigs += 1;
         Ok(())
     }
@@ -299,32 +253,19 @@ impl LiveSweepSession {
 
     /// Feed one epoch of quotes, quiesce, and drain the cut.
     pub fn feed_epoch(&mut self, quotes: &[Quote]) -> LiveEpoch {
-        let session = self.session.as_ref().expect("live session open");
-        for &q in quotes {
-            session.feed(self.src, Message::Quote(q, Cause::none()));
-        }
-        session.quiesce();
+        let cut = self.session.feed_epoch(quotes);
         let mut messages = Vec::new();
-        for msg in session.drain_sink(self.sink) {
+        for msg in cut.messages {
             match msg {
                 Message::Basket(_) | Message::Trades(_) => self.day.fold(msg),
                 other => messages.push(other),
             }
         }
-        let snapshots = session
-            .drain_sink(self.tap)
-            .into_iter()
-            .filter_map(|m| match m {
-                Message::Corr(snap) => Some(snap),
-                _ => None,
-            })
-            .collect();
-        let lineage = session.drain_lineage();
         let out = LiveEpoch {
             epoch: self.epoch,
             messages,
-            snapshots,
-            lineage,
+            snapshots: cut.snapshots,
+            lineage: cut.lineage,
         };
         self.epoch += 1;
         out
@@ -350,8 +291,7 @@ impl LiveSweepSession {
     /// (stream ids are re-derived per incarnation).
     pub fn stream_keys(&self) -> Vec<(stats::correlation::CorrType, usize)> {
         let mut keys: Vec<(stats::correlation::CorrType, usize)> = Vec::new();
-        for (slot, &k) in self.active.iter().enumerate() {
-            let j = self.streams[slot];
+        for (&j, &k) in self.session.streams.iter().zip(&self.active) {
             if j >= keys.len() {
                 keys.resize(j + 1, self.cfg.specs[k].stream_key());
             }
@@ -364,15 +304,12 @@ impl LiveSweepSession {
     /// `TelemetryLevel::Off`) — the serving layer reads live registry
     /// snapshots and lineage-ring drop counts through this handle.
     pub fn telemetry(&self) -> Option<Arc<telemetry::Telemetry>> {
-        self.session.as_ref().and_then(|s| s.telemetry())
+        self.session.telemetry()
     }
 
     /// Node names of the current incarnation, in node-id order.
     pub fn node_names(&self) -> Vec<String> {
-        self.session
-            .as_ref()
-            .expect("live session open")
-            .node_names()
+        self.session.node_names()
     }
 
     /// Epochs fed so far.
@@ -388,12 +325,11 @@ impl LiveSweepSession {
     /// End the day: propagate EOF, fold the final flush (end-of-day
     /// closes, last baskets) into what the cuts drained, and collect the
     /// final incarnation's telemetry.
-    pub fn finish(mut self) -> LiveOutput {
-        let session = self.session.take().expect("live session open");
-        let node_names = session.node_names();
-        let mut out = session.finish();
-        let mut day = std::mem::take(&mut self.day);
-        for msg in out.take_sink(self.sink) {
+    pub fn finish(self) -> LiveOutput {
+        let node_names = self.session.node_names();
+        let (cut, out) = self.session.finish();
+        let mut day = self.day;
+        for msg in cut.messages {
             day.fold(msg);
         }
         let SinkOutput {
@@ -401,18 +337,13 @@ impl LiveSweepSession {
             baskets,
             health_events,
         } = day.finish(self.cfg.specs.len());
-        let lineage = out
-            .telemetry
-            .as_ref()
-            .map(|t| t.lineage.clone())
-            .unwrap_or_default();
         LiveOutput {
             trades_per_param,
             baskets,
             health_events,
-            lineage,
+            lineage: cut.lineage,
             node_names,
-            failures: std::mem::take(&mut out.failures),
+            failures: out.failures,
             telemetry: out.telemetry,
         }
     }
@@ -422,28 +353,10 @@ impl LiveSweepSession {
 mod tests {
     use super::*;
     use crate::pipeline::run_sweep_pipeline;
+    use crate::pipeline::tests::{fast_params, small_day};
     use pairtrade_core::params::StrategyParams;
     use stats::correlation::CorrType;
-    use taq::generator::{MarketConfig, MarketGenerator};
     use telemetry::TelemetryLevel;
-
-    fn fast_params() -> StrategyParams {
-        StrategyParams {
-            dt_seconds: 30,
-            ctype: CorrType::Pearson,
-            corr_window: 20,
-            avg_window: 10,
-            div_window: 5,
-            divergence: 0.0005,
-            ..StrategyParams::paper_default()
-        }
-    }
-
-    fn small_day(seed: u64) -> (taq::dataset::DayData, usize) {
-        let mut cfg = MarketConfig::small(4, 1, seed);
-        cfg.micro.quote_rate_hz = 0.05;
-        (MarketGenerator::new(cfg).next_day().unwrap(), 4)
-    }
 
     fn rt(workers: usize) -> RuntimeConfig {
         RuntimeConfig {
@@ -453,27 +366,76 @@ mod tests {
         }
     }
 
+    /// One tape, every driver: free-running sources, the sweep session at
+    /// epochs of one quote, 997 quotes and the whole day, and a mid-day
+    /// capture → fresh session → restore all produce the same day and the
+    /// same row of stats for every node, at every pool size.
     #[test]
     fn live_epochs_match_static_run() {
+        use crate::components::{HealthPolicy, ReplayCollector};
+        use crate::pipeline::{run_sweep_pipeline_with, SweepSession};
+
         let (day, n) = small_day(77);
         let p1 = fast_params();
         let p2 = StrategyParams {
             divergence: 0.001,
             ..p1
         };
-        let cfg = SweepConfig::new(n, vec![p1, p2]);
-        let statics = run_sweep_pipeline(day.clone(), &cfg).unwrap();
-
-        let mut live = LiveSweepSession::new(cfg, rt(2)).unwrap();
+        let policy = HealthPolicy {
+            outage_intervals: 3,
+            halt_intervals: 2,
+        };
+        let cfg = SweepConfig::new(n, vec![p1, p2]).with_health(policy);
         let quotes = day.quotes();
-        let mut saw_snapshots = false;
-        for chunk in quotes.chunks(quotes.len().div_ceil(5).max(1)) {
-            let cut = live.feed_epoch(chunk);
-            saw_snapshots |= !cut.snapshots.is_empty();
+        for workers in [1usize, 2, 0] {
+            let runtime = || Runtime::with_config(rt(workers));
+            let source = Box::new(ReplayCollector::new(day.clone()));
+            let statics = run_sweep_pipeline_with(runtime(), source, &cfg).unwrap();
+            assert!(!statics.baskets.is_empty() && !statics.health_events.is_empty());
+            assert_eq!(statics.node_stats[0].messages_out, quotes.len() as u64);
+
+            let drive = |epoch_quotes: usize, restore_after: Option<usize>| {
+                let open = || SweepSession::open(runtime(), &cfg, &[0, 1], day.day, false).unwrap();
+                let mut session = open();
+                let mut got = SinkOutput::default();
+                for (epoch, chunk) in quotes.chunks(epoch_quotes).enumerate() {
+                    session
+                        .feed_epoch(chunk)
+                        .messages
+                        .into_iter()
+                        .for_each(|m| got.fold(m));
+                    if restore_after == Some(epoch) {
+                        let ckpt = session.capture().unwrap();
+                        session = open();
+                        session.restore(&ckpt).unwrap();
+                    }
+                }
+                let (cut, out) = session.finish();
+                cut.messages.into_iter().for_each(|m| got.fold(m));
+                (got.finish(cfg.specs.len()), out.node_stats)
+            };
+            for (epoch_quotes, restore_after) in
+                [(1, None), (997, None), (quotes.len(), None), (997, Some(2))]
+            {
+                let (got, node_stats) = drive(epoch_quotes, restore_after);
+                let what = format!("workers={workers} epoch={epoch_quotes} {restore_after:?}");
+                assert_eq!(got.trades_per_param, statics.trades_per_param, "{what}");
+                assert_eq!(got.baskets, statics.baskets, "{what}");
+                assert_eq!(got.health_events, statics.health_events, "{what}");
+                assert_eq!(node_stats, statics.node_stats, "{what}");
+            }
+
+            let mut live = LiveSweepSession::new(cfg.clone(), rt(workers)).unwrap();
+            let mut saw_snapshots = false;
+            for chunk in quotes.chunks(quotes.len().div_ceil(5).max(1)) {
+                let cut = live.feed_epoch(chunk);
+                saw_snapshots |= !cut.snapshots.is_empty();
+            }
+            let out = live.finish();
+            assert!(saw_snapshots, "the tap must observe correlation streams");
+            assert_eq!(out.trades_per_param, statics.trades_per_param);
+            assert_eq!(out.baskets, statics.baskets);
         }
-        let out = live.finish();
-        assert!(saw_snapshots, "the tap must observe correlation streams");
-        assert_eq!(out.trades_per_param, statics.trades_per_param);
     }
 
     #[test]

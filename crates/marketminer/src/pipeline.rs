@@ -17,6 +17,8 @@ use pairtrade_core::params::{InvalidParams, StrategyParams};
 use pairtrade_core::spec::StrategySpec;
 use pairtrade_core::trade::Trade;
 use taq::dataset::DayData;
+use taq::quote::Quote;
+use telemetry::lineage::LineageEvent;
 use timeseries::clean::CleanConfig;
 
 use crate::components::risk::RiskLimits;
@@ -25,10 +27,10 @@ use crate::components::{
     BarAccumulatorNode, CorrelationEngineNode, HealthPolicy, OrderGatewayNode, ReplayCollector,
     RiskManagerNode, SignalNode, StrategyHostNode,
 };
-use crate::graph::{Graph, GraphError};
-use crate::messages::{Basket, HealthEvent, Message};
+use crate::graph::{Graph, GraphError, NodeId};
+use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
 use crate::node::Source;
-use crate::runtime::Runtime;
+use crate::runtime::{RunOutput, RunSession, Runtime, SessionCkpt};
 use crate::supervisor::{NodeFailure, StallEvent};
 use stats::matrix::SymMatrix;
 use stats::parallel::{plane_slot, same_plane};
@@ -376,23 +378,15 @@ pub(crate) struct SweepGraphParts {
 /// exactly as the full graph would; stream ids are assigned in order of
 /// first appearance among the included sets.
 ///
+/// `tap` adds the analytics tap: an extra sink subscribed to every
+/// correlation engine, so an external driver (the serving layer) can
+/// observe the shared correlation streams. Messages are `Arc`-shared on
+/// fan-out, so tapping changes nothing about what the strategy hosts
+/// see — host outputs stay bit-identical with the tap on or off.
+///
 /// # Panics
 /// Panics if `included` is empty or the selected specs mix `Δs` values.
 pub(crate) fn build_sweep_graph(
-    source: Box<dyn Source>,
-    cfg: &SweepConfig,
-    included: &[usize],
-) -> SweepGraphParts {
-    build_sweep_graph_tapped(source, cfg, included, false)
-}
-
-/// [`build_sweep_graph`] with an optional analytics tap: an extra sink
-/// subscribed to every correlation engine, so an external driver (the
-/// serving layer) can observe the shared correlation streams. Messages
-/// are `Arc`-shared on fan-out, so tapping changes nothing about what
-/// the strategy hosts see — host outputs stay bit-identical with the
-/// tap on or off.
-pub(crate) fn build_sweep_graph_tapped(
     source: Box<dyn Source>,
     cfg: &SweepConfig,
     included: &[usize],
@@ -534,6 +528,120 @@ pub(crate) fn build_sweep_graph_tapped(
     }
 }
 
+/// What one cut of a [`SweepSession`] drained: an epoch's, or the
+/// end-of-day flush (see [`crate::live::LiveEpoch`] for the fields).
+#[derive(Debug)]
+pub(crate) struct SweepCut {
+    /// Everything the order sink collected.
+    pub messages: Vec<Message>,
+    /// The analytics tap's snapshots; none on an untapped graph.
+    pub snapshots: Vec<Arc<CorrSnapshot>>,
+    pub lineage: Vec<LineageEvent>,
+}
+
+/// The sweep graph driven from outside, in epochs: the one place that
+/// knows a placeholder collector stands where the tape is fed in, which
+/// node is the sink and which the tap, and the order of a cut. The live
+/// server folds and reconfigures on top of it, the shard worker uplinks
+/// and checkpoints; both own only what to do *between* cuts.
+pub(crate) struct SweepSession {
+    session: RunSession,
+    src: NodeId,
+    sink: NodeId,
+    tap: Option<NodeId>,
+    /// Stream id consumed by each included parameter set.
+    pub(crate) streams: Vec<usize>,
+}
+
+fn corr_snapshots(tap: Vec<Message>) -> Vec<Arc<CorrSnapshot>> {
+    (tap.into_iter())
+        .filter_map(|m| match m {
+            Message::Corr(snap) => Some(snap),
+            _ => None,
+        })
+        .collect()
+}
+
+impl SweepSession {
+    /// Open `runtime` on the slice `included` of `cfg`'s sweep graph
+    /// (see [`build_sweep_graph`]), with the analytics tap if asked. The
+    /// collector node carries `day`'s name and replays nothing.
+    pub(crate) fn open(
+        runtime: Runtime,
+        cfg: &SweepConfig,
+        included: &[usize],
+        day: u16,
+        tap: bool,
+    ) -> Result<SweepSession, GraphError> {
+        let placeholder = DayData::new(day, Vec::new(), cfg.n_stocks, Vec::new());
+        let parts = build_sweep_graph(
+            Box::new(ReplayCollector::new(placeholder)),
+            cfg,
+            included,
+            tap,
+        );
+        let session = runtime.session(parts.graph)?;
+        Ok(SweepSession {
+            src: session.source_ids()[0],
+            session,
+            sink: parts.sink,
+            tap: parts.tap,
+            streams: parts.streams,
+        })
+    }
+
+    /// Feed one epoch of the tape, wait for the graph to absorb it, and
+    /// drain the cut. The graph is quiescent and its sinks empty on
+    /// return — the only state [`SweepSession::capture`] may be called
+    /// in — and what the cut holds is a function of the fed prefix
+    /// alone, whatever the worker count.
+    pub(crate) fn feed_epoch(&self, quotes: &[Quote]) -> SweepCut {
+        for &q in quotes {
+            self.session
+                .feed(self.src, Message::Quote(q, Cause::none()));
+        }
+        self.session.quiesce();
+        SweepCut {
+            messages: self.session.drain_sink(self.sink),
+            snapshots: corr_snapshots(self.tap.map_or(Vec::new(), |t| self.session.drain_sink(t))),
+            lineage: self.session.drain_lineage(),
+        }
+    }
+
+    /// Every node's durable state at the last cut.
+    pub(crate) fn capture(&self) -> Result<SessionCkpt, &'static str> {
+        self.session.capture()
+    }
+
+    /// Restore a capture of an identically built session; call before
+    /// feeding anything.
+    pub(crate) fn restore(&self, ckpt: &SessionCkpt) -> Result<(), &'static str> {
+        self.session.restore(ckpt)
+    }
+
+    /// Node names in node-id order.
+    pub(crate) fn node_names(&self) -> Vec<String> {
+        self.session.node_names()
+    }
+
+    /// The run's telemetry hub (`None` at `TelemetryLevel::Off`).
+    pub(crate) fn telemetry(&self) -> Option<Arc<telemetry::Telemetry>> {
+        self.session.telemetry()
+    }
+
+    /// End the day: the end-of-day flush as one last cut, and the rest of
+    /// the run's output (stats, ledgers, telemetry) with its sinks taken.
+    pub(crate) fn finish(self) -> (SweepCut, RunOutput) {
+        let mut out = self.session.finish();
+        let cut = SweepCut {
+            messages: out.take_sink(self.sink),
+            snapshots: corr_snapshots(self.tap.map_or(Vec::new(), |t| out.take_sink(t))),
+            lineage: (out.telemetry.as_ref()).map_or(Vec::new(), |t| t.lineage.clone()),
+        };
+        (cut, out)
+    }
+}
+
 /// Build and run the sweep DAG with an explicit runtime (worker count,
 /// supervision) and quote source.
 ///
@@ -553,7 +661,7 @@ pub fn run_sweep_pipeline_with(
         sink,
         streams,
         ..
-    } = build_sweep_graph(source, cfg, &all);
+    } = build_sweep_graph(source, cfg, &all, false);
 
     let mut out = runtime.run(graph)?;
     let SinkOutput {
@@ -574,12 +682,12 @@ pub fn run_sweep_pipeline_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use stats::correlation::CorrType;
     use taq::generator::{MarketConfig, MarketGenerator};
 
-    fn fast_params() -> StrategyParams {
+    pub(crate) fn fast_params() -> StrategyParams {
         StrategyParams {
             dt_seconds: 30,
             ctype: CorrType::Pearson,
@@ -591,7 +699,7 @@ mod tests {
         }
     }
 
-    fn small_day(seed: u64) -> (DayData, usize) {
+    pub(crate) fn small_day(seed: u64) -> (DayData, usize) {
         let mut cfg = MarketConfig::small(4, 1, seed);
         cfg.micro.quote_rate_hz = 0.05;
         let mut g = MarketGenerator::new(cfg);
@@ -754,11 +862,8 @@ mod tests {
         let day = MarketGenerator::new(market).next_day().unwrap();
         let cfg = SweepConfig::paper(n);
         let all: Vec<usize> = (0..cfg.specs.len()).collect();
-        let placeholder = DayData::new(day.day, Vec::new(), n, Vec::new());
-        let SweepGraphParts { graph, sink, .. } =
-            build_sweep_graph(Box::new(ReplayCollector::new(placeholder)), &cfg, &all);
-        let session = Runtime::with_workers(2).session(graph).unwrap();
-        let src = session.source_ids()[0];
+        let session =
+            SweepSession::open(Runtime::with_workers(2), &cfg, &all, day.day, false).unwrap();
         let gateway = (session.node_names().iter())
             .position(|name| name == "order-gateway")
             .expect("the sweep graph has a gateway");
@@ -767,11 +872,7 @@ mod tests {
         let mut delivered = SinkOutput::default();
         let (mut first_warm, mut last) = (None, 0usize);
         for chunk in day.quotes().chunks(1000) {
-            for &q in chunk {
-                session.feed(src, Message::Quote(q, crate::messages::Cause::none()));
-            }
-            session.quiesce();
-            for msg in session.drain_sink(sink) {
+            for msg in session.feed_epoch(chunk).messages {
                 delivered.fold(msg);
             }
             let ckpt = session.capture().unwrap();
@@ -799,7 +900,7 @@ mod tests {
         // whose bar only closes with the stream — and the finished day is
         // the free-running one.
         let early = delivered.baskets.len();
-        for msg in session.finish().take_sink(sink) {
+        for msg in session.finish().0.messages {
             delivered.fold(msg);
         }
         let got = delivered.finish(cfg.specs.len());

@@ -1,0 +1,347 @@
+//! What a run measures and what it hands back: [`RunOutput`], the
+//! per-node [`NodeStats`], and the lock-free telemetry arrays the hot
+//! paths write and the end of the run folds.
+
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use telemetry::lineage::{EventId, LineageEvent};
+use telemetry::metrics::AtomicHistogram;
+use telemetry::trace::TrackId;
+use telemetry::{Probe, Telemetry, TelemetryReport};
+
+use super::exec::Exec;
+use super::scheduler::Scheduler;
+use super::Runtime;
+use crate::graph::NodeId;
+use crate::messages::Message;
+use crate::supervisor::{FailureMode, NodeFailure, StallEvent};
+
+/// How a node's run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum NodeOutcome {
+    /// Processed its whole stream (possibly after supervised restarts).
+    #[default]
+    Completed,
+    /// Panicked past its restart budget; the stream continued without it.
+    Failed,
+    /// Declared wedged by the watchdog and severed from the graph.
+    Wedged,
+}
+
+/// Per-node throughput accounting for a completed run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeStats {
+    /// Node name (as reported by the component/source).
+    pub name: String,
+    /// Messages consumed from the inbox (Eofs excluded).
+    pub messages_in: u64,
+    /// Messages emitted downstream (before fan-out duplication, Eofs and
+    /// replay-suppressed re-emissions excluded).
+    pub messages_out: u64,
+    /// Messages the component received but neither consumed nor forwarded.
+    pub messages_dropped: u64,
+    /// Supervised restarts granted to the node.
+    pub restarts: u32,
+    /// How the node's run ended.
+    pub outcome: NodeOutcome,
+}
+
+/// What the run produced: every sink's collected messages plus per-node
+/// throughput statistics and the supervision ledgers. All three listings
+/// are in canonical order — node-id for stats, `(node, simulated-time)`
+/// for the ledgers — regardless of worker interleaving.
+#[derive(Debug, Default)]
+pub struct RunOutput {
+    sinks: HashMap<usize, Vec<Message>>,
+    /// Per-node stats in node-id order (dense: one entry per graph node).
+    pub node_stats: Vec<NodeStats>,
+    /// Nodes that failed for good, in `(node, at)` order.
+    pub failures: Vec<NodeFailure>,
+    /// Nodes the watchdog severed, in `(node, at)` order.
+    pub stalls: Vec<StallEvent>,
+    /// The run's merged telemetry report (`None` when the level was
+    /// [`telemetry::TelemetryLevel::Off`]).
+    pub telemetry: Option<TelemetryReport>,
+}
+
+impl RunOutput {
+    /// Messages collected by a sink, in arrival order.
+    pub fn sink(&self, id: NodeId) -> &[Message] {
+        self.sinks.get(&id.0).map(|v| v.as_slice()).unwrap_or(&[])
+    }
+
+    /// Take ownership of a sink's messages.
+    pub fn take_sink(&mut self, id: NodeId) -> Vec<Message> {
+        self.sinks.remove(&id.0).unwrap_or_default()
+    }
+
+    /// True when every node completed without failure or stall.
+    pub fn is_clean(&self) -> bool {
+        self.failures.is_empty() && self.stalls.is_empty()
+    }
+
+    /// Render the throughput table (diagnostics).
+    pub fn render_node_stats(&self) -> String {
+        let mut out = String::from(
+            "node                                      msgs in   msgs out    dropped restarts outcome\n",
+        );
+        for s in &self.node_stats {
+            out.push_str(&format!(
+                "{:<40} {:>9} {:>10} {:>10} {:>8} {:?}\n",
+                s.name, s.messages_in, s.messages_out, s.messages_dropped, s.restarts, s.outcome
+            ));
+        }
+        out
+    }
+
+    /// The full end-of-run report as one `String`: the throughput table,
+    /// the supervision ledgers, and — when telemetry was enabled — the
+    /// merged telemetry report (counters, histograms, flight recorder,
+    /// trace summary). Deterministic in structure: every listing is in
+    /// canonical order regardless of worker interleaving.
+    pub fn summary(&self) -> String {
+        let mut out = self.render_node_stats();
+        for f in &self.failures {
+            out.push_str(&format!(
+                "failure: {} (node {}) at sim {}: {}\n",
+                f.name, f.node, f.at, f.error
+            ));
+        }
+        for s in &self.stalls {
+            out.push_str(&format!(
+                "stall: {} (node {}) severed at sim {}\n",
+                s.name, s.node, s.at
+            ));
+        }
+        if let Some(report) = &self.telemetry {
+            out.push('\n');
+            out.push_str(&report.render());
+        }
+        out
+    }
+}
+
+/// Pre-sized lock-free telemetry state the scheduler hot paths write
+/// into, folded into the registry once at the end of the run. Present
+/// only when the level is at least `Counters`, so the `Off` cost at every
+/// site is one `Option` branch on a field that never changes mid-run.
+pub(super) struct RunTelemetry {
+    pub(super) tel: Arc<Telemetry>,
+    /// Timing/span/trace capture is on (level `Full`).
+    pub(super) full: bool,
+    /// Per-node `on_message`/`on_end` latency in nanoseconds (`Full`
+    /// only: it costs two clock reads per message).
+    pub(super) step_latency: Vec<AtomicHistogram>,
+    /// Per-node inbox depth observed at each dequeue (depth includes the
+    /// popped message).
+    pub(super) inbox_depth: Vec<AtomicHistogram>,
+    /// Per-node events consumed per scheduling turn (batch utilisation).
+    pub(super) batch_events: Vec<AtomicHistogram>,
+    /// Run-queue depth left behind by every worker pop.
+    pub(super) queue_depth: AtomicHistogram,
+    /// Turns that ended with the node still runnable (batch exhausted and
+    /// straight back to the queue).
+    pub(super) requeues: AtomicU64,
+    /// Total worker pops (scheduling turns) across the pool.
+    pub(super) turns: AtomicU64,
+    /// Per-node next provenance sequence number: the position of the next
+    /// *created* message in the node's output stream (`Full` only).
+    /// Advances only on non-suppressed, non-severed emissions whose cause
+    /// is still unset, which is what makes event ids bit-identical across
+    /// worker counts and across checkpoint/replay — replayed emissions
+    /// are suppressed before they can reach the stamp.
+    pub(super) next_out: Vec<AtomicU64>,
+    /// Per-consumer-node hop latency (producer stamp → delivery), µs.
+    hop_us: Vec<AtomicHistogram>,
+    /// Cold-path probes, one per node: checkpoint/replay metrics and
+    /// flight events.
+    pub(super) probes: Vec<Probe>,
+    /// Offset added to the local node index when minting [`EventId`]s.
+    /// A shard worker sets this to `rank * NODE_ID_STRIDE` so event ids
+    /// minted by different worker processes occupy disjoint ranges and
+    /// merge into one fleet-wide lineage without collisions.
+    node_base: usize,
+}
+
+impl RunTelemetry {
+    pub(super) fn new(tel: Arc<Telemetry>, names: &[String], node_base: usize) -> RunTelemetry {
+        let n = names.len();
+        let full = tel.is_full();
+        if full {
+            // Name every node track up front so the trace enumerates the
+            // whole graph even if a node never gets a slice.
+            for (idx, name) in names.iter().enumerate() {
+                tel.tracer.name_track(TrackId::node(idx), name.clone());
+            }
+        }
+        let probes = names
+            .iter()
+            .enumerate()
+            .map(|(idx, name)| tel.probe(name.clone(), TrackId::node(idx)))
+            .collect();
+        RunTelemetry {
+            full,
+            step_latency: (0..n).map(|_| AtomicHistogram::default()).collect(),
+            inbox_depth: (0..n).map(|_| AtomicHistogram::default()).collect(),
+            batch_events: (0..n).map(|_| AtomicHistogram::default()).collect(),
+            queue_depth: AtomicHistogram::default(),
+            requeues: AtomicU64::new(0),
+            turns: AtomicU64::new(0),
+            next_out: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            hop_us: (0..n).map(|_| AtomicHistogram::default()).collect(),
+            probes,
+            node_base,
+            tel,
+        }
+    }
+
+    /// Stamp a newly *created* message (unset cause) with the node's next
+    /// `(node, seq)` identity and record its lineage event. Forwarded
+    /// messages — risk pass-throughs, health ride-alongs — arrive with
+    /// their cause already set and keep their creator's identity: the
+    /// lineage ring tracks data items, the trace's flow events track hops.
+    /// Called only at `Full`, under the emitting node's body lock (or on
+    /// the source's one feeder thread), so `next_out[idx]` is
+    /// single-writer.
+    pub(super) fn stamp(&self, idx: usize, msg: &mut Message) {
+        match msg.cause() {
+            Some(c) if !c.id.is_set() => {}
+            _ => return,
+        }
+        let kind = msg.kind();
+        let interval = msg.interval();
+        let detail = msg.lineage_detail();
+        let seq = self.next_out[idx].fetch_add(1, Ordering::Relaxed);
+        let wall = self.tel.now_us();
+        let cause = msg.cause_mut().expect("cause presence checked above");
+        cause.id = EventId::new(self.node_base + idx, seq);
+        cause.wall_us = wall;
+        self.tel.lineage.record(LineageEvent {
+            id: cause.id,
+            kind,
+            interval,
+            wall_us: wall,
+            parents: cause.parents.clone(),
+            detail,
+        });
+    }
+
+    /// Record delivery of a message at consumer `idx`: the hop latency
+    /// into `hop.us`, plus a Chrome flow event binding the producer's
+    /// stamp to this delivery. Quotes get neither and order batches get
+    /// no flow arrow — a per-tick and a per-host-per-interval firehose
+    /// would crowd the bounded tracer and drown the Perfetto view; their
+    /// provenance still lives in the lineage ring, and batch hop latency
+    /// still lands in the histogram.
+    pub(super) fn note_delivery(&self, idx: usize, msg: &Message) {
+        if matches!(msg, Message::Quote(..)) {
+            return;
+        }
+        let Some(c) = msg.cause() else { return };
+        if !c.id.is_set() {
+            return;
+        }
+        let now = self.tel.now_us();
+        self.hop_us[idx].observe(now.saturating_sub(c.wall_us));
+        if matches!(msg, Message::Orders(..)) {
+            return;
+        }
+        self.tel.tracer.flow(
+            msg.kind(),
+            TrackId::node(c.id.node()),
+            c.wall_us,
+            TrackId::node(idx),
+            now,
+        );
+    }
+
+    /// Fold every hot-path array into the sharded registry (end of run,
+    /// single-threaded): per-node histograms under the node's label,
+    /// scheduler-wide series under `scheduler`, per-edge park counts as
+    /// `parks[from -> to]` counters.
+    fn fold(&self, names: &[String], sched: &Scheduler) {
+        for (idx, name) in names.iter().enumerate() {
+            let b = self.tel.registry.bucket(name.clone());
+            b.merge_histogram("inbox.depth", &self.inbox_depth[idx].snapshot());
+            b.merge_histogram("batch.events", &self.batch_events[idx].snapshot());
+            b.merge_histogram("step.ns", &self.step_latency[idx].snapshot());
+            b.merge_histogram("hop.us", &self.hop_us[idx].snapshot());
+        }
+        let s = self.tel.registry.bucket("scheduler");
+        s.merge_histogram("run_queue.depth", &self.queue_depth.snapshot());
+        s.count("turns", self.turns.load(Ordering::Relaxed));
+        s.count("requeues", self.requeues.load(Ordering::Relaxed));
+        for (from, parks) in sched.parks.iter().flatten().enumerate() {
+            for (&to, parked) in sched.succs[from].iter().zip(parks) {
+                s.count(
+                    format!("parks[{} -> {}]", names[from], names[to]),
+                    parked.load(Ordering::Relaxed),
+                );
+            }
+        }
+    }
+}
+
+/// Assemble the [`RunOutput`] after the graph has drained and every
+/// run thread has been joined.
+pub(super) fn assemble_output(runtime: &Runtime, exec: &Exec) -> RunOutput {
+    let mut output = RunOutput {
+        sinks: std::mem::take(&mut *exec.results.lock().expect("sink results")),
+        node_stats: std::mem::take(&mut *exec.stats.lock().expect("stats slots"))
+            .into_iter()
+            .flatten()
+            .collect(),
+        ..RunOutput::default()
+    };
+    let (failures, stalls) = exec.supervisor.take_ledgers();
+    output.failures = failures;
+    output.stalls = stalls;
+
+    output.telemetry = exec.rt.as_ref().map(|rt| {
+        rt.fold(&exec.names, &exec.sched);
+        let mut report = rt.tel.finish();
+        if rt.full {
+            let path = runtime
+                .trace_path
+                .clone()
+                .or_else(|| telemetry::trace_path_from_env().map(PathBuf::from));
+            if let Some(path) = path {
+                match std::fs::write(&path, rt.tel.tracer.export()) {
+                    Ok(()) => report.trace_path = Some(path.display().to_string()),
+                    Err(e) => {
+                        eprintln!("telemetry: failed to write trace {}: {e}", path.display())
+                    }
+                }
+            }
+            let lineage_path = runtime
+                .lineage_path
+                .clone()
+                .or_else(|| telemetry::lineage_path_from_env().map(PathBuf::from));
+            if let Some(path) = lineage_path {
+                let json = telemetry::lineage::export(
+                    &report.lineage,
+                    report.lineage_dropped,
+                    &exec.names,
+                );
+                match std::fs::write(&path, json) {
+                    Ok(()) => report.lineage_path = Some(path.display().to_string()),
+                    Err(e) => {
+                        eprintln!("telemetry: failed to write lineage {}: {e}", path.display())
+                    }
+                }
+            }
+        }
+        report
+    });
+
+    if runtime.supervision.failure_mode == FailureMode::AbortRun {
+        let payload = exec.panic_slot.lock().expect("panic slot").take();
+        if let Some(payload) = payload {
+            std::panic::resume_unwind(payload);
+        }
+    }
+    output
+}

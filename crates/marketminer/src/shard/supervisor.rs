@@ -48,7 +48,7 @@ use super::frame::Frame;
 use super::placement::placement;
 use super::transport::{Endpoint, Listener};
 use super::worker::ShardJob;
-use super::{ShardConfig, JOB_FILE, NODE_STRIDE, SHARDS_ENV, TAPE_FILE};
+use super::{ShardConfig, JOB_FILE, NODE_STRIDE, TAPE_FILE};
 use crate::components::order_gateway::basket_of;
 use crate::graph::GraphError;
 use crate::messages::{Basket, HealthEvent, OrderRequest};
@@ -175,11 +175,8 @@ pub struct ShardRunner {
     chaos: Vec<(usize, u64)>,
 }
 
-fn cfg_err(value: String) -> GraphError {
-    GraphError::Config(telemetry::ConfigError::InvalidEnv {
-        var: SHARDS_ENV,
-        value,
-    })
+fn cfg_err(reason: String) -> GraphError {
+    GraphError::Config(telemetry::ConfigError::invalid("shard config", reason))
 }
 
 fn io_err(e: impl std::fmt::Display) -> GraphError {

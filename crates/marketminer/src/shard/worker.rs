@@ -3,31 +3,24 @@
 //!
 //! A worker owns the parameter sets [`placement`] gives its rank — whole
 //! correlation engines with the hosts on them, global indices preserved
-//! so trade attribution is fleet-wide. It rebuilds its slice of the
-//! shared-stream sweep graph from the job spec the supervisor wrote to
-//! disk, replays the shared quote tape in epochs of `epoch_quotes`, and
-//! at every epoch boundary:
+//! so trade attribution is fleet-wide. It rebuilds its slice of the sweep
+//! graph from the job spec the supervisor wrote to disk and replays the
+//! shared quote tape through a `pipeline::SweepSession`, which owns the
+//! cut. What the worker adds at every epoch boundary is the uplink — the
+//! cut as a seq-numbered [`Frame::Results`] (`seq == epoch`), suppressed
+//! below `resume_seq` after a respawn — and the checkpoint: every node's
+//! durable state ([`SessionCkpt`]) saved atomically ([`CheckpointStore`]),
+//! its write cost reported in a [`Frame::CkptDone`].
 //!
-//! 1. quiesces the graph (the epoch cut is then a deterministic function
-//!    of the fed prefix — independent of worker threads and scheduling);
-//! 2. drains the sink and lineage ring into a seq-numbered
-//!    [`Frame::Results`] (`seq == epoch`), suppressed below `resume_seq`
-//!    after a respawn — determinism makes a replayed epoch regenerate
-//!    byte-identical frames, so suppression is exactly-once;
-//! 3. captures every node's durable state ([`SessionCkpt`]) and saves it
-//!    atomically ([`CheckpointStore`]), reporting the write cost in a
-//!    [`Frame::CkptDone`].
-//!
-//! Baskets and trade reports leave the graph as they become final, so
-//! each epoch's `Results` frame carries that epoch's, and a checkpoint
-//! holds what a restart needs — engine windows, signal planes, open
-//! positions — not the day so far. What is left at
-//! [`RunSession::finish`] — the last interval's basket and the
-//! end-of-day closes — rides out in one final `Results` frame
-//! (`seq == n_epochs`) before [`Frame::Done`]. A worker killed anywhere
-//! in this cycle restores the newest valid checkpoint on respawn and
-//! regenerates exactly the frames the supervisor has not yet accepted —
-//! however many epochs back that checkpoint is.
+//! Baskets and trade reports leave the graph as they become final, so a
+//! checkpoint holds what a restart needs — engine windows, signal planes,
+//! open positions — not the day so far. The session's last cut — the
+//! last interval's basket and the end-of-day closes — rides out in one
+//! final `Results` frame (`seq == n_epochs`) before [`Frame::Done`]. A
+//! worker killed anywhere in this cycle restores the newest valid
+//! checkpoint on respawn and regenerates exactly the frames the
+//! supervisor has not yet accepted — however many epochs back that
+//! checkpoint is.
 
 use std::io;
 use std::path::PathBuf;
@@ -39,6 +32,7 @@ use std::time::{Duration, Instant};
 use pairtrade_core::ckpt::{CheckpointStore, CkptError};
 use taq::dataset::DayData;
 use telemetry::metrics::MetricsSnapshot;
+use telemetry::recorder::FlightEvent;
 use telemetry::TelemetryLevel;
 
 use super::frame::Frame;
@@ -46,10 +40,9 @@ use super::placement::placement;
 use super::transport::{connect_with_backoff, Endpoint, FramedConn};
 use super::{JOB_FILE, NODE_STRIDE, TAPE_FILE};
 use crate::components::risk::RiskLimits;
-use crate::components::{HealthPolicy, ReplayCollector};
-use crate::messages::{Cause, Message};
-use crate::pipeline::{build_sweep_graph, SweepConfig, SweepGraphParts};
-use crate::runtime::{RunSession, Runtime, SessionCkpt};
+use crate::components::HealthPolicy;
+use crate::pipeline::{SweepConfig, SweepCut, SweepSession};
+use crate::runtime::{Runtime, SessionCkpt};
 
 /// The serialized sweep job a worker process reconstructs its slice
 /// from — everything [`SweepConfig`] carries, in wire form. The quote
@@ -334,24 +327,14 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     let (recovered, mut corrupt) = recover_session(&store);
 
     // --- The graph slice ------------------------------------------------
-    // The source node exists for topology; a session feeds the tape
-    // through it from the outside, so the collector itself replays
-    // nothing.
-    let open_session = || -> io::Result<(RunSession, crate::graph::NodeId)> {
-        let placeholder = DayData::new(day.day, Vec::new(), job.n_stocks, Vec::new());
-        let SweepGraphParts { graph, sink, .. } = build_sweep_graph(
-            Box::new(ReplayCollector::new(placeholder)),
-            &sweep,
-            &included,
-        );
-        let session = Runtime::new()
+    let open_session = || {
+        let runtime = Runtime::new()
             .with_telemetry(args.telemetry)
-            .with_node_base(args.rank * NODE_STRIDE)
-            .session(graph)
-            .map_err(|e| bad_data(e.to_string()))?;
-        Ok((session, sink))
+            .with_node_base(args.rank * NODE_STRIDE);
+        SweepSession::open(runtime, &sweep, &included, day.day, false)
+            .map_err(|e| bad_data(e.to_string()))
     };
-    let (mut session, sink) = open_session()?;
+    let mut session = open_session()?;
     let resume_epoch = match &recovered {
         Some((epoch, ckpt)) => match session.restore(ckpt) {
             Ok(()) => epoch + 1,
@@ -360,20 +343,12 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
             // have touched some nodes already. Start over, cold.
             Err(why) => {
                 corrupt.push(format!("ckpt-{epoch:010}.bin: {why}"));
-                session = open_session()?.0;
+                session = open_session()?;
                 0
             }
         },
         None => 0,
     };
-    let src = session.source_ids()[0];
-    // Observability uplink state: per-epoch registry deltas against the
-    // previous quiescent snapshot. The hub outlives `session.finish()`
-    // (it is an `Arc`), so the post-finish remainder — the folded hot
-    // arrays, most importantly every node's `step.ns` histogram — rides
-    // out in one final delta at seq `n_epochs`.
-    let tel_hub = session.telemetry();
-    let mut tel_prev = MetricsSnapshot::default();
 
     // --- Control socket -------------------------------------------------
     let conn = connect_with_backoff(
@@ -396,6 +371,47 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     let hb_epoch = Arc::new(AtomicU64::new(resume_epoch));
     let _beacon = Beacon::start(Arc::clone(&uplink), Arc::clone(&hb_epoch), args.heartbeat);
 
+    // One result `seq` on the wire: the observability delta since the
+    // previous cut (registry delta, trace records, `flights`), then the
+    // cut itself. The delta is always *computed* (so the snapshot cursor
+    // and the drained rings stay aligned with epoch boundaries on a
+    // respawned incarnation replaying suppressed epochs), but both are
+    // *sent* only at or above `resume_seq`: a cut is a function of the
+    // fed prefix, so a replayed epoch regenerates byte-identical frames,
+    // and the supervisor keeps the latest `Telemetry` per `(rank, seq)`
+    // slot, so a re-sent delta overwrites rather than double-counts.
+    // `Telemetry` goes first so a kill between the two leaves
+    // `resume_seq` low enough to re-send both. The hub is an `Arc`: it
+    // outlives the session.
+    let tel_hub = session.telemetry();
+    let mut tel_prev = MetricsSnapshot::default();
+    let mut uplink_cut = |seq: u64, flights: Vec<FlightEvent>, cut: SweepCut| -> io::Result<()> {
+        if let Some(tel) = &tel_hub {
+            let snap = tel.registry.snapshot();
+            let metrics = snap.delta_since(&tel_prev);
+            tel_prev = snap;
+            let trace = tel.tracer.drain_records();
+            let silent = metrics.is_empty() && flights.is_empty() && trace.is_empty();
+            if seq >= args.resume_seq && !silent {
+                uplink.send(&Frame::Telemetry {
+                    seq,
+                    metrics,
+                    flights,
+                    trace,
+                })?;
+            }
+        }
+        if seq >= args.resume_seq {
+            uplink.send(&Frame::Results {
+                seq,
+                epoch: seq,
+                messages: cut.messages,
+                lineage: cut.lineage,
+            })?;
+        }
+        Ok(())
+    };
+
     // --- Epoch loop -----------------------------------------------------
     let quotes = day.quotes();
     let epoch_quotes = args.epoch_quotes.max(1);
@@ -403,48 +419,11 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     for epoch in resume_epoch..n_epochs {
         let lo = (epoch as usize) * epoch_quotes;
         let hi = (lo + epoch_quotes).min(quotes.len());
-        for &q in &quotes[lo..hi] {
-            session.feed(src, Message::Quote(q, Cause::none()));
-        }
-        session.quiesce();
-        // Telemetry delta for this epoch: always *computed* (so the
-        // previous-snapshot cursor and the drained rings stay aligned
-        // with epoch boundaries on a respawned incarnation replaying
-        // suppressed epochs), but only *sent* at or above
-        // `resume_seq` — the supervisor keeps the latest frame per
-        // `(rank, seq)` slot, so a re-sent delta overwrites rather
-        // than double-counts. Sent before `Results` so a kill between
-        // the two leaves `resume_seq` low enough to re-send both.
-        if let Some(tel) = &tel_hub {
-            let snap = tel.registry.snapshot();
-            let metrics = snap.delta_since(&tel_prev);
-            tel_prev = snap;
-            let flights = tel.recorder.drain();
-            let trace = tel.tracer.drain_records();
-            if epoch >= args.resume_seq
-                && !(metrics.is_empty() && flights.is_empty() && trace.is_empty())
-            {
-                uplink.send(&Frame::Telemetry {
-                    seq: epoch,
-                    metrics,
-                    flights,
-                    trace,
-                })?;
-            }
-        }
-        let messages = session.drain_sink(sink);
-        let lineage = session.drain_lineage();
-        if epoch >= args.resume_seq {
-            uplink.send(&Frame::Results {
-                seq: epoch,
-                epoch,
-                messages,
-                lineage,
-            })?;
-        }
-        // Deliver-then-save: a kill between the two replays the epoch
-        // and regenerates a byte-identical frame, which `resume_seq`
-        // suppresses — exactly-once either way.
+        let cut = session.feed_epoch(&quotes[lo..hi]);
+        let flights = tel_hub.as_ref().map_or(Vec::new(), |t| t.recorder.drain());
+        uplink_cut(epoch, flights, cut)?;
+        // Deliver-then-save: a kill between the two replays the epoch,
+        // and `resume_seq` suppresses the frame — exactly-once either way.
         let t0 = Instant::now();
         let ckpt = session.capture().map_err(bad_data)?;
         let t1 = Instant::now();
@@ -466,43 +445,16 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     }
 
     // --- End-of-day flush -----------------------------------------------
-    let mut out = session.finish();
-    if n_epochs >= args.resume_seq {
-        // Final observability delta: `finish()` folded the scheduler's
-        // hot arrays (per-node `step.ns` etc.) into the registry and
-        // drained the flight ring into the report, so this frame carries
-        // everything the per-epoch deltas could not see.
-        if let Some(tel) = &tel_hub {
-            let snap = tel.registry.snapshot();
-            let metrics = snap.delta_since(&tel_prev);
-            let flights = out
-                .telemetry
-                .as_ref()
-                .map(|t| t.flight.clone())
-                .unwrap_or_default();
-            let trace = tel.tracer.drain_records();
-            if !(metrics.is_empty() && flights.is_empty() && trace.is_empty()) {
-                uplink.send(&Frame::Telemetry {
-                    seq: n_epochs,
-                    metrics,
-                    flights,
-                    trace,
-                })?;
-            }
-        }
-        let messages = out.take_sink(sink);
-        let lineage = out
-            .telemetry
-            .as_ref()
-            .map(|t| t.lineage.clone())
-            .unwrap_or_default();
-        uplink.send(&Frame::Results {
-            seq: n_epochs,
-            epoch: n_epochs,
-            messages,
-            lineage,
-        })?;
-    }
+    // Finishing folded the scheduler's hot arrays (per-node `step.ns`
+    // etc.) into the registry and drained the flight ring into the
+    // report, so the last delta carries everything the per-epoch ones
+    // could not see.
+    let (cut, out) = session.finish();
+    uplink_cut(
+        n_epochs,
+        out.telemetry.map_or(Vec::new(), |t| t.flight),
+        cut,
+    )?;
     uplink.send(&Frame::Done {
         final_seq: n_epochs + 1,
     })

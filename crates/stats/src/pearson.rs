@@ -231,159 +231,6 @@ impl CorrelationMeasure for PearsonEstimator {
     }
 }
 
-/// Sliding-window Pearson over a fixed window of `M` paired observations.
-///
-/// `push` is O(1); `correlation()` reads the current window estimate.
-///
-/// Unlike the all-pairs kernels (which see log returns, already centred
-/// near zero), this estimator may be fed raw price levels, where the
-/// `Σx² - (Σx)²/n` identity cancels catastrophically: at a 1e8 level the
-/// squared sums live near 1e16, one ulp of which is 2.0. All five running
-/// sums are therefore kept over *anchor-shifted* values (`x - ax`,
-/// `y - ay`, anchors pinned at the first observation and re-pinned at every
-/// refresh) — covariance and variances are shift-invariant, so the
-/// correlation is unchanged while the arithmetic happens at noise scale.
-/// Sums are additionally refreshed from the retained window every
-/// [`REFRESH_EVERY`] pushes to bound eviction-churn drift.
-#[derive(Debug, Clone)]
-pub struct SlidingPearson {
-    m: usize,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    head: usize,
-    len: usize,
-    /// Anchors; all sums are over `(x - ax, y - ay)`.
-    ax: f64,
-    ay: f64,
-    sum_x: f64,
-    sum_y: f64,
-    sum_xx: f64,
-    sum_yy: f64,
-    sum_xy: f64,
-    pushes_since_refresh: usize,
-}
-
-impl SlidingPearson {
-    /// Create a sliding estimator over windows of `m` observations.
-    ///
-    /// # Panics
-    /// Panics if `m < 2` (a correlation needs at least two points).
-    pub fn new(m: usize) -> Self {
-        assert!(m >= 2, "sliding window must hold at least 2 observations");
-        SlidingPearson {
-            m,
-            xs: vec![0.0; m],
-            ys: vec![0.0; m],
-            head: 0,
-            len: 0,
-            ax: 0.0,
-            ay: 0.0,
-            sum_x: 0.0,
-            sum_y: 0.0,
-            sum_xx: 0.0,
-            sum_yy: 0.0,
-            sum_xy: 0.0,
-            pushes_since_refresh: 0,
-        }
-    }
-
-    /// Window size `M`.
-    pub fn window(&self) -> usize {
-        self.m
-    }
-
-    /// Number of paired observations currently held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no observations are held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True once a full window of `M` observations is held.
-    pub fn is_full(&self) -> bool {
-        self.len == self.m
-    }
-
-    /// Push a paired observation, evicting the oldest when full.
-    pub fn push(&mut self, x: f64, y: f64) {
-        if self.len == 0 {
-            self.ax = x;
-            self.ay = y;
-        }
-        if self.len == self.m {
-            let ox = self.xs[self.head] - self.ax;
-            let oy = self.ys[self.head] - self.ay;
-            self.sum_x -= ox;
-            self.sum_y -= oy;
-            self.sum_xx -= ox * ox;
-            self.sum_yy -= oy * oy;
-            self.sum_xy -= ox * oy;
-        } else {
-            self.len += 1;
-        }
-        self.xs[self.head] = x;
-        self.ys[self.head] = y;
-        self.head = (self.head + 1) % self.m;
-        let dx = x - self.ax;
-        let dy = y - self.ay;
-        self.sum_x += dx;
-        self.sum_y += dy;
-        self.sum_xx += dx * dx;
-        self.sum_yy += dy * dy;
-        self.sum_xy += dx * dy;
-
-        self.pushes_since_refresh += 1;
-        if self.pushes_since_refresh >= REFRESH_EVERY {
-            self.refresh();
-        }
-    }
-
-    fn refresh(&mut self) {
-        self.pushes_since_refresh = 0;
-        let start = (self.head + self.m - self.len) % self.m;
-        // Re-pin the anchors to the oldest retained observation so the
-        // shifted values stay at noise scale even if prices drift.
-        if self.len > 0 {
-            self.ax = self.xs[start];
-            self.ay = self.ys[start];
-        }
-        let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for k in 0..self.len {
-            let i = (start + k) % self.m;
-            let (x, y) = (self.xs[i] - self.ax, self.ys[i] - self.ay);
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            syy += y * y;
-            sxy += x * y;
-        }
-        self.sum_x = sx;
-        self.sum_y = sy;
-        self.sum_xx = sxx;
-        self.sum_yy = syy;
-        self.sum_xy = sxy;
-    }
-
-    /// Current window correlation (0 until at least 2 observations, or on
-    /// zero variance).
-    pub fn correlation(&self) -> f64 {
-        if self.len < 2 {
-            return 0.0;
-        }
-        let n = self.len as f64;
-        let cov = self.sum_xy - self.sum_x * self.sum_y / n;
-        let vx = self.sum_xx - self.sum_x * self.sum_x / n;
-        let vy = self.sum_yy - self.sum_y * self.sum_y / n;
-        if vx <= 0.0 || vy <= 0.0 {
-            return 0.0;
-        }
-        clamp_corr(cov / (vx * vy).sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,103 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn sliding_matches_batch_at_every_step() {
-        // Deterministic pseudo-random-ish sequences.
-        let xs: Vec<f64> = (0..200).map(|i| ((i * 37 % 101) as f64).sin()).collect();
-        let ys: Vec<f64> = (0..200)
-            .map(|i| ((i * 53 % 97) as f64).cos() + 0.3 * ((i * 37 % 101) as f64).sin())
-            .collect();
-        let m = 30;
-        let mut sl = SlidingPearson::new(m);
-        for k in 0..xs.len() {
-            sl.push(xs[k], ys[k]);
-            let lo = k + 1 - sl.len();
-            let want = pearson(&xs[lo..=k], &ys[lo..=k]);
-            assert!(
-                (sl.correlation() - want).abs() < 1e-9,
-                "step {k}: sliding {} vs batch {want}",
-                sl.correlation()
-            );
-        }
-    }
-
-    #[test]
-    fn sliding_partial_window() {
-        let mut sl = SlidingPearson::new(10);
-        assert_eq!(sl.correlation(), 0.0);
-        sl.push(1.0, 1.0);
-        assert_eq!(sl.correlation(), 0.0, "single point has no correlation");
-        sl.push(2.0, 2.0);
-        assert!((sl.correlation() - 1.0).abs() < 1e-12);
-        assert!(!sl.is_full());
-        assert_eq!(sl.len(), 2);
-    }
-
-    #[test]
-    fn sliding_long_stream_no_drift() {
-        let mut sl = SlidingPearson::new(50);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..150_000usize {
-            // Offset stresses cancellation in the running sums.
-            let x = 1e3 + ((i * 29 % 83) as f64) * 0.01;
-            let y = 1e3 + ((i * 31 % 89) as f64) * 0.01 + 0.002 * x;
-            xs.push(x);
-            ys.push(y);
-            sl.push(x, y);
-        }
-        let k = xs.len() - 1;
-        let want = pearson(&xs[k - 49..=k], &ys[k - 49..=k]);
-        assert!(
-            (sl.correlation() - want).abs() < 1e-6,
-            "drifted: {} vs {}",
-            sl.correlation(),
-            want
-        );
-    }
-
-    #[test]
-    fn sliding_survives_extreme_price_levels() {
-        // Regression for catastrophic cancellation: pre-anchor-shift, raw
-        // sums at a 1e8 price level put Σx² near 1e16 (one ulp = 2.0) and
-        // the correlation collapsed to garbage or exactly 0. With the sums
-        // anchored at the first observation the arithmetic happens at the
-        // scale of the noise.
-        let m = 40;
-        let mut sl = SlidingPearson::new(m);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..5_000usize {
-            let nx = ((i * 29 % 83) as f64) * 0.01;
-            let ny = ((i * 31 % 89) as f64) * 0.01 + 2.0 * nx;
-            xs.push(1e8 + nx);
-            ys.push(2e8 + ny);
-            sl.push(1e8 + nx, 2e8 + ny);
-        }
-        let k = xs.len() - 1;
-        let want = pearson(&xs[k + 1 - m..=k], &ys[k + 1 - m..=k]);
-        assert!(
-            want.abs() > 0.1,
-            "sanity: the designed correlation is macroscopic ({want})"
-        );
-        assert!(
-            (sl.correlation() - want).abs() < 1e-9,
-            "cancelled: {} vs {}",
-            sl.correlation(),
-            want
-        );
-    }
-
-    #[test]
     fn zero_variance_returns_zero() {
         let flat = vec![5.0; 10];
         let ramp: Vec<f64> = (0..10).map(|i| i as f64).collect();
         assert_eq!(pearson(&flat, &ramp), 0.0);
-        let mut sl = SlidingPearson::new(5);
-        for i in 0..5 {
-            sl.push(5.0, i as f64);
-        }
-        assert_eq!(sl.correlation(), 0.0);
     }
 
     #[test]

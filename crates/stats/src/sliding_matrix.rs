@@ -10,12 +10,11 @@
 //! cross-product matrix — 2 multiply-adds per pair — and a snapshot costs
 //! O(n²) arithmetic with **no** dependence on the window length `m`.
 //!
-//! Compare the previous formulation (one `SlidingPearson` per pair):
-//! that duplicated both stocks' windows into every pair — O(n²·m) memory
-//! — and pushed five sums plus ring bookkeeping per pair per step. The
-//! shared-state layout stores each window once (O(n·m) + O(n²)) and does
-//! the minimum per-pair work, which is what lets a snapshot cadence of
-//! "every interval" survive market scale.
+//! A sliding estimator per pair would duplicate both stocks' windows into
+//! every pair — O(n²·m) memory — and push five sums plus ring bookkeeping
+//! per pair per step. The shared-state layout stores each window once
+//! (O(n·m) + O(n²)) and does the minimum per-pair work, which is what
+//! lets a snapshot cadence of "every interval" survive market scale.
 //!
 //! (Maronna has no exact O(1) update — its weights depend on the whole
 //! window — which is precisely why the Combined measure screens before
