@@ -2,7 +2,8 @@
 //! `shard_worker` processes, merge the outputs, and export the
 //! fleet-wide observability plane — the merged telemetry report, one
 //! Perfetto/Chrome trace with a process lane per rank, and the ranked
-//! self-time profile over the merged `step.ns` accounting, followed by
+//! self-time profile over the merged `step.ns` accounting (headed by each
+//! rank's `W` and the kernel width its workers ran at), followed by
 //! what each robust plane fitted and what a pair-step and an IRLS
 //! iteration cost it, what each rank's durable cuts cost (bytes,
 //! capture, encode, fsync)
@@ -24,6 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use marketminer::pipeline::{render_results_plane, render_robust_planes, SweepConfig};
+use marketminer::runtime::render_pool;
 use marketminer::shard::{render_placement, ShardConfig, ShardRunner};
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
@@ -180,6 +182,7 @@ fn main() -> ExitCode {
         report.flight.len()
     );
     if args.profile {
+        print!("{}", render_pool(&report.metrics));
         print!(
             "{}",
             Profile::from_snapshot(&report.metrics).render_ranked()

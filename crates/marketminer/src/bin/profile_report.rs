@@ -1,6 +1,7 @@
 //! Sampling-profiler CLI: run the paper's 42-parameter sweep over a
 //! synthetic day at `TelemetryLevel::Full` and report where the time
-//! went — per-node self-time ranked hottest first, the top
+//! went — under a header naming the pool it ran on (`W` and the kernel
+//! width its workers ran at), per-node self-time ranked hottest first, the top
 //! non-correlation node (ROADMAP #2's "where does the rest of the floor
 //! go"), self-time by layer, what each robust plane fitted, what it took
 //! from the fit it had and what a pair-step and an IRLS iteration cost it
@@ -26,7 +27,7 @@ use std::process::ExitCode;
 use marketminer::pipeline::{
     render_results_plane, render_robust_planes, run_sweep_pipeline_with, SweepConfig,
 };
-use marketminer::runtime::{Runtime, RuntimeConfig};
+use marketminer::runtime::{render_pool, Runtime, RuntimeConfig};
 use marketminer::shard::render_placement;
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
@@ -188,6 +189,7 @@ fn main() -> ExitCode {
         args.stocks,
         args.seed
     );
+    print!("{}", render_pool(&report.metrics));
     print!("{}", profile.render_ranked());
     let n_pairs = (args.stocks * (args.stocks - 1) / 2) as u64;
     print!(

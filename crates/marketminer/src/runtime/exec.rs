@@ -150,6 +150,10 @@ pub(super) struct Exec {
     pub(super) results: Mutex<HashMap<usize, Vec<Message>>>,
     pub(super) stats: Mutex<Vec<Option<NodeStats>>>,
     start: Instant,
+    /// The kernel width every pool worker runs its turns at
+    /// ([`stats::width::for_pool`] of the pool size): the pool owns the
+    /// cores, and an in-node kernel splits only across those it leaves idle.
+    width: usize,
     workers: Mutex<Vec<WorkerSlot>>,
     watchdog: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// `Some` when the telemetry level is at least `Counters`.
@@ -277,6 +281,7 @@ impl Exec {
         }
 
         let fed: Vec<usize> = sources.iter().map(|(idx, _)| *idx).collect();
+        let pool = runtime.config.resolved_workers().max(1);
         let exec = Arc::new(Exec {
             sched: Scheduler::new(&graph.edges, capacity, &fed, rt.is_some()),
             snapshot_every: runtime.supervision.snapshot_cadence(),
@@ -289,12 +294,12 @@ impl Exec {
             results: Mutex::new(HashMap::new()),
             stats: Mutex::new((0..n).map(|_| None).collect()),
             start: Instant::now(),
+            width: stats::width::for_pool(pool),
             workers: Mutex::new(Vec::new()),
             watchdog: Mutex::new(None),
             rt,
         });
 
-        let pool = runtime.config.resolved_workers().max(1);
         for _ in 0..pool {
             spawn_worker(&exec);
         }
@@ -645,12 +650,15 @@ fn worker_loop(exec: Arc<Exec>, wid: usize, current: Arc<AtomicUsize>, abandoned
     }
     if let Some(p) = &probe {
         p.count("turns", turns);
+        p.gauge_max("kernel.width", exec.width as u64);
         if p.is_full() {
             p.count("busy.us", busy_us);
         }
     }
 }
 
+/// Start a pool worker (at run start, or replacing one the watchdog
+/// abandoned) with the run's kernel width installed for its whole life.
 fn spawn_worker(exec: &Arc<Exec>) {
     let current = Arc::new(AtomicUsize::new(usize::MAX));
     let abandoned = Arc::new(AtomicBool::new(false));
@@ -660,7 +668,8 @@ fn spawn_worker(exec: &Arc<Exec>) {
     let wid = ws.len();
     let e = Arc::clone(exec);
     let (c, a) = (Arc::clone(&current), Arc::clone(&abandoned));
-    let handle = std::thread::spawn(move || worker_loop(e, wid, c, a));
+    let handle =
+        std::thread::spawn(move || stats::width::with(e.width, || worker_loop(e, wid, c, a)));
     ws.push(WorkerSlot {
         current,
         abandoned,

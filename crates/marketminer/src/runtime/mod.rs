@@ -8,6 +8,10 @@
 //! runnable nodes sit in a shared run queue that workers pull from, so
 //! the OS thread count is [`RuntimeConfig::workers`] plus a small
 //! constant (source feeders + watchdog), independent of graph size.
+//! The pool owns the cores: each worker runs its turns at the kernel
+//! width [`stats::width::for_pool`] leaves it, `max(1, cores / W)`, so a
+//! parallel `stats` kernel inside a node never puts more than `W × width ≤
+//! cores` threads on the cores, and at `W ≥ cores` creates none.
 //!
 //! Four modules, split where the code divides:
 //!
@@ -36,7 +40,7 @@ use telemetry::TelemetryLevel;
 
 use crate::supervisor::SupervisionConfig;
 
-pub use output::{NodeOutcome, NodeStats, RunOutput};
+pub use output::{render_pool, NodeOutcome, NodeStats, RunOutput};
 pub use session::{NodeCkpt, RunSession, SessionCkpt};
 
 /// Default per-inbox capacity (backpressure threshold). Large enough to
@@ -50,7 +54,8 @@ pub struct RuntimeConfig {
     /// Worker threads in the pool. `0` means "use
     /// `available_parallelism`". The default honours the
     /// `MARKETMINER_WORKERS` environment variable (`"max"` or a positive
-    /// integer) so CI can pin the pool size without code changes.
+    /// integer) so CI can pin the pool size without code changes. The
+    /// in-node kernel width follows it: `max(1, cores / workers)`.
     pub workers: usize,
     /// Per-inbox soft capacity bound.
     pub capacity: usize,
@@ -77,29 +82,23 @@ impl RuntimeConfig {
     /// `available_parallelism`).
     pub fn resolved_workers(&self) -> usize {
         if self.workers == 0 {
-            available_workers()
+            stats::width::cores()
         } else {
             self.workers
         }
     }
 }
 
-fn available_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 fn default_workers() -> usize {
     match std::env::var("MARKETMINER_WORKERS") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("max") => available_workers(),
+        Ok(v) if v.trim().eq_ignore_ascii_case("max") => stats::width::cores(),
         Ok(v) => v
             .trim()
             .parse::<usize>()
             .ok()
             .filter(|&w| w > 0)
-            .unwrap_or_else(available_workers),
-        Err(_) => available_workers(),
+            .unwrap_or_else(stats::width::cores),
+        Err(_) => stats::width::cores(),
     }
 }
 

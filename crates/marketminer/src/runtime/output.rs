@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use telemetry::lineage::{EventId, LineageEvent};
-use telemetry::metrics::AtomicHistogram;
+use telemetry::metrics::{AtomicHistogram, MetricsSnapshot};
 use telemetry::trace::TrackId;
 use telemetry::{Probe, Telemetry, TelemetryReport};
 
@@ -122,6 +122,23 @@ impl RunOutput {
         }
         out
     }
+}
+
+/// The pool a report was taken on, for a profile's header: `W` (the
+/// workers that recorded a `kernel.width`; per process in a fleet's merged
+/// report) and the width they ran their turns at. Self-time read at one
+/// `W` does not compare with another's.
+pub fn render_pool(metrics: &MetricsSnapshot) -> String {
+    let widths: Vec<u64> = (metrics.gauges.iter())
+        .filter(|((label, name), _)| label.starts_with("worker-") && name == "kernel.width")
+        .map(|(_, &width)| width)
+        .collect();
+    format!(
+        "pool: W = {} workers, kernel width {}, {} cores\n",
+        widths.len(),
+        widths.iter().max().map_or("?".into(), u64::to_string),
+        stats::width::cores()
+    )
 }
 
 /// Pre-sized lock-free telemetry state the scheduler hot paths write

@@ -546,6 +546,127 @@ fn watchdog_leaves_honest_backpressure_alone() {
     assert_eq!(out.take_sink(sink).len(), 2_000);
 }
 
+// ---- kernel width ----
+
+/// Records the kernel width of every call it takes (replays included),
+/// and panics once at message `panic_at` — a transient fault, like
+/// [`FlakyDoubler`]'s.
+struct WidthProbe {
+    seen: u64,
+    panic_at: u64,
+    fired: Arc<std::sync::atomic::AtomicBool>,
+    widths: Arc<std::sync::Mutex<Vec<usize>>>,
+}
+
+impl Component for WidthProbe {
+    fn name(&self) -> &str {
+        "width-probe"
+    }
+
+    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+        self.seen += 1;
+        (self.widths.lock().unwrap()).push(rayon::current_num_threads());
+        if self.seen == self.panic_at && !self.fired.swap(true, Ordering::SeqCst) {
+            panic!("transient fault at message {}", self.seen);
+        }
+        out(msg);
+    }
+
+    node::component_state! { node { seen } }
+}
+
+/// The pool owns the cores: a node's kernels run `cores / W` wide — all of
+/// them at one worker, on the calling worker alone from `W = cores` up —
+/// and a supervised restart replays at the same width. Every worker's
+/// probe says so in the report.
+#[test]
+fn nodes_run_at_the_width_the_pool_leaves_them() {
+    let cores = stats::width::cores();
+    for (workers, want) in [(1, cores), (cores, 1), (cores + 1, 1)] {
+        let widths = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let probe = WidthProbe {
+            seen: 0,
+            panic_at: 6,
+            fired: Arc::default(),
+            widths: Arc::clone(&widths),
+        };
+        let (g, sink) = chain(CountSource { n: 12 }, vec![Box::new(probe)]);
+        // Checkpoint at 4: the panic at 6 replays 5, then retries 6.
+        let cfg = SupervisionConfig::new(RestartPolicy::Limited { max_restarts: 1 }, 4);
+        let mut out = Runtime::with_config(RuntimeConfig {
+            workers,
+            capacity: 4,
+            telemetry: TelemetryLevel::Counters,
+        })
+        .supervised(cfg)
+        .run(g)
+        .unwrap();
+        assert!(out.is_clean(), "workers={workers}");
+        assert_eq!(out.take_sink(sink).len(), 12);
+        assert_eq!(out.node_stats[1].restarts, 1);
+        let widths = widths.lock().unwrap();
+        assert_eq!(
+            widths.len(),
+            12 + 2,
+            "workers={workers}: 5 replayed, 6 retried"
+        );
+        assert!(
+            widths.iter().all(|&w| w == want),
+            "workers={workers}: {widths:?}, want {want}"
+        );
+        let metrics = &out.telemetry.as_ref().expect("counters").metrics;
+        for k in 0..workers {
+            let key = (format!("worker-{k}"), "kernel.width".to_string());
+            assert_eq!(metrics.gauges.get(&key), Some(&(want as u64)), "{key:?}");
+        }
+        assert!(
+            render_pool(metrics).contains(&format!("W = {workers} workers, kernel width {want},"))
+        );
+    }
+}
+
+/// Panics inside a parallel kernel at interval 3, in the last of its 64
+/// items: in a part of its own — not the first — at any width above 1.
+struct KernelFault;
+
+impl Component for KernelFault {
+    fn name(&self) -> &str {
+        "kernel-fault"
+    }
+
+    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+        use rayon::prelude::*;
+        if msg.interval() == Some(3) {
+            (0..64).into_par_iter().for_each(|item| {
+                if item == 63 {
+                    panic!("kernel item {item} failed");
+                }
+            });
+        }
+        out(msg);
+    }
+}
+
+/// A kernel panic reaches the failure ledger as its own text whether the
+/// kernel ran on the worker (`W = cores`, width 1) or forked (`W = 1`).
+#[test]
+fn a_kernel_panic_reads_the_same_at_every_width() {
+    let ledger = |workers: usize| {
+        let (g, sink) = chain(CountSource { n: 8 }, vec![Box::new(KernelFault)]);
+        let cfg = SupervisionConfig::default().with_failure_mode(FailureMode::Degrade);
+        let mut out = Runtime::with_workers(workers)
+            .supervised(cfg)
+            .run(g)
+            .unwrap();
+        assert_eq!(out.take_sink(sink).len(), 3, "intervals 0..3 passed");
+        out.failures
+    };
+    let forked = ledger(1);
+    assert_eq!(forked, ledger(0), "workers 1 against max");
+    assert_eq!(forked.len(), 1);
+    assert_eq!(forked[0].error, "kernel item 63 failed");
+}
+
 /// A collector whose feed breaks mid-day: `n` bars, then a panic.
 struct DyingSource {
     n: usize,

@@ -504,10 +504,10 @@ fn os_thread_count() -> usize {
 }
 
 /// The pool bounds the OS thread count: a 60+-node sweep graph on
-/// `workers = 2` never uses more than the pool, the scoped threads of the
-/// one parallel kernel call each pool worker can be inside, one thread
-/// per source and a small constant — node count must not leak into thread
-/// count.
+/// `workers = 2` never uses more than the pool at its kernel width, one
+/// thread per source and a small constant — node count must not leak into
+/// thread count. On two cores or fewer the width is 1 and no kernel forks
+/// at all.
 #[cfg(target_os = "linux")]
 #[test]
 fn sweep_thread_count_is_bounded_by_the_pool() {
@@ -538,14 +538,14 @@ fn sweep_thread_count_is_bounded_by_the_pool() {
     census.join().unwrap();
     assert_eq!(out.trades_per_param.len(), 42);
 
-    // A kernel call forks one scoped thread per part: at most one part per
-    // `rayon` pool thread and never more parts than items, and the widest
-    // call on this graph runs over its n(n-1)/2 pairs.
-    let per_call = rayon::current_num_threads().min(n * (n - 1) / 2);
-    // Threads: the pool and its kernel forks, one source (the collector),
-    // the census thread itself, plus slack for the test harness.
+    // Each worker runs `width` threads: itself at width 1, or the kernel
+    // call's scoped threads (one per part) while it waits on them.
+    let width = stats::width::for_pool(workers);
+    let per_worker = if width == 1 { 1 } else { 1 + width };
+    // Threads: the pool at its width, one source (the collector), the
+    // census thread itself, plus slack for the test harness.
     let peak = peak.load(Ordering::Relaxed);
-    let budget = workers * (1 + per_call) + 1 /* source */ + 1 /* census */ + 2 /* slack */;
+    let budget = workers * per_worker + 1 /* source */ + 1 /* census */ + 2 /* slack */;
     assert!(
         peak <= baseline + budget,
         "thread count leaked: baseline {baseline}, peak {peak}, budget +{budget}"

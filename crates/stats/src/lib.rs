@@ -38,6 +38,9 @@
 //! * [`inference`] — Welch's t-test and the Mann–Whitney U test, the
 //!   "simple inferential statistical tests" Section V defers to future
 //!   work.
+//! * [`width`] — how many threads one call of a parallel kernel may use:
+//!   the one way to ask for a sequential kernel, and the share a caller's
+//!   own thread pool leaves each of its threads.
 
 pub mod blocked;
 pub mod combined;
@@ -56,6 +59,7 @@ pub mod quadrant;
 pub mod simd;
 pub mod sliding_matrix;
 pub mod spearman;
+pub mod width;
 
 pub use combined::CombinedEstimator;
 pub use correlation::{CorrType, CorrelationMeasure};

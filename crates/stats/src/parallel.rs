@@ -16,8 +16,12 @@
 //! with cores (`marketminer.scaling_x` and `stats.*_ns_pair` in the
 //! benchmark).
 //!
+//! How many threads a call splits across is the kernel width
+//! ([`crate::width`]): the machine's cores by default, the share a caller's
+//! own pool leaves each of its threads, 1 for a sequential call.
+//!
 //! The robust measures are the exception to "every pair is a task": a
-//! sweep cuts the pair ranks into one contiguous block per pool thread,
+//! sweep cuts the pair ranks into one contiguous block per thread of width,
 //! and inside a block one plane walk (`robust_steps`) answers Maronna and
 //! Combined for every pair — the screen from per-stock sign words, the
 //! fits two at a time so that one fit's pass runs while the other's
@@ -431,7 +435,7 @@ fn robust_steps<'a>(
 }
 
 /// Split `data`, a sequence of `row_len`-element rows, into one contiguous
-/// block of whole rows per pool thread and run `f(first_row, block)` on
+/// block of whole rows per thread of width and run `f(first_row, block)` on
 /// each in parallel; results in block order. A block is where per-worker
 /// state (a scratch buffer, counters) lives for the length of a sweep.
 fn par_blocks<T: Send, R: Send>(
@@ -611,7 +615,7 @@ pub fn robust_plane_warm_into(
         margins: &*margins,
     };
 
-    // Cut each lane into one contiguous block of ranks per pool thread.
+    // Cut each lane into one contiguous block of ranks per thread of width.
     // Rank `r` of row `i` sits at packed index `r + i` (row `i` of the
     // packed triangle follows `i` diagonal entries), so a block of ranks
     // is a contiguous packed range too, the odd diagonal entry included.
@@ -864,49 +868,44 @@ impl ParallelCorrEngine {
     }
 
     /// Compute the all-pairs correlation matrix of the given per-stock
-    /// windows, in parallel over pairs.
+    /// windows, in parallel over pairs ([`crate::width`]; at width 1 on the
+    /// calling thread, to the same bits).
     ///
     /// `windows[i]` is the current window of log-returns for stock `i`; all
-    /// windows must have equal length.
+    /// windows must have equal length. Pearson is the blocked `Z·Zᵀ`
+    /// kernel, Quadrant reads signs derived once per stock, and every other
+    /// measure estimates each pair independently from its two windows.
     ///
     /// # Panics
     /// Panics if windows have unequal lengths.
     pub fn matrix(&self, windows: &[&[f64]]) -> SymMatrix {
-        self.matrix_impl(windows, true)
-    }
-
-    /// Sequential variant of [`Self::matrix`] — the single-core baseline the
-    /// scaling bench compares against.
-    pub fn matrix_seq(&self, windows: &[&[f64]]) -> SymMatrix {
-        self.matrix_impl(windows, false)
-    }
-
-    /// The per-pair enumeration baseline: every pair is an independent
-    /// batch estimate over its two windows. This is the path robust
-    /// measures always take; for Pearson it exists as the reference the
-    /// blocked kernel is equivalence-tested (and benchmarked) against.
-    pub fn matrix_per_pair(&self, windows: &[&[f64]]) -> SymMatrix {
-        self.matrix_per_pair_impl(windows, true)
-    }
-
-    /// Sequential [`Self::matrix_per_pair`].
-    pub fn matrix_per_pair_seq(&self, windows: &[&[f64]]) -> SymMatrix {
-        self.matrix_per_pair_impl(windows, false)
-    }
-
-    fn matrix_per_pair_impl(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
         window_len(windows);
-        let measure = self.ctype.estimator();
-        self.matrix_of_pairs(windows.len(), parallel, |i, j| {
-            measure.correlation(windows[i], windows[j])
-        })
+        match self.ctype {
+            CorrType::Pearson => {
+                // Pearson factors through standardization, so the whole
+                // matrix is one tiled Z·Zᵀ (see crate::blocked). Robust
+                // measures have no such factorization.
+                let mut m = crate::blocked::corr_matrix_blocked(windows, true);
+                if self.repair_psd {
+                    psd::repair_correlation(&mut m, psd::RepairConfig::default());
+                }
+                m
+            }
+            CorrType::Quadrant => self.matrix_quadrant(windows),
+            ctype => {
+                let measure = ctype.estimator();
+                self.matrix_of_pairs(windows.len(), |i, j| {
+                    measure.correlation(windows[i], windows[j])
+                })
+            }
+        }
     }
 
     /// The quadrant matrix with each window's median and signs derived
     /// once per stock: what [`quadrant`] returns for every pair. A window
     /// with no median (a NaN, an infinity) keeps no sign, so each of its
     /// pairs reads 0.
-    fn matrix_quadrant(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
+    fn matrix_quadrant(&self, windows: &[&[f64]]) -> SymMatrix {
         let m = window_len(windows);
         let per_stock = 2 * sign_words(m);
         let mut signs = vec![0u64; windows.len() * per_stock];
@@ -917,29 +916,20 @@ impl ParallelCorrEngine {
             }
         }
         let of = |i: usize| &signs[i * per_stock..(i + 1) * per_stock];
-        self.matrix_of_pairs(windows.len(), parallel, |i, j| {
-            quadrant_of_signs(of(i), of(j), m)
-        })
+        self.matrix_of_pairs(windows.len(), |i, j| quadrant_of_signs(of(i), of(j), m))
     }
 
     /// The matrix of `pair(i, j)` over every `i > j`, in parallel over
-    /// pairs if asked, repaired to PSD if the engine is set to.
-    fn matrix_of_pairs(
-        &self,
-        n: usize,
-        parallel: bool,
-        pair: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> SymMatrix {
+    /// pairs, repaired to PSD if the engine is set to.
+    fn matrix_of_pairs(&self, n: usize, pair: impl Fn(usize, usize) -> f64 + Sync) -> SymMatrix {
         let n_pairs = n * n.saturating_sub(1) / 2;
-        let compute = |rank: usize| -> f64 {
-            let (i, j) = SymMatrix::pair_from_rank(rank);
-            pair(i, j)
-        };
-        let values: Vec<f64> = if parallel {
-            (0..n_pairs).into_par_iter().map(compute).collect()
-        } else {
-            (0..n_pairs).map(compute).collect()
-        };
+        let values: Vec<f64> = (0..n_pairs)
+            .into_par_iter()
+            .map(|rank| {
+                let (i, j) = SymMatrix::pair_from_rank(rank);
+                pair(i, j)
+            })
+            .collect();
         let mut m = SymMatrix::identity(n);
         for (rank, v) in values.into_iter().enumerate() {
             let (i, j) = SymMatrix::pair_from_rank(rank);
@@ -956,7 +946,7 @@ impl ParallelCorrEngine {
     /// stream — [`robust_plane_warm_into`] asked for this engine's measure
     /// alone.
     ///
-    /// Two amortisations over [`Self::matrix_per_pair`]:
+    /// Two amortisations over [`Self::matrix`]'s independent pairs:
     ///
     /// * each stock's `(median, MAD)` is derived **once** and shared by
     ///   its `n - 1` pairs (bitwise-identical to every pair re-deriving
@@ -1009,24 +999,6 @@ impl ParallelCorrEngine {
         let mut lanes = [None, None];
         lanes[slot] = Some(WarmLane { seeds, out });
         robust_plane_warm_into(windows, lanes, self.repair_psd, &mut Margins::default())[slot]
-    }
-
-    fn matrix_impl(&self, windows: &[&[f64]], parallel: bool) -> SymMatrix {
-        window_len(windows);
-        if self.ctype == CorrType::Pearson {
-            // Pearson factors through standardization, so the whole matrix
-            // is one tiled Z·Zᵀ (see crate::blocked). Robust measures have
-            // no such factorization and keep the per-pair enumeration.
-            let mut m = crate::blocked::corr_matrix_blocked(windows, parallel);
-            if self.repair_psd {
-                psd::repair_correlation(&mut m, psd::RepairConfig::default());
-            }
-            return m;
-        }
-        if self.ctype == CorrType::Quadrant {
-            return self.matrix_quadrant(windows, parallel);
-        }
-        self.matrix_per_pair_impl(windows, parallel)
     }
 
     /// Compute a full day's correlation cube: for every pair and every
@@ -1107,18 +1079,6 @@ impl ParallelCorrEngine {
             stats: CubeStats::default(),
             margin_time: Duration::ZERO,
         })
-    }
-
-    /// Sequential variant of [`Self::cube`] for scaling comparisons —
-    /// identical output, single thread.
-    pub fn cube_seq(&self, series: &[Vec<f64>], m: usize) -> Option<CorrCube> {
-        // Run the parallel body inside a single-thread pool so the code path
-        // (and therefore the numerics) is byte-identical.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("single-thread pool");
-        pool.install(|| self.cube(series, m))
     }
 }
 
@@ -1407,19 +1367,21 @@ mod tests {
         let n_pairs = windows.len() * (windows.len() - 1) / 2;
         for ctype in [CorrType::Maronna, CorrType::Combined] {
             let eng = ParallelCorrEngine::new(ctype);
-            let cold = eng.matrix_per_pair_seq(&windows);
+            let measure = ctype.estimator();
             let mut seeds = vec![None; n_pairs];
-            // First warm sweep starts cold: must match the per-pair path to
-            // within the IRLS convergence tolerance.
+            // First warm sweep starts cold: must match a cold estimate of
+            // every pair to within the IRLS convergence tolerance. Second
+            // sweep on the same window is seeded by the first fit's fixed
+            // point; it must stay at that fixed point.
             let first = eng.matrix_robust_warm(&windows, &mut seeds);
-            for (a, b) in first.packed().iter().zip(cold.packed()) {
-                assert!((a - b).abs() < 1e-6, "{ctype}: {a} vs {b}");
-            }
-            // Second sweep on the same window is seeded by the first fit's
-            // fixed point; it must stay at that fixed point.
             let second = eng.matrix_robust_warm(&windows, &mut seeds);
-            for (a, b) in second.packed().iter().zip(cold.packed()) {
-                assert!((a - b).abs() < 1e-5, "{ctype} warm: {a} vs {b}");
+            for i in 1..windows.len() {
+                for j in 0..i {
+                    let cold = measure.correlation(windows[i], windows[j]);
+                    let (a, b) = (first.get(i, j), second.get(i, j));
+                    assert!((a - cold).abs() < 1e-6, "{ctype}: {a} vs {cold}");
+                    assert!((b - cold).abs() < 1e-5, "{ctype} warm: {b} vs {cold}");
+                }
             }
         }
     }
@@ -1434,11 +1396,7 @@ mod tests {
             let mut seeds_par = vec![None; n_pairs];
             let par = eng.matrix_robust_warm(&windows, &mut seeds_par);
             let mut seeds_seq = vec![None; n_pairs];
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("single-thread pool");
-            let seq = pool.install(|| eng.matrix_robust_warm(&windows, &mut seeds_seq));
+            let seq = crate::width::with(1, || eng.matrix_robust_warm(&windows, &mut seeds_seq));
             assert_eq!(par.packed(), seq.packed(), "{ctype}");
             for (a, b) in seeds_par.iter().zip(&seeds_seq) {
                 assert_eq!(a, b, "{ctype} seeds");
@@ -1470,7 +1428,7 @@ mod tests {
         for ctype in [CorrType::Pearson, CorrType::Maronna, CorrType::Combined] {
             let eng = ParallelCorrEngine::new(ctype);
             let a = eng.matrix(&windows);
-            let b = eng.matrix_seq(&windows);
+            let b = crate::width::with(1, || eng.matrix(&windows));
             assert!(
                 a.frobenius_distance(&b) < 1e-12,
                 "{ctype}: parallel != sequential"
@@ -1559,7 +1517,7 @@ mod tests {
         let series = synthetic_series(7, 60);
         let eng = ParallelCorrEngine::new(CorrType::Maronna);
         let par = eng.cube(&series, 20).unwrap();
-        let seq = eng.cube_seq(&series, 20).unwrap();
+        let seq = crate::width::with(1, || eng.cube(&series, 20)).unwrap();
         assert_eq!(par.data, seq.data, "thread count must not change results");
     }
 

@@ -30,6 +30,7 @@ use stats::parallel::{
 use stats::pearson::pearson;
 use stats::quadrant::{quadrant, quadrant_with_medians};
 use stats::simd::{self, Backend};
+use stats::width;
 use stats::{CombinedEstimator, OnlineCorrMatrix, ParallelCorrEngine, SymMatrix};
 
 /// The dispatch override is process-global; serialize tests that pin it so
@@ -174,7 +175,7 @@ fn robust_panel() -> Vec<Vec<f64>> {
 fn robust_cube_is_bit_identical_to_per_pair_series() {
     let panel = robust_panel();
     let n = panel.len();
-    let max_threads = rayon::current_num_threads().max(3);
+    let max_threads = width::cores().max(3);
 
     // The fixture does what it is for: pair (2, 0) starts above the
     // screen, falls below it and comes back. (Over 4k tie-free points the
@@ -208,12 +209,9 @@ fn robust_cube_is_bit_identical_to_per_pair_series() {
             });
             for backend in [Backend::Scalar, Backend::Avx2] {
                 for threads in [1, 2, max_threads] {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .expect("pool");
-                    let cube = with_backend(backend, || pool.install(|| engine.cube(&panel, m)))
-                        .expect("the panel holds a window");
+                    let cube =
+                        with_backend(backend, || width::with(threads, || engine.cube(&panel, m)))
+                            .expect("the panel holds a window");
                     for (rank, want) in reference.iter().enumerate() {
                         let got = cube.series_by_rank(rank);
                         assert_eq!(got.len(), want.len());
@@ -319,7 +317,7 @@ fn sign_words_equal_the_three_valued_sign_loop() {
     let fresh = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(1, |d| d.subsec_nanos() as u64);
-    let max_threads = rayon::current_num_threads().max(3);
+    let max_threads = width::cores().max(3);
     let assert_same = |got: f64, want: f64, what: &str| {
         assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
     };
@@ -368,19 +366,12 @@ fn sign_words_equal_the_three_valued_sign_loop() {
         let views: Vec<&[f64]> = windows.iter().map(Vec::as_slice).collect();
         let engine = ParallelCorrEngine::new(CorrType::Quadrant);
         for threads in [1, 2, max_threads] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            for matrix in [
-                pool.install(|| engine.matrix(&views)),
-                engine.matrix_seq(&views),
-            ] {
-                for i in 1..views.len() {
-                    for j in 0..i {
-                        let want = quadrant_of_windows(views[i], views[j]);
-                        assert_same(matrix.get(i, j), want, &format!("m={m} matrix ({i}, {j})"));
-                    }
+            let matrix = width::with(threads, || engine.matrix(&views));
+            for i in 1..views.len() {
+                for j in 0..i {
+                    let want = quadrant_of_windows(views[i], views[j]);
+                    let what = format!("m={m} threads={threads} matrix ({i}, {j})");
+                    assert_same(matrix.get(i, j), want, &what);
                 }
             }
         }
@@ -586,7 +577,7 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
     let fresh = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(1, |d| d.subsec_nanos() as u64);
-    let max_threads = rayon::current_num_threads().max(3);
+    let max_threads = width::cores().max(3);
     let panels = [
         ("fixture".to_string(), robust_panel()),
         ("seed 2009".to_string(), seeded_panel(2009)),
@@ -602,11 +593,8 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
             for backend in [Backend::Scalar, Backend::Avx2] {
                 for threads in [1, 2, max_threads] {
                     let what = format!("{name} m={m} {backend:?} threads={threads}");
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .expect("pool");
-                    let run = |f: &mut dyn FnMut()| with_backend(backend, || pool.install(f));
+                    let run =
+                        |f: &mut dyn FnMut()| with_backend(backend, || width::with(threads, f));
 
                     // Batch: both measures at once, and each alone.
                     let mut batch = [CubeStats::default(); 2];
@@ -921,13 +909,7 @@ proptest! {
     ) {
         let series = panel(n, m, extra, &pool);
         let windows: Vec<&[f64]> = series.iter().map(|s| &s[..m]).collect();
-        let engine = ParallelCorrEngine::new(CorrType::Pearson);
-        let blocked = engine.matrix(&windows);
-        let per_pair = engine.matrix_per_pair_seq(&windows);
-        prop_assert!(
-            blocked.frobenius_distance(&per_pair) < 1e-9,
-            "blocked kernel diverged from per-pair baseline"
-        );
+        let blocked = ParallelCorrEngine::new(CorrType::Pearson).matrix(&windows);
         for i in 1..windows.len() {
             for j in 0..i {
                 let naive = pearson(windows[i], windows[j]);

@@ -139,25 +139,18 @@ fn main() {
     let windows: Vec<&[f64]> = panel.all().iter().map(|s| &s[..m]).collect();
     let engine = stats::parallel::ParallelCorrEngine::new(stats::correlation::CorrType::Maronna);
     let reps = 20;
-    let t_seq = {
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = engine.matrix_seq(&windows);
-        }
-        start.elapsed().as_secs_f64() / reps as f64
-    };
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        let t = pool.install(|| {
+    let time_at = |width: usize| {
+        stats::width::with(width, || {
             let start = std::time::Instant::now();
             for _ in 0..reps {
                 let _ = engine.matrix(&windows);
             }
             start.elapsed().as_secs_f64() / reps as f64
-        });
+        })
+    };
+    let t_seq = time_at(1);
+    for threads in [1usize, 2, 4, 8] {
+        let t = time_at(threads);
         println!(
             "  {threads:>2} threads: {:>8.3} ms/matrix (speedup {:.2}x)",
             t * 1e3,

@@ -12,9 +12,13 @@
 //! contiguous part per worker thread and concatenates results in order, so
 //! output order (and therefore floating-point results) is identical at every
 //! thread count — a property the workspace's determinism tests rely on.
+//! A part that panics re-raises its own payload on the caller, the
+//! lowest-indexed such part first, which is the panic an inline run of the
+//! same items would raise.
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::OnceLock;
 
 thread_local! {
@@ -141,7 +145,7 @@ fn drive_collect<P: Producer>(p: P) -> Vec<P::Item> {
             .map(|part| s.spawn(move || part.into_seq().collect::<Vec<_>>()))
             .collect();
         for h in handles {
-            results.push(h.join().expect("parallel worker panicked"));
+            results.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
         }
     });
     let mut out = Vec::with_capacity(results.iter().map(Vec::len).sum());
@@ -177,7 +181,7 @@ where
             })
             .collect();
         for h in handles {
-            h.join().expect("parallel worker panicked");
+            h.join().unwrap_or_else(|payload| resume_unwind(payload));
         }
     });
 }
@@ -539,6 +543,47 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         assert_eq!(pool.install(current_num_threads), 1);
         assert_ne!(current_num_threads(), 0);
+    }
+
+    /// A panic in a part run on a scoped thread reaches the caller as its
+    /// own payload — the one the same items raise run inline.
+    #[test]
+    fn a_part_panic_keeps_its_payload_at_every_thread_count() {
+        let payload = |threads: usize, collect: bool| {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let items = || (0..12).into_par_iter();
+            let caught = std::panic::catch_unwind(|| {
+                pool.install(|| {
+                    let check = |i: usize| {
+                        if i >= 9 {
+                            panic!("item {i} failed");
+                        }
+                    };
+                    if collect {
+                        let _: Vec<()> = items().map(check).collect();
+                    } else {
+                        items().for_each(check);
+                    }
+                })
+            });
+            let payload = caught.expect_err("item 9 panics");
+            payload
+                .downcast::<String>()
+                .map(|s| *s)
+                .expect("a String payload")
+        };
+        for collect in [false, true] {
+            for threads in [1, 2, 3, 4] {
+                assert_eq!(
+                    payload(threads, collect),
+                    "item 9 failed",
+                    "{threads} threads"
+                );
+            }
+        }
     }
 
     #[test]
