@@ -11,7 +11,7 @@
 //! tight interaction between independent pairs throughout the course of a
 //! trading day".
 
-use crossbeam::channel::unbounded;
+use std::sync::{mpsc, Mutex};
 
 /// Run `jobs` through `workers` worker threads, applying `f` to each job.
 /// Results are returned in job order.
@@ -26,29 +26,27 @@ where
 {
     assert!(workers > 0, "need at least one worker");
     let n = jobs.len();
-    let (job_tx, job_rx) = unbounded::<(usize, J)>();
-    let (res_tx, res_rx) = unbounded::<(usize, R)>();
+    // One queue, many consumers: a worker holds the lock only to take a job.
+    let (job_tx, job_rx) = mpsc::channel::<(usize, J)>();
     for item in jobs.into_iter().enumerate() {
         job_tx.send(item).expect("queue open");
     }
     drop(job_tx);
+    let job_rx = Mutex::new(job_rx);
+    let (res_tx, res_rx) = mpsc::channel::<(usize, R)>();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                for (idx, job) in job_rx.iter() {
-                    let out = f(job);
-                    if res_tx.send((idx, out)).is_err() {
-                        break;
-                    }
+            let (job_rx, res_tx, f) = (&job_rx, res_tx.clone(), &f);
+            scope.spawn(move || loop {
+                let next = job_rx.lock().expect("no job is run under the lock").recv();
+                let Ok((idx, job)) = next else { break };
+                if res_tx.send((idx, f(job))).is_err() {
+                    break;
                 }
             });
         }
         drop(res_tx);
-        drop(job_rx);
     });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();

@@ -194,15 +194,14 @@ impl Experiment {
     /// Run the full experiment.
     ///
     /// # Panics
-    /// Panics when a telemetry capacity override
-    /// (`MARKETMINER_RECORDER_CAP` / `MARKETMINER_LINEAGE_CAP`) fails to
-    /// parse — a malformed override must not silently fall back to the
-    /// defaults.
+    /// Panics when a telemetry environment variable (a level, a capacity
+    /// override) fails to parse — a malformed override must not silently
+    /// fall back to the defaults.
     pub fn run(&self) -> ExperimentResults {
         let start = std::time::Instant::now();
         let tel = self.telemetry.enabled().then(|| {
-            let caps = telemetry::Caps::from_env().unwrap_or_else(|e| panic!("{e}"));
-            Telemetry::build(self.telemetry, caps)
+            let env = telemetry::from_env().unwrap_or_else(|e| panic!("{e}"));
+            Telemetry::build(self.telemetry, env.caps)
         });
         // Phase timings are wall-clock micros observed into log2-bucketed
         // histograms, one sample per (day, phase) execution.

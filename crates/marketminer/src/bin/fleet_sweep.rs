@@ -71,7 +71,11 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--epoch-quotes: {e}"))?
             }
-            "--telemetry" => args.telemetry = TelemetryLevel::parse(&value()?),
+            "--telemetry" => {
+                let level = value()?;
+                args.telemetry = TelemetryLevel::parse(&level)
+                    .ok_or(format!("--telemetry: unknown level {level}"))?
+            }
             "--trace-out" => args.trace_out = Some(value()?),
             "--profile" => args.profile = true,
             "--worker-exe" => args.worker_exe = Some(PathBuf::from(value()?)),

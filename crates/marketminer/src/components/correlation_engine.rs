@@ -52,10 +52,10 @@ const POOL_DEPTH: usize = 4;
 /// How the node maintains pair state.
 #[derive(Clone)]
 enum EngineKind {
-    /// O(1)-per-step incremental updates (Pearson without PSD repair).
+    /// O(1)-per-step incremental updates (Pearson).
     Online(OnlineCorrMatrix),
-    /// Window recompute per snapshot (robust measures, or when PSD repair
-    /// is requested): one window per stock.
+    /// Window recompute per snapshot (Quadrant and the robust plane): one
+    /// window per stock.
     Windowed(Vec<SlidingWindow<f64>>),
 }
 
@@ -107,8 +107,6 @@ pub struct CorrelationEngineNode {
     stride: usize,
     m: usize,
     kind: EngineKind,
-    /// Repair emitted matrices to PSD (windowed engines only).
-    repair_psd: bool,
     /// Per-stock buffers the windows are linearised into each snapshot,
     /// kept to avoid re-allocating `n * M` floats; refilled before use.
     scratch: Vec<Vec<f64>>,
@@ -198,7 +196,6 @@ impl CorrelationEngineNode {
             stride,
             m,
             kind,
-            repair_psd: false,
             scratch: vec![Vec::new(); n_stocks],
             margins: Margins::default(),
             lanes,
@@ -218,16 +215,6 @@ impl CorrelationEngineNode {
     pub fn with_stream(mut self, stream: usize) -> Self {
         assert_eq!(self.lanes.len(), 1, "a plane's lanes carry their own ids");
         self.lanes[0].stream = stream;
-        self
-    }
-
-    /// Enable PSD repair on emitted matrices (forces the windowed path
-    /// for Pearson, since repair operates on whole matrices).
-    pub fn with_psd_repair(mut self) -> Self {
-        if let EngineKind::Online(online) = &self.kind {
-            self.kind = windowed(online.n_stocks(), self.m);
-        }
-        self.repair_psd = true;
         self
     }
 
@@ -390,7 +377,6 @@ impl Component for CorrelationEngineNode {
             EngineKind::Online(online) => online.matrix_into(&mut bodies[0].matrix),
             EngineKind::Windowed(windows) => {
                 let (scratch, margins) = (&mut self.scratch, &mut self.margins);
-                let repair_psd = self.repair_psd;
                 for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
                     buf.clear();
                     let (oldest, wrapped) = w.as_slices();
@@ -400,8 +386,7 @@ impl Component for CorrelationEngineNode {
                 let views: Vec<&[f64]> = scratch.iter().map(|b| b.as_slice()).collect();
                 let ctype = self.lanes[0].ctype;
                 if plane_slot(ctype).is_none() {
-                    let engine = ParallelCorrEngine { ctype, repair_psd };
-                    bodies[0].matrix = engine.matrix(&views);
+                    bodies[0].matrix = ParallelCorrEngine::new(ctype).matrix(&views);
                 } else {
                     let mut plane = [None, None];
                     let mut bodies = bodies.iter_mut();
@@ -414,7 +399,7 @@ impl Component for CorrelationEngineNode {
                             });
                         }
                     }
-                    let did = robust_plane_warm_into(&views, plane, repair_psd, margins);
+                    let did = robust_plane_warm_into(&views, plane, margins);
                     count_sweep(&self.probe, did);
                 }
             }
@@ -892,19 +877,5 @@ mod tests {
                 assert_eq!(x.matrix.get(1, 0).to_bits(), y.matrix.get(1, 0).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn quadrant_engine_with_repair_stays_psd() {
-        let mut node = CorrelationEngineNode::new(6, 6, 3, CorrType::Quadrant).with_psd_repair();
-        let mut checked = 0;
-        for k in 0..30 {
-            let rs: Vec<f64> = (0..6).map(|i| ret(i, k)).collect();
-            for snap in feed(&mut node, k, rs) {
-                assert!(stats::psd::is_psd(&snap.matrix, 1e-8));
-                checked += 1;
-            }
-        }
-        assert!(checked > 0);
     }
 }

@@ -57,9 +57,10 @@ pub enum GraphError {
     Unreachable(String),
     /// The graph has no source.
     NoSource,
-    /// A telemetry environment override failed to parse (see
-    /// [`telemetry::Caps::from_env`]). Surfaced at run start instead of
-    /// silently falling back to defaults.
+    /// A configuration value was refused: an environment variable that
+    /// does not parse ([`telemetry::from_env`], `MARKETMINER_WORKERS`) or
+    /// a run configuration that fails validation. Surfaced at run start
+    /// instead of silently falling back to defaults.
     Config(telemetry::ConfigError),
     /// A multi-process run failed at the OS boundary (socket bind,
     /// process spawn, checkpoint-directory IO).
@@ -76,7 +77,7 @@ impl std::fmt::Display for GraphError {
             GraphError::Cycle(n) => write!(f, "cycle through node {n}"),
             GraphError::Unreachable(n) => write!(f, "node {n} has no inbound edges"),
             GraphError::NoSource => write!(f, "graph has no source node"),
-            GraphError::Config(e) => write!(f, "telemetry configuration: {e}"),
+            GraphError::Config(e) => write!(f, "configuration: {e}"),
             GraphError::Io(e) => write!(f, "shard runner io: {e}"),
         }
     }

@@ -207,7 +207,7 @@ pub struct Basket {
 /// health transition, or at end of day — tagged with the parameter set
 /// that produced them so a merged sink can attribute trades. A host's
 /// reports concatenated in emission order are its day in closing order
-/// ([`crate::pipeline::collect_sweep_output`] regroups them by pair).
+/// (the sweep's `collect_sweep_output` regroups them by pair).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TradeReport {
     /// Index of the parameter set (strategy host) the trades belong to.

@@ -5,7 +5,7 @@
 //! order gateway. The signal node also subscribes to the bar stream (the
 //! strategy needs prices, not just correlations) and hands the host one
 //! aligned frame per interval; a sink captures baskets and trade reports
-//! as they become final, and [`collect_sweep_output`] folds what any
+//! as they become final, and `collect_sweep_output` folds what any
 //! driver drained from it into the run's output. A [`SweepConfig`] of one
 //! spec is exactly that chain; more specs share everything up to their
 //! `(Ctype, M)` correlation stream.

@@ -226,12 +226,16 @@ impl Exec {
         let n = graph.nodes.len();
         let names: Vec<String> = graph.nodes.iter().map(|e| e.name.clone()).collect();
 
-        // Ring bounds come from the environment; a malformed override is
-        // a configuration error, not a silent fallback to defaults.
-        let caps = telemetry::Caps::from_env().map_err(GraphError::Config)?;
+        // Ring bounds and export paths come from the environment; a
+        // malformed variable (a level, a pool size, a bound) is a
+        // configuration error, not a silent fallback to defaults.
+        let env = telemetry::from_env().map_err(GraphError::Config)?;
+        super::workers_from_env().map_err(GraphError::Config)?;
         let level = runtime.config.telemetry;
-        let rt = (level.enabled())
-            .then(|| RunTelemetry::new(Telemetry::build(level, caps), &names, runtime.node_base));
+        let rt = (level.enabled()).then(|| {
+            let tel = Telemetry::build(level, env.caps);
+            RunTelemetry::new(tel, &names, runtime.node_base, &env)
+        });
 
         // Per-node inbox capacity: the configured bound, tightened by the
         // node's own `Component::inbox_capacity`.

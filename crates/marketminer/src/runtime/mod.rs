@@ -34,9 +34,7 @@ mod session;
 #[cfg(test)]
 mod tests;
 
-use std::path::PathBuf;
-
-use telemetry::TelemetryLevel;
+use telemetry::{ConfigError, TelemetryLevel};
 
 use crate::supervisor::SupervisionConfig;
 
@@ -53,14 +51,16 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 pub struct RuntimeConfig {
     /// Worker threads in the pool. `0` means "use
     /// `available_parallelism`". The default honours the
-    /// `MARKETMINER_WORKERS` environment variable (`"max"` or a positive
-    /// integer) so CI can pin the pool size without code changes. The
-    /// in-node kernel width follows it: `max(1, cores / workers)`.
+    /// [`WORKERS_ENV`] environment variable (`"max"` or a positive
+    /// integer) so CI can pin the pool size without code changes; any
+    /// other value fails the run at its start. The in-node kernel width
+    /// follows it: `max(1, cores / workers)`.
     pub workers: usize,
     /// Per-inbox soft capacity bound.
     pub capacity: usize,
     /// How much the run measures. `Off` (the default when the
-    /// `MARKETMINER_TELEMETRY` environment variable is unset) keeps every
+    /// `MARKETMINER_TELEMETRY` environment variable is unset; a value
+    /// that does not parse fails the run at its start) keeps every
     /// instrumentation site down to one predictable branch; `Counters`
     /// adds lock-free counters and the flight recorder; `Full` adds
     /// step-latency timing, spans and Chrome-trace capture.
@@ -70,9 +70,9 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            workers: default_workers(),
+            workers: workers_from_env().unwrap_or_else(|_| stats::width::cores()),
             capacity: DEFAULT_CHANNEL_CAPACITY,
-            telemetry: TelemetryLevel::from_env(),
+            telemetry: telemetry::from_env().map_or(TelemetryLevel::Off, |env| env.level),
         }
     }
 }
@@ -89,17 +89,29 @@ impl RuntimeConfig {
     }
 }
 
-fn default_workers() -> usize {
-    match std::env::var("MARKETMINER_WORKERS") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("max") => stats::width::cores(),
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w > 0)
-            .unwrap_or_else(stats::width::cores),
-        Err(_) => stats::width::cores(),
+/// Environment variable pinning the worker-pool size (`"max"` or a
+/// positive integer).
+pub const WORKERS_ENV: &str = "MARKETMINER_WORKERS";
+
+/// The pool size [`WORKERS_ENV`] asks for; every core when unset.
+fn workers_from_env() -> Result<usize, ConfigError> {
+    parse_workers(std::env::var(WORKERS_ENV).ok())
+}
+
+fn parse_workers(value: Option<String>) -> Result<usize, ConfigError> {
+    let Some(raw) = value else {
+        return Ok(stats::width::cores());
+    };
+    if raw.trim().eq_ignore_ascii_case("max") {
+        return Ok(stats::width::cores());
     }
+    (raw.trim().parse::<usize>().ok())
+        .filter(|&w| w > 0)
+        .ok_or(ConfigError::InvalidEnv {
+            var: WORKERS_ENV,
+            value: raw,
+            expected: "\"max\" or a positive integer",
+        })
 }
 
 /// The DAG executor.
@@ -107,12 +119,6 @@ fn default_workers() -> usize {
 pub struct Runtime {
     config: RuntimeConfig,
     supervision: SupervisionConfig,
-    /// Where a `Full` run writes its Chrome trace (falls back to the
-    /// `MARKETMINER_TRACE` environment variable when unset).
-    trace_path: Option<PathBuf>,
-    /// Where a `Full` run writes its lineage export (falls back to the
-    /// `MARKETMINER_LINEAGE` environment variable when unset).
-    lineage_path: Option<PathBuf>,
     /// Offset added to local node indices when minting event ids (shard
     /// workers pass `rank * NODE_ID_STRIDE`; see `output::RunTelemetry`).
     node_base: usize,
@@ -168,23 +174,6 @@ impl Runtime {
     /// environment default.
     pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
         self.config.telemetry = level;
-        self
-    }
-
-    /// Write the Chrome trace of a `Full` run to `path` (overrides the
-    /// `MARKETMINER_TRACE` environment variable). The file is
-    /// Perfetto-loadable: one track per worker, one per node.
-    pub fn with_trace_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trace_path = Some(path.into());
-        self
-    }
-
-    /// Write the lineage export of a `Full` run to `path` (overrides the
-    /// `MARKETMINER_LINEAGE` environment variable). The file is the JSON
-    /// document `explain_trade` consumes: every created message's event
-    /// id, kind, interval, wall-clock stamp and parent ids.
-    pub fn with_lineage_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.lineage_path = Some(path.into());
         self
     }
 

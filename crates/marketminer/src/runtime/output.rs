@@ -3,14 +3,13 @@
 //! paths write and the end of the run folds.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use telemetry::lineage::{EventId, LineageEvent};
 use telemetry::metrics::{AtomicHistogram, MetricsSnapshot};
 use telemetry::trace::TrackId;
-use telemetry::{Probe, Telemetry, TelemetryReport};
+use telemetry::{EnvConfig, Probe, Telemetry, TelemetryReport};
 
 use super::exec::Exec;
 use super::scheduler::Scheduler;
@@ -181,10 +180,19 @@ pub(super) struct RunTelemetry {
     /// minted by different worker processes occupy disjoint ranges and
     /// merge into one fleet-wide lineage without collisions.
     node_base: usize,
+    /// Where a `Full` run writes its Chrome trace and its lineage export
+    /// (`MARKETMINER_TRACE`, `MARKETMINER_LINEAGE`).
+    trace_path: Option<String>,
+    lineage_path: Option<String>,
 }
 
 impl RunTelemetry {
-    pub(super) fn new(tel: Arc<Telemetry>, names: &[String], node_base: usize) -> RunTelemetry {
+    pub(super) fn new(
+        tel: Arc<Telemetry>,
+        names: &[String],
+        node_base: usize,
+        env: &EnvConfig,
+    ) -> RunTelemetry {
         let n = names.len();
         let full = tel.is_full();
         if full {
@@ -211,6 +219,8 @@ impl RunTelemetry {
             hop_us: (0..n).map(|_| AtomicHistogram::default()).collect(),
             probes,
             node_base,
+            trace_path: env.trace_path.clone(),
+            lineage_path: env.lineage_path.clone(),
             tel,
         }
     }
@@ -321,33 +331,21 @@ pub(super) fn assemble_output(runtime: &Runtime, exec: &Exec) -> RunOutput {
         rt.fold(&exec.names, &exec.sched);
         let mut report = rt.tel.finish();
         if rt.full {
-            let path = runtime
-                .trace_path
-                .clone()
-                .or_else(|| telemetry::trace_path_from_env().map(PathBuf::from));
-            if let Some(path) = path {
-                match std::fs::write(&path, rt.tel.tracer.export()) {
-                    Ok(()) => report.trace_path = Some(path.display().to_string()),
-                    Err(e) => {
-                        eprintln!("telemetry: failed to write trace {}: {e}", path.display())
-                    }
+            if let Some(path) = &rt.trace_path {
+                match std::fs::write(path, rt.tel.tracer.export()) {
+                    Ok(()) => report.trace_path = Some(path.clone()),
+                    Err(e) => eprintln!("telemetry: failed to write trace {path}: {e}"),
                 }
             }
-            let lineage_path = runtime
-                .lineage_path
-                .clone()
-                .or_else(|| telemetry::lineage_path_from_env().map(PathBuf::from));
-            if let Some(path) = lineage_path {
+            if let Some(path) = &rt.lineage_path {
                 let json = telemetry::lineage::export(
                     &report.lineage,
                     report.lineage_dropped,
                     &exec.names,
                 );
-                match std::fs::write(&path, json) {
-                    Ok(()) => report.lineage_path = Some(path.display().to_string()),
-                    Err(e) => {
-                        eprintln!("telemetry: failed to write lineage {}: {e}", path.display())
-                    }
+                match std::fs::write(path, json) {
+                    Ok(()) => report.lineage_path = Some(path.clone()),
+                    Err(e) => eprintln!("telemetry: failed to write lineage {path}: {e}"),
                 }
             }
         }

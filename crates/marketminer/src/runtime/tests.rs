@@ -246,6 +246,24 @@ fn invalid_graph_refused_before_spawn() {
     assert!(Runtime::new().run(g).is_err());
 }
 
+/// The pool size from its variable's value: unset or `max` is every
+/// core, anything but a positive integer is refused (read through the
+/// parse function, so no test sets the process's own variable).
+#[test]
+fn worker_count_parses_or_is_refused() {
+    let cores = stats::width::cores();
+    assert_eq!(parse_workers(None), Ok(cores));
+    assert_eq!(parse_workers(Some(" MAX ".into())), Ok(cores));
+    assert_eq!(parse_workers(Some("3".into())), Ok(3));
+    for bad in ["abc", "0", "-1", ""] {
+        let err = parse_workers(Some(bad.into())).unwrap_err();
+        assert!(
+            matches!(&err, ConfigError::InvalidEnv { var: WORKERS_ENV, value, .. } if value == bad),
+            "{bad}: {err}"
+        );
+    }
+}
+
 #[test]
 fn unconnected_sink_yields_empty() {
     let mut g = Graph::new();

@@ -49,7 +49,7 @@ pub const CONTROL_SOCKET: &str = "control.sock";
 /// Configuration for a multi-process sharded sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of worker processes. [`placement`] says which parameter
+    /// Number of worker processes. [`placement()`] says which parameter
     /// sets each runs; a set keeps its global index wherever it lands.
     pub shards: usize,
     /// Directory for durable checkpoints and the control socket.

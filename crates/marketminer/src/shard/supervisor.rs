@@ -42,7 +42,7 @@ use telemetry::lineage::{EventId, LineageEvent};
 use telemetry::metrics::MetricsSnapshot;
 use telemetry::recorder::{FlightEvent, FlightKind};
 use telemetry::trace::{RecordPhase, TraceRecord};
-use telemetry::{Caps, Telemetry, TelemetryLevel, TelemetryReport};
+use telemetry::{Telemetry, TelemetryLevel, TelemetryReport};
 
 use super::frame::Frame;
 use super::placement::placement;
@@ -269,8 +269,8 @@ impl ShardRunner {
                 cfg.backoff_base, cfg.backoff_max
             )));
         }
-        let caps = Caps::from_env().map_err(GraphError::Config)?;
-        let tel = Telemetry::build(self.level, caps);
+        let env = telemetry::from_env().map_err(GraphError::Config)?;
+        let tel = Telemetry::build(self.level, env.caps);
 
         // --- Stage the job directory -----------------------------------
         std::fs::create_dir_all(&cfg.ckpt_dir).map_err(io_err)?;

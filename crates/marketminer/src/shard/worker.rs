@@ -165,12 +165,10 @@ impl WorkerArgs {
                 "--epoch-quotes" => epoch_quotes = Some(num()? as usize),
                 "--heartbeat-ms" => heartbeat_ms = num()?,
                 "--telemetry" => {
-                    telemetry = Some(match value.as_str() {
-                        "off" => TelemetryLevel::Off,
-                        "counters" => TelemetryLevel::Counters,
-                        "full" => TelemetryLevel::Full,
-                        other => return Err(format!("{flag}: unknown level {other}")),
-                    })
+                    telemetry = Some(
+                        TelemetryLevel::parse(value)
+                            .ok_or_else(|| format!("{flag}: unknown level {value}"))?,
+                    )
                 }
                 other => return Err(format!("unknown flag {other}")),
             }

@@ -612,6 +612,16 @@ fn message_layout_matches_fixture() {
         old.extend(wire::to_bytes(&order()));
         assert!(wire::from_bytes::<Message>(&old).is_err(), "tag {tag}");
     }
+    // CorrType tags 4 and 5 were the Spearman and Kendall measures: a
+    // peer still naming either is refused the same way.
+    use stats::correlation::CorrType;
+    assert_eq!(wire::to_bytes(&CorrType::Quadrant), [3]);
+    for tag in [4u8, 5] {
+        assert!(
+            wire::from_bytes::<CorrType>(&[tag]).is_err(),
+            "CorrType tag {tag}"
+        );
+    }
 }
 
 #[test]

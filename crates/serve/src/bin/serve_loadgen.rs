@@ -97,8 +97,6 @@ fn parse_args() -> Result<Args, String> {
             "--ctype" => {
                 args.ctype = match value()?.as_str() {
                     "pearson" => CorrType::Pearson,
-                    "spearman" => CorrType::Spearman,
-                    "kendall" => CorrType::Kendall,
                     other => return Err(format!("--ctype: unknown estimator {other}")),
                 }
             }

@@ -83,7 +83,11 @@ fn parse_args() -> Result<Args, String> {
             "--wait-ms" => {
                 args.wait_ms = value()?.parse().map_err(|e| format!("--wait-ms: {e}"))?
             }
-            "--telemetry" => args.telemetry = TelemetryLevel::parse(&value()?),
+            "--telemetry" => {
+                let level = value()?;
+                args.telemetry = TelemetryLevel::parse(&level)
+                    .ok_or(format!("--telemetry: unknown level {level}"))?
+            }
             other => return Err(format!("unknown flag {other}")),
         }
     }

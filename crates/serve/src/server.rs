@@ -42,7 +42,7 @@ use telemetry::lineage::{Cause, EventId};
 use telemetry::metrics::MetricsSnapshot;
 use telemetry::recorder::FlightKind;
 use telemetry::trace::TrackId;
-use telemetry::{Caps, Telemetry, TelemetryLevel, TelemetryReport};
+use telemetry::{Telemetry, TelemetryLevel, TelemetryReport};
 
 use crate::protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
 use crate::ring::Popped;
@@ -205,10 +205,9 @@ impl Server {
         sweep: SweepConfig,
         rt: RuntimeConfig,
     ) -> io::Result<ServeReport> {
-        let tel = Telemetry::build(
-            self.cfg.telemetry,
-            Caps::from_env().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
-        );
+        let env =
+            telemetry::from_env().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let tel = Telemetry::build(self.cfg.telemetry, env.caps);
         let shared = Arc::new(Shared {
             registry: SessionRegistry::new(),
             router: Router::new(),

@@ -8,11 +8,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::combined::CombinedEstimator;
-use crate::kendall::KendallEstimator;
 use crate::maronna::MaronnaEstimator;
 use crate::pearson::PearsonEstimator;
 use crate::quadrant::QuadrantEstimator;
-use crate::spearman::SpearmanEstimator;
 
 /// The three correlation treatments of the paper, plus the quadrant screen
 /// on its own (used by ablation benches).
@@ -26,10 +24,6 @@ pub enum CorrType {
     Combined,
     /// Quadrant (sign) correlation alone.
     Quadrant,
-    /// Spearman rank correlation (extension beyond the paper).
-    Spearman,
-    /// Kendall tau-b rank correlation (extension beyond the paper).
-    Kendall,
 }
 
 impl CorrType {
@@ -44,8 +38,6 @@ impl CorrType {
             CorrType::Maronna => Box::new(MaronnaEstimator::default()),
             CorrType::Combined => Box::new(CombinedEstimator::default()),
             CorrType::Quadrant => Box::new(QuadrantEstimator),
-            CorrType::Spearman => Box::new(SpearmanEstimator),
-            CorrType::Kendall => Box::new(KendallEstimator),
         }
     }
 
@@ -56,8 +48,6 @@ impl CorrType {
             CorrType::Maronna => "Maronna",
             CorrType::Combined => "Combined",
             CorrType::Quadrant => "Quadrant",
-            CorrType::Spearman => "Spearman",
-            CorrType::Kendall => "Kendall",
         }
     }
 }
@@ -77,8 +67,6 @@ impl std::str::FromStr for CorrType {
             "maronna" => Ok(CorrType::Maronna),
             "combined" => Ok(CorrType::Combined),
             "quadrant" => Ok(CorrType::Quadrant),
-            "spearman" => Ok(CorrType::Spearman),
-            "kendall" => Ok(CorrType::Kendall),
             other => Err(format!("unknown correlation type: {other}")),
         }
     }
@@ -117,14 +105,14 @@ pub(crate) fn clamp_corr(r: f64) -> f64 {
     }
 }
 
+// Tags 4 and 5 were the Spearman and Kendall measures: retired, and
+// refused like any unknown tag.
 wire::tagged! {
     CorrType: "correlation type tag" {
         0 => Pearson,
         1 => Maronna,
         2 => Combined,
         3 => Quadrant,
-        4 => Spearman,
-        5 => Kendall,
     }
 }
 
@@ -149,9 +137,9 @@ mod tests {
         ] {
             assert_eq!(CorrType::from_str(c.name()).unwrap(), c);
         }
-        assert_eq!(CorrType::from_str("spearman").unwrap(), CorrType::Spearman);
-        assert_eq!(CorrType::from_str("kendall").unwrap(), CorrType::Kendall);
-        assert!(CorrType::from_str("cosine").is_err());
+        for retired in ["spearman", "kendall", "cosine"] {
+            assert!(CorrType::from_str(retired).is_err(), "{retired}");
+        }
     }
 
     #[test]
@@ -163,7 +151,6 @@ mod tests {
             CorrType::Maronna,
             CorrType::Combined,
             CorrType::Quadrant,
-            CorrType::Spearman,
         ] {
             let e = c.estimator();
             let r = e.correlation(&x, &y);
@@ -180,7 +167,6 @@ mod tests {
             CorrType::Maronna,
             CorrType::Combined,
             CorrType::Quadrant,
-            CorrType::Spearman,
         ] {
             let e = c.estimator();
             assert_eq!(e.correlation(&flat, &ramp), 0.0, "{}", e.name());

@@ -100,13 +100,6 @@ pub struct TestResult {
     pub df: f64,
 }
 
-impl TestResult {
-    /// Significant at the given level (two-sided).
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Welch's unequal-variance two-sample t-test (two-sided).
 ///
 /// Returns `None` when either sample has fewer than 2 observations or
@@ -230,7 +223,6 @@ mod tests {
         let r = welch_t_test(&a, &b).unwrap();
         assert!(r.p_value < 1e-6, "p = {}", r.p_value);
         assert!(r.statistic < 0.0, "a < b gives negative t");
-        assert!(r.significant_at(0.05));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod combined;
 pub mod correlation;
 pub mod descriptive;
 pub mod inference;
-pub mod kendall;
 pub mod linalg;
 pub mod maronna;
 pub mod matrix;
@@ -58,17 +57,14 @@ pub mod psd;
 pub mod quadrant;
 pub mod simd;
 pub mod sliding_matrix;
-pub mod spearman;
 pub mod width;
 
 pub use combined::CombinedEstimator;
 pub use correlation::{CorrType, CorrelationMeasure};
 pub use descriptive::{BoxPlot, Summary};
-pub use kendall::KendallEstimator;
 pub use maronna::MaronnaEstimator;
 pub use matrix::SymMatrix;
 pub use parallel::ParallelCorrEngine;
 pub use pearson::PearsonEstimator;
 pub use quadrant::QuadrantEstimator;
 pub use sliding_matrix::OnlineCorrMatrix;
-pub use spearman::SpearmanEstimator;

@@ -50,15 +50,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (denominator n - 1; 0 for fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -325,7 +316,6 @@ mod tests {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]

@@ -49,7 +49,6 @@ use crate::combined::CombinedEstimator;
 use crate::correlation::CorrType;
 use crate::maronna::{robust_margin_stats_in, with_weight_scratch, Irls, MaronnaFit, MaronnaSeed};
 use crate::matrix::SymMatrix;
-use crate::psd;
 use crate::quadrant::{median_of, quadrant, quadrant_of_signs, sign_words, signs_into};
 
 /// The two measures of a robust plane. Every `[T; 2]` in this module —
@@ -591,7 +590,6 @@ pub struct WarmLane<'a> {
 pub fn robust_plane_warm_into(
     windows: &[&[f64]],
     mut lanes: [Option<WarmLane<'_>>; 2],
-    repair_psd: bool,
     margins: &mut Margins,
 ) -> [CubeStats; 2] {
     let n = windows.len();
@@ -664,12 +662,6 @@ pub fn robust_plane_warm_into(
             )
         })
         .collect();
-
-    if repair_psd {
-        for lane in lanes.iter_mut().flatten() {
-            psd::repair_correlation(lane.out, psd::RepairConfig::default());
-        }
-    }
     merge_plane(parts)
 }
 
@@ -704,16 +696,6 @@ pub fn pair_series(ctype: CorrType, x: &[f64], y: &[f64], m: usize, out: &mut [f
         CorrType::Quadrant => {
             for (step, o) in out.iter_mut().enumerate() {
                 *o = quadrant(&x[step..step + m], &y[step..step + m]);
-            }
-        }
-        CorrType::Spearman => {
-            for (step, o) in out.iter_mut().enumerate() {
-                *o = crate::spearman::spearman(&x[step..step + m], &y[step..step + m]);
-            }
-        }
-        CorrType::Kendall => {
-            for (step, o) in out.iter_mut().enumerate() {
-                *o = crate::kendall::kendall(&x[step..step + m], &y[step..step + m]);
             }
         }
         CorrType::Maronna | CorrType::Combined => {
@@ -846,25 +828,12 @@ impl CorrCube {
 pub struct ParallelCorrEngine {
     /// Correlation treatment to compute.
     pub ctype: CorrType,
-    /// Repair each produced *matrix* to PSD by eigenvalue clipping.
-    /// (Applies to [`Self::matrix`]; cubes are per-pair series and are
-    /// repaired only when materialised via snapshots.)
-    pub repair_psd: bool,
 }
 
 impl ParallelCorrEngine {
-    /// Engine for a correlation type, without PSD repair.
+    /// Engine for a correlation type.
     pub fn new(ctype: CorrType) -> Self {
-        ParallelCorrEngine {
-            ctype,
-            repair_psd: false,
-        }
-    }
-
-    /// Enable PSD repair on produced matrices.
-    pub fn with_psd_repair(mut self) -> Self {
-        self.repair_psd = true;
-        self
+        ParallelCorrEngine { ctype }
     }
 
     /// Compute the all-pairs correlation matrix of the given per-stock
@@ -885,11 +854,7 @@ impl ParallelCorrEngine {
                 // Pearson factors through standardization, so the whole
                 // matrix is one tiled Z·Zᵀ (see crate::blocked). Robust
                 // measures have no such factorization.
-                let mut m = crate::blocked::corr_matrix_blocked(windows, true);
-                if self.repair_psd {
-                    psd::repair_correlation(&mut m, psd::RepairConfig::default());
-                }
-                m
+                crate::blocked::corr_matrix_blocked(windows, true)
             }
             CorrType::Quadrant => self.matrix_quadrant(windows),
             ctype => {
@@ -920,7 +885,7 @@ impl ParallelCorrEngine {
     }
 
     /// The matrix of `pair(i, j)` over every `i > j`, in parallel over
-    /// pairs, repaired to PSD if the engine is set to.
+    /// pairs.
     fn matrix_of_pairs(&self, n: usize, pair: impl Fn(usize, usize) -> f64 + Sync) -> SymMatrix {
         let n_pairs = n * n.saturating_sub(1) / 2;
         let values: Vec<f64> = (0..n_pairs)
@@ -934,9 +899,6 @@ impl ParallelCorrEngine {
         for (rank, v) in values.into_iter().enumerate() {
             let (i, j) = SymMatrix::pair_from_rank(rank);
             m.set(i, j, v);
-        }
-        if self.repair_psd {
-            psd::repair_correlation(&mut m, psd::RepairConfig::default());
         }
         m
     }
@@ -965,25 +927,14 @@ impl ParallelCorrEngine {
     /// equation, the path to it is not.
     ///
     /// Per-pair work is sharded across the pool; pairs are independent, so
-    /// output is deterministic at any thread count.
+    /// output is deterministic at any thread count. `out` is fully
+    /// overwritten (resized if it is not `n × n`), so a caller can recycle
+    /// its allocation. Returns what the sweep did.
     ///
     /// # Panics
     /// Panics if the engine's `ctype` is not `Maronna` or `Combined`, if
     /// windows have unequal lengths, or if `seeds.len()` is not
     /// `n(n-1)/2`.
-    pub fn matrix_robust_warm(
-        &self,
-        windows: &[&[f64]],
-        seeds: &mut [Option<MaronnaSeed>],
-    ) -> SymMatrix {
-        let mut out = SymMatrix::identity(windows.len());
-        self.matrix_robust_warm_into(windows, seeds, &mut out);
-        out
-    }
-
-    /// [`Self::matrix_robust_warm`] into a caller-provided buffer, fully
-    /// overwriting it — lets the streaming engine recycle snapshot
-    /// allocations. Returns what the sweep did.
     pub fn matrix_robust_warm_into(
         &self,
         windows: &[&[f64]],
@@ -998,7 +949,7 @@ impl ParallelCorrEngine {
         });
         let mut lanes = [None, None];
         lanes[slot] = Some(WarmLane { seeds, out });
-        robust_plane_warm_into(windows, lanes, self.repair_psd, &mut Margins::default())[slot]
+        robust_plane_warm_into(windows, lanes, &mut Margins::default())[slot]
     }
 
     /// Compute a full day's correlation cube: for every pair and every
@@ -1360,6 +1311,17 @@ mod tests {
         }
     }
 
+    /// One warm sweep into a fresh matrix.
+    fn warm(
+        eng: ParallelCorrEngine,
+        windows: &[&[f64]],
+        seeds: &mut [Option<MaronnaSeed>],
+    ) -> SymMatrix {
+        let mut out = SymMatrix::identity(0);
+        eng.matrix_robust_warm_into(windows, seeds, &mut out);
+        out
+    }
+
     #[test]
     fn warm_robust_matrix_agrees_with_cold_per_pair() {
         let series = synthetic_series(9, 100);
@@ -1373,8 +1335,8 @@ mod tests {
             // every pair to within the IRLS convergence tolerance. Second
             // sweep on the same window is seeded by the first fit's fixed
             // point; it must stay at that fixed point.
-            let first = eng.matrix_robust_warm(&windows, &mut seeds);
-            let second = eng.matrix_robust_warm(&windows, &mut seeds);
+            let first = warm(eng, &windows, &mut seeds);
+            let second = warm(eng, &windows, &mut seeds);
             for i in 1..windows.len() {
                 for j in 0..i {
                     let cold = measure.correlation(windows[i], windows[j]);
@@ -1394,9 +1356,9 @@ mod tests {
         for ctype in [CorrType::Maronna, CorrType::Combined] {
             let eng = ParallelCorrEngine::new(ctype);
             let mut seeds_par = vec![None; n_pairs];
-            let par = eng.matrix_robust_warm(&windows, &mut seeds_par);
+            let par = warm(eng, &windows, &mut seeds_par);
             let mut seeds_seq = vec![None; n_pairs];
-            let seq = crate::width::with(1, || eng.matrix_robust_warm(&windows, &mut seeds_seq));
+            let seq = crate::width::with(1, || warm(eng, &windows, &mut seeds_seq));
             assert_eq!(par.packed(), seq.packed(), "{ctype}");
             for (a, b) in seeds_par.iter().zip(&seeds_seq) {
                 assert_eq!(a, b, "{ctype} seeds");
@@ -1411,7 +1373,7 @@ mod tests {
         let n_pairs = windows.len() * (windows.len() - 1) / 2;
         let eng = ParallelCorrEngine::new(CorrType::Maronna);
         let mut seeds = vec![None; n_pairs];
-        let fresh = eng.matrix_robust_warm(&windows, &mut seeds.clone());
+        let fresh = warm(eng, &windows, &mut seeds.clone());
         // Pre-soil the buffer: every entry must be overwritten.
         let mut out = SymMatrix::from_packed(
             windows.len(),
@@ -1519,18 +1481,6 @@ mod tests {
         let par = eng.cube(&series, 20).unwrap();
         let seq = crate::width::with(1, || eng.cube(&series, 20)).unwrap();
         assert_eq!(par.data, seq.data, "thread count must not change results");
-    }
-
-    #[test]
-    fn psd_repair_engages() {
-        // Quadrant matrices over short windows are routinely non-PSD; with
-        // repair enabled the output must always pass the Cholesky test.
-        let series = synthetic_series(12, 30);
-        let windows: Vec<&[f64]> = series.iter().map(|s| s.as_slice()).collect();
-        let m = ParallelCorrEngine::new(CorrType::Quadrant)
-            .with_psd_repair()
-            .matrix(&windows);
-        assert!(psd::is_psd(&m, 1e-8), "repaired matrix must be PSD");
     }
 
     #[test]

@@ -49,11 +49,6 @@ pub fn is_psd(m: &SymMatrix, tol: f64) -> bool {
     Cholesky::factor(&shifted, 0.0).is_ok()
 }
 
-/// Smallest eigenvalue (Jacobi); the quantitative PSD diagnostic.
-pub fn min_eigenvalue(m: &SymMatrix) -> f64 {
-    jacobi_eigen(m, 40).min_value()
-}
-
 /// Outcome of a repair pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairReport {
@@ -127,85 +122,6 @@ pub fn repair_correlation(m: &mut SymMatrix, cfg: RepairConfig) -> RepairReport 
     report
 }
 
-/// Outcome of the Higham projection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NearestReport {
-    /// Alternating-projection iterations performed.
-    pub iterations: usize,
-    /// Whether the iteration converged to tolerance.
-    pub converged: bool,
-    /// Frobenius distance from the input to the result.
-    pub distance: f64,
-}
-
-/// Higham's nearest correlation matrix (alternating projections with
-/// Dykstra's correction), in place.
-///
-/// Where [`repair_correlation`] is the fast "clip and rescale" heuristic
-/// adequate for trading thresholds, this is the *optimal* repair: the
-/// Frobenius-nearest correlation matrix (PSD, unit diagonal) to the
-/// input. Costs one eigendecomposition per iteration (typically < 30).
-pub fn nearest_correlation(m: &mut SymMatrix, cfg: RepairConfig) -> NearestReport {
-    const MAX_ITER: usize = 100;
-    const TOL: f64 = 1e-8;
-    let n = m.n();
-    let original = m.clone();
-    // Dykstra correction for the PSD projection.
-    let mut ds = SymMatrix::zeros(n);
-    let mut y = m.clone();
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for _ in 0..MAX_ITER {
-        iterations += 1;
-        // R = Y - ΔS; X = P_psd(R).
-        let mut r = y.clone();
-        for i in 0..n {
-            for j in 0..=i {
-                r.set(i, j, y.get(i, j) - ds.get(i, j));
-            }
-        }
-        let eig = jacobi_eigen(&r, cfg.max_sweeps);
-        let w: Vec<f64> = eig.values.iter().map(|&v| v.max(0.0)).collect();
-        let x = eig.reconstruct_with(&w);
-        // ΔS = X - R.
-        for i in 0..n {
-            for j in 0..=i {
-                ds.set(i, j, x.get(i, j) - r.get(i, j));
-            }
-        }
-        // Y = P_unitdiag(X): overwrite the diagonal with ones.
-        let mut y_next = x;
-        for i in 0..n {
-            y_next.set(i, i, 1.0);
-        }
-        let delta = y.frobenius_distance(&y_next);
-        y = y_next;
-        if delta < TOL {
-            converged = true;
-            break;
-        }
-    }
-
-    // Clamp off-diagonals into [-1, 1] (numerically they can overshoot by
-    // ulps) and write back.
-    for i in 0..n {
-        for j in 0..=i {
-            let v = if i == j {
-                1.0
-            } else {
-                y.get(i, j).clamp(-1.0, 1.0)
-            };
-            m.set(i, j, v);
-        }
-    }
-    NearestReport {
-        iterations,
-        converged,
-        distance: original.frobenius_distance(m),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +147,7 @@ mod tests {
     fn infeasible_is_not_psd() {
         let m = infeasible_matrix();
         assert!(!is_psd(&m, 1e-8));
-        assert!(min_eigenvalue(&m) < -0.1);
+        assert!(jacobi_eigen(&m, 40).min_value() < -0.1);
     }
 
     #[test]
@@ -273,47 +189,6 @@ mod tests {
         repair_correlation(&mut m, RepairConfig::default());
         // The strictly positive eigen floor makes this factorable.
         assert!(Cholesky::factor(&m, 0.0).is_ok());
-    }
-
-    #[test]
-    fn higham_fixes_infeasible_and_is_optimal_ish() {
-        let mut clipped = infeasible_matrix();
-        repair_correlation(&mut clipped, RepairConfig::default());
-
-        let mut higham = infeasible_matrix();
-        let report = nearest_correlation(&mut higham, RepairConfig::default());
-        assert!(report.converged, "iterations {}", report.iterations);
-        assert!(is_psd(&higham, 1e-7), "Higham result must be PSD");
-        assert!(higham.has_unit_diagonal(1e-9));
-        assert!(higham.entries_in_range(1e-9));
-
-        // Optimality: Higham is at least as close to the input as the
-        // clip-and-rescale heuristic.
-        let original = infeasible_matrix();
-        let d_higham = original.frobenius_distance(&higham);
-        let d_clip = original.frobenius_distance(&clipped);
-        assert!(
-            d_higham <= d_clip + 1e-9,
-            "higham {d_higham} vs clip {d_clip}"
-        );
-        assert!((report.distance - d_higham).abs() < 1e-12);
-    }
-
-    #[test]
-    fn higham_is_noop_on_valid_correlation_matrices() {
-        let mut m = SymMatrix::from_full(
-            3,
-            &[
-                1.0, 0.5, 0.2, //
-                0.5, 1.0, 0.3, //
-                0.2, 0.3, 1.0,
-            ],
-        );
-        let before = m.clone();
-        let report = nearest_correlation(&mut m, RepairConfig::default());
-        assert!(report.converged);
-        assert!(m.frobenius_distance(&before) < 1e-7);
-        assert!(report.distance < 1e-7);
     }
 
     #[test]

@@ -681,7 +681,7 @@ fn robust_plane_is_bit_identical_to_the_two_separate_sweeps() {
                                     out: out_c,
                                 }),
                             ];
-                            let did = robust_plane_warm_into(&windows, lanes, false, &mut margins);
+                            let did = robust_plane_warm_into(&windows, lanes, &mut margins);
                             streamed = add(streamed, did);
                             for slot in 0..2 {
                                 ParallelCorrEngine::new(PLANE[slot]).matrix_robust_warm_into(

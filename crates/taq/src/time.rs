@@ -111,12 +111,6 @@ impl TradingCalendar {
         let end_sec = (s as u32 + 1) * self.dt_seconds;
         Timestamp::new(day, end_sec * 1000 - 1)
     }
-
-    /// Iterate over all (day, interval) cells in chronological order.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (u16, usize)> + '_ {
-        let per_day = self.intervals_per_day();
-        (0..self.days).flat_map(move |d| (0..per_day).map(move |s| (d, s)))
-    }
 }
 
 wire::record! {
@@ -185,12 +179,6 @@ mod tests {
         let end_last = cal.interval_end(1, 779);
         assert_eq!(end_last.day, 1);
         assert_eq!(end_last.millis, MILLIS_PER_SESSION - 1);
-    }
-
-    #[test]
-    fn iter_cells_count() {
-        let cal = TradingCalendar::new(3, 1800);
-        assert_eq!(cal.iter_cells().count(), 3 * 13);
     }
 
     #[test]

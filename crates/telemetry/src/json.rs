@@ -6,7 +6,6 @@
 //! JSON subset the exporters emit: objects, arrays, strings (with escape
 //! sequences), finite numbers, booleans and null.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A parsed or under-construction JSON value.
@@ -107,18 +106,6 @@ impl Json {
                 out.push('}');
             }
         }
-    }
-
-    /// Group object-array elements by a string field (test helper for
-    /// trace inspection).
-    pub fn group_by<'a>(&'a self, key: &str) -> BTreeMap<&'a str, Vec<&'a Json>> {
-        let mut groups: BTreeMap<&str, Vec<&Json>> = BTreeMap::new();
-        for item in self.items() {
-            if let Some(Json::Str(v)) = item.get(key) {
-                groups.entry(v).or_default().push(item);
-            }
-        }
-        groups
     }
 }
 

@@ -75,6 +75,8 @@ pub enum ConfigError {
         var: &'static str,
         /// The rejected value.
         value: String,
+        /// What the variable takes.
+        expected: &'static str,
     },
     /// A run-level configuration object (strategy spec, sweep, schedule)
     /// failed validation. Same philosophy as `InvalidEnv`: refusing to
@@ -100,9 +102,11 @@ impl ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::InvalidEnv { var, value } => {
-                write!(f, "{var}={value:?} is not a positive integer")
-            }
+            ConfigError::InvalidEnv {
+                var,
+                value,
+                expected,
+            } => write!(f, "{var}={value:?} is not {expected}"),
             ConfigError::Invalid { what, reason } => {
                 write!(f, "invalid {what}: {reason}")
             }
@@ -133,28 +137,58 @@ impl Default for Caps {
     }
 }
 
-impl Caps {
-    /// Bounds from the environment: unset variables keep their defaults,
-    /// set-but-malformed values are a [`ConfigError`].
-    pub fn from_env() -> Result<Caps, ConfigError> {
-        Ok(Caps {
-            flight: cap_from_env(RECORDER_CAP_ENV, DEFAULT_FLIGHT_CAP)?,
-            trace: DEFAULT_TRACE_CAP,
-            lineage: cap_from_env(LINEAGE_CAP_ENV, lineage::DEFAULT_LINEAGE_CAP)?,
-        })
-    }
+/// What the environment sets about a run's telemetry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EnvConfig {
+    /// `MARKETMINER_TELEMETRY` (`Off` when unset).
+    pub level: TelemetryLevel,
+    /// `MARKETMINER_TRACE`: where a `Full` run writes its Chrome trace.
+    pub trace_path: Option<String>,
+    /// `MARKETMINER_LINEAGE`: where a `Full` run writes its lineage.
+    pub lineage_path: Option<String>,
+    /// `MARKETMINER_RECORDER_CAP` and `MARKETMINER_LINEAGE_CAP`.
+    pub caps: Caps,
 }
 
-fn cap_from_env(var: &'static str, default: usize) -> Result<usize, ConfigError> {
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(raw) => raw
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or(ConfigError::InvalidEnv { var, value: raw }),
-    }
+/// The telemetry configuration of this process's environment: unset
+/// variables keep their defaults, a set-but-malformed one is a
+/// [`ConfigError`].
+pub fn from_env() -> Result<EnvConfig, ConfigError> {
+    parse_env(|var| std::env::var(var).ok())
+}
+
+/// [`from_env`] over any variable lookup.
+fn parse_env(var: impl Fn(&'static str) -> Option<String>) -> Result<EnvConfig, ConfigError> {
+    let level = match var(TELEMETRY_ENV) {
+        None => TelemetryLevel::Off,
+        Some(raw) => TelemetryLevel::parse(&raw).ok_or(ConfigError::InvalidEnv {
+            var: TELEMETRY_ENV,
+            value: raw,
+            expected: "off, counters or full",
+        })?,
+    };
+    let path = |name| (var(name).map(|s| s.trim().to_string())).filter(|s| !s.is_empty());
+    let cap =
+        |name, default| match var(name) {
+            None => Ok(default),
+            Some(raw) => (raw.trim().parse::<usize>().ok()).filter(|&n| n > 0).ok_or(
+                ConfigError::InvalidEnv {
+                    var: name,
+                    value: raw,
+                    expected: "a positive integer",
+                },
+            ),
+        };
+    Ok(EnvConfig {
+        level,
+        trace_path: path(TRACE_ENV),
+        lineage_path: path(LINEAGE_ENV),
+        caps: Caps {
+            flight: cap(RECORDER_CAP_ENV, DEFAULT_FLIGHT_CAP)?,
+            trace: DEFAULT_TRACE_CAP,
+            lineage: cap(LINEAGE_CAP_ENV, lineage::DEFAULT_LINEAGE_CAP)?,
+        },
+    })
 }
 
 /// How much a run measures.
@@ -172,22 +206,15 @@ pub enum TelemetryLevel {
 }
 
 impl TelemetryLevel {
-    /// Parse a level string (`off`/`counters`/`full`, `0`/`1`/`2`;
-    /// unknown values mean `Off`).
-    pub fn parse(value: &str) -> TelemetryLevel {
+    /// Parse a level string (`off`/`counters`/`full`, `0`/`1`/`2`, any
+    /// case); `None` for anything else.
+    pub fn parse(value: &str) -> Option<TelemetryLevel> {
         match value.trim().to_ascii_lowercase().as_str() {
-            "counters" | "1" => TelemetryLevel::Counters,
-            "full" | "2" => TelemetryLevel::Full,
-            _ => TelemetryLevel::Off,
+            "off" | "0" => Some(TelemetryLevel::Off),
+            "counters" | "1" => Some(TelemetryLevel::Counters),
+            "full" | "2" => Some(TelemetryLevel::Full),
+            _ => None,
         }
-    }
-
-    /// Level from the `MARKETMINER_TELEMETRY` environment variable
-    /// (`Off` when unset).
-    pub fn from_env() -> TelemetryLevel {
-        std::env::var(TELEMETRY_ENV)
-            .map(|v| TelemetryLevel::parse(&v))
-            .unwrap_or(TelemetryLevel::Off)
     }
 
     /// Stable lowercase name.
@@ -208,23 +235,6 @@ impl TelemetryLevel {
     pub fn is_full(&self) -> bool {
         *self == TelemetryLevel::Full
     }
-}
-
-/// Trace output path from the `MARKETMINER_TRACE` environment variable.
-pub fn trace_path_from_env() -> Option<String> {
-    std::env::var(TRACE_ENV)
-        .ok()
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-}
-
-/// Lineage output path from the `MARKETMINER_LINEAGE` environment
-/// variable.
-pub fn lineage_path_from_env() -> Option<String> {
-    std::env::var(LINEAGE_ENV)
-        .ok()
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
 }
 
 /// The per-run telemetry hub: one shared instance per `Runtime::run`,
@@ -253,19 +263,6 @@ impl Telemetry {
     /// New hub at the given level with default bounds.
     pub fn new(level: TelemetryLevel) -> Arc<Telemetry> {
         Telemetry::build(level, Caps::default())
-    }
-
-    /// New hub with explicit flight-recorder and tracer bounds (lineage
-    /// keeps its default).
-    pub fn with_caps(level: TelemetryLevel, flight_cap: usize, trace_cap: usize) -> Arc<Telemetry> {
-        Telemetry::build(
-            level,
-            Caps {
-                flight: flight_cap,
-                trace: trace_cap,
-                ..Caps::default()
-            },
-        )
     }
 
     /// New hub with every bound explicit.
@@ -502,12 +499,50 @@ mod tests {
 
     #[test]
     fn levels_parse_and_order() {
-        assert_eq!(TelemetryLevel::parse("full"), TelemetryLevel::Full);
-        assert_eq!(TelemetryLevel::parse("COUNTERS"), TelemetryLevel::Counters);
-        assert_eq!(TelemetryLevel::parse("2"), TelemetryLevel::Full);
-        assert_eq!(TelemetryLevel::parse("nonsense"), TelemetryLevel::Off);
+        assert_eq!(TelemetryLevel::parse("full"), Some(TelemetryLevel::Full));
+        assert_eq!(
+            TelemetryLevel::parse("COUNTERS"),
+            Some(TelemetryLevel::Counters)
+        );
+        assert_eq!(TelemetryLevel::parse("2"), Some(TelemetryLevel::Full));
+        assert_eq!(TelemetryLevel::parse(" off "), Some(TelemetryLevel::Off));
+        assert_eq!(TelemetryLevel::parse("nonsense"), None);
         assert!(TelemetryLevel::Off < TelemetryLevel::Counters);
         assert!(TelemetryLevel::Counters < TelemetryLevel::Full);
+    }
+
+    /// The environment is read through a lookup, so no test touches the
+    /// process's own variables.
+    #[test]
+    fn env_config_defaults_parses_and_refuses_malformed_values() {
+        let env = |pairs: &[(&str, &str)]| {
+            parse_env(move |var| {
+                (pairs.iter().find(|(k, _)| *k == var)).map(|(_, v)| v.to_string())
+            })
+        };
+        assert_eq!(env(&[]), Ok(EnvConfig::default()));
+        let set = env(&[
+            (TELEMETRY_ENV, "Full"),
+            (TRACE_ENV, " /tmp/t.json "),
+            (LINEAGE_ENV, ""),
+            (LINEAGE_CAP_ENV, "2097152"),
+        ])
+        .unwrap();
+        assert_eq!(set.level, TelemetryLevel::Full);
+        assert_eq!(set.trace_path.as_deref(), Some("/tmp/t.json"));
+        assert_eq!(set.lineage_path, None, "an empty path is no path");
+        assert_eq!(set.caps.lineage, 2_097_152);
+        assert_eq!(set.caps.flight, DEFAULT_FLIGHT_CAP);
+        for (bad, var) in [
+            (&[(TELEMETRY_ENV, "fulll")][..], TELEMETRY_ENV),
+            (&[(RECORDER_CAP_ENV, "0")][..], RECORDER_CAP_ENV),
+            (&[(LINEAGE_CAP_ENV, "1e6")][..], LINEAGE_CAP_ENV),
+        ] {
+            match env(bad) {
+                Err(ConfigError::InvalidEnv { var: got, .. }) => assert_eq!(got, var),
+                other => panic!("{var}: {other:?}"),
+            }
+        }
     }
 
     #[test]

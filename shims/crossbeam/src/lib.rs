@@ -1,379 +1,6 @@
-//! Offline stand-in for the subset of [crossbeam](https://docs.rs/crossbeam)
-//! this workspace uses: `channel::{bounded, unbounded}` MPMC channels with
-//! clonable senders *and* receivers, blocking sends on full bounded queues,
-//! and disconnect semantics matching crossbeam's (send fails once every
-//! receiver is gone; recv fails once every sender is gone and the queue has
-//! drained).
-//!
-//! Built on `Mutex` + two `Condvar`s. Not as fast as the real crate's
-//! lock-free queues, but semantically equivalent for the pipeline runtime,
-//! the job farm and the MPI simulator.
-
-/// Multi-producer multi-consumer channels.
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Chan<T> {
-        state: Mutex<State<T>>,
-        not_empty: Condvar,
-        not_full: Condvar,
-        /// `None` = unbounded.
-        cap: Option<usize>,
-    }
-
-    /// Error returned when sending into a channel with no receivers left.
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> std::fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T> std::error::Error for SendError<T> {}
-
-    /// Error returned when receiving from an empty, sender-less channel.
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub struct RecvError;
-
-    impl std::fmt::Display for RecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    /// Error from [`Receiver::try_recv`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub enum TryRecvError {
-        /// Channel currently empty.
-        Empty,
-        /// Channel empty and all senders dropped.
-        Disconnected,
-    }
-
-    impl std::fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("receiving on an empty channel"),
-                TryRecvError::Disconnected => {
-                    f.write_str("receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for TryRecvError {}
-
-    /// Error from [`Receiver::recv_timeout`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub enum RecvTimeoutError {
-        /// Deadline passed with no message.
-        Timeout,
-        /// Channel empty and all senders dropped.
-        Disconnected,
-    }
-
-    impl std::fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => f.write_str("timed out waiting on receive"),
-                RecvTimeoutError::Disconnected => {
-                    f.write_str("receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for RecvTimeoutError {}
-
-    /// Sending half. Clonable; the channel disconnects for receivers when
-    /// the last clone drops.
-    pub struct Sender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// Receiving half. Clonable (MPMC); the channel disconnects for senders
-    /// when the last clone drops.
-    pub struct Receiver<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// An unbounded FIFO channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_cap(None)
-    }
-
-    /// A bounded FIFO channel; `send` blocks while `cap` messages queue.
-    /// A capacity of 0 is treated as 1 (the shim has no rendezvous mode).
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_cap(Some(cap.max(1)))
-    }
-
-    fn with_cap<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let chan = Arc::new(Chan {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap,
-        });
-        (Sender { chan: chan.clone() }, Receiver { chan })
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.chan.state.lock().unwrap().senders += 1;
-            Sender {
-                chan: self.chan.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self.chan.state.lock().unwrap();
-            st.senders -= 1;
-            if st.senders == 0 {
-                // Wake blocked receivers so they observe the disconnect.
-                self.chan.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.chan.state.lock().unwrap().receivers += 1;
-            Receiver {
-                chan: self.chan.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut st = self.chan.state.lock().unwrap();
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                // Wake blocked senders so they observe the disconnect.
-                self.chan.not_full.notify_all();
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Send a message, blocking while a bounded channel is full.
-        /// Fails (returning the message) once all receivers are dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.chan.state.lock().unwrap();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                let full = self.chan.cap.is_some_and(|cap| st.queue.len() >= cap);
-                if !full {
-                    st.queue.push_back(value);
-                    self.chan.not_empty.notify_one();
-                    return Ok(());
-                }
-                st = self.chan.not_full.wait(st).unwrap();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Receive, blocking until a message arrives or all senders drop.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.chan.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.chan.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self.chan.not_empty.wait(st).unwrap();
-            }
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.chan.state.lock().unwrap();
-            if let Some(v) = st.queue.pop_front() {
-                self.chan.not_full.notify_one();
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-
-        /// Receive with a deadline.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.chan.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.chan.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, res) = self
-                    .chan
-                    .not_empty
-                    .wait_timeout(st, deadline - now)
-                    .unwrap();
-                st = guard;
-                if res.timed_out() && st.queue.is_empty() {
-                    if st.senders == 0 {
-                        return Err(RecvTimeoutError::Disconnected);
-                    }
-                    return Err(RecvTimeoutError::Timeout);
-                }
-            }
-        }
-
-        /// Blocking iterator that ends when the channel disconnects.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { rx: self }
-        }
-    }
-
-    /// Iterator over received messages; see [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        rx: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-
-    impl<T> IntoIterator for Receiver<T> {
-        type Item = T;
-        type IntoIter = IntoIter<T>;
-        fn into_iter(self) -> IntoIter<T> {
-            IntoIter { rx: self }
-        }
-    }
-
-    impl<'a, T> IntoIterator for &'a Receiver<T> {
-        type Item = T;
-        type IntoIter = Iter<'a, T>;
-        fn into_iter(self) -> Iter<'a, T> {
-            self.iter()
-        }
-    }
-
-    /// Owning iterator over received messages.
-    pub struct IntoIter<T> {
-        rx: Receiver<T>,
-    }
-
-    impl<T> Iterator for IntoIter<T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.rx.recv().ok()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::*;
-    use std::time::Duration;
-
-    #[test]
-    fn unbounded_fifo_round_trip() {
-        let (tx, rx) = unbounded();
-        for i in 0..100 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let got: Vec<i32> = rx.iter().collect();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bounded_backpressure_and_mpmc() {
-        let (tx, rx) = bounded::<usize>(2);
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for k in 0..50 {
-                        tx.send(p * 1000 + k).unwrap();
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::spawn(move || rx.iter().count())
-            })
-            .collect();
-        drop(rx);
-        for p in producers {
-            p.join().unwrap();
-        }
-        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 200);
-    }
-
-    #[test]
-    fn disconnect_semantics() {
-        let (tx, rx) = unbounded::<u8>();
-        drop(rx);
-        assert!(tx.send(1).is_err());
-
-        let (tx, rx) = unbounded::<u8>();
-        tx.send(9).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(9));
-        assert!(rx.recv().is_err());
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = unbounded::<u8>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(3).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(3));
-    }
-}
+//! Empty. This shim stood in for the `crossbeam::channel` API while the
+//! workspace had no network access to crates.io; nothing uses it any
+//! more (`backtest::jobfarm` takes its queue from `std::sync::mpsc`). It
+//! stays a crate only because the `backtest` and `marketminer` manifests
+//! and both lockfiles still name it: those edges go in the change that
+//! regenerates `benchmark/Cargo.lock`, and this directory with them.

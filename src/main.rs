@@ -3,7 +3,7 @@
 //! ```text
 //! pairtrade generate  --stocks 8 --days 2 --seed 7 --out /tmp/market
 //! pairtrade backtest  [--dataset DIR | --stocks N --days D --seed S]
-//!                     [--ctype pearson|maronna|combined|quadrant|spearman]
+//!                     [--ctype pearson|maronna|combined|quadrant]
 //!                     [--d 0.01] [--m 100] [--costs]
 //! pairtrade pipeline  --stocks 12 --seed 42
 //! pairtrade scaling
@@ -32,7 +32,7 @@ USAGE:
       Generate a synthetic TAQ dataset and save it to DIR.
 
   pairtrade backtest [--dataset DIR | --stocks N --days D --seed S]
-                     [--ctype pearson|maronna|combined|quadrant|spearman]
+                     [--ctype pearson|maronna|combined|quadrant]
                      [--d PCT] [--m M] [--costs]
       Backtest the canonical strategy over all pairs.
 
