@@ -41,9 +41,9 @@ where
             scope.spawn(move || loop {
                 let next = job_rx.lock().expect("no job is run under the lock").recv();
                 let Ok((idx, job)) = next else { break };
-                if res_tx.send((idx, f(job))).is_err() {
-                    break;
-                }
+                res_tx
+                    .send((idx, f(job)))
+                    .expect("results outlive the workers");
             });
         }
         drop(res_tx);
