@@ -3,7 +3,6 @@
 pub mod bar_accumulator;
 pub mod collector;
 pub mod correlation_engine;
-pub mod faults;
 pub mod order_gateway;
 pub mod risk;
 pub mod signal_node;
@@ -13,7 +12,6 @@ pub mod technical;
 pub use bar_accumulator::{BarAccumulatorNode, HealthPolicy};
 pub use collector::{FaultedCollector, FileCollector, ReplayCollector};
 pub use correlation_engine::CorrelationEngineNode;
-pub use faults::{PanicInjector, WedgeInjector};
 pub use order_gateway::OrderGatewayNode;
 pub use risk::RiskManagerNode;
 pub use signal_node::SignalNode;

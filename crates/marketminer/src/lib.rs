@@ -32,10 +32,8 @@
 //! * [`graph`] — DAG description and validation (acyclicity, connectivity).
 //! * [`messages`] — the typed stream vocabulary.
 //! * [`node`] — the [`node::Component`] and [`node::Source`] traits.
-//! * [`runtime`] — the pooled work-stealing executor with bounded
-//!   backpressure, EOF-counted shutdown and supervised fault recovery.
-//! * [`supervisor`] — restart policies, failure modes and the stall
-//!   watchdog configuration.
+//! * [`runtime`] — the pooled executor with bounded backpressure,
+//!   EOF-counted shutdown and fail-stop: a node panic fails its run.
 //! * [`components`] — collectors, bar accumulator, technical analysis,
 //!   the parallel correlation engine node, the per-stream signal node
 //!   (everything the strategy hosts of one correlation stream derive
@@ -45,7 +43,8 @@
 //!   ([`pipeline::SweepConfig`]); with one spec it is Figure 1.
 //! * [`shard`] — the durable multi-process shard runner: worker
 //!   processes over framed Unix-domain or TCP sockets, epoch
-//!   checkpoints, heartbeat supervision and kill -9 recovery.
+//!   checkpoints, heartbeat supervision and kill -9 recovery — the one
+//!   way a failed run restarts.
 
 pub mod components;
 pub mod graph;
@@ -55,16 +54,14 @@ pub mod node;
 pub mod pipeline;
 pub mod runtime;
 pub mod shard;
-pub mod supervisor;
 
-pub use components::{FaultedCollector, HealthPolicy, PanicInjector, WedgeInjector};
+pub use components::{FaultedCollector, HealthPolicy};
 pub use graph::{Graph, GraphError, NodeId};
 pub use live::{LiveEpoch, LiveOutput, LiveSweepSession};
 pub use messages::{DegradeReason, HealthEvent, HealthStatus, Message, TradeReport};
 pub use node::{Component, Source};
-pub use pipeline::{run_sweep_pipeline, run_sweep_pipeline_with, SweepConfig, SweepOutput};
-pub use runtime::{NodeOutcome, NodeStats, RunOutput, Runtime, RuntimeConfig};
-pub use supervisor::{
-    FailureMode, NodeFailure, RestartPolicy, StallEvent, SupervisionConfig, WatchdogConfig,
+pub use pipeline::{
+    run_sweep_pipeline, run_sweep_pipeline_with, NodeFailure, StallEvent, SweepConfig, SweepOutput,
 };
+pub use runtime::{NodeStats, RunOutput, Runtime, RuntimeConfig};
 pub use telemetry::{Probe, TelemetryLevel, TelemetryReport};

@@ -58,9 +58,8 @@ use telemetry::TelemetryReport;
 
 use crate::graph::GraphError;
 use crate::messages::{Basket, CorrSnapshot, HealthEvent, Message};
-use crate::pipeline::{SinkOutput, SweepConfig, SweepSession};
+use crate::pipeline::{NodeFailure, SinkOutput, SweepConfig, SweepSession};
 use crate::runtime::{NodeCkpt, Runtime, RuntimeConfig, SessionCkpt};
-use crate::supervisor::NodeFailure;
 
 /// What one fed epoch produced, drained at the quiescent cut.
 #[derive(Debug, Default)]
@@ -98,7 +97,8 @@ pub struct LiveOutput {
     pub lineage: Vec<LineageEvent>,
     /// Node names of the final graph incarnation.
     pub node_names: Vec<String>,
-    /// Nodes that panicked in the final incarnation.
+    /// Always empty: a node panic fails the session at its next cut
+    /// (see [`crate::pipeline::SweepOutput::failures`]).
     pub failures: Vec<NodeFailure>,
     /// The final incarnation's telemetry (`None` at `Off`).
     pub telemetry: Option<TelemetryReport>,
@@ -343,7 +343,7 @@ impl LiveSweepSession {
             health_events,
             lineage: cut.lineage,
             node_names,
-            failures: out.failures,
+            failures: Vec::new(),
             telemetry: out.telemetry,
         }
     }

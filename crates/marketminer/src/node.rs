@@ -21,25 +21,24 @@ pub trait Component: Send {
     fn on_end(&mut self, _out: &mut Emit<'_>) {}
 
     /// The one state contract: serialize the component's *mutable* state
-    /// (not its construction-time configuration) to bytes. The supervised
-    /// runtime keeps the latest such bytes per restartable node and hands
-    /// them back after a panic; a shard worker's epoch checkpoint persists
-    /// the same bytes for a future process. `None` (the default) marks
-    /// the component as having no state to keep: it cannot be restarted
-    /// after a panic, and a graph holding a stateful component without it
-    /// cannot be process-checkpointed. `node::component_state!` writes this
-    /// pair from one field list.
+    /// (not its construction-time configuration) to bytes. A session's
+    /// quiescent cut ([`crate::runtime::SessionCkpt`]) holds these bytes
+    /// per node: a shard worker persists it for the process that replaces
+    /// it, the live server carries it across a reconfiguration. `None`
+    /// (the default) marks the component as having no state to keep; a
+    /// graph holding a stateful component without it cannot be
+    /// checkpointed. `node::component_state!` writes this pair from one
+    /// field list.
     fn encode_state(&self) -> Option<Vec<u8>> {
         None
     }
 
     /// Restore state produced by [`Component::encode_state`] on an
-    /// *identically configured* component (same constructor arguments —
-    /// a worker rebuilds its graph from config before restoring; a panic
-    /// leaves configuration untouched). All or nothing: false (the
-    /// default, and on malformed bytes) leaves the component as it was;
-    /// true leaves no mutable field unrestored — the component it is
-    /// called on after a panic was interrupted mid-message.
+    /// *identically configured*, freshly built component (same
+    /// constructor arguments — a worker rebuilds its graph from config
+    /// before restoring). All or nothing: false (the default, and on
+    /// malformed bytes) leaves the component as it was; true leaves no
+    /// mutable field unrestored.
     fn decode_state(&mut self, _bytes: &[u8]) -> bool {
         false
     }
@@ -93,8 +92,8 @@ pub trait Component: Send {
 /// * `check { .. }` sees `node` (still untouched) and the decoded fields
 ///   as locals named after themselves; it refuses with `return Err(..)`
 ///   and may rewrite a local before it is assigned.
-/// * `then { .. }` runs after the assignments: derived fields, and the
-///   scratch a panic may have left half-written.
+/// * `then { .. }` runs after the assignments: derived fields and
+///   scratch.
 macro_rules! component_state {
     (@encode $w:ident, $value:expr; ; ) => {
         wire::Codec::encode(&$value, &mut $w)

@@ -31,7 +31,6 @@ use crate::graph::{Graph, GraphError, NodeId};
 use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
 use crate::node::Source;
 use crate::runtime::{RunOutput, RunSession, Runtime, SessionCkpt};
-use crate::supervisor::{NodeFailure, StallEvent};
 use stats::matrix::SymMatrix;
 use stats::parallel::{plane_slot, same_plane};
 use telemetry::TelemetryReport;
@@ -191,12 +190,35 @@ pub struct SweepOutput {
     pub streams: Vec<usize>,
     /// Per-node throughput accounting, in node-id order.
     pub node_stats: Vec<crate::runtime::NodeStats>,
-    /// Nodes that panicked.
+    /// Always empty: a node panic fails the run instead of returning.
+    /// Kept, with [`SweepOutput::stalls`], for readers that still check.
     pub failures: Vec<NodeFailure>,
-    /// Nodes the watchdog severed as wedged.
+    /// Always empty: nothing in process detects a wedged node.
     pub stalls: Vec<StallEvent>,
     /// The run's telemetry report (`None` at `TelemetryLevel::Off`).
     pub telemetry: Option<TelemetryReport>,
+}
+
+/// A node that failed while its run went on. No run produces one — a
+/// node panic fails its run — so every list of them is empty; the type
+/// stays, as plain data, while readers still check those lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeFailure {
+    /// Node index in graph order.
+    pub node: usize,
+    /// Node name.
+    pub name: String,
+    /// Rendered panic payload.
+    pub error: String,
+}
+
+/// A node declared wedged. Like [`NodeFailure`], never produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StallEvent {
+    /// Node index in graph order.
+    pub node: usize,
+    /// Node name.
+    pub name: String,
 }
 
 /// Build and run the shared-stream sweep DAG over one day of quotes.
@@ -643,7 +665,7 @@ impl SweepSession {
 }
 
 /// Build and run the sweep DAG with an explicit runtime (worker count,
-/// supervision) and quote source.
+/// capacity, telemetry) and quote source.
 ///
 /// An invalid configuration (empty spec list, mixed `Δs`, or any spec
 /// whose own knobs fail validation) is a [`GraphError::Config`] at run
@@ -675,8 +697,8 @@ pub fn run_sweep_pipeline_with(
         health_events,
         streams,
         node_stats: out.node_stats,
-        failures: out.failures,
-        stalls: out.stalls,
+        failures: Vec::new(),
+        stalls: Vec::new(),
         telemetry: out.telemetry,
     })
 }

@@ -1,4 +1,4 @@
-//! The pooled, supervised DAG executor.
+//! The pooled, fail-stop DAG executor.
 //!
 //! Nodes are cooperatively scheduled tasks on a fixed-size worker pool —
 //! the shared-memory analogue of scheduling many pipeline stages onto a
@@ -6,8 +6,8 @@
 //! non-empty (or its upstreams have all finished and its end-of-stream
 //! flush is pending) **and** every downstream inbox is below capacity;
 //! runnable nodes sit in a shared run queue that workers pull from, so
-//! the OS thread count is [`RuntimeConfig::workers`] plus a small
-//! constant (source feeders + watchdog), independent of graph size.
+//! the OS thread count is [`RuntimeConfig::workers`] plus the source
+//! feeders, independent of graph size.
 //! The pool owns the cores: each worker runs its turns at the kernel
 //! width [`stats::width::for_pool`] leaves it, `max(1, cores / W)`, so a
 //! parallel `stats` kernel inside a node never puts more than `W × width ≤
@@ -20,10 +20,12 @@
 //!   alone (backpressure without deadlock; shutdown by per-edge EOF
 //!   counting);
 //! * `exec` — the pool that takes those turns: delivery under
-//!   `catch_unwind`, checkpoint/replay restarts, the stall watchdog;
+//!   `catch_unwind`, and fail-stop — a node that panics retires, the
+//!   graph drains, and the run re-raises the first payload;
 //! * `session` — [`RunSession`], the one way messages enter a graph
 //!   ([`Runtime::run`] is a session fed by the graph's own sources), and
-//!   the graph-wide quiescent cut [`SessionCkpt`];
+//!   the graph-wide quiescent cut [`SessionCkpt`] — the only state a
+//!   restart (a shard rank respawned by the fleet) resumes from;
 //! * `output` — [`RunOutput`], [`NodeStats`] and the telemetry a run
 //!   folds at its end.
 
@@ -36,9 +38,7 @@ mod tests;
 
 use telemetry::{ConfigError, TelemetryLevel};
 
-use crate::supervisor::SupervisionConfig;
-
-pub use output::{render_pool, NodeOutcome, NodeStats, RunOutput};
+pub use output::{render_pool, NodeStats, RunOutput};
 pub use session::{NodeCkpt, RunSession, SessionCkpt};
 
 /// Default per-inbox capacity (backpressure threshold). Large enough to
@@ -93,6 +93,21 @@ impl RuntimeConfig {
 /// positive integer).
 pub const WORKERS_ENV: &str = "MARKETMINER_WORKERS";
 
+/// Refuse a malformed [`stats::simd::SIMD_ENV`]: the kernels' dispatch
+/// reads it on its own, so a run checks it where it checks its own
+/// variables.
+fn simd_from_env() -> Result<(), ConfigError> {
+    let value = std::env::var(stats::simd::SIMD_ENV).ok();
+    match stats::simd::forces_scalar(value.as_deref()) {
+        Some(_) => Ok(()),
+        None => Err(ConfigError::InvalidEnv {
+            var: stats::simd::SIMD_ENV,
+            value: value.unwrap_or_default(),
+            expected: stats::simd::SIMD_ENV_EXPECTED,
+        }),
+    }
+}
+
 /// The pool size [`WORKERS_ENV`] asks for; every core when unset.
 fn workers_from_env() -> Result<usize, ConfigError> {
     parse_workers(std::env::var(WORKERS_ENV).ok())
@@ -118,15 +133,15 @@ fn parse_workers(value: Option<String>) -> Result<usize, ConfigError> {
 #[derive(Clone, Default)]
 pub struct Runtime {
     config: RuntimeConfig,
-    supervision: SupervisionConfig,
     /// Offset added to local node indices when minting event ids (shard
     /// workers pass `rank * NODE_ID_STRIDE`; see `output::RunTelemetry`).
     node_base: usize,
 }
 
 impl Runtime {
-    /// Runtime with the default pool size and capacity and no supervision
-    /// (panics abort the run, as a bare thread panic would).
+    /// Runtime with the default pool size and capacity. A node panic
+    /// fails the run, as a bare thread panic would: the graph drains and
+    /// the first payload is re-raised.
     pub fn new() -> Self {
         Self::default()
     }
@@ -161,13 +176,6 @@ impl Runtime {
             config,
             ..Runtime::default()
         }
-    }
-
-    /// Attach a supervision configuration (restart policies, failure
-    /// mode, stall watchdog).
-    pub fn supervised(mut self, supervision: SupervisionConfig) -> Self {
-        self.supervision = supervision;
-        self
     }
 
     /// Set the telemetry level, overriding the `MARKETMINER_TELEMETRY`

@@ -13,22 +13,8 @@ use telemetry::{EnvConfig, Probe, Telemetry, TelemetryReport};
 
 use super::exec::Exec;
 use super::scheduler::Scheduler;
-use super::Runtime;
 use crate::graph::NodeId;
 use crate::messages::Message;
-use crate::supervisor::{FailureMode, NodeFailure, StallEvent};
-
-/// How a node's run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodeOutcome {
-    /// Processed its whole stream (possibly after supervised restarts).
-    #[default]
-    Completed,
-    /// Panicked past its restart budget; the stream continued without it.
-    Failed,
-    /// Declared wedged by the watchdog and severed from the graph.
-    Wedged,
-}
 
 /// Per-node throughput accounting for a completed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,30 +23,22 @@ pub struct NodeStats {
     pub name: String,
     /// Messages consumed from the inbox (Eofs excluded).
     pub messages_in: u64,
-    /// Messages emitted downstream (before fan-out duplication, Eofs and
-    /// replay-suppressed re-emissions excluded).
+    /// Messages emitted downstream (before fan-out duplication, Eofs
+    /// excluded).
     pub messages_out: u64,
     /// Messages the component received but neither consumed nor forwarded.
     pub messages_dropped: u64,
-    /// Supervised restarts granted to the node.
-    pub restarts: u32,
-    /// How the node's run ended.
-    pub outcome: NodeOutcome,
 }
 
-/// What the run produced: every sink's collected messages plus per-node
-/// throughput statistics and the supervision ledgers. All three listings
-/// are in canonical order — node-id for stats, `(node, simulated-time)`
-/// for the ledgers — regardless of worker interleaving.
+/// What a run produced: every sink's collected messages plus per-node
+/// throughput statistics in node-id order, whatever the worker
+/// interleaving. A run that returns one completed: every node ran its
+/// stream out (a node panic re-raises instead).
 #[derive(Debug, Default)]
 pub struct RunOutput {
     sinks: HashMap<usize, Vec<Message>>,
     /// Per-node stats in node-id order (dense: one entry per graph node).
     pub node_stats: Vec<NodeStats>,
-    /// Nodes that failed for good, in `(node, at)` order.
-    pub failures: Vec<NodeFailure>,
-    /// Nodes the watchdog severed, in `(node, at)` order.
-    pub stalls: Vec<StallEvent>,
     /// The run's merged telemetry report (`None` when the level was
     /// [`telemetry::TelemetryLevel::Off`]).
     pub telemetry: Option<TelemetryReport>,
@@ -77,44 +55,27 @@ impl RunOutput {
         self.sinks.remove(&id.0).unwrap_or_default()
     }
 
-    /// True when every node completed without failure or stall.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty() && self.stalls.is_empty()
-    }
-
     /// Render the throughput table (diagnostics).
     pub fn render_node_stats(&self) -> String {
         let mut out = String::from(
-            "node                                      msgs in   msgs out    dropped restarts outcome\n",
+            "node                                      msgs in   msgs out    dropped\n",
         );
         for s in &self.node_stats {
             out.push_str(&format!(
-                "{:<40} {:>9} {:>10} {:>10} {:>8} {:?}\n",
-                s.name, s.messages_in, s.messages_out, s.messages_dropped, s.restarts, s.outcome
+                "{:<40} {:>9} {:>10} {:>10}\n",
+                s.name, s.messages_in, s.messages_out, s.messages_dropped
             ));
         }
         out
     }
 
-    /// The full end-of-run report as one `String`: the throughput table,
-    /// the supervision ledgers, and — when telemetry was enabled — the
-    /// merged telemetry report (counters, histograms, flight recorder,
-    /// trace summary). Deterministic in structure: every listing is in
-    /// canonical order regardless of worker interleaving.
+    /// The full end-of-run report as one `String`: the throughput table
+    /// and — when telemetry was enabled — the merged telemetry report
+    /// (counters, histograms, flight recorder, trace summary).
+    /// Deterministic in structure: every listing is in canonical order
+    /// regardless of worker interleaving.
     pub fn summary(&self) -> String {
         let mut out = self.render_node_stats();
-        for f in &self.failures {
-            out.push_str(&format!(
-                "failure: {} (node {}) at sim {}: {}\n",
-                f.name, f.node, f.at, f.error
-            ));
-        }
-        for s in &self.stalls {
-            out.push_str(&format!(
-                "stall: {} (node {}) severed at sim {}\n",
-                s.name, s.node, s.at
-            ));
-        }
         if let Some(report) = &self.telemetry {
             out.push('\n');
             out.push_str(&report.render());
@@ -165,14 +126,13 @@ pub(super) struct RunTelemetry {
     pub(super) turns: AtomicU64,
     /// Per-node next provenance sequence number: the position of the next
     /// *created* message in the node's output stream (`Full` only).
-    /// Advances only on non-suppressed, non-severed emissions whose cause
-    /// is still unset, which is what makes event ids bit-identical across
-    /// worker counts and across checkpoint/replay — replayed emissions
-    /// are suppressed before they can reach the stamp.
+    /// Advances only on emissions whose cause is still unset, which is
+    /// what makes event ids bit-identical across worker counts; a
+    /// restored cut carries it, so they stay so across a restart.
     pub(super) next_out: Vec<AtomicU64>,
     /// Per-consumer-node hop latency (producer stamp → delivery), µs.
     hop_us: Vec<AtomicHistogram>,
-    /// Cold-path probes, one per node: checkpoint/replay metrics and
+    /// Cold-path probes, one per node: the components' own counters and
     /// flight events.
     pub(super) probes: Vec<Probe>,
     /// Offset added to the local node index when minting [`EventId`]s.
@@ -313,8 +273,9 @@ impl RunTelemetry {
 }
 
 /// Assemble the [`RunOutput`] after the graph has drained and every
-/// run thread has been joined.
-pub(super) fn assemble_output(runtime: &Runtime, exec: &Exec) -> RunOutput {
+/// run thread has been joined — or, when a node panicked, write the
+/// trace and lineage exports and re-raise its payload.
+pub(super) fn assemble_output(exec: &Exec) -> RunOutput {
     let mut output = RunOutput {
         sinks: std::mem::take(&mut *exec.results.lock().expect("sink results")),
         node_stats: std::mem::take(&mut *exec.stats.lock().expect("stats slots"))
@@ -323,9 +284,6 @@ pub(super) fn assemble_output(runtime: &Runtime, exec: &Exec) -> RunOutput {
             .collect(),
         ..RunOutput::default()
     };
-    let (failures, stalls) = exec.supervisor.take_ledgers();
-    output.failures = failures;
-    output.stalls = stalls;
 
     output.telemetry = exec.rt.as_ref().map(|rt| {
         rt.fold(&exec.names, &exec.sched);
@@ -352,11 +310,6 @@ pub(super) fn assemble_output(runtime: &Runtime, exec: &Exec) -> RunOutput {
         report
     });
 
-    if runtime.supervision.failure_mode == FailureMode::AbortRun {
-        let payload = exec.panic_slot.lock().expect("panic slot").take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
-    }
+    exec.reraise();
     output
 }

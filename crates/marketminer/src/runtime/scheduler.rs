@@ -65,9 +65,6 @@ pub(super) enum Next {
     End,
     /// Nothing deliverable now (empty inbox, or a full edge downstream).
     Wait,
-    /// The node was retired under its runner (severed, or the run was
-    /// abandoned).
-    Retired,
 }
 
 pub(super) struct Scheduler {
@@ -240,8 +237,8 @@ impl Scheduler {
         }
     }
 
-    /// End node `idx`'s stream, whoever ends it (its own epilogue, the
-    /// watchdog, a closing source): one EOF down every outgoing edge —
+    /// End node `idx`'s stream, whoever ends it (its own epilogue, a
+    /// panic, a closing source): one EOF down every outgoing edge —
     /// a counter, not a queued message, so a full inbox cannot hold it
     /// back — then retire the node.
     pub(super) fn finish_node(&self, idx: usize) {
@@ -275,9 +272,6 @@ impl Scheduler {
     /// capacity.
     pub(super) fn next_event(&self, idx: usize) -> Next {
         let st = &mut *self.lock();
-        if st.status[idx] == Status::Done {
-            return Next::Retired;
-        }
         if !self.outputs_clear(st, idx) {
             return Next::Wait;
         }
@@ -301,9 +295,6 @@ impl Scheduler {
     /// "status = Idle".
     pub(super) fn end_turn(&self, idx: usize) -> bool {
         let st = &mut *self.lock();
-        if st.status[idx] != Status::Running {
-            return false;
-        }
         let has_input = self.has_input(st, idx);
         if has_input && self.outputs_clear(st, idx) {
             st.status[idx] = Status::Queued;

@@ -18,8 +18,8 @@ use telemetry::lineage::LineageEvent;
 use telemetry::trace::{Arg, TrackId};
 use telemetry::Telemetry;
 
-use super::exec::{Exec, NodeBody, FINISHING};
-use super::output::{assemble_output, NodeOutcome, RunOutput};
+use super::exec::{Exec, NodeBody};
+use super::output::{assemble_output, RunOutput};
 use super::Runtime;
 use crate::graph::{Graph, GraphError, NodeId};
 use crate::messages::Message;
@@ -29,7 +29,7 @@ impl Runtime {
     /// Validate and execute the graph to completion on the worker pool:
     /// a session fed by the graph's own sources, one thread each.
     pub fn run(&self, graph: Graph) -> Result<RunOutput, GraphError> {
-        let (session, sources) = self.clone().open(graph)?;
+        let (session, sources) = self.open(graph)?;
         std::thread::scope(|scope| {
             for (idx, mut source) in sources {
                 let session = &session;
@@ -38,8 +38,8 @@ impl Runtime {
                     let ran = catch_unwind(AssertUnwindSafe(|| {
                         source.run(&mut |msg| session.feed(src, msg));
                     }));
-                    // A source has no inbox to replay from: a panic always
-                    // fails the node, and its partial stream still flows.
+                    // A panicking source fails the run like any node: its
+                    // partial stream still flows, then the run re-raises.
                     session.close_source(idx, ran.err());
                 });
             }
@@ -53,16 +53,20 @@ impl Runtime {
     /// provide) and feeds it through the source node ids with
     /// [`RunSession::feed`], interleaving [`RunSession::quiesce`] /
     /// [`RunSession::capture`] to take epoch-consistent durable
-    /// checkpoints, and ends the stream with [`RunSession::finish`].
+    /// checkpoints, and ends the stream with [`RunSession::finish`]. A
+    /// node panic fails the session at the next `quiesce` or at `finish`,
+    /// whichever comes first.
     pub fn session(self, graph: Graph) -> Result<RunSession, GraphError> {
         Ok(self.open(graph)?.0)
     }
 
     #[allow(clippy::type_complexity)]
-    fn open(self, graph: Graph) -> Result<(RunSession, Vec<(usize, Box<dyn Source>)>), GraphError> {
-        let (exec, sources) = Exec::start(&self, graph)?;
+    fn open(
+        &self,
+        graph: Graph,
+    ) -> Result<(RunSession, Vec<(usize, Box<dyn Source>)>), GraphError> {
+        let (exec, sources) = Exec::start(self, graph)?;
         let session = RunSession {
-            runtime: self,
             exec,
             source_idxs: sources.iter().map(|(idx, _)| *idx).collect(),
         };
@@ -71,14 +75,16 @@ impl Runtime {
 }
 
 /// Per-node durable state captured at a quiescent point: the component's
-/// own encoded bytes plus the scheduler-side counters that make replayed
-/// emissions resume with bit-identical event ids.
+/// own encoded bytes plus the counters that make a restored session's
+/// stats and event ids resume where the captured one stopped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeCkpt {
     /// [`crate::node::Component::encode_state`] output (`None` for
     /// sources, sinks and stateless components).
     pub state: Option<Vec<u8>>,
-    /// Messages consumed so far (`CompBody::processed` — simulated time).
+    /// Messages a component consumed so far — its `received`; 0 for
+    /// sources and sinks. A restore reads `received` alone: this copy
+    /// stays so the layout, and every cut already on disk, is unchanged.
     pub processed: u64,
     /// Messages received (health counter; feeds `NodeStats` — for a sink,
     /// everything delivered, drained at an earlier cut or not).
@@ -114,7 +120,6 @@ wire::record! { SessionCkpt { nodes } }
 /// independent of worker count and scheduling — which is what makes a
 /// capture/restore cycle bit-exact.
 pub struct RunSession {
-    runtime: Runtime,
     exec: Arc<Exec>,
     source_idxs: Vec<usize>,
 }
@@ -153,29 +158,28 @@ impl RunSession {
 
     /// Block until the graph has fully absorbed everything fed so far:
     /// run queue empty, every inbox empty, every node `Idle` or `Done`.
+    /// Then re-raise the first node panic, if a node failed: no cut is
+    /// drained or captured from a graph with a dead node in it.
     pub fn quiesce(&self) {
         while !self.exec.sched.is_quiescent() {
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
+        self.exec.reraise();
     }
 
-    /// End source `idx`'s stream, once: its stats row and `emitted`
-    /// count, the failure if its feeder panicked, EOF downstream. A
+    /// End source `idx`'s stream, once: the failure if its feeder
+    /// panicked, its stats row and `emitted` count, EOF downstream. A
     /// source thread calls this when its generator returns; `finish`
     /// closes whatever is still open.
     fn close_source(&self, idx: usize, panic: Option<Box<dyn Any + Send>>) {
         let exec = &self.exec;
-        let emitted = exec.health[idx].sent.load(Ordering::Relaxed);
-        let outcome = match &panic {
-            None => NodeOutcome::Completed,
-            Some(_) => NodeOutcome::Failed,
-        };
-        if !exec.retire(idx, FINISHING, 0, outcome) {
+        if let Some(payload) = panic {
+            exec.fail(payload);
+        }
+        if !exec.retire(idx, 0) {
             return;
         }
-        if let Some(payload) = panic {
-            exec.fail(idx, emitted, payload);
-        }
+        let emitted = exec.health[idx].sent.load(Ordering::Relaxed);
         if let Some(rt) = &exec.rt {
             rt.probes[idx].count("emitted", emitted);
             if rt.full {
@@ -195,9 +199,11 @@ impl RunSession {
         let mut nodes = Vec::with_capacity(self.exec.names.len());
         for idx in 0..self.exec.names.len() {
             let body = self.exec.bodies[idx].lock().expect("node body");
+            let h = &self.exec.health[idx];
+            let received = h.received.load(Ordering::Relaxed);
             let (state, processed) = match &*body {
                 NodeBody::Source => (None, 0),
-                NodeBody::Component(cb) => (cb.component.encode_state(), cb.processed),
+                NodeBody::Component(c) => (c.encode_state(), received),
                 NodeBody::Sink { msgs } => {
                     if !msgs.is_empty() {
                         return Err("sink not drained before capture");
@@ -205,11 +211,10 @@ impl RunSession {
                     (None, 0)
                 }
             };
-            let h = &self.exec.health[idx];
             nodes.push(NodeCkpt {
                 state,
                 processed,
-                received: h.received.load(Ordering::Relaxed),
+                received,
                 sent: h.sent.load(Ordering::Relaxed),
                 next_out: rt.map_or(0, |rt| rt.next_out[idx].load(Ordering::Relaxed)),
             });
@@ -225,13 +230,10 @@ impl RunSession {
         }
         for (idx, node) in ckpt.nodes.iter().enumerate() {
             let mut body = self.exec.bodies[idx].lock().expect("node body");
-            if let NodeBody::Component(cb) = &mut *body {
-                if let Some(bytes) = &node.state {
-                    if !cb.component.decode_state(bytes) {
-                        return Err("component refused its checkpoint state");
-                    }
+            if let (NodeBody::Component(c), Some(bytes)) = (&mut *body, &node.state) {
+                if !c.decode_state(bytes) {
+                    return Err("component refused its checkpoint state");
                 }
-                cb.processed = node.processed;
             }
             let h = &self.exec.health[idx];
             h.received.store(node.received, Ordering::Relaxed);
@@ -267,14 +269,15 @@ impl RunSession {
     /// graph to drain, and assemble the run output (the end-of-day flush
     /// — trade reports, bucketed baskets — lands in the sinks here, and
     /// any lineage recorded after the last drain rides out in
-    /// `RunOutput::telemetry`).
+    /// `RunOutput::telemetry`). Re-raises the first node panic instead,
+    /// once the graph has drained and the pool is joined.
     pub fn finish(self) -> RunOutput {
         for &idx in &self.source_idxs {
             self.close_source(idx, None);
         }
         self.exec.sched.wait_drained();
         self.exec.stop();
-        assemble_output(&self.runtime, &self.exec)
+        assemble_output(&self.exec)
     }
 }
 

@@ -1,4 +1,4 @@
-use std::sync::atomic::Ordering;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use telemetry::TelemetryLevel;
@@ -6,8 +6,7 @@ use telemetry::TelemetryLevel;
 use super::*;
 use crate::graph::{Graph, NodeId};
 use crate::messages::{BarSet, Cause, Message, TradeReport};
-use crate::node::{self, Component, Emit, Passthrough, Source};
-use crate::supervisor::{FailureMode, RestartPolicy, WatchdogConfig};
+use crate::node::{Component, Emit, Passthrough, Source};
 
 struct CountSource {
     n: usize,
@@ -20,14 +19,19 @@ impl Source for CountSource {
 
     fn run(&mut self, out: &mut Emit<'_>) {
         for k in 0..self.n {
-            out(Message::Bars(Arc::new(BarSet {
-                interval: k,
-                closes: vec![k as f64],
-                ticks: vec![1],
-                cause: Cause::none(),
-            })));
+            out(bar(k));
         }
     }
+}
+
+/// Bar set `k`: one stock, closing at `k`.
+fn bar(k: usize) -> Message {
+    Message::Bars(Arc::new(BarSet {
+        interval: k,
+        closes: vec![k as f64],
+        ticks: vec![1],
+        cause: Cause::none(),
+    }))
 }
 
 /// Doubles every close; proves per-message transformation.
@@ -232,7 +236,6 @@ fn node_stats_account_for_throughput() {
     assert_eq!((s.messages_in, s.messages_out), (0, 25));
     let d = by_name("doubler");
     assert_eq!((d.messages_in, d.messages_out), (25, 26), "25 bars + flush");
-    assert_eq!(d.outcome, NodeOutcome::Completed);
     let k = by_name("sink");
     assert_eq!((k.messages_in, k.messages_out), (26, 0));
     let table = out.render_node_stats();
@@ -283,90 +286,9 @@ fn unconnected_sink_yields_empty() {
     assert_eq!(out.take_sink(sink).len(), 3);
 }
 
-// ---- supervision ----
+// ---- fail-stop ----
 
-/// A doubler with full checkpoint support that panics once, the first
-/// time it sees message `panic_at`. The trigger is not part of its
-/// state, so a restore does NOT rearm it — the retry after recovery
-/// succeeds (a transient fault, not a poison pill).
-struct FlakyDoubler {
-    seen: u64,
-    panic_at: u64,
-    fired: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl FlakyDoubler {
-    fn new(panic_at: u64) -> Self {
-        FlakyDoubler {
-            seen: 0,
-            panic_at,
-            fired: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-        }
-    }
-}
-
-impl Component for FlakyDoubler {
-    fn name(&self) -> &str {
-        "flaky-doubler"
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        if let Message::Bars(b) = msg {
-            self.seen += 1;
-            if self.seen == self.panic_at && !self.fired.swap(true, Ordering::SeqCst) {
-                panic!("transient fault at message {}", self.seen);
-            }
-            out(Message::Bars(Arc::new(BarSet {
-                interval: b.interval,
-                closes: b.closes.iter().map(|c| c * 2.0).collect(),
-                ticks: b.ticks.clone(),
-                cause: Cause::none(),
-            })));
-        }
-    }
-
-    node::component_state! { node { seen } }
-}
-
-fn closes_of(msgs: &[Message]) -> Vec<(usize, Vec<f64>)> {
-    msgs.iter()
-        .map(|m| match m {
-            Message::Bars(b) => (b.interval, b.closes.clone()),
-            other => panic!("unexpected {other:?}"),
-        })
-        .collect()
-}
-
-#[test]
-fn restarted_node_produces_identical_output() {
-    let run = |panic_at: u64| {
-        let flaky = Box::new(FlakyDoubler::new(panic_at));
-        let (g, sink) = chain(CountSource { n: 40 }, vec![flaky]);
-        let cfg = SupervisionConfig::new(RestartPolicy::Limited { max_restarts: 3 }, 8);
-        let mut out = Runtime::new().supervised(cfg).run(g).unwrap();
-        (out.take_sink(sink), out)
-    };
-    let (clean, clean_out) = run(u64::MAX);
-    // Panic at message 21: checkpoint at 16, replay 17..20, retry 21.
-    let (flaky, flaky_out) = run(21);
-    assert!(clean_out.is_clean());
-    assert!(flaky_out.is_clean(), "restart absorbed the panic");
-    assert_eq!(
-        closes_of(&flaky),
-        closes_of(&clean),
-        "exactly-once, bit-identical output after restart"
-    );
-    let mid_stats = flaky_out
-        .node_stats
-        .iter()
-        .find(|s| s.name == "flaky-doubler")
-        .unwrap();
-    assert_eq!(mid_stats.restarts, 1);
-    assert_eq!(mid_stats.outcome, NodeOutcome::Completed);
-}
-
-/// Panics every time it sees message `panic_at` — restore rearms it
-/// (the trigger is a function of its state), so it exhausts any budget.
+/// Forwards bars, and panics on message `panic_at`.
 struct PoisonPill {
     seen: u64,
     panic_at: u64,
@@ -386,58 +308,50 @@ impl Component for PoisonPill {
             out(msg);
         }
     }
-
-    node::component_state! { node { seen } }
 }
 
-#[test]
-fn poison_pill_exhausts_budget_and_degrades() {
-    let pill = PoisonPill {
-        seen: 0,
-        panic_at: 5,
-    };
-    let (g, sink) = chain(CountSource { n: 10 }, vec![Box::new(pill)]);
-    let cfg = SupervisionConfig::new(RestartPolicy::Limited { max_restarts: 2 }, 2)
-        .with_failure_mode(FailureMode::Degrade);
-    let mut out = Runtime::new().supervised(cfg).run(g).unwrap();
-    assert_eq!(out.failures.len(), 1);
-    assert_eq!(out.failures[0].restarts, 2);
-    assert_eq!(out.failures[0].at, 5, "failed at simulated time 5");
-    assert!(out.failures[0].error.contains("poison pill"));
-    let msgs = out.take_sink(sink);
-    assert_eq!(msgs.len(), 4, "messages 1..=4 passed before the pill");
-    let stats = out
-        .node_stats
-        .iter()
-        .find(|s| s.name == "poison-pill")
-        .unwrap();
-    assert_eq!(stats.outcome, NodeOutcome::Failed);
+/// The text a panic was raised with.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(text) => *text,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("", |s| s).to_string(),
+    }
 }
 
 #[test]
 #[should_panic(expected = "poison pill")]
-fn abort_run_propagates_the_panic() {
+fn a_node_panic_fails_the_run() {
     let pill = PoisonPill {
         seen: 0,
         panic_at: 5,
     };
     let (g, _) = chain(CountSource { n: 10 }, vec![Box::new(pill)]);
-    // Default supervision: RestartPolicy::Never + FailureMode::AbortRun.
     let _ = Runtime::new().run(g);
 }
 
+/// A node panic in a session-driven run fails it at the next cut: no cut
+/// is drained or captured from a graph with a dead node in it, and the
+/// end of the run fails too.
 #[test]
-fn degrade_mode_completes_around_an_unrestartable_node() {
+fn a_node_panic_fails_the_session_at_the_next_cut() {
     let pill = PoisonPill {
         seen: 0,
-        panic_at: 3,
+        panic_at: 5,
     };
-    let (g, sink) = chain(CountSource { n: 10 }, vec![Box::new(pill)]);
-    let cfg = SupervisionConfig::default().with_failure_mode(FailureMode::Degrade);
-    let mut out = Runtime::new().supervised(cfg).run(g).unwrap();
-    assert_eq!(out.failures.len(), 1);
-    assert_eq!(out.failures[0].restarts, 0, "Never grants no restarts");
-    assert_eq!(out.take_sink(sink).len(), 2);
+    let (g, sink) = chain(CountSource { n: 0 }, vec![Box::new(pill)]);
+    let session = Runtime::with_workers(2).session(g).unwrap();
+    let src = session.source_ids()[0];
+    (0..4).for_each(|k| session.feed(src, bar(k)));
+    session.quiesce();
+    assert_eq!(session.drain_sink(sink).len(), 4);
+    assert!(session.capture().is_ok(), "a cut before the pill");
+
+    (4..8).for_each(|k| session.feed(src, bar(k)));
+    let failed = catch_unwind(AssertUnwindSafe(|| session.quiesce()));
+    let text = panic_text(failed.expect_err("the cut past the pill fails"));
+    assert_eq!(text, "poison pill at message 5");
+    let finished = catch_unwind(AssertUnwindSafe(move || session.finish()));
+    assert!(finished.is_err(), "a failed session does not finish clean");
 }
 
 /// Counts unknown message kinds instead of aborting.
@@ -501,78 +415,10 @@ fn unknown_messages_count_as_dropped_not_fatal() {
     assert_eq!(stats.messages_in, 12);
 }
 
-/// Wedges forever on message `wedge_at` (stands in for a deadlocked
-/// or livelocked stage).
-struct Wedger {
-    seen: u64,
-    wedge_at: u64,
-}
-
-impl Component for Wedger {
-    fn name(&self) -> &str {
-        "wedger"
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        self.seen += 1;
-        if self.seen == self.wedge_at {
-            loop {
-                std::thread::park();
-            }
-        }
-        out(msg);
-    }
-}
-
-#[test]
-fn watchdog_severs_a_wedged_node_and_the_run_completes() {
-    let wedger = Wedger {
-        seen: 0,
-        wedge_at: 3,
-    };
-    let (g, sink) = chain(CountSource { n: 10 }, vec![Box::new(wedger)]);
-    let cfg = SupervisionConfig::default()
-        .with_failure_mode(FailureMode::Degrade)
-        .with_watchdog(WatchdogConfig {
-            quiet: std::time::Duration::from_millis(100),
-            poll: std::time::Duration::from_millis(10),
-        });
-    let mut out = Runtime::new().supervised(cfg).run(g).unwrap();
-    assert_eq!(out.stalls.len(), 1);
-    assert_eq!(out.stalls[0].name, "wedger");
-    assert_eq!(out.stalls[0].at, 3, "severed at simulated time 3");
-    assert_eq!(
-        out.take_sink(sink).len(),
-        2,
-        "messages forwarded before the wedge"
-    );
-    let stats = out.node_stats.iter().find(|s| s.name == "wedger").unwrap();
-    assert_eq!(stats.outcome, NodeOutcome::Wedged);
-}
-
-#[test]
-fn watchdog_leaves_honest_backpressure_alone() {
-    // Constant backpressure on tiny inboxes: nodes spend their time
-    // gated on capacity (not busy), so nothing is severed.
-    let (g, sink) = chain(CountSource { n: 2_000 }, passthroughs(["a", "b"]));
-    let cfg = SupervisionConfig::default().with_watchdog(WatchdogConfig {
-        quiet: std::time::Duration::from_millis(200),
-        poll: std::time::Duration::from_millis(10),
-    });
-    let mut out = Runtime::with_capacity(2).supervised(cfg).run(g).unwrap();
-    assert!(out.stalls.is_empty());
-    assert_eq!(out.take_sink(sink).len(), 2_000);
-}
-
 // ---- kernel width ----
 
-/// Records the kernel width of every call it takes (replays included),
-/// and panics once at message `panic_at` — a transient fault, like
-/// [`FlakyDoubler`]'s.
+/// Records the kernel width of every call it takes.
 struct WidthProbe {
-    seen: u64,
-    panic_at: u64,
-    fired: Arc<std::sync::atomic::AtomicBool>,
     widths: Arc<std::sync::Mutex<Vec<usize>>>,
 }
 
@@ -582,52 +428,33 @@ impl Component for WidthProbe {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        self.seen += 1;
         (self.widths.lock().unwrap()).push(rayon::current_num_threads());
-        if self.seen == self.panic_at && !self.fired.swap(true, Ordering::SeqCst) {
-            panic!("transient fault at message {}", self.seen);
-        }
         out(msg);
     }
-
-    node::component_state! { node { seen } }
 }
 
 /// The pool owns the cores: a node's kernels run `cores / W` wide — all of
-/// them at one worker, on the calling worker alone from `W = cores` up —
-/// and a supervised restart replays at the same width. Every worker's
-/// probe says so in the report.
+/// them at one worker, on the calling worker alone from `W = cores` up.
+/// Every worker's probe says so in the report.
 #[test]
 fn nodes_run_at_the_width_the_pool_leaves_them() {
     let cores = stats::width::cores();
     for (workers, want) in [(1, cores), (cores, 1), (cores + 1, 1)] {
         let widths = Arc::new(std::sync::Mutex::new(Vec::new()));
         let probe = WidthProbe {
-            seen: 0,
-            panic_at: 6,
-            fired: Arc::default(),
             widths: Arc::clone(&widths),
         };
         let (g, sink) = chain(CountSource { n: 12 }, vec![Box::new(probe)]);
-        // Checkpoint at 4: the panic at 6 replays 5, then retries 6.
-        let cfg = SupervisionConfig::new(RestartPolicy::Limited { max_restarts: 1 }, 4);
         let mut out = Runtime::with_config(RuntimeConfig {
             workers,
             capacity: 4,
             telemetry: TelemetryLevel::Counters,
         })
-        .supervised(cfg)
         .run(g)
         .unwrap();
-        assert!(out.is_clean(), "workers={workers}");
         assert_eq!(out.take_sink(sink).len(), 12);
-        assert_eq!(out.node_stats[1].restarts, 1);
         let widths = widths.lock().unwrap();
-        assert_eq!(
-            widths.len(),
-            12 + 2,
-            "workers={workers}: 5 replayed, 6 retried"
-        );
+        assert_eq!(widths.len(), 12, "workers={workers}");
         assert!(
             widths.iter().all(|&w| w == want),
             "workers={workers}: {widths:?}, want {want}"
@@ -665,24 +492,18 @@ impl Component for KernelFault {
     }
 }
 
-/// A kernel panic reaches the failure ledger as its own text whether the
-/// kernel ran on the worker (`W = cores`, width 1) or forked (`W = 1`).
+/// A kernel panic fails the run with its own text whether the kernel ran
+/// on the worker (`W = cores`, width 1) or forked (`W = 1`).
 #[test]
 fn a_kernel_panic_reads_the_same_at_every_width() {
-    let ledger = |workers: usize| {
-        let (g, sink) = chain(CountSource { n: 8 }, vec![Box::new(KernelFault)]);
-        let cfg = SupervisionConfig::default().with_failure_mode(FailureMode::Degrade);
-        let mut out = Runtime::with_workers(workers)
-            .supervised(cfg)
-            .run(g)
-            .unwrap();
-        assert_eq!(out.take_sink(sink).len(), 3, "intervals 0..3 passed");
-        out.failures
+    let raised = |workers: usize| {
+        let (g, _) = chain(CountSource { n: 8 }, vec![Box::new(KernelFault)]);
+        let run = catch_unwind(AssertUnwindSafe(|| Runtime::with_workers(workers).run(g)));
+        panic_text(run.expect_err("the kernel panic fails the run"))
     };
-    let forked = ledger(1);
-    assert_eq!(forked, ledger(0), "workers 1 against max");
-    assert_eq!(forked.len(), 1);
-    assert_eq!(forked[0].error, "kernel item 63 failed");
+    let forked = raised(1);
+    assert_eq!(forked, raised(0), "workers 1 against max");
+    assert_eq!(forked, "kernel item 63 failed");
 }
 
 /// A collector whose feed breaks mid-day: `n` bars, then a panic.
@@ -701,26 +522,11 @@ impl Source for DyingSource {
     }
 }
 
+/// A source that panics fails the run like any node: its partial stream
+/// flows, the graph drains, and the run re-raises.
 #[test]
-fn degrade_mode_completes_around_a_source_that_panics_mid_stream() {
-    let (g, sink) = chain(DyingSource { n: 7 }, vec![Box::new(Doubler)]);
-    let cfg = SupervisionConfig::default().with_failure_mode(FailureMode::Degrade);
-    let mut out = Runtime::new().supervised(cfg).run(g).unwrap();
-    assert_eq!(out.failures.len(), 1);
-    let failure = &out.failures[0];
-    assert_eq!(
-        (failure.node, failure.name.as_str(), failure.restarts),
-        (0, "dying-source", 0),
-        "a source has nothing to restart from"
-    );
-    assert_eq!(failure.at, 7, "failed at the count it had emitted");
-    assert!(failure.error.contains("feed lost after 7 bars"));
-    let stats = &out.node_stats[0];
-    assert_eq!(
-        (stats.messages_out, stats.outcome),
-        (7, NodeOutcome::Failed)
-    );
-    let msgs = out.take_sink(sink);
-    assert_eq!(msgs.len(), 8, "its partial stream flowed, then the flush");
-    assert_eq!(closes_of(&msgs[..7])[6], (6, vec![12.0]));
+#[should_panic(expected = "feed lost after 7 bars")]
+fn a_source_that_panics_mid_stream_fails_the_run() {
+    let (g, _) = chain(DyingSource { n: 7 }, vec![Box::new(Doubler)]);
+    let _ = Runtime::new().run(g);
 }

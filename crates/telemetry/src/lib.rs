@@ -11,8 +11,8 @@
 //!   (the trading interval / processed-message count) in their args, so a
 //!   latency spike can be attributed to a point in the trading day.
 //! * [`recorder`] — a bounded flight-recorder ring of structured
-//!   lifecycle events (panic/restart/checkpoint/replay/sever/quarantine/
-//!   health), replacing ad-hoc diagnostic lines.
+//!   lifecycle events (rank restart and failure, session reaps,
+//!   quarantine, health), replacing ad-hoc diagnostic lines.
 //! * [`trace`] — Chrome `trace_event` JSON export (Perfetto-loadable),
 //!   one track per worker and one per node; [`json`] is the hand-rolled
 //!   emitter/parser (the workspace `serde` shim has no serializer).

@@ -13,11 +13,10 @@
 //!
 //! Determinism: ids are allocated per *node output stream position*, not
 //! from a global clock or counter, so the id of the k-th message node n
-//! emits is the same regardless of worker count or scheduling. Replayed
-//! emissions after a crash-restart are suppressed before they reach the
-//! stamping path (the same suppression argument PR 2 makes for effect
-//! exactly-once), so a killed-and-recovered run records the identical
-//! edge set as a never-killed one.
+//! emits is the same regardless of worker count or scheduling. A
+//! restarted shard resumes each node's sequence from its durable cut and
+//! the fleet accepts each result frame once, so a killed-and-recovered
+//! run records the identical edge set as a never-killed one.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

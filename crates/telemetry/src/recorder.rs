@@ -1,5 +1,5 @@
 //! The flight recorder: a bounded ring buffer of structured lifecycle
-//! events (panics, restarts, checkpoints, replays, severs, quarantines,
+//! events (rank restarts and failures, reaped sessions, quarantines,
 //! health transitions), replacing ad-hoc diagnostic lines.
 //!
 //! Events are rare (they mark supervision activity, not data flow), so a
@@ -14,21 +14,24 @@ use std::sync::Mutex;
 /// What kind of lifecycle event happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A component panicked inside `on_message`/`on_end`.
+    /// A component panicked. Nothing records it (a node panic fails its
+    /// run); the tag, like `Checkpoint` and `Replay`, stays so every
+    /// pinned layout decodes as it did.
     Panic,
-    /// The supervisor restored a checkpoint and the node resumed.
+    /// The shard fleet respawned a rank from its last durable cut.
     Restart,
-    /// A periodic checkpoint was taken.
+    /// A checkpoint was taken (no producer; see `Panic`).
     Checkpoint,
-    /// The since-checkpoint log was replayed during recovery.
+    /// A logged stream was replayed (no producer; see `Panic`).
     Replay,
-    /// The watchdog severed a wedged node.
+    /// A stale serving session was reaped.
     Sever,
     /// A symbol entered quarantine (cleaning-filter tripwire).
     Quarantine,
     /// A symbol health transition (outage/halt/recovery).
     Health,
-    /// A node failed for good (restart budget exhausted).
+    /// A shard rank failed for good (restart budget exhausted): its
+    /// parameter sets are masked degraded.
     Failure,
     /// A fault injector fired (chaos harness).
     Fault,
