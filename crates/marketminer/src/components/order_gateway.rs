@@ -77,8 +77,54 @@ pub(crate) fn basket_of(interval: usize, mut orders: Vec<OrderRequest>) -> Baske
     // batch, so same provenance too): an unstable sort cannot tell them
     // apart either, and it needs no scratch buffer.
     orders.sort_unstable_by_key(canonical_key);
-    // The sort groups a host's orders, so its batch id repeats in a run
-    // (and below `Full` no id is set: the list stays unallocated).
+    sorted_basket(interval, orders)
+}
+
+/// One interval's basket from `runs` that are each in canonical order —
+/// the baskets several gateways (one per shard rank) emitted for it.
+/// Merging them is what sorting their concatenation gives ([`basket_of`]):
+/// keys start with the parameter set, so runs of disjoint parameter sets
+/// never tie, and orders that tie within a run are identical legs. On a
+/// tie the earlier run goes first.
+pub(crate) fn merged_basket(interval: usize, runs: Vec<Vec<OrderRequest>>) -> Basket {
+    let mut runs = runs.into_iter();
+    let mut orders = runs.next().unwrap_or_default();
+    for run in runs {
+        merge_into(&mut orders, run);
+    }
+    sorted_basket(interval, orders)
+}
+
+/// Merge `run` into `merged`, both in canonical order, in place from the
+/// back: `merged` grows once to exactly the sum (a fresh list per merge
+/// read 14 % more peak memory in the `fleet_ckpt` benchmark), and every
+/// order moves once. On a tie, `merged`'s order stays first.
+fn merge_into(merged: &mut Vec<OrderRequest>, mut run: Vec<OrderRequest>) {
+    // The slots being filled hold copies of one order until overwritten.
+    let Some(filler) = run.first().cloned() else {
+        return;
+    };
+    let mut taken = merged.len();
+    merged.reserve_exact(run.len());
+    merged.resize(taken + run.len(), filler);
+    for slot in (0..merged.len()).rev() {
+        let Some(next) = run.last() else {
+            break; // what is left of `merged` is already in place
+        };
+        if taken > 0 && canonical_key(&merged[taken - 1]) > canonical_key(next) {
+            taken -= 1;
+            merged.swap(taken, slot);
+        } else {
+            merged[slot] = run.pop().expect("the run has an order left");
+        }
+    }
+}
+
+/// A basket of orders already in canonical order, caused by the batches
+/// they arrived in.
+fn sorted_basket(interval: usize, orders: Vec<OrderRequest>) -> Basket {
+    // Canonical order groups a host's orders, so its batch id repeats in
+    // a run (and below `Full` no id is set: the list stays unallocated).
     let mut batches = Vec::new();
     for id in orders.iter().map(|o| o.cause.id).filter(|id| id.is_set()) {
         if batches.last() != Some(&id) {
@@ -233,6 +279,7 @@ mod tests {
     use crate::runtime::Runtime;
     use pairtrade_core::spec::StrategyKind;
     use proptest::prelude::*;
+    use telemetry::lineage::EventId;
 
     fn order(interval: usize, param_set: usize, stock: usize, confirm: bool) -> OrderRequest {
         OrderRequest {
@@ -414,6 +461,42 @@ mod tests {
         let rest = vec![batch(2, 1, &[3])];
         assert_eq!(feed(&mut node, rest.clone()).0, feed(&mut twin, rest).0);
         assert!(!twin.decode_state(&held[..held.len() - 1]));
+    }
+
+    proptest! {
+        /// Baskets of one interval from gateways of disjoint parameter
+        /// sets (shard ranks), merged, are the basket of all their orders
+        /// — order for order, batch id for batch id, and the batches the
+        /// basket names as its cause — identical legs tying within a run.
+        #[test]
+        fn merging_sorted_runs_equals_sorting_their_concatenation(
+            n_runs in 1usize..5,
+            // Each leg's param set (12), stock (4), shares (2) and extra
+            // identical copies (3), mixed into one draw.
+            legs in proptest::collection::vec(0usize..12 * 4 * 2 * 3, 0..80),
+        ) {
+            // A parameter set lives on run `param_set % n_runs`, its
+            // orders in the batch its host sent (one id per set).
+            let mut runs = vec![Vec::new(); n_runs];
+            for &leg in &legs {
+                let (param_set, stock) = (leg % 12, leg / 12 % 4);
+                let (shares, copies) = (1 + (leg / 48 % 2) as u32, leg / 96);
+                let mut leg = order(7, param_set, stock, false);
+                leg.shares = shares;
+                leg.cause.id = EventId::new(param_set, 1);
+                runs[param_set % n_runs].extend(std::iter::repeat_n(leg, copies + 1));
+            }
+            let all: Vec<OrderRequest> = runs.iter().flatten().cloned().collect();
+            let runs: Vec<Vec<OrderRequest>> = (runs.into_iter())
+                .map(|run| basket_of(7, run).orders)
+                .collect();
+            let want = basket_of(7, all);
+            let got = merged_basket(7, runs);
+            prop_assert_eq!(&got, &want);
+            let ids = |b: &Basket| b.orders.iter().map(|o| o.cause.id).collect::<Vec<_>>();
+            prop_assert_eq!(ids(&got), ids(&want));
+            prop_assert_eq!(&got.cause.parents, &want.cause.parents);
+        }
     }
 
     /// Replays one host's batches as a graph source.

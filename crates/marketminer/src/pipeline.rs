@@ -337,7 +337,9 @@ pub fn render_robust_planes(metrics: &telemetry::metrics::MetricsSnapshot) -> St
 
 /// How results left a finished run, from its telemetry: what the hosts
 /// streamed and the gateway had to hold, and — for a fleet report, whose
-/// supervisor records one row per rank — what the durable cuts cost.
+/// supervisor records one row per rank — what the durable cuts cost, what
+/// the rank's result frames cost to send and to check and decode, and
+/// what the supervisor's merge of the ranks' outputs took.
 /// Rendered by `profile_report` and `fleet_sweep --profile`.
 pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
     let gauge_peak = |name: &str| {
@@ -373,6 +375,32 @@ pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> St
             p50("ckpt.capture_us"),
             p50("ckpt.encode_us"),
             p50("ckpt.write_us"),
+        ));
+        if let Some(uplink) = metrics.histogram(label, "uplink.us") {
+            // Log2 buckets read a frame's p50 to within 2 ×; the mean and
+            // the largest frame are exact.
+            let mean_max = |name: &str| {
+                metrics
+                    .histogram(label, name)
+                    .map_or((0.0, 0), |h| (h.mean(), h.max()))
+            };
+            let (bytes, bytes_max) = mean_max("uplink.bytes");
+            let (decode, decode_max) = mean_max("frame.decode_us");
+            out.push_str(&format!(
+                "           {} result frames, mean {:.1} KB (max {:.1}); uplink (encode+CRC+write) \
+                 mean {:.0} us (max {}), supervisor CRC+decode mean {decode:.0} us (max {decode_max})\n",
+                uplink.count(),
+                bytes / 1e3,
+                bytes_max as f64 / 1e3,
+                uplink.mean(),
+                uplink.max(),
+            ));
+        }
+    }
+    if let Some(merge) = metrics.histogram("supervisor", "merge.us") {
+        out.push_str(&format!(
+            "  supervisor merged the ranks' outputs in {} us\n",
+            merge.sum()
         ));
     }
     out

@@ -96,7 +96,8 @@ pub struct NodeCkpt {
     pub next_out: u64,
 }
 
-wire::record! { NodeCkpt { state, processed, received, sent, next_out } }
+// `state` is on the wire as an `Option<Vec<u8>>` is, moved in one copy.
+wire::record! { NodeCkpt { state as Option<wire::Bytes>, processed, received, sent, next_out } }
 
 /// A whole graph's durable state at one quiescent cut, in node-id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

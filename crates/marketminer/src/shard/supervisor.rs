@@ -32,9 +32,9 @@ use std::io;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pairtrade_core::trade::Trade;
 use taq::dataset::DayData;
@@ -49,7 +49,7 @@ use super::placement::placement;
 use super::transport::{Endpoint, Listener};
 use super::worker::ShardJob;
 use super::{ShardConfig, JOB_FILE, NODE_STRIDE, TAPE_FILE};
-use crate::components::order_gateway::basket_of;
+use crate::components::order_gateway::merged_basket;
 use crate::graph::GraphError;
 use crate::messages::{Basket, HealthEvent, OrderRequest};
 use crate::pipeline::{SinkOutput, SweepConfig};
@@ -145,6 +145,9 @@ struct ShardState {
     child: Option<Child>,
     connected: bool,
     spawned_at: Instant,
+    /// When a dead rank's next incarnation is due (its backoff runs out);
+    /// `None` while a worker is alive, or once the rank is done.
+    respawn_at: Option<Instant>,
     last_heartbeat: Instant,
     last_epoch: u64,
     next_expected: u64,
@@ -299,12 +302,14 @@ impl ShardRunner {
             let tx = tx.clone();
             let stop = Arc::clone(&stop);
             let read_timeout = cfg.heartbeat_timeout;
+            let tel = Arc::clone(&tel);
             std::thread::spawn(move || {
                 while let Ok(conn) = listener.accept() {
                     if stop.load(Ordering::Acquire) {
                         return;
                     }
                     let tx = tx.clone();
+                    let tel = Arc::clone(&tel);
                     std::thread::spawn(move || {
                         let _ = conn.set_read_timeout(Some(read_timeout));
                         let mut conn = conn;
@@ -331,9 +336,16 @@ impl ShardRunner {
                             // connection, supervision handles the rest.
                             _ => return,
                         };
+                        let probe = tel.probe(
+                            format!("shard{rank}"),
+                            telemetry::trace::TrackId::node(rank),
+                        );
                         loop {
-                            match conn.recv() {
-                                Ok(frame) => {
+                            match conn.recv_timed() {
+                                Ok((frame, decode)) => {
+                                    if matches!(frame, Frame::Results { .. }) {
+                                        probe.observe("frame.decode_us", decode.as_micros() as u64);
+                                    }
                                     if tx.send(Event::Frame { rank, frame }).is_err() {
                                         return;
                                     }
@@ -367,6 +379,7 @@ impl ShardRunner {
                     child: None,
                     connected: false,
                     spawned_at: now,
+                    respawn_at: None,
                     last_heartbeat: now,
                     last_epoch: 0,
                     next_expected: 0,
@@ -396,18 +409,20 @@ impl ShardRunner {
                 let _ = child.wait();
             }
         };
-        // A death (kill, crash, wedge) either respawns the rank from its
-        // durable checkpoint or — budget exhausted — masks it degraded.
-        let endpoint_ref = &endpoint;
+        // A death (kill, crash, wedge) either schedules the rank's respawn
+        // from its durable checkpoint once its backoff runs out or — budget
+        // exhausted — masks it degraded. The loop never sleeps the backoff:
+        // the rest of the fleet is heard meanwhile.
         let handle_death = |states: &mut Vec<ShardState>, rank: usize, why: &str| {
             let state = &mut states[rank];
             if state.done || state.degraded {
-                return Ok(());
+                return;
             }
             kill_child(state);
             state.restarts += 1;
             if state.restarts > cfg.max_restarts {
                 state.degraded = true;
+                state.respawn_at = None;
                 let probe = tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank));
                 probe.count("shard.degraded", 1);
                 probe.flight(FlightKind::Failure, Some(state.last_epoch), || {
@@ -417,36 +432,98 @@ impl ShardRunner {
                         cfg.max_restarts
                     )
                 });
-                return Ok(());
+                return;
             }
             let probe = tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank));
             probe.count("shard.restarts", 1);
             let restarts = state.restarts;
-            let resume = state.next_expected;
-            probe.flight(FlightKind::Restart, Some(state.last_epoch), || {
-                format!("shard.restarts: respawn #{restarts} after {why}, resume_seq={resume}")
-            });
+            let accepted = state.next_expected;
             let backoff = cfg
                 .backoff_base
                 .saturating_mul(1u32 << (state.restarts - 1).min(16))
                 .min(cfg.backoff_max);
-            std::thread::sleep(backoff);
-            let child = self
-                .spawn_worker(rank, resume, endpoint_ref)
-                .map_err(io_err)?;
-            state.child = Some(child);
-            state.spawned_at = Instant::now();
-            state.last_heartbeat = Instant::now();
-            Ok::<(), GraphError>(())
+            probe.flight(FlightKind::Restart, Some(state.last_epoch), || {
+                format!(
+                    "shard.restarts: respawn #{restarts} in {backoff:?} after {why}, \
+                     {accepted} frames accepted"
+                )
+            });
+            state.respawn_at = Some(Instant::now() + backoff);
         };
 
-        while !states.iter().all(|s| s.done || s.degraded) {
-            match rx.recv_timeout(cfg.heartbeat) {
-                Ok(Event::Hello {
+        // With the event queue empty — so a rank is judged on everything
+        // it has said so far — respawn the ranks whose backoff ran out,
+        // then sweep for liveness: stale heartbeats (wedged), silent exits
+        // (crashed before connecting), and the heartbeat-age gauge.
+        let tend = |states: &mut Vec<ShardState>| -> Result<(), GraphError> {
+            for rank in 0..states.len() {
+                let state = &mut states[rank];
+                if state.done || state.degraded {
+                    continue;
+                }
+                if let Some(due) = state.respawn_at {
+                    if due <= Instant::now() {
+                        // Frames the dead incarnation left queued were
+                        // accepted by now: the next one suppresses them.
+                        let resume = state.next_expected;
+                        state.child =
+                            Some(self.spawn_worker(rank, resume, &endpoint).map_err(io_err)?);
+                        state.respawn_at = None;
+                        state.connected = false;
+                        state.spawned_at = Instant::now();
+                        state.last_heartbeat = Instant::now();
+                    }
+                    continue;
+                }
+                let age = state.last_heartbeat.elapsed();
+                tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank))
+                    .gauge_max("heartbeat.age_us", age.as_micros() as u64);
+                if state.connected && age > cfg.heartbeat_timeout {
+                    handle_death(states, rank, "heartbeat timeout (wedged)");
+                    continue;
+                }
+                if !state.connected {
+                    // A worker exits 0 only once its `Done` is written: one
+                    // whose `Hello` is still on its way has finished, not
+                    // died.
+                    let crashed = (state.child.as_mut())
+                        .and_then(|c| c.try_wait().ok().flatten())
+                        .is_some_and(|status| !status.success());
+                    let stalled = state.spawned_at.elapsed() > cfg.heartbeat_timeout;
+                    if crashed || stalled {
+                        handle_death(states, rank, "exited before connecting");
+                    }
+                }
+            }
+            Ok(())
+        };
+        let finished = |states: &[ShardState]| states.iter().all(|s| s.done || s.degraded);
+
+        while !finished(&states) {
+            let event = match rx.try_recv() {
+                Ok(event) => event,
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => {
+                    tend(&mut states)?;
+                    if finished(&states) {
+                        break;
+                    }
+                    let wait = (states.iter().filter_map(|s| s.respawn_at))
+                        .map(|due| due.saturating_duration_since(Instant::now()))
+                        .fold(cfg.heartbeat, Duration::min);
+                    match rx.recv_timeout(wait) {
+                        Ok(event) => event,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+            };
+            match event {
+                Event::Hello {
                     rank,
                     names,
                     corrupt,
-                }) => {
+                } => {
                     if rank >= states.len() {
                         continue;
                     }
@@ -468,7 +545,7 @@ impl ShardRunner {
                     state.connected = true;
                     state.last_heartbeat = Instant::now();
                 }
-                Ok(Event::Frame { rank, frame }) => {
+                Event::Frame { rank, frame } => {
                     if rank >= states.len() || states[rank].done || states[rank].degraded {
                         continue;
                     }
@@ -499,7 +576,7 @@ impl ShardRunner {
                                 // A gap is a protocol violation (frames are
                                 // FIFO per connection); treat the rank as
                                 // faulty rather than merge a hole.
-                                handle_death(&mut states, rank, "result-sequence gap")?;
+                                handle_death(&mut states, rank, "result-sequence gap");
                                 continue;
                             }
                             state.next_expected = seq + 1;
@@ -518,7 +595,7 @@ impl ShardRunner {
                                 .is_some_and(|&trigger| seq >= trigger);
                             if fire {
                                 states[rank].kills.remove(0);
-                                handle_death(&mut states, rank, "chaos kill")?;
+                                handle_death(&mut states, rank, "chaos kill");
                             }
                         }
                         Frame::CkptDone {
@@ -560,10 +637,13 @@ impl ShardRunner {
                         Frame::Done { final_seq } => {
                             let state = &mut states[rank];
                             if final_seq != state.next_expected {
-                                handle_death(&mut states, rank, "done/accepted mismatch")?;
+                                handle_death(&mut states, rank, "done/accepted mismatch");
                                 continue;
                             }
+                            // Whichever incarnation said it, the rank's day
+                            // is complete: a respawn still due is moot.
                             state.done = true;
+                            state.respawn_at = None;
                             if let Some(mut child) = state.child.take() {
                                 let _ = child.wait();
                             }
@@ -571,45 +651,15 @@ impl ShardRunner {
                         Frame::Hello { .. } | Frame::Shutdown => {}
                     }
                 }
-                Ok(Event::Gone { rank, why }) => {
+                Event::Gone { rank, why } => {
                     if rank >= states.len() {
                         continue;
                     }
                     // Ignore echoes from connections we already tore down
                     // (chaos/wedge kills flip `connected` first).
                     if states[rank].connected {
-                        handle_death(&mut states, rank, &format!("socket loss ({why})"))?;
+                        handle_death(&mut states, rank, &format!("socket loss ({why})"));
                     }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            // Liveness sweep: stale heartbeats (wedged), silent exits
-            // (crashed before connecting), and the heartbeat-age gauge.
-            for rank in 0..states.len() {
-                if states[rank].done || states[rank].degraded {
-                    continue;
-                }
-                let age = states[rank].last_heartbeat.elapsed();
-                tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank))
-                    .gauge_max("heartbeat.age_us", age.as_micros() as u64);
-                if states[rank].connected && age > cfg.heartbeat_timeout {
-                    states[rank].connected = false;
-                    handle_death(&mut states, rank, "heartbeat timeout (wedged)")?;
-                    continue;
-                }
-                let silent_death = !states[rank].connected
-                    && states[rank]
-                        .child
-                        .as_mut()
-                        .and_then(|c| c.try_wait().ok())
-                        .flatten()
-                        .is_some();
-                let startup_stall = !states[rank].connected
-                    && states[rank].spawned_at.elapsed() > cfg.heartbeat_timeout;
-                if silent_death || startup_stall {
-                    handle_death(&mut states, rank, "exited before connecting")?;
                 }
             }
         }
@@ -635,10 +685,12 @@ impl ShardRunner {
         sweep: &SweepConfig,
         states: Vec<ShardState>,
         node_names: Vec<String>,
-        tel: &Telemetry,
+        tel: &Arc<Telemetry>,
     ) -> ShardSweepOutput {
+        let started = Instant::now();
         let mut trades_per_param: Vec<Vec<Trade>> = vec![Vec::new(); sweep.specs.len()];
-        let mut buckets: BTreeMap<usize, Vec<OrderRequest>> = BTreeMap::new();
+        // Per interval, one canonically sorted run of orders per rank.
+        let mut buckets: BTreeMap<usize, Vec<Vec<OrderRequest>>> = BTreeMap::new();
         let mut health_events: Vec<std::sync::Arc<HealthEvent>> = Vec::new();
         let mut lineage: BTreeMap<EventId, LineageEvent> = BTreeMap::new();
         let mut reports = Vec::with_capacity(states.len());
@@ -678,17 +730,13 @@ impl ShardRunner {
             }
             // The frames' baskets are the supervisor's alone: their
             // orders move into the merge, so the day's orders are held
-            // once however unevenly the ranks carry them.
+            // once however unevenly the ranks carry them. A rank's gateway
+            // sorted each of them already.
             for b in baskets {
                 let Basket {
                     interval, orders, ..
                 } = Arc::unwrap_or_clone(b);
-                let bucket = buckets.entry(interval).or_default();
-                if bucket.is_empty() {
-                    *bucket = orders;
-                } else {
-                    bucket.extend(orders);
-                }
+                buckets.entry(interval).or_default().push(orders);
             }
             // Every shard runs the identical bar/health chain over the
             // full tape; keep the first completing rank's copy.
@@ -777,11 +825,12 @@ impl ShardRunner {
             }
         }
 
-        let baskets = buckets
-            .into_iter()
-            .map(|(interval, orders)| std::sync::Arc::new(basket_of(interval, orders)))
+        let baskets = (buckets.into_iter())
+            .map(|(interval, runs)| Arc::new(merged_basket(interval, runs)))
             .collect();
         degraded_params.sort_unstable();
+        (tel.probe("supervisor", telemetry::trace::TrackId::node(0)))
+            .observe("merge.us", started.elapsed().as_micros() as u64);
 
         ShardSweepOutput {
             trades_per_param,

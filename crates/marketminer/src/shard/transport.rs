@@ -227,8 +227,9 @@ impl FramedConn {
         self.stream.shutdown()
     }
 
-    /// Send one frame: length + CRC header, then the payload.
-    pub fn send<T: Codec>(&mut self, frame: &T) -> io::Result<()> {
+    /// Send one frame: length + CRC header, then the payload. Returns the
+    /// bytes written, header included.
+    pub fn send<T: Codec>(&mut self, frame: &T) -> io::Result<usize> {
         // Encode behind room for the header: one buffer, one write.
         let mut w = wire::Writer::with_header(HEADER_LEN);
         frame.encode(&mut w);
@@ -241,13 +242,20 @@ impl FramedConn {
         buf[..4].copy_from_slice(&len.to_le_bytes());
         buf[4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         self.stream.write_all(&buf)?;
-        self.stream.flush()
+        self.stream.flush()?;
+        Ok(buf.len())
     }
 
     /// Receive one frame, verifying length bound and CRC. EOF at a frame
     /// boundary is `io::ErrorKind::UnexpectedEof` (a cleanly closed
     /// peer); corruption is `io::ErrorKind::InvalidData`.
     pub fn recv<T: Codec>(&mut self) -> io::Result<T> {
+        self.recv_timed().map(|(frame, _)| frame)
+    }
+
+    /// [`recv`](FramedConn::recv), also returning how long the frame took
+    /// to check (CRC) and decode once its last byte was in.
+    pub fn recv_timed<T: Codec>(&mut self) -> io::Result<(T, Duration)> {
         let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
         let len = u32::from_le_bytes(header[..4].try_into().expect("sized"));
@@ -260,14 +268,16 @@ impl FramedConn {
         }
         let mut payload = vec![0u8; len as usize];
         self.stream.read_exact(&mut payload)?;
+        let arrived = Instant::now();
         if crc32(&payload) != want_crc {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "frame CRC mismatch",
             ));
         }
-        wire::from_bytes::<T>(&payload)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame decode failed"))
+        let frame = wire::from_bytes::<T>(&payload)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame decode failed"))?;
+        Ok((frame, arrived.elapsed()))
     }
 }
 

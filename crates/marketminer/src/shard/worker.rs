@@ -33,7 +33,8 @@ use pairtrade_core::ckpt::{CheckpointStore, CkptError};
 use taq::dataset::DayData;
 use telemetry::metrics::MetricsSnapshot;
 use telemetry::recorder::FlightEvent;
-use telemetry::TelemetryLevel;
+use telemetry::trace::TrackId;
+use telemetry::{Probe, TelemetryLevel};
 
 use super::frame::Frame;
 use super::placement::placement;
@@ -244,7 +245,8 @@ struct Uplink {
 }
 
 impl Uplink {
-    fn send(&self, frame: &Frame) -> io::Result<()> {
+    /// Send one whole frame; the bytes it took on the wire.
+    fn send(&self, frame: &Frame) -> io::Result<usize> {
         self.conn.lock().expect("uplink").send(frame)
     }
 }
@@ -382,8 +384,13 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     // slot, so a re-sent delta overwrites rather than double-counts.
     // `Telemetry` goes first so a kill between the two leaves
     // `resume_seq` low enough to re-send both. The hub is an `Arc`: it
-    // outlives the session.
+    // outlives the session. What a `Results` frame cost to send (encode,
+    // CRC, write) is recorded once it is out, so it travels with the next
+    // seq's delta; the end-of-day frame's own cost never leaves.
     let tel_hub = session.telemetry();
+    let uplink_probe = (tel_hub.as_ref()).map_or_else(Probe::off, |tel| {
+        tel.probe(format!("shard{}", args.rank), TrackId::node(args.rank))
+    });
     let mut tel_prev = MetricsSnapshot::default();
     let mut uplink_cut = |seq: u64, flights: Vec<FlightEvent>, cut: SweepCut| -> io::Result<()> {
         if let Some(tel) = &tel_hub {
@@ -402,12 +409,15 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
             }
         }
         if seq >= args.resume_seq {
-            uplink.send(&Frame::Results {
+            let t0 = Instant::now();
+            let bytes = uplink.send(&Frame::Results {
                 seq,
                 epoch: seq,
                 messages: cut.messages,
                 lineage: cut.lineage,
             })?;
+            uplink_probe.observe("uplink.us", t0.elapsed().as_micros() as u64);
+            uplink_probe.observe("uplink.bytes", bytes as u64);
         }
         Ok(())
     };
@@ -457,7 +467,8 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     )?;
     uplink.send(&Frame::Done {
         final_seq: n_epochs + 1,
-    })
+    })?;
+    Ok(())
 }
 
 #[cfg(test)]

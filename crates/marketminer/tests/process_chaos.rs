@@ -604,6 +604,38 @@ fn kill9_mid_day_is_bit_identical_for_mixed_strategies() {
     }
 }
 
+/// A respawned rank can replay, finish and exit while the supervisor is
+/// busy with another rank's death; it has finished, not died. Kill rank 1
+/// near the end of the day and rank 0 at its end-of-day flush, with a
+/// backoff long enough for either rank's second life to run whole inside
+/// the other's: each rank restarts exactly once, and the day equals the
+/// in-process sweep. (A supervisor that slept its backoff in the event
+/// loop found the finished worker's `Hello` still queued, called its exit
+/// "exited before connecting" and respawned it again.)
+#[test]
+fn a_rank_that_finishes_during_another_ranks_backoff_is_not_declared_dead() {
+    let (day, n) = small_day(91);
+    let sweep = SweepConfig::paper(n);
+    let base = in_process_sweep(day.clone(), &sweep);
+    let backoff = std::time::Duration::from_secs(2);
+    let cfg = ShardConfig {
+        backoff_base: backoff,
+        backoff_max: backoff,
+        ..test_config("finished-in-backoff", &day, 2)
+    };
+    let n_epochs = epochs_in(&day, &cfg);
+    let out = ShardRunner::new(cfg, WORKER_EXE)
+        .with_chaos(vec![(1, n_epochs - 1), (0, n_epochs)])
+        .run(&day, &sweep)
+        .unwrap();
+    let restarts: Vec<u32> = out.reports.iter().map(|r| r.restarts).collect();
+    assert_eq!(restarts, vec![1, 1], "{:?}", out.reports);
+    assert!(out.degraded_params.is_empty());
+    assert_eq!(base.trades_per_param, out.trades_per_param);
+    assert_eq!(base.baskets, out.baskets);
+    assert_eq!(base.health_events, out.health_events);
+}
+
 /// The signal plane through `kill -9`: a health-enabled sweep whose tape
 /// carries an outage and a corruption burst, two averaging windows on one
 /// stream, killed at the epochs around the degradation — so the durable

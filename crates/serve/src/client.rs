@@ -56,7 +56,7 @@ impl Client {
 
     /// Send a raw client frame.
     pub fn send(&mut self, frame: &ClientFrame) -> io::Result<()> {
-        self.conn.send(frame)
+        self.conn.send(frame).map(drop)
     }
 
     /// Next server frame: buffered deliveries first, then the socket.

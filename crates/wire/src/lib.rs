@@ -26,8 +26,11 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 
+mod crc;
 mod macros;
 pub mod pin;
+
+pub use crc::crc32;
 
 /// Decoding failure: the input is shorter than the encoding claims, or a
 /// field holds a value outside its domain.
@@ -251,20 +254,10 @@ impl Codec for String {
 
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            None => w.buf.push(0),
-            Some(v) => {
-                w.buf.push(1);
-                v.encode(w);
-            }
-        }
+        <Option<Native> as Adapter<Self>>::encode(self, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            _ => Err(WireError::Invalid("option tag")),
-        }
+        <Option<Native> as Adapter<Self>>::decode(r)
     }
 }
 
@@ -448,6 +441,42 @@ impl<T, A: Adapter<T>> Adapter<Vec<T>> for Vec<A> {
     }
 }
 
+/// A tag byte (0 absent, 1 present), then the value.
+impl<T, A: Adapter<T>> Adapter<Option<T>> for Option<A> {
+    fn encode(value: &Option<T>, w: &mut Writer) {
+        match value {
+            None => w.buf.push(0),
+            Some(v) => {
+                w.buf.push(1);
+                A::encode(v, w);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Option<T>, WireError> {
+        match u8::decode(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(A::decode(r)?)),
+            _ => Err(WireError::Invalid("option tag")),
+        }
+    }
+}
+
+/// A byte run in one copy each way: the bytes of a `Vec<u8>` (its `u64`
+/// length, then the bytes) through [`Writer::bytes`] / [`Reader::bytes`],
+/// where `Vec<u8>`'s own codec moves one byte per call. Write a byte
+/// field `state as Bytes` (or `as Option<Bytes>`).
+#[derive(Debug, Clone, Copy)]
+pub struct Bytes;
+
+impl Adapter<Vec<u8>> for Bytes {
+    fn encode(value: &Vec<u8>, w: &mut Writer) {
+        w.bytes(value);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
 impl<TA, TB, A: Adapter<TA>, B: Adapter<TB>> Adapter<(TA, TB)> for (A, B) {
     fn encode(value: &(TA, TB), w: &mut Writer) {
         A::encode(&value.0, w);
@@ -468,61 +497,6 @@ impl<K: Codec + Ord, V, A: Adapter<V>> Adapter<BTreeMap<K, V>> for BTreeMap<K, A
     fn decode(r: &mut Reader<'_>) -> Result<BTreeMap<K, V>, WireError> {
         decode_seq(r, |r| Ok((K::decode(r)?, A::decode(r)?)))
     }
-}
-
-/// The reflected IEEE polynomial.
-const CRC_POLY: u32 = 0xEDB8_8320;
-
-/// Slicing-by-8 tables: `t[0]` is the classic byte table, `t[k][b]` is
-/// the CRC of byte `b` followed by `k` zero bytes.
-fn crc_tables() -> &'static [[u32; 256]; 8] {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for (i, slot) in t[0].iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    CRC_POLY ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        for k in 1..8 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            }
-        }
-        t
-    })
-}
-
-/// IEEE CRC32 (the polynomial Ethernet, gzip and PNG share), eight bytes
-/// per step (slicing-by-8: one table lookup per input byte, but the
-/// eight lookups of a step are independent of one another).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = crc_tables();
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -654,56 +628,37 @@ mod tests {
         );
     }
 
-    /// The byte-at-a-time loop `crc32` replaced, kept as its oracle.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let table = &crc_tables()[0];
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
-    }
-
+    /// `Bytes` writes what `Vec<u8>`'s codec writes, and reads it back
+    /// under the same length guard.
     #[test]
-    fn crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut buf = vec![0u8; 64 + 8 + 4096];
-        for b in &mut buf {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *b = x as u8;
-        }
-        for offset in 0..8 {
-            for len in (0..=64).chain([1000, 4095, 4096]) {
-                let slice = &buf[offset..offset + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "offset {offset} len {len}"
-                );
+    fn byte_runs_travel_as_a_vec_of_bytes_does() {
+        for len in 0..=300usize {
+            let v: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut w = Writer::new();
+            <Bytes as Adapter<Vec<u8>>>::encode(&v, &mut w);
+            assert_eq!(w.buf, to_bytes(&v), "len {len}");
+            let back = <Bytes as Adapter<Vec<u8>>>::decode(&mut Reader::new(&w.buf));
+            assert_eq!(back.as_ref(), Ok(&v));
+            for opt in [None, Some(v.clone())] {
+                let mut w = Writer::new();
+                <Option<Bytes> as Adapter<Option<Vec<u8>>>>::encode(&opt, &mut w);
+                assert_eq!(w.buf, to_bytes(&opt), "len {len}");
+                let mut r = Reader::new(&w.buf);
+                let back = <Option<Bytes> as Adapter<Option<Vec<u8>>>>::decode(&mut r);
+                assert_eq!(back, Ok(opt));
             }
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
-    }
-
-    #[test]
-    fn bit_flip_changes_crc() {
-        let data = b"checkpoint payload".to_vec();
-        let base = crc32(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8 {
-                let mut flipped = data.clone();
-                flipped[byte] ^= 1 << bit;
-                assert_ne!(crc32(&flipped), base, "byte {byte} bit {bit}");
-            }
-        }
+        // An inflated length is refused before anything is allocated.
+        let mut w = Writer::new();
+        (1u64 << 60).encode(&mut w);
+        w.buf.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(
+            <Bytes as Adapter<Vec<u8>>>::decode(&mut Reader::new(&w.buf)),
+            Err(WireError::Invalid("collection longer than input"))
+        );
+        assert_eq!(
+            <Option<Bytes> as Adapter<Option<Vec<u8>>>>::decode(&mut Reader::new(&[2])),
+            Err(WireError::Invalid("option tag"))
+        );
     }
 }
