@@ -42,9 +42,9 @@
 //! * [`pipeline`] — the prebuilt, runnable shared-stream sweep graph
 //!   ([`pipeline::SweepConfig`]); with one spec it is Figure 1.
 //! * [`shard`] — the durable multi-process shard runner: worker
-//!   processes over framed Unix-domain or TCP sockets, epoch
-//!   checkpoints, heartbeat supervision and kill -9 recovery — the one
-//!   way a failed run restarts.
+//!   processes over a framed Unix-domain socket, epoch checkpoints,
+//!   silence-timeout supervision and kill -9 recovery — the one way a
+//!   failed run restarts.
 
 pub mod components;
 pub mod graph;

@@ -338,8 +338,9 @@ pub fn render_robust_planes(metrics: &telemetry::metrics::MetricsSnapshot) -> St
 /// How results left a finished run, from its telemetry: what the hosts
 /// streamed and the gateway had to hold, and — for a fleet report, whose
 /// supervisor records one row per rank — what the durable cuts cost, what
-/// the rank's result frames cost to send and to check and decode, and
-/// what the supervisor's merge of the ranks' outputs took.
+/// the rank's result frames cost to send and to check and decode, the
+/// longest gap between its frames, and what the supervisor's merge of the
+/// ranks' outputs took.
 /// Rendered by `profile_report` and `fleet_sweep --profile`.
 pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
     let gauge_peak = |name: &str| {
@@ -394,6 +395,15 @@ pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> St
                 bytes_max as f64 / 1e3,
                 uplink.mean(),
                 uplink.max(),
+            ));
+        }
+        if let Some(gap) = metrics
+            .gauges
+            .get(&(label.clone(), "frame.gap_us".to_string()))
+        {
+            out.push_str(&format!(
+                "           longest gap between frames {:.1} ms (what the silence timeout must outlast)\n",
+                *gap as f64 / 1e3
             ));
         }
     }

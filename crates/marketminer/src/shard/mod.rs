@@ -2,14 +2,16 @@
 //!
 //! The paper's MarketMiner is "a modular, MPI-based infrastructure"; this
 //! module is where that heritage lives. [`ShardRunner`] shards the
-//! 42-parameter sweep universe across worker *processes* connected by
-//! Unix-domain sockets (or TCP), checkpoints every worker durably at epoch
+//! 42-parameter sweep universe across worker *processes* connected to it
+//! by a Unix-domain socket, checkpoints every worker durably at epoch
 //! boundaries ([`pairtrade_core::ckpt`]), and supervises the fleet: a
-//! shard that dies (a node panic fails its run) or stops beating is
+//! shard that dies (a node panic fails its run) or falls silent is
 //! respawned under its restart budget and replayed from its last complete
-//! checkpoint, each result frame accepted exactly once. This is the one
-//! restart in the system. The beacon beats from its own thread, so a node
-//! wedged inside a live process goes undetected.
+//! checkpoint, each result frame — and the telemetry inside it — accepted
+//! exactly once. This is the one restart in the system. Silence is judged
+//! on the frames the epoch loop itself sends, so a node wedged inside a
+//! live worker stops its rank's traffic and is caught like a stopped
+//! process.
 //!
 //! The wire format is hand-rolled ([`wire`]): length-prefixed frames with
 //! a CRC, so a worker killed mid-write can never poison the supervisor.
@@ -45,7 +47,8 @@ pub const JOB_FILE: &str = "job.bin";
 pub const TAPE_FILE: &str = "tape.taq";
 
 /// The supervisor's Unix-domain control socket, inside the checkpoint
-/// directory.
+/// directory — the fleet's only control endpoint (the supervisor stages
+/// the job locally and spawns its workers as its own children).
 pub const CONTROL_SOCKET: &str = "control.sock";
 
 /// Configuration for a multi-process sharded sweep.
@@ -58,19 +61,16 @@ pub struct ShardConfig {
     pub ckpt_dir: PathBuf,
     /// Quotes fed per epoch; every epoch boundary is a durable cut.
     pub epoch_quotes: usize,
-    /// How often each worker heartbeats the supervisor.
-    pub heartbeat: Duration,
-    /// A shard whose heartbeat is older than this is declared wedged.
-    pub heartbeat_timeout: Duration,
+    /// A connected rank that sends no frame for this long is declared
+    /// dead, and so is a spawned one that has not connected by then. An
+    /// epoch must fit inside it: a worker speaks once per epoch.
+    pub silence_timeout: Duration,
     /// First respawn/reconnect backoff delay.
     pub backoff_base: Duration,
     /// Backoff ceiling (doubling stops here).
     pub backoff_max: Duration,
     /// Respawns allowed per shard before it is masked degraded.
     pub max_restarts: u32,
-    /// Control-plane transport: `None` binds the Unix-domain socket in
-    /// `ckpt_dir`; `Some(host:port)` binds TCP for multi-host fleets.
-    pub tcp: Option<String>,
 }
 
 impl Default for ShardConfig {
@@ -79,23 +79,10 @@ impl Default for ShardConfig {
             shards: 1,
             ckpt_dir: std::env::temp_dir().join("marketminer-ckpt"),
             epoch_quotes: 512,
-            heartbeat: Duration::from_millis(200),
-            heartbeat_timeout: Duration::from_millis(5_000),
+            silence_timeout: Duration::from_millis(5_000),
             backoff_base: Duration::from_millis(50),
             backoff_max: Duration::from_millis(2_000),
             max_restarts: 3,
-            tcp: None,
-        }
-    }
-}
-
-impl ShardConfig {
-    /// The control-plane endpoint this configuration names (before any
-    /// TCP port-0 resolution).
-    pub fn control_endpoint(&self) -> transport::Endpoint {
-        match &self.tcp {
-            Some(addr) => transport::Endpoint::Tcp(addr.clone()),
-            None => transport::Endpoint::Unix(self.ckpt_dir.join(CONTROL_SOCKET)),
         }
     }
 }

@@ -6,17 +6,21 @@
 //! connects them over a Unix-domain control socket, and supervises the
 //! fleet:
 //!
-//! * **Liveness** — every worker heartbeats on a period; a rank whose
-//!   beacon goes stale past the timeout is declared wedged and killed. A
-//!   dead socket (the `kill -9` case) surfaces immediately as a reader
-//!   error. Both land in the same respawn path.
+//! * **Liveness is progress** — a worker speaks at every epoch boundary,
+//!   so each connection's reader thread reads under
+//!   [`super::ShardConfig::silence_timeout`]: a connected rank that sends
+//!   nothing for that long — a stopped process, or a node wedged inside a
+//!   live one — is declared dead and killed. A dead socket (the `kill -9`
+//!   case) surfaces immediately as a reader error. Both land in the same
+//!   respawn path.
 //! * **Exactly-once results** — result frames are seq-numbered
 //!   (`seq == epoch`); the supervisor accepts exactly `next_expected`
 //!   per rank and drops duplicates. A respawned worker restores its
 //!   newest valid durable checkpoint and is told (`--resume-seq`) to
 //!   suppress everything already accepted; determinism makes any frame
 //!   it does regenerate byte-identical, so the suppression rule and the
-//!   dedup rule meet in the middle.
+//!   dedup rule meet in the middle. An epoch's telemetry delta travels
+//!   inside its result frame, so the one rule delivers it exactly once.
 //! * **Restart budget** — a rank that dies more than
 //!   [`super::ShardConfig::max_restarts`] times is masked *degraded*:
 //!   its parameter sets report no trades, its partial output is
@@ -46,9 +50,9 @@ use telemetry::{Telemetry, TelemetryLevel, TelemetryReport};
 
 use super::frame::Frame;
 use super::placement::placement;
-use super::transport::{Endpoint, Listener};
+use super::transport::{Endpoint, FramedConn, Listener};
 use super::worker::ShardJob;
-use super::{ShardConfig, JOB_FILE, NODE_STRIDE, TAPE_FILE};
+use super::{ShardConfig, CONTROL_SOCKET, JOB_FILE, NODE_STRIDE, TAPE_FILE};
 use crate::components::order_gateway::merged_basket;
 use crate::graph::GraphError;
 use crate::messages::{Basket, HealthEvent, OrderRequest};
@@ -96,7 +100,7 @@ pub struct ShardSweepOutput {
     pub degraded_params: Vec<usize>,
     /// The fleet's merged telemetry, `None` at `TelemetryLevel::Off`:
     /// the supervisor's own accounting (checkpoint write costs,
-    /// heartbeat ages, restart/degrade incidents) folded with every
+    /// frame gaps, restart/degrade incidents) folded with every
     /// worker's uplinked deltas — counters summed, gauges peaked,
     /// histograms bucket-merged, flight events re-labelled
     /// `shard<r>/<label>`. One canonical report for the whole fleet.
@@ -117,28 +121,13 @@ impl ShardSweepOutput {
 
 /// Reader-thread → supervisor events.
 enum Event {
-    Hello {
-        rank: usize,
-        names: Vec<String>,
-        corrupt: Vec<String>,
-    },
-    Frame {
-        rank: usize,
-        frame: Frame,
-    },
-    Gone {
-        rank: usize,
-        why: String,
-    },
+    Frame { rank: usize, frame: Frame },
+    Gone { rank: usize, why: String },
 }
 
-/// One accepted observability delta — the latest [`Frame::Telemetry`]
-/// content received for a `(rank, seq)` slot.
-struct TelemetrySlot {
-    metrics: MetricsSnapshot,
-    flights: Vec<FlightEvent>,
-    trace: Vec<TraceRecord>,
-}
+/// How often the supervisor, woken by nothing else, sweeps for workers
+/// that died before connecting.
+const TEND_PERIOD: Duration = Duration::from_millis(200);
 
 /// Supervisor-side state of one rank.
 struct ShardState {
@@ -148,7 +137,6 @@ struct ShardState {
     /// When a dead rank's next incarnation is due (its backoff runs out);
     /// `None` while a worker is alive, or once the rank is done.
     respawn_at: Option<Instant>,
-    last_heartbeat: Instant,
     last_epoch: u64,
     next_expected: u64,
     restarts: u32,
@@ -160,12 +148,12 @@ struct ShardState {
     sink: SinkOutput,
     /// Accepted lineage, deduplicated by event id.
     lineage: BTreeMap<EventId, LineageEvent>,
-    /// Observability deltas keyed by result sequence, latest frame per
-    /// slot winning. A respawned worker re-sends deterministic deltas
-    /// for the epochs it replays; the overwrite (never an append) is
-    /// what keeps fold-time accumulation exactly-once even though wire
-    /// delivery is at-least-once.
-    tel_slots: BTreeMap<u64, TelemetrySlot>,
+    /// The accepted frames' registry deltas, merged.
+    metrics: MetricsSnapshot,
+    /// The accepted frames' flight events, in seq order.
+    flights: Vec<FlightEvent>,
+    /// The accepted frames' non-empty trace batches, in seq order.
+    traces: Vec<Vec<TraceRecord>>,
     /// Pending chaos kill triggers (result seqs), ascending.
     kills: Vec<u64>,
 }
@@ -230,8 +218,6 @@ impl ShardRunner {
             .arg(resume_seq.to_string())
             .arg("--epoch-quotes")
             .arg(self.cfg.epoch_quotes.to_string())
-            .arg("--heartbeat-ms")
-            .arg(self.cfg.heartbeat.as_millis().max(1).to_string())
             .arg("--telemetry")
             .arg(self.level.as_str())
             .stdin(Stdio::null())
@@ -260,11 +246,8 @@ impl ShardRunner {
         if cfg.epoch_quotes == 0 {
             return Err(cfg_err("0 quotes per epoch".into()));
         }
-        if cfg.heartbeat.is_zero() || cfg.heartbeat_timeout <= cfg.heartbeat {
-            return Err(cfg_err(format!(
-                "heartbeat {:?} incompatible with timeout {:?}",
-                cfg.heartbeat, cfg.heartbeat_timeout
-            )));
+        if cfg.silence_timeout.is_zero() {
+            return Err(cfg_err("0 silence timeout".into()));
         }
         if cfg.backoff_base.is_zero() || cfg.backoff_max < cfg.backoff_base {
             return Err(cfg_err(format!(
@@ -285,15 +268,11 @@ impl ShardRunner {
         let job = ShardJob::from_sweep(sweep);
         std::fs::write(cfg.ckpt_dir.join(JOB_FILE), wire::to_bytes(&job)).map_err(io_err)?;
         taq::io::write_binary_file(day, &cfg.ckpt_dir.join(TAPE_FILE)).map_err(io_err)?;
-        // Control plane: UDS in the checkpoint directory by default, TCP
-        // when configured (multi-host fleets); port 0 resolves here so
-        // workers are spawned with the real address.
-        let requested = cfg.control_endpoint();
-        if let Endpoint::Unix(path) = &requested {
-            let _ = std::fs::remove_file(path);
-        }
-        let listener = Listener::bind(&requested).map_err(io_err)?;
-        let endpoint = listener.local_endpoint(&requested);
+        // Control plane: the Unix socket in the checkpoint directory.
+        let socket = cfg.ckpt_dir.join(CONTROL_SOCKET);
+        let _ = std::fs::remove_file(&socket);
+        let endpoint = Endpoint::Unix(socket.clone());
+        let listener = Listener::bind(&endpoint).map_err(io_err)?;
 
         // --- Accept + reader threads -----------------------------------
         let (tx, rx) = mpsc::channel::<Event>();
@@ -301,65 +280,15 @@ impl ShardRunner {
         let accept_thread = {
             let tx = tx.clone();
             let stop = Arc::clone(&stop);
-            let read_timeout = cfg.heartbeat_timeout;
+            let silence = cfg.silence_timeout;
             let tel = Arc::clone(&tel);
             std::thread::spawn(move || {
                 while let Ok(conn) = listener.accept() {
                     if stop.load(Ordering::Acquire) {
                         return;
                     }
-                    let tx = tx.clone();
-                    let tel = Arc::clone(&tel);
-                    std::thread::spawn(move || {
-                        let _ = conn.set_read_timeout(Some(read_timeout));
-                        let mut conn = conn;
-                        let rank = match conn.recv() {
-                            Ok(Frame::Hello {
-                                rank,
-                                names,
-                                corrupt,
-                                ..
-                            }) => {
-                                if tx
-                                    .send(Event::Hello {
-                                        rank,
-                                        names,
-                                        corrupt,
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                                rank
-                            }
-                            // Not a worker (or a torn Hello): drop the
-                            // connection, supervision handles the rest.
-                            _ => return,
-                        };
-                        let probe = tel.probe(
-                            format!("shard{rank}"),
-                            telemetry::trace::TrackId::node(rank),
-                        );
-                        loop {
-                            match conn.recv_timed() {
-                                Ok((frame, decode)) => {
-                                    if matches!(frame, Frame::Results { .. }) {
-                                        probe.observe("frame.decode_us", decode.as_micros() as u64);
-                                    }
-                                    if tx.send(Event::Frame { rank, frame }).is_err() {
-                                        return;
-                                    }
-                                }
-                                Err(e) => {
-                                    let _ = tx.send(Event::Gone {
-                                        rank,
-                                        why: e.kind().to_string(),
-                                    });
-                                    return;
-                                }
-                            }
-                        }
-                    });
+                    let (tx, tel) = (tx.clone(), Arc::clone(&tel));
+                    std::thread::spawn(move || read_rank(conn, &tx, &tel, silence));
                 }
             })
         };
@@ -380,7 +309,6 @@ impl ShardRunner {
                     connected: false,
                     spawned_at: now,
                     respawn_at: None,
-                    last_heartbeat: now,
                     last_epoch: 0,
                     next_expected: 0,
                     restarts: 0,
@@ -388,7 +316,9 @@ impl ShardRunner {
                     degraded: false,
                     sink: SinkOutput::default(),
                     lineage: BTreeMap::new(),
-                    tel_slots: BTreeMap::new(),
+                    metrics: MetricsSnapshot::default(),
+                    flights: Vec::new(),
+                    traces: Vec::new(),
                     kills,
                 }
             })
@@ -453,8 +383,9 @@ impl ShardRunner {
 
         // With the event queue empty — so a rank is judged on everything
         // it has said so far — respawn the ranks whose backoff ran out,
-        // then sweep for liveness: stale heartbeats (wedged), silent exits
-        // (crashed before connecting), and the heartbeat-age gauge.
+        // then reap the ones that died before connecting: exited, or not
+        // connected within the silence timeout. A connected rank's silence
+        // is its reader thread's to judge.
         let tend = |states: &mut Vec<ShardState>| -> Result<(), GraphError> {
             for rank in 0..states.len() {
                 let state = &mut states[rank];
@@ -471,15 +402,7 @@ impl ShardRunner {
                         state.respawn_at = None;
                         state.connected = false;
                         state.spawned_at = Instant::now();
-                        state.last_heartbeat = Instant::now();
                     }
-                    continue;
-                }
-                let age = state.last_heartbeat.elapsed();
-                tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank))
-                    .gauge_max("heartbeat.age_us", age.as_micros() as u64);
-                if state.connected && age > cfg.heartbeat_timeout {
-                    handle_death(states, rank, "heartbeat timeout (wedged)");
                     continue;
                 }
                 if !state.connected {
@@ -489,9 +412,9 @@ impl ShardRunner {
                     let crashed = (state.child.as_mut())
                         .and_then(|c| c.try_wait().ok().flatten())
                         .is_some_and(|status| !status.success());
-                    let stalled = state.spawned_at.elapsed() > cfg.heartbeat_timeout;
+                    let stalled = state.spawned_at.elapsed() > cfg.silence_timeout;
                     if crashed || stalled {
-                        handle_death(states, rank, "exited before connecting");
+                        handle_death(states, rank, "exited or silent before connecting");
                     }
                 }
             }
@@ -510,7 +433,7 @@ impl ShardRunner {
                     }
                     let wait = (states.iter().filter_map(|s| s.respawn_at))
                         .map(|due| due.saturating_duration_since(Instant::now()))
-                        .fold(cfg.heartbeat, Duration::min);
+                        .fold(TEND_PERIOD, Duration::min);
                     match rx.recv_timeout(wait) {
                         Ok(event) => event,
                         Err(RecvTimeoutError::Timeout) => continue,
@@ -519,51 +442,32 @@ impl ShardRunner {
                 }
             };
             match event {
-                Event::Hello {
-                    rank,
-                    names,
-                    corrupt,
-                } => {
-                    if rank >= states.len() {
-                        continue;
-                    }
-                    let base = rank * NODE_STRIDE;
-                    if node_names.len() < base + names.len() {
-                        node_names.resize(base + names.len(), String::new());
-                    }
-                    for (i, name) in names.iter().enumerate() {
-                        node_names[base + i] = format!("shard{rank}/{name}");
-                    }
-                    let probe = tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank));
-                    for reason in &corrupt {
-                        probe.count("ckpt.corrupt", 1);
-                        probe.flight(FlightKind::Corrupt, None, || {
-                            format!("recovery skipped {reason}")
-                        });
-                    }
-                    let state = &mut states[rank];
-                    state.connected = true;
-                    state.last_heartbeat = Instant::now();
-                }
                 Event::Frame { rank, frame } => {
                     if rank >= states.len() || states[rank].done || states[rank].degraded {
                         continue;
                     }
                     let probe = tel.probe(probe_label(rank), telemetry::trace::TrackId::node(rank));
                     match frame {
-                        Frame::Heartbeat { epoch, .. } => {
-                            let state = &mut states[rank];
-                            state.last_heartbeat = Instant::now();
-                            state.last_epoch = state.last_epoch.max(epoch);
+                        Frame::Hello { names, corrupt, .. } => {
+                            let base = rank * NODE_STRIDE;
+                            if node_names.len() < base + names.len() {
+                                node_names.resize(base + names.len(), String::new());
+                            }
+                            for (i, name) in names.iter().enumerate() {
+                                node_names[base + i] = format!("shard{rank}/{name}");
+                            }
+                            note_corrupt(&tel, rank, &corrupt);
+                            states[rank].connected = true;
                         }
                         Frame::Results {
                             seq,
-                            epoch,
                             messages,
                             lineage,
+                            metrics,
+                            flights,
+                            trace,
                         } => {
                             let state = &mut states[rank];
-                            state.last_heartbeat = Instant::now();
                             if seq < state.next_expected {
                                 // A respawned worker replaying an epoch the
                                 // previous incarnation already delivered:
@@ -580,12 +484,19 @@ impl ShardRunner {
                                 continue;
                             }
                             state.next_expected = seq + 1;
-                            state.last_epoch = state.last_epoch.max(epoch);
+                            state.last_epoch = state.last_epoch.max(seq);
                             for msg in messages {
                                 state.sink.fold(msg);
                             }
                             for ev in lineage {
                                 state.lineage.entry(ev.id).or_insert(ev);
+                            }
+                            // The epoch's telemetry is accepted with its
+                            // results, under the same rule.
+                            state.metrics.merge(&metrics);
+                            state.flights.extend(flights);
+                            if !trace.is_empty() {
+                                state.traces.push(trace);
                             }
                             probe.count("frames.accepted", 1);
                             // Chaos: kill -9 after accepting the trigger seq.
@@ -607,7 +518,6 @@ impl ShardRunner {
                             encode_us,
                         } => {
                             let state = &mut states[rank];
-                            state.last_heartbeat = Instant::now();
                             state.last_epoch = state.last_epoch.max(epoch);
                             probe.count("ckpt.saves", 1);
                             probe.count("ckpt.bytes", bytes);
@@ -615,24 +525,6 @@ impl ShardRunner {
                             probe.observe("ckpt.write_us", write_us);
                             probe.observe("ckpt.capture_us", capture_us);
                             probe.observe("ckpt.encode_us", encode_us);
-                        }
-                        Frame::Telemetry {
-                            seq,
-                            metrics,
-                            flights,
-                            trace,
-                        } => {
-                            let state = &mut states[rank];
-                            state.last_heartbeat = Instant::now();
-                            probe.count("tel.frames", 1);
-                            state.tel_slots.insert(
-                                seq,
-                                TelemetrySlot {
-                                    metrics,
-                                    flights,
-                                    trace,
-                                },
-                            );
                         }
                         Frame::Done { final_seq } => {
                             let state = &mut states[rank];
@@ -648,7 +540,6 @@ impl ShardRunner {
                                 let _ = child.wait();
                             }
                         }
-                        Frame::Hello { .. } | Frame::Shutdown => {}
                     }
                 }
                 Event::Gone { rank, why } => {
@@ -656,9 +547,9 @@ impl ShardRunner {
                         continue;
                     }
                     // Ignore echoes from connections we already tore down
-                    // (chaos/wedge kills flip `connected` first).
+                    // (every kill flips `connected` first).
                     if states[rank].connected {
-                        handle_death(&mut states, rank, &format!("socket loss ({why})"));
+                        handle_death(&mut states, rank, &why);
                     }
                 }
             }
@@ -672,9 +563,7 @@ impl ShardRunner {
         for state in &mut states {
             kill_child(state);
         }
-        if let Endpoint::Unix(path) = &endpoint {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&socket);
 
         Ok(self.assemble(sweep, states, node_names, &tel))
     }
@@ -695,9 +584,9 @@ impl ShardRunner {
         let mut lineage: BTreeMap<EventId, LineageEvent> = BTreeMap::new();
         let mut reports = Vec::with_capacity(states.len());
         let mut degraded_params = Vec::new();
-        // Fleet observability fold: every accepted slot, in (rank, seq)
-        // order — a deterministic function of the slot contents, however
-        // frames arrived on the wire.
+        // Fleet observability fold: every rank's accepted deltas, in rank
+        // order — a deterministic function of the accepted frames, however
+        // they interleaved on the wire.
         let mut fleet_metrics = MetricsSnapshot::default();
         let mut fleet_flights: Vec<FlightEvent> = Vec::new();
 
@@ -747,62 +636,58 @@ impl ShardRunner {
                 lineage.entry(id).or_insert(ev);
             }
             if self.level.enabled() {
-                if self.level.is_full() {
-                    // One pair of process lanes per rank in the merged
-                    // trace, mirroring the worker's own workers/nodes
-                    // split.
-                    tel.tracer
-                        .name_process(rank_pid(rank, 1), format!("shard{rank}/workers"));
-                    tel.tracer
-                        .name_process(rank_pid(rank, 2), format!("shard{rank}/nodes"));
-                }
+                fleet_metrics.merge(&state.metrics);
+                fleet_flights.extend(state.flights.into_iter().map(|mut ev| {
+                    ev.label = format!("shard{rank}/{}", ev.label);
+                    ev
+                }));
+            }
+            if self.level.is_full() {
+                // One pair of process lanes per rank in the merged trace,
+                // mirroring the worker's own workers/nodes split.
+                tel.tracer
+                    .name_process(rank_pid(rank, 1), format!("shard{rank}/workers"));
+                tel.tracer
+                    .name_process(rank_pid(rank, 2), format!("shard{rank}/nodes"));
                 // Node tracks the rank actually traced events on; named
                 // after the splice so silent tracks (e.g. the session-fed
                 // source, which never steps through the scheduler) don't
                 // get an empty row in the merged trace.
                 let mut traced_tids: std::collections::BTreeSet<u64> =
                     std::collections::BTreeSet::new();
-                for slot in state.tel_slots.into_values() {
-                    fleet_metrics.merge(&slot.metrics);
-                    fleet_flights.extend(slot.flights.into_iter().map(|mut ev| {
-                        ev.label = format!("shard{rank}/{}", ev.label);
-                        ev
-                    }));
-                    if self.level.is_full() && !slot.trace.is_empty() {
-                        // Flow ids are minted per worker incarnation, so
-                        // two ranks (or two lives of one rank) can reuse
-                        // the same id. Remap every batch's ids through
-                        // fresh ones from the merged tracer; a flow's
-                        // start/finish pair is always emitted within one
-                        // drain batch, so a per-batch map suffices.
-                        let mut flow_ids: HashMap<u64, u64> = HashMap::new();
-                        let mut remap = |id: u64| {
-                            *flow_ids
-                                .entry(id)
-                                .or_insert_with(|| tel.tracer.alloc_flow_id())
-                        };
-                        let spliced: Vec<TraceRecord> = slot
-                            .trace
-                            .into_iter()
-                            .map(|mut rec| {
-                                if rec.pid == 2 {
-                                    traced_tids.insert(rec.tid);
+                for batch in state.traces {
+                    // Flow ids are minted per worker incarnation, so two
+                    // ranks (or two lives of one rank) can reuse the same
+                    // id. Remap every batch's ids through fresh ones from
+                    // the merged tracer; a flow's start/finish pair is
+                    // always emitted within one drain batch, so a
+                    // per-batch map suffices.
+                    let mut flow_ids: HashMap<u64, u64> = HashMap::new();
+                    let mut remap = |id: u64| {
+                        *flow_ids
+                            .entry(id)
+                            .or_insert_with(|| tel.tracer.alloc_flow_id())
+                    };
+                    let spliced: Vec<TraceRecord> = batch
+                        .into_iter()
+                        .map(|mut rec| {
+                            if rec.pid == 2 {
+                                traced_tids.insert(rec.tid);
+                            }
+                            rec.pid = rank_pid(rank, rec.pid);
+                            rec.phase = match rec.phase {
+                                RecordPhase::FlowStart { id } => {
+                                    RecordPhase::FlowStart { id: remap(id) }
                                 }
-                                rec.pid = rank_pid(rank, rec.pid);
-                                rec.phase = match rec.phase {
-                                    RecordPhase::FlowStart { id } => {
-                                        RecordPhase::FlowStart { id: remap(id) }
-                                    }
-                                    RecordPhase::FlowFinish { id } => {
-                                        RecordPhase::FlowFinish { id: remap(id) }
-                                    }
-                                    other => other,
-                                };
-                                rec
-                            })
-                            .collect();
-                        tel.tracer.splice_records(spliced);
-                    }
+                                RecordPhase::FlowFinish { id } => {
+                                    RecordPhase::FlowFinish { id: remap(id) }
+                                }
+                                other => other,
+                            };
+                            rec
+                        })
+                        .collect();
+                    tel.tracer.splice_records(spliced);
                 }
                 // Thread names for the rank's traced node tracks: a
                 // worker's trace tids are its local node indices, and the
@@ -860,6 +745,65 @@ impl ShardRunner {
 /// they stay collision-free.
 fn rank_pid(rank: usize, worker_pid: u32) -> u32 {
     2 + 2 * rank as u32 + worker_pid
+}
+
+/// One worker connection's reader: the rank's `Hello`, then every frame
+/// it sends, each forwarded once it is whole, until the socket fails or
+/// stays silent for `silence` — the one liveness rule. A worker speaks at
+/// every epoch boundary, so a stopped process and a node wedged inside a
+/// live one both fall silent. Per rank it records how long each `Results`
+/// frame took to check and decode, and the longest gap between two
+/// frames: the traffic `silence` must outlast.
+fn read_rank(
+    mut conn: FramedConn,
+    tx: &mpsc::Sender<Event>,
+    tel: &Arc<Telemetry>,
+    silence: Duration,
+) {
+    let armed = conn.set_read_timeout(Some(silence));
+    // Not a worker (or a torn Hello): drop the connection, supervision
+    // handles the rest.
+    let Ok(hello @ Frame::Hello { rank, .. }) = conn.recv() else {
+        return;
+    };
+    if tx.send(Event::Frame { rank, frame: hello }).is_err() {
+        return;
+    }
+    if let Err(e) = armed {
+        // Unarmed, this connection could hang the run on a silent rank.
+        let why = format!("read timeout not set ({e})");
+        let _ = tx.send(Event::Gone { rank, why });
+        return;
+    }
+    let probe = tel.probe(
+        format!("shard{rank}"),
+        telemetry::trace::TrackId::node(rank),
+    );
+    let mut last = Instant::now();
+    loop {
+        match conn.recv_timed() {
+            Ok((frame, decode)) => {
+                probe.gauge_max("frame.gap_us", last.elapsed().as_micros() as u64);
+                last = Instant::now();
+                if matches!(frame, Frame::Results { .. }) {
+                    probe.observe("frame.decode_us", decode.as_micros() as u64);
+                }
+                if tx.send(Event::Frame { rank, frame }).is_err() {
+                    return;
+                }
+            }
+            Err(e) => {
+                let why = match e.kind() {
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                        format!("silence: no frame in {silence:?}")
+                    }
+                    kind => format!("socket loss ({kind})"),
+                };
+                let _ = tx.send(Event::Gone { rank, why });
+                return;
+            }
+        }
+    }
 }
 
 /// Log recovered-checkpoint corruption the way the supervisor does when

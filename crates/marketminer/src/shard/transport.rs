@@ -11,9 +11,9 @@
 //! the payload type: the shard fleet speaks [`super::frame::Frame`], the
 //! serving layer (`crates/serve`) speaks its own protocol enums, and both
 //! ride the same [`FramedConn`]. An [`Endpoint`] names where a connection
-//! lands — a filesystem socket path, or `tcp:host:port` for true
-//! multi-host fleets — and [`Listener`] binds either family behind one
-//! accept API.
+//! lands — a filesystem socket path (the shard fleet's control socket),
+//! or `tcp:host:port` (a served session's network endpoint) — and
+//! [`Listener`] binds either family behind one accept API.
 //!
 //! Connection establishment retries with bounded exponential backoff
 //! ([`connect_with_backoff`]): workers race the supervisor's `bind`, and
@@ -36,7 +36,7 @@ const MAX_FRAME: u32 = 64 << 20;
 const HEADER_LEN: usize = 8;
 
 /// Where a framed connection lands: a Unix-domain socket path, or a TCP
-/// address for multi-host fleets.
+/// address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// A filesystem socket path.
@@ -119,8 +119,8 @@ impl Listener {
             }
             Listener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
-                // Frames are small and latency-sensitive (heartbeats,
-                // epoch results); Nagle only adds delay here.
+                // Frames are latency-sensitive (epoch results, served
+                // events); Nagle only adds delay here.
                 let _ = stream.set_nodelay(true);
                 Ok(FramedConn::from_tcp(stream))
             }
@@ -360,15 +360,12 @@ mod tests {
                     Duration::from_secs(5),
                 )
                 .unwrap();
-                conn.send(&Frame::Heartbeat { epoch: 3, seq: 8 }).unwrap();
+                conn.send(&Frame::Done { final_seq: 8 }).unwrap();
                 conn.send(&Frame::Done { final_seq: 9 }).unwrap();
             }
         });
         let mut conn = listener.accept().unwrap();
-        assert!(matches!(
-            conn.recv().unwrap(),
-            Frame::Heartbeat { epoch: 3, seq: 8 }
-        ));
+        assert!(matches!(conn.recv().unwrap(), Frame::Done { final_seq: 8 }));
         assert!(matches!(
             conn.recv::<Frame>().unwrap(),
             Frame::Done { final_seq: 9 }
@@ -399,14 +396,14 @@ mod tests {
                     Duration::from_secs(5),
                 )
                 .unwrap();
-                conn.send(&Frame::Heartbeat { epoch: 5, seq: 2 }).unwrap();
+                conn.send(&Frame::Done { final_seq: 2 }).unwrap();
                 conn.send(&Frame::Done { final_seq: 3 }).unwrap();
             }
         });
         let mut conn = listener.accept().unwrap();
         assert!(matches!(
             conn.recv::<Frame>().unwrap(),
-            Frame::Heartbeat { epoch: 5, seq: 2 }
+            Frame::Done { final_seq: 2 }
         ));
         assert!(matches!(
             conn.recv::<Frame>().unwrap(),
@@ -428,7 +425,7 @@ mod tests {
             let path = path.clone();
             move || {
                 let mut raw = UnixStream::connect(&path).unwrap();
-                let payload = wire::to_bytes(&Frame::Heartbeat { epoch: 1, seq: 1 });
+                let payload = wire::to_bytes(&Frame::Done { final_seq: 1 });
                 let mut buf = Vec::new();
                 buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 buf.extend_from_slice(&crc32(&payload).to_le_bytes());

@@ -116,7 +116,7 @@ wire::tagged! {
 }
 
 // ---------------------------------------------------------------------
-// Telemetry payloads, shared by the shard `Telemetry` frame and the serve
+// Telemetry payloads, shared by the shard `Results` frame and the serve
 // protocol's metrics deliveries.
 // ---------------------------------------------------------------------
 

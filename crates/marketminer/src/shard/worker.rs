@@ -7,10 +7,13 @@
 //! graph from the job spec the supervisor wrote to disk and replays the
 //! shared quote tape through a `pipeline::SweepSession`, which owns the
 //! cut. What the worker adds at every epoch boundary is the uplink — the
-//! cut as a seq-numbered [`Frame::Results`] (`seq == epoch`), suppressed
-//! below `resume_seq` after a respawn — and the checkpoint: every node's
-//! durable state ([`SessionCkpt`]) saved atomically ([`CheckpointStore`]),
-//! its write cost reported in a [`Frame::CkptDone`].
+//! cut and the epoch's telemetry delta as one seq-numbered
+//! [`Frame::Results`] (`seq == epoch`), suppressed below `resume_seq`
+//! after a respawn — and the checkpoint: every node's durable state
+//! ([`SessionCkpt`]) saved atomically ([`CheckpointStore`]), its write
+//! cost reported in a [`Frame::CkptDone`]. The epoch loop is the only
+//! writer to the socket, and its frames are the rank's liveness: a worker
+//! that stops making progress falls silent.
 //!
 //! Baskets and trade reports leave the graph as they become final, so a
 //! checkpoint holds what a restart needs — engine windows, signal planes,
@@ -24,9 +27,6 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pairtrade_core::ckpt::{CheckpointStore, CkptError};
@@ -121,7 +121,7 @@ pub struct WorkerArgs {
     pub rank: usize,
     /// Total shard count.
     pub shards: usize,
-    /// The supervisor's control endpoint (a UDS path, or `tcp:host:port`).
+    /// The supervisor's control endpoint.
     pub socket: Endpoint,
     /// Checkpoint + job directory.
     pub ckpt_dir: PathBuf,
@@ -130,8 +130,6 @@ pub struct WorkerArgs {
     pub resume_seq: u64,
     /// Quotes fed per epoch.
     pub epoch_quotes: usize,
-    /// Heartbeat period.
-    pub heartbeat: Duration,
     /// Telemetry level of the worker's runtime — the fleet's
     /// ([`super::ShardRunner::with_telemetry`]): at `Off` nothing is
     /// stamped, recorded or uplinked.
@@ -147,7 +145,6 @@ impl WorkerArgs {
         let mut ckpt_dir = None;
         let mut resume_seq = 0u64;
         let mut epoch_quotes = None;
-        let mut heartbeat_ms = 200u64;
         let mut telemetry = None;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -164,7 +161,6 @@ impl WorkerArgs {
                 "--ckpt-dir" => ckpt_dir = Some(PathBuf::from(value)),
                 "--resume-seq" => resume_seq = num()?,
                 "--epoch-quotes" => epoch_quotes = Some(num()? as usize),
-                "--heartbeat-ms" => heartbeat_ms = num()?,
                 "--telemetry" => {
                     telemetry = Some(
                         TelemetryLevel::parse(value)
@@ -181,7 +177,6 @@ impl WorkerArgs {
             ckpt_dir: ckpt_dir.ok_or("--ckpt-dir is required")?,
             resume_seq,
             epoch_quotes: epoch_quotes.ok_or("--epoch-quotes is required")?,
-            heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
             telemetry: telemetry.ok_or("--telemetry is required")?,
         })
     }
@@ -236,60 +231,6 @@ pub fn recover_session(store: &CheckpointStore) -> (Option<(u64, SessionCkpt)>, 
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Shared connection: the epoch loop and the heartbeat thread interleave
-/// whole frames under one lock.
-struct Uplink {
-    conn: Mutex<FramedConn>,
-}
-
-impl Uplink {
-    /// Send one whole frame; the bytes it took on the wire.
-    fn send(&self, frame: &Frame) -> io::Result<usize> {
-        self.conn.lock().expect("uplink").send(frame)
-    }
-}
-
-/// Liveness beacon: heartbeats flow even while an epoch is computing, so
-/// the supervisor can tell "slow" from "wedged". Dropping it stops the
-/// thread at once — it parks between beats instead of sleeping, so a
-/// finished or failed worker does not wait out a heartbeat period.
-struct Beacon {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Beacon {
-    fn start(uplink: Arc<Uplink>, epoch: Arc<AtomicU64>, period: Duration) -> Beacon {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stopped = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || loop {
-            // A spurious wake only sends a beat early.
-            std::thread::park_timeout(period);
-            if stopped.load(Ordering::Acquire) {
-                return;
-            }
-            let e = epoch.load(Ordering::Acquire);
-            if uplink.send(&Frame::Heartbeat { epoch: e, seq: e }).is_err() {
-                return; // supervisor gone; the main loop will error too
-            }
-        });
-        Beacon {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Beacon {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            thread.thread().unpark();
-            let _ = thread.join();
-        }
-    }
 }
 
 /// Run one shard worker to completion: connect, recover, replay, stream
@@ -353,68 +294,58 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     };
 
     // --- Control socket -------------------------------------------------
-    let conn = connect_with_backoff(
+    let mut conn = connect_with_backoff(
         &args.socket,
         Duration::from_millis(10),
         Duration::from_millis(500),
         Duration::from_secs(30),
     )?;
-    let uplink = Arc::new(Uplink {
-        conn: Mutex::new(conn),
-    });
-    uplink.send(&Frame::Hello {
+    conn.send(&Frame::Hello {
         rank: args.rank,
-        shards: args.shards,
-        resume_seq: args.resume_seq,
         names: session.node_names(),
         corrupt,
     })?;
 
-    let hb_epoch = Arc::new(AtomicU64::new(resume_epoch));
-    let _beacon = Beacon::start(Arc::clone(&uplink), Arc::clone(&hb_epoch), args.heartbeat);
-
-    // One result `seq` on the wire: the observability delta since the
-    // previous cut (registry delta, trace records, `flights`), then the
-    // cut itself. The delta is always *computed* (so the snapshot cursor
-    // and the drained rings stay aligned with epoch boundaries on a
-    // respawned incarnation replaying suppressed epochs), but both are
-    // *sent* only at or above `resume_seq`: a cut is a function of the
-    // fed prefix, so a replayed epoch regenerates byte-identical frames,
-    // and the supervisor keeps the latest `Telemetry` per `(rank, seq)`
-    // slot, so a re-sent delta overwrites rather than double-counts.
-    // `Telemetry` goes first so a kill between the two leaves
-    // `resume_seq` low enough to re-send both. The hub is an `Arc`: it
-    // outlives the session. What a `Results` frame cost to send (encode,
-    // CRC, write) is recorded once it is out, so it travels with the next
-    // seq's delta; the end-of-day frame's own cost never leaves.
+    // One result `seq` on the wire: the cut and the observability delta
+    // since the previous one (registry delta, trace records, `flights`)
+    // in one frame. The delta is always *computed* (so the snapshot
+    // cursor and the drained rings stay aligned with epoch boundaries on
+    // a respawned incarnation replaying suppressed epochs), but the frame
+    // is *sent* only at or above `resume_seq`: a cut is a function of the
+    // fed prefix, so a replayed epoch regenerates a byte-identical frame,
+    // and the supervisor's seq rule accepts each seq once, telemetry and
+    // all. The hub is an `Arc`: it outlives the session. What a `Results`
+    // frame cost to send (encode, CRC, write) is recorded once it is out,
+    // so it travels with the next seq's delta; the end-of-day frame's own
+    // cost never leaves.
     let tel_hub = session.telemetry();
     let uplink_probe = (tel_hub.as_ref()).map_or_else(Probe::off, |tel| {
         tel.probe(format!("shard{}", args.rank), TrackId::node(args.rank))
     });
     let mut tel_prev = MetricsSnapshot::default();
-    let mut uplink_cut = |seq: u64, flights: Vec<FlightEvent>, cut: SweepCut| -> io::Result<()> {
-        if let Some(tel) = &tel_hub {
-            let snap = tel.registry.snapshot();
-            let metrics = snap.delta_since(&tel_prev);
-            tel_prev = snap;
-            let trace = tel.tracer.drain_records();
-            let silent = metrics.is_empty() && flights.is_empty() && trace.is_empty();
-            if seq >= args.resume_seq && !silent {
-                uplink.send(&Frame::Telemetry {
-                    seq,
-                    metrics,
-                    flights,
-                    trace,
-                })?;
+    let mut uplink_cut = |conn: &mut FramedConn,
+                          seq: u64,
+                          flights: Vec<FlightEvent>,
+                          cut: SweepCut|
+     -> io::Result<()> {
+        let (metrics, trace) = match &tel_hub {
+            Some(tel) => {
+                let snap = tel.registry.snapshot();
+                let metrics = snap.delta_since(&tel_prev);
+                tel_prev = snap;
+                (metrics, tel.tracer.drain_records())
             }
-        }
+            None => Default::default(),
+        };
         if seq >= args.resume_seq {
             let t0 = Instant::now();
-            let bytes = uplink.send(&Frame::Results {
+            let bytes = conn.send(&Frame::Results {
                 seq,
-                epoch: seq,
                 messages: cut.messages,
                 lineage: cut.lineage,
+                metrics,
+                flights,
+                trace,
             })?;
             uplink_probe.observe("uplink.us", t0.elapsed().as_micros() as u64);
             uplink_probe.observe("uplink.bytes", bytes as u64);
@@ -431,7 +362,7 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
         let hi = (lo + epoch_quotes).min(quotes.len());
         let cut = session.feed_epoch(&quotes[lo..hi]);
         let flights = tel_hub.as_ref().map_or(Vec::new(), |t| t.recorder.drain());
-        uplink_cut(epoch, flights, cut)?;
+        uplink_cut(&mut conn, epoch, flights, cut)?;
         // Deliver-then-save: a kill between the two replays the epoch,
         // and `resume_seq` suppresses the frame — exactly-once either way.
         let t0 = Instant::now();
@@ -443,7 +374,7 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
             .save(epoch, &payload)
             .map_err(|e| bad_data(e.to_string()))?;
         let _ = store.retain_last(4);
-        uplink.send(&Frame::CkptDone {
+        conn.send(&Frame::CkptDone {
             epoch,
             bytes: report.bytes,
             write_us: report.write_us,
@@ -451,7 +382,6 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
             capture_us: (t1 - t0).as_micros() as u64,
             encode_us,
         })?;
-        hb_epoch.store(epoch + 1, Ordering::Release);
     }
 
     // --- End-of-day flush -----------------------------------------------
@@ -461,11 +391,12 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     // could not see.
     let (cut, out) = session.finish();
     uplink_cut(
+        &mut conn,
         n_epochs,
         out.telemetry.map_or(Vec::new(), |t| t.flight),
         cut,
     )?;
-    uplink.send(&Frame::Done {
+    conn.send(&Frame::Done {
         final_seq: n_epochs + 1,
     })?;
     Ok(())
@@ -516,8 +447,6 @@ mod tests {
             "5",
             "--epoch-quotes",
             "256",
-            "--heartbeat-ms",
-            "100",
             "--telemetry",
             "off",
         ]
@@ -530,7 +459,6 @@ mod tests {
         assert_eq!(w.socket, Endpoint::Unix(PathBuf::from("/tmp/s.sock")));
         assert_eq!(w.resume_seq, 5);
         assert_eq!(w.epoch_quotes, 256);
-        assert_eq!(w.heartbeat, Duration::from_millis(100));
         assert_eq!(w.telemetry, TelemetryLevel::Off);
         let mut bad = args.clone();
         *bad.last_mut().unwrap() = "verbose".into();
@@ -575,10 +503,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A tiny one-spec day staged the way the supervisor stages one, and
-    /// a worker on it beating every two seconds — so slowly that an exit
-    /// which waits for the beacon's next beat cannot be missed.
-    fn slow_beat_worker(tag: &str) -> (PathBuf, super::super::Listener, WorkerArgs) {
+    /// A tiny one-spec day staged the way the supervisor stages one, its
+    /// control socket bound, and the arguments of a worker on it.
+    fn staged_worker(tag: &str) -> (PathBuf, super::super::Listener, WorkerArgs) {
         use taq::generator::{MarketConfig, MarketGenerator};
         let mut market = MarketConfig::small(4, 1, 91);
         market.micro.quote_rate_hz = 0.05;
@@ -605,23 +532,30 @@ mod tests {
             ckpt_dir: dir.clone(),
             resume_seq: 0,
             epoch_quotes: day.quotes().len().div_ceil(7),
-            heartbeat: Duration::from_millis(2_000),
             telemetry: TelemetryLevel::Off,
         };
         (dir, listener, args)
     }
 
+    /// The epoch loop is the worker's only writer, and this is all it
+    /// writes: `Hello`, each epoch's `Results` and `CkptDone`, the
+    /// end-of-day `Results`, `Done` — then it exits at once.
     #[test]
-    fn a_finished_worker_does_not_wait_for_its_next_heartbeat() {
-        let (dir, listener, args) = slow_beat_worker("done");
+    fn a_finished_worker_sends_its_day_and_exits_at_once() {
+        let (dir, listener, args) = staged_worker("done");
         let worker = std::thread::spawn(move || run_worker(args));
         let mut conn = listener.accept().unwrap();
-        let mut cuts = 0;
+        let mut sent = Vec::new();
         loop {
-            match conn.recv::<Frame>().unwrap() {
-                Frame::CkptDone { .. } => cuts += 1,
-                Frame::Done { .. } => break,
-                _ => {}
+            let (kind, n) = match conn.recv::<Frame>().unwrap() {
+                Frame::Hello { rank, .. } => ("Hello", rank as u64),
+                Frame::Results { seq, .. } => ("Results", seq),
+                Frame::CkptDone { epoch, .. } => ("CkptDone", epoch),
+                Frame::Done { final_seq } => ("Done", final_seq),
+            };
+            sent.push((kind, n));
+            if kind == "Done" {
+                break;
             }
         }
         let done = Instant::now();
@@ -631,13 +565,23 @@ mod tests {
             "exit took {:?} after Done",
             done.elapsed()
         );
-        assert_eq!(cuts, 7, "every cut is reported before Done");
+        let mut day = vec![("Hello", 0)];
+        for epoch in 0..7 {
+            day.extend([("Results", epoch), ("CkptDone", epoch)]);
+        }
+        day.extend([("Results", 7), ("Done", 8)]);
+        assert_eq!(sent, day);
+        assert_eq!(
+            conn.recv::<Frame>().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof,
+            "nothing follows Done"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_failed_worker_does_not_wait_for_its_next_heartbeat() {
-        let (dir, listener, args) = slow_beat_worker("failed");
+    fn a_failed_worker_exits_at_once_when_its_uplink_breaks() {
+        let (dir, listener, args) = staged_worker("failed");
         let worker = std::thread::spawn(move || run_worker(args));
         let mut conn = listener.accept().unwrap();
         while !matches!(conn.recv::<Frame>().unwrap(), Frame::Results { .. }) {}

@@ -5,9 +5,9 @@
 //!
 //! The harness spawns the actual `shard_worker` binary (the one the
 //! supervisor ships), so every layer is exercised for real: the framed
-//! Unix-socket transport, the durable checkpoint store, heartbeats,
-//! respawn with `--resume-seq`, and degraded masking when the restart
-//! budget runs out.
+//! Unix-socket transport, the durable checkpoint store, the silence
+//! timeout, respawn with `--resume-seq`, and degraded masking when the
+//! restart budget runs out.
 //!
 //! Workers run at the fleet's telemetry level, so the tests that read
 //! lineage ask for `Full`; the rest run at the default (`Counters`).
@@ -32,7 +32,7 @@ fn small_day(seed: u64) -> (DayData, usize) {
 }
 
 /// A test-speed shard config in a unique scratch directory: ~7 epochs
-/// per day, fast heartbeats, near-instant respawn backoff.
+/// per day, near-instant respawn backoff.
 fn test_config(tag: &str, day: &DayData, shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
@@ -41,14 +41,12 @@ fn test_config(tag: &str, day: &DayData, shards: usize) -> ShardConfig {
             std::process::id()
         )),
         epoch_quotes: day.quotes().len().div_ceil(7).max(1),
-        heartbeat: std::time::Duration::from_millis(100),
         // Debug-build workers load the tape and build a 50+-node graph
-        // before connecting; keep wedge detection well clear of that.
-        heartbeat_timeout: std::time::Duration::from_secs(20),
+        // before connecting; keep silence detection well clear of that.
+        silence_timeout: std::time::Duration::from_secs(20),
         backoff_base: std::time::Duration::from_millis(10),
         backoff_max: std::time::Duration::from_millis(50),
         max_restarts: 5,
-        tcp: None,
     }
 }
 
@@ -287,7 +285,7 @@ impl Staged {
     ) {
         use marketminer::shard::Frame;
         let child = std::process::Command::new(WORKER_EXE)
-            .args(["--rank", "0", "--shards", "1", "--heartbeat-ms", "100"])
+            .args(["--rank", "0", "--shards", "1"])
             .args(["--telemetry", "counters"])
             .args(["--resume-seq", &resume_seq.to_string()])
             .args(["--epoch-quotes", &self.epoch_quotes.to_string()])
@@ -320,12 +318,12 @@ impl Staged {
         assert!(corrupt[0].contains(&name), "{corrupt:?}");
         let first = loop {
             match conn.recv::<Frame>().unwrap() {
-                Frame::Results { seq, epoch, .. } => break (seq, epoch),
+                Frame::Results { seq, .. } => break seq,
                 Frame::Done { .. } => panic!("the day ended without a result frame"),
                 _ => {}
             }
         };
-        assert_eq!(first, (0, 0), "a refused checkpoint means a cold start");
+        assert_eq!(first, 0, "a refused checkpoint means a cold start");
         let _ = child.kill();
         let _ = child.wait();
 
@@ -508,7 +506,7 @@ fn one_rank_and_wide_fleets_complete_a_full_day() {
         let sweep = SweepConfig::paper(n);
         let cfg = ShardConfig {
             epoch_quotes: 1000,
-            heartbeat_timeout: std::time::Duration::from_secs(60),
+            silence_timeout: std::time::Duration::from_secs(60),
             ..test_config(&format!("wide-{n}"), &day, shards)
         };
         let ckpt_dir = cfg.ckpt_dir.clone();
@@ -634,6 +632,90 @@ fn a_rank_that_finishes_during_another_ranks_backoff_is_not_declared_dead() {
     assert_eq!(base.trades_per_param, out.trades_per_param);
     assert_eq!(base.baskets, out.baskets);
     assert_eq!(base.health_events, out.health_events);
+}
+
+/// The live `shard_worker` serving `rank` of the fleet staged in
+/// `ckpt_dir`, found by its command line.
+fn worker_pid(ckpt_dir: &std::path::Path, rank: usize) -> Option<u32> {
+    let dir = ckpt_dir.to_str()?.as_bytes();
+    let rank = rank.to_string();
+    std::fs::read_dir("/proc")
+        .ok()?
+        .flatten()
+        .find_map(|entry| {
+            let pid = entry.file_name().to_str()?.parse().ok()?;
+            let cmdline = std::fs::read(entry.path().join("cmdline")).ok()?;
+            let args: Vec<&[u8]> = cmdline.split(|&b| b == 0).collect();
+            let ours = args.contains(&dir)
+                && (args.windows(2)).any(|w| w[0] == b"--rank" && w[1] == rank.as_bytes());
+            ours.then_some(pid)
+        })
+}
+
+/// A rank that stops making progress sends nothing, and its reader
+/// declares it silent: SIGSTOP rank 1's worker mid-day (a node wedged
+/// inside a live worker leaves its rank just as quiet) and the supervisor
+/// kills it and respawns it from its last cut exactly once, the restart
+/// flight names the silence, and the day equals the unstopped fleet's.
+#[test]
+fn a_stopped_rank_is_declared_silent_and_respawned() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let (day, n) = small_day(91);
+    let sweep = SweepConfig::paper(n);
+    let config = |tag: &str| ShardConfig {
+        // Twenty cuts a day: a stop after the second lands mid-day
+        // however fast the build.
+        epoch_quotes: day.quotes().len().div_ceil(20),
+        // Debug-build workers start up and cut an epoch well inside this.
+        silence_timeout: Duration::from_secs(5),
+        ..test_config(tag, &day, 2)
+    };
+    let clean = ShardRunner::new(config("unstopped"), WORKER_EXE)
+        .run(&day, &sweep)
+        .unwrap();
+
+    let cfg = config("stopped");
+    let finished = Arc::new(AtomicBool::new(false));
+    let stopper = std::thread::spawn({
+        let (ckpt_dir, finished) = (cfg.ckpt_dir.clone(), Arc::clone(&finished));
+        move || {
+            let second_cut = ckpt_dir.join("shard-1/ckpt-0000000001.bin");
+            while !finished.load(Ordering::Acquire) {
+                let mid_day = second_cut.exists();
+                if let Some(pid) = mid_day.then(|| worker_pid(&ckpt_dir, 1)).flatten() {
+                    let stopped = std::process::Command::new("kill")
+                        .args(["-STOP", &pid.to_string()])
+                        .status()
+                        .unwrap();
+                    assert!(stopped.success(), "kill -STOP {pid}");
+                    return Some(pid);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            None
+        }
+    });
+    let out = ShardRunner::new(cfg, WORKER_EXE).run(&day, &sweep).unwrap();
+    finished.store(true, Ordering::Release);
+    assert!(
+        stopper.join().unwrap().is_some(),
+        "rank 1 finished before it could be stopped"
+    );
+
+    let restarts: Vec<u32> = out.reports.iter().map(|r| r.restarts).collect();
+    assert_eq!(restarts, vec![0, 1], "{:?}", out.reports);
+    assert!(out.degraded_params.is_empty());
+    let rendered = out.telemetry.as_ref().expect("fleet telemetry").render();
+    assert!(
+        (rendered.lines()).any(|l| l.contains("shard.restarts") && l.contains("silence")),
+        "{rendered}"
+    );
+    assert_eq!(clean.trades_per_param, out.trades_per_param);
+    assert_eq!(clean.baskets, out.baskets);
+    assert_eq!(clean.health_events, out.health_events);
 }
 
 /// The signal plane through `kill -9`: a health-enabled sweep whose tape
@@ -903,7 +985,7 @@ fn fleet_telemetry_counters_sum_bit_identically_to_single_process() {
             "fleet sum diverged from single-process at shards={shards}"
         );
         // Merged step accounting must cover every strategy host exactly
-        // once (slots fold exactly-once, not per-delivery).
+        // once (each accepted frame folds once, not per delivery).
         let profile = telemetry::profile::Profile::from_snapshot(&report.metrics);
         let hosts = profile
             .nodes()
@@ -923,11 +1005,11 @@ fn fleet_telemetry_counters_sum_bit_identically_to_single_process() {
     }
 }
 
-/// `kill -9` must not corrupt the merged observability plane: replayed
-/// epochs overwrite their telemetry slots with bit-identical deltas, so
-/// the killed fleet's decision counters equal the clean fleet's (and the
-/// single-process run's), and the merged trace still carries every
-/// rank's lanes.
+/// `kill -9` must not corrupt the merged observability plane: an epoch's
+/// telemetry delta rides its result frame, which the seq rule accepts
+/// once however often a respawn replays the epoch, so the killed fleet's
+/// decision counters equal the clean fleet's (and the single-process
+/// run's), and the merged trace still carries every rank's lanes.
 #[test]
 fn kill9_keeps_merged_telemetry_canonical() {
     let (day, n) = small_day(91);
