@@ -12,7 +12,10 @@
 //!    → 854 hours for one month of the full experiment.
 //! 3. **Approach 3** — the integrated solution: compute each distinct
 //!    correlation cube **once** and share it across every strategy that
-//!    needs it, with the all-pairs kernel parallelised.
+//!    needs it, with the all-pairs kernel parallelised. Which cubes a
+//!    grid needs and which come out of one kernel pass is the grid's
+//!    [`EnginePlan`]; `run_day_grid` and `Experiment::run` walk a day
+//!    through its engines with the one `engine_passes`.
 //!
 //! All three are implemented here *against the same strategy code* and are
 //! verified trade-for-trade equivalent (up to the numerical noise of
@@ -24,9 +27,8 @@ use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
 use rayon::prelude::*;
-use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
-use stats::parallel::{plane_slot, robust_cubes, same_plane, CorrCube, ParallelCorrEngine};
+use stats::parallel::{plane_slot, robust_cubes, CorrCube, EnginePlan, ParallelCorrEngine};
 use timeseries::bam::PriceGrid;
 use timeseries::returns::ReturnsPanel;
 
@@ -76,37 +78,32 @@ pub struct DayRun {
     pub stats: ApproachStats,
 }
 
-/// The kernel passes that fill a day's distinct `(Ctype, M)` cubes: a
-/// cube is a pass of its own, except that the robust measures of one
-/// window come out of one plane pass ([`robust_cubes`]). Passes are in
-/// order of their first key.
-pub(crate) fn cube_passes(keys: &[(CorrType, usize)]) -> Vec<Vec<(CorrType, usize)>> {
-    let mut passes: Vec<Vec<(CorrType, usize)>> = Vec::new();
-    for &key in keys {
-        match passes.iter_mut().find(|pass| same_plane(pass[0], key)) {
-            Some(pass) => pass.push(key),
-            None => passes.push(vec![key]),
-        }
-    }
-    passes
-}
-
-/// Run one of [`cube_passes`]: its cubes, aligned with its keys (`None`
-/// when the day is shorter than the window).
-pub(crate) fn pass_cubes(
+/// A day's kernel passes: one per engine of `plan`, in plan order — a
+/// cube of its own, or both robust cubes of one window from one plane
+/// pass ([`robust_cubes`]). A pass runs when the iterator reaches it and
+/// yields its cubes (`None` when the day is shorter than the window),
+/// each with the positions of the plan's input keys that read it.
+pub(crate) fn engine_passes(
     panel: &ReturnsPanel,
-    pass: &[(CorrType, usize)],
-) -> Vec<Option<CorrCube>> {
-    let (ctype, m) = pass[0];
-    if plane_slot(ctype).is_none() {
-        return vec![ParallelCorrEngine::new(ctype).cube(panel.all(), m)];
-    }
-    let slots: Vec<usize> = (pass.iter())
-        .map(|&(c, _)| plane_slot(c).expect("a robust pass"))
-        .collect();
-    let want = std::array::from_fn(|slot| slots.contains(&slot));
-    let mut cubes = robust_cubes(panel.all(), m, want).unwrap_or([None, None]);
-    slots.iter().map(|&slot| cubes[slot].take()).collect()
+    plan: EnginePlan,
+) -> impl Iterator<Item = Vec<(Option<CorrCube>, Vec<usize>)>> + '_ {
+    let mut readers = plan.readers();
+    (0..plan.engines.len()).map(move |e| {
+        let ids = &plan.engines[e];
+        let (ctype, m) = plan.streams[ids[0]];
+        let cubes = if plan.is_robust(e) {
+            let slots: Vec<usize> = (ids.iter())
+                .map(|&j| plane_slot(plan.streams[j].0).expect("a robust lane"))
+                .collect();
+            let want = std::array::from_fn(|slot| slots.contains(&slot));
+            let mut cubes = robust_cubes(panel.all(), m, want).unwrap_or([None, None]);
+            slots.iter().map(|&slot| cubes[slot].take()).collect()
+        } else {
+            vec![ParallelCorrEngine::new(ctype).cube(panel.all(), m)]
+        };
+        let readers = ids.iter().map(|&j| std::mem::take(&mut readers[j]));
+        cubes.into_iter().zip(readers).collect()
+    })
 }
 
 /// Run every pair off one correlation cube under every parameter vector
@@ -323,39 +320,27 @@ pub fn run_day_grid(
             }
         }
         Approach::Integrated | Approach::PrecomputedMatrices => {
-            // Group parameter indices by (ctype, M); one cube per group,
-            // the robust measures of one window from one pass.
-            let mut groups: Vec<((CorrType, usize), Vec<usize>)> = Vec::new();
-            for (idx, p) in params.iter().enumerate() {
-                let key = (p.ctype, p.corr_window);
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, idxs)) => idxs.push(idx),
-                    None => groups.push((key, vec![idx])),
+            // One kernel pass per engine; each cube runs once, under
+            // every parameter set that reads it.
+            out.resize_with(params.len(), Vec::new);
+            let plan = EnginePlan::of(params.iter().map(|p| (p.ctype, p.corr_window)));
+            for (cube, readers) in engine_passes(panel, plan).flatten() {
+                let Some(cube) = cube else {
+                    for &k in &readers {
+                        out[k] = vec![Vec::new(); n_pairs];
+                    }
+                    continue;
+                };
+                stats.kernel_sweeps += n_pairs as u64;
+                if approach == Approach::PrecomputedMatrices {
+                    stats.matrix_bytes += cube.full_matrix_bytes();
+                }
+                let group: Vec<StrategyParams> = readers.iter().map(|&k| params[k]).collect();
+                let by_param = run_cube_trades(grid, &cube, &group, exec);
+                for (&k, trades) in readers.iter().zip(by_param) {
+                    out[k] = trades;
                 }
             }
-            let keys: Vec<_> = groups.iter().map(|(key, _)| *key).collect();
-            let mut slots: Vec<Option<Vec<Vec<Trade>>>> = (0..params.len()).map(|_| None).collect();
-            for pass in cube_passes(&keys) {
-                for (key, cube) in pass.iter().zip(pass_cubes(panel, &pass)) {
-                    let (_, idxs) = (groups.iter().find(|(k, _)| k == key)).expect("a grouped key");
-                    let Some(cube) = cube else {
-                        for &idx in idxs {
-                            slots[idx] = Some(vec![Vec::new(); n_pairs]);
-                        }
-                        continue;
-                    };
-                    stats.kernel_sweeps += n_pairs as u64;
-                    if approach == Approach::PrecomputedMatrices {
-                        stats.matrix_bytes += cube.full_matrix_bytes();
-                    }
-                    let group: Vec<StrategyParams> = idxs.iter().map(|&idx| params[idx]).collect();
-                    let by_param = run_cube_trades(grid, &cube, &group, exec);
-                    for (&idx, trades) in idxs.iter().zip(by_param) {
-                        slots[idx] = Some(trades);
-                    }
-                }
-            }
-            out.extend(slots.into_iter().map(|s| s.expect("every param filled")));
         }
     }
 

@@ -73,10 +73,20 @@ impl HalvingSchedule {
         if self.min_survivors < 1 {
             return Err(InvalidParams("halving min_survivors must be >= 1".into()));
         }
+        let (last, eta, base) = (self.rounds - 1, self.eta, self.base_days);
+        let max_days = (u32::try_from(last).ok())
+            .and_then(|r| eta.checked_pow(r))
+            .and_then(|growth| growth.checked_mul(base));
+        if max_days.is_none() {
+            return Err(InvalidParams(format!(
+                "halving's final round needs {base} · {eta}^{last} days, more than a usize holds"
+            )));
+        }
         Ok(())
     }
 
-    /// Day budget of round `r` (0-based): `base_days · ηʳ`.
+    /// Day budget of round `r` (0-based): `base_days · ηʳ`. Does not
+    /// overflow for the rounds of a schedule that validates.
     pub fn round_days(&self, round: usize) -> usize {
         self.base_days * self.eta.pow(round as u32)
     }
@@ -212,13 +222,10 @@ pub fn run_successive_halving(
     for round in 0..schedule.rounds {
         let budget = schedule.round_days(round);
         let specs: Vec<StrategySpec> = alive.iter().map(|&k| base.specs[k].clone()).collect();
-        let mut cfg = SweepConfig::from_specs(base.n_stocks, specs)?;
-        cfg.exec = base.exec;
-        cfg.clean = base.clean;
-        cfg.corr_stride = base.corr_stride;
-        cfg.limits = base.limits;
-        cfg.needs_confirmation = base.needs_confirmation;
-        cfg.health = base.health;
+        let cfg = SweepConfig {
+            specs,
+            ..base.clone()
+        };
 
         // Per-survivor daily cumulative returns and win–loss counts.
         let mut daily: Vec<Vec<f64>> = vec![Vec::with_capacity(budget); alive.len()];
@@ -360,6 +367,13 @@ mod tests {
             },
             HalvingSchedule {
                 min_survivors: 0,
+                ..good
+            },
+            // The final round's day budget overflows.
+            HalvingSchedule { rounds: 65, ..good },
+            HalvingSchedule {
+                base_days: usize::MAX / 2 + 1,
+                rounds: 2,
                 ..good
             },
         ] {

@@ -9,20 +9,23 @@
 //!    insight: the 42 parameter sets share 9 distinct cubes, so the
 //!    expensive kernel runs 9 times per day, not 42 × 1830 times — and
 //!    the `Maronna(M)` and `Combined(M)` cubes of one window in one
-//!    kernel pass, which fits each window once where the two agree;
+//!    kernel pass, which fits each window once where the two agree: one
+//!    pass per engine of the grid's [`EnginePlan`], the day walk
+//!    `run_day_grid` shares;
 //! 3. runs every pair off each cube once, in parallel over pairs, with
 //!    all the parameter sets that share the cube riding the one pass;
 //! 4. folds each pair-day's trades into compact per-`(param, pair)`
 //!    statistics: daily cumulative returns (eq. 2), win/loss counts, and
 //!    trade counts — exactly what Tables III–V need.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
 use stats::correlation::CorrType;
+use stats::parallel::EnginePlan;
 use taq::generator::{MarketConfig, MarketGenerator};
 use telemetry::recorder::FlightKind;
 use telemetry::trace::TrackId;
@@ -31,7 +34,7 @@ use timeseries::bam::PriceGrid;
 use timeseries::clean::CleanConfig;
 use timeseries::returns::ReturnsPanel;
 
-use crate::approach::{cube_passes, pass_cubes, run_cube};
+use crate::approach::{engine_passes, run_cube};
 use crate::metrics;
 use crate::metrics::WinLoss;
 
@@ -115,7 +118,8 @@ pub struct ExperimentResults {
     pub params: Vec<StrategyParams>,
     /// `[param_idx * n_pairs + pair_rank]`.
     data: Vec<PairParamStats>,
-    /// All trades when `keep_trades` was set: `(param_idx, day, trade)`.
+    /// All trades when `keep_trades` was set: `(param_idx, day, trade)`,
+    /// by day, then parameter set, then pair rank.
     pub trades: Vec<(usize, u16, Trade)>,
     /// Total trades across the whole experiment.
     pub total_trades: u64,
@@ -216,15 +220,12 @@ impl Experiment {
         let mut kept_trades = Vec::new();
         let mut total_trades = 0u64;
 
-        // Group parameter indices by (dt, ctype, M): one grid per dt, one
-        // cube per (dt, ctype, M), one kernel pass per cube — or per
-        // robust window.
-        let mut by_dt: HashMap<u32, Vec<usize>> = HashMap::new();
+        // One grid per Δs, and over it one kernel pass per engine of the
+        // plan of its parameter sets' `(Ctype, M)` keys.
+        let mut by_dt: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (idx, p) in cfg.params.iter().enumerate() {
             by_dt.entry(p.dt_seconds).or_default().push(idx);
         }
-        let mut dts: Vec<u32> = by_dt.keys().copied().collect();
-        dts.sort_unstable();
 
         let mut generator = MarketGenerator::new(cfg.market.clone());
         let mut day_idx: u16 = 0;
@@ -234,35 +235,29 @@ impl Experiment {
                 break;
             };
             phase.observe("generate.us", t0.elapsed().as_micros() as u64);
-            for &dt in &dts {
+            let mut kept_by_param = vec![Vec::new(); cfg.params.len()];
+            for (&dt, idxs) in &by_dt {
                 let t0 = std::time::Instant::now();
                 let grid = PriceGrid::from_day(&day, n, dt, cfg.clean);
                 let panel = ReturnsPanel::from_grid(&grid);
                 phase.observe("grid.us", t0.elapsed().as_micros() as u64);
 
-                let mut by_cube: HashMap<(CorrType, usize), Vec<usize>> = HashMap::new();
-                for &idx in &by_dt[&dt] {
-                    let p = &cfg.params[idx];
-                    by_cube
-                        .entry((p.ctype, p.corr_window))
-                        .or_default()
-                        .push(idx);
-                }
-                let mut cube_keys: Vec<(CorrType, usize)> = by_cube.keys().copied().collect();
-                cube_keys.sort_by_key(|(c, m)| (c.name(), *m));
-
-                // The day's kept trades per cube, put back in cube-key
-                // order below: a plane pass fills two cubes out of turn.
-                let mut kept_by_cube = Vec::new();
-                for pass in cube_passes(&cube_keys) {
+                let keys = idxs
+                    .iter()
+                    .map(|&i| (cfg.params[i].ctype, cfg.params[i].corr_window));
+                let mut passes = engine_passes(&panel, EnginePlan::of(keys));
+                loop {
                     let t0 = std::time::Instant::now();
-                    let cubes = pass_cubes(&panel, &pass);
+                    let Some(pass) = passes.next() else {
+                        break;
+                    };
                     phase.observe("cube.us", t0.elapsed().as_micros() as u64);
-                    if let Some(plane) = (cubes.iter().flatten()).find(|c| c.stats().pair_steps > 0)
+                    if let Some(plane) =
+                        (pass.iter().flat_map(|(cube, _)| cube)).find(|c| c.stats().pair_steps > 0)
                     {
                         phase.observe("margin.us", plane.margin_time().as_micros() as u64);
                     }
-                    for (key, cube) in pass.into_iter().zip(cubes) {
+                    for (cube, readers) in pass {
                         let Some(cube) = cube else {
                             continue;
                         };
@@ -281,37 +276,32 @@ impl Experiment {
                         // summaries into the per-(param, pair) statistics is
                         // part of the strategy phase.
                         let t0 = std::time::Instant::now();
-                        let idxs = &by_cube[&key];
+                        let param_idxs: Vec<usize> = readers.iter().map(|&k| idxs[k]).collect();
                         let group: Vec<StrategyParams> =
-                            idxs.iter().map(|&i| cfg.params[i]).collect();
+                            param_idxs.iter().map(|&i| cfg.params[i]).collect();
                         let by_pair = run_cube(&grid, &cube, &group, &cfg.exec, |_, per_param| {
                             (per_param.into_iter())
                                 .map(|trades| PairDay::of(trades, cfg.keep_trades))
                                 .collect::<Vec<_>>()
                         });
-                        let mut kept_by_param = vec![Vec::new(); group.len()];
                         for (rank, per_param) in by_pair.into_iter().enumerate() {
-                            for (k, pair_day) in per_param.into_iter().enumerate() {
-                                let slot = &mut data[idxs[k] * n_pairs + rank];
+                            for (&idx, pair_day) in param_idxs.iter().zip(per_param) {
+                                let slot = &mut data[idx * n_pairs + rank];
                                 slot.daily_returns.push(pair_day.daily_return);
                                 slot.wl = slot.wl.merge(pair_day.wl);
                                 slot.n_trades += pair_day.n_trades;
                                 total_trades += u64::from(pair_day.n_trades);
-                                kept_by_param[k].extend(pair_day.kept);
+                                kept_by_param[idx].extend(pair_day.kept);
                             }
                         }
-                        let kept: Vec<_> = (idxs.iter().zip(kept_by_param))
-                            .flat_map(|(&param_idx, trades)| {
-                                trades.into_iter().map(move |t| (param_idx, day_idx, t))
-                            })
-                            .collect();
-                        kept_by_cube.push((key, kept));
                         phase.observe("strategy.us", t0.elapsed().as_micros() as u64);
                     }
                 }
-                kept_by_cube.sort_by_key(|((c, m), _)| (c.name(), *m));
-                kept_trades.extend(kept_by_cube.into_iter().flat_map(|(_, kept)| kept));
             }
+            kept_trades.extend(
+                (kept_by_param.into_iter().enumerate())
+                    .flat_map(|(idx, trades)| trades.into_iter().map(move |t| (idx, day_idx, t))),
+            );
             phase.count("days", 1);
             day_idx += 1;
         }

@@ -10,7 +10,11 @@
 //! between epochs it **reconfigures**: [`attach`](LiveSweepSession::attach)
 //! adds a new [`StrategySpec`] (and, if its `(Ctype, M)` stream is new, a
 //! new correlation engine), [`detach`](LiveSweepSession::detach) removes
-//! one (and any engine left without consumers).
+//! one (and any engine left without consumers). Which streams and engines
+//! an incarnation runs, and their ids, is the
+//! [`EnginePlan`](stats::parallel::EnginePlan) of the attached specs —
+//! the graph builder's and [`stream_keys`](LiveSweepSession::stream_keys)'
+//! alike.
 //!
 //! ## How reconfiguration preserves determinism
 //!
@@ -286,18 +290,13 @@ impl LiveSweepSession {
         &self.cfg
     }
 
-    /// Stream key per live stream id: `streams()[j]` is the `(Ctype, M)`
-    /// tag correlation snapshots with `stream == j` carry right now
-    /// (stream ids are re-derived per incarnation).
+    /// Stream key per live stream id: `stream_keys()[j]` is the
+    /// `(Ctype, M)` tag correlation snapshots with `stream == j` carry
+    /// right now — the plan of the attached specs, re-derived per
+    /// incarnation.
     pub fn stream_keys(&self) -> Vec<(stats::correlation::CorrType, usize)> {
-        let mut keys: Vec<(stats::correlation::CorrType, usize)> = Vec::new();
-        for (&j, &k) in self.session.streams.iter().zip(&self.active) {
-            if j >= keys.len() {
-                keys.resize(j + 1, self.cfg.specs[k].stream_key());
-            }
-            keys[j] = self.cfg.specs[k].stream_key();
-        }
-        keys
+        let keys = self.active.iter().map(|&k| self.cfg.specs[k].stream_key());
+        stats::parallel::EnginePlan::of(keys).streams
     }
 
     /// The current incarnation's telemetry hub (`None` at

@@ -8,7 +8,10 @@
 //! as they become final, and `collect_sweep_output` folds what any
 //! driver drained from it into the run's output. A [`SweepConfig`] of one
 //! spec is exactly that chain; more specs share everything up to their
-//! `(Ctype, M)` correlation stream.
+//! `(Ctype, M)` correlation stream. Which specs read which stream, and
+//! which streams one engine node computes, is the [`EnginePlan`] of the
+//! specs' keys: the graph builds one engine node per entry of its
+//! `engines`, and a stream's id is its index in the plan's `streams`.
 
 use std::sync::Arc;
 
@@ -32,7 +35,7 @@ use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
 use crate::node::Source;
 use crate::runtime::{RunOutput, RunSession, Runtime, SessionCkpt};
 use stats::matrix::SymMatrix;
-use stats::parallel::{plane_slot, same_plane};
+use stats::parallel::EnginePlan;
 use telemetry::TelemetryReport;
 
 /// Configuration for the shared-stream parameter-sweep pipeline: the full
@@ -145,14 +148,7 @@ impl SweepConfig {
 
     /// The distinct `(Ctype, M)` correlation streams, in stream-id order.
     pub fn distinct_streams(&self) -> Vec<(stats::correlation::CorrType, usize)> {
-        let mut keys = Vec::new();
-        for spec in &self.specs {
-            let key = spec.stream_key();
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-        keys
+        EnginePlan::of(self.specs.iter().map(StrategySpec::stream_key)).streams
     }
 
     /// Canonical description of the family composition, e.g.
@@ -169,6 +165,21 @@ impl SweepConfig {
             .map(|(kind, n)| format!("{kind}:{n}"))
             .collect::<Vec<_>>()
             .join("+")
+    }
+}
+
+// A worker rebuilds its sweep from these bytes (`shard_job.bin`), and
+// re-validates what it decoded.
+wire::record! {
+    SweepConfig {
+        n_stocks,
+        specs,
+        exec,
+        clean,
+        corr_stride,
+        limits,
+        needs_confirmation,
+        health,
     }
 }
 
@@ -423,20 +434,20 @@ pub(crate) struct SweepGraphParts {
     /// `Runtime::run`/`Runtime::session`.
     pub graph: Graph,
     /// The single order sink.
-    pub sink: crate::graph::NodeId,
+    pub sink: NodeId,
     /// Stream id consumed by each *included* parameter set
     /// (index-aligned with `included`).
     pub streams: Vec<usize>,
     /// The analytics tap sink (every correlation engine fans out here in
     /// addition to its hosts), present only when requested.
-    pub tap: Option<crate::graph::NodeId>,
+    pub tap: Option<NodeId>,
 }
 
 /// Build the shared-stream sweep DAG over the strategy specs named by
 /// `included` (global indices into `cfg.specs`). Strategy hosts keep
 /// their *global* `param_set` tags, so a shard's slice attributes trades
-/// exactly as the full graph would; stream ids are assigned in order of
-/// first appearance among the included sets.
+/// exactly as the full graph would; stream ids and engines are the
+/// [`EnginePlan`] of the included sets' keys.
 ///
 /// `tap` adds the analytics tap: an extra sink subscribed to every
 /// correlation engine, so an external driver (the serving layer) can
@@ -470,47 +481,26 @@ pub(crate) fn build_sweep_graph(
     g.connect(collector, bars);
     g.connect(bars, technical);
 
-    // Stream ids: the distinct (Ctype, M) keys in order of first
-    // appearance, so the cubes stay distinguishable after fan-in.
-    let mut keys: Vec<(stats::correlation::CorrType, usize)> = Vec::new();
-    let mut streams = Vec::with_capacity(included.len());
-    for &k in included {
-        let key = cfg.specs[k].stream_key();
-        let j = (keys.iter().position(|key2| *key2 == key)).unwrap_or_else(|| {
-            keys.push(key);
-            keys.len() - 1
-        });
-        streams.push(j);
-    }
-    // Each distinct stream is computed exactly once: one engine per key,
-    // except that the robust measures of one window are the lanes of one
-    // plane node, created at the first of them and emitting in id order.
-    let mut engines: Vec<crate::graph::NodeId> = Vec::with_capacity(keys.len());
-    for (j, &key) in keys.iter().enumerate() {
-        let (ctype, corr_window) = key;
-        let node = match keys[..j]
-            .iter()
-            .position(|&earlier| same_plane(earlier, key))
-        {
-            Some(first) => engines[first],
-            None => {
-                let (n, stride) = (cfg.n_stocks, cfg.corr_stride);
-                let engine = if plane_slot(ctype).is_some() {
-                    let lanes: Vec<_> = (keys.iter().enumerate())
-                        .filter(|(_, &other)| same_plane(other, key))
-                        .map(|(j2, &(c, _))| (c, j2))
-                        .collect();
-                    CorrelationEngineNode::robust_plane(n, corr_window, stride, &lanes)
-                } else {
-                    CorrelationEngineNode::new(n, corr_window, stride, ctype).with_stream(j)
-                };
-                let node = g.add_component(Box::new(engine));
-                g.connect(technical, node);
-                node
-            }
-        };
-        engines.push(node);
-    }
+    // Stream ids and engines are the plan of the included specs' keys, so
+    // the cubes stay distinguishable after fan-in. Each stream is
+    // computed exactly once: one node per engine, a robust plane's lanes
+    // emitting in stream-id order.
+    let plan = EnginePlan::of(included.iter().map(|&k| cfg.specs[k].stream_key()));
+    let (n, stride) = (cfg.n_stocks, cfg.corr_stride);
+    let engines: Vec<NodeId> = (plan.engines.iter().enumerate())
+        .map(|(e, ids)| {
+            let (ctype, window) = plan.streams[ids[0]];
+            let engine = if plan.is_robust(e) {
+                let lanes: Vec<_> = ids.iter().map(|&j| (plan.streams[j].0, j)).collect();
+                CorrelationEngineNode::robust_plane(n, window, stride, &lanes)
+            } else {
+                CorrelationEngineNode::new(n, window, stride, ctype).with_stream(ids[0])
+            };
+            let node = g.add_component(Box::new(engine));
+            g.connect(technical, node);
+            node
+        })
+        .collect();
 
     // Shared back-end: one risk manager (per-param-set books), one
     // gateway that knows how many hosts it waits for (fan-in-deterministic
@@ -526,10 +516,8 @@ pub(crate) fn build_sweep_graph(
     // snapshots the hosts receive).
     let tap_sink = if tap {
         let t = g.add_sink("analytics-tap");
-        for (j, node) in engines.iter().enumerate() {
-            if !engines[..j].contains(node) {
-                g.connect(*node, t);
-            }
+        for &node in &engines {
+            g.connect(node, t);
         }
         Some(t)
     } else {
@@ -555,13 +543,10 @@ pub(crate) fn build_sweep_graph(
     // derive identically: it takes the bar (prices, health) and
     // correlation edges (of a plane's snapshots, the ones tagged with
     // its stream) and hands every host one aligned frame per interval.
-    let signals: Vec<crate::graph::NodeId> = (keys.iter().zip(&engines))
+    let signals: Vec<NodeId> = (plan.streams.iter().zip(plan.readers()))
         .enumerate()
-        .map(|(j, (&(ctype, corr_window), &engine))| {
-            let needs: Vec<_> = (hosts.iter().zip(&streams))
-                .filter(|(_, &stream)| stream == j)
-                .map(|(host, _)| host.needs())
-                .collect();
+        .map(|(j, (&(ctype, corr_window), readers))| {
+            let needs: Vec<_> = readers.iter().map(|&r| hosts[r].needs()).collect();
             let node = g.add_component(Box::new(SignalNode::new(
                 cfg.n_stocks,
                 ctype,
@@ -570,11 +555,11 @@ pub(crate) fn build_sweep_graph(
                 &needs,
             )));
             g.connect(bars, node);
-            g.connect(engine, node);
+            g.connect(engines[plan.engine_of(j)], node);
             node
         })
         .collect();
-    for (host, &stream) in hosts.into_iter().zip(&streams) {
+    for (host, &stream) in hosts.into_iter().zip(&plan.stream_of) {
         let host = g.add_component(Box::new(host));
         g.connect(signals[stream], host);
         g.connect(host, risk);
@@ -583,7 +568,7 @@ pub(crate) fn build_sweep_graph(
     SweepGraphParts {
         graph: g,
         sink,
-        streams,
+        streams: plan.stream_of,
         tap: tap_sink,
     }
 }
@@ -609,8 +594,6 @@ pub(crate) struct SweepSession {
     src: NodeId,
     sink: NodeId,
     tap: Option<NodeId>,
-    /// Stream id consumed by each included parameter set.
-    pub(crate) streams: Vec<usize>,
 }
 
 fn corr_snapshots(tap: Vec<Message>) -> Vec<Arc<CorrSnapshot>> {
@@ -646,7 +629,6 @@ impl SweepSession {
             session,
             sink: parts.sink,
             tap: parts.tap,
-            streams: parts.streams,
         })
     }
 

@@ -40,7 +40,7 @@ use std::time::Duration;
 pub const NODE_STRIDE: usize = 256;
 
 /// The job-spec file the supervisor writes into the checkpoint
-/// directory (a wire-encoded [`worker::ShardJob`]).
+/// directory (a wire-encoded [`crate::pipeline::SweepConfig`]).
 pub const JOB_FILE: &str = "job.bin";
 
 /// The shared quote tape (the `taq` binary day format).

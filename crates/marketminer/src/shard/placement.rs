@@ -1,10 +1,11 @@
 //! Which rank runs which parameter set — the one place that knows.
 //!
 //! The sweep's whole performance argument is that parameter sets share
-//! correlation engines, so the fleet is cut *along* the engines: specs
-//! are grouped by the engine node that serves them (the robust plane of
-//! their window — both lanes together — else their `(Ctype, M)` stream),
-//! groups go heaviest-first to the least-loaded rank, and
+//! correlation engines, so the fleet is cut *along* the engines: the
+//! units are the engines of the spec list's [`EnginePlan`] (the robust
+//! plane of a window — both lanes together — else one `(Ctype, M)`
+//! stream), each with the hosts it serves; units go heaviest-first to
+//! the least-loaded rank, and
 //! `build_sweep_graph(.., &included)` then gives every rank a disjoint
 //! set of engines. A group is cut across ranks only as a last resort: a
 //! cut makes both ranks build the engine, so it is taken only when a
@@ -18,7 +19,7 @@
 
 use pairtrade_core::spec::StrategySpec;
 use stats::correlation::CorrType;
-use stats::parallel::{plane_slot, PLANE};
+use stats::parallel::EnginePlan;
 use telemetry::metrics::MetricsSnapshot;
 
 use crate::components::CorrelationEngineNode;
@@ -37,30 +38,15 @@ const ROBUST_PLANE_HOSTS: u64 = 70;
 /// under one host either way.
 const STREAM_HOSTS: u64 = 1;
 
-/// The engine node serving a spec, named by a stream key: a robust
-/// measure rides the plane of its window, any other its own stream.
-type EngineKey = (CorrType, usize);
-
-fn engine_key(spec: &StrategySpec) -> EngineKey {
-    let (ctype, window) = spec.stream_key();
-    match plane_slot(ctype) {
-        Some(_) => (PLANE[0], window),
-        None => (ctype, window),
-    }
-}
-
-fn engine_hosts(key: EngineKey) -> u64 {
-    if plane_slot(key.0).is_some() {
-        ROBUST_PLANE_HOSTS
-    } else {
-        STREAM_HOSTS
-    }
-}
-
 /// Specs that go to a rank together: one engine and the hosts on it.
 #[derive(Debug, Clone)]
 struct Unit {
-    key: EngineKey,
+    /// The key of the engine's first stream. A plane's is either robust
+    /// measure of its window: both order between Pearson and Quadrant,
+    /// the only other engines that window can have.
+    key: (CorrType, usize),
+    /// The engine's own load, in strategy hosts.
+    engine_hosts: u64,
     /// Global spec indices, by `(measure, index)`: halving a robust
     /// group separates its lanes before it separates a lane's hosts.
     members: Vec<(u8, usize)>,
@@ -68,7 +54,7 @@ struct Unit {
 
 impl Unit {
     fn load(&self) -> u64 {
-        engine_hosts(self.key) + self.members.len() as u64
+        self.engine_hosts + self.members.len() as u64
     }
 
     /// Heaviest first; every tie broken by what the unit *is*, and only
@@ -85,8 +71,8 @@ impl Unit {
     fn halves(&self) -> [Unit; 2] {
         let (a, b) = self.members.split_at(self.members.len().div_ceil(2));
         [a, b].map(|members| Unit {
-            key: self.key,
             members: members.to_vec(),
+            ..*self
         })
     }
 }
@@ -117,21 +103,28 @@ fn assign(units: &mut [Unit], shards: usize) -> (Vec<usize>, Vec<u64>) {
 /// Panics if `shards` is 0.
 pub fn placement(specs: &[StrategySpec], shards: usize) -> Vec<Vec<usize>> {
     assert!(shards > 0, "a fleet has at least one rank");
-    let mut units: Vec<Unit> = Vec::new();
-    for (k, spec) in specs.iter().enumerate() {
-        let key = engine_key(spec);
-        let member = (spec.stream_key().0 as u8, k);
-        match units.iter_mut().find(|u| u.key == key) {
-            Some(unit) => unit.members.push(member),
-            None => units.push(Unit {
-                key,
-                members: vec![member],
-            }),
-        }
-    }
-    for unit in &mut units {
-        unit.members.sort_unstable();
-    }
+    let plan = EnginePlan::of(specs.iter().map(StrategySpec::stream_key));
+    let readers = plan.readers();
+    let mut units: Vec<Unit> = (plan.engines.iter().enumerate())
+        .map(|(e, ids)| {
+            let mut members: Vec<(u8, usize)> = (ids.iter())
+                .flat_map(|&j| {
+                    let measure = plan.streams[j].0 as u8;
+                    readers[j].iter().map(move |&k| (measure, k))
+                })
+                .collect();
+            members.sort_unstable();
+            Unit {
+                key: plan.streams[ids[0]],
+                engine_hosts: if plan.is_robust(e) {
+                    ROBUST_PLANE_HOSTS
+                } else {
+                    STREAM_HOSTS
+                },
+                members,
+            }
+        })
+        .collect();
 
     let (mut owners, mut loads) = assign(&mut units, shards);
     loop {
@@ -150,7 +143,7 @@ pub fn placement(specs: &[StrategySpec], shards: usize) -> Vec<Vec<usize>> {
         trial.push(b);
         let (trial_owners, trial_loads) = assign(&mut trial, shards);
         let shortened = heaviest.saturating_sub(*trial_loads.iter().max().expect("a rank"));
-        if !idle && shortened <= engine_hosts(units[cut].key) {
+        if !idle && shortened <= units[cut].engine_hosts {
             break;
         }
         (units, owners, loads) = (trial, trial_owners, trial_loads);
@@ -166,17 +159,9 @@ pub fn placement(specs: &[StrategySpec], shards: usize) -> Vec<Vec<usize>> {
     ranks
 }
 
-/// The engines one rank builds: the distinct engine keys of its specs,
-/// in order of first appearance.
-fn engines_of(specs: &[StrategySpec], rank: &[usize]) -> Vec<EngineKey> {
-    let mut keys: Vec<EngineKey> = Vec::new();
-    for &k in rank {
-        let key = engine_key(&specs[k]);
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-    keys
+/// The engines one rank builds: the plan of its specs.
+fn engines_of(specs: &[StrategySpec], rank: &[usize]) -> EnginePlan {
+    EnginePlan::of(rank.iter().map(|&k| specs[k].stream_key()))
 }
 
 /// The placement of `specs` over `shards` ranks against what a finished
@@ -191,18 +176,35 @@ pub fn render_placement(
     shards: usize,
     metrics: &MetricsSnapshot,
 ) -> String {
+    let grid = EnginePlan::of(specs.iter().map(StrategySpec::stream_key));
+    let planes = (0..grid.engines.len())
+        .filter(|&e| grid.is_robust(e))
+        .count();
     let ranks = placement(specs, shards);
-    let engines: Vec<Vec<EngineKey>> = ranks.iter().map(|r| engines_of(specs, r)).collect();
-    let holders = |key: EngineKey| engines.iter().filter(|e| e.contains(&key)).count();
-    let mut out = format!("\nplacement over {shards} ranks (engines go whole; hosts follow)\n");
-    for (r, (rank, keys)) in ranks.iter().zip(&engines).enumerate() {
-        let names: Vec<String> = (keys.iter())
-            .map(|&(ctype, m)| CorrelationEngineNode::engine_name(ctype, m))
-            .collect();
-        let corr_ns: u64 = (keys.iter().zip(&names))
-            .map(|(&key, name)| {
+    let engines: Vec<Vec<String>> = (ranks.iter())
+        .map(|rank| {
+            let plan = engines_of(specs, rank);
+            (plan.engines.iter())
+                .map(|ids| {
+                    let (ctype, m) = plan.streams[ids[0]];
+                    CorrelationEngineNode::engine_name(ctype, m)
+                })
+                .collect()
+        })
+        .collect();
+    let holders = |name: &String| engines.iter().filter(|e| e.contains(name)).count();
+    let mut out = format!(
+        "\nplan: {} specs → {} streams → {} engines ({planes} robust planes)\n\
+         placement over {shards} ranks (engines go whole; hosts follow)\n",
+        specs.len(),
+        grid.streams.len(),
+        grid.engines.len(),
+    );
+    for (r, (rank, names)) in ranks.iter().zip(&engines).enumerate() {
+        let corr_ns: u64 = (names.iter())
+            .map(|name| {
                 let self_ns = metrics.histogram(name, "step.ns").map_or(0, |h| h.sum());
-                self_ns / holders(key).max(1) as u64
+                self_ns / holders(name) as u64
             })
             .sum();
         out.push_str(&format!(
@@ -246,10 +248,18 @@ mod tests {
             .collect()
     }
 
-    /// Engine nodes the fleet builds: per rank, the distinct engines of
-    /// its specs.
+    /// Engine nodes the fleet builds: per rank, the engines of its plan.
     fn engine_nodes(specs: &[StrategySpec], ranks: &[Vec<usize>]) -> usize {
-        ranks.iter().map(|r| engines_of(specs, r).len()).sum()
+        ranks
+            .iter()
+            .map(|r| engines_of(specs, r).engines.len())
+            .sum()
+    }
+
+    /// The name of the engine node serving `spec`.
+    fn engine_name(spec: &StrategySpec) -> String {
+        let (ctype, m) = spec.stream_key();
+        CorrelationEngineNode::engine_name(ctype, m)
     }
 
     /// Per rank, the streams of its specs — what a placement is, once
@@ -277,11 +287,9 @@ mod tests {
             // computed twice, and both lanes of a window share a rank.
             assert_eq!(engine_nodes(&specs, &ranks), 6, "shards={shards}");
             for window in [50usize, 100, 200] {
+                let plane = format!("corr-engine(robust, M={window})");
                 let holders = (ranks.iter())
-                    .filter(|rank| {
-                        rank.iter()
-                            .any(|&k| engine_key(&specs[k]) == (PLANE[0], window))
-                    })
+                    .filter(|rank| rank.iter().any(|&k| engine_name(&specs[k]) == plane))
                     .count();
                 assert_eq!(holders, 1, "robust M={window} at shards={shards}");
             }
@@ -372,12 +380,17 @@ mod tests {
             // With a group for every rank no plane of this size is worth
             // cutting: both lanes of a window stay together.
             let groups = engines_of(&specs, &(0..n).collect::<Vec<_>>());
-            if groups.len() >= shards {
-                for &key in groups.iter().filter(|k| plane_slot(k.0).is_some()) {
+            if groups.engines.len() >= shards {
+                for (e, ids) in groups.engines.iter().enumerate() {
+                    if !groups.is_robust(e) {
+                        continue;
+                    }
+                    let (ctype, m) = groups.streams[ids[0]];
+                    let name = CorrelationEngineNode::engine_name(ctype, m);
                     let holders = (ranks.iter())
-                        .filter(|rank| rank.iter().any(|&k| engine_key(&specs[k]) == key))
+                        .filter(|rank| rank.iter().any(|&k| engine_name(&specs[k]) == name))
                         .count();
-                    prop_assert_eq!(holders, 1, "robust M={} cut across ranks", key.1);
+                    prop_assert_eq!(holders, 1, "{} cut across ranks", name);
                 }
             }
 

@@ -51,7 +51,6 @@ use telemetry::{Telemetry, TelemetryLevel, TelemetryReport};
 use super::frame::Frame;
 use super::placement::placement;
 use super::transport::{Endpoint, FramedConn, Listener};
-use super::worker::ShardJob;
 use super::{ShardConfig, CONTROL_SOCKET, JOB_FILE, NODE_STRIDE, TAPE_FILE};
 use crate::components::order_gateway::merged_basket;
 use crate::graph::GraphError;
@@ -265,8 +264,7 @@ impl ShardRunner {
             // *within* a run.
             let _ = std::fs::remove_dir_all(cfg.ckpt_dir.join(format!("shard-{rank}")));
         }
-        let job = ShardJob::from_sweep(sweep);
-        std::fs::write(cfg.ckpt_dir.join(JOB_FILE), wire::to_bytes(&job)).map_err(io_err)?;
+        std::fs::write(cfg.ckpt_dir.join(JOB_FILE), wire::to_bytes(sweep)).map_err(io_err)?;
         taq::io::write_binary_file(day, &cfg.ckpt_dir.join(TAPE_FILE)).map_err(io_err)?;
         // Control plane: the Unix socket in the checkpoint directory.
         let socket = cfg.ckpt_dir.join(CONTROL_SOCKET);

@@ -40,79 +40,8 @@ use super::frame::Frame;
 use super::placement::placement;
 use super::transport::{connect_with_backoff, Endpoint, FramedConn};
 use super::{JOB_FILE, NODE_STRIDE, TAPE_FILE};
-use crate::components::risk::RiskLimits;
-use crate::components::HealthPolicy;
 use crate::pipeline::{SweepConfig, SweepCut, SweepSession};
 use crate::runtime::{Runtime, SessionCkpt};
-
-/// The serialized sweep job a worker process reconstructs its slice
-/// from — everything [`SweepConfig`] carries, in wire form. The quote
-/// tape travels separately (`tape.taq`, the `taq` binary day format).
-#[derive(Debug, Clone)]
-pub struct ShardJob {
-    /// Universe size.
-    pub n_stocks: usize,
-    /// The full (possibly heterogeneous) strategy grid — every worker
-    /// sees all of it; the slice is derived from rank and shard count.
-    /// Each spec travels in its versioned wire form and is re-validated
-    /// on decode.
-    pub specs: Vec<pairtrade_core::spec::StrategySpec>,
-    /// Execution extensions.
-    pub exec: pairtrade_core::exec::ExecutionConfig,
-    /// Quote cleaning.
-    pub clean: timeseries::clean::CleanConfig,
-    /// Correlation snapshot stride.
-    pub corr_stride: usize,
-    /// Risk limits.
-    pub limits: RiskLimits,
-    /// Whether emitted orders require human confirmation.
-    pub needs_confirmation: bool,
-    /// Feed-health policy (`None` disables the control plane).
-    pub health: Option<HealthPolicy>,
-}
-
-impl ShardJob {
-    /// Capture a sweep configuration as a wire-serializable job.
-    pub fn from_sweep(cfg: &SweepConfig) -> ShardJob {
-        ShardJob {
-            n_stocks: cfg.n_stocks,
-            specs: cfg.specs.clone(),
-            exec: cfg.exec,
-            clean: cfg.clean,
-            corr_stride: cfg.corr_stride,
-            limits: cfg.limits,
-            needs_confirmation: cfg.needs_confirmation,
-            health: cfg.health,
-        }
-    }
-
-    /// Rebuild the sweep configuration this job captured. Fails if the
-    /// captured specs no longer validate as a sweep (e.g. a hand-edited
-    /// job file mixing `Δs`).
-    pub fn to_sweep(&self) -> Result<SweepConfig, pairtrade_core::params::InvalidParams> {
-        let mut cfg = SweepConfig::from_specs(self.n_stocks, self.specs.clone())?;
-        cfg.exec = self.exec;
-        cfg.clean = self.clean;
-        cfg.corr_stride = self.corr_stride;
-        cfg.limits = self.limits;
-        cfg.needs_confirmation = self.needs_confirmation;
-        cfg.health = self.health;
-        Ok(cfg)
-    }
-}
-
-wire::record! {
-    ShardJob {
-        n_stocks,
-        specs,
-        exec,
-        clean,
-        corr_stride,
-        limits,
-        needs_confirmation,
-        health,
-    }
-}
 
 /// Command line of one worker process.
 #[derive(Debug, Clone)]
@@ -243,14 +172,14 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 /// saves a cut taken from a graph with a dead node in it.
 pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
     // --- Job + tape -----------------------------------------------------
+    // The job is a wire-encoded `SweepConfig`; each spec travels in its
+    // versioned wire form, and the whole is re-validated on decode.
     let job_bytes = std::fs::read(args.ckpt_dir.join(JOB_FILE))?;
-    let job: ShardJob =
+    let sweep: SweepConfig =
         wire::from_bytes(&job_bytes).map_err(|e| bad_data(format!("job spec: {e:?}")))?;
-    let day: DayData = taq::io::read_binary_file(&args.ckpt_dir.join(TAPE_FILE), job.n_stocks)
+    (sweep.validate()).map_err(|e| bad_data(format!("job spec rejected: {}", e.0)))?;
+    let day: DayData = taq::io::read_binary_file(&args.ckpt_dir.join(TAPE_FILE), sweep.n_stocks)
         .map_err(|e| bad_data(format!("quote tape: {e}")))?;
-    let sweep = job
-        .to_sweep()
-        .map_err(|e| bad_data(format!("job spec rejected: {}", e.0)))?;
     let included = placement(&sweep.specs, args.shards)
         .into_iter()
         .nth(args.rank)
@@ -409,10 +338,8 @@ mod tests {
     #[test]
     fn job_roundtrips_through_wire() {
         let cfg = SweepConfig::paper(4);
-        let job = ShardJob::from_sweep(&cfg);
-        let bytes = wire::to_bytes(&job);
-        let back: ShardJob = wire::from_bytes(&bytes).unwrap();
-        let cfg2 = back.to_sweep().unwrap();
+        let bytes = wire::to_bytes(&cfg);
+        let cfg2: SweepConfig = wire::from_bytes(&bytes).unwrap();
         assert_eq!(cfg2.specs, cfg.specs);
         assert_eq!(cfg2.n_stocks, cfg.n_stocks);
         assert_eq!(cfg2.limits.max_open_pairs, cfg.limits.max_open_pairs);
@@ -520,7 +447,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mm-worker-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let job = ShardJob::from_sweep(&SweepConfig::new(4, vec![params]));
+        let job = SweepConfig::new(4, vec![params]);
         std::fs::write(dir.join(JOB_FILE), wire::to_bytes(&job)).unwrap();
         taq::io::write_binary_file(&day, &dir.join(TAPE_FILE)).unwrap();
         let socket = Endpoint::Unix(dir.join("control.sock"));

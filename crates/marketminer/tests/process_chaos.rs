@@ -251,14 +251,12 @@ struct Staged {
 
 impl Staged {
     fn new(tag: &str, day: &DayData, sweep: &SweepConfig) -> Staged {
-        use marketminer::shard::worker::ShardJob;
         use marketminer::shard::{Endpoint, Listener, JOB_FILE, TAPE_FILE};
 
         let dir = std::env::temp_dir().join(format!("mm-staged-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("shard-0")).unwrap();
-        let job = ShardJob::from_sweep(sweep);
-        std::fs::write(dir.join(JOB_FILE), wire::to_bytes(&job)).unwrap();
+        std::fs::write(dir.join(JOB_FILE), wire::to_bytes(sweep)).unwrap();
         taq::io::write_binary_file(day, &dir.join(TAPE_FILE)).unwrap();
         let endpoint = Endpoint::Unix(dir.join("control.sock"));
         let listener = Listener::bind(&endpoint).unwrap();

@@ -30,7 +30,10 @@
 //! at M = 50 / 100 / 200 (`profile_report`, two workers on two cores),
 //! which is two to three times what the benchmark's
 //! `stats.*_warm_ns_pair` probes read on Gaussian returns that converge in
-//! under 9 iterations and never tie.
+//! under 9 iterations and never tie. Which streams a list of parameter
+//! sets reads, and which of them one plane computes, is [`EnginePlan`]:
+//! the streaming graph, the fleet's placement and the batch day walk all
+//! read it.
 //!
 //! Two products:
 //!
@@ -44,6 +47,7 @@
 mod cubes;
 mod engine;
 mod margins;
+mod plan;
 #[cfg(test)]
 mod tests;
 mod walk;
@@ -52,6 +56,7 @@ mod warm;
 pub use cubes::{pair_series, robust_cubes};
 pub use engine::ParallelCorrEngine;
 pub use margins::Margins;
+pub use plan::EnginePlan;
 pub(crate) use walk::walk_pair;
 pub use warm::{robust_plane_warm_into, WarmLane};
 
@@ -71,12 +76,6 @@ pub(crate) const COMBINED: usize = 1;
 /// measure.
 pub fn plane_slot(ctype: CorrType) -> Option<usize> {
     PLANE.iter().position(|&c| c == ctype)
-}
-
-/// Whether two `(measure, window)` stream keys are lanes of one robust
-/// plane (a robust key is in its own plane).
-pub fn same_plane(a: (CorrType, usize), b: (CorrType, usize)) -> bool {
-    a.1 == b.1 && plane_slot(a.0).is_some() && plane_slot(b.0).is_some()
 }
 
 /// What a robust sweep did for one of its measures, counted where it

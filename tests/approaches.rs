@@ -1,11 +1,18 @@
 //! Cross-crate integration: the paper's three computational approaches
-//! must be trade-for-trade equivalent on a realistic synthetic day, and
-//! the SGE-style job farm must reproduce the in-process Approach-2 run.
+//! must be trade-for-trade equivalent on a realistic synthetic day, the
+//! SGE-style job farm must reproduce the in-process Approach-2 run, and
+//! every path that shares correlation streams shares the same ones.
 
-use backtest::approach::{run_day, Approach};
+use backtest::approach::{run_day, run_day_grid, Approach};
 use backtest::jobfarm;
+use backtest::runner::{Experiment, ExperimentConfig};
+use marketminer::live::LiveSweepSession;
+use marketminer::pipeline::SweepConfig;
+use marketminer::runtime::RuntimeConfig;
+use marketminer::shard::render_placement;
+use marketminer::TelemetryLevel;
 use pairtrade_core::exec::ExecutionConfig;
-use pairtrade_core::params::StrategyParams;
+use pairtrade_core::params::{paper_parameter_grid, StrategyParams};
 use pairtrade_core::trade::Trade;
 use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
@@ -119,4 +126,57 @@ fn trades_respect_strategy_invariants_at_scale() {
         }
     }
     assert!(total > 0, "episode-rich day must trade");
+}
+
+/// The paper grid's 42 parameter sets read 9 correlation streams computed
+/// by 6 engines — Maronna and Combined of one window on one plane — and
+/// every path reads that one plan: the streaming graph's nodes, the
+/// fleet's placement, the Approach-3 grid day and the experiment's
+/// kernel passes.
+#[test]
+fn the_paper_grid_is_nine_streams_on_six_engines_everywhere() {
+    let n = 3;
+    let cfg = SweepConfig::paper(n);
+    let live = LiveSweepSession::new(
+        cfg.clone(),
+        RuntimeConfig {
+            workers: 1,
+            capacity: 64,
+            telemetry: TelemetryLevel::Off,
+        },
+    )
+    .unwrap();
+    let names = live.node_names();
+    let count = |prefix: &str| names.iter().filter(|s| s.starts_with(prefix)).count();
+    assert_eq!(count("corr-engine"), 6, "{names:?}");
+    assert_eq!(count("strategy-host-signals"), 9, "{names:?}");
+    assert_eq!(live.stream_keys().len(), 9);
+
+    let report = render_placement(&cfg.specs, 1, &Default::default());
+    assert!(
+        report.contains("plan: 42 specs → 9 streams → 6 engines (3 robust planes)"),
+        "{report}"
+    );
+    let rank0 = report.lines().find(|l| l.trim_start().starts_with("rank0"));
+    assert_eq!(
+        rank0.unwrap().matches("corr-engine(").count(),
+        6,
+        "{report}"
+    );
+
+    let (grid, panel) = fixture(n, 2009);
+    let params = paper_parameter_grid();
+    let exec = ExecutionConfig::paper();
+    let (_, stats) = run_day_grid(Approach::Integrated, &grid, &panel, &params, &exec);
+    assert_eq!(stats.kernel_sweeps, 9 * 3, "one sweep per stream per pair");
+
+    let mut experiment = ExperimentConfig::small(n, 2, 2009);
+    experiment.market.micro.quote_rate_hz = 0.05;
+    let results = Experiment::new(experiment)
+        .with_telemetry(TelemetryLevel::Counters)
+        .run();
+    let metrics = results.telemetry.expect("telemetry was on").metrics;
+    let per_day = |name: &str| metrics.histogram("experiment", name).unwrap().count() / 2;
+    assert_eq!(per_day("cube.us"), 6, "one kernel pass per engine");
+    assert_eq!(per_day("strategy.us"), 9, "one strategy pass per stream");
 }
