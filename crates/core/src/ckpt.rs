@@ -35,7 +35,11 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// gateway keeps host watermarks and only incomplete intervals.
 /// Version 4: a correlation engine keeps its stream state per lane, and
 /// the robust measures of one window are the lanes of one plane node.
-pub const VERSION: u8 = 4;
+/// Version 5: a strategy host keeps one rule state per pair whatever the
+/// family (no trade log, no per-pair parameters), the risk book keeps
+/// each open pair with the stock its entry bought, and the technical
+/// node keeps no volatility estimate.
+pub const VERSION: u8 = 5;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

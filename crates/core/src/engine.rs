@@ -1,25 +1,27 @@
-//! The day-level driver: feed a pair's aligned price and correlation
-//! series through a strategy state machine.
+//! The day-level driver: step a pair's aligned price and correlation
+//! series through one or more rules of one family, each over its own
+//! per-pair state.
 //!
 //! Index bookkeeping: the backtester computes the correlation series from
 //! *log returns*, whose step `t` spans price intervals `t → t + 1`.
 //! `first_corr_interval` is therefore the absolute **price-interval** index
 //! at which `corr[0]` becomes known.
 //!
-//! The derived inputs a strategy declares ([`InputNeeds`]) come from
+//! The derived inputs a rule declares ([`InputNeeds`]) come from
 //! [`PairSignals`]: the same signal planes the streaming strategy hosts
 //! share across all pairs, here over the one pair being run — and, as
-//! there, one plane per **distinct** window however many strategies read
-//! it ([`run_pair_day_multi`]).
+//! there, one plane per **distinct** window however many rules read it
+//! ([`run_pair_day_multi`]). A position still open after the last
+//! interval closes there, as a host closes its book at the end of the day.
 
 use timeseries::rolling::RangeStats;
 
 use crate::exec::ExecutionConfig;
 use crate::params::StrategyParams;
 use crate::signal::{trailing_return, AvgPlane, RangePlane};
-use crate::spec::StrategySpec;
-use crate::strategy::{InputNeeds, IntervalInput, PairStrategy, Strategy};
-use crate::trade::Trade;
+use crate::spec::{StrategySpec, UseRule};
+use crate::strategy::{Action, InputNeeds, IntervalInput, PaperRule, Rule};
+use crate::trade::{ExitReason, Trade};
 
 /// Index of `window` in `windows`, appended if new; `None` for the
 /// "not consumed" window 0.
@@ -132,9 +134,13 @@ impl PairSignals {
     }
 }
 
-/// One walk over the pair's correlation series for all `strategies`.
-fn run_day(
-    strategies: &mut [&mut dyn Strategy],
+/// One walk over the pair's correlation series for every rule in
+/// `rules`: `out[k]` are rule `k`'s trades. A position still open after
+/// the last interval closes there ("we should reverse all positions at
+/// the end of the trading day").
+fn run_day<R: Rule>(
+    pair: (usize, usize),
+    rules: &[R],
     prices_i: &[f64],
     prices_j: &[f64],
     corr: &[f64],
@@ -146,17 +152,34 @@ fn run_day(
         first_corr_interval + corr.len() <= smax,
         "correlation series overruns the day"
     );
-    let mut signals = PairSignals::new(strategies.iter().map(|st| st.needs()));
+    let pair = if pair.0 > pair.1 {
+        pair
+    } else {
+        (pair.1, pair.0)
+    };
+    let mut signals = PairSignals::new(rules.iter().map(R::needs));
+    let mut states: Vec<R::State> = rules.iter().map(R::fresh).collect();
+    let mut trades = vec![Vec::new(); rules.len()];
     for (step, &c) in corr.iter().enumerate() {
         let s = first_corr_interval + step;
         signals.step(s, prices_i, prices_j, c);
-        for (k, strategy) in strategies.iter_mut().enumerate() {
+        for (k, (rule, state)) in rules.iter().zip(&mut states).enumerate() {
             let mut input = IntervalInput::bare(s, prices_i[s], prices_j[s], c);
             signals.derive(k, &mut input);
-            strategy.on_interval(input);
+            if let Action::Closed(trade) =
+                rule.step(pair, state, input.avg_corr, input.rel_drop, || input)
+            {
+                trades[k].push(trade);
+            }
         }
     }
-    strategies.iter_mut().map(|st| st.finish()).collect()
+    if let Some(s) = (first_corr_interval + corr.len()).checked_sub(1) {
+        for ((rule, state), trades) in rules.iter().zip(&mut states).zip(&mut trades) {
+            let (pi, pj) = (prices_i[s], prices_j[s]);
+            trades.extend(rule.close(pair, state, s, pi, pj, ExitReason::EndOfDay));
+        }
+    }
+    trades
 }
 
 /// Run one pair for one day under every parameter vector in `params`, all
@@ -166,7 +189,7 @@ fn run_day(
 /// The vectors of one `(Ctype, M)` cube differ in the strategy parameters
 /// only, so the series is walked once, `C̄` / drop / spread range are
 /// derived once per distinct `W` / `RT`, and each vector keeps just its
-/// own state machine.
+/// own per-pair state.
 ///
 /// * `prices_i` / `prices_j` — the pair's BAM prices on the Δs grid
 ///   (`smax` entries, stock `i` being the canonical higher index).
@@ -185,13 +208,8 @@ pub fn run_pair_day_multi(
     corr: &[f64],
     first_corr_interval: usize,
 ) -> Vec<Vec<Trade>> {
-    let mut strategies: Vec<PairStrategy> = (params.iter())
-        .map(|p| PairStrategy::new(pair, *p, *exec))
-        .collect();
-    let mut dynamic: Vec<&mut dyn Strategy> = (strategies.iter_mut())
-        .map(|st| st as &mut dyn Strategy)
-        .collect();
-    run_day(&mut dynamic, prices_i, prices_j, corr, first_corr_interval)
+    let rules: Vec<PaperRule> = (params.iter()).map(|p| PaperRule::new(*p, *exec)).collect();
+    run_day(pair, &rules, prices_i, prices_j, corr, first_corr_interval)
 }
 
 /// Run one pair for one day: [`run_pair_day_multi`] with one parameter
@@ -225,9 +243,9 @@ pub fn run_pair_day(
 /// Run one pair for one day under any [`StrategySpec`].
 ///
 /// The spec-generic sibling of [`run_pair_day`]: same index bookkeeping,
-/// with the derived inputs sized by the built strategy's declared
-/// [`needs`](Strategy::needs) (a window of 0 means the family ignores
-/// that input and it is fed as neutral).
+/// with the derived inputs sized by the spec's rule's declared
+/// [`needs`](Rule::needs) (a window of 0 means the family ignores that
+/// input and it is fed as neutral).
 ///
 /// # Panics
 /// Panics if price series lengths differ or the correlation series
@@ -241,57 +259,77 @@ pub fn run_spec_day(
     corr: &[f64],
     first_corr_interval: usize,
 ) -> Vec<Trade> {
-    run_day(
-        &mut [spec.build(pair, *exec).as_mut()],
-        prices_i,
-        prices_j,
-        corr,
-        first_corr_interval,
-    )
-    .pop()
-    .expect("one strategy in, one trade list out")
+    struct Day<'a>((usize, usize), &'a [f64], &'a [f64], &'a [f64], usize);
+    impl UseRule for Day<'_> {
+        type Output = Vec<Trade>;
+        fn apply<R: Rule>(self, rule: R) -> Vec<Trade> {
+            let Day(pair, prices_i, prices_j, corr, first) = self;
+            let mut trades = run_day(pair, &[rule], prices_i, prices_j, corr, first);
+            trades.pop().expect("one rule in, one trade list out")
+        }
+    }
+    let day = Day(pair, prices_i, prices_j, corr, first_corr_interval);
+    spec.with_rule(*exec, day)
 }
 
-/// A strategy fed through its own one-pair [`PairSignals`], so unit tests
-/// can drive a state machine with raw prices, correlations and
-/// `W`-returns.
+/// One pair (`(1, 0)`) stepped by hand through one rule, its derived
+/// inputs from its own one-pair [`PairSignals`]: how unit tests drive a
+/// rule with raw prices, correlations and `W`-returns.
 #[cfg(test)]
-pub(crate) struct Driven<S> {
-    pub st: S,
+pub(crate) struct Hand<R: Rule> {
+    rule: R,
+    pub state: R::State,
     signals: PairSignals,
+    /// Trades closed so far.
+    pub trades: Vec<Trade>,
+    last: (usize, f64, f64),
 }
 
 #[cfg(test)]
-impl<S: Strategy> Driven<S> {
-    pub fn new(st: S) -> Self {
+impl<R: Rule> Hand<R> {
+    pub fn new(rule: R) -> Self {
         // The test supplies the `W`-returns itself.
         let signals = PairSignals::new([InputNeeds {
             w_return_window: 0,
-            ..st.needs()
+            ..rule.needs()
         }]);
-        Driven { st, signals }
+        Hand {
+            state: rule.fresh(),
+            rule,
+            signals,
+            trades: Vec::new(),
+            last: (0, 0.0, 0.0),
+        }
     }
 
-    /// Derive the shared signals for `raw` and run the interval.
-    pub fn on_interval(&mut self, mut raw: IntervalInput) {
+    /// Derive the shared signals for `raw` and step the interval.
+    pub fn on_interval(&mut self, mut raw: IntervalInput) -> Action {
         self.signals.push(raw.corr, raw.price_i - raw.price_j);
         self.signals.derive(0, &mut raw);
-        self.st.on_interval(raw);
+        self.last = (raw.s, raw.price_i, raw.price_j);
+        let (avg, drop) = (raw.avg_corr, raw.rel_drop);
+        let action = self.rule.step((1, 0), &mut self.state, avg, drop, || raw);
+        if let Action::Closed(trade) = action {
+            self.trades.push(trade);
+        }
+        action
     }
-}
 
-#[cfg(test)]
-impl<S> std::ops::Deref for Driven<S> {
-    type Target = S;
-    fn deref(&self) -> &S {
-        &self.st
+    pub fn is_open(&self) -> bool {
+        R::position(&self.state).is_some()
     }
-}
 
-#[cfg(test)]
-impl<S> std::ops::DerefMut for Driven<S> {
-    fn deref_mut(&mut self) -> &mut S {
-        &mut self.st
+    /// Close any open position at the last interval stepped.
+    pub fn close(&mut self, reason: ExitReason) {
+        let (s, pi, pj) = self.last;
+        let closed = self.rule.close((1, 0), &mut self.state, s, pi, pj, reason);
+        self.trades.extend(closed);
+    }
+
+    /// End the day: close at the last interval, return every trade.
+    pub fn finish(mut self) -> Vec<Trade> {
+        self.close(ExitReason::EndOfDay);
+        self.trades
     }
 }
 
@@ -353,6 +391,16 @@ mod tests {
             first,
         );
         assert!(!trades.is_empty(), "the divergence episode must be traded");
+        let flipped = run_pair_day(
+            (0, 1),
+            &p,
+            &ExecutionConfig::paper(),
+            &pi,
+            &pj,
+            &corr,
+            first,
+        );
+        assert_eq!(trades, flipped, "a pair is traded in canonical order");
         let t = &trades[0];
         assert!((395..=405).contains(&t.entry_interval), "{t:?}");
         // i over-performed into the entry: the strategy shorts it.

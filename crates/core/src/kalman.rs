@@ -17,9 +17,12 @@
 //! i.e. the mispricing has retraced. The transition noise is the standard
 //! one-knob parameterization `Q = δ/(1−δ)·I`.
 //!
-//! Everything is scalar arithmetic in a fixed order, so the filter is
-//! bit-deterministic and its full state (α, β, the 2×2 covariance, the
-//! open position) checkpoints exactly through the wire codec.
+//! [`KalmanRule`] holds the parameters, the execution settings and the
+//! day length; a pair's [`KalmanState`] is its filter state and its open
+//! position, nothing else. Everything is scalar arithmetic in a fixed
+//! order, so the filter is bit-deterministic and a pair's state (α, β,
+//! the 2×2 covariance, the observation count, the open position)
+//! checkpoints exactly through the wire codec.
 
 use serde::{Deserialize, Serialize};
 use stats::correlation::CorrType;
@@ -27,7 +30,7 @@ use stats::correlation::CorrType;
 use crate::exec::ExecutionConfig;
 use crate::params::InvalidParams;
 use crate::position::PairPosition;
-use crate::strategy::{InputNeeds, IntervalInput, Strategy};
+use crate::strategy::{book, Action, InputNeeds, IntervalInput, Rule};
 use crate::trade::{ExitReason, Trade};
 
 /// Parameter vector of the Kalman dynamic hedge-ratio family.
@@ -144,22 +147,17 @@ wire::record! {
     }
 }
 
-#[derive(Debug, Clone)]
+/// An open Kalman position.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OpenKalman {
     position: PairPosition,
     /// True when the entry shorted leg `i` (z was positive: `i` rich).
     short_i: bool,
 }
 
-wire::record! { OpenKalman { position, short_i } }
-
-/// The Kalman dynamic hedge-ratio state machine for one pair.
-#[derive(Debug, Clone)]
-pub struct KalmanStrategy {
-    pair: (usize, usize),
-    params: KalmanParams,
-    exec: ExecutionConfig,
-    intervals: usize,
+/// What the Kalman rule keeps per pair: the filter and the open position.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KalmanState {
     /// State estimate `[α, β]`.
     alpha: f64,
     beta: f64,
@@ -168,45 +166,18 @@ pub struct KalmanStrategy {
     /// Valid observations ingested so far.
     seen: usize,
     open: Option<OpenKalman>,
-    trades: Vec<Trade>,
-    last_prices: Option<(usize, f64, f64)>,
 }
 
-impl KalmanStrategy {
-    /// New strategy for a pair. `pair` is stored canonically as
-    /// `(max, min)`.
-    pub fn new(pair: (usize, usize), params: KalmanParams, exec: ExecutionConfig) -> Self {
-        let pair = if pair.0 > pair.1 {
-            pair
-        } else {
-            (pair.1, pair.0)
-        };
-        KalmanStrategy {
-            pair,
-            params,
-            exec,
-            intervals: params.intervals_per_day(),
-            alpha: 0.0,
-            beta: 0.0,
-            // A loose deterministic prior: the filter localizes within a
-            // few observations, and `warmup` fences trading until then.
-            p: [1.0, 0.0, 1.0],
-            seen: 0,
-            open: None,
-            trades: Vec::new(),
-            last_prices: None,
-        }
-    }
-
+impl KalmanState {
     /// One filter step: predict, innovate, update. `x` is the hedge leg
     /// (`Pⱼ`), `y` the target leg (`Pᵢ`). Returns the innovation z-score.
-    fn filter_update(&mut self, x: f64, y: f64) -> f64 {
-        let q = self.params.delta / (1.0 - self.params.delta);
+    fn filter_update(&mut self, params: &KalmanParams, x: f64, y: f64) -> f64 {
+        let q = params.delta / (1.0 - params.delta);
         let [mut p00, p01, mut p11] = self.p;
         p00 += q;
         p11 += q;
         let e = y - (self.alpha + self.beta * x);
-        let s_var = p00 + 2.0 * x * p01 + x * x * p11 + self.params.r;
+        let s_var = p00 + 2.0 * x * p01 + x * x * p11 + params.r;
         let k0 = (p00 + x * p01) / s_var;
         let k1 = (p01 + x * p11) / s_var;
         self.alpha += k0 * e;
@@ -218,193 +189,151 @@ impl KalmanStrategy {
         ];
         e / s_var.sqrt()
     }
+}
 
-    fn leg_exit_prices(&self, position: &PairPosition, price_i: f64, price_j: f64) -> (f64, f64) {
-        let long_exit = if position.long.stock == self.pair.0 {
-            price_i
-        } else {
-            price_j
-        };
-        let short_exit = if position.short.stock == self.pair.0 {
-            price_i
-        } else {
-            price_j
-        };
-        (long_exit, short_exit)
-    }
+/// The Kalman dynamic hedge-ratio rule under one parameter vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KalmanRule {
+    params: KalmanParams,
+    exec: ExecutionConfig,
+    intervals: usize,
+}
 
-    fn close(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        let open = self.open.take().expect("close requires an open position");
-        let (long_exit, short_exit) = self.leg_exit_prices(&open.position, price_i, price_j);
-        let gross = open.position.gross_entry_value();
-        let cost = self
-            .exec
-            .round_trip_cost(open.position.total_shares(), gross);
-        let pnl = open.position.pnl(long_exit, short_exit) - cost;
-        self.trades.push(Trade {
-            pair: self.pair,
-            entry_interval: open.position.entry_interval,
-            exit_interval: s,
-            reason,
-            pnl,
-            gross,
-            ret: pnl / gross,
-            position: open.position,
-        });
+impl KalmanRule {
+    /// The rule for a parameter vector and execution extensions.
+    pub fn new(params: KalmanParams, exec: ExecutionConfig) -> Self {
+        KalmanRule {
+            params,
+            exec,
+            intervals: params.intervals_per_day(),
+        }
     }
 }
 
-impl Strategy for KalmanStrategy {
-    fn pair(&self) -> (usize, usize) {
-        self.pair
-    }
+impl Rule for KalmanRule {
+    type State = KalmanState;
 
-    fn is_open(&self) -> bool {
-        self.open.is_some()
-    }
-
-    fn open_position(&self) -> Option<&PairPosition> {
-        self.open.as_ref().map(|o| &o.position)
-    }
-
-    fn trades(&self) -> &[Trade] {
-        &self.trades
-    }
-
+    /// Entries key off the innovation z-score, not trailing returns.
     fn needs(&self) -> InputNeeds {
-        // Entries key off the innovation z-score, not trailing returns.
         InputNeeds::NONE
     }
 
-    fn on_interval(&mut self, input: IntervalInput) {
+    fn fresh(&self) -> KalmanState {
+        KalmanState {
+            alpha: 0.0,
+            beta: 0.0,
+            // A loose deterministic prior: the filter localizes within a
+            // few observations, and `warmup` fences trading until then.
+            p: [1.0, 0.0, 1.0],
+            seen: 0,
+            open: None,
+        }
+    }
+
+    /// The filter ingests every interval's prices, so `input` is always
+    /// built.
+    fn step(
+        &self,
+        pair: (usize, usize),
+        state: &mut KalmanState,
+        _avg_corr: f64,
+        _rel_drop: f64,
+        input: impl FnOnce() -> IntervalInput,
+    ) -> Action {
         let IntervalInput {
             s,
             price_i,
             price_j,
             ..
-        } = input;
+        } = input();
         debug_assert!(s < self.intervals, "interval beyond the trading day");
-        self.last_prices = Some((s, price_i, price_j));
-
+        let params = &self.params;
         let valid = price_i > 0.0 && price_j > 0.0 && price_i.is_finite() && price_j.is_finite();
-        let z = if valid {
-            self.seen += 1;
-            Some(self.filter_update(price_j, price_i))
-        } else {
-            None
-        };
+        let z = valid.then(|| {
+            state.seen += 1;
+            state.filter_update(params, price_j, price_i)
+        });
 
         // --- exit logic -------------------------------------------------
-        if let Some(open) = &self.open {
+        if let Some(open) = &state.open {
             let holding = s - open.position.entry_interval;
             let retraced = z.is_some_and(|z| {
                 if open.short_i {
-                    z <= self.params.z_exit
+                    z <= params.z_exit
                 } else {
-                    z >= -self.params.z_exit
+                    z >= -params.z_exit
                 }
             });
             let reason = if retraced {
-                Some(ExitReason::Retracement)
-            } else if holding >= self.params.max_holding {
-                Some(ExitReason::MaxHolding)
+                ExitReason::Retracement
+            } else if holding >= params.max_holding {
+                ExitReason::MaxHolding
             } else if s + 1 >= self.intervals {
-                Some(ExitReason::EndOfDay)
+                ExitReason::EndOfDay
             } else {
-                None
+                return Action::Hold;
             };
-            if let Some(reason) = reason {
-                self.close(s, price_i, price_j, reason);
-            }
-            return; // one action per interval
+            let trade = self.close(pair, state, s, price_i, price_j, reason);
+            return Action::Closed(trade.expect("the pair was open")); // one action per interval
         }
 
         // --- entry logic ------------------------------------------------
-        let Some(z) = z else { return };
-        if self.seen <= self.params.warmup {
-            return; // filter not localized yet
-        }
+        let Some(z) = z else { return Action::Hold };
         let remaining = self.intervals - 1 - s;
-        if remaining < self.params.min_time_before_close {
-            return;
-        }
-        if z.abs() <= self.params.z_entry {
-            return;
+        if state.seen <= params.warmup // filter not localized yet
+            || remaining < params.min_time_before_close
+            || z.abs() <= params.z_entry
+        {
+            return Action::Hold;
         }
         // z > 0: leg i rich relative to the hedge — short i, long j.
         let (long_stock, long_price, short_stock, short_price) = if z > 0.0 {
-            (self.pair.1, price_j, self.pair.0, price_i)
+            (pair.1, price_j, pair.0, price_i)
         } else {
-            (self.pair.0, price_i, self.pair.1, price_j)
+            (pair.0, price_i, pair.1, price_j)
         };
         let position = PairPosition::open(s, long_stock, long_price, short_stock, short_price);
-        self.open = Some(OpenKalman {
+        state.open = Some(OpenKalman {
             position,
             short_i: z > 0.0,
         });
+        Action::Opened
     }
 
-    fn force_close(&mut self, reason: ExitReason) {
-        if self.open.is_none() {
-            return;
-        }
-        let (s, pi, pj) = self
-            .last_prices
-            .expect("an open position implies at least one interval");
-        self.close(s, pi, pj, reason);
+    fn position(state: &KalmanState) -> Option<&PairPosition> {
+        state.open.as_ref().map(|open| &open.position)
     }
 
-    fn force_close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        if self.open.is_some() {
-            self.close(s, price_i, price_j, reason);
-        }
-    }
-
-    fn finish(&mut self) -> Vec<Trade> {
-        if self.open.is_some() {
-            let (s, pi, pj) = self
-                .last_prices
-                .expect("an open position implies at least one interval");
-            self.close(s, pi, pj, ExitReason::EndOfDay);
-        }
-        std::mem::take(&mut self.trades)
-    }
-
-    fn clone_box(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
-    }
-
-    fn encode_state(&self, w: &mut wire::Writer) {
-        wire::Codec::encode(self, w);
-    }
-
-    fn decode_state(&mut self, r: &mut wire::Reader<'_>) -> Result<(), wire::WireError> {
-        *self = <KalmanStrategy as wire::Codec>::decode(r)?;
-        Ok(())
+    fn close(
+        &self,
+        pair: (usize, usize),
+        state: &mut KalmanState,
+        s: usize,
+        price_i: f64,
+        price_j: f64,
+        reason: ExitReason,
+    ) -> Option<Trade> {
+        let open = state.open.take()?;
+        Some(book(
+            pair,
+            &open.position,
+            &self.exec,
+            (s, price_i, price_j),
+            reason,
+        ))
     }
 }
 
-// Full mid-day state: every float travels as raw bits so a restored
-// filter continues bit-exactly.
-wire::record! {
-    KalmanStrategy {
-        pair,
-        params,
-        exec,
-        intervals,
-        alpha,
-        beta,
-        p,
-        seen,
-        open,
-        trades,
-        last_prices,
-    }
-}
+wire::record! { OpenKalman { position, short_i } }
+
+// Every float travels as raw bits so a restored filter continues
+// bit-exactly.
+wire::record! { KalmanState { alpha, beta, p, seen, open } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Hand;
 
     fn fast_params() -> KalmanParams {
         KalmanParams {
@@ -423,8 +352,12 @@ mod tests {
     }
 
     /// Feed a perfectly linear relation, then shock leg i upward.
-    fn warmed(params: KalmanParams) -> (KalmanStrategy, usize) {
-        let mut st = KalmanStrategy::new((1, 0), params, ExecutionConfig::paper());
+    fn kalman(params: KalmanParams) -> Hand<KalmanRule> {
+        Hand::new(KalmanRule::new(params, ExecutionConfig::paper()))
+    }
+
+    fn warmed(params: KalmanParams) -> (Hand<KalmanRule>, usize) {
+        let mut st = kalman(params);
         let mut s = 0;
         while s < params.warmup + 20 {
             // y = 10 + 2x with enough x motion to identify α and β
@@ -476,8 +409,16 @@ mod tests {
     #[test]
     fn filter_tracks_a_linear_relation() {
         let (st, _) = warmed(fast_params());
-        assert!((st.beta - 2.0).abs() < 0.2, "β ≈ 2, got {}", st.beta);
-        assert!((st.alpha - 10.0).abs() < 7.0, "α ≈ 10, got {}", st.alpha);
+        assert!(
+            (st.state.beta - 2.0).abs() < 0.2,
+            "β ≈ 2, got {}",
+            st.state.beta
+        );
+        assert!(
+            (st.state.alpha - 10.0).abs() < 7.0,
+            "α ≈ 10, got {}",
+            st.state.alpha
+        );
     }
 
     #[test]
@@ -487,7 +428,7 @@ mod tests {
         // Leg i jumps far above the learned relation: z > entry.
         st.on_interval(input(s, 10.0 + 2.0 * x + 5.0, x));
         assert!(st.is_open(), "shock must trigger an entry");
-        let pos = Strategy::open_position(&st).unwrap();
+        let pos = KalmanRule::position(&st.state).unwrap();
         assert_eq!(pos.short.stock, 1, "short the rich leg");
         assert_eq!(pos.long.stock, 0);
         // The relation snaps back: innovation flips sign, exit.
@@ -497,7 +438,7 @@ mod tests {
             k += 1;
         }
         assert!(!st.is_open());
-        let trades = Strategy::trades(&st);
+        let trades = &st.trades;
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::Retracement);
         assert!(trades[0].pnl > 0.0, "short at the top, cover at fair");
@@ -520,7 +461,7 @@ mod tests {
             k += 1;
             assert!(k < s + 30, "HP must have fired");
         }
-        let trades = Strategy::trades(&st);
+        let trades = &st.trades;
         assert_eq!(trades[0].reason, ExitReason::MaxHolding);
         assert!(trades[0].holding_intervals() <= params.max_holding);
     }
@@ -528,7 +469,7 @@ mod tests {
     #[test]
     fn no_entry_during_warmup_or_near_close() {
         let params = fast_params();
-        let mut st = KalmanStrategy::new((1, 0), params, ExecutionConfig::paper());
+        let mut st = kalman(params);
         // A violent shock on the very first observations: huge |z| but
         // inside warmup.
         for s in 0..params.warmup {
@@ -548,28 +489,23 @@ mod tests {
         let (mut st, s) = warmed(fast_params());
         st.on_interval(input(s, 10.0 + 2.0 * 30.0 + 5.0, 30.0));
         assert!(st.is_open());
-        let bytes = wire::to_bytes(&st);
-        let mut twin = KalmanStrategy::new((1, 0), fast_params(), ExecutionConfig::paper());
-        Strategy::decode_state(&mut twin, &mut wire::Reader::new(&bytes)).unwrap();
-        assert_eq!(twin.alpha.to_bits(), st.alpha.to_bits());
-        assert_eq!(twin.beta.to_bits(), st.beta.to_bits());
-        for k in 0..3 {
-            assert_eq!(twin.p[k].to_bits(), st.p[k].to_bits());
-        }
+        let bytes = wire::to_bytes(&st.state);
+        let mut twin = kalman(fast_params());
+        twin.state = wire::from_bytes(&bytes).unwrap();
+        assert_eq!(wire::to_bytes(&twin.state), bytes);
+        assert_eq!(twin.state.alpha.to_bits(), st.state.alpha.to_bits());
+        assert_eq!(twin.state.beta.to_bits(), st.state.beta.to_bits());
         // Both continue identically.
-        let drive = |st: &mut KalmanStrategy| {
+        let drive = |mut st: Hand<KalmanRule>| {
             for k in 0..10 {
                 st.on_interval(input(s + 1 + k, 70.0 + k as f64 * 0.3, 30.0));
             }
-            Strategy::finish(st)
+            st.finish()
         };
-        let a = drive(&mut st);
-        let b = drive(&mut twin);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.pnl.to_bits(), y.pnl.to_bits());
-            assert_eq!(x.exit_interval, y.exit_interval);
-        }
+        let a = drive(st);
+        let b = drive(twin);
+        assert!(!a.is_empty());
+        assert_eq!(wire::to_bytes(&a), wire::to_bytes(&b));
     }
 
     #[test]
@@ -577,9 +513,9 @@ mod tests {
         let (mut st, s) = warmed(fast_params());
         st.on_interval(input(s, 10.0 + 2.0 * 30.0 + 5.0, 30.0));
         assert!(st.is_open());
-        let trades = Strategy::finish(&mut st);
-        assert_eq!(trades.len(), 1);
-        assert_eq!(trades[0].reason, ExitReason::EndOfDay);
+        st.close(ExitReason::EndOfDay);
         assert!(!st.is_open());
+        assert_eq!(st.trades.len(), 1);
+        assert_eq!(st.trades[0].reason, ExitReason::EndOfDay);
     }
 }

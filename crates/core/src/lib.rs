@@ -21,15 +21,15 @@
 //! Module map: [`params`] (Table I and the 42-vector experiment grid),
 //! [`signal`] (the shared signal plane and the divergence trigger), [`position`] (share sizing and PnL),
 //! [`retracement`] (reversal levels), [`trade`] (trade records),
-//! [`strategy`] (the [`Strategy`] trait and the paper's per-pair state
-//! machine), [`engine`] (day-level driver), [`exec`] (execution
+//! [`strategy`] (the [`Rule`] contract every family implements, and
+//! the paper's rule), [`engine`] (day-level driver), [`exec`] (execution
 //! extensions the paper notes but defers: stop-loss,
 //! correlation-reversion exit, transaction costs), [`baseline`] (the
 //! classical Gatev distance-method pairs strategy the correlation
 //! approach competes against), and the pluggable strategy algebra:
 //! [`kalman`] (dynamic hedge-ratio z-score family), [`overlay`] (the
-//! stop/target/holding risk combinator), and [`spec`] (the heterogeneous
-//! [`StrategySpec`] that sweeps mix families through).
+//! stop/target/holding risk combinator over any rule), and [`spec`] (the
+//! heterogeneous [`StrategySpec`] that sweeps mix families through).
 
 pub mod baseline;
 pub mod ckpt;
@@ -47,9 +47,9 @@ pub mod trade;
 
 pub use engine::{run_pair_day, run_pair_day_multi, run_spec_day};
 pub use exec::ExecutionConfig;
-pub use kalman::{KalmanParams, KalmanStrategy};
-pub use overlay::{OverlayParams, OverlayStrategy};
+pub use kalman::{KalmanParams, KalmanRule};
+pub use overlay::{Overlay, OverlayParams};
 pub use params::StrategyParams;
 pub use spec::{StrategyKind, StrategySpec, SPEC_WIRE_VERSION};
-pub use strategy::{InputNeeds, PairStrategy, Strategy};
+pub use strategy::{Action, InputNeeds, PaperRule, Rule};
 pub use trade::{ExitReason, Trade};

@@ -1,26 +1,26 @@
 //! Risk-overlay combinator: stop-loss / profit-target / holding-cap
-//! wrapped around *any* inner [`Strategy`].
+//! wrapped around *any* inner [`Rule`].
 //!
 //! The overlay never opens positions — entries, sizing and the inner
-//! family's own exits are untouched. After delegating each interval to
-//! the inner strategy it inspects the (possibly still-open) position and
-//! force-closes it at the interval's prices when one of three rules
-//! trips, in fixed priority order:
+//! family's own exits are untouched. After the inner rule steps an
+//! interval it inspects the (possibly still-open) position and closes it
+//! through the inner rule at the interval's prices when one of three
+//! rules trips, in fixed priority order:
 //!
 //! 1. unrealized return ≤ −`stop_loss`        → [`ExitReason::OverlayStop`]
 //! 2. unrealized return ≥ `profit_target`     → [`ExitReason::OverlayTarget`]
 //! 3. holding ≥ `max_holding` (tighter cap)   → [`ExitReason::OverlayHolding`]
 //!
-//! Ordering keeps the one-action-per-interval invariant: the inner
-//! strategy acts first; a position opened *this* interval has zero
-//! holding and zero unrealized return, so no overlay rule can fire on
-//! it, and a position the inner strategy just closed is simply gone.
+//! Ordering keeps the one-action-per-interval invariant: the inner rule
+//! acts first, and the overlay acts only when it held. [`Overlay`] keeps
+//! no state of its own: a pair's state is the inner rule's, so its
+//! checkpoint bytes are too.
 
 use serde::{Deserialize, Serialize};
 
 use crate::params::InvalidParams;
 use crate::position::PairPosition;
-use crate::strategy::{InputNeeds, IntervalInput, Strategy};
+use crate::strategy::{leg_exit_prices, Action, InputNeeds, IntervalInput, Rule};
 use crate::trade::{ExitReason, Trade};
 
 /// Thresholds of the risk overlay.
@@ -80,126 +80,93 @@ wire::record! {
     }
 }
 
-/// The combinator: any inner [`Strategy`] plus overlay thresholds.
-///
-/// Carries no mutable state of its own — the checkpoint bytes are
-/// exactly the inner strategy's, so overlay wrapping composes freely
-/// with checkpoint and restore.
-pub struct OverlayStrategy {
-    inner: Box<dyn Strategy>,
+/// The combinator: any inner [`Rule`] plus overlay thresholds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Overlay<R> {
+    inner: R,
     params: OverlayParams,
 }
 
-impl Clone for OverlayStrategy {
-    fn clone(&self) -> Self {
-        OverlayStrategy {
-            inner: self.inner.clone_box(),
-            params: self.params,
-        }
-    }
-}
-
-impl OverlayStrategy {
+impl<R: Rule> Overlay<R> {
     /// Wrap `inner` with the overlay rules.
-    pub fn new(inner: Box<dyn Strategy>, params: OverlayParams) -> Self {
-        OverlayStrategy { inner, params }
+    pub fn new(inner: R, params: OverlayParams) -> Self {
+        Overlay { inner, params }
     }
 }
 
-impl Strategy for OverlayStrategy {
-    fn pair(&self) -> (usize, usize) {
-        self.inner.pair()
-    }
-
-    fn is_open(&self) -> bool {
-        self.inner.is_open()
-    }
-
-    fn open_position(&self) -> Option<&PairPosition> {
-        self.inner.open_position()
-    }
-
-    fn trades(&self) -> &[Trade] {
-        self.inner.trades()
-    }
+impl<R: Rule> Rule for Overlay<R> {
+    type State = R::State;
 
     fn needs(&self) -> InputNeeds {
         self.inner.needs()
     }
 
-    fn on_interval(&mut self, input: IntervalInput) {
-        self.inner.on_interval(input);
+    fn fresh(&self) -> R::State {
+        self.inner.fresh()
+    }
+
+    /// The inner rule builds `input` whenever the pair is open, which is
+    /// the only time the overlay reads it.
+    fn step(
+        &self,
+        pair: (usize, usize),
+        state: &mut R::State,
+        avg_corr: f64,
+        rel_drop: f64,
+        input: impl FnOnce() -> IntervalInput,
+    ) -> Action {
+        let mut built = None;
+        let action = self
+            .inner
+            .step(pair, state, avg_corr, rel_drop, || *built.insert(input()));
+        let (Action::Hold, Some(pos), Some(input)) = (action, R::position(state), built) else {
+            return action;
+        };
+        let (long_exit, short_exit) = leg_exit_prices(pair, pos, input.price_i, input.price_j);
+        let unrealized = pos.trade_return(long_exit, short_exit);
+        let holding = input.s - pos.entry_interval;
+        let reason = if unrealized <= -self.params.stop_loss {
+            ExitReason::OverlayStop
+        } else if unrealized >= self.params.profit_target {
+            ExitReason::OverlayTarget
+        } else if holding >= self.params.max_holding {
+            ExitReason::OverlayHolding
+        } else {
+            return Action::Hold;
+        };
         let IntervalInput {
             s,
             price_i,
             price_j,
             ..
         } = input;
-        let Some(pos) = self.inner.open_position() else {
-            return;
-        };
-        if pos.entry_interval == s {
-            return; // opened this interval: one action per interval
-        }
-        let pair = self.inner.pair();
-        let long_exit = if pos.long.stock == pair.0 {
-            price_i
-        } else {
-            price_j
-        };
-        let short_exit = if pos.short.stock == pair.0 {
-            price_i
-        } else {
-            price_j
-        };
-        let unrealized = pos.trade_return(long_exit, short_exit);
-        let holding = s - pos.entry_interval;
-        let reason = if unrealized <= -self.params.stop_loss {
-            Some(ExitReason::OverlayStop)
-        } else if unrealized >= self.params.profit_target {
-            Some(ExitReason::OverlayTarget)
-        } else if holding >= self.params.max_holding {
-            Some(ExitReason::OverlayHolding)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            self.inner.force_close_at(s, price_i, price_j, reason);
-        }
+        (self.close(pair, state, s, price_i, price_j, reason)).map_or(Action::Hold, Action::Closed)
     }
 
-    fn force_close(&mut self, reason: ExitReason) {
-        self.inner.force_close(reason);
+    fn position(state: &R::State) -> Option<&PairPosition> {
+        R::position(state)
     }
 
-    fn force_close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        self.inner.force_close_at(s, price_i, price_j, reason);
-    }
-
-    fn finish(&mut self) -> Vec<Trade> {
-        self.inner.finish()
-    }
-
-    fn clone_box(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
-    }
-
-    fn encode_state(&self, w: &mut wire::Writer) {
-        self.inner.encode_state(w);
-    }
-
-    fn decode_state(&mut self, r: &mut wire::Reader<'_>) -> Result<(), wire::WireError> {
-        self.inner.decode_state(r)
+    fn close(
+        &self,
+        pair: (usize, usize),
+        state: &mut R::State,
+        s: usize,
+        price_i: f64,
+        price_j: f64,
+        reason: ExitReason,
+    ) -> Option<Trade> {
+        self.inner.close(pair, state, s, price_i, price_j, reason)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Driven;
+    use crate::engine::Hand;
     use crate::exec::ExecutionConfig;
     use crate::params::StrategyParams;
-    use crate::strategy::PairStrategy;
+    use crate::strategy::PaperRule;
     use stats::correlation::CorrType;
 
     fn inner_params() -> StrategyParams {
@@ -218,9 +185,12 @@ mod tests {
         }
     }
 
-    fn overlaid(params: OverlayParams) -> (Driven<OverlayStrategy>, usize) {
-        let inner = PairStrategy::new((1, 0), inner_params(), ExecutionConfig::paper());
-        let mut st = Driven::new(OverlayStrategy::new(Box::new(inner), params));
+    fn inner() -> PaperRule {
+        PaperRule::new(inner_params(), ExecutionConfig::paper())
+    }
+
+    fn overlaid(params: OverlayParams) -> (Hand<Overlay<PaperRule>>, usize) {
+        let mut st = Hand::new(Overlay::new(inner(), params));
         let start = inner_params().first_active_interval();
         for s in 0..start + 5 {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -278,7 +248,7 @@ mod tests {
         // paper strategy (no stop_loss configured) would hold.
         st.on_interval(input(s + 1, 140.0, 29.5, 0.70, 0.0, 0.0));
         assert!(!st.is_open(), "overlay stop must flatten");
-        let trades = Strategy::trades(&st.st);
+        let trades = &st.trades;
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::OverlayStop);
         assert!(trades[0].ret < -0.005);
@@ -298,7 +268,7 @@ mod tests {
         // overlay's tighter profit target can close this.
         st.on_interval(input(s + 1, 130.8, 29.5, 0.70, 0.0, 0.0));
         assert!(!st.is_open());
-        let trades = Strategy::trades(&st.st);
+        let trades = &st.trades;
         assert_eq!(trades[0].reason, ExitReason::OverlayTarget);
         assert!(trades[0].is_win());
     }
@@ -318,7 +288,7 @@ mod tests {
             k += 1;
             assert!(k < s + 10, "overlay HP must have fired");
         }
-        let trades = Strategy::trades(&st.st);
+        let trades = &st.trades;
         assert_eq!(trades[0].reason, ExitReason::OverlayHolding);
         assert!(trades[0].holding_intervals() <= 3);
         assert!(
@@ -342,10 +312,9 @@ mod tests {
 
     #[test]
     fn wide_overlay_is_transparent() {
-        // With thresholds that never trip, the overlaid strategy must be
-        // trade-for-trade identical to the bare inner strategy.
-        fn run(st: impl Strategy) -> Vec<Trade> {
-            let mut st = Driven::new(st);
+        // With thresholds that never trip, the overlaid rule must be
+        // trade-for-trade identical to the bare inner rule.
+        fn run<R: Rule>(mut st: Hand<R>) -> Vec<Trade> {
             let start = inner_params().first_active_interval();
             for s in 0..start + 5 {
                 st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -355,44 +324,27 @@ mod tests {
                 let wiggle = (k % 5) as f64 * 0.2;
                 st.on_interval(input(start + 5 + k, 131.0 - wiggle, 29.5, 0.75, 0.0, 0.0));
             }
-            st.st.finish()
+            st.finish()
         }
-        let inner = || PairStrategy::new((1, 0), inner_params(), ExecutionConfig::paper());
-        let bare = run(inner());
+        let bare = run(Hand::new(inner()));
         let wide = OverlayParams {
             stop_loss: 100.0,
             profit_target: 100.0,
             max_holding: 100_000,
         };
-        let wrapped = run(OverlayStrategy::new(Box::new(inner()), wide));
+        let wrapped = run(Hand::new(Overlay::new(inner(), wide)));
         assert!(!bare.is_empty());
-        assert_eq!(bare.len(), wrapped.len());
-        for (a, b) in bare.iter().zip(&wrapped) {
-            assert_eq!(a.reason, b.reason);
-            assert_eq!(a.entry_interval, b.entry_interval);
-            assert_eq!(a.exit_interval, b.exit_interval);
-            assert_eq!(a.pnl.to_bits(), b.pnl.to_bits());
-        }
+        assert_eq!(wire::to_bytes(&bare), wire::to_bytes(&wrapped));
     }
 
     #[test]
-    fn state_roundtrips_through_inner_bytes() {
-        let params = OverlayParams::conservative();
-        let (mut st, s) = overlaid(params);
+    fn state_is_the_inner_rules() {
+        let (mut st, s) = overlaid(OverlayParams::conservative());
         st.on_interval(input(s, 131.0, 29.5, 0.70, 0.01, -0.01));
         assert!(st.is_open());
-        let mut w = wire::Writer::new();
-        st.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let inner = PairStrategy::new((1, 0), inner_params(), ExecutionConfig::paper());
-        let mut twin = OverlayStrategy::new(Box::new(inner), params);
-        twin.decode_state(&mut wire::Reader::new(&bytes)).unwrap();
-        assert!(twin.is_open());
-        let a = Strategy::finish(&mut st.st);
-        let b = Strategy::finish(&mut twin);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.pnl.to_bits(), y.pnl.to_bits());
-        }
+        let bytes = wire::to_bytes(&st.state);
+        let inner: crate::strategy::PaperState = wire::from_bytes(&bytes).unwrap();
+        assert_eq!(inner, st.state);
+        assert!(PaperRule::position(&inner).is_some());
     }
 }

@@ -4,8 +4,10 @@
 //! runtime can host side by side in one sweep: the paper's divergence
 //! strategy, the Kalman dynamic-hedge family, and the risk-overlay
 //! combinator over either. A spec is pure configuration — validated at
-//! construction, serializable (checkpoints, shard jobs), and turned into
-//! a live [`Strategy`] per pair with [`StrategySpec::build`].
+//! construction, serializable (checkpoints, shard jobs) — and
+//! [`StrategySpec::with_rule`] is the one place it becomes a concrete
+//! [`Rule`] type: a strategy host and the batch driver each pick their
+//! rule there once, then step it over per-pair state.
 //!
 //! The wire form is versioned: a leading [`SPEC_WIRE_VERSION`] byte
 //! guards checkpoint and shard-job compatibility, so adding a family is
@@ -15,10 +17,10 @@ use serde::{Deserialize, Serialize};
 use stats::correlation::CorrType;
 
 use crate::exec::ExecutionConfig;
-use crate::kalman::{KalmanParams, KalmanStrategy};
-use crate::overlay::{OverlayParams, OverlayStrategy};
+use crate::kalman::{KalmanParams, KalmanRule};
+use crate::overlay::{Overlay, OverlayParams};
 use crate::params::{InvalidParams, StrategyParams};
-use crate::strategy::{InputNeeds, PairStrategy, Strategy};
+use crate::strategy::{InputNeeds, PaperRule, Rule};
 
 /// Version byte leading every encoded [`StrategySpec`]. The shard job
 /// file is the first thing a worker process decodes, which makes this
@@ -122,17 +124,16 @@ impl StrategySpec {
         }
     }
 
-    /// What per-interval inputs the built strategy consumes.
+    /// What per-interval inputs the spec's rule consumes.
     pub fn needs(&self) -> InputNeeds {
-        match self {
-            StrategySpec::Paper(p) => InputNeeds {
-                w_return_window: p.avg_window,
-                avg_window: p.avg_window,
-                spread_window: p.spread_window,
-            },
-            StrategySpec::Kalman(_) => InputNeeds::NONE,
-            StrategySpec::Overlay { inner, .. } => inner.needs(),
+        struct Needs;
+        impl UseRule for Needs {
+            type Output = InputNeeds;
+            fn apply<R: Rule>(self, rule: R) -> InputNeeds {
+                rule.needs()
+            }
         }
+        self.with_rule(ExecutionConfig::paper(), Needs)
     }
 
     /// Validate recursively; overlay nesting is rejected (the algebra is
@@ -165,16 +166,34 @@ impl StrategySpec {
         }
     }
 
-    /// Instantiate a live strategy for one pair.
-    pub fn build(&self, pair: (usize, usize), exec: ExecutionConfig) -> Box<dyn Strategy> {
+    /// Hand `user` this spec's rule under `exec`: the algebra's four
+    /// shapes (paper, Kalman, an overlay over either) are four rule types.
+    ///
+    /// # Panics
+    /// Panics on an overlay over an overlay, which
+    /// [`validate`](Self::validate) refuses.
+    pub fn with_rule<U: UseRule>(&self, exec: ExecutionConfig, user: U) -> U::Output {
+        let paper = |p: &StrategyParams| PaperRule::new(*p, exec);
+        let kalman = |p: &KalmanParams| KalmanRule::new(*p, exec);
         match self {
-            StrategySpec::Paper(p) => Box::new(PairStrategy::new(pair, *p, exec)),
-            StrategySpec::Kalman(p) => Box::new(KalmanStrategy::new(pair, *p, exec)),
-            StrategySpec::Overlay { inner, overlay } => {
-                Box::new(OverlayStrategy::new(inner.build(pair, exec), *overlay))
-            }
+            StrategySpec::Paper(p) => user.apply(paper(p)),
+            StrategySpec::Kalman(p) => user.apply(kalman(p)),
+            StrategySpec::Overlay { inner, overlay } => match &**inner {
+                StrategySpec::Paper(p) => user.apply(Overlay::new(paper(p), *overlay)),
+                StrategySpec::Kalman(p) => user.apply(Overlay::new(kalman(p), *overlay)),
+                StrategySpec::Overlay { .. } => panic!("overlay may not wrap another overlay"),
+            },
         }
     }
+}
+
+/// Something done with a spec's rule, whatever its family (see
+/// [`StrategySpec::with_rule`]).
+pub trait UseRule {
+    /// What it makes of the rule.
+    type Output;
+    /// Do it with `rule`.
+    fn apply<R: Rule>(self, rule: R) -> Self::Output;
 }
 
 wire::tagged! {
@@ -267,12 +286,18 @@ mod tests {
     }
 
     #[test]
-    fn build_produces_matching_kinds() {
-        for spec in specs() {
-            let st = spec.build((1, 0), ExecutionConfig::paper());
-            assert_eq!(st.pair(), (1, 0));
-            assert!(!st.is_open());
-            assert_eq!(st.needs(), spec.needs());
+    fn every_shape_has_a_rule_with_the_specs_needs() {
+        struct Fresh;
+        impl UseRule for Fresh {
+            type Output = bool;
+            fn apply<R: Rule>(self, rule: R) -> bool {
+                R::position(&rule.fresh()).is_none()
+            }
+        }
+        let [p, k, o] = specs();
+        let ko = k.clone().with_overlay(OverlayParams::conservative());
+        for spec in [p, k, o, ko] {
+            assert!(spec.with_rule(ExecutionConfig::paper(), Fresh));
         }
     }
 }

@@ -1,11 +1,19 @@
-//! The per-pair strategy state machine — steps 1–6 assembled.
+//! The strategy contract, and the paper's rule under it — steps 1–6
+//! assembled.
 //!
-//! A [`PairStrategy`] instance owns one pair under one parameter vector
-//! for one trading day. Per interval it ingests the pair's prices,
-//! correlation and the derived signals its [`InputNeeds`] declare (`C̄`,
-//! the relative drop, the rolling spread range — computed by the caller's
-//! signal plane, once for everyone who shares them), and transitions
-//! between *flat* and *open*:
+//! A family is a [`Rule`]: its parameters, the derived inputs it
+//! [`needs`](Rule::needs), and a per-pair state type it creates with
+//! [`fresh`](Rule::fresh). A driver keeps one state per pair and one rule
+//! per parameter vector, and per interval calls [`Rule::step`], which
+//! opens or closes at most one position; [`Rule::position`] shows the
+//! open one and [`Rule::close`] books it early (a degraded symbol, the
+//! end of the day). No rule keeps a trade log or the prices it last
+//! saw: a closed trade is returned to the driver, and a driver closing a
+//! position supplies the prices. Three rules implement it: [`PaperRule`],
+//! [`KalmanRule`](crate::kalman::KalmanRule) and the risk combinator
+//! [`Overlay`](crate::overlay::Overlay) over either.
+//!
+//! The paper rule per pair is a state machine between *flat* and *open*:
 //!
 //! ```text
 //!            divergence & C̄ > A & enough time before close
@@ -20,11 +28,6 @@
 //! * no position is held longer than `HP` intervals;
 //! * every position is closed by end of day;
 //! * every trade's entry book is cash-neutral-but-slightly-long.
-//!
-//! The decision code itself is [`PaperRule::step`]: it borrows one pair's
-//! state (armed-since counter, open position) and is called both by
-//! [`PairStrategy`] and, over struct-of-arrays state, by the streaming
-//! strategy host.
 
 use timeseries::rolling::RangeStats;
 
@@ -114,93 +117,85 @@ impl InputNeeds {
     };
 }
 
-/// An interval-driven pair-trading strategy — the pluggable unit a
-/// strategy host runs one instance of per pair.
+/// A strategy family: one parameter vector's entry and exit rule,
+/// stepped over per-pair state.
 ///
-/// The contract every implementor (and every combinator) must keep:
+/// The contract every rule (and every combinator) keeps:
 ///
-/// * **Interval-driven** — [`Strategy::on_interval`] is called with
-///   strictly increasing `s`; at most one position action (open *or*
-///   close) may happen per interval.
-/// * **Trades are append-only** — [`Strategy::trades`] only ever grows,
-///   and a closed trade is never mutated. Hosts detect closes by length.
-/// * **Open position is observable** — while [`Strategy::is_open`],
-///   [`Strategy::open_position`] returns the live position so the host
-///   can emit entry/exit order legs without duplicating sizing logic.
-/// * **Checkpointable** — [`Strategy::encode_state`] /
-///   [`Strategy::decode_state`] round-trip the *entire* mutable state
-///   bit-exactly (floats travel as raw IEEE bits), so a restored
-///   strategy continues the day byte-identically. Static configuration
-///   travels in the [`crate::spec::StrategySpec`], not the state bytes.
-/// * **Every day ends flat** — [`Strategy::finish`] closes any dangling
-///   position at the last seen prices and returns the day's trades.
-pub trait Strategy: Send {
-    /// The pair being traded, canonical `(max, min)` order.
-    fn pair(&self) -> (usize, usize);
+/// * **Interval-driven** — [`Rule::step`] is called for a pair with
+///   strictly increasing `s`; it takes at most one position action (open
+///   *or* close) per interval and returns it.
+/// * **Lazy input** — `step` is handed the two signals every driver has
+///   at hand (`C̄` and the relative drop; neutral for a rule that does not
+///   declare them) and builds the full [`IntervalInput`] only when it
+///   needs it. It always builds it while the pair is open.
+/// * **Checkpointable** — the per-pair state's wire codec round-trips
+///   it bit-exactly (floats travel as raw IEEE bits), so a restored pair
+///   continues the day byte-identically. Parameters travel in the
+///   [`crate::spec::StrategySpec`], not the state bytes.
+pub trait Rule: Clone + Send + 'static {
+    /// What a rule keeps per pair.
+    type State: Clone + Send + wire::Codec;
 
-    /// True while a position is open.
-    fn is_open(&self) -> bool;
-
-    /// The live position while open.
-    fn open_position(&self) -> Option<&PairPosition>;
-
-    /// Trades completed so far today (append-only).
-    fn trades(&self) -> &[Trade];
-
-    /// Derived inputs this strategy consumes.
+    /// Derived inputs this rule consumes.
     fn needs(&self) -> InputNeeds;
 
-    /// Process one interval. Inputs must arrive in increasing `s` order.
-    fn on_interval(&mut self, input: IntervalInput);
+    /// A pair's state at the start of the day.
+    fn fresh(&self) -> Self::State;
 
-    /// Force-close any open position at the last seen prices with the
-    /// given reason. No-op while flat.
-    fn force_close(&mut self, reason: ExitReason);
+    /// Run one interval for `pair` (canonical `(max, min)` order).
+    fn step(
+        &self,
+        pair: (usize, usize),
+        state: &mut Self::State,
+        avg_corr: f64,
+        rel_drop: f64,
+        input: impl FnOnce() -> IntervalInput,
+    ) -> Action;
 
-    /// Force-close any open position at interval `s` using the given
-    /// prices (the combinator hook: a risk overlay exits its inner
-    /// strategy at the prices of the interval that tripped the rule).
-    /// No-op while flat.
-    fn force_close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason);
+    /// The open position, if any.
+    fn position(state: &Self::State) -> Option<&PairPosition>;
 
-    /// End the day: close any open position at the last seen prices
-    /// (`EndOfDay`) and drain the day's trades. The strategy is spent
-    /// afterwards — hosts call this exactly once.
-    fn finish(&mut self) -> Vec<Trade>;
-
-    /// Clone into a fresh box (hosts snapshot themselves by `Clone`).
-    fn clone_box(&self) -> Box<dyn Strategy>;
-
-    /// Serialize the full mutable state for a durable checkpoint.
-    fn encode_state(&self, w: &mut wire::Writer);
-
-    /// Restore state captured by [`Strategy::encode_state`]. The receiver
-    /// must have been built from the same spec for the same pair.
-    fn decode_state(&mut self, r: &mut wire::Reader<'_>) -> Result<(), wire::WireError>;
-}
-
-impl Clone for Box<dyn Strategy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
+    /// Close the open position (if any) at interval `s` and the given
+    /// prices, for `reason`.
+    fn close(
+        &self,
+        pair: (usize, usize),
+        state: &mut Self::State,
+        s: usize,
+        price_i: f64,
+        price_j: f64,
+        reason: ExitReason,
+    ) -> Option<Trade>;
 }
 
 /// An open paper-strategy position: the book and the retracement rule
 /// fixed at entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpenPaper {
-    /// The two legs.
-    pub position: PairPosition,
+struct OpenPaper {
+    position: PairPosition,
     /// Where the spread must retrace to.
-    pub rule: RetracementRule,
+    rule: RetracementRule,
 }
 
-/// What one [`PaperRule::step`] did to a pair.
+/// What the paper rule keeps per pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperState {
+    /// Armed-since counter of the divergence trigger ([`NEVER`] at the
+    /// start of the day).
+    since: u32,
+    /// Inline, not boxed: a host reads an open pair's position at every
+    /// frame, and a heap pointer per position, measured, cost the paper
+    /// hosts ~60 % more self-time over a day.
+    open: Option<OpenPaper>,
+}
+
+/// What one [`Rule::step`] did to a pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Action {
     /// Nothing.
     Hold,
-    /// A position was opened (now in the pair's `open` slot).
+    /// A position was opened (now [`Rule::position`]).
     Opened,
     /// The open position was closed into this trade.
     Closed(Trade),
@@ -224,63 +219,6 @@ impl PaperRule {
             exec,
             trigger: DivergenceTrigger::new(&params),
             intervals: params.intervals_per_day(),
-        }
-    }
-
-    /// The derived inputs the rule consumes: `W`-returns, `C̄` / drop over
-    /// `W`, the spread range over `RT`.
-    pub fn needs(&self) -> InputNeeds {
-        InputNeeds {
-            w_return_window: self.params.avg_window,
-            avg_window: self.params.avg_window,
-            spread_window: self.params.spread_window,
-        }
-    }
-
-    /// Run one interval for one pair whose state is `since` (armed-since
-    /// counter, [`NEVER`] at start of day) and `open`. `input` is only
-    /// called when the pair is open or its trigger fires, so a driver
-    /// walking many pairs builds inputs for those alone.
-    ///
-    /// One action per interval: a close at `s` is never followed by an
-    /// open at `s`.
-    #[inline]
-    pub fn step(
-        &self,
-        pair: (usize, usize),
-        since: &mut u32,
-        open: &mut Option<OpenPaper>,
-        avg_corr: f64,
-        rel_drop: f64,
-        input: impl FnOnce() -> IntervalInput,
-    ) -> Action {
-        *since = self.trigger.advance(*since, rel_drop);
-        if let Some(held) = open {
-            let input = input();
-            return match self.exit_reason(pair, held, &input) {
-                Some(reason) => {
-                    let IntervalInput {
-                        s,
-                        price_i,
-                        price_j,
-                        ..
-                    } = input;
-                    let trade = self.close(pair, held, s, price_i, price_j, reason);
-                    *open = None;
-                    Action::Closed(trade)
-                }
-                None => Action::Hold,
-            };
-        }
-        if !self.trigger.fired(*since, avg_corr) {
-            return Action::Hold;
-        }
-        match self.entry(pair, &input()) {
-            Some(entered) => {
-                *open = Some(entered);
-                Action::Opened
-            }
-            None => Action::Hold,
         }
     }
 
@@ -352,38 +290,115 @@ impl PaperRule {
         );
         Some(OpenPaper { position, rule })
     }
+}
 
-    /// Book the round trip of `open` at interval `s` and the given prices.
-    pub fn close(
+impl Rule for PaperRule {
+    type State = PaperState;
+
+    /// `W`-returns, `C̄` / drop over `W`, the spread range over `RT`.
+    fn needs(&self) -> InputNeeds {
+        InputNeeds {
+            w_return_window: self.params.avg_window,
+            avg_window: self.params.avg_window,
+            spread_window: self.params.spread_window,
+        }
+    }
+
+    fn fresh(&self) -> PaperState {
+        PaperState {
+            since: NEVER,
+            open: None,
+        }
+    }
+
+    /// The trigger advances on `rel_drop` every interval; `input` is only
+    /// called when the pair is open or its trigger fires, so a driver
+    /// walking many pairs builds inputs for those alone.
+    #[inline]
+    fn step(
         &self,
         pair: (usize, usize),
-        open: &OpenPaper,
+        state: &mut PaperState,
+        avg_corr: f64,
+        rel_drop: f64,
+        input: impl FnOnce() -> IntervalInput,
+    ) -> Action {
+        state.since = self.trigger.advance(state.since, rel_drop);
+        if let Some(held) = &state.open {
+            let input = input();
+            return match self.exit_reason(pair, held, &input) {
+                Some(reason) => {
+                    let trade =
+                        self.close(pair, state, input.s, input.price_i, input.price_j, reason);
+                    Action::Closed(trade.expect("the pair was open"))
+                }
+                None => Action::Hold,
+            };
+        }
+        if !self.trigger.fired(state.since, avg_corr) {
+            return Action::Hold;
+        }
+        match self.entry(pair, &input()) {
+            Some(entered) => {
+                state.open = Some(entered);
+                Action::Opened
+            }
+            None => Action::Hold,
+        }
+    }
+
+    fn position(state: &PaperState) -> Option<&PairPosition> {
+        state.open.as_ref().map(|open| &open.position)
+    }
+
+    fn close(
+        &self,
+        pair: (usize, usize),
+        state: &mut PaperState,
         s: usize,
         price_i: f64,
         price_j: f64,
         reason: ExitReason,
-    ) -> Trade {
-        let (long_exit, short_exit) = leg_exit_prices(pair, &open.position, price_i, price_j);
-        let gross = open.position.gross_entry_value();
-        let cost = self
-            .exec
-            .round_trip_cost(open.position.total_shares(), gross);
-        let pnl = open.position.pnl(long_exit, short_exit) - cost;
-        Trade {
+    ) -> Option<Trade> {
+        let open = state.open.take()?;
+        Some(book(
             pair,
-            entry_interval: open.position.entry_interval,
-            exit_interval: s,
+            &open.position,
+            &self.exec,
+            (s, price_i, price_j),
             reason,
-            pnl,
-            gross,
-            ret: pnl / gross,
-            position: open.position,
-        }
+        ))
+    }
+}
+
+/// The round trip of `position` closed at `(s, price_i, price_j)` — an
+/// interval and the pair's prices — net of `exec`'s costs: how every
+/// family books a trade.
+pub(crate) fn book(
+    pair: (usize, usize),
+    position: &PairPosition,
+    exec: &ExecutionConfig,
+    (s, price_i, price_j): (usize, f64, f64),
+    reason: ExitReason,
+) -> Trade {
+    let (long_exit, short_exit) = leg_exit_prices(pair, position, price_i, price_j);
+    let gross = position.gross_entry_value();
+    let cost = exec.round_trip_cost(position.total_shares(), gross);
+    let pnl = position.pnl(long_exit, short_exit) - cost;
+    Trade {
+        pair,
+        entry_interval: position.entry_interval,
+        exit_interval: s,
+        reason,
+        pnl,
+        gross,
+        ret: pnl / gross,
+        position: *position,
     }
 }
 
 /// Exit prices of the long and the short leg, given the pair's prices.
-fn leg_exit_prices(
+pub(crate) fn leg_exit_prices(
     pair: (usize, usize),
     position: &PairPosition,
     price_i: f64,
@@ -393,179 +408,13 @@ fn leg_exit_prices(
     (of(position.long.stock), of(position.short.stock))
 }
 
-/// The state machine for one pair under one parameter vector.
-#[derive(Debug, Clone)]
-pub struct PairStrategy {
-    pair: (usize, usize),
-    rule: PaperRule,
-    since: u32,
-    open: Option<OpenPaper>,
-    trades: Vec<Trade>,
-    last_prices: Option<(usize, f64, f64)>,
-}
-
-impl PairStrategy {
-    /// New strategy for a pair. `pair` is stored canonically as
-    /// `(max, min)`.
-    pub fn new(pair: (usize, usize), params: StrategyParams, exec: ExecutionConfig) -> Self {
-        let pair = if pair.0 > pair.1 {
-            pair
-        } else {
-            (pair.1, pair.0)
-        };
-        PairStrategy {
-            pair,
-            rule: PaperRule::new(params, exec),
-            since: NEVER,
-            open: None,
-            trades: Vec::new(),
-            last_prices: None,
-        }
-    }
-
-    /// The pair being traded (canonical order).
-    pub fn pair(&self) -> (usize, usize) {
-        self.pair
-    }
-
-    /// True while a position is open.
-    pub fn is_open(&self) -> bool {
-        self.open.is_some()
-    }
-
-    /// Trades completed so far today.
-    pub fn trades(&self) -> &[Trade] {
-        &self.trades
-    }
-
-    /// Process one interval. Inputs must arrive in increasing `s` order.
-    pub fn on_interval(&mut self, input: IntervalInput) {
-        debug_assert!(
-            input.s < self.rule.intervals,
-            "interval beyond the trading day"
-        );
-        self.last_prices = Some((input.s, input.price_i, input.price_j));
-        let action = self.rule.step(
-            self.pair,
-            &mut self.since,
-            &mut self.open,
-            input.avg_corr,
-            input.rel_drop,
-            || input,
-        );
-        if let Action::Closed(trade) = action {
-            self.trades.push(trade);
-        }
-    }
-
-    /// Close any open position at the given interval and prices.
-    fn close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        if let Some(open) = self.open.take() {
-            self.trades.push(
-                self.rule
-                    .close(self.pair, &open, s, price_i, price_j, reason),
-            );
-        }
-    }
-
-    /// Force-close any open position at the last seen prices with the
-    /// given reason (defensive flattening when a leg's symbol is marked
-    /// degraded). No-op while flat or before the first interval.
-    pub fn force_close(&mut self, reason: ExitReason) {
-        if self.open.is_some() {
-            let (s, pi, pj) = self
-                .last_prices
-                .expect("an open position implies at least one interval");
-            self.close_at(s, pi, pj, reason);
-        }
-    }
-
-    /// End the day: any open position is reversed at the last seen prices
-    /// ("we should reverse all positions at the end of the trading day").
-    /// Returns all trades.
-    pub fn finish_day(mut self) -> Vec<Trade> {
-        Strategy::finish(&mut self)
-    }
-}
-
-impl Strategy for PairStrategy {
-    fn pair(&self) -> (usize, usize) {
-        self.pair
-    }
-
-    fn is_open(&self) -> bool {
-        self.open.is_some()
-    }
-
-    fn open_position(&self) -> Option<&PairPosition> {
-        self.open.as_ref().map(|o| &o.position)
-    }
-
-    fn trades(&self) -> &[Trade] {
-        &self.trades
-    }
-
-    fn needs(&self) -> InputNeeds {
-        self.rule.needs()
-    }
-
-    fn on_interval(&mut self, input: IntervalInput) {
-        PairStrategy::on_interval(self, input);
-    }
-
-    fn force_close(&mut self, reason: ExitReason) {
-        PairStrategy::force_close(self, reason);
-    }
-
-    fn force_close_at(&mut self, s: usize, price_i: f64, price_j: f64, reason: ExitReason) {
-        self.close_at(s, price_i, price_j, reason);
-    }
-
-    fn finish(&mut self) -> Vec<Trade> {
-        self.force_close(ExitReason::EndOfDay);
-        std::mem::take(&mut self.trades)
-    }
-
-    fn clone_box(&self) -> Box<dyn Strategy> {
-        Box::new(self.clone())
-    }
-
-    fn encode_state(&self, w: &mut wire::Writer) {
-        wire::Codec::encode(self, w);
-    }
-
-    fn decode_state(&mut self, r: &mut wire::Reader<'_>) -> Result<(), wire::WireError> {
-        *self = <PairStrategy as wire::Codec>::decode(r)?;
-        Ok(())
-    }
-}
-
 wire::record! { OpenPaper { position, rule } }
-
-// The full mid-day state machine: every field travels verbatim so a
-// restored strategy continues bit-exactly.
-wire::record! { PairStrategy { pair, rule, since, open, trades, last_prices } }
-
-// The parameter vector and execution extensions travel; the trigger and
-// the day length are `PaperRule::new`'s derivations from them.
-impl wire::Codec for PaperRule {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.params.encode(w);
-        self.exec.encode(w);
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> Result<Self, wire::WireError> {
-        Ok(PaperRule::new(
-            StrategyParams::decode(r)?,
-            ExecutionConfig::decode(r)?,
-        ))
-    }
-}
+wire::record! { PaperState { since, open } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Driven;
+    use crate::engine::Hand;
     use stats::correlation::CorrType;
 
     /// Small, fast parameter vector for driving the machine by hand.
@@ -595,8 +444,8 @@ mod tests {
 
     /// Warm the detector with stable correlation from the first active
     /// interval onward.
-    fn warmed(params: StrategyParams) -> (Driven<PairStrategy>, usize) {
-        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
+    fn warmed(params: StrategyParams) -> (Hand<PaperRule>, usize) {
+        let mut st = paper(params, ExecutionConfig::paper());
         let start = params.first_active_interval();
         for s in 0..start + 5 {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -604,17 +453,15 @@ mod tests {
         (st, start + 5)
     }
 
-    #[test]
-    fn canonical_pair_ordering() {
-        let st = PairStrategy::new((2, 7), test_params(), ExecutionConfig::paper());
-        assert_eq!(st.pair(), (7, 2));
+    fn paper(params: StrategyParams, exec: ExecutionConfig) -> Hand<PaperRule> {
+        Hand::new(PaperRule::new(params, exec))
     }
 
     #[test]
     fn no_trade_without_divergence() {
         let (st, _) = warmed(test_params());
         assert!(!st.is_open());
-        assert!(st.st.finish_day().is_empty());
+        assert!(st.finish().is_empty());
     }
 
     #[test]
@@ -623,7 +470,7 @@ mod tests {
         // Correlation drops 5% (> 1% threshold); stock i over-performed.
         st.on_interval(input(s, 131.0, 29.5, 0.76, 0.01, -0.01));
         assert!(st.is_open());
-        let trades = st.st.finish_day();
+        let trades = st.finish();
         assert_eq!(trades.len(), 1);
         let pos = trades[0].position;
         // i (stock 1, price 131) over-performed -> short it, long j.
@@ -648,7 +495,7 @@ mod tests {
             k += 1;
             assert!(k < s + 20, "HP must have fired by now");
         }
-        let trades = st.trades().to_vec();
+        let trades = st.trades.clone();
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::MaxHolding);
         assert!(trades[0].holding_intervals() <= test_params().max_holding);
@@ -657,7 +504,7 @@ mod tests {
     #[test]
     fn retracement_exit_books_profit() {
         let params = test_params();
-        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
+        let mut st = paper(params, ExecutionConfig::paper());
         let start = params.first_active_interval();
         // Spread oscillates 98..102 during warmup so the range is wide.
         for s in 0..start {
@@ -675,7 +522,7 @@ mod tests {
             st.on_interval(input(s, 128.0, 30.0, 0.8, 0.0, 0.0));
         }
         assert!(!st.is_open(), "retracement should have fired");
-        let trades = st.st.finish_day();
+        let trades = st.finish();
         assert_eq!(trades[0].reason, ExitReason::Retracement);
         // Short i at 132, exit 131 or lower: profit.
         assert!(trades[0].pnl > 0.0);
@@ -686,7 +533,7 @@ mod tests {
     fn no_entries_near_the_close() {
         let params = test_params();
         let intervals = params.intervals_per_day();
-        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
+        let mut st = paper(params, ExecutionConfig::paper());
         // Warm right up to the ST fence, then force a divergence inside it.
         for s in 0..intervals {
             let corr = if s >= intervals - 2 { 0.5 } else { 0.8 };
@@ -695,14 +542,14 @@ mod tests {
                 assert!(!st.is_open(), "entered within ST of close at s={s}");
             }
         }
-        assert!(st.st.finish_day().is_empty());
+        assert!(st.finish().is_empty());
     }
 
     #[test]
     fn end_of_day_flattens() {
         let params = test_params();
         let intervals = params.intervals_per_day();
-        let mut st = Driven::new(PairStrategy::new((1, 0), params, ExecutionConfig::paper()));
+        let mut st = paper(params, ExecutionConfig::paper());
         let start = params.first_active_interval();
         for s in 0..start {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -714,7 +561,7 @@ mod tests {
         for s in start + 1..intervals {
             st.on_interval(input(s, 130.0, 29.0, 0.7, 0.0, 0.0));
         }
-        let trades = st.st.finish_day();
+        let trades = st.finish();
         assert!(!trades.is_empty());
         // No trade may exit after the last interval.
         assert!(trades.iter().all(|t| t.exit_interval < intervals));
@@ -725,7 +572,7 @@ mod tests {
         let (mut st, s) = warmed(test_params());
         st.on_interval(input(s, 131.0, 29.5, 0.70, 0.01, -0.01));
         assert!(st.is_open());
-        let trades = st.st.finish_day();
+        let trades = st.finish();
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::EndOfDay);
     }
@@ -737,7 +584,7 @@ mod tests {
             stop_loss: Some(0.005),
             ..ExecutionConfig::paper()
         };
-        let mut st = Driven::new(PairStrategy::new((1, 0), params, exec));
+        let mut st = paper(params, exec);
         let start = params.first_active_interval();
         for s in 0..start {
             st.on_interval(input(s, 130.0, 30.0, 0.8, 0.0, 0.0));
@@ -747,7 +594,7 @@ mod tests {
         // The divergence widens violently against us: long i at 130
         // collapses.
         st.on_interval(input(start + 1, 120.0, 30.0, 0.7, 0.0, 0.0));
-        let trades = st.st.finish_day();
+        let trades = st.finish();
         assert_eq!(trades[0].reason, ExitReason::StopLoss);
         assert!(trades[0].ret < -0.005);
     }
@@ -757,13 +604,13 @@ mod tests {
         let run = |exec: ExecutionConfig| -> f64 {
             let params = test_params();
             let start = params.first_active_interval() + 5;
-            let mut st = Driven::new(PairStrategy::new((1, 0), params, exec));
+            let mut st = paper(params, exec);
             for k in 0..start {
                 st.on_interval(input(k, 130.0, 30.0, 0.8, 0.0, 0.0));
             }
             st.on_interval(input(start, 131.0, 29.5, 0.76, 0.01, -0.01));
             st.on_interval(input(start + 1, 130.0, 30.0, 0.8, 0.0, 0.0));
-            let trades = st.st.finish_day();
+            let trades = st.finish();
             assert!(!trades.is_empty());
             trades[0].ret
         };
@@ -773,18 +620,18 @@ mod tests {
     }
 
     #[test]
-    fn force_close_flattens_with_given_reason() {
+    fn close_flattens_with_given_reason() {
         let (mut st, s) = warmed(test_params());
         st.on_interval(input(s, 131.0, 29.5, 0.70, 0.01, -0.01));
         assert!(st.is_open());
-        st.force_close(ExitReason::Degraded);
+        st.close(ExitReason::Degraded);
         assert!(!st.is_open());
-        assert_eq!(st.trades().len(), 1);
-        assert_eq!(st.trades()[0].reason, ExitReason::Degraded);
-        assert_eq!(st.trades()[0].exit_interval, s);
+        assert_eq!(st.trades.len(), 1);
+        assert_eq!(st.trades[0].reason, ExitReason::Degraded);
+        assert_eq!(st.trades[0].exit_interval, s);
         // Idempotent while flat.
-        st.force_close(ExitReason::Degraded);
-        assert_eq!(st.trades().len(), 1);
+        st.close(ExitReason::Degraded);
+        assert_eq!(st.trades.len(), 1);
     }
 
     #[test]
@@ -800,7 +647,7 @@ mod tests {
             st.on_interval(input(k, 131.0, 29.5, 0.60, 0.01, -0.01));
             k += 1;
         }
-        let exit_s = st.trades().last().unwrap().exit_interval;
+        let exit_s = st.trades.last().unwrap().exit_interval;
         assert_eq!(exit_s, k - 1);
         assert!(!st.is_open(), "no same-interval re-entry");
     }

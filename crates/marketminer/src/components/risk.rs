@@ -14,6 +14,11 @@
 //! In a sweep graph one risk manager serves every strategy host, so the
 //! open-pairs book is keyed by `(param_set, pair)`: each parameter set gets
 //! its own exposure budget and one strategy's book never blocks another's.
+//! A pair joins its book with its first entry leg and leaves it with its
+//! second exit leg. An exit leg is told from an entry leg order by order,
+//! by its side: it sells the stock the entry bought, or buys back the one
+//! the entry sold — whatever the intervals, since a flatten or the
+//! end-of-day close can book in the entry's own interval.
 //!
 //! Orders arrive as one [`OrderBatch`] per host per interval and leave
 //! the same way: the batch is judged in one pass against its host's book
@@ -35,7 +40,7 @@ use std::sync::Arc;
 
 use telemetry::Probe;
 
-use crate::messages::{Message, OrderBatch, OrderRequest};
+use crate::messages::{Message, OrderBatch, OrderRequest, OrderSide};
 use crate::node::{component_state, Component, Emit};
 
 /// Risk limits.
@@ -121,13 +126,27 @@ impl HealthTimeline {
     }
 }
 
+/// One pair on an open-pairs book.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Held {
+    /// The stock its entry bought.
+    long: usize,
+    /// Exit legs seen so far; the second takes the pair off the book.
+    exit_legs: u8,
+}
+
+wire::record! { Held { long, exit_legs } }
+
+/// The open pairs of one parameter set.
+type Book = HashMap<(usize, usize), Held>;
+
 /// The risk-manager node.
 #[derive(Clone)]
 pub struct RiskManagerNode {
     limits: RiskLimits,
     /// Open-pairs book per parameter set. Keyed so a merged sweep graph
     /// keeps one independent exposure budget per strategy host.
-    books: HashMap<usize, HashSet<(usize, usize)>>,
+    books: HashMap<usize, Book>,
     /// Per-symbol health transition timeline (degradation control plane).
     /// Entry legs touching a symbol degraded *at the order's interval* are
     /// refused as a backstop behind the strategy host's own refusal
@@ -202,35 +221,58 @@ enum Verdict {
 }
 
 /// The verdict on one order, as of the order's own interval; admits the
-/// pair to `book` when an entry passes.
+/// pair to `book` when an entry passes, and releases it with its second
+/// exit leg.
 fn verdict(
     limits: &RiskLimits,
     health: &HealthTimeline,
-    book: &mut HashSet<(usize, usize)>,
+    book: &mut Book,
     order: &OrderRequest,
 ) -> Verdict {
-    if order.shares > limits.max_shares_per_order
-        || (order.price * order.shares as f64) > limits.max_order_notional
-    {
-        return Verdict::Size;
-    }
+    let sized = order.shares <= limits.max_shares_per_order
+        && (order.price * order.shares as f64) <= limits.max_order_notional;
     let pair = order.pair;
-    if !book.contains(&pair) {
-        // Entry legs touching a symbol degraded as of the order's own
-        // interval are refused outright; exits (pair already on the
-        // book) always pass so defensive flattening can complete.
-        if health.degraded_at(pair.0, order.interval) || health.degraded_at(pair.1, order.interval)
-        {
-            return Verdict::Degraded;
+    match book.get_mut(&pair) {
+        // Exits always pass the book so defensive flattening can complete
+        // (the size check still applies).
+        Some(held) => {
+            let exit = (order.side == OrderSide::Sell) == (order.stock == held.long);
+            if exit {
+                held.exit_legs += 1;
+                if held.exit_legs == 2 {
+                    book.remove(&pair);
+                }
+            }
         }
-        // Both legs of the same pair arrive with the same interval; admit
-        // the pair once, atomically, against its own param set's book.
-        if book.len() >= limits.max_open_pairs {
-            return Verdict::BookFull;
+        None => {
+            if !sized {
+                return Verdict::Size;
+            }
+            // Entry legs touching a symbol degraded as of the order's own
+            // interval are refused outright.
+            if health.degraded_at(pair.0, order.interval)
+                || health.degraded_at(pair.1, order.interval)
+            {
+                return Verdict::Degraded;
+            }
+            // Both legs of an entry arrive with the same interval; admit
+            // the pair once, atomically, against its own param set's book.
+            if book.len() >= limits.max_open_pairs {
+                return Verdict::BookFull;
+            }
+            let long = match order.side {
+                OrderSide::Buy => order.stock,
+                OrderSide::Sell if order.stock == pair.0 => pair.1,
+                OrderSide::Sell => pair.0,
+            };
+            book.insert(pair, Held { long, exit_legs: 0 });
         }
-        book.insert(pair);
     }
-    Verdict::Pass
+    if sized {
+        Verdict::Pass
+    } else {
+        Verdict::Size
+    }
 }
 
 impl Component for RiskManagerNode {
@@ -433,6 +475,61 @@ mod tests {
         assert_eq!(node.stats().rejected_book_full, 1);
     }
 
+    /// Open then close (1,0), then open (2,0) under a one-pair cap: the
+    /// close took (1,0) off the book, so (2,0) fits — also when the close
+    /// books in the entry's own interval, as a flatten right after an
+    /// entry does.
+    #[test]
+    fn a_closed_pair_leaves_the_book() {
+        let limits = RiskLimits {
+            max_open_pairs: 1,
+            ..Default::default()
+        };
+        for exit_at in [1, 2] {
+            let mut node = RiskManagerNode::new(limits);
+            let passed = run(
+                &mut node,
+                vec![
+                    order_at(1, 0, (1, 0), 0, OrderSide::Buy, 1, 10.0),
+                    order_at(1, 0, (1, 0), 1, OrderSide::Sell, 1, 10.0),
+                    order_at(exit_at, 0, (1, 0), 0, OrderSide::Sell, 1, 10.0),
+                    order_at(exit_at, 0, (1, 0), 1, OrderSide::Buy, 1, 10.0),
+                    order_at(3, 0, (2, 0), 0, OrderSide::Buy, 1, 10.0),
+                    order_at(3, 0, (2, 0), 2, OrderSide::Sell, 1, 10.0),
+                ],
+            );
+            assert_eq!(passed, 6, "exit at {exit_at}");
+            assert_eq!(node.stats().rejected_book_full, 0);
+        }
+    }
+
+    /// A pair traded earlier in the day and closed re-enters as an entry:
+    /// the degraded-symbol backstop refuses it.
+    #[test]
+    fn a_reentry_is_judged_as_an_entry() {
+        let mut node = RiskManagerNode::new(RiskLimits::default());
+        let round_trip = run(
+            &mut node,
+            vec![
+                order_at(1, 0, (1, 0), 0, OrderSide::Buy, 1, 10.0),
+                order_at(1, 0, (1, 0), 1, OrderSide::Sell, 1, 10.0),
+                order_at(2, 0, (1, 0), 0, OrderSide::Sell, 1, 10.0),
+                order_at(2, 0, (1, 0), 1, OrderSide::Buy, 1, 10.0),
+            ],
+        );
+        assert_eq!(round_trip, 4);
+        drive(&mut node, vec![health(3, 1, true)]);
+        let reentry = run(
+            &mut node,
+            vec![
+                order_at(4, 0, (1, 0), 1, OrderSide::Buy, 1, 10.0),
+                order_at(4, 0, (1, 0), 0, OrderSide::Sell, 1, 10.0),
+            ],
+        );
+        assert_eq!(reentry, 0);
+        assert_eq!(node.stats().rejected_degraded, 2);
+    }
+
     #[test]
     fn open_pairs_cap_is_per_param_set() {
         let limits = RiskLimits {
@@ -581,7 +678,8 @@ mod tests {
     /// A recorded order stream — entries, exits, oversized legs, a book
     /// cap that bites, symbols degrading and recovering mid-stream —
     /// judged batch by batch gets exactly the verdicts it gets judged
-    /// order by order.
+    /// order by order. A pair action buys `j` and sells `i` or the other
+    /// way round, so on an open pair it is an exit half the time.
     #[test]
     fn batch_verdicts_equal_per_order_verdicts() {
         let limits = RiskLimits {
@@ -610,11 +708,12 @@ mod tests {
                     let j = next(i as u64) as usize;
                     let shares = 1 + next(9) as u32;
                     let price = 20.0 + next(120) as f64;
+                    let (buy, sell) = if next(2) == 0 { (j, i) } else { (i, j) };
                     orders.push(order_at(
                         interval,
                         host,
                         (i, j),
-                        j,
+                        buy,
                         OrderSide::Buy,
                         shares,
                         price,
@@ -623,7 +722,7 @@ mod tests {
                         interval,
                         host,
                         (i, j),
-                        i,
+                        sell,
                         OrderSide::Sell,
                         1,
                         price,

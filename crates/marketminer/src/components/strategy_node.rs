@@ -17,24 +17,24 @@
 //! the last interval seen. Trades leave in a [`Message::Trades`] report
 //! the moment they close — per frame, per flatten, and the end-of-day
 //! closes at `on_end` — so the host keeps no trade log: its durable state
-//! is open positions, rule state and the one open batch.
+//! is the per-pair rule state, the last prices and the one open batch.
 //!
-//! What a host keeps per pair is only what is per *spec*. For the paper
-//! family that is the armed-since counter of the `Y`/`d` test and the
-//! open position with its retracement rule, held as arrays over pair
-//! ranks and stepped through [`PaperRule::step`], which touches a pair's
-//! prices and ranges only when it is open or its trigger fires. Every
-//! other family keeps one boxed [`Strategy`] per pair, fed the same
-//! frame.
+//! What a host keeps per pair is only what is per *spec*: the state of
+//! the spec's [`Rule`], indexed by pair rank. The spec picks the rule
+//! once, at construction ([`StrategySpec::with_rule`]); one frame loop,
+//! one flatten and one end-of-day close step it whatever the family. The
+//! paper rule's state is the armed-since counter of the `Y`/`d` test and
+//! the open position; it touches a pair's prices and ranges only when
+//! the pair is open or its trigger fires. A Kalman pair's state is its
+//! filter and its open position; an overlay adds none.
 
 use std::sync::Arc;
 
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::position::PairPosition;
-use pairtrade_core::signal::NEVER;
-use pairtrade_core::spec::{StrategyKind, StrategySpec};
-use pairtrade_core::strategy::{Action, InputNeeds, IntervalInput, OpenPaper, PaperRule, Strategy};
+use pairtrade_core::spec::{StrategyKind, StrategySpec, UseRule};
+use pairtrade_core::strategy::{Action, InputNeeds, IntervalInput, Rule};
 use pairtrade_core::trade::{ExitReason, Trade};
 use stats::matrix::SymMatrix;
 use telemetry::Probe;
@@ -72,88 +72,111 @@ fn closed_counter(kind: StrategyKind) -> &'static str {
 /// own inbox.
 const FRAME_BACKLOG: usize = 8;
 
-/// The per-pair state of one host, indexed by pair rank.
-#[derive(Clone)]
-enum Book {
-    /// The paper family, struct-of-arrays.
-    Paper {
-        rule: PaperRule,
-        /// Armed-since counter of the divergence trigger.
-        since: Vec<u32>,
-        open: Vec<Option<OpenPaper>>,
-    },
-    /// Any other family: one strategy per pair, observed for transitions.
-    Boxed {
-        strategies: Vec<Box<dyn Strategy>>,
-        was_open: Vec<bool>,
-        trades_seen: Vec<usize>,
-    },
+/// A host's book: its spec's rule and one state per pair rank, stepped
+/// without knowing the family.
+trait Book: Send {
+    /// Step every pair whose two symbols are healthy through one warm
+    /// frame, collecting what opened and what closed. Returns how many
+    /// pairs built their input, and how many of those were flat.
+    fn step(
+        &mut self,
+        view: &FrameView<'_>,
+        degraded: &[bool],
+        opened: &mut Vec<PairPosition>,
+        closed: &mut Vec<Trade>,
+    ) -> (u64, u64);
+
+    /// Close the open position of each of `pairs` at interval `s` and the
+    /// per-stock `prices`.
+    fn close(
+        &mut self,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        s: usize,
+        prices: &[f64],
+        reason: ExitReason,
+        closed: &mut Vec<Trade>,
+    );
+
+    /// Serialize every pair's state.
+    fn encode(&self, w: &mut Writer);
+
+    /// A book of the same rule holding the states in `r`, as many.
+    fn decode(&self, r: &mut Reader<'_>) -> Result<Box<dyn Book>, WireError>;
 }
 
-impl Book {
-    /// The spec itself is construction-time config and is NOT serialized
-    /// — a restored node must already host the same spec, which the
-    /// family tag, the pair count and each family's own decoder guard.
-    fn encode_state(&self, w: &mut Writer) {
-        match self {
-            Book::Paper { since, open, .. } => {
-                0u8.encode(w);
-                since.encode(w);
-                open.encode(w);
-            }
-            Book::Boxed {
-                strategies,
-                was_open,
-                trades_seen,
-            } => {
-                1u8.encode(w);
-                // Trait objects can't derive a Vec codec: count, then each
-                // strategy's own (self-delimiting) state bytes.
-                (strategies.len() as u64).encode(w);
-                for strategy in strategies {
-                    strategy.encode_state(w);
+/// [`Book`] for one rule type.
+struct Pairs<R: Rule> {
+    rule: R,
+    states: Vec<R::State>,
+}
+
+impl<R: Rule> Book for Pairs<R> {
+    fn step(
+        &mut self,
+        view: &FrameView<'_>,
+        degraded: &[bool],
+        opened: &mut Vec<PairPosition>,
+        closed: &mut Vec<Trade>,
+    ) -> (u64, u64) {
+        let (mut visited, mut armed) = (0u64, 0u64);
+        // Pairs touching a degraded symbol sit the interval out: the
+        // position (if any) was already flattened on the transition, and
+        // a masked/stale signal must not open a new one.
+        for i in (1..degraded.len()).filter(|&i| !degraded[i]) {
+            for j in (0..i).filter(|&j| !degraded[j]) {
+                let rank = SymMatrix::pair_rank(i, j);
+                let (avg_corr, rel_drop) =
+                    (view.avg).map_or((0.0, 0.0), |a| (a.avg_corr[rank], a.rel_drop[rank]));
+                let state = &mut self.states[rank];
+                let held = R::position(state).is_some();
+                let mut built = false;
+                let action = self.rule.step((i, j), state, avg_corr, rel_drop, || {
+                    built = true;
+                    view.input((i, j), rank)
+                });
+                visited += u64::from(built);
+                armed += u64::from(built && !held);
+                match action {
+                    Action::Hold => {}
+                    // Each family chooses direction and sizing its own
+                    // way; the freshly-opened position is the order
+                    // flow's source of truth (`PairPosition` is `Copy`).
+                    Action::Opened => opened.push(*R::position(state).expect("just opened")),
+                    Action::Closed(trade) => closed.push(trade),
                 }
-                was_open.encode(w);
-                trades_seen.encode(w);
+            }
+        }
+        (visited, armed)
+    }
+
+    fn close(
+        &mut self,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        s: usize,
+        prices: &[f64],
+        reason: ExitReason,
+        closed: &mut Vec<Trade>,
+    ) {
+        for (i, j) in pairs {
+            let state = &mut self.states[SymMatrix::pair_rank(i, j)];
+            if R::position(state).is_some() {
+                let (pi, pj) = (prices[i], prices[j]);
+                closed.extend(self.rule.close((i, j), state, s, pi, pj, reason));
             }
         }
     }
 
-    /// A copy of `host`'s book holding the state in `r` (decoded into a
-    /// clone, so a mid-stream error leaves the live book untouched).
-    fn decode_state(host: &StrategyHostNode, r: &mut Reader<'_>) -> Result<Book, WireError> {
-        let mut book = host.book.clone();
-        let n_pairs = host.n_stocks * (host.n_stocks - 1) / 2;
-        let sized = match (u8::decode(r)?, &mut book) {
-            (0, Book::Paper { since, open, .. }) => {
-                *since = Vec::decode(r)?;
-                *open = Vec::decode(r)?;
-                since.len() == n_pairs && open.len() == n_pairs
-            }
-            (
-                1,
-                Book::Boxed {
-                    strategies,
-                    was_open,
-                    trades_seen,
-                },
-            ) => {
-                if u64::decode(r)? as usize != strategies.len() {
-                    return Err(WireError::Invalid("strategy count mismatch"));
-                }
-                for strategy in strategies.iter_mut() {
-                    strategy.decode_state(r)?;
-                }
-                *was_open = Vec::decode(r)?;
-                *trades_seen = Vec::decode(r)?;
-                was_open.len() == n_pairs && trades_seen.len() == n_pairs
-            }
-            _ => return Err(WireError::Invalid("strategy family mismatch")),
-        };
-        if !sized {
+    fn encode(&self, w: &mut Writer) {
+        self.states.encode(w);
+    }
+
+    fn decode(&self, r: &mut Reader<'_>) -> Result<Box<dyn Book>, WireError> {
+        let states = Vec::decode(r)?;
+        if states.len() != self.states.len() {
             return Err(WireError::Invalid("pair count mismatch"));
         }
-        Ok(book)
+        let rule = self.rule.clone();
+        Ok(Box::new(Pairs { rule, states }))
     }
 }
 
@@ -204,16 +227,16 @@ impl<'a> FrameView<'a> {
 }
 
 /// The market-wide strategy host.
-#[derive(Clone)]
 pub struct StrategyHostNode {
     spec: StrategySpec,
     kind: StrategyKind,
+    needs: InputNeeds,
     n_stocks: usize,
     /// Parameter-set identity stamped on every order, batch and trade
     /// report, so the merged risk/gateway/sink stages of a sweep graph can
     /// attribute flow per strategy. Single-host pipelines leave it 0.
     param_set: usize,
-    book: Book,
+    book: Box<dyn Book>,
     /// Symbols currently marked degraded: positions touching them are
     /// flattened on transition and no pair touching them may open.
     degraded: Vec<bool>,
@@ -266,26 +289,20 @@ impl StrategyHostNode {
         exec: ExecutionConfig,
         needs_confirmation: bool,
     ) -> Self {
-        let n_pairs = n_stocks * (n_stocks - 1) / 2;
-        let book = match spec {
-            StrategySpec::Paper(params) => Book::Paper {
-                rule: PaperRule::new(*params, exec),
-                since: vec![NEVER; n_pairs],
-                open: vec![None; n_pairs],
-            },
-            _ => Book::Boxed {
-                strategies: (0..n_pairs)
-                    .map(|rank| spec.build(SymMatrix::pair_from_rank(rank), exec))
-                    .collect(),
-                was_open: vec![false; n_pairs],
-                trades_seen: vec![0; n_pairs],
-            },
-        };
+        struct Cold(usize);
+        impl UseRule for Cold {
+            type Output = Box<dyn Book>;
+            fn apply<R: Rule>(self, rule: R) -> Box<dyn Book> {
+                let states = vec![rule.fresh(); self.0];
+                Box::new(Pairs { rule, states })
+            }
+        }
         StrategyHostNode {
             kind: spec.kind(),
+            needs: spec.needs(),
             n_stocks,
             param_set: 0,
-            book,
+            book: spec.with_rule(exec, Cold(n_stocks * (n_stocks - 1) / 2)),
             degraded: vec![false; n_stocks],
             last_interval: 0,
             last_prices: Vec::new(),
@@ -316,7 +333,19 @@ impl StrategyHostNode {
     /// The derived inputs the hosted family declares; the stream's signal
     /// node is built from them.
     pub fn needs(&self) -> InputNeeds {
-        self.spec.needs()
+        self.needs
+    }
+
+    /// The book's state bytes. The spec itself is construction-time
+    /// config and is NOT serialized — a restored node must already host
+    /// the same spec, which the family tag beside the book and the pair
+    /// count guard.
+    fn encode_book(book: &impl std::ops::Deref<Target = dyn Book>, w: &mut Writer) {
+        book.encode(w);
+    }
+
+    fn decode_book(&self, r: &mut Reader<'_>) -> Result<Box<dyn Book>, WireError> {
+        self.book.decode(r)
     }
 
     /// Add the two legs of one pair action at `interval` to the open
@@ -446,47 +475,18 @@ impl Component for StrategyHostNode {
 
     fn on_end(&mut self, out: &mut Emit<'_>) {
         // Whatever is still open closes at the last prices seen.
-        let mut eod: Vec<Trade> = Vec::new();
-        match &mut self.book {
-            Book::Paper { rule, open, .. } => {
-                for (rank, slot) in open.iter_mut().enumerate() {
-                    if let Some(held) = slot.take() {
-                        let (i, j) = SymMatrix::pair_from_rank(rank);
-                        eod.push(rule.close(
-                            (i, j),
-                            &held,
-                            self.last_interval,
-                            self.last_prices[i],
-                            self.last_prices[j],
-                            ExitReason::EndOfDay,
-                        ));
-                    }
-                }
-            }
-            Book::Boxed {
-                strategies,
-                trades_seen,
-                ..
-            } => {
-                for (strategy, &seen) in strategies.iter_mut().zip(trades_seen.iter()) {
-                    let trades = strategy.finish();
-                    eod.extend_from_slice(&trades[seen.min(trades.len())..]);
-                }
-            }
-        }
-        self.probe.count("positions.eod_closed", eod.len() as u64);
-        let prices = std::mem::take(&mut self.last_prices);
-        for trade in &eod {
-            self.push_close(trade, &prices);
-        }
-        self.last_prices = prices;
-        self.report(&eod, self.last_frame_id, out);
+        let n_pairs = self.n_stocks * (self.n_stocks - 1) / 2;
+        let mut every = (0..n_pairs).map(SymMatrix::pair_from_rank);
+        let parent = self.last_frame_id;
+        let closed = self.close_each(&mut every, ExitReason::EndOfDay, parent, out);
+        self.probe.count("positions.eod_closed", closed);
         self.flush_batch(out);
     }
 
     component_state! {
         node {
-            book => (Book::encode_state, Book::decode_state),
+            kind,
+            book => (StrategyHostNode::encode_book, StrategyHostNode::decode_book),
             degraded,
             last_interval,
             last_prices,
@@ -497,6 +497,9 @@ impl Component for StrategyHostNode {
             dropped,
         }
         check {
+            if kind != node.kind {
+                return Err(WireError::Invalid("strategy family mismatch"));
+            }
             if degraded.len() != node.n_stocks
                 || !(last_prices.is_empty() || last_prices.len() == node.n_stocks)
             {
@@ -536,134 +539,50 @@ impl StrategyHostNode {
     /// it at the last seen prices; the closing legs join the open batch
     /// (they book at its interval).
     fn flatten_touching(&mut self, symbol: usize, parent: EventId, out: &mut Emit<'_>) {
-        let mut closed: Vec<Trade> = Vec::new();
-        // Ranks of the pairs touching `symbol`, ascending: (symbol, j)
-        // for j below it, then (i, symbol) for i above it.
-        let touching = (0..symbol)
+        // The pairs touching `symbol`, ascending by rank: (symbol, j) for
+        // j below it, then (i, symbol) for i above it.
+        let mut touching = (0..symbol)
             .map(|j| (symbol, j))
             .chain((symbol + 1..self.n_stocks).map(|i| (i, symbol)));
-        match &mut self.book {
-            Book::Paper { rule, open, .. } => {
-                for (i, j) in touching {
-                    if let Some(held) = open[SymMatrix::pair_rank(i, j)].take() {
-                        closed.push(rule.close(
-                            (i, j),
-                            &held,
-                            self.last_interval,
-                            self.last_prices[i],
-                            self.last_prices[j],
-                            ExitReason::Degraded,
-                        ));
-                    }
-                }
-            }
-            Book::Boxed {
-                strategies,
-                was_open,
-                trades_seen,
-            } => {
-                for (i, j) in touching {
-                    let rank = SymMatrix::pair_rank(i, j);
-                    let strategy = &mut strategies[rank];
-                    if strategy.is_open() {
-                        strategy.force_close(ExitReason::Degraded);
-                        closed.extend(&strategy.trades()[trades_seen[rank]..]);
-                        trades_seen[rank] = strategy.trades().len();
-                        was_open[rank] = false;
-                    }
-                }
-            }
+        let closed = self.close_each(&mut touching, ExitReason::Degraded, parent, out);
+        self.probe.count("positions.flattened", closed);
+        if closed > 0 && parent.is_set() {
+            self.pending_causes.push(parent);
         }
-        self.probe.count("positions.flattened", closed.len() as u64);
-        if closed.is_empty() {
-            return;
-        }
+    }
+
+    /// Close the open position of each of `pairs` at the newest frame's
+    /// interval and prices: the closing legs join the open batch and the
+    /// trades are reported. Returns how many closed.
+    fn close_each(
+        &mut self,
+        pairs: &mut dyn Iterator<Item = (usize, usize)>,
+        reason: ExitReason,
+        parent: EventId,
+        out: &mut Emit<'_>,
+    ) -> u64 {
+        let mut closed = Vec::new();
         let prices = std::mem::take(&mut self.last_prices);
+        (self.book).close(pairs, self.last_interval, &prices, reason, &mut closed);
         for trade in &closed {
             self.push_close(trade, &prices);
         }
         self.last_prices = prices;
-        if parent.is_set() {
-            self.pending_causes.push(parent);
-        }
         self.report(&closed, parent, out);
+        closed.len() as u64
     }
 
     /// Step every running pair through one warm frame: its orders join
     /// the open batch, its closed trades are reported.
     fn process_frame(&mut self, frame: &SignalFrame, out: &mut Emit<'_>) {
-        let view = FrameView::new(frame, self.needs());
+        let view = FrameView::new(frame, self.needs);
         let (mut opened, mut closed) = (
             std::mem::take(&mut self.opened),
             std::mem::take(&mut self.closed),
         );
         opened.clear();
         closed.clear();
-        let (mut visited, mut armed) = (0u64, 0u64);
-        // Pairs touching a degraded symbol sit the interval out: the
-        // position (if any) was already flattened on the transition, and
-        // a masked/stale signal must not open a new one.
-        let degraded = &self.degraded;
-        let running = (1..self.n_stocks)
-            .filter(move |&i| !degraded[i])
-            .flat_map(move |i| (0..i).filter(move |&j| !degraded[j]).map(move |j| (i, j)));
-        match &mut self.book {
-            Book::Paper { rule, since, open } => {
-                let avg = view
-                    .avg
-                    .expect("the paper family declares an averaging window");
-                for (i, j) in running {
-                    let rank = SymMatrix::pair_rank(i, j);
-                    let held = open[rank].is_some();
-                    let mut built = false;
-                    let action = rule.step(
-                        (i, j),
-                        &mut since[rank],
-                        &mut open[rank],
-                        avg.avg_corr[rank],
-                        avg.rel_drop[rank],
-                        || {
-                            built = true;
-                            view.input((i, j), rank)
-                        },
-                    );
-                    visited += u64::from(built);
-                    armed += u64::from(built && !held);
-                    match action {
-                        Action::Hold => {}
-                        // Each family chooses direction and sizing its own
-                        // way; the freshly-opened position is the order
-                        // flow's source of truth (`PairPosition` is `Copy`).
-                        Action::Opened => {
-                            opened.push(open[rank].as_ref().expect("just opened").position)
-                        }
-                        Action::Closed(trade) => closed.push(trade),
-                    }
-                }
-            }
-            Book::Boxed {
-                strategies,
-                was_open,
-                trades_seen,
-            } => {
-                for (i, j) in running {
-                    let rank = SymMatrix::pair_rank(i, j);
-                    let strategy = &mut strategies[rank];
-                    strategy.on_interval(view.input((i, j), rank));
-                    visited += 1;
-                    let now_open = strategy.is_open();
-                    if now_open && !was_open[rank] {
-                        opened.push(*strategy.open_position().expect("open ⇒ position"));
-                    }
-                    let trades_now = strategy.trades().len();
-                    if trades_now > trades_seen[rank] {
-                        closed.extend(&strategy.trades()[trades_seen[rank]..]);
-                        trades_seen[rank] = trades_now;
-                    }
-                    was_open[rank] = now_open;
-                }
-            }
-        }
+        let (visited, armed) = (self.book).step(&view, &self.degraded, &mut opened, &mut closed);
         self.probe.count("pairs.visited", visited);
         self.probe.count("pairs.armed", armed);
         self.probe.count("positions.opened", opened.len() as u64);
@@ -714,7 +633,6 @@ mod tests {
     /// A host behind its stream's signal node, as the graph wires them.
     /// Snapshots are hand-fed from the first bar, as from an engine that
     /// needs no warm-up (`M = 0`).
-    #[derive(Clone)]
     struct Rig {
         signals: SignalNode,
         host: StrategyHostNode,
@@ -963,8 +881,8 @@ mod tests {
         assert!(a.iter().any(|m| matches!(m, Message::Trades(_))));
         assert_eq!(wire::to_bytes(&a), wire::to_bytes(&b));
 
-        // A Kalman host keeps boxed strategies: the paper layout is
-        // refused, and so is a truncated or a wrong-universe payload.
+        // A Kalman host refuses the paper host's bytes, and a paper host
+        // a truncated or a wrong-universe payload.
         let kalman = StrategySpec::Kalman(KalmanParams::jansen_default());
         let mut other = StrategyHostNode::from_spec(2, &kalman, ExecutionConfig::paper(), false);
         assert!(!other.decode_state(&bytes));
@@ -972,10 +890,10 @@ mod tests {
             .host
             .decode_state(&bytes[..bytes.len() - 1]));
         assert!(!Rig::new(3, false).host.decode_state(&bytes));
-        // Boxed hosts round-trip through their own layout.
-        let boxed = other.encode_state().unwrap();
-        assert!(other.decode_state(&boxed));
-        assert!(!Rig::new(2, false).host.decode_state(&boxed));
+        // A Kalman host round-trips its own layout.
+        let kalman = other.encode_state().unwrap();
+        assert!(other.decode_state(&kalman));
+        assert!(!Rig::new(2, false).host.decode_state(&kalman));
     }
 
     #[test]
@@ -1008,53 +926,46 @@ mod tests {
         assert!(seen.orders().iter().all(|o| o.needs_confirmation));
     }
 
-    /// A three-stock day that makes every family open, close in-day, get
-    /// flattened by a degradation and hold something to the close.
-    fn eventful_day(rig: &mut Rig, out: &mut Emit<'_>) {
-        for s in 0..60usize {
-            let wobble = (s % 3) as f64;
-            let swing = ((s / 6) % 2) as f64;
-            let closes = if s < 9 {
-                vec![30.0, 60.0 + 0.1 * wobble, 130.0]
-            } else {
-                vec![
-                    29.0 - 0.2 * wobble + 1.5 * swing,
-                    61.5 - 0.8 * swing,
-                    133.0 + wobble - 2.0 * swing,
-                ]
-            };
-            let rho = if s < 9 {
-                0.8
-            } else {
-                0.7 - 0.02 * wobble + 0.05 * swing
-            };
-            if s == 30 {
-                rig.feed(health(30, 2, true), out);
-            }
-            if s == 40 {
-                rig.feed(health(40, 2, false), out);
-            }
-            rig.feed(bars(s, closes), out);
-            rig.feed(corr_n(s, 3, rho), out);
-        }
-    }
-
-    /// The day's report as hosts assembled it before trades streamed:
-    /// every pair's own log (end-of-day close included), pairs in rank
-    /// order. `host` is a boxed-book host about to end its day.
-    fn end_of_day_report(host: &mut StrategyHostNode) -> Vec<Trade> {
-        let Book::Boxed { strategies, .. } = &mut host.book else {
-            panic!("the oracle reads per-pair strategy logs");
+    /// Interval `s` of a three-stock day (`s < 60`) that makes every
+    /// family open, close in-day, get flattened by a degradation and hold
+    /// something to the close.
+    fn eventful_interval(rig: &mut Rig, s: usize, out: &mut Emit<'_>) {
+        let wobble = (s % 3) as f64;
+        let swing = ((s / 6) % 2) as f64;
+        let closes = if s < 9 {
+            vec![30.0, 60.0 + 0.1 * wobble, 130.0]
+        } else {
+            vec![
+                29.0 - 0.2 * wobble + 1.5 * swing,
+                61.5 - 0.8 * swing,
+                133.0 + wobble - 2.0 * swing,
+            ]
         };
-        strategies.iter_mut().flat_map(|s| s.finish()).collect()
+        let rho = if s < 9 {
+            0.8
+        } else {
+            0.7 - 0.02 * wobble + 0.05 * swing
+        };
+        if s == 30 {
+            rig.feed(health(30, 2, true), out);
+        }
+        if s == 40 {
+            rig.feed(health(40, 2, false), out);
+        }
+        rig.feed(bars(s, closes), out);
+        rig.feed(corr_n(s, 3, rho), out);
     }
 
-    /// Streamed reports folded by `collect_sweep_output` are, to the bit,
-    /// the report the host used to assemble at the close — for the paper
-    /// family (struct-of-arrays book, no log at all), Kalman and an
-    /// overlay (boxed books).
+    /// Every family on the eventful day: it opens, closes in-day, is
+    /// flattened by a degradation and holds something to the close, each
+    /// trade reported as it closes. Its durable state grows with the
+    /// positions it holds, never with the trades it closed: beside the
+    /// open batch's orders, it is the first frame's length plus a fixed
+    /// size per open position — the first frame's length whenever nothing
+    /// is open, however many trades closed before. And a twin restored
+    /// from a mid-day cut ends the day emitting the same bytes.
     #[test]
-    fn streamed_reports_fold_to_the_end_of_day_report() {
+    fn every_family_streams_its_closes_and_keeps_no_trade_log() {
         let paper = StrategySpec::Paper(StrategyParams {
             max_holding: 12,
             ..params()
@@ -1067,53 +978,84 @@ mod tests {
             min_time_before_close: 3,
             ..KalmanParams::jansen_default()
         });
-        let overlay = paper.clone().with_overlay(OverlayParams {
+        let overlay = OverlayParams {
             max_holding: 4,
             ..OverlayParams::conservative()
-        });
-        for spec in [paper, kalman, overlay] {
+        };
+        let specs = [
+            paper.clone(),
+            kalman.clone(),
+            paper.with_overlay(overlay),
+            kalman.with_overlay(overlay),
+        ];
+        for spec in specs {
+            let label = spec.label();
             let mut rig = Rig::hosting(3, &spec, false);
-            // The oracle twin keeps per-pair logs whatever the family.
-            let mut oracle = rig.clone();
-            if let StrategySpec::Paper(_) = spec {
-                oracle.host.book = Book::Boxed {
-                    strategies: (0..3)
-                        .map(|rank| {
-                            spec.build(SymMatrix::pair_from_rank(rank), ExecutionConfig::paper())
-                        })
-                        .collect(),
-                    was_open: vec![false; 3],
-                    trades_seen: vec![0; 3],
-                };
+            let mut out: Vec<Message> = Vec::new();
+            let (mut cold, mut per_open, mut flat_after_close, mut cut) = (None, None, 0, None);
+            let no_orders = wire::to_bytes(&Vec::<OrderRequest>::new()).len();
+            for s in 0..60 {
+                eventful_interval(&mut rig, s, &mut |m| out.push(m));
+                // What the state holds beside the open batch's orders.
+                let pending = wire::to_bytes(&rig.host.pending).len() - no_orders;
+                let held = rig.host.encode_state().unwrap().len() - pending;
+                let (mut legs, mut closes) = (rig.host.pending.len(), 0);
+                for m in &out {
+                    match m {
+                        Message::Orders(b) => legs += b.orders.len(),
+                        Message::Trades(t) => closes += t.trades.len(),
+                        _ => {}
+                    }
+                }
+                // Two legs per open and two per close.
+                let open = legs / 2 - 2 * closes;
+                let cold = *cold.get_or_insert(held);
+                match (held - cold).checked_div(open) {
+                    None => {
+                        assert_eq!(held, cold, "{label}: state grew by {} at {s}", held - cold);
+                        flat_after_close += usize::from(closes > 0);
+                    }
+                    Some(per) => {
+                        let per_open = *per_open.get_or_insert(per);
+                        assert_eq!(held, cold + open * per_open, "{label} at {s}");
+                    }
+                }
+                if s == 35 {
+                    let mut twin = Rig::hosting(3, &spec, false);
+                    assert!(twin
+                        .signals
+                        .decode_state(&rig.signals.encode_state().unwrap()));
+                    assert!(twin.host.decode_state(&rig.host.encode_state().unwrap()));
+                    cut = Some((twin, out.len()));
+                }
             }
-            let mut streamed: Vec<Message> = Vec::new();
-            eventful_day(&mut rig, &mut |m| streamed.push(m));
-            rig.end(&mut |m| streamed.push(m));
-            eventful_day(&mut oracle, &mut |_| {});
-            let want = end_of_day_report(&mut oracle.host);
+            assert!(flat_after_close > 0, "{label}: never flat after a close");
+            rig.end(&mut |m| out.push(m));
+            let (mut twin, at) = cut.unwrap();
+            let mut rest: Vec<Message> = Vec::new();
+            (36..60).for_each(|s| eventful_interval(&mut twin, s, &mut |m| rest.push(m)));
+            twin.end(&mut |m| rest.push(m));
+            assert_eq!(
+                wire::to_bytes(&out[at..].to_vec()),
+                wire::to_bytes(&rest),
+                "{label}"
+            );
 
-            let n_reports = (streamed.iter())
+            let n_reports = (out.iter())
                 .filter(|m| matches!(m, Message::Trades(_)))
                 .count();
-            let got = collect_sweep_output(1, streamed).trades_per_param.remove(0);
-            let label = spec.label();
+            let got = collect_sweep_output(1, out).trades_per_param.remove(0);
             let reasons: Vec<ExitReason> = got.iter().map(|t| t.reason).collect();
             assert!(n_reports > 2, "{label}: vacuous, one report: {reasons:?}");
-            assert!(
-                reasons.contains(&ExitReason::Degraded),
-                "{label}: {reasons:?}"
-            );
-            assert!(
-                reasons.contains(&ExitReason::EndOfDay),
-                "{label}: {reasons:?}"
-            );
+            for must in [ExitReason::Degraded, ExitReason::EndOfDay] {
+                assert!(reasons.contains(&must), "{label}: {reasons:?}");
+            }
             assert!(
                 reasons
                     .iter()
                     .any(|r| !matches!(r, ExitReason::Degraded | ExitReason::EndOfDay)),
                 "{label}: no in-day close: {reasons:?}"
             );
-            assert_eq!(wire::to_bytes(&got), wire::to_bytes(&want), "{label}");
         }
     }
 }

@@ -1,26 +1,22 @@
-//! The "Technical Analysis" node: per-interval log returns (the
-//! correlation engine's food) plus streaming indicators.
+//! The "Technical Analysis" node: per-interval log returns, the
+//! correlation engine's food.
 //!
-//! Figure 1 labels this stage "Technical Analysis (15 sec returns)". The
-//! primary product is the [`ReturnSet`]; the
-//! node also maintains per-stock EWMA volatility, which the risk manager
-//! could consume (and which keeps the component honest as a *technical
-//! analysis* stage rather than a bare differencer).
+//! Figure 1 labels this stage "Technical Analysis (15 sec returns)". Its
+//! one product is the [`ReturnSet`]; its state is the previous bar's
+//! closes.
 
 use std::sync::Arc;
 
-use stats::online::Ewma;
 use telemetry::Probe;
 
 use crate::messages::{Cause, Message, ReturnSet};
 use crate::node::{component_state, Component, Emit};
 
-/// Streaming returns + indicators for the whole universe.
+/// Streaming returns for the whole universe.
 #[derive(Clone)]
 pub struct TechnicalAnalysisNode {
+    n_stocks: usize,
     prev_closes: Option<Vec<f64>>,
-    /// EWMA of squared returns per stock (a volatility proxy).
-    var_ewma: Vec<Ewma>,
     /// Messages neither consumed nor forwarded.
     dropped: u64,
     name: String,
@@ -28,21 +24,15 @@ pub struct TechnicalAnalysisNode {
 }
 
 impl TechnicalAnalysisNode {
-    /// Node over `n_stocks` stocks; `vol_span` is the EWMA span (in
-    /// intervals) of the volatility estimate.
-    pub fn new(n_stocks: usize, vol_span: usize) -> Self {
+    /// Node over `n_stocks` stocks.
+    pub fn new(n_stocks: usize) -> Self {
         TechnicalAnalysisNode {
+            n_stocks,
             prev_closes: None,
-            var_ewma: (0..n_stocks).map(|_| Ewma::with_span(vol_span)).collect(),
             dropped: 0,
             name: "technical-analysis".to_string(),
             probe: Probe::off(),
         }
-    }
-
-    /// Latest volatility (EWMA std of returns) per stock.
-    pub fn volatility(&self, stock: usize) -> Option<f64> {
-        self.var_ewma[stock].value().map(f64::sqrt)
     }
 }
 
@@ -77,9 +67,6 @@ impl Component for TechnicalAnalysisNode {
                     }
                 })
                 .collect();
-            for (k, &r) in returns.iter().enumerate() {
-                self.var_ewma[k].push(r * r);
-            }
             self.probe.count("returns.emitted", 1);
             out(Message::Returns(Arc::new(ReturnSet {
                 interval: bars.interval,
@@ -91,9 +78,9 @@ impl Component for TechnicalAnalysisNode {
     }
 
     component_state! {
-        node { prev_closes, var_ewma, dropped }
+        node { prev_closes, dropped }
         check {
-            if var_ewma.len() != node.var_ewma.len() {
+            if prev_closes.as_ref().is_some_and(|c| c.len() != node.n_stocks) {
                 return Err(wire::WireError::Invalid("universe size mismatch"));
             }
         }
@@ -135,13 +122,13 @@ mod tests {
 
     #[test]
     fn first_barset_produces_no_returns() {
-        let mut node = TechnicalAnalysisNode::new(2, 20);
+        let mut node = TechnicalAnalysisNode::new(2);
         assert!(returns_of(&mut node, bars(0, vec![10.0, 20.0])).is_none());
     }
 
     #[test]
     fn log_returns_from_consecutive_bars() {
-        let mut node = TechnicalAnalysisNode::new(2, 20);
+        let mut node = TechnicalAnalysisNode::new(2);
         returns_of(&mut node, bars(0, vec![10.0, 20.0]));
         let r = returns_of(&mut node, bars(1, vec![11.0, 19.0])).unwrap();
         assert_eq!(r.interval, 1);
@@ -151,7 +138,7 @@ mod tests {
 
     #[test]
     fn nan_closes_yield_zero_returns() {
-        let mut node = TechnicalAnalysisNode::new(2, 20);
+        let mut node = TechnicalAnalysisNode::new(2);
         returns_of(&mut node, bars(0, vec![10.0, f64::NAN]));
         let r = returns_of(&mut node, bars(1, vec![10.5, f64::NAN])).unwrap();
         assert!((r.returns[0] - (1.05f64).ln()).abs() < 1e-12);
@@ -161,7 +148,7 @@ mod tests {
     #[test]
     fn health_forwards_and_unknowns_drop() {
         use crate::messages::{HealthEvent, HealthStatus};
-        let mut node = TechnicalAnalysisNode::new(2, 20);
+        let mut node = TechnicalAnalysisNode::new(2);
         let mut kinds = Vec::new();
         node.on_message(
             Message::Health(Arc::new(HealthEvent {
@@ -183,20 +170,5 @@ mod tests {
             &mut |_| {},
         );
         assert_eq!(node.messages_dropped(), 1);
-    }
-
-    #[test]
-    fn volatility_indicator_tracks_movement() {
-        let mut node = TechnicalAnalysisNode::new(1, 10);
-        assert_eq!(node.volatility(0), None);
-        let mut price = 100.0;
-        returns_of(&mut node, bars(0, vec![price]));
-        for k in 1..50 {
-            price *= if k % 2 == 0 { 1.01 } else { 0.99 };
-            returns_of(&mut node, bars(k, vec![price]));
-        }
-        let vol = node.volatility(0).unwrap();
-        // Per-interval |return| ~ 1%: the EWMA std should sit nearby.
-        assert!((0.005..0.02).contains(&vol), "vol {vol}");
     }
 }

@@ -424,6 +424,42 @@ pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> St
             merge.sum()
         ));
     }
+    out.push_str(&render_state_bytes(metrics));
+    out
+}
+
+/// Nodes shown by [`render_state_bytes`].
+const STATE_ROWS: usize = 8;
+
+/// Which nodes hold a run's cuts, from the `state.bytes` gauge and
+/// histogram `RunSession::capture` records per node: the largest nodes by
+/// their largest cut, with their smallest and mean cut beside it (a state
+/// that grows over the day reads a peak far above both).
+fn render_state_bytes(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
+    let mut held: Vec<(&str, u64)> = (metrics.gauges.iter())
+        .filter(|((_, name), _)| name == "state.bytes")
+        .map(|((label, _), &peak)| (label.as_str(), peak))
+        .collect();
+    if held.is_empty() {
+        return String::new();
+    }
+    held.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let total: u64 = held.iter().map(|(_, peak)| peak).sum();
+    let mut out = format!(
+        "  state: {} nodes, {:.1} KB at their largest cuts; the largest nodes:\n",
+        held.len(),
+        total as f64 / 1e3
+    );
+    for (label, peak) in held.into_iter().take(STATE_ROWS) {
+        let h = metrics.histogram(label, "state.bytes");
+        let (cuts, min, mean) = h.map_or((0, 0, 0.0), |h| (h.count(), h.min(), h.mean()));
+        out.push_str(&format!(
+            "    {label:<56} {:>9.1} KB (smallest {:.1}, mean {:.1} over {cuts} cuts)\n",
+            peak as f64 / 1e3,
+            min as f64 / 1e3,
+            mean / 1e3,
+        ));
+    }
     out
 }
 
@@ -477,7 +513,7 @@ pub(crate) fn build_sweep_graph(
         accumulator = accumulator.with_health(policy);
     }
     let bars = g.add_component(Box::new(accumulator));
-    let technical = g.add_component(Box::new(TechnicalAnalysisNode::new(cfg.n_stocks, 20)));
+    let technical = g.add_component(Box::new(TechnicalAnalysisNode::new(cfg.n_stocks)));
     g.connect(collector, bars);
     g.connect(bars, technical);
 

@@ -194,7 +194,10 @@ impl RunSession {
 
     /// Capture every node's durable state. Call only at quiescence, with
     /// all sinks drained — a sink still holding messages is an error
-    /// (they would silently vanish from the checkpoint).
+    /// (they would silently vanish from the checkpoint). At `Counters`
+    /// and above each node's state length is recorded under its label:
+    /// the `state.bytes` gauge holds its largest cut, the histogram of
+    /// the same name every cut.
     pub fn capture(&self) -> Result<SessionCkpt, &'static str> {
         let rt = self.exec.rt.as_ref();
         let mut nodes = Vec::with_capacity(self.exec.names.len());
@@ -212,6 +215,10 @@ impl RunSession {
                     (None, 0)
                 }
             };
+            if let (Some(rt), Some(bytes)) = (rt, &state) {
+                rt.probes[idx].gauge_max("state.bytes", bytes.len() as u64);
+                rt.probes[idx].observe("state.bytes", bytes.len() as u64);
+            }
             nodes.push(NodeCkpt {
                 state,
                 processed,

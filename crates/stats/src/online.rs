@@ -1,9 +1,8 @@
 //! Streaming and rolling moment computations.
 //!
 //! The live half of MarketMiner never sees a complete sample: quotes arrive
-//! one at a time, and the cleaning filter, technical-analysis node and
-//! sliding-window Pearson engine all need running means/variances that can
-//! be updated in O(1).
+//! one at a time, and the cleaning filter and sliding-window Pearson
+//! engine need running means/variances that can be updated in O(1).
 
 /// Welford's online algorithm for mean and variance.
 ///
@@ -227,45 +226,6 @@ impl RollingMoments {
     }
 }
 
-/// Exponentially-weighted moving average, the smoother used by the
-/// technical-analysis component.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create an EWMA with smoothing factor `alpha` in (0, 1].
-    ///
-    /// # Panics
-    /// Panics if alpha is outside (0, 1].
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// EWMA with the span convention `alpha = 2 / (span + 1)`.
-    pub fn with_span(span: usize) -> Self {
-        Self::new(2.0 / (span as f64 + 1.0))
-    }
-
-    /// Update with an observation and return the new smoothed value.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value, if any observation has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 // Durable-checkpoint codecs. Every accumulator field is encoded verbatim
 // — including the Kahan compensators and the refresh countdown — because
 // rebuilding the sums by re-pushing the stored window would produce
@@ -280,15 +240,6 @@ wire::record! {
     check(m) {
         if m.window.is_empty() || m.head >= m.window.len() || m.len > m.window.len() {
             return Err(wire::WireError::Invalid("rolling moments geometry"));
-        }
-    }
-}
-
-wire::record! {
-    Ewma { alpha, value }
-    check(e) {
-        if !(e.alpha > 0.0 && e.alpha <= 1.0) {
-            return Err(wire::WireError::Invalid("ewma alpha"));
         }
     }
 }
@@ -383,21 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.push(10.0), 10.0);
-        assert_eq!(e.push(0.0), 5.0);
-        assert_eq!(e.push(0.0), 2.5);
-    }
-
-    #[test]
-    fn ewma_span_convention() {
-        let e = Ewma::with_span(9);
-        assert!((e.alpha - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic]
     fn rolling_zero_capacity_panics() {
         let _ = RollingMoments::new(0);
@@ -407,27 +343,22 @@ mod tests {
     fn codecs_roundtrip_mid_stream_state_bit_exactly() {
         let mut w = Welford::new();
         let mut r = RollingMoments::new(7);
-        let mut e = Ewma::new(0.3);
         for i in 0..1_000u64 {
             let x = 1e8 + ((i * 37) % 101) as f64 * 0.01;
             w.push(x);
             r.push(x);
-            e.push(x);
         }
         let w2: Welford = wire::from_bytes(&wire::to_bytes(&w)).unwrap();
         let r2: RollingMoments = wire::from_bytes(&wire::to_bytes(&r)).unwrap();
-        let e2: Ewma = wire::from_bytes(&wire::to_bytes(&e)).unwrap();
         // The decoded accumulators must continue the stream bit-for-bit.
         let (mut a, mut b) = (w, w2);
         let (mut c, mut d) = (r, r2);
-        let (mut f, mut g) = (e, e2);
         for i in 0..200u64 {
             let x = 1e8 + (i % 13) as f64 * 0.07;
             a.push(x);
             b.push(x);
             c.push(x);
             d.push(x);
-            assert_eq!(f.push(x).to_bits(), g.push(x).to_bits());
         }
         assert_eq!(a.variance().to_bits(), b.variance().to_bits());
         assert_eq!(c.mean().to_bits(), d.mean().to_bits());
