@@ -14,19 +14,22 @@
 //!    correlation cube **once** and share it across every strategy that
 //!    needs it, with the all-pairs kernel parallelised. Which cubes a
 //!    grid needs and which come out of one kernel pass is the grid's
-//!    [`EnginePlan`]; `run_day_grid` and `Experiment::run` walk a day
-//!    through its engines with the one `engine_passes`.
+//!    [`EnginePlan`], walked pass by pass by `engine_passes`.
 //!
-//! All three are implemented here *against the same strategy code* and are
-//! verified trade-for-trade equivalent (up to the numerical noise of
-//! recompute-vs-sliding Pearson); `scaling_study` then measures what the paper
-//! measured — how their costs diverge.
+//! [`run_day`] is one day walk for all three: an approach decides only
+//! where each pair's correlation series comes from (a `Series`), and
+//! one parallel region over pairs runs the same strategy code off it.
+//! The three are verified trade-for-trade equivalent; `scaling_study`
+//! then measures what the paper measured — how their costs diverge.
 
-use pairtrade_core::engine::{run_pair_day, run_pair_day_multi};
+use std::borrow::Cow;
+
+use pairtrade_core::engine::run_pair_day_multi;
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::trade::Trade;
 use rayon::prelude::*;
+use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
 use stats::parallel::{plane_slot, robust_cubes, CorrCube, EnginePlan, ParallelCorrEngine};
 use timeseries::bam::PriceGrid;
@@ -56,26 +59,27 @@ impl std::fmt::Display for Approach {
     }
 }
 
-/// Cost accounting for a day-level run.
+/// Cost accounting for one day of a parameter grid.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ApproachStats {
-    /// Full matrices materialised (Approach 1).
-    pub matrices_materialized: usize,
-    /// Bytes those matrices occupy.
+pub struct DayStats {
+    /// Sliding-window kernel sweeps performed, one per pair's full-day
+    /// series, each `steps` window evaluations: Approaches 1 and 3 run
+    /// `distinct(Ctype, M) × n_pairs`, Approach 2 `n_params × n_pairs`.
+    pub kernel_sweeps: u64,
+    /// Bytes of the full matrices Approach 1 materialised: `steps × n² × 8`
+    /// per cube read.
     pub matrix_bytes: usize,
-    /// Windowed correlation evaluations performed from scratch.
-    pub window_evals: u64,
     /// Wall-clock seconds.
     pub elapsed_secs: f64,
 }
 
-/// Result of one (day, parameter-set) backtest over all pairs.
+/// One day of a parameter grid over all pairs.
 #[derive(Debug)]
 pub struct DayRun {
-    /// Trades per pair, indexed by canonical pair rank.
-    pub trades: Vec<Vec<Trade>>,
+    /// `trades[k][rank]`: pair `rank`'s trades under `params[k]`.
+    pub trades: Vec<Vec<Vec<Trade>>>,
     /// Cost accounting.
-    pub stats: ApproachStats,
+    pub stats: DayStats,
 }
 
 /// A day's kernel passes: one per engine of `plan`, in plan order — a
@@ -106,63 +110,97 @@ pub(crate) fn engine_passes(
     })
 }
 
-/// Run every pair off one correlation cube under every parameter vector
-/// that shares it, in one parallel region over pairs. `fold(rank, trades)`
+/// Where a pair's correlation series comes from — all that tells the
+/// three approaches apart.
+pub(crate) enum Series<'a> {
+    /// Approach 3: the shared cube's own storage, borrowed.
+    Cube(&'a CorrCube),
+    /// Approach 1: the pair's entry of each step's materialised matrix,
+    /// the first of them at return step `first_step`.
+    Matrices {
+        /// One matrix per step.
+        at: &'a [SymMatrix],
+        /// Return step of `at[0]`.
+        first_step: usize,
+    },
+    /// Approach 2: recomputed from the pair's own returns at `(Ctype, M)`.
+    Recompute(&'a ReturnsPanel, CorrType, usize),
+}
+
+impl Series<'_> {
+    /// Price interval at which series entry 0 applies: entry `k` covers
+    /// the returns ending at return step `first_step + k`, i.e. price
+    /// interval `first_step + k + 1`.
+    fn first_interval(&self) -> usize {
+        match *self {
+            Series::Cube(cube) => cube.first_step() + 1,
+            Series::Matrices { first_step, .. } => first_step + 1,
+            Series::Recompute(_, _, m) => m,
+        }
+    }
+
+    /// Pair `rank`'s series.
+    fn of(&self, rank: usize) -> Cow<'_, [f64]> {
+        let (i, j) = SymMatrix::pair_from_rank(rank);
+        match *self {
+            Series::Cube(cube) => Cow::Borrowed(cube.series_by_rank(rank)),
+            // "picking out the relevant entry of each correlation matrix".
+            Series::Matrices { at, .. } => at.iter().map(|mx| mx.get(i, j)).collect(),
+            // The same kernel as the cube (so trades are bit-identical),
+            // but nothing is shared: every parameter set repeats this
+            // work, which is where the Matlab approach drowned.
+            Series::Recompute(panel, ctype, m) => {
+                let mut out = vec![0.0; panel.len() - m + 1];
+                let (x, y) = (panel.series(i), panel.series(j));
+                stats::parallel::pair_series(ctype, x, y, m, &mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+}
+
+/// Run every pair of `grid` off `series` under every parameter vector
+/// that reads it, in one parallel region over pairs. `fold(rank, trades)`
 /// receives pair `rank`'s trades, `trades[k]` under `params[k]`, still
 /// inside the region — a caller that only needs summaries never holds a
-/// cube's worth of trades — and its results come back in rank order.
+/// day's worth of trades — and its results come back in rank order.
 ///
-/// `grid` must be the price grid the cube's returns came from, and every
-/// vector in `params` must name the cube's `(Ctype, M)`.
-pub fn run_cube<R: Send>(
+/// `grid` must be the price grid the series' returns came from, and every
+/// vector in `params` must name the series' `(Ctype, M)`.
+pub(crate) fn run_pairs<R: Send>(
     grid: &PriceGrid,
-    cube: &CorrCube,
+    series: &Series,
     params: &[StrategyParams],
     exec: &ExecutionConfig,
     fold: impl Fn(usize, Vec<Vec<Trade>>) -> R + Sync,
 ) -> Vec<R> {
-    // corr[k] covers returns ending at return-step first_step + k, i.e.
-    // price interval first_step + k + 1.
-    let first_interval = cube.first_step() + 1;
-    (0..cube.n_pairs())
+    let n = grid.n_stocks();
+    let first_interval = series.first_interval();
+    (0..n * (n - 1) / 2)
         .into_par_iter()
         .map(|rank| {
             let (i, j) = SymMatrix::pair_from_rank(rank);
-            let trades = run_pair_day_multi(
-                (i, j),
-                params,
-                exec,
-                grid.series(i),
-                grid.series(j),
-                cube.series_by_rank(rank),
-                first_interval,
-            );
+            let (pi, pj) = (grid.series(i), grid.series(j));
+            let corr = series.of(rank);
+            let trades = run_pair_day_multi((i, j), params, exec, pi, pj, &corr, first_interval);
             fold(rank, trades)
         })
         .collect()
 }
 
-/// [`run_cube`] keeping every trade, turned param-major: `out[k][rank]`.
-fn run_cube_trades(
-    grid: &PriceGrid,
-    cube: &CorrCube,
-    params: &[StrategyParams],
-    exec: &ExecutionConfig,
-) -> Vec<Vec<Vec<Trade>>> {
-    let mut by_param = vec![Vec::with_capacity(cube.n_pairs()); params.len()];
-    for per_param in run_cube(grid, cube, params, exec, |_, trades| trades) {
-        for (slot, trades) in by_param.iter_mut().zip(per_param) {
-            slot.push(trades);
-        }
-    }
-    by_param
-}
-
-/// Run one parameter set over all pairs for one day using the chosen
-/// approach.
+/// Run a parameter grid over all pairs for one day using the chosen
+/// approach; a single parameter set is a grid of one.
 ///
-/// `grid` must have been built at `params.dt_seconds` and `panel` derived
-/// from it.
+/// The paper's 42 parameter sets share only 9 distinct `(Ctype, M)`
+/// series. Approach 3 computes each one's cube once, one kernel pass per
+/// engine of the grid's [`EnginePlan`], and shares it; Approach 1 walks
+/// the same passes but first materialises each pass's cubes as one
+/// [`SymMatrix`] per step, holding at most one pass's matrices at a
+/// time; Approach 2 recomputes every pair's series for every parameter
+/// set. Trades are identical across approaches.
+///
+/// `grid` must have been built at every vector's `dt_seconds` and `panel`
+/// derived from it.
 ///
 /// # Panics
 /// Panics if the panel and grid disagree on the universe.
@@ -170,188 +208,76 @@ pub fn run_day(
     approach: Approach,
     grid: &PriceGrid,
     panel: &ReturnsPanel,
-    params: &StrategyParams,
+    params: &[StrategyParams],
     exec: &ExecutionConfig,
 ) -> DayRun {
     assert_eq!(grid.n_stocks(), panel.n_stocks(), "grid/panel mismatch");
     let start = std::time::Instant::now();
     let n = grid.n_stocks();
     let n_pairs = n * (n - 1) / 2;
-    let m = params.corr_window;
-    let mut stats = ApproachStats::default();
-
-    let trades: Vec<Vec<Trade>> = match approach {
-        Approach::Integrated => {
-            let engine = ParallelCorrEngine::new(params.ctype);
-            match engine.cube(panel.all(), m) {
-                None => vec![Vec::new(); n_pairs],
-                Some(cube) => run_cube_trades(grid, &cube, &[*params], exec)
-                    .pop()
-                    .expect("one parameter vector"),
-            }
-        }
-        Approach::PrecomputedMatrices => {
-            let engine = ParallelCorrEngine::new(params.ctype);
-            match engine.cube(panel.all(), m) {
-                None => vec![Vec::new(); n_pairs],
-                Some(cube) => {
-                    // Materialise the full matrix at every step — the
-                    // object Approach 1 tried (and failed) to hold.
-                    let snapshots: Vec<SymMatrix> = (0..cube.steps())
-                        .map(|k| cube.matrix_at(cube.first_step() + k))
-                        .collect();
-                    stats.matrices_materialized = snapshots.len();
-                    stats.matrix_bytes = snapshots.len() * n * n * std::mem::size_of::<f64>();
-                    let first_interval = cube.first_step() + 1;
-                    (0..n_pairs)
-                        .into_par_iter()
-                        .map(|rank| {
-                            let (i, j) = SymMatrix::pair_from_rank(rank);
-                            // "picking out the relevant entry of each
-                            // correlation matrix".
-                            let series: Vec<f64> =
-                                snapshots.iter().map(|mx| mx.get(i, j)).collect();
-                            run_pair_day(
-                                (i, j),
-                                params,
-                                exec,
-                                grid.series(i),
-                                grid.series(j),
-                                &series,
-                                first_interval,
-                            )
-                        })
-                        .collect()
-                }
-            }
-        }
-        Approach::PerPairRecompute => {
-            let smax = panel.len();
-            if smax < m {
-                vec![Vec::new(); n_pairs]
-            } else {
-                let steps = smax - m + 1;
-                stats.window_evals = (n_pairs * steps) as u64;
-                let first_interval = m; // return-step m-1 -> interval m
-                (0..n_pairs)
-                    .into_par_iter()
-                    .map(|rank| {
-                        let (i, j) = SymMatrix::pair_from_rank(rank);
-                        // The pair recomputes its own series — the same
-                        // kernel as the integrated engine (so trades are
-                        // bit-identical), but nothing is shared: every
-                        // parameter set repeats this work (see
-                        // `run_day_grid`), which is where the Matlab
-                        // approach drowned.
-                        let mut series = vec![0.0; steps];
-                        stats::parallel::pair_series(
-                            params.ctype,
-                            panel.series(i),
-                            panel.series(j),
-                            m,
-                            &mut series,
-                        );
-                        run_pair_day(
-                            (i, j),
-                            params,
-                            exec,
-                            grid.series(i),
-                            grid.series(j),
-                            &series,
-                            first_interval,
-                        )
-                    })
-                    .collect()
+    let mut trades = vec![vec![Vec::new(); n_pairs]; params.len()];
+    let (mut kernel_sweeps, mut matrix_bytes) = (0, 0);
+    // Every pair, under the parameter sets `readers` names, off `series`.
+    let mut run = |series: Series, readers: &[usize]| {
+        kernel_sweeps += n_pairs as u64;
+        let group: Vec<StrategyParams> = readers.iter().map(|&k| params[k]).collect();
+        let by_pair = run_pairs(grid, &series, &group, exec, |_, trades| trades);
+        for (rank, per_param) in by_pair.into_iter().enumerate() {
+            for (&k, pair_trades) in readers.iter().zip(per_param) {
+                trades[k][rank] = pair_trades;
             }
         }
     };
 
-    stats.elapsed_secs = start.elapsed().as_secs_f64();
-    DayRun { trades, stats }
-}
-
-/// Cost accounting for a whole-parameter-grid day.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GridStats {
-    /// Sliding-window kernel sweeps performed (one sweep = one pair's
-    /// full-day series). The integrated approach runs
-    /// `distinct(Ctype, M) × n_pairs`; per-pair recompute runs
-    /// `n_params × n_pairs`.
-    pub kernel_sweeps: u64,
-    /// Bytes of materialised full matrices (Approach 1).
-    pub matrix_bytes: usize,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-}
-
-/// Run a whole parameter grid for one day — where the three approaches'
-/// costs actually diverge.
-///
-/// The paper's 42 parameter sets share only 9 distinct `(Ctype, M)`
-/// combinations. The integrated Approach 3 computes one correlation cube
-/// per combination and shares it; Approach 2 recomputes every pair's
-/// series for every parameter set; Approach 1 is Approach 3 plus
-/// materialising every full matrix.
-///
-/// Returns per-parameter-set day runs (index-aligned with `params`) and
-/// the grid-level cost accounting. Trades are identical across
-/// approaches.
-pub fn run_day_grid(
-    approach: Approach,
-    grid: &PriceGrid,
-    panel: &ReturnsPanel,
-    params: &[StrategyParams],
-    exec: &ExecutionConfig,
-) -> (Vec<Vec<Vec<Trade>>>, GridStats) {
-    let start = std::time::Instant::now();
-    let n = grid.n_stocks();
-    let n_pairs = n * (n - 1) / 2;
-    let mut stats = GridStats::default();
-    let mut out: Vec<Vec<Vec<Trade>>> = Vec::with_capacity(params.len());
-
     match approach {
         Approach::PerPairRecompute => {
-            for p in params {
-                let run = run_day(Approach::PerPairRecompute, grid, panel, p, exec);
+            for (k, p) in params.iter().enumerate() {
                 if panel.len() >= p.corr_window {
-                    stats.kernel_sweeps += n_pairs as u64;
+                    run(Series::Recompute(panel, p.ctype, p.corr_window), &[k]);
                 }
-                out.push(run.trades);
             }
         }
         Approach::Integrated | Approach::PrecomputedMatrices => {
-            // One kernel pass per engine; each cube runs once, under
-            // every parameter set that reads it.
-            out.resize_with(params.len(), Vec::new);
             let plan = EnginePlan::of(params.iter().map(|p| (p.ctype, p.corr_window)));
-            for (cube, readers) in engine_passes(panel, plan).flatten() {
-                let Some(cube) = cube else {
-                    for &k in &readers {
-                        out[k] = vec![Vec::new(); n_pairs];
+            for pass in engine_passes(panel, plan) {
+                let pass: Vec<(CorrCube, Vec<usize>)> = (pass.into_iter())
+                    .filter_map(|(cube, readers)| Some((cube?, readers)))
+                    .collect();
+                if approach == Approach::Integrated {
+                    for (cube, readers) in &pass {
+                        run(Series::Cube(cube), readers);
                     }
                     continue;
-                };
-                stats.kernel_sweeps += n_pairs as u64;
-                if approach == Approach::PrecomputedMatrices {
-                    stats.matrix_bytes += cube.full_matrix_bytes();
                 }
-                let group: Vec<StrategyParams> = readers.iter().map(|&k| params[k]).collect();
-                let by_param = run_cube_trades(grid, &cube, &group, exec);
-                for (&k, trades) in readers.iter().zip(by_param) {
-                    out[k] = trades;
+                // The object Approach 1 tried (and failed) to hold: every
+                // step's full matrix, here one pass's worth at a time.
+                let matrices: Vec<Vec<SymMatrix>> = (pass.iter())
+                    .map(|(cube, _)| {
+                        matrix_bytes += cube.full_matrix_bytes();
+                        let steps = cube.first_step()..cube.first_step() + cube.steps();
+                        steps.map(|s| cube.matrix_at(s)).collect()
+                    })
+                    .collect();
+                for ((cube, readers), at) in pass.iter().zip(&matrices) {
+                    let first_step = cube.first_step();
+                    run(Series::Matrices { at, first_step }, readers);
                 }
             }
         }
     }
 
-    stats.elapsed_secs = start.elapsed().as_secs_f64();
-    (out, stats)
+    let elapsed_secs = start.elapsed().as_secs_f64();
+    let stats = DayStats {
+        kernel_sweeps,
+        matrix_bytes,
+        elapsed_secs,
+    };
+    DayRun { trades, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stats::correlation::CorrType;
     use taq::generator::{MarketConfig, MarketGenerator};
     use timeseries::clean::CleanConfig;
 
@@ -376,8 +302,14 @@ mod tests {
         }
     }
 
-    fn flat(run: &DayRun) -> Vec<(usize, usize, usize, usize)> {
-        run.trades
+    const APPROACHES: [Approach; 3] = [
+        Approach::PrecomputedMatrices,
+        Approach::PerPairRecompute,
+        Approach::Integrated,
+    ];
+
+    fn flat(trades: &[Vec<Trade>]) -> Vec<(usize, usize, usize, usize)> {
+        trades
             .iter()
             .flatten()
             .map(|t| (t.pair.0, t.pair.1, t.entry_interval, t.exit_interval))
@@ -388,15 +320,14 @@ mod tests {
     fn all_three_approaches_agree_trade_for_trade() {
         let (grid, panel) = day_fixture(5, 42);
         for ctype in [CorrType::Pearson, CorrType::Maronna, CorrType::Combined] {
-            let params = fast_params(ctype);
+            let params = [fast_params(ctype)];
             let exec = ExecutionConfig::paper();
-            let a1 = run_day(Approach::PrecomputedMatrices, &grid, &panel, &params, &exec);
-            let a2 = run_day(Approach::PerPairRecompute, &grid, &panel, &params, &exec);
-            let a3 = run_day(Approach::Integrated, &grid, &panel, &params, &exec);
-            assert_eq!(flat(&a1), flat(&a3), "{ctype}: A1 vs A3");
+            let [a1, a2, a3] =
+                APPROACHES.map(|ap| run_day(ap, &grid, &panel, &params, &exec).trades.remove(0));
+            assert_eq!(a1, a3, "{ctype}: A1 vs A3");
             assert_eq!(flat(&a2), flat(&a3), "{ctype}: A2 vs A3");
             // Returns agree to numerical noise.
-            for (x, y) in a2.trades.iter().flatten().zip(a3.trades.iter().flatten()) {
+            for (x, y) in a2.iter().flatten().zip(a3.iter().flatten()) {
                 assert!((x.ret - y.ret).abs() < 1e-9);
             }
         }
@@ -405,52 +336,40 @@ mod tests {
     #[test]
     fn synthetic_market_actually_trades() {
         let (grid, panel) = day_fixture(6, 7);
-        let params = fast_params(CorrType::Pearson);
-        let run = run_day(
-            Approach::Integrated,
-            &grid,
-            &panel,
-            &params,
-            &ExecutionConfig::paper(),
-        );
-        let total: usize = run.trades.iter().map(|t| t.len()).sum();
+        let params = [fast_params(CorrType::Pearson)];
+        let exec = ExecutionConfig::paper();
+        let run = run_day(Approach::Integrated, &grid, &panel, &params, &exec);
+        let total: usize = run.trades[0].iter().map(|t| t.len()).sum();
         assert!(total > 0, "episode-rich day must generate trades");
     }
 
     #[test]
     fn approach1_accounts_for_its_memory() {
         let (grid, panel) = day_fixture(4, 3);
-        let params = fast_params(CorrType::Pearson);
-        let run = run_day(
-            Approach::PrecomputedMatrices,
-            &grid,
-            &panel,
-            &params,
-            &ExecutionConfig::paper(),
-        );
+        let params = [fast_params(CorrType::Pearson)];
+        let exec = ExecutionConfig::paper();
+        let run = run_day(Approach::PrecomputedMatrices, &grid, &panel, &params, &exec);
         // smax = 780 intervals -> 779 returns -> 779 - 20 + 1 = 760 steps.
-        assert_eq!(run.stats.matrices_materialized, 760);
         assert_eq!(run.stats.matrix_bytes, 760 * 4 * 4 * 8);
+        assert_eq!(run.stats.kernel_sweeps, 6);
     }
 
     #[test]
     fn approach2_accounts_for_its_compute() {
         let (grid, panel) = day_fixture(4, 3);
-        let params = fast_params(CorrType::Pearson);
-        let run = run_day(
-            Approach::PerPairRecompute,
-            &grid,
-            &panel,
-            &params,
-            &ExecutionConfig::paper(),
-        );
-        assert_eq!(run.stats.window_evals, 6 * 760);
+        let params = [fast_params(CorrType::Pearson)];
+        let exec = ExecutionConfig::paper();
+        let run = run_day(Approach::PerPairRecompute, &grid, &panel, &params, &exec);
+        assert_eq!(run.stats.kernel_sweeps, 6, "one sweep per pair");
+        assert_eq!(run.stats.matrix_bytes, 0);
     }
 
     #[test]
     fn grid_runs_agree_and_account_sharing() {
         let (grid, panel) = day_fixture(5, 21);
-        // 4 param sets sharing 2 distinct (ctype, M) combinations.
+        // 5 param sets reading 3 distinct (ctype, M) series, computed by
+        // 2 kernel passes: Maronna and Combined at M = 20 are the two
+        // lanes of one robust pass.
         let p1 = fast_params(CorrType::Pearson);
         let p2 = StrategyParams {
             divergence: 0.001,
@@ -461,56 +380,39 @@ mod tests {
             max_holding: 40,
             ..p3
         };
-        let params = [p1, p2, p3, p4];
+        let p5 = fast_params(CorrType::Combined);
+        let params = [p1, p2, p3, p4, p5];
         let exec = ExecutionConfig::paper();
 
-        let (t3, s3) = run_day_grid(Approach::Integrated, &grid, &panel, &params, &exec);
-        let (t2, s2) = run_day_grid(Approach::PerPairRecompute, &grid, &panel, &params, &exec);
-        let (t1, s1) = run_day_grid(Approach::PrecomputedMatrices, &grid, &panel, &params, &exec);
+        let [a1, a2, a3] = APPROACHES.map(|ap| run_day(ap, &grid, &panel, &params, &exec));
 
-        for k in 0..4 {
+        for k in 0..params.len() {
+            assert_eq!(a1.trades[k], a3.trades[k], "param {k}: A1 vs A3");
             assert_eq!(
-                flat(&DayRun {
-                    trades: t3[k].clone(),
-                    stats: Default::default()
-                }),
-                flat(&DayRun {
-                    trades: t2[k].clone(),
-                    stats: Default::default()
-                }),
+                flat(&a2.trades[k]),
+                flat(&a3.trades[k]),
                 "param {k}: A2 vs A3"
             );
-            assert_eq!(
-                flat(&DayRun {
-                    trades: t3[k].clone(),
-                    stats: Default::default()
-                }),
-                flat(&DayRun {
-                    trades: t1[k].clone(),
-                    stats: Default::default()
-                }),
-                "param {k}: A1 vs A3"
-            );
         }
-        // Sharing: 2 distinct cubes x 10 pairs vs 4 param sets x 10 pairs.
-        assert_eq!(s3.kernel_sweeps, 2 * 10);
-        assert_eq!(s2.kernel_sweeps, 4 * 10);
-        assert_eq!(s3.matrix_bytes, 0);
-        assert!(s1.matrix_bytes > 0, "Approach 1 pays the matrix memory");
+        // Sharing: 3 distinct series x 10 pairs vs 5 param sets x 10 pairs.
+        assert_eq!(a3.stats.kernel_sweeps, 3 * 10);
+        assert_eq!(a1.stats.kernel_sweeps, 3 * 10);
+        assert_eq!(a2.stats.kernel_sweeps, 5 * 10);
+        assert_eq!((a3.stats.matrix_bytes, a2.stats.matrix_bytes), (0, 0));
+        // Approach 1 materialises all three cubes, both robust lanes
+        // included: 760 steps of a 5 x 5 matrix each.
+        assert_eq!(a1.stats.matrix_bytes, 3 * 760 * 5 * 5 * 8);
     }
 
     #[test]
     fn day_shorter_than_window_is_empty() {
         let grid = PriceGrid::from_series(vec![vec![10.0; 5], vec![20.0; 5]], 30);
         let panel = ReturnsPanel::from_grid(&grid);
-        let params = fast_params(CorrType::Pearson);
-        for ap in [
-            Approach::Integrated,
-            Approach::PerPairRecompute,
-            Approach::PrecomputedMatrices,
-        ] {
+        let params = [fast_params(CorrType::Pearson)];
+        for ap in APPROACHES {
             let run = run_day(ap, &grid, &panel, &params, &ExecutionConfig::paper());
-            assert!(run.trades.iter().all(|t| t.is_empty()), "{ap}");
+            assert!(run.trades[0].iter().all(|t| t.is_empty()), "{ap}");
+            assert_eq!(run.stats.kernel_sweeps, 0, "{ap}");
         }
     }
 }

@@ -6,11 +6,12 @@
 //!   aggregations, both maximum-drawdown variants, and both win–loss
 //!   ratio variants.
 //! * [`approach`] — the paper's three computational approaches to the same
-//!   backtest: (1) materialise every correlation matrix, (2) recompute
-//!   every pair independently, (3) the integrated solution sharing one
-//!   correlation cube across all strategies. All three produce identical
-//!   trades; they differ in memory and compute — which is the paper's
-//!   point.
+//!   backtest, as one day walk in which an approach only decides where a
+//!   pair's correlation series comes from: (1) read back out of every
+//!   materialised correlation matrix, (2) recomputed per pair and
+//!   parameter set, (3) borrowed from one correlation cube shared across
+//!   all strategies. All three produce identical trades; they differ in
+//!   memory and compute — which is the paper's point.
 //! * [`jobfarm`] — a Sun-Grid-Engine-flavoured independent-job scheduler
 //!   (the paper's interim scaling workaround for Approach 2).
 //! * [`halving`] — successive halving over a heterogeneous strategy grid:

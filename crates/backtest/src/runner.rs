@@ -11,9 +11,10 @@
 //!    the `Maronna(M)` and `Combined(M)` cubes of one window in one
 //!    kernel pass, which fits each window once where the two agree: one
 //!    pass per engine of the grid's [`EnginePlan`], the day walk
-//!    `run_day_grid` shares;
-//! 3. runs every pair off each cube once, in parallel over pairs, with
-//!    all the parameter sets that share the cube riding the one pass;
+//!    [`run_day`](crate::approach::run_day) shares;
+//! 3. runs every pair off each cube once, in the parallel region over
+//!    pairs `run_day` runs, with all the parameter sets that share the
+//!    cube riding the one pass;
 //! 4. folds each pair-day's trades into compact per-`(param, pair)`
 //!    statistics: daily cumulative returns (eq. 2), win/loss counts, and
 //!    trade counts — exactly what Tables III–V need.
@@ -34,7 +35,7 @@ use timeseries::bam::PriceGrid;
 use timeseries::clean::CleanConfig;
 use timeseries::returns::ReturnsPanel;
 
-use crate::approach::{engine_passes, run_cube};
+use crate::approach::{engine_passes, run_pairs, Series};
 use crate::metrics;
 use crate::metrics::WinLoss;
 
@@ -279,11 +280,13 @@ impl Experiment {
                         let param_idxs: Vec<usize> = readers.iter().map(|&k| idxs[k]).collect();
                         let group: Vec<StrategyParams> =
                             param_idxs.iter().map(|&i| cfg.params[i]).collect();
-                        let by_pair = run_cube(&grid, &cube, &group, &cfg.exec, |_, per_param| {
-                            (per_param.into_iter())
-                                .map(|trades| PairDay::of(trades, cfg.keep_trades))
-                                .collect::<Vec<_>>()
-                        });
+                        let series = Series::Cube(&cube);
+                        let by_pair =
+                            run_pairs(&grid, &series, &group, &cfg.exec, |_, per_param| {
+                                (per_param.into_iter())
+                                    .map(|trades| PairDay::of(trades, cfg.keep_trades))
+                                    .collect::<Vec<_>>()
+                            });
                         for (rank, per_param) in by_pair.into_iter().enumerate() {
                             for (&idx, pair_day) in param_idxs.iter().zip(per_param) {
                                 let slot = &mut data[idx * n_pairs + rank];

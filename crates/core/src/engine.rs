@@ -1,6 +1,7 @@
-//! The day-level driver: step a pair's aligned price and correlation
-//! series through one or more rules of one family, each over its own
-//! per-pair state.
+//! The batch path's day-level driver: step a pair's aligned price and
+//! correlation series through one or more of the paper rule's parameter
+//! vectors, each over its own per-pair state. The other families (Kalman,
+//! overlays) run on the streaming strategy hosts only.
 //!
 //! Index bookkeeping: the backtester computes the correlation series from
 //! *log returns*, whose step `t` spans price intervals `t → t + 1`.
@@ -19,7 +20,6 @@ use timeseries::rolling::RangeStats;
 use crate::exec::ExecutionConfig;
 use crate::params::StrategyParams;
 use crate::signal::{trailing_return, AvgPlane, RangePlane};
-use crate::spec::{StrategySpec, UseRule};
 use crate::strategy::{Action, InputNeeds, IntervalInput, PaperRule, Rule};
 use crate::trade::{ExitReason, Trade};
 
@@ -134,13 +134,29 @@ impl PairSignals {
     }
 }
 
-/// One walk over the pair's correlation series for every rule in
-/// `rules`: `out[k]` are rule `k`'s trades. A position still open after
-/// the last interval closes there ("we should reverse all positions at
-/// the end of the trading day").
-fn run_day<R: Rule>(
+/// Run one pair for one day under every parameter vector in `params`, all
+/// trading off the one correlation series: `out[k]` are the trades of
+/// `params[k]`, exactly those of [`run_pair_day`] with that vector.
+///
+/// The vectors of one `(Ctype, M)` cube differ in the strategy parameters
+/// only, so the series is walked once, `C̄` / drop / spread range are
+/// derived once per distinct `W` / `RT`, and each vector keeps just its
+/// own [`PaperRule`] state. A position still open after the last interval
+/// closes there ("we should reverse all positions at the end of the
+/// trading day").
+///
+/// * `prices_i` / `prices_j` — the pair's BAM prices on the Δs grid
+///   (`smax` entries, stock `i` being the canonical higher index).
+/// * `corr` — the pair's trailing-`M` correlation series; `corr[k]`
+///   applies at price interval `first_corr_interval + k`.
+///
+/// # Panics
+/// Panics if price series lengths differ or the correlation series
+/// overruns the day.
+pub fn run_pair_day_multi(
     pair: (usize, usize),
-    rules: &[R],
+    params: &[StrategyParams],
+    exec: &ExecutionConfig,
     prices_i: &[f64],
     prices_j: &[f64],
     corr: &[f64],
@@ -157,8 +173,9 @@ fn run_day<R: Rule>(
     } else {
         (pair.1, pair.0)
     };
-    let mut signals = PairSignals::new(rules.iter().map(R::needs));
-    let mut states: Vec<R::State> = rules.iter().map(R::fresh).collect();
+    let rules: Vec<PaperRule> = (params.iter()).map(|p| PaperRule::new(*p, *exec)).collect();
+    let mut signals = PairSignals::new(rules.iter().map(PaperRule::needs));
+    let mut states: Vec<_> = rules.iter().map(PaperRule::fresh).collect();
     let mut trades = vec![Vec::new(); rules.len()];
     for (step, &c) in corr.iter().enumerate() {
         let s = first_corr_interval + step;
@@ -180,36 +197,6 @@ fn run_day<R: Rule>(
         }
     }
     trades
-}
-
-/// Run one pair for one day under every parameter vector in `params`, all
-/// trading off the one correlation series: `out[k]` are the trades of
-/// `params[k]`, exactly those of [`run_pair_day`] with that vector.
-///
-/// The vectors of one `(Ctype, M)` cube differ in the strategy parameters
-/// only, so the series is walked once, `C̄` / drop / spread range are
-/// derived once per distinct `W` / `RT`, and each vector keeps just its
-/// own per-pair state.
-///
-/// * `prices_i` / `prices_j` — the pair's BAM prices on the Δs grid
-///   (`smax` entries, stock `i` being the canonical higher index).
-/// * `corr` — the pair's trailing-`M` correlation series; `corr[k]`
-///   applies at price interval `first_corr_interval + k`.
-///
-/// # Panics
-/// Panics if price series lengths differ or the correlation series
-/// overruns the day.
-pub fn run_pair_day_multi(
-    pair: (usize, usize),
-    params: &[StrategyParams],
-    exec: &ExecutionConfig,
-    prices_i: &[f64],
-    prices_j: &[f64],
-    corr: &[f64],
-    first_corr_interval: usize,
-) -> Vec<Vec<Trade>> {
-    let rules: Vec<PaperRule> = (params.iter()).map(|p| PaperRule::new(*p, *exec)).collect();
-    run_day(pair, &rules, prices_i, prices_j, corr, first_corr_interval)
 }
 
 /// Run one pair for one day: [`run_pair_day_multi`] with one parameter
@@ -238,38 +225,6 @@ pub fn run_pair_day(
     )
     .pop()
     .expect("one parameter vector in, one trade list out")
-}
-
-/// Run one pair for one day under any [`StrategySpec`].
-///
-/// The spec-generic sibling of [`run_pair_day`]: same index bookkeeping,
-/// with the derived inputs sized by the spec's rule's declared
-/// [`needs`](Rule::needs) (a window of 0 means the family ignores that
-/// input and it is fed as neutral).
-///
-/// # Panics
-/// Panics if price series lengths differ or the correlation series
-/// overruns the day.
-pub fn run_spec_day(
-    spec: &StrategySpec,
-    pair: (usize, usize),
-    exec: &ExecutionConfig,
-    prices_i: &[f64],
-    prices_j: &[f64],
-    corr: &[f64],
-    first_corr_interval: usize,
-) -> Vec<Trade> {
-    struct Day<'a>((usize, usize), &'a [f64], &'a [f64], &'a [f64], usize);
-    impl UseRule for Day<'_> {
-        type Output = Vec<Trade>;
-        fn apply<R: Rule>(self, rule: R) -> Vec<Trade> {
-            let Day(pair, prices_i, prices_j, corr, first) = self;
-            let mut trades = run_day(pair, &[rule], prices_i, prices_j, corr, first);
-            trades.pop().expect("one rule in, one trade list out")
-        }
-    }
-    let day = Day(pair, prices_i, prices_j, corr, first_corr_interval);
-    spec.with_rule(*exec, day)
 }
 
 /// One pair (`(1, 0)`) stepped by hand through one rule, its derived

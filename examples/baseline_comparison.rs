@@ -76,10 +76,10 @@ fn main() {
             Approach::Integrated,
             &grid,
             &panel,
-            &corr_params,
+            &[corr_params],
             &ExecutionConfig::paper(),
         );
-        corr_all.extend(run.trades.into_iter().flatten());
+        corr_all.extend(run.trades.into_iter().flatten().flatten());
         dist_all.extend(trade_day(&grid, &dist_cfg));
     }
 

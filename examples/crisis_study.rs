@@ -74,10 +74,10 @@ fn main() {
                 Approach::Integrated,
                 &grid,
                 &panel,
-                &params,
+                &[params],
                 &ExecutionConfig::paper(),
             );
-            let trades: Vec<_> = run.trades.into_iter().flatten().collect();
+            let trades: Vec<_> = run.trades.into_iter().flatten().flatten().collect();
             let rets: Vec<f64> = trades.iter().map(|t| t.ret).collect();
             let bucket = if stressed.contains(&day.day) {
                 &mut crisis

@@ -71,13 +71,13 @@ fn main() {
         Approach::Integrated,
         &grid,
         &panel,
-        &params,
+        &[params],
         &ExecutionConfig::paper(),
     );
-    let total: usize = run.trades.iter().map(|t| t.len()).sum();
+    let total: usize = run.trades[0].iter().map(|t| t.len()).sum();
     println!(
         "Backtested {} pairs in {:.2} s -> {} trades\n",
-        run.trades.len(),
+        run.trades[0].len(),
         run.stats.elapsed_secs,
         total
     );
@@ -86,7 +86,7 @@ fn main() {
         "{:<12} {:>6} {:>6} {:>13} {:>10} {:>9}  legs",
         "Pair", "Entry", "Exit", "Reason", "PnL ($)", "Return"
     );
-    for trades in &run.trades {
+    for trades in &run.trades[0] {
         for t in trades {
             let (i, j) = t.pair;
             println!(

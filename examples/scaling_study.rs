@@ -3,7 +3,9 @@
 //! Measures the per-(pair, day, parameter-set) cost of Approach 2 (the
 //! Matlab/SGE model: every pair recomputed independently) and of the
 //! integrated Approach 3, then plugs both into the paper's own
-//! extrapolation arithmetic (854 hours, 445 days, 53 years).
+//! extrapolation arithmetic (854 hours, 445 days, 53 years). Over a
+//! parameter grid it then prints all three approaches side by side: wall
+//! time, kernel sweeps, and the full matrices Approach 1 materialises.
 //!
 //! ```sh
 //! cargo run --release --example scaling_study
@@ -82,9 +84,9 @@ fn main() {
     // --- Approach 3: the integrated sweep -------------------------------
     // One run covers ALL pairs for one (day, param); and the correlation
     // cube is shared across the 14 same-(Ctype, M) parameter sets.
-    let start = std::time::Instant::now();
-    let run = run_day(Approach::Integrated, &grid, &panel, &maronna, &exec);
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = run_day(Approach::Integrated, &grid, &panel, &[maronna], &exec)
+        .stats
+        .elapsed_secs;
     let effective_job_cost = elapsed / n_pairs as f64;
     println!("=== Approach 3 on this machine (integrated, all cores) ===");
     println!(
@@ -100,7 +102,6 @@ fn main() {
         "\nspeedup over the Approach-2 job model on this machine: {:.1}x",
         secs_per_job_a2 / effective_job_cost
     );
-    let _ = run;
 
     // Where the approaches really diverge: a parameter grid shares only a
     // few distinct (Ctype, M) cubes. 6 sets -> 2 cubes here; the paper's
@@ -123,14 +124,18 @@ fn main() {
         "\n=== grid-level: {} parameter sets, 2 distinct (Ctype, M) cubes ===",
         grid_params.len()
     );
-    for approach in [Approach::PerPairRecompute, Approach::Integrated] {
-        let start = std::time::Instant::now();
-        let (_, gstats) =
-            backtest::approach::run_day_grid(approach, &grid, &panel, &grid_params, &exec);
+    for approach in [
+        Approach::PrecomputedMatrices,
+        Approach::PerPairRecompute,
+        Approach::Integrated,
+    ] {
+        let stats = run_day(approach, &grid, &panel, &grid_params, &exec).stats;
         println!(
-            "  {approach}: {:.3} s ({} kernel sweeps)",
-            start.elapsed().as_secs_f64(),
-            gstats.kernel_sweeps
+            "  {:<34} {:>7.3} s {:>5} kernel sweeps {:>10} matrix bytes",
+            approach.to_string(),
+            stats.elapsed_secs,
+            stats.kernel_sweeps,
+            stats.matrix_bytes
         );
     }
 

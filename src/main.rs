@@ -188,8 +188,8 @@ fn cmd_backtest(args: &Args) {
             CleanConfig::default(),
         );
         let panel = ReturnsPanel::from_grid(&grid);
-        let run = run_day(Approach::Integrated, &grid, &panel, &params, &exec);
-        let trades: Vec<_> = run.trades.into_iter().flatten().collect();
+        let run = run_day(Approach::Integrated, &grid, &panel, &[params], &exec);
+        let trades: Vec<_> = run.trades.into_iter().flatten().flatten().collect();
         let rets: Vec<f64> = trades.iter().map(|t| t.ret).collect();
         let wl = WinLoss::of(&rets);
         let day_ret = metrics::daily_cumulative(&rets);

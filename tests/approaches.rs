@@ -3,7 +3,7 @@
 //! SGE-style job farm must reproduce the in-process Approach-2 run, and
 //! every path that shares correlation streams shares the same ones.
 
-use backtest::approach::{run_day, run_day_grid, Approach};
+use backtest::approach::{run_day, Approach};
 use backtest::jobfarm;
 use backtest::runner::{Experiment, ExperimentConfig};
 use marketminer::live::LiveSweepSession;
@@ -51,16 +51,19 @@ fn keyed(trades: &[Vec<Trade>]) -> Vec<(usize, usize, usize, usize, String)> {
 fn three_approaches_equivalent_on_a_realistic_day() {
     let (grid, panel) = fixture(8, 20080301);
     for ctype in [CorrType::Pearson, CorrType::Maronna, CorrType::Combined] {
-        let params = StrategyParams {
+        let params = [StrategyParams {
             ctype,
             ..StrategyParams::paper_default()
-        };
+        }];
         let exec = ExecutionConfig::paper();
-        let a1 = run_day(Approach::PrecomputedMatrices, &grid, &panel, &params, &exec);
-        let a2 = run_day(Approach::PerPairRecompute, &grid, &panel, &params, &exec);
-        let a3 = run_day(Approach::Integrated, &grid, &panel, &params, &exec);
-        assert_eq!(keyed(&a1.trades), keyed(&a3.trades), "{ctype}: A1 != A3");
-        assert_eq!(keyed(&a2.trades), keyed(&a3.trades), "{ctype}: A2 != A3");
+        let [a1, a2, a3] = [
+            Approach::PrecomputedMatrices,
+            Approach::PerPairRecompute,
+            Approach::Integrated,
+        ]
+        .map(|ap| keyed(&run_day(ap, &grid, &panel, &params, &exec).trades[0]));
+        assert_eq!(a1, a3, "{ctype}: A1 != A3");
+        assert_eq!(a2, a3, "{ctype}: A2 != A3");
     }
 }
 
@@ -72,7 +75,7 @@ fn job_farm_reproduces_approach_two() {
     let m = params.corr_window;
     let n_pairs = 15;
 
-    let reference = run_day(Approach::PerPairRecompute, &grid, &panel, &params, &exec);
+    let reference = run_day(Approach::PerPairRecompute, &grid, &panel, &[params], &exec);
 
     // The same jobs through the SGE-flavoured farm with 4 workers.
     let jobs: Vec<usize> = (0..n_pairs).collect();
@@ -97,7 +100,7 @@ fn job_farm_reproduces_approach_two() {
             m,
         )
     });
-    assert_eq!(keyed(&reference.trades), keyed(&farmed));
+    assert_eq!(keyed(&reference.trades[0]), keyed(&farmed));
 }
 
 #[test]
@@ -108,12 +111,12 @@ fn trades_respect_strategy_invariants_at_scale() {
         Approach::Integrated,
         &grid,
         &panel,
-        &params,
+        &[params],
         &ExecutionConfig::paper(),
     );
     let smax = params.intervals_per_day();
     let mut total = 0;
-    for trades in &run.trades {
+    for trades in &run.trades[0] {
         for t in trades {
             total += 1;
             assert!(t.entry_interval >= params.first_active_interval());
@@ -167,8 +170,9 @@ fn the_paper_grid_is_nine_streams_on_six_engines_everywhere() {
     let (grid, panel) = fixture(n, 2009);
     let params = paper_parameter_grid();
     let exec = ExecutionConfig::paper();
-    let (_, stats) = run_day_grid(Approach::Integrated, &grid, &panel, &params, &exec);
-    assert_eq!(stats.kernel_sweeps, 9 * 3, "one sweep per stream per pair");
+    let day = run_day(Approach::Integrated, &grid, &panel, &params, &exec);
+    let sweeps = day.stats.kernel_sweeps;
+    assert_eq!(sweeps, 9 * 3, "one sweep per stream per pair");
 
     let mut experiment = ExperimentConfig::small(n, 2, 2009);
     experiment.market.micro.quote_rate_hz = 0.05;

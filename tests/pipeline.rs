@@ -134,7 +134,7 @@ fn streaming_matches_batch_backtester() {
             backtest::approach::Approach::Integrated,
             &grid,
             &panel,
-            &params,
+            &[params],
             &pairtrade_core::exec::ExecutionConfig::paper(),
         );
 
@@ -143,8 +143,7 @@ fn streaming_matches_batch_backtester() {
             .map(|t| (t.pair, t.entry_interval, t.exit_interval))
             .collect();
         stream_keys.sort();
-        let mut batch_keys: Vec<_> = batch
-            .trades
+        let mut batch_keys: Vec<_> = batch.trades[0]
             .iter()
             .flatten()
             .map(|t| (t.pair, t.entry_interval, t.exit_interval))
