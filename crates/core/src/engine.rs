@@ -8,131 +8,20 @@
 //! `first_corr_interval` is therefore the absolute **price-interval** index
 //! at which `corr[0]` becomes known.
 //!
-//! The derived inputs a rule declares ([`InputNeeds`]) come from
-//! [`PairSignals`]: the same signal planes the streaming strategy hosts
-//! share across all pairs, here over the one pair being run — and, as
-//! there, one plane per **distinct** window however many rules read it
-//! ([`run_pair_day_multi`]). A position still open after the last
-//! interval closes there, as a host closes its book at the end of the day.
-
-use timeseries::rolling::RangeStats;
+//! The derived inputs a rule declares
+//! ([`InputNeeds`](crate::strategy::InputNeeds)) come from the signal
+//! [`Planes`] the streaming signal node runs, here over a two-stock
+//! universe: the one pair being run, at rank 0 = `(1, 0)`, with stock 1
+//! the pair's `i` leg. As there, one plane serves every rule that reads
+//! its window ([`run_pair_day_multi`]). A position still open after the
+//! last interval closes there, as a host closes its book at the end of
+//! the day.
 
 use crate::exec::ExecutionConfig;
 use crate::params::StrategyParams;
-use crate::signal::{trailing_return, AvgPlane, RangePlane};
-use crate::strategy::{Action, InputNeeds, IntervalInput, PaperRule, Rule};
+use crate::signal::{Planes, Slots};
+use crate::strategy::{Action, IntervalInput, PaperRule, Rule};
 use crate::trade::{ExitReason, Trade};
-
-/// Index of `window` in `windows`, appended if new; `None` for the
-/// "not consumed" window 0.
-fn intern(windows: &mut Vec<usize>, window: usize) -> Option<usize> {
-    (window > 0).then(|| {
-        (windows.iter().position(|&w| w == window)).unwrap_or_else(|| {
-            windows.push(window);
-            windows.len() - 1
-        })
-    })
-}
-
-/// Where one strategy's derived inputs sit in [`PairSignals`].
-#[derive(Debug, Clone, Copy)]
-struct Reader {
-    w_return: Option<usize>,
-    avg: Option<usize>,
-    range: Option<usize>,
-}
-
-/// One pair's derived inputs for any number of strategies: a one-pair
-/// [`AvgPlane`] per distinct `W`, a one-pair [`RangePlane`] per distinct
-/// `RT`, one pair of trailing returns per distinct return window. Each is
-/// advanced once per interval and read by every strategy whose
-/// [`InputNeeds`] name that window.
-#[derive(Debug, Clone)]
-pub struct PairSignals {
-    readers: Vec<Reader>,
-    w_return_windows: Vec<usize>,
-    w_returns: Vec<(f64, f64)>,
-    avg: Vec<AvgPlane>,
-    /// `(C̄, relative drop)` per average plane, this interval.
-    avg_now: Vec<(f64, f64)>,
-    range: Vec<RangePlane>,
-    range_now: Vec<RangeStats>,
-}
-
-impl PairSignals {
-    /// Cold signals for one pair serving strategies with the given needs,
-    /// in that order.
-    pub fn new(needs: impl IntoIterator<Item = InputNeeds>) -> Self {
-        let (mut w_return_windows, mut avg_windows, mut range_windows) =
-            (Vec::new(), Vec::new(), Vec::new());
-        let readers = needs
-            .into_iter()
-            .map(|n| Reader {
-                w_return: intern(&mut w_return_windows, n.w_return_window),
-                avg: intern(&mut avg_windows, n.avg_window),
-                range: intern(&mut range_windows, n.spread_window),
-            })
-            .collect();
-        let neutral = IntervalInput::bare(0, 0.0, 0.0, 0.0).spread_range;
-        PairSignals {
-            readers,
-            w_returns: vec![(0.0, 0.0); w_return_windows.len()],
-            w_return_windows,
-            avg_now: vec![(0.0, 0.0); avg_windows.len()],
-            avg: avg_windows.iter().map(|&w| AvgPlane::new(w, 1)).collect(),
-            range_now: vec![neutral; range_windows.len()],
-            range: (range_windows.iter())
-                .map(|&w| RangePlane::new(w, 1))
-                .collect(),
-        }
-    }
-
-    /// Advance every plane with this interval's correlation and spread.
-    fn push(&mut self, corr: f64, spread: f64) {
-        for (plane, (avg, drop)) in self.avg.iter_mut().zip(&mut self.avg_now) {
-            plane.push(
-                &[corr],
-                &[],
-                std::slice::from_mut(avg),
-                std::slice::from_mut(drop),
-            );
-        }
-        for (plane, now) in self.range.iter_mut().zip(&mut self.range_now) {
-            plane.push(&[spread], &[], std::slice::from_mut(now));
-        }
-    }
-
-    /// Advance to interval `s` of the pair's price series on the Δs grid,
-    /// with the pair's correlation at `s`.
-    pub fn step(&mut self, s: usize, prices_i: &[f64], prices_j: &[f64], corr: f64) {
-        for (&w, now) in self.w_return_windows.iter().zip(&mut self.w_returns) {
-            *now = if s >= w {
-                (
-                    trailing_return(prices_i[s], prices_i[s - w]),
-                    trailing_return(prices_j[s], prices_j[s - w]),
-                )
-            } else {
-                (0.0, 0.0)
-            };
-        }
-        self.push(corr, prices_i[s] - prices_j[s]);
-    }
-
-    /// Fill in strategy `k`'s derived inputs as of the last advance; what
-    /// it does not consume is left as `input` has it.
-    pub fn derive(&self, k: usize, input: &mut IntervalInput) {
-        let reader = self.readers[k];
-        if let Some(at) = reader.w_return {
-            (input.w_return_i, input.w_return_j) = self.w_returns[at];
-        }
-        if let Some(at) = reader.avg {
-            (input.avg_corr, input.rel_drop) = self.avg_now[at];
-        }
-        if let Some(at) = reader.range {
-            input.spread_range = self.range_now[at];
-        }
-    }
-}
 
 /// Run one pair for one day under every parameter vector in `params`, all
 /// trading off the one correlation series: `out[k]` are the trades of
@@ -174,19 +63,25 @@ pub fn run_pair_day_multi(
         (pair.1, pair.0)
     };
     let rules: Vec<PaperRule> = (params.iter()).map(|p| PaperRule::new(*p, *exec)).collect();
-    let mut signals = PairSignals::new(rules.iter().map(PaperRule::needs));
+    let mut planes = Planes::new(2, rules.iter().map(PaperRule::needs));
+    let mut series = planes.series();
+    let slots: Vec<Slots> = rules.iter().map(|r| series.slots(r.needs())).collect();
     let mut states: Vec<_> = rules.iter().map(PaperRule::fresh).collect();
     let mut trades = vec![Vec::new(); rules.len()];
+    let price = |stock: usize, s: usize| if stock == 1 { prices_i[s] } else { prices_j[s] };
     for (step, &c) in corr.iter().enumerate() {
         let s = first_corr_interval + step;
-        signals.step(s, prices_i, prices_j, c);
-        for (k, (rule, state)) in rules.iter().zip(&mut states).enumerate() {
-            let mut input = IntervalInput::bare(s, prices_i[s], prices_j[s], c);
-            signals.derive(k, &mut input);
-            if let Action::Closed(trade) =
-                rule.step(pair, state, input.avg_corr, input.rel_drop, || input)
-            {
-                trades[k].push(trade);
+        let (pi, pj) = (prices_i[s], prices_j[s]);
+        planes.advance(s, &[c], &[pi - pj], &[], price, &mut series);
+        for ((rule, state), (&slots, trades)) in
+            (rules.iter().zip(&mut states)).zip(slots.iter().zip(&mut trades))
+        {
+            // Built eagerly: one pair's input is a few copies, and a
+            // closure that reads the series measured slower here.
+            let input = series.input(slots, (1, 0), 0, IntervalInput::bare(s, pi, pj, c));
+            let (avg, drop) = (input.avg_corr, input.rel_drop);
+            if let Action::Closed(trade) = rule.step(pair, state, avg, drop, || input) {
+                trades.push(trade);
             }
         }
     }
@@ -228,13 +123,15 @@ pub fn run_pair_day(
 }
 
 /// One pair (`(1, 0)`) stepped by hand through one rule, its derived
-/// inputs from its own one-pair [`PairSignals`]: how unit tests drive a
-/// rule with raw prices, correlations and `W`-returns.
+/// inputs from its own two-stock [`Planes`]: how unit tests drive a rule
+/// with raw prices, correlations and `W`-returns.
 #[cfg(test)]
 pub(crate) struct Hand<R: Rule> {
     rule: R,
     pub state: R::State,
-    signals: PairSignals,
+    planes: Planes,
+    series: crate::signal::Series,
+    slots: Slots,
     /// Trades closed so far.
     pub trades: Vec<Trade>,
     last: (usize, f64, f64),
@@ -244,26 +141,34 @@ pub(crate) struct Hand<R: Rule> {
 impl<R: Rule> Hand<R> {
     pub fn new(rule: R) -> Self {
         // The test supplies the `W`-returns itself.
-        let signals = PairSignals::new([InputNeeds {
+        let needs = crate::strategy::InputNeeds {
             w_return_window: 0,
             ..rule.needs()
-        }]);
+        };
+        let planes = Planes::new(2, [needs]);
+        let series = planes.series();
         Hand {
             state: rule.fresh(),
             rule,
-            signals,
+            slots: series.slots(needs),
+            planes,
+            series,
             trades: Vec::new(),
             last: (0, 0.0, 0.0),
         }
     }
 
     /// Derive the shared signals for `raw` and step the interval.
-    pub fn on_interval(&mut self, mut raw: IntervalInput) -> Action {
-        self.signals.push(raw.corr, raw.price_i - raw.price_j);
-        self.signals.derive(0, &mut raw);
-        self.last = (raw.s, raw.price_i, raw.price_j);
-        let (avg, drop) = (raw.avg_corr, raw.rel_drop);
-        let action = self.rule.step((1, 0), &mut self.state, avg, drop, || raw);
+    pub fn on_interval(&mut self, raw: IntervalInput) -> Action {
+        let spread = raw.price_i - raw.price_j;
+        // No return window: prices are never looked up.
+        let no_price = |_: usize, _: usize| f64::NAN;
+        let series = &mut self.series;
+        (self.planes).advance(raw.s, &[raw.corr], &[spread], &[], no_price, series);
+        let input = self.series.input(self.slots, (1, 0), 0, raw);
+        self.last = (input.s, input.price_i, input.price_j);
+        let (avg, drop) = (input.avg_corr, input.rel_drop);
+        let action = self.rule.step((1, 0), &mut self.state, avg, drop, || input);
         if let Action::Closed(trade) = action {
             self.trades.push(trade);
         }

@@ -1,5 +1,6 @@
-//! The signal plane — steps 1–2 of the strategy pseudo-code, and the
-//! step-5 spread range, computed for every pair at once.
+//! The signal plane — steps 1–2 of the strategy pseudo-code, the step-5
+//! spread range and the trailing returns, derived once per interval for
+//! every pair of a universe.
 //!
 //! Per interval `s` and per pair the strategy needs the `W`-window
 //! average correlation
@@ -9,11 +10,15 @@
 //! ```
 //!
 //! the relative drop `(C̄(s) − C(s)) / C̄(s)`, and the low / high / mean of
-//! the pair spread over the trailing `RT` intervals. None of these depend
-//! on the remaining strategy parameters, so they are computed once per
-//! `(correlation stream, W)` and once per `RT` by [`AvgPlane`] and
-//! [`RangePlane`] and shared by every strategy that consumes them; the
-//! batch path runs the same planes over one pair.
+//! the pair spread over the trailing `RT` intervals; some families also
+//! read each leg's trailing return. None of these depend on the remaining
+//! strategy parameters, so [`Planes`] derives them once per distinct
+//! window, for every rule that reads it: one [`AvgPlane`] per `W`, one
+//! [`RangePlane`] per `RT`, one trailing return per stock per return
+//! window. The streaming signal node runs it over the whole universe; the
+//! batch day walk runs the same type over a two-stock universe, one pair
+//! at rank 0 = `(1, 0)`. Each interval is written into a [`Series`], and
+//! a rule reads its inputs out of that through its [`Slots`].
 //!
 //! What *is* per parameter vector is the trigger, [`DivergenceTrigger`]:
 //! it fires when **both** hold
@@ -37,8 +42,10 @@
 //! together*: eight columns at a time, each an independent chain.
 
 use timeseries::rolling::{RangeStats, RollingRange};
+use wire::Codec;
 
 use crate::params::StrategyParams;
+use crate::strategy::{InputNeeds, IntervalInput};
 
 /// Relative drop of the correlation below its average, `(C̄ − C) / C̄`
 /// (0 when `C̄` is numerically zero).
@@ -370,6 +377,220 @@ impl RangePlane {
 }
 
 wire::record! { RangePlane { window, pairs } }
+
+/// Every series a set of rules reads, derived for every pair of an
+/// `n`-stock universe: one [`AvgPlane`] per distinct `W`, one
+/// [`RangePlane`] per distinct `RT` and one trailing return per stock per
+/// distinct return window, each list in ascending window order.
+#[derive(Debug, Clone)]
+pub struct Planes {
+    n_stocks: usize,
+    returns: Vec<usize>,
+    avg: Vec<AvgPlane>,
+    range: Vec<RangePlane>,
+}
+
+impl Planes {
+    /// Cold planes over `n_stocks` stocks deriving every window `needs`
+    /// declare (a window of 0 is not consumed).
+    pub fn new(n_stocks: usize, needs: impl IntoIterator<Item = InputNeeds>) -> Self {
+        let needs: Vec<InputNeeds> = needs.into_iter().collect();
+        let windows = |of: fn(&InputNeeds) -> usize| {
+            let mut out: Vec<usize> = needs.iter().map(of).filter(|&w| w > 0).collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        let n_pairs = n_stocks * n_stocks.saturating_sub(1) / 2;
+        Planes {
+            n_stocks,
+            returns: windows(|n| n.w_return_window),
+            avg: (windows(|n| n.avg_window).into_iter())
+                .map(|w| AvgPlane::new(w, n_pairs))
+                .collect(),
+            range: (windows(|n| n.spread_window).into_iter())
+                .map(|rt| RangePlane::new(rt, n_pairs))
+                .collect(),
+        }
+    }
+
+    fn n_pairs(&self) -> usize {
+        self.n_stocks * self.n_stocks.saturating_sub(1) / 2
+    }
+
+    /// How many series one interval derives.
+    pub fn n_series(&self) -> usize {
+        self.returns.len() + self.avg.len() + self.range.len()
+    }
+
+    /// An output value shaped for these planes, before any interval: `C̄`
+    /// and drops 0, ranges NaN.
+    pub fn series(&self) -> Series {
+        let n_pairs = self.n_pairs();
+        let unset = RangeStats {
+            low: f64::NAN,
+            high: f64::NAN,
+            mean: f64::NAN,
+            len: 0,
+        };
+        Series {
+            returns: (self.returns.iter())
+                .map(|&w| (w, vec![0.0; self.n_stocks]))
+                .collect(),
+            averages: (self.avg.iter())
+                .map(|p| (p.window(), vec![0.0; n_pairs], vec![0.0; n_pairs]))
+                .collect(),
+            ranges: (self.range.iter())
+                .map(|p| (p.window(), vec![unset; n_pairs]))
+                .collect(),
+        }
+    }
+
+    /// Advance every plane by interval `s` and write its series into
+    /// `out`, a value from [`Planes::series`]. `corr` and `spread` are per
+    /// pair rank; pairs in `sat_out` (ascending ranks) push nothing, read
+    /// back NaN averages and keep their range as `out` held it.
+    /// `price(stock, t)` is a stock's price at interval `t <= s`, for the
+    /// trailing returns (0 before a window has elapsed).
+    pub fn advance(
+        &mut self,
+        s: usize,
+        corr: &[f64],
+        spread: &[f64],
+        sat_out: &[u32],
+        price: impl Fn(usize, usize) -> f64,
+        out: &mut Series,
+    ) {
+        for (plane, (_, avg, drop)) in self.avg.iter_mut().zip(&mut out.averages) {
+            plane.push(corr, sat_out, avg, drop);
+        }
+        for (plane, (_, ranges)) in self.range.iter_mut().zip(&mut out.ranges) {
+            plane.push(spread, sat_out, ranges);
+        }
+        for (&w, (_, returns)) in self.returns.iter().zip(&mut out.returns) {
+            for (stock, r) in returns.iter_mut().enumerate() {
+                *r = if s < w {
+                    0.0
+                } else {
+                    trailing_return(price(stock, s), price(stock, s - w))
+                };
+            }
+        }
+    }
+
+    /// Write the planes' durable state: the average planes, then the
+    /// range planes. Trailing returns are a function of the caller's
+    /// price history.
+    pub fn save(&self, w: &mut wire::Writer) {
+        self.avg.encode(w);
+        self.range.encode(w);
+    }
+
+    /// These planes with the saved state of [`Planes::save`] restored: a
+    /// plane whose window both carry continues where it was saved, a
+    /// window new here starts cold.
+    pub fn restore(&self, r: &mut wire::Reader<'_>) -> Result<Planes, wire::WireError> {
+        fn keep<P: Clone>(mine: &[P], saved: &[P], window: fn(&P) -> usize) -> Vec<P> {
+            (mine.iter())
+                .map(|plane| {
+                    let same = saved.iter().find(|s| window(s) == window(plane));
+                    same.unwrap_or(plane).clone()
+                })
+                .collect()
+        }
+        let avg = Vec::<AvgPlane>::decode(r)?;
+        let range = Vec::<RangePlane>::decode(r)?;
+        let n_pairs = self.n_pairs();
+        if avg.iter().any(|p| p.n_pairs() != n_pairs)
+            || range.iter().any(|p| p.n_pairs() != n_pairs)
+        {
+            return Err(wire::WireError::Invalid("universe size mismatch"));
+        }
+        Ok(Planes {
+            n_stocks: self.n_stocks,
+            returns: self.returns.clone(),
+            avg: keep(&self.avg, &avg, AvgPlane::window),
+            range: keep(&self.range, &range, RangePlane::window),
+        })
+    }
+}
+
+/// One interval of what [`Planes`] derives, each list tagged by window
+/// and in ascending window order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Series {
+    /// `(window, trailing return per stock)`.
+    pub returns: Vec<(usize, Vec<f64>)>,
+    /// `(W, C̄ per pair rank, relative drop per pair rank)`; NaN where a
+    /// pair sat the interval out.
+    pub averages: Vec<(usize, Vec<f64>, Vec<f64>)>,
+    /// `(RT, spread (Sl, Sh, S̄) per pair rank)`.
+    pub ranges: Vec<(usize, Vec<RangeStats>)>,
+}
+
+wire::record! { Series { returns, averages, ranges } }
+
+/// Where one rule's series sit in a [`Series`] (`None`: not consumed).
+#[derive(Debug, Clone, Copy)]
+pub struct Slots {
+    returns: Option<usize>,
+    avg: Option<usize>,
+    range: Option<usize>,
+}
+
+impl Series {
+    /// The slots of a rule with these needs.
+    ///
+    /// # Panics
+    /// Panics if the series lacks a window `needs` declares: it must come
+    /// from planes built from (at least) the same needs.
+    pub fn slots(&self, needs: InputNeeds) -> Slots {
+        fn at<T>(list: &[T], window: usize, of: fn(&T) -> usize) -> Option<usize> {
+            (window > 0).then(|| {
+                (list.iter().position(|e| of(e) == window))
+                    .expect("the planes derive every window their needs declare")
+            })
+        }
+        Slots {
+            returns: at(&self.returns, needs.w_return_window, |e| e.0),
+            avg: at(&self.averages, needs.avg_window, |e| e.0),
+            range: at(&self.ranges, needs.spread_window, |e| e.0),
+        }
+    }
+
+    /// `(C̄, relative drop)` of pair rank `rank`, what [`crate::Rule::step`]
+    /// reads before anything else; `(0, 0)` when not consumed.
+    #[inline]
+    pub fn avg(&self, slots: Slots, rank: usize) -> (f64, f64) {
+        slots.avg.map_or((0.0, 0.0), |at| {
+            let (_, avg, drop) = &self.averages[at];
+            (avg[rank], drop[rank])
+        })
+    }
+
+    /// `bare` (the interval, prices and correlation of pair `(i, j)` at
+    /// rank `rank`) with every series the slots consume filled in.
+    #[inline]
+    pub fn input(
+        &self,
+        slots: Slots,
+        (i, j): (usize, usize),
+        rank: usize,
+        mut bare: IntervalInput,
+    ) -> IntervalInput {
+        if let Some(at) = slots.returns {
+            let returns = &self.returns[at].1;
+            (bare.w_return_i, bare.w_return_j) = (returns[i], returns[j]);
+        }
+        if slots.avg.is_some() {
+            (bare.avg_corr, bare.rel_drop) = self.avg(slots, rank);
+        }
+        if let Some(at) = slots.range {
+            bare.spread_range = self.ranges[at].1[rank];
+        }
+        bare
+    }
+}
 
 #[cfg(test)]
 mod tests {

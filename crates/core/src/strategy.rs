@@ -43,7 +43,7 @@ use crate::trade::{ExitReason, Trade};
 /// `price_i` / `w_return_i` belong to the pair's first (higher-index)
 /// stock, `price_j` / `w_return_j` to the second; the spread is
 /// `price_i − price_j`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalInput {
     /// Absolute interval index within the day.
     pub s: usize,

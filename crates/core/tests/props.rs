@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::position::{share_ratio, PairPosition};
 use pairtrade_core::retracement::RetracementRule;
-use pairtrade_core::signal::{AvgPlane, DivergenceTrigger, RangePlane, NEVER};
+use pairtrade_core::signal::{trailing_return, AvgPlane, DivergenceTrigger, Planes, Slots, NEVER};
+use pairtrade_core::strategy::{InputNeeds, IntervalInput};
 use timeseries::rolling::RangeStats;
 use timeseries::spread::SpreadTracker;
 use timeseries::window::SlidingWindow;
@@ -57,6 +58,25 @@ fn mix(state: &mut u64) -> u64 {
 
 fn unit(state: &mut u64) -> f64 {
     (mix(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Every field of an input, floats as bits.
+fn bits(x: &IntervalInput) -> [u64; 12] {
+    let r = x.spread_range;
+    let f = [
+        x.price_i,
+        x.price_j,
+        x.corr,
+        x.w_return_i,
+        x.w_return_j,
+        x.avg_corr,
+    ];
+    let g = [x.rel_drop, r.low, r.high, r.mean];
+    let mut out = [x.s as u64, r.len as u64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    for (o, v) in out[2..].iter_mut().zip(f.iter().chain(&g)) {
+        *o = v.to_bits();
+    }
+    out
 }
 
 proptest! {
@@ -148,7 +168,11 @@ proptest! {
     /// The struct-of-arrays planes equal the per-pair windows bit for bit
     /// on random series: partial windows, NaN and non-positive prices,
     /// NaN / signed-zero correlations, pairs sitting intervals out while
-    /// a leg is degraded, and a checkpoint round-trip mid-series.
+    /// a leg is degraded, and a checkpoint round-trip mid-series. And for
+    /// random needs — shared and distinct windows, a return window no
+    /// average reads, a family reading nothing — every rule's whole input
+    /// read off the universe's planes equals, to the bit, the same pair's
+    /// read off its own two-stock planes: the batch walk's form.
     #[test]
     fn planes_equal_the_per_pair_reference_bit_for_bit(
         seed in any::<u64>(),
@@ -169,15 +193,34 @@ proptest! {
             ..StrategyParams::paper_default()
         };
         let trigger = DivergenceTrigger::new(&params);
-        let mut avg_plane = AvgPlane::new(w, n_pairs);
-        let mut range_plane = RangePlane::new(rt, n_pairs);
+        // The paper rule at (W, RT) first, then random families.
+        let mut needs = vec![InputNeeds { w_return_window: w, avg_window: w, spread_window: rt }];
+        for _ in 0..mix(rng) % 4 {
+            let mut window = || 1 + mix(rng) as usize % 6;
+            needs.push(match window() % 3 {
+                0 => InputNeeds { w_return_window: window(), ..InputNeeds::NONE },
+                1 => InputNeeds::NONE,
+                _ => {
+                    let avg = window();
+                    InputNeeds { w_return_window: avg, avg_window: avg, spread_window: window() }
+                }
+            });
+        }
+        let mut planes = Planes::new(n_stocks, needs.iter().copied());
+        let mut series = planes.series();
+        let slots: Vec<Slots> = needs.iter().map(|&n| series.slots(n)).collect();
+        let mut own: Vec<_> = (0..n_pairs)
+            .map(|_| {
+                let planes = Planes::new(2, needs.iter().copied());
+                let series = planes.series();
+                (planes, series)
+            })
+            .collect();
         let mut reference: Vec<PairReference> =
             (0..n_pairs).map(|_| PairReference::new(w, y, rt)).collect();
         let mut since = vec![NEVER; n_pairs];
-        let nothing = RangeStats { low: 0.0, high: 0.0, mean: 0.0, len: 0 };
-        let (mut avg, mut drop) = (vec![0.0; n_pairs], vec![0.0; n_pairs]);
-        let mut ranges = vec![nothing; n_pairs];
         let mut degraded = vec![false; n_stocks];
+        let mut history = vec![Vec::new(); n_stocks];
         let reload_at = mix(rng) as usize % ticks;
 
         for t in 0..ticks {
@@ -187,14 +230,15 @@ proptest! {
                     *flag = !*flag;
                 }
             }
-            let prices: Vec<f64> = (0..n_stocks)
-                .map(|_| match mix(rng) % 16 {
+            for hist in history.iter_mut() {
+                hist.push(match mix(rng) % 16 {
                     0 => f64::NAN,
                     1 => 0.0,
                     2 => -5.0,
                     _ => 20.0 + 100.0 * unit(rng),
-                })
-                .collect();
+                });
+            }
+            let prices: Vec<f64> = history.iter().map(|h| h[t]).collect();
             let (mut corr, mut spread, mut sat_out) = (Vec::new(), Vec::new(), Vec::new());
             for i in 1..n_stocks {
                 for j in 0..i {
@@ -211,32 +255,59 @@ proptest! {
                 }
             }
             if t == reload_at {
-                avg_plane = wire::from_bytes(&wire::to_bytes(&avg_plane)).unwrap();
-                range_plane = wire::from_bytes(&wire::to_bytes(&range_plane)).unwrap();
+                let mut saved = wire::Writer::new();
+                planes.save(&mut saved);
+                let bytes = saved.into_bytes();
+                let cold = Planes::new(n_stocks, needs.iter().copied());
+                planes = cold.restore(&mut wire::Reader::new(&bytes)).unwrap();
             }
-            avg_plane.push(&corr, &sat_out, &mut avg, &mut drop);
-            range_plane.push(&spread, &sat_out, &mut ranges);
+            let price = |stock: usize, at: usize| history[stock][at];
+            planes.advance(t, &corr, &spread, &sat_out, price, &mut series);
 
-            for p in 0..n_pairs {
+            for (p, (i, j)) in (1..n_stocks).flat_map(|i| (0..i).map(move |j| (i, j))).enumerate() {
+                let bare = IntervalInput::bare(t, prices[i], prices[j], corr[p]);
+                let paper = series.input(slots[0], (i, j), p, bare);
                 if sat_out.contains(&(p as u32)) {
-                    prop_assert!(avg[p].is_nan() && drop[p].is_nan());
+                    prop_assert!(paper.avg_corr.is_nan() && paper.rel_drop.is_nan());
                     continue;
                 }
-                since[p] = trigger.advance(since[p], drop[p]);
+                since[p] = trigger.advance(since[p], paper.rel_drop);
                 let (want_avg, want_drop, want_range) = reference[p].push(corr[p], spread[p]);
-                prop_assert_eq!(avg[p].to_bits(), want_avg.to_bits(), "C̄ of pair {} at tick {}", p, t);
-                prop_assert_eq!(drop[p].to_bits(), want_drop.to_bits(), "drop of pair {} at tick {}", p, t);
-                let (got, want) = (ranges[p], want_range);
+                prop_assert_eq!(paper.avg_corr.to_bits(), want_avg.to_bits(), "C̄ of pair {} at tick {}", p, t);
+                prop_assert_eq!(paper.rel_drop.to_bits(), want_drop.to_bits(), "drop of pair {} at tick {}", p, t);
+                let (got, want) = (paper.spread_range, want_range);
                 prop_assert_eq!(
                     (got.low.to_bits(), got.high.to_bits(), got.mean.to_bits(), got.len),
                     (want.low.to_bits(), want.high.to_bits(), want.mean.to_bits(), want.len),
                     "spread range of pair {} at tick {}", p, t
                 );
+                let leg_return = |stock: usize| match t.checked_sub(w) {
+                    Some(then) => trailing_return(history[stock][t], history[stock][then]),
+                    None => 0.0,
+                };
                 prop_assert_eq!(
-                    trigger.fired(since[p], avg[p]),
+                    (paper.w_return_i.to_bits(), paper.w_return_j.to_bits()),
+                    (leg_return(i).to_bits(), leg_return(j).to_bits()),
+                    "trailing returns of pair {} at tick {}", p, t
+                );
+                prop_assert_eq!(
+                    trigger.fired(since[p], paper.avg_corr),
                     reference[p].fired(0.1, 0.05),
                     "trigger of pair {} at tick {}", p, t
                 );
+
+                // The batch form: the pair alone, stock 1 its `i` leg.
+                let (pair_planes, pair_series) = &mut own[p];
+                let leg = |stock: usize, at: usize| history[if stock == 1 { i } else { j }][at];
+                pair_planes.advance(t, &corr[p..=p], &spread[p..=p], &[], leg, pair_series);
+                for (k, (&n, &at)) in needs.iter().zip(&slots).enumerate() {
+                    let got = series.input(at, (i, j), p, bare);
+                    let want = pair_series.input(pair_series.slots(n), (1, 0), 0, bare);
+                    prop_assert_eq!(bits(&got), bits(&want), "needs #{} of pair {} at tick {}", k, p, t);
+                    let (avg, drop) = series.avg(at, p);
+                    prop_assert_eq!(avg.to_bits(), got.avg_corr.to_bits());
+                    prop_assert_eq!(drop.to_bits(), got.rel_drop.to_bits());
+                }
             }
         }
     }

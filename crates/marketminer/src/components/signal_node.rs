@@ -13,10 +13,14 @@
 //!   transition until the snapshot stream reaches its effective interval
 //!   — so its output is a deterministic function of its input streams,
 //!   whatever the thread schedule;
-//! * it runs one [`AvgPlane`] per distinct `W` and one [`RangePlane`] per
-//!   distinct `RT` declared by the hosts it feeds ([`InputNeeds`]);
+//! * it forward-fills each stock's price history and keeps the degraded
+//!   set, and advances one [`Planes`] built from the [`InputNeeds`] of the
+//!   hosts it feeds — the same derivation the batch day walk runs per
+//!   pair — with the snapshot's correlations, the pair spreads and the
+//!   pairs that sit the interval out;
 //! * per snapshot it emits the health transitions now in effect, then one
-//!   `Arc`'d [`SignalFrame`] that all its hosts share;
+//!   `Arc`'d [`SignalFrame`] carrying that interval's [`Series`], which
+//!   all its hosts share;
 //! * while the engine cannot yet have filled its window (it publishes
 //!   with its `M`-th return, and no bar carries more than one) each bar
 //!   yields a data-free [`SignalFrame::not_warm`] frame instead, so the
@@ -30,42 +34,24 @@
 //!
 //! A node restored into a graph whose hosts declare a different set of
 //! windows keeps the planes both incarnations share and starts the new
-//! ones cold: a series for a `W` or `RT` new to the stream begins at the
-//! cut (a partial window, as at the start of day). Price history, and
-//! with it every trailing return, is per stream and carries over.
+//! ones cold ([`Planes::restore`]): a series for a `W` or `RT` new to the
+//! stream begins at the cut (a partial window, as at the start of day).
+//! Price history, and with it every trailing return, is per stream and
+//! carries over.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use pairtrade_core::signal::{trailing_return, AvgPlane, RangePlane};
+use pairtrade_core::signal::Planes;
+#[cfg(doc)]
+use pairtrade_core::signal::Series;
 use pairtrade_core::strategy::InputNeeds;
 use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
 use telemetry::Probe;
-use timeseries::rolling::RangeStats;
 
-use crate::messages::{
-    AvgSignals, Cause, CorrSnapshot, HealthEvent, Message, SignalFrame, Windowed,
-};
+use crate::messages::{Cause, CorrSnapshot, HealthEvent, Message, SignalFrame};
 use crate::node::{component_state, Component, Emit};
-
-/// Sorted distinct non-zero values of `windows`.
-fn distinct(windows: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut out: Vec<usize> = windows.filter(|&w| w > 0).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// `mine`, each plane replaced by the saved one over the same window.
-fn carry_over<P: Clone>(mine: &[P], saved: Vec<P>, window: fn(&P) -> usize) -> Vec<P> {
-    (mine.iter())
-        .map(|plane| {
-            let same = saved.iter().find(|s| window(s) == window(plane));
-            same.unwrap_or(plane).clone()
-        })
-        .collect()
-}
 
 /// The shared front half of one stream's strategy hosts.
 #[derive(Clone)]
@@ -79,9 +65,7 @@ pub struct SignalNode {
     corr_window: usize,
     /// Bars received so far.
     bars_seen: usize,
-    w_return_windows: Vec<usize>,
-    avg_planes: Vec<AvgPlane>,
-    range_planes: Vec<RangePlane>,
+    planes: Planes,
     /// Per-stock price history on the interval grid (forward-filled).
     history: Vec<Vec<f64>>,
     /// Highest bar interval recorded so far (None until the first bar).
@@ -119,21 +103,12 @@ impl SignalNode {
         stream: usize,
         needs: &[InputNeeds],
     ) -> Self {
-        let n_pairs = n_stocks * n_stocks.saturating_sub(1) / 2;
         SignalNode {
             stream,
             n_stocks,
             corr_window,
             bars_seen: 0,
-            w_return_windows: distinct(needs.iter().map(|n| n.w_return_window)),
-            avg_planes: distinct(needs.iter().map(|n| n.avg_window))
-                .into_iter()
-                .map(|w| AvgPlane::new(w, n_pairs))
-                .collect(),
-            range_planes: distinct(needs.iter().map(|n| n.spread_window))
-                .into_iter()
-                .map(|rt| RangePlane::new(rt, n_pairs))
-                .collect(),
+            planes: Planes::new(n_stocks, needs.iter().copied()),
             history: vec![Vec::new(); n_stocks],
             bars_through: None,
             pending_corr: VecDeque::new(),
@@ -145,8 +120,9 @@ impl SignalNode {
         }
     }
 
-    fn n_pairs(&self) -> usize {
-        self.n_stocks * self.n_stocks.saturating_sub(1) / 2
+    /// The planes of a saved state, carried over onto this node's.
+    fn decode_planes(&self, r: &mut wire::Reader<'_>) -> Result<Planes, wire::WireError> {
+        self.planes.restore(r)
     }
 
     fn record_bars(&mut self, interval: usize, closes: &[f64]) {
@@ -178,7 +154,7 @@ impl SignalNode {
     }
 
     fn process_corr(&mut self, snap: &CorrSnapshot, out: &mut Emit<'_>) {
-        let (n, n_pairs) = (self.n_stocks, self.n_pairs());
+        let n = self.n_stocks;
         if snap.matrix.n() != n {
             self.dropped += 1;
             return;
@@ -192,6 +168,7 @@ impl SignalNode {
         };
         let prices: Vec<f64> = self.history.iter().map(|h| price_at(h, s)).collect();
         // Pair rank order is the packed lower triangle minus its diagonal.
+        let n_pairs = n * n.saturating_sub(1) / 2;
         let (mut corr, mut spread) = (Vec::with_capacity(n_pairs), Vec::with_capacity(n_pairs));
         let packed = snap.matrix.packed();
         for i in 1..n {
@@ -210,50 +187,10 @@ impl SignalNode {
                 }
             }
         }
-
-        let averages = (self.avg_planes.iter_mut())
-            .map(|plane| {
-                let mut values = AvgSignals {
-                    avg_corr: vec![0.0; n_pairs],
-                    rel_drop: vec![0.0; n_pairs],
-                };
-                plane.push(&corr, &sat_out, &mut values.avg_corr, &mut values.rel_drop);
-                Windowed {
-                    window: plane.window(),
-                    values,
-                }
-            })
-            .collect();
-        let spread_ranges = (self.range_planes.iter_mut())
-            .map(|plane| {
-                let unset = RangeStats {
-                    low: f64::NAN,
-                    high: f64::NAN,
-                    mean: f64::NAN,
-                    len: 0,
-                };
-                let mut values = vec![unset; n_pairs];
-                plane.push(&spread, &sat_out, &mut values);
-                Windowed {
-                    window: plane.window(),
-                    values,
-                }
-            })
-            .collect();
-        let w_returns = (self.w_return_windows.iter())
-            .map(|&w| Windowed {
-                window: w,
-                values: (self.history.iter())
-                    .map(|hist| {
-                        if s < w || hist.is_empty() {
-                            0.0
-                        } else {
-                            trailing_return(price_at(hist, s), price_at(hist, s - w))
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
+        let mut series = self.planes.series();
+        let history = &self.history;
+        let price = |stock: usize, at: usize| price_at(&history[stock], at);
+        (self.planes).advance(s, &corr, &spread, &sat_out, price, &mut series);
 
         self.probe.count("frames.emitted", 1);
         out(Message::Signals(Arc::new(SignalFrame {
@@ -261,9 +198,7 @@ impl SignalNode {
             stream: self.stream,
             prices,
             corr,
-            w_returns,
-            averages,
-            spread_ranges,
+            series,
             // The snapshot alone: which bar set is newest when a snapshot
             // is processed depends on the schedule, and the snapshot's
             // own ancestry already reaches the bars of its interval.
@@ -335,8 +270,7 @@ impl Component for SignalNode {
     // themselves cross the process boundary by value.
     component_state! {
         node {
-            avg_planes,
-            range_planes,
+            planes => (Planes::save, SignalNode::decode_planes),
             history,
             bars_through,
             bars_seen,
@@ -346,18 +280,9 @@ impl Component for SignalNode {
             dropped,
         }
         check {
-            let n_pairs = node.n_pairs();
-            if degraded.len() != node.n_stocks
-                || history.len() != node.n_stocks
-                || avg_planes.iter().any(|p| p.n_pairs() != n_pairs)
-                || range_planes.iter().any(|p| p.n_pairs() != n_pairs)
-            {
+            if degraded.len() != node.n_stocks || history.len() != node.n_stocks {
                 return Err(wire::WireError::Invalid("universe size mismatch"));
             }
-            // Planes both incarnations share carry over; a window new to
-            // this stream keeps its cold plane (see the module docs).
-            avg_planes = carry_over(&node.avg_planes, avg_planes, AvgPlane::window);
-            range_planes = carry_over(&node.range_planes, range_planes, RangePlane::window);
         }
     }
 
@@ -366,10 +291,7 @@ impl Component for SignalNode {
     }
 
     fn attach_telemetry(&mut self, probe: Probe) {
-        probe.gauge_max(
-            "signals.series",
-            (self.w_return_windows.len() + self.avg_planes.len() + self.range_planes.len()) as u64,
-        );
+        probe.gauge_max("signals.series", self.planes.n_series() as u64);
         self.probe = probe;
     }
 }
@@ -378,6 +300,7 @@ impl Component for SignalNode {
 mod tests {
     use super::*;
     use crate::messages::{BarSet, DegradeReason, HealthStatus};
+    use pairtrade_core::strategy::IntervalInput;
 
     fn needs(w: usize, rt: usize) -> InputNeeds {
         InputNeeds {
@@ -442,6 +365,14 @@ mod tests {
         out
     }
 
+    /// Pair `(i, j)`'s input as a host with `needs` reads it off `frame`.
+    fn input(frame: &SignalFrame, needs: InputNeeds, (i, j): (usize, usize)) -> IntervalInput {
+        let rank = SymMatrix::pair_rank(i, j);
+        let bare = IntervalInput::bare(frame.interval, 0.0, 0.0, 0.0);
+        let slots = frame.series.slots(needs);
+        frame.series.input(slots, (i, j), rank, bare)
+    }
+
     fn frames(out: &[Message]) -> Vec<&SignalFrame> {
         out.iter()
             .filter_map(|m| match m {
@@ -466,12 +397,11 @@ mod tests {
         let f = frames(&out);
         assert_eq!(f[0].interval, 3);
         // Stock 0: 33 now against the forward-filled 30 two intervals ago.
-        let w_ret = SignalFrame::series(&f[0].w_returns, 2).unwrap();
-        assert_eq!(w_ret[0], 33.0 / 30.0 - 1.0);
-        assert_eq!(w_ret[1], 0.0);
-        let avg = SignalFrame::series(&f[0].averages, 2).unwrap();
-        assert_eq!(avg.avg_corr, vec![(0.8 + 0.6) / 2.0]);
-        let range = SignalFrame::series(&f[0].spread_ranges, 3).unwrap()[0];
+        let got = input(f[0], needs(2, 3), (1, 0));
+        assert_eq!(got.w_return_j, 33.0 / 30.0 - 1.0);
+        assert_eq!(got.w_return_i, 0.0);
+        assert_eq!(got.avg_corr, (0.8 + 0.6) / 2.0);
+        let range = got.spread_range;
         assert_eq!((range.low, range.high, range.len), (97.0, 100.0, 2));
     }
 
@@ -522,10 +452,10 @@ mod tests {
         );
         assert!(matches!(out[0], Message::Health(_)), "ahead of the frame");
         let f = frames(&out)[0];
-        let avg = SignalFrame::series(&f.averages, 2).unwrap();
         // Pairs (2,0) and (2,1) — ranks 1 and 2 — sit out; (1,0) runs.
-        assert_eq!(avg.avg_corr[0], 0.5);
-        assert!(avg.avg_corr[1].is_nan() && avg.avg_corr[2].is_nan());
+        assert_eq!(input(f, needs(2, 2), (1, 0)).avg_corr, 0.5);
+        assert!(input(f, needs(2, 2), (2, 0)).avg_corr.is_nan());
+        assert!(input(f, needs(2, 2), (2, 1)).avg_corr.is_nan());
         // A transition the snapshot stream never reaches flushes at EOF.
         feed(&mut n, vec![health(9, 2, false)]);
         let mut tail = Vec::new();
@@ -561,15 +491,19 @@ mod tests {
         assert!(wider.decode_state(&bytes));
         let got = feed(&mut wider, step);
         let (got, want) = (frames(&got)[0], frames(&want)[0]);
-        assert_eq!(
-            SignalFrame::series(&got.averages, 2),
-            SignalFrame::series(&want.averages, 2)
-        );
-        let cold = SignalFrame::series(&got.averages, 3).unwrap();
-        assert_eq!(cold.avg_corr, vec![0.9; 3], "a one-interval window");
+        for pair in [(1, 0), (2, 0), (2, 1)] {
+            assert_eq!(
+                input(got, needs(2, 2), pair),
+                input(want, needs(2, 2), pair)
+            );
+            let cold = input(got, needs(3, 2), pair);
+            assert_eq!(cold.avg_corr, 0.9, "a one-interval window");
+        }
         // Trailing returns come off the stream's carried-over history.
-        let w3 = SignalFrame::series(&got.w_returns, 3).unwrap();
-        assert_eq!(w3[0], 15.0 / 11.0 - 1.0);
+        assert_eq!(
+            input(got, needs(3, 2), (1, 0)).w_return_j,
+            15.0 / 11.0 - 1.0
+        );
 
         // Another universe's state is refused, as is garbage.
         assert!(!node(4, &[needs(2, 2)]).decode_state(&bytes));

@@ -33,17 +33,17 @@ use std::sync::Arc;
 use pairtrade_core::exec::ExecutionConfig;
 use pairtrade_core::params::StrategyParams;
 use pairtrade_core::position::PairPosition;
+use pairtrade_core::signal::Slots;
 use pairtrade_core::spec::{StrategyKind, StrategySpec, UseRule};
 use pairtrade_core::strategy::{Action, InputNeeds, IntervalInput, Rule};
 use pairtrade_core::trade::{ExitReason, Trade};
 use stats::matrix::SymMatrix;
 use telemetry::Probe;
-use timeseries::rolling::RangeStats;
 use wire::{Codec, Reader, WireError, Writer};
 
 use crate::messages::{
-    AvgSignals, Cause, EventId, HealthEvent, Message, OrderBatch, OrderRequest, OrderSide,
-    SignalFrame, TradeReport,
+    Cause, EventId, HealthEvent, Message, OrderBatch, OrderRequest, OrderSide, SignalFrame,
+    TradeReport,
 };
 use crate::node::{component_state, Component, Emit};
 use crate::shard::wire_msg::EventIdWire;
@@ -76,11 +76,13 @@ const FRAME_BACKLOG: usize = 8;
 /// without knowing the family.
 trait Book: Send {
     /// Step every pair whose two symbols are healthy through one warm
-    /// frame, collecting what opened and what closed. Returns how many
-    /// pairs built their input, and how many of those were flat.
+    /// frame, reading the series at `slots`, collecting what opened and
+    /// what closed. Returns how many pairs built their input, and how
+    /// many of those were flat.
     fn step(
         &mut self,
-        view: &FrameView<'_>,
+        frame: &SignalFrame,
+        slots: Slots,
         degraded: &[bool],
         opened: &mut Vec<PairPosition>,
         closed: &mut Vec<Trade>,
@@ -113,7 +115,8 @@ struct Pairs<R: Rule> {
 impl<R: Rule> Book for Pairs<R> {
     fn step(
         &mut self,
-        view: &FrameView<'_>,
+        frame: &SignalFrame,
+        slots: Slots,
         degraded: &[bool],
         opened: &mut Vec<PairPosition>,
         closed: &mut Vec<Trade>,
@@ -125,14 +128,15 @@ impl<R: Rule> Book for Pairs<R> {
         for i in (1..degraded.len()).filter(|&i| !degraded[i]) {
             for j in (0..i).filter(|&j| !degraded[j]) {
                 let rank = SymMatrix::pair_rank(i, j);
-                let (avg_corr, rel_drop) =
-                    (view.avg).map_or((0.0, 0.0), |a| (a.avg_corr[rank], a.rel_drop[rank]));
+                let (avg_corr, rel_drop) = frame.series.avg(slots, rank);
                 let state = &mut self.states[rank];
                 let held = R::position(state).is_some();
                 let mut built = false;
                 let action = self.rule.step((i, j), state, avg_corr, rel_drop, || {
                     built = true;
-                    view.input((i, j), rank)
+                    let (pi, pj) = (frame.prices[i], frame.prices[j]);
+                    let bare = IntervalInput::bare(frame.interval, pi, pj, frame.corr[rank]);
+                    frame.series.input(slots, (i, j), rank, bare)
                 });
                 visited += u64::from(built);
                 armed += u64::from(built && !held);
@@ -177,52 +181,6 @@ impl<R: Rule> Book for Pairs<R> {
         }
         let rule = self.rule.clone();
         Ok(Box::new(Pairs { rule, states }))
-    }
-}
-
-/// One frame's series as this host's [`InputNeeds`] select them.
-struct FrameView<'a> {
-    frame: &'a SignalFrame,
-    avg: Option<&'a AvgSignals>,
-    ranges: Option<&'a Vec<RangeStats>>,
-    w_returns: Option<&'a Vec<f64>>,
-}
-
-impl<'a> FrameView<'a> {
-    /// # Panics
-    /// Panics if the frame lacks a window `needs` declares: the graph
-    /// builder wires a host to a signal node built from the same needs.
-    fn new(frame: &'a SignalFrame, needs: InputNeeds) -> Self {
-        fn pick<T>(list: &[crate::messages::Windowed<T>], window: usize) -> Option<&T> {
-            (window > 0).then(|| {
-                SignalFrame::series(list, window)
-                    .expect("the stream's signal node derives every window its hosts declare")
-            })
-        }
-        FrameView {
-            frame,
-            avg: pick(&frame.averages, needs.avg_window),
-            ranges: pick(&frame.spread_ranges, needs.spread_window),
-            w_returns: pick(&frame.w_returns, needs.w_return_window),
-        }
-    }
-
-    #[inline]
-    fn input(&self, (i, j): (usize, usize), rank: usize) -> IntervalInput {
-        let f = self.frame;
-        let mut input = IntervalInput::bare(f.interval, f.prices[i], f.prices[j], f.corr[rank]);
-        if let Some(w) = self.w_returns {
-            input.w_return_i = w[i];
-            input.w_return_j = w[j];
-        }
-        if let Some(avg) = self.avg {
-            input.avg_corr = avg.avg_corr[rank];
-            input.rel_drop = avg.rel_drop[rank];
-        }
-        if let Some(ranges) = self.ranges {
-            input.spread_range = ranges[rank];
-        }
-        input
     }
 }
 
@@ -575,14 +533,17 @@ impl StrategyHostNode {
     /// Step every running pair through one warm frame: its orders join
     /// the open batch, its closed trades are reported.
     fn process_frame(&mut self, frame: &SignalFrame, out: &mut Emit<'_>) {
-        let view = FrameView::new(frame, self.needs);
+        // The graph builder wires a host to a signal node built from (at
+        // least) its needs.
+        let slots = frame.series.slots(self.needs);
         let (mut opened, mut closed) = (
             std::mem::take(&mut self.opened),
             std::mem::take(&mut self.closed),
         );
         opened.clear();
         closed.clear();
-        let (visited, armed) = (self.book).step(&view, &self.degraded, &mut opened, &mut closed);
+        let (visited, armed) =
+            (self.book).step(frame, slots, &self.degraded, &mut opened, &mut closed);
         self.probe.count("pairs.visited", visited);
         self.probe.count("pairs.armed", armed);
         self.probe.count("positions.opened", opened.len() as u64);

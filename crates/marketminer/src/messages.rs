@@ -3,16 +3,19 @@
 //! Large payloads (bar sets, matrices, baskets) travel as `Arc`s: fan-out
 //! to multiple subscribers clones a pointer, not the data — the same
 //! zero-copy discipline an MPI implementation would apply with shared
-//! windows on-node.
+//! windows on-node. Payloads another crate already defines ride inside
+//! them: a [`SignalFrame`] carries the strategy layer's own
+//! [`Series`], so a host reads its inputs with the code the batch path
+//! reads them with.
 
 use std::sync::Arc;
 
+use pairtrade_core::signal::Series;
 use pairtrade_core::spec::StrategyKind;
 use pairtrade_core::trade::Trade;
 use stats::matrix::SymMatrix;
 use taq::quote::Quote;
 pub use telemetry::lineage::{Cause, EventId};
-use timeseries::rolling::RangeStats;
 
 /// One interval's closing prices for the whole universe.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,31 +58,14 @@ pub struct CorrSnapshot {
     pub cause: Cause,
 }
 
-/// A derived series tagged with the window it was computed over.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Windowed<T> {
-    /// The window, in intervals.
-    pub window: usize,
-    /// The series.
-    pub values: T,
-}
-
-/// `C̄` and the relative drop over one averaging window `W`, per pair
-/// rank. Pairs that sat the interval out (a leg degraded) hold NaN.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AvgSignals {
-    /// `C̄(s)` per pair.
-    pub avg_corr: Vec<f64>,
-    /// `(C̄(s) − C(s)) / C̄(s)` per pair.
-    pub rel_drop: Vec<f64>,
-}
-
 /// One interval of everything the strategy hosts of one correlation
 /// stream derive identically: prices aligned to the snapshot's interval,
-/// the snapshot's correlations in pair-rank order, and one series per
-/// distinct window any of the hosts declared in its
+/// the snapshot's correlations in pair-rank order, and the [`Series`] of
+/// every window any of the hosts declared in its
 /// [`pairtrade_core::strategy::InputNeeds`]. Produced once per interval
-/// by the stream's signal node and `Arc`-shared by its hosts.
+/// by the stream's signal node and `Arc`-shared by its hosts, each of
+/// which reads its own inputs out through
+/// [`Series::slots`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignalFrame {
     /// Interval the frame is for.
@@ -91,12 +77,8 @@ pub struct SignalFrame {
     pub prices: Vec<f64>,
     /// Correlation per pair rank.
     pub corr: Vec<f64>,
-    /// Trailing return per stock, one series per distinct return window.
-    pub w_returns: Vec<Windowed<Vec<f64>>>,
-    /// Average correlation and relative drop, one per distinct `W`.
-    pub averages: Vec<Windowed<AvgSignals>>,
-    /// Spread `(Sl, Sh, S̄)` per pair rank, one per distinct `RT`.
-    pub spread_ranges: Vec<Windowed<Vec<RangeStats>>>,
+    /// Trailing returns, `C̄` and drops, and spread ranges, per window.
+    pub series: Series,
     /// Causal provenance (stamped by the runtime at `Full`).
     pub cause: Cause,
 }
@@ -112,9 +94,7 @@ impl SignalFrame {
             stream,
             prices: Vec::new(),
             corr: Vec::new(),
-            w_returns: Vec::new(),
-            averages: Vec::new(),
-            spread_ranges: Vec::new(),
+            series: Series::default(),
             cause,
         }
     }
@@ -122,11 +102,6 @@ impl SignalFrame {
     /// False for a [`SignalFrame::not_warm`] frame.
     pub fn is_warm(&self) -> bool {
         !self.prices.is_empty()
-    }
-
-    /// The series computed over `window`, if the frame carries one.
-    pub fn series<T>(list: &[Windowed<T>], window: usize) -> Option<&T> {
-        list.iter().find(|w| w.window == window).map(|w| &w.values)
     }
 }
 

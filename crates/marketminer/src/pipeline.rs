@@ -124,10 +124,17 @@ impl SweepConfig {
         self
     }
 
-    /// Check the spec list: non-empty, one shared `Δs`, every spec's own
-    /// knobs consistent. Run starts call this and surface failures as
+    /// Check the universe and the spec list: at least two stocks (one
+    /// pair), at least one spec, one shared `Δs`, every spec's own knobs
+    /// consistent. Run starts call this and surface failures as
     /// [`GraphError::Config`] — never silent defaults.
     pub fn validate(&self) -> Result<(), InvalidParams> {
+        if self.n_stocks < 2 {
+            return Err(InvalidParams(format!(
+                "need at least two stocks, got {}",
+                self.n_stocks
+            )));
+        }
         if self.specs.is_empty() {
             return Err(InvalidParams("need at least one strategy spec".into()));
         }
@@ -723,9 +730,10 @@ impl SweepSession {
 /// Build and run the sweep DAG with an explicit runtime (worker count,
 /// capacity, telemetry) and quote source.
 ///
-/// An invalid configuration (empty spec list, mixed `Δs`, or any spec
-/// whose own knobs fail validation) is a [`GraphError::Config`] at run
-/// start — never a silent default.
+/// An invalid configuration (fewer than two stocks, empty spec list,
+/// mixed `Δs`, or any spec whose own knobs fail validation) is a
+/// [`GraphError::Config`] at run start — never a silent default or a
+/// panic.
 pub fn run_sweep_pipeline_with(
     runtime: Runtime,
     source: Box<dyn Source>,

@@ -23,8 +23,8 @@ use telemetry::trace::{Arg, RecordPhase, TraceRecord};
 use wire::{Adapter, Codec, Native, Reader, WireError, Writer};
 
 use crate::messages::{
-    AvgSignals, BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message,
-    OrderBatch, OrderRequest, OrderSide, ReturnSet, SignalFrame, TradeReport, Windowed,
+    BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message, OrderBatch,
+    OrderRequest, OrderSide, ReturnSet, SignalFrame, TradeReport,
 };
 
 wire::record! { pub EventIdWire for EventId { 0 } }
@@ -84,20 +84,7 @@ wire::record! { TradeReport { param_set, strategy, trades, cause as CauseWire } 
 wire::tagged! { DegradeReason: "degrade reason tag" { 0 => Outage, 1 => Halt, 2 => Quarantine } }
 wire::tagged! { HealthStatus: "health status tag" { 0 => Healthy, 1 => Degraded(reason) } }
 wire::record! { HealthEvent { interval, symbol, status, cause as CauseWire } }
-wire::record! { Windowed<T> { window, values } }
-wire::record! { AvgSignals { avg_corr, rel_drop } }
-wire::record! {
-    SignalFrame {
-        interval,
-        stream,
-        prices,
-        corr,
-        w_returns,
-        averages,
-        spread_ranges,
-        cause as CauseWire,
-    }
-}
+wire::record! { SignalFrame { interval, stream, prices, corr, series, cause as CauseWire } }
 wire::tagged! {
     Message: "message tag" {
         0 => Quote(quote, cause as CauseWire),

@@ -430,6 +430,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A job whose universe holds no pair is refused as bad data before
+    /// the worker reads its tape or connects, not a panic in the graph
+    /// builder.
+    #[test]
+    fn a_job_over_one_stock_is_refused() {
+        let dir = std::env::temp_dir().join(format!("mm-worker-one-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let paper = pairtrade_core::params::StrategyParams::paper_default();
+        let job = SweepConfig::new(1, vec![paper]);
+        std::fs::write(dir.join(JOB_FILE), wire::to_bytes(&job)).unwrap();
+        let args = WorkerArgs {
+            rank: 0,
+            shards: 1,
+            socket: Endpoint::Unix(dir.join("control.sock")),
+            ckpt_dir: dir.clone(),
+            resume_seq: 0,
+            epoch_quotes: 1,
+            telemetry: TelemetryLevel::Off,
+        };
+        let err = run_worker(args).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("at least two stocks"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A tiny one-spec day staged the way the supervisor stages one, its
     /// control socket bound, and the arguments of a worker on it.
     fn staged_worker(tag: &str) -> (PathBuf, super::super::Listener, WorkerArgs) {

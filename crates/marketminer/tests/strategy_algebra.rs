@@ -7,7 +7,7 @@
 
 use marketminer::components::ReplayCollector;
 use marketminer::pipeline::{run_sweep_pipeline_with, SweepConfig, SweepOutput};
-use marketminer::{GraphError, Runtime, RuntimeConfig, TelemetryLevel};
+use marketminer::{GraphError, LiveSweepSession, Runtime, RuntimeConfig, TelemetryLevel};
 use pairtrade_core::{KalmanParams, OverlayParams, StrategyParams, StrategySpec};
 use taq::dataset::DayData;
 use taq::generator::{MarketConfig, MarketGenerator};
@@ -85,6 +85,30 @@ fn mixed_sweep_specs_match_their_single_spec_runs() {
             solo.trades_per_param[0],
             "spec {k} ({}) diverged between mixed and solo graphs",
             spec.label()
+        );
+    }
+}
+
+/// A universe without a pair is refused at run start, by the static run
+/// and the live session alike — not a panic inside the graph builder.
+#[test]
+fn fewer_than_two_stocks_is_a_config_error() {
+    let (day, _) = small_day(91);
+    let rt_config = RuntimeConfig {
+        workers: 1,
+        capacity: 256,
+        telemetry: TelemetryLevel::Off,
+    };
+    for n in [0, 1] {
+        let cfg = SweepConfig::new(n, vec![StrategyParams::paper_default()]);
+        let source = Box::new(ReplayCollector::new(day.clone()));
+        let err =
+            run_sweep_pipeline_with(Runtime::with_config(rt_config), source, &cfg).unwrap_err();
+        assert!(matches!(err, GraphError::Config(_)), "n = {n}: {err:?}");
+        let err = LiveSweepSession::new(cfg, rt_config).err();
+        assert!(
+            matches!(err, Some(GraphError::Config(_))),
+            "n = {n}: {err:?}"
         );
     }
 }

@@ -13,14 +13,11 @@
 //!   checks.
 //! * [`bam`] — bid-ask-midpoint sampling onto the Δs interval grid
 //!   (last quote at or before each interval end, forward-filled).
-//! * [`bars`] — OHLC bar accumulation (the "OHLC Bar Accumulator"
-//!   component of Figure 1).
 //! * [`returns`] — 1-period log returns and the per-stock return panel.
-//! * [`spread`] — pair spread series and the rolling spread statistics
-//!   (`Sl`, `Sh`, `S̄`) the retracement rule needs.
+//! * [`spread`] — the rolling spread statistics (`Sl`, `Sh`, `S̄`) of one
+//!   pair, the reference the strategy's shared spread planes are held to.
 
 pub mod bam;
-pub mod bars;
 pub mod clean;
 pub mod returns;
 pub mod rolling;
@@ -28,7 +25,6 @@ pub mod spread;
 pub mod window;
 
 pub use bam::PriceGrid;
-pub use bars::{Bar, BarAccumulator};
 pub use clean::{CleanConfig, CleanStats, TcpFilter};
 pub use returns::ReturnsPanel;
 pub use spread::SpreadTracker;

@@ -1,21 +1,11 @@
-//! Pair spread series and rolling spread statistics.
+//! Rolling spread statistics of one pair.
 //!
 //! The strategy's step 5 reverses a position at the retracement level
 //! computed from "the high, low and average of the spread during the last
 //! RT time intervals" — [`SpreadTracker`] maintains exactly that triple
 //! (`Sl`, `Sh`, `S̄`) in amortised O(1) per interval.
 
-use crate::bam::PriceGrid;
 use crate::rolling::{RangeStats, RollingRange};
-
-/// Spread series `P_i(s) - P_j(s)` for a pair over a day.
-pub fn spread_series(grid: &PriceGrid, i: usize, j: usize) -> Vec<f64> {
-    grid.series(i)
-        .iter()
-        .zip(grid.series(j))
-        .map(|(a, b)| a - b)
-        .collect()
-}
 
 /// Rolling spread statistics for one pair.
 #[derive(Debug, Clone)]
@@ -56,15 +46,6 @@ wire::record! { SpreadTracker { range, last } }
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bam::PriceGrid;
-
-    #[test]
-    fn spread_series_is_price_difference() {
-        let grid =
-            PriceGrid::from_series(vec![vec![30.0, 31.0, 32.0], vec![130.0, 129.0, 131.0]], 30);
-        assert_eq!(spread_series(&grid, 0, 1), vec![-100.0, -98.0, -99.0]);
-        assert_eq!(spread_series(&grid, 1, 0), vec![100.0, 98.0, 99.0]);
-    }
 
     #[test]
     fn tracker_reports_low_high_mean() {

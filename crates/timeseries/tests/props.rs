@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use timeseries::bam::PriceGrid;
-use timeseries::bars::BarAccumulator;
 use timeseries::returns::ReturnsPanel;
 use timeseries::rolling::{RollingMax, RollingMin, RollingRange};
 use timeseries::window::SlidingWindow;
@@ -55,28 +54,6 @@ proptest! {
             prop_assert!(s.low <= s.mean + 1e-9);
             prop_assert!(s.mean <= s.high + 1e-9);
             prop_assert!(s.low <= x && x <= s.high);
-        }
-    }
-
-    #[test]
-    fn bars_conserve_ticks_and_bound_prices(
-        prices in proptest::collection::vec(1.0f64..1e4, 1..80),
-    ) {
-        let mut acc = BarAccumulator::new(30);
-        let mut bars = Vec::new();
-        for (k, &p) in prices.iter().enumerate() {
-            bars.extend(acc.push(k as u32 * 7, p)); // ~4 ticks/interval
-        }
-        bars.extend(acc.flush());
-        let ticks: u32 = bars.iter().map(|b| b.ticks).sum();
-        prop_assert_eq!(ticks as usize, prices.len());
-        for b in &bars {
-            prop_assert!(b.low <= b.open && b.open <= b.high);
-            prop_assert!(b.low <= b.close && b.close <= b.high);
-        }
-        // Intervals strictly increase.
-        for w in bars.windows(2) {
-            prop_assert_eq!(w[1].interval, w[0].interval + 1);
         }
     }
 

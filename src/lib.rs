@@ -11,8 +11,8 @@
 //!   Combined), descriptive statistics, PSD repair, and the rayon-parallel
 //!   all-pairs correlation engine.
 //! * [`taq`] — the synthetic TAQ market-data substrate.
-//! * [`timeseries`] — BAM sampling, OHLC bars, log returns, cleaning
-//!   filters, rolling statistics.
+//! * [`timeseries`] — BAM sampling, log returns, cleaning filters,
+//!   rolling statistics.
 //! * [`marketminer`] — the DAG stream-processing platform of Figure 1,
 //!   including the `shard` module's MPI-flavoured messaging types and the
 //!   multi-process shard runner.
