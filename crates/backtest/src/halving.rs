@@ -6,25 +6,26 @@
 //! explode combinatorially), so exhaustive evaluation over the full day
 //! budget stops being affordable. Successive halving spends the budget
 //! adaptively: round `r` evaluates the surviving configurations on
-//! `base_days · ηʳ` days of data, scores each one with the paper's three
-//! performance measures (total cumulative return, maximum daily drawdown,
-//! win–loss ratio), and keeps the best `⌈n/η⌉`. Weak configurations are
-//! eliminated on cheap short evaluations; the day budget concentrates on
-//! the contenders.
+//! `base_days · ηʳ` days of data, scores each one with the optimiser's
+//! [`ScoreCard`], and keeps the best `⌈n/η⌉` by market-wide total return
+//! ([`Objective::MarketReturn`]). Weak configurations are eliminated on
+//! cheap short evaluations; the day budget concentrates on the contenders.
 //!
 //! Every round rebuilds one shared-stream sweep graph over the survivors
-//! (heterogeneous specs coexist in a single graph), so the elimination
-//! loop inherits the sweep's determinism: the same grid, schedule, and
-//! day source reproduce the same winner bit-for-bit. Ties are broken by
-//! grid index, never by iteration order.
+//! (heterogeneous specs coexist in a single graph) and folds its days into
+//! a [`PairTable`] over them — the table a batch
+//! [`Experiment`](crate::runner::Experiment) fills — so a round ranks with
+//! the optimiser's cards and order, and inherits the sweep's determinism:
+//! the same grid, schedule, and day source reproduce the same winner
+//! bit-for-bit. Ties are broken by grid index, never by iteration order.
 
 use marketminer::pipeline::{run_sweep_pipeline, SweepConfig};
 use marketminer::GraphError;
 use pairtrade_core::params::InvalidParams;
-use pairtrade_core::spec::StrategySpec;
 use taq::dataset::DayData;
 
-use crate::metrics::{daily_cumulative, max_drawdown_daily, total_cumulative, WinLoss};
+use crate::optimize::{rank, render_leaderboard, Objective, ScoreCard};
+use crate::runner::PairTable;
 
 /// The elimination schedule: `rounds` rounds, each keeping the top
 /// `⌈n/η⌉` configurations and multiplying the day budget by `η`.
@@ -104,39 +105,6 @@ impl HalvingSchedule {
     }
 }
 
-/// One configuration's score card for one round: the paper's three
-/// performance measures over that round's day budget.
-#[derive(Debug, Clone)]
-pub struct ConfigScore {
-    /// Index into the *original* grid (stable across rounds).
-    pub spec_idx: usize,
-    /// The configuration's label.
-    pub label: String,
-    /// Eq. (3): total cumulative return over the round's days.
-    pub total_return: f64,
-    /// Eq. (7): maximum daily drawdown over the round's days.
-    pub max_daily_drawdown: f64,
-    /// Eqs. (8)/(9): win–loss counts over the round's trades.
-    pub wl: WinLoss,
-    /// Trades booked over the round.
-    pub trades: u32,
-    /// Day budget this score was computed on.
-    pub days: usize,
-}
-
-impl ConfigScore {
-    /// The elimination objective: total cumulative return. NaN (which
-    /// cannot arise from finite trade returns, but guard anyway) ranks
-    /// below every finite score.
-    pub fn objective(&self) -> f64 {
-        if self.total_return.is_nan() {
-            f64::NEG_INFINITY
-        } else {
-            self.total_return
-        }
-    }
-}
-
 /// One round's record: every evaluated configuration's score plus the
 /// survivor set carried into the next round.
 #[derive(Debug, Clone)]
@@ -145,8 +113,9 @@ pub struct HalvingRound {
     pub round: usize,
     /// Day budget of this round.
     pub days: usize,
-    /// Scores, best first (objective descending, grid index ascending).
-    pub scores: Vec<ConfigScore>,
+    /// Score cards under [`Objective::MarketReturn`], best first, each
+    /// indexed by its place in the original grid.
+    pub scores: Vec<ScoreCard>,
     /// Grid indices that survive into the next round, in grid order.
     pub survivors: Vec<usize>,
 }
@@ -157,7 +126,7 @@ pub struct HalvingReport {
     /// Every round, in order.
     pub rounds: Vec<HalvingRound>,
     /// The best survivor of the final round.
-    pub winner: ConfigScore,
+    pub winner: ScoreCard,
 }
 
 /// Why a halving run could not start or finish.
@@ -221,49 +190,23 @@ pub fn run_successive_halving(
     let mut rounds = Vec::with_capacity(schedule.rounds);
     for round in 0..schedule.rounds {
         let budget = schedule.round_days(round);
-        let specs: Vec<StrategySpec> = alive.iter().map(|&k| base.specs[k].clone()).collect();
         let cfg = SweepConfig {
-            specs,
+            specs: alive.iter().map(|&k| base.specs[k].clone()).collect(),
             ..base.clone()
         };
-
-        // Per-survivor daily cumulative returns and win–loss counts.
-        let mut daily: Vec<Vec<f64>> = vec![Vec::with_capacity(budget); alive.len()];
-        let mut wl = vec![WinLoss::default(); alive.len()];
-        let mut trades = vec![0u32; alive.len()];
+        let mut table = PairTable::new(cfg.specs.clone(), cfg.n_stocks);
         for day in days.iter().take(budget) {
             let out = run_sweep_pipeline(day.clone(), &cfg)?;
-            for (slot, day_trades) in out.trades_per_param.iter().enumerate() {
-                let rets: Vec<f64> = day_trades.iter().map(|t| t.ret).collect();
-                daily[slot].push(daily_cumulative(&rets));
-                wl[slot] = wl[slot].merge(WinLoss::of(&rets));
-                trades[slot] += day_trades.len() as u32;
-            }
+            table.push_day(&out.trades_per_param);
+        }
+        // `alive` is ascending, so the table-index tie-break is the grid's.
+        let mut scores = rank(&table, Objective::MarketReturn);
+        for card in &mut scores {
+            card.index = alive[card.index];
         }
 
-        let mut scores: Vec<ConfigScore> = alive
-            .iter()
-            .enumerate()
-            .map(|(slot, &spec_idx)| ConfigScore {
-                spec_idx,
-                label: base.specs[spec_idx].label(),
-                total_return: total_cumulative(&daily[slot]),
-                max_daily_drawdown: max_drawdown_daily(&daily[slot]),
-                wl: wl[slot],
-                trades: trades[slot],
-                days: budget,
-            })
-            .collect();
-        // Deterministic ranking: objective descending, then grid index
-        // ascending — ties can never depend on iteration order.
-        scores.sort_by(|a, b| {
-            b.objective()
-                .total_cmp(&a.objective())
-                .then(a.spec_idx.cmp(&b.spec_idx))
-        });
-
         let keep = schedule.survivors_of(alive.len());
-        let mut survivors: Vec<usize> = scores.iter().take(keep).map(|s| s.spec_idx).collect();
+        let mut survivors: Vec<usize> = scores.iter().take(keep).map(|s| s.index).collect();
         survivors.sort_unstable();
         rounds.push(HalvingRound {
             round,
@@ -284,43 +227,32 @@ pub fn run_successive_halving(
     Ok(HalvingReport { rounds, winner })
 }
 
-/// Render the elimination history as a table per round.
+/// Render the elimination history: per round, a header with the
+/// survivors' grid indices over the round's leaderboard.
 pub fn render_halving(report: &HalvingReport) -> String {
+    let plural = |n: usize| if n == 1 { "" } else { "s" };
     let mut out = String::new();
     for round in &report.rounds {
         out.push_str(&format!(
-            "round {} ({} day{}): {} candidate{} -> {} survivor{}\n",
+            "round {} ({} day{}): {} candidate{} -> survivor{} {:?}\n",
             round.round,
             round.days,
-            if round.days == 1 { "" } else { "s" },
+            plural(round.days),
             round.scores.len(),
-            if round.scores.len() == 1 { "" } else { "s" },
-            round.survivors.len(),
-            if round.survivors.len() == 1 { "" } else { "s" },
+            plural(round.scores.len()),
+            plural(round.survivors.len()),
+            round.survivors,
         ));
-        out.push_str(&format!(
-            "  {:<4} {:>10} {:>10} {:>8} {:>7}  config\n",
-            "idx", "total ret", "max DD", "W/L", "trades"
-        ));
-        for s in &round.scores {
-            out.push_str(&format!(
-                "  {:<4} {:>9.3}% {:>9.3}% {:>8.3} {:>7}  {}\n",
-                s.spec_idx,
-                s.total_return * 100.0,
-                s.max_daily_drawdown * 100.0,
-                s.wl.ratio(),
-                s.trades,
-                s.label
-            ));
-        }
+        out += &render_leaderboard(&round.scores, Objective::MarketReturn, round.scores.len());
     }
+    let w = &report.winner;
     out.push_str(&format!(
-        "winner: #{} {} (total return {:.3}%, max daily drawdown {:.3}%, W/L {:.3})\n",
-        report.winner.spec_idx,
-        report.winner.label,
-        report.winner.total_return * 100.0,
-        report.winner.max_daily_drawdown * 100.0,
-        report.winner.wl.ratio()
+        "winner: #{} {} (market return {:.3}%, max daily drawdown {:.3}%, W/L {:.3})\n",
+        w.index,
+        w.spec.label(),
+        w.market_return * 100.0,
+        w.market_drawdown * 100.0,
+        w.wl.ratio()
     ));
     out
 }
@@ -328,7 +260,7 @@ pub fn render_halving(report: &HalvingReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pairtrade_core::{KalmanParams, OverlayParams, StrategyParams};
+    use pairtrade_core::{KalmanParams, OverlayParams, StrategyParams, StrategySpec};
     use taq::generator::{MarketConfig, MarketGenerator};
 
     fn days(n: u16, seed: u64) -> Vec<DayData> {
@@ -433,21 +365,21 @@ mod tests {
         assert_eq!(a.rounds[1].days, 2);
         assert_eq!(a.rounds[1].scores.len(), 2);
         // Survivors are ranked-by-objective prefixes of the score list.
-        let ranked: Vec<usize> = a.rounds[0].scores.iter().map(|s| s.spec_idx).collect();
+        let ranked: Vec<usize> = a.rounds[0].scores.iter().map(|s| s.index).collect();
         for k in &a.rounds[0].survivors {
             assert!(ranked[..2].contains(k));
         }
         // The whole elimination history is reproducible.
         assert_eq!(a.rounds[0].survivors, b.rounds[0].survivors);
         assert_eq!(a.rounds[1].survivors, b.rounds[1].survivors);
-        assert_eq!(a.winner.spec_idx, b.winner.spec_idx);
+        assert_eq!(a.winner.index, b.winner.index);
         assert_eq!(
-            a.winner.total_return.to_bits(),
-            b.winner.total_return.to_bits(),
+            a.winner.market_return.to_bits(),
+            b.winner.market_return.to_bits(),
             "scores must be bit-identical across runs"
         );
         // The winner tops the final round.
-        assert_eq!(a.winner.spec_idx, a.rounds[1].scores[0].spec_idx);
+        assert_eq!(a.winner.index, a.rounds[1].scores[0].index);
 
         let text = render_halving(&a);
         assert!(text.contains("round 0"));

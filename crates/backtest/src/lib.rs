@@ -16,9 +16,16 @@
 //!   (the paper's interim scaling workaround for Approach 2).
 //! * [`halving`] — successive halving over a heterogeneous strategy grid:
 //!   the outer optimisation loop that reuses the shared-stream sweep per
-//!   round and eliminates on the paper's three performance measures.
+//!   round, folds it into a [`runner::PairTable`] and eliminates with
+//!   [`optimize`]'s ranker on market-wide total return.
 //! * [`runner`] — the full experiment: universe × days × 42 parameter
-//!   sets, streaming one day of market data at a time.
+//!   sets, streaming one day of market data at a time into the
+//!   per-(candidate, pair) [`runner::PairTable`].
+//! * [`optimize`] — the one ranker: a [`optimize::ScoreCard`] per
+//!   candidate from its rows of a `PairTable`, one objective set and one
+//!   order, for batch parameter sets and halving rounds alike.
+//! * [`portfolio`] — the over-pairs and over-params aggregations (eqs. 4,
+//!   5), equity curves and the pair ranking.
 //! * [`aggregate`] — per-pair averaging over the 14 non-treatment levels
 //!   for each correlation treatment: the sampling scheme behind Tables
 //!   III–V.

@@ -68,20 +68,6 @@ impl RunOutput {
         }
         out
     }
-
-    /// The full end-of-run report as one `String`: the throughput table
-    /// and — when telemetry was enabled — the merged telemetry report
-    /// (counters, histograms, flight recorder, trace summary).
-    /// Deterministic in structure: every listing is in canonical order
-    /// regardless of worker interleaving.
-    pub fn summary(&self) -> String {
-        let mut out = self.render_node_stats();
-        if let Some(report) = &self.telemetry {
-            out.push('\n');
-            out.push_str(&report.render());
-        }
-        out
-    }
 }
 
 /// The pool a report was taken on, for a profile's header: `W` (the

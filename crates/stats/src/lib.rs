@@ -5,9 +5,8 @@
 //!
 //! * [`matrix`] — dense symmetric matrices with packed lower-triangular
 //!   storage, the natural container for correlation matrices.
-//! * [`linalg`] — Cholesky factorisation (used both to *generate* correlated
-//!   synthetic markets and to *test* positive semi-definiteness) and a Jacobi
-//!   eigensolver (used by PSD repair).
+//! * [`linalg`] — Cholesky factorisation, used to *generate* correlated
+//!   synthetic markets.
 //! * [`descriptive`] — the summary statistics reported in Tables III–V of the
 //!   paper: mean, median, standard deviation, Sharpe ratio, skewness,
 //!   kurtosis, quartiles and full box-plot statistics (Figure 2).
@@ -28,9 +27,6 @@
 //!   backtester.
 //! * [`parallel`] — the rayon-parallel all-pairs correlation-matrix engine,
 //!   the enabling kernel of the whole system.
-//! * [`psd`] — positive semi-definiteness checking and eigenvalue-clipping
-//!   repair for matrices assembled from independent pairwise estimates (the
-//!   Approach-2 caveat in the paper).
 //! * [`simd`] — runtime-dispatched 4-wide f64 primitives (AVX2 with a
 //!   bit-identical scalar fallback) behind the hot correlation kernels.
 //! * [`sliding_matrix`] — an O(1)-per-step online all-pairs Pearson matrix
@@ -53,7 +49,6 @@ pub mod matrix;
 pub mod online;
 pub mod parallel;
 pub mod pearson;
-pub mod psd;
 pub mod quadrant;
 pub mod simd;
 pub mod sliding_matrix;

@@ -1,18 +1,11 @@
-//! Small dense linear algebra: Cholesky factorisation and a cyclic Jacobi
-//! eigensolver for symmetric matrices.
+//! Small dense linear algebra: Cholesky factorisation of a symmetric
+//! positive-definite matrix.
 //!
-//! Two consumers:
-//!
-//! * the synthetic market generator (`taq` crate) needs a Cholesky factor of
-//!   a target correlation matrix to draw correlated return shocks, and
-//! * PSD repair ([`crate::psd`]) needs the full eigendecomposition of a
-//!   correlation matrix assembled from independent pairwise robust estimates
-//!   — the matrix the paper warns "is no longer assured to be positive
-//!   semi-definite".
-//!
-//! The matrices involved are market-universe sized (tens to a few hundred),
-//! so a straightforward O(n^3) Jacobi sweep is both adequate and, being free
-//! of external dependencies, keeps the workspace self-contained.
+//! The synthetic market generator (`taq` crate) needs a Cholesky factor of
+//! a target correlation matrix to draw correlated return shocks. The
+//! matrices involved are market-universe sized (tens to a few hundred), so
+//! a straightforward O(n^3) factorisation is adequate and, being free of
+//! external dependencies, keeps the workspace self-contained.
 
 // Indexed loops are the natural notation for the dense kernels here.
 #![allow(clippy::needless_range_loop)]
@@ -121,124 +114,6 @@ impl Cholesky {
     }
 }
 
-/// Eigendecomposition `A = V diag(w) V'` of a symmetric matrix.
-#[derive(Debug, Clone)]
-pub struct Eigen {
-    /// Eigenvalues, ascending.
-    pub values: Vec<f64>,
-    /// Eigenvectors, row-major `n x n`; row `k` of this matrix is *not* an
-    /// eigenvector — column `k` is, matching `values[k]`.
-    pub vectors: Vec<f64>,
-    n: usize,
-}
-
-impl Eigen {
-    /// Eigenvector for `values[k]` as an owned vector.
-    pub fn vector(&self, k: usize) -> Vec<f64> {
-        (0..self.n).map(|i| self.vectors[i * self.n + k]).collect()
-    }
-
-    /// Smallest eigenvalue.
-    pub fn min_value(&self) -> f64 {
-        self.values.first().copied().unwrap_or(0.0)
-    }
-
-    /// Rebuild `V diag(w) V'` with (possibly modified) eigenvalues `w`.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != n`.
-    pub fn reconstruct_with(&self, w: &[f64]) -> SymMatrix {
-        assert_eq!(w.len(), self.n, "eigenvalue count mismatch");
-        let n = self.n;
-        let mut a = SymMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += self.vectors[i * n + k] * w[k] * self.vectors[j * n + k];
-                }
-                a.set(i, j, acc);
-            }
-        }
-        a
-    }
-}
-
-/// Cyclic Jacobi eigensolver for symmetric matrices.
-///
-/// Converges quadratically; `max_sweeps` of 30 is far beyond what a
-/// correlation matrix needs (typically < 10 sweeps for n <= 256).
-pub fn jacobi_eigen(a: &SymMatrix, max_sweeps: usize) -> Eigen {
-    let n = a.n();
-    let mut m = a.to_full();
-    let mut v = vec![0.0; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
-    }
-
-    for _sweep in 0..max_sweeps {
-        // Sum of squares of the strict upper triangle: convergence measure.
-        let mut off = 0.0;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off += m[p * n + q] * m[p * n + q];
-            }
-        }
-        if off.sqrt() < 1e-12 * (n as f64) {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[p * n + q];
-                if apq.abs() < 1e-300 {
-                    continue;
-                }
-                let app = m[p * n + p];
-                let aqq = m[q * n + q];
-                let theta = (aqq - app) / (2.0 * apq);
-                // Stable tangent of the rotation angle.
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-
-                // Apply the rotation G(p, q, theta) on both sides of m and
-                // accumulate into v.
-                for k in 0..n {
-                    let mkp = m[k * n + p];
-                    let mkq = m[k * n + q];
-                    m[k * n + p] = c * mkp - s * mkq;
-                    m[k * n + q] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[p * n + k];
-                    let mqk = m[q * n + k];
-                    m[p * n + k] = c * mpk - s * mqk;
-                    m[q * n + k] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[k * n + p];
-                    let vkq = v[k * n + q];
-                    v[k * n + p] = c * vkp - s * vkq;
-                    v[k * n + q] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-
-    // Extract and sort ascending, permuting eigenvector columns to match.
-    let mut order: Vec<usize> = (0..n).collect();
-    let values_raw: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
-    order.sort_by(|&x, &y| values_raw[x].partial_cmp(&values_raw[y]).unwrap());
-    let values: Vec<f64> = order.iter().map(|&k| values_raw[k]).collect();
-    let mut vectors = vec![0.0; n * n];
-    for (new_k, &old_k) in order.iter().enumerate() {
-        for i in 0..n {
-            vectors[i * n + new_k] = v[i * n + old_k];
-        }
-    }
-    Eigen { values, vectors, n }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,83 +175,5 @@ mod tests {
         ch.mul_in_place(&mut e1);
         assert!(approx(e1[0], 0.0, 1e-14));
         assert!(approx(e1[1], (1.0f64 - 0.25).sqrt(), 1e-14));
-    }
-
-    #[test]
-    fn jacobi_diagonal() {
-        let full = vec![
-            3.0, 0.0, 0.0, //
-            0.0, 1.0, 0.0, //
-            0.0, 0.0, 2.0,
-        ];
-        let a = SymMatrix::from_full(3, &full);
-        let e = jacobi_eigen(&a, 30);
-        assert!(approx(e.values[0], 1.0, 1e-12));
-        assert!(approx(e.values[1], 2.0, 1e-12));
-        assert!(approx(e.values[2], 3.0, 1e-12));
-    }
-
-    #[test]
-    fn jacobi_known_2x2() {
-        // [[2, 1], [1, 2]] has eigenvalues 1 and 3.
-        let a = SymMatrix::from_full(2, &[2.0, 1.0, 1.0, 2.0]);
-        let e = jacobi_eigen(&a, 30);
-        assert!(approx(e.values[0], 1.0, 1e-12));
-        assert!(approx(e.values[1], 3.0, 1e-12));
-        // Eigenvector for 3 is (1, 1)/sqrt(2) up to sign.
-        let v = e.vector(1);
-        assert!(approx(v[0].abs(), std::f64::consts::FRAC_1_SQRT_2, 1e-10));
-        assert!(approx(v[1].abs(), std::f64::consts::FRAC_1_SQRT_2, 1e-10));
-        assert!(approx(v[0] * v[1], 0.5, 1e-10)); // same sign
-    }
-
-    #[test]
-    fn jacobi_reconstructs() {
-        let full = vec![
-            2.0, -1.0, 0.3, //
-            -1.0, 2.5, -0.2, //
-            0.3, -0.2, 1.5,
-        ];
-        let a = SymMatrix::from_full(3, &full);
-        let e = jacobi_eigen(&a, 50);
-        let r = e.reconstruct_with(&e.values);
-        assert!(a.frobenius_distance(&r) < 1e-9);
-    }
-
-    #[test]
-    fn jacobi_detects_indefiniteness() {
-        // Correlation-like matrix violating PSD: rho(0,1)=rho(1,2)=0.9,
-        // rho(0,2)=-0.9 is infeasible.
-        let full = vec![
-            1.0, 0.9, -0.9, //
-            0.9, 1.0, 0.9, //
-            -0.9, 0.9, 1.0,
-        ];
-        let a = SymMatrix::from_full(3, &full);
-        let e = jacobi_eigen(&a, 50);
-        assert!(e.min_value() < -0.1, "min eigenvalue {}", e.min_value());
-    }
-
-    #[test]
-    fn eigen_orthonormal_columns() {
-        let full = vec![
-            2.0, 0.4, 0.1, //
-            0.4, 1.0, 0.3, //
-            0.1, 0.3, 1.2,
-        ];
-        let a = SymMatrix::from_full(3, &full);
-        let e = jacobi_eigen(&a, 50);
-        for p in 0..3 {
-            for q in 0..3 {
-                let dot: f64 = e
-                    .vector(p)
-                    .iter()
-                    .zip(e.vector(q))
-                    .map(|(x, y)| x * y)
-                    .sum();
-                let want = if p == q { 1.0 } else { 0.0 };
-                assert!(approx(dot, want, 1e-9), "V'V[{p}][{q}] = {dot}");
-            }
-        }
     }
 }

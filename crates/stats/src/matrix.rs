@@ -173,28 +173,6 @@ impl SymMatrix {
         acc.sqrt()
     }
 
-    /// Multiply this (symmetric) matrix by a dense vector: `y = A x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "vector length mismatch");
-        let mut y = vec![0.0; self.n];
-        for i in 0..self.n {
-            let mut acc = 0.0;
-            for j in 0..self.n {
-                acc += self.get(i, j) * x[j];
-            }
-            y[i] = acc;
-        }
-        y
-    }
-
-    /// Quadratic form `x' A x`, used by PSD property tests.
-    pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        self.matvec(x).iter().zip(x).map(|(yi, xi)| yi * xi).sum()
-    }
-
     /// Map an unordered pair `(i, j)`, `i != j`, to its rank in the canonical
     /// strict-lower-triangle enumeration (row-major): `(1,0) -> 0`,
     /// `(2,0) -> 1`, `(2,1) -> 2`, ...
@@ -320,20 +298,6 @@ mod tests {
             }
         }
         assert_eq!(expected, 1830);
-    }
-
-    #[test]
-    fn matvec_matches_full() {
-        let full = vec![
-            2.0, -1.0, 0.0, //
-            -1.0, 2.0, -1.0, //
-            0.0, -1.0, 2.0,
-        ];
-        let m = SymMatrix::from_full(3, &full);
-        let x = [1.0, 2.0, 3.0];
-        let y = m.matvec(&x);
-        assert_eq!(y, vec![0.0, 0.0, 4.0]);
-        assert!((m.quadratic_form(&x) - 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,10 +4,9 @@ use proptest::prelude::*;
 
 use stats::correlation::CorrType;
 use stats::descriptive::{percentile, BoxPlot, Summary};
-use stats::linalg::{jacobi_eigen, Cholesky};
+use stats::linalg::Cholesky;
 use stats::matrix::SymMatrix;
 use stats::online::{RollingMoments, Welford};
-use stats::psd;
 
 fn finite_series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e4f64..1e4, len)
@@ -117,43 +116,6 @@ proptest! {
         }
         let ch = Cholesky::factor(&m, 0.0).unwrap();
         prop_assert!(m.frobenius_distance(&ch.reconstruct()) < 1e-8);
-    }
-
-    #[test]
-    fn jacobi_eigenvalues_sum_to_trace(
-        vals in proptest::collection::vec(-2.0f64..2.0, 6),
-    ) {
-        // Symmetric matrix with the given strict lower triangle.
-        let mut m = SymMatrix::identity(3);
-        m.set(1, 0, vals[0]);
-        m.set(2, 0, vals[1]);
-        m.set(2, 1, vals[2]);
-        m.set(0, 0, 1.0 + vals[3]);
-        m.set(1, 1, 1.0 + vals[4]);
-        m.set(2, 2, 1.0 + vals[5]);
-        let e = jacobi_eigen(&m, 50);
-        let trace: f64 = (0..3).map(|i| m.get(i, i)).sum();
-        let sum: f64 = e.values.iter().sum();
-        prop_assert!((trace - sum).abs() < 1e-8);
-    }
-
-    #[test]
-    fn psd_repair_is_idempotent(
-        offs in proptest::collection::vec(-0.99f64..0.99, 6),
-    ) {
-        let mut m = SymMatrix::identity(4);
-        let mut k = 0;
-        for i in 1..4 {
-            for j in 0..i {
-                m.set(i, j, offs[k]);
-                k += 1;
-            }
-        }
-        psd::repair_correlation(&mut m, psd::RepairConfig::default());
-        let first = m.clone();
-        let second_report = psd::repair_correlation(&mut m, psd::RepairConfig::default());
-        prop_assert!(!second_report.repaired, "repair must be a fixed point");
-        prop_assert!(m.frobenius_distance(&first) < 1e-12);
     }
 
     #[test]

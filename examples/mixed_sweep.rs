@@ -5,8 +5,8 @@
 //! behind the same `Strategy` trait, sharing the collector, bar
 //! accumulator and correlation engines, and feeding one master risk
 //! manager. A successive-halving pass then concentrates the day budget
-//! on the strongest configurations and reports the paper's three
-//! performance measures.
+//! on the strongest configurations, ranking each round with the
+//! optimiser's score cards.
 //!
 //! ```sh
 //! cargo run --release --example mixed_sweep
@@ -92,9 +92,8 @@ fn main() {
     }
 
     // The outer optimisation loop: successive halving over the same
-    // grid, day budget doubling per round, elimination on the paper's
-    // three measures (total cumulative return, maximum daily drawdown,
-    // win-loss ratio).
+    // grid, day budget doubling per round, elimination on market-wide
+    // total return (eqs. 3 and 4).
     let schedule = HalvingSchedule {
         eta: 2,
         rounds: 3,

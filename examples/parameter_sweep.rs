@@ -7,21 +7,18 @@
 //! cargo run --release --example parameter_sweep
 //! ```
 
-use backtest::metrics;
+use backtest::optimize::ScoreCard;
 use backtest::runner::{Experiment, ExperimentConfig};
 use pairtrade_core::params::StrategyParams;
 
 fn main() {
-    let d_values = [0.0001, 0.0002, 0.0005, 0.001, 0.002];
-    let ell_values = [1.0 / 3.0, 1.0 / 2.0, 2.0 / 3.0];
-
     let base = StrategyParams::paper_default();
     let mut grid = Vec::new();
-    for &d in &d_values {
-        for &ell in &ell_values {
+    for divergence in [0.0001, 0.0002, 0.0005, 0.001, 0.002] {
+        for retracement in [1.0 / 3.0, 1.0 / 2.0, 2.0 / 3.0] {
             grid.push(StrategyParams {
-                divergence: d,
-                retracement: ell,
+                divergence,
+                retracement,
                 ..base
             });
         }
@@ -37,33 +34,21 @@ fn main() {
     );
 
     let results = Experiment::new(config).run();
-    let n_pairs = results.n_pairs();
-
     println!(
         "{:>9} {:>6} | {:>9} {:>12} {:>10} {:>10}",
         "d", "ell", "trades", "mean return", "mean MDD", "win-loss"
     );
     println!("{}", "-".repeat(64));
     for (idx, p) in grid.iter().enumerate() {
-        let mut trades = 0u32;
-        let mut sum_ret = 0.0;
-        let mut sum_mdd = 0.0;
-        let mut wl = metrics::WinLoss::default();
-        for pair in 0..n_pairs {
-            let s = results.stats(idx, pair);
-            trades += s.n_trades;
-            sum_ret += results.total_cumulative(idx, pair);
-            sum_mdd += results.max_daily_drawdown(idx, pair);
-            wl = wl.merge(s.wl);
-        }
+        let card = ScoreCard::of(&results.table, idx);
         println!(
             "{:>8.3}% {:>6.2} | {:>9} {:>11.4}% {:>9.4}% {:>10.3}",
             p.divergence * 100.0,
             p.retracement,
-            trades,
-            sum_ret / n_pairs as f64 * 100.0,
-            sum_mdd / n_pairs as f64 * 100.0,
-            wl.ratio()
+            card.trades,
+            card.return_summary.mean * 100.0,
+            card.mean_drawdown * 100.0,
+            card.wl.ratio()
         );
     }
 

@@ -103,7 +103,7 @@ fn main() {
 
     // Portfolio view: the equal-weight (1/N) book per treatment's base
     // parameter set, as a daily equity curve. (Eq. 4's compound-across-
-    // pairs aggregate is available via portfolio::marketwide_equity.)
+    // pairs aggregate is every score card's `market_daily`.)
     println!("equal-weight book equity curves (base level per treatment):");
     for ctype in stats::correlation::CorrType::TREATMENTS {
         if let Some(&idx) = results.params_with(ctype).first() {
@@ -120,18 +120,18 @@ fn main() {
     println!();
 
     // The paper's future-work item: optimal parameter sets per measure.
-    let ranked = optimize::rank_parameter_sets(&results, Objective::Sharpe);
+    let ranked = optimize::rank(&results.table, Objective::Sharpe);
     println!(
         "{}",
         optimize::render_leaderboard(&ranked, Objective::Sharpe, 5)
     );
     println!("best parameter set per correlation measure (by Sharpe):");
-    for (ctype, card) in optimize::best_per_treatment(&results, Objective::Sharpe) {
+    for (ctype, card) in optimize::best_per_treatment(&results.table, Objective::Sharpe) {
         println!(
             "  {:<9} score {:>8.4}  {}",
             ctype.to_string(),
-            card.score,
-            card.params.label()
+            Objective::Sharpe.of(&card),
+            card.spec.label()
         );
     }
     println!();

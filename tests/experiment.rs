@@ -3,10 +3,14 @@
 //! across thread counts.
 
 use backtest::aggregate;
+use backtest::halving::{run_successive_halving, HalvingSchedule};
+use backtest::optimize::{self, Objective};
 use backtest::report::{render_boxplots, Measure, TableReport};
 use backtest::runner::{Experiment, ExperimentConfig};
+use marketminer::pipeline::SweepConfig;
 use pairtrade_core::params::StrategyParams;
 use stats::correlation::CorrType;
+use taq::generator::MarketGenerator;
 
 fn mini_grid() -> Vec<StrategyParams> {
     // 2 levels x 3 treatments = 6 parameter sets.
@@ -89,6 +93,28 @@ fn experiment_deterministic_across_thread_counts() {
             );
         }
     }
+}
+
+/// One ranker across paths: a one-round halving over the streamed days
+/// scores its candidates card for card as the optimiser does over the
+/// batch experiment of the same grid and days, in the same order.
+#[test]
+fn halving_and_the_optimiser_rank_alike() {
+    let cfg = mini_config(1);
+    let mut generator = MarketGenerator::new(cfg.market.clone());
+    let days: Vec<_> = std::iter::from_fn(|| generator.next_day()).collect();
+    let schedule = HalvingSchedule {
+        eta: 2,
+        rounds: 1,
+        base_days: 2,
+        min_survivors: 1,
+    };
+    let sweep = SweepConfig::new(cfg.market.n_stocks, mini_grid());
+    let halving = run_successive_halving(&sweep, &schedule, &days).unwrap();
+    let batch = Experiment::new(cfg).run();
+    assert!(batch.total_trades > 0);
+    let cards = optimize::rank(&batch.table, Objective::MarketReturn);
+    assert_eq!(halving.rounds[0].scores, cards);
 }
 
 #[test]
