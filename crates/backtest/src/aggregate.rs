@@ -62,9 +62,10 @@ pub fn samples_for_treatment(
         let mut sum_mdd = 0.0;
         let mut sum_wl = 0.0;
         for &p in &param_idxs {
-            sum_ret += results.total_cumulative(p, pair);
-            sum_mdd += results.max_daily_drawdown(p, pair);
-            sum_wl += results.stats(p, pair).wl.ratio();
+            let s = results.stats(p, pair);
+            sum_ret += s.total_return();
+            sum_mdd += s.max_daily_drawdown();
+            sum_wl += s.wl.ratio();
         }
         cum_return.push(sum_ret / k + 1.0);
         max_drawdown_pct.push(sum_mdd / k * 100.0);
@@ -139,7 +140,8 @@ mod tests {
         let results = two_treatment_results();
         let t = samples_for_treatment(&results, CorrType::Pearson).unwrap();
         // Pearson params are indices 0 and 1.
-        let want = (results.total_cumulative(0, 3) + results.total_cumulative(1, 3)) / 2.0 + 1.0;
+        let ret = |p: usize| results.stats(p, 3).total_return();
+        let want = (ret(0) + ret(1)) / 2.0 + 1.0;
         assert!((t.samples.cum_return[3] - want).abs() < 1e-12);
     }
 
