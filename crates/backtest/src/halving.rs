@@ -45,16 +45,6 @@ pub struct HalvingSchedule {
 }
 
 impl HalvingSchedule {
-    /// A conservative default: halve twice over a doubling day budget.
-    pub fn default_schedule() -> HalvingSchedule {
-        HalvingSchedule {
-            eta: 2,
-            rounds: 2,
-            base_days: 1,
-            min_survivors: 1,
-        }
-    }
-
     /// Reject degenerate schedules (no silent clamping).
     pub fn validate(&self) -> Result<(), InvalidParams> {
         if self.eta < 2 {
@@ -288,7 +278,12 @@ mod tests {
 
     #[test]
     fn schedule_validation_rejects_degenerate_knobs() {
-        let good = HalvingSchedule::default_schedule();
+        let good = HalvingSchedule {
+            eta: 2,
+            rounds: 2,
+            base_days: 1,
+            min_survivors: 1,
+        };
         assert!(good.validate().is_ok());
         for bad in [
             HalvingSchedule { eta: 1, ..good },

@@ -1,15 +1,13 @@
-//! Portfolio-level analysis: the over-pairs and over-params aggregations
-//! of equations (4) and (5), equity curves, and book-level risk.
+//! Portfolio-level analysis: the over-pairs aggregation of equation (4),
+//! equity curves, and book-level risk.
 //!
 //! The per-pair statistics behind Tables III–V answer "which pairs / which
 //! parameters work"; this module answers the trader's question — "what
 //! does the whole book do day by day?" — using the same compounding
 //! algebra: the market-wide daily return for a parameter set is the
-//! compound of its pairs' daily returns (eq. 4), and a pair's
-//! across-parameters return compounds over `K` (eq. 5).
+//! compound of its pairs' daily returns (eq. 4).
 
 use crate::metrics;
-use crate::optimize::sort_best_first;
 use crate::runner::{ExperimentResults, PairParamStats};
 
 /// A daily equity curve (gross growth factors, starting at 1.0 before the
@@ -111,26 +109,6 @@ pub fn equal_weight_equity(results: &ExperimentResults, param_idx: usize) -> Equ
     EquityCurve::from_daily_returns(&equal_weight_daily_returns(results, param_idx))
 }
 
-/// Eq. (5): a pair's total return across all parameter sets — the view
-/// that flags "the pair may be a particularly good candidate for pair
-/// trading and less sensitive to choice of parameters".
-pub fn pair_across_params_return(results: &ExperimentResults, pair_rank: usize) -> f64 {
-    let per_param: Vec<f64> = (0..results.params.len())
-        .map(|p| results.stats(p, pair_rank).total_return())
-        .collect();
-    metrics::compound_across(&per_param)
-}
-
-/// Rank pairs by their across-parameters return (eq. 5), best first.
-/// Returns `(pair_rank, return)` tuples.
-pub fn rank_pairs(results: &ExperimentResults) -> Vec<(usize, f64)> {
-    let mut ranked: Vec<(usize, f64)> = (0..results.n_pairs())
-        .map(|r| (r, pair_across_params_return(results, r)))
-        .collect();
-    sort_best_first(&mut ranked, |&(rank, ret)| (ret, rank));
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,17 +196,5 @@ mod tests {
         assert!(ew[0].abs() <= mw[0].abs() + 1e-12);
         let curve = equal_weight_equity(&r, 0);
         assert_eq!(curve.values.len(), 3);
-    }
-
-    #[test]
-    fn pair_ranking_is_sorted_and_consistent() {
-        let r = results();
-        let ranked = rank_pairs(&r);
-        assert_eq!(ranked.len(), r.n_pairs());
-        for w in ranked.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        let (best_pair, best_ret) = ranked[0];
-        assert!((pair_across_params_return(&r, best_pair) - best_ret).abs() < 1e-12);
     }
 }

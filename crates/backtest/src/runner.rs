@@ -52,8 +52,6 @@ pub struct ExperimentConfig {
     pub exec: ExecutionConfig,
     /// Quote cleaning.
     pub clean: CleanConfig,
-    /// Keep every trade (memory-hungry; tests and deep-dives only).
-    pub keep_trades: bool,
 }
 
 impl ExperimentConfig {
@@ -64,7 +62,6 @@ impl ExperimentConfig {
             params: pairtrade_core::params::paper_parameter_grid(),
             exec: ExecutionConfig::paper(),
             clean: CleanConfig::default(),
-            keep_trades: false,
         }
     }
 
@@ -185,9 +182,6 @@ pub struct ExperimentResults {
     pub params: Vec<StrategyParams>,
     /// Per-(param, pair) statistics; candidate `k` is `params[k]`.
     pub table: PairTable,
-    /// All trades when `keep_trades` was set: `(param_idx, day, trade)`,
-    /// by day, then parameter set, then pair rank.
-    pub trades: Vec<(usize, u16, Trade)>,
     /// Total trades across the whole experiment.
     pub total_trades: u64,
     /// Wall-clock seconds.
@@ -228,13 +222,18 @@ impl Experiment {
     /// New experiment from a configuration.
     ///
     /// # Panics
-    /// Panics if the universe holds fewer than two stocks, the parameter
-    /// grid is empty or any vector is invalid.
+    /// Panics if the universe holds fewer than two stocks, the cleaning
+    /// configuration is invalid, the parameter grid is empty or any
+    /// vector is invalid.
     pub fn new(config: ExperimentConfig) -> Self {
         assert!(
             config.market.n_stocks >= 2,
             "need at least two stocks to pair"
         );
+        config
+            .clean
+            .validate()
+            .unwrap_or_else(|e| panic!("clean: {e}"));
         assert!(!config.params.is_empty(), "parameter grid is empty");
         for (i, p) in config.params.iter().enumerate() {
             p.validate().unwrap_or_else(|e| panic!("params[{i}]: {e}"));
@@ -267,7 +266,7 @@ impl Experiment {
         let start = std::time::Instant::now();
         let tel = self.telemetry.enabled().then(|| {
             let env = telemetry::from_env().unwrap_or_else(|e| panic!("{e}"));
-            Telemetry::build(self.telemetry, env.caps)
+            Telemetry::build(self.telemetry, env.lineage_cap)
         });
         // Phase timings are wall-clock micros observed into log2-bucketed
         // histograms, one sample per (day, phase) execution.
@@ -279,7 +278,6 @@ impl Experiment {
         let n = cfg.market.n_stocks;
         let specs = cfg.params.iter().map(|&p| StrategySpec::Paper(p));
         let mut table = PairTable::new(specs.collect(), n);
-        let mut kept_trades = Vec::new();
         let mut total_trades = 0u64;
 
         // One grid per Δs, and over it one kernel pass per engine of the
@@ -297,7 +295,6 @@ impl Experiment {
                 break;
             };
             phase.observe("generate.us", t0.elapsed().as_micros() as u64);
-            let mut kept_by_param = vec![Vec::new(); cfg.params.len()];
             for (&dt, idxs) in &by_dt {
                 let t0 = std::time::Instant::now();
                 let grid = PriceGrid::from_day(&day, n, dt, cfg.clean);
@@ -344,28 +341,18 @@ impl Experiment {
                         let series = Series::Cube(&cube);
                         let by_pair =
                             run_pairs(&grid, &series, &group, &cfg.exec, |_, per_param| {
-                                (per_param.into_iter())
-                                    .map(|trades| {
-                                        let day = PairDay::of(&trades);
-                                        (day, if cfg.keep_trades { trades } else { Vec::new() })
-                                    })
-                                    .collect::<Vec<_>>()
+                                per_param.iter().map(|t| PairDay::of(t)).collect::<Vec<_>>()
                             });
                         for (rank, per_param) in by_pair.into_iter().enumerate() {
-                            for (&idx, (pair_day, kept)) in param_idxs.iter().zip(per_param) {
+                            for (&idx, pair_day) in param_idxs.iter().zip(per_param) {
                                 table.push(idx, rank, &pair_day);
                                 total_trades += u64::from(pair_day.n_trades);
-                                kept_by_param[idx].extend(kept);
                             }
                         }
                         phase.observe("strategy.us", t0.elapsed().as_micros() as u64);
                     }
                 }
             }
-            kept_trades.extend(
-                (kept_by_param.into_iter().enumerate())
-                    .flat_map(|(idx, trades)| trades.into_iter().map(move |t| (idx, day_idx, t))),
-            );
             phase.count("days", 1);
             day_idx += 1;
         }
@@ -380,7 +367,6 @@ impl Experiment {
             n_days: day_idx as usize,
             params: cfg.params.clone(),
             table,
-            trades: kept_trades,
             total_trades,
             elapsed_secs: start.elapsed().as_secs_f64(),
             telemetry,
@@ -450,20 +436,59 @@ mod tests {
         }
     }
 
+    /// The table is the fold of the trades `approach::run_day` books for
+    /// the same days: per (parameter set, pair), the trade count, the
+    /// wins and losses, and one eq. (2) return per day.
     #[test]
-    fn keep_trades_round_trips_counts() {
-        let mut cfg = small_config();
-        cfg.keep_trades = true;
-        let results = Experiment::new(cfg).run();
-        assert_eq!(results.trades.len() as u64, results.total_trades);
-        // Per-slot counts agree with the kept trades.
-        let mut counted = 0u32;
-        for p in 0..3 {
-            for r in 0..results.n_pairs() {
-                counted += results.stats(p, r).n_trades;
+    fn table_counts_agree_with_run_day_trades() {
+        use crate::approach::{run_day, Approach};
+
+        let cfg = small_config();
+        let results = Experiment::new(cfg.clone()).run();
+        let n = cfg.market.n_stocks;
+        let mut want = vec![PairParamStats::default(); cfg.params.len() * results.n_pairs()];
+        let mut generator = MarketGenerator::new(cfg.market.clone());
+        while let Some(day) = generator.next_day() {
+            let grid = PriceGrid::from_day(&day, n, cfg.params[0].dt_seconds, cfg.clean);
+            let panel = ReturnsPanel::from_grid(&grid);
+            let run = run_day(Approach::Integrated, &grid, &panel, &cfg.params, &cfg.exec);
+            let per_pair = run.trades.iter().flatten();
+            for (slot, trades) in want.iter_mut().zip(per_pair) {
+                let rets: Vec<f64> = trades.iter().map(|t| t.ret).collect();
+                slot.daily_returns.push(metrics::daily_cumulative(&rets));
+                slot.wl.wins += rets.iter().filter(|&&r| r > 0.0).count() as u32;
+                slot.wl.losses += rets.iter().filter(|&&r| r < 0.0).count() as u32;
+                slot.n_trades += trades.len() as u32;
             }
         }
-        assert_eq!(counted as u64, results.total_trades);
+        let mut counted = 0u64;
+        for p in 0..cfg.params.len() {
+            for r in 0..results.n_pairs() {
+                let (got, want) = (results.stats(p, r), &want[p * results.n_pairs() + r]);
+                assert_eq!(got.n_trades, want.n_trades, "param {p} pair {r}");
+                assert_eq!(got.wl, want.wl, "param {p} pair {r}");
+                assert_eq!(got.daily_returns, want.daily_returns, "param {p} pair {r}");
+                counted += u64::from(want.n_trades);
+            }
+        }
+        assert!(counted > 0, "episodes must generate trades");
+        assert_eq!(counted, results.total_trades);
+    }
+
+    #[test]
+    #[should_panic(expected = "clean window")]
+    fn a_clean_window_of_zero_is_refused() {
+        let mut cfg = small_config();
+        cfg.clean.window = 0;
+        Experiment::new(cfg);
+    }
+
+    #[test]
+    fn a_clean_window_of_one_runs() {
+        let mut cfg = small_config();
+        cfg.market.days = 1;
+        cfg.clean.window = 1;
+        assert_eq!(Experiment::new(cfg).run().n_days, 1);
     }
 
     #[test]

@@ -39,7 +39,9 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// family (no trade log, no per-pair parameters), the risk book keeps
 /// each open pair with the stock its entry bought, and the technical
 /// node keeps no volatility estimate.
-pub const VERSION: u8 = 5;
+/// Version 6: a correlation engine lane keeps no emission countdown (it
+/// publishes at every warm interval).
+pub const VERSION: u8 = 6;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

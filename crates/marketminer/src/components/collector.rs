@@ -2,9 +2,12 @@
 //! boxes of Figure 1.
 //!
 //! All three paper adapters reduce, on this side of the wire, to "a source
-//! of time-ordered quotes"; [`ReplayCollector`] replays an in-memory
-//! [`taq::dataset::DayData`] (a file or DB read lands in one of those
-//! first via `taq::io`), preserving tape order.
+//! of time-ordered quotes": [`ReplayCollector`] replays an in-memory
+//! [`taq::dataset::DayData`], preserving tape order, and
+//! [`FaultedCollector`] replays one through a stream-fault plan. A day
+//! on disk is read into a `DayData` first, by `taq::io::load_dataset`
+//! (the `pairtrade` tool's `--dataset`) or `taq::io::read_binary_file`
+//! (a shard worker's tape).
 
 use taq::dataset::DayData;
 use telemetry::recorder::FlightKind;
@@ -46,42 +49,6 @@ impl Source for ReplayCollector {
 
     fn attach_telemetry(&mut self, probe: Probe) {
         self.probe = probe;
-    }
-}
-
-/// Replays quotes from a binary `.taq` file on disk — Figure 1's
-/// "Custom TAQ Files" adapter. The file is read lazily when the DAG
-/// starts, not when the graph is built.
-pub struct FileCollector {
-    path: std::path::PathBuf,
-    n_symbols: usize,
-    name: String,
-}
-
-impl FileCollector {
-    /// Collector over a binary day file written by
-    /// `taq::io::write_binary_file`.
-    pub fn new(path: impl Into<std::path::PathBuf>, n_symbols: usize) -> Self {
-        let path = path.into();
-        FileCollector {
-            name: format!("file-collector({})", path.display()),
-            path,
-            n_symbols,
-        }
-    }
-}
-
-impl Source for FileCollector {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn run(&mut self, out: &mut Emit<'_>) {
-        let day = taq::io::read_binary_file(&self.path, self.n_symbols)
-            .unwrap_or_else(|e| panic!("file collector: {}: {e}", self.path.display()));
-        for &q in day.quotes() {
-            out(Message::Quote(q, Cause::none()));
-        }
     }
 }
 
@@ -147,56 +114,10 @@ impl Source for FaultedCollector {
     }
 }
 
-/// Emits a fixed vector of quotes — the unit-test adapter.
-pub struct QuoteVecSource {
-    quotes: Vec<taq::quote::Quote>,
-}
-
-impl QuoteVecSource {
-    /// Source over explicit quotes (must be time-ordered).
-    pub fn new(quotes: Vec<taq::quote::Quote>) -> Self {
-        QuoteVecSource { quotes }
-    }
-}
-
-impl Source for QuoteVecSource {
-    fn name(&self) -> &str {
-        "quote-vec-source"
-    }
-
-    fn run(&mut self, out: &mut Emit<'_>) {
-        for &q in &self.quotes {
-            out(Message::Quote(q, Cause::none()));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use taq::generator::{MarketConfig, MarketGenerator};
-
-    #[test]
-    fn file_collector_replays_a_saved_day() {
-        let mut cfg = MarketConfig::small(2, 1, 13);
-        cfg.micro.quote_rate_hz = 0.005;
-        let mut g = MarketGenerator::new(cfg);
-        let day = g.next_day().unwrap();
-        let expect = day.len();
-        let path =
-            std::env::temp_dir().join(format!("mm_file_collector_{}.taq", std::process::id()));
-        taq::io::write_binary_file(&day, &path).unwrap();
-
-        let mut collector = FileCollector::new(&path, 2);
-        let mut count = 0;
-        collector.run(&mut |m| {
-            if matches!(m, Message::Quote(..)) {
-                count += 1;
-            }
-        });
-        std::fs::remove_file(&path).ok();
-        assert_eq!(count, expect);
-    }
 
     #[test]
     fn faulted_collector_publishes_ground_truth() {

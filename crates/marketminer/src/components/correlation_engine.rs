@@ -3,9 +3,9 @@
 //!
 //! Keeps a trailing window of `M` log-returns per stock; every interval
 //! (once all windows are full) it computes the all-pairs correlation
-//! matrix with the rayon-parallel engine and publishes the snapshot.
-//! A `stride` lets Figure 1's "Correlation (over 25 mins)" cadence be
-//! configured independently of Δs.
+//! matrix with the rayon-parallel engine and publishes the snapshot —
+//! one per lane per warm interval, the cadence of the batch cubes, which
+//! hold one matrix per return step.
 //!
 //! A node publishes one stream — or, for the robust measures, the
 //! **robust plane** of its window: `Maronna(M)` and `Combined(M)` are two
@@ -72,10 +72,6 @@ struct Lane {
     /// Returns seen since the lane started, counted up to `M`: the lane
     /// is warm at its `M`-th, whatever the (possibly older) windows hold.
     seen: usize,
-    /// Warm intervals seen since the last emission. Starts at `stride` so
-    /// the very first warm interval emits immediately instead of waiting
-    /// a full extra stride.
-    since_last: usize,
     /// Per-pair warm-start state for the robust measures: the previous
     /// emission's converged Maronna `(location, scatter)` in canonical
     /// pair-rank order. Empty for measures with no iterative fit.
@@ -83,10 +79,10 @@ struct Lane {
 }
 
 // `stream` is configuration: a decoded lane takes its node's.
-wire::record! { Lane { ctype, seen, since_last, seeds; stream } }
+wire::record! { Lane { ctype, seen, seeds; stream } }
 
 impl Lane {
-    fn cold(ctype: CorrType, stream: usize, n_stocks: usize, stride: usize) -> Lane {
+    fn cold(ctype: CorrType, stream: usize, n_stocks: usize) -> Lane {
         let seeds = match plane_slot(ctype) {
             Some(_) => vec![None; n_stocks * n_stocks.saturating_sub(1) / 2],
             None => Vec::new(),
@@ -95,7 +91,6 @@ impl Lane {
             ctype,
             stream,
             seen: 0,
-            since_last: stride,
             seeds,
         }
     }
@@ -104,7 +99,6 @@ impl Lane {
 /// Streaming all-pairs correlation node.
 #[derive(Clone)]
 pub struct CorrelationEngineNode {
-    stride: usize,
     m: usize,
     kind: EngineKind,
     /// Per-stock buffers the windows are linearised into each snapshot,
@@ -134,24 +128,24 @@ fn windowed(n_stocks: usize, m: usize) -> EngineKind {
 }
 
 impl CorrelationEngineNode {
-    /// Node over `n_stocks` stocks with correlation window `M`, emitting a
-    /// snapshot every `stride` intervals. Pearson runs on the O(1) online
-    /// engine; the other measures recompute their windows, a robust one
-    /// as the single lane of its [`Self::robust_plane`].
+    /// Node over `n_stocks` stocks with correlation window `M`. Pearson
+    /// runs on the O(1) online engine; the other measures recompute their
+    /// windows, a robust one as the single lane of its
+    /// [`Self::robust_plane`].
     ///
     /// # Panics
-    /// Panics if `m < 2` or `stride` is 0.
-    pub fn new(n_stocks: usize, m: usize, stride: usize, ctype: CorrType) -> Self {
+    /// Panics if `m < 2`.
+    pub fn new(n_stocks: usize, m: usize, ctype: CorrType) -> Self {
         if plane_slot(ctype).is_some() {
-            return Self::robust_plane(n_stocks, m, stride, &[(ctype, 0)]);
+            return Self::robust_plane(n_stocks, m, &[(ctype, 0)]);
         }
         let kind = if ctype == CorrType::Pearson {
             EngineKind::Online(OnlineCorrMatrix::new(n_stocks, m))
         } else {
             windowed(n_stocks, m)
         };
-        let lanes = vec![Lane::cold(ctype, 0, n_stocks, stride)];
-        Self::build(n_stocks, m, stride, kind, lanes)
+        let lanes = vec![Lane::cold(ctype, 0, n_stocks)];
+        Self::build(n_stocks, m, kind, lanes)
     }
 
     /// The name of the node that computes measure `ctype` over window
@@ -170,30 +164,24 @@ impl CorrelationEngineNode {
     /// Its name depends on `M` alone.
     ///
     /// # Panics
-    /// Panics if `m < 2`, `stride` is 0, or `lanes` is not one or two
-    /// distinct robust measures.
-    pub fn robust_plane(
-        n_stocks: usize,
-        m: usize,
-        stride: usize,
-        lanes: &[(CorrType, usize)],
-    ) -> Self {
+    /// Panics if `m < 2` or `lanes` is not one or two distinct robust
+    /// measures.
+    pub fn robust_plane(n_stocks: usize, m: usize, lanes: &[(CorrType, usize)]) -> Self {
         let slots: Vec<_> = lanes.iter().map(|&(c, _)| plane_slot(c)).collect();
         assert!(
             matches!(slots[..], [Some(_)]) || matches!(slots[..], [Some(a), Some(b)] if a != b),
             "a robust plane runs Maronna, Combined or both, not {lanes:?}"
         );
         let lanes = (lanes.iter())
-            .map(|&(ctype, stream)| Lane::cold(ctype, stream, n_stocks, stride))
+            .map(|&(ctype, stream)| Lane::cold(ctype, stream, n_stocks))
             .collect();
-        Self::build(n_stocks, m, stride, windowed(n_stocks, m), lanes)
+        Self::build(n_stocks, m, windowed(n_stocks, m), lanes)
     }
 
-    fn build(n_stocks: usize, m: usize, stride: usize, kind: EngineKind, lanes: Vec<Lane>) -> Self {
-        assert!(m >= 2 && stride > 0);
+    fn build(n_stocks: usize, m: usize, kind: EngineKind, lanes: Vec<Lane>) -> Self {
+        assert!(m >= 2);
         let name = Self::engine_name(lanes[0].ctype, m);
         CorrelationEngineNode {
-            stride,
             m,
             kind,
             scratch: vec![Vec::new(); n_stocks],
@@ -294,7 +282,7 @@ fn encode_lanes(lanes: &[Lane], w: &mut Writer) {
 /// detached.
 fn decode_lanes(node: &CorrelationEngineNode, r: &mut Reader<'_>) -> Result<Vec<Lane>, WireError> {
     let mut lanes: Vec<Lane> = (node.lanes.iter())
-        .map(|lane| Lane::cold(lane.ctype, lane.stream, node.degraded.len(), node.stride))
+        .map(|lane| Lane::cold(lane.ctype, lane.stream, node.degraded.len()))
         .collect();
     for _ in 0..u8::decode(r)? {
         let saved = Lane::decode(r)?;
@@ -345,16 +333,11 @@ impl Component for CorrelationEngineNode {
                 windows.iter().all(|w| w.is_full())
             }
         };
-        // Which lanes publish this interval.
+        // Which lanes publish this interval: every warm one.
         let mut due = Vec::with_capacity(self.lanes.len());
         for (at, lane) in self.lanes.iter_mut().enumerate() {
             lane.seen = (lane.seen + 1).min(self.m);
-            if !full || lane.seen < self.m {
-                continue;
-            }
-            lane.since_last += 1;
-            if lane.since_last >= self.stride {
-                lane.since_last = 0;
+            if full && lane.seen == self.m {
                 due.push(at);
             }
         }
@@ -490,22 +473,38 @@ mod tests {
         common * 0.5 + (((k * (i + 2) * 7) % 13) as f64 - 6.0) * 0.05
     }
 
+    /// Nothing before the windows fill, then exactly one snapshot per
+    /// lane for every warm interval, stamped with that interval and the
+    /// lane's stream.
     #[test]
     fn emits_only_after_windows_fill() {
-        let mut node = CorrelationEngineNode::new(3, 5, 1, CorrType::Pearson);
-        for k in 0..4 {
-            assert!(feed(&mut node, k, vec![ret(0, k), ret(1, k), ret(2, k)]).is_empty());
+        let plane = [(CorrType::Maronna, 3), (CorrType::Combined, 5)];
+        for (mut node, streams) in [
+            (CorrelationEngineNode::new(3, 5, CorrType::Pearson), vec![0]),
+            (
+                CorrelationEngineNode::robust_plane(3, 5, &plane),
+                vec![3, 5],
+            ),
+        ] {
+            for k in 0..4 {
+                assert!(feed(&mut node, k, vec![ret(0, k), ret(1, k), ret(2, k)]).is_empty());
+            }
+            for k in 4..30 {
+                let snaps = feed(&mut node, k, vec![ret(0, k), ret(1, k), ret(2, k)]);
+                let got: Vec<usize> = snaps.iter().map(|s| s.stream).collect();
+                assert_eq!(got, streams, "interval {k}");
+                for snap in &snaps {
+                    assert_eq!(snap.interval, k);
+                    assert_eq!(snap.matrix.n(), 3);
+                }
+            }
         }
-        let snaps = feed(&mut node, 4, vec![ret(0, 4), ret(1, 4), ret(2, 4)]);
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].interval, 4);
-        assert_eq!(snaps[0].matrix.n(), 3);
     }
 
     #[test]
     fn matrix_matches_direct_computation() {
         let m = 8;
-        let mut node = CorrelationEngineNode::new(2, m, 1, CorrType::Pearson);
+        let mut node = CorrelationEngineNode::new(2, m, CorrType::Pearson);
         let mut all0 = Vec::new();
         let mut all1 = Vec::new();
         let mut last = None;
@@ -524,21 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn stride_thins_snapshots() {
-        let mut node = CorrelationEngineNode::new(2, 4, 5, CorrType::Pearson);
-        let mut count = 0;
-        for k in 0..40 {
-            count += feed(&mut node, k, vec![ret(0, k), ret(1, k)]).len();
-        }
-        // Windows full from k=3: emit immediately on warm, then every
-        // stride — snapshots at k = 3, 8, 13, 18, 23, 28, 33, 38.
-        assert_eq!(count, 8);
-    }
-
-    #[test]
     fn degraded_symbols_are_masked_to_zero() {
         use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
-        let mut node = CorrelationEngineNode::new(3, 4, 1, CorrType::Pearson);
+        let mut node = CorrelationEngineNode::new(3, 4, CorrType::Pearson);
         for k in 0..4 {
             feed(&mut node, k, vec![ret(0, k), ret(1, k), ret(2, k)]);
         }
@@ -573,8 +560,8 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_identically() {
-        let mut a = CorrelationEngineNode::new(2, 4, 1, CorrType::Pearson);
-        let mut b = CorrelationEngineNode::new(2, 4, 1, CorrType::Pearson);
+        let mut a = CorrelationEngineNode::new(2, 4, CorrType::Pearson);
+        let mut b = CorrelationEngineNode::new(2, 4, CorrType::Pearson);
         for k in 0..6 {
             feed(&mut a, k, vec![ret(0, k), ret(1, k)]);
             feed(&mut b, k, vec![ret(0, k), ret(1, k)]);
@@ -596,7 +583,7 @@ mod tests {
     #[test]
     fn warm_maronna_agrees_with_cold_per_pair() {
         let m = 10;
-        let mut node = CorrelationEngineNode::new(3, m, 1, CorrType::Maronna);
+        let mut node = CorrelationEngineNode::new(3, m, CorrType::Maronna);
         let mut series: Vec<Vec<f64>> = vec![Vec::new(); 3];
         let mut last = None;
         for k in 0..25 {
@@ -685,9 +672,8 @@ mod tests {
         let (n, m) = (5, 50);
         let panel = day_panel(n);
         let lanes = [(CorrType::Maronna, 3), (CorrType::Combined, 7)];
-        let mut plane = CorrelationEngineNode::robust_plane(n, m, 1, &lanes);
-        let mut singles =
-            lanes.map(|(c, id)| CorrelationEngineNode::new(n, m, 1, c).with_stream(id));
+        let mut plane = CorrelationEngineNode::robust_plane(n, m, &lanes);
+        let mut singles = lanes.map(|(c, id)| CorrelationEngineNode::new(n, m, c).with_stream(id));
         let len = panel.len();
         let (restore_at, recode_at) = (len / 3, len / 2);
         let degraded = 2 * len / 3..2 * len / 3 + 25;
@@ -700,7 +686,7 @@ mod tests {
             }
             if k == recode_at {
                 let bytes = plane.encode_state().expect("the node has durable state");
-                let mut fresh = CorrelationEngineNode::robust_plane(n, m, 1, &lanes);
+                let mut fresh = CorrelationEngineNode::robust_plane(n, m, &lanes);
                 assert!(!fresh.decode_state(&bytes[..bytes.len() - 1]), "truncated");
                 assert!(fresh.decode_state(&bytes));
                 assert_eq!(fresh.encode_state().unwrap(), bytes);
@@ -742,15 +728,15 @@ mod tests {
         ] {
             let alone = [(stays, 0)];
             let both = [(stays, 0), (joins, 1)];
-            let mut stayer = CorrelationEngineNode::new(n, m, 1, stays);
-            let mut joiner = CorrelationEngineNode::new(n, m, 1, joins).with_stream(1);
-            let mut plane = CorrelationEngineNode::robust_plane(n, m, 1, &alone);
+            let mut stayer = CorrelationEngineNode::new(n, m, stays);
+            let mut joiner = CorrelationEngineNode::new(n, m, joins).with_stream(1);
+            let mut plane = CorrelationEngineNode::robust_plane(n, m, &alone);
             let mut joined = 0;
             for k in 0..end {
                 if k == join || k == leave {
                     let lanes: &[_] = if k == join { &both } else { &alone };
                     let bytes = plane.encode_state().unwrap();
-                    let mut next = CorrelationEngineNode::robust_plane(n, m, 1, lanes);
+                    let mut next = CorrelationEngineNode::robust_plane(n, m, lanes);
                     assert_eq!(next.name(), plane.name(), "restored by name");
                     assert!(next.decode_state(&bytes));
                     plane = next;
@@ -780,8 +766,8 @@ mod tests {
         let (n, m) = (3, 6);
         let ab = [(CorrType::Maronna, 0), (CorrType::Combined, 1)];
         let ba = [(CorrType::Combined, 1), (CorrType::Maronna, 0)];
-        let mut a = CorrelationEngineNode::robust_plane(n, m, 1, &ab);
-        let mut b = CorrelationEngineNode::robust_plane(n, m, 1, &ba);
+        let mut a = CorrelationEngineNode::robust_plane(n, m, &ab);
+        let mut b = CorrelationEngineNode::robust_plane(n, m, &ba);
         for k in 0..15 {
             let rs: Vec<f64> = (0..n).map(|i| ret(i, k)).collect();
             let (from_a, mut from_b) = (feed(&mut a, k, rs.clone()), feed(&mut b, k, rs));
@@ -789,7 +775,7 @@ mod tests {
             assert_same_snapshots(&from_a, &from_b, k);
         }
         assert_eq!(a.encode_state().unwrap(), b.encode_state().unwrap());
-        let single = CorrelationEngineNode::new(n, m, 1, CorrType::Combined);
+        let single = CorrelationEngineNode::new(n, m, CorrType::Combined);
         assert_eq!(single.name(), a.name());
         assert_eq!(a.name(), "corr-engine(robust, M=6)");
     }
@@ -807,7 +793,7 @@ mod tests {
             let cube = ParallelCorrEngine::new(ctype)
                 .cube(panel.all(), m)
                 .expect("a day holds a window");
-            let mut node = CorrelationEngineNode::new(n, m, 1, ctype);
+            let mut node = CorrelationEngineNode::new(n, m, ctype);
             let mut snapshots = 0;
             for k in 0..panel.len() {
                 for snap in feed(&mut node, k, returns_at(&panel, k)) {
@@ -830,7 +816,7 @@ mod tests {
 
     #[test]
     fn released_snapshots_are_recycled() {
-        let mut node = CorrelationEngineNode::new(3, 4, 1, CorrType::Pearson);
+        let mut node = CorrelationEngineNode::new(3, 4, CorrType::Pearson);
         for k in 0..4 {
             feed(&mut node, k, vec![ret(0, k), ret(1, k), ret(2, k)]);
         }
@@ -860,8 +846,8 @@ mod tests {
     fn maronna_snapshot_restore_resumes_identically() {
         // The warm-start seeds are engine state; checkpoint/restore must
         // carry them so a resumed node replays bit-for-bit.
-        let mut a = CorrelationEngineNode::new(2, 5, 1, CorrType::Maronna);
-        let mut b = CorrelationEngineNode::new(2, 5, 1, CorrType::Maronna);
+        let mut a = CorrelationEngineNode::new(2, 5, CorrType::Maronna);
+        let mut b = CorrelationEngineNode::new(2, 5, CorrType::Maronna);
         for k in 0..8 {
             feed(&mut a, k, vec![ret(0, k), ret(1, k)]);
             feed(&mut b, k, vec![ret(0, k), ret(1, k)]);

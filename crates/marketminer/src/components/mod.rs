@@ -10,7 +10,7 @@ pub mod strategy_node;
 pub mod technical;
 
 pub use bar_accumulator::{BarAccumulatorNode, HealthPolicy};
-pub use collector::{FaultedCollector, FileCollector, ReplayCollector};
+pub use collector::{FaultedCollector, ReplayCollector};
 pub use correlation_engine::CorrelationEngineNode;
 pub use order_gateway::OrderGatewayNode;
 pub use risk::RiskManagerNode;

@@ -31,7 +31,6 @@
 use std::sync::Arc;
 
 use pairtrade_core::exec::ExecutionConfig;
-use pairtrade_core::params::StrategyParams;
 use pairtrade_core::position::PairPosition;
 use pairtrade_core::signal::Slots;
 use pairtrade_core::spec::{StrategyKind, StrategySpec, UseRule};
@@ -224,22 +223,6 @@ pub struct StrategyHostNode {
 }
 
 impl StrategyHostNode {
-    /// Host over all pairs of `n_stocks` under one paper parameter vector
-    /// (back-compat shorthand for [`StrategyHostNode::from_spec`]).
-    pub fn new(
-        n_stocks: usize,
-        params: StrategyParams,
-        exec: ExecutionConfig,
-        needs_confirmation: bool,
-    ) -> Self {
-        Self::from_spec(
-            n_stocks,
-            &StrategySpec::Paper(params),
-            exec,
-            needs_confirmation,
-        )
-    }
-
     /// Host over all pairs of `n_stocks` under any [`StrategySpec`].
     pub fn from_spec(
         n_stocks: usize,
@@ -572,7 +555,7 @@ mod tests {
     use crate::components::SignalNode;
     use crate::messages::{BarSet, CorrSnapshot, DegradeReason, HealthStatus};
     use crate::pipeline::collect_sweep_output;
-    use pairtrade_core::{KalmanParams, OverlayParams};
+    use pairtrade_core::{KalmanParams, OverlayParams, StrategyParams};
     use stats::correlation::CorrType;
 
     fn params() -> StrategyParams {
@@ -744,7 +727,8 @@ mod tests {
 
     #[test]
     fn a_frame_that_is_not_warm_only_advances_the_watermark() {
-        let mut host = StrategyHostNode::new(2, params(), ExecutionConfig::paper(), false);
+        let paper = StrategySpec::Paper(params());
+        let mut host = StrategyHostNode::from_spec(2, &paper, ExecutionConfig::paper(), false);
         let mut seen = Seen::default();
         for s in 0..3 {
             let frame = SignalFrame::not_warm(s, 0, Cause::none());

@@ -61,8 +61,6 @@ pub struct SweepConfig {
     pub exec: ExecutionConfig,
     /// Quote cleaning.
     pub clean: CleanConfig,
-    /// Correlation snapshot stride.
-    pub corr_stride: usize,
     /// Risk limits for the shared risk manager (per parameter set).
     pub limits: RiskLimits,
     /// Whether emitted orders require human confirmation.
@@ -106,7 +104,6 @@ impl SweepConfig {
             specs,
             exec: ExecutionConfig::paper(),
             clean: CleanConfig::default(),
-            corr_stride: 1,
             limits: RiskLimits::default(),
             needs_confirmation: false,
             health: None,
@@ -124,8 +121,9 @@ impl SweepConfig {
         self
     }
 
-    /// Check the universe and the spec list: at least two stocks (one
-    /// pair), at least one spec, one shared `Δs`, every spec's own knobs
+    /// Check the universe, the cleaning and the spec list: at least two
+    /// stocks (one pair), a cleaning window of at least one quote, at
+    /// least one spec, one shared `Δs`, every spec's own knobs
     /// consistent. Run starts call this and surface failures as
     /// [`GraphError::Config`] — never silent defaults.
     pub fn validate(&self) -> Result<(), InvalidParams> {
@@ -135,6 +133,7 @@ impl SweepConfig {
                 self.n_stocks
             )));
         }
+        self.clean.validate().map_err(InvalidParams)?;
         if self.specs.is_empty() {
             return Err(InvalidParams("need at least one strategy spec".into()));
         }
@@ -183,7 +182,6 @@ wire::record! {
         specs,
         exec,
         clean,
-        corr_stride,
         limits,
         needs_confirmation,
         health,
@@ -529,15 +527,15 @@ pub(crate) fn build_sweep_graph(
     // computed exactly once: one node per engine, a robust plane's lanes
     // emitting in stream-id order.
     let plan = EnginePlan::of(included.iter().map(|&k| cfg.specs[k].stream_key()));
-    let (n, stride) = (cfg.n_stocks, cfg.corr_stride);
+    let n = cfg.n_stocks;
     let engines: Vec<NodeId> = (plan.engines.iter().enumerate())
         .map(|(e, ids)| {
             let (ctype, window) = plan.streams[ids[0]];
             let engine = if plan.is_robust(e) {
                 let lanes: Vec<_> = ids.iter().map(|&j| (plan.streams[j].0, j)).collect();
-                CorrelationEngineNode::robust_plane(n, window, stride, &lanes)
+                CorrelationEngineNode::robust_plane(n, window, &lanes)
             } else {
-                CorrelationEngineNode::new(n, window, stride, ctype).with_stream(ids[0])
+                CorrelationEngineNode::new(n, window, ctype).with_stream(ids[0])
             };
             let node = g.add_component(Box::new(engine));
             g.connect(technical, node);

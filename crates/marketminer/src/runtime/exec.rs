@@ -156,7 +156,7 @@ impl Exec {
         super::simd_from_env().map_err(GraphError::Config)?;
         let level = runtime.config.telemetry;
         let rt = (level.enabled()).then(|| {
-            let tel = Telemetry::build(level, env.caps);
+            let tel = Telemetry::build(level, env.lineage_cap);
             RunTelemetry::new(tel, &names, runtime.node_base, &env)
         });
 

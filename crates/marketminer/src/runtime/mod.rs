@@ -146,18 +146,6 @@ impl Runtime {
         Self::default()
     }
 
-    /// Override the per-inbox capacity (backpressure threshold).
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be positive");
-        Runtime {
-            config: RuntimeConfig {
-                capacity,
-                ..RuntimeConfig::default()
-            },
-            ..Runtime::default()
-        }
-    }
-
     /// Override the worker-pool size (0 = `available_parallelism`).
     pub fn with_workers(workers: usize) -> Self {
         Runtime {

@@ -141,7 +141,11 @@ fn fan_in_merges_streams() {
 fn backpressure_does_not_deadlock() {
     // Tiny inboxes, many messages: bounded capacity + DAG = progress.
     let (g, sink) = chain(CountSource { n: 50_000 }, passthroughs(["a", "b"]));
-    let mut out = Runtime::with_capacity(2).run(g).unwrap();
+    let runtime = Runtime::with_config(RuntimeConfig {
+        capacity: 2,
+        ..RuntimeConfig::default()
+    });
+    let mut out = runtime.run(g).unwrap();
     assert_eq!(out.take_sink(sink).len(), 50_000);
 }
 

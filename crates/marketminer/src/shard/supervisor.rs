@@ -226,12 +226,16 @@ impl ShardRunner {
 
     /// Run the sharded sweep to completion, surviving worker deaths.
     ///
-    /// Configuration problems (zero shards, more shards than parameter
-    /// sets, zero-length epochs or timeouts) surface as
+    /// Configuration problems (a sweep its own `validate` refuses, zero
+    /// shards, more shards than parameter sets, zero-length epochs or
+    /// timeouts) surface as
     /// [`GraphError::Config`] before any process is spawned — never as a
     /// silently adjusted default.
     pub fn run(&self, day: &DayData, sweep: &SweepConfig) -> Result<ShardSweepOutput, GraphError> {
         let cfg = &self.cfg;
+        sweep.validate().map_err(|e| {
+            GraphError::Config(telemetry::ConfigError::invalid("sweep config", e.0))
+        })?;
         if cfg.shards == 0 {
             return Err(cfg_err("0 shards".into()));
         }
@@ -255,7 +259,7 @@ impl ShardRunner {
             )));
         }
         let env = telemetry::from_env().map_err(GraphError::Config)?;
-        let tel = Telemetry::build(self.level, env.caps);
+        let tel = Telemetry::build(self.level, env.lineage_cap);
 
         // --- Stage the job directory -----------------------------------
         std::fs::create_dir_all(&cfg.ckpt_dir).map_err(io_err)?;

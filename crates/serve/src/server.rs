@@ -207,7 +207,7 @@ impl Server {
     ) -> io::Result<ServeReport> {
         let env =
             telemetry::from_env().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let tel = Telemetry::build(self.cfg.telemetry, env.caps);
+        let tel = Telemetry::build(self.cfg.telemetry, env.lineage_cap);
         let shared = Arc::new(Shared {
             registry: SessionRegistry::new(),
             router: Router::new(),

@@ -123,20 +123,6 @@ impl SymMatrix {
         &mut self.data
     }
 
-    /// Expand into a full row-major `n x n` vector.
-    pub fn to_full(&self) -> Vec<f64> {
-        let n = self.n;
-        let mut full = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let v = self.data[Self::idx(i, j)];
-                full[i * n + j] = v;
-                full[j * n + i] = v;
-            }
-        }
-        full
-    }
-
     /// Iterate over the strict lower triangle as `(i, j, value)` with `i > j`.
     ///
     /// This is the canonical pair enumeration: for `n` stocks it yields the
@@ -268,14 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn full_round_trip() {
-        let full = vec![
+    fn from_full_reads_every_entry() {
+        let full = [
             1.0, 0.2, 0.3, //
             0.2, 1.0, 0.4, //
             0.3, 0.4, 1.0,
         ];
         let m = SymMatrix::from_full(3, &full);
-        assert_eq!(m.to_full(), full);
+        for i in 0..3 {
+            for j in 0..3 {
+                assert_eq!(m.get(i, j), full[i * 3 + j], "({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl DayData {
             .iter()
             .map(move |&k| &self.quotes[k as usize])
     }
-
-    /// Quote count for one symbol.
-    pub fn count_for(&self, sym: Symbol) -> usize {
-        self.by_symbol[sym.index()].len()
-    }
 }
 
 /// A span of trading days over a fixed universe.
@@ -139,9 +134,8 @@ mod tests {
             3,
             vec![],
         );
-        assert_eq!(day.count_for(Symbol(0)), 3);
-        assert_eq!(day.count_for(Symbol(1)), 2);
-        assert_eq!(day.count_for(Symbol(2)), 0);
+        assert_eq!(day.for_symbol(Symbol(1)).count(), 2);
+        assert_eq!(day.for_symbol(Symbol(2)).count(), 0);
         let s0: Vec<u32> = day.for_symbol(Symbol(0)).map(|x| x.ts.millis).collect();
         assert_eq!(s0, vec![100, 300, 500]);
     }

@@ -361,26 +361,6 @@ impl StreamFaultPlan {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// True when the plan contains no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.outages.is_empty()
-            && self.halts.is_empty()
-            && self.bursts.is_empty()
-            && self.reorders.is_empty()
-            && self.duplications.is_empty()
-    }
-
-    /// Every stock index named by any fault (halts affect all symbols and
-    /// are not included here — they are universe-wide by construction).
-    pub fn targeted_symbols(&self) -> std::collections::BTreeSet<u16> {
-        let mut set = std::collections::BTreeSet::new();
-        set.extend(self.outages.iter().map(|w| w.symbol));
-        set.extend(self.bursts.iter().map(|w| w.symbol));
-        set.extend(self.reorders.iter().map(|w| w.symbol));
-        set.extend(self.duplications.iter().map(|w| w.symbol));
-        set
-    }
 }
 
 /// Ground-truth accounting for one [`apply_stream_faults`] application.
@@ -820,40 +800,6 @@ mod tests {
             la.corrupted > 10 && la.corrupted < 90,
             "coin actually flips"
         );
-    }
-
-    #[test]
-    fn targeted_symbols_cover_every_fault_class() {
-        let plan = StreamFaultPlan {
-            outages: vec![OutageWindow {
-                symbol: 1,
-                start_s: 0,
-                end_s: 1,
-            }],
-            bursts: vec![CorruptionBurst {
-                symbol: 2,
-                start_s: 0,
-                end_s: 1,
-                intensity: 1.0,
-            }],
-            reorders: vec![ReorderWindow {
-                symbol: 3,
-                start_s: 0,
-                end_s: 1,
-                max_delay_ms: 10,
-            }],
-            duplications: vec![DuplicationBurst {
-                symbol: 4,
-                start_s: 0,
-                end_s: 1,
-                copies: 1,
-            }],
-            ..StreamFaultPlan::none()
-        };
-        let t: Vec<u16> = plan.targeted_symbols().into_iter().collect();
-        assert_eq!(t, vec![1, 2, 3, 4]);
-        assert!(!plan.is_empty());
-        assert!(StreamFaultPlan::none().is_empty());
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Tick-data I/O: Table-II-style CSV and a compact binary codec.
+//! Tick-data I/O: the binary tape codec and the dataset directory.
 //!
-//! The CSV form mirrors the paper's Table II (timestamp, symbol, bid price,
-//! ask price, bid size, ask size) and is the human-inspectable interchange
-//! format; the binary form (via `bytes`) is what a 50-GB-per-day feed would
-//! actually be stored in — 16 bytes per quote, ~20x smaller than the text.
+//! A day of quotes is stored in a compact binary form (via `bytes`) —
+//! what a 50-GB-per-day feed would actually be stored in: a 16-byte
+//! header, then 18 bytes per quote. [`save_dataset`] / [`load_dataset`]
+//! keep a whole dataset as one such file per day plus its symbol list;
+//! that directory is the "Custom TAQ Files" route of Figure 1, which the
+//! `pairtrade` tool writes (`generate --out`) and backtests
+//! (`backtest --dataset`).
 
-use std::io::{self, BufRead, Write};
+use std::io;
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -13,106 +16,6 @@ use crate::dataset::DayData;
 use crate::quote::Quote;
 use crate::symbol::{Symbol, SymbolTable};
 use crate::time::Timestamp;
-
-/// CSV header matching Table II's columns.
-pub const CSV_HEADER: &str = "Timestamp,Symbol,BidPrice,AskPrice,BidSize,AskSize";
-
-/// Write a day of quotes as CSV (with header).
-pub fn write_csv<W: Write>(day: &DayData, symbols: &SymbolTable, out: &mut W) -> io::Result<()> {
-    writeln!(out, "{CSV_HEADER}")?;
-    for q in day.quotes() {
-        writeln!(
-            out,
-            "{},{},{:.2},{:.2},{},{}",
-            q.ts.wall_clock(),
-            symbols.name(q.symbol),
-            q.bid(),
-            q.ask(),
-            q.bid_size,
-            q.ask_size
-        )?;
-    }
-    Ok(())
-}
-
-/// Error from CSV parsing.
-#[derive(Debug)]
-pub enum CsvError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A malformed row, with its line number (1-based) and reason.
-    Parse(usize, String),
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::Io(e) => write!(f, "io error: {e}"),
-            CsvError::Parse(line, why) => write!(f, "line {line}: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-impl From<io::Error> for CsvError {
-    fn from(e: io::Error) -> Self {
-        CsvError::Io(e)
-    }
-}
-
-/// Read a day of quotes from CSV. Unknown symbols are interned into
-/// `symbols`. `day` stamps the parsed timestamps.
-pub fn read_csv<R: BufRead>(
-    day: u16,
-    symbols: &mut SymbolTable,
-    input: R,
-) -> Result<DayData, CsvError> {
-    let mut quotes = Vec::new();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || lineno == 0 && line.starts_with("Timestamp") {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 6 {
-            return Err(CsvError::Parse(
-                lineno + 1,
-                format!("expected 6 fields, got {}", fields.len()),
-            ));
-        }
-        let wall: Vec<&str> = fields[0].split(':').collect();
-        if wall.len() != 3 {
-            return Err(CsvError::Parse(lineno + 1, "bad timestamp".into()));
-        }
-        let parse_u32 = |s: &str, what: &str, lineno: usize| -> Result<u32, CsvError> {
-            s.parse::<u32>()
-                .map_err(|_| CsvError::Parse(lineno + 1, format!("bad {what}: {s}")))
-        };
-        let h = parse_u32(wall[0], "hour", lineno)?;
-        let m = parse_u32(wall[1], "minute", lineno)?;
-        let s = parse_u32(wall[2], "second", lineno)?;
-        let since_open = (h * 3600 + m * 60 + s)
-            .checked_sub(crate::time::OPEN_SECONDS_SINCE_MIDNIGHT)
-            .ok_or_else(|| CsvError::Parse(lineno + 1, "timestamp before open".into()))?;
-        let parse_price = |s: &str, lineno: usize| -> Result<u32, CsvError> {
-            let v: f64 = s
-                .parse()
-                .map_err(|_| CsvError::Parse(lineno + 1, format!("bad price: {s}")))?;
-            Ok((v * 100.0).round() as u32)
-        };
-        quotes.push(Quote {
-            ts: Timestamp::new(day, since_open * 1000),
-            symbol: symbols.intern(fields[1]),
-            bid_cents: parse_price(fields[2], lineno)?,
-            ask_cents: parse_price(fields[3], lineno)?,
-            bid_size: parse_u32(fields[4], "bid size", lineno)? as u16,
-            ask_size: parse_u32(fields[5], "ask size", lineno)? as u16,
-        });
-    }
-    Ok(DayData::new(day, quotes, symbols.len(), Vec::new()))
-}
 
 /// Binary codec magic bytes ("TAQ1").
 pub const BINARY_MAGIC: u32 = 0x5441_5131;
@@ -199,9 +102,7 @@ pub fn read_binary_file(
 }
 
 /// Persist a whole dataset to a directory: `symbols.txt` (one ticker per
-/// line, interning order) plus `day_NNN.taq` binary files. This is the
-/// on-disk layout the File Collector (Figure 1's "Custom TAQ Files"
-/// adapter) replays from.
+/// line, interning order) plus `day_NNN.taq` binary files.
 pub fn save_dataset(ds: &crate::dataset::TickDataset, dir: &std::path::Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join("symbols.txt"), ds.symbols.names().join("\n"))?;
@@ -249,43 +150,6 @@ mod tests {
         let mut g = MarketGenerator::new(cfg);
         let table = g.symbols().clone();
         (g.next_day().unwrap(), table)
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let (day, table) = sample_day();
-        let mut out = Vec::new();
-        write_csv(&day, &table, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with(CSV_HEADER));
-
-        let mut table2 = SymbolTable::new();
-        let parsed = read_csv(0, &mut table2, text.as_bytes()).unwrap();
-        assert_eq!(parsed.len(), day.len());
-        // Millisecond precision is lost in the HH:MM:SS text form; prices,
-        // sizes, symbols and second-level times must survive.
-        for (a, b) in day.quotes().iter().zip(parsed.quotes()) {
-            assert_eq!(a.ts.seconds(), b.ts.seconds());
-            assert_eq!(a.bid_cents, b.bid_cents);
-            assert_eq!(a.ask_cents, b.ask_cents);
-            assert_eq!(a.bid_size, b.bid_size);
-            assert_eq!(a.ask_size, b.ask_size);
-            assert_eq!(table.name(a.symbol), table2.name(b.symbol));
-        }
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        let mut t = SymbolTable::new();
-        let bad = "09:30:00,MSFT,30.00,30.02,1\n";
-        assert!(matches!(
-            read_csv(0, &mut t, bad.as_bytes()),
-            Err(CsvError::Parse(1, _))
-        ));
-        let bad_time = "xx:30:00,MSFT,30.00,30.02,1,1\n";
-        assert!(read_csv(0, &mut t, bad_time.as_bytes()).is_err());
-        let before_open = "09:29:59,MSFT,30.00,30.02,1,1\n";
-        assert!(read_csv(0, &mut t, before_open.as_bytes()).is_err());
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub use errors::{
 pub use generator::{MarketConfig, MarketGenerator};
 pub use quote::Quote;
 pub use symbol::{Symbol, SymbolTable};
-pub use time::{Timestamp, TradingCalendar, SECONDS_PER_SESSION};
+pub use time::{Timestamp, SECONDS_PER_SESSION};

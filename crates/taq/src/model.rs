@@ -315,11 +315,6 @@ impl LatentModel {
         eps
     }
 
-    /// Simulate one trading day, advancing the model state to the close.
-    pub fn simulate_day(&mut self, rng: &mut MarketRng) -> LatentDay {
-        self.simulate_day_with(rng, None)
-    }
-
     /// Simulate one trading day under an optional stress regime.
     pub fn simulate_day_with(
         &mut self,
@@ -428,7 +423,7 @@ mod tests {
         // Disable episodes to isolate the diffusion.
         model.divergence.episodes_per_stock_day = 0.0;
         let mut rng = MarketRng::seed_from(11);
-        let day = model.simulate_day(&mut rng);
+        let day = model.simulate_day_with(&mut rng, None);
         // Per-second log returns of stocks 0 and 1 should correlate ~0.8.
         let r = |stock: usize| -> Vec<f64> {
             let s = day.series(stock);
@@ -443,9 +438,9 @@ mod tests {
         let mut model = small_model(2, 40.0);
         model.divergence.episodes_per_stock_day = 0.0;
         let mut rng = MarketRng::seed_from(3);
-        let day0 = model.simulate_day(&mut rng);
+        let day0 = model.simulate_day_with(&mut rng, None);
         let close0 = day0.mid(0, SECONDS_PER_SESSION - 1);
-        let day1 = model.simulate_day(&mut rng);
+        let day1 = model.simulate_day_with(&mut rng, None);
         let open1 = day1.mid(0, 0);
         // One per-second step apart: tiny move.
         assert!((open1 / close0).ln().abs() < 0.01);
@@ -456,7 +451,7 @@ mod tests {
         let gen = |seed: u64| {
             let mut m = small_model(3, 60.0);
             let mut rng = MarketRng::seed_from(seed);
-            let d = m.simulate_day(&mut rng);
+            let d = m.simulate_day_with(&mut rng, None);
             (d.mid(1, 1000), d.episodes.len())
         };
         assert_eq!(gen(5), gen(5));
@@ -468,7 +463,7 @@ mod tests {
         let mut model = small_model(10, 30.0);
         model.divergence.episodes_per_stock_day = 6.0;
         let mut rng = MarketRng::seed_from(21);
-        let day = model.simulate_day(&mut rng);
+        let day = model.simulate_day_with(&mut rng, None);
         // 10 stocks * 6/day = 60 expected; Poisson sd ~ 7.7.
         let count = day.episodes.len();
         assert!((30..=95).contains(&count), "episodes {count}");
@@ -562,7 +557,7 @@ mod tests {
         let mut model = small_model(5, 20.0);
         let mut rng = MarketRng::seed_from(77);
         for _ in 0..3 {
-            let day = model.simulate_day(&mut rng);
+            let day = model.simulate_day_with(&mut rng, None);
             for stock in 0..5 {
                 for &p in day.series(stock) {
                     assert!(p.is_finite() && p > 0.0);

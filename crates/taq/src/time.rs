@@ -52,12 +52,6 @@ impl Timestamp {
         (self.seconds() / dt_seconds) as usize
     }
 
-    /// Seconds remaining until the close.
-    #[inline]
-    pub fn seconds_to_close(self) -> u32 {
-        SECONDS_PER_SESSION - self.seconds() - u32::from(!self.millis.is_multiple_of(1000))
-    }
-
     /// Wall-clock rendering `HH:MM:SS`, as in Table II.
     pub fn wall_clock(self) -> String {
         let total = OPEN_SECONDS_SINCE_MIDNIGHT + self.seconds();
@@ -67,49 +61,6 @@ impl Timestamp {
             (total % 3600) / 60,
             total % 60
         )
-    }
-}
-
-/// Trading calendar: a span of trading days partitioned into Δs intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TradingCalendar {
-    /// Number of trading days (the paper's March 2008 has 20).
-    pub days: u16,
-    /// Interval width Δs in seconds.
-    pub dt_seconds: u32,
-}
-
-impl TradingCalendar {
-    /// Build a calendar.
-    ///
-    /// # Panics
-    /// Panics if `dt_seconds` is 0 or does not divide the session evenly
-    /// (the paper's interval arithmetic assumes it does).
-    pub fn new(days: u16, dt_seconds: u32) -> Self {
-        assert!(dt_seconds > 0, "Δs must be positive");
-        assert_eq!(
-            SECONDS_PER_SESSION % dt_seconds,
-            0,
-            "Δs must divide the 23400-second session evenly"
-        );
-        TradingCalendar { days, dt_seconds }
-    }
-
-    /// The paper's default: 20 trading days at Δs = 30 s.
-    pub fn paper_default() -> Self {
-        Self::new(20, 30)
-    }
-
-    /// Number of Δs intervals per day (`smax`).
-    #[inline]
-    pub fn intervals_per_day(&self) -> usize {
-        (SECONDS_PER_SESSION / self.dt_seconds) as usize
-    }
-
-    /// Timestamp of the *end* of interval `s` on `day` (exclusive bound).
-    pub fn interval_end(&self, day: u16, s: usize) -> Timestamp {
-        let end_sec = (s as u32 + 1) * self.dt_seconds;
-        Timestamp::new(day, end_sec * 1000 - 1)
     }
 }
 
@@ -125,16 +76,6 @@ wire::record! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_interval_arithmetic() {
-        // "if Δs = 30 seconds, then there will be smax = 23400/30 = 780".
-        let cal = TradingCalendar::paper_default();
-        assert_eq!(cal.intervals_per_day(), 780);
-        assert_eq!(cal.days, 20);
-        let cal15 = TradingCalendar::new(1, 15);
-        assert_eq!(cal15.intervals_per_day(), 1560);
-    }
 
     #[test]
     fn wall_clock_rendering() {
@@ -157,34 +98,11 @@ mod tests {
     }
 
     #[test]
-    fn seconds_to_close() {
-        assert_eq!(Timestamp::new(0, 0).seconds_to_close(), 23_400);
-        assert_eq!(Timestamp::new(0, 23_399_000).seconds_to_close(), 1);
-        assert_eq!(Timestamp::new(0, 23_399_999).seconds_to_close(), 0);
-    }
-
-    #[test]
     fn ordering_is_chronological() {
         let a = Timestamp::new(0, 500);
         let b = Timestamp::new(0, 501);
         let c = Timestamp::new(1, 0);
         assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn interval_end_timestamps() {
-        let cal = TradingCalendar::new(2, 30);
-        let end0 = cal.interval_end(0, 0);
-        assert_eq!(end0.seconds(), 29);
-        let end_last = cal.interval_end(1, 779);
-        assert_eq!(end_last.day, 1);
-        assert_eq!(end_last.millis, MILLIS_PER_SESSION - 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn uneven_dt_rejected() {
-        let _ = TradingCalendar::new(1, 7);
     }
 
     #[test]

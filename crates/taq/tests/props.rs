@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use taq::dataset::DayData;
 use taq::io;
 use taq::quote::Quote;
-use taq::symbol::{Symbol, SymbolTable};
+use taq::symbol::Symbol;
 use taq::time::{Timestamp, MILLIS_PER_SESSION};
 
 prop_compose! {
@@ -42,29 +42,11 @@ proptest! {
     }
 
     #[test]
-    fn csv_round_trip_preserves_seconds_and_prices(
-        quotes in proptest::collection::vec(arb_quote(), 1..100),
-    ) {
-        let table = SymbolTable::synthetic(8);
-        let day = DayData::new(0, quotes, 8, vec![]);
-        let mut text = Vec::new();
-        io::write_csv(&day, &table, &mut text).unwrap();
-        let mut table2 = SymbolTable::new();
-        let parsed = io::read_csv(0, &mut table2, text.as_slice()).unwrap();
-        prop_assert_eq!(parsed.len(), day.len());
-        for (a, b) in day.quotes().iter().zip(parsed.quotes()) {
-            prop_assert_eq!(a.ts.seconds(), b.ts.seconds());
-            prop_assert_eq!(a.bid_cents, b.bid_cents);
-            prop_assert_eq!(a.ask_cents, b.ask_cents);
-        }
-    }
-
-    #[test]
     fn day_index_partitions_the_tape(
         quotes in proptest::collection::vec(arb_quote(), 0..150),
     ) {
         let day = DayData::new(0, quotes, 8, vec![]);
-        let total: usize = (0..8).map(|s| day.count_for(Symbol(s))).sum();
+        let total: usize = (0..8).map(|s| day.for_symbol(Symbol(s)).count()).sum();
         prop_assert_eq!(total, day.len());
         // Per-symbol views are time-ordered and correctly labelled.
         for s in 0..8u16 {

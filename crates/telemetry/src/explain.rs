@@ -5,8 +5,8 @@
 //!
 //! A [`Lineage`] is built either from a recorded JSON export
 //! ([`Lineage::from_json_str`], the bin's path) or incrementally from
-//! live [`LineageEvent`] drains ([`Lineage::from_events`] /
-//! [`Lineage::extend`], the server's path). [`Lineage::explanation`]
+//! live [`LineageEvent`] drains ([`Lineage::extend`] into a default
+//! one, the server's path). [`Lineage::explanation`]
 //! produces an [`Explanation`] — target, rendered ancestor tree,
 //! waterfall rows, causal stage chain — whose [`Explanation::render`]
 //! reproduces the binary's text output.
@@ -153,17 +153,6 @@ impl Lineage {
             dropped,
             events,
         })
-    }
-
-    /// Build from live drained events (the serving layer's path).
-    pub fn from_events(events: &[LineageEvent], dropped: u64, nodes: Vec<String>) -> Lineage {
-        let mut lin = Lineage {
-            nodes,
-            dropped,
-            events: BTreeMap::new(),
-        };
-        lin.extend(events);
-        lin
     }
 
     /// Fold another drain into the lineage (first write per id wins —
@@ -483,7 +472,10 @@ mod tests {
     }
 
     fn sample() -> Lineage {
-        Lineage::from_events(&sample_events(), 0, sample_names())
+        let mut lin = Lineage::default();
+        lin.set_nodes(sample_names());
+        lin.extend(&sample_events());
+        lin
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl PriceGrid {
     pub fn clean_stats(&self, stock: usize) -> CleanStats {
         self.clean_stats[stock]
     }
-
-    /// True if the stock produced at least one usable price.
-    pub fn has_data(&self, stock: usize) -> bool {
-        !self.price(stock, self.intervals - 1).is_nan()
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +197,6 @@ mod tests {
         for s in 0..780 {
             assert!((grid.price(0, s) - 50.01).abs() < 1e-9, "interval {s}");
         }
-        assert!(grid.has_data(0));
         assert!((grid.coverage(0) - 1.0 / 780.0).abs() < 1e-12);
     }
 
@@ -220,8 +214,8 @@ mod tests {
     fn stock_with_no_quotes_is_flagged() {
         let day = DayData::new(0, vec![q(5, 0, 1000, 1002)], 2, vec![]);
         let grid = PriceGrid::from_day(&day, 2, 30, CleanConfig::default());
-        assert!(grid.has_data(0));
-        assert!(!grid.has_data(1));
+        assert!(!grid.price(0, 779).is_nan());
+        assert!(grid.series(1).iter().all(|p| p.is_nan()));
         assert_eq!(grid.coverage(1), 0.0);
     }
 

@@ -62,6 +62,17 @@ impl Default for CleanConfig {
     }
 }
 
+impl CleanConfig {
+    /// Refuse a configuration the filter cannot be built from: the
+    /// rolling midpoint moments need a window of at least one quote.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window == 0 {
+            return Err("clean window must hold at least one quote, got 0".into());
+        }
+        Ok(())
+    }
+}
+
 /// Why a quote was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {

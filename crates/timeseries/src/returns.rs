@@ -90,16 +90,6 @@ impl ReturnsPanel {
     pub fn all(&self) -> &[Vec<f64>] {
         &self.series
     }
-
-    /// Total (gross) return of a stock over intervals `[from, to]`,
-    /// computed from the log returns: `exp(sum) - 1`. Used by the strategy
-    /// to rank over/under-performers over the `W` window.
-    pub fn window_return(&self, stock: usize, from: usize, to: usize) -> f64 {
-        let s = &self.series[stock];
-        let hi = to.min(s.len());
-        let lo = from.min(hi);
-        s[lo..hi].iter().sum::<f64>().exp() - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +123,8 @@ mod tests {
         assert_eq!(panel.series(0)[0], 0.0);
         assert!((panel.series(0)[1] - (110.0f64 / 100.0).ln()).abs() < 1e-12);
         // The day's total return survives the gap.
-        assert!((panel.window_return(0, 0, 2) - 0.10).abs() < 1e-12);
+        let total = panel.series(0).iter().sum::<f64>().exp() - 1.0;
+        assert!((total - 0.10).abs() < 1e-12);
     }
 
     #[test]
@@ -163,24 +154,6 @@ mod tests {
         let grid = PriceGrid::from_series(vec![vec![50.0; 10]], 30);
         let panel = ReturnsPanel::from_grid(&grid);
         assert!(panel.series(0).iter().all(|&r| r == 0.0));
-    }
-
-    #[test]
-    fn window_return_compounds() {
-        // Prices 100 -> 110 -> 121: two +10% periods.
-        let grid = PriceGrid::from_series(vec![vec![100.0, 110.0, 121.0]], 30);
-        let panel = ReturnsPanel::from_grid(&grid);
-        assert!((panel.window_return(0, 0, 2) - 0.21).abs() < 1e-12);
-        assert!((panel.window_return(0, 1, 2) - 0.10).abs() < 1e-12);
-        assert_eq!(panel.window_return(0, 2, 2), 0.0);
-    }
-
-    #[test]
-    fn window_return_clamps_bounds() {
-        let grid = PriceGrid::from_series(vec![vec![100.0, 110.0]], 30);
-        let panel = ReturnsPanel::from_grid(&grid);
-        // Out-of-range indices are clamped rather than panicking.
-        assert!((panel.window_return(0, 0, 99) - 0.10).abs() < 1e-12);
     }
 
     #[test]

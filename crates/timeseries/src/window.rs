@@ -84,18 +84,6 @@ impl<T: Copy> SlidingWindow<T> {
         }
     }
 
-    /// Element `k` steps back from the newest (0 = newest).
-    pub fn nth_back(&self, k: usize) -> Option<T> {
-        if k >= self.len {
-            return None;
-        }
-        if self.buf.len() < self.cap {
-            Some(self.buf[self.len - 1 - k])
-        } else {
-            Some(self.buf[(self.head + self.cap - 1 - k) % self.cap])
-        }
-    }
-
     /// The contents as two contiguous slices, oldest → newest: the ring
     /// from `head` to its physical end, then the wrapped prefix. Before
     /// the first eviction the second slice is empty.
@@ -180,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn front_back_nth() {
+    fn front_back() {
         let mut w = SlidingWindow::new(3);
         assert_eq!(w.front(), None);
         assert_eq!(w.back(), None);
@@ -192,9 +180,6 @@ mod tests {
         w.push(40); // evicts 10
         assert_eq!(w.front(), Some(20));
         assert_eq!(w.back(), Some(40));
-        assert_eq!(w.nth_back(0), Some(40));
-        assert_eq!(w.nth_back(2), Some(20));
-        assert_eq!(w.nth_back(3), None);
     }
 
     #[test]

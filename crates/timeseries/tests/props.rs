@@ -77,19 +77,4 @@ proptest! {
             prop_assert!((total.exp() - want).abs() < 1e-9 * want);
         }
     }
-
-    #[test]
-    fn window_return_is_compound_of_log_returns(
-        prices in proptest::collection::vec(10.0f64..1e3, 5..40),
-        w in 1usize..6,
-    ) {
-        let grid = PriceGrid::from_series(vec![prices.clone()], 30);
-        let panel = ReturnsPanel::from_grid(&grid);
-        let n = panel.len();
-        if w <= n {
-            let ret = panel.window_return(0, n - w, n);
-            let want = prices[prices.len() - 1] / prices[prices.len() - 1 - w] - 1.0;
-            prop_assert!((ret - want).abs() < 1e-9 * (1.0 + want.abs()));
-        }
-    }
 }

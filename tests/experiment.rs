@@ -3,14 +3,18 @@
 //! across thread counts.
 
 use backtest::aggregate;
+use backtest::approach::{run_day, Approach};
 use backtest::halving::{run_successive_halving, HalvingSchedule};
+use backtest::metrics;
 use backtest::optimize::{self, Objective};
 use backtest::report::{render_boxplots, Measure, TableReport};
-use backtest::runner::{Experiment, ExperimentConfig};
+use backtest::runner::{Experiment, ExperimentConfig, PairParamStats};
 use marketminer::pipeline::SweepConfig;
 use pairtrade_core::params::StrategyParams;
 use stats::correlation::CorrType;
 use taq::generator::MarketGenerator;
+use timeseries::bam::PriceGrid;
+use timeseries::returns::ReturnsPanel;
 
 fn mini_grid() -> Vec<StrategyParams> {
     // 2 levels x 3 treatments = 6 parameter sets.
@@ -139,31 +143,41 @@ fn divergence_threshold_monotonically_reduces_trades() {
     }
 }
 
+/// Tables III–V read a per-(parameter set, pair) table; it must be the
+/// fold of the trades `approach::run_day` books for the same days — the
+/// robust plane's cubes included: each slot's trade count, wins, losses
+/// and one eq. (2) return per day.
 #[test]
-fn keep_trades_mode_agrees_with_summaries() {
-    let mut cfg = mini_config(13);
-    cfg.keep_trades = true;
-    let results = Experiment::new(cfg).run();
-    assert_eq!(results.trades.len() as u64, results.total_trades);
-    // Rebuild win/loss from the raw trades for one parameter set and
-    // compare with the accumulated counters.
-    let param = 0usize;
-    let mut wins = 0u32;
-    let mut losses = 0u32;
-    for (p, _, t) in &results.trades {
-        if *p == param {
-            if t.ret > 0.0 {
-                wins += 1;
-            } else if t.ret < 0.0 {
-                losses += 1;
-            }
+fn table_agrees_with_run_day_trades() {
+    let cfg = mini_config(13);
+    let results = Experiment::new(cfg.clone()).run();
+    let n = cfg.market.n_stocks;
+    let mut want = vec![PairParamStats::default(); cfg.params.len() * results.n_pairs()];
+    let mut generator = MarketGenerator::new(cfg.market.clone());
+    while let Some(day) = generator.next_day() {
+        let grid = PriceGrid::from_day(&day, n, cfg.params[0].dt_seconds, cfg.clean);
+        let panel = ReturnsPanel::from_grid(&grid);
+        let run = run_day(Approach::Integrated, &grid, &panel, &cfg.params, &cfg.exec);
+        for (slot, trades) in want.iter_mut().zip(run.trades.iter().flatten()) {
+            let rets: Vec<f64> = trades.iter().map(|t| t.ret).collect();
+            slot.daily_returns.push(metrics::daily_cumulative(&rets));
+            slot.wl.wins += rets.iter().filter(|&&r| r > 0.0).count() as u32;
+            slot.wl.losses += rets.iter().filter(|&&r| r < 0.0).count() as u32;
+            slot.n_trades += trades.len() as u32;
         }
     }
-    let mut acc = backtest::metrics::WinLoss::default();
-    for r in 0..results.n_pairs() {
-        acc = acc.merge(results.stats(param, r).wl);
+    let mut counted = 0u64;
+    for p in 0..cfg.params.len() {
+        for r in 0..results.n_pairs() {
+            let (got, want) = (results.stats(p, r), &want[p * results.n_pairs() + r]);
+            assert_eq!(got.n_trades, want.n_trades, "param {p} pair {r}");
+            assert_eq!(got.wl, want.wl, "param {p} pair {r}");
+            assert_eq!(got.daily_returns, want.daily_returns, "param {p} pair {r}");
+            counted += u64::from(want.n_trades);
+        }
     }
-    assert_eq!((acc.wins, acc.losses), (wins, losses));
+    assert!(counted > 0);
+    assert_eq!(counted, results.total_trades);
 }
 
 /// The batch path pinned to the commit before it was restructured
