@@ -41,7 +41,10 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// node keeps no volatility estimate.
 /// Version 6: a correlation engine lane keeps no emission countdown (it
 /// publishes at every warm interval).
-pub const VERSION: u8 = 6;
+/// Version 7: returns ride the bars — the bar accumulator keeps the
+/// previous bar set's closes, there is no technical-analysis node, and a
+/// signal node, fed in order by its engine, keeps no alignment queues.
+pub const VERSION: u8 = 7;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

@@ -3,8 +3,11 @@
 //! Consumes the merged quote tape, pushes every quote through its stock's
 //! TCP-like cleaning filter, and — each time the tape's clock crosses a Δs
 //! boundary — emits a [`BarSet`]: the latest clean
-//! midpoint for every stock (forward-filled through quiet intervals) plus
-//! per-interval tick counts.
+//! midpoint for every stock (forward-filled through quiet intervals),
+//! per-interval tick counts, and Figure 1's "15 sec returns": each
+//! stock's log return against the previous bar set's close. The previous
+//! closes are durable state, so an engine attached mid-day gets a return
+//! from the first bar it sees.
 //!
 //! With a [`HealthPolicy`] attached the node doubles as the degradation
 //! control plane's *producer*: at every interval close it inspects each
@@ -59,6 +62,8 @@ pub struct BarAccumulatorNode {
     filters: Vec<TcpFilter>,
     /// Latest clean midpoint per stock (NaN until first clean quote).
     closes: Vec<f64>,
+    /// The closes of the last bar set emitted (empty before the first).
+    prev_closes: Vec<f64>,
     /// Ticks accepted per stock in the current interval.
     ticks: Vec<u32>,
     current_interval: Option<usize>,
@@ -93,6 +98,7 @@ impl BarAccumulatorNode {
             n_stocks,
             filters: (0..n_stocks).map(|_| TcpFilter::new(clean)).collect(),
             closes: vec![f64::NAN; n_stocks],
+            prev_closes: Vec::new(),
             ticks: vec![0; n_stocks],
             current_interval: None,
             health: None,
@@ -127,10 +133,21 @@ impl BarAccumulatorNode {
             vec![self.first_qid, self.last_qid]
         };
         self.first_qid = EventId::NONE;
+        let returns = (self.prev_closes.iter().zip(&self.closes))
+            .map(|(&p, &c)| {
+                if c > 0.0 && p > 0.0 && c.is_finite() && p.is_finite() {
+                    (c / p).ln()
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        self.prev_closes.clone_from(&self.closes);
         out(Message::Bars(Arc::new(BarSet {
             interval,
             closes: self.closes.clone(),
             ticks: std::mem::replace(&mut self.ticks, vec![0; self.n_stocks]),
+            returns,
             cause: Cause::derived(parents),
         })));
     }
@@ -260,6 +277,7 @@ impl Component for BarAccumulatorNode {
         node {
             filters,
             closes,
+            prev_closes,
             ticks,
             current_interval,
             seen_tick,
@@ -271,7 +289,8 @@ impl Component for BarAccumulatorNode {
             dropped,
         }
         check {
-            if filters.len() != node.n_stocks || closes.len() != node.n_stocks {
+            let prev_fits = prev_closes.is_empty() || prev_closes.len() == node.n_stocks;
+            if filters.len() != node.n_stocks || closes.len() != node.n_stocks || !prev_fits {
                 return Err(wire::WireError::Invalid("universe size mismatch"));
             }
         }
@@ -353,6 +372,49 @@ mod tests {
         // Final flush (interval 2).
         assert_eq!(bars[2].interval, 2);
         assert!((bars[2].closes[1] - 20.11).abs() < 1e-9);
+    }
+
+    /// Figure 1's "15 sec returns" ride the bars: none on the day's first
+    /// bar set, then `ln(c / p)` against the previous bar set's closes,
+    /// 0.0 where either close is missing — a quiet carry interval's
+    /// return included.
+    #[test]
+    fn each_bar_set_carries_its_log_returns() {
+        let mut node = BarAccumulatorNode::new(2, 30, CleanConfig::default());
+        let bars = collect(
+            &mut node,
+            vec![
+                quote(0, 0, 1000, 1002),
+                quote(35, 0, 1100, 1102),
+                quote(36, 1, 2000, 2002),
+                quote(95, 1, 1900, 1902),
+            ],
+        );
+        let returns: Vec<&[f64]> = bars.iter().map(|b| b.returns.as_slice()).collect();
+        assert!(returns[0].is_empty(), "no return on the first bar set");
+        // Stock 1 has no close before interval 1.
+        assert_eq!(returns[1], [(11.01f64 / 10.01).ln(), 0.0]);
+        // Interval 2 is quiet: both closes carry.
+        assert_eq!(returns[2], [0.0, 0.0]);
+        assert_eq!(returns[3], [0.0, (19.01f64 / 20.01).ln()]);
+    }
+
+    /// The previous closes are durable: a node restored mid-day (as a
+    /// shard or a live reconfiguration restores it) returns from its
+    /// first bar set on, exactly as the node it was captured from.
+    #[test]
+    fn returns_carry_across_a_restore() {
+        let mut node = BarAccumulatorNode::new(1, 30, CleanConfig::default());
+        for msg in [quote(0, 0, 1000, 1002), quote(35, 0, 1100, 1102)] {
+            node.on_message(msg, &mut |_| {});
+        }
+        let mut twin = BarAccumulatorNode::new(1, 30, CleanConfig::default());
+        assert!(twin.decode_state(&node.encode_state().unwrap()));
+        let tail = || vec![quote(65, 0, 1200, 1202)];
+        let (want, got) = (collect(&mut node, tail()), collect(&mut twin, tail()));
+        assert_eq!(got, want);
+        // Interval 1 closes after the restore, against interval 0's close.
+        assert_eq!(got[0].returns, [(11.01f64 / 10.01).ln()]);
     }
 
     #[test]

@@ -7,7 +7,6 @@ pub mod order_gateway;
 pub mod risk;
 pub mod signal_node;
 pub mod strategy_node;
-pub mod technical;
 
 pub use bar_accumulator::{BarAccumulatorNode, HealthPolicy};
 pub use collector::{FaultedCollector, ReplayCollector};
@@ -16,4 +15,3 @@ pub use order_gateway::OrderGatewayNode;
 pub use risk::RiskManagerNode;
 pub use signal_node::SignalNode;
 pub use strategy_node::StrategyHostNode;
-pub use technical::TechnicalAnalysisNode;

@@ -7,20 +7,20 @@
 //! the trailing returns — none of which depend on the host's own
 //! parameters beyond a window length. This node does all of it once:
 //!
-//! * it fans in bars and health from the accumulator and snapshots from
-//!   the stream's correlation engine, and **aligns** them — a snapshot
-//!   waits until the bar stream has reached its interval, a health
-//!   transition until the snapshot stream reaches its effective interval
-//!   — so its output is a deterministic function of its input streams,
-//!   whatever the thread schedule;
+//! * its one input edge is its stream's correlation engine, which relays
+//!   the accumulator's bars and health: `Bars(t)` arrives before
+//!   `Corr(t)`, and a transition effective at `t + 1` after `Corr(t)`.
+//!   The runtime keeps one FIFO inbox per node and never splits an
+//!   event's emissions, so that order holds under any thread schedule
+//!   and the node's output is a deterministic function of its input;
 //! * it forward-fills each stock's price history and keeps the degraded
 //!   set, and advances one [`Planes`] built from the [`InputNeeds`] of the
 //!   hosts it feeds — the same derivation the batch day walk runs per
 //!   pair — with the snapshot's correlations, the pair spreads and the
 //!   pairs that sit the interval out;
-//! * per snapshot it emits the health transitions now in effect, then one
-//!   `Arc`'d [`SignalFrame`] carrying that interval's [`Series`], which
-//!   all its hosts share;
+//! * it applies and forwards each health transition on arrival, and per
+//!   snapshot emits one `Arc`'d [`SignalFrame`] carrying that interval's
+//!   [`Series`], which all its hosts share;
 //! * while the engine cannot yet have filled its window (it publishes
 //!   with its `M`-th return, and no bar carries more than one) each bar
 //!   yields a data-free [`SignalFrame::not_warm`] frame instead, so the
@@ -39,7 +39,6 @@
 //! Price history, and with it every trailing return, is per stream and
 //! carries over.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pairtrade_core::signal::Planes;
@@ -50,7 +49,7 @@ use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
 use telemetry::Probe;
 
-use crate::messages::{Cause, CorrSnapshot, HealthEvent, Message, SignalFrame};
+use crate::messages::{Cause, CorrSnapshot, Message, SignalFrame};
 use crate::node::{component_state, Component, Emit};
 
 /// The shared front half of one stream's strategy hosts.
@@ -68,22 +67,6 @@ pub struct SignalNode {
     planes: Planes,
     /// Per-stock price history on the interval grid (forward-filled).
     history: Vec<Vec<f64>>,
-    /// Highest bar interval recorded so far (None until the first bar).
-    bars_through: Option<usize>,
-    /// Correlation snapshots that arrived before their interval's bar.
-    ///
-    /// The bar edge and the technical-analysis → correlation-engine edge
-    /// race, so `Corr(s)` can beat `Bars(s)` into the inbox; pricing
-    /// interval `s` off stale history would make trade decisions depend
-    /// on thread scheduling.
-    pending_corr: VecDeque<Arc<CorrSnapshot>>,
-    /// Health transitions awaiting their effective interval.
-    ///
-    /// Health rides the bar edge while trading decisions happen on the
-    /// (lagging) correlation edge. Releasing a transition the moment it
-    /// arrives would let it bleed into however many earlier-interval
-    /// snapshots happened to still be in flight.
-    pending_health: VecDeque<Arc<HealthEvent>>,
     /// Symbols currently degraded: pairs touching one sit intervals out.
     degraded: Vec<bool>,
     /// Messages neither consumed nor forwarded.
@@ -110,9 +93,6 @@ impl SignalNode {
             bars_seen: 0,
             planes: Planes::new(n_stocks, needs.iter().copied()),
             history: vec![Vec::new(); n_stocks],
-            bars_through: None,
-            pending_corr: VecDeque::new(),
-            pending_health: VecDeque::new(),
             degraded: vec![false; n_stocks],
             dropped: 0,
             name: format!("strategy-host-signals({ctype}, M={corr_window})"),
@@ -128,28 +108,11 @@ impl SignalNode {
     fn record_bars(&mut self, interval: usize, closes: &[f64]) {
         for (stock, hist) in self.history.iter_mut().enumerate() {
             let price = closes.get(stock).copied().unwrap_or(f64::NAN);
-            // Forward-fill any intervals the bar stream skipped.
-            while hist.len() < interval {
-                let carry = hist.last().copied().unwrap_or(price);
-                hist.push(carry);
-            }
-            if hist.len() == interval {
-                hist.push(price);
-            } else {
-                hist[interval] = price;
-            }
-        }
-    }
-
-    /// Release (update the degraded set and forward) every queued health
-    /// transition effective at or before interval `s`, in arrival order.
-    fn release_health_through(&mut self, s: usize, out: &mut Emit<'_>) {
-        while self.pending_health.front().is_some_and(|h| h.interval <= s) {
-            let h = self.pending_health.pop_front().expect("front checked");
-            if let Some(flag) = self.degraded.get_mut(h.symbol) {
-                *flag = h.is_degraded();
-            }
-            out(Message::Health(h));
+            // Bars arrive in interval order: forward-fill any the stream
+            // skipped (before a node's first bar, with that bar's price).
+            let carry = hist.last().copied().unwrap_or(price);
+            hist.resize(interval, carry);
+            hist.push(price);
         }
     }
 
@@ -160,7 +123,6 @@ impl SignalNode {
             return;
         }
         let s = snap.interval;
-        self.release_health_through(s, out);
 
         let price_at = |hist: &Vec<f64>, at: usize| match hist.len() {
             0 => f64::NAN,
@@ -199,9 +161,7 @@ impl SignalNode {
             prices,
             corr,
             series,
-            // The snapshot alone: which bar set is newest when a snapshot
-            // is processed depends on the schedule, and the snapshot's
-            // own ancestry already reaches the bars of its interval.
+            // The snapshot alone: its own parent is its interval's bar set.
             cause: Cause::derived([snap.cause.id]),
         })));
     }
@@ -216,7 +176,6 @@ impl Component for SignalNode {
         match msg {
             Message::Bars(bars) => {
                 self.record_bars(bars.interval, &bars.closes);
-                self.bars_through = self.bars_through.max(Some(bars.interval));
                 self.bars_seen += 1;
                 if self.bars_seen < self.corr_window {
                     // The engine has seen fewer than `M` returns: no
@@ -228,54 +187,26 @@ impl Component for SignalNode {
                         Cause::derived([bars.cause.id]),
                     ))));
                 }
-                // Bars caught up: release any snapshots that were waiting.
-                while self
-                    .pending_corr
-                    .front()
-                    .is_some_and(|snap| Some(snap.interval) <= self.bars_through)
-                {
-                    let snap = self.pending_corr.pop_front().expect("front checked");
-                    self.process_corr(&snap, out);
-                }
             }
             // A robust plane publishes both its measures on one edge;
             // the other lane's snapshots are not this stream's input.
             Message::Corr(snap) if snap.stream != self.stream => {}
-            Message::Corr(snap) => {
-                if Some(snap.interval) > self.bars_through {
-                    self.pending_corr.push_back(snap);
-                    self.probe
-                        .gauge_max("pending_corr.peak", self.pending_corr.len() as u64);
-                } else {
-                    self.process_corr(&snap, out);
+            Message::Corr(snap) => self.process_corr(&snap, out),
+            Message::Health(h) => {
+                if let Some(flag) = self.degraded.get_mut(h.symbol) {
+                    *flag = h.is_degraded();
                 }
+                out(Message::Health(h));
             }
-            Message::Health(h) => self.pending_health.push_back(h),
             _ => self.dropped += 1,
         }
     }
 
-    fn on_end(&mut self, out: &mut Emit<'_>) {
-        // The bar stream has ended; whatever snapshots are still queued
-        // will never see a newer bar, so price them off the final history.
-        while let Some(snap) = self.pending_corr.pop_front() {
-            self.process_corr(&snap, out);
-        }
-        // Transitions the correlation stream never reached still reach
-        // the hosts (which flatten) and risk management.
-        self.release_health_through(usize::MAX, out);
-    }
-
-    // The pending queues hold `Arc`s purely for cheap fan-in; the payloads
-    // themselves cross the process boundary by value.
     component_state! {
         node {
             planes => (Planes::save, SignalNode::decode_planes),
             history,
-            bars_through,
             bars_seen,
-            pending_corr,
-            pending_health,
             degraded,
             dropped,
         }
@@ -299,7 +230,7 @@ impl Component for SignalNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{BarSet, DegradeReason, HealthStatus};
+    use crate::messages::{BarSet, DegradeReason, HealthEvent, HealthStatus};
     use pairtrade_core::strategy::IntervalInput;
 
     fn needs(w: usize, rt: usize) -> InputNeeds {
@@ -321,6 +252,7 @@ mod tests {
             interval,
             closes,
             ticks: vec![1; n],
+            returns: Vec::new(),
             cause: Cause::none(),
         }))
     }
@@ -383,11 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_waits_for_its_bar_and_skipped_bars_forward_fill() {
+    fn skipped_bars_forward_fill() {
         let mut n = node(2, &[needs(2, 3)]);
-        // Corr(0) races ahead of Bars(0): held.
-        assert!(feed(&mut n, vec![corr(0, 2, 0.8)]).is_empty());
-        let out = feed(&mut n, vec![bars(0, vec![30.0, 130.0])]);
+        let out = feed(&mut n, vec![bars(0, vec![30.0, 130.0]), corr(0, 2, 0.8)]);
         let f = frames(&out);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].prices, vec![30.0, 130.0]);
@@ -429,38 +359,45 @@ mod tests {
         assert!(feed(&mut twin, vec![bars(4, vec![30.0, 130.0])]).is_empty());
     }
 
+    /// The engine relays a transition effective at `t + 1` after `t`'s
+    /// snapshot, so the node applies and forwards it on arrival: the
+    /// frame before it runs every pair, the frame after it sits the
+    /// symbol's pairs out, and nothing is held for the end of the day.
     #[test]
-    fn health_is_released_at_its_effective_interval_and_sits_pairs_out() {
+    fn health_is_applied_on_arrival_and_sits_pairs_out() {
         let mut n = node(3, &[needs(2, 2)]);
         feed(
             &mut n,
             vec![bars(0, vec![10.0, 20.0, 30.0]), corr(0, 3, 0.5)],
         );
-        // Symbol 2 degrades effective at interval 2; held through 1.
+        // Symbol 2 degrades effective at interval 2.
         let out = feed(
             &mut n,
             vec![
-                health(2, 2, true),
                 bars(1, vec![10.0, 20.0, 30.0]),
                 corr(1, 3, 0.5),
+                health(2, 2, true),
             ],
         );
-        assert!(out.iter().all(|m| !matches!(m, Message::Health(_))));
+        assert!(matches!(out[..], [Message::Signals(_), Message::Health(_)]));
+        assert_eq!(input(frames(&out)[0], needs(2, 2), (2, 0)).avg_corr, 0.5);
         let out = feed(
             &mut n,
             vec![bars(2, vec![10.0, 20.0, 30.0]), corr(2, 3, 0.5)],
         );
-        assert!(matches!(out[0], Message::Health(_)), "ahead of the frame");
         let f = frames(&out)[0];
         // Pairs (2,0) and (2,1) — ranks 1 and 2 — sit out; (1,0) runs.
         assert_eq!(input(f, needs(2, 2), (1, 0)).avg_corr, 0.5);
         assert!(input(f, needs(2, 2), (2, 0)).avg_corr.is_nan());
         assert!(input(f, needs(2, 2), (2, 1)).avg_corr.is_nan());
-        // A transition the snapshot stream never reaches flushes at EOF.
-        feed(&mut n, vec![health(9, 2, false)]);
+        // A transition no snapshot follows is forwarded all the same, and
+        // the end of the day finds nothing queued.
+        let out = feed(&mut n, vec![health(9, 2, false)]);
+        assert!(matches!(out[..], [Message::Health(_)]));
         let mut tail = Vec::new();
         n.on_end(&mut |m| tail.push(m));
-        assert!(matches!(tail.as_slice(), [Message::Health(_)]));
+        assert!(tail.is_empty());
+        assert_eq!(n.messages_dropped(), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! algebra (paper, Kalman, overlaid) plugs in behind the same node. It
 //! consumes one edge: the [`SignalFrame`]s (and, ahead of each, the
 //! health transitions in effect) of its correlation stream's
-//! [`SignalNode`](super::SignalNode), which has already aligned bars,
-//! correlations and health and derived every shared series.
+//! [`SignalNode`](super::SignalNode), which has read bars, correlations
+//! and health in order off its engine and derived every shared series.
 //!
 //! Results leave the host as soon as they are final. Orders — two per
 //! position open, two per reversal — collect in one [`OrderBatch`] per
@@ -463,8 +463,8 @@ impl Component for StrategyHostNode {
 }
 
 impl StrategyHostNode {
-    /// Apply and forward one health transition (the signal node releases
-    /// them at their effective interval, ahead of that interval's frame).
+    /// Apply and forward one health transition (the signal node forwards
+    /// one effective at `t + 1` after frame `t`, ahead of frame `t + 1`).
     fn apply_health(&mut self, h: Arc<HealthEvent>, out: &mut Emit<'_>) {
         if h.symbol < self.n_stocks {
             let now = h.is_degraded();
@@ -606,11 +606,6 @@ mod tests {
         }
 
         fn end(&mut self, out: &mut Emit<'_>) {
-            let mut shared = Vec::new();
-            self.signals.on_end(&mut |m| shared.push(m));
-            for m in shared {
-                self.host.on_message(m, out);
-            }
             self.host.on_end(out);
         }
     }
@@ -648,6 +643,7 @@ mod tests {
             interval,
             closes,
             ticks: vec![1; n],
+            returns: Vec::new(),
             cause: Cause::none(),
         }))
     }
@@ -754,20 +750,20 @@ mod tests {
         rig.feed(corr(start + 1, 0.76), &mut |m| seen.take(m));
         assert_eq!(rig.host.pending.len(), 2, "position opened");
 
-        // Symbol 1 degrades effective at `start + 2`. The transition is
-        // held until the correlation stream reaches that interval, so the
-        // flatten cannot race ahead of in-flight snapshots.
+        // Symbol 1 degrades effective at `start + 2`. The engine relays
+        // the transition after `start + 1`'s snapshot, so it reaches the
+        // host between the two frames and applies at once: the flatten
+        // books at `start + 1`, the last prices seen, so its legs join
+        // that interval's still-open batch and its trade is reported.
         rig.feed(health(start + 2, 1, true), &mut |m| seen.take(m));
-        assert_eq!(seen.health, 0, "held until its effective interval");
-        assert_eq!(rig.host.pending.len(), 2, "no flatten before the interval");
+        assert_eq!(seen.health, 1, "health rides on to risk");
+        assert_eq!(rig.host.pending.len(), 4, "entry + closing legs");
+        assert_eq!(seen.reports.len(), 1, "the flatten is reported at once");
 
-        // A fresh divergence at the effective interval: the transition
-        // applies first — the flatten books at `start + 1`, the last
-        // prices seen, so its legs join that interval's still-open batch
-        // and its trade is reported at once — and no new entry may open.
+        // A fresh divergence at the effective interval: no new entry may
+        // open, and the flattened interval's batch leaves.
         rig.feed(bars(start + 2, vec![29.0, 132.0]), &mut |m| seen.take(m));
         rig.feed(corr(start + 2, 0.70), &mut |m| seen.take(m));
-        assert_eq!(seen.health, 1, "health rides on to risk");
         let flattened = seen.batches.last().unwrap();
         assert_eq!(flattened.interval, start + 1);
         assert_eq!(flattened.orders.len(), 4, "entry + closing legs");

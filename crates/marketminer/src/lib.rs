@@ -13,20 +13,22 @@
 //! analytics components are the paper's Figure 1:
 //!
 //! ```text
-//!  Live/File/DB Collector ──▶ OHLC Bar Accumulator (Δs)
-//!        │                           │
-//!        │                           ├──▶ Technical Analysis (returns)
-//!        │                           │            │
-//!        │                           │            ▼
-//!        │                           │    Parallel Correlation Engine (M)
-//!        │                           │            │
-//!        └──────────── quotes ───────┴────────────┼──▶ Pair Trading Strategy
-//!                                                 │            │
-//!                                                 │            ▼
-//!                                                 │      Risk Manager
-//!                                                 │            │
-//!                                                 │            ▼
-//!                                                 │      Order Gateway ──▶ order baskets
+//!  Live/File/DB Collector ──quotes──▶ OHLC Bar Accumulator (Δs)
+//!                                            │ bars + 15 sec returns, health
+//!                                            ▼
+//!                                  Parallel Correlation Engine (M)
+//!                                            │ bars, snapshots, health: one ordered edge
+//!                                            ▼
+//!                                  Signal node (one per stream)
+//!                                            │ one frame per interval
+//!                                            ▼
+//!                                  Pair Trading Strategy
+//!                                            │
+//!                                            ▼
+//!                                  Risk Manager
+//!                                            │
+//!                                            ▼
+//!                                  Order Gateway ──▶ order baskets
 //! ```
 //!
 //! * [`graph`] — DAG description and validation (acyclicity, connectivity).
@@ -34,11 +36,11 @@
 //! * [`node`] — the [`node::Component`] and [`node::Source`] traits.
 //! * [`runtime`] — the pooled executor with bounded backpressure,
 //!   EOF-counted shutdown and fail-stop: a node panic fails its run.
-//! * [`components`] — collectors, bar accumulator, technical analysis,
-//!   the parallel correlation engine node, the per-stream signal node
-//!   (everything the strategy hosts of one correlation stream derive
-//!   identically, computed once), the strategy host, the risk manager
-//!   and the order gateway.
+//! * [`components`] — collectors, the bar accumulator (bars and their
+//!   returns), the parallel correlation engine node, the per-stream
+//!   signal node (everything the strategy hosts of one correlation
+//!   stream derive identically, computed once), the strategy host, the
+//!   risk manager and the order gateway.
 //! * [`pipeline`] — the prebuilt, runnable shared-stream sweep graph
 //!   ([`pipeline::SweepConfig`]); with one spec it is Figure 1.
 //! * [`shard`] — the durable multi-process shard runner: worker

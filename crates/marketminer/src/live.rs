@@ -37,7 +37,7 @@
 //!
 //! A surviving node therefore re-enters the new graph with bit-identical
 //! state, counters and provenance sequence, and the shared front end
-//! (collector → bars → technical) feeds it bit-identical messages — so
+//! (collector → bars) feeds it bit-identical messages — so
 //! an untouched host's output is bit-identical to a static graph that
 //! never reconfigured (verified at workers 1/2/max in
 //! `serve/tests/serve.rs`). A *freshly attached* host (and a fresh

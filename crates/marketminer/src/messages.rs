@@ -17,7 +17,8 @@ use stats::matrix::SymMatrix;
 use taq::quote::Quote;
 pub use telemetry::lineage::{Cause, EventId};
 
-/// One interval's closing prices for the whole universe.
+/// One interval's closing prices for the whole universe, and the
+/// Figure-1 "15 sec returns" they close.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BarSet {
     /// Interval index within the day.
@@ -26,17 +27,9 @@ pub struct BarSet {
     pub closes: Vec<f64>,
     /// Ticks aggregated per stock this interval.
     pub ticks: Vec<u32>,
-    /// Causal provenance (stamped by the runtime at `Full`).
-    pub cause: Cause,
-}
-
-/// One interval's log returns for the whole universe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReturnSet {
-    /// Interval index the returns land on (return spans `interval-1 →
-    /// interval`).
-    pub interval: usize,
-    /// Log return per stock.
+    /// Log return per stock against the previous bar set's closes
+    /// (`interval - 1 → interval`; 0.0 where either close is missing or
+    /// not positive). Empty on a day's first bar set.
     pub returns: Vec<f64>,
     /// Causal provenance (stamped by the runtime at `Full`).
     pub cause: Cause,
@@ -251,8 +244,8 @@ impl HealthEvent {
 /// Every [`Message::kind`] tag, in declaration order — the one table both
 /// `kind` and the wire's lineage-kind interning read. A `static`, so a tag
 /// has one address wherever it was obtained.
-pub static KINDS: [&str; 10] = [
-    "quote", "bars", "returns", "corr", "signals", "orders", "basket", "trades", "health", "eof",
+pub static KINDS: [&str; 9] = [
+    "quote", "bars", "corr", "signals", "orders", "basket", "trades", "health", "eof",
 ];
 
 /// Messages on DAG edges.
@@ -262,10 +255,8 @@ pub enum Message {
     /// (quotes are `Copy` payloads from `taq` — the provenance rides the
     /// message instead).
     Quote(Quote, Cause),
-    /// A completed interval of bars.
+    /// A completed interval of bars and returns.
     Bars(Arc<BarSet>),
-    /// A completed interval of returns.
-    Returns(Arc<ReturnSet>),
     /// A correlation-matrix snapshot.
     Corr(Arc<CorrSnapshot>),
     /// One interval of shared strategy-host inputs for one stream.
@@ -292,7 +283,6 @@ impl Message {
     pub fn interval(&self) -> Option<u64> {
         match self {
             Message::Bars(b) => Some(b.interval as u64),
-            Message::Returns(r) => Some(r.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
             Message::Signals(f) => Some(f.interval as u64),
             Message::Orders(b) => Some(b.interval as u64),
@@ -309,7 +299,6 @@ impl Message {
         match self {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&b.cause),
-            Message::Returns(r) => Some(&r.cause),
             Message::Corr(c) => Some(&c.cause),
             Message::Signals(f) => Some(&f.cause),
             Message::Orders(b) => (!b.orders.is_empty()).then_some(&b.cause),
@@ -328,7 +317,6 @@ impl Message {
         match self {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&mut Arc::make_mut(b).cause),
-            Message::Returns(r) => Some(&mut Arc::make_mut(r).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
             Message::Signals(f) => Some(&mut Arc::make_mut(f).cause),
             Message::Orders(b) if b.orders.is_empty() => None,
@@ -371,14 +359,13 @@ impl Message {
         KINDS[match self {
             Message::Quote(..) => 0,
             Message::Bars(_) => 1,
-            Message::Returns(_) => 2,
-            Message::Corr(_) => 3,
-            Message::Signals(_) => 4,
-            Message::Orders(_) => 5,
-            Message::Basket(_) => 6,
-            Message::Trades(_) => 7,
-            Message::Health(_) => 8,
-            Message::Eof => 9,
+            Message::Corr(_) => 2,
+            Message::Signals(_) => 3,
+            Message::Orders(_) => 4,
+            Message::Basket(_) => 5,
+            Message::Trades(_) => 6,
+            Message::Health(_) => 7,
+            Message::Eof => 8,
         }]
     }
 }
@@ -393,6 +380,7 @@ mod tests {
             interval: 0,
             closes: vec![],
             ticks: vec![],
+            returns: vec![],
             cause: Cause::none(),
         });
         let msgs = [Message::Bars(b.clone()), Message::Bars(b)];
@@ -435,6 +423,7 @@ mod tests {
             interval: 3,
             closes: vec![1.0; 10_000],
             ticks: vec![0; 10_000],
+            returns: vec![],
             cause: Cause::none(),
         });
         let m1 = Message::Bars(Arc::clone(&big));

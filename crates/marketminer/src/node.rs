@@ -202,6 +202,7 @@ mod tests {
             interval: 1,
             closes: vec![1.0],
             ticks: vec![2],
+            returns: Vec::new(),
             cause: crate::messages::Cause::none(),
         }));
         p.on_message(msg, &mut |m| seen.push(m.kind()));

@@ -1,10 +1,11 @@
 //! The prebuilt Figure-1 workflow, as a shared-stream sweep.
 //!
-//! Collector → OHLC bars → technical analysis → parallel correlation
+//! Collector → OHLC bars and 15-second returns → parallel correlation
 //! engine → signal node → pair-trading strategy host → risk manager →
-//! order gateway. The signal node also subscribes to the bar stream (the
-//! strategy needs prices, not just correlations) and hands the host one
-//! aligned frame per interval; a sink captures baskets and trade reports
+//! order gateway, a chain: the engine relays the bars (the strategy
+//! needs prices, not just correlations) and health ahead of and after
+//! the snapshots they close, and the signal node hands the host one
+//! frame per interval; a sink captures baskets and trade reports
 //! as they become final, and `collect_sweep_output` folds what any
 //! driver drained from it into the run's output. A [`SweepConfig`] of one
 //! spec is exactly that chain; more specs share everything up to their
@@ -25,7 +26,6 @@ use telemetry::lineage::LineageEvent;
 use timeseries::clean::CleanConfig;
 
 use crate::components::risk::RiskLimits;
-use crate::components::technical::TechnicalAnalysisNode;
 use crate::components::{
     BarAccumulatorNode, CorrelationEngineNode, HealthPolicy, OrderGatewayNode, ReplayCollector,
     RiskManagerNode, SignalNode, StrategyHostNode,
@@ -518,9 +518,7 @@ pub(crate) fn build_sweep_graph(
         accumulator = accumulator.with_health(policy);
     }
     let bars = g.add_component(Box::new(accumulator));
-    let technical = g.add_component(Box::new(TechnicalAnalysisNode::new(cfg.n_stocks)));
     g.connect(collector, bars);
-    g.connect(bars, technical);
 
     // Stream ids and engines are the plan of the included specs' keys, so
     // the cubes stay distinguishable after fan-in. Each stream is
@@ -538,7 +536,7 @@ pub(crate) fn build_sweep_graph(
                 CorrelationEngineNode::new(n, window, ctype).with_stream(ids[0])
             };
             let node = g.add_component(Box::new(engine));
-            g.connect(technical, node);
+            g.connect(bars, node);
             node
         })
         .collect();
@@ -581,9 +579,9 @@ pub(crate) fn build_sweep_graph(
         .collect();
 
     // One signal node per stream does, once, what its hosts would each
-    // derive identically: it takes the bar (prices, health) and
-    // correlation edges (of a plane's snapshots, the ones tagged with
-    // its stream) and hands every host one aligned frame per interval.
+    // derive identically: it reads its engine's one edge — bars, then
+    // the snapshots they close (of a plane's, the ones tagged with its
+    // stream), then health — and hands every host one frame per interval.
     let signals: Vec<NodeId> = (plan.streams.iter().zip(plan.readers()))
         .enumerate()
         .map(|(j, (&(ctype, corr_window), readers))| {
@@ -595,7 +593,6 @@ pub(crate) fn build_sweep_graph(
                 j,
                 &needs,
             )));
-            g.connect(bars, node);
             g.connect(engines[plan.engine_of(j)], node);
             node
         })
@@ -916,6 +913,43 @@ pub(crate) mod tests {
             traded += single.trades_per_param[0].len();
         }
         assert!(traded > 0, "vacuous: nothing traded");
+    }
+
+    /// The front end is a chain: on the paper grid (9 streams, 6
+    /// engines, tapped) every signal node has exactly one input edge, from
+    /// the engine that computes its stream, every engine reads the bar
+    /// accumulator alone, and there is no technical-analysis node.
+    #[test]
+    fn every_signal_node_reads_one_edge_from_its_engine() {
+        let n = 8;
+        let cfg = SweepConfig::paper(n);
+        let all: Vec<usize> = (0..cfg.specs.len()).collect();
+        let placeholder = DayData::new(0, Vec::new(), n, Vec::new());
+        let source = Box::new(ReplayCollector::new(placeholder));
+        let g = build_sweep_graph(source, &cfg, &all, true).graph;
+        g.validate().expect("a valid graph");
+        let name = |i: usize| g.nodes[i].name.as_str();
+        let inputs = |to: usize| -> Vec<&str> {
+            (g.edges.iter())
+                .filter(|&&(_, t)| t == to)
+                .map(|&(from, _)| name(from))
+                .collect()
+        };
+        assert!((0..g.len()).all(|i| name(i) != "technical-analysis"));
+        let plan = EnginePlan::of(cfg.specs.iter().map(|s| s.stream_key()));
+        let signals: Vec<usize> = (0..g.len())
+            .filter(|&i| name(i).starts_with("strategy-host-signals"))
+            .collect();
+        assert_eq!((signals.len(), plan.engines.len()), (9, 6));
+        for (&node, &(ctype, m)) in signals.iter().zip(&plan.streams) {
+            let engine = CorrelationEngineNode::engine_name(ctype, m);
+            assert_eq!(inputs(node), [engine.as_str()], "{}", name(node));
+        }
+        let bars = format!("ohlc-bars(ds={}s)", cfg.specs[0].dt_seconds());
+        let engines = (0..g.len()).filter(|&i| name(i).starts_with("corr-engine"));
+        for engine in engines {
+            assert_eq!(inputs(engine), [bars.as_str()], "{}", name(engine));
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ fn bar(k: usize) -> Message {
         interval: k,
         closes: vec![k as f64],
         ticks: vec![1],
+        returns: Vec::new(),
         cause: Cause::none(),
     }))
 }
@@ -48,6 +49,7 @@ impl Component for Doubler {
                 interval: b.interval,
                 closes: b.closes.iter().map(|c| c * 2.0).collect(),
                 ticks: b.ticks.clone(),
+                returns: Vec::new(),
                 cause: Cause::none(),
             })));
         }
@@ -59,6 +61,7 @@ impl Component for Doubler {
             interval: usize::MAX,
             closes: vec![],
             ticks: vec![],
+            returns: Vec::new(),
             cause: Cause::none(),
         })));
     }
@@ -393,6 +396,7 @@ impl Source for MixedSource {
                 interval: k,
                 closes: vec![1.0],
                 ticks: vec![1],
+                returns: Vec::new(),
                 cause: Cause::none(),
             })));
             out(Message::Trades(Arc::new(TradeReport {

@@ -24,7 +24,7 @@ use wire::{Adapter, Codec, Native, Reader, WireError, Writer};
 
 use crate::messages::{
     BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message, OrderBatch,
-    OrderRequest, OrderSide, ReturnSet, SignalFrame, TradeReport,
+    OrderRequest, OrderSide, SignalFrame, TradeReport,
 };
 
 wire::record! { pub EventIdWire for EventId { 0 } }
@@ -60,8 +60,7 @@ impl Adapter<&'static str> for KindWire {
     }
 }
 
-wire::record! { BarSet { interval, closes, ticks, cause as CauseWire } }
-wire::record! { ReturnSet { interval, returns, cause as CauseWire } }
+wire::record! { BarSet { interval, closes, ticks, returns, cause as CauseWire } }
 wire::record! { CorrSnapshot { interval, stream, matrix, cause as CauseWire } }
 wire::tagged! { OrderSide: "order side tag" { 0 => Buy, 1 => Sell } }
 wire::record! {
@@ -89,10 +88,10 @@ wire::tagged! {
     Message: "message tag" {
         0 => Quote(quote, cause as CauseWire),
         1 => Bars(bars),
-        2 => Returns(returns),
+        // 2 was the returns message (returns ride the bars now) and 4 the
+        // single-order message; a peer still sending either predates
+        // this build and is refused.
         3 => Corr(snapshot),
-        // 4 was the single-order message; a peer still sending it
-        // predates order batches and is refused.
         5 => Basket(basket),
         6 => Trades(report),
         7 => Health(event),

@@ -532,22 +532,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A worker whose uplink breaks exits at its next send. The epoch
+    /// loop sends `Results`, saves the cut, then sends `CkptDone`, so
+    /// once the supervisor is gone the worker saves at most the cut of
+    /// the epoch in flight (whose `Results` left before the break) and
+    /// never reaches the day's final epoch. The bound is on progress, not
+    /// on wall time, so it holds however the host schedules the threads.
     #[test]
     fn a_failed_worker_exits_at_once_when_its_uplink_breaks() {
         let (dir, listener, args) = staged_worker("failed");
+        let n_quotes = taq::io::read_binary_file(&dir.join(TAPE_FILE), 4)
+            .unwrap()
+            .quotes()
+            .len();
+        let final_epoch = n_quotes.div_ceil(args.epoch_quotes) as u64 - 1;
+        let store = CheckpointStore::open(dir.join("shard-0")).unwrap();
+        let newest_cut = || store.recover().ok().map(|rec| rec.epoch);
         let worker = std::thread::spawn(move || run_worker(args));
         let mut conn = listener.accept().unwrap();
         while !matches!(conn.recv::<Frame>().unwrap(), Frame::Results { .. }) {}
-        // The supervisor goes away mid-day: the worker's next frame — an
-        // epoch (milliseconds here) away — fails to send.
+        // The supervisor goes away mid-day. Epoch 0's `Results` is out,
+        // so the epoch in flight is at least 0.
         drop(conn);
-        let gone = Instant::now();
-        assert!(worker.join().unwrap().is_err());
+        let at_break = newest_cut();
+        let exit = worker.join().unwrap();
+        let at_exit = newest_cut();
+        let bound = at_break.map_or(0, |epoch| epoch + 1);
         assert!(
-            gone.elapsed() < Duration::from_millis(100),
-            "exit took {:?} after the uplink broke",
-            gone.elapsed()
+            at_exit.is_none_or(|epoch| epoch <= bound),
+            "saved through epoch {at_exit:?} after the uplink broke at {at_break:?}"
         );
+        assert!(
+            at_exit.is_none_or(|epoch| epoch < final_epoch),
+            "reached the day's final epoch {final_epoch} with no uplink"
+        );
+        assert!(exit.is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -70,7 +70,9 @@ pub fn decode_binary(mut buf: &[u8], n_symbols: usize) -> Result<DayData, Binary
     let day = buf.get_u16();
     let _reserved = buf.get_u16();
     let count = buf.get_u64() as usize;
-    if buf.remaining() < count * 18 {
+    // The count is the file's word: a byte size past `usize` is not there.
+    let len = count.checked_mul(18).ok_or(BinaryError::Truncated)?;
+    if buf.remaining() < len {
         return Err(BinaryError::Truncated);
     }
     let mut quotes = Vec::with_capacity(count);
@@ -179,6 +181,23 @@ mod tests {
         buf.put_u16(0);
         buf.put_u16(0);
         buf.put_u64(100);
+        assert!(matches!(
+            decode_binary(&buf, 1),
+            Err(BinaryError::Truncated)
+        ));
+    }
+
+    /// A count whose byte size wraps (⌈2⁶⁴ / 18⌉ × 18 = 2 mod 2⁶⁴) is
+    /// refused as truncated, not multiplied past `usize` or allocated.
+    #[test]
+    fn a_count_whose_size_overflows_is_truncated() {
+        let mut buf = BytesMut::new();
+        buf.put_u32(BINARY_MAGIC);
+        buf.put_u16(0);
+        buf.put_u16(0);
+        buf.put_u64(1_024_819_115_206_086_201);
+        buf.put_u32(0);
+        assert_eq!(buf.len(), 20);
         assert!(matches!(
             decode_binary(&buf, 1),
             Err(BinaryError::Truncated)

@@ -1,7 +1,7 @@
 //! Run the Figure-1 MarketMiner pipeline end-to-end on one synthetic
-//! trading day: collector → OHLC bars → technical analysis → parallel
-//! correlation engine → pair-trading strategy → risk manager → order
-//! gateway.
+//! trading day: collector → OHLC bars and their 15-second returns →
+//! parallel correlation engine → signal node → pair-trading strategy →
+//! risk manager → order gateway.
 //!
 //! ```sh
 //! cargo run --release --example live_pipeline

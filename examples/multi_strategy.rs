@@ -1,10 +1,10 @@
 //! Run the paper's full 42-parameter sweep as ONE MarketMiner deployment
-//! on the pooled scheduler: every strategy host shares the collector, bar
-//! accumulator, technical analysis and the 9 distinct per-(Ctype, M)
-//! correlation engines, and a single master risk manager + bucketed order
-//! gateway collects every strategy's trade decisions — the integrated
-//! Approach-3 architecture Section IV argues for, on a thread pool whose
-//! size is independent of the ~50-node graph.
+//! on the pooled scheduler: every strategy host shares the collector, the
+//! bar accumulator (bars and their returns) and the 9 distinct
+//! per-(Ctype, M) correlation streams, and a single master risk manager +
+//! bucketed order gateway collects every strategy's trade decisions — the
+//! integrated Approach-3 architecture Section IV argues for, on a thread
+//! pool whose size is independent of the ~50-node graph.
 //!
 //! ```sh
 //! cargo run --release --example multi_strategy
