@@ -44,7 +44,10 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// Version 7: returns ride the bars — the bar accumulator keeps the
 /// previous bar set's closes, there is no technical-analysis node, and a
 /// signal node, fed in order by its engine, keeps no alignment queues.
-pub const VERSION: u8 = 7;
+/// Version 8: one stream node per correlation stream keeps, per
+/// parameter set, the rule states, the open-pairs book and the open
+/// batch; there are no strategy-host or risk-manager nodes.
+pub const VERSION: u8 = 8;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

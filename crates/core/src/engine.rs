@@ -1,7 +1,7 @@
 //! The batch path's day-level driver: step a pair's aligned price and
 //! correlation series through one or more of the paper rule's parameter
 //! vectors, each over its own per-pair state. The other families (Kalman,
-//! overlays) run on the streaming strategy hosts only.
+//! overlays) run in the streaming graph's stream nodes only.
 //!
 //! Index bookkeeping: the backtester computes the correlation series from
 //! *log returns*, whose step `t` spans price intervals `t → t + 1`.
@@ -10,7 +10,7 @@
 //!
 //! The derived inputs a rule declares
 //! ([`InputNeeds`](crate::strategy::InputNeeds)) come from the signal
-//! [`Planes`] the streaming signal node runs, here over a two-stock
+//! [`Planes`] the streaming graph's stream node runs, here over a two-stock
 //! universe: the one pair being run, at rank 0 = `(1, 0)`, with stock 1
 //! the pair's `i` leg. As there, one plane serves every rule that reads
 //! its window ([`run_pair_day_multi`]). A position still open after the

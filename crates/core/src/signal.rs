@@ -15,7 +15,7 @@
 //! strategy parameters, so [`Planes`] derives them once per distinct
 //! window, for every rule that reads it: one [`AvgPlane`] per `W`, one
 //! [`RangePlane`] per `RT`, one trailing return per stock per return
-//! window. The streaming signal node runs it over the whole universe; the
+//! window. The streaming graph's stream node runs it over the whole universe; the
 //! batch day walk runs the same type over a two-stock universe, one pair
 //! at rank 0 = `(1, 0)`. Each interval is written into a [`Series`], and
 //! a rule reads its inputs out of that through its [`Slots`].

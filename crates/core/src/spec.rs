@@ -6,7 +6,7 @@
 //! combinator over either. A spec is pure configuration — validated at
 //! construction, serializable (checkpoints, shard jobs) — and
 //! [`StrategySpec::with_rule`] is the one place it becomes a concrete
-//! [`Rule`] type: a strategy host and the batch driver each pick their
+//! [`Rule`] type: a stream node and the batch driver each pick their
 //! rule there once, then step it over per-pair state.
 //!
 //! The wire form is versioned: a leading [`SPEC_WIRE_VERSION`] byte

@@ -3,7 +3,8 @@
 //! fleet-wide observability plane — the merged telemetry report, one
 //! Perfetto/Chrome trace with a process lane per rank, and the ranked
 //! self-time profile over the merged `step.ns` accounting (headed by each
-//! rank's `W` and the kernel width its workers ran at), followed by
+//! rank's `W` and the kernel width its workers ran at), self-time by
+//! layer with the stream nodes' planes and rules apart, followed by
 //! what each robust plane fitted and what a pair-step and an IRLS
 //! iteration cost it, what each rank's durable cuts cost (bytes,
 //! capture, encode, fsync)
@@ -24,7 +25,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use marketminer::pipeline::{render_results_plane, render_robust_planes, SweepConfig};
+use marketminer::pipeline::{
+    render_results_plane, render_robust_planes, render_strategy_layer, SweepConfig,
+};
 use marketminer::runtime::render_pool;
 use marketminer::shard::{render_placement, ShardConfig, ShardRunner};
 use pairtrade_core::params::StrategyParams;
@@ -187,10 +190,9 @@ fn main() -> ExitCode {
     );
     if args.profile {
         print!("{}", render_pool(&report.metrics));
-        print!(
-            "{}",
-            Profile::from_snapshot(&report.metrics).render_ranked()
-        );
+        let profile = Profile::from_snapshot(&report.metrics);
+        print!("{}", profile.render_ranked());
+        print!("{}", render_strategy_layer(&profile, &report.metrics));
         print!("{}", render_robust_planes(&report.metrics));
         print!("{}", render_results_plane(&report.metrics));
         print!(

@@ -6,9 +6,9 @@
 //! go"), self-time by layer, what each robust plane fitted, what it took
 //! from the fit it had and what a pair-step and an IRLS iteration cost it
 //! (`maronna.*` / `combined.*` counters of the `corr-engine(robust, M=…)`
-//! nodes against their self-time), what the signal plane shares and how
-//! much of the hosts' work was useful, how results left the graph (trades
-//! streamed, what the gateway held back), where a two-rank fleet would
+//! nodes against their self-time), what the signal planes share and how
+//! much of the stream nodes' rule work was useful, how results left the
+//! graph (trades streamed, what the gateway held back), where a two-rank fleet would
 //! place the grid and the engine self-time each rank would carry (what
 //! the placement's plane weight is measured against), and optionally
 //! folded-stack text for `flamegraph.pl` / `inferno-flamegraph`.
@@ -25,13 +25,13 @@
 use std::process::ExitCode;
 
 use marketminer::pipeline::{
-    render_results_plane, render_robust_planes, run_sweep_pipeline_with, SweepConfig,
+    render_results_plane, render_robust_planes, render_strategy_layer, run_sweep_pipeline_with,
+    SweepConfig,
 };
 use marketminer::runtime::{render_pool, Runtime, RuntimeConfig};
 use marketminer::shard::render_placement;
 use pairtrade_core::params::StrategyParams;
 use taq::generator::{MarketConfig, MarketGenerator};
-use telemetry::metrics::MetricsSnapshot;
 use telemetry::profile::Profile;
 use telemetry::TelemetryLevel;
 
@@ -82,71 +82,6 @@ fn sweep_config(stocks: usize, specs: usize) -> SweepConfig {
     }
 }
 
-/// Self-time by layer, then the strategy layer's own counters: series
-/// derived once per stream by the signal nodes, and per host how many
-/// pair-intervals ran the entry/exit rule against how many it was offered
-/// and how many led to a position change.
-fn render_strategy_layer(profile: &Profile, metrics: &MetricsSnapshot, n_pairs: u64) -> String {
-    const LAYERS: [&str; 4] = [
-        "correlation engines",
-        "signal nodes",
-        "strategy hosts",
-        "everything else",
-    ];
-    let mut self_ns = [0u64; 4];
-    for n in profile.nodes() {
-        let layer = if n.is_correlation() {
-            0
-        } else if n.node.starts_with("strategy-host-signals") {
-            1
-        } else if n.node.starts_with("pair-strategy-host") {
-            2
-        } else {
-            3
-        };
-        self_ns[layer] += n.self_ns;
-    }
-    let total = profile.total_self_ns().max(1);
-    let mut out = String::from("\nself-time by layer\n");
-    for (name, ns) in LAYERS.iter().zip(self_ns) {
-        out.push_str(&format!(
-            "  {name:<20} {:>10.3} ms  {:>5.1}%\n",
-            ns as f64 / 1e6,
-            ns as f64 * 100.0 / total as f64
-        ));
-    }
-
-    out.push_str("\nsignal plane (derived once per stream, shared by its hosts)\n");
-    for ((label, name), series) in &metrics.gauges {
-        if name == "signals.series" {
-            out.push_str(&format!(
-                "  {label:<44} {series} series  {} frames\n",
-                metrics.counter(label, "frames.emitted")
-            ));
-        }
-    }
-
-    out.push_str("\nstrategy hosts: pair-intervals offered / rule evaluations / armed / changed a position\n");
-    let hosts = (profile.nodes().iter()).filter(|n| n.node.starts_with("pair-strategy-host"));
-    let (mut n_hosts, mut sum) = (0, [0u64; 4]);
-    for host in hosts {
-        let counter = |name: &str| metrics.counter(&host.node, name);
-        n_hosts += 1;
-        sum[0] += host.samples * n_pairs;
-        sum[1] += counter("pairs.visited");
-        sum[2] += counter("pairs.armed");
-        sum[3] += counter("positions.opened") + counter("positions.closed");
-    }
-    let [offered, visited, armed, changed] = sum;
-    out.push_str(&format!(
-        "  {} hosts: {offered} / {visited} / {armed} / {changed}  (visited {:.1}% of offered, {:.1}% of visits useful)\n",
-        n_hosts,
-        visited as f64 * 100.0 / offered.max(1) as f64,
-        changed as f64 * 100.0 / visited.max(1) as f64,
-    ));
-    out
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -191,11 +126,7 @@ fn main() -> ExitCode {
     );
     print!("{}", render_pool(&report.metrics));
     print!("{}", profile.render_ranked());
-    let n_pairs = (args.stocks * (args.stocks - 1) / 2) as u64;
-    print!(
-        "{}",
-        render_strategy_layer(&profile, &report.metrics, n_pairs)
-    );
+    print!("{}", render_strategy_layer(&profile, &report.metrics));
     print!("{}", render_robust_planes(&report.metrics));
     print!("{}", render_results_plane(&report.metrics));
     print!("{}", render_placement(&cfg.specs, 2, &report.metrics));

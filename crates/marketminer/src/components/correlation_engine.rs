@@ -8,11 +8,11 @@
 //! lane per warm interval, the cadence of the batch cubes, which hold one
 //! matrix per return step.
 //!
-//! The node is also the one edge into its signal nodes. On `Bars(t)` it
+//! The node is also the one edge into its stream nodes. On `Bars(t)` it
 //! forwards the same `Arc` first, then publishes `t`'s snapshots; a
 //! health transition masks its later snapshots and is forwarded where it
 //! arrived (the accumulator emits one effective at `t + 1` after
-//! `Bars(t)`, so it follows `t`'s snapshots). A signal node therefore
+//! `Bars(t)`, so it follows `t`'s snapshots). A stream node therefore
 //! reads bars, snapshots and health already in order on one FIFO edge.
 //!
 //! A node publishes one stream — or, for the robust measures, the
@@ -53,7 +53,7 @@ use crate::node::{component_state, Component, Emit};
 /// A snapshot's `Arc` travels to downstream consumers; once they all drop
 /// it the allocation (a ~15 KB packed matrix at n = 61) is recycled for a
 /// later interval instead of hitting the allocator again. Four covers the
-/// longest in-flight chain in the sweep graph (fan-in, strategy host,
+/// longest in-flight chain in the sweep graph (stream node, serving tap,
 /// flight recorder) with slack.
 const POOL_DEPTH: usize = 4;
 
@@ -315,14 +315,14 @@ impl Component for CorrelationEngineNode {
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
         let bars = match msg {
-            // The signal nodes read the bars on this edge, ahead of the
+            // The stream nodes read the bars on this edge, ahead of the
             // snapshots closed by their returns.
             Message::Bars(bars) => {
                 out(Message::Bars(Arc::clone(&bars)));
                 bars
             }
             // Masks this node's snapshots from the next interval on, and
-            // reaches the signal nodes after this interval's snapshots.
+            // reaches the stream nodes after this interval's snapshots.
             Message::Health(h) => {
                 if let Some(flag) = self.degraded.get_mut(h.symbol) {
                     *flag = h.is_degraded();
@@ -530,7 +530,7 @@ mod tests {
     /// snapshots of the bar set before it. Nothing else is relayed.
     #[test]
     fn relays_each_bar_set_ahead_of_its_snapshots_and_health_where_it_arrived() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus, SignalFrame};
+        use crate::messages::{DegradeReason, HealthEvent, HealthStatus, OrderBatch};
         let plane = [(CorrType::Maronna, 3), (CorrType::Combined, 5)];
         let mut node = CorrelationEngineNode::robust_plane(3, 3, &plane);
         // A day's first bar set carries no returns.
@@ -545,9 +545,15 @@ mod tests {
             status: HealthStatus::Degraded(DegradeReason::Outage),
             cause: Cause::none(),
         };
-        let stray = SignalFrame::not_warm(7, 3, Cause::none());
+        let stray = OrderBatch {
+            interval: 7,
+            param_set: 3,
+            strategy: pairtrade_core::spec::StrategyKind::Paper,
+            orders: Vec::new(),
+            cause: Cause::none(),
+        };
         inputs.insert(5, Message::Health(Arc::new(health)));
-        inputs.push(Message::Signals(Arc::new(stray)));
+        inputs.push(Message::Orders(Arc::new(stray)));
         let mut got = Vec::new();
         for msg in &inputs {
             node.on_message(msg.clone(), &mut |m| got.push(m));

@@ -4,25 +4,30 @@
 //! "Aggregating the results into a single basket, as opposed to many
 //! individual trade orders, allows the trading system to utilize a
 //! sophisticated list-based algorithm to optimize the actual execution."
-//! The gateway collects the hosts' [`OrderBatch`]es per interval and emits
-//! one [`Basket`] per interval that has orders; Figure 1's "with human
-//! confirmation" vs "no human confirmation" paths are the per-order
-//! `needs_confirmation` flag, preserved through aggregation.
+//! The gateway is the one merge of a sweep graph — the paper's "master
+//! process" that gathers every strategy's trade decisions. It collects
+//! the [`OrderBatch`]es every stream node sends per parameter set per
+//! interval, their orders already past the parameter set's risk checks,
+//! and emits one [`Basket`] per interval that has orders; Figure 1's
+//! "with human confirmation" vs "no human confirmation" paths are the
+//! per-order `needs_confirmation` flag, preserved through aggregation.
+//! Trade reports and health transitions pass through to the sink.
 //!
 //! ## Flush on watermark
 //!
-//! Every host sends exactly one batch per interval it has seen, in
-//! interval order, so a host's newest batch is its watermark. The gateway
-//! is built with the number of hosts feeding it; interval `t` is
-//! *complete* once that many hosts have reported `t` or later, and a
-//! complete bucket is sorted into a canonical order and emitted at once,
-//! buckets in interval order. The output is therefore bit-identical no
-//! matter how the fan-in interleaved, and at any quiescent point the
-//! gateway holds only the orders of intervals some host has yet to reach
-//! — in a healthy graph, none. A host that never reports (it died, or was
-//! detached) holds its intervals open until [`Component::on_end`], which
-//! flushes whatever is left: that costs memory, never output. A single
-//! host is the one-host case of the same rule.
+//! Every parameter set sends exactly one batch per interval its stream
+//! has seen, in interval order, so a parameter set's newest batch is its
+//! watermark. The gateway is built with the number of parameter sets
+//! feeding it; interval `t` is *complete* once that many have reported
+//! `t` or later, and a complete bucket is sorted into a canonical order
+//! and emitted at once, buckets in interval order. The output is
+//! therefore bit-identical no matter how the fan-in interleaved, and at
+//! any quiescent point the gateway holds only the orders of intervals
+//! some parameter set has yet to reach — in a healthy graph, none. A
+//! parameter set that never reports (its node died, or it was detached)
+//! holds its intervals open until [`Component::on_end`], which flushes
+//! whatever is left: that costs memory, never output. A single parameter
+//! set is the one-set case of the same rule.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,10 +40,10 @@ use crate::node::{component_state, Component, Emit};
 /// Basket-aggregating order gateway.
 #[derive(Clone)]
 pub struct OrderGatewayNode {
-    /// Hosts feeding the gateway.
+    /// Parameter sets feeding the gateway.
     n_hosts: usize,
-    /// Newest interval reported per host, `(param_set, interval)` sorted
-    /// by param set.
+    /// Newest interval reported per parameter set, `(param_set,
+    /// interval)` sorted by param set.
     watermarks: Vec<(usize, usize)>,
     /// The non-empty batches of intervals not yet complete. A bucket
     /// becomes one exactly-sized order list only when it flushes: baskets
@@ -156,12 +161,12 @@ fn orders_of(batches: &[Arc<OrderBatch>]) -> Vec<OrderRequest> {
 }
 
 impl OrderGatewayNode {
-    /// Gateway behind a single strategy host.
+    /// Gateway behind a single parameter set.
     pub fn new() -> Self {
         Self::fan_in(1)
     }
 
-    /// Gateway behind `n_hosts` strategy hosts (a sweep graph's fan-in).
+    /// Gateway behind `n_hosts` parameter sets (a sweep graph's fan-in).
     pub fn fan_in(n_hosts: usize) -> Self {
         OrderGatewayNode {
             n_hosts: n_hosts.max(1),
@@ -184,9 +189,10 @@ impl OrderGatewayNode {
         self.orders_held
     }
 
-    /// Has every host reported `interval` or later? (A reconfigured graph
-    /// can restore the watermark of a host no longer attached; it stopped
-    /// advancing, so it never stands in for a live one that is behind.)
+    /// Has every parameter set reported `interval` or later? (A
+    /// reconfigured graph can restore the watermark of a parameter set no
+    /// longer attached; it stopped advancing, so it never stands in for a
+    /// live one that is behind.)
     fn is_complete(&self, interval: usize) -> bool {
         let reported = self.watermarks.iter().filter(|&&(_, at)| at >= interval);
         reported.count() >= self.n_hosts

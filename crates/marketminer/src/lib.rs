@@ -38,9 +38,9 @@
 //!   EOF-counted shutdown and fail-stop: a node panic fails its run.
 //! * [`components`] — collectors, the bar accumulator (bars and their
 //!   returns), the parallel correlation engine node, the per-stream
-//!   signal node (everything the strategy hosts of one correlation
-//!   stream derive identically, computed once), the strategy host, the
-//!   risk manager and the order gateway.
+//!   stream node (the signal planes its strategies share, computed once,
+//!   every strategy's rule, and the risk checks on their orders), and the
+//!   order gateway.
 //! * [`pipeline`] — the prebuilt, runnable shared-stream sweep graph
 //!   ([`pipeline::SweepConfig`]); with one spec it is Figure 1.
 //! * [`shard`] — the durable multi-process shard runner: worker

@@ -4,13 +4,10 @@
 //! to multiple subscribers clones a pointer, not the data — the same
 //! zero-copy discipline an MPI implementation would apply with shared
 //! windows on-node. Payloads another crate already defines ride inside
-//! them: a [`SignalFrame`] carries the strategy layer's own
-//! [`Series`], so a host reads its inputs with the code the batch path
-//! reads them with.
+//! them: a trade report carries the strategy layer's own [`Trade`]s.
 
 use std::sync::Arc;
 
-use pairtrade_core::signal::Series;
 use pairtrade_core::spec::StrategyKind;
 use pairtrade_core::trade::Trade;
 use stats::matrix::SymMatrix;
@@ -51,53 +48,6 @@ pub struct CorrSnapshot {
     pub cause: Cause,
 }
 
-/// One interval of everything the strategy hosts of one correlation
-/// stream derive identically: prices aligned to the snapshot's interval,
-/// the snapshot's correlations in pair-rank order, and the [`Series`] of
-/// every window any of the hosts declared in its
-/// [`pairtrade_core::strategy::InputNeeds`]. Produced once per interval
-/// by the stream's signal node and `Arc`-shared by its hosts, each of
-/// which reads its own inputs out through
-/// [`Series::slots`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SignalFrame {
-    /// Interval the frame is for.
-    pub interval: usize,
-    /// The correlation stream the frame belongs to.
-    pub stream: usize,
-    /// Forward-filled price per stock at `interval` (NaN before a
-    /// stock's first bar).
-    pub prices: Vec<f64>,
-    /// Correlation per pair rank.
-    pub corr: Vec<f64>,
-    /// Trailing returns, `C̄` and drops, and spread ranges, per window.
-    pub series: Series,
-    /// Causal provenance (stamped by the runtime at `Full`).
-    pub cause: Cause,
-}
-
-impl SignalFrame {
-    /// The frame of an interval whose bar has closed while the stream's
-    /// correlation engine is still filling its window: no prices, no
-    /// series. Hosts trade nothing on it; it only advances their
-    /// watermark (see [`OrderBatch`]).
-    pub fn not_warm(interval: usize, stream: usize, cause: Cause) -> SignalFrame {
-        SignalFrame {
-            interval,
-            stream,
-            prices: Vec::new(),
-            corr: Vec::new(),
-            series: Series::default(),
-            cause,
-        }
-    }
-
-    /// False for a [`SignalFrame::not_warm`] frame.
-    pub fn is_warm(&self) -> bool {
-        !self.prices.is_empty()
-    }
-}
-
 /// Side of an order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderSide {
@@ -112,12 +62,12 @@ pub enum OrderSide {
 pub struct OrderRequest {
     /// Interval the order was generated at.
     pub interval: usize,
-    /// Which parameter set (strategy host) generated the order. Lets the
-    /// merged risk/gateway stages of a sweep graph keep per-strategy books
-    /// and attribute orders; single-strategy pipelines leave it 0.
+    /// Which parameter set generated the order. Lets a sweep graph keep
+    /// one risk book per parameter set and the merged gateway and sink
+    /// attribute orders.
     pub param_set: usize,
     /// Which strategy family generated the order — heterogeneous sweeps
-    /// mix families, and risk books and lineage reports tell them apart.
+    /// mix families, and lineage reports tell them apart.
     pub strategy: StrategyKind,
     /// Stock index.
     pub stock: usize,
@@ -137,18 +87,19 @@ pub struct OrderRequest {
     pub cause: Cause,
 }
 
-/// Every order one strategy host generated at one interval — possibly
-/// none. A host emits exactly one batch per signal frame it consumes, in
-/// interval order, so the batch is also the host's **watermark**: once a
-/// consumer has seen `interval = t` from a host, that host will never
-/// again produce an order for an interval `<= t`.
+/// Every order one parameter set generated at one interval that passed
+/// its risk checks — possibly none. Its stream node emits exactly one
+/// batch per parameter set per interval, in interval order, so the batch
+/// is also the parameter set's **watermark**: once a consumer has seen
+/// `interval = t` for a parameter set, no order for an interval `<= t`
+/// will follow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBatch {
     /// Interval the batch covers.
     pub interval: usize,
-    /// The parameter set (strategy host) the batch comes from.
+    /// The parameter set the batch comes from.
     pub param_set: usize,
-    /// The host's strategy family.
+    /// The parameter set's strategy family.
     pub strategy: StrategyKind,
     /// The orders, in generation order; each carries the batch's
     /// `interval`, `param_set` and `strategy`.
@@ -171,14 +122,14 @@ pub struct Basket {
     pub cause: Cause,
 }
 
-/// Trades one strategy host closed together — at one interval, on one
+/// Trades one parameter set closed together — at one interval, on one
 /// health transition, or at end of day — tagged with the parameter set
-/// that produced them so a merged sink can attribute trades. A host's
-/// reports concatenated in emission order are its day in closing order
-/// (the sweep's `collect_sweep_output` regroups them by pair).
+/// so a merged sink can attribute trades. A parameter set's reports
+/// concatenated in emission order are its day in closing order (the
+/// sweep's `collect_sweep_output` regroups them by pair).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TradeReport {
-    /// Index of the parameter set (strategy host) the trades belong to.
+    /// Index of the parameter set the trades belong to.
     pub param_set: usize,
     /// Which strategy family produced the trades.
     pub strategy: StrategyKind,
@@ -244,8 +195,8 @@ impl HealthEvent {
 /// Every [`Message::kind`] tag, in declaration order — the one table both
 /// `kind` and the wire's lineage-kind interning read. A `static`, so a tag
 /// has one address wherever it was obtained.
-pub static KINDS: [&str; 9] = [
-    "quote", "bars", "corr", "signals", "orders", "basket", "trades", "health", "eof",
+pub static KINDS: [&str; 8] = [
+    "quote", "bars", "corr", "orders", "basket", "trades", "health", "eof",
 ];
 
 /// Messages on DAG edges.
@@ -259,13 +210,11 @@ pub enum Message {
     Bars(Arc<BarSet>),
     /// A correlation-matrix snapshot.
     Corr(Arc<CorrSnapshot>),
-    /// One interval of shared strategy-host inputs for one stream.
-    Signals(Arc<SignalFrame>),
-    /// One host's orders for one interval (and its watermark).
+    /// One parameter set's orders for one interval (and its watermark).
     Orders(Arc<OrderBatch>),
     /// An aggregated order basket.
     Basket(Arc<Basket>),
-    /// Closed trades from a strategy node.
+    /// Closed trades of one parameter set.
     Trades(Arc<TradeReport>),
     /// A per-symbol health transition (degradation control plane).
     Health(Arc<HealthEvent>),
@@ -284,7 +233,6 @@ impl Message {
         match self {
             Message::Bars(b) => Some(b.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
-            Message::Signals(f) => Some(f.interval as u64),
             Message::Orders(b) => Some(b.interval as u64),
             Message::Basket(b) => Some(b.interval as u64),
             Message::Health(h) => Some(h.interval as u64),
@@ -300,7 +248,6 @@ impl Message {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&b.cause),
             Message::Corr(c) => Some(&c.cause),
-            Message::Signals(f) => Some(&f.cause),
             Message::Orders(b) => (!b.orders.is_empty()).then_some(&b.cause),
             Message::Basket(b) => Some(&b.cause),
             Message::Trades(t) => Some(&t.cause),
@@ -318,7 +265,6 @@ impl Message {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
-            Message::Signals(f) => Some(&mut Arc::make_mut(f).cause),
             Message::Orders(b) if b.orders.is_empty() => None,
             Message::Orders(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Basket(b) => Some(&mut Arc::make_mut(b).cause),
@@ -360,12 +306,11 @@ impl Message {
             Message::Quote(..) => 0,
             Message::Bars(_) => 1,
             Message::Corr(_) => 2,
-            Message::Signals(_) => 3,
-            Message::Orders(_) => 4,
-            Message::Basket(_) => 5,
-            Message::Trades(_) => 6,
-            Message::Health(_) => 7,
-            Message::Eof => 8,
+            Message::Orders(_) => 3,
+            Message::Basket(_) => 4,
+            Message::Trades(_) => 5,
+            Message::Health(_) => 6,
+            Message::Eof => 7,
         }]
     }
 }

@@ -43,15 +43,6 @@ pub trait Component: Send {
         false
     }
 
-    /// A tighter bound on this component's inbox than the runtime's
-    /// configured capacity, for a component whose inbound messages are
-    /// large: its producers are held back (their own, smaller, input
-    /// queues up instead) once this many messages wait here. `None` (the
-    /// default) leaves the configured capacity.
-    fn inbox_capacity(&self) -> Option<usize> {
-        None
-    }
-
     /// Messages this component received but did not understand (neither
     /// consumed nor forwarded). Surfaced in
     /// [`crate::runtime::NodeStats::messages_dropped`].

@@ -160,9 +160,6 @@ impl Exec {
             RunTelemetry::new(tel, &names, runtime.node_base, &env)
         });
 
-        // Per-node inbox capacity: the configured bound, tightened by the
-        // node's own `Component::inbox_capacity`.
-        let mut capacity = vec![runtime.config.capacity; n];
         let mut bodies: Vec<Mutex<NodeBody>> = Vec::with_capacity(n);
         let mut sources: Vec<(usize, Box<dyn Source>)> = Vec::new();
         for (idx, entry) in graph.nodes.into_iter().enumerate() {
@@ -178,9 +175,6 @@ impl Exec {
                     if let Some(rt) = &rt {
                         c.attach_telemetry(rt.probes[idx].clone());
                     }
-                    if let Some(bound) = c.inbox_capacity() {
-                        capacity[idx] = capacity[idx].min(bound.max(1));
-                    }
                     bodies.push(Mutex::new(NodeBody::Component(c)));
                 }
                 NodeKind::Sink => bodies.push(Mutex::new(NodeBody::Sink { msgs: Vec::new() })),
@@ -190,7 +184,7 @@ impl Exec {
         let fed: Vec<usize> = sources.iter().map(|(idx, _)| *idx).collect();
         let pool = runtime.config.resolved_workers().max(1);
         let exec = Arc::new(Exec {
-            sched: Scheduler::new(&graph.edges, capacity, &fed, rt.is_some()),
+            sched: Scheduler::new(&graph.edges, n, runtime.config.capacity, &fed, rt.is_some()),
             names,
             bodies,
             health: (0..n).map(|_| NodeHealth::default()).collect(),

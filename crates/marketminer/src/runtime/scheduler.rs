@@ -75,7 +75,8 @@ pub(super) struct Scheduler {
     done_cv: Condvar,
     /// Feeders wait here for downstream inbox capacity.
     cap_cv: Condvar,
-    capacity: Vec<usize>,
+    /// Bound on every inbox.
+    capacity: usize,
     /// `succs[u]` = targets of every edge `(u, v)`, in edge order.
     pub(super) succs: Vec<Vec<usize>>,
     /// `preds[v]` = origins of every edge `(u, v)`.
@@ -91,16 +92,16 @@ pub(super) struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler over nodes `0..capacity.len()` joined by `edges`;
-    /// `capacity[v]` bounds node `v`'s inbox and the nodes in `fed` push
-    /// from outside the pool.
+    /// A scheduler over nodes `0..n` joined by `edges`; `capacity`
+    /// bounds every inbox and the nodes in `fed` push from outside the
+    /// pool.
     pub(super) fn new(
         edges: &[(usize, usize)],
-        capacity: Vec<usize>,
+        n: usize,
+        capacity: usize,
         fed: &[usize],
         count_parks: bool,
     ) -> Scheduler {
-        let n = capacity.len();
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(from, to) in edges {
@@ -141,7 +142,7 @@ impl Scheduler {
     fn outputs_clear(&self, st: &SchedState, idx: usize) -> bool {
         self.succs[idx]
             .iter()
-            .all(|&t| st.status[t] == Status::Done || st.inbox[t].len() < self.capacity[t])
+            .all(|&t| st.status[t] == Status::Done || st.inbox[t].len() < self.capacity)
     }
 
     /// Inbox non-empty, or all upstreams finished (end-flush pending)?
@@ -169,7 +170,7 @@ impl Scheduler {
     fn note_parks(&self, st: &SchedState, idx: usize) {
         if let Some(parks) = &self.parks {
             for (k, &t) in self.succs[idx].iter().enumerate() {
-                if st.status[t] != Status::Done && st.inbox[t].len() >= self.capacity[t] {
+                if st.status[t] != Status::Done && st.inbox[t].len() >= self.capacity {
                     parks[idx][k].fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -185,7 +186,7 @@ impl Scheduler {
         let mut msg = Some(msg);
         let succs = &self.succs[from];
         for (k, &to) in succs.iter().enumerate() {
-            while wait && st.status[to] != Status::Done && st.inbox[to].len() >= self.capacity[to] {
+            while wait && st.status[to] != Status::Done && st.inbox[to].len() >= self.capacity {
                 st = self.cap_cv.wait(st).expect("capacity condvar");
             }
             if st.status[to] == Status::Done {
@@ -277,7 +278,7 @@ impl Scheduler {
         }
         if let Some(msg) = st.inbox[idx].pop_front() {
             let depth = st.inbox[idx].len() + 1;
-            if depth == self.capacity[idx] {
+            if depth == self.capacity {
                 self.wake_producers(st, idx);
             }
             return Next::Msg(msg, depth);
@@ -342,7 +343,7 @@ mod tests {
 
     /// `0` (fed) → `1` → `2`, every inbox bounded at two.
     fn chain() -> Scheduler {
-        Scheduler::new(&[(0, 1), (1, 2)], vec![2; 3], &[0], false)
+        Scheduler::new(&[(0, 1), (1, 2)], 3, 2, &[0], false)
     }
 
     fn queue(s: &Scheduler) -> Vec<usize> {

@@ -152,40 +152,6 @@ fn backpressure_does_not_deadlock() {
     assert_eq!(out.take_sink(sink).len(), 50_000);
 }
 
-/// A component may bound its own inbox below the configured capacity:
-/// its producer is held back at that bound (the backlog queues one
-/// hop upstream instead) and the graph still drains.
-#[test]
-fn a_component_can_tighten_its_own_inbox() {
-    struct Narrow;
-    impl Component for Narrow {
-        fn name(&self) -> &str {
-            "narrow"
-        }
-        fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-            out(msg);
-        }
-        fn inbox_capacity(&self) -> Option<usize> {
-            Some(3)
-        }
-    }
-    let stages: Vec<Box<dyn Component>> =
-        vec![Box::new(Passthrough::new("wide")), Box::new(Narrow)];
-    let (g, sink) = chain(CountSource { n: 5_000 }, stages);
-    let mut out = Runtime::with_config(RuntimeConfig {
-        workers: 2,
-        capacity: 64,
-        telemetry: TelemetryLevel::Full,
-    })
-    .run(g)
-    .unwrap();
-    assert_eq!(out.take_sink(sink).len(), 5_000);
-    let metrics = &out.telemetry.as_ref().expect("report at Full").metrics;
-    let depth = |node: &str| metrics.histogram(node, "inbox.depth").unwrap().max();
-    assert!(depth("narrow") <= 3, "narrow held {}", depth("narrow"));
-    assert!(depth("wide") > 3, "the backlog must queue upstream");
-}
-
 #[test]
 fn single_worker_runs_the_whole_graph() {
     // One pool thread must still drain a multi-stage graph under

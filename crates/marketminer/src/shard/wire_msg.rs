@@ -24,7 +24,7 @@ use wire::{Adapter, Codec, Native, Reader, WireError, Writer};
 
 use crate::messages::{
     BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message, OrderBatch,
-    OrderRequest, OrderSide, SignalFrame, TradeReport,
+    OrderRequest, OrderSide, TradeReport,
 };
 
 wire::record! { pub EventIdWire for EventId { 0 } }
@@ -83,20 +83,19 @@ wire::record! { TradeReport { param_set, strategy, trades, cause as CauseWire } 
 wire::tagged! { DegradeReason: "degrade reason tag" { 0 => Outage, 1 => Halt, 2 => Quarantine } }
 wire::tagged! { HealthStatus: "health status tag" { 0 => Healthy, 1 => Degraded(reason) } }
 wire::record! { HealthEvent { interval, symbol, status, cause as CauseWire } }
-wire::record! { SignalFrame { interval, stream, prices, corr, series, cause as CauseWire } }
 wire::tagged! {
     Message: "message tag" {
         0 => Quote(quote, cause as CauseWire),
         1 => Bars(bars),
-        // 2 was the returns message (returns ride the bars now) and 4 the
-        // single-order message; a peer still sending either predates
-        // this build and is refused.
+        // 2 was the returns message (returns ride the bars now), 4 the
+        // single-order message and 9 the signal frame (each stream's
+        // node steps its own rules now); a peer still sending one
+        // predates this build and is refused.
         3 => Corr(snapshot),
         5 => Basket(basket),
         6 => Trades(report),
         7 => Health(event),
         8 => Eof,
-        9 => Signals(frame),
         10 => Orders(batch),
     }
 }

@@ -343,15 +343,15 @@ impl Drop for Staged {
 
 /// A worker that finds only a checkpoint of the previous format version
 /// in its store (a fleet upgraded mid-day) must not touch it: the
-/// committed version-6 file — a valid header and CRC, epoch 7 — is
+/// committed version-7 file — a valid header and CRC, epoch 7 — is
 /// refused by version and the day starts cold.
 #[test]
 fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
     let (day, n) = small_day(91);
     let staged = Staged::new("old-ckpt", &day, &SweepConfig::paper(n));
-    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v6_layout.bin");
+    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v7_layout.bin");
     let rendered = staged.cold_start_over(&old, 7);
-    assert!(rendered.contains("format version 6"), "{rendered}");
+    assert!(rendered.contains("format version 7"), "{rendered}");
 }
 
 /// A checkpoint that validates and decodes but was cut from another
@@ -405,8 +405,8 @@ fn kill9_with_the_newest_cuts_lost_replays_two_epochs_exactly_once() {
     #[derive(Default)]
     struct Life {
         /// Result frames by seq, each a sorted bag of its encoded
-        /// messages (hosts reach the sink in scheduling order within an
-        /// interval).
+        /// messages (stream nodes reach the sink in scheduling order
+        /// within an interval).
         results: BTreeMap<u64, Vec<Vec<u8>>>,
         /// Epochs cut, in `CkptDone` order.
         cuts: Vec<u64>,
@@ -705,8 +705,8 @@ fn a_stopped_rank_is_declared_silent_and_respawned() {
 /// carries an outage and a corruption burst, two averaging windows on one
 /// stream, killed at the epochs around the degradation — so the durable
 /// cut holds lagging plane columns, queued health transitions and
-/// flattened books, and the restored signal nodes and hosts must carry
-/// on from them bit-identically.
+/// flattened books, and the restored stream nodes must carry on from
+/// them bit-identically.
 #[test]
 fn kill9_mid_degradation_restores_the_signal_plane_bit_identically() {
     use marketminer::HealthPolicy;
@@ -887,10 +887,12 @@ fn corrupt_checkpoints_fall_back_and_are_reported() {
 }
 
 /// The deterministic slice of a merged metrics registry: strategy and
-/// risk decision counters, which partition cleanly across shards (each
-/// parameter set runs on exactly one rank) and are pure functions of the
-/// tape — unlike timing histograms, scheduler turn counts, or the
-/// front-end counters every rank duplicates.
+/// risk decision counters, per stream node the sums over that stream's
+/// parameter sets. They partition cleanly across shards (each parameter
+/// set runs on exactly one rank, and a stream cut across ranks sums
+/// under its one label) and are pure functions of the tape — unlike
+/// timing histograms, scheduler turn counts, or the front-end counters
+/// every rank duplicates.
 fn canon_counters(
     m: &telemetry::metrics::MetricsSnapshot,
 ) -> std::collections::BTreeMap<(String, String), u64> {
@@ -910,9 +912,7 @@ fn canon_counters(
             // Zero-valued counters are dropped: wire deltas elide them,
             // a direct registry read keeps them, and both mean the same
             // thing.
-            v > 0
-                && DECISIONS.contains(&name.as_str())
-                && (label.starts_with("pair-strategy-host") || label == "risk-manager")
+            v > 0 && DECISIONS.contains(&name.as_str()) && label.starts_with("strategy-host(")
         })
         .map(|(k, v)| (k.clone(), *v))
         .collect()
@@ -967,15 +967,16 @@ fn fleet_telemetry_counters_sum_bit_identically_to_single_process() {
             base, fleet,
             "fleet sum diverged from single-process at shards={shards}"
         );
-        // Merged step accounting must cover every strategy host exactly
-        // once (each accepted frame folds once, not per delivery).
+        // Merged step accounting must cover every stream exactly once
+        // (each accepted frame folds once, not per delivery; a stream
+        // cut across ranks is one row).
         let profile = telemetry::profile::Profile::from_snapshot(&report.metrics);
-        let hosts = profile
+        let streams = profile
             .nodes()
             .iter()
-            .filter(|p| p.node.starts_with("pair-strategy-host"))
+            .filter(|p| p.node.starts_with("strategy-host("))
             .count();
-        assert_eq!(hosts, sweep.specs.len(), "shards={shards}");
+        assert_eq!(streams, sweep.distinct_streams().len(), "shards={shards}");
         // ONE merged trace with a process lane pair per rank.
         let trace = out.trace_json.as_ref().expect("merged trace at Full");
         for rank in 0..shards {

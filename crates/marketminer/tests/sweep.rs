@@ -238,8 +238,8 @@ fn sweep_trades_match_independent_single_param_runs() {
 
 /// Each distinct `(Ctype, M)` correlation stream is computed exactly once
 /// — the paper grid's 42 parameter sets collapse onto 9 streams, the six
-/// robust ones as the two lanes of one plane node per window — and every
-/// parameter set gets its own strategy host.
+/// robust ones as the two lanes of one plane node per window — and one
+/// stream node per stream trades every parameter set that reads it.
 #[test]
 fn sweep_computes_each_correlation_stream_once() {
     let _guard = lock_serial();
@@ -258,17 +258,12 @@ fn sweep_computes_each_correlation_stream_once() {
         .filter(|name| name.contains("robust"))
         .count();
     assert_eq!((engines.len(), planes), (6, 3), "{engines:?}");
-    let signal_nodes = (out.node_stats.iter())
-        .filter(|s| s.name.starts_with("strategy-host-signals"))
+    let stream_nodes = (out.node_stats.iter())
+        .filter(|s| s.name.starts_with("strategy-host("))
         .count();
-    assert_eq!(signal_nodes, distinct.len(), "one per stream");
-    let hosts = out
-        .node_stats
-        .iter()
-        .filter(|s| s.name.starts_with("pair-strategy-host"))
-        .count();
-    assert_eq!(hosts, 42);
-    // Every stream id is consumed by at least one host.
+    assert_eq!(stream_nodes, distinct.len(), "one per stream");
+    assert_eq!(out.streams.len(), 42, "every parameter set on a stream");
+    // Every stream id is consumed by at least one parameter set.
     for j in 0..distinct.len() {
         assert!(out.streams.contains(&j), "stream {j} unused");
     }
@@ -297,24 +292,24 @@ fn sweep_at_full_telemetry_is_bit_identical_to_off() {
 
         let report = full.telemetry.as_ref().expect("report at Full");
         // Component counters are deterministic facts about the stream,
-        // so they must match the ledgers exactly: every trade in the
-        // ledger was closed in-day, flattened on degradation, or force-
-        // closed at end of day.
+        // so they must match the ledgers exactly: every trade a stream's
+        // parameter sets booked was closed in-day, flattened on
+        // degradation, or force-closed at end of day.
         let m = &report.metrics;
-        for (k, trades) in full.trades_per_param.iter().enumerate() {
-            let host = full
-                .node_stats
-                .iter()
-                .find(|s| s.name.starts_with(&format!("pair-strategy-host(#{k},")))
-                .expect("host stats");
-            let closed = m.counter(&host.name, "positions.closed")
-                + m.counter(&host.name, "positions.flattened")
-                + m.counter(&host.name, "positions.eod_closed");
+        let stream_nodes = (full.node_stats.iter())
+            .filter(|s| s.name.starts_with("strategy-host("))
+            .map(|s| s.name.as_str());
+        for (j, node) in stream_nodes.enumerate() {
+            let booked: usize = (full.trades_per_param.iter().zip(&full.streams))
+                .filter(|&(_, &stream)| stream == j)
+                .map(|(trades, _)| trades.len())
+                .sum();
+            let closed = m.counter(node, "positions.closed")
+                + m.counter(node, "positions.flattened")
+                + m.counter(node, "positions.eod_closed");
             assert_eq!(
-                closed,
-                trades.len() as u64,
-                "close counters disagree with the trade ledger for {}",
-                host.name
+                closed, booked as u64,
+                "close counters disagree with the trade ledger for {node}"
             );
         }
         assert_eq!(
@@ -334,7 +329,7 @@ fn sweep_at_full_telemetry_is_bit_identical_to_off() {
         for s in full
             .node_stats
             .iter()
-            .filter(|s| s.name.starts_with("corr-engine") || s.name.starts_with("pair-strategy"))
+            .filter(|s| s.name.starts_with("corr-engine") || s.name.starts_with("strategy-host("))
         {
             let h = m
                 .histogram(&s.name, "step.ns")

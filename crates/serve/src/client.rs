@@ -90,7 +90,7 @@ impl Client {
         })
     }
 
-    /// Attach a strategy host; resolves at the server's next epoch cut.
+    /// Attach a strategy; resolves at the server's next epoch cut.
     pub fn attach(&mut self, spec: StrategySpec) -> io::Result<u64> {
         self.send(&ClientFrame::Attach { spec })?;
         self.wait_for(|f| match f {
@@ -101,7 +101,7 @@ impl Client {
         .map_err(|reason| io::Error::new(io::ErrorKind::InvalidInput, reason))
     }
 
-    /// Detach a strategy host; resolves at the server's next epoch cut.
+    /// Detach a strategy; resolves at the server's next epoch cut.
     pub fn detach(&mut self, param_set: usize) -> io::Result<()> {
         self.send(&ClientFrame::Detach { param_set })?;
         self.wait_for(|f| match f {

@@ -6,7 +6,7 @@
 //! snapshots (full matrices or top-K-conflated, filtered by `(Ctype, M)`
 //! stream), order baskets and trade reports per strategy, symbol health,
 //! and the `explain` lineage query. Clients can also **reconfigure the
-//! running graph** — attach and detach strategy hosts mid-day — through
+//! running graph** — attach and detach strategies mid-day — through
 //! the same protocol.
 //!
 //! The two load-bearing properties, both verified in `tests/serve.rs`:

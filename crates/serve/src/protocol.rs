@@ -87,7 +87,7 @@ pub enum ClientFrame {
         /// Id from [`ServerFrame::Subscribed`].
         sub_id: u64,
     },
-    /// Attach a new strategy host to the live graph at the next epoch
+    /// Attach a new strategy to the live graph at the next epoch
     /// cut; answered by [`ServerFrame::Attached`].
     Attach {
         /// The strategy to host.

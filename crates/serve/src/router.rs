@@ -2,7 +2,7 @@
 //! subscriber's egress ring.
 //!
 //! Fan-out is copy-on-write: a correlation snapshot or basket is the
-//! *same* `Arc` the strategy hosts consumed ([`Message`] payloads are
+//! *same* `Arc` the stream nodes consumed ([`Message`] payloads are
 //! `Arc`-shared), cloned by reference count into each ring — a thousand
 //! subscribers cost a thousand pointer bumps, not a thousand matrix
 //! copies. Publishing never blocks ([`EgressRing::push`]

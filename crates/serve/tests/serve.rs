@@ -160,11 +160,11 @@ fn thousand_subscribers_one_stalled_serverless_identical() {
     }
 }
 
-/// Attaching a strategy host mid-day and detaching it again leaves the
-/// untouched hosts bit-identical to a static graph — over the socket,
-/// at workers 1, 2 and max. Twice over: with a host that shares every
+/// Attaching a strategy mid-day and detaching it again leaves the
+/// untouched ones bit-identical to a static graph — over the socket,
+/// at workers 1, 2 and max. Twice over: with a strategy that shares every
 /// derived series of the stream it joins, and with one whose `W` and `RT`
-/// are new to that stream, so its signal node grows two series at the
+/// are new to that stream, so its stream node grows two series at the
 /// attach cut and drops them again at the detach cut.
 #[test]
 fn attach_then_detach_mid_day_leaves_hosts_bit_identical() {

@@ -1,7 +1,7 @@
 //! Run the Figure-1 MarketMiner pipeline end-to-end on one synthetic
 //! trading day: collector → OHLC bars and their 15-second returns →
-//! parallel correlation engine → signal node → pair-trading strategy →
-//! risk manager → order gateway.
+//! parallel correlation engine → pair-trading strategy with its risk
+//! checks (one stream node) → order gateway.
 //!
 //! ```sh
 //! cargo run --release --example live_pipeline

@@ -3,10 +3,10 @@
 //! hedge-ratio z-score strategy, and risk-overlay (stop-loss /
 //! profit-target / max-holding) wrappers over both — every family hosted
 //! behind the same `Strategy` trait, sharing the collector, bar
-//! accumulator and correlation engines, and feeding one master risk
-//! manager. A successive-halving pass then concentrates the day budget
-//! on the strongest configurations, ranking each round with the
-//! optimiser's score cards.
+//! accumulator and correlation engines, each risk-checked by its stream
+//! node and feeding one master order gateway. A successive-halving pass
+//! then concentrates the day budget on the strongest configurations,
+//! ranking each round with the optimiser's score cards.
 //!
 //! ```sh
 //! cargo run --release --example mixed_sweep

@@ -1,10 +1,11 @@
 //! Run the paper's full 42-parameter sweep as ONE MarketMiner deployment
-//! on the pooled scheduler: every strategy host shares the collector, the
-//! bar accumulator (bars and their returns) and the 9 distinct
-//! per-(Ctype, M) correlation streams, and a single master risk manager +
-//! bucketed order gateway collects every strategy's trade decisions — the
-//! integrated Approach-3 architecture Section IV argues for, on a thread
-//! pool whose size is independent of the ~50-node graph.
+//! on the pooled scheduler: every strategy shares the collector, the bar
+//! accumulator (bars and their returns) and the 9 distinct
+//! per-(Ctype, M) correlation streams; one stream node per stream trades
+//! and risk-checks every strategy that reads it, and a single bucketed
+//! order gateway — the master process — collects every strategy's trade
+//! decisions: the integrated Approach-3 architecture Section IV argues
+//! for, on a thread pool whose size is independent of the 19-node graph.
 //!
 //! ```sh
 //! cargo run --release --example multi_strategy
@@ -44,15 +45,11 @@ fn main() {
         quotes
     );
     println!(
-        "sharing: {} correlation engines serve {} strategy hosts",
+        "sharing: {} correlation streams serve {} strategies",
         config.distinct_streams().len(),
         config.specs.len()
     );
-    println!(
-        "pool: {} worker threads for a {}-node graph\n",
-        runtime_cfg.workers,
-        config.specs.len() + config.distinct_streams().len() + 6
-    );
+    let workers = runtime_cfg.workers;
 
     let start = std::time::Instant::now();
     let out = run_sweep_pipeline_with(
@@ -62,8 +59,10 @@ fn main() {
     )
     .expect("valid DAG");
     println!(
-        "drained in {:.2} s; {} baskets through the master gateway\n",
+        "drained in {:.2} s on {workers} worker threads for a {}-node graph; \
+         {} baskets through the master gateway\n",
         start.elapsed().as_secs_f64(),
+        out.node_stats.len(),
         out.baskets.len()
     );
 

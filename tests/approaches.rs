@@ -152,7 +152,7 @@ fn the_paper_grid_is_nine_streams_on_six_engines_everywhere() {
     let names = live.node_names();
     let count = |prefix: &str| names.iter().filter(|s| s.starts_with(prefix)).count();
     assert_eq!(count("corr-engine"), 6, "{names:?}");
-    assert_eq!(count("strategy-host-signals"), 9, "{names:?}");
+    assert_eq!(count("strategy-host("), 9, "{names:?}");
     assert_eq!(live.stream_keys().len(), 9);
 
     let report = render_placement(&cfg.specs, 1, &Default::default());

@@ -100,8 +100,8 @@ fn streaming_matches_batch_backtester() {
     // batch Approach-3 path; with a dense quote tape the BAM grids agree
     // and the trade sets must match. With the health control plane on
     // (over a tape without the generator's own bad-quote storms and with
-    // a wide cleaning gate, so that nothing degrades) it must be inert: the signal node aligns the same
-    // frames, sits no pair out, and the hosts see what the batch planes
+    // a wide cleaning gate, so that nothing degrades) it must be inert: the stream node prices the same
+    // intervals, sits no pair out, and its rules see what the batch planes
     // compute.
     let n = 5;
     let params = fast_params();
