@@ -29,25 +29,11 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// Format version. Bumped whenever any component's encoded state changes
 /// layout, so a file written by an older build is refused by version
 /// ([`Rejected::UnsupportedVersion`]) instead of being offered to
-/// decoders that would misread it. Version 2: strategy hosts keep
-/// per-spec state only and each correlation stream has a signal node.
-/// Version 3: hosts keep one open order batch and no trade log, the
-/// gateway keeps host watermarks and only incomplete intervals.
-/// Version 4: a correlation engine keeps its stream state per lane, and
-/// the robust measures of one window are the lanes of one plane node.
-/// Version 5: a strategy host keeps one rule state per pair whatever the
-/// family (no trade log, no per-pair parameters), the risk book keeps
-/// each open pair with the stock its entry bought, and the technical
-/// node keeps no volatility estimate.
-/// Version 6: a correlation engine lane keeps no emission countdown (it
-/// publishes at every warm interval).
-/// Version 7: returns ride the bars — the bar accumulator keeps the
-/// previous bar set's closes, there is no technical-analysis node, and a
-/// signal node, fed in order by its engine, keeps no alignment queues.
-/// Version 8: one stream node per correlation stream keeps, per
-/// parameter set, the rule states, the open-pairs book and the open
-/// batch; there are no strategy-host or risk-manager nodes.
-pub const VERSION: u8 = 8;
+/// decoders that would misread it. Version 9: a stream node keeps one
+/// open batch for all its parameter sets, the gateway keeps per-stream
+/// watermarks, and a node's cut carries `received`, `sent` and
+/// `next_out` beside its state (CHANGES.md records every earlier bump).
+pub const VERSION: u8 = 9;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

@@ -547,8 +547,7 @@ mod tests {
         };
         let stray = OrderBatch {
             interval: 7,
-            param_set: 3,
-            strategy: pairtrade_core::spec::StrategyKind::Paper,
+            stream: 3,
             orders: Vec::new(),
             cause: Cause::none(),
         };

@@ -6,28 +6,28 @@
 //! sophisticated list-based algorithm to optimize the actual execution."
 //! The gateway is the one merge of a sweep graph — the paper's "master
 //! process" that gathers every strategy's trade decisions. It collects
-//! the [`OrderBatch`]es every stream node sends per parameter set per
-//! interval, their orders already past the parameter set's risk checks,
-//! and emits one [`Basket`] per interval that has orders; Figure 1's
-//! "with human confirmation" vs "no human confirmation" paths are the
-//! per-order `needs_confirmation` flag, preserved through aggregation.
-//! Trade reports and health transitions pass through to the sink.
+//! the [`OrderBatch`] every stream node sends per bar set, its orders
+//! already past each parameter set's risk checks, and emits one
+//! [`Basket`] per interval that has orders; Figure 1's "with human
+//! confirmation" vs "no human confirmation" paths are the per-order
+//! `needs_confirmation` flag, preserved through aggregation. Trade
+//! reports and health transitions pass through to the sink.
 //!
 //! ## Flush on watermark
 //!
-//! Every parameter set sends exactly one batch per interval its stream
-//! has seen, in interval order, so a parameter set's newest batch is its
-//! watermark. The gateway is built with the number of parameter sets
+//! Every stream node sends exactly one batch per bar set, in interval
+//! order, so a stream's newest batch is its watermark — the per-input
+//! watermark of a merge. The gateway is built with the number of streams
 //! feeding it; interval `t` is *complete* once that many have reported
 //! `t` or later, and a complete bucket is sorted into a canonical order
 //! and emitted at once, buckets in interval order. The output is
 //! therefore bit-identical no matter how the fan-in interleaved, and at
 //! any quiescent point the gateway holds only the orders of intervals
-//! some parameter set has yet to reach — in a healthy graph, none. A
-//! parameter set that never reports (its node died, or it was detached)
-//! holds its intervals open until [`Component::on_end`], which flushes
-//! whatever is left: that costs memory, never output. A single parameter
-//! set is the one-set case of the same rule.
+//! some stream has yet to reach — in a healthy graph, none. A stream
+//! that never reports (its node died) holds its intervals open until
+//! [`Component::on_end`], which flushes whatever is left: that costs
+//! memory, never output. A single stream is the one-input case of the
+//! same rule.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,12 +38,11 @@ use crate::messages::{Basket, Cause, Message, OrderBatch, OrderRequest};
 use crate::node::{component_state, Component, Emit};
 
 /// Basket-aggregating order gateway.
-#[derive(Clone)]
 pub struct OrderGatewayNode {
-    /// Parameter sets feeding the gateway.
-    n_hosts: usize,
-    /// Newest interval reported per parameter set, `(param_set,
-    /// interval)` sorted by param set.
+    /// Streams feeding the gateway.
+    n_inputs: usize,
+    /// Newest interval reported per stream, `(stream, interval)` sorted
+    /// by stream.
     watermarks: Vec<(usize, usize)>,
     /// The non-empty batches of intervals not yet complete. A bucket
     /// becomes one exactly-sized order list only when it flushes: baskets
@@ -52,7 +51,6 @@ pub struct OrderGatewayNode {
     buckets: BTreeMap<usize, Vec<Arc<OrderBatch>>>,
     /// Orders in `buckets`.
     orders_held: u64,
-    baskets_emitted: u64,
     name: String,
     probe: Probe,
 }
@@ -78,9 +76,9 @@ fn canonical_key(o: &OrderRequest) -> (usize, (usize, usize), usize, u8, u32, u6
 /// One interval's orders as a basket: canonically sorted, caused by the
 /// batches its orders arrived in (an order carries its batch's id).
 pub(crate) fn basket_of(interval: usize, mut orders: Vec<OrderRequest>) -> Basket {
-    // Orders that tie on the key are one host's identical legs (same
-    // batch, so same provenance too): an unstable sort cannot tell them
-    // apart either, and it needs no scratch buffer.
+    // Orders that tie on the key are one parameter set's identical legs
+    // (one stream node's batch, so the same provenance too): an unstable
+    // sort cannot tell them apart either, and it needs no scratch buffer.
     orders.sort_unstable_by_key(canonical_key);
     sorted_basket(interval, orders)
 }
@@ -128,14 +126,14 @@ fn merge_into(merged: &mut Vec<OrderRequest>, mut run: Vec<OrderRequest>) {
 /// A basket of orders already in canonical order, caused by the batches
 /// they arrived in.
 fn sorted_basket(interval: usize, orders: Vec<OrderRequest>) -> Basket {
-    // Canonical order groups a host's orders, so its batch id repeats in
-    // a run (and below `Full` no id is set: the list stays unallocated).
-    let mut batches = Vec::new();
-    for id in orders.iter().map(|o| o.cause.id).filter(|id| id.is_set()) {
-        if batches.last() != Some(&id) {
-            batches.push(id);
-        }
-    }
+    // A batch holds several parameter sets' orders, so its id recurs in
+    // runs that need not be adjacent (and below `Full` no id is set: the
+    // list stays unallocated).
+    let mut batches: Vec<_> = (orders.iter().map(|o| o.cause.id))
+        .filter(|id| id.is_set())
+        .collect();
+    batches.sort_unstable();
+    batches.dedup();
     Basket {
         interval,
         orders,
@@ -161,27 +159,16 @@ fn orders_of(batches: &[Arc<OrderBatch>]) -> Vec<OrderRequest> {
 }
 
 impl OrderGatewayNode {
-    /// Gateway behind a single parameter set.
-    pub fn new() -> Self {
-        Self::fan_in(1)
-    }
-
-    /// Gateway behind `n_hosts` parameter sets (a sweep graph's fan-in).
-    pub fn fan_in(n_hosts: usize) -> Self {
+    /// Gateway behind `n_inputs` stream nodes (a sweep graph's fan-in).
+    pub fn fan_in(n_inputs: usize) -> Self {
         OrderGatewayNode {
-            n_hosts: n_hosts.max(1),
+            n_inputs: n_inputs.max(1),
             watermarks: Vec::new(),
             buckets: BTreeMap::new(),
             orders_held: 0,
-            baskets_emitted: 0,
             name: "order-gateway".to_string(),
             probe: Probe::off(),
         }
-    }
-
-    /// Baskets emitted so far.
-    pub fn baskets_emitted(&self) -> u64 {
-        self.baskets_emitted
     }
 
     /// Orders currently held back, waiting for their interval to complete.
@@ -189,21 +176,20 @@ impl OrderGatewayNode {
         self.orders_held
     }
 
-    /// Has every parameter set reported `interval` or later? (A
-    /// reconfigured graph can restore the watermark of a parameter set no
-    /// longer attached; it stopped advancing, so it never stands in for a
-    /// live one that is behind.)
+    /// Has every stream reported `interval` or later? (A graph rebuilt
+    /// at a cut restores watermarks under the old stream ids, which shift
+    /// when a stream comes or goes. Every restored watermark is below the
+    /// cut's open interval, and no batch below it follows, so an entry
+    /// counts only once its id's stream in the new graph has reported.)
     fn is_complete(&self, interval: usize) -> bool {
         let reported = self.watermarks.iter().filter(|&&(_, at)| at >= interval);
-        reported.count() >= self.n_hosts
+        reported.count() >= self.n_inputs
     }
 
     fn take_batch(&mut self, batch: Arc<OrderBatch>) {
-        match (self.watermarks).binary_search_by_key(&batch.param_set, |&(host, _)| host) {
+        match (self.watermarks).binary_search_by_key(&batch.stream, |&(stream, _)| stream) {
             Ok(pos) => self.watermarks[pos].1 = self.watermarks[pos].1.max(batch.interval),
-            Err(pos) => self
-                .watermarks
-                .insert(pos, (batch.param_set, batch.interval)),
+            Err(pos) => self.watermarks.insert(pos, (batch.stream, batch.interval)),
         }
         if batch.orders.is_empty() {
             return;
@@ -225,17 +211,10 @@ impl OrderGatewayNode {
             let batches = self.buckets.remove(&interval).expect("first key");
             let orders = orders_of(&batches);
             self.orders_held -= orders.len() as u64;
-            self.baskets_emitted += 1;
             self.probe.count("baskets.emitted", 1);
             self.probe.observe("basket.orders", orders.len() as u64);
             out(Message::Basket(Arc::new(basket_of(interval, orders))));
         }
-    }
-}
-
-impl Default for OrderGatewayNode {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -259,10 +238,10 @@ impl Component for OrderGatewayNode {
     }
 
     component_state! {
-        node { watermarks, buckets, baskets_emitted }
+        node { watermarks, buckets }
         check {
-            watermarks.sort_unstable_by_key(|&(host, _)| host);
-            watermarks.dedup_by_key(|&mut (host, _)| host);
+            watermarks.sort_unstable_by_key(|&(stream, _)| stream);
+            watermarks.dedup_by_key(|&mut (stream, _)| stream);
         }
         then {
             node.orders_held = (node.buckets.values().flatten())
@@ -302,14 +281,14 @@ mod tests {
         }
     }
 
-    /// Host `param_set`'s batch for `interval`: one order per stock.
-    fn batch(interval: usize, param_set: usize, stocks: &[usize]) -> Message {
+    /// Stream `stream`'s batch for `interval`: one order per stock, of a
+    /// parameter set of the stream's own.
+    fn batch(interval: usize, stream: usize, stocks: &[usize]) -> Message {
         Message::Orders(Arc::new(OrderBatch {
             interval,
-            param_set,
-            strategy: StrategyKind::Paper,
+            stream,
             orders: (stocks.iter())
-                .map(|&stock| order(interval, param_set, stock, false))
+                .map(|&stock| order(interval, stream, stock, false))
                 .collect(),
             cause: Cause::none(),
         }))
@@ -340,8 +319,8 @@ mod tests {
         baskets
     }
 
-    fn run(n_hosts: usize, msgs: Vec<Message>) -> Vec<Arc<Basket>> {
-        let mut node = OrderGatewayNode::fan_in(n_hosts);
+    fn run(n_streams: usize, msgs: Vec<Message>) -> Vec<Arc<Basket>> {
+        let mut node = OrderGatewayNode::fan_in(n_streams);
         let (mut baskets, _) = feed(&mut node, msgs);
         baskets.extend(end(&mut node));
         baskets
@@ -368,21 +347,20 @@ mod tests {
     }
 
     #[test]
-    fn a_single_host_gets_one_basket_per_interval_with_orders() {
+    fn a_single_stream_gets_one_basket_per_interval_with_orders() {
         let msgs = vec![
             batch(5, 0, &[0, 1]),
             batch(6, 0, &[]),
             batch(7, 0, &[2, 3, 4]),
         ];
-        let mut node = OrderGatewayNode::new();
+        let mut node = OrderGatewayNode::fan_in(1);
         let (baskets, after) = feed(&mut node, msgs);
-        // One host: its own batch completes the interval.
+        // One stream: its own batch completes the interval.
         assert_eq!(after, vec![1, 1, 2]);
         assert_eq!(node.orders_held(), 0);
         assert_eq!((baskets[0].interval, baskets[0].orders.len()), (5, 2));
         assert_eq!((baskets[1].interval, baskets[1].orders.len()), (7, 3));
         assert!(end(&mut node).is_empty());
-        assert_eq!(node.baskets_emitted(), 2);
         assert!(run(1, vec![]).is_empty(), "no orders, no baskets");
     }
 
@@ -393,8 +371,7 @@ mod tests {
             1,
             vec![Message::Orders(Arc::new(OrderBatch {
                 interval: 1,
-                param_set: 0,
-                strategy: StrategyKind::Paper,
+                stream: 0,
                 orders,
                 cause: Cause::none(),
             }))],
@@ -404,19 +381,19 @@ mod tests {
     }
 
     #[test]
-    fn a_bucket_never_flushes_before_its_last_host_reports() {
+    fn a_bucket_never_flushes_before_its_last_stream_reports() {
         let mut node = OrderGatewayNode::fan_in(3);
         let (baskets, after) = feed(
             &mut node,
             vec![
                 batch(4, 0, &[0]),
                 batch(4, 2, &[1]),
-                batch(5, 0, &[2]), // host 0 runs ahead
+                batch(5, 0, &[2]), // stream 0 runs ahead
                 batch(6, 0, &[]),
-                batch(4, 1, &[]), // the last host reports 4, with nothing
+                batch(4, 1, &[]), // the last stream reports 4, with nothing
                 batch(5, 1, &[3]),
                 batch(6, 1, &[]),
-                batch(6, 2, &[4]), // host 2 skips 5: its watermark covers it
+                batch(6, 2, &[4]), // stream 2 skips 5: its watermark covers it
             ],
         );
         assert_eq!(after, vec![0, 0, 0, 0, 1, 1, 1, 3]);
@@ -433,8 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn a_silent_host_defers_everything_to_the_end() {
-        // Three hosts wired, two alive: nothing is ever complete.
+    fn a_silent_stream_defers_everything_to_the_end() {
+        // Three streams wired, two alive: nothing is ever complete.
         let msgs = vec![
             batch(9, 0, &[0]),
             batch(2, 1, &[1]),
@@ -456,9 +433,9 @@ mod tests {
         let quiet = node.encode_state().unwrap();
         let mut twin = OrderGatewayNode::fan_in(2);
         assert!(twin.decode_state(&quiet));
-        assert_eq!((twin.orders_held(), twin.baskets_emitted()), (0, 1));
+        assert_eq!(twin.orders_held(), 0);
 
-        // Mid-interval: one host ahead, its orders held.
+        // Mid-interval: one stream ahead, its orders held.
         feed(&mut node, vec![batch(2, 0, &[2])]);
         let held = node.encode_state().unwrap();
         assert!(held.len() > quiet.len());
@@ -473,7 +450,8 @@ mod tests {
         /// Baskets of one interval from gateways of disjoint parameter
         /// sets (shard ranks), merged, are the basket of all their orders
         /// — order for order, batch id for batch id, and the batches the
-        /// basket names as its cause — identical legs tying within a run.
+        /// basket names as its cause, each once and in id order —
+        /// identical legs tying within a run.
         #[test]
         fn merging_sorted_runs_equals_sorting_their_concatenation(
             n_runs in 1usize..5,
@@ -482,14 +460,16 @@ mod tests {
             legs in proptest::collection::vec(0usize..12 * 4 * 2 * 3, 0..80),
         ) {
             // A parameter set lives on run `param_set % n_runs`, its
-            // orders in the batch its host sent (one id per set).
+            // orders in the batch of one of the run's two streams, so a
+            // batch's orders interleave with the other's.
             let mut runs = vec![Vec::new(); n_runs];
             for &leg in &legs {
                 let (param_set, stock) = (leg % 12, leg / 12 % 4);
                 let (shares, copies) = (1 + (leg / 48 % 2) as u32, leg / 96);
                 let mut leg = order(7, param_set, stock, false);
                 leg.shares = shares;
-                leg.cause.id = EventId::new(param_set, 1);
+                let stream = param_set / n_runs % 2;
+                leg.cause.id = EventId::new(10 * (param_set % n_runs) + stream, 1);
                 runs[param_set % n_runs].extend(std::iter::repeat_n(leg, copies + 1));
             }
             let all: Vec<OrderRequest> = runs.iter().flatten().cloned().collect();
@@ -502,15 +482,16 @@ mod tests {
             let ids = |b: &Basket| b.orders.iter().map(|o| o.cause.id).collect::<Vec<_>>();
             prop_assert_eq!(ids(&got), ids(&want));
             prop_assert_eq!(&got.cause.parents, &want.cause.parents);
+            prop_assert!(got.cause.parents.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
-    /// Replays one host's batches as a graph source.
-    struct HostSource(Vec<Message>);
+    /// Replays one stream node's batches as a graph source.
+    struct StreamSource(Vec<Message>);
 
-    impl Source for HostSource {
+    impl Source for StreamSource {
         fn name(&self) -> &str {
-            "host"
+            "stream"
         }
 
         fn run(&mut self, out: &mut Emit<'_>) {
@@ -523,18 +504,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// However N hosts' batch streams interleave — shuffled by hand,
+        /// However N streams' batches interleave — shuffled by hand,
         /// or raced through a real graph at 1, 2 and max workers — the
         /// basket sequence is the same.
         #[test]
         fn fan_in_interleaving_never_changes_the_baskets(
-            n_hosts in 1usize..6,
-            // Per (host, interval) slot: how many orders the batch has.
+            n_streams in 1usize..6,
+            // Per (stream, interval) slot: how many orders the batch has.
             sizes in proptest::collection::vec(0usize..4, 6 * 8),
             picks in proptest::collection::vec(0usize..1000, 6 * 8),
         ) {
             let intervals = 8;
-            let streams: Vec<Vec<Message>> = (0..n_hosts)
+            let streams: Vec<Vec<Message>> = (0..n_streams)
                 .map(|h| {
                     (0..intervals)
                         .map(|t| {
@@ -547,28 +528,28 @@ mod tests {
             let all: Vec<Message> = streams.iter().flatten().cloned().collect();
             let want = expected(&all);
 
-            // A hand shuffle that keeps each host's own order.
-            let mut heads = vec![0usize; n_hosts];
+            // A hand shuffle that keeps each stream's own order.
+            let mut heads = vec![0usize; n_streams];
             let mut shuffled = Vec::new();
             for pick in &picks {
-                let live: Vec<usize> = (0..n_hosts).filter(|&h| heads[h] < intervals).collect();
+                let live: Vec<usize> = (0..n_streams).filter(|&h| heads[h] < intervals).collect();
                 let Some(&h) = live.get(pick % live.len().max(1)) else { break };
                 shuffled.push(streams[h][heads[h]].clone());
                 heads[h] += 1;
             }
-            let mut node = OrderGatewayNode::fan_in(n_hosts);
+            let mut node = OrderGatewayNode::fan_in(n_streams);
             let (mut got, _) = feed(&mut node, shuffled);
-            prop_assert_eq!(node.orders_held(), 0, "every host reported every interval");
+            prop_assert_eq!(node.orders_held(), 0, "every stream reported every interval");
             got.extend(end(&mut node));
             prop_assert!(same(&got, &want));
 
             for workers in [1usize, 2, 0] {
                 let mut g = Graph::new();
-                let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(n_hosts)));
+                let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(n_streams)));
                 let sink = g.add_sink("baskets");
                 for stream in &streams {
-                    let host = g.add_source(Box::new(HostSource(stream.clone())));
-                    g.connect(host, gateway);
+                    let node = g.add_source(Box::new(StreamSource(stream.clone())));
+                    g.connect(node, gateway);
                 }
                 g.connect(gateway, sink);
                 let mut out = Runtime::with_workers(workers).run(g).unwrap();

@@ -6,8 +6,9 @@
 //! provisioning". Every check here is per parameter set, so it runs where
 //! a parameter set's orders are made: the stream node
 //! ([`super::StreamNode`]) judges each order as it generates it, against
-//! that spec's own open-pairs book, before the order joins the batch it
-//! sends to the gateway. The limits are:
+//! that spec's own open-pairs book, before the order joins the one batch
+//! the node sends the gateway per bar set for all its specs. The limits
+//! are:
 //!
 //! * per-order share cap (fat-finger guard on the way *out*);
 //! * per-order notional cap;

@@ -24,20 +24,20 @@
 //!   the checks of [`risk`] against that spec's open-pairs book. Health is
 //!   known in order on the one edge, so an order is judged against the
 //!   symbols' status as of its own interval;
-//! * it sends the gateway one [`OrderBatch`] per spec per interval — the
-//!   orders that passed, possibly none — which doubles as the spec's
-//!   watermark, and reports trades the moment they close.
+//! * it sends the gateway one [`OrderBatch`] per bar set it receives —
+//!   the orders of every spec that passed, possibly none — which doubles
+//!   as the stream's watermark, and reports each spec's trades the moment
+//!   they close.
 //!
-//! Interval `t`'s batches are final, and leave, when interval `t + 1`
-//! begins (or the stream ends): a health transition effective at `t + 1`
-//! flattens at `t`'s prices, and the end-of-day closes book at the last
-//! interval the stream priced. A flatten's legs book at `t`, so they are
-//! judged before the transition that caused them applies. While the
-//! engine cannot yet have filled its window (it publishes with its
-//! `M`-th return, and no bar carries more than one) each bar begins an
-//! interval with nothing to trade, so a long-window stream reports a
-//! watermark from the first interval on and never holds back the baskets
-//! of a short-window one.
+//! Every bar set begins an interval: `Bars(t)` opens interval `t`'s
+//! batch, which is final, and leaves, when `Bars(t + 1)` arrives (or the
+//! stream ends): a health transition effective at `t + 1` flattens at
+//! `t`'s prices, and the end-of-day closes book at the last interval
+//! priced. A flatten's legs book at `t`, so they are judged before the
+//! transition that caused them applies. `Corr(t)` only names the batch's
+//! provenance, so a bar with no snapshot (the engine's window is not yet
+//! full) still leaves a watermark, and a long-window stream never holds
+//! back a short-window one's baskets.
 //!
 //! Exactly one node of a graph, the one built [`forwarding_health`]
 //! (stream 0's), forwards each health transition on to the gateway and
@@ -45,19 +45,20 @@
 //!
 //! ## Durable state and live reconfiguration
 //!
-//! Beside the stream's planes, price history and degraded set, the state
-//! holds per spec, keyed by parameter set, its rule's per-pair state, its
-//! open-pairs book and its open batch. A node restored into a graph whose
-//! specs differ keeps the state of every spec both incarnations host,
-//! starts a newly attached spec cold and drops a detached one; it keeps
-//! the planes both share and starts new windows cold
-//! ([`Planes::restore`]): a series for a `W` or `RT` new to the stream
-//! begins at the cut (a partial window, as at the start of day). Price
-//! history, and with it every trailing return, carries over. A node new
-//! to the graph starts cold but for its degraded set, which it is built
-//! with ([`degraded_at_start`]): every stream node applies the same
-//! transitions, so it starts holding what the survivors hold, and no
-//! spec on a new stream opens a pair on a symbol degraded before the cut.
+//! Beside the stream's planes, price history, degraded set and open
+//! batch, the state holds per spec, keyed by parameter set, its rule's
+//! per-pair state and its open-pairs book. A node restored into a graph
+//! whose specs differ keeps the state and the open orders of every spec
+//! both incarnations host, starts a newly attached spec cold and drops a
+//! detached one's state and orders; it keeps the planes both share and
+//! starts new windows cold ([`Planes::restore`]): a series for a `W` or
+//! `RT` new to the stream begins at the cut (a partial window, as at the
+//! start of day). Price history, and with it every trailing return,
+//! carries over. A node new to the graph starts cold but for its degraded
+//! set, which it is built with ([`degraded_at_start`]): every stream node
+//! applies the same transitions, so it starts holding what the survivors
+//! hold, and no spec on a new stream opens a pair on a symbol degraded
+//! before the cut.
 //!
 //! [`forwarding_health`]: StreamNode::forwarding_health
 //! [`degraded_at_start`]: StreamNode::degraded_at_start
@@ -73,7 +74,7 @@ use pairtrade_core::trade::{ExitReason, Trade};
 use stats::correlation::CorrType;
 use stats::matrix::SymMatrix;
 use telemetry::Probe;
-use wire::{Adapter, Codec, Reader, WireError, Writer};
+use wire::{Codec, Reader, WireError, Writer};
 
 use super::risk::{self, RiskLimits, RiskStats};
 use crate::messages::{
@@ -232,47 +233,32 @@ impl<R: Rule> Rules for Pairs<R> {
     }
 }
 
-/// One attached spec: its rule states, its open-pairs book and its open
-/// batch.
+/// One attached spec: its rule states and its open-pairs book.
 struct Spec {
-    /// Global parameter-set index, stamped on every order, batch and
-    /// trade report so the gateway and the sink attribute flow per spec.
+    /// Global parameter-set index, stamped on every order and trade
+    /// report so the gateway and the sink attribute flow per spec.
     param_set: usize,
     kind: StrategyKind,
     needs: InputNeeds,
     rules: Box<dyn Rules>,
     book: risk::Book,
-    /// Orders of the open batch that passed the checks.
-    orders: Vec<OrderRequest>,
-    /// Health transitions that flattened into the open batch (its causes
-    /// beside the snapshot).
-    causes: Vec<EventId>,
 }
 
-/// What judging an order needs beside the spec's own book.
+/// What judging an order needs beside the spec's own book, and the open
+/// batch the orders that pass join.
 struct Desk<'a> {
     limits: RiskLimits,
     /// Symbols degraded as of the orders being judged.
     degraded: &'a [bool],
     needs_confirmation: bool,
     stats: RiskStats,
-}
-
-impl<'a> Desk<'a> {
-    fn new(limits: RiskLimits, degraded: &'a [bool], needs_confirmation: bool) -> Self {
-        Desk {
-            limits,
-            degraded,
-            needs_confirmation,
-            stats: RiskStats::default(),
-        }
-    }
+    batch: &'a mut Vec<OrderRequest>,
 }
 
 impl Spec {
     /// Judge the two legs of one pair action at `interval` —
     /// `(stock, side, shares, reference price)` each; the ones that pass
-    /// join the open batch.
+    /// join the desk's batch.
     fn legs(
         &mut self,
         desk: &mut Desk<'_>,
@@ -295,7 +281,7 @@ impl Spec {
             };
             let verdict = risk::verdict(&desk.limits, desk.degraded, &mut self.book, &order);
             if desk.stats.tally(verdict) {
-                self.orders.push(order);
+                desk.batch.push(order);
             }
         }
     }
@@ -351,17 +337,10 @@ impl Spec {
 pub struct StreamNode {
     stream: usize,
     n_stocks: usize,
-    /// The engine's window `M`: it cannot publish before this node's
-    /// `M`-th bar (a day's first bar yields no return, so from a cold
-    /// start bar `M + 1`; an engine attached mid-day is fed from its
-    /// first bar on).
-    corr_window: usize,
     limits: RiskLimits,
     needs_confirmation: bool,
     /// Whether this node forwards health transitions to the gateway.
     forwards_health: bool,
-    /// Bars received so far.
-    bars_seen: usize,
     planes: Planes,
     /// Per-stock price history on the interval grid (forward-filled).
     history: Vec<Vec<f64>>,
@@ -371,11 +350,16 @@ pub struct StreamNode {
     /// close books its exits (an open pair ran at every priced interval,
     /// so its prices are the ones it last saw).
     priced: Option<usize>,
-    /// Interval of the open batches.
+    /// Interval of the open batch: the newest bar set's.
     open: Option<usize>,
-    /// Provenance: the snapshot (or, before the engine is warm, the bar
-    /// set) that began the open interval.
+    /// Orders of the open batch that passed the checks, every spec's.
+    orders: Vec<OrderRequest>,
+    /// Provenance: the open interval's snapshot (its bar set until the
+    /// snapshot arrives, or if none does).
     began_by: EventId,
+    /// Health transitions that flattened into the open batch (its causes
+    /// beside the snapshot).
+    causes: Vec<EventId>,
     /// Attached specs, ascending by parameter set.
     specs: Vec<Spec>,
     /// Messages neither consumed nor forwarded.
@@ -413,25 +397,23 @@ impl StreamNode {
                     needs: spec.needs(),
                     rules: spec.with_rule(cfg.exec, Cold(n * (n - 1) / 2)),
                     book: risk::Book::new(),
-                    orders: Vec::new(),
-                    causes: Vec::new(),
                 }
             })
             .collect();
         StreamNode {
             stream,
             n_stocks: n,
-            corr_window,
             limits: cfg.limits,
             needs_confirmation: cfg.needs_confirmation,
             forwards_health: false,
-            bars_seen: 0,
             planes: Planes::new(n, specs.iter().map(|s| s.needs)),
             history: vec![Vec::new(); n],
             degraded: vec![false; n],
             priced: None,
             open: None,
+            orders: Vec::new(),
             began_by: EventId::NONE,
+            causes: Vec::new(),
             specs,
             dropped: 0,
             name: Self::node_name(ctype, corr_window),
@@ -487,44 +469,35 @@ impl StreamNode {
         }
     }
 
-    /// The open batches are final: each spec's leaves, empty or not.
+    /// The open batch is final: it leaves, empty or not.
     fn flush(&mut self, out: &mut Emit<'_>) {
         let Some(interval) = self.open else {
             return;
         };
-        for spec in &mut self.specs {
-            let causes = std::mem::take(&mut spec.causes);
-            // The next batch starts with room for one like this: order
-            // flow is bursty per spec, and a list grown leg by leg
-            // reallocates.
-            let room = spec.orders.len();
-            let orders = std::mem::replace(&mut spec.orders, Vec::with_capacity(room));
-            out(Message::Orders(Arc::new(OrderBatch {
-                interval,
-                param_set: spec.param_set,
-                strategy: spec.kind,
-                orders,
-                cause: Cause::derived(std::iter::once(self.began_by).chain(causes)),
-            })));
-        }
+        // The next batch starts with room for one like this: order flow
+        // is bursty, and a list grown leg by leg reallocates.
+        let room = self.orders.len();
+        let orders = std::mem::replace(&mut self.orders, Vec::with_capacity(room));
+        out(Message::Orders(Arc::new(OrderBatch {
+            interval,
+            stream: self.stream,
+            orders,
+            cause: Cause::derived(std::iter::once(self.began_by).chain(self.causes.drain(..))),
+        })));
     }
 
-    /// Interval `s` begins (by the event `id`): the open batches leave and
-    /// new ones open at `s`.
-    fn begin(&mut self, s: usize, id: EventId, out: &mut Emit<'_>) {
-        self.flush(out);
-        self.open = Some(s);
+    /// The open interval's provenance is the event `id`, when it has one.
+    fn began_by(&mut self, id: EventId) {
         if id.is_set() {
             self.began_by = id;
         }
     }
 
-    fn count_verdicts(&self, stats: RiskStats) {
-        self.probe.count("orders.passed", stats.passed);
-        self.probe
-            .count("orders.rejected_size", stats.rejected_size);
-        (self.probe).count("orders.rejected_book_full", stats.rejected_book_full);
-        (self.probe).count("orders.rejected_degraded", stats.rejected_degraded);
+    fn count_verdicts(probe: &Probe, stats: RiskStats) {
+        probe.count("orders.passed", stats.passed);
+        probe.count("orders.rejected_size", stats.rejected_size);
+        probe.count("orders.rejected_book_full", stats.rejected_book_full);
+        probe.count("orders.rejected_degraded", stats.rejected_degraded);
     }
 
     /// Price interval `snap.interval` off its snapshot and advance the
@@ -559,16 +532,16 @@ impl StreamNode {
         (prices, corr, series)
     }
 
-    /// Interval `snap.interval` begins: advance the planes, then step
-    /// every spec through it — the orders that pass join the open
-    /// batches, the closed trades are reported.
+    /// Interval `snap.interval`'s snapshot: advance the planes, then step
+    /// every spec through the interval — the orders that pass join the
+    /// open batch, the closed trades are reported.
     fn process_corr(&mut self, snap: &CorrSnapshot, out: &mut Emit<'_>) {
         if snap.matrix.n() != self.n_stocks {
             self.dropped += 1;
             return;
         }
         let s = snap.interval;
-        self.begin(s, snap.cause.id, out);
+        self.began_by(snap.cause.id);
         let clock = self.timed.then(Instant::now);
         let (prices, corr, series) = self.advance(snap);
         let clock = clock.map(|start| {
@@ -587,7 +560,13 @@ impl StreamNode {
             series: &series,
             degraded: &self.degraded,
         };
-        let mut desk = Desk::new(self.limits, &self.degraded, self.needs_confirmation);
+        let mut desk = Desk {
+            limits: self.limits,
+            degraded: &self.degraded,
+            needs_confirmation: self.needs_confirmation,
+            stats: RiskStats::default(),
+            batch: &mut self.orders,
+        };
         let (mut opened, mut closed) = (Vec::new(), Vec::new());
         for spec in &mut self.specs {
             opened.clear();
@@ -609,7 +588,7 @@ impl StreamNode {
             }
             spec.report(&closed, snap.cause.id, &self.probe, out);
         }
-        self.count_verdicts(desk.stats);
+        Self::count_verdicts(&self.probe, desk.stats);
         self.priced = Some(s);
         if let Some(start) = clock {
             (self.probe).observe("rules.ns", start.elapsed().as_nanos() as u64);
@@ -618,7 +597,7 @@ impl StreamNode {
 
     /// Close every spec's open position on each of `pairs` at the newest
     /// priced interval: the closing legs are judged and join the open
-    /// batches, the trades are reported. Returns how many closed.
+    /// batch, the trades are reported. Returns how many closed.
     fn close_each(
         &mut self,
         pairs: &[(usize, usize)],
@@ -630,7 +609,13 @@ impl StreamNode {
             return 0; // nothing can be open before the first priced interval
         };
         let prices = self.prices_at(s);
-        let mut desk = Desk::new(self.limits, &self.degraded, self.needs_confirmation);
+        let mut desk = Desk {
+            limits: self.limits,
+            degraded: &self.degraded,
+            needs_confirmation: self.needs_confirmation,
+            stats: RiskStats::default(),
+            batch: &mut self.orders,
+        };
         let mut closed = Vec::new();
         let mut total = 0;
         for spec in &mut self.specs {
@@ -639,13 +624,13 @@ impl StreamNode {
             for trade in &closed {
                 spec.close(&mut desk, trade, &prices);
             }
-            if !closed.is_empty() && reason == ExitReason::Degraded && parent.is_set() {
-                spec.causes.push(parent);
-            }
             spec.report(&closed, parent, &self.probe, out);
             total += closed.len() as u64;
         }
-        self.count_verdicts(desk.stats);
+        Self::count_verdicts(&self.probe, desk.stats);
+        if total > 0 && reason == ExitReason::Degraded && parent.is_set() {
+            self.causes.push(parent);
+        }
         total
     }
 
@@ -687,8 +672,6 @@ impl StreamNode {
             spec.kind.encode(&mut own);
             spec.rules.encode(&mut own);
             spec.book.encode(&mut own);
-            spec.orders.encode(&mut own);
-            <Vec<EventIdWire> as Adapter<_>>::encode(&spec.causes, &mut own);
             w.bytes(&own.into_bytes());
         }
     }
@@ -707,8 +690,6 @@ impl StreamNode {
                 let mut own = Spec {
                     rules: spec.rules.cold(),
                     book: risk::Book::new(),
-                    orders: Vec::new(),
-                    causes: Vec::new(),
                     ..*spec
                 };
                 let Some(&(_, bytes)) = saved.iter().find(|(k, _)| *k == spec.param_set) else {
@@ -720,8 +701,6 @@ impl StreamNode {
                 }
                 own.rules = spec.rules.decode(r)?;
                 own.book = Codec::decode(r)?;
-                own.orders = Codec::decode(r)?;
-                own.causes = <Vec<EventIdWire> as Adapter<_>>::decode(r)?;
                 if !r.is_empty() {
                     return Err(WireError::Invalid("trailing bytes after a spec's state"));
                 }
@@ -739,14 +718,11 @@ impl Component for StreamNode {
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
         match msg {
             Message::Bars(bars) => {
+                // Interval `t` begins: `t - 1`'s batch leaves.
+                self.flush(out);
+                self.open = Some(bars.interval);
+                self.began_by(bars.cause.id);
                 self.record_bars(bars.interval, &bars.closes);
-                self.bars_seen += 1;
-                if self.bars_seen < self.corr_window {
-                    // The engine has seen fewer than `M` returns: no
-                    // snapshot will ever come for this interval.
-                    self.probe.count("intervals.cold", 1);
-                    self.begin(bars.interval, bars.cause.id, out);
-                }
             }
             // A robust plane publishes both its measures on one edge;
             // the other lane's snapshots are not this stream's input.
@@ -770,11 +746,12 @@ impl Component for StreamNode {
         node {
             planes => (Planes::save, StreamNode::decode_planes),
             history,
-            bars_seen,
             degraded,
             priced,
             open,
+            orders,
             began_by as EventIdWire,
+            causes as Vec<EventIdWire>,
             specs => (StreamNode::encode_specs, StreamNode::decode_specs),
             dropped,
         }
@@ -782,6 +759,8 @@ impl Component for StreamNode {
             if degraded.len() != node.n_stocks || history.len() != node.n_stocks {
                 return Err(WireError::Invalid("universe size mismatch"));
             }
+            // A detached spec's open orders leave with it.
+            orders.retain(|o| node.specs.iter().any(|s| s.param_set == o.param_set));
         }
     }
 
@@ -819,6 +798,13 @@ mod tests {
         }
     }
 
+    impl StreamNode {
+        /// The interval of the open batch.
+        pub(crate) fn open_interval(&self) -> Option<usize> {
+            self.open
+        }
+    }
+
     /// A paper spec whose planes are `W = w`, `RT = rt`.
     fn windows(w: usize, rt: usize) -> StrategySpec {
         StrategySpec::Paper(StrategyParams {
@@ -832,8 +818,8 @@ mod tests {
         SweepConfig::from_specs(n_stocks, specs).unwrap()
     }
 
-    /// The node for every spec of `cfg`, on a stream whose (hand-fed)
-    /// engine is warm from the first bar (`M = 0`).
+    /// The node for every spec of `cfg`, on stream 0 (its key only names
+    /// the node: the snapshots are hand-fed).
     fn hosting(cfg: &SweepConfig) -> StreamNode {
         let all: Vec<usize> = (0..cfg.specs.len()).collect();
         StreamNode::new(cfg, (CorrType::Pearson, 0), 0, &all)
@@ -973,44 +959,42 @@ mod tests {
         assert_eq!((range.low, range.high, range.len), (97.0, 100.0, 2));
     }
 
-    /// Before its engine can publish, each bar begins an interval with
-    /// nothing to trade, so every spec reports a watermark from the first
-    /// interval on; the other lane of a robust plane is not this stream's
-    /// input; and the bar count is durable.
+    /// Each bar set begins an interval, whether or not a snapshot follows
+    /// it: the stream sends one batch per bar set, tagged with its id, and
+    /// a batch's parent is its interval's snapshot, or its bar set where
+    /// none came. The other lane of a robust plane is not this stream's
+    /// input.
     #[test]
-    fn bars_before_the_engine_is_warm_begin_intervals_of_empty_batches() {
+    fn every_bar_set_begins_an_interval_and_its_snapshot_names_it() {
         let cfg = sweep(2, vec![windows(2, 2), windows(3, 2)]);
-        // M = 4: the engine has at most three returns by the third bar.
-        let cold = || StreamNode::new(&cfg, (CorrType::Pearson, 4), 5, &[0, 1]);
-        let mut n = cold();
+        let mut n = StreamNode::new(&cfg, (CorrType::Pearson, 4), 5, &[0, 1]);
         let mut seen = Seen::default();
-        for s in 0..4 {
-            feed(&mut n, &mut seen, vec![bars(s, vec![30.0, 130.0])]);
+        let id = |seq: u64| EventId::new(1, seq);
+        let stamped = |mut msg: Message, seq: u64| {
+            msg.cause_mut().unwrap().id = id(seq);
+            msg
+        };
+        for s in 0..3 {
+            let bar = stamped(bars(s, vec![30.0, 130.0]), s as u64);
+            feed(&mut n, &mut seen, vec![bar]);
         }
-        // Intervals 0 and 1 have left; 2 is open, and bar 3 begins none.
+        let other_lane = Message::Corr(Arc::new(snapshot(4, 2, 2, -0.3)));
+        let own = Message::Corr(Arc::new(snapshot(5, 2, 2, 0.8)));
+        feed(&mut n, &mut seen, vec![other_lane, stamped(own, 10)]);
+        feed(&mut n, &mut seen, vec![bars(3, vec![30.0, 130.0])]);
+        // Intervals 0, 1 and 2 have left, one batch each; 3 is open.
         let left: Vec<(usize, usize)> = (seen.batches.iter())
-            .map(|b| (b.interval, b.param_set))
+            .map(|b| (b.interval, b.stream))
             .collect();
-        assert_eq!(left, [(0, 0), (0, 1), (1, 0), (1, 1)]);
-        feed(
-            &mut n,
-            &mut seen,
-            vec![Message::Corr(Arc::new(snapshot(4, 3, 2, -0.3)))],
-        );
-        assert_eq!(seen.batches.len(), 4, "the other lane's snapshot");
-        feed(
-            &mut n,
-            &mut seen,
-            vec![Message::Corr(Arc::new(snapshot(5, 3, 2, 0.8)))],
-        );
-        assert_eq!(seen.batches.len(), 6, "interval 3 begins, 2 leaves");
+        assert_eq!(left, [(0, 5), (1, 5), (2, 5)]);
+        let parents: Vec<&[EventId]> = (seen.batches.iter())
+            .map(|b| b.cause.parents.as_slice())
+            .collect();
+        assert_eq!(parents, [[id(0)], [id(1)], [id(10)]]);
         assert!(seen.orders().is_empty() && seen.reports.is_empty());
         assert_eq!(n.messages_dropped(), 0);
-        // The count is durable: a restored twin does not start over.
-        let mut twin = cold();
-        assert!(twin.decode_state(&n.encode_state().unwrap()));
-        feed(&mut twin, &mut seen, vec![bars(4, vec![30.0, 130.0])]);
-        assert_eq!(seen.batches.len(), 6);
+        n.on_end(&mut |m| seen.take(m));
+        assert_eq!(seen.batches.len(), 4, "the open interval leaves at the end");
     }
 
     /// The engine relays a transition effective at `t + 1` after `t`'s
@@ -1045,7 +1029,7 @@ mod tests {
             assert_eq!(n.degraded, [false; 3]);
             assert_eq!(seen.health, if forwarding { 2 } else { 0 });
             n.on_end(&mut |m| seen.take(m));
-            assert!(seen.batches.is_empty() && seen.reports.is_empty());
+            assert!(seen.orders().is_empty() && seen.reports.is_empty());
             assert_eq!(n.messages_dropped(), 0);
         }
     }
@@ -1136,14 +1120,14 @@ mod tests {
         let mut node = paper_node(2);
         let mut seen = Seen::default();
         let entry = open_a_position(&mut node, &mut seen);
-        assert_eq!(node.specs[0].orders.len(), 2, "position opened");
+        assert_eq!(node.orders.len(), 2, "position opened");
 
         // Symbol 1 degrades effective at `entry + 1`. The engine relays
         // the transition after `entry`'s snapshot, so it applies at once:
         // the flatten books at `entry`, the last prices seen, so its legs
         // join that interval's still-open batch and its trade is reported.
         feed(&mut node, &mut seen, vec![health(entry + 1, 1, true)]);
-        assert_eq!(node.specs[0].orders.len(), 4, "entry + closing legs");
+        assert_eq!(node.orders.len(), 4, "entry + closing legs");
         assert_eq!(seen.reports.len(), 1, "the flatten is reported at once");
 
         // A fresh divergence at the effective interval: no new entry may
@@ -1154,7 +1138,7 @@ mod tests {
         assert_eq!(flattened.interval, entry);
         assert_eq!(flattened.orders.len(), 4, "entry + closing legs");
         assert_eq!(flattened.orders[2].price, 29.5, "at the last prices seen");
-        assert!(node.specs[0].orders.is_empty(), "no re-entry");
+        assert!(node.orders.is_empty(), "no re-entry");
 
         node.on_end(&mut |m| seen.take(m));
         let trades = seen.trades();
@@ -1196,8 +1180,8 @@ mod tests {
     /// Each spec judges its orders against its own book: two identical
     /// specs under a one-pair cap both open the pair, and on the eventful
     /// day, under caps that bite, every family hosted beside the others
-    /// sends exactly the batches it sends hosted alone — however the
-    /// node interleaves the specs' orders.
+    /// puts exactly the orders in each batch it puts there hosted alone —
+    /// however the node interleaves the specs' orders.
     #[test]
     fn open_pairs_cap_is_per_param_set() {
         let paper = StrategySpec::Paper(params());
@@ -1232,7 +1216,10 @@ mod tests {
             let mut per_spec = vec![Vec::new(); specs.len()];
             for m in out {
                 if let Message::Orders(b) = m {
-                    per_spec[b.param_set].push(b);
+                    for (k, batches) in per_spec.iter_mut().enumerate() {
+                        let own = b.orders.iter().filter(|o| o.param_set == k);
+                        batches.push((b.interval, own.cloned().collect::<Vec<_>>()));
+                    }
                 }
             }
             per_spec
@@ -1251,10 +1238,10 @@ mod tests {
         }
     }
 
-    /// However many orders the checks refuse, every spec sends exactly
-    /// one batch per interval: the batch is its watermark.
+    /// However many orders the checks refuse, the node sends exactly one
+    /// batch per bar set: the batch is the stream's watermark.
     #[test]
-    fn one_batch_per_spec_per_interval_whatever_the_verdicts() {
+    fn one_batch_per_bar_set_whatever_the_verdicts() {
         let paper = StrategySpec::Paper(params());
         let mut cfg = sweep(2, vec![paper.clone(), paper]);
         cfg.limits.max_shares_per_order = 1;
@@ -1262,17 +1249,13 @@ mod tests {
         let mut seen = Seen::default();
         let entry = open_a_position(&mut node, &mut seen);
         node.on_end(&mut |m| seen.take(m));
-        for k in 0..2 {
-            let intervals: Vec<usize> = (seen.batches.iter())
-                .filter(|b| b.param_set == k)
-                .map(|b| b.interval)
-                .collect();
-            assert_eq!(intervals, (0..=entry).collect::<Vec<_>>(), "spec {k}");
-        }
-        // The five-share long leg was refused; the one-share short leg
-        // passed, and so did its exit.
+        let intervals: Vec<usize> = seen.batches.iter().map(|b| b.interval).collect();
+        assert_eq!(intervals, (0..=entry).collect::<Vec<_>>());
+        // Each spec's five-share long leg was refused; the one-share short
+        // leg passed, and so did its exit.
         let orders = seen.orders();
         assert_eq!(orders.len(), 4, "{orders:?}");
+        assert_eq!(orders.iter().filter(|o| o.param_set == 1).count(), 2);
         assert!(orders.iter().all(|o| o.shares == 1 && o.stock == 1));
         assert_eq!(seen.trades().len(), 2, "the rules traded regardless");
     }
@@ -1298,22 +1281,22 @@ mod tests {
         assert_eq!(twin.encode_state().unwrap(), bytes);
         // The cut fell with the entry's batch still open: its two orders
         // are in the state, and leave the twin exactly as the survivor.
-        assert_eq!(twin.specs[0].orders.len(), 2);
+        assert_eq!(twin.orders.len(), 2);
         let want = run_out(&mut node);
         assert!(want.iter().any(|m| matches!(m, Message::Trades(_))));
         assert_eq!(wire::to_bytes(&run_out(&mut twin)), wire::to_bytes(&want));
 
         // A node hosting a second spec keeps the first one's state and
-        // starts the newcomer cold; one hosting only the newcomer drops
-        // the detached spec's.
+        // open orders and starts the newcomer cold; one hosting only the
+        // newcomer drops the detached spec's state and orders.
         let mut grown = hosting(&sweep(2, vec![paper.clone(), paper.clone()]));
         assert!(grown.decode_state(&bytes));
-        assert_eq!(grown.specs[0].orders.len(), 2);
-        assert!(grown.specs[1].orders.is_empty() && grown.specs[1].book.is_empty());
+        assert_eq!(grown.orders.len(), 2);
+        assert!(!grown.specs[0].book.is_empty() && grown.specs[1].book.is_empty());
         let cfg = sweep(2, vec![paper.clone(), paper.clone()]);
         let mut other = StreamNode::new(&cfg, (CorrType::Pearson, 0), 0, &[1]);
         assert!(other.decode_state(&bytes));
-        assert!(other.specs[0].orders.is_empty());
+        assert!(other.orders.is_empty() && other.specs[0].book.is_empty());
 
         // A Kalman spec at the same index refuses the paper spec's bytes,
         // and a paper node a truncated or a wrong-universe payload.
@@ -1379,12 +1362,11 @@ mod tests {
         node.on_message(corr_n(s, 3, rho), out);
     }
 
-    /// A spec's own state, beside its open batch's orders.
+    /// The specs' own state, beside the open batch.
     fn held(node: &StreamNode) -> usize {
         let mut w = Writer::new();
         StreamNode::encode_specs(&node.specs, &mut w);
-        let no_orders = wire::to_bytes(&Vec::<OrderRequest>::new()).len();
-        w.into_bytes().len() - (wire::to_bytes(&node.specs[0].orders).len() - no_orders)
+        w.into_bytes().len()
     }
 
     /// Every family on the eventful day: it opens, closes in-day, is
@@ -1434,7 +1416,7 @@ mod tests {
             for s in 0..60 {
                 eventful_interval(&mut node, s, &mut |m| out.push(m));
                 let held = held(&node);
-                let (mut legs, mut closes) = (node.specs[0].orders.len(), 0);
+                let (mut legs, mut closes) = (node.orders.len(), 0);
                 for m in &out {
                     match m {
                         Message::Orders(b) => legs += b.orders.len(),

@@ -19,14 +19,10 @@
 //!                                  Parallel Correlation Engine (M)
 //!                                            │ bars, snapshots, health: one ordered edge
 //!                                            ▼
-//!                                  Signal node (one per stream)
-//!                                            │ one frame per interval
-//!                                            ▼
-//!                                  Pair Trading Strategy
-//!                                            │
-//!                                            ▼
-//!                                  Risk Manager
-//!                                            │
+//!                                  Stream node (one per stream): every
+//!                                  Pair Trading Strategy's rule and the
+//!                                  risk checks on its orders
+//!                                            │ one order batch per bar set, trade reports
 //!                                            ▼
 //!                                  Order Gateway ──▶ order baskets
 //! ```

@@ -464,6 +464,12 @@ mod tests {
         }
     }
 
+    /// Survivors of a reconfiguration are bit-identical to a static
+    /// graph, at every pool size: when a third family is attached mid-day
+    /// on a brand-new stream and detached again, and when a detach removes
+    /// a stream other than the last, so that every later stream's id
+    /// shifts down. From that cut's open interval on, each basket holds
+    /// exactly the survivors' orders.
     #[test]
     fn attach_and_detach_leave_survivors_bit_identical() {
         let (day, n) = small_day(57);
@@ -476,32 +482,72 @@ mod tests {
             ctype: CorrType::Quadrant,
             ..p1
         };
-        let static_cfg = SweepConfig::new(n, vec![p1, p2]);
-        let statics = run_sweep_pipeline(day.clone(), &static_cfg).unwrap();
-
-        let mut live = LiveSweepSession::new(static_cfg, rt(2)).unwrap();
+        let windows = |m: usize| StrategyParams {
+            corr_window: m,
+            ..p1
+        };
         let quotes = day.quotes();
         let chunk = quotes.len().div_ceil(6).max(1);
-        let mut it = quotes.chunks(chunk);
-        live.feed_epoch(it.next().unwrap());
-        // Attach a third family mid-day (a brand-new Quadrant stream),
-        // run two epochs, detach it again.
-        let k3 = live.attach(StrategySpec::Paper(p3)).unwrap();
-        assert_eq!(k3, 2);
-        assert_eq!(live.active(), &[0, 1, 2]);
-        live.feed_epoch(it.next().unwrap());
-        live.feed_epoch(it.next().unwrap());
-        live.detach(k3).unwrap();
-        assert_eq!(live.active(), &[0, 1]);
-        for rest in it {
-            live.feed_epoch(rest);
+        // The day in six epochs, `reconfigure` called before each.
+        let drive =
+            |cfg: &SweepConfig, workers, reconfigure: &dyn Fn(usize, &mut LiveSweepSession)| {
+                let mut live = LiveSweepSession::new(cfg.clone(), rt(workers)).unwrap();
+                for (epoch, fed) in quotes.chunks(chunk).enumerate() {
+                    reconfigure(epoch, &mut live);
+                    live.feed_epoch(fed);
+                }
+                (live.reconfigs(), live.finish())
+            };
+        // The middle of three streams leaves at the cut after two epochs.
+        // That cut's open interval is the newest bar set's.
+        let middle = SweepConfig::new(n, vec![windows(20), windows(30), windows(40)]);
+        let whole = run_sweep_pipeline(day.clone(), &middle).unwrap();
+        let fed = quotes[..2 * chunk].iter().map(|q| q.ts.interval(30));
+        let open = fed.max().unwrap() - 1;
+        let survivors: Vec<Arc<Basket>> = (whole.baskets.iter())
+            .filter_map(|b| {
+                let mut basket = (**b).clone();
+                if b.interval >= open {
+                    basket.orders.retain(|o| o.param_set != 1);
+                }
+                (!basket.orders.is_empty()).then_some(Arc::new(basket))
+            })
+            .collect();
+        let kept: usize = survivors.iter().map(|b| b.orders.len()).sum();
+        let all: usize = whole.baskets.iter().map(|b| b.orders.len()).sum();
+        assert!(kept < all, "vacuous: no order to drop");
+        let static_cfg = SweepConfig::new(n, vec![p1, p2]);
+        let statics = run_sweep_pipeline(day.clone(), &static_cfg).unwrap();
+        for workers in [1usize, 2, 0] {
+            // A brand-new Quadrant stream for two epochs.
+            let (reconfigs, out) = drive(&static_cfg, workers, &|epoch, live| match epoch {
+                1 => {
+                    assert_eq!(live.attach(StrategySpec::Paper(p3)).unwrap(), 2);
+                    assert_eq!(live.active(), &[0, 1, 2]);
+                }
+                3 => live.detach(2).unwrap(),
+                _ => {}
+            });
+            assert_eq!(reconfigs, 2);
+            assert_eq!(out.trades_per_param[..2], statics.trades_per_param[..]);
+            // The detached slot reports nothing at end of day.
+            assert!(out.trades_per_param[2].is_empty());
+
+            let (_, out) = drive(&middle, workers, &|epoch, live| {
+                let key = |m: usize| (CorrType::Pearson, m);
+                if epoch == 2 {
+                    assert_eq!(live.stream_keys(), [key(20), key(30), key(40)]);
+                    live.detach(1).unwrap();
+                    assert_eq!(live.stream_keys(), [key(20), key(40)], "stream 2 is now 1");
+                }
+            });
+            for k in [0, 2] {
+                assert!(!out.trades_per_param[k].is_empty(), "vacuous: {k}");
+                assert_eq!(out.trades_per_param[k], whole.trades_per_param[k]);
+            }
+            assert!(out.trades_per_param[1].is_empty());
+            assert_eq!(out.baskets, survivors, "workers={workers}");
         }
-        assert_eq!(live.reconfigs(), 2);
-        let out = live.finish();
-        assert_eq!(out.trades_per_param[0], statics.trades_per_param[0]);
-        assert_eq!(out.trades_per_param[1], statics.trades_per_param[1]);
-        // The detached slot reports nothing at end of day.
-        assert!(out.trades_per_param[2].is_empty());
     }
 
     /// A spec whose `W` and `RT` are new to its stream attaches mid-day:

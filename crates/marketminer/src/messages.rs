@@ -62,9 +62,9 @@ pub enum OrderSide {
 pub struct OrderRequest {
     /// Interval the order was generated at.
     pub interval: usize,
-    /// Which parameter set generated the order. Lets a sweep graph keep
-    /// one risk book per parameter set and the merged gateway and sink
-    /// attribute orders.
+    /// Which parameter set generated the order. Lets a stream node keep
+    /// one risk book per parameter set and the gateway and sink attribute
+    /// orders.
     pub param_set: usize,
     /// Which strategy family generated the order — heterogeneous sweeps
     /// mix families, and lineage reports tell them apart.
@@ -87,22 +87,20 @@ pub struct OrderRequest {
     pub cause: Cause,
 }
 
-/// Every order one parameter set generated at one interval that passed
-/// its risk checks — possibly none. Its stream node emits exactly one
-/// batch per parameter set per interval, in interval order, so the batch
-/// is also the parameter set's **watermark**: once a consumer has seen
-/// `interval = t` for a parameter set, no order for an interval `<= t`
-/// will follow.
+/// Every order the specs of one stream node generated at one interval
+/// that passed their risk checks — possibly none. A stream node emits
+/// exactly one batch per bar set it receives, in interval order, so the
+/// batch is also the stream's **watermark**: once a consumer has seen
+/// `interval = t` from a stream, no order for an interval `<= t` will
+/// follow from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBatch {
     /// Interval the batch covers.
     pub interval: usize,
-    /// The parameter set the batch comes from.
-    pub param_set: usize,
-    /// The parameter set's strategy family.
-    pub strategy: StrategyKind,
+    /// The correlation stream whose node sent the batch.
+    pub stream: usize,
     /// The orders, in generation order; each carries the batch's
-    /// `interval`, `param_set` and `strategy`.
+    /// `interval` and its own `param_set` and `strategy`.
     pub orders: Vec<OrderRequest>,
     /// Causal provenance of the whole batch (stamped by the runtime at
     /// `Full`); the gateway hands its id down to the member orders.
@@ -210,7 +208,7 @@ pub enum Message {
     Bars(Arc<BarSet>),
     /// A correlation-matrix snapshot.
     Corr(Arc<CorrSnapshot>),
-    /// One parameter set's orders for one interval (and its watermark).
+    /// One stream node's orders for one interval (and its watermark).
     Orders(Arc<OrderBatch>),
     /// An aggregated order basket.
     Basket(Arc<Basket>),
@@ -274,30 +272,27 @@ impl Message {
         }
     }
 
-    /// Human-facing annotation for the lineage ring: which strategy
-    /// family produced an order batch, and — for trade reports — the exit
-    /// reasons booked (distinct, in trade order, so overlay exits like
-    /// `overlay-stop` are visible in `explain_trade`). Structural
-    /// messages carry none.
+    /// Human-facing annotation for the lineage ring: for trade reports,
+    /// the family and the exit reasons booked (distinct, in trade order,
+    /// so overlay exits like `overlay-stop` are visible in
+    /// `explain_trade`). Other messages carry none: an order batch mixes
+    /// its stream's families, and each order names its own.
     pub fn lineage_detail(&self) -> Option<String> {
-        match self {
-            Message::Orders(b) => Some(b.strategy.as_str().to_string()),
-            Message::Trades(t) => {
-                let mut reasons: Vec<&'static str> = Vec::new();
-                for trade in &t.trades {
-                    let r = trade.reason.as_str();
-                    if !reasons.contains(&r) {
-                        reasons.push(r);
-                    }
-                }
-                Some(if reasons.is_empty() {
-                    format!("{}: no trades", t.strategy.as_str())
-                } else {
-                    format!("{}: {}", t.strategy.as_str(), reasons.join(", "))
-                })
+        let Message::Trades(t) = self else {
+            return None;
+        };
+        let mut reasons: Vec<&'static str> = Vec::new();
+        for trade in &t.trades {
+            let r = trade.reason.as_str();
+            if !reasons.contains(&r) {
+                reasons.push(r);
             }
-            _ => None,
         }
+        Some(if reasons.is_empty() {
+            format!("{}: no trades", t.strategy.as_str())
+        } else {
+            format!("{}: {}", t.strategy.as_str(), reasons.join(", "))
+        })
     }
 
     /// Short tag for debugging, sink filtering and lineage.
@@ -337,8 +332,7 @@ mod tests {
         let batch = |orders: Vec<OrderRequest>| {
             Message::Orders(Arc::new(OrderBatch {
                 interval: 7,
-                param_set: 3,
-                strategy: StrategyKind::Paper,
+                stream: 2,
                 orders,
                 cause: Cause::none(),
             }))

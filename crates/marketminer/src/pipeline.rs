@@ -10,7 +10,9 @@
 //! any driver drained from it into the run's output. A [`SweepConfig`]
 //! of one spec is exactly that chain; more specs share everything up to
 //! their `(Ctype, M)` correlation stream, and the gateway is the one
-//! merge. Which specs read which stream, and which streams one engine
+//! merge: each stream node sends it one order batch per bar set, the
+//! stream's watermark, so it waits on one input per stream, not per spec.
+//! Which specs read which stream, and which streams one engine
 //! node computes, is the [`EnginePlan`] of the specs' keys: the graph
 //! builds one engine node per entry of its `engines` and one stream node
 //! per entry of its `streams`, and a stream's id is its index there.
@@ -47,7 +49,8 @@ use telemetry::TelemetryReport;
 /// series its specs share (`C̄`, relative drop, spread range, trailing
 /// returns — one per distinct window), steps each spec's rule over every
 /// pair and judges each order against that spec's risk limits; every
-/// stream node feeds one watermark-flushed order gateway and one sink.
+/// stream node feeds one batch per bar set to one watermark-flushed order
+/// gateway and one sink.
 /// This is the paper's "Approach 3" deployment: 42 parameter sets share 9
 /// correlation streams instead of running 42 independent pipelines — and
 /// since the stream node is generic over the [`StrategySpec`] algebra,
@@ -649,9 +652,9 @@ pub(crate) fn build_sweep_graph(
         })
         .collect();
 
-    // The one merge: a gateway that knows how many parameter sets it
-    // waits for (fan-in-deterministic baskets), and the sink.
-    let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(included.len())));
+    // The one merge: a gateway that knows how many streams it waits for
+    // (fan-in-deterministic baskets), and the sink.
+    let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(plan.streams.len())));
     let sink = g.add_sink("order-sink");
     g.connect(gateway, sink);
 
@@ -1000,7 +1003,9 @@ pub(crate) mod tests {
     /// engine that computes its stream, and one output edge, to the
     /// gateway; every engine reads the bar accumulator alone; untapped,
     /// that is 19 nodes and 26 edges. Tapped, one filter reads every
-    /// engine and feeds the tap's sink.
+    /// engine and feeds the tap's sink. On a day, each stream node sends
+    /// the gateway one batch per bar set: the gateway takes 9 × the bar
+    /// sets, plus the trade reports it passes on.
     #[test]
     fn every_signal_node_reads_one_edge_from_its_engine() {
         let n = 8;
@@ -1050,6 +1055,15 @@ pub(crate) mod tests {
                 assert_eq!((g.len(), g.edges.len()), (19, 26));
             }
         }
+
+        let (day, n) = small_day(2009);
+        let out = run_sweep_pipeline(day, &SweepConfig::paper(n)).unwrap();
+        let stats = |name: &str| out.node_stats.iter().find(|s| s.name == name).unwrap();
+        let bar_sets = stats("ohlc-bars(ds=30s)").messages_out;
+        let gateway = stats("order-gateway");
+        let reports = gateway.messages_out - out.baskets.len() as u64;
+        assert!(bar_sets > 0 && reports > 0, "vacuous");
+        assert_eq!(gateway.messages_in, 9 * bar_sets + reports);
     }
 
     #[test]
@@ -1068,7 +1082,8 @@ pub(crate) mod tests {
     /// 16-stock day cut every 1000 quotes, the encoded session at the
     /// last cut is at most twice its size at the first cut after the
     /// slowest engine (M = 200) is warm, and at no cut does the gateway
-    /// hold an order.
+    /// hold an order: every stream node has the newest bar set's interval
+    /// open, and every stream's watermark is the interval before it.
     #[test]
     fn a_cut_holds_no_orders_and_does_not_grow_with_the_day() {
         use crate::messages::OrderBatch;
@@ -1082,29 +1097,44 @@ pub(crate) mod tests {
         let all: Vec<usize> = (0..cfg.specs.len()).collect();
         let session =
             SweepSession::open(Runtime::with_workers(2), &cfg, &all, day.day, false, &[]).unwrap();
-        let gateway = (session.node_names().iter())
-            .position(|name| name == "order-gateway")
-            .expect("the sweep graph has a gateway");
+        let names = session.node_names();
+        let at = |name: &str| names.iter().position(|n| n == name).unwrap();
+        let gateway = at("order-gateway");
+        let plan = EnginePlan::of(cfg.specs.iter().map(|s| s.stream_key()));
         let dt = cfg.specs[0].dt_seconds();
 
         let mut delivered = SinkOutput::default();
-        let (mut first_warm, mut last) = (None, 0usize);
+        let (mut first_warm, mut last, mut newest_quote) = (None, 0usize, 0usize);
         for chunk in day.quotes().chunks(1000) {
             for msg in session.feed_epoch(chunk).messages {
                 delivered.fold(msg);
             }
             let ckpt = session.capture().unwrap();
-            // The gateway's state: watermarks, held batches, a counter.
+            // The tape's newest interval is still accumulating: its bar
+            // set is the one before.
+            let quotes = chunk.iter().map(|q| q.ts.interval(dt));
+            newest_quote = quotes.fold(newest_quote, usize::max);
+            let newest_bars = newest_quote - 1;
+            // A twin of each stream node, hosting no spec, reads its open
+            // interval back.
+            for (j, &(ctype, m)) in plan.streams.iter().enumerate() {
+                let idx = at(&StreamNode::node_name(ctype, m));
+                let mut twin = StreamNode::new(&cfg, (ctype, m), j, &[]);
+                assert!(twin.decode_state(ckpt.nodes[idx].state.as_deref().unwrap()));
+                assert_eq!(twin.open_interval(), Some(newest_bars), "{}", names[idx]);
+            }
+            // The gateway's state: watermarks and held batches.
             let state = ckpt.nodes[gateway].state.as_deref().unwrap();
             let r = &mut wire::Reader::new(state);
             let watermarks = Vec::<(usize, usize)>::decode(r).unwrap();
             let held = Vec::<(usize, Vec<OrderBatch>)>::decode(r).unwrap();
-            assert_eq!(watermarks.len(), cfg.specs.len(), "every host reports");
+            let streams_in: Vec<usize> = watermarks.iter().map(|&(stream, _)| stream).collect();
+            assert_eq!(streams_in, (0..plan.streams.len()).collect::<Vec<_>>());
+            assert!(watermarks.iter().all(|&(_, t)| t + 1 == newest_bars));
             assert!(held.is_empty(), "the gateway held orders at a cut");
 
             last = wire::to_bytes(&ckpt).len();
-            let interval = chunk.last().unwrap().ts.interval(dt);
-            if first_warm.is_none() && interval > 201 {
+            if first_warm.is_none() && newest_quote > 201 {
                 first_warm = Some(last);
             }
         }
@@ -1114,7 +1144,7 @@ pub(crate) mod tests {
             "a cut grew with the day: {first_warm} bytes once warm, {last} at the close"
         );
         // The cuts really carried the day out — what is left for the
-        // close is the interval whose batches were still open and the one
+        // close is the interval whose batch was still open and the one
         // whose bar only closes with the stream — and the finished day is
         // the free-running one.
         let early = delivered.baskets.len();

@@ -205,7 +205,7 @@ impl RunTelemetry {
     /// Record delivery of a message at consumer `idx`: the hop latency
     /// into `hop.us`, plus a Chrome flow event binding the producer's
     /// stamp to this delivery. Quotes get neither and order batches get
-    /// no flow arrow — a per-tick and a per-host-per-interval firehose
+    /// no flow arrow — a per-tick and a per-stream-per-interval firehose
     /// would crowd the bounded tracer and drown the Perfetto view; their
     /// provenance still lives in the lineage ring, and batch hop latency
     /// still lands in the histogram.

@@ -82,10 +82,6 @@ pub struct NodeCkpt {
     /// [`crate::node::Component::encode_state`] output (`None` for
     /// sources, sinks and stateless components).
     pub state: Option<Vec<u8>>,
-    /// Messages a component consumed so far — its `received`; 0 for
-    /// sources and sinks. A restore reads `received` alone: this copy
-    /// stays so the layout, and every cut already on disk, is unchanged.
-    pub processed: u64,
     /// Messages received (health counter; feeds `NodeStats` — for a sink,
     /// everything delivered, drained at an earlier cut or not).
     pub received: u64,
@@ -97,7 +93,7 @@ pub struct NodeCkpt {
 }
 
 // `state` is on the wire as an `Option<Vec<u8>>` is, moved in one copy.
-wire::record! { NodeCkpt { state as Option<wire::Bytes>, processed, received, sent, next_out } }
+wire::record! { NodeCkpt { state as Option<wire::Bytes>, received, sent, next_out } }
 
 /// A whole graph's durable state at one quiescent cut, in node-id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -205,14 +201,14 @@ impl RunSession {
             let body = self.exec.bodies[idx].lock().expect("node body");
             let h = &self.exec.health[idx];
             let received = h.received.load(Ordering::Relaxed);
-            let (state, processed) = match &*body {
-                NodeBody::Source => (None, 0),
-                NodeBody::Component(c) => (c.encode_state(), received),
+            let state = match &*body {
+                NodeBody::Source => None,
+                NodeBody::Component(c) => c.encode_state(),
                 NodeBody::Sink { msgs } => {
                     if !msgs.is_empty() {
                         return Err("sink not drained before capture");
                     }
-                    (None, 0)
+                    None
                 }
             };
             if let (Some(rt), Some(bytes)) = (rt, &state) {
@@ -221,7 +217,6 @@ impl RunSession {
             }
             nodes.push(NodeCkpt {
                 state,
-                processed,
                 received,
                 sent: h.sent.load(Ordering::Relaxed),
                 next_out: rt.map_or(0, |rt| rt.next_out[idx].load(Ordering::Relaxed)),

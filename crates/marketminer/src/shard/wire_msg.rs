@@ -77,7 +77,7 @@ wire::record! {
         cause as CauseWire,
     }
 }
-wire::record! { OrderBatch { interval, param_set, strategy, orders, cause as CauseWire } }
+wire::record! { OrderBatch { interval, stream, orders, cause as CauseWire } }
 wire::record! { Basket { interval, orders, cause as CauseWire } }
 wire::record! { TradeReport { param_set, strategy, trades, cause as CauseWire } }
 wire::tagged! { DegradeReason: "degrade reason tag" { 0 => Outage, 1 => Halt, 2 => Quarantine } }

@@ -406,7 +406,6 @@ mod tests {
         let good = SessionCkpt {
             nodes: vec![crate::runtime::NodeCkpt {
                 state: Some(vec![1, 2, 3]),
-                processed: 7,
                 received: 7,
                 sent: 2,
                 next_out: 2,

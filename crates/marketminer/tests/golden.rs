@@ -13,7 +13,7 @@
 //! judged every host's batches: wherever the checks run, they must
 //! refuse the same orders.
 //!
-//! `ckpt_v8_layout.bin` is a checkpoint file of the current format (a
+//! `ckpt_v9_layout.bin` is a checkpoint file of the current format (a
 //! robust plane engine, a stream node hosting a paper and a Kalman spec
 //! and the gateway; mid-position, a symbol degraded and recovered,
 //! intervals' orders held at the gateway, the plane's Maronna lane warm
@@ -22,15 +22,16 @@
 //! instead of silently orphaning checkpoints on disk. A deliberate change bumps
 //! `pairtrade_core::ckpt::VERSION` and regenerates (`CKPT_LAYOUT_REGEN=1
 //! cargo test -p marketminer --test golden checkpoint_layout`); the
-//! outgoing file replaces `ckpt_v7_layout.bin` as the one
+//! outgoing file replaces `ckpt_v8_layout.bin` as the one
 //! refused-by-version case.
-//! `ckpt_v7_layout.bin` is the version-7 layout file (a signal node fed
-//! separate strategy hosts): refused by version with a typed error, and
-//! a worker that finds it starts fresh.
+//! `ckpt_v8_layout.bin` is the version-8 layout file (a stream node
+//! sending one batch per parameter set, a `processed` count per node):
+//! refused by version with a typed error, and a worker that finds it
+//! starts fresh.
 //!
 //! `messages.bin`, `frames.bin` and `shard_job.bin` pin one instance of
 //! every [`Message`] variant, every shard [`Frame`] variant and a
-//! [`SweepConfig`] job (see [`wire::pin`]); `ckpt_v8_front_layout.bin`
+//! [`SweepConfig`] job (see [`wire::pin`]); `ckpt_v9_front_layout.bin`
 //! pins the state bytes of the nodes the layout checkpoint does not
 //! hold. All regenerate through the same `CKPT_LAYOUT_REGEN` switch, and
 //! only when a version constant moves with them.
@@ -286,14 +287,13 @@ fn layout_specs() -> [StrategySpec; 2] {
 }
 
 /// A stream node hosting both specs (one per rule-state layout) and the
-/// gateway behind it, cold. The gateway also waits on a third parameter
-/// set, of another stream, which never reports. Snapshots are hand-fed
-/// from the first bar, so the stream node is told its engine needs no
-/// warm-up (`M = 0`).
+/// gateway behind it, cold. The gateway also waits on a second stream,
+/// which never reports. Snapshots are hand-fed, so the stream's key only
+/// names the node.
 fn layout_nodes() -> (StreamNode, OrderGatewayNode) {
     let cfg = SweepConfig::from_specs(N_STOCKS, layout_specs().to_vec()).unwrap();
     let stream = StreamNode::new(&cfg, (CorrType::Pearson, 0), 0, &[0, 1]);
-    (stream, OrderGatewayNode::fan_in(cfg.specs.len() + 1))
+    (stream, OrderGatewayNode::fan_in(2))
 }
 
 /// A robust plane mid-day: Maronna subscribed from the first return and
@@ -343,8 +343,8 @@ fn layout_health(interval: usize, symbol: usize, degraded: bool) -> Message {
 }
 
 /// Drive the nodes through a fixed scenario that leaves positions open
-/// and on the books, a symbol degraded, both specs with an open batch,
-/// and — the third parameter set never reporting — intervals' orders
+/// and on the books, a symbol degraded, both specs' orders in the open
+/// batch, and — the second stream never reporting — intervals' orders
 /// held at the gateway.
 fn layout_checkpoint() -> SessionCkpt {
     let (mut stream, mut gateway) = layout_nodes();
@@ -390,7 +390,7 @@ fn layout_checkpoint() -> SessionCkpt {
             sent += out.len() as u64;
             for m in out {
                 if let Message::Orders(b) = &m {
-                    orders[b.param_set] += b.orders.len();
+                    b.orders.iter().for_each(|o| orders[o.param_set] += 1);
                 }
                 gateway.on_message(m, &mut |m| {
                     baskets += u64::from(matches!(m, Message::Basket(_)));
@@ -399,11 +399,10 @@ fn layout_checkpoint() -> SessionCkpt {
         }
     }
     assert!(orders.iter().all(|&n| n > 0), "every spec must have traded");
-    assert_eq!(baskets, 0, "the third parameter set holds every interval");
+    assert_eq!(baskets, 0, "the second stream holds every interval");
     assert!(gateway.orders_held() > 0);
     let node = |state: Option<Vec<u8>>, k: u64| NodeCkpt {
         state,
-        processed: 28 + k,
         received: 28 + k,
         sent: k,
         next_out: k,
@@ -431,7 +430,7 @@ fn checkpoint_layout_matches_fixture() {
         .save(7, &wire::to_bytes(&layout_checkpoint()))
         .unwrap();
     let written = std::fs::read(store.dir().join("ckpt-0000000007.bin")).unwrap();
-    let path = fixture("ckpt_v8_layout.bin");
+    let path = fixture("ckpt_v9_layout.bin");
     if std::env::var("CKPT_LAYOUT_REGEN").is_ok() {
         std::fs::write(&path, &written).unwrap();
         eprintln!("regenerated {} ({} bytes)", path.display(), written.len());
@@ -465,39 +464,30 @@ fn checkpoint_layout_matches_fixture() {
     assert!(gateway.orders_held() > 0);
 }
 
-/// The version-7 layout file (the format before each stream's node
-/// stepped its own rules: a signal node fed separate hosts and a risk
-/// manager) is an older layout like any other: a typed version error, a
-/// worker that starts fresh and says why, never a panic.
+/// The version-8 layout file (the format before a stream node sent one
+/// batch for all its parameter sets) is an older layout like any other: a
+/// typed version error, a worker that starts fresh and says why, never a
+/// panic.
 #[test]
-fn version_7_checkpoint_is_refused_and_the_worker_starts_fresh() {
-    let old = std::fs::read(fixture("ckpt_v7_layout.bin")).unwrap();
-    let store = scratch_store("prechange-v7");
+fn version_8_checkpoint_is_refused_and_the_worker_starts_fresh() {
+    let old = std::fs::read(fixture("ckpt_v8_layout.bin")).unwrap();
+    let store = scratch_store("prechange-v8");
     std::fs::write(store.dir().join("ckpt-0000000007.bin"), &old).unwrap();
     match store.recover() {
         Err(CkptError::NoCheckpoint { rejected }) => {
             assert_eq!(rejected.len(), 1);
-            assert_eq!(rejected[0].reason, Rejected::UnsupportedVersion(7));
+            assert_eq!(rejected[0].reason, Rejected::UnsupportedVersion(8));
         }
-        other => panic!("a version-7 file must be refused, got {other:?}"),
+        other => panic!("a version-8 file must be refused, got {other:?}"),
     }
     let (resumed, skipped) = marketminer::shard::worker::recover_session(&store);
     assert!(resumed.is_none());
-    assert!(skipped[0].contains("format version 7"), "{skipped:?}");
-    // Bypassing the version check does not help: a version-7 signal
-    // node's state holds no specs, so it is not a stream node's.
-    let ckpt: SessionCkpt = wire::from_bytes(&old[25..]).expect("the v7 session envelope");
-    let (mut stream, _) = layout_nodes();
-    let cold = stream.encode_state().unwrap();
-    let state = ckpt.nodes[1].state.as_deref().unwrap();
+    assert!(skipped[0].contains("format version 8"), "{skipped:?}");
+    // Bypassing the version check does not help: a version-8 cut carried
+    // a `processed` count per node, so its payload is not a session.
     assert!(
-        !stream.decode_state(state),
-        "the stream node took a v7 signal node's state"
-    );
-    assert_eq!(
-        stream.encode_state().unwrap(),
-        cold,
-        "refusal left no trace"
+        wire::from_bytes::<SessionCkpt>(&old[25..]).is_err(),
+        "a v8 payload decoded as a v9 session"
     );
 }
 
@@ -597,8 +587,7 @@ fn message_zoo() -> Vec<Message> {
         Message::Eof,
         Message::Orders(Arc::new(OrderBatch {
             interval: 9,
-            param_set: 41,
-            strategy: pairtrade_core::spec::StrategyKind::Overlay,
+            stream: 4,
             orders: vec![order()],
             cause: cause(),
         })),
@@ -809,7 +798,7 @@ fn front_end_state_layout_matches_fixture() {
     let states: Vec<Vec<u8>> = (nodes.iter())
         .map(|n| n.encode_state().expect("every front-end node has state"))
         .collect();
-    check_fixture(&fixture("ckpt_v8_front_layout.bin"), &states);
+    check_fixture(&fixture("ckpt_v9_front_layout.bin"), &states);
     // The bytes restore into cold nodes, which re-encode them.
     for (mut cold, state) in front_end_nodes().into_iter().zip(&states) {
         assert!(cold.decode_state(state), "{}", cold.name());
