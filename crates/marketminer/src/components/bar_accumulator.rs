@@ -7,18 +7,19 @@
 //! per-interval tick counts, and Figure 1's "15 sec returns": each
 //! stock's log return against the previous bar set's close. The previous
 //! closes are durable state, so an engine attached mid-day gets a return
-//! from the first bar it sees.
+//! from the first bar it sees. Bar sets are all it emits.
 //!
 //! With a [`HealthPolicy`] attached the node doubles as the degradation
 //! control plane's *producer*: at every interval close it inspects each
-//! symbol's tick flow and cleaning filter and emits
-//! [`Message::Health`] transitions — [`DegradeReason::Outage`] after too
-//! many consecutive quiet intervals, [`DegradeReason::Halt`] when the
-//! whole universe goes quiet together, and
-//! [`DegradeReason::Quarantine`] when the filter's reject-rate tripwire
-//! fires. Each event carries the first interval the new status applies
-//! to and is emitted *before* that interval's [`BarSet`], so downstream
-//! consumers always update their degraded sets before pricing.
+//! symbol's tick flow and cleaning filter and updates the symbol's
+//! [`HealthStatus`] — [`DegradeReason::Outage`] after too many
+//! consecutive quiet intervals, [`DegradeReason::Halt`] when the whole
+//! universe goes quiet together, and [`DegradeReason::Quarantine`] when
+//! the filter's reject-rate tripwire fires. A status found at the close
+//! of interval `t` applies from `t + 1`: every bar set carries each
+//! symbol's status as of its own interval, so a consumer knows a
+//! symbol's health before it prices or correlates that interval, and
+//! one that starts mid-day knows it from its first bar set.
 
 use std::sync::Arc;
 
@@ -26,7 +27,7 @@ use telemetry::recorder::FlightKind;
 use telemetry::Probe;
 use timeseries::clean::{CleanConfig, TcpFilter};
 
-use crate::messages::{BarSet, Cause, DegradeReason, EventId, HealthEvent, HealthStatus, Message};
+use crate::messages::{BarSet, Cause, DegradeReason, EventId, HealthStatus, Message};
 use crate::node::{component_state, Component, Emit};
 use crate::shard::wire_msg::EventIdWire;
 
@@ -73,7 +74,8 @@ pub struct BarAccumulatorNode {
     seen_tick: Vec<bool>,
     /// Consecutive closed intervals without an accepted tick.
     quiet: Vec<usize>,
-    /// Last published status per symbol.
+    /// Status per symbol as of the open interval: what its bar set
+    /// carries.
     status: Vec<HealthStatus>,
     /// Provenance: id of the first quote folded into the open interval
     /// (reset at each close) and of the newest quote seen on the tape
@@ -148,6 +150,7 @@ impl BarAccumulatorNode {
             closes: self.closes.clone(),
             ticks: std::mem::replace(&mut self.ticks, vec![0; self.n_stocks]),
             returns,
+            status: self.status.clone(),
             cause: Cause::derived(parents),
         })));
     }
@@ -164,8 +167,8 @@ impl BarAccumulatorNode {
         }
     }
 
-    /// Publish status transitions taking effect at `effective`.
-    fn publish_health(&mut self, effective: usize, out: &mut Emit<'_>) {
+    /// Find the status each symbol has from interval `effective` on.
+    fn update_health(&mut self, effective: usize) {
         let Some(policy) = self.health else {
             return;
         };
@@ -196,25 +199,18 @@ impl BarAccumulatorNode {
                 self.probe.flight(kind, Some(effective as u64), || {
                     format!("symbol {s}: {next:?}")
                 });
-                out(Message::Health(Arc::new(HealthEvent {
-                    interval: effective,
-                    symbol: s,
-                    status: next,
-                    cause: Cause::derived([self.last_qid]),
-                })));
             }
         }
     }
 
-    /// Close interval `interval`: emit its bar set, then any health
-    /// transitions effective from the *next* interval (so they precede
-    /// that interval's bars on the wire).
+    /// Close interval `interval`: emit its bar set, then find the status
+    /// the *next* interval's bar set carries.
     fn close_interval(&mut self, interval: usize, out: &mut Emit<'_>) {
         if self.health.is_some() {
             self.update_streaks();
         }
         self.emit_bar_set(interval, out);
-        self.publish_health(interval + 1, out);
+        self.update_health(interval + 1);
     }
 }
 
@@ -486,13 +482,23 @@ mod tests {
         assert_eq!(node.messages_dropped(), 1);
     }
 
+    /// The transitions the bar sets carry: `(interval, symbol, status)`
+    /// wherever a bar set's status differs from the one before it (the
+    /// day starts healthy).
     fn health_events(msgs: &[Message]) -> Vec<(usize, usize, HealthStatus)> {
-        msgs.iter()
-            .filter_map(|m| match m {
-                Message::Health(h) => Some((h.interval, h.symbol, h.status)),
-                _ => None,
-            })
-            .collect()
+        let mut held: Vec<HealthStatus> = Vec::new();
+        let mut events = Vec::new();
+        for m in msgs {
+            let Message::Bars(b) = m else { continue };
+            held.resize(b.status.len(), HealthStatus::Healthy);
+            for (s, (&now, was)) in b.status.iter().zip(&mut held).enumerate() {
+                if now != *was {
+                    events.push((b.interval, s, now));
+                    *was = now;
+                }
+            }
+        }
+        events
     }
 
     #[test]
@@ -528,8 +534,11 @@ mod tests {
         assert!(events.iter().all(|&(_, s, _)| s == 1), "{events:?}");
     }
 
+    /// The node emits bar sets alone, each carrying every symbol's
+    /// status as of its own interval: a quiet streak that trips at the
+    /// close of interval 3 first shows on bar set 4.
     #[test]
-    fn health_events_precede_their_effective_barset() {
+    fn each_bar_set_carries_its_intervals_status() {
         let policy = HealthPolicy {
             outage_intervals: 2,
             halt_intervals: 100,
@@ -543,17 +552,26 @@ mod tests {
             }
         }
         let all = collect_all(&mut node, msgs);
-        for (pos, m) in all.iter().enumerate() {
-            if let Message::Health(h) = m {
-                let bar_pos = all
-                    .iter()
-                    .position(|x| matches!(x, Message::Bars(b) if b.interval == h.interval));
-                if let Some(bp) = bar_pos {
-                    assert!(pos < bp, "health for {} emitted after its bars", h.interval);
-                }
-            }
+        assert!(all.iter().all(|m| matches!(m, Message::Bars(_))));
+        for m in &all {
+            let Message::Bars(b) = m else { unreachable!() };
+            let dark = HealthStatus::Degraded(DegradeReason::Outage);
+            let want = if b.interval >= 4 {
+                dark
+            } else {
+                HealthStatus::Healthy
+            };
+            assert_eq!(
+                b.status,
+                [HealthStatus::Healthy, want],
+                "bar set {}",
+                b.interval
+            );
         }
-        assert!(!health_events(&all).is_empty());
+        assert_eq!(
+            health_events(&all),
+            [(4, 1, HealthStatus::Degraded(DegradeReason::Outage))]
+        );
     }
 
     #[test]

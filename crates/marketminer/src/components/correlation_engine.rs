@@ -8,12 +8,12 @@
 //! lane per warm interval, the cadence of the batch cubes, which hold one
 //! matrix per return step.
 //!
-//! The node is also the one edge into its stream nodes. On `Bars(t)` it
-//! forwards the same `Arc` first, then publishes `t`'s snapshots; a
-//! health transition masks its later snapshots and is forwarded where it
-//! arrived (the accumulator emits one effective at `t + 1` after
-//! `Bars(t)`, so it follows `t`'s snapshots). A stream node therefore
-//! reads bars, snapshots and health already in order on one FIFO edge.
+//! The node is also the one edge into its stream nodes: for every bar
+//! set it sends exactly one [`CorrStep`] — the same `Arc<BarSet>` and
+//! the snapshot of each warm lane, none while every lane is cold. A
+//! symbol the bar set carries as degraded is masked out of that
+//! interval's snapshots; the node keeps no health state of its own, so
+//! one new to a running graph masks from its first bar set.
 //!
 //! A node publishes one stream — or, for the robust measures, the
 //! **robust plane** of its window: `Maronna(M)` and `Combined(M)` are two
@@ -44,7 +44,7 @@ use telemetry::Probe;
 use timeseries::window::SlidingWindow;
 use wire::{Codec, Reader, WireError, Writer};
 
-use crate::messages::{Cause, CorrSnapshot, Message};
+use crate::messages::{BarSet, Cause, CorrSnapshot, CorrStep, HealthStatus, Message};
 use crate::node::{component_state, Component, Emit};
 
 /// How many released snapshot allocations the node retains for reuse,
@@ -118,10 +118,7 @@ pub struct CorrelationEngineNode {
     /// The streams published: one, or the two robust measures in
     /// emission order.
     lanes: Vec<Lane>,
-    /// Symbols currently marked degraded by the health control plane;
-    /// their rows and columns are masked to 0.0 in emitted snapshots.
-    degraded: Vec<bool>,
-    /// Messages neither consumed nor forwarded.
+    /// Messages that were not bar sets.
     dropped: u64,
     /// Retired snapshot `Arc`s kept for allocation reuse: an entry whose
     /// strong count has dropped back to 1 has been released by every
@@ -195,7 +192,6 @@ impl CorrelationEngineNode {
             scratch: vec![Vec::new(); n_stocks],
             margins: Margins::default(),
             lanes,
-            degraded: vec![false; n_stocks],
             dropped: 0,
             pool: Vec::new(),
             name,
@@ -232,6 +228,106 @@ impl CorrelationEngineNode {
                 })
             }
         }
+    }
+
+    /// Push `bars`' returns into the windows and compute the snapshot of
+    /// every lane that is warm after them, masked by the bar set's health.
+    fn snapshots(&mut self, bars: &BarSet) -> Vec<Arc<CorrSnapshot>> {
+        // A day's first bar set closes no return.
+        if bars.returns.is_empty() {
+            return Vec::new();
+        }
+        let full = match &mut self.kind {
+            EngineKind::Online(online) => {
+                online.push(&bars.returns);
+                online.is_warm()
+            }
+            EngineKind::Windowed(windows) => {
+                for (w, &r) in windows.iter_mut().zip(&bars.returns) {
+                    w.push(r);
+                }
+                windows.iter().all(|w| w.is_full())
+            }
+        };
+        // Which lanes publish this interval: every warm one.
+        let mut due = Vec::with_capacity(self.lanes.len());
+        for (at, lane) in self.lanes.iter_mut().enumerate() {
+            lane.seen = (lane.seen + 1).min(self.m);
+            if full && lane.seen == self.m {
+                due.push(at);
+            }
+        }
+        if due.is_empty() {
+            return Vec::new();
+        }
+        let _span = self.probe.span("corr.snapshot", Some(bars.interval as u64));
+        // One snapshot per due lane, recycled where every downstream
+        // consumer has released one.
+        let mut snaps: Vec<Arc<CorrSnapshot>> = due.iter().map(|_| self.take_snapshot()).collect();
+        let mut bodies: Vec<&mut CorrSnapshot> = (snaps.iter_mut())
+            .map(|snap| Arc::get_mut(snap).expect("recycled snapshot is unshared"))
+            .collect();
+        for (body, &at) in bodies.iter_mut().zip(&due) {
+            body.interval = bars.interval;
+            body.stream = self.lanes[at].stream;
+            body.cause = Cause::derived([bars.cause.id]);
+        }
+        match &mut self.kind {
+            EngineKind::Online(online) => online.matrix_into(&mut bodies[0].matrix),
+            EngineKind::Windowed(windows) => {
+                let (scratch, margins) = (&mut self.scratch, &mut self.margins);
+                for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
+                    buf.clear();
+                    let (oldest, wrapped) = w.as_slices();
+                    buf.extend_from_slice(oldest);
+                    buf.extend_from_slice(wrapped);
+                }
+                let views: Vec<&[f64]> = scratch.iter().map(|b| b.as_slice()).collect();
+                let ctype = self.lanes[0].ctype;
+                if plane_slot(ctype).is_none() {
+                    bodies[0].matrix = ParallelCorrEngine::new(ctype).matrix(&views);
+                } else {
+                    let mut plane = [None, None];
+                    let mut bodies = bodies.iter_mut();
+                    for (at, lane) in self.lanes.iter_mut().enumerate() {
+                        if due.contains(&at) {
+                            let slot = plane_slot(lane.ctype).expect("a robust lane");
+                            plane[slot] = Some(WarmLane {
+                                seeds: &mut lane.seeds,
+                                out: &mut bodies.next().expect("one per due lane").matrix,
+                            });
+                        }
+                    }
+                    let did = robust_plane_warm_into(&views, plane, margins);
+                    count_sweep(&self.probe, did);
+                }
+            }
+        }
+        // Degraded symbols: a window polluted by an outage or a reject
+        // storm is not a correlation estimate. Mask the whole row/column
+        // to 0.0 so no downstream signal can fire on it.
+        if bars.status.iter().any(HealthStatus::is_degraded) {
+            for body in &mut bodies {
+                let n = body.matrix.n();
+                for i in 1..n {
+                    for j in 0..i {
+                        if bars.status[i].is_degraded() || bars.status[j].is_degraded() {
+                            body.matrix.set(i, j, 0.0);
+                        }
+                    }
+                }
+            }
+        }
+        drop(bodies);
+        let depth = POOL_DEPTH * self.lanes.len();
+        for snap in &snaps {
+            self.probe.count("snapshots.emitted", 1);
+            if self.pool.len() >= depth {
+                self.pool.remove(0);
+            }
+            self.pool.push(Arc::clone(snap));
+        }
+        snaps
     }
 }
 
@@ -289,8 +385,9 @@ fn encode_lanes(lanes: &[Lane], w: &mut Writer) {
 /// bytes do not hold starts cold; one only the bytes hold has been
 /// detached.
 fn decode_lanes(node: &CorrelationEngineNode, r: &mut Reader<'_>) -> Result<Vec<Lane>, WireError> {
+    // One scratch buffer per stock: the universe size.
     let mut lanes: Vec<Lane> = (node.lanes.iter())
-        .map(|lane| Lane::cold(lane.ctype, lane.stream, node.degraded.len()))
+        .map(|lane| Lane::cold(lane.ctype, lane.stream, node.scratch.len()))
         .collect();
     for _ in 0..u8::decode(r)? {
         let saved = Lane::decode(r)?;
@@ -314,129 +411,23 @@ impl Component for CorrelationEngineNode {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        let bars = match msg {
-            // The stream nodes read the bars on this edge, ahead of the
-            // snapshots closed by their returns.
-            Message::Bars(bars) => {
-                out(Message::Bars(Arc::clone(&bars)));
-                bars
-            }
-            // Masks this node's snapshots from the next interval on, and
-            // reaches the stream nodes after this interval's snapshots.
-            Message::Health(h) => {
-                if let Some(flag) = self.degraded.get_mut(h.symbol) {
-                    *flag = h.is_degraded();
-                }
-                out(Message::Health(h));
-                return;
-            }
-            _ => {
-                self.dropped += 1;
-                return;
-            }
-        };
-        // A day's first bar set closes no return.
-        if bars.returns.is_empty() {
+        let Message::Bars(bars) = msg else {
+            self.dropped += 1;
             return;
-        }
-        let full = match &mut self.kind {
-            EngineKind::Online(online) => {
-                online.push(&bars.returns);
-                online.is_warm()
-            }
-            EngineKind::Windowed(windows) => {
-                for (w, &r) in windows.iter_mut().zip(&bars.returns) {
-                    w.push(r);
-                }
-                windows.iter().all(|w| w.is_full())
-            }
         };
-        // Which lanes publish this interval: every warm one.
-        let mut due = Vec::with_capacity(self.lanes.len());
-        for (at, lane) in self.lanes.iter_mut().enumerate() {
-            lane.seen = (lane.seen + 1).min(self.m);
-            if full && lane.seen == self.m {
-                due.push(at);
-            }
-        }
-        if due.is_empty() {
-            return;
-        }
-        let _span = self.probe.span("corr.snapshot", Some(bars.interval as u64));
-        // One snapshot per due lane, recycled where every downstream
-        // consumer has released one.
-        let mut snaps: Vec<Arc<CorrSnapshot>> = due.iter().map(|_| self.take_snapshot()).collect();
-        let mut bodies: Vec<&mut CorrSnapshot> = (snaps.iter_mut())
-            .map(|snap| Arc::get_mut(snap).expect("recycled snapshot is unshared"))
-            .collect();
-        for (body, &at) in bodies.iter_mut().zip(&due) {
-            body.interval = bars.interval;
-            body.stream = self.lanes[at].stream;
-            body.cause = Cause::derived([bars.cause.id]);
-        }
-        match &mut self.kind {
-            EngineKind::Online(online) => online.matrix_into(&mut bodies[0].matrix),
-            EngineKind::Windowed(windows) => {
-                let (scratch, margins) = (&mut self.scratch, &mut self.margins);
-                for (buf, w) in scratch.iter_mut().zip(windows.iter()) {
-                    buf.clear();
-                    let (oldest, wrapped) = w.as_slices();
-                    buf.extend_from_slice(oldest);
-                    buf.extend_from_slice(wrapped);
-                }
-                let views: Vec<&[f64]> = scratch.iter().map(|b| b.as_slice()).collect();
-                let ctype = self.lanes[0].ctype;
-                if plane_slot(ctype).is_none() {
-                    bodies[0].matrix = ParallelCorrEngine::new(ctype).matrix(&views);
-                } else {
-                    let mut plane = [None, None];
-                    let mut bodies = bodies.iter_mut();
-                    for (at, lane) in self.lanes.iter_mut().enumerate() {
-                        if due.contains(&at) {
-                            let slot = plane_slot(lane.ctype).expect("a robust lane");
-                            plane[slot] = Some(WarmLane {
-                                seeds: &mut lane.seeds,
-                                out: &mut bodies.next().expect("one per due lane").matrix,
-                            });
-                        }
-                    }
-                    let did = robust_plane_warm_into(&views, plane, margins);
-                    count_sweep(&self.probe, did);
-                }
-            }
-        }
-        // Degraded symbols: a window polluted by an outage or a reject
-        // storm is not a correlation estimate. Mask the whole row/column
-        // to 0.0 so no downstream signal can fire on it.
-        if self.degraded.iter().any(|&d| d) {
-            for body in &mut bodies {
-                let n = body.matrix.n();
-                for i in 1..n {
-                    for j in 0..i {
-                        if self.degraded[i] || self.degraded[j] {
-                            body.matrix.set(i, j, 0.0);
-                        }
-                    }
-                }
-            }
-        }
-        drop(bodies);
-        let depth = POOL_DEPTH * self.lanes.len();
-        for snap in snaps {
-            self.probe.count("snapshots.emitted", 1);
-            if self.pool.len() >= depth {
-                self.pool.remove(0);
-            }
-            self.pool.push(snap.clone());
-            out(Message::Corr(snap));
-        }
+        let snapshots = self.snapshots(&bars);
+        out(Message::Step(Arc::new(CorrStep {
+            cause: Cause::derived([bars.cause.id]),
+            bars,
+            snapshots,
+        })));
     }
 
     // The `pool`, `scratch` and `margins` buffers are allocation caches, refilled
     // before every use — their contents never reach an emitted snapshot —
     // so only the value-bearing engine state travels.
     component_state! {
-        node { degraded, dropped, kind, lanes => (encode_lanes, decode_lanes) }
+        node { dropped, kind, lanes => (encode_lanes, decode_lanes) }
         check {
             let fits = match (&kind, &node.kind) {
                 (EngineKind::Online(_), EngineKind::Online(_)) => true,
@@ -461,20 +452,44 @@ impl Component for CorrelationEngineNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::BarSet;
     use stats::pearson::pearson;
     use stats::MaronnaEstimator;
 
-    /// A bar set carrying `returns` (its closes are not the engine's).
-    fn bars(interval: usize, returns: Vec<f64>) -> Message {
+    /// A bar set carrying `returns` (its closes are not the engine's),
+    /// with the symbols of `degraded` degraded.
+    fn bars_with(interval: usize, returns: Vec<f64>, degraded: &[usize]) -> Message {
         let n = returns.len();
+        let status = (0..n)
+            .map(|s| match degraded.contains(&s) {
+                true => HealthStatus::Degraded(crate::messages::DegradeReason::Outage),
+                false => HealthStatus::Healthy,
+            })
+            .collect();
         Message::Bars(Arc::new(BarSet {
             interval,
             closes: vec![1.0; n],
             ticks: vec![1; n],
             returns,
+            status,
             cause: Cause::none(),
         }))
+    }
+
+    /// The snapshots of the one step a bar set with `degraded` degraded
+    /// gets back.
+    fn feed_with(
+        node: &mut CorrelationEngineNode,
+        interval: usize,
+        returns: Vec<f64>,
+        degraded: &[usize],
+    ) -> Vec<Arc<CorrSnapshot>> {
+        let mut steps = Vec::new();
+        node.on_message(bars_with(interval, returns, degraded), &mut |m| match m {
+            Message::Step(step) => steps.push(step),
+            other => panic!("an engine sends steps, not {}", other.kind()),
+        });
+        assert_eq!(steps.len(), 1, "one step per bar set");
+        steps.pop().unwrap().snapshots.clone()
     }
 
     fn feed(
@@ -482,13 +497,7 @@ mod tests {
         interval: usize,
         returns: Vec<f64>,
     ) -> Vec<Arc<CorrSnapshot>> {
-        let mut got = Vec::new();
-        node.on_message(bars(interval, returns), &mut |m| {
-            if let Message::Corr(c) = m {
-                got.push(c);
-            }
-        });
-        got
+        feed_with(node, interval, returns, &[])
     }
 
     fn ret(i: usize, k: usize) -> f64 {
@@ -524,13 +533,13 @@ mod tests {
         }
     }
 
-    /// The node's output is one ordered stream: each bar set (the same
-    /// `Arc`) ahead of the snapshots its returns close, and a health
-    /// transition relayed, unchanged, where it arrived — after the
-    /// snapshots of the bar set before it. Nothing else is relayed.
+    /// The node answers every bar set with exactly one step: the same
+    /// `Arc<BarSet>`, and the snapshots of the lanes warm after it — none
+    /// on the day's first bar set or while the windows fill. Nothing but
+    /// bar sets is read.
     #[test]
-    fn relays_each_bar_set_ahead_of_its_snapshots_and_health_where_it_arrived() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus, OrderBatch};
+    fn sends_one_step_per_bar_set_carrying_it_and_its_warm_lanes_snapshots() {
+        use crate::messages::OrderBatch;
         let plane = [(CorrType::Maronna, 3), (CorrType::Combined, 5)];
         let mut node = CorrelationEngineNode::robust_plane(3, 3, &plane);
         // A day's first bar set carries no returns.
@@ -538,50 +547,32 @@ mod tests {
             0 => Vec::new(),
             _ => (0..3).map(|i| ret(i, t)).collect(),
         };
-        let mut inputs: Vec<Message> = (0..7).map(|t| bars(t, returns(t))).collect();
-        let health = HealthEvent {
-            interval: 5,
-            symbol: 1,
-            status: HealthStatus::Degraded(DegradeReason::Outage),
-            cause: Cause::none(),
-        };
-        let stray = OrderBatch {
+        let mut inputs: Vec<Message> = (0..7).map(|t| bars_with(t, returns(t), &[])).collect();
+        inputs.push(Message::Orders(Arc::new(OrderBatch {
             interval: 7,
             stream: 3,
             orders: Vec::new(),
+            reports: Vec::new(),
+            health: Vec::new(),
             cause: Cause::none(),
-        };
-        inputs.insert(5, Message::Health(Arc::new(health)));
-        inputs.push(Message::Orders(Arc::new(stray)));
+        })));
         let mut got = Vec::new();
         for msg in &inputs {
             node.on_message(msg.clone(), &mut |m| got.push(m));
         }
-        let seen: Vec<_> = (got.iter())
-            .map(|m| match m {
-                Message::Corr(c) => ("corr", c.interval, c.stream),
-                m => (m.kind(), m.interval().unwrap() as usize, 0),
-            })
-            .collect();
-        let mut want = Vec::new();
-        for t in 0..7 {
-            want.push(("bars", t, 0));
+        assert_eq!(got.len(), 7);
+        for (t, (msg, input)) in got.iter().zip(&inputs).enumerate() {
+            let (Message::Step(step), Message::Bars(bars)) = (msg, input) else {
+                panic!("a step per bar set");
+            };
+            assert!(Arc::ptr_eq(&step.bars, bars), "the bar set's own Arc");
+            let streams: Vec<(usize, usize)> = (step.snapshots.iter())
+                .map(|s| (s.interval, s.stream))
+                .collect();
             // Returns at bars 1, 2, 3 fill the window: warm from 3.
-            if t >= 3 {
-                want.extend([("corr", t, 3), ("corr", t, 5)]);
-            }
-            if t == 4 {
-                want.push(("health", 5, 0));
-            }
+            let want: &[_] = if t >= 3 { &[(t, 3), (t, 5)] } else { &[] };
+            assert_eq!(streams, want, "interval {t}");
         }
-        assert_eq!(seen, want);
-        let arc = |m: &Message| match m {
-            Message::Bars(b) => Some(Arc::as_ptr(b) as usize),
-            Message::Health(h) => Some(Arc::as_ptr(h) as usize),
-            _ => None,
-        };
-        let relayed: Vec<_> = got.iter().filter_map(arc).collect();
-        assert_eq!(relayed, inputs.iter().filter_map(arc).collect::<Vec<_>>());
         assert_eq!(node.messages_dropped(), 1);
     }
 
@@ -606,38 +597,21 @@ mod tests {
         assert!((snap.matrix.get(1, 0) - want).abs() < 1e-9);
     }
 
+    /// A symbol its bar set carries as degraded is masked out of that
+    /// interval's snapshot, and only that interval's.
     #[test]
     fn degraded_symbols_are_masked_to_zero() {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
         let mut node = CorrelationEngineNode::new(3, 4, CorrType::Pearson);
         for k in 0..4 {
             feed(&mut node, k, vec![ret(0, k), ret(1, k), ret(2, k)]);
         }
-        node.on_message(
-            Message::Health(Arc::new(HealthEvent {
-                interval: 4,
-                symbol: 1,
-                status: HealthStatus::Degraded(DegradeReason::Outage),
-                cause: Cause::none(),
-            })),
-            &mut |_| {},
-        );
-        let snaps = feed(&mut node, 4, vec![ret(0, 4), ret(1, 4), ret(2, 4)]);
+        let snaps = feed_with(&mut node, 4, vec![ret(0, 4), ret(1, 4), ret(2, 4)], &[1]);
         assert_eq!(snaps.len(), 1);
         let m = &snaps[0].matrix;
         assert_eq!(m.get(1, 0), 0.0);
         assert_eq!(m.get(2, 1), 0.0);
         assert_ne!(m.get(2, 0), 0.0, "healthy pair untouched");
         // Recovery unmasks.
-        node.on_message(
-            Message::Health(Arc::new(HealthEvent {
-                interval: 5,
-                symbol: 1,
-                status: HealthStatus::Healthy,
-                cause: Cause::none(),
-            })),
-            &mut |_| {},
-        );
         let snaps = feed(&mut node, 5, vec![ret(0, 5), ret(1, 5), ret(2, 5)]);
         assert_ne!(snaps[0].matrix.get(1, 0), 0.0);
     }
@@ -714,24 +688,6 @@ mod tests {
         (0..panel.n_stocks()).map(|i| panel.series(i)[k]).collect()
     }
 
-    fn set_health(node: &mut CorrelationEngineNode, interval: usize, symbol: usize, up: bool) {
-        use crate::messages::{DegradeReason, HealthEvent, HealthStatus};
-        let status = if up {
-            HealthStatus::Healthy
-        } else {
-            HealthStatus::Degraded(DegradeReason::Outage)
-        };
-        node.on_message(
-            Message::Health(Arc::new(HealthEvent {
-                interval,
-                symbol,
-                status,
-                cause: Cause::none(),
-            })),
-            &mut |_| {},
-        );
-    }
-
     fn assert_same_snapshots(got: &[Arc<CorrSnapshot>], want: &[Arc<CorrSnapshot>], k: usize) {
         assert_eq!(got.len(), want.len(), "interval {k}");
         for (g, w) in got.iter().zip(want) {
@@ -776,14 +732,10 @@ mod tests {
                 assert_eq!(fresh.encode_state().unwrap(), bytes);
                 plane = fresh;
             }
-            if k == degraded.start || k == degraded.end {
-                for node in singles.iter_mut().chain([&mut plane]) {
-                    set_health(node, k, 1, k == degraded.end);
-                }
-            }
-            let got = feed(&mut plane, k, returns_at(&panel, k));
+            let dark: &[usize] = if degraded.contains(&k) { &[1] } else { &[] };
+            let got = feed_with(&mut plane, k, returns_at(&panel, k), dark);
             let want: Vec<_> = (singles.iter_mut())
-                .flat_map(|node| feed(node, k, returns_at(&panel, k)))
+                .flat_map(|node| feed_with(node, k, returns_at(&panel, k), dark))
                 .collect();
             assert_same_snapshots(&got, &want, k);
             if degraded.contains(&k) {

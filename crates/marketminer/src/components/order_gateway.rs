@@ -10,8 +10,9 @@
 //! already past each parameter set's risk checks, and emits one
 //! [`Basket`] per interval that has orders; Figure 1's "with human
 //! confirmation" vs "no human confirmation" paths are the per-order
-//! `needs_confirmation` flag, preserved through aggregation. Trade
-//! reports and health transitions pass through to the sink.
+//! `needs_confirmation` flag, preserved through aggregation. Batches are
+//! all it takes: a batch's trade reports and health transitions go on to
+//! the sink as messages of their own, with its interval's basket.
 //!
 //! ## Flush on watermark
 //!
@@ -19,11 +20,14 @@
 //! order, so a stream's newest batch is its watermark — the per-input
 //! watermark of a merge. The gateway is built with the number of streams
 //! feeding it; interval `t` is *complete* once that many have reported
-//! `t` or later, and a complete bucket is sorted into a canonical order
-//! and emitted at once, buckets in interval order. The output is
-//! therefore bit-identical no matter how the fan-in interleaved, and at
-//! any quiescent point the gateway holds only the orders of intervals
-//! some stream has yet to reach — in a healthy graph, none. A stream
+//! `t` or later, and a complete bucket is emitted at once, buckets in
+//! interval order: its trade reports and health transitions in stream
+//! order, then its orders as one canonically sorted basket. The
+//! output — and with it the provenance ids the runtime mints for the
+//! reports, transitions and baskets — is therefore bit-identical no
+//! matter how the fan-in interleaved, and at any quiescent point the
+//! gateway holds only the results of intervals some stream has yet to
+//! reach — in a healthy graph, none. A stream
 //! that never reports (its node died) holds its intervals open until
 //! [`Component::on_end`], which flushes whatever is left: that costs
 //! memory, never output. A single stream is the one-input case of the
@@ -44,7 +48,8 @@ pub struct OrderGatewayNode {
     /// Newest interval reported per stream, `(stream, interval)` sorted
     /// by stream.
     watermarks: Vec<(usize, usize)>,
-    /// The non-empty batches of intervals not yet complete. A bucket
+    /// The batches of intervals not yet complete that hold orders,
+    /// reports or health. A bucket
     /// becomes one exactly-sized order list only when it flushes: baskets
     /// outlive the gateway, and a list regrown batch by batch would leave
     /// its discarded halves strewn through the allocator.
@@ -144,20 +149,6 @@ fn sorted_basket(interval: usize, orders: Vec<OrderRequest>) -> Basket {
     }
 }
 
-/// The orders of `batches`, each carrying its batch's provenance id.
-fn orders_of(batches: &[Arc<OrderBatch>]) -> Vec<OrderRequest> {
-    let mut orders = Vec::with_capacity(batches.iter().map(|b| b.orders.len()).sum());
-    for batch in batches {
-        orders.extend(batch.orders.iter().map(|order| {
-            let mut order = order.clone();
-            order.cause.id = batch.cause.id;
-            order.cause.wall_us = batch.cause.wall_us;
-            order
-        }));
-    }
-    orders
-}
-
 impl OrderGatewayNode {
     /// Gateway behind `n_inputs` stream nodes (a sweep graph's fan-in).
     pub fn fan_in(n_inputs: usize) -> Self {
@@ -186,12 +177,14 @@ impl OrderGatewayNode {
         reported.count() >= self.n_inputs
     }
 
+    /// Advance `batch`'s stream's watermark, and hold the batch until
+    /// its interval is complete unless it holds nothing.
     fn take_batch(&mut self, batch: Arc<OrderBatch>) {
         match (self.watermarks).binary_search_by_key(&batch.stream, |&(stream, _)| stream) {
             Ok(pos) => self.watermarks[pos].1 = self.watermarks[pos].1.max(batch.interval),
             Err(pos) => self.watermarks.insert(pos, (batch.stream, batch.interval)),
         }
-        if batch.orders.is_empty() {
+        if batch.orders.is_empty() && batch.reports.is_empty() && batch.health.is_empty() {
             return;
         }
         self.orders_held += batch.orders.len() as u64;
@@ -202,14 +195,35 @@ impl OrderGatewayNode {
             .gauge_max("gateway.orders_held_max", self.orders_held);
     }
 
-    /// Emit, in interval order, every complete bucket — or every bucket.
+    /// Emit, in interval order, every complete bucket — or every bucket:
+    /// its batches' trade reports and health transitions in stream order,
+    /// then the basket of their orders, each order carrying its batch's
+    /// provenance id. Whatever order the batches arrived in, the
+    /// emissions (and so the ids minted for them) come in this one.
     fn flush(&mut self, everything: bool, out: &mut Emit<'_>) {
         while let Some((&interval, _)) = self.buckets.first_key_value() {
             if !(everything || self.is_complete(interval)) {
                 break;
             }
-            let batches = self.buckets.remove(&interval).expect("first key");
-            let orders = orders_of(&batches);
+            let mut batches = self.buckets.remove(&interval).expect("first key");
+            batches.sort_by_key(|batch| batch.stream);
+            let mut orders = Vec::with_capacity(batches.iter().map(|b| b.orders.len()).sum());
+            for batch in batches.into_iter().map(Arc::unwrap_or_clone) {
+                let (id, wall_us) = (batch.cause.id, batch.cause.wall_us);
+                orders.extend(batch.orders.into_iter().map(|mut order| {
+                    (order.cause.id, order.cause.wall_us) = (id, wall_us);
+                    order
+                }));
+                for report in batch.reports {
+                    out(Message::Trades(Arc::new(report)));
+                }
+                for event in batch.health {
+                    out(Message::Health(Arc::new(event)));
+                }
+            }
+            if orders.is_empty() {
+                continue;
+            }
             self.orders_held -= orders.len() as u64;
             self.probe.count("baskets.emitted", 1);
             self.probe.observe("basket.orders", orders.len() as u64);
@@ -229,7 +243,7 @@ impl Component for OrderGatewayNode {
                 self.take_batch(batch);
                 self.flush(false, out);
             }
-            other => out(other), // trade reports etc. pass through
+            other => out(other),
         }
     }
 
@@ -290,6 +304,8 @@ mod tests {
             orders: (stocks.iter())
                 .map(|&stock| order(interval, stream, stock, false))
                 .collect(),
+            reports: Vec::new(),
+            health: Vec::new(),
             cause: Cause::none(),
         }))
     }
@@ -364,6 +380,41 @@ mod tests {
         assert!(run(1, vec![]).is_empty(), "no orders, no baskets");
     }
 
+    /// A batch's reports and health leave as messages of their own when
+    /// its interval is complete, ahead of the interval's basket, however
+    /// the streams' batches arrived.
+    #[test]
+    fn a_batch_passes_its_reports_and_health_on_with_its_interval() {
+        use crate::messages::{HealthEvent, HealthStatus, TradeReport};
+        let Message::Orders(mut full) = batch(3, 0, &[0]) else {
+            unreachable!()
+        };
+        let body = Arc::make_mut(&mut full);
+        body.reports.push(TradeReport {
+            param_set: 0,
+            strategy: StrategyKind::Paper,
+            trades: Vec::new(),
+            cause: Cause::none(),
+        });
+        body.health.push(HealthEvent {
+            interval: 4,
+            symbol: 1,
+            status: HealthStatus::Healthy,
+            cause: Cause::none(),
+        });
+        for first in [0, 1] {
+            let mut msgs = vec![Message::Orders(Arc::clone(&full)), batch(3, 1, &[2])];
+            msgs.rotate_left(first);
+            let mut node = OrderGatewayNode::fan_in(2);
+            let mut kinds = Vec::new();
+            node.on_message(msgs.remove(0), &mut |m| kinds.push(m.kind()));
+            assert!(kinds.is_empty(), "the interval is not complete");
+            node.on_message(msgs.remove(0), &mut |m| kinds.push(m.kind()));
+            assert_eq!(kinds, ["trades", "health", "basket"]);
+            assert_eq!(node.orders_held(), 0);
+        }
+    }
+
     #[test]
     fn confirmation_flags_survive_aggregation() {
         let orders = vec![order(1, 0, 0, true), order(1, 0, 1, false)];
@@ -373,6 +424,8 @@ mod tests {
                 interval: 1,
                 stream: 0,
                 orders,
+                reports: Vec::new(),
+                health: Vec::new(),
                 cause: Cause::none(),
             }))],
         );

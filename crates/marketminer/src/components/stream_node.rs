@@ -4,64 +4,57 @@
 //! One node per `(Ctype, M)` stream of a sweep graph hosts every pair
 //! (all `n(n-1)/2` of them — the brute-force market-wide search) under
 //! every [`StrategySpec`] that reads the stream, whatever its family
-//! (paper, Kalman, overlaid). Per interval it does, in order, what the
-//! batch path's day walk does per pair:
+//! (paper, Kalman, overlaid). Its one input edge is its stream's
+//! correlation engine, which sends one [`CorrStep`] per bar set: the bar
+//! set (prices and each symbol's health) and, once the window is warm,
+//! the stream's snapshot. The runtime keeps one FIFO inbox per node, so
+//! the node's output is a deterministic function of its input. Per
+//! interval it does, in order, what the batch path's day walk does per
+//! pair:
 //!
-//! * its one input edge is its stream's correlation engine, which relays
-//!   the accumulator's bars and health: `Bars(t)` arrives before
-//!   `Corr(t)`, and a transition effective at `t + 1` after `Corr(t)`.
-//!   The runtime keeps one FIFO inbox per node and never splits an
-//!   event's emissions, so that order holds under any thread schedule
-//!   and the node's output is a deterministic function of its input;
-//! * it forward-fills each stock's price history, keeps the degraded set,
-//!   and advances one [`Planes`] built from the [`InputNeeds`] of its
-//!   specs — `C̄`, relative drops, spread ranges and trailing returns,
-//!   once per window, whichever specs read them;
+//! * it compares the bar set's health with the status it holds: a symbol
+//!   newly degraded flattens every open position touching it at the
+//!   previous interval's prices, judged before the change applies;
+//! * it forward-fills each stock's price history and advances one
+//!   [`Planes`] built from the [`InputNeeds`] of its specs — `C̄`,
+//!   relative drops, spread ranges and trailing returns, once per
+//!   window, whichever specs read them;
 //! * it steps each spec's [`Rule`] over every pair whose symbols are
 //!   healthy, reading the spec's own windows out of the interval's
 //!   [`Series`];
-//! * it judges each order a spec makes, as it is made, with
-//!   the checks of [`risk`] against that spec's open-pairs book. Health is
-//!   known in order on the one edge, so an order is judged against the
-//!   symbols' status as of its own interval;
-//! * it sends the gateway one [`OrderBatch`] per bar set it receives —
-//!   the orders of every spec that passed, possibly none — which doubles
-//!   as the stream's watermark, and reports each spec's trades the moment
-//!   they close.
+//! * it judges each order a spec makes, as it is made, with the checks
+//!   of [`risk`] against that spec's open-pairs book and the symbols'
+//!   status as of the order's own interval;
+//! * it sends the gateway one [`OrderBatch`] per step — the orders of
+//!   every spec that passed and the trades every spec closed, possibly
+//!   none of either — which doubles as the stream's watermark. It sends
+//!   nothing else.
 //!
-//! Every bar set begins an interval: `Bars(t)` opens interval `t`'s
-//! batch, which is final, and leaves, when `Bars(t + 1)` arrives (or the
-//! stream ends): a health transition effective at `t + 1` flattens at
-//! `t`'s prices, and the end-of-day closes book at the last interval
-//! priced. A flatten's legs book at `t`, so they are judged before the
-//! transition that caused them applies. `Corr(t)` only names the batch's
-//! provenance, so a bar with no snapshot (the engine's window is not yet
-//! full) still leaves a watermark, and a long-window stream never holds
-//! back a short-window one's baskets.
+//! Every step begins an interval: step `t` opens interval `t`'s batch,
+//! which is final, and leaves, when step `t + 1` arrives (or the stream
+//! ends): the flattens step `t + 1`'s health causes book at `t`, and the
+//! end-of-day closes at the last interval priced. A step with no snapshot
+//! of the stream (the window is not yet full) still leaves a watermark,
+//! so a long-window stream never holds back a short-window one's
+//! baskets. A node takes the status of the first bar set it sees as its
+//! own and acts on nothing, so one new to a running graph starts where
+//! the others stand.
 //!
-//! Exactly one node of a graph, the one built [`forwarding_health`]
-//! (stream 0's), forwards each health transition on to the gateway and
-//! the sink.
+//! Exactly one node of a graph, stream 0's, also puts in batch `t` each
+//! transition bar set `t + 1` carries, for the sink.
 //!
 //! ## Durable state and live reconfiguration
 //!
-//! Beside the stream's planes, price history, degraded set and open
-//! batch, the state holds per spec, keyed by parameter set, its rule's
-//! per-pair state and its open-pairs book. A node restored into a graph
-//! whose specs differ keeps the state and the open orders of every spec
-//! both incarnations host, starts a newly attached spec cold and drops a
-//! detached one's state and orders; it keeps the planes both share and
-//! starts new windows cold ([`Planes::restore`]): a series for a `W` or
-//! `RT` new to the stream begins at the cut (a partial window, as at the
-//! start of day). Price history, and with it every trailing return,
-//! carries over. A node new to the graph starts cold but for its degraded
-//! set, which it is built with ([`degraded_at_start`]): every stream node
-//! applies the same transitions, so it starts holding what the survivors
-//! hold, and no spec on a new stream opens a pair on a symbol degraded
-//! before the cut.
-//!
-//! [`forwarding_health`]: StreamNode::forwarding_health
-//! [`degraded_at_start`]: StreamNode::degraded_at_start
+//! Beside the stream's planes, price history, health and open batch
+//! (orders and trade reports), the state holds per spec, keyed by
+//! parameter set, its rule's per-pair state and its open-pairs book. A
+//! node restored into a graph whose specs differ keeps the state and the
+//! open orders and reports of every spec both incarnations host, starts
+//! a newly attached spec cold and drops a detached one's state, orders
+//! and reports; it keeps the planes both share and starts new windows
+//! cold ([`Planes::restore`]): a series for a `W` or `RT` new to the
+//! stream begins at the cut (a partial window, as at the start of day).
+//! Price history, and with it every trailing return, carries over.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,8 +71,8 @@ use wire::{Codec, Reader, WireError, Writer};
 
 use super::risk::{self, RiskLimits, RiskStats};
 use crate::messages::{
-    Cause, CorrSnapshot, EventId, HealthEvent, Message, OrderBatch, OrderRequest, OrderSide,
-    TradeReport,
+    Cause, CorrSnapshot, CorrStep, EventId, HealthEvent, HealthStatus, Message, OrderBatch,
+    OrderRequest, OrderSide, TradeReport,
 };
 use crate::node::{component_state, Component, Emit};
 use crate::pipeline::SweepConfig;
@@ -318,18 +311,25 @@ impl Spec {
         self.legs(desk, trade.exit_interval, trade.pair, legs);
     }
 
-    /// Report trades that just closed (nothing when there are none).
-    fn report(&self, trades: &[Trade], parent: EventId, probe: &Probe, out: &mut Emit<'_>) {
+    /// Report trades that just closed into the open batch (nothing when
+    /// there are none).
+    fn report(
+        &self,
+        trades: &[Trade],
+        parent: EventId,
+        probe: &Probe,
+        batch: &mut Vec<TradeReport>,
+    ) {
         if trades.is_empty() {
             return;
         }
         probe.count("trades.streamed", trades.len() as u64);
-        out(Message::Trades(Arc::new(TradeReport {
+        batch.push(TradeReport {
             param_set: self.param_set,
             strategy: self.kind,
             trades: trades.to_vec(),
             cause: Cause::derived([parent]),
-        })));
+        });
     }
 }
 
@@ -339,13 +339,12 @@ pub struct StreamNode {
     n_stocks: usize,
     limits: RiskLimits,
     needs_confirmation: bool,
-    /// Whether this node forwards health transitions to the gateway.
-    forwards_health: bool,
     planes: Planes,
     /// Per-stock price history on the interval grid (forward-filled).
     history: Vec<Vec<f64>>,
-    /// Symbols currently degraded: pairs touching one sit intervals out.
-    degraded: Vec<bool>,
+    /// Each symbol's health as of the open interval: pairs touching a
+    /// degraded one sit intervals out.
+    status: Vec<HealthStatus>,
     /// The newest interval priced: where a flatten or the end-of-day
     /// close books its exits (an open pair ran at every priced interval,
     /// so its prices are the ones it last saw).
@@ -354,12 +353,10 @@ pub struct StreamNode {
     open: Option<usize>,
     /// Orders of the open batch that passed the checks, every spec's.
     orders: Vec<OrderRequest>,
-    /// Provenance: the open interval's snapshot (its bar set until the
-    /// snapshot arrives, or if none does).
+    /// Trades of the open batch, every spec's.
+    reports: Vec<TradeReport>,
+    /// Provenance: the step that opened the open interval.
     began_by: EventId,
-    /// Health transitions that flattened into the open batch (its causes
-    /// beside the snapshot).
-    causes: Vec<EventId>,
     /// Attached specs, ascending by parameter set.
     specs: Vec<Spec>,
     /// Messages neither consumed nor forwarded.
@@ -405,15 +402,14 @@ impl StreamNode {
             n_stocks: n,
             limits: cfg.limits,
             needs_confirmation: cfg.needs_confirmation,
-            forwards_health: false,
             planes: Planes::new(n, specs.iter().map(|s| s.needs)),
             history: vec![Vec::new(); n],
-            degraded: vec![false; n],
+            status: vec![HealthStatus::Healthy; n],
             priced: None,
             open: None,
             orders: Vec::new(),
+            reports: Vec::new(),
             began_by: EventId::NONE,
-            causes: Vec::new(),
             specs,
             dropped: 0,
             name: Self::node_name(ctype, corr_window),
@@ -426,23 +422,6 @@ impl StreamNode {
     /// per stream and stable across reconfigurations.
     pub fn node_name(ctype: CorrType, corr_window: usize) -> String {
         format!("strategy-host({ctype}, M={corr_window})")
-    }
-
-    /// Start with `degraded` symbols degraded (a list shorter than the
-    /// universe leaves the rest healthy): a node new to a graph cut from
-    /// a running one holds what every node surviving the cut holds.
-    pub fn degraded_at_start(mut self, degraded: &[bool]) -> Self {
-        for (own, &now) in self.degraded.iter_mut().zip(degraded) {
-            *own = now;
-        }
-        self
-    }
-
-    /// Make this the graph's one node that forwards each health
-    /// transition toward the sink.
-    pub fn forwarding_health(mut self) -> Self {
-        self.forwards_health = true;
-        self
     }
 
     fn price_at(hist: &[f64], at: usize) -> f64 {
@@ -469,8 +448,20 @@ impl StreamNode {
         }
     }
 
-    /// The open batch is final: it leaves, empty or not.
-    fn flush(&mut self, out: &mut Emit<'_>) {
+    /// Symbols degraded as of the open interval.
+    fn degraded(&self) -> Vec<bool> {
+        self.status.iter().map(HealthStatus::is_degraded).collect()
+    }
+
+    /// The open batch is final: it leaves, empty or not, with `health`.
+    /// `flattened_by` names the step whose health change flattened into
+    /// it.
+    fn flush(
+        &mut self,
+        flattened_by: Option<EventId>,
+        health: Vec<HealthEvent>,
+        out: &mut Emit<'_>,
+    ) {
         let Some(interval) = self.open else {
             return;
         };
@@ -482,15 +473,10 @@ impl StreamNode {
             interval,
             stream: self.stream,
             orders,
-            cause: Cause::derived(std::iter::once(self.began_by).chain(self.causes.drain(..))),
+            reports: std::mem::take(&mut self.reports),
+            health,
+            cause: Cause::derived(std::iter::once(self.began_by).chain(flattened_by)),
         })));
-    }
-
-    /// The open interval's provenance is the event `id`, when it has one.
-    fn began_by(&mut self, id: EventId) {
-        if id.is_set() {
-            self.began_by = id;
-        }
     }
 
     fn count_verdicts(probe: &Probe, stats: RiskStats) {
@@ -516,10 +502,10 @@ impl StreamNode {
         }
         // Pairs touching a degraded symbol sit the interval out.
         let mut sat_out: Vec<u32> = Vec::new();
-        if self.degraded.contains(&true) {
+        if self.status.iter().any(HealthStatus::is_degraded) {
             for i in 1..n {
                 for j in 0..i {
-                    if self.degraded[i] || self.degraded[j] {
+                    if self.status[i].is_degraded() || self.status[j].is_degraded() {
                         sat_out.push(SymMatrix::pair_rank(i, j) as u32);
                     }
                 }
@@ -532,16 +518,17 @@ impl StreamNode {
         (prices, corr, series)
     }
 
-    /// Interval `snap.interval`'s snapshot: advance the planes, then step
-    /// every spec through the interval — the orders that pass join the
-    /// open batch, the closed trades are reported.
-    fn process_corr(&mut self, snap: &CorrSnapshot, out: &mut Emit<'_>) {
+    /// Interval `snap.interval`'s snapshot, carried by step `parent`:
+    /// advance the planes, then step every spec through the interval —
+    /// the orders that pass and the trades that close join the open
+    /// batch.
+    fn process_corr(&mut self, snap: &CorrSnapshot, parent: EventId) {
         if snap.matrix.n() != self.n_stocks {
             self.dropped += 1;
             return;
         }
         let s = snap.interval;
-        self.began_by(snap.cause.id);
+        let degraded = self.degraded();
         let clock = self.timed.then(Instant::now);
         let (prices, corr, series) = self.advance(snap);
         let clock = clock.map(|start| {
@@ -558,11 +545,11 @@ impl StreamNode {
             prices: &prices,
             corr: &corr,
             series: &series,
-            degraded: &self.degraded,
+            degraded: &degraded,
         };
         let mut desk = Desk {
             limits: self.limits,
-            degraded: &self.degraded,
+            degraded: &degraded,
             needs_confirmation: self.needs_confirmation,
             stats: RiskStats::default(),
             batch: &mut self.orders,
@@ -586,7 +573,7 @@ impl StreamNode {
             for trade in &closed {
                 spec.close(&mut desk, trade, &prices);
             }
-            spec.report(&closed, snap.cause.id, &self.probe, out);
+            spec.report(&closed, parent, &self.probe, &mut self.reports);
         }
         Self::count_verdicts(&self.probe, desk.stats);
         self.priced = Some(s);
@@ -597,21 +584,17 @@ impl StreamNode {
 
     /// Close every spec's open position on each of `pairs` at the newest
     /// priced interval: the closing legs are judged and join the open
-    /// batch, the trades are reported. Returns how many closed.
-    fn close_each(
-        &mut self,
-        pairs: &[(usize, usize)],
-        reason: ExitReason,
-        parent: EventId,
-        out: &mut Emit<'_>,
-    ) -> u64 {
+    /// batch with the trades, reported as caused by `parent`. Returns how
+    /// many closed.
+    fn close_each(&mut self, pairs: &[(usize, usize)], reason: ExitReason, parent: EventId) -> u64 {
         let Some(s) = self.priced else {
             return 0; // nothing can be open before the first priced interval
         };
         let prices = self.prices_at(s);
+        let degraded = self.degraded();
         let mut desk = Desk {
             limits: self.limits,
-            degraded: &self.degraded,
+            degraded: &degraded,
             needs_confirmation: self.needs_confirmation,
             stats: RiskStats::default(),
             batch: &mut self.orders,
@@ -624,37 +607,46 @@ impl StreamNode {
             for trade in &closed {
                 spec.close(&mut desk, trade, &prices);
             }
-            spec.report(&closed, parent, &self.probe, out);
+            spec.report(&closed, parent, &self.probe, &mut self.reports);
             total += closed.len() as u64;
         }
         Self::count_verdicts(&self.probe, desk.stats);
-        if total > 0 && reason == ExitReason::Degraded && parent.is_set() {
-            self.causes.push(parent);
-        }
         total
     }
 
-    /// Apply, and forward if this node forwards, one health transition
-    /// (the engine relays one effective at `t + 1` after `t`'s snapshot).
-    fn apply_health(&mut self, h: Arc<HealthEvent>, out: &mut Emit<'_>) {
-        if h.symbol < self.n_stocks {
-            let now = h.is_degraded();
-            if now && !self.degraded[h.symbol] {
-                // Flatten every open position touching the symbol. The
-                // legs book at the last interval priced, so they are
-                // judged while the symbol is still healthy there.
-                let touching: Vec<(usize, usize)> = (0..self.n_stocks)
-                    .filter(|&other| other != h.symbol)
-                    .map(|other| (h.symbol.max(other), h.symbol.min(other)))
-                    .collect();
-                let closed = self.close_each(&touching, ExitReason::Degraded, h.cause.id, out);
-                self.probe.count("positions.flattened", closed);
+    /// Step `t + 1` arrived: compare its bar set's health with the
+    /// status held as of `t`, one symbol at a time in index order. A
+    /// symbol newly degraded flattens every open position touching it;
+    /// the legs book at the last interval priced, so they are judged
+    /// while the symbol is still healthy there. Then `t`'s batch leaves,
+    /// with the transitions if this is stream 0's node.
+    fn next_interval(&mut self, step: &CorrStep, out: &mut Emit<'_>) {
+        let (bars, carrier) = (&step.bars, step.cause.id);
+        let (mut health, mut flattened) = (Vec::new(), false);
+        for (symbol, &now) in bars.status.iter().enumerate().take(self.n_stocks) {
+            if now == self.status[symbol] {
+                continue;
             }
-            self.degraded[h.symbol] = now;
+            if now.is_degraded() && !self.status[symbol].is_degraded() {
+                let touching: Vec<(usize, usize)> = (0..self.n_stocks)
+                    .filter(|&other| other != symbol)
+                    .map(|other| (symbol.max(other), symbol.min(other)))
+                    .collect();
+                let closed = self.close_each(&touching, ExitReason::Degraded, carrier);
+                self.probe.count("positions.flattened", closed);
+                flattened |= closed > 0;
+            }
+            self.status[symbol] = now;
+            if self.stream == 0 {
+                health.push(HealthEvent {
+                    interval: bars.interval,
+                    symbol,
+                    status: now,
+                    cause: Cause::derived([carrier]),
+                });
+            }
         }
-        if self.forwards_health {
-            out(Message::Health(h));
-        }
+        self.flush(flattened.then_some(carrier), health, out);
     }
 
     /// The planes of a saved state, carried over onto this node's.
@@ -716,20 +708,25 @@ impl Component for StreamNode {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        match msg {
-            Message::Bars(bars) => {
-                // Interval `t` begins: `t - 1`'s batch leaves.
-                self.flush(out);
-                self.open = Some(bars.interval);
-                self.began_by(bars.cause.id);
-                self.record_bars(bars.interval, &bars.closes);
+        let Message::Step(step) = msg else {
+            self.dropped += 1;
+            return;
+        };
+        let (bars, id) = (&step.bars, step.cause.id);
+        if self.open.is_some() {
+            self.next_interval(&step, out);
+        } else {
+            // The node's first bar set: its health is the node's own.
+            for (own, &now) in self.status.iter_mut().zip(&bars.status) {
+                *own = now;
             }
-            // A robust plane publishes both its measures on one edge;
-            // the other lane's snapshots are not this stream's input.
-            Message::Corr(snap) if snap.stream != self.stream => {}
-            Message::Corr(snap) => self.process_corr(&snap, out),
-            Message::Health(h) => self.apply_health(h, out),
-            _ => self.dropped += 1,
+        }
+        self.open = Some(bars.interval);
+        self.began_by = id;
+        self.record_bars(bars.interval, &bars.closes);
+        // A robust plane's step also holds its other lane's snapshot.
+        if let Some(snap) = step.snapshots.iter().find(|s| s.stream == self.stream) {
+            self.process_corr(snap, id);
         }
     }
 
@@ -737,30 +734,32 @@ impl Component for StreamNode {
         // Whatever is still open closes at the last prices seen.
         let n_pairs = self.n_stocks * (self.n_stocks - 1) / 2;
         let every: Vec<(usize, usize)> = (0..n_pairs).map(SymMatrix::pair_from_rank).collect();
-        let closed = self.close_each(&every, ExitReason::EndOfDay, self.began_by, out);
+        let closed = self.close_each(&every, ExitReason::EndOfDay, self.began_by);
         self.probe.count("positions.eod_closed", closed);
-        self.flush(out);
+        self.flush(None, Vec::new(), out);
     }
 
     component_state! {
         node {
             planes => (Planes::save, StreamNode::decode_planes),
             history,
-            degraded,
+            status,
             priced,
             open,
             orders,
+            reports,
             began_by as EventIdWire,
-            causes as Vec<EventIdWire>,
             specs => (StreamNode::encode_specs, StreamNode::decode_specs),
             dropped,
         }
         check {
-            if degraded.len() != node.n_stocks || history.len() != node.n_stocks {
+            if status.len() != node.n_stocks || history.len() != node.n_stocks {
                 return Err(WireError::Invalid("universe size mismatch"));
             }
-            // A detached spec's open orders leave with it.
-            orders.retain(|o| node.specs.iter().any(|s| s.param_set == o.param_set));
+            // A detached spec's open orders and reports leave with it.
+            let hosted = |k: usize| node.specs.iter().any(|s| s.param_set == k);
+            orders.retain(|o| hosted(o.param_set));
+            reports.retain(|r| hosted(r.param_set));
         }
     }
 
@@ -778,7 +777,7 @@ impl Component for StreamNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{BarSet, DegradeReason, HealthStatus};
+    use crate::messages::{BarSet, DegradeReason};
     use crate::pipeline::collect_sweep_output;
     use pairtrade_core::{KalmanParams, OverlayParams, StrategyParams};
 
@@ -829,15 +828,39 @@ mod tests {
         hosting(&sweep(n_stocks, vec![StrategySpec::Paper(params())]))
     }
 
-    fn bars(interval: usize, closes: Vec<f64>) -> Message {
+    /// Stream 0's step of `interval`: a bar set with the symbols of
+    /// `degraded` degraded, and the stream's snapshot if one is given.
+    fn step_of(
+        interval: usize,
+        closes: Vec<f64>,
+        snap: Option<CorrSnapshot>,
+        degraded: &[usize],
+    ) -> Message {
         let n = closes.len();
-        Message::Bars(Arc::new(BarSet {
+        let status = (0..n)
+            .map(|s| match degraded.contains(&s) {
+                true => HealthStatus::Degraded(DegradeReason::Outage),
+                false => HealthStatus::Healthy,
+            })
+            .collect();
+        let bars = Arc::new(BarSet {
             interval,
             closes,
             ticks: vec![1; n],
             returns: Vec::new(),
+            status,
+            cause: Cause::none(),
+        });
+        Message::Step(Arc::new(CorrStep {
+            bars,
+            snapshots: snap.into_iter().map(Arc::new).collect(),
             cause: Cause::none(),
         }))
+    }
+
+    /// A step with no snapshot (the stream's window is not yet full).
+    fn bars(interval: usize, closes: Vec<f64>) -> Message {
+        step_of(interval, closes, None, &[])
     }
 
     fn snapshot(stream: usize, interval: usize, n: usize, rho: f64) -> CorrSnapshot {
@@ -855,25 +878,10 @@ mod tests {
         }
     }
 
-    fn corr_n(interval: usize, n: usize, rho: f64) -> Message {
-        Message::Corr(Arc::new(snapshot(0, interval, n, rho)))
-    }
-
-    fn corr(interval: usize, rho: f64) -> Message {
-        corr_n(interval, 2, rho)
-    }
-
-    fn health(interval: usize, symbol: usize, degraded: bool) -> Message {
-        Message::Health(Arc::new(HealthEvent {
-            interval,
-            symbol,
-            status: if degraded {
-                HealthStatus::Degraded(DegradeReason::Outage)
-            } else {
-                HealthStatus::Healthy
-            },
-            cause: Cause::none(),
-        }))
+    /// A healthy step whose snapshot puts every pair at `rho`.
+    fn step(interval: usize, closes: Vec<f64>, rho: f64) -> Message {
+        let snap = snapshot(0, interval, closes.len(), rho);
+        step_of(interval, closes, Some(snap), &[])
     }
 
     /// Pair `(i, j)`'s input, as a spec with `needs` reads it off `series`.
@@ -883,27 +891,23 @@ mod tests {
         series.input(series.slots(needs), (i, j), rank, bare)
     }
 
-    /// Record `bars` and advance the planes by `snap`, as an interval does,
-    /// without stepping any rule; the interval's series.
+    /// Take the step `bars_msg` and advance the planes by `snap`, as an
+    /// interval does, without stepping any rule; the interval's series.
     fn priced(node: &mut StreamNode, bars_msg: Message, snap: CorrSnapshot) -> Series {
         node.on_message(bars_msg, &mut |_| {});
         node.advance(&snap).2
     }
 
-    /// What a node emitted, as its consumers see it.
+    /// What a node emitted, as its consumers see it: batches alone.
     #[derive(Default)]
     struct Seen {
         batches: Vec<Arc<OrderBatch>>,
-        reports: Vec<Arc<TradeReport>>,
-        health: usize,
     }
 
     impl Seen {
         fn take(&mut self, m: Message) {
             match m {
                 Message::Orders(b) => self.batches.push(b),
-                Message::Trades(t) => self.reports.push(t),
-                Message::Health(_) => self.health += 1,
                 other => panic!("unexpected {}", other.kind()),
             }
         }
@@ -912,8 +916,26 @@ mod tests {
             self.batches.iter().flat_map(|b| &b.orders).collect()
         }
 
+        fn reports(&self) -> Vec<&TradeReport> {
+            self.batches.iter().flat_map(|b| &b.reports).collect()
+        }
+
         fn trades(&self) -> Vec<Trade> {
-            self.reports.iter().flat_map(|r| r.trades.clone()).collect()
+            self.reports()
+                .iter()
+                .flat_map(|r| r.trades.clone())
+                .collect()
+        }
+
+        /// `(batch interval, transition interval, symbol, status)`.
+        fn health(&self) -> Vec<(usize, usize, usize, HealthStatus)> {
+            (self.batches.iter())
+                .flat_map(|b| {
+                    b.health
+                        .iter()
+                        .map(|h| (b.interval, h.interval, h.symbol, h.status))
+                })
+                .collect()
         }
     }
 
@@ -928,14 +950,10 @@ mod tests {
     fn open_a_position(node: &mut StreamNode, seen: &mut Seen) -> usize {
         let start = params().first_active_interval();
         for s in 0..=start {
-            feed(node, seen, vec![bars(s, vec![30.0, 130.0]), corr(s, 0.8)]);
+            feed(node, seen, vec![step(s, vec![30.0, 130.0], 0.8)]);
         }
         // Stock 1 (price 130) over-performs; corr drops 5%.
-        feed(
-            node,
-            seen,
-            vec![bars(start + 1, vec![29.5, 131.0]), corr(start + 1, 0.76)],
-        );
+        feed(node, seen, vec![step(start + 1, vec![29.5, 131.0], 0.76)]);
         start + 1
     }
 
@@ -959,13 +977,12 @@ mod tests {
         assert_eq!((range.low, range.high, range.len), (97.0, 100.0, 2));
     }
 
-    /// Each bar set begins an interval, whether or not a snapshot follows
-    /// it: the stream sends one batch per bar set, tagged with its id, and
-    /// a batch's parent is its interval's snapshot, or its bar set where
-    /// none came. The other lane of a robust plane is not this stream's
-    /// input.
+    /// Each step begins an interval, whether or not it carries the
+    /// stream's snapshot: the stream sends one batch per step, tagged with
+    /// its id, and a batch's parent is the step of its interval. The
+    /// other lane of a robust plane is not this stream's input.
     #[test]
-    fn every_bar_set_begins_an_interval_and_its_snapshot_names_it() {
+    fn every_step_begins_an_interval_and_names_its_batch() {
         let cfg = sweep(2, vec![windows(2, 2), windows(3, 2)]);
         let mut n = StreamNode::new(&cfg, (CorrType::Pearson, 4), 5, &[0, 1]);
         let mut seen = Seen::default();
@@ -974,14 +991,20 @@ mod tests {
             msg.cause_mut().unwrap().id = id(seq);
             msg
         };
-        for s in 0..3 {
-            let bar = stamped(bars(s, vec![30.0, 130.0]), s as u64);
-            feed(&mut n, &mut seen, vec![bar]);
+        for s in 0..4 {
+            let mut msg = bars(s, vec![30.0, 130.0]);
+            if s == 2 {
+                // The other lane's snapshot has the wrong universe: were
+                // it read, the node would count it dropped.
+                let snaps = vec![snapshot(4, 2, 3, -0.3), snapshot(5, 2, 2, 0.8)];
+                let Message::Step(step) = &mut msg else {
+                    unreachable!()
+                };
+                Arc::make_mut(step).snapshots = snaps.into_iter().map(Arc::new).collect();
+            }
+            feed(&mut n, &mut seen, vec![stamped(msg, s as u64)]);
         }
-        let other_lane = Message::Corr(Arc::new(snapshot(4, 2, 2, -0.3)));
-        let own = Message::Corr(Arc::new(snapshot(5, 2, 2, 0.8)));
-        feed(&mut n, &mut seen, vec![other_lane, stamped(own, 10)]);
-        feed(&mut n, &mut seen, vec![bars(3, vec![30.0, 130.0])]);
+        assert_eq!(n.priced, Some(2), "its own lane's snapshot priced 2");
         // Intervals 0, 1 and 2 have left, one batch each; 3 is open.
         let left: Vec<(usize, usize)> = (seen.batches.iter())
             .map(|b| (b.interval, b.stream))
@@ -990,47 +1013,47 @@ mod tests {
         let parents: Vec<&[EventId]> = (seen.batches.iter())
             .map(|b| b.cause.parents.as_slice())
             .collect();
-        assert_eq!(parents, [[id(0)], [id(1)], [id(10)]]);
-        assert!(seen.orders().is_empty() && seen.reports.is_empty());
+        assert_eq!(parents, [[id(0)], [id(1)], [id(2)]]);
+        assert!(seen.orders().is_empty() && seen.reports().is_empty());
         assert_eq!(n.messages_dropped(), 0);
         n.on_end(&mut |m| seen.take(m));
         assert_eq!(seen.batches.len(), 4, "the open interval leaves at the end");
     }
 
-    /// The engine relays a transition effective at `t + 1` after `t`'s
-    /// snapshot, so the node applies it on arrival: interval `t` runs
-    /// every pair, `t + 1` sits the symbol's pairs out. Only the
-    /// forwarding node passes the transition on, once, and nothing is
-    /// held for the end of the day.
+    /// A bar set's health applies to its own interval: interval 2, whose
+    /// bar set carries symbol 2 degraded, sits the symbol's pairs out.
+    /// Only stream 0's node puts the transitions in its batches, each in
+    /// the batch of the interval before, and a node takes its first bar
+    /// set's health as its own, with no transition.
     #[test]
-    fn health_is_applied_on_arrival_and_sits_pairs_out() {
+    fn health_rides_the_bar_set_and_sits_pairs_out() {
         let spec = windows(2, 2);
         let needs = spec.needs();
         let cfg = sweep(3, vec![spec]);
-        for forwarding in [false, true] {
-            let mut n = hosting(&cfg);
-            if forwarding {
-                n = n.forwarding_health();
-            }
+        let step = |s: usize, dark: &[usize]| step_of(s, vec![10.0, 20.0, 30.0], None, dark);
+        let dark = HealthStatus::Degraded(DegradeReason::Outage);
+        for stream in [1, 0] {
+            let mut n = StreamNode::new(&cfg, (CorrType::Pearson, 0), stream, &[0]);
             let mut seen = Seen::default();
-            let closes = || vec![10.0, 20.0, 30.0];
-            priced(&mut n, bars(0, closes()), snapshot(0, 0, 3, 0.5));
-            let before = priced(&mut n, bars(1, closes()), snapshot(0, 1, 3, 0.5));
-            assert_eq!(input(&before, needs, (2, 0)).avg_corr, 0.5);
-            // Symbol 2 degrades effective at interval 2.
-            feed(&mut n, &mut seen, vec![health(2, 2, true)]);
-            let after = priced(&mut n, bars(2, closes()), snapshot(0, 2, 3, 0.5));
+            let mut series = Vec::new();
+            for (s, degraded) in [(0, &[][..]), (1, &[]), (2, &[2]), (3, &[])] {
+                feed(&mut n, &mut seen, vec![step(s, degraded)]);
+                series.push(n.advance(&snapshot(0, s, 3, 0.5)).2);
+            }
+            assert_eq!(input(&series[1], needs, (2, 0)).avg_corr, 0.5);
             // Pairs (2,0) and (2,1) — ranks 1 and 2 — sit out; (1,0) runs.
-            assert_eq!(input(&after, needs, (1, 0)).avg_corr, 0.5);
-            assert!(input(&after, needs, (2, 0)).avg_corr.is_nan());
-            assert!(input(&after, needs, (2, 1)).avg_corr.is_nan());
-            // A transition no snapshot follows is applied all the same.
-            feed(&mut n, &mut seen, vec![health(9, 2, false)]);
-            assert_eq!(n.degraded, [false; 3]);
-            assert_eq!(seen.health, if forwarding { 2 } else { 0 });
-            n.on_end(&mut |m| seen.take(m));
-            assert!(seen.orders().is_empty() && seen.reports.is_empty());
-            assert_eq!(n.messages_dropped(), 0);
+            assert_eq!(input(&series[2], needs, (1, 0)).avg_corr, 0.5);
+            assert!(input(&series[2], needs, (2, 0)).avg_corr.is_nan());
+            assert!(input(&series[2], needs, (2, 1)).avg_corr.is_nan());
+            assert!(n.degraded().iter().all(|&d| !d));
+            let want = [(1, 2, 2, dark), (2, 3, 2, HealthStatus::Healthy)];
+            assert_eq!(seen.health(), if stream == 0 { &want[..] } else { &[] });
+
+            let mut late = StreamNode::new(&cfg, (CorrType::Pearson, 0), stream, &[0]);
+            let mut seen = Seen::default();
+            feed(&mut late, &mut seen, vec![step(5, &[2]), step(6, &[2])]);
+            assert_eq!(late.degraded(), [false, false, true]);
+            assert!(seen.health().is_empty());
         }
     }
 
@@ -1110,7 +1133,7 @@ mod tests {
         assert_eq!(orders[2].price, 29.5, "exit legs carry the exit prices");
         assert_eq!(orders[3].price, 131.0);
         let trades = seen.trades();
-        assert_eq!(seen.reports.len(), 1, "only the end-of-day closes");
+        assert_eq!(seen.reports().len(), 1, "only the end-of-day closes");
         assert_eq!(trades.len(), 1);
         assert_eq!(trades[0].reason, ExitReason::EndOfDay);
     }
@@ -1122,22 +1145,22 @@ mod tests {
         let entry = open_a_position(&mut node, &mut seen);
         assert_eq!(node.orders.len(), 2, "position opened");
 
-        // Symbol 1 degrades effective at `entry + 1`. The engine relays
-        // the transition after `entry`'s snapshot, so it applies at once:
-        // the flatten books at `entry`, the last prices seen, so its legs
-        // join that interval's still-open batch and its trade is reported.
-        feed(&mut node, &mut seen, vec![health(entry + 1, 1, true)]);
-        assert_eq!(node.orders.len(), 4, "entry + closing legs");
-        assert_eq!(seen.reports.len(), 1, "the flatten is reported at once");
-
-        // A fresh divergence at the effective interval: no new entry may
-        // open, and the flattened interval's batch leaves.
-        let next = vec![bars(entry + 1, vec![29.0, 132.0]), corr(entry + 1, 0.70)];
-        feed(&mut node, &mut seen, next);
+        // Symbol 1 degrades effective at `entry + 1`, with a fresh
+        // divergence there. The flatten books at `entry`, the last prices
+        // seen, so its legs and its trade join that interval's batch,
+        // which leaves at once; no new entry may open.
+        let snap = snapshot(0, entry + 1, 2, 0.70);
+        let next = step_of(entry + 1, vec![29.0, 132.0], Some(snap), &[1]);
+        feed(&mut node, &mut seen, vec![next]);
         let flattened = seen.batches.last().unwrap();
         assert_eq!(flattened.interval, entry);
         assert_eq!(flattened.orders.len(), 4, "entry + closing legs");
         assert_eq!(flattened.orders[2].price, 29.5, "at the last prices seen");
+        assert_eq!(
+            flattened.reports.len(),
+            1,
+            "the flatten is reported with it"
+        );
         assert!(node.orders.is_empty(), "no re-entry");
 
         node.on_end(&mut |m| seen.take(m));
@@ -1146,7 +1169,7 @@ mod tests {
         assert_eq!(trades[0].reason, ExitReason::Degraded);
         assert_eq!(trades[0].exit_interval, entry);
         assert_eq!(seen.orders().len(), 4, "EOD emits no extra legs: flat");
-        assert_eq!(seen.reports.len(), 1, "and no empty report");
+        assert_eq!(seen.reports().len(), 1, "and no empty report");
     }
 
     /// A book-full refusal the rule still holds is flattened when a
@@ -1158,10 +1181,11 @@ mod tests {
     fn a_flatten_is_judged_as_of_the_interval_it_books_at() {
         let mut cfg = sweep(2, vec![StrategySpec::Paper(params())]);
         cfg.limits.max_open_pairs = 0;
+        let dark = |entry: usize| step_of(entry + 1, vec![29.5, 131.0], None, &[1]);
         let mut node = hosting(&cfg);
         let mut seen = Seen::default();
         let entry = open_a_position(&mut node, &mut seen);
-        feed(&mut node, &mut seen, vec![health(entry + 1, 1, true)]);
+        feed(&mut node, &mut seen, vec![dark(entry)]);
         node.on_end(&mut |m| seen.take(m));
         assert_eq!(seen.trades()[0].reason, ExitReason::Degraded);
         assert!(seen.orders().is_empty(), "no leg reached the gateway");
@@ -1171,7 +1195,7 @@ mod tests {
         let mut node = hosting(&cfg);
         node.attach_telemetry(tel.probe("stream", telemetry::trace::TrackId::node(0)));
         let entry = open_a_position(&mut node, &mut Seen::default());
-        node.on_message(health(entry + 1, 1, true), &mut |_| {});
+        node.on_message(dark(entry), &mut |_| {});
         let m = tel.finish().metrics;
         assert_eq!(m.counter("stream", "orders.rejected_book_full"), 4);
         assert_eq!(m.counter("stream", "orders.rejected_degraded"), 0);
@@ -1270,8 +1294,7 @@ mod tests {
         let run_out = |node: &mut StreamNode| {
             let mut out: Vec<Message> = Vec::new();
             for s in next..next + 4 {
-                node.on_message(bars(s, vec![30.0, 130.0]), &mut |m| out.push(m));
-                node.on_message(corr(s, 0.8), &mut |m| out.push(m));
+                node.on_message(step(s, vec![30.0, 130.0], 0.8), &mut |m| out.push(m));
             }
             node.on_end(&mut |m| out.push(m));
             out
@@ -1283,7 +1306,9 @@ mod tests {
         // are in the state, and leave the twin exactly as the survivor.
         assert_eq!(twin.orders.len(), 2);
         let want = run_out(&mut node);
-        assert!(want.iter().any(|m| matches!(m, Message::Trades(_))));
+        assert!(want
+            .iter()
+            .any(|m| matches!(m, Message::Orders(b) if !b.reports.is_empty())));
         assert_eq!(wire::to_bytes(&run_out(&mut twin)), wire::to_bytes(&want));
 
         // A node hosting a second spec keeps the first one's state and
@@ -1311,13 +1336,13 @@ mod tests {
         let mut node = paper_node(3);
         let mut seen = Seen::default();
         for s in 0..300 {
-            let quiet = vec![bars(s, vec![30.0, 60.0, 90.0]), corr_n(s, 3, 0.8)];
+            let quiet = vec![step(s, vec![30.0, 60.0, 90.0], 0.8)];
             feed(&mut node, &mut seen, quiet);
         }
         node.on_end(&mut |m| seen.take(m));
         assert_eq!(seen.batches.len(), 300, "the watermark never stalls");
         assert!(seen.orders().is_empty());
-        assert!(seen.reports.is_empty(), "no trades, no reports");
+        assert!(seen.reports().is_empty(), "no trades, no reports");
     }
 
     #[test]
@@ -1352,14 +1377,10 @@ mod tests {
         } else {
             0.7 - 0.02 * wobble + 0.05 * swing
         };
-        if s == 30 {
-            node.on_message(health(30, 2, true), out);
-        }
-        if s == 40 {
-            node.on_message(health(40, 2, false), out);
-        }
-        node.on_message(bars(s, closes), out);
-        node.on_message(corr_n(s, 3, rho), out);
+        // Symbol 2's feed is degraded from interval 30 to 39.
+        let dark: &[usize] = if (30..40).contains(&s) { &[2] } else { &[] };
+        let snap = snapshot(0, s, 3, rho);
+        node.on_message(step_of(s, closes, Some(snap), dark), out);
     }
 
     /// The specs' own state, beside the open batch.
@@ -1416,12 +1437,14 @@ mod tests {
             for s in 0..60 {
                 eventful_interval(&mut node, s, &mut |m| out.push(m));
                 let held = held(&node);
-                let (mut legs, mut closes) = (node.orders.len(), 0);
+                let trades = |reports: &[TradeReport]| -> usize {
+                    reports.iter().map(|r| r.trades.len()).sum()
+                };
+                let (mut legs, mut closes) = (node.orders.len(), trades(&node.reports));
                 for m in &out {
-                    match m {
-                        Message::Orders(b) => legs += b.orders.len(),
-                        Message::Trades(t) => closes += t.trades.len(),
-                        _ => {}
+                    if let Message::Orders(b) = m {
+                        legs += b.orders.len();
+                        closes += trades(&b.reports);
                     }
                 }
                 // Two legs per open and two per close.
@@ -1455,10 +1478,16 @@ mod tests {
                 "{label}"
             );
 
-            let n_reports = (out.iter())
-                .filter(|m| matches!(m, Message::Trades(_)))
-                .count();
-            let got = collect_sweep_output(1, out).trades_per_param.remove(0);
+            // What the gateway passes the sink: every batch's reports.
+            let reports: Vec<Message> = (out.iter())
+                .flat_map(|m| match m {
+                    Message::Orders(b) => b.reports.clone(),
+                    _ => Vec::new(),
+                })
+                .map(|r| Message::Trades(Arc::new(r)))
+                .collect();
+            let n_reports = reports.len();
+            let got = collect_sweep_output(1, reports).trades_per_param.remove(0);
             let reasons: Vec<ExitReason> = got.iter().map(|t| t.reason).collect();
             assert!(n_reports > 2, "{label}: vacuous, one report: {reasons:?}");
             for must in [ExitReason::Degraded, ExitReason::EndOfDay] {

@@ -47,12 +47,10 @@
 //! fresh lane on the robust plane already running the other measure of
 //! its window, which keeps its own count of returns) starts cold at the
 //! cut and warms up from live data — the same semantics a restarted
-//! exchange feed would have. The one thing a new stream node does not
-//! start without is feed health: the session keeps each symbol's status
-//! from the transitions its cuts drain (one copy of each reaches the
-//! sink, and at a cut every stream node has applied them all), and the
-//! new node is built holding it, so no spec on a new stream opens a pair
-//! on a symbol degraded before the cut.
+//! exchange feed would have. Feed health needs no such care: every bar
+//! set carries each symbol's status, so a new engine masks and a new
+//! stream node sits pairs out from the first bar set it sees, and no spec
+//! on a new stream opens a pair on a symbol degraded before the cut.
 //!
 //! Provenance ids stay collision-free across cuts: an event id packs
 //! `(node index, per-node sequence)`, and on restore each node index
@@ -79,7 +77,10 @@ pub struct LiveEpoch {
     /// The epoch index (0-based count of `feed_epoch` calls).
     pub epoch: u64,
     /// Order-sink messages of the cut other than baskets and trade
-    /// reports — health transitions, as they flow. The cut's baskets and
+    /// reports — health transitions, as they flow (one effective at
+    /// interval `t` leaves the graph with bar set `t`, so one effective
+    /// at the day's last interval leaves only at
+    /// [`LiveSweepSession::finish`]). The cut's baskets and
     /// trade reports are folded into the session's [`LiveOutput`] and
     /// surface whole at [`LiveSweepSession::finish`]. (Delivering them
     /// per cut changes how many frames a served cut pushes through the
@@ -103,7 +104,8 @@ pub struct LiveOutput {
     /// The day's baskets, in interval order: those every cut drained
     /// plus the final flush.
     pub baskets: Vec<Arc<Basket>>,
-    /// Health transitions from the final flush, canonically ordered.
+    /// Health transitions from the final flush (the ones no cut
+    /// drained), canonically ordered.
     pub health_events: Vec<Arc<HealthEvent>>,
     /// Lineage recorded after the last epoch drain.
     pub lineage: Vec<LineageEvent>,
@@ -134,10 +136,6 @@ pub struct LiveSweepSession {
     reconfigs: u64,
     /// Baskets and trade reports drained at the cuts so far.
     day: SinkOutput,
-    /// Each symbol's status as of the last cut, from the health
-    /// transitions the cuts drained: what every stream node holds, so
-    /// what a stream node new to a rebuilt graph starts with.
-    degraded: Vec<bool>,
 }
 
 impl LiveSweepSession {
@@ -150,10 +148,8 @@ impl LiveSweepSession {
             GraphError::Config(telemetry::ConfigError::invalid("sweep config", e.0))
         })?;
         let active: Vec<usize> = (0..cfg.specs.len()).collect();
-        let degraded = vec![false; cfg.n_stocks];
         Ok(LiveSweepSession {
-            session: Self::open_session(&cfg, &active, rt_config, &degraded, None)?,
-            degraded,
+            session: Self::open_session(&cfg, &active, rt_config, None)?,
             cfg,
             active,
             rt_config,
@@ -164,18 +160,15 @@ impl LiveSweepSession {
     }
 
     /// Build a fresh graph over the `active` set, open a session on it,
-    /// and (when reconfiguring) restore `prior` state by name. Its stream
-    /// nodes are built holding `degraded`, so one new to the graph starts
-    /// where the restored ones stand.
+    /// and (when reconfiguring) restore `prior` state by name.
     fn open_session(
         cfg: &SweepConfig,
         active: &[usize],
         rt_config: RuntimeConfig,
-        degraded: &[bool],
         prior: Option<(Vec<String>, SessionCkpt)>,
     ) -> Result<SweepSession, GraphError> {
         let runtime = Runtime::with_config(rt_config);
-        let session = SweepSession::open(runtime, cfg, active, 0, true, degraded)?;
+        let session = SweepSession::open(runtime, cfg, active, 0, true)?;
         if let Some((old_names, ckpt)) = prior {
             let by_name: HashMap<&str, &NodeCkpt> = old_names
                 .iter()
@@ -217,8 +210,7 @@ impl LiveSweepSession {
         let prior = Some((self.session.node_names(), ckpt));
         // Replacing the session shuts the old incarnation's pool down; a
         // refused rebuild leaves it running as it was.
-        self.session =
-            Self::open_session(&self.cfg, &active, self.rt_config, &self.degraded, prior)?;
+        self.session = Self::open_session(&self.cfg, &active, self.rt_config, prior)?;
         self.active = active;
         self.reconfigs += 1;
         Ok(())
@@ -282,12 +274,6 @@ impl LiveSweepSession {
         for msg in cut.messages {
             match msg {
                 Message::Basket(_) | Message::Trades(_) => self.day.fold(msg),
-                Message::Health(h) => {
-                    if let Some(status) = self.degraded.get_mut(h.symbol) {
-                        *status = h.is_degraded();
-                    }
-                    messages.push(Message::Health(h));
-                }
                 other => messages.push(other),
             }
         }
@@ -420,8 +406,7 @@ mod tests {
             assert_eq!(statics.node_stats[0].messages_out, quotes.len() as u64);
 
             let drive = |epoch_quotes: usize, restore_after: Option<usize>| {
-                let open =
-                    || SweepSession::open(runtime(), &cfg, &[0, 1], day.day, false, &[]).unwrap();
+                let open = || SweepSession::open(runtime(), &cfg, &[0, 1], day.day, false).unwrap();
                 let mut session = open();
                 let mut got = SinkOutput::default();
                 for (epoch, chunk) in quotes.chunks(epoch_quotes).enumerate() {
@@ -684,11 +669,14 @@ mod tests {
 
     /// A spec on a stream new to the graph attaches while a symbol is
     /// quarantined: its feed still moves, but half its quotes are garbage.
-    /// The stream node the spec gets is new too, yet it must hold the
-    /// symbol degraded, as every surviving node does: no order of the
-    /// newcomer may touch the symbol until it recovers. The newcomer does
-    /// trade the symbol once it is back, so an unseen degradation would
-    /// show.
+    /// The engine and the stream node the spec gets are new too, yet they
+    /// must hold the symbol degraded, as every surviving node does: every
+    /// snapshot of the new stream masks the symbol's row while it is
+    /// degraded, and no order of the newcomer may touch the symbol until
+    /// it recovers. The newcomer does trade the symbol once it is back, so
+    /// an unseen degradation would show. The attach falls mid-quarantine,
+    /// and again on the interval the quarantine takes effect, whose bar
+    /// set is the first the new nodes see.
     #[test]
     fn a_stream_attached_during_a_degradation_starts_with_the_symbol_degraded() {
         use crate::components::HealthPolicy;
@@ -712,56 +700,93 @@ mod tests {
             ..Default::default()
         };
         let (quotes, _) = taq::apply_stream_faults(day.quotes(), &plan);
-        let cut = quotes.partition_point(|q| q.ts.seconds() < 5_000);
         let newcomer = StrategyParams {
             ctype: CorrType::Quadrant,
             ..p1
         };
-        // The symbol's status transitions, before the attach and after.
-        let run = |workers: usize| {
+        // The symbol's status transitions and the new stream's snapshots.
+        let run = |workers: usize, cut: usize| {
             let mut live = LiveSweepSession::new(cfg.clone(), rt(workers)).unwrap();
-            let mut health = [Vec::new(), Vec::new()];
-            let mut keep = |after: bool, cut: LiveEpoch| {
+            let (mut health, mut snapshots) = (Vec::new(), Vec::new());
+            let mut keep = |new_stream: Option<usize>, cut: LiveEpoch| {
                 for m in cut.messages {
                     match m {
-                        Message::Health(h) if h.symbol == dark => {
-                            health[usize::from(after)].push(h)
-                        }
+                        Message::Health(h) if h.symbol == dark => health.push(h),
                         _ => {}
                     }
                 }
+                let fresh = cut.snapshots.into_iter();
+                snapshots.extend(fresh.filter(|s| Some(s.stream) == new_stream));
             };
-            keep(false, live.feed_epoch(&quotes[..cut]));
+            keep(None, live.feed_epoch(&quotes[..cut]));
             let k = live.attach(StrategySpec::Paper(newcomer)).unwrap();
+            let new_stream = live
+                .stream_keys()
+                .iter()
+                .position(|&key| key == (newcomer.ctype, newcomer.corr_window));
             for chunk in quotes[cut..].chunks(quotes.len().div_ceil(6)) {
-                keep(true, live.feed_epoch(chunk));
+                keep(new_stream, live.feed_epoch(chunk));
             }
-            (k, live.finish(), health)
+            let out = live.finish();
+            health.extend(
+                out.health_events
+                    .iter()
+                    .filter(|h| h.symbol == dark)
+                    .cloned(),
+            );
+            (k, out, health, snapshots)
         };
-        let (k, out, [before, after]) = run(1);
-        let at_cut = before.last().expect("vacuous: the symbol never degraded");
-        assert!(
-            at_cut.is_degraded(),
-            "vacuous: the symbol is healthy at the cut"
-        );
-        let recovered = (after.iter())
-            .find(|h| !h.is_degraded())
-            .expect("vacuous: the symbol never recovered")
+        let mid_quarantine = quotes.partition_point(|q| q.ts.seconds() < 5_000);
+        let (_, _, health, _) = run(1, mid_quarantine);
+        let degraded_from = (health.iter())
+            .find(|h| h.status.is_degraded())
+            .expect("vacuous: the symbol never degraded")
             .interval;
-        let touching: Vec<usize> = (out.baskets.iter())
-            .flat_map(|b| &b.orders)
-            .filter(|o| o.param_set == k && o.stock == dark)
-            .map(|o| o.interval)
-            .collect();
-        assert!(
-            !touching.is_empty(),
-            "vacuous: the newcomer never traded it"
-        );
-        assert!(
-            touching.iter().all(|&s| s >= recovered),
-            "the newcomer traded the degraded symbol at {touching:?}, before {recovered}"
-        );
-        assert_eq!(run(2).1.baskets, out.baskets, "workers=2");
+        let on_the_transition = quotes.partition_point(|q| q.ts.interval(30) <= degraded_from);
+        for cut in [mid_quarantine, on_the_transition] {
+            let (k, out, health, snapshots) = run(1, cut);
+            let cut_at = quotes[cut].ts.interval(30);
+            // The symbol's status as of interval `t`.
+            let degraded_at = |t: usize| {
+                (health.iter())
+                    .rfind(|h| h.interval <= t)
+                    .is_some_and(|h| h.status.is_degraded())
+            };
+            assert!(
+                degraded_at(cut_at),
+                "vacuous: the symbol is healthy at the cut"
+            );
+            let recovered = (health.iter())
+                .find(|h| h.interval > cut_at && !h.status.is_degraded())
+                .expect("vacuous: the symbol never recovered")
+                .interval;
+            let masked: Vec<_> = (snapshots.iter())
+                .filter(|snap| degraded_at(snap.interval))
+                .collect();
+            assert!(!masked.is_empty(), "vacuous: no snapshot while degraded");
+            for snap in masked {
+                let row = (0..n).filter(|&j| j != dark);
+                assert!(
+                    row.map(|j| snap.matrix.get(dark, j)).all(|c| c == 0.0),
+                    "the new stream's snapshot at {} left the symbol's row unmasked",
+                    snap.interval
+                );
+            }
+            let touching: Vec<usize> = (out.baskets.iter())
+                .flat_map(|b| &b.orders)
+                .filter(|o| o.param_set == k && o.stock == dark)
+                .map(|o| o.interval)
+                .collect();
+            assert!(
+                !touching.is_empty(),
+                "vacuous: the newcomer never traded it"
+            );
+            assert!(
+                touching.iter().all(|&s| s >= recovered),
+                "the newcomer traded the degraded symbol at {touching:?}, before {recovered}"
+            );
+            assert_eq!(run(2, cut).1.baskets, out.baskets, "workers=2");
+        }
     }
 
     #[test]

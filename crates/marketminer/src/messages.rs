@@ -5,6 +5,8 @@
 //! zero-copy discipline an MPI implementation would apply with shared
 //! windows on-node. Payloads another crate already defines ride inside
 //! them: a trade report carries the strategy layer's own [`Trade`]s.
+//! Every edge from the bar accumulator to the gateway carries one message
+//! per bar set: a [`BarSet`], a [`CorrStep`] or an [`OrderBatch`].
 
 use std::sync::Arc;
 
@@ -28,6 +30,9 @@ pub struct BarSet {
     /// (`interval - 1 → interval`; 0.0 where either close is missing or
     /// not positive). Empty on a day's first bar set.
     pub returns: Vec<f64>,
+    /// Each stock's feed health as of this interval (all healthy when
+    /// the control plane is off).
+    pub status: Vec<HealthStatus>,
     /// Causal provenance (stamped by the runtime at `Full`).
     pub cause: Cause,
 }
@@ -44,6 +49,21 @@ pub struct CorrSnapshot {
     pub stream: usize,
     /// The all-pairs correlation matrix.
     pub matrix: SymMatrix,
+    /// Causal provenance: inside a [`CorrStep`] the bar set's id; the
+    /// analytics tap copies the carrying step's id onto it.
+    pub cause: Cause,
+}
+
+/// One correlation engine's answer to one bar set: the bar set itself
+/// (its stream nodes price and judge health off it) and one snapshot per
+/// warm lane, in lane order — none while every lane is cold, or on a
+/// day's first bar set, which closes no return.
+#[derive(Debug, Clone)]
+pub struct CorrStep {
+    /// The bar set the step answers, shared with every other engine.
+    pub bars: Arc<BarSet>,
+    /// The warm lanes' snapshots of `bars.interval`.
+    pub snapshots: Vec<Arc<CorrSnapshot>>,
     /// Causal provenance (stamped by the runtime at `Full`).
     pub cause: Cause,
 }
@@ -87,12 +107,12 @@ pub struct OrderRequest {
     pub cause: Cause,
 }
 
-/// Every order the specs of one stream node generated at one interval
-/// that passed their risk checks — possibly none. A stream node emits
-/// exactly one batch per bar set it receives, in interval order, so the
-/// batch is also the stream's **watermark**: once a consumer has seen
-/// `interval = t` from a stream, no order for an interval `<= t` will
-/// follow from it.
+/// Everything one stream node's specs produced at one interval: the
+/// orders that passed their risk checks and the trades they closed —
+/// possibly none of either. A stream node emits exactly one batch per bar
+/// set it receives, in interval order, so the batch is also the stream's
+/// **watermark**: once a consumer has seen `interval = t` from a stream,
+/// no order or trade for an interval `<= t` will follow from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBatch {
     /// Interval the batch covers.
@@ -102,7 +122,11 @@ pub struct OrderBatch {
     /// The orders, in generation order; each carries the batch's
     /// `interval` and its own `param_set` and `strategy`.
     pub orders: Vec<OrderRequest>,
-    /// Causal provenance of the whole batch (stamped by the runtime at
+    /// The trades the specs closed at `interval`, in closing order.
+    pub reports: Vec<TradeReport>,
+    /// Stream 0's only: the health transitions effective at `interval + 1`.
+    pub health: Vec<HealthEvent>,
+    /// Causal provenance of the batch's orders (stamped by the runtime at
     /// `Full`); the gateway hands its id down to the member orders.
     pub cause: Cause,
 }
@@ -156,21 +180,27 @@ pub enum DegradeReason {
     Quarantine,
 }
 
-/// Per-symbol health state carried by a [`Message::Health`] event.
+/// Per-symbol health state, carried on every [`BarSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthStatus {
-    /// The symbol's feed is trustworthy again.
+    /// The symbol's feed is trustworthy.
     Healthy,
     /// The symbol is degraded: downstream must mask it, flatten positions
-    /// touching it and refuse new entries until a `Healthy` event.
+    /// touching it and refuse new entries until it is healthy again.
     Degraded(DegradeReason),
 }
 
-/// A per-symbol health transition flowing through the existing DAG edges.
-///
-/// Emitted by the bar accumulator *before* the [`BarSet`] of the interval
-/// the transition takes effect at, so every consumer updates its degraded
-/// set before it prices or correlates that interval.
+impl HealthStatus {
+    /// True when the status is degraded.
+    pub fn is_degraded(&self) -> bool {
+        matches!(self, HealthStatus::Degraded(_))
+    }
+}
+
+/// A per-symbol health transition, as the sink receives it: the status
+/// the [`BarSet`] of `interval` carries differs from the one before it.
+/// Stream 0's node finds it when that bar set's step arrives and sends it
+/// in the batch of `interval - 1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthEvent {
     /// First interval the new status applies to.
@@ -183,18 +213,11 @@ pub struct HealthEvent {
     pub cause: Cause,
 }
 
-impl HealthEvent {
-    /// True when the event marks the symbol degraded.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self.status, HealthStatus::Degraded(_))
-    }
-}
-
 /// Every [`Message::kind`] tag, in declaration order — the one table both
 /// `kind` and the wire's lineage-kind interning read. A `static`, so a tag
 /// has one address wherever it was obtained.
-pub static KINDS: [&str; 8] = [
-    "quote", "bars", "corr", "orders", "basket", "trades", "health", "eof",
+pub static KINDS: [&str; 9] = [
+    "quote", "bars", "snapshot", "orders", "basket", "trades", "health", "eof", "corr",
 ];
 
 /// Messages on DAG edges.
@@ -204,11 +227,11 @@ pub enum Message {
     /// (quotes are `Copy` payloads from `taq` — the provenance rides the
     /// message instead).
     Quote(Quote, Cause),
-    /// A completed interval of bars and returns.
+    /// A completed interval of bars, returns and health.
     Bars(Arc<BarSet>),
-    /// A correlation-matrix snapshot.
+    /// A correlation-matrix snapshot (what the serving layer delivers).
     Corr(Arc<CorrSnapshot>),
-    /// One stream node's orders for one interval (and its watermark).
+    /// One stream node's results for one interval (and its watermark).
     Orders(Arc<OrderBatch>),
     /// An aggregated order basket.
     Basket(Arc<Basket>),
@@ -219,6 +242,8 @@ pub enum Message {
     /// Runtime-internal end-of-stream marker: one per inbound edge. Never
     /// delivered to components and never recorded by sinks.
     Eof,
+    /// One engine's step: a bar set and its warm lanes' snapshots.
+    Step(Arc<CorrStep>),
 }
 
 impl Message {
@@ -230,6 +255,7 @@ impl Message {
     pub fn interval(&self) -> Option<u64> {
         match self {
             Message::Bars(b) => Some(b.interval as u64),
+            Message::Step(s) => Some(s.bars.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
             Message::Orders(b) => Some(b.interval as u64),
             Message::Basket(b) => Some(b.interval as u64),
@@ -239,12 +265,14 @@ impl Message {
     }
 
     /// The message's causal context, if it carries one: everything but
-    /// the runtime-internal `Eof` and an empty order batch, which is a
-    /// bare watermark — no data item, so no identity to stamp or record.
+    /// the runtime-internal `Eof` and a batch without orders, which is a
+    /// bare watermark as far as identity goes — its trades and health
+    /// carry their own causes, so it has no data item to stamp or record.
     pub fn cause(&self) -> Option<&Cause> {
         match self {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&b.cause),
+            Message::Step(s) => Some(&s.cause),
             Message::Corr(c) => Some(&c.cause),
             Message::Orders(b) => (!b.orders.is_empty()).then_some(&b.cause),
             Message::Basket(b) => Some(&b.cause),
@@ -262,6 +290,7 @@ impl Message {
         match self {
             Message::Quote(_, c) => Some(c),
             Message::Bars(b) => Some(&mut Arc::make_mut(b).cause),
+            Message::Step(s) => Some(&mut Arc::make_mut(s).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
             Message::Orders(b) if b.orders.is_empty() => None,
             Message::Orders(b) => Some(&mut Arc::make_mut(b).cause),
@@ -306,6 +335,7 @@ impl Message {
             Message::Trades(_) => 5,
             Message::Health(_) => 6,
             Message::Eof => 7,
+            Message::Step(_) => 8,
         }]
     }
 }
@@ -314,29 +344,87 @@ impl Message {
 mod tests {
     use super::*;
 
+    fn bar_set(interval: usize, n: usize) -> Arc<BarSet> {
+        Arc::new(BarSet {
+            interval,
+            closes: vec![1.0; n],
+            ticks: vec![0; n],
+            returns: vec![],
+            status: vec![HealthStatus::Healthy; n],
+            cause: Cause::none(),
+        })
+    }
+
+    fn batch(orders: Vec<OrderRequest>) -> OrderBatch {
+        OrderBatch {
+            interval: 7,
+            stream: 2,
+            orders,
+            reports: Vec::new(),
+            health: Vec::new(),
+            cause: Cause::none(),
+        }
+    }
+
+    /// One message of every variant: each kind is its own entry of
+    /// `KINDS`, and no two entries are the same tag.
     #[test]
     fn kinds_are_distinct() {
-        let b = Arc::new(BarSet {
+        let snapshot = Arc::new(CorrSnapshot {
             interval: 0,
-            closes: vec![],
-            ticks: vec![],
-            returns: vec![],
+            stream: 0,
+            matrix: SymMatrix::identity(2),
             cause: Cause::none(),
         });
-        let msgs = [Message::Bars(b.clone()), Message::Bars(b)];
-        assert_eq!(msgs[0].kind(), "bars");
+        let quote = Quote {
+            ts: taq::time::Timestamp::new(0, 0),
+            symbol: taq::symbol::Symbol(0),
+            bid_cents: 1,
+            ask_cents: 2,
+            bid_size: 1,
+            ask_size: 1,
+        };
+        let every = [
+            Message::Quote(quote, Cause::none()),
+            Message::Bars(bar_set(0, 2)),
+            Message::Corr(Arc::clone(&snapshot)),
+            Message::Orders(Arc::new(batch(Vec::new()))),
+            Message::Basket(Arc::new(Basket {
+                interval: 0,
+                orders: Vec::new(),
+                cause: Cause::none(),
+            })),
+            Message::Trades(Arc::new(TradeReport {
+                param_set: 0,
+                strategy: StrategyKind::Paper,
+                trades: Vec::new(),
+                cause: Cause::none(),
+            })),
+            Message::Health(Arc::new(HealthEvent {
+                interval: 0,
+                symbol: 0,
+                status: HealthStatus::Healthy,
+                cause: Cause::none(),
+            })),
+            Message::Eof,
+            Message::Step(Arc::new(CorrStep {
+                bars: bar_set(0, 2),
+                snapshots: vec![snapshot],
+                cause: Cause::none(),
+            })),
+        ];
+        assert_eq!(every.len(), KINDS.len(), "one message per variant");
+        for (msg, kind) in every.iter().zip(KINDS) {
+            assert!(std::ptr::eq(msg.kind(), kind), "{}", msg.kind());
+        }
+        let mut tags = KINDS.to_vec();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), KINDS.len(), "a tag is shared: {KINDS:?}");
     }
 
     #[test]
     fn an_empty_batch_is_a_bare_watermark() {
-        let batch = |orders: Vec<OrderRequest>| {
-            Message::Orders(Arc::new(OrderBatch {
-                interval: 7,
-                stream: 2,
-                orders,
-                cause: Cause::none(),
-            }))
-        };
         let order = OrderRequest {
             interval: 7,
             param_set: 3,
@@ -349,22 +437,16 @@ mod tests {
             needs_confirmation: false,
             cause: Cause::none(),
         };
-        let mut empty = batch(Vec::new());
+        let mut empty = Message::Orders(Arc::new(batch(Vec::new())));
         assert_eq!(empty.interval(), Some(7));
         assert!(empty.cause().is_none() && empty.cause_mut().is_none());
-        let mut full = batch(vec![order]);
+        let mut full = Message::Orders(Arc::new(batch(vec![order])));
         assert!(full.cause().is_some() && full.cause_mut().is_some());
     }
 
     #[test]
     fn fanout_is_pointer_cheap() {
-        let big = Arc::new(BarSet {
-            interval: 3,
-            closes: vec![1.0; 10_000],
-            ticks: vec![0; 10_000],
-            returns: vec![],
-            cause: Cause::none(),
-        });
+        let big = bar_set(3, 10_000);
         let m1 = Message::Bars(Arc::clone(&big));
         let _m2 = m1.clone();
         assert_eq!(Arc::strong_count(&big), 3);

@@ -194,6 +194,7 @@ mod tests {
             closes: vec![1.0],
             ticks: vec![2],
             returns: Vec::new(),
+            status: Vec::new(),
             cause: crate::messages::Cause::none(),
         }));
         p.on_message(msg, &mut |m| seen.push(m.kind()));

@@ -1,17 +1,19 @@
 //! The prebuilt Figure-1 workflow, as a shared-stream sweep.
 //!
 //! Collector → OHLC bars and 15-second returns → parallel correlation
-//! engine → strategy and risk checks → order gateway, a chain: the engine
-//! relays the bars (the strategy needs prices, not just correlations) and
-//! health ahead of and after the snapshots they close, and one stream
-//! node per correlation stream steps every strategy that reads the
-//! stream and judges its orders; a sink captures baskets and trade
-//! reports as they become final, and `collect_sweep_output` folds what
-//! any driver drained from it into the run's output. A [`SweepConfig`]
-//! of one spec is exactly that chain; more specs share everything up to
-//! their `(Ctype, M)` correlation stream, and the gateway is the one
-//! merge: each stream node sends it one order batch per bar set, the
-//! stream's watermark, so it waits on one input per stream, not per spec.
+//! engine → strategy and risk checks → order gateway, a chain in which
+//! every edge past the collector carries one message per bar set: the
+//! bar set (returns and health ride it), the engine's step (the bar set,
+//! since the strategy needs prices, not just correlations, and the
+//! snapshots it closed), and one stream node per correlation stream's
+//! batch (the orders its specs' risk checks passed and the trades they
+//! closed). A sink captures baskets, trade reports and health transitions
+//! as they become final, and `collect_sweep_output` folds what any
+//! driver drained from it into the run's output. A [`SweepConfig`] of one
+//! spec is exactly that chain; more specs share everything up to their
+//! `(Ctype, M)` correlation stream, and the gateway is the one merge: each
+//! stream node sends it one batch per bar set, the stream's watermark, so
+//! it waits on one input per stream, not per spec.
 //! Which specs read which stream, and which streams one engine
 //! node computes, is the [`EnginePlan`] of the specs' keys: the graph
 //! builds one engine node per entry of its `engines` and one stream node
@@ -35,7 +37,7 @@ use crate::components::{
 };
 use crate::graph::{Graph, GraphError, NodeId};
 use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
-use crate::node::{Component, Emit, Source};
+use crate::node::Source;
 use crate::runtime::{RunOutput, RunSession, Runtime, SessionCkpt};
 use stats::matrix::SymMatrix;
 use stats::parallel::EnginePlan;
@@ -568,25 +570,9 @@ pub(crate) struct SweepGraphParts {
     /// Stream id consumed by each *included* parameter set
     /// (index-aligned with `included`).
     pub streams: Vec<usize>,
-    /// The analytics tap sink (every correlation engine's snapshots reach
+    /// The analytics tap sink (every correlation engine's steps reach
     /// it), present only when requested.
     pub tap: Option<NodeId>,
-}
-
-/// The analytics tap's filter: correlation snapshots pass; the bars and
-/// health the engines relay to their stream nodes do not.
-struct SnapshotsOnly;
-
-impl Component for SnapshotsOnly {
-    fn name(&self) -> &str {
-        "analytics-tap"
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        if let Message::Corr(_) = msg {
-            out(msg);
-        }
-    }
 }
 
 /// Build the shared-stream sweep DAG over the strategy specs named by
@@ -595,16 +581,12 @@ impl Component for SnapshotsOnly {
 /// exactly as the full graph would; stream ids and engines are the
 /// [`EnginePlan`] of the included sets' keys.
 ///
-/// The stream nodes start with the symbols of `degraded` degraded (see
-/// [`StreamNode::degraded_at_start`]; empty on a graph that starts the
-/// day).
-///
-/// `tap` adds the analytics tap: a filter subscribed to every correlation
-/// engine and a sink behind it that holds their snapshots, so an
-/// external driver (the serving layer) can observe the shared
-/// correlation streams. Messages are `Arc`-shared on fan-out, so tapping
-/// changes nothing about what the stream nodes see — their outputs stay
-/// bit-identical with the tap on or off.
+/// `tap` adds the analytics tap: a sink subscribed to every correlation
+/// engine that holds their steps, so an external driver (the serving
+/// layer) can observe the shared correlation streams. Messages are
+/// `Arc`-shared on fan-out, so tapping changes nothing about what the
+/// stream nodes see — their outputs stay bit-identical with the tap on
+/// or off.
 ///
 /// # Panics
 /// Panics if `included` is empty or the selected specs mix `Δs` values.
@@ -613,7 +595,6 @@ pub(crate) fn build_sweep_graph(
     cfg: &SweepConfig,
     included: &[usize],
     tap: bool,
-    degraded: &[bool],
 ) -> SweepGraphParts {
     assert!(!included.is_empty(), "need at least one strategy spec");
     let dt = cfg.specs[included[0]].dt_seconds();
@@ -659,27 +640,21 @@ pub(crate) fn build_sweep_graph(
     g.connect(gateway, sink);
 
     let tap_sink = tap.then(|| {
-        let filter = g.add_component(Box::new(SnapshotsOnly));
-        for &node in &engines {
-            g.connect(node, filter);
-        }
         let t = g.add_sink("analytics-tap-sink");
-        g.connect(filter, t);
+        for &node in &engines {
+            g.connect(node, t);
+        }
         t
     });
 
-    // One stream node per stream reads its engine's one edge — bars, then
-    // the snapshots they close (of a plane's, the ones tagged with its
-    // stream), then health — and trades every spec on the stream, each
-    // tagged with its global index for attribution. Stream 0's forwards
-    // the health transitions: one copy of each reaches the sink.
+    // One stream node per stream reads its engine's one edge — a step per
+    // bar set, of which it prices its own stream's snapshot — and trades
+    // every spec on the stream, each tagged with its global index for
+    // attribution. Stream 0's batches carry the health transitions: one
+    // copy of each reaches the sink.
     for (j, (&key, readers)) in plan.streams.iter().zip(plan.readers()).enumerate() {
         let param_sets: Vec<usize> = readers.iter().map(|&r| included[r]).collect();
-        let mut stream = StreamNode::new(cfg, key, j, &param_sets).degraded_at_start(degraded);
-        if j == 0 {
-            stream = stream.forwarding_health();
-        }
-        let node = g.add_component(Box::new(stream));
+        let node = g.add_component(Box::new(StreamNode::new(cfg, key, j, &param_sets)));
         g.connect(engines[plan.engine_of(j)], node);
         g.connect(node, gateway);
     }
@@ -715,28 +690,37 @@ pub(crate) struct SweepSession {
     tap: Option<NodeId>,
 }
 
-/// What the analytics tap's sink holds: snapshots alone.
+/// The snapshots of the engine steps the analytics tap's sink holds, in
+/// arrival order. Each takes its step's id, as a basket's orders take
+/// their batch's, so a served snapshot can be explained.
 fn corr_snapshots(tap: Vec<Message>) -> Vec<Arc<CorrSnapshot>> {
-    (tap.into_iter())
-        .map(|m| match m {
-            Message::Corr(snap) => snap,
-            other => unreachable!("the tap passes snapshots only, not {}", other.kind()),
-        })
-        .collect()
+    let mut snapshots = Vec::new();
+    for msg in tap {
+        let Message::Step(step) = msg else {
+            unreachable!("the tap holds engine steps only, not {}", msg.kind())
+        };
+        snapshots.extend(step.snapshots.iter().map(|snap| {
+            let mut snap = Arc::clone(snap);
+            if snap.cause.id != step.cause.id {
+                let cause = &mut Arc::make_mut(&mut snap).cause;
+                (cause.id, cause.wall_us) = (step.cause.id, step.cause.wall_us);
+            }
+            snap
+        }));
+    }
+    snapshots
 }
 
 impl SweepSession {
     /// Open `runtime` on the slice `included` of `cfg`'s sweep graph
-    /// (see [`build_sweep_graph`]), with the analytics tap if asked and
-    /// the symbols of `degraded` degraded. The collector node carries
-    /// `day`'s name and replays nothing.
+    /// (see [`build_sweep_graph`]), with the analytics tap if asked. The
+    /// collector node carries `day`'s name and replays nothing.
     pub(crate) fn open(
         runtime: Runtime,
         cfg: &SweepConfig,
         included: &[usize],
         day: u16,
         tap: bool,
-        degraded: &[bool],
     ) -> Result<SweepSession, GraphError> {
         let placeholder = DayData::new(day, Vec::new(), cfg.n_stocks, Vec::new());
         let parts = build_sweep_graph(
@@ -744,7 +728,6 @@ impl SweepSession {
             cfg,
             included,
             tap,
-            degraded,
         );
         let session = runtime.session(parts.graph)?;
         Ok(SweepSession {
@@ -827,7 +810,7 @@ pub fn run_sweep_pipeline_with(
         sink,
         streams,
         ..
-    } = build_sweep_graph(source, cfg, &all, false, &[]);
+    } = build_sweep_graph(source, cfg, &all, false);
 
     let mut out = runtime.run(graph)?;
     let SinkOutput {
@@ -850,6 +833,7 @@ pub fn run_sweep_pipeline_with(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::node::Component;
     use stats::correlation::CorrType;
     use taq::generator::{MarketConfig, MarketGenerator};
 
@@ -1002,10 +986,13 @@ pub(crate) mod tests {
     /// 6 engines) every stream node has exactly one input edge, from the
     /// engine that computes its stream, and one output edge, to the
     /// gateway; every engine reads the bar accumulator alone; untapped,
-    /// that is 19 nodes and 26 edges. Tapped, one filter reads every
-    /// engine and feeds the tap's sink. On a day, each stream node sends
-    /// the gateway one batch per bar set: the gateway takes 9 × the bar
-    /// sets, plus the trade reports it passes on.
+    /// that is 19 nodes and 26 edges. Tapped, the tap's sink reads every
+    /// engine: 20 nodes and 32 edges. On a health-enabled day every edge
+    /// past the accumulator carries one message per bar set: each engine
+    /// and each stream node takes one per bar set and sends one, the
+    /// gateway takes the streams × the bar sets, and the sink takes the
+    /// baskets, the trade reports and the transitions. No node drops a
+    /// message.
     #[test]
     fn every_signal_node_reads_one_edge_from_its_engine() {
         let n = 8;
@@ -1014,7 +1001,7 @@ pub(crate) mod tests {
         let graph = |tap: bool| {
             let placeholder = DayData::new(0, Vec::new(), n, Vec::new());
             let source = Box::new(ReplayCollector::new(placeholder));
-            let g = build_sweep_graph(source, &cfg, &all, tap, &[]).graph;
+            let g = build_sweep_graph(source, &cfg, &all, tap).graph;
             g.validate().expect("a valid graph");
             g
         };
@@ -1048,22 +1035,49 @@ pub(crate) mod tests {
                 assert_eq!(inputs(engine), [bars.as_str()], "{}", name(engine));
             }
             if tap {
-                let filter = (0..g.len()).find(|&i| name(i) == "analytics-tap").unwrap();
-                assert_eq!(inputs(filter).len(), 6, "every engine");
-                assert_eq!(outputs(filter), ["analytics-tap-sink"]);
+                let sink = (0..g.len())
+                    .find(|&i| name(i) == "analytics-tap-sink")
+                    .unwrap();
+                assert_eq!(inputs(sink).len(), 6, "every engine");
+                assert_eq!((g.len(), g.edges.len()), (20, 32));
             } else {
                 assert_eq!((g.len(), g.edges.len()), (19, 26));
             }
         }
 
         let (day, n) = small_day(2009);
-        let out = run_sweep_pipeline(day, &SweepConfig::paper(n)).unwrap();
+        let policy = HealthPolicy {
+            outage_intervals: 3,
+            halt_intervals: 2,
+        };
+        let runtime = Runtime::with_config(crate::runtime::RuntimeConfig {
+            workers: 2,
+            capacity: 256,
+            telemetry: telemetry::TelemetryLevel::Full,
+        });
+        let source = Box::new(ReplayCollector::new(day));
+        let cfg = SweepConfig::paper(n).with_health(policy);
+        let out = run_sweep_pipeline_with(runtime, source, &cfg).unwrap();
+        let lineage = &out.telemetry.as_ref().unwrap().lineage;
+        let reports = lineage.iter().filter(|e| e.kind == "trades").count() as u64;
+        let (baskets, transitions) = (out.baskets.len(), out.health_events.len());
         let stats = |name: &str| out.node_stats.iter().find(|s| s.name == name).unwrap();
         let bar_sets = stats("ohlc-bars(ds=30s)").messages_out;
-        let gateway = stats("order-gateway");
-        let reports = gateway.messages_out - out.baskets.len() as u64;
-        assert!(bar_sets > 0 && reports > 0, "vacuous");
-        assert_eq!(gateway.messages_in, 9 * bar_sets + reports);
+        assert!(bar_sets > 0 && reports > 0 && transitions > 0, "vacuous");
+        for s in &out.node_stats {
+            if s.name.starts_with("corr-engine") || s.name.starts_with("strategy-host(") {
+                assert_eq!(
+                    (s.messages_in, s.messages_out),
+                    (bar_sets, bar_sets),
+                    "{}",
+                    s.name
+                );
+            }
+            assert_eq!(s.messages_dropped, 0, "{}", s.name);
+        }
+        assert_eq!(stats("order-gateway").messages_in, 9 * bar_sets);
+        let sink = stats("order-sink").messages_in;
+        assert_eq!(sink, (baskets + transitions) as u64 + reports);
     }
 
     #[test]
@@ -1096,7 +1110,7 @@ pub(crate) mod tests {
         let cfg = SweepConfig::paper(n);
         let all: Vec<usize> = (0..cfg.specs.len()).collect();
         let session =
-            SweepSession::open(Runtime::with_workers(2), &cfg, &all, day.day, false, &[]).unwrap();
+            SweepSession::open(Runtime::with_workers(2), &cfg, &all, day.day, false).unwrap();
         let names = session.node_names();
         let at = |name: &str| names.iter().position(|n| n == name).unwrap();
         let gateway = at("order-gateway");
@@ -1159,12 +1173,12 @@ pub(crate) mod tests {
         assert_eq!(got.baskets, want.baskets);
     }
 
-    /// The analytics tap holds snapshots alone, even on a health-enabled
-    /// graph whose engines relay bars and health to their stream nodes,
-    /// and exactly one copy of each health transition reaches the order
-    /// sink — the transitions of the untapped run.
+    /// The analytics tap holds the engines' steps alone (the `corr`
+    /// stage) on a health-enabled graph, and exactly one copy of each
+    /// health transition reaches the order sink — the transitions of the
+    /// untapped run.
     #[test]
-    fn a_tapped_health_enabled_session_taps_snapshots_only() {
+    fn a_tapped_health_enabled_session_taps_engine_steps_only() {
         let (day, n) = small_day(77);
         let p1 = fast_params();
         let p2 = StrategyParams {
@@ -1177,8 +1191,7 @@ pub(crate) mod tests {
         };
         let cfg = SweepConfig::new(n, vec![p1, p2]).with_health(policy);
         let session =
-            SweepSession::open(Runtime::with_workers(2), &cfg, &[0, 1], day.day, true, &[])
-                .unwrap();
+            SweepSession::open(Runtime::with_workers(2), &cfg, &[0, 1], day.day, true).unwrap();
         let tap = session.tap.expect("a tapped session");
         let (mut kinds, mut health) = (std::collections::BTreeSet::new(), Vec::new());
         let mut keep_health = |msgs: Vec<Message>| {

@@ -31,6 +31,7 @@ fn bar(k: usize) -> Message {
         closes: vec![k as f64],
         ticks: vec![1],
         returns: Vec::new(),
+        status: Vec::new(),
         cause: Cause::none(),
     }))
 }
@@ -50,6 +51,7 @@ impl Component for Doubler {
                 closes: b.closes.iter().map(|c| c * 2.0).collect(),
                 ticks: b.ticks.clone(),
                 returns: Vec::new(),
+                status: Vec::new(),
                 cause: Cause::none(),
             })));
         }
@@ -62,6 +64,7 @@ impl Component for Doubler {
             closes: vec![],
             ticks: vec![],
             returns: Vec::new(),
+            status: Vec::new(),
             cause: Cause::none(),
         })));
     }
@@ -363,6 +366,7 @@ impl Source for MixedSource {
                 closes: vec![1.0],
                 ticks: vec![1],
                 returns: Vec::new(),
+                status: Vec::new(),
                 cause: Cause::none(),
             })));
             out(Message::Trades(Arc::new(TradeReport {

@@ -23,8 +23,8 @@ use telemetry::trace::{Arg, RecordPhase, TraceRecord};
 use wire::{Adapter, Codec, Native, Reader, WireError, Writer};
 
 use crate::messages::{
-    BarSet, Basket, CorrSnapshot, DegradeReason, HealthEvent, HealthStatus, Message, OrderBatch,
-    OrderRequest, OrderSide, TradeReport,
+    BarSet, Basket, CorrSnapshot, CorrStep, DegradeReason, HealthEvent, HealthStatus, Message,
+    OrderBatch, OrderRequest, OrderSide, TradeReport,
 };
 
 wire::record! { pub EventIdWire for EventId { 0 } }
@@ -60,8 +60,9 @@ impl Adapter<&'static str> for KindWire {
     }
 }
 
-wire::record! { BarSet { interval, closes, ticks, returns, cause as CauseWire } }
+wire::record! { BarSet { interval, closes, ticks, returns, status, cause as CauseWire } }
 wire::record! { CorrSnapshot { interval, stream, matrix, cause as CauseWire } }
+wire::record! { CorrStep { bars, snapshots, cause as CauseWire } }
 wire::tagged! { OrderSide: "order side tag" { 0 => Buy, 1 => Sell } }
 wire::record! {
     OrderRequest {
@@ -77,7 +78,7 @@ wire::record! {
         cause as CauseWire,
     }
 }
-wire::record! { OrderBatch { interval, stream, orders, cause as CauseWire } }
+wire::record! { OrderBatch { interval, stream, orders, reports, health, cause as CauseWire } }
 wire::record! { Basket { interval, orders, cause as CauseWire } }
 wire::record! { TradeReport { param_set, strategy, trades, cause as CauseWire } }
 wire::tagged! { DegradeReason: "degrade reason tag" { 0 => Outage, 1 => Halt, 2 => Quarantine } }
@@ -97,6 +98,7 @@ wire::tagged! {
         7 => Health(event),
         8 => Eof,
         10 => Orders(batch),
+        11 => Step(step),
     }
 }
 

@@ -105,7 +105,7 @@ fn degraded_spans(out: &SweepOutput) -> Vec<Vec<(usize, usize)>> {
     let mut spans: Vec<Vec<(usize, usize)>> = vec![Vec::new(); N_STOCKS];
     let mut open: Vec<Option<usize>> = vec![None; N_STOCKS];
     for ev in &out.health_events {
-        if ev.is_degraded() {
+        if ev.status.is_degraded() {
             if open[ev.symbol].is_none() {
                 open[ev.symbol] = Some(ev.interval);
             }

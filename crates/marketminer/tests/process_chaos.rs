@@ -343,15 +343,15 @@ impl Drop for Staged {
 
 /// A worker that finds only a checkpoint of the previous format version
 /// in its store (a fleet upgraded mid-day) must not touch it: the
-/// committed version-8 file — a valid header and CRC, epoch 7 — is
+/// committed version-9 file — a valid header and CRC, epoch 7 — is
 /// refused by version and the day starts cold.
 #[test]
 fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
     let (day, n) = small_day(91);
     let staged = Staged::new("old-ckpt", &day, &SweepConfig::paper(n));
-    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v8_layout.bin");
+    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v9_layout.bin");
     let rendered = staged.cold_start_over(&old, 7);
-    assert!(rendered.contains("format version 8"), "{rendered}");
+    assert!(rendered.contains("format version 9"), "{rendered}");
 }
 
 /// A checkpoint that validates and decodes but was cut from another
@@ -757,7 +757,10 @@ fn kill9_mid_degradation_restores_the_signal_plane_bit_identically() {
     sweep.clean.k_sigma = 12.0;
 
     let in_process = in_process_sweep(day.clone(), &sweep);
-    assert!(in_process.health_events.iter().any(|h| h.is_degraded()));
+    assert!(in_process
+        .health_events
+        .iter()
+        .any(|h| h.status.is_degraded()));
     assert!(
         in_process
             .trades_per_param

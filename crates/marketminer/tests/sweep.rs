@@ -143,8 +143,8 @@ fn health_enabled_sweep_is_identical_across_worker_counts() {
     };
     let first = run(1);
     assert!(
-        first.health_events.iter().any(|h| h.is_degraded())
-            && first.health_events.iter().any(|h| !h.is_degraded()),
+        first.health_events.iter().any(|h| h.status.is_degraded())
+            && first.health_events.iter().any(|h| !h.status.is_degraded()),
         "the schedule must degrade symbols and let them recover"
     );
     for (k, trades) in first.trades_per_param.iter().enumerate() {

@@ -306,8 +306,8 @@ impl Server {
         lineage.set_nodes(output.node_names.clone());
         lineage.extend(&output.lineage);
 
-        // End-of-day flush: the day's trade reports, one per param set
-        // (health events went out at their epoch cuts; baskets are not
+        // End-of-day flush: the day's trade reports, one per param set,
+        // and the health events no epoch cut drained (baskets are not
         // delivered to subscribers at all yet — the live session folds
         // them into `output`, see `final_cut`), then every session gets
         // `End` — through the feed lane, so it orders after the last
@@ -350,8 +350,10 @@ impl Server {
 }
 
 /// Build the synthetic end-of-day cut: the day's trades, one report per
-/// param set that traded. Health events are not repeated here — they went
-/// out at their epoch cuts. Baskets never reach a subscriber: the DAG now
+/// param set that traded, then the health events of the final flush — a
+/// transition leaves the graph with the bar set it takes effect at, so
+/// one effective at the day's last interval reached no epoch cut; the
+/// others went out at their cuts. Baskets never reach a subscriber: the DAG now
 /// emits each as soon as its interval is complete, but
 /// [`LiveSweepSession`] folds them into [`LiveOutput::baskets`] rather
 /// than into the cuts `Router::publish` fans out, because delivering ~670
@@ -375,6 +377,7 @@ fn final_cut(
             })));
         }
     }
+    messages.extend(output.health_events.iter().cloned().map(Message::Health));
     marketminer::live::LiveEpoch {
         epoch,
         messages,
