@@ -1,7 +1,9 @@
 //! Sampling-profiler CLI: run the paper's 42-parameter sweep over a
 //! synthetic day at `TelemetryLevel::Full` and report where the time
 //! went — under a header naming the pool it ran on (`W` and the kernel
-//! width its workers ran at), per-node self-time ranked hottest first, the top
+//! width its workers ran at), the pool's barrier share (superstep time
+//! its workers spent waiting for the slowest node-run) and the node that
+//! most often finished a superstep last, per-node self-time ranked hottest first, the top
 //! non-correlation node (ROADMAP #2's "where does the rest of the floor
 //! go"), self-time by layer, what each robust plane fitted, what it took
 //! from the fit it had and what a pair-step and an IRLS iteration cost it
@@ -97,7 +99,6 @@ fn main() -> ExitCode {
     let cfg = sweep_config(args.stocks, args.specs);
     let rt = Runtime::with_config(RuntimeConfig {
         workers: args.workers,
-        capacity: 256,
         telemetry: TelemetryLevel::Full,
     });
     let source = Box::new(marketminer::components::ReplayCollector::new(day));

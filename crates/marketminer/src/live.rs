@@ -372,7 +372,6 @@ mod tests {
     fn rt(workers: usize) -> RuntimeConfig {
         RuntimeConfig {
             workers,
-            capacity: 256,
             telemetry: TelemetryLevel::Off,
         }
     }

@@ -791,7 +791,7 @@ impl SweepSession {
 }
 
 /// Build and run the sweep DAG with an explicit runtime (worker count,
-/// capacity, telemetry) and quote source.
+/// telemetry) and quote source.
 ///
 /// An invalid configuration (fewer than two stocks, empty spec list,
 /// mixed `Δs`, or any spec whose own knobs fail validation) is a
@@ -1052,7 +1052,6 @@ pub(crate) mod tests {
         };
         let runtime = Runtime::with_config(crate::runtime::RuntimeConfig {
             workers: 2,
-            capacity: 256,
             telemetry: telemetry::TelemetryLevel::Full,
         });
         let source = Box::new(ReplayCollector::new(day));

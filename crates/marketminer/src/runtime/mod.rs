@@ -1,27 +1,28 @@
-//! The pooled, fail-stop DAG executor.
+//! The fail-stop DAG executor: one superstep per bar set.
 //!
-//! Nodes are cooperatively scheduled tasks on a fixed-size worker pool —
-//! the shared-memory analogue of scheduling many pipeline stages onto a
-//! bounded MPI rank count. A node is *runnable* when its inbox is
-//! non-empty (or its upstreams have all finished and its end-of-stream
-//! flush is pending) **and** every downstream inbox is below capacity;
-//! runnable nodes sit in a shared run queue that workers pull from, so
-//! the OS thread count is [`RuntimeConfig::workers`] plus the source
-//! feeders, independent of graph size.
-//! The pool owns the cores: each worker runs its turns at the kernel
-//! width [`stats::width::for_pool`] leaves it, `max(1, cores / W)`, so a
+//! Since every edge of the sweep graph past its bar accumulator carries
+//! one message per bar set, the graph is synchronous dataflow with every
+//! rate equal to 1, and a general actor scheduler has nothing left to
+//! decide. A node a source feeds (the *front*) runs inline on the feeding
+//! thread, once per fed message; each fed message that makes it emit
+//! starts one superstep, in which every other node with pending input
+//! takes all of it on a persistent pool of [`RuntimeConfig::workers`]
+//! threads, and what they emit is delivered when the superstep ends. The
+//! stages overlap by construction — the engines step bar set `t` while
+//! the stream nodes step `t − 1`, the gateway `t − 2` and the sink
+//! `t − 3` — and the OS thread count is the pool plus the feeders,
+//! independent of graph size.
+//! The pool owns the cores: every node runs at the kernel width
+//! [`stats::width::for_pool`] leaves it, `max(1, cores / W)`, so a
 //! parallel `stats` kernel inside a node never puts more than `W × width ≤
 //! cores` threads on the cores, and at `W ≥ cores` creates none.
 //!
-//! Four modules, split where the code divides:
+//! Three modules, split where the code divides:
 //!
-//! * `scheduler` — statuses, mailboxes, the capacity gate, the run
-//!   queue, EOF counting and the quiescence predicate, over node indices
-//!   alone (backpressure without deadlock; shutdown by per-edge EOF
-//!   counting);
-//! * `exec` — the pool that takes those turns: delivery under
-//!   `catch_unwind`, and fail-stop — a node that panics retires, the
-//!   graph drains, and the run re-raises the first payload;
+//! * `exec` — the front's inline calls, the superstep and the pool that
+//!   runs it, the drain at end of stream, and fail-stop — a node that
+//!   panics retires, the graph drains, and the run re-raises the first
+//!   payload;
 //! * `session` — [`RunSession`], the one way messages enter a graph
 //!   ([`Runtime::run`] is a session fed by the graph's own sources), and
 //!   the graph-wide quiescent cut [`SessionCkpt`] — the only state a
@@ -31,7 +32,6 @@
 
 mod exec;
 mod output;
-mod scheduler;
 mod session;
 #[cfg(test)]
 mod tests;
@@ -41,12 +41,8 @@ use telemetry::{ConfigError, TelemetryLevel};
 pub use output::{render_pool, NodeStats, RunOutput};
 pub use session::{NodeCkpt, RunSession, SessionCkpt};
 
-/// Default per-inbox capacity (backpressure threshold). Large enough to
-/// decouple stage jitter, small enough that a day of quotes never sits
-/// in memory.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
-
-/// Worker-pool sizing and backpressure configuration.
+/// Worker-pool sizing and telemetry configuration. Nothing bounds an
+/// inbox: a node holds at most one superstep's emissions per in-edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Worker threads in the pool. `0` means "use
@@ -56,8 +52,6 @@ pub struct RuntimeConfig {
     /// other value fails the run at its start. The in-node kernel width
     /// follows it: `max(1, cores / workers)`.
     pub workers: usize,
-    /// Per-inbox soft capacity bound.
-    pub capacity: usize,
     /// How much the run measures. `Off` (the default when the
     /// `MARKETMINER_TELEMETRY` environment variable is unset; a value
     /// that does not parse fails the run at its start) keeps every
@@ -71,7 +65,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: workers_from_env().unwrap_or_else(|_| stats::width::cores()),
-            capacity: DEFAULT_CHANNEL_CAPACITY,
             telemetry: telemetry::from_env().map_or(TelemetryLevel::Off, |env| env.level),
         }
     }
@@ -139,7 +132,7 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Runtime with the default pool size and capacity. A node panic
+    /// Runtime with the default pool size. A node panic
     /// fails the run, as a bare thread panic would: the graph drains and
     /// the first payload is re-raised.
     pub fn new() -> Self {
@@ -157,9 +150,8 @@ impl Runtime {
         }
     }
 
-    /// Full control over pool size, capacity and telemetry level.
+    /// Full control over pool size and telemetry level.
     pub fn with_config(config: RuntimeConfig) -> Self {
-        assert!(config.capacity > 0, "channel capacity must be positive");
         Runtime {
             config,
             ..Runtime::default()

@@ -1,13 +1,15 @@
 //! The session: the one way a graph is driven.
 //!
 //! A [`RunSession`] owns a running pool and takes messages in through
-//! its source nodes with [`RunSession::feed`], from whoever holds it.
-//! [`Runtime::run`] is a session whose feeders are the graph's own
-//! [`Source`]s, one thread each (a source is a blocking generator — the
-//! paper's collector is I/O-bound — so it must not occupy a pool worker
-//! for the whole day); an external driver (the sweep session under the
-//! live server and the shard worker) feeds the same way from its own
-//! thread and cuts the stream into epochs.
+//! its source nodes with [`RunSession::feed`], from whoever holds it: the
+//! feeding thread runs the front inline and each superstep the front
+//! starts (see `exec`). [`Runtime::run`] is a session whose feeders are
+//! the graph's own [`Source`]s, one thread each (a source is a blocking
+//! generator — the paper's collector is I/O-bound — so it must not
+//! occupy a pool worker for the whole day; several take turns on the
+//! session's lock); an external driver (the sweep session under the live
+//! server and the shard worker) feeds the same way from its own thread
+//! and cuts the stream into epochs.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,14 +112,13 @@ wire::record! { SessionCkpt { nodes } }
 /// Obtained from [`Runtime::session`]. A driver that cuts the stream into
 /// epochs feeds, calls [`RunSession::quiesce`], drains, and may then
 /// [`RunSession::capture`] (`pipeline::SweepSession::feed_epoch` is that
-/// cycle for the sweep graph). `quiesce` blocks until the graph has fully
-/// absorbed everything fed so far (all inboxes empty, no node scheduled
-/// or running). Because nodes only act on delivered messages, the
-/// quiescent state is a deterministic function of the fed prefix —
-/// independent of worker count and scheduling — which is what makes a
-/// capture/restore cycle bit-exact.
+/// cycle for the sweep graph). `quiesce` runs supersteps until the graph
+/// has fully absorbed everything fed so far (no input pending anywhere).
+/// Because nodes only act on delivered messages, the quiescent state is a
+/// deterministic function of the fed prefix — independent of worker
+/// count — which is what makes a capture/restore cycle bit-exact.
 pub struct RunSession {
-    exec: Arc<Exec>,
+    pub(super) exec: Arc<Exec>,
     source_idxs: Vec<usize>,
 }
 
@@ -141,39 +142,40 @@ impl RunSession {
         self.exec.rt.as_ref().map(|rt| Arc::clone(&rt.tel))
     }
 
-    /// Feed one message into the graph as source `src`, blocking while
-    /// downstream inboxes are at capacity — the emit callback of a
-    /// source thread and of an external driver alike.
+    /// Feed one message into the graph as source `src` — the emit
+    /// callback of a source thread and of an external driver alike. The
+    /// front takes it inline; if it emits, the call returns after the
+    /// superstep that starts.
     pub fn feed(&self, src: NodeId, mut msg: Message) {
         let idx = src.index();
+        let st = &mut *self.exec.lock();
         if let Some(rt) = self.exec.full() {
             rt.stamp(idx, &mut msg);
         }
-        self.exec.sched.feed(idx, msg);
         self.exec.health[idx].sent.fetch_add(1, Ordering::Relaxed);
+        self.exec.feed(st, idx, msg);
     }
 
-    /// Block until the graph has fully absorbed everything fed so far:
-    /// run queue empty, every inbox empty, every node `Idle` or `Done`.
-    /// Then re-raise the first node panic, if a node failed: no cut is
-    /// drained or captured from a graph with a dead node in it.
+    /// Run supersteps until the graph has fully absorbed everything fed
+    /// so far — at most the graph's depth of them. Then re-raise the
+    /// first node panic, if a node failed: no cut is drained or captured
+    /// from a graph with a dead node in it.
     pub fn quiesce(&self) {
-        while !self.exec.sched.is_quiescent() {
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
+        self.exec.settle(&mut self.exec.lock());
         self.exec.reraise();
     }
 
     /// End source `idx`'s stream, once: the failure if its feeder
-    /// panicked, its stats row and `emitted` count, EOF downstream. A
-    /// source thread calls this when its generator returns; `finish`
-    /// closes whatever is still open.
+    /// panicked, its stats row and `emitted` count, and the end of every
+    /// front node it was the last open source of. A source thread calls
+    /// this when its generator returns; `finish` closes whatever is still
+    /// open.
     fn close_source(&self, idx: usize, panic: Option<Box<dyn Any + Send>>) {
         let exec = &self.exec;
         if let Some(payload) = panic {
             exec.fail(payload);
         }
-        if !exec.retire(idx, 0) {
+        if !exec.close_source(&mut exec.lock(), idx) {
             return;
         }
         let emitted = exec.health[idx].sent.load(Ordering::Relaxed);
@@ -268,8 +270,8 @@ impl RunSession {
             .unwrap_or_default()
     }
 
-    /// End the stream: close every source still open, wait for the
-    /// graph to drain, and assemble the run output (the end-of-day flush
+    /// End the stream: close every source still open, run the graph's
+    /// drain, and assemble the run output (the end-of-day flush
     /// — trade reports, bucketed baskets — lands in the sinks here, and
     /// any lineage recorded after the last drain rides out in
     /// `RunOutput::telemetry`). Re-raises the first node panic instead,
@@ -278,7 +280,7 @@ impl RunSession {
         for &idx in &self.source_idxs {
             self.close_source(idx, None);
         }
-        self.exec.sched.wait_drained();
+        self.exec.settle(&mut self.exec.lock());
         self.exec.stop();
         assemble_output(&self.exec)
     }

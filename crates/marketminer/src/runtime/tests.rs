@@ -4,7 +4,7 @@ use std::sync::Arc;
 use telemetry::TelemetryLevel;
 
 use super::*;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, GraphError, NodeId};
 use crate::messages::{BarSet, Cause, Message, TradeReport};
 use crate::node::{Component, Emit, Passthrough, Source};
 
@@ -145,24 +145,20 @@ fn fan_in_merges_streams() {
 
 #[test]
 fn backpressure_does_not_deadlock() {
-    // Tiny inboxes, many messages: bounded capacity + DAG = progress.
+    // Many messages through a chain: no inbox bound to wait on, and a
+    // node holds at most one superstep's emissions per in-edge.
     let (g, sink) = chain(CountSource { n: 50_000 }, passthroughs(["a", "b"]));
-    let runtime = Runtime::with_config(RuntimeConfig {
-        capacity: 2,
-        ..RuntimeConfig::default()
-    });
-    let mut out = runtime.run(g).unwrap();
+    let mut out = Runtime::new().run(g).unwrap();
     assert_eq!(out.take_sink(sink).len(), 50_000);
 }
 
 #[test]
 fn single_worker_runs_the_whole_graph() {
-    // One pool thread must still drain a multi-stage graph under
-    // backpressure: cooperative batching, not thread-per-node.
+    // One pool thread must still drain a multi-stage graph: a superstep's
+    // node-runs share the pool, not a thread per node.
     let (g, sink) = chain(CountSource { n: 20_000 }, passthroughs(["a", "b"]));
     let mut out = Runtime::with_config(RuntimeConfig {
         workers: 1,
-        capacity: 4,
         telemetry: TelemetryLevel::Off,
     })
     .run(g)
@@ -186,13 +182,139 @@ fn pool_smaller_than_graph_completes_wide_fanout() {
     }
     let mut out = Runtime::with_config(RuntimeConfig {
         workers: 2,
-        capacity: 8,
         telemetry: TelemetryLevel::Off,
     })
     .run(g)
     .unwrap();
     for s in sinks {
         assert_eq!(out.take_sink(s).len(), 500);
+    }
+}
+
+// ---- the superstep rule ----
+
+/// A chain fed one message absorbs it within its depth: the front takes
+/// it inline, and each superstep moves it one edge on.
+#[test]
+fn a_chain_fed_one_message_quiesces_within_its_depth() {
+    let (g, sink) = chain(CountSource { n: 0 }, passthroughs(["a", "b"]));
+    let session = Runtime::with_workers(2).session(g).unwrap();
+    session.feed(session.source_ids()[0], bar(0));
+    session.quiesce();
+    // Behind the front `a`: `b` and the sink.
+    assert_eq!(session.exec.lock().supersteps, 2);
+    assert_eq!(session.drain_sink(sink).len(), 1);
+    session.quiesce();
+    assert_eq!(session.exec.lock().supersteps, 2, "nothing was pending");
+    assert!(session.finish().sink(sink).is_empty());
+}
+
+/// Re-emits every message as bar set `tag`: which branch a message came
+/// through.
+struct Tag(usize);
+
+impl Component for Tag {
+    fn name(&self) -> &str {
+        "tag"
+    }
+
+    fn on_message(&mut self, _msg: Message, out: &mut Emit<'_>) {
+        out(bar(self.0));
+    }
+}
+
+/// A fan-in node takes a superstep's messages in producer-index order,
+/// whatever the pool: for each fed message, branch 0's, then 1's, …
+#[test]
+fn a_fan_in_takes_a_superstep_in_producer_order_at_any_pool_size() {
+    let branches = 8;
+    for workers in [1, 2, 0] {
+        let mut g = Graph::new();
+        let src = g.add_source(Box::new(CountSource { n: 50 }));
+        let front = g.add_component(Box::new(Passthrough::new("front")));
+        g.connect(src, front);
+        let join = g.add_component(Box::new(Passthrough::new("join")));
+        for k in 0..branches {
+            let tag = g.add_component(Box::new(Tag(k)));
+            g.connect(front, tag);
+            g.connect(tag, join);
+        }
+        let sink = g.add_sink("sink");
+        g.connect(join, sink);
+        let mut out = Runtime::with_workers(workers).run(g).unwrap();
+        let tags: Vec<usize> = (out.take_sink(sink).iter())
+            .map(|m| m.interval().unwrap() as usize)
+            .collect();
+        let want: Vec<usize> = (0..50).flat_map(|_| 0..branches).collect();
+        assert_eq!(tags, want, "workers={workers}");
+    }
+}
+
+/// Forwards everything, and logs each message and its end under its name.
+struct Logged {
+    name: &'static str,
+    log: Arc<std::sync::Mutex<Vec<String>>>,
+}
+
+impl Component for Logged {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+        self.log.lock().unwrap().push(format!("{} msg", self.name));
+        out(msg);
+    }
+
+    fn on_end(&mut self, _out: &mut Emit<'_>) {
+        self.log.lock().unwrap().push(format!("{} end", self.name));
+    }
+}
+
+/// On a diamond whose one branch panics, the join ends exactly once,
+/// after both branches have: the live one ran its end, the failed one
+/// retired.
+#[test]
+fn a_join_ends_once_after_both_branches_even_when_one_panics() {
+    for workers in [1, 2, 0] {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let logged = |name| {
+            Box::new(Logged {
+                name,
+                log: Arc::clone(&log),
+            })
+        };
+        let mut g = Graph::new();
+        let src = g.add_source(Box::new(CountSource { n: 6 }));
+        let front = g.add_component(Box::new(Passthrough::new("front")));
+        let pill = g.add_component(Box::new(PoisonPill {
+            seen: 0,
+            panic_at: 3,
+        }));
+        let live = g.add_component(logged("live"));
+        let join = g.add_component(logged("join"));
+        let sink = g.add_sink("sink");
+        g.connect(src, front);
+        for branch in [pill, live] {
+            g.connect(front, branch);
+            g.connect(branch, join);
+        }
+        g.connect(join, sink);
+        let run = catch_unwind(AssertUnwindSafe(|| Runtime::with_workers(workers).run(g)));
+        let text = panic_text(run.expect_err("the pill fails the run"));
+        assert_eq!(text, "poison pill at message 3");
+
+        let log = log.lock().unwrap();
+        let at = |entry: &str| log.iter().position(|e| e == entry);
+        let join_ends = log.iter().filter(|e| *e == "join end").count();
+        assert_eq!(join_ends, 1, "workers={workers}: {log:?}");
+        assert!(
+            at("live end") < at("join end"),
+            "workers={workers}: {log:?}"
+        );
+        let joined = log.iter().filter(|e| *e == "join msg").count();
+        assert_eq!(joined, 6 + 2, "every live message and the pill's first two");
+        assert_eq!(log.last().map(String::as_str), Some("join end"));
     }
 }
 
@@ -223,6 +345,19 @@ fn invalid_graph_refused_before_spawn() {
     let mut g = Graph::new();
     let _orphan = g.add_component(Box::new(Passthrough::new("orphan")));
     assert!(Runtime::new().run(g).is_err());
+
+    // A node fed by a source runs inline per fed message: it reads no
+    // other edge.
+    let mut g = Graph::new();
+    let src = g.add_source(Box::new(CountSource { n: 3 }));
+    let a = g.add_component(Box::new(Passthrough::new("a")));
+    let both = g.add_component(Box::new(Passthrough::new("both")));
+    g.connect(src, a);
+    g.connect(src, both);
+    g.connect(a, both);
+    let sink = g.add_sink("sink");
+    g.connect(both, sink);
+    assert!(matches!(Runtime::new().run(g), Err(GraphError::Config(_))));
 }
 
 /// The pool size from its variable's value: unset or `max` is every
@@ -425,7 +560,6 @@ fn nodes_run_at_the_width_the_pool_leaves_them() {
         let (g, sink) = chain(CountSource { n: 12 }, vec![Box::new(probe)]);
         let mut out = Runtime::with_config(RuntimeConfig {
             workers,
-            capacity: 4,
             telemetry: TelemetryLevel::Counters,
         })
         .run(g)

@@ -59,7 +59,6 @@ fn epochs_in(day: &DayData, cfg: &ShardConfig) -> u64 {
 fn in_process_sweep(day: DayData, cfg: &SweepConfig) -> SweepOutput {
     let runtime = Runtime::with_config(RuntimeConfig {
         workers: 1,
-        capacity: 256,
         telemetry: TelemetryLevel::Off,
     });
     run_sweep_pipeline_with(runtime, Box::new(ReplayCollector::new(day)), cfg).unwrap()
@@ -924,7 +923,6 @@ fn canon_counters(
 fn in_process_full_sweep(day: DayData, cfg: &SweepConfig, workers: usize) -> SweepOutput {
     let runtime = Runtime::with_config(RuntimeConfig {
         workers,
-        capacity: 256,
         telemetry: TelemetryLevel::Full,
     });
     run_sweep_pipeline_with(runtime, Box::new(ReplayCollector::new(day)), cfg).unwrap()

@@ -29,7 +29,6 @@ fn mixed_config(n: usize) -> SweepConfig {
 fn run_sweep(day: DayData, cfg: &SweepConfig, workers: usize) -> SweepOutput {
     let runtime = Runtime::with_config(RuntimeConfig {
         workers,
-        capacity: 256,
         telemetry: TelemetryLevel::Off,
     });
     run_sweep_pipeline_with(runtime, Box::new(ReplayCollector::new(day)), cfg).unwrap()
@@ -94,7 +93,6 @@ fn mixed_sweep_specs_match_their_single_spec_runs() {
 fn assert_every_run_refuses(day: &DayData, cfg: &SweepConfig, what: &str) {
     let rt_config = RuntimeConfig {
         workers: 1,
-        capacity: 256,
         telemetry: TelemetryLevel::Off,
     };
     let source = Box::new(ReplayCollector::new(day.clone()));
@@ -182,7 +180,6 @@ fn invalid_specs_surface_as_config_errors() {
         cfg.specs.push(bad);
         let runtime = Runtime::with_config(RuntimeConfig {
             workers: 1,
-            capacity: 256,
             telemetry: TelemetryLevel::Off,
         });
         let err =

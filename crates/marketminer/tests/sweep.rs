@@ -38,11 +38,7 @@ fn run_sweep_at(
     workers: usize,
     telemetry: TelemetryLevel,
 ) -> SweepOutput {
-    let runtime = Runtime::with_config(RuntimeConfig {
-        workers,
-        capacity: 256,
-        telemetry,
-    });
+    let runtime = Runtime::with_config(RuntimeConfig { workers, telemetry });
     run_sweep_pipeline_with(runtime, Box::new(ReplayCollector::new(day)), cfg).unwrap()
 }
 
@@ -135,7 +131,6 @@ fn health_enabled_sweep_is_identical_across_worker_counts() {
     let run = |workers: usize| {
         let runtime = Runtime::with_config(RuntimeConfig {
             workers,
-            capacity: 256,
             telemetry: TelemetryLevel::Off,
         });
         let source = Box::new(FaultedCollector::new(day(), plan()));
@@ -343,14 +338,19 @@ fn sweep_at_full_telemetry_is_bit_identical_to_off() {
                 s.name
             );
         }
-        // The scheduler shard carries per-edge park counters for every
-        // edge, parked or not (structural determinism of the report).
-        let parks = m
-            .counters
-            .keys()
-            .filter(|(label, name)| label == "scheduler" && name.starts_with("parks["))
+        // The scheduler shard counts the supersteps and the node-runs in
+        // them; every worker reports the barrier it waited at.
+        assert!(m.counter("scheduler", "supersteps") > 0);
+        assert!(m.counter("scheduler", "turns") >= m.counter("scheduler", "supersteps"));
+        let barriers = (m.counters.keys())
+            .filter(|(label, name)| label.starts_with("worker-") && name == "barrier.us")
             .count();
-        assert!(parks > 0, "no per-edge park counters in the report");
+        let pool = if workers == 0 {
+            stats::width::cores()
+        } else {
+            workers
+        };
+        assert_eq!(barriers, pool, "workers={workers}");
     }
 }
 
@@ -439,13 +439,26 @@ fn sweep_lineage_is_complete_and_identical_across_worker_counts() {
         );
     }
 
-    // Bit-identical provenance at every pool size.
+    // Bit-identical provenance at every pool size, from the same
+    // schedule: as many supersteps, and as many node-runs in them.
+    let schedule = |out: &SweepOutput| {
+        let m = &out.telemetry.as_ref().expect("report at Full").metrics;
+        (
+            m.counter("scheduler", "turns"),
+            m.counter("scheduler", "supersteps"),
+        )
+    };
     for workers in [2usize, 0] {
         let other = run_sweep_at(day.clone(), &cfg, workers, TelemetryLevel::Full);
         assert_eq!(
             base_lineage,
             canon_lineage(&other),
             "lineage diverged at workers={workers}"
+        );
+        assert_eq!(
+            schedule(&base),
+            schedule(&other),
+            "(turns, supersteps) diverged at workers={workers}"
         );
     }
 }

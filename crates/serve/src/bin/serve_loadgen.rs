@@ -406,7 +406,6 @@ fn smoke(args: &Args) -> ExitCode {
     let endpoint = server.endpoint().clone();
     let rt = RuntimeConfig {
         workers: args.workers,
-        capacity: 256,
         telemetry: TelemetryLevel::Full, // lineage on: explain must answer
     };
     let sweep_served = sweep.clone();

@@ -130,7 +130,6 @@ fn main() -> ExitCode {
     };
     let rt = RuntimeConfig {
         workers,
-        capacity: 256,
         telemetry: args.telemetry,
     };
     let endpoint = Endpoint::parse(&args.listen);

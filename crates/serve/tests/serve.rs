@@ -49,7 +49,6 @@ fn small_day(seed: u64) -> DayData {
 fn rt(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
-        capacity: 256,
         telemetry: TelemetryLevel::Off,
     }
 }

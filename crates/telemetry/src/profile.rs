@@ -1,7 +1,7 @@
-//! Sampling profiler over the scheduler's step accounting: per-node
+//! Sampling profiler over the runtime's step accounting: per-node
 //! self-time attribution without signals or timers.
 //!
-//! The pooled scheduler already wraps every node step in a monotonic
+//! The runtime already wraps every node step in a monotonic
 //! clock read and records the elapsed nanoseconds into that node's
 //! `step.ns` histogram. A [`Profile`] is simply the canonical view of
 //! those histograms: for each node, `self_ns` (the histogram sum — time

@@ -1,5 +1,5 @@
 //! Run the paper's full 42-parameter sweep as ONE MarketMiner deployment
-//! on the pooled scheduler: every strategy shares the collector, the bar
+//! on the superstep executor: every strategy shares the collector, the bar
 //! accumulator (bars and their returns) and the 9 distinct
 //! per-(Ctype, M) correlation streams; one stream node per stream trades
 //! and risk-checks every strategy that reads it, and a single bucketed

@@ -144,7 +144,6 @@ fn the_paper_grid_is_nine_streams_on_six_engines_everywhere() {
         cfg.clone(),
         RuntimeConfig {
             workers: 1,
-            capacity: 64,
             telemetry: TelemetryLevel::Off,
         },
     )
