@@ -1,6 +1,7 @@
 //! The "OHLC Bar Accumulator (Δs)" node.
 //!
-//! Consumes the merged quote tape, pushes every quote through its stock's
+//! Consumes the merged quote tape, one batch per run of same-interval
+//! quotes, pushes every quote through its stock's
 //! TCP-like cleaning filter, and — each time the tape's clock crosses a Δs
 //! boundary — emits a [`BarSet`]: the latest clean
 //! midpoint for every stock (forward-filled through quiet intervals),
@@ -77,10 +78,10 @@ pub struct BarAccumulatorNode {
     /// Status per symbol as of the open interval: what its bar set
     /// carries.
     status: Vec<HealthStatus>,
-    /// Provenance: id of the first quote folded into the open interval
-    /// (reset at each close) and of the newest quote seen on the tape
-    /// (never reset — a quiet carry interval's bar is derived from the
-    /// quote whose price it forward-fills).
+    /// Provenance: id of the first quote batch folded into the open
+    /// interval (reset at each close) and of the newest batch seen on the
+    /// tape (never reset — a quiet carry interval's bar is derived from
+    /// the batch whose price it forward-fills).
     first_qid: EventId,
     last_qid: EventId,
     /// Quotes for already-closed intervals (out-of-order arrivals),
@@ -220,45 +221,47 @@ impl Component for BarAccumulatorNode {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        let Message::Quote(q, qcause) = msg else {
+        let Message::Quotes(batch) = msg else {
             self.dropped += 1; // bar accumulators only eat quotes
             return;
         };
-        let interval = q.ts.interval(self.dt_seconds);
-        match self.current_interval {
-            None => self.current_interval = Some(interval),
-            Some(cur) if interval > cur => {
-                // Close the current interval and any quiet ones skipped.
-                self.close_interval(cur, out);
-                for quiet in cur + 1..interval {
-                    self.close_interval(quiet, out);
+        for q in &batch.quotes {
+            let interval = q.ts.interval(self.dt_seconds);
+            match self.current_interval {
+                None => self.current_interval = Some(interval),
+                Some(cur) if interval > cur => {
+                    // Close the current interval and any quiet ones skipped.
+                    self.close_interval(cur, out);
+                    for quiet in cur + 1..interval {
+                        self.close_interval(quiet, out);
+                    }
+                    self.current_interval = Some(interval);
                 }
-                self.current_interval = Some(interval);
-            }
-            Some(cur) if interval < cur => {
-                // A bounded-reorder straggler for a closed interval:
-                // folding it into the current bar would smear prices
-                // across the Δs grid, so count it and move on.
-                self.late_quotes += 1;
-                self.probe.count("quotes.late", 1);
-                return;
-            }
-            _ => {}
-        }
-        if qcause.id.is_set() {
-            if !self.first_qid.is_set() {
-                self.first_qid = qcause.id;
-            }
-            self.last_qid = qcause.id;
-        }
-        let stock = q.symbol.index();
-        if stock < self.n_stocks {
-            match self.filters[stock].process(&q) {
-                Ok(mid) => {
-                    self.closes[stock] = mid;
-                    self.ticks[stock] += 1;
+                Some(cur) if interval < cur => {
+                    // A bounded-reorder straggler for a closed interval:
+                    // folding it into the current bar would smear prices
+                    // across the Δs grid, so count it and move on.
+                    self.late_quotes += 1;
+                    self.probe.count("quotes.late", 1);
+                    continue;
                 }
-                Err(_) => self.probe.count("quotes.rejected", 1),
+                _ => {}
+            }
+            if batch.cause.id.is_set() {
+                if !self.first_qid.is_set() {
+                    self.first_qid = batch.cause.id;
+                }
+                self.last_qid = batch.cause.id;
+            }
+            let stock = q.symbol.index();
+            if stock < self.n_stocks {
+                match self.filters[stock].process(q) {
+                    Ok(mid) => {
+                        self.closes[stock] = mid;
+                        self.ticks[stock] += 1;
+                    }
+                    Err(_) => self.probe.count("quotes.rejected", 1),
+                }
             }
         }
     }
@@ -308,22 +311,27 @@ mod tests {
     use taq::symbol::Symbol;
     use taq::time::Timestamp;
 
-    fn quote(sec: u32, sym: u16, bid: u32, ask: u32) -> Message {
-        Message::Quote(
-            Quote {
-                ts: Timestamp::new(0, sec * 1000),
-                symbol: Symbol(sym),
-                bid_cents: bid,
-                ask_cents: ask,
-                bid_size: 1,
-                ask_size: 1,
-            },
-            Cause::none(),
-        )
+    fn quote(sec: u32, sym: u16, bid: u32, ask: u32) -> Quote {
+        Quote {
+            ts: Timestamp::new(0, sec * 1000),
+            symbol: Symbol(sym),
+            bid_cents: bid,
+            ask_cents: ask,
+            bid_size: 1,
+            ask_size: 1,
+        }
     }
 
-    fn collect(node: &mut BarAccumulatorNode, msgs: Vec<Message>) -> Vec<Arc<BarSet>> {
-        collect_all(node, msgs)
+    /// Fold `quotes` into `node` as the graph delivers them: one batch per
+    /// interval run.
+    fn feed(node: &mut BarAccumulatorNode, quotes: &[Quote], out: &mut Emit<'_>) {
+        for batch in crate::pipeline::quote_batches(quotes, node.dt_seconds) {
+            node.on_message(batch, out);
+        }
+    }
+
+    fn collect(node: &mut BarAccumulatorNode, quotes: Vec<Quote>) -> Vec<Arc<BarSet>> {
+        collect_all(node, quotes)
             .into_iter()
             .filter_map(|m| match m {
                 Message::Bars(b) => Some(b),
@@ -332,16 +340,27 @@ mod tests {
             .collect()
     }
 
-    fn collect_all(node: &mut BarAccumulatorNode, msgs: Vec<Message>) -> Vec<Message> {
-        let mut out_msgs = Vec::new();
-        {
-            let mut emit = |m: Message| out_msgs.push(m);
-            for m in msgs {
-                node.on_message(m, &mut emit);
-            }
-            node.on_end(&mut emit);
-        }
-        out_msgs
+    /// Everything `node` emits over `quotes` and its end — the same
+    /// whether the tape comes cut by interval or as one batch.
+    fn collect_all(node: &mut BarAccumulatorNode, quotes: Vec<Quote>) -> Vec<Message> {
+        let mut whole = node.clone();
+        let (mut cut, mut uncut) = (Vec::new(), Vec::new());
+        feed(node, &quotes, &mut |m| cut.push(m));
+        node.on_end(&mut |m| cut.push(m));
+        let tape = Arc::new(crate::messages::QuoteBatch {
+            interval: None,
+            quotes,
+            cause: Cause::none(),
+        });
+        whole.on_message(Message::Quotes(tape), &mut |m| uncut.push(m));
+        whole.on_end(&mut |m| uncut.push(m));
+        // Debug text, since a close that never priced is NaN.
+        assert_eq!(
+            format!("{cut:?}"),
+            format!("{uncut:?}"),
+            "batching moved a bar set"
+        );
+        cut
     }
 
     #[test]
@@ -401,9 +420,11 @@ mod tests {
     #[test]
     fn returns_carry_across_a_restore() {
         let mut node = BarAccumulatorNode::new(1, 30, CleanConfig::default());
-        for msg in [quote(0, 0, 1000, 1002), quote(35, 0, 1100, 1102)] {
-            node.on_message(msg, &mut |_| {});
-        }
+        feed(
+            &mut node,
+            &[quote(0, 0, 1000, 1002), quote(35, 0, 1100, 1102)],
+            &mut |_| {},
+        );
         let mut twin = BarAccumulatorNode::new(1, 30, CleanConfig::default());
         assert!(twin.decode_state(&node.encode_state().unwrap()));
         let tail = || vec![quote(65, 0, 1200, 1202)];
@@ -433,7 +454,7 @@ mod tests {
     #[test]
     fn dirty_quotes_do_not_move_closes() {
         let mut node = BarAccumulatorNode::new(1, 30, CleanConfig::default());
-        let mut msgs: Vec<Message> = (0..50).map(|k| quote(k, 0, 4000, 4002)).collect();
+        let mut msgs: Vec<Quote> = (0..50).map(|k| quote(k, 0, 4000, 4002)).collect();
         msgs.push(quote(50, 0, 1, 99_999)); // test-quote garbage
         msgs.push(quote(61, 0, 4000, 4002));
         let bars = collect(&mut node, msgs);
@@ -638,9 +659,9 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut node = BarAccumulatorNode::new(1, 30, CleanConfig::default());
-        node.on_message(quote(0, 0, 1000, 1002), &mut |_| {});
+        feed(&mut node, &[quote(0, 0, 1000, 1002)], &mut |_| {});
         let snap = node.encode_state().unwrap();
-        node.on_message(quote(40, 0, 2000, 2002), &mut |_| {});
+        feed(&mut node, &[quote(40, 0, 2000, 2002)], &mut |_| {});
         assert!(node.decode_state(&snap));
         // Restored to the pre-second-quote state: replaying the second
         // quote reproduces the same bar.

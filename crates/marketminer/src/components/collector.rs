@@ -4,17 +4,29 @@
 //! All three paper adapters reduce, on this side of the wire, to "a source
 //! of time-ordered quotes": [`ReplayCollector`] replays an in-memory
 //! [`taq::dataset::DayData`], preserving tape order, and
-//! [`FaultedCollector`] replays one through a stream-fault plan. A day
-//! on disk is read into a `DayData` first, by `taq::io::load_dataset`
-//! (the `pairtrade` tool's `--dataset`) or `taq::io::read_binary_file`
-//! (a shard worker's tape).
+//! [`FaultedCollector`] replays one through a stream-fault plan, each as
+//! one [`QuoteBatch`] the sweep graph cuts by interval
+//! (`pipeline::quote_batches`). A day on disk is read into a `DayData`
+//! first, by `taq::io::load_dataset` (the `pairtrade` tool's `--dataset`)
+//! or `taq::io::read_binary_file` (a shard worker's tape).
+
+use std::sync::Arc;
 
 use taq::dataset::DayData;
 use telemetry::recorder::FlightKind;
 use telemetry::Probe;
 
-use crate::messages::{Cause, Message};
+use crate::messages::{Cause, Message, QuoteBatch};
 use crate::node::{Emit, Source};
+
+/// A tape as one uncut batch.
+fn tape(quotes: Vec<taq::quote::Quote>) -> Message {
+    Message::Quotes(Arc::new(QuoteBatch {
+        interval: None,
+        quotes,
+        cause: Cause::none(),
+    }))
+}
 
 /// Replays a day's quote tape into the DAG.
 pub struct ReplayCollector {
@@ -42,9 +54,7 @@ impl Source for ReplayCollector {
     fn run(&mut self, out: &mut Emit<'_>) {
         let day = self.day.take().expect("collector runs once");
         self.probe.count("quotes.replayed", day.len() as u64);
-        for &q in day.quotes() {
-            out(Message::Quote(q, Cause::none()));
-        }
+        out(tape(day.into_quotes()));
     }
 
     fn attach_telemetry(&mut self, probe: Probe) {
@@ -104,9 +114,7 @@ impl Source for FaultedCollector {
             )
         });
         *self.log.lock().expect("fault log poisoned") = Some(log);
-        for q in quotes {
-            out(Message::Quote(q, Cause::none()));
-        }
+        out(tape(quotes));
     }
 
     fn attach_telemetry(&mut self, probe: Probe) {
@@ -118,6 +126,16 @@ impl Source for FaultedCollector {
 mod tests {
     use super::*;
     use taq::generator::{MarketConfig, MarketGenerator};
+
+    /// The quotes of the one batch `source` emits.
+    fn tape_of(source: &mut dyn Source) -> Vec<taq::quote::Quote> {
+        let mut batches = Vec::new();
+        source.run(&mut |m| batches.push(m));
+        match batches.as_slice() {
+            [Message::Quotes(b)] if b.interval.is_none() => b.quotes.clone(),
+            other => panic!("want one uncut tape, got {other:?}"),
+        }
+    }
 
     #[test]
     fn faulted_collector_publishes_ground_truth() {
@@ -136,16 +154,14 @@ mod tests {
         let mut collector = FaultedCollector::new(day, plan);
         let log = collector.log_handle();
         assert!(log.lock().unwrap().is_none(), "no log before the run");
-        let mut count = 0;
-        collector.run(&mut |m| {
-            if let Message::Quote(q, _) = m {
-                assert_ne!(q.symbol.index(), 0, "symbol 0 is in outage all day");
-                count += 1;
-            }
-        });
+        let quotes = tape_of(&mut collector);
+        assert!(
+            quotes.iter().all(|q| q.symbol.index() != 0),
+            "symbol 0 is in outage all day"
+        );
         let log = log.lock().unwrap().expect("log published");
         assert!(log.dropped > 0);
-        assert_eq!(count + log.dropped as usize, expect);
+        assert_eq!(quotes.len() + log.dropped as usize, expect);
     }
 
     #[test]
@@ -154,20 +170,7 @@ mod tests {
         cfg.micro.quote_rate_hz = 0.01;
         let mut g = MarketGenerator::new(cfg);
         let day = g.next_day().unwrap();
-        let expect = day.len();
-
-        let mut collector = ReplayCollector::new(day);
-        let mut count = 0;
-        let mut last_ts = None;
-        collector.run(&mut |m| {
-            if let Message::Quote(q, _) = m {
-                if let Some(prev) = last_ts {
-                    assert!(q.ts >= prev, "tape order violated");
-                }
-                last_ts = Some(q.ts);
-                count += 1;
-            }
-        });
-        assert_eq!(count, expect);
+        let expect = day.quotes().to_vec();
+        assert_eq!(tape_of(&mut ReplayCollector::new(day)), expect);
     }
 }

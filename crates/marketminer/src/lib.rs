@@ -4,9 +4,8 @@
 //! processing quote data, and has since been extended to support arbitrary
 //! directed acyclic graph (DAG) stream processing workflows."
 //!
-//! This crate is that platform: a DAG of components connected by bounded
-//! inboxes, executed by a fixed-size pool of cooperatively scheduled
-//! workers (the shared-memory realisation of MPI ranks — see [`shard`]
+//! This crate is that platform: a DAG of components, executed in
+//! supersteps by a fixed-size pool of workers (the shared-memory realisation of MPI ranks — see [`shard`]
 //! for the multi-process one). The OS thread count is set by
 //! [`runtime::RuntimeConfig::workers`], independent of graph size, so
 //! the full 42-parameter sweep graph runs on a handful of threads. The
@@ -30,8 +29,8 @@
 //! * [`graph`] — DAG description and validation (acyclicity, connectivity).
 //! * [`messages`] — the typed stream vocabulary.
 //! * [`node`] — the [`node::Component`] and [`node::Source`] traits.
-//! * [`runtime`] — the pooled executor with bounded backpressure,
-//!   EOF-counted shutdown and fail-stop: a node panic fails its run.
+//! * [`runtime`] — the superstep executor on a fixed worker pool, with
+//!   fail-stop: a node panic fails its run.
 //! * [`components`] — collectors, the bar accumulator (bars and their
 //!   returns), the parallel correlation engine node, the per-stream
 //!   stream node (the signal planes its strategies share, computed once,

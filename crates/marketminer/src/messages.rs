@@ -5,8 +5,9 @@
 //! zero-copy discipline an MPI implementation would apply with shared
 //! windows on-node. Payloads another crate already defines ride inside
 //! them: a trade report carries the strategy layer's own [`Trade`]s.
-//! Every edge from the bar accumulator to the gateway carries one message
-//! per bar set: a [`BarSet`], a [`CorrStep`] or an [`OrderBatch`].
+//! Every edge carries one message per interval: a [`QuoteBatch`] into the
+//! bar accumulator, then a [`BarSet`], a [`CorrStep`] or an
+//! [`OrderBatch`] per bar set to the gateway.
 
 use std::sync::Arc;
 
@@ -15,6 +16,20 @@ use pairtrade_core::trade::Trade;
 use stats::matrix::SymMatrix;
 use taq::quote::Quote;
 pub use telemetry::lineage::{Cause, EventId};
+
+/// Consecutive tape quotes: a collector's whole tape, or one run of it
+/// that shares a Δs interval, as the sweep graph's entry edge carries it
+/// (`pipeline::quote_batches` cuts the tape).
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuoteBatch {
+    /// The interval every quote falls into; `None` on a tape not cut yet.
+    pub interval: Option<usize>,
+    /// The quotes, in tape order.
+    pub quotes: Vec<Quote>,
+    /// Causal provenance (stamped by the runtime at `Full`): every quote
+    /// of the batch shares it.
+    pub cause: Cause,
+}
 
 /// One interval's closing prices for the whole universe, and the
 /// Figure-1 "15 sec returns" they close.
@@ -216,17 +231,15 @@ pub struct HealthEvent {
 /// Every [`Message::kind`] tag, in declaration order — the one table both
 /// `kind` and the wire's lineage-kind interning read. A `static`, so a tag
 /// has one address wherever it was obtained.
-pub static KINDS: [&str; 9] = [
-    "quote", "bars", "snapshot", "orders", "basket", "trades", "health", "eof", "corr",
+pub static KINDS: [&str; 8] = [
+    "quotes", "bars", "snapshot", "orders", "basket", "trades", "health", "corr",
 ];
 
 /// Messages on DAG edges.
 #[derive(Debug, Clone)]
 pub enum Message {
-    /// A raw quote from a collector, with its causal context alongside
-    /// (quotes are `Copy` payloads from `taq` — the provenance rides the
-    /// message instead).
-    Quote(Quote, Cause),
+    /// A run of quotes from a collector.
+    Quotes(Arc<QuoteBatch>),
     /// A completed interval of bars, returns and health.
     Bars(Arc<BarSet>),
     /// A correlation-matrix snapshot (what the serving layer delivers).
@@ -239,38 +252,36 @@ pub enum Message {
     Trades(Arc<TradeReport>),
     /// A per-symbol health transition (degradation control plane).
     Health(Arc<HealthEvent>),
-    /// Runtime-internal end-of-stream marker: one per inbound edge. Never
-    /// delivered to components and never recorded by sinks.
-    Eof,
     /// One engine's step: a bar set and its warm lanes' snapshots.
     Step(Arc<CorrStep>),
 }
 
 impl Message {
     /// The simulated-time coordinate the message carries, when it has
-    /// one: the trading interval the payload belongs to. Quotes, trade
-    /// reports and Eofs have no single interval. Telemetry uses this as
+    /// one: the trading interval the payload belongs to. Trade reports
+    /// and an uncut tape have no single interval. Telemetry uses this as
     /// the second axis on spans, so a wall-clock latency spike can be
     /// attributed to a point in the trading day.
     pub fn interval(&self) -> Option<u64> {
         match self {
+            Message::Quotes(q) => q.interval.map(|t| t as u64),
             Message::Bars(b) => Some(b.interval as u64),
             Message::Step(s) => Some(s.bars.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
             Message::Orders(b) => Some(b.interval as u64),
             Message::Basket(b) => Some(b.interval as u64),
             Message::Health(h) => Some(h.interval as u64),
-            Message::Quote(..) | Message::Trades(_) | Message::Eof => None,
+            Message::Trades(_) => None,
         }
     }
 
     /// The message's causal context, if it carries one: everything but
-    /// the runtime-internal `Eof` and a batch without orders, which is a
-    /// bare watermark as far as identity goes — its trades and health
-    /// carry their own causes, so it has no data item to stamp or record.
+    /// an order batch without orders, which is a bare watermark as far as
+    /// identity goes — its trades and health carry their own causes, so
+    /// it has no data item to stamp or record.
     pub fn cause(&self) -> Option<&Cause> {
         match self {
-            Message::Quote(_, c) => Some(c),
+            Message::Quotes(q) => Some(&q.cause),
             Message::Bars(b) => Some(&b.cause),
             Message::Step(s) => Some(&s.cause),
             Message::Corr(c) => Some(&c.cause),
@@ -278,7 +289,6 @@ impl Message {
             Message::Basket(b) => Some(&b.cause),
             Message::Trades(t) => Some(&t.cause),
             Message::Health(h) => Some(&h.cause),
-            Message::Eof => None,
         }
     }
 
@@ -288,7 +298,7 @@ impl Message {
     /// is exactly the provenance semantics we want).
     pub fn cause_mut(&mut self) -> Option<&mut Cause> {
         match self {
-            Message::Quote(_, c) => Some(c),
+            Message::Quotes(q) => Some(&mut Arc::make_mut(q).cause),
             Message::Bars(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Step(s) => Some(&mut Arc::make_mut(s).cause),
             Message::Corr(c) => Some(&mut Arc::make_mut(c).cause),
@@ -297,7 +307,6 @@ impl Message {
             Message::Basket(b) => Some(&mut Arc::make_mut(b).cause),
             Message::Trades(t) => Some(&mut Arc::make_mut(t).cause),
             Message::Health(h) => Some(&mut Arc::make_mut(h).cause),
-            Message::Eof => None,
         }
     }
 
@@ -327,15 +336,14 @@ impl Message {
     /// Short tag for debugging, sink filtering and lineage.
     pub fn kind(&self) -> &'static str {
         KINDS[match self {
-            Message::Quote(..) => 0,
+            Message::Quotes(_) => 0,
             Message::Bars(_) => 1,
             Message::Corr(_) => 2,
             Message::Orders(_) => 3,
             Message::Basket(_) => 4,
             Message::Trades(_) => 5,
             Message::Health(_) => 6,
-            Message::Eof => 7,
-            Message::Step(_) => 8,
+            Message::Step(_) => 7,
         }]
     }
 }
@@ -385,7 +393,11 @@ mod tests {
             ask_size: 1,
         };
         let every = [
-            Message::Quote(quote, Cause::none()),
+            Message::Quotes(Arc::new(QuoteBatch {
+                interval: Some(0),
+                quotes: vec![quote],
+                cause: Cause::none(),
+            })),
             Message::Bars(bar_set(0, 2)),
             Message::Corr(Arc::clone(&snapshot)),
             Message::Orders(Arc::new(batch(Vec::new()))),
@@ -406,7 +418,6 @@ mod tests {
                 status: HealthStatus::Healthy,
                 cause: Cause::none(),
             })),
-            Message::Eof,
             Message::Step(Arc::new(CorrStep {
                 bars: bar_set(0, 2),
                 snapshots: vec![snapshot],

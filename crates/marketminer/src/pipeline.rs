@@ -2,8 +2,9 @@
 //!
 //! Collector → OHLC bars and 15-second returns → parallel correlation
 //! engine → strategy and risk checks → order gateway, a chain in which
-//! every edge past the collector carries one message per bar set: the
-//! bar set (returns and health ride it), the engine's step (the bar set,
+//! every edge carries one message per interval: the interval's quotes
+//! ([`quote_batches`] cuts the tape), the bar set (returns and health
+//! ride it), the engine's step (the bar set,
 //! since the strategy needs prices, not just correlations, and the
 //! snapshots it closed), and one stream node per correlation stream's
 //! batch (the orders its specs' risk checks passed and the trades they
@@ -36,12 +37,12 @@ use crate::components::{
     StreamNode,
 };
 use crate::graph::{Graph, GraphError, NodeId};
-use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message};
-use crate::node::Source;
+use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message, QuoteBatch};
+use crate::node::{Emit, Source};
 use crate::runtime::{RunOutput, RunSession, Runtime, SessionCkpt};
 use stats::matrix::SymMatrix;
 use stats::parallel::EnginePlan;
-use telemetry::TelemetryReport;
+use telemetry::{Probe, TelemetryReport};
 
 /// Configuration for the shared-stream parameter-sweep pipeline: the full
 /// grid of strategy specifications runs as ONE graph on the pooled
@@ -559,6 +560,42 @@ fn render_state_bytes(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
     out
 }
 
+/// The interval cutter: one `Quotes` message per run of consecutive
+/// `quotes` that share a Δs interval, in tape order. A run never spans an
+/// interval, and a reordered straggler is a run of its own, so the bar
+/// accumulator folds every quote in tape order.
+pub fn quote_batches(quotes: &[Quote], dt: u32) -> impl Iterator<Item = Message> + '_ {
+    let interval = move |q: &Quote| q.ts.interval(dt);
+    (quotes.chunk_by(move |a, b| interval(a) == interval(b))).map(move |run| {
+        Message::Quotes(Arc::new(QuoteBatch {
+            interval: Some(interval(&run[0])),
+            quotes: run.to_vec(),
+            cause: Cause::none(),
+        }))
+    })
+}
+
+/// The sweep graph's source: a collector whose tape enters cut.
+struct Cut(Box<dyn Source>, u32);
+
+impl Source for Cut {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn run(&mut self, out: &mut Emit<'_>) {
+        let dt = self.1;
+        self.0.run(&mut |msg| match msg {
+            Message::Quotes(tape) => quote_batches(&tape.quotes, dt).for_each(&mut *out),
+            other => out(other),
+        });
+    }
+
+    fn attach_telemetry(&mut self, probe: Probe) {
+        self.0.attach_telemetry(probe);
+    }
+}
+
 /// The built sweep DAG (the full grid, or one shard's slice of it),
 /// plus the node ids its driver needs.
 pub(crate) struct SweepGraphParts {
@@ -576,7 +613,8 @@ pub(crate) struct SweepGraphParts {
 }
 
 /// Build the shared-stream sweep DAG over the strategy specs named by
-/// `included` (global indices into `cfg.specs`). Specs keep their
+/// `included` (global indices into `cfg.specs`), fed by `source` through
+/// the interval cutter. Specs keep their
 /// *global* `param_set` tags, so a shard's slice attributes trades
 /// exactly as the full graph would; stream ids and engines are the
 /// [`EnginePlan`] of the included sets' keys.
@@ -604,7 +642,7 @@ pub(crate) fn build_sweep_graph(
     );
 
     let mut g = Graph::new();
-    let collector = g.add_source(source);
+    let collector = g.add_source(Box::new(Cut(source, dt)));
     let mut accumulator = BarAccumulatorNode::new(cfg.n_stocks, dt, cfg.clean);
     if let Some(policy) = cfg.health {
         accumulator = accumulator.with_health(policy);
@@ -685,6 +723,7 @@ pub(crate) struct SweepCut {
 /// and checkpoints; both own only what to do *between* cuts.
 pub(crate) struct SweepSession {
     session: RunSession,
+    dt: u32,
     src: NodeId,
     sink: NodeId,
     tap: Option<NodeId>,
@@ -731,6 +770,7 @@ impl SweepSession {
         );
         let session = runtime.session(parts.graph)?;
         Ok(SweepSession {
+            dt: cfg.specs[included[0]].dt_seconds(),
             src: session.source_ids()[0],
             session,
             sink: parts.sink,
@@ -738,15 +778,15 @@ impl SweepSession {
         })
     }
 
-    /// Feed one epoch of the tape, wait for the graph to absorb it, and
-    /// drain the cut. The graph is quiescent and its sinks empty on
-    /// return — the only state [`SweepSession::capture`] may be called
-    /// in — and what the cut holds is a function of the fed prefix
-    /// alone, whatever the worker count.
+    /// Feed one epoch of the tape, one batch per interval, wait for the
+    /// graph to absorb it, and drain the cut. The graph is quiescent and
+    /// its sinks empty on return — the only state
+    /// [`SweepSession::capture`] may be called in — and what the cut
+    /// holds is a function of the fed prefix alone, whatever the worker
+    /// count.
     pub(crate) fn feed_epoch(&self, quotes: &[Quote]) -> SweepCut {
-        for &q in quotes {
-            self.session
-                .feed(self.src, Message::Quote(q, Cause::none()));
+        for batch in quote_batches(quotes, self.dt) {
+            self.session.feed(self.src, batch);
         }
         self.session.quiesce();
         SweepCut {
@@ -987,8 +1027,9 @@ pub(crate) mod tests {
     /// engine that computes its stream, and one output edge, to the
     /// gateway; every engine reads the bar accumulator alone; untapped,
     /// that is 19 nodes and 26 edges. Tapped, the tap's sink reads every
-    /// engine: 20 nodes and 32 edges. On a health-enabled day every edge
-    /// past the accumulator carries one message per bar set: each engine
+    /// engine: 20 nodes and 32 edges. On a health-enabled day the
+    /// collector's edge carries one batch per interval run of the tape,
+    /// and every edge past the accumulator one message per bar set: each engine
     /// and each stream node takes one per bar set and sends one, the
     /// gateway takes the streams × the bar sets, and the sink takes the
     /// baskets, the trade reports and the transitions. No node drops a
@@ -1046,6 +1087,7 @@ pub(crate) mod tests {
         }
 
         let (day, n) = small_day(2009);
+        let runs = quote_batches(day.quotes(), 30).count() as u64;
         let policy = HealthPolicy {
             outage_intervals: 3,
             halt_intervals: 2,
@@ -1063,6 +1105,9 @@ pub(crate) mod tests {
         let stats = |name: &str| out.node_stats.iter().find(|s| s.name == name).unwrap();
         let bar_sets = stats("ohlc-bars(ds=30s)").messages_out;
         assert!(bar_sets > 0 && reports > 0 && transitions > 0, "vacuous");
+        // The entry edge carries one batch per run of same-interval quotes.
+        assert_eq!(stats("ohlc-bars(ds=30s)").messages_in, runs);
+        assert_eq!(stats("replay-collector(day 0)").messages_out, runs);
         for s in &out.node_stats {
             if s.name.starts_with("corr-engine") || s.name.starts_with("strategy-host(") {
                 assert_eq!(
@@ -1077,6 +1122,53 @@ pub(crate) mod tests {
         assert_eq!(stats("order-gateway").messages_in, 9 * bar_sets);
         let sink = stats("order-sink").messages_in;
         assert_eq!(sink, (baskets + transitions) as u64 + reports);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The cutter's runs, on a tape with reordered stragglers, are the
+        /// tape in order; each holds the quotes of its own interval alone,
+        /// and one ends wherever the tape's interval changes.
+        #[test]
+        fn the_cutter_ends_a_run_at_every_interval_change(
+            mut millis in proptest::collection::vec(0u32..600_000, 0..300),
+            swaps in proptest::collection::vec(0usize..300, 0..20),
+            dt in proptest::sample::select(vec![1u32, 15, 30, 60]),
+        ) {
+            millis.sort_unstable();
+            let len = millis.len();
+            for k in swaps.into_iter().filter(|&k| k + 1 < len) {
+                millis.swap(k, k + 1);
+            }
+            let tape: Vec<Quote> = (millis.iter().enumerate())
+                .map(|(k, &ms)| Quote {
+                    ts: taq::time::Timestamp::new(0, ms),
+                    symbol: taq::symbol::Symbol((k % 3) as u16),
+                    bid_cents: 1_000,
+                    ask_cents: 1_002,
+                    bid_size: 1,
+                    ask_size: 1,
+                })
+                .collect();
+            let runs: Vec<Arc<QuoteBatch>> = (quote_batches(&tape, dt))
+                .map(|m| match m {
+                    Message::Quotes(b) => b,
+                    other => panic!("the cutter sent {}", other.kind()),
+                })
+                .collect();
+            let joined: Vec<Quote> = runs.iter().flat_map(|b| b.quotes.clone()).collect();
+            proptest::prop_assert_eq!(&joined, &tape);
+            for b in &runs {
+                proptest::prop_assert!(!b.quotes.is_empty());
+                let t = b.interval.expect("a cut run names its interval");
+                proptest::prop_assert!(b.quotes.iter().all(|q| q.ts.interval(dt) == t));
+            }
+            for pair in runs.windows(2) {
+                let (end, start) = (pair[0].quotes.last().unwrap(), &pair[1].quotes[0]);
+                proptest::prop_assert!(end.ts.interval(dt) != start.ts.interval(dt));
+            }
+        }
     }
 
     #[test]
@@ -1200,8 +1292,8 @@ pub(crate) mod tests {
             }))
         };
         for chunk in day.quotes().chunks(2_000) {
-            for &q in chunk {
-                (session.session).feed(session.src, Message::Quote(q, Cause::none()));
+            for batch in quote_batches(chunk, session.dt) {
+                session.session.feed(session.src, batch);
             }
             session.session.quiesce();
             kinds.extend(session.session.drain_sink(tap).iter().map(Message::kind));

@@ -1,17 +1,16 @@
 //! The fail-stop DAG executor: one superstep per bar set.
 //!
-//! Since every edge of the sweep graph past its bar accumulator carries
-//! one message per bar set, the graph is synchronous dataflow with every
-//! rate equal to 1, and a general actor scheduler has nothing left to
-//! decide. A node a source feeds (the *front*) runs inline on the feeding
-//! thread, once per fed message; each fed message that makes it emit
-//! starts one superstep, in which every other node with pending input
-//! takes all of it on a persistent pool of [`RuntimeConfig::workers`]
-//! threads, and what they emit is delivered when the superstep ends. The
-//! stages overlap by construction — the engines step bar set `t` while
-//! the stream nodes step `t − 1`, the gateway `t − 2` and the sink
-//! `t − 3` — and the OS thread count is the pool plus the feeders,
-//! independent of graph size.
+//! Since every edge of the sweep graph carries one message per interval
+//! — quotes enter as one batch per interval — the graph is synchronous
+//! dataflow with every rate equal to 1, and a general actor scheduler has
+//! nothing left to decide. Each fed message starts one superstep, in
+//! which every node with pending input takes all of it on a persistent
+//! pool of [`RuntimeConfig::workers`] threads, and what they emit is
+//! delivered when the superstep ends. The stages overlap by construction
+//! — the bar accumulator closes bar set `t` while the engines step `t −
+//! 1`, the stream nodes `t − 2`, the gateway `t − 3` and the sink `t − 4`
+//! — and the OS thread count is the pool plus the feeders, independent
+//! of graph size; a feeder runs no node code.
 //! The pool owns the cores: every node runs at the kernel width
 //! [`stats::width::for_pool`] leaves it, `max(1, cores / W)`, so a
 //! parallel `stats` kernel inside a node never puts more than `W × width ≤
@@ -19,8 +18,8 @@
 //!
 //! Three modules, split where the code divides:
 //!
-//! * `exec` — the front's inline calls, the superstep and the pool that
-//!   runs it, the drain at end of stream, and fail-stop — a node that
+//! * `exec` — the superstep and the pool that runs it, the drain at end
+//!   of stream, and fail-stop — a node that
 //!   panics retires, the graph drains, and the run re-raises the first
 //!   payload;
 //! * `session` — [`RunSession`], the one way messages enter a graph

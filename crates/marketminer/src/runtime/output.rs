@@ -20,10 +20,9 @@ use crate::messages::Message;
 pub struct NodeStats {
     /// Node name (as reported by the component/source).
     pub name: String,
-    /// Messages the node took (Eofs excluded).
+    /// Messages the node took.
     pub messages_in: u64,
-    /// Messages emitted downstream (before fan-out duplication, Eofs
-    /// excluded).
+    /// Messages emitted downstream (before fan-out duplication).
     pub messages_out: u64,
     /// Messages the component received but neither consumed nor forwarded.
     pub messages_dropped: u64,
@@ -114,8 +113,8 @@ pub(super) struct RunTelemetry {
     /// Per-node `on_message`/`on_end` latency in nanoseconds (`Full`
     /// only: it costs two clock reads per message).
     pub(super) step_latency: Vec<AtomicHistogram>,
-    /// Per-node messages taken per node-run: one per inline call of a
-    /// front node, a superstep's pending input for the rest.
+    /// Per-node messages taken per node-run: a superstep's pending
+    /// input.
     pub(super) inbox_depth: Vec<AtomicHistogram>,
     /// Per-worker wall time spent running nodes, µs (`Full` only).
     pub(super) busy_us: Vec<AtomicU64>,
@@ -210,18 +209,14 @@ impl RunTelemetry {
     }
 
     /// Record delivery of a message at consumer `idx`: the hop latency
-    /// (producer stamp → the node taking it: a front node inline, any
-    /// other node in the superstep after the one that emitted it) into
-    /// `hop.us`, plus a Chrome flow event binding the producer's
-    /// stamp to this delivery. Quotes get neither and order batches get
-    /// no flow arrow — a per-tick and a per-stream-per-interval firehose
-    /// would crowd the bounded tracer and drown the Perfetto view; their
-    /// provenance still lives in the lineage ring, and batch hop latency
-    /// still lands in the histogram.
+    /// (producer stamp → the node taking it, in the superstep after the
+    /// one that emitted it) into `hop.us`, plus a Chrome flow event
+    /// binding the producer's stamp to this delivery. Order batches get
+    /// no flow arrow — a per-stream-per-interval firehose would crowd the
+    /// bounded tracer and drown the Perfetto view; their provenance still
+    /// lives in the lineage ring, and their hop latency still lands in
+    /// the histogram.
     pub(super) fn note_delivery(&self, idx: usize, msg: &Message) {
-        if matches!(msg, Message::Quote(..)) {
-            return;
-        }
         let Some(c) = msg.cause() else { return };
         if !c.id.is_set() {
             return;

@@ -2,8 +2,8 @@
 //!
 //! A [`RunSession`] owns a running pool and takes messages in through
 //! its source nodes with [`RunSession::feed`], from whoever holds it: the
-//! feeding thread runs the front inline and each superstep the front
-//! starts (see `exec`). [`Runtime::run`] is a session whose feeders are
+//! feeding thread waits while each fed message's superstep runs on the
+//! pool (see `exec`). [`Runtime::run`] is a session whose feeders are
 //! the graph's own [`Source`]s, one thread each (a source is a blocking
 //! generator — the paper's collector is I/O-bound — so it must not
 //! occupy a pool worker for the whole day; several take turns on the
@@ -143,9 +143,9 @@ impl RunSession {
     }
 
     /// Feed one message into the graph as source `src` — the emit
-    /// callback of a source thread and of an external driver alike. The
-    /// front takes it inline; if it emits, the call returns after the
-    /// superstep that starts.
+    /// callback of a source thread and of an external driver alike. At
+    /// `Full` it is one lineage event. The call returns after the
+    /// superstep it starts.
     pub fn feed(&self, src: NodeId, mut msg: Message) {
         let idx = src.index();
         let st = &mut *self.exec.lock();
@@ -166,10 +166,9 @@ impl RunSession {
     }
 
     /// End source `idx`'s stream, once: the failure if its feeder
-    /// panicked, its stats row and `emitted` count, and the end of every
-    /// front node it was the last open source of. A source thread calls
+    /// panicked, its stats row and `emitted` count. A source thread calls
     /// this when its generator returns; `finish` closes whatever is still
-    /// open.
+    /// open, and its drain ends the nodes behind.
     fn close_source(&self, idx: usize, panic: Option<Box<dyn Any + Send>>) {
         let exec = &self.exec;
         if let Some(payload) = panic {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use telemetry::TelemetryLevel;
 
 use super::*;
-use crate::graph::{Graph, GraphError, NodeId};
+use crate::graph::{Graph, NodeId};
 use crate::messages::{BarSet, Cause, Message, TradeReport};
 use crate::node::{Component, Emit, Passthrough, Source};
 
@@ -193,19 +193,19 @@ fn pool_smaller_than_graph_completes_wide_fanout() {
 
 // ---- the superstep rule ----
 
-/// A chain fed one message absorbs it within its depth: the front takes
-/// it inline, and each superstep moves it one edge on.
+/// A chain fed one message absorbs it within its depth: each superstep
+/// moves it one edge on.
 #[test]
 fn a_chain_fed_one_message_quiesces_within_its_depth() {
     let (g, sink) = chain(CountSource { n: 0 }, passthroughs(["a", "b"]));
     let session = Runtime::with_workers(2).session(g).unwrap();
     session.feed(session.source_ids()[0], bar(0));
     session.quiesce();
-    // Behind the front `a`: `b` and the sink.
-    assert_eq!(session.exec.lock().supersteps, 2);
+    // `a`, `b` and the sink.
+    assert_eq!(session.exec.lock().supersteps, 3);
     assert_eq!(session.drain_sink(sink).len(), 1);
     session.quiesce();
-    assert_eq!(session.exec.lock().supersteps, 2, "nothing was pending");
+    assert_eq!(session.exec.lock().supersteps, 3, "nothing was pending");
     assert!(session.finish().sink(sink).is_empty());
 }
 
@@ -345,19 +345,6 @@ fn invalid_graph_refused_before_spawn() {
     let mut g = Graph::new();
     let _orphan = g.add_component(Box::new(Passthrough::new("orphan")));
     assert!(Runtime::new().run(g).is_err());
-
-    // A node fed by a source runs inline per fed message: it reads no
-    // other edge.
-    let mut g = Graph::new();
-    let src = g.add_source(Box::new(CountSource { n: 3 }));
-    let a = g.add_component(Box::new(Passthrough::new("a")));
-    let both = g.add_component(Box::new(Passthrough::new("both")));
-    g.connect(src, a);
-    g.connect(src, both);
-    g.connect(a, both);
-    let sink = g.add_sink("sink");
-    g.connect(both, sink);
-    assert!(matches!(Runtime::new().run(g), Err(GraphError::Config(_))));
 }
 
 /// The pool size from its variable's value: unset or `max` is every
@@ -530,9 +517,9 @@ fn unknown_messages_count_as_dropped_not_fatal() {
 
 // ---- kernel width ----
 
-/// Records the kernel width of every call it takes.
+/// Records the kernel width and the thread of every call it takes.
 struct WidthProbe {
-    widths: Arc<std::sync::Mutex<Vec<usize>>>,
+    runs: Arc<std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>>,
 }
 
 impl Component for WidthProbe {
@@ -541,35 +528,45 @@ impl Component for WidthProbe {
     }
 
     fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        (self.widths.lock().unwrap()).push(rayon::current_num_threads());
+        let run = (rayon::current_num_threads(), std::thread::current().id());
+        self.runs.lock().unwrap().push(run);
         out(msg);
     }
 }
 
 /// The pool owns the cores: a node's kernels run `cores / W` wide — all of
-/// them at one worker, on the calling worker alone from `W = cores` up.
-/// Every worker's probe says so in the report.
+/// them at one worker, on the calling worker alone from `W = cores` up —
+/// and on a pool worker, never on the thread that feeds the graph, even
+/// the node the source feeds. Every worker's probe says so in the report.
 #[test]
 fn nodes_run_at_the_width_the_pool_leaves_them() {
     let cores = stats::width::cores();
+    let feeder = std::thread::current().id();
     for (workers, want) in [(1, cores), (cores, 1), (cores + 1, 1)] {
-        let widths = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let runs = Arc::new(std::sync::Mutex::new(Vec::new()));
         let probe = WidthProbe {
-            widths: Arc::clone(&widths),
+            runs: Arc::clone(&runs),
         };
-        let (g, sink) = chain(CountSource { n: 12 }, vec![Box::new(probe)]);
-        let mut out = Runtime::with_config(RuntimeConfig {
+        let (g, sink) = chain(CountSource { n: 0 }, vec![Box::new(probe)]);
+        let session = Runtime::with_config(RuntimeConfig {
             workers,
             telemetry: TelemetryLevel::Counters,
         })
-        .run(g)
+        .session(g)
         .unwrap();
+        let src = session.source_ids()[0];
+        (0..12).for_each(|k| session.feed(src, bar(k)));
+        let mut out = session.finish();
         assert_eq!(out.take_sink(sink).len(), 12);
-        let widths = widths.lock().unwrap();
-        assert_eq!(widths.len(), 12, "workers={workers}");
+        let runs = runs.lock().unwrap();
+        assert_eq!(runs.len(), 12, "workers={workers}");
         assert!(
-            widths.iter().all(|&w| w == want),
-            "workers={workers}: {widths:?}, want {want}"
+            runs.iter().all(|&(w, _)| w == want),
+            "workers={workers}: {runs:?}, want {want}"
+        );
+        assert!(
+            runs.iter().all(|&(_, thread)| thread != feeder),
+            "workers={workers}: a node-run on the feeding thread"
         );
         let metrics = &out.telemetry.as_ref().expect("counters").metrics;
         for k in 0..workers {

@@ -24,7 +24,7 @@ use wire::{Adapter, Codec, Native, Reader, WireError, Writer};
 
 use crate::messages::{
     BarSet, Basket, CorrSnapshot, CorrStep, DegradeReason, HealthEvent, HealthStatus, Message,
-    OrderBatch, OrderRequest, OrderSide, TradeReport,
+    OrderBatch, OrderRequest, OrderSide, QuoteBatch, TradeReport,
 };
 
 wire::record! { pub EventIdWire for EventId { 0 } }
@@ -60,6 +60,7 @@ impl Adapter<&'static str> for KindWire {
     }
 }
 
+wire::record! { QuoteBatch { interval, quotes, cause as CauseWire } }
 wire::record! { BarSet { interval, closes, ticks, returns, status, cause as CauseWire } }
 wire::record! { CorrSnapshot { interval, stream, matrix, cause as CauseWire } }
 wire::record! { CorrStep { bars, snapshots, cause as CauseWire } }
@@ -86,19 +87,19 @@ wire::tagged! { HealthStatus: "health status tag" { 0 => Healthy, 1 => Degraded(
 wire::record! { HealthEvent { interval, symbol, status, cause as CauseWire } }
 wire::tagged! {
     Message: "message tag" {
-        0 => Quote(quote, cause as CauseWire),
         1 => Bars(bars),
-        // 2 was the returns message (returns ride the bars now), 4 the
-        // single-order message and 9 the signal frame (each stream's
-        // node steps its own rules now); a peer still sending one
-        // predates this build and is refused.
+        // 0 was the single quote (quotes travel in batches now), 2 the
+        // returns message (returns ride the bars now), 4 the single-order
+        // message, 8 the end-of-stream marker and 9 the signal frame
+        // (each stream's node steps its own rules now); a peer still
+        // sending one predates this build and is refused.
         3 => Corr(snapshot),
         5 => Basket(basket),
         6 => Trades(report),
         7 => Health(event),
-        8 => Eof,
         10 => Orders(batch),
         11 => Step(step),
+        12 => Quotes(batch),
     }
 }
 

@@ -1080,7 +1080,7 @@ fn lineage_explains_trades_across_shard_restart() {
                     .unwrap_or_else(|| panic!("orphan lineage id {id:#x} after restart"));
                 match e.kind {
                     "corr" => saw_corr = true,
-                    "quote" => saw_quote = true,
+                    "quotes" => saw_quote = true,
                     _ => {}
                 }
                 queue.extend(e.parents.iter().map(|p| p.0));

@@ -426,7 +426,7 @@ fn sweep_lineage_is_complete_and_identical_across_worker_counts() {
             let e = events[&id];
             match e.kind {
                 "corr" => saw_corr = true,
-                "quote" => saw_quote = true,
+                "quotes" => saw_quote = true,
                 _ => {}
             }
             queue.extend(e.parents.iter().map(|p| p.0));

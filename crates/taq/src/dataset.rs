@@ -45,6 +45,11 @@ impl DayData {
         &self.quotes
     }
 
+    /// The tape, taken out of the day.
+    pub fn into_quotes(self) -> Vec<Quote> {
+        self.quotes
+    }
+
     /// Number of quotes in the day.
     pub fn len(&self) -> usize {
         self.quotes.len()
