@@ -29,11 +29,10 @@ const MAGIC: [u8; 4] = *b"MMCK";
 /// Format version. Bumped whenever any component's encoded state changes
 /// layout, so a file written by an older build is refused by version
 /// ([`Rejected::UnsupportedVersion`]) instead of being offered to
-/// decoders that would misread it. Version 10: health rides the bar
-/// sets, so an engine keeps no degraded set and a stream node keeps each
-/// symbol's status, and a stream node's open batch holds its trade
-/// reports (CHANGES.md records every earlier bump).
-pub const VERSION: u8 = 10;
+/// decoders that would misread it. Version 11: the order gateway sends
+/// what each of its runs took, so it keeps no state (CHANGES.md records
+/// every earlier bump).
+pub const VERSION: u8 = 11;
 /// Fixed header: magic(4) + version(1) + epoch(8) + len(8) + crc(4).
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 

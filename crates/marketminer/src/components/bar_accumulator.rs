@@ -341,23 +341,26 @@ mod tests {
     }
 
     /// Everything `node` emits over `quotes` and its end — the same
-    /// whether the tape comes cut by interval or as one batch.
+    /// whether the tape comes cut into interval runs or one quote per
+    /// batch, each naming its own interval.
     fn collect_all(node: &mut BarAccumulatorNode, quotes: Vec<Quote>) -> Vec<Message> {
-        let mut whole = node.clone();
-        let (mut cut, mut uncut) = (Vec::new(), Vec::new());
+        let mut single = node.clone();
+        let (mut cut, mut singles) = (Vec::new(), Vec::new());
         feed(node, &quotes, &mut |m| cut.push(m));
         node.on_end(&mut |m| cut.push(m));
-        let tape = Arc::new(crate::messages::QuoteBatch {
-            interval: None,
-            quotes,
-            cause: Cause::none(),
-        });
-        whole.on_message(Message::Quotes(tape), &mut |m| uncut.push(m));
-        whole.on_end(&mut |m| uncut.push(m));
+        for q in quotes {
+            let batch = Arc::new(crate::messages::QuoteBatch {
+                interval: q.ts.interval(single.dt_seconds),
+                quotes: vec![q],
+                cause: Cause::none(),
+            });
+            single.on_message(Message::Quotes(batch), &mut |m| singles.push(m));
+        }
+        single.on_end(&mut |m| singles.push(m));
         // Debug text, since a close that never priced is NaN.
         assert_eq!(
             format!("{cut:?}"),
-            format!("{uncut:?}"),
+            format!("{singles:?}"),
             "batching moved a bar set"
         );
         cut

@@ -5,28 +5,17 @@
 //! of time-ordered quotes": [`ReplayCollector`] replays an in-memory
 //! [`taq::dataset::DayData`], preserving tape order, and
 //! [`FaultedCollector`] replays one through a stream-fault plan, each as
-//! one [`QuoteBatch`] the sweep graph cuts by interval
-//! (`pipeline::quote_batches`). A day on disk is read into a `DayData`
-//! first, by `taq::io::load_dataset` (the `pairtrade` tool's `--dataset`)
-//! or `taq::io::read_binary_file` (a shard worker's tape).
-
-use std::sync::Arc;
+//! a [`Source`] whose tape its caller feeds into the sweep graph, cut by
+//! interval (`pipeline::quote_batches`). A day on disk is read into a
+//! `DayData` first, by `taq::io::load_dataset` (the `pairtrade` tool's
+//! `--dataset`) or `taq::io::read_binary_file` (a shard worker's tape).
 
 use taq::dataset::DayData;
+use taq::quote::Quote;
 use telemetry::recorder::FlightKind;
 use telemetry::Probe;
 
-use crate::messages::{Cause, Message, QuoteBatch};
-use crate::node::{Emit, Source};
-
-/// A tape as one uncut batch.
-fn tape(quotes: Vec<taq::quote::Quote>) -> Message {
-    Message::Quotes(Arc::new(QuoteBatch {
-        interval: None,
-        quotes,
-        cause: Cause::none(),
-    }))
-}
+use crate::node::Source;
 
 /// Replays a day's quote tape into the DAG.
 pub struct ReplayCollector {
@@ -39,10 +28,16 @@ impl ReplayCollector {
     /// Collector replaying the given day.
     pub fn new(day: DayData) -> Self {
         ReplayCollector {
-            name: format!("replay-collector(day {})", day.day),
+            name: Self::node_name(day.day),
             day: Some(day),
             probe: Probe::off(),
         }
+    }
+
+    /// The name of the source node a replay of day `day` feeds — also
+    /// what a graph fed from outside, in epochs, calls it.
+    pub fn node_name(day: u16) -> String {
+        format!("replay-collector(day {day})")
     }
 }
 
@@ -51,10 +46,10 @@ impl Source for ReplayCollector {
         &self.name
     }
 
-    fn run(&mut self, out: &mut Emit<'_>) {
-        let day = self.day.take().expect("collector runs once");
+    fn tape(&mut self) -> Vec<Quote> {
+        let day = self.day.take().expect("a tape is handed over once");
         self.probe.count("quotes.replayed", day.len() as u64);
-        out(tape(day.into_quotes()));
+        day.into_quotes()
     }
 
     fn attach_telemetry(&mut self, probe: Probe) {
@@ -90,8 +85,8 @@ impl FaultedCollector {
         }
     }
 
-    /// Handle that receives the ground-truth fault log once the source
-    /// has run (None until then).
+    /// Handle that receives the ground-truth fault log once the tape
+    /// has been handed over (None until then).
     pub fn log_handle(&self) -> std::sync::Arc<std::sync::Mutex<Option<taq::StreamFaultLog>>> {
         std::sync::Arc::clone(&self.log)
     }
@@ -102,8 +97,8 @@ impl Source for FaultedCollector {
         &self.name
     }
 
-    fn run(&mut self, out: &mut Emit<'_>) {
-        let day = self.day.take().expect("collector runs once");
+    fn tape(&mut self) -> Vec<Quote> {
+        let day = self.day.take().expect("a tape is handed over once");
         let (quotes, log) = taq::apply_stream_faults(day.quotes(), &self.plan);
         self.probe.count("quotes.dropped_by_faults", log.dropped);
         self.probe.flight(FlightKind::Fault, None, || {
@@ -114,7 +109,7 @@ impl Source for FaultedCollector {
             )
         });
         *self.log.lock().expect("fault log poisoned") = Some(log);
-        out(tape(quotes));
+        quotes
     }
 
     fn attach_telemetry(&mut self, probe: Probe) {
@@ -126,16 +121,6 @@ impl Source for FaultedCollector {
 mod tests {
     use super::*;
     use taq::generator::{MarketConfig, MarketGenerator};
-
-    /// The quotes of the one batch `source` emits.
-    fn tape_of(source: &mut dyn Source) -> Vec<taq::quote::Quote> {
-        let mut batches = Vec::new();
-        source.run(&mut |m| batches.push(m));
-        match batches.as_slice() {
-            [Message::Quotes(b)] if b.interval.is_none() => b.quotes.clone(),
-            other => panic!("want one uncut tape, got {other:?}"),
-        }
-    }
 
     #[test]
     fn faulted_collector_publishes_ground_truth() {
@@ -154,7 +139,7 @@ mod tests {
         let mut collector = FaultedCollector::new(day, plan);
         let log = collector.log_handle();
         assert!(log.lock().unwrap().is_none(), "no log before the run");
-        let quotes = tape_of(&mut collector);
+        let quotes = collector.tape();
         assert!(
             quotes.iter().all(|q| q.symbol.index() != 0),
             "symbol 0 is in outage all day"
@@ -171,6 +156,6 @@ mod tests {
         let mut g = MarketGenerator::new(cfg);
         let day = g.next_day().unwrap();
         let expect = day.quotes().to_vec();
-        assert_eq!(tape_of(&mut ReplayCollector::new(day)), expect);
+        assert_eq!(ReplayCollector::new(day).tape(), expect);
     }
 }

@@ -14,24 +14,20 @@
 //! all it takes: a batch's trade reports and health transitions go on to
 //! the sink as messages of their own, with its interval's basket.
 //!
-//! ## Flush on watermark
+//! ## Merge per node-run
 //!
-//! Every stream node sends exactly one batch per bar set, in interval
-//! order, so a stream's newest batch is its watermark — the per-input
-//! watermark of a merge. The gateway is built with the number of streams
-//! feeding it; interval `t` is *complete* once that many have reported
-//! `t` or later, and a complete bucket is emitted at once, buckets in
-//! interval order: its trade reports and health transitions in stream
-//! order, then its orders as one canonically sorted basket. The
-//! output — and with it the provenance ids the runtime mints for the
-//! reports, transitions and baskets — is therefore bit-identical no
-//! matter how the fan-in interleaved, and at any quiescent point the
-//! gateway holds only the results of intervals some stream has yet to
-//! reach — in a healthy graph, none. A stream
-//! that never reports (its node died) holds its intervals open until
-//! [`Component::on_end`], which flushes whatever is left: that costs
-//! memory, never output. A single stream is the one-input case of the
-//! same rule.
+//! Every stream node sends exactly one batch per bar set, and the stream
+//! nodes all sit at the same depth of the graph, so the executor's
+//! superstep rule hands the gateway all of a bar set's batches in one
+//! node-run. The gateway buckets the batches a run takes by interval and,
+//! at the end of the run ([`Component::on_run_end`]), sends every bucket
+//! in interval order: its trade reports and health transitions in stream
+//! order, then its orders as one canonically sorted basket. The output —
+//! and with it the provenance ids the runtime mints for the reports,
+//! transitions and baskets — is therefore the same however the run's
+//! input interleaved the streams, and between runs the gateway holds
+//! nothing: no state crosses a cut. A batch for an interval an earlier
+//! run already took fails the run, since that interval's basket has left.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,23 +35,21 @@ use std::sync::Arc;
 use telemetry::Probe;
 
 use crate::messages::{Basket, Cause, Message, OrderBatch, OrderRequest};
-use crate::node::{component_state, Component, Emit};
+use crate::node::{Component, Emit};
 
 /// Basket-aggregating order gateway.
 pub struct OrderGatewayNode {
-    /// Streams feeding the gateway.
-    n_inputs: usize,
-    /// Newest interval reported per stream, `(stream, interval)` sorted
-    /// by stream.
-    watermarks: Vec<(usize, usize)>,
-    /// The batches of intervals not yet complete that hold orders,
-    /// reports or health. A bucket
-    /// becomes one exactly-sized order list only when it flushes: baskets
-    /// outlive the gateway, and a list regrown batch by batch would leave
-    /// its discarded halves strewn through the allocator.
+    /// The current run's batches that hold orders, reports or health, by
+    /// interval. A bucket becomes one exactly-sized order list only when
+    /// it is sent: baskets outlive the gateway, and a list regrown batch
+    /// by batch would leave its discarded halves strewn through the
+    /// allocator.
     buckets: BTreeMap<usize, Vec<Arc<OrderBatch>>>,
-    /// Orders in `buckets`.
-    orders_held: u64,
+    /// The newest interval of any batch the current run took.
+    newest: Option<usize>,
+    /// The newest interval earlier runs took: what no later batch may be
+    /// for. Transient, like the buckets: a restored gateway starts over.
+    sent: Option<usize>,
     name: String,
     probe: Probe,
 }
@@ -150,62 +144,60 @@ fn sorted_basket(interval: usize, orders: Vec<OrderRequest>) -> Basket {
 }
 
 impl OrderGatewayNode {
-    /// Gateway behind `n_inputs` stream nodes (a sweep graph's fan-in).
-    pub fn fan_in(n_inputs: usize) -> Self {
+    /// The gateway a sweep graph's stream nodes all send to.
+    pub fn new() -> Self {
         OrderGatewayNode {
-            n_inputs: n_inputs.max(1),
-            watermarks: Vec::new(),
             buckets: BTreeMap::new(),
-            orders_held: 0,
+            newest: None,
+            sent: None,
             name: "order-gateway".to_string(),
             probe: Probe::off(),
         }
     }
 
-    /// Orders currently held back, waiting for their interval to complete.
-    pub fn orders_held(&self) -> u64 {
-        self.orders_held
-    }
-
-    /// Has every stream reported `interval` or later? (A graph rebuilt
-    /// at a cut restores watermarks under the old stream ids, which shift
-    /// when a stream comes or goes. Every restored watermark is below the
-    /// cut's open interval, and no batch below it follows, so an entry
-    /// counts only once its id's stream in the new graph has reported.)
-    fn is_complete(&self, interval: usize) -> bool {
-        let reported = self.watermarks.iter().filter(|&&(_, at)| at >= interval);
-        reported.count() >= self.n_inputs
-    }
-
-    /// Advance `batch`'s stream's watermark, and hold the batch until
-    /// its interval is complete unless it holds nothing.
+    /// Bucket `batch` unless it holds nothing; fail the run if its
+    /// interval was sent already.
     fn take_batch(&mut self, batch: Arc<OrderBatch>) {
-        match (self.watermarks).binary_search_by_key(&batch.stream, |&(stream, _)| stream) {
-            Ok(pos) => self.watermarks[pos].1 = self.watermarks[pos].1.max(batch.interval),
-            Err(pos) => self.watermarks.insert(pos, (batch.stream, batch.interval)),
+        if let Some(sent) = self.sent.filter(|&sent| batch.interval <= sent) {
+            panic!(
+                "order gateway: stream {}'s batch for interval {} arrived after interval {sent} was sent",
+                batch.stream, batch.interval
+            );
         }
+        self.newest = self.newest.max(Some(batch.interval));
         if batch.orders.is_empty() && batch.reports.is_empty() && batch.health.is_empty() {
             return;
         }
-        self.orders_held += batch.orders.len() as u64;
         self.buckets.entry(batch.interval).or_default().push(batch);
-        self.probe
-            .gauge_max("gateway.open_buckets", self.buckets.len() as u64);
-        self.probe
-            .gauge_max("gateway.orders_held_max", self.orders_held);
+    }
+}
+
+impl Default for OrderGatewayNode {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Component for OrderGatewayNode {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Emit, in interval order, every complete bucket — or every bucket:
-    /// its batches' trade reports and health transitions in stream order,
-    /// then the basket of their orders, each order carrying its batch's
+    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+        match msg {
+            Message::Orders(batch) => self.take_batch(batch),
+            other => out(other),
+        }
+    }
+
+    /// Send, in interval order, every bucket the run took: its batches'
+    /// trade reports and health transitions in stream order, then the
+    /// basket of their orders, each order carrying its batch's
     /// provenance id. Whatever order the batches arrived in, the
     /// emissions (and so the ids minted for them) come in this one.
-    fn flush(&mut self, everything: bool, out: &mut Emit<'_>) {
-        while let Some((&interval, _)) = self.buckets.first_key_value() {
-            if !(everything || self.is_complete(interval)) {
-                break;
-            }
-            let mut batches = self.buckets.remove(&interval).expect("first key");
+    fn on_run_end(&mut self, out: &mut Emit<'_>) {
+        self.sent = self.sent.max(self.newest.take());
+        while let Some((interval, mut batches)) = self.buckets.pop_first() {
             batches.sort_by_key(|batch| batch.stream);
             let mut orders = Vec::with_capacity(batches.iter().map(|b| b.orders.len()).sum());
             for batch in batches.into_iter().map(Arc::unwrap_or_clone) {
@@ -224,43 +216,9 @@ impl OrderGatewayNode {
             if orders.is_empty() {
                 continue;
             }
-            self.orders_held -= orders.len() as u64;
             self.probe.count("baskets.emitted", 1);
             self.probe.observe("basket.orders", orders.len() as u64);
             out(Message::Basket(Arc::new(basket_of(interval, orders))));
-        }
-    }
-}
-
-impl Component for OrderGatewayNode {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
-        match msg {
-            Message::Orders(batch) => {
-                self.take_batch(batch);
-                self.flush(false, out);
-            }
-            other => out(other),
-        }
-    }
-
-    fn on_end(&mut self, out: &mut Emit<'_>) {
-        self.flush(true, out);
-    }
-
-    component_state! {
-        node { watermarks, buckets }
-        check {
-            watermarks.sort_unstable_by_key(|&(stream, _)| stream);
-            watermarks.dedup_by_key(|&mut (stream, _)| stream);
-        }
-        then {
-            node.orders_held = (node.buckets.values().flatten())
-                .map(|batch| batch.orders.len() as u64)
-                .sum();
         }
     }
 
@@ -272,10 +230,7 @@ impl Component for OrderGatewayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
     use crate::messages::OrderSide;
-    use crate::node::Source;
-    use crate::runtime::Runtime;
     use pairtrade_core::spec::StrategyKind;
     use proptest::prelude::*;
     use telemetry::lineage::EventId;
@@ -310,35 +265,30 @@ mod tests {
         }))
     }
 
-    /// Feed `msgs`, recording how many baskets had come out after each.
-    fn feed(node: &mut OrderGatewayNode, msgs: Vec<Message>) -> (Vec<Arc<Basket>>, Vec<usize>) {
-        let mut baskets = Vec::new();
-        let mut after = Vec::new();
+    /// One node-run over `msgs`, as the executor runs it: every message,
+    /// then the end of the run. What came out before the end, and after.
+    fn run(node: &mut OrderGatewayNode, msgs: Vec<Message>) -> (Vec<Message>, Vec<Message>) {
+        let (mut early, mut sent) = (Vec::new(), Vec::new());
         for m in msgs {
-            node.on_message(m, &mut |out| {
-                if let Message::Basket(b) = out {
-                    baskets.push(b);
-                }
-            });
-            after.push(baskets.len());
+            node.on_message(m, &mut |out| early.push(out));
         }
-        (baskets, after)
+        node.on_run_end(&mut |out| sent.push(out));
+        (early, sent)
     }
 
-    fn end(node: &mut OrderGatewayNode) -> Vec<Arc<Basket>> {
+    /// The baskets of `msgs`, fed in runs of the given sizes.
+    fn baskets_of(msgs: Vec<Message>, runs: &[usize]) -> Vec<Arc<Basket>> {
+        let mut node = OrderGatewayNode::new();
+        let mut msgs = msgs.into_iter();
         let mut baskets = Vec::new();
-        node.on_end(&mut |out| {
-            if let Message::Basket(b) = out {
-                baskets.push(b);
-            }
-        });
-        baskets
-    }
-
-    fn run(n_streams: usize, msgs: Vec<Message>) -> Vec<Arc<Basket>> {
-        let mut node = OrderGatewayNode::fan_in(n_streams);
-        let (mut baskets, _) = feed(&mut node, msgs);
-        baskets.extend(end(&mut node));
+        for &len in runs {
+            let (early, sent) = run(&mut node, msgs.by_ref().take(len).collect());
+            assert!(early.is_empty(), "a batch left before the end of its run");
+            baskets.extend(sent.into_iter().filter_map(|m| match m {
+                Message::Basket(b) => Some(b),
+                _ => None,
+            }));
+        }
         baskets
     }
 
@@ -369,20 +319,16 @@ mod tests {
             batch(6, 0, &[]),
             batch(7, 0, &[2, 3, 4]),
         ];
-        let mut node = OrderGatewayNode::fan_in(1);
-        let (baskets, after) = feed(&mut node, msgs);
-        // One stream: its own batch completes the interval.
-        assert_eq!(after, vec![1, 1, 2]);
-        assert_eq!(node.orders_held(), 0);
+        let baskets = baskets_of(msgs, &[1, 1, 1]);
         assert_eq!((baskets[0].interval, baskets[0].orders.len()), (5, 2));
         assert_eq!((baskets[1].interval, baskets[1].orders.len()), (7, 3));
-        assert!(end(&mut node).is_empty());
-        assert!(run(1, vec![]).is_empty(), "no orders, no baskets");
+        assert_eq!(baskets.len(), 2);
+        assert!(baskets_of(vec![], &[0]).is_empty(), "no orders, no baskets");
     }
 
-    /// A batch's reports and health leave as messages of their own when
-    /// its interval is complete, ahead of the interval's basket, however
-    /// the streams' batches arrived.
+    /// A batch's reports and health leave as messages of their own at the
+    /// end of its run, ahead of the interval's basket, however the
+    /// streams' batches arrived in it.
     #[test]
     fn a_batch_passes_its_reports_and_health_on_with_its_interval() {
         use crate::messages::{HealthEvent, HealthStatus, TradeReport};
@@ -405,21 +351,17 @@ mod tests {
         for first in [0, 1] {
             let mut msgs = vec![Message::Orders(Arc::clone(&full)), batch(3, 1, &[2])];
             msgs.rotate_left(first);
-            let mut node = OrderGatewayNode::fan_in(2);
-            let mut kinds = Vec::new();
-            node.on_message(msgs.remove(0), &mut |m| kinds.push(m.kind()));
-            assert!(kinds.is_empty(), "the interval is not complete");
-            node.on_message(msgs.remove(0), &mut |m| kinds.push(m.kind()));
+            let (early, sent) = run(&mut OrderGatewayNode::new(), msgs);
+            assert!(early.is_empty(), "the run has not ended");
+            let kinds: Vec<&str> = sent.iter().map(Message::kind).collect();
             assert_eq!(kinds, ["trades", "health", "basket"]);
-            assert_eq!(node.orders_held(), 0);
         }
     }
 
     #[test]
     fn confirmation_flags_survive_aggregation() {
         let orders = vec![order(1, 0, 0, true), order(1, 0, 1, false)];
-        let baskets = run(
-            1,
+        let baskets = baskets_of(
             vec![Message::Orders(Arc::new(OrderBatch {
                 interval: 1,
                 stream: 0,
@@ -428,75 +370,61 @@ mod tests {
                 health: Vec::new(),
                 cause: Cause::none(),
             }))],
+            &[1],
         );
         assert!(baskets[0].orders[0].needs_confirmation);
         assert!(!baskets[0].orders[1].needs_confirmation);
     }
 
+    /// A run that takes several intervals, its streams interleaved, sends
+    /// a basket per interval with orders at its end, in interval order,
+    /// and then holds nothing: the gateway has no state to keep.
     #[test]
-    fn a_bucket_never_flushes_before_its_last_stream_reports() {
-        let mut node = OrderGatewayNode::fan_in(3);
-        let (baskets, after) = feed(
-            &mut node,
-            vec![
-                batch(4, 0, &[0]),
-                batch(4, 2, &[1]),
-                batch(5, 0, &[2]), // stream 0 runs ahead
-                batch(6, 0, &[]),
-                batch(4, 1, &[]), // the last stream reports 4, with nothing
-                batch(5, 1, &[3]),
-                batch(6, 1, &[]),
-                batch(6, 2, &[4]), // stream 2 skips 5: its watermark covers it
-            ],
-        );
-        assert_eq!(after, vec![0, 0, 0, 0, 1, 1, 1, 3]);
+    fn a_run_sends_every_interval_it_took_in_order_and_keeps_nothing() {
+        let msgs = vec![
+            batch(4, 0, &[0]),
+            batch(5, 0, &[2]), // stream 0 runs ahead
+            batch(6, 0, &[]),
+            batch(4, 2, &[1]),
+            batch(4, 1, &[]),
+            batch(5, 1, &[3]),
+            batch(6, 1, &[]),
+            batch(6, 2, &[4]),
+        ];
+        let want = expected(&msgs);
+        let mut node = OrderGatewayNode::new();
+        let (early, sent) = run(&mut node, msgs);
+        assert!(early.is_empty());
+        let baskets: Vec<Arc<Basket>> = (sent.into_iter())
+            .filter_map(|m| match m {
+                Message::Basket(b) => Some(b),
+                _ => None,
+            })
+            .collect();
+        assert!(same(&baskets, &want));
         assert_eq!(
             baskets.iter().map(|b| b.interval).collect::<Vec<_>>(),
             vec![4, 5, 6]
         );
-        assert_eq!(node.orders_held(), 0);
         // Rows are canonical: by param set first.
         assert!(baskets[0]
             .orders
             .windows(2)
             .all(|w| w[0].param_set <= w[1].param_set));
+        assert!(node.buckets.is_empty() && node.newest.is_none());
+        assert!(node.encode_state().is_none(), "no state crosses a cut");
     }
 
+    /// The safety check behind the merge per node-run: a batch for an
+    /// interval an earlier run took — whose basket has left — fails the
+    /// run instead of becoming a second basket for it.
     #[test]
-    fn a_silent_stream_defers_everything_to_the_end() {
-        // Three streams wired, two alive: nothing is ever complete.
-        let msgs = vec![
-            batch(9, 0, &[0]),
-            batch(2, 1, &[1]),
-            batch(9, 1, &[2]),
-            batch(2, 0, &[3]),
-        ];
-        let mut node = OrderGatewayNode::fan_in(3);
-        let (live, _) = feed(&mut node, msgs.clone());
-        assert!(live.is_empty());
-        assert_eq!(node.orders_held(), 4);
-        // ... and the end-of-day flush is the whole day, in order.
-        assert!(same(&end(&mut node), &expected(&msgs)));
-    }
-
-    #[test]
-    fn durable_state_round_trips_and_holds_no_orders_once_everyone_reported() {
-        let mut node = OrderGatewayNode::fan_in(2);
-        feed(&mut node, vec![batch(1, 0, &[0]), batch(1, 1, &[1])]);
-        let quiet = node.encode_state().unwrap();
-        let mut twin = OrderGatewayNode::fan_in(2);
-        assert!(twin.decode_state(&quiet));
-        assert_eq!(twin.orders_held(), 0);
-
-        // Mid-interval: one stream ahead, its orders held.
-        feed(&mut node, vec![batch(2, 0, &[2])]);
-        let held = node.encode_state().unwrap();
-        assert!(held.len() > quiet.len());
-        assert!(twin.decode_state(&held));
-        assert_eq!(twin.orders_held(), 1);
-        let rest = vec![batch(2, 1, &[3])];
-        assert_eq!(feed(&mut node, rest.clone()).0, feed(&mut twin, rest).0);
-        assert!(!twin.decode_state(&held[..held.len() - 1]));
+    #[should_panic(expected = "stream 1's batch for interval 5 arrived after interval 5 was sent")]
+    fn a_batch_for_an_interval_already_sent_fails_the_run() {
+        let mut node = OrderGatewayNode::new();
+        // An empty batch counts: its interval was taken.
+        run(&mut node, vec![batch(4, 0, &[0]), batch(5, 0, &[])]);
+        run(&mut node, vec![batch(6, 0, &[1]), batch(5, 1, &[2])]);
     }
 
     proptest! {
@@ -539,27 +467,11 @@ mod tests {
         }
     }
 
-    /// Replays one stream node's batches as a graph source.
-    struct StreamSource(Vec<Message>);
-
-    impl Source for StreamSource {
-        fn name(&self) -> &str {
-            "stream"
-        }
-
-        fn run(&mut self, out: &mut Emit<'_>) {
-            for m in self.0.drain(..) {
-                out(m);
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// However N streams' batches interleave — shuffled by hand,
-        /// or raced through a real graph at 1, 2 and max workers — the
-        /// basket sequence is the same.
+        /// However one node-run's input interleaves N streams' batches —
+        /// each stream's own in order — the basket sequence is the same.
         #[test]
         fn fan_in_interleaving_never_changes_the_baskets(
             n_streams in 1usize..6,
@@ -590,30 +502,9 @@ mod tests {
                 shuffled.push(streams[h][heads[h]].clone());
                 heads[h] += 1;
             }
-            let mut node = OrderGatewayNode::fan_in(n_streams);
-            let (mut got, _) = feed(&mut node, shuffled);
-            prop_assert_eq!(node.orders_held(), 0, "every stream reported every interval");
-            got.extend(end(&mut node));
-            prop_assert!(same(&got, &want));
-
-            for workers in [1usize, 2, 0] {
-                let mut g = Graph::new();
-                let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(n_streams)));
-                let sink = g.add_sink("baskets");
-                for stream in &streams {
-                    let node = g.add_source(Box::new(StreamSource(stream.clone())));
-                    g.connect(node, gateway);
-                }
-                g.connect(gateway, sink);
-                let mut out = Runtime::with_workers(workers).run(g).unwrap();
-                let got: Vec<Arc<Basket>> = (out.take_sink(sink).into_iter())
-                    .filter_map(|m| match m {
-                        Message::Basket(b) => Some(b),
-                        _ => None,
-                    })
-                    .collect();
-                prop_assert!(same(&got, &want), "workers={}", workers);
-            }
+            let len = shuffled.len();
+            prop_assert_eq!(len, all.len(), "the shuffle took every batch");
+            prop_assert!(same(&baskets_of(shuffled, &[len]), &want));
         }
     }
 }

@@ -27,16 +27,16 @@
 //!   status as of the order's own interval;
 //! * it sends the gateway one [`OrderBatch`] per step — the orders of
 //!   every spec that passed and the trades every spec closed, possibly
-//!   none of either — which doubles as the stream's watermark. It sends
-//!   nothing else.
+//!   none of either: an empty batch is the edge's one-per-bar-set token.
+//!   It sends nothing else.
 //!
 //! Every step begins an interval: step `t` opens interval `t`'s batch,
 //! which is final, and leaves, when step `t + 1` arrives (or the stream
 //! ends): the flattens step `t + 1`'s health causes book at `t`, and the
 //! end-of-day closes at the last interval priced. A step with no snapshot
-//! of the stream (the window is not yet full) still leaves a watermark,
-//! so a long-window stream never holds back a short-window one's
-//! baskets. A node takes the status of the first bar set it sees as its
+//! of the stream (the window is not yet full) still leaves a batch, so
+//! every stream's batch for a bar set reaches the gateway in the same
+//! node-run. A node takes the status of the first bar set it sees as its
 //! own and acts on nothing, so one new to a running graph starts where
 //! the others stand.
 //!
@@ -1263,7 +1263,7 @@ mod tests {
     }
 
     /// However many orders the checks refuse, the node sends exactly one
-    /// batch per bar set: the batch is the stream's watermark.
+    /// batch per bar set: the edge's one-per-bar-set token.
     #[test]
     fn one_batch_per_bar_set_whatever_the_verdicts() {
         let paper = StrategySpec::Paper(params());
@@ -1340,7 +1340,7 @@ mod tests {
             feed(&mut node, &mut seen, quiet);
         }
         node.on_end(&mut |m| seen.take(m));
-        assert_eq!(seen.batches.len(), 300, "the watermark never stalls");
+        assert_eq!(seen.batches.len(), 300, "one batch per bar set");
         assert!(seen.orders().is_empty());
         assert!(seen.reports().is_empty(), "no trades, no reports");
     }

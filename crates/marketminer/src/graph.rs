@@ -1,11 +1,12 @@
 //! DAG description and validation.
 //!
 //! A [`Graph`] is built by adding sources, components and sinks and wiring
-//! them with edges. [`Graph::validate`] enforces the workflow contract
+//! them with edges. A source is only a name: whoever holds the running
+//! graph feeds it (`crate::runtime::RunSession::feed`). [`Graph::validate`] enforces the workflow contract
 //! *before* any thread spawns: the graph must be acyclic, every component
 //! must be reachable from a source, and every edge endpoint must exist.
 
-use crate::node::{Component, Source};
+use crate::node::Component;
 
 /// Handle to a node in the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,7 +21,8 @@ impl NodeId {
 }
 
 pub(crate) enum NodeKind {
-    Source(Box<dyn Source>),
+    /// Fed from outside the pool.
+    Source,
     Component(Box<dyn Component>),
     /// Terminal collector; the runtime returns its gathered messages.
     Sink,
@@ -91,12 +93,12 @@ impl Graph {
         Self::default()
     }
 
-    /// Add a source node.
-    pub fn add_source(&mut self, source: Box<dyn Source>) -> NodeId {
-        let name = source.name().to_string();
+    /// Add a source node: the way messages enter the graph, fed by the
+    /// session's holder.
+    pub fn add_source(&mut self, name: impl Into<String>) -> NodeId {
         self.nodes.push(NodeEntry {
-            kind: NodeKind::Source(source),
-            name,
+            kind: NodeKind::Source,
+            name: name.into(),
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -146,7 +148,7 @@ impl Graph {
         if !self
             .nodes
             .iter()
-            .any(|e| matches!(e.kind, NodeKind::Source(_)))
+            .any(|e| matches!(e.kind, NodeKind::Source))
         {
             return Err(GraphError::NoSource);
         }
@@ -155,7 +157,7 @@ impl Graph {
             if from >= n || to >= n {
                 return Err(GraphError::DanglingEdge { from, to });
             }
-            if matches!(self.nodes[to].kind, NodeKind::Source(_)) {
+            if matches!(self.nodes[to].kind, NodeKind::Source) {
                 return Err(GraphError::IllegalEndpoint(self.nodes[to].name.clone()));
             }
             if matches!(self.nodes[from].kind, NodeKind::Sink) {
@@ -167,7 +169,7 @@ impl Graph {
 
         // Non-source nodes must have at least one inbound edge.
         for (i, entry) in self.nodes.iter().enumerate() {
-            if !matches!(entry.kind, NodeKind::Source(_)) && indegree[i] == 0 {
+            if !matches!(entry.kind, NodeKind::Source) && indegree[i] == 0 {
                 return Err(GraphError::Unreachable(entry.name.clone()));
             }
         }
@@ -199,21 +201,11 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Emit, Passthrough, Source};
-
-    struct NullSource;
-
-    impl Source for NullSource {
-        fn name(&self) -> &str {
-            "null-source"
-        }
-
-        fn run(&mut self, _out: &mut Emit<'_>) {}
-    }
+    use crate::node::Passthrough;
 
     fn linear_graph() -> (Graph, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(NullSource));
+        let src = g.add_source("source");
         let mid = g.add_component(Box::new(Passthrough::new("mid")));
         let sink = g.add_sink("sink");
         g.connect(src, mid);
@@ -234,7 +226,7 @@ mod tests {
     #[test]
     fn rejects_cycle() {
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(NullSource));
+        let src = g.add_source("source");
         let a = g.add_component(Box::new(Passthrough::new("a")));
         let b = g.add_component(Box::new(Passthrough::new("b")));
         g.connect(src, a);
@@ -246,7 +238,7 @@ mod tests {
     #[test]
     fn rejects_unreachable_component() {
         let mut g = Graph::new();
-        let _src = g.add_source(Box::new(NullSource));
+        let _src = g.add_source("source");
         let _orphan = g.add_component(Box::new(Passthrough::new("orphan")));
         assert_eq!(g.validate(), Err(GraphError::Unreachable("orphan".into())));
     }
@@ -254,7 +246,7 @@ mod tests {
     #[test]
     fn rejects_edge_into_source() {
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(NullSource));
+        let src = g.add_source("source");
         let a = g.add_component(Box::new(Passthrough::new("a")));
         g.connect(src, a);
         g.connect(a, src);
@@ -264,7 +256,7 @@ mod tests {
     #[test]
     fn rejects_edge_out_of_sink() {
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(NullSource));
+        let src = g.add_source("source");
         let sink = g.add_sink("sink");
         let a = g.add_component(Box::new(Passthrough::new("a")));
         g.connect(src, sink);
@@ -285,7 +277,7 @@ mod tests {
     #[test]
     fn diamond_is_fine() {
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(NullSource));
+        let src = g.add_source("source");
         let a = g.add_component(Box::new(Passthrough::new("a")));
         let b = g.add_component(Box::new(Passthrough::new("b")));
         let sink = g.add_sink("sink");

@@ -66,6 +66,7 @@ use taq::quote::Quote;
 use telemetry::lineage::LineageEvent;
 use telemetry::TelemetryReport;
 
+use crate::components::ReplayCollector;
 use crate::graph::GraphError;
 use crate::messages::{Basket, CorrSnapshot, HealthEvent, Message};
 use crate::pipeline::{NodeFailure, SinkOutput, SweepConfig, SweepSession};
@@ -168,7 +169,8 @@ impl LiveSweepSession {
         prior: Option<(Vec<String>, SessionCkpt)>,
     ) -> Result<SweepSession, GraphError> {
         let runtime = Runtime::with_config(rt_config);
-        let session = SweepSession::open(runtime, cfg, active, 0, true)?;
+        let session =
+            SweepSession::open(runtime, cfg, active, &ReplayCollector::node_name(0), true)?;
         if let Some((old_names, ckpt)) = prior {
             let by_name: HashMap<&str, &NodeCkpt> = old_names
                 .iter()
@@ -376,14 +378,14 @@ mod tests {
         }
     }
 
-    /// One tape, every driver: free-running sources, the sweep session at
+    /// One tape, every feed: the whole day in one stream, the sweep session at
     /// epochs of one quote, 997 quotes and the whole day, and a mid-day
     /// capture → fresh session → restore all produce the same day and the
     /// same row of stats for every node but the entry edge's, at every
     /// pool size.
     #[test]
     fn live_epochs_match_static_run() {
-        use crate::components::{HealthPolicy, ReplayCollector};
+        use crate::components::HealthPolicy;
         use crate::pipeline::{quote_batches, run_sweep_pipeline_with, SweepSession};
 
         let (day, n) = small_day(77);
@@ -413,7 +415,8 @@ mod tests {
             assert_eq!(statics.node_stats[0].messages_out, runs(quotes.len()));
 
             let drive = |epoch_quotes: usize, restore_after: Option<usize>| {
-                let open = || SweepSession::open(runtime(), &cfg, &[0, 1], day.day, false).unwrap();
+                let name = ReplayCollector::node_name(day.day);
+                let open = || SweepSession::open(runtime(), &cfg, &[0, 1], &name, false).unwrap();
                 let mut session = open();
                 let mut got = SinkOutput::default();
                 for (epoch, chunk) in quotes.chunks(epoch_quotes).enumerate() {

@@ -17,13 +17,13 @@ use stats::matrix::SymMatrix;
 use taq::quote::Quote;
 pub use telemetry::lineage::{Cause, EventId};
 
-/// Consecutive tape quotes: a collector's whole tape, or one run of it
-/// that shares a Δs interval, as the sweep graph's entry edge carries it
-/// (`pipeline::quote_batches` cuts the tape).
+/// One run of consecutive tape quotes that share a Δs interval, as the
+/// sweep graph's entry edge carries it (`pipeline::quote_batches` cuts the
+/// tape).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuoteBatch {
-    /// The interval every quote falls into; `None` on a tape not cut yet.
-    pub interval: Option<usize>,
+    /// The interval every quote falls into.
+    pub interval: usize,
     /// The quotes, in tape order.
     pub quotes: Vec<Quote>,
     /// Causal provenance (stamped by the runtime at `Full`): every quote
@@ -125,9 +125,9 @@ pub struct OrderRequest {
 /// Everything one stream node's specs produced at one interval: the
 /// orders that passed their risk checks and the trades they closed —
 /// possibly none of either. A stream node emits exactly one batch per bar
-/// set it receives, in interval order, so the batch is also the stream's
-/// **watermark**: once a consumer has seen `interval = t` from a stream,
-/// no order or trade for an interval `<= t` will follow from it.
+/// set it receives, in interval order: an empty batch is the edge's
+/// one-per-bar-set token, and all of a bar set's batches reach the
+/// gateway in one node-run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBatch {
     /// Interval the batch covers.
@@ -244,7 +244,7 @@ pub enum Message {
     Bars(Arc<BarSet>),
     /// A correlation-matrix snapshot (what the serving layer delivers).
     Corr(Arc<CorrSnapshot>),
-    /// One stream node's results for one interval (and its watermark).
+    /// One stream node's results for one interval (possibly none).
     Orders(Arc<OrderBatch>),
     /// An aggregated order basket.
     Basket(Arc<Basket>),
@@ -259,12 +259,12 @@ pub enum Message {
 impl Message {
     /// The simulated-time coordinate the message carries, when it has
     /// one: the trading interval the payload belongs to. Trade reports
-    /// and an uncut tape have no single interval. Telemetry uses this as
+    /// have no single interval. Telemetry uses this as
     /// the second axis on spans, so a wall-clock latency spike can be
     /// attributed to a point in the trading day.
     pub fn interval(&self) -> Option<u64> {
         match self {
-            Message::Quotes(q) => q.interval.map(|t| t as u64),
+            Message::Quotes(q) => Some(q.interval as u64),
             Message::Bars(b) => Some(b.interval as u64),
             Message::Step(s) => Some(s.bars.interval as u64),
             Message::Corr(c) => Some(c.interval as u64),
@@ -276,7 +276,7 @@ impl Message {
     }
 
     /// The message's causal context, if it carries one: everything but
-    /// an order batch without orders, which is a bare watermark as far as
+    /// an order batch without orders, which is a bare token as far as
     /// identity goes — its trades and health carry their own causes, so
     /// it has no data item to stamp or record.
     pub fn cause(&self) -> Option<&Cause> {
@@ -394,7 +394,7 @@ mod tests {
         };
         let every = [
             Message::Quotes(Arc::new(QuoteBatch {
-                interval: Some(0),
+                interval: 0,
                 quotes: vec![quote],
                 cause: Cause::none(),
             })),
@@ -435,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_batch_is_a_bare_watermark() {
+    fn an_empty_batch_is_a_bare_token() {
         let order = OrderRequest {
             interval: 7,
             param_set: 3,

@@ -1,5 +1,6 @@
 //! Component traits: what a box in the Figure-1 diagram is.
 
+use taq::quote::Quote;
 use telemetry::Probe;
 
 use crate::messages::Message;
@@ -19,6 +20,13 @@ pub trait Component: Send {
     /// Called once after the upstream finishes (all inputs drained) and
     /// before the node's own outputs close — flush buffered state here.
     fn on_end(&mut self, _out: &mut Emit<'_>) {}
+
+    /// Called once at the end of every node-run, after the last message
+    /// the run took (and its `on_end`, if the run ended the stream): a
+    /// merge whose inputs all arrive in one run sends what the run took
+    /// here. Its time, its emissions and a panic in it count as the
+    /// last callback's. The default does nothing.
+    fn on_run_end(&mut self, _out: &mut Emit<'_>) {}
 
     /// The one state contract: serialize the component's *mutable* state
     /// (not its construction-time configuration) to bytes. A session's
@@ -141,17 +149,18 @@ macro_rules! component_state {
 }
 pub(crate) use component_state;
 
-/// A source node: drives the DAG by emitting messages until done.
+/// A collector: what feeds a sweep graph's source node, the tape of one
+/// day. Its caller feeds the tape in (`pipeline::run_sweep_pipeline_with`
+/// on its own thread); a graph's source node is only a name.
 pub trait Source: Send {
-    /// Source name for diagnostics.
+    /// Collector name: the name of the source node it feeds.
     fn name(&self) -> &str;
 
-    /// Produce the entire stream. Returning ends the stream and begins the
-    /// downstream shutdown cascade.
-    fn run(&mut self, out: &mut Emit<'_>);
+    /// Hand over the day's tape, in tape order. Called once.
+    fn tape(&mut self) -> Vec<Quote>;
 
-    /// Hand the source its telemetry probe (see
-    /// [`Component::attach_telemetry`]).
+    /// Hand the collector its source node's telemetry probe, before
+    /// [`Source::tape`] (see [`Component::attach_telemetry`]).
     fn attach_telemetry(&mut self, _probe: Probe) {}
 }
 

@@ -13,8 +13,10 @@
 //! driver drained from it into the run's output. A [`SweepConfig`] of one
 //! spec is exactly that chain; more specs share everything up to their
 //! `(Ctype, M)` correlation stream, and the gateway is the one merge: each
-//! stream node sends it one batch per bar set, the stream's watermark, so
-//! it waits on one input per stream, not per spec.
+//! stream node sends it one batch per bar set, so it takes one input per
+//! stream, not per spec, and all of a bar set's batches in one node-run.
+//! The graph's source is a name: its caller feeds the tape in
+//! ([`run_sweep_pipeline_with`] a whole day, `SweepSession` in epochs).
 //! Which specs read which stream, and which streams one engine
 //! node computes, is the [`EnginePlan`] of the specs' keys: the graph
 //! builds one engine node per entry of its `engines` and one stream node
@@ -38,11 +40,11 @@ use crate::components::{
 };
 use crate::graph::{Graph, GraphError, NodeId};
 use crate::messages::{Basket, Cause, CorrSnapshot, HealthEvent, Message, QuoteBatch};
-use crate::node::{Emit, Source};
+use crate::node::Source;
 use crate::runtime::{RunOutput, RunSession, Runtime, SessionCkpt};
 use stats::matrix::SymMatrix;
 use stats::parallel::EnginePlan;
-use telemetry::{Probe, TelemetryReport};
+use telemetry::TelemetryReport;
 
 /// Configuration for the shared-stream parameter-sweep pipeline: the full
 /// grid of strategy specifications runs as ONE graph on the pooled
@@ -52,8 +54,8 @@ use telemetry::{Probe, TelemetryReport};
 /// series its specs share (`C̄`, relative drop, spread range, trailing
 /// returns — one per distinct window), steps each spec's rule over every
 /// pair and judges each order against that spec's risk limits; every
-/// stream node feeds one batch per bar set to one watermark-flushed order
-/// gateway and one sink.
+/// stream node feeds one batch per bar set to one order gateway, which
+/// sends what each of its runs took, and one sink.
 /// This is the paper's "Approach 3" deployment: 42 parameter sets share 9
 /// correlation streams instead of running 42 independent pipelines — and
 /// since the stream node is generic over the [`StrategySpec`] algebra,
@@ -444,30 +446,21 @@ pub fn render_robust_planes(metrics: &telemetry::metrics::MetricsSnapshot) -> St
 }
 
 /// How results left a finished run, from its telemetry: what the stream
-/// nodes streamed and the gateway had to hold, and — for a fleet report, whose
+/// nodes streamed and the gateway sent, and — for a fleet report, whose
 /// supervisor records one row per rank — what the durable cuts cost, what
 /// the rank's result frames cost to send and to check and decode, the
 /// longest gap between its frames, and what the supervisor's merge of the
 /// ranks' outputs took.
 /// Rendered by `profile_report` and `fleet_sweep --profile`.
 pub fn render_results_plane(metrics: &telemetry::metrics::MetricsSnapshot) -> String {
-    let gauge_peak = |name: &str| {
-        (metrics.gauges.iter())
-            .filter(|((_, n), _)| n == name)
-            .map(|(_, v)| *v)
-            .max()
-            .unwrap_or(0)
-    };
     let mut out = String::from("\nresults leave when final\n");
     out.push_str(&format!(
         "  streams  {} trades streamed in reports\n",
         metrics.counter_total("trades.streamed")
     ));
     out.push_str(&format!(
-        "  gateway  {} baskets; at most {} intervals open, {} orders held\n",
+        "  gateway  {} baskets\n",
         metrics.counter_total("baskets.emitted"),
-        gauge_peak("gateway.open_buckets"),
-        gauge_peak("gateway.orders_held_max"),
     ));
     for ((label, name), saves) in &metrics.counters {
         if name != "ckpt.saves" || *saves == 0 {
@@ -568,53 +561,28 @@ pub fn quote_batches(quotes: &[Quote], dt: u32) -> impl Iterator<Item = Message>
     let interval = move |q: &Quote| q.ts.interval(dt);
     (quotes.chunk_by(move |a, b| interval(a) == interval(b))).map(move |run| {
         Message::Quotes(Arc::new(QuoteBatch {
-            interval: Some(interval(&run[0])),
+            interval: interval(&run[0]),
             quotes: run.to_vec(),
             cause: Cause::none(),
         }))
     })
 }
 
-/// The sweep graph's source: a collector whose tape enters cut.
-struct Cut(Box<dyn Source>, u32);
-
-impl Source for Cut {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn run(&mut self, out: &mut Emit<'_>) {
-        let dt = self.1;
-        self.0.run(&mut |msg| match msg {
-            Message::Quotes(tape) => quote_batches(&tape.quotes, dt).for_each(&mut *out),
-            other => out(other),
-        });
-    }
-
-    fn attach_telemetry(&mut self, probe: Probe) {
-        self.0.attach_telemetry(probe);
-    }
-}
-
 /// The built sweep DAG (the full grid, or one shard's slice of it),
 /// plus the node ids its driver needs.
 pub(crate) struct SweepGraphParts {
-    /// The validated-by-construction graph, ready for
-    /// `Runtime::run`/`Runtime::session`.
+    /// The validated-by-construction graph, ready for `Runtime::session`.
     pub graph: Graph,
     /// The single order sink.
     pub sink: NodeId,
-    /// Stream id consumed by each *included* parameter set
-    /// (index-aligned with `included`).
-    pub streams: Vec<usize>,
     /// The analytics tap sink (every correlation engine's steps reach
     /// it), present only when requested.
     pub tap: Option<NodeId>,
 }
 
 /// Build the shared-stream sweep DAG over the strategy specs named by
-/// `included` (global indices into `cfg.specs`), fed by `source` through
-/// the interval cutter. Specs keep their
+/// `included` (global indices into `cfg.specs`), its source node — fed the
+/// tape cut by [`quote_batches`] — named `source`. Specs keep their
 /// *global* `param_set` tags, so a shard's slice attributes trades
 /// exactly as the full graph would; stream ids and engines are the
 /// [`EnginePlan`] of the included sets' keys.
@@ -629,7 +597,7 @@ pub(crate) struct SweepGraphParts {
 /// # Panics
 /// Panics if `included` is empty or the selected specs mix `Δs` values.
 pub(crate) fn build_sweep_graph(
-    source: Box<dyn Source>,
+    source: &str,
     cfg: &SweepConfig,
     included: &[usize],
     tap: bool,
@@ -642,7 +610,7 @@ pub(crate) fn build_sweep_graph(
     );
 
     let mut g = Graph::new();
-    let collector = g.add_source(Box::new(Cut(source, dt)));
+    let collector = g.add_source(source);
     let mut accumulator = BarAccumulatorNode::new(cfg.n_stocks, dt, cfg.clean);
     if let Some(policy) = cfg.health {
         accumulator = accumulator.with_health(policy);
@@ -671,9 +639,9 @@ pub(crate) fn build_sweep_graph(
         })
         .collect();
 
-    // The one merge: a gateway that knows how many streams it waits for
-    // (fan-in-deterministic baskets), and the sink.
-    let gateway = g.add_component(Box::new(OrderGatewayNode::fan_in(plan.streams.len())));
+    // The one merge, sending what each of its runs took (fan-in-
+    // deterministic baskets), and the sink.
+    let gateway = g.add_component(Box::new(OrderGatewayNode::new()));
     let sink = g.add_sink("order-sink");
     g.connect(gateway, sink);
 
@@ -700,7 +668,6 @@ pub(crate) fn build_sweep_graph(
     SweepGraphParts {
         graph: g,
         sink,
-        streams: plan.stream_of,
         tap: tap_sink,
     }
 }
@@ -716,11 +683,12 @@ pub(crate) struct SweepCut {
     pub lineage: Vec<LineageEvent>,
 }
 
-/// The sweep graph driven from outside, in epochs: the one place that
-/// knows a placeholder collector stands where the tape is fed in, which
-/// node is the sink and which the tap, and the order of a cut. The live
-/// server folds and reconfigures on top of it, the shard worker uplinks
-/// and checkpoints; both own only what to do *between* cuts.
+/// The sweep graph fed by its caller, whole or in epochs: the one place
+/// that knows which node the tape is fed into, which node is the sink and
+/// which the tap, and the order of a cut. [`run_sweep_pipeline_with`]
+/// feeds it a whole day, the live server folds and reconfigures on top of
+/// it, the shard worker uplinks and checkpoints; each owns only what to do
+/// *between* cuts.
 pub(crate) struct SweepSession {
     session: RunSession,
     dt: u32,
@@ -752,22 +720,17 @@ fn corr_snapshots(tap: Vec<Message>) -> Vec<Arc<CorrSnapshot>> {
 
 impl SweepSession {
     /// Open `runtime` on the slice `included` of `cfg`'s sweep graph
-    /// (see [`build_sweep_graph`]), with the analytics tap if asked. The
-    /// collector node carries `day`'s name and replays nothing.
+    /// (see [`build_sweep_graph`]), its source node named `source` (a
+    /// collector's name: [`ReplayCollector::node_name`] for a replayed
+    /// day), with the analytics tap if asked.
     pub(crate) fn open(
         runtime: Runtime,
         cfg: &SweepConfig,
         included: &[usize],
-        day: u16,
+        source: &str,
         tap: bool,
     ) -> Result<SweepSession, GraphError> {
-        let placeholder = DayData::new(day, Vec::new(), cfg.n_stocks, Vec::new());
-        let parts = build_sweep_graph(
-            Box::new(ReplayCollector::new(placeholder)),
-            cfg,
-            included,
-            tap,
-        );
+        let parts = build_sweep_graph(source, cfg, included, tap);
         let session = runtime.session(parts.graph)?;
         Ok(SweepSession {
             dt: cfg.specs[included[0]].dt_seconds(),
@@ -778,16 +741,21 @@ impl SweepSession {
         })
     }
 
-    /// Feed one epoch of the tape, one batch per interval, wait for the
-    /// graph to absorb it, and drain the cut. The graph is quiescent and
-    /// its sinks empty on return — the only state
-    /// [`SweepSession::capture`] may be called in — and what the cut
-    /// holds is a function of the fed prefix alone, whatever the worker
-    /// count.
-    pub(crate) fn feed_epoch(&self, quotes: &[Quote]) -> SweepCut {
+    /// Feed `quotes`, one batch per interval run, on the calling thread;
+    /// each batch returns after its superstep.
+    pub(crate) fn feed(&self, quotes: &[Quote]) {
         for batch in quote_batches(quotes, self.dt) {
             self.session.feed(self.src, batch);
         }
+    }
+
+    /// Feed one epoch of the tape, wait for the graph to absorb it, and
+    /// drain the cut. The graph is quiescent and its sinks empty on
+    /// return — the only state [`SweepSession::capture`] may be called
+    /// in — and what the cut holds is a function of the fed prefix alone,
+    /// whatever the worker count.
+    pub(crate) fn feed_epoch(&self, quotes: &[Quote]) -> SweepCut {
+        self.feed(quotes);
         self.session.quiesce();
         SweepCut {
             messages: self.session.drain_sink(self.sink),
@@ -831,7 +799,10 @@ impl SweepSession {
 }
 
 /// Build and run the sweep DAG with an explicit runtime (worker count,
-/// telemetry) and quote source.
+/// telemetry) over a collector's tape: a `SweepSession` the calling
+/// thread feeds the whole day, then finishes. The collector counts under
+/// its source node's probe; a collector that panics fails the run with
+/// its own panic, and the session's pool stops as it unwinds.
 ///
 /// An invalid configuration (fewer than two stocks, empty spec list,
 /// mixed `Δs`, or any spec whose own knobs fail validation) is a
@@ -839,30 +810,26 @@ impl SweepSession {
 /// panic.
 pub fn run_sweep_pipeline_with(
     runtime: Runtime,
-    source: Box<dyn Source>,
+    mut source: Box<dyn Source>,
     cfg: &SweepConfig,
 ) -> Result<SweepOutput, GraphError> {
     cfg.validate()
         .map_err(|e| GraphError::Config(telemetry::ConfigError::invalid("sweep config", e.0)))?;
     let all: Vec<usize> = (0..cfg.specs.len()).collect();
-    let SweepGraphParts {
-        graph,
-        sink,
-        streams,
-        ..
-    } = build_sweep_graph(source, cfg, &all, false);
-
-    let mut out = runtime.run(graph)?;
+    let session = SweepSession::open(runtime, cfg, &all, source.name(), false)?;
+    source.attach_telemetry(session.session.probe(session.src));
+    session.feed(&source.tape());
+    let (cut, out) = session.finish();
     let SinkOutput {
         trades_per_param,
         baskets,
         health_events,
-    } = collect_sweep_output(cfg.specs.len(), out.take_sink(sink));
+    } = collect_sweep_output(cfg.specs.len(), cut.messages);
     Ok(SweepOutput {
         trades_per_param,
         baskets,
         health_events,
-        streams,
+        streams: EnginePlan::of(cfg.specs.iter().map(StrategySpec::stream_key)).stream_of,
         node_stats: out.node_stats,
         failures: Vec::new(),
         stalls: Vec::new(),
@@ -1040,9 +1007,7 @@ pub(crate) mod tests {
         let cfg = SweepConfig::paper(n);
         let all: Vec<usize> = (0..cfg.specs.len()).collect();
         let graph = |tap: bool| {
-            let placeholder = DayData::new(0, Vec::new(), n, Vec::new());
-            let source = Box::new(ReplayCollector::new(placeholder));
-            let g = build_sweep_graph(source, &cfg, &all, tap).graph;
+            let g = build_sweep_graph(&ReplayCollector::node_name(0), &cfg, &all, tap).graph;
             g.validate().expect("a valid graph");
             g
         };
@@ -1161,7 +1126,7 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(&joined, &tape);
             for b in &runs {
                 proptest::prop_assert!(!b.quotes.is_empty());
-                let t = b.interval.expect("a cut run names its interval");
+                let t = b.interval;
                 proptest::prop_assert!(b.quotes.iter().all(|q| q.ts.interval(dt) == t));
             }
             for pair in runs.windows(2) {
@@ -1187,21 +1152,19 @@ pub(crate) mod tests {
     /// 16-stock day cut every 1000 quotes, the encoded session at the
     /// last cut is at most twice its size at the first cut after the
     /// slowest engine (M = 200) is warm, and at no cut does the gateway
-    /// hold an order: every stream node has the newest bar set's interval
-    /// open, and every stream's watermark is the interval before it.
+    /// hold anything — it keeps no state — while every stream node has
+    /// the newest bar set's interval open.
     #[test]
     fn a_cut_holds_no_orders_and_does_not_grow_with_the_day() {
-        use crate::messages::OrderBatch;
-        use wire::Codec;
-
         let n = 16;
         let mut market = MarketConfig::small(n, 1, 2009);
         market.micro.quote_rate_hz = 0.05;
         let day = MarketGenerator::new(market).next_day().unwrap();
         let cfg = SweepConfig::paper(n);
         let all: Vec<usize> = (0..cfg.specs.len()).collect();
+        let name = ReplayCollector::node_name(day.day);
         let session =
-            SweepSession::open(Runtime::with_workers(2), &cfg, &all, day.day, false).unwrap();
+            SweepSession::open(Runtime::with_workers(2), &cfg, &all, &name, false).unwrap();
         let names = session.node_names();
         let at = |name: &str| names.iter().position(|n| n == name).unwrap();
         let gateway = at("order-gateway");
@@ -1228,15 +1191,10 @@ pub(crate) mod tests {
                 assert!(twin.decode_state(ckpt.nodes[idx].state.as_deref().unwrap()));
                 assert_eq!(twin.open_interval(), Some(newest_bars), "{}", names[idx]);
             }
-            // The gateway's state: watermarks and held batches.
-            let state = ckpt.nodes[gateway].state.as_deref().unwrap();
-            let r = &mut wire::Reader::new(state);
-            let watermarks = Vec::<(usize, usize)>::decode(r).unwrap();
-            let held = Vec::<(usize, Vec<OrderBatch>)>::decode(r).unwrap();
-            let streams_in: Vec<usize> = watermarks.iter().map(|&(stream, _)| stream).collect();
-            assert_eq!(streams_in, (0..plan.streams.len()).collect::<Vec<_>>());
-            assert!(watermarks.iter().all(|&(_, t)| t + 1 == newest_bars));
-            assert!(held.is_empty(), "the gateway held orders at a cut");
+            assert!(
+                ckpt.nodes[gateway].state.is_none(),
+                "the gateway held state at a cut"
+            );
 
             last = wire::to_bytes(&ckpt).len();
             if first_warm.is_none() && newest_quote > 201 {
@@ -1281,8 +1239,9 @@ pub(crate) mod tests {
             halt_intervals: 2,
         };
         let cfg = SweepConfig::new(n, vec![p1, p2]).with_health(policy);
+        let name = ReplayCollector::node_name(day.day);
         let session =
-            SweepSession::open(Runtime::with_workers(2), &cfg, &[0, 1], day.day, true).unwrap();
+            SweepSession::open(Runtime::with_workers(2), &cfg, &[0, 1], &name, true).unwrap();
         let tap = session.tap.expect("a tapped session");
         let (mut kinds, mut health) = (std::collections::BTreeSet::new(), Vec::new());
         let mut keep_health = |msgs: Vec<Message>| {

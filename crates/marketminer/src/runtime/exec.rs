@@ -1,10 +1,11 @@
 //! The executor: one superstep per fed message.
 //!
-//! The graph's sources are fed from outside (see `session`). Each fed
-//! message is appended to its source's successors' pending input and
-//! starts one **superstep**: every node with pending input takes all of
-//! it, in per-edge FIFO order with its in-edges in edge order, on a
-//! persistent pool of `W` threads, while the feeder waits. What a node
+//! The graph's sources are fed by the session's holder (see `session`),
+//! one message at a time. Each fed message is appended to its source's
+//! successors' pending input and starts one **superstep**: every node
+//! with pending input takes all of it, in per-edge FIFO order with its
+//! in-edges in edge order, on a persistent pool of `W` threads, while the
+//! feeder waits. What a node
 //! emits in a superstep is appended to its successors' input when the
 //! superstep ends, in producer node-index order. No other thread runs
 //! node code.
@@ -28,10 +29,11 @@
 //!
 //! # Fail-stop
 //!
-//! Every component callback runs under `catch_unwind`. A node that panics
-//! retires at once: the rest of its input is dropped, its successors see
-//! it as ended, the graph drains around it, and the session re-raises the
-//! first payload — at the next cut ([`super::RunSession::quiesce`]) or at
+//! Every component callback runs under `catch_unwind`, the end-of-run
+//! hook [`Component::on_run_end`] inside the last callback of its run. A
+//! node that panics retires at once: the rest of its input is dropped,
+//! its successors see it as ended, the graph drains around it, and the
+//! session re-raises the first payload — at the next cut ([`super::RunSession::quiesce`]) or at
 //! the end of the run. Nothing is restarted in process: a shard rank that
 //! dies is respawned by the fleet from its last durable cut
 //! (`crate::shard`).
@@ -50,7 +52,7 @@ use super::output::{NodeStats, RunTelemetry};
 use super::Runtime;
 use crate::graph::{Graph, GraphError, NodeKind};
 use crate::messages::Message;
-use crate::node::{Component, Source};
+use crate::node::Component;
 
 /// Per-node accounting, written by whoever runs (or feeds) the node.
 #[derive(Default)]
@@ -62,8 +64,7 @@ pub(super) struct NodeHealth {
 /// What a node is. Its lock is uncontended: a superstep runs a node on
 /// one worker, and the feeder touches it only between supersteps.
 pub(super) enum NodeBody {
-    /// Sources are fed from outside the pool; placeholder to keep indices
-    /// dense.
+    /// Fed by the session's holder; placeholder to keep indices dense.
     Source,
     Component(Box<dyn Component>),
     Sink {
@@ -181,7 +182,7 @@ impl Exec {
 
     /// A node panicked: keep the run's first payload. Called before the
     /// node retires, so a quiescent graph has recorded every failure.
-    pub(super) fn fail(&self, payload: Box<dyn Any + Send>) {
+    fn fail(&self, payload: Box<dyn Any + Send>) {
         (self.panic_slot.lock().expect("panic slot")).get_or_insert(payload);
     }
 
@@ -198,8 +199,7 @@ impl Exec {
     }
 
     /// Node epilogue, run once — by the node's own run, or for a source
-    /// by whichever of its feeder and the session's `finish` closes it
-    /// first: the stats row.
+    /// by the session's `finish`: the stats row.
     fn retire(&self, idx: usize, dropped: u64) {
         let h = &self.health[idx];
         self.stats.lock().expect("stats slots")[idx] = Some(NodeStats {
@@ -210,14 +210,9 @@ impl Exec {
         });
     }
 
-    /// Build the executor for a graph and spawn the worker pool. The
-    /// graph's sources come back unstarted, beside their node indices:
-    /// whoever opened the run feeds it.
-    #[allow(clippy::type_complexity)]
-    pub(super) fn start(
-        runtime: &Runtime,
-        graph: Graph,
-    ) -> Result<(Arc<Exec>, Vec<(usize, Box<dyn Source>)>), GraphError> {
+    /// Build the executor for a graph and spawn the worker pool: whoever
+    /// opened the run feeds it.
+    pub(super) fn start(runtime: &Runtime, graph: Graph) -> Result<Arc<Exec>, GraphError> {
         graph.validate()?;
         let n = graph.nodes.len();
         let names: Vec<String> = graph.nodes.iter().map(|e| e.name.clone()).collect();
@@ -243,24 +238,18 @@ impl Exec {
         });
 
         let mut bodies: Vec<Mutex<NodeBody>> = Vec::with_capacity(n);
-        let mut sources: Vec<(usize, Box<dyn Source>)> = Vec::new();
         for (idx, entry) in graph.nodes.into_iter().enumerate() {
-            match entry.kind {
-                NodeKind::Source(mut s) => {
-                    if let Some(rt) = &rt {
-                        s.attach_telemetry(rt.probes[idx].clone());
-                    }
-                    sources.push((idx, s));
-                    bodies.push(Mutex::new(NodeBody::Source));
-                }
+            let body = match entry.kind {
+                NodeKind::Source => NodeBody::Source,
                 NodeKind::Component(mut c) => {
                     if let Some(rt) = &rt {
                         c.attach_telemetry(rt.probes[idx].clone());
                     }
-                    bodies.push(Mutex::new(NodeBody::Component(c)));
+                    NodeBody::Component(c)
                 }
-                NodeKind::Sink => bodies.push(Mutex::new(NodeBody::Sink { msgs: Vec::new() })),
-            }
+                NodeKind::Sink => NodeBody::Sink { msgs: Vec::new() },
+            };
+            bodies.push(Mutex::new(body));
         }
 
         let exec = Arc::new(Exec {
@@ -301,7 +290,7 @@ impl Exec {
             std::thread::spawn(move || stats::width::with(width, || worker_loop(&e, wid)))
         });
         *exec.pool.threads.lock().expect("worker pool") = threads.collect();
-        Ok((exec, sources))
+        Ok(exec)
     }
 
     /// Release the pool's threads and join them. Idempotent; never
@@ -321,15 +310,11 @@ impl Exec {
         self.superstep(st);
     }
 
-    /// End source `src`'s stream, once: its stats row. Its successors end
-    /// in the next superstep that finds every predecessor ended. False
-    /// when the source had already ended.
-    pub(super) fn close_source(&self, st: &mut Steps, src: usize) -> bool {
-        if std::mem::replace(&mut st.ended[src], true) {
-            return false;
-        }
+    /// End source `src`'s stream: its stats row. Its successors end in
+    /// the next superstep that finds every predecessor ended.
+    pub(super) fn close_source(&self, st: &mut Steps, src: usize) {
+        st.ended[src] = true;
         self.retire(src, 0);
-        true
     }
 
     /// Run supersteps until no node has input pending (or an end due):
@@ -432,12 +417,14 @@ struct Ran {
 }
 
 /// Run one component callback under `catch_unwind`, its emissions into
-/// `out`: the panic payload if it panicked.
+/// `out` — and after it the end-of-run hook, if it `closes` its node's
+/// run: the panic payload if either panicked.
 fn step(
     exec: &Exec,
     idx: usize,
     component: &mut dyn Component,
     msg: Option<Message>,
+    closes: bool,
     out: &mut Vec<Message>,
 ) -> Result<(), Box<dyn Any + Send>> {
     let step_t = exec.timer();
@@ -452,6 +439,9 @@ fn step(
             Some(m) => component.on_message(m, &mut emit),
             None => component.on_end(&mut emit),
         }
+        if closes {
+            component.on_run_end(&mut emit);
+        }
     }));
     if let (Some(t), Some(rt)) = (step_t, &exec.rt) {
         rt.step_latency[idx].observe(t.elapsed().as_nanos() as u64);
@@ -460,13 +450,13 @@ fn step(
 }
 
 /// One run of node `idx`: its `input` in order, then the end of its
-/// stream if `end`, emissions into `out`. A panic fails the node where it
-/// stands: it retires as if its stream had ended, and the rest of its
-/// input is dropped.
+/// stream if `end`, then the end of the run, emissions into `out`. A
+/// panic fails the node where it stands: it retires as if its stream had
+/// ended, and the rest of its input is dropped.
 fn run_node(
     exec: &Exec,
     idx: usize,
-    input: impl IntoIterator<Item = Message>,
+    input: Vec<Message>,
     end: bool,
     out: &mut Vec<Message>,
 ) -> Ran {
@@ -497,15 +487,17 @@ fn run_node(
         }
         NodeBody::Component(c) => {
             let mut failed = None;
-            for msg in input {
+            let last = input.len();
+            for (k, msg) in input.into_iter().enumerate() {
                 note(&msg);
-                if let Err(payload) = step(exec, idx, &mut **c, Some(msg), out) {
+                let closes = !end && k + 1 == last;
+                if let Err(payload) = step(exec, idx, &mut **c, Some(msg), closes, out) {
                     failed = Some(payload);
                     break;
                 }
             }
             if failed.is_none() && end {
-                failed = step(exec, idx, &mut **c, None, out).err();
+                failed = step(exec, idx, &mut **c, None, true, out).err();
             }
             if let Some(payload) = failed {
                 exec.fail(payload);

@@ -9,8 +9,8 @@
 //! delivered when the superstep ends. The stages overlap by construction
 //! — the bar accumulator closes bar set `t` while the engines step `t −
 //! 1`, the stream nodes `t − 2`, the gateway `t − 3` and the sink `t − 4`
-//! — and the OS thread count is the pool plus the feeders, independent
-//! of graph size; a feeder runs no node code.
+//! — and the OS thread count is the pool, independent of graph size: the
+//! caller feeds the graph on its own thread, which runs no node code.
 //! The pool owns the cores: every node runs at the kernel width
 //! [`stats::width::for_pool`] leaves it, `max(1, cores / W)`, so a
 //! parallel `stats` kernel inside a node never puts more than `W × width ≤
@@ -23,8 +23,8 @@
 //!   panics retires, the graph drains, and the run re-raises the first
 //!   payload;
 //! * `session` — [`RunSession`], the one way messages enter a graph
-//!   ([`Runtime::run`] is a session fed by the graph's own sources), and
-//!   the graph-wide quiescent cut [`SessionCkpt`] — the only state a
+//!   (its holder feeds the graph's source nodes, which are only names),
+//!   and the graph-wide quiescent cut [`SessionCkpt`] — the only state a
 //!   restart (a shard rank respawned by the fleet) resumes from;
 //! * `output` — [`RunOutput`], [`NodeStats`] and the telemetry a run
 //!   folds at its end.

@@ -3,76 +3,41 @@
 //! A [`RunSession`] owns a running pool and takes messages in through
 //! its source nodes with [`RunSession::feed`], from whoever holds it: the
 //! feeding thread waits while each fed message's superstep runs on the
-//! pool (see `exec`). [`Runtime::run`] is a session whose feeders are
-//! the graph's own [`Source`]s, one thread each (a source is a blocking
-//! generator — the paper's collector is I/O-bound — so it must not
-//! occupy a pool worker for the whole day; several take turns on the
-//! session's lock); an external driver (the sweep session under the live
-//! server and the shard worker) feeds the same way from its own thread
-//! and cuts the stream into epochs.
+//! pool (see `exec`). One thread feeds a session at a time, so what each
+//! node takes is a function of the fed sequence alone. A driver feeds a
+//! whole day in one stream (`pipeline::run_sweep_pipeline_with`) or cuts
+//! it into epochs (the sweep session under the live server and the shard
+//! worker).
 
-use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use telemetry::lineage::LineageEvent;
 use telemetry::trace::{Arg, TrackId};
-use telemetry::Telemetry;
+use telemetry::{Probe, Telemetry};
 
 use super::exec::{Exec, NodeBody};
 use super::output::{assemble_output, RunOutput};
 use super::Runtime;
-use crate::graph::{Graph, GraphError, NodeId};
+use crate::graph::{Graph, GraphError, NodeId, NodeKind};
 use crate::messages::Message;
-use crate::node::Source;
 
 impl Runtime {
-    /// Validate and execute the graph to completion on the worker pool:
-    /// a session fed by the graph's own sources, one thread each.
-    pub fn run(&self, graph: Graph) -> Result<RunOutput, GraphError> {
-        let (session, sources) = self.open(graph)?;
-        std::thread::scope(|scope| {
-            for (idx, mut source) in sources {
-                let session = &session;
-                scope.spawn(move || {
-                    let src = NodeId(idx);
-                    let ran = catch_unwind(AssertUnwindSafe(|| {
-                        source.run(&mut |msg| session.feed(src, msg));
-                    }));
-                    // A panicking source fails the run like any node: its
-                    // partial stream still flows, then the run re-raises.
-                    session.close_source(idx, ran.err());
-                });
-            }
-        });
-        Ok(session.finish())
-    }
-
-    /// Open the graph as an externally driven session: the graph's
-    /// sources are *not* started — the caller owns the tape (and with it
-    /// replay positioning, which a free-running source could not
-    /// provide) and feeds it through the source node ids with
-    /// [`RunSession::feed`], interleaving [`RunSession::quiesce`] /
-    /// [`RunSession::capture`] to take epoch-consistent durable
-    /// checkpoints, and ends the stream with [`RunSession::finish`]. A
-    /// node panic fails the session at the next `quiesce` or at `finish`,
-    /// whichever comes first.
+    /// Validate the graph and open it as a session: the caller feeds its
+    /// sources with [`RunSession::feed`], may interleave
+    /// [`RunSession::quiesce`] / [`RunSession::capture`] to take
+    /// epoch-consistent durable checkpoints, and ends the stream with
+    /// [`RunSession::finish`]. A node panic fails the session at the next
+    /// `quiesce` or at `finish`, whichever comes first.
     pub fn session(self, graph: Graph) -> Result<RunSession, GraphError> {
-        Ok(self.open(graph)?.0)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn open(
-        &self,
-        graph: Graph,
-    ) -> Result<(RunSession, Vec<(usize, Box<dyn Source>)>), GraphError> {
-        let (exec, sources) = Exec::start(self, graph)?;
-        let session = RunSession {
-            exec,
-            source_idxs: sources.iter().map(|(idx, _)| *idx).collect(),
-        };
-        Ok((session, sources))
+        let source_idxs = (graph.nodes.iter().enumerate())
+            .filter(|(_, e)| matches!(e.kind, NodeKind::Source))
+            .map(|(idx, _)| idx)
+            .collect();
+        Ok(RunSession {
+            exec: Exec::start(&self, graph)?,
+            source_idxs,
+        })
     }
 }
 
@@ -142,10 +107,14 @@ impl RunSession {
         self.exec.rt.as_ref().map(|rt| Arc::clone(&rt.tel))
     }
 
-    /// Feed one message into the graph as source `src` — the emit
-    /// callback of a source thread and of an external driver alike. At
-    /// `Full` it is one lineage event. The call returns after the
-    /// superstep it starts.
+    /// Source node `node`'s telemetry probe — what a collector feeding
+    /// it counts under (off at `TelemetryLevel::Off`).
+    pub fn probe(&self, node: NodeId) -> Probe {
+        (self.exec.rt.as_ref()).map_or_else(Probe::off, |rt| rt.probes[node.index()].clone())
+    }
+
+    /// Feed one message into the graph as source `src`. At `Full` it is
+    /// one lineage event. The call returns after the superstep it starts.
     pub fn feed(&self, src: NodeId, mut msg: Message) {
         let idx = src.index();
         let st = &mut *self.exec.lock();
@@ -165,18 +134,11 @@ impl RunSession {
         self.exec.reraise();
     }
 
-    /// End source `idx`'s stream, once: the failure if its feeder
-    /// panicked, its stats row and `emitted` count. A source thread calls
-    /// this when its generator returns; `finish` closes whatever is still
-    /// open, and its drain ends the nodes behind.
-    fn close_source(&self, idx: usize, panic: Option<Box<dyn Any + Send>>) {
+    /// End source `idx`'s stream: its stats row and `emitted` count.
+    /// `finish` closes every source, and its drain ends the nodes behind.
+    fn close_source(&self, idx: usize) {
         let exec = &self.exec;
-        if let Some(payload) = panic {
-            exec.fail(payload);
-        }
-        if !exec.close_source(&mut exec.lock(), idx) {
-            return;
-        }
+        exec.close_source(&mut exec.lock(), idx);
         let emitted = exec.health[idx].sent.load(Ordering::Relaxed);
         if let Some(rt) = &exec.rt {
             rt.probes[idx].count("emitted", emitted);
@@ -269,7 +231,7 @@ impl RunSession {
             .unwrap_or_default()
     }
 
-    /// End the stream: close every source still open, run the graph's
+    /// End the stream: close every source, run the graph's
     /// drain, and assemble the run output (the end-of-day flush
     /// — trade reports, bucketed baskets — lands in the sinks here, and
     /// any lineage recorded after the last drain rides out in
@@ -277,7 +239,7 @@ impl RunSession {
     /// once the graph has drained and the pool is joined.
     pub fn finish(self) -> RunOutput {
         for &idx in &self.source_idxs {
-            self.close_source(idx, None);
+            self.close_source(idx);
         }
         self.exec.settle(&mut self.exec.lock());
         self.exec.stop();

@@ -4,24 +4,23 @@ use std::sync::Arc;
 use telemetry::TelemetryLevel;
 
 use super::*;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, GraphError, NodeId};
 use crate::messages::{BarSet, Cause, Message, TradeReport};
-use crate::node::{Component, Emit, Passthrough, Source};
+use crate::node::{Component, Emit, Passthrough};
 
-struct CountSource {
-    n: usize,
+/// Run `g` to its end on `runtime`: open a session, feed each source its
+/// list of `feeds` (in source order, one source after the other), finish.
+fn run(runtime: Runtime, g: Graph, feeds: Vec<Vec<Message>>) -> Result<RunOutput, GraphError> {
+    let session = runtime.session(g)?;
+    for (src, msgs) in session.source_ids().into_iter().zip(feeds) {
+        msgs.into_iter().for_each(|msg| session.feed(src, msg));
+    }
+    Ok(session.finish())
 }
 
-impl Source for CountSource {
-    fn name(&self) -> &str {
-        "count-source"
-    }
-
-    fn run(&mut self, out: &mut Emit<'_>) {
-        for k in 0..self.n {
-            out(bar(k));
-        }
-    }
+/// Bar sets `0..n`.
+fn bars(n: usize) -> Vec<Message> {
+    (0..n).map(bar).collect()
 }
 
 /// Bar set `k`: one stock, closing at `k`.
@@ -71,9 +70,9 @@ impl Component for Doubler {
 }
 
 /// `source → stages.. → "sink"`: the graph, and the sink to read.
-fn chain(source: impl Source + 'static, stages: Vec<Box<dyn Component>>) -> (Graph, NodeId) {
+fn chain(stages: Vec<Box<dyn Component>>) -> (Graph, NodeId) {
     let mut g = Graph::new();
-    let mut last = g.add_source(Box::new(source));
+    let mut last = g.add_source("source");
     for stage in stages {
         let node = g.add_component(stage);
         g.connect(last, node);
@@ -92,8 +91,8 @@ fn passthroughs(names: [&str; 2]) -> Vec<Box<dyn Component>> {
 
 #[test]
 fn linear_pipeline_delivers_in_order() {
-    let (g, sink) = chain(CountSource { n: 100 }, vec![Box::new(Doubler)]);
-    let mut out = Runtime::new().run(g).unwrap();
+    let (g, sink) = chain(vec![Box::new(Doubler)]);
+    let mut out = run(Runtime::new(), g, vec![bars(100)]).unwrap();
     let msgs = out.take_sink(sink);
     assert_eq!(msgs.len(), 101, "100 bars + flush marker");
     for (k, m) in msgs[..100].iter().enumerate() {
@@ -114,7 +113,7 @@ fn linear_pipeline_delivers_in_order() {
 #[test]
 fn fan_out_duplicates_to_all_subscribers() {
     let mut g = Graph::new();
-    let src = g.add_source(Box::new(CountSource { n: 10 }));
+    let src = g.add_source("source");
     let a = g.add_component(Box::new(Passthrough::new("a")));
     let b = g.add_component(Box::new(Passthrough::new("b")));
     let sink_a = g.add_sink("sink-a");
@@ -124,31 +123,35 @@ fn fan_out_duplicates_to_all_subscribers() {
     g.connect(a, sink_a);
     g.connect(b, sink_b);
 
-    let mut out = Runtime::new().run(g).unwrap();
+    let mut out = run(Runtime::new(), g, vec![bars(10)]).unwrap();
     assert_eq!(out.take_sink(sink_a).len(), 10);
     assert_eq!(out.take_sink(sink_b).len(), 10);
 }
 
+/// Two sources fed one after the other: the join takes the first's
+/// stream, then the second's.
 #[test]
 fn fan_in_merges_streams() {
     let mut g = Graph::new();
-    let s1 = g.add_source(Box::new(CountSource { n: 7 }));
-    let s2 = g.add_source(Box::new(CountSource { n: 5 }));
+    let s1 = g.add_source("source-1");
+    let s2 = g.add_source("source-2");
     let j = g.add_component(Box::new(Passthrough::new("join")));
     let sink = g.add_sink("sink");
     g.connect(s1, j);
     g.connect(s2, j);
     g.connect(j, sink);
-    let mut out = Runtime::new().run(g).unwrap();
-    assert_eq!(out.take_sink(sink).len(), 12);
+    let mut out = run(Runtime::new(), g, vec![bars(7), bars(5)]).unwrap();
+    let got: Vec<Option<u64>> = out.take_sink(sink).iter().map(Message::interval).collect();
+    let want: Vec<Option<u64>> = (0..7).chain(0..5).map(Some).collect();
+    assert_eq!(got, want);
 }
 
 #[test]
 fn backpressure_does_not_deadlock() {
     // Many messages through a chain: no inbox bound to wait on, and a
     // node holds at most one superstep's emissions per in-edge.
-    let (g, sink) = chain(CountSource { n: 50_000 }, passthroughs(["a", "b"]));
-    let mut out = Runtime::new().run(g).unwrap();
+    let (g, sink) = chain(passthroughs(["a", "b"]));
+    let mut out = run(Runtime::new(), g, vec![bars(50_000)]).unwrap();
     assert_eq!(out.take_sink(sink).len(), 50_000);
 }
 
@@ -156,13 +159,12 @@ fn backpressure_does_not_deadlock() {
 fn single_worker_runs_the_whole_graph() {
     // One pool thread must still drain a multi-stage graph: a superstep's
     // node-runs share the pool, not a thread per node.
-    let (g, sink) = chain(CountSource { n: 20_000 }, passthroughs(["a", "b"]));
-    let mut out = Runtime::with_config(RuntimeConfig {
+    let (g, sink) = chain(passthroughs(["a", "b"]));
+    let runtime = Runtime::with_config(RuntimeConfig {
         workers: 1,
         telemetry: TelemetryLevel::Off,
-    })
-    .run(g)
-    .unwrap();
+    });
+    let mut out = run(runtime, g, vec![bars(20_000)]).unwrap();
     assert_eq!(out.take_sink(sink).len(), 20_000);
 }
 
@@ -171,7 +173,7 @@ fn pool_smaller_than_graph_completes_wide_fanout() {
     // 24 parallel branches on a 2-worker pool: node count is
     // decoupled from thread count.
     let mut g = Graph::new();
-    let src = g.add_source(Box::new(CountSource { n: 500 }));
+    let src = g.add_source("source");
     let mut sinks = Vec::new();
     for k in 0..24 {
         let c = g.add_component(Box::new(Passthrough::new(format!("branch-{k}"))));
@@ -180,12 +182,11 @@ fn pool_smaller_than_graph_completes_wide_fanout() {
         g.connect(c, s);
         sinks.push(s);
     }
-    let mut out = Runtime::with_config(RuntimeConfig {
+    let runtime = Runtime::with_config(RuntimeConfig {
         workers: 2,
         telemetry: TelemetryLevel::Off,
-    })
-    .run(g)
-    .unwrap();
+    });
+    let mut out = run(runtime, g, vec![bars(500)]).unwrap();
     for s in sinks {
         assert_eq!(out.take_sink(s).len(), 500);
     }
@@ -197,7 +198,7 @@ fn pool_smaller_than_graph_completes_wide_fanout() {
 /// moves it one edge on.
 #[test]
 fn a_chain_fed_one_message_quiesces_within_its_depth() {
-    let (g, sink) = chain(CountSource { n: 0 }, passthroughs(["a", "b"]));
+    let (g, sink) = chain(passthroughs(["a", "b"]));
     let session = Runtime::with_workers(2).session(g).unwrap();
     session.feed(session.source_ids()[0], bar(0));
     session.quiesce();
@@ -230,7 +231,7 @@ fn a_fan_in_takes_a_superstep_in_producer_order_at_any_pool_size() {
     let branches = 8;
     for workers in [1, 2, 0] {
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(CountSource { n: 50 }));
+        let src = g.add_source("source");
         let front = g.add_component(Box::new(Passthrough::new("front")));
         g.connect(src, front);
         let join = g.add_component(Box::new(Passthrough::new("join")));
@@ -241,7 +242,7 @@ fn a_fan_in_takes_a_superstep_in_producer_order_at_any_pool_size() {
         }
         let sink = g.add_sink("sink");
         g.connect(join, sink);
-        let mut out = Runtime::with_workers(workers).run(g).unwrap();
+        let mut out = run(Runtime::with_workers(workers), g, vec![bars(50)]).unwrap();
         let tags: Vec<usize> = (out.take_sink(sink).iter())
             .map(|m| m.interval().unwrap() as usize)
             .collect();
@@ -285,7 +286,7 @@ fn a_join_ends_once_after_both_branches_even_when_one_panics() {
             })
         };
         let mut g = Graph::new();
-        let src = g.add_source(Box::new(CountSource { n: 6 }));
+        let src = g.add_source("source");
         let front = g.add_component(Box::new(Passthrough::new("front")));
         let pill = g.add_component(Box::new(PoisonPill {
             seen: 0,
@@ -300,8 +301,10 @@ fn a_join_ends_once_after_both_branches_even_when_one_panics() {
             g.connect(branch, join);
         }
         g.connect(join, sink);
-        let run = catch_unwind(AssertUnwindSafe(|| Runtime::with_workers(workers).run(g)));
-        let text = panic_text(run.expect_err("the pill fails the run"));
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run(Runtime::with_workers(workers), g, vec![bars(6)])
+        }));
+        let text = panic_text(ran.expect_err("the pill fails the run"));
         assert_eq!(text, "poison pill at message 3");
 
         let log = log.lock().unwrap();
@@ -320,8 +323,8 @@ fn a_join_ends_once_after_both_branches_even_when_one_panics() {
 
 #[test]
 fn node_stats_account_for_throughput() {
-    let (g, _) = chain(CountSource { n: 25 }, vec![Box::new(Doubler)]);
-    let out = Runtime::new().run(g).unwrap();
+    let (g, _) = chain(vec![Box::new(Doubler)]);
+    let out = run(Runtime::new(), g, vec![bars(25)]).unwrap();
     assert_eq!(out.node_stats.len(), 3);
     let by_name = |n: &str| {
         out.node_stats
@@ -330,7 +333,7 @@ fn node_stats_account_for_throughput() {
             .unwrap()
             .clone()
     };
-    let s = by_name("count-source");
+    let s = by_name("source");
     assert_eq!((s.messages_in, s.messages_out), (0, 25));
     let d = by_name("doubler");
     assert_eq!((d.messages_in, d.messages_out), (25, 26), "25 bars + flush");
@@ -344,7 +347,7 @@ fn node_stats_account_for_throughput() {
 fn invalid_graph_refused_before_spawn() {
     let mut g = Graph::new();
     let _orphan = g.add_component(Box::new(Passthrough::new("orphan")));
-    assert!(Runtime::new().run(g).is_err());
+    assert!(run(Runtime::new(), g, Vec::new()).is_err());
 }
 
 /// The pool size from its variable's value: unset or `max` is every
@@ -368,19 +371,19 @@ fn worker_count_parses_or_is_refused() {
 #[test]
 fn unconnected_sink_yields_empty() {
     let mut g = Graph::new();
-    let src = g.add_source(Box::new(CountSource { n: 3 }));
+    let src = g.add_source("source");
     let sink = g.add_sink("sink");
     g.connect(src, sink);
     let other = {
         let mut g2 = Graph::new();
-        let s2 = g2.add_source(Box::new(CountSource { n: 0 }));
+        let s2 = g2.add_source("source");
         let k2 = g2.add_sink("empty");
         g2.connect(s2, k2);
-        let mut out = Runtime::new().run(g2).unwrap();
+        let mut out = run(Runtime::new(), g2, vec![Vec::new()]).unwrap();
         out.take_sink(k2)
     };
     assert!(other.is_empty());
-    let mut out = Runtime::new().run(g).unwrap();
+    let mut out = run(Runtime::new(), g, vec![bars(3)]).unwrap();
     assert_eq!(out.take_sink(sink).len(), 3);
 }
 
@@ -423,8 +426,8 @@ fn a_node_panic_fails_the_run() {
         seen: 0,
         panic_at: 5,
     };
-    let (g, _) = chain(CountSource { n: 10 }, vec![Box::new(pill)]);
-    let _ = Runtime::new().run(g);
+    let (g, _) = chain(vec![Box::new(pill)]);
+    let _ = run(Runtime::new(), g, vec![bars(10)]);
 }
 
 /// A node panic in a session-driven run fails it at the next cut: no cut
@@ -436,7 +439,7 @@ fn a_node_panic_fails_the_session_at_the_next_cut() {
         seen: 0,
         panic_at: 5,
     };
-    let (g, sink) = chain(CountSource { n: 0 }, vec![Box::new(pill)]);
+    let (g, sink) = chain(vec![Box::new(pill)]);
     let session = Runtime::with_workers(2).session(g).unwrap();
     let src = session.source_ids()[0];
     (0..4).for_each(|k| session.feed(src, bar(k)));
@@ -474,37 +477,23 @@ impl Component for BarsOnly {
     }
 }
 
-struct MixedSource;
-
-impl Source for MixedSource {
-    fn name(&self) -> &str {
-        "mixed-source"
-    }
-
-    fn run(&mut self, out: &mut Emit<'_>) {
-        for k in 0..6 {
-            out(Message::Bars(Arc::new(BarSet {
-                interval: k,
-                closes: vec![1.0],
-                ticks: vec![1],
-                returns: Vec::new(),
-                status: Vec::new(),
-                cause: Cause::none(),
-            })));
-            out(Message::Trades(Arc::new(TradeReport {
-                param_set: 0,
-                strategy: pairtrade_core::spec::StrategyKind::Paper,
-                trades: Vec::new(),
-                cause: Cause::none(),
-            })));
-        }
-    }
+/// Six bar sets, each followed by a trade report.
+fn mixed() -> Vec<Message> {
+    let report = || {
+        Message::Trades(Arc::new(TradeReport {
+            param_set: 0,
+            strategy: pairtrade_core::spec::StrategyKind::Paper,
+            trades: Vec::new(),
+            cause: Cause::none(),
+        }))
+    };
+    (0..6).flat_map(|k| [bar(k), report()]).collect()
 }
 
 #[test]
 fn unknown_messages_count_as_dropped_not_fatal() {
-    let (g, sink) = chain(MixedSource, vec![Box::new(BarsOnly { dropped: 0 })]);
-    let mut out = Runtime::new().run(g).unwrap();
+    let (g, sink) = chain(vec![Box::new(BarsOnly { dropped: 0 })]);
+    let mut out = run(Runtime::new(), g, vec![mixed()]).unwrap();
     assert_eq!(out.take_sink(sink).len(), 6);
     let stats = out
         .node_stats
@@ -547,7 +536,7 @@ fn nodes_run_at_the_width_the_pool_leaves_them() {
         let probe = WidthProbe {
             runs: Arc::clone(&runs),
         };
-        let (g, sink) = chain(CountSource { n: 0 }, vec![Box::new(probe)]);
+        let (g, sink) = chain(vec![Box::new(probe)]);
         let session = Runtime::with_config(RuntimeConfig {
             workers,
             telemetry: TelemetryLevel::Counters,
@@ -606,36 +595,104 @@ impl Component for KernelFault {
 #[test]
 fn a_kernel_panic_reads_the_same_at_every_width() {
     let raised = |workers: usize| {
-        let (g, _) = chain(CountSource { n: 8 }, vec![Box::new(KernelFault)]);
-        let run = catch_unwind(AssertUnwindSafe(|| Runtime::with_workers(workers).run(g)));
-        panic_text(run.expect_err("the kernel panic fails the run"))
+        let (g, _) = chain(vec![Box::new(KernelFault)]);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run(Runtime::with_workers(workers), g, vec![bars(8)])
+        }));
+        panic_text(ran.expect_err("the kernel panic fails the run"))
     };
     let forked = raised(1);
     assert_eq!(forked, raised(0), "workers 1 against max");
     assert_eq!(forked, "kernel item 63 failed");
 }
 
-/// A collector whose feed breaks mid-day: `n` bars, then a panic.
-struct DyingSource {
-    n: usize,
+// ---- the end-of-run hook ----
+
+/// Forwards everything, and at the end of each of its runs sends an
+/// empty trade report — or panics, at its `panic_at`-th run end.
+struct RunEnds {
+    ends: usize,
+    panic_at: usize,
 }
 
-impl Source for DyingSource {
+impl Component for RunEnds {
     fn name(&self) -> &str {
-        "dying-source"
+        "run-ends"
     }
 
-    fn run(&mut self, out: &mut Emit<'_>) {
-        CountSource { n: self.n }.run(out);
-        panic!("feed lost after {} bars", self.n);
+    fn on_message(&mut self, msg: Message, out: &mut Emit<'_>) {
+        out(msg);
+    }
+
+    fn on_run_end(&mut self, out: &mut Emit<'_>) {
+        self.ends += 1;
+        assert!(self.ends != self.panic_at, "run end {} failed", self.ends);
+        out(Message::Trades(Arc::new(TradeReport {
+            param_set: self.ends,
+            strategy: pairtrade_core::spec::StrategyKind::Paper,
+            trades: Vec::new(),
+            cause: Cause::none(),
+        })));
     }
 }
 
-/// A source that panics fails the run like any node: its partial stream
-/// flows, the graph drains, and the run re-raises.
+/// A diamond whose join takes both branches' copy of each fed bar set in
+/// one run: the hook runs once per run — after the run's last message,
+/// and after the end of the stream — at any pool size, and what it emits
+/// is delivered behind the run's other emissions.
 #[test]
-#[should_panic(expected = "feed lost after 7 bars")]
-fn a_source_that_panics_mid_stream_fails_the_run() {
-    let (g, _) = chain(DyingSource { n: 7 }, vec![Box::new(Doubler)]);
-    let _ = Runtime::new().run(g);
+fn the_run_end_hook_runs_once_per_node_run() {
+    for workers in [1, 2, 0] {
+        let mut g = Graph::new();
+        let src = g.add_source("source");
+        let front = g.add_component(Box::new(Passthrough::new("front")));
+        g.connect(src, front);
+        let join = g.add_component(Box::new(RunEnds {
+            ends: 0,
+            panic_at: 0,
+        }));
+        for name in ["a", "b"] {
+            let branch = g.add_component(Box::new(Passthrough::new(name)));
+            g.connect(front, branch);
+            g.connect(branch, join);
+        }
+        let sink = g.add_sink("sink");
+        g.connect(join, sink);
+        let runtime = Runtime::with_workers(workers).with_telemetry(TelemetryLevel::Full);
+        let mut out = run(runtime, g, vec![bars(3)]).unwrap();
+        let got: Vec<String> = (out.take_sink(sink).iter())
+            .map(|m| match m {
+                Message::Bars(b) => format!("bars {}", b.interval),
+                Message::Trades(t) => format!("end {}", t.param_set),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let want = [
+            "bars 0", "bars 0", "end 1", "bars 1", "bars 1", "end 2", "bars 2", "bars 2", "end 3",
+            "end 4",
+        ];
+        assert_eq!(got, want, "workers={workers}");
+        // The hook's time is its run's last step's: one sample per message
+        // plus the end of the stream.
+        let metrics = &out.telemetry.as_ref().expect("full").metrics;
+        let steps = metrics
+            .histogram("run-ends", "step.ns")
+            .expect("timed steps");
+        assert_eq!(steps.count(), 6 + 1, "workers={workers}");
+    }
+}
+
+/// A panic in the hook fails the run like any callback, with its text.
+#[test]
+fn a_run_end_hook_that_panics_fails_the_run() {
+    let hook = RunEnds {
+        ends: 0,
+        panic_at: 2,
+    };
+    let (g, _) = chain(vec![Box::new(hook)]);
+    let ran = catch_unwind(AssertUnwindSafe(|| run(Runtime::new(), g, vec![bars(5)])));
+    assert_eq!(
+        panic_text(ran.expect_err("the hook fails the run")),
+        "run end 2 failed"
+    );
 }

@@ -203,7 +203,8 @@ pub fn run_worker(args: WorkerArgs) -> io::Result<()> {
         let runtime = Runtime::new()
             .with_telemetry(args.telemetry)
             .with_node_base(args.rank * NODE_STRIDE);
-        SweepSession::open(runtime, &sweep, &included, day.day, false)
+        let source = crate::components::ReplayCollector::node_name(day.day);
+        SweepSession::open(runtime, &sweep, &included, &source, false)
             .map_err(|e| bad_data(e.to_string()))
     };
     let mut session = open_session()?;

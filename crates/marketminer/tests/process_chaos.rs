@@ -342,15 +342,15 @@ impl Drop for Staged {
 
 /// A worker that finds only a checkpoint of the previous format version
 /// in its store (a fleet upgraded mid-day) must not touch it: the
-/// committed version-9 file — a valid header and CRC, epoch 7 — is
+/// committed version-10 file — a valid header and CRC, epoch 7 — is
 /// refused by version and the day starts cold.
 #[test]
 fn old_version_checkpoint_cold_starts_with_a_corrupt_flight() {
     let (day, n) = small_day(91);
     let staged = Staged::new("old-ckpt", &day, &SweepConfig::paper(n));
-    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v9_layout.bin");
+    let old = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ckpt_v10_layout.bin");
     let rendered = staged.cold_start_over(&old, 7);
-    assert!(rendered.contains("format version 9"), "{rendered}");
+    assert!(rendered.contains("format version 10"), "{rendered}");
 }
 
 /// A checkpoint that validates and decodes but was cut from another

@@ -512,9 +512,9 @@ fn os_thread_count() -> usize {
 }
 
 /// The pool bounds the OS thread count: a 60+-node sweep graph on
-/// `workers = 2` never uses more than the pool at its kernel width, one
-/// thread per source and a small constant — node count must not leak into
-/// thread count. On two cores or fewer the width is 1 and no kernel forks
+/// `workers = 2` never uses more than the pool at its kernel width and a
+/// small constant — the caller feeds the tape on its own thread, and node
+/// count must not leak into thread count. On two cores or fewer the width is 1 and no kernel forks
 /// at all.
 #[cfg(target_os = "linux")]
 #[test]
@@ -550,10 +550,10 @@ fn sweep_thread_count_is_bounded_by_the_pool() {
     // call's scoped threads (one per part) while it waits on them.
     let width = stats::width::for_pool(workers);
     let per_worker = if width == 1 { 1 } else { 1 + width };
-    // Threads: the pool at its width, one source (the collector), the
-    // census thread itself, plus slack for the test harness.
+    // Threads: the pool at its width, the census thread itself, plus
+    // slack for the test harness.
     let peak = peak.load(Ordering::Relaxed);
-    let budget = workers * per_worker + 1 /* source */ + 1 /* census */ + 2 /* slack */;
+    let budget = workers * per_worker + 1 /* census */ + 2 /* slack */;
     assert!(
         peak <= baseline + budget,
         "thread count leaked: baseline {baseline}, peak {peak}, budget +{budget}"
@@ -563,4 +563,49 @@ fn sweep_thread_count_is_bounded_by_the_pool() {
         2 * budget <= nodes,
         "vacuous: a budget of {budget} threads does not tell {nodes} nodes from a pool"
     );
+}
+
+/// A collector that fails to hand its tape over.
+struct LostFeed;
+
+impl marketminer::Source for LostFeed {
+    fn name(&self) -> &str {
+        "lost-feed"
+    }
+
+    fn tape(&mut self) -> Vec<taq::quote::Quote> {
+        panic!("feed lost before the open");
+    }
+}
+
+/// A collector that panics fails the run with its own panic, out of
+/// `run_sweep_pipeline_with` on the caller's thread, and the session's
+/// pool is stopped as the panic unwinds: no worker is left behind.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_collector_that_panics_fails_the_run_and_leaves_no_pool_thread() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let _guard = lock_serial();
+    let cfg = SweepConfig::paper(4);
+    let baseline = os_thread_count();
+    for workers in [1usize, 2, 0] {
+        let runtime = Runtime::with_workers(workers);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_sweep_pipeline_with(runtime, Box::new(LostFeed), &cfg)
+        }));
+        let payload = ran.expect_err("the collector's panic fails the run");
+        let text = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(text, "feed lost before the open", "workers={workers}");
+        // Joined threads leave the task list as they exit.
+        let start = std::time::Instant::now();
+        while os_thread_count() > baseline && start.elapsed().as_secs() < 5 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(
+            os_thread_count(),
+            baseline,
+            "workers={workers}: a pool thread was left behind"
+        );
+    }
 }

@@ -220,7 +220,7 @@ impl TelemetryLevel {
     }
 }
 
-/// The per-run telemetry hub: one shared instance per `Runtime::run`,
+/// The per-run telemetry hub: one shared instance per run session,
 /// handed to probes, the supervisor and the exporters.
 pub struct Telemetry {
     level: TelemetryLevel,

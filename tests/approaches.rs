@@ -183,3 +183,46 @@ fn the_paper_grid_is_nine_streams_on_six_engines_everywhere() {
     assert_eq!(per_day("cube.us"), 6, "one kernel pass per engine");
     assert_eq!(per_day("strategy.us"), 9, "one strategy pass per stream");
 }
+
+/// Streaming ≡ batch at the work level: on one day, the robust planes of
+/// the sweep graph and the experiment's robust cubes do the same work —
+/// every pair-step, refinement, screen, shared fit and IRLS iteration —
+/// so the two drivers differ in how they schedule it, not in what they
+/// compute.
+#[test]
+fn the_sweep_and_the_experiment_do_the_same_robust_work() {
+    use marketminer::components::ReplayCollector;
+    use marketminer::pipeline::run_sweep_pipeline_with;
+    use marketminer::Runtime;
+
+    let (n, seed) = (8, 2009);
+    let mut experiment = ExperimentConfig::small(n, 1, seed);
+    experiment.market.micro.quote_rate_hz = 0.05;
+    let day = MarketGenerator::new(experiment.market.clone())
+        .next_day()
+        .unwrap();
+    let batch = Experiment::new(experiment)
+        .with_telemetry(TelemetryLevel::Counters)
+        .run();
+    let batch = batch.telemetry.expect("telemetry was on").metrics;
+
+    let runtime = Runtime::with_config(RuntimeConfig {
+        workers: 2,
+        telemetry: TelemetryLevel::Counters,
+    });
+    let source = Box::new(ReplayCollector::new(day));
+    let sweep = run_sweep_pipeline_with(runtime, source, &SweepConfig::paper(n)).unwrap();
+    let sweep = sweep.telemetry.expect("telemetry was on").metrics;
+
+    let work = ["pair_steps", "refined", "screened", "shared", "irls_iters"];
+    let streamed = work.map(|w| {
+        sweep.counter_total(&format!("maronna.{w}")) + sweep.counter_total(&format!("combined.{w}"))
+    });
+    let batched = work.map(|w| batch.counter("experiment", &format!("cube.{w}")));
+    assert_eq!(streamed, batched, "{work:?}");
+    assert_eq!(
+        batched,
+        [111_440, 106_071, 5_369, 48_610, 797_035],
+        "{work:?}"
+    );
+}
