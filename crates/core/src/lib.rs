@@ -45,7 +45,7 @@ pub mod spec;
 pub mod strategy;
 pub mod trade;
 
-pub use engine::{run_pair_day, run_pair_day_multi};
+pub use engine::{run_block_day, run_pair_day, PairSeries};
 pub use exec::ExecutionConfig;
 pub use kalman::{KalmanParams, KalmanRule};
 pub use overlay::{Overlay, OverlayParams};

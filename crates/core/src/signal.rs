@@ -15,10 +15,12 @@
 //! strategy parameters, so [`Planes`] derives them once per distinct
 //! window, for every rule that reads it: one [`AvgPlane`] per `W`, one
 //! [`RangePlane`] per `RT`, one trailing return per stock per return
-//! window. The streaming graph's stream node runs it over the whole universe; the
-//! batch day walk runs the same type over a two-stock universe, one pair
-//! at rank 0 = `(1, 0)`. Each interval is written into a [`Series`], and
-//! a rule reads its inputs out of that through its [`Slots`].
+//! window. The streaming graph's stream node runs it over every pair of
+//! the whole universe; the batch day walk runs the same type over a block
+//! of pairs, pair `k` of the block at rank `k` with its own two legs as
+//! stocks `2k + 1` (its `i`) and `2k`. Each interval is written into a
+//! [`Series`], and a rule reads its inputs out of that through its
+//! [`Slots`].
 //!
 //! What *is* per parameter vector is the trigger, [`DivergenceTrigger`]:
 //! it fires when **both** hold
@@ -378,22 +380,29 @@ impl RangePlane {
 
 wire::record! { RangePlane { window, pairs } }
 
-/// Every series a set of rules reads, derived for every pair of an
-/// `n`-stock universe: one [`AvgPlane`] per distinct `W`, one
-/// [`RangePlane`] per distinct `RT` and one trailing return per stock per
-/// distinct return window, each list in ascending window order.
+/// Every series a set of rules reads, derived for `n_pairs` pairs whose
+/// legs are among `n_stocks` stocks: one [`AvgPlane`] per distinct `W`,
+/// one [`RangePlane`] per distinct `RT` and one trailing return per stock
+/// per distinct return window, each list in ascending window order.
 #[derive(Debug, Clone)]
 pub struct Planes {
     n_stocks: usize,
+    n_pairs: usize,
     returns: Vec<usize>,
     avg: Vec<AvgPlane>,
     range: Vec<RangePlane>,
 }
 
 impl Planes {
-    /// Cold planes over `n_stocks` stocks deriving every window `needs`
-    /// declare (a window of 0 is not consumed).
-    pub fn new(n_stocks: usize, needs: impl IntoIterator<Item = InputNeeds>) -> Self {
+    /// Cold planes over `n_pairs` pairs and the `n_stocks` stocks their
+    /// legs are (every pair of a universe, or two legs per pair of a
+    /// block), deriving every window `needs` declare (a window of 0 is not
+    /// consumed).
+    pub fn new(
+        n_stocks: usize,
+        n_pairs: usize,
+        needs: impl IntoIterator<Item = InputNeeds>,
+    ) -> Self {
         let needs: Vec<InputNeeds> = needs.into_iter().collect();
         let windows = |of: fn(&InputNeeds) -> usize| {
             let mut out: Vec<usize> = needs.iter().map(of).filter(|&w| w > 0).collect();
@@ -401,9 +410,9 @@ impl Planes {
             out.dedup();
             out
         };
-        let n_pairs = n_stocks * n_stocks.saturating_sub(1) / 2;
         Planes {
             n_stocks,
+            n_pairs,
             returns: windows(|n| n.w_return_window),
             avg: (windows(|n| n.avg_window).into_iter())
                 .map(|w| AvgPlane::new(w, n_pairs))
@@ -414,10 +423,6 @@ impl Planes {
         }
     }
 
-    fn n_pairs(&self) -> usize {
-        self.n_stocks * self.n_stocks.saturating_sub(1) / 2
-    }
-
     /// How many series one interval derives.
     pub fn n_series(&self) -> usize {
         self.returns.len() + self.avg.len() + self.range.len()
@@ -426,7 +431,7 @@ impl Planes {
     /// An output value shaped for these planes, before any interval: `C̄`
     /// and drops 0, ranges NaN.
     pub fn series(&self) -> Series {
-        let n_pairs = self.n_pairs();
+        let n_pairs = self.n_pairs;
         let unset = RangeStats {
             low: f64::NAN,
             high: f64::NAN,
@@ -500,7 +505,7 @@ impl Planes {
         }
         let avg = Vec::<AvgPlane>::decode(r)?;
         let range = Vec::<RangePlane>::decode(r)?;
-        let n_pairs = self.n_pairs();
+        let n_pairs = self.n_pairs;
         if avg.iter().any(|p| p.n_pairs() != n_pairs)
             || range.iter().any(|p| p.n_pairs() != n_pairs)
         {
@@ -508,6 +513,7 @@ impl Planes {
         }
         Ok(Planes {
             n_stocks: self.n_stocks,
+            n_pairs,
             returns: self.returns.clone(),
             avg: keep(&self.avg, &avg, AvgPlane::window),
             range: keep(&self.range, &range, RangePlane::window),

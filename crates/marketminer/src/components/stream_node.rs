@@ -402,7 +402,7 @@ impl StreamNode {
             n_stocks: n,
             limits: cfg.limits,
             needs_confirmation: cfg.needs_confirmation,
-            planes: Planes::new(n, specs.iter().map(|s| s.needs)),
+            planes: Planes::new(n, n * (n - 1) / 2, specs.iter().map(|s| s.needs)),
             history: vec![Vec::new(); n],
             status: vec![HealthStatus::Healthy; n],
             priced: None,
