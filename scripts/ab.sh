@@ -60,7 +60,10 @@ for ((round = 0; round < pairs; round++)); do
                 cd "${dir[$side]}"
                 "$work/$side-target/release/pairtrade-benchmark" \
                     --workload "$w" --seed 2009 --seconds 20 --trace 0 | tail -n 1
-            ) > "$work/runs/$side.$w.$round.json"
+            ) > "$work/runs/$side.$w.$round.json" ||
+                # A failed output check still prints its result line, which
+                # the table counts as a run not correct.
+                echo "ab: round $((round + 1))/$pairs $w $side exited nonzero" >&2
         done
     done
 done
