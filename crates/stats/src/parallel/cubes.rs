@@ -14,8 +14,13 @@ use crate::quadrant::quadrant;
 /// Split `data`, a sequence of `row_len`-element rows, into one contiguous
 /// block of whole rows per thread of width and run `f(first_row, block)` on
 /// each in parallel; results in block order. A block is where per-worker
-/// state (a scratch buffer, counters) lives for the length of a sweep.
-fn par_blocks<T: Send, R: Send>(
+/// state (a scratch buffer, counters) lives for the length of a sweep —
+/// here the robust planes' margins and pair walks, in the batch day walk
+/// its pairs' strategy planes.
+///
+/// # Panics
+/// Panics if `row_len` is 0.
+pub fn par_blocks<T: Send, R: Send>(
     data: &mut [T],
     row_len: usize,
     f: impl Fn(usize, &mut [T]) -> R + Sync,

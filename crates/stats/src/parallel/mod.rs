@@ -53,7 +53,7 @@ mod tests;
 mod walk;
 mod warm;
 
-pub use cubes::{pair_series, robust_cubes};
+pub use cubes::{pair_series, par_blocks, robust_cubes};
 pub use engine::ParallelCorrEngine;
 pub use margins::Margins;
 pub use plan::EnginePlan;
